@@ -123,8 +123,8 @@ func (as alshSearcher) Search(q vec.Vector, sp Spec) (int, float64, bool) {
 	if n := vec.Norm(q); n > as.u {
 		probe = vec.Scaled(q, (1-1e-12)*as.u/n)
 	}
-	score := func(p vec.Vector) float64 {
-		v := vec.Dot(p, q)
+	score := func(id int) float64 {
+		v := vec.Dot(as.data[id], q)
 		if sp.Variant == Unsigned && v < 0 {
 			v = -v
 		}

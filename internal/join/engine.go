@@ -552,17 +552,12 @@ func (e LSH) Join(P, Q *flat.Store, s, cs float64, opts Opts) (Result, error) {
 		out := &parts[t]
 		for qi := qlo; qi < qhi; qi++ {
 			q := Q.Row(qi)
-			cands := ix.Candidates(q)
+			var cands []int
 			if opts.Unsigned {
-				seen := make(map[int]bool, len(cands))
-				for _, pi := range cands {
-					seen[pi] = true
-				}
-				for _, pi := range ix.Candidates(vec.Neg(q)) {
-					if !seen[pi] {
-						cands = append(cands, pi)
-					}
-				}
+				// The paper's unsigned reduction: probe −q too.
+				cands = ix.Candidates(q, vec.Neg(q))
+			} else {
+				cands = ix.Candidates(q)
 			}
 			out.Compared += int64(len(cands))
 			if opts.TopK > 0 {

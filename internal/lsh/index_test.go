@@ -2,7 +2,10 @@ package lsh
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/vec"
@@ -23,14 +26,16 @@ func TestIndexFindsPlantedNeighbor(t *testing.T) {
 	planted := q.Clone()
 	planted[0] += 0.05
 	vec.Normalize(planted)
-	plantedID := ix.Insert(planted)
+	const plantedID = 0
+	data := []vec.Vector{planted}
 	for i := 1; i < n; i++ {
-		ix.Insert(vec.Vector(rng.UnitVec(d)))
+		data = append(data, vec.Vector(rng.UnitVec(d)))
 	}
+	ix.InsertAll(data)
 	if ix.Len() != n {
 		t.Fatalf("Len = %d", ix.Len())
 	}
-	best, score := ix.Query(q, func(p vec.Vector) float64 { return vec.Dot(p, q) })
+	best, score := ix.Query(q, func(id int) float64 { return vec.Dot(data[id], q) })
 	if best != plantedID {
 		t.Fatalf("Query returned %d (score %v), want planted %d", best, score, plantedID)
 	}
@@ -45,9 +50,11 @@ func TestIndexSubquadraticCandidates(t *testing.T) {
 	rng := xrand.New(22)
 	f, _ := NewHyperplane(d)
 	ix, _ := NewIndex(f, 12, 4, 23)
-	for i := 0; i < n; i++ {
-		ix.Insert(vec.Vector(rng.UnitVec(d)))
+	data := make([]vec.Vector, n)
+	for i := range data {
+		data[i] = vec.Vector(rng.UnitVec(d))
 	}
+	ix.InsertAll(data)
 	total := 0
 	const queries = 20
 	for i := 0; i < queries; i++ {
@@ -63,7 +70,7 @@ func TestIndexCandidatesDeduplicated(t *testing.T) {
 	f, _ := NewHyperplane(d)
 	ix, _ := NewIndex(f, 2, 8, 24)
 	p := vec.Vector{1, 0, 0, 0, 0, 0, 0, 0}
-	ix.Insert(p)
+	ix.InsertAll([]vec.Vector{p})
 	cands := ix.Candidates(p) // identical vector collides in every table
 	if len(cands) != 1 || cands[0] != 0 {
 		t.Fatalf("candidates = %v, want [0]", cands)
@@ -73,7 +80,7 @@ func TestIndexCandidatesDeduplicated(t *testing.T) {
 func TestIndexEmptyQuery(t *testing.T) {
 	f, _ := NewHyperplane(4)
 	ix, _ := NewIndex(f, 2, 2, 25)
-	id, score := ix.Query(vec.Vector{1, 0, 0, 0}, func(p vec.Vector) float64 { return 0 })
+	id, score := ix.Query(vec.Vector{1, 0, 0, 0}, func(int) float64 { return 0 })
 	if id != -1 || score != 0 {
 		t.Fatalf("empty index Query = (%d, %v)", id, score)
 	}
@@ -128,37 +135,252 @@ func TestIndexWithAsymmetricFamily(t *testing.T) {
 	a := setVec(d, 0, 1, 2, 3, 4, 5) // overlap 4 with query
 	b := setVec(d, 0, 1, 10, 11)     // overlap 2
 	c := setVec(d, 20, 21, 22)       // overlap 0
-	ix.InsertAll([]vec.Vector{a, b, c})
+	data := []vec.Vector{a, b, c}
+	ix.InsertAll(data)
 	q := setVec(d, 0, 1, 2, 3, 7)
-	id, _ := ix.Query(q, func(p vec.Vector) float64 { return vec.Dot(p, q) })
+	id, _ := ix.Query(q, func(id int) float64 { return vec.Dot(data[id], q) })
 	if id != 0 {
 		t.Fatalf("Query = %d, want 0", id)
 	}
 }
 
-func BenchmarkIndexInsert(b *testing.B) {
-	const d = 32
-	rng := xrand.New(29)
-	f, _ := NewHyperplane(d)
-	ix, _ := NewIndex(f, 8, 8, 30)
-	v := vec.Vector(rng.UnitVec(d))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ix.Insert(v)
+// combine is the reference key fold: the K hash values of one table,
+// computed one hasher at a time, folded into the table key.
+func combine(hs []uint64) uint64 {
+	key := uint64(1469598103934665603)
+	for _, h := range hs {
+		key ^= h
+		key *= 1099511628211
+		key ^= key >> 29
+	}
+	return key
+}
+
+// referenceKeys hashes x the construction's naive way: K·L hashers
+// sampled from the family itself (so an Asymmetric family runs its
+// pre-map inside every one of them), combined per table.
+func referenceKeys(f Family, k, l int, seed uint64, x vec.Vector, data bool) []uint64 {
+	rng := xrand.New(seed)
+	keys := make([]uint64, l)
+	for i := range keys {
+		hs := make([]uint64, k)
+		for j := range hs {
+			if h := f.Sample(rng); data {
+				hs[j] = h.HashData(x)
+			} else {
+				hs[j] = h.HashQuery(x)
+			}
+		}
+		keys[i] = combine(hs)
+	}
+	return keys
+}
+
+// ballVecs returns n vectors inside the unit ball of R^d.
+func ballVecs(rng *xrand.RNG, n, d int) []vec.Vector {
+	out := make([]vec.Vector, n)
+	for i := range out {
+		out[i] = vec.Scaled(rng.UnitVec(d), rng.Float64())
+	}
+	return out
+}
+
+// equivFamilies are the families the hash-once paths are checked on:
+// the packed-planes path bare and behind a pre-map, and the generic
+// per-hasher path on a non-linear family.
+func equivFamilies(t testing.TB, d int) map[string]Family {
+	hp, err := NewHyperplane(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := NewCrossPolytope(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]Family{"hyperplane": hp, "simple-alsh": mustSimpleALSHFamily(t, d), "cross-polytope": cp}
+}
+
+func TestIndexKeysMatchReference(t *testing.T) {
+	const d, k, l, seed = 12, 5, 7, 41
+	for name, f := range equivFamilies(t, d) {
+		ix, err := NewIndex(f, k, l, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]uint64, l)
+		for _, x := range ballVecs(xrand.New(42), 50, d) {
+			for _, data := range []bool{true, false} {
+				ix.keys(x, data, got)
+				if want := referenceKeys(f, k, l, seed, x, data); !slices.Equal(got, want) {
+					t.Fatalf("%s (data=%v): keys %v, reference %v", name, data, got, want)
+				}
+			}
+		}
 	}
 }
 
-func BenchmarkIndexQuery1k(b *testing.B) {
-	const d, n = 32, 1000
-	rng := xrand.New(31)
-	f, _ := NewHyperplane(d)
-	ix, _ := NewIndex(f, 8, 8, 32)
-	for i := 0; i < n; i++ {
-		ix.Insert(vec.Vector(rng.UnitVec(d)))
+func TestIndexExtendMatchesBuild(t *testing.T) {
+	const d, n, k, l, seed = 12, 300, 3, 6, 43
+	rng := xrand.New(44)
+	data := ballVecs(rng, n, d)
+	q := data[7]
+	for name, f := range equivFamilies(t, d) {
+		whole, _ := NewIndex(f, k, l, seed)
+		whole.InsertAll(data)
+		grown, _ := NewIndex(f, k, l, seed)
+		for lo := 0; lo < n; {
+			hi := min(n, lo+rng.Intn(40)) // random-sized steps, empty ones included
+			prev, before := grown, grown.Candidates(q)
+			grown = grown.Extend(data[lo:hi])
+			if after := prev.Candidates(q); !slices.Equal(before, after) || prev.Len() != lo {
+				t.Fatalf("%s: Extend(%d:%d) changed the index it extended", name, lo, hi)
+			}
+			lo = hi
+		}
+		if grown.Len() != n || !reflect.DeepEqual(grown.tables, whole.tables) {
+			t.Fatalf("%s: tables of the grown index differ from a from-scratch build", name)
+		}
+		for ti, tb := range grown.tables {
+			if !slices.IsSorted(tb.keys) || len(tb.ids) != n {
+				t.Fatalf("%s: table %d is not a sorted partition of the ids", name, ti)
+			}
+			for j := range tb.keys {
+				if b := tb.ids[tb.offs[j]:tb.offs[j+1]]; len(b) == 0 || !slices.IsSorted(b) {
+					t.Fatalf("%s: table %d bucket %d empty or unsorted: %v", name, ti, j, b)
+				}
+			}
+		}
 	}
-	q := vec.Vector(rng.UnitVec(d))
+}
+
+func TestCandidatesJointProbes(t *testing.T) {
+	// Candidates(q, −q) is Candidates(q) followed by what −q adds.
+	const d, n = 10, 400
+	rng := xrand.New(45)
+	ix, _ := NewIndex(mustSimpleALSHFamily(t, d), 4, 8, 46)
+	ix.InsertAll(ballVecs(rng, n, d))
+	for _, q := range ballVecs(rng, 20, d) {
+		want := ix.Candidates(q)
+		for _, id := range ix.Candidates(vec.Neg(q)) {
+			if !slices.Contains(want, id) {
+				want = append(want, id)
+			}
+		}
+		if got := ix.Candidates(q, vec.Neg(q)); !slices.Equal(got, want) {
+			t.Fatalf("joint probe %v, want %v", got, want)
+		}
+	}
+}
+
+func TestIndexProbesDuringExtend(t *testing.T) {
+	// Readers keep probing an index while a writer extends it: Extend
+	// must leave the extended index alone, and the pooled probe scratch
+	// must not leak state between goroutines.
+	const d, n, readers = 10, 300, 4
+	rng := xrand.New(47)
+	data, queries := ballVecs(rng, n, d), ballVecs(rng, 8, d)
+	base, _ := NewIndex(mustSimpleALSHFamily(t, d), 4, 8, 48)
+	base.InsertAll(data[:100])
+	want := make([][]int, len(queries))
+	for i, q := range queries {
+		want[i] = base.Candidates(q, vec.Neg(q))
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				qi := i % len(queries)
+				if got := base.Candidates(queries[qi], vec.Neg(queries[qi])); !slices.Equal(got, want[qi]) {
+					t.Errorf("probe %d changed under a concurrent Extend: %v, want %v", qi, got, want[qi])
+					return
+				}
+			}
+		}()
+	}
+	grown := base
+	for lo := 100; lo < n; lo += 20 {
+		grown = grown.Extend(data[lo : lo+20])
+		grown.Candidates(queries[0])
+	}
+	close(stop)
+	wg.Wait()
+	if grown.Len() != n || base.Len() != 100 {
+		t.Fatalf("sizes after extending: grown %d, base %d", grown.Len(), base.Len())
+	}
+}
+
+// benchIndex is the shape of one ALSH shard of the serving benchmark:
+// 1 500 rows of dimension 32 under SIMPLE + hyperplane at K=8, L=16.
+func benchIndex(t testing.TB) (ix *Index, data, extra, queries []vec.Vector) {
+	const d = 32
+	rng := xrand.New(29)
+	ix, err := NewIndex(mustSimpleALSHFamily(t, d), 8, 16, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, ballVecs(rng, 1500, d), ballVecs(rng, 64, d), ballVecs(rng, 64, d)
+}
+
+func TestCandidatesAllocs(t *testing.T) {
+	// A warm probe allocates its result and one pre-mapped query per
+	// probe — nothing per table or per hasher.
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	ix, data, _, queries := benchIndex(t)
+	ix.InsertAll(data)
+	q, nq := queries[0], vec.Neg(queries[0])
+	if len(ix.Candidates(q, nq)) == 0 {
+		t.Fatal("probe found no candidates; the guard would measure nothing")
+	}
+	if a := testing.AllocsPerRun(100, func() { ix.Candidates(q) }); a > 2 {
+		t.Errorf("Candidates(q) allocates %v times per call, want <= 2", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { ix.Candidates(q, nq) }); a > 3 {
+		t.Errorf("Candidates(q, -q) allocates %v times per call, want <= 3", a)
+	}
+	hp, _ := NewHyperplane(len(q))
+	bare, _ := NewIndex(hp, 8, 16, 30)
+	bare.InsertAll(data)
+	if a := testing.AllocsPerRun(100, func() { bare.Candidates(q) }); a > 1 {
+		t.Errorf("bare hyperplane Candidates allocates %v times per call, want <= 1", a)
+	}
+}
+
+var benchSink int
+
+func BenchmarkIndexBuild(b *testing.B) {
+	ix, data, _, _ := benchIndex(b)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ix.Query(q, func(p vec.Vector) float64 { return vec.Dot(p, q) })
+	for b.Loop() {
+		benchSink += ix.Extend(data).Len()
+	}
+}
+
+func BenchmarkIndexExtend(b *testing.B) {
+	ix, data, extra, _ := benchIndex(b)
+	ix.InsertAll(data)
+	b.ReportAllocs()
+	for b.Loop() {
+		benchSink += ix.Extend(extra).Len()
+	}
+}
+
+func BenchmarkIndexCandidates(b *testing.B) {
+	ix, data, _, queries := benchIndex(b)
+	ix.InsertAll(data)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		benchSink += len(ix.Candidates(queries[i%len(queries)]))
+		i++
 	}
 }

@@ -122,9 +122,11 @@ func NewNormRangeMIPS(data []vec.Vector, opts NormRangeOptions) (*NormRangeMIPS,
 		}
 		// Sort band members for deterministic insertion order.
 		sort.Ints(ids)
-		for _, id := range ids {
-			ix.Insert(vec.Scaled(data[id], scale))
+		scaled := make([]vec.Vector, len(ids))
+		for i, id := range ids {
+			scaled[i] = vec.Scaled(data[id], scale)
 		}
+		ix.InsertAll(scaled)
 		nr.bands = append(nr.bands, &normBand{index: ix, ids: ids, scale: scale, u: 1})
 	}
 	return nr, nil
@@ -142,18 +144,13 @@ func (nr *NormRangeMIPS) Query(q vec.Vector) (int, float64) {
 	}
 	best, bv := -1, 0.0
 	for _, band := range nr.bands {
-		local, _ := band.index.Query(probe, func(p vec.Vector) float64 {
-			// p is the band-scaled vector; scoring by it preserves the
-			// within-band order, and the cross-band comparison below uses
-			// the true product.
-			return vec.Dot(p, q)
+		// The index hashed band-scaled vectors; candidates are scored by
+		// the true product, which orders within and across bands alike.
+		local, v := band.index.Query(probe, func(local int) float64 {
+			return vec.Dot(nr.data[band.ids[local]], q)
 		})
-		if local < 0 {
-			continue
-		}
-		id := band.ids[local]
-		if v := vec.Dot(nr.data[id], q); best == -1 || v > bv {
-			best, bv = id, v
+		if local >= 0 && (best == -1 || v > bv) {
+			best, bv = band.ids[local], v
 		}
 	}
 	return best, bv

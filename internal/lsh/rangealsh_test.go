@@ -133,7 +133,7 @@ func TestNormRangeBeatsSingleIndexOnSkewedData(t *testing.T) {
 		if n := vec.Norm(q); n > 1 {
 			probe = vec.Scaled(q, (1-1e-12)/n)
 		}
-		if got, _ := ix.Query(probe, func(p vec.Vector) float64 { return vec.Dot(p, probe) }); got == planted {
+		if got, _ := ix.Query(probe, func(id int) float64 { return vec.Dot(flat[id], probe) }); got == planted {
 			flatHits++
 		}
 	}
@@ -146,7 +146,7 @@ func TestNormRangeBeatsSingleIndexOnSkewedData(t *testing.T) {
 	}
 }
 
-func mustSimpleALSHFamily(t *testing.T, d int) Family {
+func mustSimpleALSHFamily(t testing.TB, d int) Family {
 	t.Helper()
 	tr, err := transform.NewSimple(d, 1)
 	if err != nil {

@@ -1,0 +1,440 @@
+package server
+
+// Tests for the alsh write path: the banding index is extended on
+// ingest/upsert instead of rebuilt, and a vector the SIMPLE map cannot
+// take is a 400, not a dead process.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/flat"
+	"repro/internal/store"
+	"repro/internal/trace"
+	"repro/internal/vec"
+	"repro/internal/xrand"
+)
+
+// ballRecord is a record with the given id inside the unit ball.
+func ballRecord(rng *xrand.RNG, id, d int) store.Record {
+	return store.Record{ID: id, Vec: vec.Scaled(rng.UnitVec(d), 0.2+0.8*rng.Float64())}
+}
+
+// TestALSHMutationsMatchFreshBuild drives an alsh collection through a
+// seeded random ingest/upsert/delete/compact sequence — every ingest
+// and upsert extends the shards' banding indexes, compaction rebuilds
+// them — and checks that it answers exactly like a fresh collection
+// with the same seed bulk-loaded with the live set: extending must be
+// indistinguishable from rebuilding.
+func TestALSHMutationsMatchFreshBuild(t *testing.T) {
+	const d, shards, seed, k = 8, 3, 77, 10
+	spec := IndexSpec{Kind: KindALSH, K: 4, L: 8}
+	rng := xrand.New(5)
+	c, err := newCollection("grown", spec, shards, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	c.compactFrac = -1 // compaction only where the script says so
+	live := modelSet{}
+	nextID := 0
+	randomLive := func(n int) []int {
+		ids := make([]int, 0, len(live))
+		for id := range live {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		out := make([]int, min(n, len(ids)))
+		for i, j := range rng.Perm(len(ids))[:len(out)] {
+			out[i] = ids[j]
+		}
+		return out
+	}
+	check := func(op int) {
+		t.Helper()
+		fresh, err := newCollection("fresh", spec, shards, seed, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.close()
+		recs := make([]store.Record, 0, len(live))
+		for _, id := range randomLive(len(live)) {
+			recs = append(recs, live[id])
+		}
+		if _, err := fresh.Ingest(recs); err != nil {
+			t.Fatal(err)
+		}
+		for qi := 0; qi < 24; qi++ {
+			q := vec.Vector(rng.UnitVec(d))
+			for _, unsigned := range []bool{false, true} {
+				got, err1 := c.SearchOne(context.Background(), nil, q, k, unsigned)
+				want, err2 := fresh.SearchOne(context.Background(), nil, q, k, unsigned)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("op %d: search: %v / %v", op, err1, err2)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("op %d query %d (unsigned=%v): grown collection diverges from a fresh build\n got %v\nwant %v",
+						op, qi, unsigned, got, want)
+				}
+			}
+		}
+	}
+	for op := 0; op < 60; op++ {
+		switch r := rng.Float64(); {
+		case r < 0.35 || len(live) == 0: // ingest fresh ids
+			batch := make([]store.Record, 1+rng.Intn(40))
+			for i := range batch {
+				batch[i] = ballRecord(rng, nextID, d)
+				nextID++
+			}
+			if _, err := c.Ingest(batch); err != nil {
+				t.Fatalf("op %d: ingest: %v", op, err)
+			}
+			live.upsert(batch)
+		case r < 0.7: // upsert: replacements and inserts mixed
+			var batch []store.Record
+			for _, id := range randomLive(1 + rng.Intn(12)) {
+				batch = append(batch, ballRecord(rng, id, d))
+			}
+			for i := rng.Intn(6); i > 0; i-- {
+				batch = append(batch, ballRecord(rng, nextID, d))
+				nextID++
+			}
+			if _, err := c.Upsert(batch); err != nil {
+				t.Fatalf("op %d: upsert: %v", op, err)
+			}
+			live.upsert(batch)
+		case r < 0.9:
+			ids := randomLive(1 + rng.Intn(10))
+			if _, _, err := c.Delete(ids); err != nil {
+				t.Fatalf("op %d: delete: %v", op, err)
+			}
+			live.delete(ids)
+		default:
+			if err := c.compact(); err != nil {
+				t.Fatalf("op %d: compact: %v", op, err)
+			}
+		}
+		if op%6 == 5 {
+			check(op)
+		}
+	}
+	check(60)
+}
+
+// TestALSHOverNormRejectedOverHTTP: a vector outside the unit ball used
+// to panic on the shard owner goroutine and kill the process. It must
+// be a 400 naming the record, on every write route, and leave no trace.
+func TestALSHOverNormRejectedOverHTTP(t *testing.T) {
+	s := New(Config{DefaultShards: 2})
+	defer s.Close()
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	id0, id1, id7 := 0, 1, 7
+	if code := doJSON(t, ts, http.MethodPut, "/collections/a", IngestRequest{
+		Index:   &IndexSpec{Kind: KindALSH},
+		Records: []RecordJSON{{ID: &id0, Vec: []float64{1, 0}}, {ID: &id1, Vec: []float64{0, 1}}},
+	}, nil); code != http.StatusOK {
+		t.Fatalf("seed ingest status %d", code)
+	}
+	c, _ := s.Collection("a")
+	version := c.Version()
+	bad := []float64{3, 4}
+	for _, tc := range []struct {
+		name, method, path string
+		body               any
+	}{
+		{"ingest", http.MethodPut, "/collections/a", IngestRequest{Records: []RecordJSON{{ID: &id7, Vec: bad}}}},
+		{"auto-id ingest", http.MethodPut, "/collections/a", IngestRequest{Records: []RecordJSON{{Vec: []float64{0.1, 0.1}}, {Vec: bad}}}},
+		{"batch upsert", http.MethodPost, "/collections/a/vectors", IngestRequest{Records: []RecordJSON{{ID: &id1, Vec: []float64{0.5, 0}}, {ID: &id7, Vec: bad}}}},
+		{"single upsert", http.MethodPut, "/collections/a/vectors/7", RecordJSON{Vec: bad}},
+	} {
+		var resp map[string]string
+		if code := doJSON(t, ts, tc.method, tc.path, tc.body, &resp); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", tc.name, code)
+		}
+		if msg := resp["error"]; !strings.Contains(msg, "norm 5") || (tc.name != "auto-id ingest" && !strings.Contains(msg, "id 7")) {
+			t.Fatalf("%s: error does not name the record and its norm: %q", tc.name, msg)
+		}
+	}
+	if c.Version() != version || c.Len() != 2 {
+		t.Fatalf("rejected batches left a trace: version %d -> %d, len %d", version, c.Version(), c.Len())
+	}
+	// Id 7 was never reserved, id 1 still holds its old vector, and the
+	// server still serves.
+	if code := doJSON(t, ts, http.MethodPut, "/collections/a",
+		IngestRequest{Records: []RecordJSON{{ID: &id7, Vec: []float64{0.3, 0.3}}}}, nil); code != http.StatusOK {
+		t.Fatalf("ingest of the rejected id status %d", code)
+	}
+	var sr SearchResponse
+	if code := doJSON(t, ts, http.MethodPost, "/collections/a/search",
+		SearchRequest{Q: []float64{0, 1}, K: 1}, &sr); code != http.StatusOK {
+		t.Fatalf("search status %d", code)
+	}
+	if len(sr.Matches) != 1 || sr.Matches[0].ID != 1 || sr.Matches[0].Score != 1 {
+		t.Fatalf("search after rejected upsert: %+v", sr.Matches)
+	}
+}
+
+// TestShardBuildPanicBecomesError: whatever panics while a shard builds
+// its next snapshot must surface as the mutation's error (a 500: the
+// fault is the server's) — rolled back like any failed build — instead
+// of killing the owner goroutine's process. The panic is injected by publishing an index whose banding
+// structure is missing.
+func TestShardBuildPanicBecomesError(t *testing.T) {
+	var logs syncBuffer
+	old := slog.Default()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&logs, nil)))
+	defer slog.SetDefault(old)
+
+	s := New(Config{DefaultShards: 1})
+	defer s.Close()
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	id0, id1 := 0, 1
+	if code := doJSON(t, ts, http.MethodPut, "/collections/a", IngestRequest{
+		Index: &IndexSpec{Kind: KindALSH}, Records: []RecordJSON{{ID: &id0, Vec: []float64{0.6, 0}}},
+	}, nil); code != http.StatusOK {
+		t.Fatalf("seed ingest status %d", code)
+	}
+	c, _ := s.Collection("a")
+	sh := c.shards[0]
+	good := sh.snap.Load()
+	sh.commit(&shardSnap{ids: good.ids, fs: good.fs, index: &alshIndex{fs: good.fs, u: 1}})
+
+	write := IngestRequest{Records: []RecordJSON{{ID: &id1, Vec: []float64{0, 0.6}}}}
+	version := c.Version()
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPut, "/collections/a"},
+		{http.MethodPost, "/collections/a/vectors"},
+	} {
+		var resp map[string]string
+		if code := doJSON(t, ts, route.method, route.path, write, &resp); code != http.StatusInternalServerError {
+			t.Fatalf("%s %s: status %d, want 500", route.method, route.path, code)
+		}
+		if !strings.Contains(resp["error"], "panicked") {
+			t.Fatalf("%s %s: error %q does not report the panic", route.method, route.path, resp["error"])
+		}
+	}
+	if !strings.Contains(logs.String(), "alshIndex).extend") {
+		t.Fatalf("the panic's stack was not logged:\n%s", logs.String())
+	}
+	if c.Version() != version || c.Len() != 1 {
+		t.Fatalf("failed builds left a trace: version %d -> %d, len %d", version, c.Version(), c.Len())
+	}
+	// The owner goroutine survived: with a sound snapshot back in place
+	// the same write goes through, so its id was not left reserved.
+	sh.commit(good)
+	if code := doJSON(t, ts, http.MethodPut, "/collections/a", write, nil); code != http.StatusOK {
+		t.Fatalf("ingest after the panics status %d", code)
+	}
+	if code := doJSON(t, ts, http.MethodGet, "/healthz", nil, nil); code != http.StatusOK {
+		t.Fatalf("healthz status %d", code)
+	}
+}
+
+// TestALSHUpsertsDoNotPinOldStores: an extended index descends from
+// every earlier snapshot's index, so anything it kept of them — row
+// views into their stores — would keep one store per write alive.
+func TestALSHUpsertsDoNotPinOldStores(t *testing.T) {
+	const d, n, writes = 16, 512, 12
+	rng := xrand.New(9)
+	c, err := newCollection("pin", IndexSpec{Kind: KindALSH}, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	c.compactFrac = -1
+	recs := make([]store.Record, n)
+	for i := range recs {
+		recs[i] = ballRecord(rng, i, d)
+	}
+	if _, err := c.Ingest(recs); err != nil {
+		t.Fatal(err)
+	}
+	var freed atomic.Int32
+	for w := 0; w < writes; w++ {
+		runtime.SetFinalizer(c.shards[0].snap.Load().fs, func(*flat.Store) { freed.Add(1) })
+		if _, err := c.Upsert([]store.Record{ballRecord(rng, rng.Intn(n), d)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); freed.Load() < writes && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := freed.Load(); got < writes {
+		t.Fatalf("only %d of %d superseded shard stores were collected: the live snapshot pins the rest", got, writes)
+	}
+	if _, err := c.SearchOne(context.Background(), nil, recs[0].Vec, 3, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIndexBuildStageAndSpan: write-side index work is visible — every
+// ingest/upsert lands in ipsd_stage_seconds{stage="index_build"}, and a
+// traced one carries an index_build span saying how many shards
+// rebuilt their index and how many extended it.
+func TestIndexBuildStageAndSpan(t *testing.T) {
+	s := New(Config{DefaultShards: 2, Tracing: true})
+	defer s.Close()
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	indexBuild := func(method, path string, body any) map[string]int64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(body); err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(method, ts.URL+path, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", method, path, resp.StatusCode)
+		}
+		id, _, ok := trace.Parse(resp.Header.Get("Traceparent"))
+		if !ok {
+			t.Fatalf("%s %s: no traceparent on the response", method, path)
+		}
+		var exp trace.Exported
+		if code := doJSON(t, ts, http.MethodGet, "/debug/trace/"+id, nil, &exp); code != http.StatusOK {
+			t.Fatalf("debug trace status %d", code)
+		}
+		for _, sp := range exp.Spans {
+			if sp.Name == "index_build" {
+				return sp.Attrs
+			}
+		}
+		t.Fatalf("%s %s: trace has no index_build span: %+v", method, path, exp.Spans)
+		return nil
+	}
+	recs := func(ids ...int) []RecordJSON {
+		out := make([]RecordJSON, len(ids))
+		for i := range ids {
+			out[i] = RecordJSON{ID: &ids[i], Vec: []float64{0.1 * float64(ids[i]%7), 0.5}}
+		}
+		return out
+	}
+	// First write: both shards are empty, so both build from scratch.
+	if a := indexBuild(http.MethodPut, "/collections/a", IngestRequest{Index: &IndexSpec{Kind: KindALSH}, Records: recs(0, 1, 2, 3)}); a["rebuild"] != 2 || a["extend"] != 0 {
+		t.Fatalf("first ingest index_build attrs = %v, want rebuild=2", a)
+	}
+	if a := indexBuild(http.MethodPut, "/collections/a", IngestRequest{Records: recs(4, 5)}); a["extend"] != 2 || a["rebuild"] != 0 {
+		t.Fatalf("second ingest index_build attrs = %v, want extend=2", a)
+	}
+	if a := indexBuild(http.MethodPost, "/collections/a/vectors", IngestRequest{Records: recs(2)}); a["extend"] != 1 || a["rebuild"] != 0 {
+		t.Fatalf("upsert index_build attrs = %v, want extend=1", a)
+	}
+	// An exact collection has nothing to extend.
+	if a := indexBuild(http.MethodPut, "/collections/e", IngestRequest{Records: recs(0, 1)}); a["rebuild"] != 2 {
+		t.Fatalf("exact ingest index_build attrs = %v, want rebuild=2", a)
+	}
+	if a := indexBuild(http.MethodPut, "/collections/e", IngestRequest{Records: recs(2)}); a["rebuild"] != 1 || a["extend"] != 0 {
+		t.Fatalf("exact re-ingest index_build attrs = %v, want rebuild=1", a)
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var text bytes.Buffer
+	if _, err := text.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	validatePromText(t, text.String())
+	if want := `ipsd_stage_seconds_count{stage="index_build",collection="a"} 3`; !strings.Contains(text.String(), want) {
+		t.Fatalf("/metrics lacks %q", want)
+	}
+}
+
+// TestALSHSearchDuringWrites: searches run against the previous
+// snapshot's banding index while the owner goroutines extend it, so a
+// hit must always pair an id with that id's score — record i is
+// ((i mod 97)+1)/100·e_{i mod d}, which the all-ones query scores at
+// exactly that scale whichever snapshot answers.
+func TestALSHSearchDuringWrites(t *testing.T) {
+	const d, batches, batchSize, searchers = 8, 20, 40, 3
+	mkRec := func(i int) store.Record {
+		v := vec.New(d)
+		v[i%d] = float64(i%97+1) / 100
+		return store.Record{ID: i, Vec: v}
+	}
+	batch := func(lo int) []store.Record {
+		recs := make([]store.Record, batchSize)
+		for i := range recs {
+			recs[i] = mkRec(lo + i)
+		}
+		return recs
+	}
+	s := New(Config{DefaultShards: 2, CacheCapacity: -1})
+	defer s.Close()
+	if _, _, err := s.Ingest("c", &IndexSpec{Kind: KindALSH, K: 2, L: 8}, 2, batch(0)); err != nil {
+		t.Fatal(err)
+	}
+	q := vec.New(d)
+	for i := range q {
+		q[i] = 1
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer stop.Store(true)
+		for b := 1; b < batches; b++ {
+			if _, _, err := s.Ingest("c", nil, 0, batch(b*batchSize)); err != nil {
+				t.Errorf("ingest: %v", err)
+				return
+			}
+			if _, _, err := s.Upsert("c", nil, 0, batch((b - 1) * batchSize)[:5]); err != nil {
+				t.Errorf("upsert: %v", err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < searchers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				res, err := s.Search("c", []vec.Vector{q}, 20, true)
+				if err == nil {
+					err = res[0].Err
+				}
+				if err != nil {
+					t.Errorf("search: %v", err)
+					return
+				}
+				for _, h := range res[0].Hits {
+					if want := float64(h.ID%97+1) / 100; h.Score != want {
+						t.Errorf("hit id %d scored %v, want %v", h.ID, h.Score, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if c, _ := s.Collection("c"); c.Len() != batches*batchSize {
+		t.Fatalf("collection holds %d records, want %d", c.Len(), batches*batchSize)
+	}
+}

@@ -13,15 +13,16 @@ import (
 	"repro/internal/persist"
 	"repro/internal/store"
 	"repro/internal/trace"
+	"repro/internal/transform"
 	"repro/internal/vec"
 )
 
 // Collection is a named, sharded vector set. The source of truth is a
 // store.Versioned relation (immutable snapshots, used by the join
 // endpoint and /stats); serving happens against per-shard indexes that
-// are rebuilt on the shard-owner goroutines at ingest time. When the
-// server is durable, every ingest batch is appended to the
-// collection's write-ahead log before it becomes visible, and a
+// are extended or rebuilt on the shard-owner goroutines at ingest
+// time. When the server is durable, every ingest batch is appended to
+// the collection's write-ahead log before it becomes visible, and a
 // background checkpoint compacts the log into segment snapshots.
 type Collection struct {
 	name   string
@@ -62,7 +63,7 @@ type Collection struct {
 	// adm is the per-collection admission gate; nil means unlimited.
 	adm *gate
 	// stageObs, when set by the owning server, receives per-stage
-	// durations (wal_append, wal_fsync, checkpoint) for the
+	// durations (index_build, wal_append, wal_fsync, checkpoint) for the
 	// ipsd_stage_seconds histograms. Nil-safe via observeStage.
 	stageObs func(stage string, d time.Duration)
 
@@ -217,14 +218,21 @@ func (c *Collection) shardFor(id int) int {
 
 // Ingest validates and appends records, assigns IDs to records that
 // carry the sentinel AutoID, partitions the batch by ID across the
-// shards, and rebuilds every touched shard's index in parallel on the
-// shard-owner goroutines. The batch is all-or-nothing: records and
-// new indexes become visible only after every shard's rebuild has
+// shards, and builds every touched shard's next snapshot in parallel
+// on the shard-owner goroutines. The batch is all-or-nothing: records
+// and new indexes become visible only after every shard's build has
 // succeeded, and a rejected batch leaves no trace (IDs reserved for
-// it are released). Note each touched shard rebuilds its index over
-// its full vector set, so prefer fewer, larger batches for the
-// rebuild-heavy index kinds (alsh, sketch). Returns the new version.
+// it are released). Every touched shard copies its store once; an alsh
+// index is then extended by the batch, while the other kinds are
+// re-derived from the full store, so prefer fewer, larger batches for
+// sketch. Returns the new version.
 func (c *Collection) Ingest(recs []store.Record) (uint64, error) {
+	return c.ingest(context.Background(), recs)
+}
+
+// ingest is Ingest under the caller's context, which is read only for
+// its trace: a traced request gets an index_build span.
+func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, error) {
 	if len(recs) == 0 {
 		return c.rel.Version(), nil
 	}
@@ -241,6 +249,9 @@ func (c *Collection) Ingest(recs []store.Record) (uint64, error) {
 	// serializes appends, so the later Append of this same batch
 	// cannot fail.
 	if err := c.rel.CheckAppend(recs); err != nil {
+		return 0, err
+	}
+	if err := c.checkNormBound(recs); err != nil {
 		return 0, err
 	}
 
@@ -300,22 +311,12 @@ func (c *Collection) Ingest(recs []store.Record) (uint64, error) {
 
 	// Phase 1: build every touched shard's new snapshot in parallel on
 	// the shard-owner goroutines, publishing nothing yet.
-	snaps := make([]*shardSnap, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for si := range ids {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			snaps[si], errs[si] = c.shards[si].prepare(c.spec, ids[si], vs[si])
-		}(si)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			rollback()
-			return 0, fmt.Errorf("server: collection %q: index build: %w", c.name, err)
-		}
+	snaps, err := c.buildSnaps(ctx, ids, func(si int, sp *trace.Span) (*shardSnap, error) {
+		return c.shards[si].prepare(c.spec, ids[si], vs[si], sp)
+	})
+	if err != nil {
+		rollback()
+		return 0, err
 	}
 
 	// Write-ahead: the batch must be durable (per the fsync policy)
@@ -359,6 +360,57 @@ func (c *Collection) Ingest(recs []store.Record) (uint64, error) {
 	return version, nil
 }
 
+// checkNormBound rejects, for an alsh collection, a batch holding a
+// vector outside the unit ball: §4.1's SIMPLE map is only defined on
+// ‖p‖ ≤ 1, so the record could never be indexed. Checked before any ID
+// is reserved or any shard is touched.
+func (c *Collection) checkNormBound(recs []store.Record) error {
+	if c.spec.kind() != KindALSH {
+		return nil
+	}
+	for i, r := range recs {
+		if !transform.InUnitBall(r.Vec) {
+			who := fmt.Sprintf("record %d", i)
+			if r.ID != AutoID {
+				who += fmt.Sprintf(" (id %d)", r.ID)
+			}
+			return fmt.Errorf("server: collection %q: %s: norm %.6g exceeds 1, the data bound of the %s index",
+				c.name, who, vec.Norm(r.Vec), KindALSH)
+		}
+	}
+	return nil
+}
+
+// buildSnaps is phase 1 of an ingest or upsert: prepare builds the next
+// snapshot of every shard in touched, in parallel on the shard-owner
+// goroutines, publishing nothing. The phase is the write path's index
+// work, so it is timed as the index_build stage, and a traced request
+// gets an index_build span whose extend and rebuild attributes count
+// the shards that grew their index and those that rebuilt it.
+func (c *Collection) buildSnaps(ctx context.Context, touched map[int][]int, prepare func(si int, sp *trace.Span) (*shardSnap, error)) ([]*shardSnap, error) {
+	start := time.Now()
+	sp := trace.FromContext(ctx).StartSpan("index_build")
+	snaps := make([]*shardSnap, len(c.shards))
+	errs := make([]error, len(c.shards))
+	var wg sync.WaitGroup
+	for si := range touched {
+		wg.Add(1)
+		go func(si int) {
+			defer wg.Done()
+			snaps[si], errs[si] = prepare(si, sp)
+		}(si)
+	}
+	wg.Wait()
+	sp.End()
+	c.observeStage("index_build", time.Since(start))
+	for _, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("server: collection %q: index build: %w", c.name, err)
+		}
+	}
+	return snaps, nil
+}
+
 // AutoID marks a record whose ID the collection assigns at ingest.
 const AutoID = -1 << 62
 
@@ -390,10 +442,16 @@ func roundRecords32(name string, recs []store.Record) error {
 // address — and a batch must not name the same ID twice (the intended
 // final state would be ambiguous). Replacement tombstones the old row
 // in its shard and appends the new one, so the change is one WAL
-// frame, one index rebuild per touched shard, and one atomic snapshot
-// swap; the space held by replaced rows is reclaimed by background
-// compaction. All-or-nothing like Ingest. Returns the new version.
+// frame, one store copy and index extension (alsh) or rebuild (the
+// other kinds) per touched shard, and one atomic snapshot swap; the
+// space held by replaced rows is reclaimed by background compaction.
+// All-or-nothing like Ingest. Returns the new version.
 func (c *Collection) Upsert(recs []store.Record) (uint64, error) {
+	return c.upsert(context.Background(), recs)
+}
+
+// upsert is Upsert under the caller's context (see ingest).
+func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, error) {
 	if len(recs) == 0 {
 		return c.rel.Version(), nil
 	}
@@ -406,6 +464,9 @@ func (c *Collection) Upsert(recs []store.Record) (uint64, error) {
 		return 0, err
 	}
 	if err := c.rel.CheckAppend(recs); err != nil {
+		return 0, err
+	}
+	if err := c.checkNormBound(recs); err != nil {
 		return 0, err
 	}
 	if c.spec.precision() == PrecisionF32 {
@@ -452,22 +513,12 @@ func (c *Collection) Upsert(recs []store.Record) (uint64, error) {
 		vs[si] = append(vs[si], r.Vec)
 	}
 
-	snaps := make([]*shardSnap, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for si := range ids {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			snaps[si], errs[si] = c.shards[si].prepareUpsert(c.spec, ids[si], vs[si])
-		}(si)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			rollback()
-			return 0, fmt.Errorf("server: collection %q: index build: %w", c.name, err)
-		}
+	snaps, err := c.buildSnaps(ctx, ids, func(si int, sp *trace.Span) (*shardSnap, error) {
+		return c.shards[si].prepareUpsert(c.spec, ids[si], vs[si], sp)
+	})
+	if err != nil {
+		rollback()
+		return 0, err
 	}
 
 	if c.log != nil {
@@ -685,10 +736,10 @@ func (c *Collection) observeLatency(d time.Duration) {
 	c.hist.observe(d)
 }
 
-// observeStage forwards one durability-stage duration (wal_append,
-// wal_fsync, checkpoint) to the server's per-stage histograms; a
-// collection without an owner drops it. Only touches atomics, so it is
-// safe under the persist log's mutex.
+// observeStage forwards one write-path stage duration (index_build,
+// wal_append, wal_fsync, checkpoint) to the server's per-stage
+// histograms; a collection without an owner drops it. Only touches
+// atomics, so it is safe under the persist log's mutex.
 func (c *Collection) observeStage(stage string, d time.Duration) {
 	if c.stageObs != nil {
 		c.stageObs(stage, d)

@@ -332,15 +332,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		recs[i] = store.Record{ID: id, Vec: vec.Vector(rj.Vec), Attrs: rj.Attrs}
 	}
-	version, invalidated, err := s.Ingest(name, req.Index, req.Shards, recs)
+	version, invalidated, err := s.IngestCtx(r.Context(), name, req.Index, req.Shards, recs)
 	if err != nil {
-		// Server faults (WAL/disk failure, shutdown, concurrent drop)
-		// are retryable 503s; everything else really is a malformed
-		// request (bad dimension, duplicate ID, spec mismatch).
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrUnavailable) {
-			status = http.StatusServiceUnavailable
-		}
+		status := mutationStatus(err)
 		hintRetry(w, status)
 		httpError(w, status, err)
 		return
@@ -469,18 +463,25 @@ type DeleteVectorsResponse struct {
 	Invalidated int    `json:"invalidated"`
 }
 
-// mutationStatus maps an upsert/delete failure to its HTTP status.
+// mutationStatus maps an ingest/upsert/delete failure to its HTTP
+// status: server faults (WAL/disk failure, shutdown, concurrent drop)
+// are retryable 503s, a recovered build panic is a 500, and everything
+// else really is a malformed request (bad dimension, duplicate ID, spec
+// mismatch, norm bound).
 func mutationStatus(err error) int {
-	if errors.Is(err, ErrUnavailable) {
+	switch {
+	case errors.Is(err, ErrUnavailable):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, errInternal):
+		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
 }
 
 // serveUpsert runs an upsert batch and writes the response; shared by
 // the single-record and batch routes.
-func (s *Server) serveUpsert(w http.ResponseWriter, name string, spec *IndexSpec, shards int, recs []store.Record) {
-	version, invalidated, err := s.Upsert(name, spec, shards, recs)
+func (s *Server) serveUpsert(w http.ResponseWriter, r *http.Request, name string, spec *IndexSpec, shards int, recs []store.Record) {
+	version, invalidated, err := s.UpsertCtx(r.Context(), name, spec, shards, recs)
 	if err != nil {
 		status := mutationStatus(err)
 		hintRetry(w, status)
@@ -520,7 +521,7 @@ func (s *Server) handleUpsertOne(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("body id %d disagrees with path id %d", *rj.ID, id))
 		return
 	}
-	s.serveUpsert(w, name, nil, 0, []store.Record{{ID: id, Vec: vec.Vector(rj.Vec), Attrs: rj.Attrs}})
+	s.serveUpsert(w, r, name, nil, 0, []store.Record{{ID: id, Vec: vec.Vector(rj.Vec), Attrs: rj.Attrs}})
 }
 
 // handleUpsertBatch serves POST /collections/{name}/vectors: an
@@ -540,7 +541,7 @@ func (s *Server) handleUpsertBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		recs[i] = store.Record{ID: *rj.ID, Vec: vec.Vector(rj.Vec), Attrs: rj.Attrs}
 	}
-	s.serveUpsert(w, name, req.Index, req.Shards, recs)
+	s.serveUpsert(w, r, name, req.Index, req.Shards, recs)
 }
 
 // handleDeleteOne serves DELETE /collections/{name}/vectors/{id}. An

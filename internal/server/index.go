@@ -185,9 +185,10 @@ func defaultSketch(kappa float64, copies int) (float64, int) {
 
 // buildShardIndex constructs the index for one shard over its columnar
 // store. Shard seeds are derived from the spec seed so shards hash
-// independently. Candidate-based engines (alsh, sketch) index row views
-// of the store — slice headers into the contiguous backing array, no
-// float copies — and verify candidates through the store's kernel.
+// independently. Candidate-based engines (alsh, sketch) are built from
+// row views of the store — slice headers into the contiguous backing
+// array, no float copies — and verify candidates through the store's
+// kernel.
 // Quantized precisions (f32, int8) build their compact view from fs at
 // index-build time and retain fs itself as the exact re-rank truth;
 // overfetch scales their re-ranked candidate sets.
@@ -486,7 +487,8 @@ func (ix normScanIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi 
 
 // alshIndex is the §4.1 structure (SIMPLE map + hyperplane banding):
 // approximate candidates from the index, exact scores verified through
-// the shard's columnar store.
+// the shard's columnar store. The banding index holds row ids only, so
+// nothing in it refers to fs or to any earlier snapshot's store.
 type alshIndex struct {
 	fs   *flat.Store
 	ix   *lsh.Index
@@ -517,8 +519,20 @@ func newALSHIndex(spec IndexSpec, fs *flat.Store, shardSeed uint64) (*alshIndex,
 	if err != nil {
 		return nil, err
 	}
-	ix.InsertAll(fs.Rows())
-	return &alshIndex{fs: fs, ix: ix, u: u}, nil
+	return (&alshIndex{ix: ix, u: u}).extend(fs), nil
+}
+
+// extend returns the unmasked index over fs, an append-only store whose
+// leading rows must be exactly the rows ix indexes: only the rows the
+// banding index has not seen are hashed, and the hash functions (spec
+// and shard seed) carry over with it. ix is untouched and keeps
+// serving.
+func (ix *alshIndex) extend(fs *flat.Store) *alshIndex {
+	rows := make([]vec.Vector, fs.Len()-ix.ix.Len())
+	for i := range rows {
+		rows[i] = fs.Row(ix.ix.Len() + i)
+	}
+	return &alshIndex{fs: fs, ix: ix.ix.Extend(rows), u: ix.u}
 }
 
 func (ix *alshIndex) TopK(ctx context.Context, q vec.Vector, k int, unsigned bool, _ int) ([]Hit, error) {
@@ -538,50 +552,30 @@ func (ix *alshIndex) TopK(ctx context.Context, q vec.Vector, k int, unsigned boo
 	if n := vec.Norm(q); n > ix.u {
 		probe = vec.Scaled(q, (1-1e-12)*ix.u/n)
 	}
+	var cands []int
+	if unsigned {
+		// The paper's unsigned reduction: probe −q too.
+		cands = ix.ix.Candidates(probe, vec.Neg(probe))
+	} else {
+		cands = ix.ix.Candidates(probe)
+	}
 	acc := flat.NewAcc(k)
-	scored := 0
-	var stopped bool
-	score := func(pi int) {
-		if done != nil {
-			if scored++; scored&1023 == 0 {
-				select {
-				case <-done:
-					stopped = true
-					return
-				default:
-				}
+	for i, pi := range cands {
+		if done != nil && i&1023 == 1023 {
+			select {
+			case <-done:
+				return nil, ctx.Err()
+			default:
 			}
 		}
 		if ix.dead.Dead(pi) {
-			return
+			continue
 		}
 		v := ix.fs.Dot(pi, q)
 		if unsigned && v < 0 {
 			v = -v
 		}
 		acc.Offer(pi, v)
-	}
-	seen := make(map[int]bool)
-	for _, pi := range ix.ix.Candidates(probe) {
-		if stopped {
-			return nil, ctx.Err()
-		}
-		seen[pi] = true
-		score(pi)
-	}
-	if unsigned {
-		// The paper's unsigned reduction: probe −q too.
-		for _, pi := range ix.ix.Candidates(vec.Neg(probe)) {
-			if stopped {
-				return nil, ctx.Err()
-			}
-			if !seen[pi] {
-				score(pi)
-			}
-		}
-	}
-	if stopped {
-		return nil, ctx.Err()
 	}
 	return flatHits(acc.Hits()), nil
 }

@@ -148,6 +148,11 @@ func (s *Server) fsys() errfs.FS {
 // and load balancers retry instead of treating it as a 4xx.
 var ErrUnavailable = errors.New("server unavailable")
 
+// errInternal marks a failure that is a bug in the server — a panic
+// recovered while building a snapshot — rather than anything about the
+// request or the disk. The HTTP layer maps it to 500.
+var errInternal = errors.New("internal error")
+
 // Server owns the collections, the shared worker pool and the query
 // cache. It is safe for concurrent use.
 type Server struct {
@@ -650,11 +655,18 @@ func (s *Server) createLog(name string, sp IndexSpec, shards int, seed uint64) (
 // query results. It returns the new version and the number of cache
 // entries dropped.
 func (s *Server) Ingest(name string, spec *IndexSpec, shards int, recs []store.Record) (version uint64, invalidated int, err error) {
+	return s.IngestCtx(context.Background(), name, spec, shards, recs)
+}
+
+// IngestCtx is Ingest for a traced request: the trace ctx carries gets
+// the write path's spans. ctx is not a deadline — once validated, a
+// batch runs to completion.
+func (s *Server) IngestCtx(ctx context.Context, name string, spec *IndexSpec, shards int, recs []store.Record) (version uint64, invalidated int, err error) {
 	c, err := s.EnsureCollection(name, spec, shards)
 	if err != nil {
 		return 0, 0, err
 	}
-	version, err = c.Ingest(recs)
+	version, err = c.ingest(ctx, recs)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -667,11 +679,16 @@ func (s *Server) Ingest(name string, spec *IndexSpec, shards int, recs []store.R
 // just replaced. Returns the new version and the number of cache
 // entries dropped.
 func (s *Server) Upsert(name string, spec *IndexSpec, shards int, recs []store.Record) (version uint64, invalidated int, err error) {
+	return s.UpsertCtx(context.Background(), name, spec, shards, recs)
+}
+
+// UpsertCtx is Upsert for a traced request (see IngestCtx).
+func (s *Server) UpsertCtx(ctx context.Context, name string, spec *IndexSpec, shards int, recs []store.Record) (version uint64, invalidated int, err error) {
 	c, err := s.EnsureCollection(name, spec, shards)
 	if err != nil {
 		return 0, 0, err
 	}
-	version, err = c.Upsert(recs)
+	version, err = c.upsert(ctx, recs)
 	if err != nil {
 		return 0, 0, err
 	}

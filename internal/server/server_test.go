@@ -317,7 +317,7 @@ func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
 	sh := newShard(0, 1, defaultOverfetch)
 	defer sh.close()
 	if err := func() error {
-		snap, err := sh.prepare(IndexSpec{Kind: KindExact}, []int{0}, []vec.Vector{{1, 0}})
+		snap, err := sh.prepare(IndexSpec{Kind: KindExact}, []int{0}, []vec.Vector{{1, 0}}, nil)
 		if err != nil {
 			return err
 		}
@@ -327,7 +327,7 @@ func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
 		t.Fatalf("seed prepare: %v", err)
 	}
 	// A failing build must not disturb the published snapshot.
-	if _, err := sh.prepare(IndexSpec{Kind: "bogus"}, []int{1}, []vec.Vector{{0, 1}}); err == nil {
+	if _, err := sh.prepare(IndexSpec{Kind: "bogus"}, []int{1}, []vec.Vector{{0, 1}}, nil); err == nil {
 		t.Fatal("bogus index kind built")
 	}
 	if sh.size() != 1 {

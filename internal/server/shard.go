@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"log/slog"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,7 +17,7 @@ import (
 )
 
 // shard owns one horizontal slice of a collection. All mutation happens
-// on the shard's dedicated goroutine (the ops loop), so index rebuilds
+// on the shard's dedicated goroutine (the ops loop), so snapshot builds
 // for different shards of one ingest proceed in parallel without locks;
 // readers see a consistent (ids, vectors, index) triple through a
 // single atomic snapshot pointer and never block on writers.
@@ -145,21 +147,38 @@ func (s *shard) close() {
 	<-s.done
 }
 
-// prepare builds — but does not publish — the snapshot that would
-// result from appending (ids, vs) and rebuilding the index under the
-// given spec. The build runs on the owner goroutine, so prepares for
-// different shards of one ingest proceed in parallel; the current
-// snapshot stays live for concurrent readers throughout. The caller
-// publishes the result with commit only once every shard's prepare
-// has succeeded, keeping a failed ingest free of side effects.
-func (s *shard) prepare(spec IndexSpec, ids []int, vs []vec.Vector) (*shardSnap, error) {
-	type result struct {
-		snap *shardSnap
-		err  error
-	}
-	resc := make(chan result, 1)
+// build runs fn against the current snapshot on the owner goroutine and
+// returns what it built, unpublished: the current snapshot stays live
+// for concurrent readers throughout, and builds for different shards of
+// one mutation proceed in parallel. A panic inside fn comes back as an
+// error — the owner goroutine serves the whole collection's writes, so
+// one bad batch must not take it (and the process) down.
+func (s *shard) build(fn func(old *shardSnap) (*shardSnap, error)) (snap *shardSnap, err error) {
+	done := make(chan struct{})
 	s.ops <- func() {
-		old := s.snap.Load()
+		defer func() {
+			if p := recover(); p != nil {
+				slog.Error("server: shard snapshot build panicked", "shard", s.id, "panic", p, "stack", string(debug.Stack()))
+				snap, err = nil, fmt.Errorf("%w: shard %d: snapshot build panicked: %v", errInternal, s.id, p)
+			}
+			close(done)
+		}()
+		snap, err = fn(s.snap.Load())
+	}
+	<-done
+	return snap, err
+}
+
+// prepare builds — but does not publish — the snapshot that results
+// from appending (ids, vs): the store is copied once with room for the
+// batch, and the index follows it — extended from the current one
+// where the engine can (alsh hashes only the new rows), rebuilt over
+// the grown store otherwise. sp, the mutation's index_build span,
+// learns which. The caller publishes the result with commit only once
+// every shard's prepare has succeeded, keeping a failed ingest free of
+// side effects.
+func (s *shard) prepare(spec IndexSpec, ids []int, vs []vec.Vector, sp *trace.Span) (*shardSnap, error) {
+	return s.build(func(old *shardSnap) (*shardSnap, error) {
 		nids := make([]int, 0, len(old.ids)+len(ids))
 		nids = append(nids, old.ids...)
 		nids = append(nids, ids...)
@@ -178,30 +197,36 @@ func (s *shard) prepare(spec IndexSpec, ids []int, vs []vec.Vector) (*shardSnap,
 		}
 		nfs, err := appendStore(old.fs, vs)
 		if err != nil {
-			resc <- result{err: err}
-			return
+			return nil, err
 		}
 		var dead *flat.Tombstones
 		if old.dead.Count() > 0 {
 			dead = old.dead.Grow(nfs.Len())
 		}
-		index, err := buildMaskedIndex(spec, nfs, s.seed, s.overfetch, dead)
+		index, err := s.nextIndex(spec, old, nfs, dead, sp)
 		if err != nil {
-			resc <- result{err: err}
-			return
+			return nil, err
 		}
-		resc <- result{snap: &shardSnap{ids: nids, fs: nfs, index: index, rows: rows, dead: dead}}
-	}
-	r := <-resc
-	return r.snap, r.err
+		return &shardSnap{ids: nids, fs: nfs, index: index, rows: rows, dead: dead}, nil
+	})
 }
 
-// buildMaskedIndex builds the shard index and restricts it to live
-// rows when the shard carries tombstones.
-func buildMaskedIndex(spec IndexSpec, fs *flat.Store, seed uint64, overfetch int, dead *flat.Tombstones) (ShardIndex, error) {
-	index, err := buildShardIndex(spec, fs, seed, overfetch)
-	if err != nil {
-		return nil, err
+// nextIndex returns the index over nfs — old's store plus appended
+// rows — masked by dead: an extension of old's index where the engine
+// can grow (alsh), a fresh build otherwise.
+func (s *shard) nextIndex(spec IndexSpec, old *shardSnap, nfs *flat.Store, dead *flat.Tombstones, sp *trace.Span) (ShardIndex, error) {
+	var index ShardIndex
+	if prev, ok := old.index.(*alshIndex); ok {
+		// spec is unused here: a collection's spec never changes, so prev
+		// was built under it with this shard's seed and extend inherits both.
+		sp.SetInt("extend", 1)
+		index = prev.extend(nfs)
+	} else {
+		sp.SetInt("rebuild", 1)
+		var err error
+		if index, err = buildShardIndex(spec, nfs, s.seed, s.overfetch); err != nil {
+			return nil, err
+		}
 	}
 	return maskIndex(index, dead)
 }
@@ -221,16 +246,10 @@ func maskIndex(index ShardIndex, dead *flat.Tombstones) (ShardIndex, error) {
 // prepareUpsert builds — but does not publish — the snapshot that
 // results from insert-or-replace of (ids, vs): replaced IDs have their
 // old row tombstoned and every record lands in a fresh appended row,
-// so the store stays append-only and the index rebuild is uniform with
-// ingest. Runs on the owner goroutine; the caller commits.
-func (s *shard) prepareUpsert(spec IndexSpec, ids []int, vs []vec.Vector) (*shardSnap, error) {
-	type result struct {
-		snap *shardSnap
-		err  error
-	}
-	resc := make(chan result, 1)
-	s.ops <- func() {
-		old := s.snap.Load()
+// so the store stays append-only and the index follows it exactly as
+// in prepare. Runs on the owner goroutine; the caller commits.
+func (s *shard) prepareUpsert(spec IndexSpec, ids []int, vs []vec.Vector, sp *trace.Span) (*shardSnap, error) {
+	return s.build(func(old *shardSnap) (*shardSnap, error) {
 		base := 0
 		if old.fs != nil {
 			base = old.fs.Len()
@@ -245,8 +264,7 @@ func (s *shard) prepareUpsert(spec IndexSpec, ids []int, vs []vec.Vector) (*shar
 		}
 		nfs, err := appendStore(old.fs, vs)
 		if err != nil {
-			resc <- result{err: err}
-			return
+			return nil, err
 		}
 		dead := old.dead.Grow(nfs.Len())
 		for i, id := range ids {
@@ -258,15 +276,12 @@ func (s *shard) prepareUpsert(spec IndexSpec, ids []int, vs []vec.Vector) (*shar
 		if dead.Count() == 0 {
 			dead = nil // keep the zero-tombstone fast paths
 		}
-		index, err := buildMaskedIndex(spec, nfs, s.seed, s.overfetch, dead)
+		index, err := s.nextIndex(spec, old, nfs, dead, sp)
 		if err != nil {
-			resc <- result{err: err}
-			return
+			return nil, err
 		}
-		resc <- result{snap: &shardSnap{ids: nids, fs: nfs, index: index, rows: rows, dead: dead}}
-	}
-	r := <-resc
-	return r.snap, r.err
+		return &shardSnap{ids: nids, fs: nfs, index: index, rows: rows, dead: dead}, nil
+	})
 }
 
 // prepareDelete builds — but does not publish — the snapshot with the
@@ -276,21 +291,13 @@ func (s *shard) prepareUpsert(spec IndexSpec, ids []int, vs []vec.Vector) (*shar
 // IDs that are unknown or already dead are no-ops. Returns (nil, 0)
 // when nothing changed so the caller can skip the commit.
 func (s *shard) prepareDelete(ids []int) (*shardSnap, int, error) {
-	type result struct {
-		snap    *shardSnap
-		removed int
-		err     error
-	}
-	resc := make(chan result, 1)
-	s.ops <- func() {
-		old := s.snap.Load()
+	removed := 0
+	snap, err := s.build(func(old *shardSnap) (*shardSnap, error) {
 		if old.fs == nil {
-			resc <- result{}
-			return
+			return nil, nil
 		}
 		dead := old.dead.Grow(old.fs.Len())
 		rows := old.rowIndex()
-		removed := 0
 		for _, id := range ids {
 			if r, ok := rows[id]; ok && !dead.Dead(r) {
 				dead.Kill(r)
@@ -298,40 +305,33 @@ func (s *shard) prepareDelete(ids []int) (*shardSnap, int, error) {
 			}
 		}
 		if removed == 0 {
-			resc <- result{}
-			return
+			return nil, nil
 		}
 		index, err := maskIndex(old.index, dead)
 		if err != nil {
-			resc <- result{err: err}
-			return
+			return nil, err
 		}
-		resc <- result{snap: &shardSnap{ids: old.ids, fs: old.fs, index: index, rows: rows, dead: dead}, removed: removed}
+		return &shardSnap{ids: old.ids, fs: old.fs, index: index, rows: rows, dead: dead}, nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	r := <-resc
-	return r.snap, r.removed, r.err
+	return snap, removed, nil
 }
 
 // prepareCompact builds — but does not publish — the fully-compacted
 // snapshot: live rows repacked into a fresh contiguous store, a fresh
 // rows map, no tombstones, and the index rebuilt over the compact
-// store. Returns nil when the shard has no tombstones.
+// store (row numbers change, so this is the one write that cannot
+// extend). Returns nil when the shard has no tombstones.
 func (s *shard) prepareCompact(spec IndexSpec) (*shardSnap, error) {
-	type result struct {
-		snap *shardSnap
-		err  error
-	}
-	resc := make(chan result, 1)
-	s.ops <- func() {
-		old := s.snap.Load()
+	return s.build(func(old *shardSnap) (*shardSnap, error) {
 		if old.dead.Count() == 0 {
-			resc <- result{}
-			return
+			return nil, nil
 		}
 		nfs, err := flat.New(old.fs.Dim())
 		if err != nil {
-			resc <- result{err: err}
-			return
+			return nil, err
 		}
 		nids := make([]int, 0, old.fs.Len()-old.dead.Count())
 		rows := make(map[int]int, old.fs.Len()-old.dead.Count())
@@ -340,21 +340,17 @@ func (s *shard) prepareCompact(spec IndexSpec) (*shardSnap, error) {
 				continue
 			}
 			if err := nfs.Append(old.fs.Row(i)); err != nil {
-				resc <- result{err: err}
-				return
+				return nil, err
 			}
 			rows[old.ids[i]] = len(nids)
 			nids = append(nids, old.ids[i])
 		}
 		index, err := buildShardIndex(spec, nfs, s.seed, s.overfetch)
 		if err != nil {
-			resc <- result{err: err}
-			return
+			return nil, err
 		}
-		resc <- result{snap: &shardSnap{ids: nids, fs: nfs, index: index, rows: rows}}
-	}
-	r := <-resc
-	return r.snap, r.err
+		return &shardSnap{ids: nids, fs: nfs, index: index, rows: rows}, nil
+	})
 }
 
 // appendStore builds the columnar store for the next snapshot: a deep

@@ -18,11 +18,20 @@ import (
 	"repro/internal/vec"
 )
 
+// normSlack is how far ‖p‖² may overshoot a norm bound before it counts
+// as a violation rather than floating point fuzz from ‖p‖ ≈ bound.
+const normSlack = 1e-9
+
+// InUnitBall reports whether p is a legal data vector for Simple:
+// ‖p‖² ≤ 1 up to the slack Simple.Data tolerates, so a vector that
+// passes cannot trip its norm-bound panic.
+func InUnitBall(p vec.Vector) bool { return 1-vec.Norm2(p) > -normSlack }
+
 // clampRoot returns √x, treating tiny negative values (floating point
 // fuzz from ‖p‖ ≈ 1) as zero and panicking on genuine violations.
 func clampRoot(x float64, what string) float64 {
 	if x < 0 {
-		if x > -1e-9 {
+		if x > -normSlack {
 			return 0
 		}
 		panic(fmt.Sprintf("transform: %s: norm bound violated (residual %v)", what, x))

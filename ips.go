@@ -244,7 +244,7 @@ func (m *MIPSIndex) probe(q Vector) Vector {
 // Query returns the index and inner product of the best colliding
 // candidate, or (-1, 0) when nothing collides.
 func (m *MIPSIndex) Query(q Vector) (int, float64) {
-	return m.index.Query(m.probe(q), func(p Vector) float64 { return vec.Dot(p, q) })
+	return m.index.Query(m.probe(q), func(id int) float64 { return vec.Dot(m.data[id], q) })
 }
 
 // TopK returns up to k candidate indices ordered by decreasing inner
