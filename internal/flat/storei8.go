@@ -19,15 +19,17 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/vec"
 )
 
-// StoreI8 is an append-frozen int8 copy of a Store: row i occupies
-// codes[i*dim : (i+1)*dim]; scale is the shared dequantization factor.
+// StoreI8 is the int8 mirror of a Store: row i is d contiguous codes
+// inside one chunk; scale is the shared dequantization factor. It grows
+// only through Extend, in step with the store it mirrors.
 type StoreI8 struct {
 	dim   int
-	codes []int8
+	codes chunked[int8]
 	scale float64
 }
 
@@ -36,22 +38,65 @@ type StoreI8 struct {
 // from the same rows in any layout (e.g. after recovery replay or
 // compaction) reproduces the identical scale and codes.
 func NewStoreI8(s *Store) *StoreI8 {
-	maxAbs := 0.0
-	for _, x := range s.data {
-		if a := math.Abs(x); a > maxAbs && !math.IsInf(a, 0) {
-			maxAbs = a
-		}
-	}
-	q := &StoreI8{
-		dim:   s.dim,
-		codes: make([]int8, len(s.data)),
-		scale: maxAbs / 127,
-	}
-	for i, x := range s.data {
-		q.codes[i] = quantizeI8(x, q.scale)
-	}
+	q := &StoreI8{dim: s.dim, scale: maxAbsFrom(s, 0) / 127}
+	q.codes.width = s.dim
+	q.encode(s)
 	return q
 }
+
+// Extend returns the int8 view of fs, an append-only store whose
+// leading s.Len() rows are the rows s mirrors. While the new rows stay
+// within the old max|x| the scale stands, only they are coded and every
+// other chunk is shared with s; a batch that raises max|x| changes
+// every code, so everything is re-coded. Either way the result Equals
+// NewStoreI8(fs): x/127 is monotone in x, so max(old scale, new
+// max/127) is the scale a full pass computes.
+func (s *StoreI8) Extend(fs *Store) *StoreI8 {
+	if maxAbsFrom(fs, s.Len())/127 > s.scale {
+		return NewStoreI8(fs)
+	}
+	q := &StoreI8{dim: s.dim, scale: s.scale}
+	s.codes.share(&q.codes)
+	q.encode(fs)
+	return q
+}
+
+// encode appends the codes of the rows of fs that q does not hold yet.
+func (q *StoreI8) encode(fs *Store) {
+	d := q.dim
+	for i := q.Len(); i < fs.Len(); {
+		codes := q.codes.grow(fs.Len() - i)
+		for r := 0; r < len(codes)/d; r++ {
+			for j, x := range fs.Row(i + r) {
+				codes[r*d+j] = quantizeI8(x, q.scale)
+			}
+		}
+		i += len(codes) / d
+	}
+}
+
+// maxAbsFrom returns the largest finite |x| over rows [from, Len) of s.
+func maxAbsFrom(s *Store, from int) float64 {
+	maxAbs := 0.0
+	for lo := from; lo < s.Len(); {
+		data, l, h := s.data.span(lo, s.Len())
+		for _, x := range data[l*s.dim : h*s.dim] {
+			if a := math.Abs(x); a > maxAbs && !math.IsInf(a, 0) {
+				maxAbs = a
+			}
+		}
+		lo += h - l
+	}
+	return maxAbs
+}
+
+// SharedRows returns how many leading rows of s occupy the same memory
+// as rows of p (see Store.SharedRows).
+func (s *StoreI8) SharedRows(p *StoreI8) int { return s.codes.sharedRows(&p.codes) }
+
+// AllocatedBytes returns the bytes of code storage the store holds
+// allocated (see Store.AllocatedBytes).
+func (s *StoreI8) AllocatedBytes() int64 { return int64(s.codes.capElems()) }
 
 // quantizeI8 codes one element: nearest integer multiple of scale,
 // clamped to the symmetric range. A zero scale (all-zero store) codes
@@ -92,12 +137,7 @@ func quantizeQueryI8(q vec.Vector) ([]int16, float64) {
 }
 
 // Len returns the number of rows.
-func (s *StoreI8) Len() int {
-	if s.dim == 0 {
-		return 0
-	}
-	return len(s.codes) / s.dim
-}
+func (s *StoreI8) Len() int { return s.codes.n }
 
 // Dim returns the row dimension.
 func (s *StoreI8) Dim() int { return s.dim }
@@ -107,21 +147,20 @@ func (s *StoreI8) Scale() float64 { return s.scale }
 
 // Row returns row i's codes as a view aliasing the backing array.
 // Callers must not mutate it.
-func (s *StoreI8) Row(i int) []int8 {
-	return s.codes[i*s.dim : (i+1)*s.dim : (i+1)*s.dim]
-}
+func (s *StoreI8) Row(i int) []int8 { return s.codes.row(i) }
 
 // Equal reports whether two quantized stores are bit-identical
 // (dimension, scale and every code). The segment decoder uses it to
 // prove a decoded store matches requantization of the decoded f64
 // truth rows.
 func (s *StoreI8) Equal(o *StoreI8) bool {
-	if s.dim != o.dim || len(s.codes) != len(o.codes) ||
+	if s.dim != o.dim || s.Len() != o.Len() ||
 		math.Float64bits(s.scale) != math.Float64bits(o.scale) {
 		return false
 	}
-	for i, c := range s.codes {
-		if o.codes[i] != c {
+	// Equal row counts give equal chunk boundaries.
+	for i, ch := range s.codes.chunks {
+		if !slices.Equal(ch, o.codes.chunks[i]) {
 			return false
 		}
 	}
@@ -160,20 +199,31 @@ func (s *StoreI8) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 }
 
 // dotRange fills out with float64(Σ code·qcode) · combined for rows
-// [lo, hi). Accumulation is exact int32 arithmetic (|code·qcode| ≤
-// 127², so any practical dimension fits), which is order independent —
-// the AVX2 kernel's pairwise VPMADDWD sums equal the scalar loop
-// exactly, no accumulation-chain contract needed.
+// [lo, hi), one kernel call per chunk the range touches. Accumulation
+// is exact int32 arithmetic (|code·qcode| ≤ 127², so any practical
+// dimension fits), which is order independent — the AVX2 kernel's
+// pairwise VPMADDWD sums equal the scalar loop exactly, no
+// accumulation-chain contract needed.
 func (s *StoreI8) dotRange(qc []int16, combined float64, lo, hi int, out []float64) {
-	if s.dim == 16 && useQuantAsm {
-		dotI8Range16(s.codes[lo*16:hi*16], qc, combined, out[:hi-lo])
-		return
-	}
 	d := s.dim
+	for lo < hi {
+		codes, l, h := s.codes.span(lo, hi)
+		if d == 16 && useQuantAsm {
+			dotI8Range16(codes[l*16:h*16], qc, combined, out[:h-l])
+		} else {
+			dotI8RangeGeneric(codes, d, qc, combined, l, h, out)
+		}
+		out = out[h-l:]
+		lo += h - l
+	}
+}
+
+// dotI8RangeGeneric is the any-dimension int8 kernel.
+func dotI8RangeGeneric(codes []int8, d int, qc []int16, combined float64, lo, hi int, out []float64) {
 	qc = qc[:d:d]
 	for r := lo; r < hi; r++ {
 		off := r * d
-		row := s.codes[off : off+d : off+d]
+		row := codes[off : off+d : off+d]
 		var a0, a1, a2, a3 int32
 		j := 0
 		for ; j+4 <= d; j += 4 {

@@ -123,11 +123,22 @@ func (s *Store) DotTile(qs *Store, qlo, qhi, plo, phi int, out []float64) error 
 // dotTile is the unchecked tile kernel dispatch. Query quads run
 // through the AVX2 micro-kernels when available (d=8/d=16); leftovers
 // and other dimensions run the pure-Go kernels, which share the exact
-// accumulation chains, so the split is invisible in the results.
+// accumulation chains, so the split is invisible in the results. The
+// micro-kernels want their operands contiguous: a block-aligned sweep
+// always hands them data rows inside one chunk, and the rare tile that
+// straddles a chunk edge (on either side) drops to the narrower kernels
+// for the same bits.
 func (s *Store) dotTile(qs *Store, qlo, qhi, plo, phi int, out []float64) {
 	d := s.dim
 	nb := phi - plo
 	if nb <= 0 || qhi-qlo <= 0 {
+		return
+	}
+	data, lo, hi := s.data.span(plo, phi)
+	if hi-lo != nb {
+		for j := qlo; j < qhi; j++ {
+			s.dotRange(qs.Row(j), plo, phi, out[(j-qlo)*nb:(j-qlo+1)*nb])
+		}
 		return
 	}
 	j := qlo
@@ -135,38 +146,46 @@ func (s *Store) dotTile(qs *Store, qlo, qhi, plo, phi int, out []float64) {
 	case 16:
 		if useDotTileAsm {
 			for ; j+4 <= qhi; j += 4 {
+				q4 := qs.data.contiguous(j, j+4)
+				if q4 == nil {
+					break
+				}
 				o := (j - qlo) * nb
-				dotTile16x4(s.data[plo*16:phi*16], qs.data[j*16:(j+4)*16], out[o:o+4*nb])
+				dotTile16x4(data[lo*16:hi*16], q4, out[o:o+4*nb])
 			}
 		}
 		for ; j+2 <= qhi; j += 2 {
 			o := (j - qlo) * nb
-			dotTile16x2(s.data, qs.Row(j), qs.Row(j+1), plo, phi, out[o:o+nb], out[o+nb:o+2*nb])
+			dotTile16x2(data, qs.Row(j), qs.Row(j+1), lo, hi, out[o:o+nb], out[o+nb:o+2*nb])
 		}
 		if j < qhi {
-			dotRange16(s.data, qs.Row(j), plo, phi, out[(j-qlo)*nb:(j-qlo+1)*nb])
+			dotRange16(data, qs.Row(j), lo, hi, out[(j-qlo)*nb:(j-qlo+1)*nb])
 		}
 	case 8:
 		if useDotTileAsm {
 			for ; j+4 <= qhi; j += 4 {
+				q4 := qs.data.contiguous(j, j+4)
+				if q4 == nil {
+					break
+				}
 				o := (j - qlo) * nb
-				dotTile8x4(s.data[plo*8:phi*8], qs.data[j*8:(j+4)*8], out[o:o+4*nb])
+				dotTile8x4(data[lo*8:hi*8], q4, out[o:o+4*nb])
 			}
 		}
 		for ; j+2 <= qhi; j += 2 {
 			o := (j - qlo) * nb
-			dotTile8x2(s.data, qs.Row(j), qs.Row(j+1), plo, phi, out[o:o+nb], out[o+nb:o+2*nb])
+			dotTile8x2(data, qs.Row(j), qs.Row(j+1), lo, hi, out[o:o+nb], out[o+nb:o+2*nb])
 		}
 		if j < qhi {
-			dotRange8(s.data, qs.Row(j), plo, phi, out[(j-qlo)*nb:(j-qlo+1)*nb])
+			dotRange8(data, qs.Row(j), lo, hi, out[(j-qlo)*nb:(j-qlo+1)*nb])
 		}
 	default:
 		for ; j+2 <= qhi; j += 2 {
 			o := (j - qlo) * nb
-			dotTileGeneric2(s.data, d, qs.Row(j), qs.Row(j+1), plo, phi, out[o:o+nb], out[o+nb:o+2*nb])
+			dotTileGeneric2(data, d, qs.Row(j), qs.Row(j+1), lo, hi, out[o:o+nb], out[o+nb:o+2*nb])
 		}
 		if j < qhi {
-			dotRangeGeneric(s.data, d, qs.Row(j), plo, phi, out[(j-qlo)*nb:(j-qlo+1)*nb])
+			dotRangeGeneric(data, d, qs.Row(j), lo, hi, out[(j-qlo)*nb:(j-qlo+1)*nb])
 		}
 	}
 }
@@ -374,7 +393,7 @@ func (ns *NormSorted) topKMultiDone(qs *Store, qlo, qhi int, unsigned bool, accs
 			default:
 			}
 		}
-		lead := s.norms[start]
+		lead := s.norms.at(start)
 		end := min(start+blockRows, n)
 		nb := end - start
 		for j := 0; j < qn; j++ {

@@ -309,7 +309,7 @@ func (ns *NormSorted) topKMaskedDone(q vec.Vector, k int, unsigned bool, dead *T
 			default:
 			}
 		}
-		if a.Full() && s.norms[start]*qn < a.Threshold() {
+		if a.Full() && s.norms.at(start)*qn < a.Threshold() {
 			if stats != nil {
 				stats.PrunedBlocks += (n - start + blockRows - 1) / blockRows
 			}
@@ -432,7 +432,7 @@ func (ns *NormSorted) topKMultiMaskedDone(qs *Store, qlo, qhi int, unsigned bool
 			default:
 			}
 		}
-		lead := s.norms[start]
+		lead := s.norms.at(start)
 		end := min(start+blockRows, n)
 		nb := end - start
 		for j := 0; j < qn; j++ {

@@ -212,7 +212,7 @@ func TestShardBuildPanicBecomesError(t *testing.T) {
 	c, _ := s.Collection("a")
 	sh := c.shards[0]
 	good := sh.snap.Load()
-	sh.commit(&shardSnap{ids: good.ids, fs: good.fs, index: &alshIndex{fs: good.fs, u: 1}})
+	sh.commit(&shardSnap{ids: good.ids, fs: good.fs, index: &alshIndex{fs: good.fs, u: 1}}, false)
 
 	write := IngestRequest{Records: []RecordJSON{{ID: &id1, Vec: []float64{0, 0.6}}}}
 	version := c.Version()
@@ -236,7 +236,7 @@ func TestShardBuildPanicBecomesError(t *testing.T) {
 	}
 	// The owner goroutine survived: with a sound snapshot back in place
 	// the same write goes through, so its id was not left reserved.
-	sh.commit(good)
+	sh.commit(good, false)
 	if code := doJSON(t, ts, http.MethodPut, "/collections/a", write, nil); code != http.StatusOK {
 		t.Fatalf("ingest after the panics status %d", code)
 	}
@@ -283,6 +283,43 @@ func TestALSHUpsertsDoNotPinOldStores(t *testing.T) {
 	}
 }
 
+// indexBuildAttrs sends one traced write and returns the attributes of
+// its index_build span.
+func indexBuildAttrs(t *testing.T, ts *httptest.Server, method, path string, body any) map[string]int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(body); err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(method, ts.URL+path, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: status %d", method, path, resp.StatusCode)
+	}
+	id, _, ok := trace.Parse(resp.Header.Get("Traceparent"))
+	if !ok {
+		t.Fatalf("%s %s: no traceparent on the response", method, path)
+	}
+	var exp trace.Exported
+	if code := doJSON(t, ts, http.MethodGet, "/debug/trace/"+id, nil, &exp); code != http.StatusOK {
+		t.Fatalf("debug trace status %d", code)
+	}
+	for _, sp := range exp.Spans {
+		if sp.Name == "index_build" {
+			return sp.Attrs
+		}
+	}
+	t.Fatalf("%s %s: trace has no index_build span: %+v", method, path, exp.Spans)
+	return nil
+}
+
 // TestIndexBuildStageAndSpan: write-side index work is visible — every
 // ingest/upsert lands in ipsd_stage_seconds{stage="index_build"}, and a
 // traced one carries an index_build span saying how many shards
@@ -294,37 +331,7 @@ func TestIndexBuildStageAndSpan(t *testing.T) {
 	defer ts.Close()
 	indexBuild := func(method, path string, body any) map[string]int64 {
 		t.Helper()
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(body); err != nil {
-			t.Fatal(err)
-		}
-		req, err := http.NewRequest(method, ts.URL+path, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s %s: status %d", method, path, resp.StatusCode)
-		}
-		id, _, ok := trace.Parse(resp.Header.Get("Traceparent"))
-		if !ok {
-			t.Fatalf("%s %s: no traceparent on the response", method, path)
-		}
-		var exp trace.Exported
-		if code := doJSON(t, ts, http.MethodGet, "/debug/trace/"+id, nil, &exp); code != http.StatusOK {
-			t.Fatalf("debug trace status %d", code)
-		}
-		for _, sp := range exp.Spans {
-			if sp.Name == "index_build" {
-				return sp.Attrs
-			}
-		}
-		t.Fatalf("%s %s: trace has no index_build span: %+v", method, path, exp.Spans)
-		return nil
+		return indexBuildAttrs(t, ts, method, path, body)
 	}
 	recs := func(ids ...int) []RecordJSON {
 		out := make([]RecordJSON, len(ids))
@@ -343,12 +350,19 @@ func TestIndexBuildStageAndSpan(t *testing.T) {
 	if a := indexBuild(http.MethodPost, "/collections/a/vectors", IngestRequest{Records: recs(2)}); a["extend"] != 1 || a["rebuild"] != 0 {
 		t.Fatalf("upsert index_build attrs = %v, want extend=1", a)
 	}
-	// An exact collection has nothing to extend.
+	// An exact collection's store is its index: it grows with the store.
 	if a := indexBuild(http.MethodPut, "/collections/e", IngestRequest{Records: recs(0, 1)}); a["rebuild"] != 2 {
 		t.Fatalf("exact ingest index_build attrs = %v, want rebuild=2", a)
 	}
-	if a := indexBuild(http.MethodPut, "/collections/e", IngestRequest{Records: recs(2)}); a["rebuild"] != 1 || a["extend"] != 0 {
-		t.Fatalf("exact re-ingest index_build attrs = %v, want rebuild=1", a)
+	if a := indexBuild(http.MethodPut, "/collections/e", IngestRequest{Records: recs(2)}); a["extend"] != 1 || a["rebuild"] != 0 {
+		t.Fatalf("exact re-ingest index_build attrs = %v, want extend=1", a)
+	}
+	// A norm-sorted run has no place to put a row but by re-sorting.
+	if a := indexBuild(http.MethodPut, "/collections/n", IngestRequest{Index: &IndexSpec{Kind: KindNormScan}, Records: recs(0, 1)}); a["rebuild"] != 2 {
+		t.Fatalf("normscan ingest index_build attrs = %v, want rebuild=2", a)
+	}
+	if a := indexBuild(http.MethodPut, "/collections/n", IngestRequest{Records: recs(2)}); a["rebuild"] != 1 || a["extend"] != 0 {
+		t.Fatalf("normscan re-ingest index_build attrs = %v, want rebuild=1", a)
 	}
 
 	resp, err := ts.Client().Get(ts.URL + "/metrics")

@@ -129,14 +129,14 @@ func (s *Server) searchBatch(ctx context.Context, c *Collection, name string, qu
 		return
 	}
 
-	// Per-query dimension validation against the relation snapshot
-	// (same rule and message as SearchOne). Invalid queries keep their
-	// error; the rest stay in miss order.
-	rel, _ := c.rel.Snapshot()
+	// Per-query dimension validation (same rule and message as
+	// SearchOne). Invalid queries keep their error; the rest stay in
+	// miss order.
+	dim := int(c.dim.Load())
 	valid, vkeys := miss[:0], keys[:0]
 	for mi, i := range miss {
-		if rel.Dim != 0 && len(queries[i]) != rel.Dim {
-			out[i] = SearchResult{Err: fmt.Errorf("server: collection %q: query dimension %d, want %d", c.name, len(queries[i]), rel.Dim)}
+		if dim != 0 && len(queries[i]) != dim {
+			out[i] = SearchResult{Err: fmt.Errorf("server: collection %q: query dimension %d, want %d", c.name, len(queries[i]), dim)}
 			continue
 		}
 		valid = append(valid, i)
@@ -158,7 +158,7 @@ func (s *Server) searchBatch(ctx context.Context, c *Collection, name string, qu
 	}
 	bs.snaps = snaps
 
-	if rel.Dim == 0 {
+	if dim == 0 {
 		// Nothing ingested yet: every shard serves the empty index.
 		// The per-query path returns a non-nil empty merge result;
 		// keep that shape.
@@ -179,9 +179,9 @@ func (s *Server) searchBatch(ctx context.Context, c *Collection, name string, qu
 	// here (vec.Norm, as everywhere) drive the per-query
 	// Cauchy–Schwarz bounds of normscan shards.
 	if bs.qstore == nil {
-		bs.qstore, _ = flat.New(rel.Dim)
+		bs.qstore, _ = flat.New(dim)
 	}
-	_ = bs.qstore.ResetDim(rel.Dim)
+	_ = bs.qstore.ResetDim(dim)
 	for _, i := range valid {
 		_ = bs.qstore.Append(vec.Vector(queries[i])) // dims pre-checked
 	}

@@ -102,6 +102,46 @@ func BenchmarkServerIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkServerUpsert measures one 64-record upsert (replacements of
+// live IDs) onto a loaded 4-shard in-memory collection, on the shapes
+// whose write paths differ: exact f64 and int8 extend their stores and
+// mirrors by the batch, normscan re-sorts every touched shard. B/op is
+// the point: it should track the batch, not the collection.
+func BenchmarkServerUpsert(b *testing.B) {
+	const width = 64
+	for _, bc := range []struct {
+		name string
+		n, d int
+		spec IndexSpec
+	}{
+		{"exact-f64/n=40000/d=64", 40_000, 64, IndexSpec{Kind: KindExact}},
+		{"normscan/n=20000/d=16", 20_000, 16, IndexSpec{Kind: KindNormScan}},
+		{"exact-int8/n=40000/d=32", 40_000, 32, IndexSpec{Kind: KindExact, Precision: PrecisionI8}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			vs := dataset.Gaussian(xrand.New(4), bc.n, bc.d, false)
+			s := New(Config{DefaultShards: 4, CacheCapacity: -1, CompactFraction: -1})
+			defer s.Close()
+			spec := bc.spec
+			for lo := 0; lo < bc.n; lo += 1000 {
+				if _, _, err := s.Ingest("bench", &spec, 0, records(vs[lo:lo+1000], lo)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := i * width % (bc.n - width)
+				// Rows move between IDs, so every upsert replaces live records
+				// without raising the int8 scale.
+				if _, _, err := s.Upsert("bench", nil, 0, records(vs[lo:lo+width], (lo+width)%(bc.n-width))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMergeTopK measures the k-way merge over 8 shard lists.
 func BenchmarkMergeTopK(b *testing.B) {
 	lists := make([][]Hit, 8)

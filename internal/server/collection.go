@@ -17,18 +17,26 @@ import (
 	"repro/internal/vec"
 )
 
-// Collection is a named, sharded vector set. The source of truth is a
-// store.Versioned relation (immutable snapshots, used by the join
-// endpoint and /stats); serving happens against per-shard indexes that
-// are extended or rebuilt on the shard-owner goroutines at ingest
-// time. When the server is durable, every ingest batch is appended to
-// the collection's write-ahead log before it becomes visible, and a
-// background checkpoint compacts the log into segment snapshots.
+// Collection is a named, sharded vector set. The shards hold the only
+// copy of the rows: each publishes immutable snapshots of its columnar
+// store and the index over it, extended or rebuilt on the shard-owner
+// goroutine at ingest time; the collection itself keeps just the
+// counters readers need (dimension, live count, version) and the
+// records' attributes. When the server is durable, every ingest batch
+// is appended to the collection's write-ahead log before it becomes
+// visible, and a background checkpoint compacts the log into segment
+// snapshots read back out of the shards.
 type Collection struct {
 	name   string
 	spec   IndexSpec
-	rel    *store.Versioned
 	shards []*shard
+	// dim is the vector dimension, fixed by the first record ingested
+	// (0 until then) and kept even if every record is deleted; live
+	// counts live records; version counts applied mutations and keys
+	// the query cache. Written under ingestMu, read lock-free.
+	dim     atomic.Int64
+	live    atomic.Int64
+	version atomic.Uint64
 	// gen is the collection's incarnation number, unique within the
 	// owning server's lifetime; it namespaces cache keys so entries
 	// from a dropped collection can never serve a same-name successor.
@@ -38,9 +46,13 @@ type Collection struct {
 	// seenIDs is the currently-live ID set: deletes remove from it, so
 	// AutoID assignment may reuse an ID after its record is deleted.
 	seenIDs map[int]struct{}
-	nextID  int
-	closed  bool
-	log     *persist.Log // nil on an in-memory server
+	// attrs holds the attributes of the live records that carry any, by
+	// ID (under ingestMu). A record's map is replaced whole, never
+	// edited, so checkpoints may keep reading one after the lock drops.
+	attrs  map[int]map[string]string
+	nextID int
+	closed bool
+	log    *persist.Log // nil on an in-memory server
 
 	// compactFrac and compactMin gate background compaction: it runs
 	// when tombstoned rows reach compactMin and the given fraction of
@@ -148,13 +160,70 @@ func (c *Collection) removeLog() error {
 }
 
 // persistSnapshot is the checkpointer's coherent view: taking ingestMu
-// means no ingest is mid-flight, so the relation's records correspond
+// means no ingest is mid-flight, so the shards' live rows correspond
 // exactly to the WAL prefix through LastSeq.
 func (c *Collection) persistSnapshot() ([]store.Record, uint64) {
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
-	rel, _ := c.rel.Snapshot()
-	return rel.Recs, c.log.LastSeq()
+	return c.liveRecords(), c.log.LastSeq()
+}
+
+// liveRecords assembles the live records, shard by shard in row order,
+// as views: each Vec aliases its row in the shard's store (immutable
+// once published) and each Attrs is the stored map, so nothing but the
+// record headers is allocated. Callers hold ingestMu and must treat the
+// result as read-only.
+func (c *Collection) liveRecords() []store.Record {
+	recs := make([]store.Record, 0, c.live.Load())
+	for _, sh := range c.shards {
+		sn := sh.snap.Load()
+		for i, id := range sn.ids {
+			if !sn.dead.Dead(i) {
+				recs = append(recs, store.Record{ID: id, Vec: sn.fs.Row(i), Attrs: c.attrs[id]})
+			}
+		}
+	}
+	return recs
+}
+
+// checkDims reports whether recs fit the collection: every vector must
+// have the collection's dimension, or — on a collection that has never
+// held a record — the first record's, which must be positive. It
+// returns that dimension.
+func (c *Collection) checkDims(recs []store.Record) (int, error) {
+	dim := int(c.dim.Load())
+	if dim == 0 {
+		if dim = len(recs[0].Vec); dim == 0 {
+			return 0, fmt.Errorf("server: collection %q: zero-dimensional record", c.name)
+		}
+	}
+	for i, r := range recs {
+		if len(r.Vec) != dim {
+			return 0, fmt.Errorf("server: collection %q: record %d has dimension %d, want %d",
+				c.name, i, len(r.Vec), dim)
+		}
+	}
+	return dim, nil
+}
+
+// applied records a mutation that every shard has published and the WAL
+// holds: the change in live records and — last, see ingest — the
+// version bump. Callers hold ingestMu.
+func (c *Collection) applied(liveDelta int) uint64 {
+	c.live.Add(int64(liveDelta))
+	return c.version.Add(1)
+}
+
+// setAttrs makes recs' attributes the stored ones for their IDs: a
+// record with none clears whatever its ID carried before.
+func (c *Collection) setAttrs(recs []store.Record) {
+	for _, r := range recs {
+		if len(r.Attrs) > 0 {
+			c.attrs[r.ID] = r.Attrs
+		} else {
+			delete(c.attrs, r.ID)
+		}
+	}
 }
 
 func newCollection(name string, spec IndexSpec, nshards int, seed uint64, overfetch int) (*Collection, error) {
@@ -176,9 +245,9 @@ func newCollection(name string, spec IndexSpec, nshards int, seed uint64, overfe
 	c := &Collection{
 		name:        name,
 		spec:        spec,
-		rel:         store.NewVersioned(name),
 		shards:      make([]*shard, nshards),
 		seenIDs:     make(map[int]struct{}),
+		attrs:       make(map[int]map[string]string),
 		compactFrac: defaultCompactFraction,
 		compactMin:  defaultCompactMinDead,
 		lat:         newLatencyRing(),
@@ -201,14 +270,10 @@ func (c *Collection) Spec() IndexSpec { return c.spec }
 func (c *Collection) Shards() int { return len(c.shards) }
 
 // Len returns the current record count.
-func (c *Collection) Len() int { return c.rel.Len() }
+func (c *Collection) Len() int { return int(c.live.Load()) }
 
 // Version returns the current ingest version.
-func (c *Collection) Version() uint64 { return c.rel.Version() }
-
-// Relation returns the current immutable relation snapshot and its
-// version (for joins and diagnostics).
-func (c *Collection) Relation() (*store.Relation, uint64) { return c.rel.Snapshot() }
+func (c *Collection) Version() uint64 { return c.version.Load() }
 
 // shardFor maps a record ID to its home shard.
 func (c *Collection) shardFor(id int) int {
@@ -222,10 +287,11 @@ func (c *Collection) shardFor(id int) int {
 // on the shard-owner goroutines. The batch is all-or-nothing: records
 // and new indexes become visible only after every shard's build has
 // succeeded, and a rejected batch leaves no trace (IDs reserved for
-// it are released). Every touched shard copies its store once; an alsh
-// index is then extended by the batch, while the other kinds are
-// re-derived from the full store, so prefer fewer, larger batches for
-// sketch. Returns the new version.
+// it are released). A touched shard's next store shares the current
+// one's rows and adds the batch, and an exact (any precision) or alsh
+// index is extended by the batch alone, so such a write costs O(batch);
+// normscan and sketch re-derive their structure from the full store, so
+// prefer fewer, larger batches for those. Returns the new version.
 func (c *Collection) Ingest(recs []store.Record) (uint64, error) {
 	return c.ingest(context.Background(), recs)
 }
@@ -234,7 +300,7 @@ func (c *Collection) Ingest(recs []store.Record) (uint64, error) {
 // its trace: a traced request gets an index_build span.
 func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, error) {
 	if len(recs) == 0 {
-		return c.rel.Version(), nil
+		return c.Version(), nil
 	}
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
@@ -245,10 +311,9 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 		return 0, err
 	}
 
-	// Validate dimensions before touching any state; ingestMu
-	// serializes appends, so the later Append of this same batch
-	// cannot fail.
-	if err := c.rel.CheckAppend(recs); err != nil {
+	// Validate dimensions before touching any state.
+	dim, err := c.checkDims(recs)
+	if err != nil {
 		return 0, err
 	}
 	if err := c.checkNormBound(recs); err != nil {
@@ -261,9 +326,9 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 	copy(assigned, recs)
 	if c.spec.precision() == PrecisionF32 {
 		// Round to binary32 before anything durable or visible sees the
-		// batch: the WAL, the relation, the shard stores and the segment
-		// snapshots then all hold the identical rounded rows, which is
-		// what makes the f32 segment encoding lossless.
+		// batch: the WAL, the shard stores and the segment snapshots
+		// then all hold the identical rounded rows, which is what makes
+		// the f32 segment encoding lossless.
 		if err := roundRecords32(c.name, assigned); err != nil {
 			return 0, err
 		}
@@ -333,24 +398,21 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 		c.observeStage("wal_append", time.Since(wstart))
 	}
 
-	// Phase 2: publish — shard snapshots first, the version-bumping
-	// relation append last. Ordering matters for the query cache: the
-	// version may only advance once every shard already serves data at
-	// least that new, so a result cached under the version a searcher
-	// observed can never be *older* than that version claims (it can
-	// transiently be newer, which the ingest's explicit invalidation
-	// cleans up, and version-embedded keys strand anything it misses).
+	// Phase 2: publish — shard snapshots first, the version bump last.
+	// Ordering matters for the query cache: the version may only advance
+	// once every shard already serves data at least that new, so a
+	// result cached under the version a searcher observed can never be
+	// *older* than that version claims (it can transiently be newer,
+	// which the ingest's explicit invalidation cleans up, and
+	// version-embedded keys strand anything it misses).
 	for si, snap := range snaps {
 		if snap != nil {
-			c.shards[si].commit(snap)
+			c.shards[si].commit(snap, false)
 		}
 	}
-	version, err := c.rel.Append(assigned)
-	if err != nil {
-		// Unreachable: CheckAppend vetted this batch under ingestMu.
-		rollback()
-		return 0, fmt.Errorf("server: collection %q: append after commit: %w", c.name, err)
-	}
+	c.dim.Store(int64(dim)) // fixed by the first write, the same ever after
+	c.setAttrs(assigned)
+	version := c.applied(len(assigned))
 	if c.log != nil {
 		// Compact the WAL into a segment snapshot once its tail
 		// outgrows the threshold. Runs in the background; the snapshot
@@ -442,10 +504,11 @@ func roundRecords32(name string, recs []store.Record) error {
 // address — and a batch must not name the same ID twice (the intended
 // final state would be ambiguous). Replacement tombstones the old row
 // in its shard and appends the new one, so the change is one WAL
-// frame, one store copy and index extension (alsh) or rebuild (the
-// other kinds) per touched shard, and one atomic snapshot swap; the
-// space held by replaced rows is reclaimed by background compaction.
-// All-or-nothing like Ingest. Returns the new version.
+// frame, an index extension (exact, alsh: O(batch)) or rebuild
+// (normscan, sketch) per touched shard as in Ingest, and one atomic
+// snapshot swap; the space held by replaced rows is reclaimed by
+// background compaction. All-or-nothing like Ingest. Returns the new
+// version.
 func (c *Collection) Upsert(recs []store.Record) (uint64, error) {
 	return c.upsert(context.Background(), recs)
 }
@@ -453,7 +516,7 @@ func (c *Collection) Upsert(recs []store.Record) (uint64, error) {
 // upsert is Upsert under the caller's context (see ingest).
 func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, error) {
 	if len(recs) == 0 {
-		return c.rel.Version(), nil
+		return c.Version(), nil
 	}
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
@@ -463,7 +526,8 @@ func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, e
 	if err := c.checkMutable(); err != nil {
 		return 0, err
 	}
-	if err := c.rel.CheckAppend(recs); err != nil {
+	dim, err := c.checkDims(recs)
+	if err != nil {
 		return 0, err
 	}
 	if err := c.checkNormBound(recs); err != nil {
@@ -532,15 +596,12 @@ func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, e
 
 	for si, snap := range snaps {
 		if snap != nil {
-			c.shards[si].commit(snap)
+			c.shards[si].commit(snap, false)
 		}
 	}
-	version, err := c.rel.Mutate(recs, nil)
-	if err != nil {
-		// Unreachable: CheckAppend vetted this batch under ingestMu.
-		rollback()
-		return 0, fmt.Errorf("server: collection %q: mutate after commit: %w", c.name, err)
-	}
+	c.dim.Store(int64(dim))
+	c.setAttrs(recs)
+	version := c.applied(len(reserved))
 	if c.log != nil {
 		c.log.MaybeCheckpoint(c.persistSnapshot)
 	}
@@ -555,7 +616,7 @@ func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, e
 // reclaimed by background compaction.
 func (c *Collection) Delete(ids []int) (uint64, int, error) {
 	if len(ids) == 0 {
-		return c.rel.Version(), 0, nil
+		return c.Version(), 0, nil
 	}
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
@@ -579,7 +640,7 @@ func (c *Collection) Delete(ids []int) (uint64, int, error) {
 		}
 	}
 	if len(present) == 0 {
-		return c.rel.Version(), 0, nil
+		return c.Version(), 0, nil
 	}
 
 	byShard := make(map[int][]int)
@@ -614,19 +675,14 @@ func (c *Collection) Delete(ids []int) (uint64, int, error) {
 
 	for si, snap := range snaps {
 		if snap != nil {
-			c.shards[si].commit(snap)
+			c.shards[si].commit(snap, false)
 		}
 	}
-	del := make(map[int]struct{}, len(present))
 	for _, id := range present {
-		del[id] = struct{}{}
 		delete(c.seenIDs, id)
+		delete(c.attrs, id)
 	}
-	version, err := c.rel.Mutate(nil, del)
-	if err != nil {
-		// Unreachable: Mutate without upserts cannot fail validation.
-		return 0, 0, fmt.Errorf("server: collection %q: mutate after commit: %w", c.name, err)
-	}
+	version := c.applied(-len(present))
 	if c.log != nil {
 		c.log.MaybeCheckpoint(c.persistSnapshot)
 	}
@@ -670,7 +726,7 @@ func (c *Collection) maybeCompact() bool {
 }
 
 // compact rewrites every tombstone-carrying shard to live rows only —
-// fresh contiguous store, rebuilt index, no bitmap — and then
+// fresh store, rebuilt index, no bitmap — and then
 // checkpoints the WAL into a segment, so the on-disk state is rewritten
 // without the deleted rows too. Searches never block: they keep
 // reading the old snapshots until the atomic swap. Writers are held
@@ -701,15 +757,15 @@ func (c *Collection) compact() error {
 	}
 	for si, snap := range snaps {
 		if snap != nil {
-			c.shards[si].commit(snap)
+			c.shards[si].commit(snap, true)
 		}
 	}
 	c.ingestMu.Unlock()
 	c.compactions.Add(1)
 	// The segment write reuses the checkpointer's rotate/retain
 	// machinery; persistSnapshot re-takes ingestMu itself, which is why
-	// the lock must be released first. The relation holds only live
-	// records, so the new segment sheds every tombstoned row.
+	// the lock must be released first. It gathers only live rows, so the
+	// new segment sheds every tombstoned one.
 	if c.log != nil {
 		return c.log.Checkpoint(c.persistSnapshot)
 	}
@@ -783,9 +839,8 @@ func (c *Collection) searchOne(ctx context.Context, pool *Pool, q vec.Vector, k 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rel, _ := c.rel.Snapshot()
-	if rel.Dim != 0 && len(q) != rel.Dim {
-		return nil, fmt.Errorf("server: collection %q: query dimension %d, want %d", c.name, len(q), rel.Dim)
+	if dim := int(c.dim.Load()); dim != 0 && len(q) != dim {
+		return nil, fmt.Errorf("server: collection %q: query dimension %d, want %d", c.name, len(q), dim)
 	}
 	c.queries.Add(1)
 	lists := make([][]Hit, len(c.shards))
@@ -870,39 +925,42 @@ func doneChan(ctx context.Context) <-chan struct{} {
 }
 
 // vectorBytes reports the resident vector payload per storage
-// precision, computed arithmetically from physical shard rows (live +
-// tombstoned): every collection retains the f64 truth rows; quantized
-// tiers additionally hold their compact copy.
+// precision as the shards hold it allocated — chunk capacity, so
+// tombstoned rows and the unused tail of each store's open chunk
+// count: every collection retains the f64 truth rows; quantized tiers
+// additionally hold their compact mirror.
 func (c *Collection) vectorBytes() map[string]int64 {
-	rows := 0
-	dim := 0
-	for _, sh := range c.shards {
-		if sn := sh.snap.Load(); sn.fs != nil {
-			rows += sn.fs.Len()
-			dim = sn.fs.Dim()
-		}
+	vb := map[string]int64{PrecisionF64: 0}
+	if p := c.spec.precision(); p != PrecisionF64 {
+		vb[p] = 0
 	}
-	elems := int64(rows) * int64(dim)
-	vb := map[string]int64{PrecisionF64: elems * 8}
-	switch c.spec.precision() {
-	case PrecisionF32:
-		vb[PrecisionF32] = elems * 4
-	case PrecisionI8:
-		vb[PrecisionI8] = elems
+	for _, sh := range c.shards {
+		sn := sh.snap.Load()
+		if sn.fs == nil {
+			continue
+		}
+		vb[PrecisionF64] += sn.fs.AllocatedBytes()
+		switch ix := sn.index.(type) {
+		case exact32Index:
+			vb[PrecisionF32] += ix.s32.AllocatedBytes()
+		case normScan32Index:
+			vb[PrecisionF32] += ix.ns.Store().AllocatedBytes()
+		case exactI8Index:
+			vb[PrecisionI8] += ix.i8.AllocatedBytes()
+		}
 	}
 	return vb
 }
 
 // statsSnapshot renders the collection for /stats.
 func (c *Collection) statsSnapshot() CollectionStats {
-	rel, version := c.rel.Snapshot()
 	health, reason := c.healthInfo()
 	cs := CollectionStats{
-		Dim:           rel.Dim,
-		Records:       len(rel.Recs),
+		Dim:           int(c.dim.Load()),
+		Records:       c.Len(),
 		Compactions:   c.compactions.Load(),
 		Compacting:    c.compacting.Load(),
-		Version:       version,
+		Version:       c.Version(),
 		Index:         c.spec.kind(),
 		Precision:     c.spec.precision(),
 		VectorBytes:   c.vectorBytes(),

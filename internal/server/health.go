@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/errfs"
 	"repro/internal/persist"
-	"repro/internal/store"
 )
 
 // HealthState is a collection's failure-domain state.
@@ -288,7 +287,6 @@ func (c *Collection) scrubOnce() error {
 func newQuarantined(name, dir string, fsys errfs.FS, reason string) *Collection {
 	c := &Collection{
 		name:    name,
-		rel:     store.NewVersioned(name),
 		seenIDs: make(map[int]struct{}),
 		lat:     newLatencyRing(),
 		hist:    newLatencyHist(),

@@ -1,6 +1,6 @@
 // Package server is the online serving subsystem of the reproduction: a
 // concurrent, sharded inner-product search and join server. Named
-// collections wrap store.Relation snapshots; each collection is split
+// collections hold store.Record vectors; each collection is split
 // across N goroutine-owned shards, every shard holding its own index
 // built from a selectable engine (exact scan, norm-pruned MIPS scan,
 // §4.1 ALSH, or the §4.3 sketch recovery structure). Queries fan out to
@@ -186,9 +186,8 @@ func defaultSketch(kappa float64, copies int) (float64, int) {
 // buildShardIndex constructs the index for one shard over its columnar
 // store. Shard seeds are derived from the spec seed so shards hash
 // independently. Candidate-based engines (alsh, sketch) are built from
-// row views of the store — slice headers into the contiguous backing
-// array, no float copies — and verify candidates through the store's
-// kernel.
+// row views of the store — slice headers into its chunks, no float
+// copies — and verify candidates through the store's kernel.
 // Quantized precisions (f32, int8) build their compact view from fs at
 // index-build time and retain fs itself as the exact re-rank truth;
 // overfetch scales their re-ranked candidate sets.

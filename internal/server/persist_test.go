@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -177,28 +179,40 @@ func TestCrashRecoversAcknowledgedWrites(t *testing.T) {
 	s1.Close()
 }
 
+// copyTree copies a live data directory the way kill -9 would freeze
+// it. The walk is not atomic: when a background checkpoint deletes a
+// file between the walk listing it and reading it, the copy is a state
+// the directory was never in, so it is thrown away and taken again.
 func copyTree(t *testing.T, src, dst string) {
 	t.Helper()
-	err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
+	for attempt := 0; ; attempt++ {
+		err := filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
+			if err != nil {
+				return err
+			}
+			rel, err := filepath.Rel(src, path)
+			if err != nil {
+				return err
+			}
+			target := filepath.Join(dst, rel)
+			if info.IsDir() {
+				return os.MkdirAll(target, 0o755)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(target, data, 0o644)
+		})
+		if err == nil {
+			return
 		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
+		if !errors.Is(err, fs.ErrNotExist) || attempt == 20 {
+			t.Fatal(err)
 		}
-		target := filepath.Join(dst, rel)
-		if info.IsDir() {
-			return os.MkdirAll(target, 0o755)
+		if err := os.RemoveAll(dst); err != nil {
+			t.Fatal(err)
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -252,8 +266,7 @@ func TestCheckpointDuringIngest(t *testing.T) {
 	if !ok || c.Len() != n {
 		t.Fatalf("recovered %d records, want %d", c.Len(), n)
 	}
-	rel, _ := c.Relation()
-	for i, r := range rel.Recs {
+	for i, r := range c.records() {
 		if r.ID != recs[i].ID {
 			t.Fatalf("record %d has ID %d, want %d", i, r.ID, recs[i].ID)
 		}
@@ -482,14 +495,14 @@ func TestDurableIngestAttrsSurvive(t *testing.T) {
 	}
 	defer s2.Close()
 	c, _ := s2.Collection("col")
-	rel, _ := c.Relation()
-	if len(rel.Recs) != 2 {
-		t.Fatalf("recovered %d records", len(rel.Recs))
+	got := c.records()
+	if len(got) != 2 {
+		t.Fatalf("recovered %d records", len(got))
 	}
-	if rel.Recs[0].Attrs["title"] != "first" || rel.Recs[0].Attrs["lang"] != "go" {
-		t.Fatalf("attrs lost: %+v", rel.Recs[0].Attrs)
+	if got[0].Attrs["title"] != "first" || got[0].Attrs["lang"] != "go" {
+		t.Fatalf("attrs lost: %+v", got[0].Attrs)
 	}
-	if rel.Recs[1].Attrs != nil {
-		t.Fatalf("phantom attrs: %+v", rel.Recs[1].Attrs)
+	if got[1].Attrs != nil {
+		t.Fatalf("phantom attrs: %+v", got[1].Attrs)
 	}
 }

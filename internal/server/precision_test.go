@@ -341,8 +341,7 @@ func TestF32IngestRounding(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := s.Collection("c")
-	rel, _ := c.Relation()
-	for j, x := range rel.Recs[0].Vec {
+	for j, x := range c.records()[0].Vec {
 		if math.Float64bits(x) != math.Float64bits(float64(float32(v[j]))) {
 			t.Fatalf("element %d stored as %v, want binary32 rounding of %v", j, x, v[j])
 		}
@@ -357,8 +356,7 @@ func TestF32IngestRounding(t *testing.T) {
 	if _, _, err := s.Upsert("c", nil, 0, []store.Record{{ID: 1, Vec: vec.Vector{0, 1e-320, 0}}}); err != nil {
 		t.Fatal(err)
 	}
-	rel, _ = c.Relation()
-	for _, r := range rel.Recs {
+	for _, r := range c.records() {
 		if r.ID == 1 && r.Vec[1] != 0 {
 			t.Fatalf("upsert stored %v, want the binary32 rounding 0", r.Vec[1])
 		}

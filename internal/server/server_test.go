@@ -1,8 +1,10 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -21,6 +23,16 @@ func records(vs []vec.Vector, base int) []store.Record {
 	for i, v := range vs {
 		recs[i] = store.Record{ID: base + i, Vec: v}
 	}
+	return recs
+}
+
+// records returns the collection's live records in ID order, gathered
+// from the shards the way a checkpoint gathers them.
+func (c *Collection) records() []store.Record {
+	c.ingestMu.Lock()
+	recs := c.liveRecords()
+	c.ingestMu.Unlock()
+	slices.SortFunc(recs, func(a, b store.Record) int { return cmp.Compare(a.ID, b.ID) })
 	return recs
 }
 
@@ -182,9 +194,9 @@ func TestConcurrentIngestSearch(t *testing.T) {
 					errc <- fmt.Errorf("reader %d batch %d: %w", g, b, err)
 					return
 				}
-				rel, _ := col.Relation()
-				byID := make(map[int]vec.Vector, len(rel.Recs))
-				for _, rec := range rel.Recs {
+				recs := col.records()
+				byID := make(map[int]vec.Vector, len(recs))
+				for _, rec := range recs {
 					byID[rec.ID] = rec.Vec
 				}
 				for qi, res := range results {
@@ -321,14 +333,14 @@ func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		sh.commit(snap)
+		sh.commit(snap, false)
 		return nil
 	}(); err != nil {
 		t.Fatalf("seed prepare: %v", err)
 	}
 	// A failing build must not disturb the published snapshot.
-	if _, err := sh.prepare(IndexSpec{Kind: "bogus"}, []int{1}, []vec.Vector{{0, 1}}, nil); err == nil {
-		t.Fatal("bogus index kind built")
+	if _, err := sh.prepare(IndexSpec{Kind: KindExact}, []int{1}, []vec.Vector{{0, 1, 2}}, nil); err == nil {
+		t.Fatal("a row of the wrong dimension built")
 	}
 	if sh.size() != 1 {
 		t.Fatalf("failed prepare changed shard size to %d", sh.size())

@@ -31,25 +31,32 @@ type shard struct {
 	ops       chan func()
 	done      chan struct{}
 	queries   atomic.Int64
+	// rows maps a global ID to its newest local row in the published
+	// snapshot. It belongs to the owner goroutine alone — writers are
+	// the only ones who ask "where does this ID live" — so it is one
+	// map updated in place at commit, not a copy per snapshot. Lazy: see
+	// rowIndex.
+	rows map[int]int
 }
 
 // shardSnap is an immutable shard state: the id slice, the columnar
-// vector store, and the index built over the store (local row i ↔
-// global ID ids[i]). Snapshots are never mutated after publication, so
-// readers holding one can scan the store without synchronization.
+// vector store, and the index over the store (local row i ↔ global ID
+// ids[i]). Snapshots are never mutated after publication, so readers
+// holding one can scan the store without synchronization.
 //
-// Mutations extend the triple: rows maps a global ID to its local row,
-// and dead marks tombstoned rows (nil until the first delete — the
-// zero-tombstone fast paths key off that). An upsert tombstones the
-// old row and appends the new one, so rows always points at the
-// newest; a rows entry whose row is dead means the ID is not live
-// (delete publication shares the map instead of copying it). rows is
-// lazy — see rowIndex — so append-only shards never build or copy it.
+// A write extends the triple rather than copying it: the next
+// snapshot's ids and store share every row the current one holds and
+// append the batch behind them — in place where the backing memory has
+// room, which readers of the current snapshot, bounded by its length,
+// never see (one writer per shard; publication is the atomic pointer
+// swap). dead marks tombstoned rows (nil until the first delete — the
+// zero-tombstone fast paths key off that). An upsert tombstones the old
+// row and appends the new one, so an ID can appear in ids twice; the
+// later row is the live one.
 type shardSnap struct {
 	ids   []int
 	fs    *flat.Store
 	index ShardIndex
-	rows  map[int]int
 	dead  *flat.Tombstones
 
 	nsOnce sync.Once
@@ -59,22 +66,21 @@ type shardSnap struct {
 	live     *shardSnap
 }
 
-// rowIndex returns the id→row map, deriving it from ids on first use.
-// ids can hold an id twice after an upsert (the tombstoned old row and
-// the appended newest one); in-order iteration makes the last
-// occurrence win, which is the newest row — the same invariant the
-// eager updates below maintain. Accessed only on the shard's owner
-// goroutine, so the lazy build needs no synchronization; append-only
-// shards never pay for the map at all.
-func (sn *shardSnap) rowIndex() map[int]int {
-	if sn.rows == nil && len(sn.ids) > 0 {
-		rows := make(map[int]int, len(sn.ids))
+// rowIndex returns the id→row map of the published snapshot sn,
+// deriving it from sn.ids on first use. ids can hold an id twice after
+// an upsert (the tombstoned old row and the appended newest one);
+// in-order iteration makes the last occurrence win, which is the newest
+// row — the same invariant commit maintains. An entry whose row is dead
+// means the ID is not live. Owner goroutine only; append-only shards
+// never pay for the map at all.
+func (s *shard) rowIndex(sn *shardSnap) map[int]int {
+	if s.rows == nil {
+		s.rows = make(map[int]int, len(sn.ids))
 		for i, id := range sn.ids {
-			rows[id] = i
+			s.rows[id] = i
 		}
-		sn.rows = rows
 	}
-	return sn.rows
+	return s.rows
 }
 
 // normSorted lazily builds — once per snapshot, the store being
@@ -92,32 +98,40 @@ func (sn *shardSnap) normSorted() *flat.NormSorted {
 // compacted (ids, fs) pair is built once per snapshot and cached, so
 // the cost is paid by the first join after a delete, not per request.
 // The view carries no serving index (joins build their own structures
-// over fs) and no rows/dead bookkeeping — it is read-only.
+// over fs) and no dead bookkeeping — it is read-only.
 func (sn *shardSnap) liveView() *shardSnap {
 	if sn.dead.Count() == 0 {
 		return sn
 	}
 	sn.liveOnce.Do(func() {
-		nfs, err := flat.New(sn.fs.Dim())
+		ids, nfs, err := sn.packLive()
 		if err != nil {
-			// Unreachable: sn.fs exists, so its dim is positive.
+			// Unreachable: the rows come out of a store of the same dimension.
 			sn.live = &shardSnap{index: emptyIndex{}}
 			return
-		}
-		ids := make([]int, 0, sn.fs.Len()-sn.dead.Count())
-		for i := 0; i < sn.fs.Len(); i++ {
-			if sn.dead.Dead(i) {
-				continue
-			}
-			if err := nfs.Append(sn.fs.Row(i)); err != nil {
-				sn.live = &shardSnap{index: emptyIndex{}}
-				return
-			}
-			ids = append(ids, sn.ids[i])
 		}
 		sn.live = &shardSnap{ids: ids, fs: nfs, index: emptyIndex{}}
 	})
 	return sn.live
+}
+
+// packLive copies the snapshot's live rows, in row order, into a fresh
+// store sized for exactly them, and returns it with their ids.
+func (sn *shardSnap) packLive() ([]int, *flat.Store, error) {
+	live := sn.fs.Len() - sn.dead.Count()
+	ids := make([]int, 0, live)
+	rows := make([]vec.Vector, 0, live)
+	for i, id := range sn.ids {
+		if !sn.dead.Dead(i) {
+			ids = append(ids, id)
+			rows = append(rows, sn.fs.Row(i))
+		}
+	}
+	nfs, err := flat.New(sn.fs.Dim())
+	if err != nil {
+		return nil, nil, err
+	}
+	return ids, nfs, nfs.AppendAll(rows)
 }
 
 func newShard(id int, seed uint64, overfetch int) *shard {
@@ -170,31 +184,16 @@ func (s *shard) build(fn func(old *shardSnap) (*shardSnap, error)) (snap *shardS
 }
 
 // prepare builds — but does not publish — the snapshot that results
-// from appending (ids, vs): the store is copied once with room for the
-// batch, and the index follows it — extended from the current one
-// where the engine can (alsh hashes only the new rows), rebuilt over
-// the grown store otherwise. sp, the mutation's index_build span,
-// learns which. The caller publishes the result with commit only once
-// every shard's prepare has succeeded, keeping a failed ingest free of
-// side effects.
+// from appending (ids, vs): ids and store grow from the current ones,
+// sharing their rows, and the index follows — extended by the batch
+// where the engine can (see nextIndex), rebuilt over the grown store
+// otherwise. sp, the mutation's index_build span, learns which, and how
+// many rows the write had to copy. The caller publishes the result with
+// commit only once every shard's prepare has succeeded and the batch is
+// in the WAL; a prepared snapshot that is dropped instead leaves nothing
+// behind but unreachable bytes past the current snapshot's length.
 func (s *shard) prepare(spec IndexSpec, ids []int, vs []vec.Vector, sp *trace.Span) (*shardSnap, error) {
 	return s.build(func(old *shardSnap) (*shardSnap, error) {
-		nids := make([]int, 0, len(old.ids)+len(ids))
-		nids = append(nids, old.ids...)
-		nids = append(nids, ids...)
-		// Extend the row index incrementally only when the shard has
-		// already materialized one (i.e. it has seen mutations);
-		// append-only shards keep rows nil and never copy a map here.
-		var rows map[int]int
-		if old.rows != nil {
-			rows = make(map[int]int, len(old.rows)+len(ids))
-			for id, r := range old.rows {
-				rows[id] = r
-			}
-			for i, id := range ids {
-				rows[id] = len(old.ids) + i
-			}
-		}
 		nfs, err := appendStore(old.fs, vs)
 		if err != nil {
 			return nil, err
@@ -207,27 +206,47 @@ func (s *shard) prepare(spec IndexSpec, ids []int, vs []vec.Vector, sp *trace.Sp
 		if err != nil {
 			return nil, err
 		}
-		return &shardSnap{ids: nids, fs: nfs, index: index, rows: rows, dead: dead}, nil
+		return &shardSnap{ids: append(old.ids, ids...), fs: nfs, index: index, dead: dead}, nil
 	})
 }
 
 // nextIndex returns the index over nfs — old's store plus appended
-// rows — masked by dead: an extension of old's index where the engine
-// can grow (alsh), a fresh build otherwise.
+// rows — masked by dead. Engines whose structure over the old rows
+// stays valid extend it by the new rows (exact at every precision: the
+// store is the index, and the f32/int8 mirrors convert only what they
+// lack; alsh hashes only the new rows); normscan and sketch order or
+// summarize all rows together and are rebuilt. sp counts the shard
+// under extend or rebuild and records rows_copied: the rows of the next
+// snapshot, in whichever tier copied most, that do not share memory
+// with the current one.
 func (s *shard) nextIndex(spec IndexSpec, old *shardSnap, nfs *flat.Store, dead *flat.Tombstones, sp *trace.Span) (ShardIndex, error) {
+	// spec is only read on the rebuild path: a collection's spec never
+	// changes, so an index being extended was built under it with this
+	// shard's seed and overfetch, and inherits them.
 	var index ShardIndex
-	if prev, ok := old.index.(*alshIndex); ok {
-		// spec is unused here: a collection's spec never changes, so prev
-		// was built under it with this shard's seed and extend inherits both.
-		sp.SetInt("extend", 1)
+	how, shared := "extend", nfs.SharedRows(old.fs)
+	switch prev := old.index.(type) {
+	case exactIndex:
+		index = exactIndex{fs: nfs}
+	case exact32Index:
+		s32 := prev.s32.Extend(nfs)
+		shared = min(shared, s32.SharedRows(prev.s32))
+		index = exact32Index{fs: nfs, s32: s32, overfetch: prev.overfetch}
+	case exactI8Index:
+		i8 := prev.i8.Extend(nfs)
+		shared = min(shared, i8.SharedRows(prev.i8))
+		index = exactI8Index{fs: nfs, i8: i8, overfetch: prev.overfetch}
+	case *alshIndex:
 		index = prev.extend(nfs)
-	} else {
-		sp.SetInt("rebuild", 1)
+	default:
+		how, shared = "rebuild", 0
 		var err error
 		if index, err = buildShardIndex(spec, nfs, s.seed, s.overfetch); err != nil {
 			return nil, err
 		}
 	}
+	sp.SetInt(how, 1)
+	sp.SetInt("rows_copied", int64(nfs.Len()-shared))
 	return maskIndex(index, dead)
 }
 
@@ -250,28 +269,16 @@ func maskIndex(index ShardIndex, dead *flat.Tombstones) (ShardIndex, error) {
 // in prepare. Runs on the owner goroutine; the caller commits.
 func (s *shard) prepareUpsert(spec IndexSpec, ids []int, vs []vec.Vector, sp *trace.Span) (*shardSnap, error) {
 	return s.build(func(old *shardSnap) (*shardSnap, error) {
-		base := 0
-		if old.fs != nil {
-			base = old.fs.Len()
-		}
-		nids := make([]int, 0, len(old.ids)+len(ids))
-		nids = append(nids, old.ids...)
-		nids = append(nids, ids...)
-		orows := old.rowIndex()
-		rows := make(map[int]int, len(orows)+len(ids))
-		for id, r := range orows {
-			rows[id] = r
-		}
 		nfs, err := appendStore(old.fs, vs)
 		if err != nil {
 			return nil, err
 		}
+		rows := s.rowIndex(old)
 		dead := old.dead.Grow(nfs.Len())
-		for i, id := range ids {
+		for _, id := range ids {
 			if r, ok := rows[id]; ok && !dead.Dead(r) {
 				dead.Kill(r)
 			}
-			rows[id] = base + i
 		}
 		if dead.Count() == 0 {
 			dead = nil // keep the zero-tombstone fast paths
@@ -280,16 +287,16 @@ func (s *shard) prepareUpsert(spec IndexSpec, ids []int, vs []vec.Vector, sp *tr
 		if err != nil {
 			return nil, err
 		}
-		return &shardSnap{ids: nids, fs: nfs, index: index, rows: rows, dead: dead}, nil
+		return &shardSnap{ids: append(old.ids, ids...), fs: nfs, index: index, dead: dead}, nil
 	})
 }
 
 // prepareDelete builds — but does not publish — the snapshot with the
 // given IDs tombstoned, returning how many were live. A delete-only
-// snapshot is cheap: it shares the store, id slice and rows map with
-// the old one; only the bitmap is copied and the index re-masked.
-// IDs that are unknown or already dead are no-ops. Returns (nil, 0)
-// when nothing changed so the caller can skip the commit.
+// snapshot is cheap: it shares the store and id slice with the old one;
+// only the bitmap is copied and the index re-masked. IDs that are
+// unknown or already dead are no-ops. Returns (nil, 0) when nothing
+// changed so the caller can skip the commit.
 func (s *shard) prepareDelete(ids []int) (*shardSnap, int, error) {
 	removed := 0
 	snap, err := s.build(func(old *shardSnap) (*shardSnap, error) {
@@ -297,7 +304,7 @@ func (s *shard) prepareDelete(ids []int) (*shardSnap, int, error) {
 			return nil, nil
 		}
 		dead := old.dead.Grow(old.fs.Len())
-		rows := old.rowIndex()
+		rows := s.rowIndex(old)
 		for _, id := range ids {
 			if r, ok := rows[id]; ok && !dead.Dead(r) {
 				dead.Kill(r)
@@ -311,7 +318,7 @@ func (s *shard) prepareDelete(ids []int) (*shardSnap, int, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &shardSnap{ids: old.ids, fs: old.fs, index: index, rows: rows, dead: dead}, nil
+		return &shardSnap{ids: old.ids, fs: old.fs, index: index, dead: dead}, nil
 	})
 	if err != nil {
 		return nil, 0, err
@@ -320,42 +327,31 @@ func (s *shard) prepareDelete(ids []int) (*shardSnap, int, error) {
 }
 
 // prepareCompact builds — but does not publish — the fully-compacted
-// snapshot: live rows repacked into a fresh contiguous store, a fresh
-// rows map, no tombstones, and the index rebuilt over the compact
-// store (row numbers change, so this is the one write that cannot
-// extend). Returns nil when the shard has no tombstones.
+// snapshot: live rows repacked into a fresh store, no tombstones, and
+// the index rebuilt over the compact store (row numbers change, so this
+// is the one write that cannot extend). Returns nil when the shard has
+// no tombstones.
 func (s *shard) prepareCompact(spec IndexSpec) (*shardSnap, error) {
 	return s.build(func(old *shardSnap) (*shardSnap, error) {
 		if old.dead.Count() == 0 {
 			return nil, nil
 		}
-		nfs, err := flat.New(old.fs.Dim())
+		nids, nfs, err := old.packLive()
 		if err != nil {
 			return nil, err
-		}
-		nids := make([]int, 0, old.fs.Len()-old.dead.Count())
-		rows := make(map[int]int, old.fs.Len()-old.dead.Count())
-		for i := 0; i < old.fs.Len(); i++ {
-			if old.dead.Dead(i) {
-				continue
-			}
-			if err := nfs.Append(old.fs.Row(i)); err != nil {
-				return nil, err
-			}
-			rows[old.ids[i]] = len(nids)
-			nids = append(nids, old.ids[i])
 		}
 		index, err := buildShardIndex(spec, nfs, s.seed, s.overfetch)
 		if err != nil {
 			return nil, err
 		}
-		return &shardSnap{ids: nids, fs: nfs, index: index, rows: rows}, nil
+		return &shardSnap{ids: nids, fs: nfs, index: index}, nil
 	})
 }
 
-// appendStore builds the columnar store for the next snapshot: a deep
-// copy of the current store (which must stay live for readers) plus
-// the new rows. A nil old store adopts the batch's dimension.
+// appendStore builds the columnar store for the next snapshot: the
+// current store's rows — shared with it, which must stay live for
+// readers, not copied — plus the new ones. A nil old store adopts the
+// batch's dimension.
 func appendStore(old *flat.Store, vs []vec.Vector) (*flat.Store, error) {
 	if len(vs) == 0 {
 		return old, nil
@@ -368,8 +364,6 @@ func appendStore(old *flat.Store, vs []vec.Vector) (*flat.Store, error) {
 			return nil, err
 		}
 	} else {
-		// Reserve the batch's rows up front so the existing data is
-		// copied exactly once per snapshot rebuild.
 		nfs = old.CloneGrow(len(vs))
 	}
 	if err := nfs.AppendAll(vs); err != nil {
@@ -378,10 +372,22 @@ func appendStore(old *flat.Store, vs []vec.Vector) (*flat.Store, error) {
 	return nfs, nil
 }
 
-// commit publishes a prepared snapshot on the owner goroutine.
-func (s *shard) commit(snap *shardSnap) {
+// commit publishes a prepared snapshot on the owner goroutine and
+// brings the id→row map, if the shard keeps one, in step: the rows snap
+// appended behind the current snapshot's are indexed (O(batch)), or —
+// renumbered, after a compaction — the map is dropped for rowIndex to
+// rebuild on the next upsert or delete. Nothing is touched before this
+// point, so an abandoned prepare has nothing to roll back.
+func (s *shard) commit(snap *shardSnap, renumbered bool) {
 	done := make(chan struct{})
 	s.ops <- func() {
+		if renumbered {
+			s.rows = nil
+		} else if s.rows != nil {
+			for i := len(s.snap.Load().ids); i < len(snap.ids); i++ {
+				s.rows[snap.ids[i]] = i
+			}
+		}
 		s.snap.Store(snap)
 		close(done)
 	}

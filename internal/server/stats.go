@@ -80,7 +80,7 @@ type ShardStats struct {
 }
 
 // CollectionStats describes one collection in /stats. Records is the
-// live count (the relation holds live rows only); Tombstoned counts
+// live count; Tombstoned counts
 // deleted-but-not-yet-compacted rows still occupying shard storage.
 type CollectionStats struct {
 	Dim         int    `json:"dim"`

@@ -1,0 +1,479 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/errfs"
+	"repro/internal/store"
+	"repro/internal/vec"
+	"repro/internal/xrand"
+)
+
+// flatChunkRows is internal/flat's (unexported) chunk size: the most
+// rows a write may copy per store on top of its batch.
+const flatChunkRows = 1024
+
+// TestWriteCopiesOnlyTheBatch pins what each index kind pays per write,
+// as the index_build span reports it: exact at every precision and alsh
+// copy the batch plus at most the open chunk of each touched shard,
+// whatever the collection holds; normscan re-sorts — and so rewrites —
+// every row (open in ROADMAP), as does an int8 batch that raises the
+// quantization scale.
+func TestWriteCopiesOnlyTheBatch(t *testing.T) {
+	s := New(Config{DefaultShards: 2, Tracing: true})
+	defer s.Close()
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	const n, d, batch = 3000, 4, 10 // 1500 rows a shard: more than one chunk
+	rng := xrand.New(3)
+	recs := func(lo, hi int, scale float64) []RecordJSON {
+		out := make([]RecordJSON, 0, hi-lo)
+		for id := lo; id < hi; id++ {
+			v := rng.NormalVec(d)
+			vec.Scale(v, scale/(1+vec.Norm(v))) // inside the unit ball, for alsh
+			out = append(out, RecordJSON{ID: &id, Vec: v})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		spec    IndexSpec
+		extends bool
+	}{
+		{"f64", IndexSpec{Kind: KindExact}, true},
+		{"f32", IndexSpec{Kind: KindExact, Precision: PrecisionF32}, true},
+		{"int8", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, true},
+		{"alsh", IndexSpec{Kind: KindALSH}, true},
+		{"normscan", IndexSpec{Kind: KindNormScan}, false},
+	} {
+		path := "/collections/" + tc.name
+		spec := tc.spec
+		indexBuildAttrs(t, ts, http.MethodPut, path, IngestRequest{Index: &spec, Records: recs(0, n, 1)})
+		for _, w := range []struct {
+			method, path string
+			recs         []RecordJSON
+		}{
+			{http.MethodPut, path, recs(n, n+batch, 0.5)},
+			{http.MethodPost, path + "/vectors", recs(0, batch, 0.5)},
+		} {
+			a := indexBuildAttrs(t, ts, w.method, w.path, IngestRequest{Records: w.recs})
+			if tc.extends {
+				if a["extend"] != 2 || a["rows_copied"] > batch+2*flatChunkRows {
+					t.Errorf("%s %s: index_build attrs %v, want extend=2 and rows_copied <= %d", tc.name, w.method, a, batch+2*flatChunkRows)
+				}
+			} else if a["rebuild"] != 2 || a["rows_copied"] < n {
+				t.Errorf("%s %s: index_build attrs %v, want rebuild=2 and rows_copied >= %d", tc.name, w.method, a, n)
+			}
+		}
+	}
+	// A batch that raises max|x| moves every int8 code.
+	if a := indexBuildAttrs(t, ts, http.MethodPut, "/collections/int8", IngestRequest{Records: recs(n+batch, n+batch+2, 50)}); a["rows_copied"] < n {
+		t.Errorf("int8 scale-raising ingest: index_build attrs %v, want rows_copied >= %d", a, n)
+	}
+}
+
+// TestUpsertAllocationIsBatchSized: what a fixed-size upsert allocates
+// must not grow with the collection it lands in.
+func TestUpsertAllocationIsBatchSized(t *testing.T) {
+	const d, width, writes = 64, 64, 40
+	perUpsert := func(n int) float64 {
+		s := New(Config{DefaultShards: 4, CacheCapacity: -1, CompactFraction: -1})
+		defer s.Close()
+		recs := randRecords(n+width, d, uint64(n))
+		for lo := 0; lo < n; lo += 1000 {
+			if _, _, err := s.Ingest("c", nil, 0, recs[lo:min(lo+1000, n)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, _ := s.Collection("c")
+		upsert := func(w int) {
+			batch := make([]store.Record, width)
+			for i := range batch {
+				batch[i] = store.Record{ID: (w*width + i) % n, Vec: recs[n+i].Vec}
+			}
+			if _, err := c.Upsert(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		upsert(0) // the first upsert builds each shard's id→row map, once
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for w := 1; w <= writes; w++ {
+			upsert(w)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / writes
+	}
+	small, large := perUpsert(5000), perUpsert(40000)
+	t.Logf("bytes allocated per %d-record upsert: %.0f at n=5000, %.0f at n=40000", width, small, large)
+	if large > 2*small {
+		t.Fatalf("a %d-record upsert allocates %.0f B at n=40000 but %.0f B at n=5000: writes are not O(batch)", width, large, small)
+	}
+}
+
+// TestReadsDuringWritesEveryPrecision runs searches, batches and joins
+// beside ingests, upserts and deletes on the exact index at every
+// precision (under -race in CI). Record i is b·e_{i mod d} with
+// b = (i mod 50)+1, an upsert doubles it, and small integers are exact
+// in all three tiers — so against the all-ones query a hit for ID i
+// scores b or 2b whichever snapshot answers, and anything else is a row
+// read while it was being written.
+func TestReadsDuringWritesEveryPrecision(t *testing.T) {
+	const d, batches, batchSize = 8, 40, 60
+	mkRec := func(i int, scale float64) store.Record {
+		v := vec.New(d)
+		v[i%d] = scale * float64(i%50+1)
+		return store.Record{ID: i, Vec: v}
+	}
+	ones := vec.New(d)
+	for i := range ones {
+		ones[i] = 1
+	}
+	for _, precision := range []string{PrecisionF64, PrecisionF32, PrecisionI8} {
+		t.Run(precision, func(t *testing.T) {
+			s := New(Config{DefaultShards: 2, CacheCapacity: -1, CompactFraction: 0.05, CompactMinDead: -1})
+			defer s.Close()
+			spec := &IndexSpec{Kind: KindExact, Precision: precision}
+			batch := func(b int, scale float64) []store.Record {
+				recs := make([]store.Record, batchSize)
+				for i := range recs {
+					recs[i] = mkRec(b*batchSize+i, scale)
+				}
+				return recs
+			}
+			if _, _, err := s.Ingest("c", spec, 0, batch(0, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Ingest("q", nil, 1, []store.Record{{ID: 0, Vec: ones}}); err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, id int, score float64) {
+				if b := float64(id%50 + 1); score != b && score != 2*b {
+					t.Errorf("%s: ID %d scored %v, want %v or %v (torn row?)", what, id, score, b, 2*b)
+				}
+			}
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer stop.Store(true)
+				for b := 1; b < batches; b++ {
+					if _, _, err := s.Ingest("c", nil, 0, batch(b, 1)); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, _, err := s.Upsert("c", nil, 0, batch(b-1, 2)[:batchSize/2]); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, _, _, err := s.Delete("c", []int{b * batchSize, b*batchSize + 1}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			reader := func(read func() error) {
+				defer wg.Done()
+				for done := false; !done; {
+					done = stop.Load() // one more pass over the final state
+					if err := read(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+			wg.Add(3)
+			go reader(func() error {
+				res, err := s.SearchWithOpts(context.Background(), "c", []vec.Vector{ones}, SearchOpts{K: 20, Rerank: true})
+				if err != nil || res[0].Err != nil {
+					return fmt.Errorf("search: %v %v", err, res[0].Err)
+				}
+				for _, h := range res[0].Hits {
+					check("search", h.ID, h.Score)
+				}
+				return nil
+			})
+			go reader(func() error {
+				res, err := s.Search("c", []vec.Vector{ones, ones, ones}, 20, false)
+				if err != nil {
+					return err
+				}
+				for _, r := range res {
+					if r.Err != nil {
+						return r.Err
+					}
+					for _, h := range r.Hits {
+						check("batch", h.ID, h.Score)
+					}
+				}
+				return nil
+			})
+			go reader(func() error {
+				res, err := s.Join(JoinRequest{Data: "c", Queries: "q", S: 40, TopK: 30})
+				if err != nil {
+					return err
+				}
+				for _, p := range res.Pairs {
+					check("join", p.DataID, p.Value)
+				}
+				return nil
+			})
+			wg.Wait()
+		})
+	}
+}
+
+// TestWALFaultLeavesNoTrace: a batch whose shard snapshots were prepared
+// — rows written into the open chunk's tail, id→row maps consulted —
+// but whose WAL append then failed must leave nothing behind: not its
+// rows, not its attributes, not a version bump, and the writes that
+// follow reuse the memory it touched without disturbing a reader.
+func TestWALFaultLeavesNoTrace(t *testing.T) {
+	dir := t.TempDir()
+	f := errfs.NewFaulty(nil, 1)
+	s, err := Open(faultyConfig(dir, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n, d, k = 600, 6, 5
+	recs := randRecords(n, d, 31)
+	queries := randQueries(15, d, 32)
+	m := modelSet{}
+	if _, _, err := s.Ingest("c", nil, 2, recs[:400]); err != nil {
+		t.Fatal(err)
+	}
+	m.upsert(recs[:400])
+	// One upsert so every shard keeps an id→row map from here on.
+	if _, _, err := s.Upsert("c", nil, 0, recs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := s.Collection("c")
+	verify := func(label string) {
+		t.Helper()
+		for qi, q := range queries {
+			got := searchAll(t, s, "c", []vec.Vector{q}, k)[0]
+			if want := m.topK(q, k, false); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s query %d: hits diverge from model\n got %v\nwant %v", label, qi, got, want)
+			}
+		}
+		got := c.records()
+		if len(got) != len(m) || c.Len() != len(m) {
+			t.Fatalf("%s: %d records (Len %d), model has %d", label, len(got), c.Len(), len(m))
+		}
+		for _, r := range got {
+			if !reflect.DeepEqual(r.Attrs, m[r.ID].Attrs) || !vec.EqualTol(r.Vec, m[r.ID].Vec, 0) {
+				t.Fatalf("%s: record %d is %+v, model has %+v", label, r.ID, r, m[r.ID])
+			}
+		}
+	}
+	verify("before the fault")
+	version := c.Version()
+
+	// The doomed batch replaces live records (new vectors, new attrs) and
+	// inserts fresh ones.
+	doomed := make([]store.Record, 0, 40)
+	for i := 0; i < 20; i++ {
+		doomed = append(doomed,
+			store.Record{ID: i, Vec: recs[500+i].Vec, Attrs: map[string]string{"doomed": "yes"}},
+			store.Record{ID: 450 + i, Vec: recs[450+i].Vec, Attrs: map[string]string{"doomed": "yes"}})
+	}
+	f.Inject(errfs.Rule{Op: errfs.OpWrite, Path: "wal-", Count: 1})
+	if _, _, err := s.Upsert("c", nil, 0, doomed); err == nil {
+		t.Fatal("upsert succeeded while the WAL append faults")
+	}
+	verify("after the failed upsert")
+	if c.Version() != version {
+		t.Fatalf("failed upsert moved the version %d -> %d", version, c.Version())
+	}
+	for _, sh := range c.shards {
+		done := make(chan struct{})
+		sh.ops <- func() {
+			defer close(done)
+			sn := sh.snap.Load()
+			for id, r := range sh.rows {
+				if r >= len(sn.ids) || sn.ids[r] != id {
+					t.Errorf("shard %d: id→row map holds %d→%d, which the published snapshot does not", sh.id, id, r)
+				}
+			}
+		}
+		<-done
+	}
+
+	waitFor(t, "repair probe to reactivate", func() bool { return c.healthState() == HealthActive })
+	if _, _, err := s.Ingest("c", nil, 0, recs[400:450]); err != nil {
+		t.Fatalf("ingest after repair: %v", err)
+	}
+	m.upsert(recs[400:450])
+	if _, _, err := s.Upsert("c", nil, 0, recs[10:30]); err != nil {
+		t.Fatalf("upsert after repair: %v", err)
+	}
+	verify("after the writes that followed")
+	if c.Version() != version+2 {
+		t.Fatalf("version %d after two more writes, want %d", c.Version(), version+2)
+	}
+}
+
+// TestAttrsFollowMutations: attributes live beside the shards, keyed by
+// ID — an upsert replaces or clears them, a delete drops them, and both
+// effects survive a checkpoint and a reopen.
+func TestAttrsFollowMutations(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := vec.Vector{1, 2}
+	if _, _, err := s1.Ingest("col", nil, 2, []store.Record{
+		{ID: 1, Vec: v, Attrs: map[string]string{"title": "first"}},
+		{ID: 2, Vec: v, Attrs: map[string]string{"title": "second"}},
+		{ID: 3, Vec: v, Attrs: map[string]string{"title": "third"}},
+		{ID: 4, Vec: v},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s1.Upsert("col", nil, 0, []store.Record{
+		{ID: 1, Vec: v, Attrs: map[string]string{"title": "replaced", "lang": "go"}},
+		{ID: 2, Vec: v}, // no attributes: clears them
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := s1.Delete("col", []int{3}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]map[string]string{1: {"title": "replaced", "lang": "go"}, 2: nil, 4: nil}
+	check := func(s *Server, label string) {
+		t.Helper()
+		c, _ := s.Collection("col")
+		got := c.records()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d records, want %d", label, len(got), len(want))
+		}
+		for _, r := range got {
+			if !reflect.DeepEqual(r.Attrs, want[r.ID]) {
+				t.Fatalf("%s: record %d has attrs %v, want %v", label, r.ID, r.Attrs, want[r.ID])
+			}
+		}
+		if len(c.attrs) != 1 {
+			t.Fatalf("%s: attribute map holds %d entries, want 1: %v", label, len(c.attrs), c.attrs)
+		}
+	}
+	check(s1, "live")
+	c1, _ := s1.Collection("col")
+	if err := c1.log.Checkpoint(c1.persistSnapshot); err != nil {
+		t.Fatal(err)
+	}
+	// A delete-then-reinsert after the checkpoint rides the WAL tail.
+	if _, _, err := s1.Ingest("col", nil, 0, []store.Record{{ID: 3, Vec: v, Attrs: map[string]string{"title": "again"}}}); err != nil {
+		t.Fatal(err)
+	}
+	want[3] = map[string]string{"title": "again"}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	c2, _ := s2.Collection("col")
+	if len(c2.attrs) != 2 {
+		t.Fatalf("reopened attribute map holds %d entries, want 2: %v", len(c2.attrs), c2.attrs)
+	}
+	delete(want, 3)
+	got := c2.records()
+	if len(got) != 4 || got[2].ID != 3 || got[2].Attrs["title"] != "again" {
+		t.Fatalf("reopened records %+v", got)
+	}
+	for _, r := range got {
+		if r.ID != 3 && !reflect.DeepEqual(r.Attrs, want[r.ID]) {
+			t.Fatalf("reopened: record %d has attrs %v, want %v", r.ID, r.Attrs, want[r.ID])
+		}
+	}
+}
+
+// TestCheckpointFromShardsBitIdentical: a segment written from the
+// shards' live rows — after upserts and deletes have left tombstones
+// and reordered rows — recovers, from a kill -9 image, a collection
+// that answers bit-identically at every precision.
+func TestCheckpointFromShardsBitIdentical(t *testing.T) {
+	const n, d, k = 2500, 8, 5
+	recs := randRecords(n+200, d, 41)
+	queries := randQueries(25, d, 42)
+	for _, precision := range []string{PrecisionF64, PrecisionF32, PrecisionI8} {
+		t.Run(precision, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableConfig(dir)
+			cfg.CompactFraction = -1 // keep the tombstones: the segment must shed them itself
+			s1, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s1.Close()
+			spec := &IndexSpec{Kind: KindExact, Precision: precision}
+			for lo := 0; lo < n; lo += 500 {
+				if _, _, err := s1.Ingest("col", spec, 3, recs[lo:lo+500]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			replaced := make([]store.Record, 100)
+			for i := range replaced {
+				replaced[i] = store.Record{ID: i * 7, Vec: recs[n+i].Vec}
+			}
+			if _, _, err := s1.Upsert("col", nil, 0, replaced); err != nil {
+				t.Fatal(err)
+			}
+			dropped := make([]int, 100)
+			for i := range dropped {
+				dropped[i] = 3 + i*11
+			}
+			if _, _, _, err := s1.Delete("col", dropped); err != nil {
+				t.Fatal(err)
+			}
+			c1, _ := s1.Collection("col")
+			if err := c1.log.Checkpoint(c1.persistSnapshot); err != nil {
+				t.Fatal(err)
+			}
+			// One more write after the checkpoint, so recovery replays a
+			// WAL tail over the segment.
+			if _, _, err := s1.Upsert("col", nil, 0, []store.Record{{ID: 5, Vec: recs[n+150].Vec}}); err != nil {
+				t.Fatal(err)
+			}
+			answers := func(s *Server) [][]Hit {
+				out := make([][]Hit, len(queries))
+				for i, q := range queries {
+					res, err := s.SearchWithOpts(context.Background(), "col", []vec.Vector{q}, SearchOpts{K: k, Rerank: true})
+					if err != nil || res[0].Err != nil {
+						t.Fatal(err, res[0].Err)
+					}
+					out[i] = res[0].Hits
+				}
+				return out
+			}
+			want := answers(s1)
+
+			crashed := t.TempDir()
+			copyTree(t, dir, crashed)
+			s2, err := Open(durableConfig(crashed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if c2, _ := s2.Collection("col"); c2.Len() != c1.Len() {
+				t.Fatalf("recovered %d records, want %d", c2.Len(), c1.Len())
+			}
+			if got := answers(s2); !sameHitsBitExact(got, want) {
+				t.Fatal("answers differ after recovering the checkpoint written from the shards")
+			}
+		})
+	}
+}

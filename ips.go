@@ -369,10 +369,9 @@ func (m *SketchMIPS) Query(q Vector) (int, float64) { return m.rec.Query(q) }
 // ---- Serving layer (cmd/ipsd) ----
 //
 // The online subsystem: a concurrent, sharded inner-product search and
-// join server. Collections wrap store.Relation snapshots, shard their
-// data across goroutine-owned indexes, fan queries out with a k-way
-// merge, memoize results in an LRU invalidated on ingest, and execute
-// batches on a worker pool.
+// join server. Collections shard their records across goroutine-owned
+// indexes, fan queries out with a k-way merge, memoize results in an
+// LRU invalidated on ingest, and execute batches on a worker pool.
 
 // ServerConfig configures NewServer.
 type ServerConfig = server.Config
