@@ -1,6 +1,7 @@
 package flat
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -91,7 +92,7 @@ func BenchmarkFlatDotTile(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for lo := 0; lo < n; lo += blockRows {
 					hi := min(lo+blockRows, n)
-					s.dotTile(qs, 0, nq, lo, hi, out[:nq*(hi-lo)])
+					s.scoreTile(qs, 0, nq, lo, hi, out[:nq*(hi-lo)])
 				}
 			}
 		})
@@ -117,7 +118,7 @@ func BenchmarkFlatTopKMulti(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		accs := sc.Accs(nq, 10)
-		if err := s.TopKMultiInto(qs, 0, nq, false, accs, sc); err != nil {
+		if err := s.View().ScanMulti(context.Background(), qs, 0, nq, accs, sc, ScanOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package flat
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -94,12 +95,13 @@ func TestGrownStoresMatchFromVectors(t *testing.T) {
 							a, errA = got.TopKMasked(q, 10, unsigned, workers, dead)
 							b, errB = want.TopKMasked(q, 10, unsigned, workers, dead)
 							same("TopKMasked", a, b, errA, errB)
-							a, errA = got32.TopKMasked(q, 10, unsigned, workers, dead)
-							b, errB = want32.TopKMasked(q, 10, unsigned, workers, dead)
-							same("Store32.TopKMasked", a, b, errA, errB)
-							a, errA = got8.TopKMasked(q, 10, unsigned, workers, dead)
-							b, errB = want8.TopKMasked(q, 10, unsigned, workers, dead)
-							same("StoreI8.TopKMasked", a, b, errA, errB)
+							o := ScanOpts{K: 10, Unsigned: unsigned, Workers: workers, Dead: dead}
+							a, errA = got32.View().Scan(context.Background(), q, o)
+							b, errB = want32.View().Scan(context.Background(), q, o)
+							same("Store32 Scan", a, b, errA, errB)
+							a, errA = got8.View().Scan(context.Background(), q, o)
+							b, errB = want8.View().Scan(context.Background(), q, o)
+							same("StoreI8 Scan", a, b, errA, errB)
 						}
 					}
 				}

@@ -1,6 +1,6 @@
-// Equivalence harness for the columnar scans: every flat-backed engine
-// must return the same argmax as the original row-slice engines in
-// internal/mips, with scores agreeing to 1e-12 (in practice they are
+// Equivalence harness for the columnar scans: Store and NormSorted
+// must return the same argmax as the row-slice engines in
+// internal/mips (the paper's exact baselines), with scores agreeing to 1e-12 (in practice they are
 // ==-identical, since all paths share vec.DotKernel's accumulation
 // order), over randomized n/d/seed grids that include adversarial ties
 // and zero vectors.
@@ -32,6 +32,20 @@ func grid(rng *xrand.RNG, n, d int) []vec.Vector {
 	return vs
 }
 
+// cellQueries draws the queries of one cell; the last is the zero query,
+// which ties every score at 0.
+func cellQueries(rng *xrand.RNG, d int) []vec.Vector {
+	qs := make([]vec.Vector, 5)
+	for i := range qs {
+		qs[i] = vec.Vector(rng.NormalVec(d))
+	}
+	qs[4] = vec.New(d)
+	return qs
+}
+
+// TestFlatLinearScanMatchesLinearScan: Store.TopK at k=1 is
+// mips.LinearScan, and Store.TopKMulti over the same queries is TopK
+// per query, bit for bit.
 func TestFlatLinearScanMatchesLinearScan(t *testing.T) {
 	for _, n := range []int{1, 7, 100, 1000} {
 		for _, d := range []int{1, 3, 8, 16, 25} {
@@ -42,22 +56,30 @@ func TestFlatLinearScanMatchesLinearScan(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d d=%d seed=%d: %v", n, d, seed, err)
 				}
-				for trial := 0; trial < 5; trial++ {
-					q := vec.Vector(rng.NormalVec(d))
-					if trial == 4 {
-						q = vec.New(d) // zero query: every score ties at 0
-					}
+				queries := cellQueries(rng, d)
+				qs, err := flat.FromVectors(queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				multi, err := fs.TopKMulti(qs, 1, false)
+				if err != nil {
+					t.Fatalf("n=%d d=%d seed=%d: %v", n, d, seed, err)
+				}
+				for trial, q := range queries {
 					want := mips.LinearScan(vs, q)
-					got, err := mips.FlatLinearScan(fs, q)
+					got, err := fs.TopK(q, 1, false, 1)
 					if err != nil {
 						t.Fatalf("n=%d d=%d seed=%d: %v", n, d, seed, err)
 					}
-					if got.Index != want.Index {
+					if got[0].Index != want.Index {
 						t.Fatalf("n=%d d=%d seed=%d trial=%d: flat argmax %d, linear %d",
-							n, d, seed, trial, got.Index, want.Index)
+							n, d, seed, trial, got[0].Index, want.Index)
 					}
-					if math.Abs(got.Value-want.Value) > scoreTol {
-						t.Fatalf("n=%d d=%d seed=%d: flat value %v, linear %v", n, d, seed, got.Value, want.Value)
+					if math.Abs(got[0].Score-want.Value) > scoreTol {
+						t.Fatalf("n=%d d=%d seed=%d: flat value %v, linear %v", n, d, seed, got[0].Score, want.Value)
+					}
+					if len(multi[trial]) != 1 || multi[trial][0] != got[0] {
+						t.Fatalf("n=%d d=%d seed=%d trial=%d: batch %v, per-query %v", n, d, seed, trial, multi[trial], got)
 					}
 				}
 			}
@@ -65,6 +87,9 @@ func TestFlatLinearScanMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// TestFlatNormPrunedMatchesNormPruned: NormSorted.TopK at k=1 finds
+// mips.NormPruned's value, and NormSorted.TopKMulti is TopK per query —
+// hits and scanned counts.
 func TestFlatNormPrunedMatchesNormPruned(t *testing.T) {
 	for _, n := range []int{1, 50, 700} {
 		for _, d := range []int{2, 8, 16, 19} {
@@ -79,14 +104,19 @@ func TestFlatNormPrunedMatchesNormPruned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fnp, err := mips.NewFlatNormPruned(fs)
+				ns := flat.NewNormSorted(fs)
+				queries := cellQueries(rng, d)
+				qs, err := flat.FromVectors(queries)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for trial := 0; trial < 5; trial++ {
-					q := vec.Vector(rng.NormalVec(d))
+				multi, multiScanned, err := ns.TopKMulti(qs, 1, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for trial, q := range queries {
 					want := np.Query(q)
-					got, err := fnp.Query(q)
+					got, scanned, err := ns.TopK(q, 1, false)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -94,18 +124,21 @@ func TestFlatNormPrunedMatchesNormPruned(t *testing.T) {
 					// index, so compare via the exact scan for the argmax
 					// and require value agreement with the pruned scan.
 					exact := mips.LinearScan(vs, q)
-					gotFlat, err := mips.FlatLinearScan(fs, q)
-					if err != nil {
-						t.Fatal(err)
+					if got[0].Index != exact.Index {
+						t.Fatalf("n=%d d=%d seed=%d: norm-sorted argmax %d != %d", n, d, seed, got[0].Index, exact.Index)
 					}
-					if gotFlat.Index != exact.Index {
-						t.Fatalf("n=%d d=%d seed=%d: flat exact argmax %d != %d", n, d, seed, gotFlat.Index, exact.Index)
+					if math.Abs(got[0].Score-want.Value) > scoreTol {
+						t.Fatalf("n=%d d=%d seed=%d: flat pruned value %v, pruned %v", n, d, seed, got[0].Score, want.Value)
 					}
-					if math.Abs(got.Value-want.Value) > scoreTol {
-						t.Fatalf("n=%d d=%d seed=%d: flat pruned value %v, pruned %v", n, d, seed, got.Value, want.Value)
+					if math.Abs(got[0].Score-exact.Value) > scoreTol {
+						t.Fatalf("n=%d d=%d seed=%d: pruned value %v != exact %v", n, d, seed, got[0].Score, exact.Value)
 					}
-					if math.Abs(got.Value-exact.Value) > scoreTol {
-						t.Fatalf("n=%d d=%d seed=%d: pruned value %v != exact %v", n, d, seed, got.Value, exact.Value)
+					if scanned < 1 || scanned > len(vs) {
+						t.Fatalf("n=%d d=%d seed=%d: scanned %d of %d rows", n, d, seed, scanned, len(vs))
+					}
+					if len(multi[trial]) != 1 || multi[trial][0] != got[0] || multiScanned[trial] != scanned {
+						t.Fatalf("n=%d d=%d seed=%d trial=%d: batch %v (%d scanned), per-query %v (%d scanned)",
+							n, d, seed, trial, multi[trial], multiScanned[trial], got, scanned)
 					}
 				}
 			}

@@ -10,6 +10,11 @@
 // vec.Dot on the equivalent row slices — the equivalence tests in this
 // package and internal/server assert exactly that.
 //
+// Store32 and StoreI8 mirror a Store at half and an eighth of the bytes
+// per row. Each of the three is a tier — a provider of scoring kernels —
+// and every top-k scan over any of them runs through the two drivers in
+// scan.go, View.Scan and View.ScanMulti.
+//
 // NormSorted adds the LEMP-style descending-norm traversal: rows are
 // physically reordered by decreasing norm (preserving contiguity) so a
 // top-k scan can stop at the first block whose leading norm cannot beat
@@ -17,22 +22,19 @@
 package flat
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/vec"
 )
 
-// blockRows is the row-block granularity of the scan kernels: dots are
-// computed blockRows at a time into a stack buffer, so the top-k
-// bookkeeping runs over a dense score slice instead of interleaving
-// with the FP pipeline.
+// blockRows is the row-block granularity of the scan drivers: dots are
+// computed blockRows at a time into a score buffer (see sweep.rows).
 const blockRows = 256
 
-// minParallelRows is the shard size below which TopK ignores the
+// minParallelRows is the rows per worker below which Scan ignores the
 // workers hint — goroutine fan-out costs more than the scan itself.
 const minParallelRows = 4096
 
@@ -465,233 +467,71 @@ func offerScores(a *Acc, buf []float64, base int, unsigned bool, perm []int) {
 	}
 }
 
-// scanBlocks runs the blocked top-k scan over rows [lo, hi) in
-// ascending order, offering into a. Scores are materialised blockRows
-// at a time; the dense buffer pass only calls offer for candidates that
-// can actually enter, so the common row costs one multiply-add chain
-// and one compare. done, when non-nil, is polled once per block; a
-// closed channel abandons the scan and reports true (the accumulator is
-// then partial and must be discarded). A nil done keeps the loop free
-// of the poll entirely.
-func (s *Store) scanBlocks(q vec.Vector, lo, hi int, unsigned bool, a *Acc, done <-chan struct{}) bool {
-	var buf [blockRows]float64
-	for start := lo; start < hi; start += blockRows {
-		if done != nil {
-			select {
-			case <-done:
-				return true
-			default:
-			}
-		}
-		end := start + blockRows
-		if end > hi {
-			end = hi
-		}
-		nb := end - start
-		s.dotRange(q, start, end, buf[:nb])
-		offerScores(a, buf[:nb], start, unsigned, nil)
-	}
-	return false
+// View returns the store-order scan view of s.
+func (s *Store) View() View { return View{t: s} }
+
+// bind implements tier: the f64 kernel reads the query as given.
+func (s *Store) bind(q vec.Vector, bq *query) { bq.f64 = q }
+
+func (s *Store) scoreBlock(bq *query, lo, hi int, out []float64) { s.dotRange(bq.f64, lo, hi, out) }
+
+// bound implements normBounded: Cauchy–Schwarz, ‖p‖·‖q‖ ≥ |pᵀq|.
+func (s *Store) bound(bq *query) float64 { return vec.Norm(bq.f64) }
+
+func (s *Store) extend(fs *Store) (tier, int) { return fs, fs.SharedRows(s) }
+
+// TopK is Scan with positional arguments and no deadline: up to k hits
+// for q under the canonical ordering, unsigned ranking by |pᵀq|,
+// workers > 1 splitting the scan when the store is large enough.
+func (s *Store) TopK(q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
+	return s.TopKMasked(q, k, unsigned, workers, nil)
 }
 
-// MaxScanWorkers returns the largest workers value TopK can actually
-// spend on this store — the same clamp TopK applies internally. Serving
-// layers use it to avoid reserving parallelism budget a small shard
-// would hold idle.
-func (s *Store) MaxScanWorkers() int { return s.Len() / minParallelRows }
+// TopKMasked is TopK restricted to the rows dead does not mark.
+func (s *Store) TopKMasked(q vec.Vector, k int, unsigned bool, workers int, dead *Tombstones) ([]Hit, error) {
+	return s.View().Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Workers: workers, Dead: dead})
+}
 
-// CanParallelScan reports whether TopK's workers hint can split this
-// store's scan at all.
-func (s *Store) CanParallelScan() bool { return s.MaxScanWorkers() >= 2 }
-
-// TopK returns up to k hits for q under the canonical (score
-// descending, index ascending) ordering; unsigned ranks by |pᵀq|.
-// workers > 1 splits the scan across that many goroutines when the
-// store is large enough — results are identical to the serial scan
-// because per-chunk accumulators are merged under the same canonical
-// ordering.
-func (s *Store) TopK(q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	hits, _, err := s.topKDone(q, k, unsigned, workers, nil)
+// TopKMulti is ScanMulti for every row of qs, returning per-query hit
+// lists.
+func (s *Store) TopKMulti(qs *Store, k int, unsigned bool) ([][]Hit, error) {
+	hits, _, err := s.View().topKMulti(qs, k, unsigned)
 	return hits, err
 }
 
-// topKDone is the TopK driver: done == nil runs the historical unchecked
-// scan; otherwise the block loop polls done and a true second return
-// means the scan was abandoned (hits are nil).
-func (s *Store) topKDone(q vec.Vector, k int, unsigned bool, workers int, done <-chan struct{}) ([]Hit, bool, error) {
-	if err := s.checkQuery(q); err != nil {
-		return nil, false, err
-	}
-	if k <= 0 {
-		return nil, false, fmt.Errorf("flat: k=%d must be positive", k)
-	}
-	n := s.Len()
-	if workers > n/minParallelRows {
-		workers = n / minParallelRows
-	}
-	if workers <= 1 {
-		a := NewAcc(k)
-		if s.scanBlocks(q, 0, n, unsigned, &a, done) {
-			return nil, true, nil
-		}
-		return a.Hits(), false, nil
-	}
-	chunk := (n + workers - 1) / workers
-	accs := make([]Acc, workers)
-	stopped := make([]bool, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			accs[w] = NewAcc(k)
-			stopped[w] = s.scanBlocks(q, lo, hi, unsigned, &accs[w], done)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, st := range stopped {
-		if st {
-			return nil, true, nil
-		}
-	}
-	merged := NewAcc(k)
-	for w := range accs {
-		for _, h := range accs[w].Hits() {
-			merged.Offer(h.Index, h.Score)
-		}
-	}
-	return merged.Hits(), false, nil
-}
-
-// NormSorted is a descending-norm view of a Store for early-terminating
-// top-k scans: rows are physically reordered by (norm descending,
-// original index ascending) into a private store, so the traversal is
-// both contiguous and monotone in the Cauchy–Schwarz bound. Returned
-// hits carry original row indexes.
+// NormSorted is the descending-norm view of a Store for
+// early-terminating top-k scans (the LEMP-style traversal): rows are
+// physically reordered by (norm descending, original index ascending)
+// into a private store, so the traversal is both contiguous and
+// monotone in the Cauchy–Schwarz bound. Returned hits carry original
+// row indexes.
 type NormSorted struct {
-	store *Store
-	perm  []int // perm[physical] = original index
+	View
 }
 
-// NewNormSorted builds the reordered view in O(n log n + n·d). The
-// physical copy deliberately doubles the rows' resident memory (the
-// original store stays live in the snapshot): keeping the norm-ordered
-// prefix contiguous is what makes the early-terminating scan stream at
-// kernel speed, and the benchmark delta over a permutation-chasing scan
-// (≈3× on the serving batch path) pays for the space. The sort runs
-// over concrete (norm, index) keys — the build sits on the snapshot
-// rebuild and per-join paths, where a reflective sort.Slice would cost
-// several times the row copy itself.
+// NewNormSorted builds the reordered view in O(n log n + n·d).
 func NewNormSorted(s *Store) *NormSorted {
-	n := s.Len()
-	type key struct {
-		norm float64
-		idx  int
-	}
-	keys := make([]key, n)
-	for i := range keys {
-		keys[i] = key{norm: s.norms.at(i), idx: i}
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if a.norm != b.norm {
-			if a.norm > b.norm {
-				return -1
-			}
-			return 1
-		}
-		return a.idx - b.idx
-	})
-	perm := make([]int, n)
 	re := newStore(s.dim)
-	for phys := 0; phys < n; {
-		rows, norms := re.grow(n - phys)
-		for i := range norms {
-			k := keys[phys+i]
-			perm[phys+i] = k.idx
-			copy(rows[i*s.dim:], s.Row(k.idx))
-			norms[i] = k.norm
-		}
-		phys += len(norms)
-	}
-	return &NormSorted{store: re, perm: perm}
+	perm := sortByNorm(&s.data, &s.norms, &re.data, &re.norms)
+	return &NormSorted{View{t: re, perm: perm, norms: &re.norms}}
 }
-
-// Len returns the number of rows.
-func (ns *NormSorted) Len() int { return ns.store.Len() }
-
-// Dim returns the row dimension.
-func (ns *NormSorted) Dim() int { return ns.store.dim }
 
 // Store returns the physically reordered store (rows in descending-norm
 // order; row norms via Norm are therefore monotonically non-increasing).
 // Callers must treat it as read-only — it backs this view.
-func (ns *NormSorted) Store() *Store { return ns.store }
+func (ns *NormSorted) Store() *Store { return ns.t.(*Store) }
 
-// Perm returns the physical→original index map: Perm()[i] is the
-// original row index of the reordered store's row i. The slice aliases
-// the view's state and must not be mutated.
-func (ns *NormSorted) Perm() []int { return ns.perm }
-
-// TopK returns up to k hits for q (original row indexes, canonical
-// ordering) plus the number of rows whose inner product was evaluated
-// before the norm bound terminated the scan. Blocks are visited in
-// descending-norm order; once the k-th best hit beats ‖p‖·‖q‖ for the
-// block's leading (largest) norm, no later row can enter and the scan
-// stops. Exactness does not depend on the bound — it only saves work.
+// TopK is Scan with positional arguments and no deadline, plus the
+// number of rows whose inner product was evaluated before the norm
+// bound ended the scan.
 func (ns *NormSorted) TopK(q vec.Vector, k int, unsigned bool) ([]Hit, int, error) {
-	hits, scanned, _, err := ns.topKDone(q, k, unsigned, nil, nil)
-	return hits, scanned, err
+	var st ScanStats
+	hits, err := ns.Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Stats: &st})
+	return hits, st.ScannedRows, err
 }
 
-// topKDone is the NormSorted.TopK driver with the optional per-block
-// done poll (nil done keeps the historical unchecked loop). stats,
-// when non-nil, additionally receives the explain counters; the nil
-// case costs one predictable branch per block.
-func (ns *NormSorted) topKDone(q vec.Vector, k int, unsigned bool, done <-chan struct{}, stats *ScanStats) ([]Hit, int, bool, error) {
-	s := ns.store
-	if err := s.checkQuery(q); err != nil {
-		return nil, 0, false, err
-	}
-	if k <= 0 {
-		return nil, 0, false, fmt.Errorf("flat: k=%d must be positive", k)
-	}
-	qn := vec.Norm(q)
-	n := s.Len()
-	a := NewAcc(k)
-	scanned := 0
-	var buf [blockRows]float64
-	for start := 0; start < n; start += blockRows {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, scanned, true, nil
-			default:
-			}
-		}
-		if a.Full() && s.norms.at(start)*qn < a.Threshold() {
-			if stats != nil {
-				stats.PrunedBlocks += (n - start + blockRows - 1) / blockRows
-			}
-			break // every remaining row is dominated by the bound
-		}
-		end := start + blockRows
-		if end > n {
-			end = n
-		}
-		nb := end - start
-		s.dotRange(q, start, end, buf[:nb])
-		scanned += nb
-		offerScores(&a, buf[:nb], start, unsigned, ns.perm)
-	}
-	if stats != nil {
-		stats.ScannedRows += scanned
-	}
-	return a.Hits(), scanned, false, nil
+// TopKMulti is ScanMulti for every row of qs, returning per-query hit
+// lists and evaluated-row counts.
+func (ns *NormSorted) TopKMulti(qs *Store, k int, unsigned bool) ([][]Hit, []int, error) {
+	return ns.topKMulti(qs, k, unsigned)
 }

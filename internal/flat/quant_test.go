@@ -1,7 +1,6 @@
 package flat
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -45,18 +44,6 @@ func topKFromScores(scores []float64, k int, unsigned bool) []Hit {
 		hits = hits[:k]
 	}
 	return hits
-}
-
-func sameHits(a, b []Hit) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestStore32AsmMatchesGo proves the AVX2 f32 kernels and the pure-Go
@@ -147,7 +134,7 @@ func TestStoreI8AsmMatchesGo(t *testing.T) {
 
 // TestStore32Accuracy bounds the f32 tier's score error against the
 // exact f64 kernel: relative to ‖p‖·‖q‖ the error must stay within the
-// d-scaled epsilon the NormSorted32 bound assumes.
+// d-scaled epsilon the norm-sorted f32 bound assumes.
 func TestStore32Accuracy(t *testing.T) {
 	rng := xrand.New(9)
 	for _, d := range []int{5, 8, 16, 24} {
@@ -176,165 +163,6 @@ func TestStore32Accuracy(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestStore32TopKMatchesReference checks the full scan family — signed
-// and unsigned, serial and parallel, masked and unmasked — against the
-// sort-everything reference over the same f32 scores.
-func TestStore32TopKMatchesReference(t *testing.T) {
-	withQuantAsm(t, func(t *testing.T, asm bool) {
-		rng := xrand.New(10)
-		for _, d := range []int{7, 8, 16} {
-			n := 9000
-			fs, err := FromVectors(randomVecs(rng, n, d))
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := NewStore32(fs)
-			dead := NewTombstones(n)
-			for i := 0; i < n; i += 17 {
-				dead.Kill(i)
-			}
-			for _, unsigned := range []bool{false, true} {
-				q := vec.Vector(rng.NormalVec(d))
-				scores := make([]float64, n)
-				if err := s.DotRange(q, 0, n, scores); err != nil {
-					t.Fatal(err)
-				}
-				want := topKFromScores(scores, 25, unsigned)
-				for _, workers := range []int{1, 2} {
-					got, err := s.TopK(q, 25, unsigned, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameHits(got, want) {
-						t.Fatalf("d=%d unsigned=%v workers=%d: TopK %v != reference %v",
-							d, unsigned, workers, got, want)
-					}
-				}
-				// Masked: reference drops dead rows.
-				live := make([]float64, 0, n)
-				liveIdx := make([]int, 0, n)
-				for i, v := range scores {
-					if !dead.Dead(i) {
-						live = append(live, v)
-						liveIdx = append(liveIdx, i)
-					}
-				}
-				wantMasked := topKFromScores(live, 25, unsigned)
-				for i := range wantMasked {
-					wantMasked[i].Index = liveIdx[wantMasked[i].Index]
-				}
-				gotMasked, err := s.TopKMasked(q, 25, unsigned, 2, dead)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameHits(gotMasked, wantMasked) {
-					t.Fatalf("d=%d unsigned=%v: TopKMasked %v != reference %v",
-						d, unsigned, gotMasked, wantMasked)
-				}
-			}
-		}
-	})
-}
-
-// TestNormSorted32MatchesFlat proves the inflated Cauchy–Schwarz bound
-// never prunes a row the flat f32 scan would have kept: the early-exit
-// scan and the full scan agree exactly, masked and unmasked, signed and
-// unsigned.
-func TestNormSorted32MatchesFlat(t *testing.T) {
-	rng := xrand.New(11)
-	for _, d := range []int{8, 16, 24} {
-		n := 6000
-		fs, err := FromVectors(randomVecs(rng, n, d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := NewStore32(fs)
-		ns := NewNormSorted32(s)
-		deadOrig := NewTombstones(n)
-		for i := 0; i < n; i += 13 {
-			deadOrig.Kill(i)
-		}
-		deadPhys := deadOrig.Gather(ns.Perm())
-		for _, unsigned := range []bool{false, true} {
-			for trial := 0; trial < 5; trial++ {
-				q := vec.Vector(rng.NormalVec(d))
-				want, err := s.TopK(q, 10, unsigned, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, scanned, err := ns.TopK(q, 10, unsigned)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameHits(got, want) {
-					t.Fatalf("d=%d unsigned=%v: normsorted %v != flat %v", d, unsigned, got, want)
-				}
-				if scanned < len(got) || scanned > n {
-					t.Fatalf("scanned=%d out of range", scanned)
-				}
-				wantMasked, err := s.TopKMasked(q, 10, unsigned, 1, deadOrig)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotMasked, _, err := ns.TopKMasked(q, 10, unsigned, deadPhys)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameHits(gotMasked, wantMasked) {
-					t.Fatalf("d=%d unsigned=%v masked: normsorted %v != flat %v",
-						d, unsigned, gotMasked, wantMasked)
-				}
-			}
-		}
-	}
-}
-
-// TestStoreI8TopKMatchesReference checks the int8 scan family against
-// the sort-everything reference over the dequantized scores.
-func TestStoreI8TopKMatchesReference(t *testing.T) {
-	withQuantAsm(t, func(t *testing.T, asm bool) {
-		rng := xrand.New(12)
-		for _, d := range []int{7, 16} {
-			n := 9000
-			fs, err := FromVectors(randomVecs(rng, n, d))
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := NewStoreI8(fs)
-			dead := NewTombstones(n)
-			for i := 0; i < n; i += 11 {
-				dead.Kill(i)
-			}
-			for _, unsigned := range []bool{false, true} {
-				q := vec.Vector(rng.NormalVec(d))
-				scores := make([]float64, n)
-				if err := s.DotRange(q, 0, n, scores); err != nil {
-					t.Fatal(err)
-				}
-				want := topKFromScores(scores, 25, unsigned)
-				for _, workers := range []int{1, 2} {
-					got, err := s.TopK(q, 25, unsigned, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameHits(got, want) {
-						t.Fatalf("d=%d unsigned=%v workers=%d: TopK != reference", d, unsigned, workers)
-					}
-				}
-				gotMasked, err := s.TopKMasked(q, 25, unsigned, 1, dead)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, h := range gotMasked {
-					if dead.Dead(h.Index) {
-						t.Fatalf("masked scan returned dead row %d", h.Index)
-					}
-				}
-			}
-		}
-	})
 }
 
 // TestStoreI8Quantization pins down the symmetric scheme's properties:
@@ -405,50 +233,6 @@ func TestStoreI8Quantization(t *testing.T) {
 	}
 	if quantizeI8(math.Inf(1), 1) != 127 || quantizeI8(math.Inf(-1), 1) != -127 {
 		t.Fatal("infinities must saturate")
-	}
-}
-
-// TestQuantTopKCtx checks the cancellation plumbing for both quantized
-// stores: a live context changes nothing, a cancelled one returns its
-// error and no hits.
-func TestQuantTopKCtx(t *testing.T) {
-	rng := xrand.New(14)
-	fs, err := FromVectors(randomVecs(rng, 5000, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := vec.Vector(rng.NormalVec(16))
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	s32 := NewStore32(fs)
-	want32, err := s32.TopK(q, 5, false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got32, err := s32.TopKCtx(context.Background(), q, 5, false, 2)
-	if err != nil || !sameHits(got32, want32) {
-		t.Fatalf("live ctx changed f32 answers: %v, %v", got32, err)
-	}
-	if _, err := s32.TopKCtx(cancelled, q, 5, false, 2); err != context.Canceled {
-		t.Fatalf("cancelled f32 scan: err = %v, want context.Canceled", err)
-	}
-	ns := NewNormSorted32(s32)
-	if _, _, err := ns.TopKCtx(cancelled, q, 5, false); err != context.Canceled {
-		t.Fatalf("cancelled normsorted32 scan: err = %v", err)
-	}
-
-	s8 := NewStoreI8(fs)
-	want8, err := s8.TopK(q, 5, false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got8, err := s8.TopKCtx(context.Background(), q, 5, false, 2)
-	if err != nil || !sameHits(got8, want8) {
-		t.Fatalf("live ctx changed int8 answers: %v, %v", got8, err)
-	}
-	if _, err := s8.TopKCtx(cancelled, q, 5, false, 2); err != context.Canceled {
-		t.Fatalf("cancelled int8 scan: err = %v", err)
 	}
 }
 

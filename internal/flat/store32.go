@@ -1,9 +1,8 @@
 // Quantized speed tier 1: float32 columnar storage. Store32 mirrors
 // Store's layout at half the bytes per element, so a scan moves twice
 // the rows per cache line; scores are computed in float32 (widened to
-// float64 only at the block-buffer boundary, so the top-k bookkeeping,
-// tombstone triage and context plumbing are shared verbatim with the
-// f64 drivers). The d=8/16 kernels have AVX2 twins in quant_amd64.s at
+// float64 only at the block-buffer boundary, where the shared scan
+// drivers take over). The d=8/16 kernels have AVX2 twins in quant_amd64.s at
 // twice the lanes of the f64 tile kernels (8 float32 per YMM multiply);
 // the pure-Go fallbacks below spell out the exact same accumulation
 // chains, and float32 arithmetic in Go is exact IEEE binary32, so the
@@ -12,17 +11,15 @@
 //
 // Scores are f32-accurate, not exact: callers that need the f64
 // ordering re-rank a widened candidate set through the retained f64
-// store (the serving layer's rerank pipeline). NormSorted32 keeps the
-// Cauchy–Schwarz early exit sound under rounding by inflating the bound
-// with a d-scaled epsilon before pruning.
+// store (the serving layer's rerank pipeline). The norm-sorted view
+// keeps the Cauchy–Schwarz early exit sound under rounding by inflating
+// the bound with a d-scaled epsilon before pruning.
 package flat
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
-	"sync"
 
 	"repro/internal/vec"
 )
@@ -130,14 +127,13 @@ func (s *Store32) ToStore() (*Store, error) {
 	return fs, nil
 }
 
-// round32 rounds a float64 query to the binary32 grid the kernels
-// consume. One small allocation per scan; the sweep dwarfs it.
-func round32(q vec.Vector) []float32 {
-	qf := make([]float32, len(q))
-	for i, x := range q {
-		qf[i] = float32(x)
+// round32 appends q, rounded to the binary32 grid the kernels consume,
+// to dst.
+func round32(dst []float32, q vec.Vector) []float32 {
+	for _, x := range q {
+		dst = append(dst, float32(x))
 	}
-	return qf
+	return dst
 }
 
 // norm64of32 is the float64 norm of a widened float32 vector — the
@@ -160,13 +156,6 @@ func (s *Store32) checkQuery(q vec.Vector) error {
 	return nil
 }
 
-func (s *Store32) checkMask(dead *Tombstones) error {
-	if dead != nil && dead.Len() != s.Len() {
-		return fmt.Errorf("flat: tombstones cover %d rows, store has %d", dead.Len(), s.Len())
-	}
-	return nil
-}
-
 // DotRange fills out[0:hi-lo] with float64-widened f32 dot products of
 // rows [lo, hi) against q (rounded to float32 first). Exported for the
 // equivalence tests; the scan drivers call the kernel directly.
@@ -180,7 +169,7 @@ func (s *Store32) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 	if len(out) != hi-lo {
 		return fmt.Errorf("flat: DotRange out length %d, want %d", len(out), hi-lo)
 	}
-	s.dotRange(round32(q), lo, hi, out)
+	s.dotRange(round32(nil, q), lo, hi, out)
 	return nil
 }
 
@@ -283,158 +272,33 @@ func dot32RangeGeneric(data []float32, d int, q []float32, lo, hi int, out []flo
 	}
 }
 
-// blockScorer fills out[0:hi-lo] with the float64 scores of rows
-// [lo, hi). It is the one pluggable piece of the shared quantized scan
-// driver below: Store32 and StoreI8 bind their kernels (and
-// query-dependent state) into a closure, and everything else — block
-// loop, tombstone triage, done polling, parallel chunking, canonical
-// top-k merge — is written once. Scorers must be safe for concurrent
-// calls on disjoint ranges (they only read the store).
-type blockScorer func(lo, hi int, out []float64)
+// View returns the store-order scan view of s.
+func (s *Store32) View() View { return View{t: s} }
 
-// scanScoredBlocks is scanBlocks/scanBlocksMasked generalized over the
-// scorer: fully-dead blocks are skipped before the kernel runs, clean
-// blocks take the unmasked bookkeeping, and a closed done channel
-// abandons the scan (returning true; the accumulator is then partial
-// and must be discarded). A nil dead keeps the loop triage-free.
-func scanScoredBlocks(score blockScorer, lo, hi int, unsigned bool, a *Acc, dead *Tombstones, done <-chan struct{}) bool {
-	var buf [blockRows]float64
-	for start := lo; start < hi; start += blockRows {
-		if done != nil {
-			select {
-			case <-done:
-				return true
-			default:
-			}
-		}
-		end := start + blockRows
-		if end > hi {
-			end = hi
-		}
-		nb := end - start
-		if dead != nil {
-			nd := dead.DeadIn(start, end)
-			if nd == nb {
-				continue
-			}
-			score(start, end, buf[:nb])
-			if nd == 0 {
-				offerScores(a, buf[:nb], start, unsigned, nil)
-			} else {
-				offerScoresMasked(a, buf[:nb], start, unsigned, nil, dead)
-			}
-			continue
-		}
-		score(start, end, buf[:nb])
-		offerScores(a, buf[:nb], start, unsigned, nil)
-	}
-	return false
+// NormSorted returns the descending-norm view of s: a physically
+// reordered private copy of the float32 rows (see sortByNorm), scanned
+// with the early exit guarded by the inflated bound below.
+func (s *Store32) NormSorted() View {
+	re := newStore32(s.dim)
+	perm := sortByNorm(&s.data, &s.norms, &re.data, &re.norms)
+	return View{t: re, perm: perm, norms: &re.norms}
 }
 
-// scoredTopKDone is the shared quantized top-k driver: the same worker
-// clamp, per-chunk accumulators and canonical merge as Store.topKDone,
-// parameterized on the scorer. An empty dead set degrades to the
-// unmasked loop, so delete-free collections never pay the triage.
-func scoredTopKDone(n, k, workers int, unsigned bool, score blockScorer, dead *Tombstones, done <-chan struct{}) ([]Hit, bool, error) {
-	if k <= 0 {
-		return nil, false, fmt.Errorf("flat: k=%d must be positive", k)
-	}
-	if dead.Count() == 0 {
-		dead = nil
-	}
-	if workers > n/minParallelRows {
-		workers = n / minParallelRows
-	}
-	if workers <= 1 {
-		a := NewAcc(k)
-		if scanScoredBlocks(score, 0, n, unsigned, &a, dead, done) {
-			return nil, true, nil
-		}
-		return a.Hits(), false, nil
-	}
-	chunk := (n + workers - 1) / workers
-	accs := make([]Acc, workers)
-	stopped := make([]bool, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			accs[w] = NewAcc(k)
-			stopped[w] = scanScoredBlocks(score, lo, hi, unsigned, &accs[w], dead, done)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, st := range stopped {
-		if st {
-			return nil, true, nil
-		}
-	}
-	merged := NewAcc(k)
-	for w := range accs {
-		for _, h := range accs[w].Hits() {
-			merged.Offer(h.Index, h.Score)
-		}
-	}
-	return merged.Hits(), false, nil
-}
+// bind implements tier: q rounded to the binary32 grid the kernels
+// consume.
+func (s *Store32) bind(q vec.Vector, bq *query) { bq.f32 = round32(bq.f32[:0], q) }
 
-// MaxScanWorkers mirrors Store.MaxScanWorkers for the f32 view.
-func (s *Store32) MaxScanWorkers() int { return s.Len() / minParallelRows }
+func (s *Store32) scoreBlock(bq *query, lo, hi int, out []float64) { s.dotRange(bq.f32, lo, hi, out) }
 
-// CanParallelScan reports whether TopK's workers hint can split this
-// store's scan at all.
-func (s *Store32) CanParallelScan() bool { return s.MaxScanWorkers() >= 2 }
+// bound implements normBounded. The bound must dominate the *computed*
+// f32 scores, which are dots against the rounded query — so the query
+// norm is taken over the rounded values and inflated by the f32 error
+// margin.
+func (s *Store32) bound(bq *query) float64 { return norm64of32(bq.f32) * f32BoundFudge(s.dim) }
 
-// TopK returns up to k hits for q under the canonical ordering, scores
-// computed in float32 and widened. Same parallelism contract as
-// Store.TopK.
-func (s *Store32) TopK(q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	return s.TopKMasked(q, k, unsigned, workers, nil)
-}
-
-// TopKMasked is TopK restricted to live rows (nil or empty dead takes
-// exactly the TopK path).
-func (s *Store32) TopKMasked(q vec.Vector, k int, unsigned bool, workers int, dead *Tombstones) ([]Hit, error) {
-	hits, _, err := s.topKMaskedDone(q, k, unsigned, workers, dead, nil)
-	return hits, err
-}
-
-// TopKCtx is TopK with cancellation.
-func (s *Store32) TopKCtx(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	return s.TopKMaskedCtx(ctx, q, k, unsigned, workers, nil)
-}
-
-// TopKMaskedCtx is TopKMasked with cancellation: identical results when
-// ctx never fires, ctx's error (and no hits) when it does.
-func (s *Store32) TopKMaskedCtx(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int, dead *Tombstones) ([]Hit, error) {
-	hits, stopped, err := s.topKMaskedDone(q, k, unsigned, workers, dead, doneOf(ctx))
-	if err != nil {
-		return nil, err
-	}
-	if stopped {
-		return nil, stopErr(ctx)
-	}
-	return hits, nil
-}
-
-func (s *Store32) topKMaskedDone(q vec.Vector, k int, unsigned bool, workers int, dead *Tombstones, done <-chan struct{}) ([]Hit, bool, error) {
-	if err := s.checkMask(dead); err != nil {
-		return nil, false, err
-	}
-	if err := s.checkQuery(q); err != nil {
-		return nil, false, err
-	}
-	qf := round32(q)
-	score := func(lo, hi int, out []float64) { s.dotRange(qf, lo, hi, out) }
-	return scoredTopKDone(s.Len(), k, workers, unsigned, score, dead, done)
+func (s *Store32) extend(fs *Store) (tier, int) {
+	q := s.Extend(fs)
+	return q, q.SharedRows(s)
 }
 
 // f32BoundFudge inflates the Cauchy–Schwarz bound for the float32 scan:
@@ -444,149 +308,8 @@ func (s *Store32) topKMaskedDone(q vec.Vector, k int, unsigned bool, workers int
 // never hide a row whose computed f32 score would have entered.
 func f32BoundFudge(d int) float64 { return 1 + float64(d)*0x1p-23 }
 
-// NormSorted32 is the descending-norm view of a Store32: physically
-// reordered rows (norm descending, original index ascending), with the
-// early exit guarded by the epsilon-inflated bound above. Returned hits
-// carry original row indexes.
-type NormSorted32 struct {
-	store *Store32
-	perm  []int // perm[physical] = original index
-}
-
-// NewNormSorted32 builds the reordered view (same concrete-key sort as
-// NewNormSorted).
-func NewNormSorted32(s *Store32) *NormSorted32 {
-	n := s.Len()
-	type key struct {
-		norm float64
-		idx  int
-	}
-	keys := make([]key, n)
-	for i := range keys {
-		keys[i] = key{norm: s.norms.at(i), idx: i}
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if a.norm != b.norm {
-			if a.norm > b.norm {
-				return -1
-			}
-			return 1
-		}
-		return a.idx - b.idx
-	})
-	perm := make([]int, n)
-	re := newStore32(s.dim)
-	for phys := 0; phys < n; {
-		rows, norms := re.grow(n - phys)
-		for i := range norms {
-			k := keys[phys+i]
-			perm[phys+i] = k.idx
-			copy(rows[i*s.dim:], s.Row(k.idx))
-			norms[i] = k.norm
-		}
-		phys += len(norms)
-	}
-	return &NormSorted32{store: re, perm: perm}
-}
-
-// Len returns the number of rows.
-func (ns *NormSorted32) Len() int { return ns.store.Len() }
-
-// Dim returns the row dimension.
-func (ns *NormSorted32) Dim() int { return ns.store.dim }
-
-// Store returns the physically reordered float32 store (read-only).
-func (ns *NormSorted32) Store() *Store32 { return ns.store }
-
-// Perm returns the physical→original index map (read-only).
-func (ns *NormSorted32) Perm() []int { return ns.perm }
-
-// TopK is the early-terminating f32 scan; scanned reports rows whose
-// dot was evaluated before the inflated norm bound stopped the scan.
-func (ns *NormSorted32) TopK(q vec.Vector, k int, unsigned bool) ([]Hit, int, error) {
-	return ns.TopKMasked(q, k, unsigned, nil)
-}
-
-// TopKMasked is TopK over live rows only; dead lives in the view's
-// physical order (Gather(Perm()) from an original-space set).
-func (ns *NormSorted32) TopKMasked(q vec.Vector, k int, unsigned bool, dead *Tombstones) ([]Hit, int, error) {
-	hits, scanned, _, err := ns.topKMaskedDone(q, k, unsigned, dead, nil)
-	return hits, scanned, err
-}
-
-// TopKCtx is TopK with cancellation.
-func (ns *NormSorted32) TopKCtx(ctx context.Context, q vec.Vector, k int, unsigned bool) ([]Hit, int, error) {
-	return ns.TopKMaskedCtx(ctx, q, k, unsigned, nil)
-}
-
-// TopKMaskedCtx is TopKMasked with cancellation.
-func (ns *NormSorted32) TopKMaskedCtx(ctx context.Context, q vec.Vector, k int, unsigned bool, dead *Tombstones) ([]Hit, int, error) {
-	hits, scanned, stopped, err := ns.topKMaskedDone(q, k, unsigned, dead, doneOf(ctx))
-	if err != nil {
-		return nil, scanned, err
-	}
-	if stopped {
-		return nil, scanned, stopErr(ctx)
-	}
-	return hits, scanned, nil
-}
-
-func (ns *NormSorted32) topKMaskedDone(q vec.Vector, k int, unsigned bool, dead *Tombstones, done <-chan struct{}) ([]Hit, int, bool, error) {
-	s := ns.store
-	if err := s.checkMask(dead); err != nil {
-		return nil, 0, false, err
-	}
-	if err := s.checkQuery(q); err != nil {
-		return nil, 0, false, err
-	}
-	if k <= 0 {
-		return nil, 0, false, fmt.Errorf("flat: k=%d must be positive", k)
-	}
-	if dead.Count() == 0 {
-		dead = nil
-	}
-	qf := round32(q)
-	// The bound must dominate the *computed* f32 scores, which are dots
-	// against the rounded query — so the query norm is taken over the
-	// rounded values and the product inflated by the f32 error margin.
-	qn := norm64of32(qf) * f32BoundFudge(s.dim)
-	n := s.Len()
-	a := NewAcc(k)
-	scanned := 0
-	var buf [blockRows]float64
-	for start := 0; start < n; start += blockRows {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, scanned, true, nil
-			default:
-			}
-		}
-		if a.Full() && s.norms.at(start)*qn < a.Threshold() {
-			break // every remaining row is dominated by the inflated bound
-		}
-		end := start + blockRows
-		if end > n {
-			end = n
-		}
-		nb := end - start
-		if dead != nil {
-			nd := dead.DeadIn(start, end)
-			if nd == nb {
-				continue
-			}
-			s.dotRange(qf, start, end, buf[:nb])
-			scanned += nb
-			if nd == 0 {
-				offerScores(&a, buf[:nb], start, unsigned, ns.perm)
-			} else {
-				offerScoresMasked(&a, buf[:nb], start, unsigned, ns.perm, dead)
-			}
-			continue
-		}
-		s.dotRange(qf, start, end, buf[:nb])
-		scanned += nb
-		offerScores(&a, buf[:nb], start, unsigned, ns.perm)
-	}
-	return a.Hits(), scanned, false, nil
+// TopK is Scan with positional arguments and no deadline (see
+// Store.TopK); scores are computed in float32 and widened.
+func (s *Store32) TopK(q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
+	return s.View().Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Workers: workers})
 }

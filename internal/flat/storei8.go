@@ -118,10 +118,10 @@ func quantizeI8(x, scale float64) int8 {
 }
 
 // quantizeQueryI8 codes a query against its own symmetric scale,
-// widening the codes to int16 for the VPMADDWD kernel. A zero (or
-// non-finite-only) query yields scale 0 and all-zero codes, matching
-// the exact all-zero dot.
-func quantizeQueryI8(q vec.Vector) ([]int16, float64) {
+// widening the codes to int16 for the VPMADDWD kernel and appending
+// them to dst. A zero (or non-finite-only) query yields scale 0 and
+// all-zero codes, matching the exact all-zero dot.
+func quantizeQueryI8(dst []int16, q vec.Vector) ([]int16, float64) {
 	maxAbs := 0.0
 	for _, x := range q {
 		if a := math.Abs(x); a > maxAbs && !math.IsInf(a, 0) {
@@ -129,11 +129,10 @@ func quantizeQueryI8(q vec.Vector) ([]int16, float64) {
 		}
 	}
 	scale := maxAbs / 127
-	qc := make([]int16, len(q))
-	for i, x := range q {
-		qc[i] = int16(quantizeI8(x, scale))
+	for _, x := range q {
+		dst = append(dst, int16(quantizeI8(x, scale)))
 	}
-	return qc, scale
+	return dst, scale
 }
 
 // Len returns the number of rows.
@@ -174,13 +173,6 @@ func (s *StoreI8) checkQuery(q vec.Vector) error {
 	return nil
 }
 
-func (s *StoreI8) checkMask(dead *Tombstones) error {
-	if dead != nil && dead.Len() != s.Len() {
-		return fmt.Errorf("flat: tombstones cover %d rows, store has %d", dead.Len(), s.Len())
-	}
-	return nil
-}
-
 // DotRange fills out[0:hi-lo] with approximate dequantized dots of rows
 // [lo, hi) against q. Exported for the equivalence tests.
 func (s *StoreI8) DotRange(q vec.Vector, lo, hi int, out []float64) error {
@@ -193,7 +185,7 @@ func (s *StoreI8) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 	if len(out) != hi-lo {
 		return fmt.Errorf("flat: DotRange out length %d, want %d", len(out), hi-lo)
 	}
-	qc, qscale := quantizeQueryI8(q)
+	qc, qscale := quantizeQueryI8(nil, q)
 	s.dotRange(qc, s.scale*qscale, lo, hi, out)
 	return nil
 }
@@ -239,53 +231,29 @@ func dotI8RangeGeneric(codes []int8, d int, qc []int16, combined float64, lo, hi
 	}
 }
 
-// MaxScanWorkers mirrors Store.MaxScanWorkers for the int8 view.
-func (s *StoreI8) MaxScanWorkers() int { return s.Len() / minParallelRows }
+// View returns the store-order scan view of s.
+func (s *StoreI8) View() View { return View{t: s} }
 
-// CanParallelScan reports whether TopK's workers hint can split this
-// store's scan at all.
-func (s *StoreI8) CanParallelScan() bool { return s.MaxScanWorkers() >= 2 }
+// bind implements tier: q quantized against its own scale.
+func (s *StoreI8) bind(q vec.Vector, bq *query) {
+	var qscale float64
+	bq.i16, qscale = quantizeQueryI8(bq.i16[:0], q)
+	bq.scale = s.scale * qscale
+}
 
-// TopK returns up to k hits for q under the canonical ordering over
-// the dequantized approximate scores. Callers needing exact scores
-// re-rank the hits through the f64 store they quantized from.
+func (s *StoreI8) scoreBlock(bq *query, lo, hi int, out []float64) {
+	s.dotRange(bq.i16, bq.scale, lo, hi, out)
+}
+
+func (s *StoreI8) extend(fs *Store) (tier, int) {
+	q := s.Extend(fs)
+	return q, q.SharedRows(s)
+}
+
+// TopK is Scan with positional arguments and no deadline (see
+// Store.TopK) over the dequantized approximate scores. Callers needing
+// exact scores re-rank the hits through the f64 store they quantized
+// from.
 func (s *StoreI8) TopK(q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	return s.TopKMasked(q, k, unsigned, workers, nil)
-}
-
-// TopKMasked is TopK restricted to live rows (nil or empty dead takes
-// exactly the TopK path).
-func (s *StoreI8) TopKMasked(q vec.Vector, k int, unsigned bool, workers int, dead *Tombstones) ([]Hit, error) {
-	hits, _, err := s.topKMaskedDone(q, k, unsigned, workers, dead, nil)
-	return hits, err
-}
-
-// TopKCtx is TopK with cancellation.
-func (s *StoreI8) TopKCtx(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	return s.TopKMaskedCtx(ctx, q, k, unsigned, workers, nil)
-}
-
-// TopKMaskedCtx is TopKMasked with cancellation.
-func (s *StoreI8) TopKMaskedCtx(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int, dead *Tombstones) ([]Hit, error) {
-	hits, stopped, err := s.topKMaskedDone(q, k, unsigned, workers, dead, doneOf(ctx))
-	if err != nil {
-		return nil, err
-	}
-	if stopped {
-		return nil, stopErr(ctx)
-	}
-	return hits, nil
-}
-
-func (s *StoreI8) topKMaskedDone(q vec.Vector, k int, unsigned bool, workers int, dead *Tombstones, done <-chan struct{}) ([]Hit, bool, error) {
-	if err := s.checkMask(dead); err != nil {
-		return nil, false, err
-	}
-	if err := s.checkQuery(q); err != nil {
-		return nil, false, err
-	}
-	qc, qscale := quantizeQueryI8(q)
-	combined := s.scale * qscale
-	score := func(lo, hi int, out []float64) { s.dotRange(qc, combined, lo, hi, out) }
-	return scoredTopKDone(s.Len(), k, workers, unsigned, score, dead, done)
+	return s.View().Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Workers: workers})
 }

@@ -15,10 +15,8 @@
 // break the equivalence). The tile equivalence grid and FuzzDotTile
 // pin this down.
 //
-// TopKMulti drives the tile kernel over one data sweep, maintaining a
-// per-query accumulator; the NormSorted variant applies the same
-// per-query Cauchy–Schwarz block bound as the single-query scan, so
-// hits *and* scanned counts match the single-query path exactly.
+// View.ScanMulti drives the tile kernel over one data sweep,
+// maintaining a per-query accumulator.
 package flat
 
 import (
@@ -26,7 +24,7 @@ import (
 	"sync"
 )
 
-// maxTileQ is the query-tile width of the multi-query drivers: dots for
+// maxTileQ is the query-tile width of ScanMulti: dots for
 // up to maxTileQ queries are materialised per data block before the
 // top-k bookkeeping runs. Two quads of the 4-query micro-kernel; at
 // blockRows=256 the score tile is 16 KiB, leaving the data block
@@ -41,15 +39,17 @@ func (a *Acc) Reset(k int) {
 	a.hits = a.hits[:0]
 }
 
-// TileScratch holds the reusable buffers of the multi-query drivers
-// (the score tile, liveness flags, and on-demand accumulators). A
-// zero value is ready to use; Get/PutTileScratch recycle instances
-// through a package pool so steady-state batch serving allocates
-// nothing per request.
+// TileScratch holds the reusable buffers of the scan drivers (the score
+// tile, the bound query, per-query flags and counts, and on-demand
+// accumulators). A zero value is ready to use; Get/PutTileScratch
+// recycle instances through a package pool so steady-state serving
+// allocates nothing per scan for them.
 type TileScratch struct {
-	buf  []float64
-	done []bool
-	accs []Acc
+	buf     []float64
+	q       query
+	pruned  []bool
+	scanned []int
+	accs    []Acc
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(TileScratch) }}
@@ -69,17 +69,30 @@ func (sc *TileScratch) tileBuf() []float64 {
 	return sc.buf[:maxTileQ*blockRows]
 }
 
-// doneBuf returns a cleared n-slot liveness buffer.
-func (sc *TileScratch) doneBuf(n int) []bool {
-	if cap(sc.done) < n {
-		sc.done = make([]bool, n)
+// prunedBuf returns a cleared n-slot flag buffer.
+func (sc *TileScratch) prunedBuf(n int) []bool {
+	if cap(sc.pruned) < n {
+		sc.pruned = make([]bool, n)
 	}
-	d := sc.done[:n]
-	for i := range d {
-		d[i] = false
-	}
-	return d
+	sc.pruned = sc.pruned[:n]
+	clear(sc.pruned)
+	return sc.pruned
 }
+
+// scannedBuf returns a cleared n-slot count buffer.
+func (sc *TileScratch) scannedBuf(n int) []int {
+	if cap(sc.scanned) < n {
+		sc.scanned = make([]int, n)
+	}
+	sc.scanned = sc.scanned[:n]
+	clear(sc.scanned)
+	return sc.scanned
+}
+
+// Scanned returns, per query of the last ScanMulti run with this
+// scratch, the rows whose score was evaluated. The slice is owned by
+// the scratch and overwritten by the next call.
+func (sc *TileScratch) Scanned() []int { return sc.scanned }
 
 // Accs returns n accumulators, each reset to keep k hits. The slice
 // and the accumulators' storage are owned by the scratch and reused
@@ -116,11 +129,11 @@ func (s *Store) DotTile(qs *Store, qlo, qhi, plo, phi int, out []float64) error 
 	if len(out) != (qhi-qlo)*(phi-plo) {
 		return fmt.Errorf("flat: DotTile out length %d, want %d", len(out), (qhi-qlo)*(phi-plo))
 	}
-	s.dotTile(qs, qlo, qhi, plo, phi, out)
+	s.scoreTile(qs, qlo, qhi, plo, phi, out)
 	return nil
 }
 
-// dotTile is the unchecked tile kernel dispatch. Query quads run
+// scoreTile is the unchecked tile kernel dispatch (it implements tiler). Query quads run
 // through the AVX2 micro-kernels when available (d=8/d=16); leftovers
 // and other dimensions run the pure-Go kernels, which share the exact
 // accumulation chains, so the split is invisible in the results. The
@@ -128,7 +141,7 @@ func (s *Store) DotTile(qs *Store, qlo, qhi, plo, phi int, out []float64) error 
 // always hands them data rows inside one chunk, and the rare tile that
 // straddles a chunk edge (on either side) drops to the narrower kernels
 // for the same bits.
-func (s *Store) dotTile(qs *Store, qlo, qhi, plo, phi int, out []float64) {
+func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64) {
 	d := s.dim
 	nb := phi - plo
 	if nb <= 0 || qhi-qlo <= 0 {
@@ -258,198 +271,4 @@ func dotTileGeneric2(data []float64, d int, u, v []float64, lo, hi int, out0, ou
 		out0[r-lo] = (u0 + u1) + (u2 + u3)
 		out1[r-lo] = (v0 + v1) + (v2 + v3)
 	}
-}
-
-// checkMulti validates the shared TopKMultiInto contract.
-func (s *Store) checkMulti(qs *Store, qlo, qhi int, accs []Acc) error {
-	if qs == nil {
-		return fmt.Errorf("flat: nil query store")
-	}
-	if qs.dim != s.dim {
-		return fmt.Errorf("flat: query dimension %d, store has %d", qs.dim, s.dim)
-	}
-	if qlo < 0 || qhi > qs.Len() || qlo > qhi {
-		return fmt.Errorf("flat: queries [%d, %d) out of [0, %d)", qlo, qhi, qs.Len())
-	}
-	if len(accs) != qhi-qlo {
-		return fmt.Errorf("flat: %d accumulators for %d queries", len(accs), qhi-qlo)
-	}
-	for i := range accs {
-		if accs[i].k <= 0 {
-			return fmt.Errorf("flat: accumulator %d has k=%d, must be positive", i, accs[i].k)
-		}
-	}
-	return nil
-}
-
-// TopKMultiInto answers one top-k query per row of qs[qlo:qhi] in a
-// single sweep of the store, accumulating into accs (accs[j] serves
-// query qlo+j and must be Reset to the desired k). Blocks are visited
-// in the same order and offered through the same bookkeeping as the
-// single-query TopK, so accs[j].Hits() is bit-identical — ordering,
-// tie-breaks and NaN rejection included — to TopK(qs.Row(qlo+j), k,
-// unsigned, 1). It allocates nothing: the score tile lives in sc.
-func (s *Store) TopKMultiInto(qs *Store, qlo, qhi int, unsigned bool, accs []Acc, sc *TileScratch) error {
-	_, err := s.topKMultiDone(qs, qlo, qhi, unsigned, accs, sc, nil)
-	return err
-}
-
-// topKMultiDone is the multi-query driver with the optional per-block
-// done poll (nil done keeps the historical unchecked loop). A true
-// first return means the sweep was abandoned and accs hold partial,
-// unusable state.
-func (s *Store) topKMultiDone(qs *Store, qlo, qhi int, unsigned bool, accs []Acc, sc *TileScratch, done <-chan struct{}) (bool, error) {
-	if err := s.checkMulti(qs, qlo, qhi, accs); err != nil {
-		return false, err
-	}
-	n := s.Len()
-	buf := sc.tileBuf()
-	for start := 0; start < n; start += blockRows {
-		if done != nil {
-			select {
-			case <-done:
-				return true, nil
-			default:
-			}
-		}
-		end := min(start+blockRows, n)
-		nb := end - start
-		for g := qlo; g < qhi; g += maxTileQ {
-			gh := min(g+maxTileQ, qhi)
-			s.dotTile(qs, g, gh, start, end, buf)
-			for j := g; j < gh; j++ {
-				offerScores(&accs[j-qlo], buf[(j-g)*nb:(j-g+1)*nb], start, unsigned, nil)
-			}
-		}
-	}
-	return false, nil
-}
-
-// TopKMulti answers a top-k query for every row of qs over one data
-// sweep, returning per-query hit lists (bit-identical to per-query
-// TopK with workers=1). It is the allocating convenience wrapper
-// around TopKMultiInto.
-func (s *Store) TopKMulti(qs *Store, k int, unsigned bool) ([][]Hit, error) {
-	if qs == nil {
-		return nil, fmt.Errorf("flat: nil query store")
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("flat: k=%d must be positive", k)
-	}
-	nq := qs.Len()
-	accs := make([]Acc, nq)
-	for j := range accs {
-		accs[j].Reset(k)
-	}
-	sc := GetTileScratch()
-	defer PutTileScratch(sc)
-	if err := s.TopKMultiInto(qs, 0, nq, unsigned, accs, sc); err != nil {
-		return nil, err
-	}
-	out := make([][]Hit, nq)
-	for j := range accs {
-		hits := accs[j].Hits()
-		out[j] = make([]Hit, len(hits))
-		copy(out[j], hits)
-	}
-	return out, nil
-}
-
-// TopKMultiInto is the multi-query early-terminating scan: one
-// descending-norm sweep serving every query of qs[qlo:qhi], with the
-// per-query Cauchy–Schwarz block bound applied exactly as in the
-// single-query NormSorted.TopK — a query goes inactive at the first
-// block whose leading norm cannot displace its k-th best hit, and only
-// still-live queries are scored against a block (contiguous live runs
-// feed the tile kernel). Hits (original row indexes) and the per-query
-// scanned counts (accumulated into scanned[j] when non-nil) are
-// bit-identical to the single-query scan.
-func (ns *NormSorted) TopKMultiInto(qs *Store, qlo, qhi int, unsigned bool, accs []Acc, scanned []int, sc *TileScratch) error {
-	_, err := ns.topKMultiDone(qs, qlo, qhi, unsigned, accs, scanned, sc, nil)
-	return err
-}
-
-// topKMultiDone is the multi-query descending-norm driver with the
-// optional per-block stop poll (nil stop keeps the historical
-// unchecked loop).
-func (ns *NormSorted) topKMultiDone(qs *Store, qlo, qhi int, unsigned bool, accs []Acc, scanned []int, sc *TileScratch, stop <-chan struct{}) (bool, error) {
-	s := ns.store
-	if err := s.checkMulti(qs, qlo, qhi, accs); err != nil {
-		return false, err
-	}
-	qn := qhi - qlo
-	if scanned != nil && len(scanned) != qn {
-		return false, fmt.Errorf("flat: %d scanned slots for %d queries", len(scanned), qn)
-	}
-	n := s.Len()
-	buf := sc.tileBuf()
-	done := sc.doneBuf(qn)
-	live := qn
-	for start := 0; start < n && live > 0; start += blockRows {
-		if stop != nil {
-			select {
-			case <-stop:
-				return true, nil
-			default:
-			}
-		}
-		lead := s.norms.at(start)
-		end := min(start+blockRows, n)
-		nb := end - start
-		for j := 0; j < qn; j++ {
-			if !done[j] && accs[j].Full() && lead*qs.Norm(qlo+j) < accs[j].Threshold() {
-				done[j] = true
-				live--
-			}
-		}
-		for j := 0; j < qn; {
-			if done[j] {
-				j++
-				continue
-			}
-			r := j + 1
-			for r < qn && !done[r] && r-j < maxTileQ {
-				r++
-			}
-			s.dotTile(qs, qlo+j, qlo+r, start, end, buf)
-			for jj := j; jj < r; jj++ {
-				offerScores(&accs[jj], buf[(jj-j)*nb:(jj-j+1)*nb], start, unsigned, ns.perm)
-				if scanned != nil {
-					scanned[jj] += nb
-				}
-			}
-			j = r
-		}
-	}
-	return false, nil
-}
-
-// TopKMulti is the allocating convenience wrapper: per-query hit lists
-// plus per-query evaluated-row counts, bit-identical to per-query
-// NormSorted.TopK.
-func (ns *NormSorted) TopKMulti(qs *Store, k int, unsigned bool) ([][]Hit, []int, error) {
-	if qs == nil {
-		return nil, nil, fmt.Errorf("flat: nil query store")
-	}
-	if k <= 0 {
-		return nil, nil, fmt.Errorf("flat: k=%d must be positive", k)
-	}
-	nq := qs.Len()
-	accs := make([]Acc, nq)
-	for j := range accs {
-		accs[j].Reset(k)
-	}
-	scanned := make([]int, nq)
-	sc := GetTileScratch()
-	defer PutTileScratch(sc)
-	if err := ns.TopKMultiInto(qs, 0, nq, unsigned, accs, scanned, sc); err != nil {
-		return nil, nil, err
-	}
-	out := make([][]Hit, nq)
-	for j := range accs {
-		hits := accs[j].Hits()
-		out[j] = make([]Hit, len(hits))
-		copy(out[j], hits)
-	}
-	return out, scanned, nil
 }

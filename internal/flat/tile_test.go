@@ -1,6 +1,7 @@
 package flat
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -229,23 +230,25 @@ func TestNormSortedTopKMultiMatchesTopK(t *testing.T) {
 	})
 }
 
-// TestTopKMultiInputValidation checks the Into variants' contracts.
+// TestTopKMultiInputValidation checks ScanMulti's contract.
 func TestTopKMultiInputValidation(t *testing.T) {
 	s, _ := FromVectors([]vec.Vector{{1, 2}, {3, 4}})
 	qs, _ := FromVectors([]vec.Vector{{1, 0}, {0, 1}})
 	sc := GetTileScratch()
 	defer PutTileScratch(sc)
-	if err := s.TopKMultiInto(nil, 0, 0, false, nil, sc); err == nil {
+	multi := func(qs *Store, qlo, qhi int, accs []Acc) error {
+		return s.View().ScanMulti(context.Background(), qs, qlo, qhi, accs, sc, ScanOpts{})
+	}
+	if err := multi(nil, 0, 0, nil); err == nil {
 		t.Fatal("nil query store accepted")
 	}
-	if err := s.TopKMultiInto(qs, 0, 3, false, make([]Acc, 3), sc); err == nil {
+	if err := multi(qs, 0, 3, make([]Acc, 3)); err == nil {
 		t.Fatal("query range out of bounds accepted")
 	}
-	if err := s.TopKMultiInto(qs, 0, 2, false, make([]Acc, 1), sc); err == nil {
+	if err := multi(qs, 0, 2, make([]Acc, 1)); err == nil {
 		t.Fatal("accumulator count mismatch accepted")
 	}
-	accs := sc.Accs(2, 0)
-	if err := s.TopKMultiInto(qs, 0, 2, false, accs, sc); err == nil {
+	if err := multi(qs, 0, 2, sc.Accs(2, 0)); err == nil {
 		t.Fatal("k=0 accumulators accepted")
 	}
 	if _, err := s.TopKMulti(qs, 0, false); err == nil {
@@ -254,10 +257,6 @@ func TestTopKMultiInputValidation(t *testing.T) {
 	q3, _ := FromVectors([]vec.Vector{{1, 2, 3}})
 	if _, err := s.TopKMulti(q3, 1, false); err == nil {
 		t.Fatal("dimension mismatch accepted")
-	}
-	ns := NewNormSorted(s)
-	if err := ns.TopKMultiInto(qs, 0, 2, false, sc.Accs(2, 1), make([]int, 1), sc); err == nil {
-		t.Fatal("scanned length mismatch accepted")
 	}
 }
 
@@ -282,8 +281,8 @@ func TestAccReset(t *testing.T) {
 }
 
 // TestTileKernelAllocs is the zero-allocation contract of the flat
-// kernels: with a warm scratch and warm accumulators, DotTile and both
-// TopKMultiInto drivers must allocate nothing.
+// kernels: with a warm scratch and warm accumulators, DotTile and
+// ScanMulti — store order and norm-sorted — must allocate nothing.
 func TestTileKernelAllocs(t *testing.T) {
 	rng := xrand.New(21)
 	n, d, nq, k := 1500, 16, 9, 10
@@ -291,7 +290,6 @@ func TestTileKernelAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNormSorted(s)
 	qs, err := FromVectors(randomVecs(rng, nq, d))
 	if err != nil {
 		t.Fatal(err)
@@ -308,33 +306,16 @@ func TestTileKernelAllocs(t *testing.T) {
 		t.Fatalf("DotTile allocates %v per run, want 0", allocs)
 	}
 
-	// Warm the accumulators once so their hit storage reaches capacity.
-	accs := sc.Accs(nq, k)
-	if err := s.TopKMultiInto(qs, 0, nq, false, accs, sc); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		accs := sc.Accs(nq, k)
-		if err := s.TopKMultiInto(qs, 0, nq, false, accs, sc); err != nil {
-			t.Fatal(err)
+	for name, v := range map[string]View{"store order": s.View(), "norm-sorted": NewNormSorted(s).View} {
+		sweep := func() {
+			accs := sc.Accs(nq, k)
+			if err := v.ScanMulti(context.Background(), qs, 0, nq, accs, sc, ScanOpts{}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); allocs != 0 {
-		t.Fatalf("TopKMultiInto allocates %v per run, want 0", allocs)
-	}
-
-	scanned := make([]int, nq)
-	if err := ns.TopKMultiInto(qs, 0, nq, false, sc.Accs(nq, k), scanned, sc); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		for i := range scanned {
-			scanned[i] = 0
+		sweep() // warm the accumulators so their hit storage reaches capacity
+		if allocs := testing.AllocsPerRun(20, sweep); allocs != 0 {
+			t.Fatalf("%s ScanMulti allocates %v per run, want 0", name, allocs)
 		}
-		accs := sc.Accs(nq, k)
-		if err := ns.TopKMultiInto(qs, 0, nq, false, accs, scanned, sc); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("NormSorted.TopKMultiInto allocates %v per run, want 0", allocs)
 	}
 }

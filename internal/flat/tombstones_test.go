@@ -106,120 +106,6 @@ func TestTombstonesGather(t *testing.T) {
 	}
 }
 
-func TestTopKMaskedMatchesReference(t *testing.T) {
-	rng := xrand.New(21)
-	for _, n := range []int{1, 50, 700, 5000} {
-		s, err := FromVectors(randomVecs(rng, n, 24))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns := NewNormSorted(s)
-		for _, frac := range []float64{0, 0.05, 0.5, 0.95, 1} {
-			dead, live := killRandom(rng.Split(uint64(1)), n, frac)
-			pdead := dead.Gather(ns.Perm())
-			for _, unsigned := range []bool{false, true} {
-				for trial := 0; trial < 4; trial++ {
-					q := vec.Vector(rng.NormalVec(24))
-					k := 1 + rng.Intn(12)
-					want := naiveTopKMasked(s, q, k, unsigned, dead)
-					if len(want) > len(live) {
-						t.Fatalf("reference returned %d hits for %d live rows", len(want), len(live))
-					}
-					for _, workers := range []int{1, 4} {
-						got, err := s.TopKMasked(q, k, unsigned, workers, dead)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !hitsEqual(got, want) {
-							t.Fatalf("n=%d frac=%v unsigned=%v workers=%d: masked %v, want %v",
-								n, frac, unsigned, workers, got, want)
-						}
-					}
-					nsGot, _, err := ns.TopKMasked(q, k, unsigned, pdead)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !hitsEqual(nsGot, want) {
-						t.Fatalf("n=%d frac=%v unsigned=%v: norm-sorted masked %v, want %v",
-							n, frac, unsigned, nsGot, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestTopKMaskedZeroDeadDelegates(t *testing.T) {
-	rng := xrand.New(5)
-	s, _ := FromVectors(randomVecs(rng, 400, 8))
-	q := vec.Vector(rng.NormalVec(8))
-	base, err := s.TopK(q, 5, false, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dead := range []*Tombstones{nil, NewTombstones(400)} {
-		got, err := s.TopKMasked(q, 5, false, 1, dead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !hitsEqual(got, base) {
-			t.Fatalf("zero-dead masked scan diverged: %v vs %v", got, base)
-		}
-	}
-	if _, err := s.TopKMasked(q, 5, false, 1, NewTombstones(3)); err == nil {
-		t.Fatal("mismatched tombstone length accepted")
-	}
-}
-
-func TestTopKMultiMaskedMatchesSingle(t *testing.T) {
-	rng := xrand.New(33)
-	n, d, nq := 3000, 16, 13
-	s, _ := FromVectors(randomVecs(rng, n, d))
-	ns := NewNormSorted(s)
-	qs, _ := FromVectors(randomVecs(rng, nq, d))
-	for _, frac := range []float64{0.02, 0.5, 0.9} {
-		dead, _ := killRandom(rng.Split(uint64(1)), n, frac)
-		pdead := dead.Gather(ns.Perm())
-		for _, unsigned := range []bool{false, true} {
-			k := 1 + rng.Intn(8)
-			sc := GetTileScratch()
-			accs := sc.Accs(nq, k)
-			if err := s.TopKMultiMaskedInto(qs, 0, nq, unsigned, accs, sc, dead); err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < nq; j++ {
-				want, err := s.TopKMasked(qs.Row(j), k, unsigned, 1, dead)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !hitsEqual(accs[j].Hits(), want) {
-					t.Fatalf("flat multi frac=%v unsigned=%v q=%d: %v, want %v",
-						frac, unsigned, j, accs[j].Hits(), want)
-				}
-			}
-			accs = sc.Accs(nq, k)
-			scanned := make([]int, nq)
-			if err := ns.TopKMultiMaskedInto(qs, 0, nq, unsigned, accs, scanned, sc, pdead); err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < nq; j++ {
-				want, wantScanned, err := ns.TopKMasked(qs.Row(j), k, unsigned, pdead)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !hitsEqual(accs[j].Hits(), want) {
-					t.Fatalf("ns multi frac=%v unsigned=%v q=%d: %v, want %v",
-						frac, unsigned, j, accs[j].Hits(), want)
-				}
-				if scanned[j] != wantScanned {
-					t.Fatalf("ns multi q=%d scanned %d, want %d", j, scanned[j], wantScanned)
-				}
-			}
-			PutTileScratch(sc)
-		}
-	}
-}
-
 // killClustered tombstones the first frac of rows — the shape upserts
 // produce (old rows die in ingest order), and the shape block skipping
 // is designed for.

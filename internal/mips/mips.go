@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/flat"
 	"repro/internal/vec"
 )
 
@@ -35,109 +34,6 @@ func LinearScan(data []vec.Vector, q vec.Vector) Result {
 		}
 	}
 	return res
-}
-
-// FlatLinearScan is LinearScan over a columnar store: the same Θ(nd)
-// answer, computed by the blocked contiguous kernel (bit-identical
-// scores, since both route through vec.DotKernel).
-func FlatLinearScan(fs *flat.Store, q vec.Vector) (Result, error) {
-	hits, err := fs.TopK(q, 1, false, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Index: -1, Scanned: fs.Len()}
-	if len(hits) > 0 {
-		res.Index, res.Value = hits[0].Index, hits[0].Score
-	}
-	return res, nil
-}
-
-// FlatNormPruned is NormPruned over the norm-sorted columnar view: the
-// same exact answer and the same Cauchy–Schwarz early termination, but
-// the prefix it scans is contiguous in memory (block-granular
-// termination, so Scanned can exceed NormPruned's count by at most one
-// block).
-type FlatNormPruned struct {
-	ns *flat.NormSorted
-}
-
-// NewFlatNormPruned preprocesses the store in O(n log n + n·d).
-func NewFlatNormPruned(fs *flat.Store) (*FlatNormPruned, error) {
-	if fs == nil || fs.Len() == 0 {
-		return nil, fmt.Errorf("mips: empty data set")
-	}
-	return &FlatNormPruned{ns: flat.NewNormSorted(fs)}, nil
-}
-
-// Query returns the exact MIPS answer, typically scanning only a norm
-// prefix of the data.
-func (np *FlatNormPruned) Query(q vec.Vector) (Result, error) {
-	hits, scanned, err := np.ns.TopK(q, 1, false)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Index: -1, Scanned: scanned}
-	if len(hits) > 0 {
-		res.Index, res.Value = hits[0].Index, hits[0].Score
-	}
-	return res, nil
-}
-
-// queryStore packs a query batch into a columnar store so the
-// multi-query tile kernels can amortize every data-row load across the
-// batch.
-func queryStore(qs []vec.Vector) (*flat.Store, error) {
-	if len(qs) == 0 {
-		return nil, fmt.Errorf("mips: empty query batch")
-	}
-	return flat.FromVectors(qs)
-}
-
-// FlatLinearScanBatch answers one exact MIPS query per element of qs
-// over a single sweep of the store, through the register-blocked
-// multi-query kernel. Each answer is bit-identical to
-// FlatLinearScan(fs, qs[i]) — and therefore to LinearScan on the row
-// slices — at a fraction of the per-query memory traffic.
-func FlatLinearScanBatch(fs *flat.Store, qs []vec.Vector) ([]Result, error) {
-	qstore, err := queryStore(qs)
-	if err != nil {
-		return nil, err
-	}
-	hits, err := fs.TopKMulti(qstore, 1, false)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(qs))
-	for i, h := range hits {
-		out[i] = Result{Index: -1, Scanned: fs.Len()}
-		if len(h) > 0 {
-			out[i].Index, out[i].Value = h[0].Index, h[0].Score
-		}
-	}
-	return out, nil
-}
-
-// QueryBatch answers one exact MIPS query per element of qs in a
-// single descending-norm sweep, with the Cauchy–Schwarz bound applied
-// per query exactly as in Query: answers and per-query scanned counts
-// are bit-identical to calling Query per element.
-func (np *FlatNormPruned) QueryBatch(qs []vec.Vector) ([]Result, error) {
-	qstore, err := queryStore(qs)
-	if err != nil {
-		return nil, err
-	}
-	hits, scanned, err := np.ns.TopKMulti(qstore, 1, false)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(qs))
-	for i, h := range hits {
-		out[i] = Result{Index: -1, Scanned: scanned[i]}
-		if len(h) > 0 {
-			out[i].Index, out[i].Value = h[0].Index, h[0].Score
-		}
-	}
-	return out, nil
 }
 
 // NormPruned is the descending-norm scan: data is sorted by ‖p‖ once;

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/flat"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -193,128 +192,5 @@ func BenchmarkMIPSBaselines(b *testing.B) {
 				query(lf.Users[i%len(lf.Users)])
 			}
 		})
-	}
-}
-
-func TestFlatLinearScanMatchesRowScan(t *testing.T) {
-	rng := xrand.New(51)
-	data := dataset.Gaussian(rng, 400, 16, false)
-	fs, err := flat.FromVectors(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		q := vec.Vector(rng.NormalVec(16))
-		want := LinearScan(data, q)
-		got, err := FlatLinearScan(fs, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Index != want.Index || got.Value != want.Value {
-			t.Fatalf("trial %d: flat (%d, %v), row (%d, %v)", trial, got.Index, got.Value, want.Index, want.Value)
-		}
-		if got.Scanned != len(data) {
-			t.Fatalf("flat scan reported %d scanned, want %d", got.Scanned, len(data))
-		}
-	}
-	if _, err := FlatLinearScan(fs, vec.Vector{1}); err == nil {
-		t.Fatal("dimension mismatch did not error")
-	}
-}
-
-func TestFlatNormPrunedMatchesAndPrunes(t *testing.T) {
-	rng := xrand.New(52)
-	// Skewed norms (lognormal popularity) make the prefix bound bite.
-	lf := dataset.NewLatentFactor(rng, 4096, 8, 16, 1.0)
-	fs, err := flat.FromVectors(lf.Items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	np, err := NewFlatNormPruned(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	totalScanned := 0
-	for _, q := range lf.Users {
-		got, err := np.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAgree(t, lf.Items, q, got)
-		totalScanned += got.Scanned
-	}
-	if avg := totalScanned / len(lf.Users); avg >= len(lf.Items) {
-		t.Fatalf("flat norm-pruned scan never pruned: average scanned %d of %d", avg, len(lf.Items))
-	}
-	if _, err := NewFlatNormPruned(nil); err == nil {
-		t.Fatal("nil store accepted")
-	}
-}
-
-// TestFlatBatchMatchesPerQuery pins the batch MIPS entry points to the
-// per-query references: FlatLinearScanBatch must reproduce
-// FlatLinearScan (and LinearScan) bit for bit, and
-// FlatNormPruned.QueryBatch must reproduce Query — values, argmax
-// indexes, and scanned counts.
-func TestFlatBatchMatchesPerQuery(t *testing.T) {
-	rng := xrand.New(77)
-	for _, tc := range []struct{ n, d, q int }{
-		{1, 4, 1},
-		{53, 16, 9},
-		{1000, 8, 17},
-		{700, 24, 5},
-	} {
-		data := make([]vec.Vector, tc.n)
-		for i := range data {
-			data[i] = vec.Vector(rng.NormalVec(tc.d))
-		}
-		// Duplicate a row to force an argmax tie.
-		if tc.n > 3 {
-			data[3] = data[0].Clone()
-		}
-		fs, err := flat.FromVectors(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		np, err := NewFlatNormPruned(fs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs := make([]vec.Vector, tc.q)
-		for i := range qs {
-			qs[i] = vec.Vector(rng.NormalVec(tc.d))
-		}
-		qs[tc.q-1] = vec.New(tc.d) // zero query ties every score
-
-		batch, err := FlatLinearScanBatch(fs, qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		npBatch, err := np.QueryBatch(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range qs {
-			want, err := FlatLinearScan(fs, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if batch[i] != want {
-				t.Fatalf("n=%d d=%d query %d: batch %+v, per-query %+v", tc.n, tc.d, i, batch[i], want)
-			}
-			if ls := LinearScan(data, q); batch[i].Index != ls.Index || batch[i].Value != ls.Value {
-				t.Fatalf("n=%d d=%d query %d: batch %+v, LinearScan %+v", tc.n, tc.d, i, batch[i], ls)
-			}
-			npWant, err := np.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if npBatch[i] != npWant {
-				t.Fatalf("n=%d d=%d query %d: norm-pruned batch %+v, per-query %+v", tc.n, tc.d, i, npBatch[i], npWant)
-			}
-		}
-	}
-	if _, err := FlatLinearScanBatch(nil, nil); err == nil {
-		t.Fatal("empty batch accepted")
 	}
 }

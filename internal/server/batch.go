@@ -7,12 +7,13 @@ package server
 // Now a batch is tiled: cache misses are packed into one pooled
 // columnar query store, the pool fans out per query *tile*, and each
 // tile task sweeps every shard snapshot once through the
-// register-blocked multi-query kernels (batchIndex), translating,
+// register-blocked multi-query kernels (flatIndex.topKMulti), translating,
 // sorting and k-way-merging through pooled scratch. Steady state does
 // O(tiles) small allocations per request instead of O(queries·shards).
 //
 // Results are bit-identical to the per-query path: the tile scan is
-// bit-identical to TopK (flat's contract), translation and canonical
+// bit-identical to the single-query scan (flat's contract), re-ranked
+// tiers re-rank identically, translation and canonical
 // per-shard ordering are shared with shard.topK, and the same k-way
 // merge combines the shard lists.
 
@@ -59,8 +60,9 @@ func putBatchState(bs *batchState) {
 // tileScratch is the pooled per-tile-task state.
 type tileScratch struct {
 	tile  flat.TileScratch
-	lists [][]Hit // per (shard, tile query) translated hit lists
-	trans []Hit   // arena backing lists
+	cands []flat.Hit // re-rank candidates of one query (flatIndex.topKMulti)
+	lists [][]Hit    // per (shard, tile query) translated hit lists
+	trans []Hit      // arena backing lists
 	qerrs []error
 	heap  mergeHeap
 	per   [][]Hit // per-query gather of shard lists for the merge
@@ -240,10 +242,11 @@ func (s *Server) searchTile(ctx context.Context, c *Collection, name string, que
 		ts.trans = make([]Hit, 0, nsh*tn*k)
 	}
 
+	topts := TopKOpts{Unsigned: unsigned, Workers: 1, Rerank: opts.Rerank}
 	for si, snap := range snaps {
-		if bi, ok := snap.index.(batchIndex); ok {
-			accs := ts.tile.Accs(tn, k)
-			if err := bi.topKMulti(ctx, qst, tlo, thi, unsigned, accs, &ts.tile); err != nil {
+		if ix, ok := snap.index.(*flatIndex); ok {
+			accs, err := ix.topKMulti(ctx, qst, tlo, thi, k, topts, &ts.tile, &ts.cands)
+			if err != nil {
 				for j := 0; j < tn; j++ {
 					if ts.qerrs[j] == nil {
 						ts.qerrs[j] = err
@@ -263,13 +266,10 @@ func (s *Server) searchTile(ctx context.Context, c *Collection, name string, que
 			}
 			continue
 		}
-		// Engines without a one-sweep tile kernel — candidate-based
-		// (alsh, sketch) and the quantized tiers — answer per query,
-		// exactly like the old executor (workers=1). indexTopK routes
-		// re-rank requests identically to the single-query path, so a
-		// batched rerank query is bit-identical to its solo twin.
+		// Engines without a columnar sweep (alsh, sketch) answer per
+		// query, exactly like the single-query path at Workers 1.
 		for j := 0; j < tn; j++ {
-			local, err := indexTopK(ctx, snap.index, vec.Vector(queries[valid[tlo+j]]), k, unsigned, 1, opts.Rerank)
+			local, err := snap.index.TopK(ctx, vec.Vector(queries[valid[tlo+j]]), k, topts)
 			if err != nil {
 				if ts.qerrs[j] == nil {
 					ts.qerrs[j] = err

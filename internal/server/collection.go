@@ -877,7 +877,7 @@ func (c *Collection) searchOne(ctx context.Context, pool *Pool, q vec.Vector, k 
 		if ex != nil {
 			shx = &ex[i]
 		}
-		lists[i], errs[i] = c.shards[i].topK(ctx, q, k, unsigned, workers, rerank, shx)
+		lists[i], errs[i] = c.shards[i].topK(ctx, q, k, TopKOpts{Unsigned: unsigned, Workers: workers, Rerank: rerank, Explain: shx})
 	}
 	tr := trace.FromContext(ctx)
 	ssp := tr.StartSpan("scan")
@@ -931,8 +931,9 @@ func doneChan(ctx context.Context) <-chan struct{} {
 // additionally hold their compact mirror.
 func (c *Collection) vectorBytes() map[string]int64 {
 	vb := map[string]int64{PrecisionF64: 0}
-	if p := c.spec.precision(); p != PrecisionF64 {
-		vb[p] = 0
+	mirror := c.spec.precision()
+	if mirror != PrecisionF64 {
+		vb[mirror] = 0
 	}
 	for _, sh := range c.shards {
 		sn := sh.snap.Load()
@@ -940,13 +941,8 @@ func (c *Collection) vectorBytes() map[string]int64 {
 			continue
 		}
 		vb[PrecisionF64] += sn.fs.AllocatedBytes()
-		switch ix := sn.index.(type) {
-		case exact32Index:
-			vb[PrecisionF32] += ix.s32.AllocatedBytes()
-		case normScan32Index:
-			vb[PrecisionF32] += ix.ns.Store().AllocatedBytes()
-		case exactI8Index:
-			vb[PrecisionI8] += ix.i8.AllocatedBytes()
+		if ix, ok := sn.index.(*flatIndex); ok && mirror != PrecisionF64 {
+			vb[mirror] += ix.view.AllocatedBytes()
 		}
 	}
 	return vb

@@ -130,35 +130,70 @@ func TestExplainInt8ConsistentWithStats(t *testing.T) {
 	}
 }
 
-// TestExplainCountsPrunedBlocks checks the normscan engine surfaces its
-// Cauchy–Schwarz block pruning through explain.
+// explainSearch runs one explained search and returns its explain block.
+func explainSearch(t *testing.T, ts *httptest.Server, name string, q []float64, k int) *QueryExplain {
+	t.Helper()
+	var resp SearchResponse
+	if code := doJSON(t, ts, http.MethodPost, "/collections/"+name+"/search",
+		SearchRequest{Q: q, K: k, Explain: true}, &resp); code != http.StatusOK {
+		t.Fatalf("%s: explain search status %d", name, code)
+	}
+	if resp.Explain == nil {
+		t.Fatalf("%s: no explain block", name)
+	}
+	return resp.Explain
+}
+
+// TestExplainCountsPrunedBlocks checks every scan engine surfaces the
+// driver's own block accounting through explain: the normscan kinds
+// their Cauchy–Schwarz pruning at both precisions, the exact kinds a
+// whole tombstoned block skipped — with rows scanned, pruned blocks and
+// skipped blocks always partitioning the shard.
 func TestExplainCountsPrunedBlocks(t *testing.T) {
-	s := New(Config{DefaultShards: 2, CacheCapacity: -1})
+	s := New(Config{DefaultShards: 2, CacheCapacity: -1, CompactFraction: -1})
 	defer s.Close()
-	ts := explainFixture(t, s, "ns", &IndexSpec{Kind: KindNormScan}, 2, 4000, 8)
+	const block = 256 // flat's row block
 
 	// A near-zero-norm query keeps every block prunable except those
 	// needed to fill k; a tiny k maximizes pruning.
 	q := make([]float64, 8)
 	q[0] = 1e-9
-	var resp SearchResponse
-	if code := doJSON(t, ts, http.MethodPost, "/collections/ns/search",
-		SearchRequest{Q: q, K: 1, Explain: true}, &resp); code != http.StatusOK {
-		t.Fatalf("explain search status %d", code)
+	for _, precision := range []string{PrecisionF64, PrecisionF32} {
+		name := "ns-" + precision
+		ts := explainFixture(t, s, name, &IndexSpec{Kind: KindNormScan, Precision: precision}, 2, 4000, 8)
+		var pruned, scanned int
+		for _, shx := range explainSearch(t, ts, name, q, 1).Shards {
+			pruned += shx.CSPrunedBlocks
+			scanned += shx.RowsScanned
+			blocks := (shx.RowsScanned+block-1)/block + shx.CSPrunedBlocks + shx.TombstoneSkippedBlocks
+			if want := (shx.Records + block - 1) / block; blocks != want {
+				t.Fatalf("%s shard %d: explain covers %d of %d blocks: %+v", name, shx.Shard, blocks, want, shx)
+			}
+		}
+		if pruned == 0 {
+			t.Fatalf("%s explain reports no pruned blocks (scanned %d rows)", name, scanned)
+		}
+		if scanned >= 4000 {
+			t.Fatalf("%s: pruning claimed but all %d rows scanned", name, scanned)
+		}
 	}
-	if resp.Explain == nil {
-		t.Fatal("no explain block")
+
+	// One shard holds rows in ingest order, so deleting ids 256..511
+	// tombstones exactly its second block.
+	var doomed []int
+	for id := block; id < 2*block; id++ {
+		doomed = append(doomed, id)
 	}
-	var pruned, scanned int
-	for _, shx := range resp.Explain.Shards {
-		pruned += shx.CSPrunedBlocks
-		scanned += shx.RowsScanned
-	}
-	if pruned == 0 {
-		t.Fatalf("normscan explain reports no pruned blocks (scanned %d rows): %+v", scanned, resp.Explain.Shards)
-	}
-	if scanned >= 4000 {
-		t.Fatalf("pruning claimed but all %d rows scanned", scanned)
+	for _, precision := range []string{PrecisionF64, PrecisionF32, PrecisionI8} {
+		name := "exact-" + precision
+		ts := explainFixture(t, s, name, &IndexSpec{Kind: KindExact, Precision: precision}, 1, 700, 8)
+		if _, deleted, _, err := s.Delete(name, doomed); err != nil || deleted != block {
+			t.Fatalf("%s: delete: %v (deleted %d)", name, err, deleted)
+		}
+		shx := explainSearch(t, ts, name, q, 3).Shards[0]
+		if shx.TombstoneSkippedBlocks < 1 || shx.CSPrunedBlocks != 0 || shx.RowsScanned != 700-block {
+			t.Fatalf("%s: explain %+v, want one skipped block and %d rows scanned", name, shx, 700-block)
+		}
 	}
 }
 

@@ -5,17 +5,15 @@ package server
 // its hits, one ShardExplain per shard — rows actually scanned, blocks
 // the Cauchy–Schwarz bound pruned, blocks skipped as fully tombstoned,
 // re-rank candidate counts — plus per-stage timings lifted from the
-// request's trace. Engines opt in through the explainIndex interface;
-// engines without scan accounting (alsh, sketch) still report shard
-// size and timing through the generic fallback.
+// request's trace. The scan counters are the flat driver's own ScanStats,
+// measured by the scan that produced the hits (TopKOpts.Explain);
+// engines that never sweep (alsh, sketch) still report shard size and
+// timing.
 
 import (
-	"context"
 	"time"
 
-	"repro/internal/flat"
 	"repro/internal/trace"
-	"repro/internal/vec"
 )
 
 // ShardExplain is one shard's contribution to an explained query.
@@ -27,7 +25,7 @@ type ShardExplain struct {
 	// (candidate-based engines leave it zero — they never sweep).
 	RowsScanned int `json:"rows_scanned"`
 	// CSPrunedBlocks counts row blocks the norm-sorted scan's
-	// Cauchy–Schwarz bound cut off (normscan engines only).
+	// Cauchy–Schwarz bound cut off (normscan only).
 	CSPrunedBlocks int `json:"cs_pruned_blocks"`
 	// TombstoneSkippedBlocks counts row blocks skipped whole because
 	// every row in them was tombstoned.
@@ -76,105 +74,4 @@ func stageMicros(tr *trace.Trace) map[string]int64 {
 		m[name] += d.Microseconds()
 	})
 	return m
-}
-
-// explainIndex is implemented by engines that can account for their
-// scan work. topKExplain answers exactly like TopK (or TopKRerank when
-// rerank is set and the engine supports it) while filling ex's scan
-// counters; hits must stay bit-identical to the unexplained path.
-type explainIndex interface {
-	topKExplain(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int, rerank bool, ex *ShardExplain) ([]Hit, error)
-}
-
-// indexTopKEx is indexTopK plus per-shard explain accounting. A nil ex
-// takes the plain path untouched; an engine without explainIndex
-// answers normally and leaves the scan counters zero.
-func indexTopKEx(ctx context.Context, index ShardIndex, q vec.Vector, k int, unsigned bool, workers int, rerank bool, ex *ShardExplain) ([]Hit, error) {
-	if ex != nil {
-		if ei, ok := index.(explainIndex); ok {
-			return ei.topKExplain(ctx, q, k, unsigned, workers, rerank, ex)
-		}
-	}
-	return indexTopK(ctx, index, q, k, unsigned, workers, rerank)
-}
-
-// topKExplain implements explainIndex for the f64 exact scan: the
-// masked sweep visits every block that is not fully tombstoned, so the
-// profile is query-independent.
-func (ix exactIndex) topKExplain(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int, _ bool, ex *ShardExplain) ([]Hit, error) {
-	hs, err := ix.fs.TopKMaskedCtx(ctx, q, k, unsigned, workers, ix.dead)
-	if err != nil {
-		return nil, err
-	}
-	ex.RowsScanned, ex.TombstoneSkippedBlocks = flat.MaskedScanProfile(ix.fs.Len(), ix.dead)
-	return flatHits(hs), nil
-}
-
-// topKExplain implements explainIndex for the f32 exact scan,
-// accounting for the widened candidate fetch when re-ranking.
-func (ix exact32Index) topKExplain(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int, rerank bool, ex *ShardExplain) ([]Hit, error) {
-	fetch := k
-	if rerank {
-		fetch = overfetchK(k, ix.overfetch)
-	}
-	hs, err := ix.s32.TopKMaskedCtx(ctx, q, fetch, unsigned, workers, ix.dead)
-	if err != nil {
-		return nil, err
-	}
-	ex.RowsScanned, ex.TombstoneSkippedBlocks = flat.MaskedScanProfile(ix.s32.Len(), ix.dead)
-	cands := flatHits(hs)
-	if !rerank {
-		return cands, nil
-	}
-	ex.RerankCandidates = len(cands)
-	return rerankHits(ix.fs, q, cands, k, unsigned)
-}
-
-// topKExplain implements explainIndex for the int8 tier, which always
-// re-ranks its widened candidate set.
-func (ix exactI8Index) topKExplain(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int, _ bool, ex *ShardExplain) ([]Hit, error) {
-	hs, err := ix.i8.TopKMaskedCtx(ctx, q, overfetchK(k, ix.overfetch), unsigned, workers, ix.dead)
-	if err != nil {
-		return nil, err
-	}
-	ex.RowsScanned, ex.TombstoneSkippedBlocks = flat.MaskedScanProfile(ix.i8.Len(), ix.dead)
-	cands := flatHits(hs)
-	ex.RerankCandidates = len(cands)
-	return rerankHits(ix.fs, q, cands, k, unsigned)
-}
-
-// topKExplain implements explainIndex for the f64 norm-pruned scan:
-// the stats driver reports the real scanned/pruned/skipped partition
-// of the descending-norm sweep.
-func (ix normScanIndex) topKExplain(ctx context.Context, q vec.Vector, k int, unsigned bool, _ int, _ bool, ex *ShardExplain) ([]Hit, error) {
-	var stats flat.ScanStats
-	hs, _, err := ix.ns.TopKMaskedStatsCtx(ctx, q, k, unsigned, ix.dead, &stats)
-	if err != nil {
-		return nil, err
-	}
-	ex.RowsScanned = stats.ScannedRows
-	ex.CSPrunedBlocks = stats.PrunedBlocks
-	ex.TombstoneSkippedBlocks = stats.SkippedBlocks
-	return flatHits(hs), nil
-}
-
-// topKExplain implements explainIndex for the f32 norm-pruned scan.
-// The f32 driver reports rows scanned but not a block partition, so
-// only RowsScanned is filled.
-func (ix normScan32Index) topKExplain(ctx context.Context, q vec.Vector, k int, unsigned bool, _ int, rerank bool, ex *ShardExplain) ([]Hit, error) {
-	fetch := k
-	if rerank {
-		fetch = overfetchK(k, ix.overfetch)
-	}
-	hs, scanned, err := ix.ns.TopKMaskedCtx(ctx, q, fetch, unsigned, ix.dead)
-	if err != nil {
-		return nil, err
-	}
-	ex.RowsScanned = scanned
-	cands := flatHits(hs)
-	if !rerank {
-		return cands, nil
-	}
-	ex.RerankCandidates = len(cands)
-	return rerankHits(ix.fs, q, cands, k, unsigned)
 }

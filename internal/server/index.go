@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/flat"
 	"repro/internal/lsh"
 	"repro/internal/sketch"
@@ -35,14 +34,35 @@ type Hit struct {
 // candidate-based engines). Implementations must return a structured
 // error — never panic — on a query dimension mismatch.
 type ShardIndex interface {
-	// TopK returns up to k hits for q; unsigned ranks by |pᵀq|.
-	// workers > 1 permits the engine to parallelize its scan across
-	// that many goroutines (engines may ignore the hint). ctx carries
-	// the request deadline: engines backed by the flat drivers abandon
-	// the scan within one row-block of cancellation and return ctx's
-	// error; a never-cancelled ctx costs nothing (the drivers keep
-	// their unchecked fast path).
-	TopK(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error)
+	// TopK returns up to k hits for q. ctx carries the request deadline:
+	// engines backed by the flat drivers abandon the scan within one
+	// row-block of cancellation and return ctx's error; a never-cancelled
+	// ctx costs nothing.
+	TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error)
+	// withDead returns an index answering exactly as if the store held
+	// only the rows dead does not mark — same local row indices,
+	// canonical ordering — with dead given in the store's original row
+	// space. Calling it on an already-masked index replaces its dead set
+	// (each engine rebuilds its view from its own immutable structures),
+	// so delete publication never needs the unmasked original.
+	withDead(dead *flat.Tombstones) ShardIndex
+}
+
+// TopKOpts is what one query asks of a ShardIndex beyond q and k.
+type TopKOpts struct {
+	// Unsigned ranks by |pᵀq|.
+	Unsigned bool
+	// Workers > 1 permits the engine to parallelize its scan across that
+	// many goroutines (engines may ignore the hint).
+	Workers int
+	// Rerank asks for scores bit-identical to the f64 exact scan's from
+	// an engine whose own scores are not (the f32 tier); engines that are
+	// already exact, or always re-rank, ignore it.
+	Rerank bool
+	// Explain, when non-nil, receives the engine's scan accounting;
+	// hits stay bit-identical to the unexplained call. Engines that
+	// never sweep (alsh, sketch) leave the counters zero.
+	Explain *ShardExplain
 }
 
 // IndexSpec selects and parameterizes the per-shard index engine. The
@@ -188,27 +208,15 @@ func defaultSketch(kappa float64, copies int) (float64, int) {
 // independently. Candidate-based engines (alsh, sketch) are built from
 // row views of the store — slice headers into its chunks, no float
 // copies — and verify candidates through the store's kernel.
-// Quantized precisions (f32, int8) build their compact view from fs at
-// index-build time and retain fs itself as the exact re-rank truth;
-// overfetch scales their re-ranked candidate sets.
+// Every engine retains fs itself as the exact truth it verifies or
+// re-ranks against; overfetch scales re-ranked candidate sets.
 func buildShardIndex(spec IndexSpec, fs *flat.Store, shardSeed uint64, overfetch int) (ShardIndex, error) {
 	if fs == nil || fs.Len() == 0 {
 		return emptyIndex{}, nil
 	}
 	switch spec.kind() {
-	case KindExact:
-		switch spec.precision() {
-		case PrecisionF32:
-			return exact32Index{fs: fs, s32: flat.NewStore32(fs), overfetch: overfetch}, nil
-		case PrecisionI8:
-			return exactI8Index{fs: fs, i8: flat.NewStoreI8(fs), overfetch: overfetch}, nil
-		}
-		return exactIndex{fs: fs}, nil
-	case KindNormScan:
-		if spec.precision() == PrecisionF32 {
-			return normScan32Index{fs: fs, ns: flat.NewNormSorted32(flat.NewStore32(fs)), overfetch: overfetch}, nil
-		}
-		return normScanIndex{ns: flat.NewNormSorted(fs)}, nil
+	case KindExact, KindNormScan:
+		return newFlatIndex(spec, fs, overfetch), nil
 	case KindALSH:
 		return newALSHIndex(spec, fs, shardSeed)
 	case KindSketch:
@@ -222,44 +230,14 @@ func buildShardIndex(spec IndexSpec, fs *flat.Store, shardSeed uint64, overfetch
 	return nil, fmt.Errorf("server: unknown index kind %q", spec.Kind)
 }
 
-// deadMasker is implemented by engines that can serve the live-rows
-// view of their shard after deletions. withDead returns an index
-// answering exactly as if the store held only the rows dead does not
-// mark — same local row indices, canonical ordering — with dead given
-// in the store's original row space. Calling withDead on an
-// already-masked index replaces its dead set (each engine rebuilds its
-// view from its own immutable structures), so delete publication never
-// needs the unmasked original.
-type deadMasker interface {
-	withDead(dead *flat.Tombstones) ShardIndex
-}
-
-// batchIndex is implemented by indexes whose scan can serve a whole
-// query tile in one data sweep through the register-blocked
-// multi-query kernels: accs[j] receives the top-k hits (local row
-// indices, canonical order) for query row qlo+j of qs, bit-identical
-// to TopK(qs.Row(qlo+j), k, unsigned, 1). The batch executor tiles
-// incoming queries per shard snapshot and dispatches through this
-// interface; engines without a columnar sweep (alsh, sketch) fall back
-// to per-query TopK.
-type batchIndex interface {
-	topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi int, unsigned bool, accs []flat.Acc, sc *flat.TileScratch) error
-}
-
 // emptyIndex serves a shard that holds no vectors yet.
 type emptyIndex struct{}
 
-func (emptyIndex) TopK(context.Context, vec.Vector, int, bool, int) ([]Hit, error) {
+func (emptyIndex) TopK(context.Context, vec.Vector, int, TopKOpts) ([]Hit, error) {
 	return nil, nil
 }
 
 func (ix emptyIndex) withDead(*flat.Tombstones) ShardIndex { return ix }
-
-// topKMulti implements batchIndex: no rows, so every accumulator stays
-// empty, exactly like the per-query path.
-func (emptyIndex) topKMulti(context.Context, *flat.Store, int, int, bool, []flat.Acc, *flat.TileScratch) error {
-	return nil
-}
 
 // flatHits converts flat scan hits into serving-layer hits.
 func flatHits(hs []flat.Hit) []Hit {
@@ -270,55 +248,152 @@ func flatHits(hs []flat.Hit) []Hit {
 	return out
 }
 
-// parallelScanner marks indexes whose TopK can actually spend a
-// workers hint, reporting how many workers the scan can use, so the
-// serving layer only reserves the parallelism budget it will spend.
-type parallelScanner interface {
-	maxScanWorkers() int
-}
+// rerankMode says when a flat index re-scores its scan's hits through
+// the f64 rows.
+type rerankMode uint8
 
-// exactIndex is the Θ(nd) full scan — the ground-truth engine and the
-// default for collections that must return exact answers. It runs the
-// blocked columnar kernel, splitting the scan across workers goroutines
-// for large shards. dead (nil until the first delete) restricts the
-// scan to live rows; the masked kernels delegate straight to the
-// unmasked ones when it is empty, so the mutation path costs nothing
-// on a collection that never deletes.
-type exactIndex struct {
+const (
+	// rerankNever: the scan's scores are already exact (f64).
+	rerankNever rerankMode = iota
+	// rerankOnRequest: f32 — served as scanned unless the query opts in
+	// (TopKOpts.Rerank).
+	rerankOnRequest
+	// rerankAlways: int8 — raw scores are candidates only, so this
+	// engine never serves an approximate score (the same
+	// candidate-then-verify guarantee alsh and sketch carry).
+	rerankAlways
+)
+
+// flatIndex is the scan engine behind the exact and normscan kinds at
+// every precision. What differs between them is data, not code: which
+// tier view is scanned — the f64 rows themselves (the Θ(nd) ground-truth
+// engine), their f32 or int8 mirror (half and an eighth of the bytes per
+// row), in store order or norm-sorted (row blocks visited in
+// decreasing-norm order, the scan stopping at the first block whose
+// Cauchy–Schwarz bound ‖p‖·‖q‖ cannot displace the k-th best hit) — and
+// when the scan's hits are re-scored through the f64 rows.
+type flatIndex struct {
+	// fs holds the exact f64 rows: the truth a re-rank scores against.
 	fs   *flat.Store
+	view flat.View
+	// dead (nil until the first delete) lives in the view's row order:
+	// withDead pre-permutes once per delete publication, so a
+	// norm-sorted scan never pays a per-row indirection.
 	dead *flat.Tombstones
+	// overfetch widens a re-ranked scan: k·overfetch candidates are
+	// fetched before exact re-scoring.
+	overfetch int
+	rerank    rerankMode
 }
 
-func (ix exactIndex) TopK(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	hs, err := ix.fs.TopKMaskedCtx(ctx, q, k, unsigned, workers, ix.dead)
+// newFlatIndex builds the view spec asks for over fs. Quantized
+// precisions build their compact mirror here, at index-build time.
+func newFlatIndex(spec IndexSpec, fs *flat.Store, overfetch int) *flatIndex {
+	ix := &flatIndex{fs: fs, overfetch: overfetch}
+	sorted := spec.kind() == KindNormScan
+	switch spec.precision() {
+	case PrecisionF32:
+		ix.rerank = rerankOnRequest
+		if s32 := flat.NewStore32(fs); sorted {
+			ix.view = s32.NormSorted()
+		} else {
+			ix.view = s32.View()
+		}
+	case PrecisionI8:
+		ix.rerank = rerankAlways
+		ix.view = flat.NewStoreI8(fs).View()
+	default:
+		if sorted {
+			ix.view = flat.NewNormSorted(fs).View
+		} else {
+			ix.view = fs.View()
+		}
+	}
+	return ix
+}
+
+// extend returns the unmasked index over nfs, an append-only store whose
+// leading rows are the ones ix scans, and how many rows the scanned tier
+// had to copy — or nil when the view cannot be extended (see
+// flat.View.Extend) and the index must be rebuilt.
+func (ix *flatIndex) extend(nfs *flat.Store) (*flatIndex, int) {
+	view, copied, ok := ix.view.Extend(nfs)
+	if !ok {
+		return nil, 0
+	}
+	return &flatIndex{fs: nfs, view: view, overfetch: ix.overfetch, rerank: ix.rerank}, copied
+}
+
+func (ix *flatIndex) withDead(dead *flat.Tombstones) ShardIndex {
+	masked := *ix
+	masked.dead = dead
+	if perm := ix.view.Perm(); perm != nil {
+		masked.dead = dead.Gather(perm)
+	}
+	return &masked
+}
+
+// fetchK returns how many hits the scan must produce for a top-k
+// answer, and whether they are then re-ranked.
+func (ix *flatIndex) fetchK(k int, rerank bool) (int, bool) {
+	if ix.rerank == rerankAlways || (ix.rerank == rerankOnRequest && rerank) {
+		return overfetchK(k, ix.overfetch), true
+	}
+	return k, false
+}
+
+func (ix *flatIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error) {
+	fetch, rerank := ix.fetchK(k, o.Rerank)
+	so := flat.ScanOpts{K: fetch, Unsigned: o.Unsigned, Workers: o.Workers, Dead: ix.dead}
+	var st flat.ScanStats
+	if o.Explain != nil {
+		so.Stats = &st
+	}
+	hs, err := ix.view.Scan(ctx, q, so)
 	if err != nil {
 		return nil, err
 	}
-	return flatHits(hs), nil
+	if ex := o.Explain; ex != nil {
+		ex.RowsScanned = st.ScannedRows
+		ex.CSPrunedBlocks = st.PrunedBlocks
+		ex.TombstoneSkippedBlocks = st.SkippedBlocks
+		if rerank {
+			ex.RerankCandidates = len(hs)
+		}
+	}
+	if !rerank {
+		return flatHits(hs), nil
+	}
+	acc := flat.NewAcc(k)
+	if err := ix.rerankInto(&acc, q, hs, o.Unsigned); err != nil {
+		return nil, err
+	}
+	return flatHits(acc.Hits()), nil
 }
 
-func (ix exactIndex) maxScanWorkers() int { return ix.fs.MaxScanWorkers() }
-
-func (ix exactIndex) withDead(dead *flat.Tombstones) ShardIndex {
-	return exactIndex{fs: ix.fs, dead: dead}
-}
-
-// topKMulti implements batchIndex via the store's one-sweep
-// multi-query driver.
-func (ix exactIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi int, unsigned bool, accs []flat.Acc, sc *flat.TileScratch) error {
-	return ix.fs.TopKMultiMaskedIntoCtx(ctx, qs, qlo, qhi, unsigned, accs, sc, ix.dead)
-}
-
-// rerankIndex is implemented by engines that can widen their candidate
-// set and re-score it through retained exact (f64) rows: TopKRerank
-// answers like TopK but with scores bit-identical to the f64 exact
-// scan's — same hits, same canonical order — as long as the quantized
-// candidate set covered the true top k (guaranteed-approximate, exact
-// once overfetch covers the quantization error). int8 engines re-rank
-// unconditionally (their raw scores are too coarse to serve); for f32
-// engines re-ranking is the per-query opt-in behind SearchOpts.Rerank.
-type rerankIndex interface {
-	TopKRerank(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error)
+// topKMulti answers query rows [qlo, qhi) of qs in one call: the
+// returned accumulators (owned by sc) hold each query's top-k hits —
+// local row indices, canonical order — bit-identical to TopK per query
+// with Workers 1. On the f64 views the whole tile shares one sweep of
+// the rows through the register-blocked multi-query kernel; cands is
+// scratch for re-ranked tiers.
+func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, sc *flat.TileScratch, cands *[]flat.Hit) ([]flat.Acc, error) {
+	fetch, rerank := ix.fetchK(k, o.Rerank)
+	accs := sc.Accs(qhi-qlo, fetch)
+	if err := ix.view.ScanMulti(ctx, qs, qlo, qhi, accs, sc, flat.ScanOpts{Unsigned: o.Unsigned, Dead: ix.dead}); err != nil {
+		return nil, err
+	}
+	if !rerank {
+		return accs, nil
+	}
+	for j := range accs {
+		*cands = append((*cands)[:0], accs[j].Hits()...)
+		accs[j].Reset(k)
+		if err := ix.rerankInto(&accs[j], qs.Row(qlo+j), *cands, o.Unsigned); err != nil {
+			return nil, err
+		}
+	}
+	return accs, nil
 }
 
 // overfetchK widens k by the overfetch factor, saturating instead of
@@ -333,155 +408,26 @@ func overfetchK(k, overfetch int) int {
 	return k * overfetch
 }
 
-// rerankHits re-scores quantized candidates (local row indices) through
-// the exact f64 store and returns the top k under the canonical
-// ordering. Scores come from the same DotRange kernel as the exact
-// scan, so a candidate set that covers the true top k yields answers
-// bit-identical to exactIndex. The candidate set is at most
-// k·overfetch rows, so the loop needs no ctx polling beyond the entry
-// check its callers already performed.
-func rerankHits(fs *flat.Store, q vec.Vector, cands []Hit, k int, unsigned bool) ([]Hit, error) {
-	acc := flat.NewAcc(k)
+// rerankInto re-scores scan candidates through the exact f64 rows into
+// acc. Scores come from the same DotRange kernel as the exact scan, so
+// a candidate set that covers the true top k yields answers
+// bit-identical to the f64 exact index (guaranteed-approximate, exact
+// once overfetch covers the quantization error). The candidate set is
+// at most k·overfetch rows, so the loop needs no ctx polling beyond the
+// scan's own.
+func (ix *flatIndex) rerankInto(acc *flat.Acc, q vec.Vector, cands []flat.Hit, unsigned bool) error {
 	var out [1]float64
 	for _, h := range cands {
-		if err := fs.DotRange(q, h.ID, h.ID+1, out[:]); err != nil {
-			return nil, err
+		if err := ix.fs.DotRange(q, h.Index, h.Index+1, out[:]); err != nil {
+			return err
 		}
 		v := out[0]
 		if unsigned && v < 0 {
 			v = -v
 		}
-		acc.Offer(h.ID, v)
+		acc.Offer(h.Index, v)
 	}
-	return flatHits(acc.Hits()), nil
-}
-
-// exact32Index is the f32 full scan: half the bytes per row of
-// exactIndex, f32-accurate scores, with the exact f64 rows retained for
-// the opt-in re-rank path.
-type exact32Index struct {
-	fs        *flat.Store
-	s32       *flat.Store32
-	dead      *flat.Tombstones
-	overfetch int
-}
-
-func (ix exact32Index) TopK(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	hs, err := ix.s32.TopKMaskedCtx(ctx, q, k, unsigned, workers, ix.dead)
-	if err != nil {
-		return nil, err
-	}
-	return flatHits(hs), nil
-}
-
-func (ix exact32Index) TopKRerank(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	cands, err := ix.TopK(ctx, q, overfetchK(k, ix.overfetch), unsigned, workers)
-	if err != nil {
-		return nil, err
-	}
-	return rerankHits(ix.fs, q, cands, k, unsigned)
-}
-
-func (ix exact32Index) maxScanWorkers() int { return ix.s32.MaxScanWorkers() }
-
-func (ix exact32Index) withDead(dead *flat.Tombstones) ShardIndex {
-	return exact32Index{fs: ix.fs, s32: ix.s32, dead: dead, overfetch: ix.overfetch}
-}
-
-// normScan32Index is the f32 norm-pruned scan: descending-norm f32 rows
-// with the epsilon-inflated Cauchy–Schwarz early exit (see
-// flat.NormSorted32), plus the retained f64 rows for re-ranking.
-// Returned hits already carry original row indices (the view maps them
-// back through its permutation).
-type normScan32Index struct {
-	fs *flat.Store
-	ns *flat.NormSorted32
-	// dead lives in the view's physical row order, like normScanIndex.
-	dead      *flat.Tombstones
-	overfetch int
-}
-
-func (ix normScan32Index) TopK(ctx context.Context, q vec.Vector, k int, unsigned bool, _ int) ([]Hit, error) {
-	hs, _, err := ix.ns.TopKMaskedCtx(ctx, q, k, unsigned, ix.dead)
-	if err != nil {
-		return nil, err
-	}
-	return flatHits(hs), nil
-}
-
-func (ix normScan32Index) TopKRerank(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	cands, err := ix.TopK(ctx, q, overfetchK(k, ix.overfetch), unsigned, workers)
-	if err != nil {
-		return nil, err
-	}
-	return rerankHits(ix.fs, q, cands, k, unsigned)
-}
-
-func (ix normScan32Index) withDead(dead *flat.Tombstones) ShardIndex {
-	return normScan32Index{fs: ix.fs, ns: ix.ns, dead: dead.Gather(ix.ns.Perm()), overfetch: ix.overfetch}
-}
-
-// exactI8Index is the int8 tier: an eighth of the scan bytes, scores
-// from exact int32 accumulation over symmetric codes. Raw int8 scores
-// are candidates only — TopK itself fetches k·overfetch candidates and
-// re-ranks them through the retained f64 rows, so this engine never
-// serves an approximate score (the same candidate-then-verify guarantee
-// alsh and sketch carry).
-type exactI8Index struct {
-	fs        *flat.Store
-	i8        *flat.StoreI8
-	dead      *flat.Tombstones
-	overfetch int
-}
-
-func (ix exactI8Index) TopK(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	hs, err := ix.i8.TopKMaskedCtx(ctx, q, overfetchK(k, ix.overfetch), unsigned, workers, ix.dead)
-	if err != nil {
-		return nil, err
-	}
-	return rerankHits(ix.fs, q, flatHits(hs), k, unsigned)
-}
-
-// TopKRerank is TopK: the int8 tier always re-ranks.
-func (ix exactI8Index) TopKRerank(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	return ix.TopK(ctx, q, k, unsigned, workers)
-}
-
-func (ix exactI8Index) maxScanWorkers() int { return ix.i8.MaxScanWorkers() }
-
-func (ix exactI8Index) withDead(dead *flat.Tombstones) ShardIndex {
-	return exactI8Index{fs: ix.fs, i8: ix.i8, dead: dead, overfetch: ix.overfetch}
-}
-
-// normScanIndex is the exact top-k variant of mips.NormPruned over the
-// norm-sorted columnar view: row-blocks are visited in decreasing-norm
-// order and the scan stops at the first block whose Cauchy–Schwarz
-// bound ‖p‖·‖q‖ — which also bounds |pᵀq| — cannot displace the k-th
-// best hit.
-type normScanIndex struct {
-	ns *flat.NormSorted
-	// dead lives in the norm-sorted physical row order (withDead
-	// pre-permutes once per delete publication, so the scan never pays
-	// a per-row indirection).
-	dead *flat.Tombstones
-}
-
-func (ix normScanIndex) TopK(ctx context.Context, q vec.Vector, k int, unsigned bool, _ int) ([]Hit, error) {
-	hs, _, err := ix.ns.TopKMaskedCtx(ctx, q, k, unsigned, ix.dead)
-	if err != nil {
-		return nil, err
-	}
-	return flatHits(hs), nil
-}
-
-func (ix normScanIndex) withDead(dead *flat.Tombstones) ShardIndex {
-	return normScanIndex{ns: ix.ns, dead: dead.Gather(ix.ns.Perm())}
-}
-
-// topKMulti implements batchIndex: one descending-norm sweep serves
-// the whole tile, the Cauchy–Schwarz bound applied per query.
-func (ix normScanIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi int, unsigned bool, accs []flat.Acc, sc *flat.TileScratch) error {
-	return ix.ns.TopKMultiMaskedIntoCtx(ctx, qs, qlo, qhi, unsigned, accs, nil, sc, ix.dead)
+	return nil
 }
 
 // alshIndex is the §4.1 structure (SIMPLE map + hyperplane banding):
@@ -534,7 +480,8 @@ func (ix *alshIndex) extend(fs *flat.Store) *alshIndex {
 	return &alshIndex{fs: fs, ix: ix.ix.Extend(rows), u: ix.u}
 }
 
-func (ix *alshIndex) TopK(ctx context.Context, q vec.Vector, k int, unsigned bool, _ int) ([]Hit, error) {
+func (ix *alshIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error) {
+	unsigned := o.Unsigned
 	if len(q) != ix.fs.Dim() {
 		return nil, fmt.Errorf("server: query dimension %d, index has %d", len(q), ix.fs.Dim())
 	}
@@ -598,11 +545,11 @@ func (ix sketchIndex) withDead(dead *flat.Tombstones) ShardIndex {
 	return sketchIndex{rec: ix.rec, fs: ix.fs, dead: dead}
 }
 
-func (ix sketchIndex) TopK(ctx context.Context, q vec.Vector, k int, unsigned bool, _ int) ([]Hit, error) {
+func (ix sketchIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if !unsigned {
+	if !o.Unsigned {
 		return nil, fmt.Errorf("server: sketch index answers unsigned queries only")
 	}
 	if len(q) != ix.fs.Dim() {
@@ -612,45 +559,6 @@ func (ix sketchIndex) TopK(ctx context.Context, q vec.Vector, k int, unsigned bo
 	// shard's store rows (bit-identical to fs.Dot — shared kernel).
 	idx, v := ix.rec.Query(q)
 	if idx < 0 || ix.dead.Dead(idx) {
-		return nil, nil
-	}
-	return []Hit{{ID: idx, Score: v}}, nil
-}
-
-// searcherIndex adapts any core.Searcher — i.e. anything built by a
-// registered core.SearchBuilder — into a top-1 ShardIndex, so the
-// serving layer can host every (cs, s) engine the offline layer knows.
-type searcherIndex struct {
-	s  core.Searcher
-	sp core.Spec
-}
-
-// FromSearchBuilder builds P into a top-1 ShardIndex driven by the
-// given (cs, s) spec: a hit is returned only when the searcher reports
-// a point clearing c·s.
-func FromSearchBuilder(b core.SearchBuilder, P []vec.Vector, sp core.Spec) (ShardIndex, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := b.Build(P)
-	if err != nil {
-		return nil, err
-	}
-	return searcherIndex{s: s, sp: sp}, nil
-}
-
-func (ix searcherIndex) TopK(ctx context.Context, q vec.Vector, k int, unsigned bool, _ int) ([]Hit, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sp := ix.sp
-	if unsigned {
-		sp.Variant = core.Unsigned
-	} else {
-		sp.Variant = core.Signed
-	}
-	idx, v, ok := ix.s.Search(q, sp)
-	if !ok {
 		return nil, nil
 	}
 	return []Hit{{ID: idx, Score: v}}, nil

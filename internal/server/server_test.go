@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/flat"
 	"repro/internal/mips"
@@ -345,7 +344,7 @@ func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
 	if sh.size() != 1 {
 		t.Fatalf("failed prepare changed shard size to %d", sh.size())
 	}
-	hits, err := sh.topK(context.Background(), vec.Vector{1, 0}, 1, false, 1, false, nil)
+	hits, err := sh.topK(context.Background(), vec.Vector{1, 0}, 1, TopKOpts{Workers: 1})
 	if err != nil || len(hits) != 1 || hits[0].ID != 0 {
 		t.Fatalf("shard unusable after failed prepare: hits=%v err=%v", hits, err)
 	}
@@ -415,23 +414,5 @@ func TestJoinEndToEnd(t *testing.T) {
 		if found[qi] != pi {
 			t.Fatalf("planted pair (q=%d, p=%d) not reported; got %v", qi, pi, resp.Pairs)
 		}
-	}
-}
-
-func TestSearcherIndexAdapter(t *testing.T) {
-	rng := xrand.New(13)
-	data := dataset.Gaussian(rng, 100, 8, true)
-	sp := core.Spec{Variant: core.Signed, S: 0.9, C: 1}
-	ix, err := FromSearchBuilder(core.ExactSearch{}, data, sp)
-	if err != nil {
-		t.Fatalf("FromSearchBuilder: %v", err)
-	}
-	q := vec.Normalized(data[17])
-	hits, err := ix.TopK(context.Background(), q, 1, false, 1)
-	if err != nil {
-		t.Fatalf("TopK: %v", err)
-	}
-	if len(hits) != 1 || hits[0].ID != 17 {
-		t.Fatalf("adapter returned %+v, want data index 17", hits)
 	}
 }

@@ -224,42 +224,29 @@ func (s *shard) nextIndex(spec IndexSpec, old *shardSnap, nfs *flat.Store, dead 
 	// changes, so an index being extended was built under it with this
 	// shard's seed and overfetch, and inherits them.
 	var index ShardIndex
-	how, shared := "extend", nfs.SharedRows(old.fs)
+	copied := nfs.Len() - nfs.SharedRows(old.fs)
 	switch prev := old.index.(type) {
-	case exactIndex:
-		index = exactIndex{fs: nfs}
-	case exact32Index:
-		s32 := prev.s32.Extend(nfs)
-		shared = min(shared, s32.SharedRows(prev.s32))
-		index = exact32Index{fs: nfs, s32: s32, overfetch: prev.overfetch}
-	case exactI8Index:
-		i8 := prev.i8.Extend(nfs)
-		shared = min(shared, i8.SharedRows(prev.i8))
-		index = exactI8Index{fs: nfs, i8: i8, overfetch: prev.overfetch}
+	case *flatIndex:
+		if next, tierCopied := prev.extend(nfs); next != nil {
+			index, copied = next, max(copied, tierCopied)
+		}
 	case *alshIndex:
 		index = prev.extend(nfs)
-	default:
-		how, shared = "rebuild", 0
+	}
+	how := "extend"
+	if index == nil {
+		how, copied = "rebuild", nfs.Len()
 		var err error
 		if index, err = buildShardIndex(spec, nfs, s.seed, s.overfetch); err != nil {
 			return nil, err
 		}
 	}
 	sp.SetInt(how, 1)
-	sp.SetInt("rows_copied", int64(nfs.Len()-shared))
-	return maskIndex(index, dead)
-}
-
-// maskIndex applies a tombstone set to an index (no-op when empty).
-func maskIndex(index ShardIndex, dead *flat.Tombstones) (ShardIndex, error) {
-	if dead.Count() == 0 {
-		return index, nil
+	sp.SetInt("rows_copied", int64(copied))
+	if dead.Count() > 0 {
+		index = index.withDead(dead)
 	}
-	dm, ok := index.(deadMasker)
-	if !ok {
-		return nil, fmt.Errorf("server: index %T does not support deletions", index)
-	}
-	return dm.withDead(dead), nil
+	return index, nil
 }
 
 // prepareUpsert builds — but does not publish — the snapshot that
@@ -314,11 +301,7 @@ func (s *shard) prepareDelete(ids []int) (*shardSnap, int, error) {
 		if removed == 0 {
 			return nil, nil
 		}
-		index, err := maskIndex(old.index, dead)
-		if err != nil {
-			return nil, err
-		}
-		return &shardSnap{ids: old.ids, fs: old.fs, index: index, dead: dead}, nil
+		return &shardSnap{ids: old.ids, fs: old.fs, index: old.index.withDead(dead), dead: dead}, nil
 	})
 	if err != nil {
 		return nil, 0, err
@@ -395,35 +378,33 @@ func (s *shard) commit(snap *shardSnap, renumbered bool) {
 }
 
 // topK answers a query against the current snapshot, translating local
-// hit indices to global record IDs. workers is the intra-shard scan
-// parallelism hint passed through to the index. rerank asks engines
-// that support it (f32 quantized) for exact re-ranked scores; engines
-// without the capability — including those already exact — ignore it.
-// ex, when non-nil, receives this shard's explain accounting (see
-// explain.go); a traced request additionally gets one shard_scan span.
-// The returned list keeps the canonical (score descending, global ID
-// ascending) order so the k-way merge's tie-breaking is exact even when
-// the ID-to-shard assignment does not preserve ID order within a shard.
-func (s *shard) topK(ctx context.Context, q vec.Vector, k int, unsigned bool, workers int, rerank bool, ex *ShardExplain) ([]Hit, error) {
+// hit indices to global record IDs. o goes to the index as it is (see
+// TopKOpts); o.Explain, when non-nil, additionally receives this
+// shard's size and timing (see explain.go), and a traced request gets
+// one shard_scan span. The returned list keeps the canonical (score
+// descending, global ID ascending) order so the k-way merge's
+// tie-breaking is exact even when the ID-to-shard assignment does not
+// preserve ID order within a shard.
+func (s *shard) topK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error) {
 	snap := s.snap.Load()
 	s.queries.Add(1)
 	sp := trace.FromContext(ctx).StartSpan("shard_scan")
 	sp.SetInt("shard", int64(s.id))
 	defer sp.End()
 	var start time.Time
+	ex := o.Explain
 	if ex != nil {
 		start = time.Now()
 		ex.Shard = s.id
 		ex.Records = len(snap.ids)
 		ex.Live = len(snap.ids) - snap.dead.Count()
 	}
-	local, err := indexTopKEx(ctx, snap.index, q, k, unsigned, workers, rerank, ex)
+	out, err := snap.index.TopK(ctx, q, k, o)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Hit, len(local))
-	for i, h := range local {
-		out[i] = Hit{ID: snap.ids[h.ID], Score: h.Score}
+	for i, h := range out {
+		out[i].ID = snap.ids[h.ID]
 	}
 	sortHitsCanonical(out)
 	if ex != nil {
@@ -431,19 +412,6 @@ func (s *shard) topK(ctx context.Context, q vec.Vector, k int, unsigned bool, wo
 		sp.SetInt("rows_scanned", int64(ex.RowsScanned))
 	}
 	return out, nil
-}
-
-// indexTopK dispatches one query to an index, routing through the
-// exact re-rank pipeline when asked for and available. Shared by the
-// per-query shard path and the batch executor's per-query fallback, so
-// both honor rerank identically.
-func indexTopK(ctx context.Context, index ShardIndex, q vec.Vector, k int, unsigned bool, workers int, rerank bool) ([]Hit, error) {
-	if rerank {
-		if ri, ok := index.(rerankIndex); ok {
-			return ri.TopKRerank(ctx, q, k, unsigned, workers)
-		}
-	}
-	return index.TopK(ctx, q, k, unsigned, workers)
 }
 
 // sortHitsCanonical sorts hits into the canonical (score descending,
@@ -468,13 +436,10 @@ func (s *shard) size() int { return len(s.snap.Load().ids) }
 
 // scanParallelism returns how many workers the current snapshot's
 // index can actually spend on one scan (1 when the engine ignores the
-// hint or the shard is too small — large flat-backed exact shards
-// only).
+// hint or the shard is too small — large store-order flat shards only).
 func (s *shard) scanParallelism() int {
-	if p, ok := s.snap.Load().index.(parallelScanner); ok {
-		if w := p.maxScanWorkers(); w > 1 {
-			return w
-		}
+	if ix, ok := s.snap.Load().index.(*flatIndex); ok {
+		return max(1, ix.view.MaxScanWorkers())
 	}
 	return 1
 }
