@@ -213,6 +213,61 @@ func TestNormSortedEarlyTermination(t *testing.T) {
 	t.Logf("norm-sorted scan stopped after %d of %d rows", scanned, n)
 }
 
+// TestNormSortedOrder pins the view's row order to its definition — norm
+// descending, store index ascending among equal norms — against a
+// comparison sort, on rows with repeated, zero, tiny, huge and infinite
+// norms, at sizes around the radix sort's edge cases, for both tiers.
+func TestNormSortedOrder(t *testing.T) {
+	rng := xrand.New(91)
+	for _, n := range []int{1, 2, 257, 3000} {
+		vs := randomVecs(rng, n, 5)
+		for i, v := range vs {
+			switch i % 9 {
+			case 1:
+				vec.Scale(v, 1e-150)
+			case 2:
+				vec.Scale(v, 1e150)
+			case 3:
+				copy(v, vs[i/2]) // a repeated norm
+			case 4:
+				copy(v, vec.New(5))
+			case 5:
+				if i%5 == 0 {
+					v[0] = math.Inf(1)
+				}
+			}
+		}
+		s, err := FromVectors(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, v := range map[string]View{"f64": NewNormSorted(s).View, "f32": NewStore32(s).NormSorted()} {
+			norm := func(i int) float64 { return v.norms.at(i) } // the tier's own, in view order
+			seen := make([]bool, n)
+			for phys, orig := range v.Perm() {
+				if seen[orig] {
+					t.Fatalf("%s n=%d: row %d appears twice", name, n, orig)
+				}
+				seen[orig] = true
+				if phys == 0 {
+					continue
+				}
+				prev := v.Perm()[phys-1]
+				if a, b := norm(phys-1), norm(phys); a < b || (a == b && prev > orig) {
+					t.Fatalf("%s n=%d: rows %d (norm %v) and %d (norm %v) are out of order at %d", name, n, prev, a, orig, b, phys)
+				}
+			}
+			if name == "f64" {
+				for phys, orig := range v.Perm() {
+					if norm(phys) != s.Norm(orig) {
+						t.Fatalf("n=%d: view row %d carries norm %v, row %d has %v", n, phys, norm(phys), orig, s.Norm(orig))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTopKZeroAndTieVectors(t *testing.T) {
 	// Adversarial ties: duplicated rows, zero rows, sign flips.
 	vs := []vec.Vector{

@@ -230,6 +230,69 @@ func TestNormSortedTopKMultiMatchesTopK(t *testing.T) {
 	})
 }
 
+// TestScanFloorOnlyPrunes pins ScanOpts.Floor on both drivers: the hits
+// at or above the floor are exactly the floor-less scan's, tile and
+// single-query sweeps stop at the same block, a floor no row reaches
+// scans nothing on a norm-sorted view, and a store-order view — which
+// has no bound to compare it with — ignores it.
+func TestScanFloorOnlyPrunes(t *testing.T) {
+	rng := xrand.New(77)
+	vs := saltedVecs(rng, 3000, 16)
+	for i := range vs {
+		vec.Scale(vs[i], 1/float64(1+i%40))
+	}
+	s, _ := FromVectors(vs)
+	qs, _ := FromVectors(tileGrid(rng, vs, 9, 16))
+	above := func(hs []Hit, floor float64) []Hit {
+		for i, h := range hs {
+			if h.Score < floor {
+				return hs[:i]
+			}
+		}
+		return hs
+	}
+	sc := GetTileScratch()
+	defer PutTileScratch(sc)
+	const k = 4
+	for _, v := range []View{s.View(), NewNormSorted(s).View} {
+		for _, unsigned := range []bool{false, true} {
+			for _, floor := range []float64{0.05, 0.5, 1e9} {
+				var multi ScanStats
+				o := ScanOpts{K: k, Unsigned: unsigned, Floor: floor, Stats: &multi}
+				accs := sc.Accs(qs.Len(), k)
+				if err := v.ScanMulti(context.Background(), qs, 0, qs.Len(), accs, sc, o); err != nil {
+					t.Fatal(err)
+				}
+				singles := 0
+				for j := range accs {
+					q := qs.Row(j)
+					var full, one ScanStats
+					want, _ := v.Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Stats: &full})
+					o.Stats = &one
+					got, _ := v.Scan(context.Background(), q, o)
+					if !hitsEqual(above(got, floor), above(want, floor)) || !hitsEqual(above(accs[j].Hits(), floor), above(want, floor)) {
+						t.Fatalf("sorted=%v unsigned=%v floor=%v query %d: hits above the floor differ from the floor-less scan's", v.Perm() != nil, unsigned, floor, j)
+					}
+					if one.ScannedRows != sc.Scanned()[j] || one.ScannedRows > full.ScannedRows {
+						t.Fatalf("sorted=%v floor=%v query %d: scanned %d (single) / %d (tile), floor-less %d", v.Perm() != nil, floor, j, one.ScannedRows, sc.Scanned()[j], full.ScannedRows)
+					}
+					if v.Perm() == nil && one.ScannedRows != s.Len() {
+						t.Fatalf("store-order scan under a floor scanned %d of %d rows", one.ScannedRows, s.Len())
+					}
+					// (A NaN query's bound is NaN and never prunes.)
+					if floor == 1e9 && v.Perm() != nil && !math.IsNaN(qs.Norm(j)) && one.ScannedRows != 0 {
+						t.Fatalf("query %d scanned %d rows under a floor no row reaches", j, one.ScannedRows)
+					}
+					singles += one.ScannedRows
+				}
+				if multi.ScannedRows != singles {
+					t.Fatalf("sorted=%v floor=%v: tile scanned %d rows, singles %d", v.Perm() != nil, floor, multi.ScannedRows, singles)
+				}
+			}
+		}
+	}
+}
+
 // TestTopKMultiInputValidation checks ScanMulti's contract.
 func TestTopKMultiInputValidation(t *testing.T) {
 	s, _ := FromVectors([]vec.Vector{{1, 2}, {3, 4}})

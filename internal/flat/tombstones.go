@@ -120,29 +120,26 @@ func (t *Tombstones) DeadIn(lo, hi int) int {
 // threshold tie may carry a smaller original index, so only
 // strictly-worse scores are skipped.
 func offerScoresMasked(a *Acc, buf []float64, base int, unsigned bool, perm []int, dead *Tombstones) {
+	full, thr := a.Full(), a.Threshold()
 	for r := range buf {
-		phys := base + r
-		if dead.Dead(phys) {
-			continue
-		}
 		v := buf[r]
 		if unsigned && v < 0 {
 			v = -v
 		}
-		if a.Full() {
-			thr := a.Threshold()
-			if perm == nil {
-				if v <= thr {
-					continue
-				}
-			} else if v < thr {
-				continue
-			}
+		// The score test comes first: once a is full nearly every row
+		// fails it, and only the few that pass pay the bit test.
+		if full && (v < thr || (perm == nil && v == thr)) {
+			continue
+		}
+		phys := base + r
+		if dead.Dead(phys) {
+			continue
 		}
 		idx := phys
 		if perm != nil {
 			idx = perm[phys]
 		}
 		a.Offer(idx, v)
+		full, thr = a.Full(), a.Threshold()
 	}
 }

@@ -1,6 +1,8 @@
 package join
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -90,12 +92,51 @@ func sameMatches(t *testing.T, label string, want, got []Match) {
 	}
 }
 
+// gridDeadShapes are the dead-set axis of the grids below, applied to
+// both operands: no set at all, a quarter of the rows at random, and a
+// leading run that covers the whole first row block of a large operand
+// (every row but the last of a small one).
+var gridDeadShapes = []string{"none", "scattered", "block"}
+
+func gridDead(shape string, n int, rng *xrand.RNG) *flat.Tombstones {
+	if shape == "none" {
+		return nil
+	}
+	dead := flat.NewTombstones(n)
+	for i := 0; i < n; i++ {
+		if (shape == "scattered" && rng.Bernoulli(0.25)) || (shape == "block" && i < min(256, n-1)) {
+			dead.Kill(i)
+		}
+	}
+	return dead
+}
+
+// naiveLive is the oracle of a join with dead sets: the naive reference
+// over the surviving rows, its matches renumbered to the operands' rows.
+func naiveLive(P, Q []vec.Vector, deadP, deadQ *flat.Tombstones, naive func(P, Q []vec.Vector) Result) []Match {
+	survivors := func(vs []vec.Vector, dead *flat.Tombstones) (live []vec.Vector, rowOf []int) {
+		for i, v := range vs {
+			if !dead.Dead(i) {
+				live, rowOf = append(live, v), append(rowOf, i)
+			}
+		}
+		return live, rowOf
+	}
+	lp, rowP := survivors(P, deadP)
+	lq, rowQ := survivors(Q, deadQ)
+	matches := naive(lp, lq).Matches
+	for i, m := range matches {
+		matches[i].PIdx, matches[i].QIdx = rowP[m.PIdx], rowQ[m.QIdx]
+	}
+	return matches
+}
+
 // TestFlatEnginesMatchNaiveGrid is the equivalence grid of the flat
 // exact engines: over randomized n/nq/d/s combinations — including
-// ties, zero vectors, P≠Q sizes, and tile-boundary crossings — the
-// tiled and norm-pruned joins must return the exact pair set of the
-// naive row-slice reference, bit for bit, serially and under a
-// parallel runner.
+// ties, zero vectors, P≠Q sizes, tile-boundary crossings and dead sets
+// on both sides — the tiled and norm-pruned joins must return the exact
+// pair set of the naive row-slice reference over the surviving rows,
+// bit for bit, serially and under a parallel runner.
 func TestFlatEnginesMatchNaiveGrid(t *testing.T) {
 	rng := xrand.New(42)
 	runner := newChanRunner(4)
@@ -111,29 +152,39 @@ func TestFlatEnginesMatchNaiveGrid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, s := range []float64{0.1, 0.55, 3.0} {
-					for _, unsigned := range []bool{false, true} {
-						want := NaiveSigned(P, Q, s)
-						if unsigned {
-							want = NaiveUnsigned(P, Q, s)
+				for _, shape := range gridDeadShapes {
+					deadP, deadQ := gridDead(shape, n, rng), gridDead(shape, nq, rng)
+					for _, s := range []float64{0.1, 0.55, 3.0} {
+						for _, unsigned := range []bool{false, true} {
+							want := naiveLive(P, Q, deadP, deadQ, func(P, Q []vec.Vector) Result {
+								if unsigned {
+									return NaiveUnsigned(P, Q, s)
+								}
+								return NaiveSigned(P, Q, s)
+							})
+							opts := Opts{Unsigned: unsigned, DeadP: deadP, DeadQ: deadQ}
+							tiled := mustJoin(t, Tiled{}, fp, fq, s, s, opts)
+							sameMatches(t, "tiled dead="+shape, want, tiled.Matches)
+							if shape == "none" && tiled.Compared != int64(n)*int64(nq) {
+								t.Fatalf("tiled compared %d, want %d", tiled.Compared, n*nq)
+							}
+							pruned := mustJoin(t, NormPruned{}, fp, fq, s, s, opts)
+							sameMatches(t, "normpruned dead="+shape, want, pruned.Matches)
+							if shape == "none" && pruned.Compared > tiled.Compared {
+								t.Fatalf("normpruned compared %d > tiled %d", pruned.Compared, tiled.Compared)
+							}
+							// Dead queries cost nothing; dead rows only inside
+							// a block that still holds a live one.
+							if most := int64(n) * int64(nq-deadQ.Count()); tiled.Compared > most || pruned.Compared > most {
+								t.Fatalf("compared %d (tiled) and %d (normpruned), at most %d", tiled.Compared, pruned.Compared, most)
+							}
+							popts := opts
+							popts.Runner = runner
+							par := mustJoin(t, Tiled{}, fp, fq, s, s, popts)
+							sameMatches(t, "tiled/runner", want, par.Matches)
+							parp := mustJoin(t, NormPruned{}, fp, fq, s, s, popts)
+							sameMatches(t, "normpruned/runner", want, parp.Matches)
 						}
-						opts := Opts{Unsigned: unsigned}
-						tiled := mustJoin(t, Tiled{}, fp, fq, s, s, opts)
-						sameMatches(t, "tiled", want.Matches, tiled.Matches)
-						if tiled.Compared != int64(n)*int64(nq) {
-							t.Fatalf("tiled compared %d, want %d", tiled.Compared, n*nq)
-						}
-						pruned := mustJoin(t, NormPruned{}, fp, fq, s, s, opts)
-						sameMatches(t, "normpruned", want.Matches, pruned.Matches)
-						if pruned.Compared > tiled.Compared {
-							t.Fatalf("normpruned compared %d > tiled %d", pruned.Compared, tiled.Compared)
-						}
-						popts := opts
-						popts.Runner = runner
-						par := mustJoin(t, Tiled{}, fp, fq, s, s, popts)
-						sameMatches(t, "tiled/runner", want.Matches, par.Matches)
-						parp := mustJoin(t, NormPruned{}, fp, fq, s, s, popts)
-						sameMatches(t, "normpruned/runner", want.Matches, parp.Matches)
 					}
 				}
 			}
@@ -142,7 +193,7 @@ func TestFlatEnginesMatchNaiveGrid(t *testing.T) {
 }
 
 // TestFlatEnginesTopKMatchNaive pins the top-k-pairs mode to the naive
-// top-k reference on the same adversarial workloads.
+// top-k reference on the same adversarial workloads and dead sets.
 func TestFlatEnginesTopKMatchNaive(t *testing.T) {
 	rng := xrand.New(7)
 	for _, n := range []int{4, 40, 280} {
@@ -150,18 +201,23 @@ func TestFlatEnginesTopKMatchNaive(t *testing.T) {
 			P, Q := gridWorkload(rng, n, nq, 8)
 			fp, _ := flat.FromVectors(P)
 			fq, _ := flat.FromVectors(Q)
-			for _, k := range []int{1, 3, 10} {
-				for _, unsigned := range []bool{false, true} {
-					const s = 0.25
-					want := NaiveSignedTopK(P, Q, s, k)
-					if unsigned {
-						want = NaiveUnsignedTopK(P, Q, s, k)
+			for _, shape := range gridDeadShapes {
+				deadP, deadQ := gridDead(shape, n, rng), gridDead(shape, nq, rng)
+				for _, k := range []int{1, 3, 10} {
+					for _, unsigned := range []bool{false, true} {
+						const s = 0.25
+						want := naiveLive(P, Q, deadP, deadQ, func(P, Q []vec.Vector) Result {
+							if unsigned {
+								return NaiveUnsignedTopK(P, Q, s, k)
+							}
+							return NaiveSignedTopK(P, Q, s, k)
+						})
+						opts := Opts{Unsigned: unsigned, TopK: k, DeadP: deadP, DeadQ: deadQ}
+						tiled := mustJoin(t, Tiled{}, fp, fq, s, s, opts)
+						sameMatches(t, "tiled topk dead="+shape, want, tiled.Matches)
+						pruned := mustJoin(t, NormPruned{}, fp, fq, s, s, opts)
+						sameMatches(t, "normpruned topk dead="+shape, want, pruned.Matches)
 					}
-					opts := Opts{Unsigned: unsigned, TopK: k}
-					tiled := mustJoin(t, Tiled{}, fp, fq, s, s, opts)
-					sameMatches(t, "tiled topk", want.Matches, tiled.Matches)
-					pruned := mustJoin(t, NormPruned{}, fp, fq, s, s, opts)
-					sameMatches(t, "normpruned topk", want.Matches, pruned.Matches)
 				}
 			}
 		}
@@ -320,17 +376,64 @@ func TestPreparerReuse(t *testing.T) {
 	for _, e := range engines {
 		opts := Opts{Unsigned: true}
 		want := mustJoin(t, e, fp, fq, 0.5, 0.5, opts)
-		prep, err := e.(Preparer).Prepare(fp)
+		prep, err := e.(Preparer).Prepare(fp, nil)
 		if err != nil {
 			t.Fatalf("%s: Prepare: %v", e.Name(), err)
 		}
 		got := mustJoin(t, prep, fp, fq, 0.5, 0.5, opts)
 		sameMatches(t, e.Name()+" prepared", want.Matches, got.Matches)
+		// Prepared over a dead set it answers as the unprepared engine
+		// given that set does; given another set it must not answer from
+		// the state built without those rows.
+		dopts := Opts{Unsigned: true, DeadP: gridDead("scattered", len(P), rng)}
+		wantDead := mustJoin(t, e, fp, fq, 0.5, 0.5, dopts)
+		for _, m := range wantDead.Matches {
+			if dopts.DeadP.Dead(m.PIdx) {
+				t.Fatalf("%s reported dead row %d", e.Name(), m.PIdx)
+			}
+		}
+		prepDead, err := e.(Preparer).Prepare(fp, dopts.DeadP)
+		if err != nil {
+			t.Fatalf("%s: Prepare: %v", e.Name(), err)
+		}
+		sameMatches(t, e.Name()+" prepared/dead", wantDead.Matches, mustJoin(t, prepDead, fp, fq, 0.5, 0.5, dopts).Matches)
+		sameMatches(t, e.Name()+" prepared/other-dead", want.Matches, mustJoin(t, prepDead, fp, fq, 0.5, 0.5, opts).Matches)
+		sameMatches(t, e.Name()+" prepared/late-dead", wantDead.Matches, mustJoin(t, prep, fp, fq, 0.5, 0.5, dopts).Matches)
 		// A different P must fall back to a fresh build, not answer
 		// from the stale state.
 		wantOther := mustJoin(t, e, other, fq, 0.5, 0.5, opts)
 		gotOther := mustJoin(t, prep, other, fq, 0.5, 0.5, opts)
 		sameMatches(t, e.Name()+" prepared/other-store", wantOther.Matches, gotOther.Matches)
+	}
+}
+
+// TestJoinCtxAndStats: every engine reports its work through Opts.Stats
+// (ScannedRows is Compared) and gives up on a cancelled Opts.Ctx with
+// the context's error, no matches and no work, serially or on a runner.
+func TestJoinCtxAndStats(t *testing.T) {
+	rng := xrand.New(31)
+	P, Q := gridWorkload(rng, 600, 130, 8)
+	fp, _ := flat.FromVectors(P)
+	fq, _ := flat.FromVectors(Q)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range []Engine{
+		Tiled{}, NormPruned{},
+		LSH{NewFamily: func(d int) (lsh.Family, error) { return lsh.NewHyperplane(d) }, K: 4, L: 8, Seed: 2},
+		Sketch{Kappa: 2, Copies: 3, Seed: 2},
+	} {
+		for _, runner := range []Runner{nil, newChanRunner(3)} {
+			var st flat.ScanStats
+			res := mustJoin(t, e, fp, fq, 0.5, 0.5, Opts{Unsigned: true, Runner: runner, Ctx: context.Background(), Stats: &st})
+			if int64(st.ScannedRows) != res.Compared || res.Compared == 0 {
+				t.Fatalf("%s: stats %+v, compared %d", e.Name(), st, res.Compared)
+			}
+			st = flat.ScanStats{ScannedRows: -1}
+			res, err := e.Join(fp, fq, 0.5, 0.5, Opts{Unsigned: true, Runner: runner, Ctx: cancelled, Stats: &st})
+			if !errors.Is(err, context.Canceled) || len(res.Matches) != 0 || st != (flat.ScanStats{}) {
+				t.Fatalf("%s: cancelled join: err %v, %d matches, stats %+v", e.Name(), err, len(res.Matches), st)
+			}
+		}
 	}
 }
 
@@ -352,6 +455,12 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := (Tiled{}).Join(fp, fp, 0.5, 0.9, Opts{}); err == nil {
 		t.Fatal("cs > s must fail")
+	}
+	if _, err := (Tiled{}).Join(fp, fp, 0.5, 0.5, Opts{DeadP: flat.NewTombstones(2)}); err == nil {
+		t.Fatal("a dead set of another size must fail")
+	}
+	if _, err := (LSH{}).Join(fp, fp, 0.5, 0.5, Opts{DeadQ: flat.NewTombstones(2)}); err == nil {
+		t.Fatal("a query dead set of another size must fail")
 	}
 	empty, _ := flat.New(2)
 	if res, err := (Tiled{}).Join(empty, fp, 0.5, 0.5, Opts{}); err != nil || len(res.Matches) != 0 {

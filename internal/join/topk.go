@@ -30,7 +30,7 @@ func NaiveSignedTopK(P, Q []vec.Vector, s float64, k int) Result {
 			res.Compared++
 			acc.Offer(pi, vec.Dot(p, q))
 		}
-		flushAcc(&acc, qi, s, &res)
+		flushAcc(&acc, qi, s, &res.Matches)
 	}
 	return res
 }
@@ -48,7 +48,7 @@ func NaiveUnsignedTopK(P, Q []vec.Vector, s float64, k int) Result {
 			res.Compared++
 			acc.Offer(pi, vec.AbsDot(p, q))
 		}
-		flushAcc(&acc, qi, s, &res)
+		flushAcc(&acc, qi, s, &res.Matches)
 	}
 	return res
 }
@@ -126,7 +126,7 @@ func (j LSHJoiner) SignedTopK(P, Q []vec.Vector, s, cs float64, k int) (Result, 
 		for _, pi := range cands {
 			acc.Offer(pi, vec.Dot(P[pi], q))
 		}
-		flushAcc(&acc, qi, cs, &res)
+		flushAcc(&acc, qi, cs, &res.Matches)
 	}
 	return res, nil
 }

@@ -109,6 +109,18 @@ const (
 	defaultCompactMinDead  = 1024
 )
 
+// walAppendFailed wraps a WAL append error for the mutation that hit it.
+// A latched log failure degrades the collection here, before the caller
+// sees the error — the log's fault hook does the same, but on its own
+// goroutine, and a client told "unavailable" must not find the
+// collection still claiming to be active.
+func (c *Collection) walAppendFailed(err error) error {
+	if c.log.Failed() != nil {
+		c.degrade(fmt.Sprintf("wal/checkpoint fault: %v", err))
+	}
+	return fmt.Errorf("%w: collection %q: wal append: %w", ErrUnavailable, c.name, err)
+}
+
 // attachLog makes later ingests durable through lg. It is called once,
 // before the collection starts serving ingests (at creation, or after
 // boot-time replay so recovered records are not re-appended). The
@@ -393,7 +405,7 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 		wstart := time.Now()
 		if _, err := c.log.Append(assigned); err != nil {
 			rollback()
-			return 0, fmt.Errorf("%w: collection %q: wal append: %w", ErrUnavailable, c.name, err)
+			return 0, c.walAppendFailed(err)
 		}
 		c.observeStage("wal_append", time.Since(wstart))
 	}
@@ -589,7 +601,7 @@ func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, e
 		wstart := time.Now()
 		if _, err := c.log.AppendUpsert(recs); err != nil {
 			rollback()
-			return 0, fmt.Errorf("%w: collection %q: wal append: %w", ErrUnavailable, c.name, err)
+			return 0, c.walAppendFailed(err)
 		}
 		c.observeStage("wal_append", time.Since(wstart))
 	}
@@ -668,7 +680,7 @@ func (c *Collection) Delete(ids []int) (uint64, int, error) {
 	if c.log != nil {
 		wstart := time.Now()
 		if _, err := c.log.AppendDelete(present); err != nil {
-			return 0, 0, fmt.Errorf("%w: collection %q: wal append: %w", ErrUnavailable, c.name, err)
+			return 0, 0, c.walAppendFailed(err)
 		}
 		c.observeStage("wal_append", time.Since(wstart))
 	}

@@ -7,13 +7,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -148,7 +151,7 @@ func TestJoinDeadline(t *testing.T) {
 	seedKind(t, s, "p", KindExact, 300, 12, 1)
 	seedKind(t, s, "q", KindExact, 60, 12, 1)
 
-	for _, engine := range []string{"exact", "normpruned", "lsh"} {
+	for _, engine := range []string{"exact", "normpruned", "lsh", "sketch"} {
 		t.Run(engine, func(t *testing.T) {
 			req := JoinRequest{Data: "p", Queries: "q", Engine: engine, S: 0.3, Variant: "unsigned"}
 			base, err := s.Join(req)
@@ -170,6 +173,112 @@ func TestJoinDeadline(t *testing.T) {
 				t.Fatalf("expired join: err = %v, want a context error", err)
 			}
 			waitPoolIdle(t, s)
+		})
+	}
+	t.Run("inside-tile", joinCancelledInsideTile)
+}
+
+// fetchCtx is a live context that counts the fetches of its Done channel
+// and cancels itself on the fireAt-th (0: never). An engine fetches the
+// channel once as a Q-tile starts and from then on polls the channel,
+// not the context, so this is the one deterministic way to cancel a join
+// from outside at a known point past its set-up: "as the tile starts".
+type fetchCtx struct {
+	context.Context
+	mu      sync.Mutex
+	done    chan struct{}
+	fetches int
+	fireAt  int
+}
+
+func newFetchCtx(fireAt int) *fetchCtx {
+	return &fetchCtx{Context: context.Background(), done: make(chan struct{}), fireAt: fireAt}
+}
+
+func (c *fetchCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.fetches++; c.fetches == c.fireAt {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *fetchCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// joinCancelledInsideTile: a join of one shard pair and one Q-tile
+// over 17 row blocks, cancelled the moment its tile starts — past
+// admission, snapshot pinning and engine set-up, where only the engine's
+// own polling can notice. It must come back with the context's error
+// having scored, per query, less than the one block a driver may be
+// into when the channel closes (the traced scan span says how much),
+// not the whole sweep; the pool must drain, and the next join must be
+// untouched by it.
+func joinCancelledInsideTile(t *testing.T) {
+	s := New(Config{CacheCapacity: -1})
+	defer s.Close()
+	const n, nq, block = 17*256 - 100, 40, 256
+	rng := xrand.New(5)
+	for name, size := range map[string]int{"p": n, "q": nq} {
+		recs := make([]store.Record, size)
+		for i, v := range dataset.Gaussian(rng, size, 8, true) {
+			recs[i] = store.Record{ID: i, Vec: v}
+		}
+		if _, _, err := s.Ingest(name, nil, 1, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	traced := func(ctx context.Context, req JoinRequest) (*JoinResponse, int64, error) {
+		tr := trace.New("join", "")
+		resp, err := s.JoinCtx(trace.NewContext(ctx, tr), req)
+		for _, sp := range tr.Export().Spans {
+			if sp.Name == "scan" {
+				return resp, sp.Attrs["rows_scanned"], err
+			}
+		}
+		t.Fatalf("no scan span in %+v", tr.Export())
+		return nil, 0, nil
+	}
+	for _, engine := range []string{"exact", "normpruned", "lsh", "sketch"} {
+		t.Run(engine, func(t *testing.T) {
+			req := JoinRequest{Data: "p", Queries: "q", Engine: engine, S: 0.5, C: 0.5, Variant: "unsigned", K: 2, L: 4}
+			dry := newFetchCtx(0)
+			base, scanned, err := traced(dry, req)
+			if err != nil {
+				t.Fatalf("baseline join: %v", err)
+			}
+			if scanned != base.Compared || scanned == 0 {
+				t.Fatalf("scan span says %d rows, the response %d", scanned, base.Compared)
+			}
+			if exact := engine == "exact" || engine == "normpruned"; exact && scanned < 16*block*nq {
+				t.Fatalf("baseline scored %d rows: fewer than 16 blocks per query, the cancellation would prove nothing", scanned)
+			}
+
+			// The engine's fetch is the join's last; cancel on it.
+			ctx := newFetchCtx(dry.fetches)
+			_, scanned, err = traced(ctx, req)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled join: err = %v", err)
+			}
+			if ctx.fetches != dry.fetches {
+				t.Fatalf("cancelled join fetched Done %d times, the baseline %d: the cancel did not land on the tile", ctx.fetches, dry.fetches)
+			}
+			if scanned > block*nq {
+				t.Fatalf("cancelled join scored %d rows, more than one block for each of %d queries (the whole sweep is %d)", scanned, nq, base.Compared)
+			}
+			waitPoolIdle(t, s)
+
+			again, err := s.Join(req)
+			if err != nil || !reflect.DeepEqual(again.Pairs, base.Pairs) || again.Compared != base.Compared {
+				t.Fatalf("join after the cancelled one: %v, %d pairs (baseline %d)", err, len(again.Pairs), len(base.Pairs))
+			}
 		})
 	}
 }

@@ -7,6 +7,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -633,5 +634,56 @@ func TestMetricsPromFormat(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics page misses %q", want)
 		}
+	}
+}
+
+// TestJoinScanSpanCountsWork: a traced join says what it scored, as a
+// traced search does — rows_scanned is the response's Compared, and the
+// driver's block counters say what the norm bound and the tombstones
+// saved.
+func TestJoinScanSpanCountsWork(t *testing.T) {
+	s := New(Config{CacheCapacity: -1, CompactFraction: -1})
+	defer s.Close()
+	const n, nq, block = 700, 30, 256
+	explainFixture(t, s, "rows", &IndexSpec{Kind: KindExact}, 1, n, 8)
+	explainFixture(t, s, "sorted", &IndexSpec{Kind: KindNormScan}, 1, n, 8)
+	explainFixture(t, s, "q", nil, 1, nq, 8)
+	// One shard holds rows in ingest order, so ids 256..511 are exactly
+	// its second block.
+	doomed := make([]int, block)
+	for i := range doomed {
+		doomed[i] = block + i
+	}
+	if _, deleted, _, err := s.Delete("rows", doomed); err != nil || deleted != block {
+		t.Fatalf("delete: %v (deleted %d)", err, deleted)
+	}
+	scanSpan := func(req JoinRequest) (*JoinResponse, map[string]int64) {
+		tr := trace.New("join", "")
+		resp, err := s.JoinCtx(trace.NewContext(context.Background(), tr), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range tr.Export().Spans {
+			if sp.Name == "scan" {
+				return resp, sp.Attrs
+			}
+		}
+		t.Fatalf("no scan span in %+v", tr.Export())
+		return nil, nil
+	}
+
+	resp, attrs := scanSpan(JoinRequest{Data: "rows", Queries: "q", Engine: "exact", S: 0.5})
+	if want := int64((n - block) * nq); resp.Compared != want || attrs["rows_scanned"] != want ||
+		attrs["tombstone_skipped_blocks"] != nq || attrs["cs_pruned_blocks"] != 0 {
+		t.Fatalf("exact join over a dead block: compared %d, span %v; want %d rows and one skipped block per query", resp.Compared, attrs, want)
+	}
+
+	// A threshold no pair reaches: the bound stops every query early.
+	resp, attrs = scanSpan(JoinRequest{Data: "sorted", Queries: "q", Engine: "normpruned", S: 1e6})
+	if attrs["rows_scanned"] != resp.Compared || resp.Compared >= n*nq || attrs["cs_pruned_blocks"] == 0 || attrs["tombstone_skipped_blocks"] != 0 {
+		t.Fatalf("pruned join: compared %d of %d, span %v", resp.Compared, n*nq, attrs)
+	}
+	if blocks := (n + block - 1) / block * nq; int(attrs["cs_pruned_blocks"])+int(resp.Compared+block-1)/block < blocks {
+		t.Fatalf("pruned join accounts for fewer than %d blocks: compared %d, span %v", blocks, resp.Compared, attrs)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flat"
 	"repro/internal/join"
 	"repro/internal/lsh"
 	"repro/internal/trace"
@@ -66,7 +67,10 @@ type JoinPair struct {
 
 // JoinResponse is the join outcome. Pairs are ordered by ascending
 // query ID; within one query by decreasing value, ties toward the
-// smaller data ID.
+// smaller data ID. Compared counts the pairs whose inner product was
+// evaluated (candidates verified, for lsh; sketch evaluations, for
+// sketch): the exact engines score whole 256-row blocks, so the
+// tombstoned rows of a block that still holds a live row are counted.
 type JoinResponse struct {
 	Engine   string     `json:"engine"`
 	TopK     int        `json:"topk,omitempty"`
@@ -112,51 +116,36 @@ func joinSpec(req JoinRequest) (core.Spec, error) {
 	return sp, sp.Validate()
 }
 
-// shardSnaps returns the collection's current non-empty shard
-// snapshots as live views: a shard carrying tombstones contributes a
-// compacted copy holding only its live rows, so the join engines —
-// which sweep whole columnar stores and know nothing of deletions —
-// can never report a deleted record. Each snapshot is immutable, so a
-// join scans it safely while ingests publish newer ones.
+// shardSnaps returns the collection's current shard snapshots that hold
+// a live row. The join engines read them as published — the snapshot's
+// dead set goes to the engine, which leaves those rows out on either
+// side — so a join copies nothing and can never report a deleted record.
+// Each snapshot is immutable, so a join scans it safely while ingests
+// publish newer ones.
 func (c *Collection) shardSnaps() []*shardSnap {
 	snaps := make([]*shardSnap, 0, len(c.shards))
 	for _, sh := range c.shards {
-		snap := sh.snap.Load().liveView()
-		if snap.fs != nil && snap.fs.Len() > 0 {
+		if snap := sh.snap.Load(); len(snap.ids) > snap.dead.Count() {
 			snaps = append(snaps, snap)
 		}
 	}
 	return snaps
 }
 
-// ctxJoinRunner wraps a join.Runner so every Q-tile observes the
-// request context: once ctx fires, remaining tiles are skipped (their
-// partials are discarded anyway — JoinCtx returns the context error).
-type ctxJoinRunner struct {
-	done  <-chan struct{}
-	inner join.Runner
-}
-
-func (r ctxJoinRunner) ForEach(n int, fn func(i int)) {
-	r.inner.ForEach(n, func(i int) {
-		select {
-		case <-r.done:
-			return
-		default:
-		}
-		fn(i)
-	})
-}
-
-// joinRunner returns inner wrapped with per-tile ctx checks, or inner
-// itself when ctx can never fire (keeping the historical zero-check
-// path).
-func joinRunner(ctx context.Context, inner join.Runner) join.Runner {
-	done := doneChan(ctx)
-	if done == nil {
-		return inner
+// normPruned returns the norm-pruned join engine over this snapshot. A
+// normscan f64 collection already serves from the descending-norm view,
+// with the dead set in its order: the join sweeps that. Other kinds
+// build the view lazily, once per snapshot — the store being immutable —
+// so a join fan-out reuses one build across every query-shard pairing
+// and across requests until the next write.
+func (sn *shardSnap) normPruned() join.Engine {
+	if ix, ok := sn.index.(*flatIndex); ok && ix.rerank == rerankNever && ix.view.Perm() != nil {
+		return join.NormPruned{Sorted: &flat.NormSorted{View: ix.view}, SortedDead: ix.dead}
 	}
-	return ctxJoinRunner{done: done, inner: inner}
+	sn.npOnce.Do(func() {
+		sn.np, _ = join.NormPruned{}.Prepare(sn.fs, sn.dead) // sorting a store cannot fail
+	})
+	return sn.np
 }
 
 // Join runs the requested join over current shard snapshots of the two
@@ -169,8 +158,9 @@ func (s *Server) Join(req JoinRequest) (*JoinResponse, error) {
 
 // JoinCtx is Join with a request context: the join is one admission
 // unit against the data collection's gate, the pair fan-out stops
-// feeding once ctx fires, and each pair's Q-tile runner skips
-// remaining tiles. A cancelled join returns ctx's error and no pairs.
+// feeding once ctx fires, and the engines stop like a search does —
+// within one row block of the scan (between two queries for lsh and
+// sketch). A cancelled join returns ctx's error and no pairs.
 func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -249,20 +239,14 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	// too), the other preparable engines build per request — worth it
 	// only when several query shards would otherwise each rebuild.
 	perShard := make([]join.Engine, len(dsnaps))
-	for d := range perShard {
+	for d, sn := range dsnaps {
 		perShard[d] = eng
-	}
-	if _, ok := eng.(join.NormPruned); ok {
-		for d, sn := range dsnaps {
-			perShard[d] = join.NormPruned{Sorted: sn.normSorted()}
-		}
-	} else if p, ok := eng.(join.Preparer); ok && len(qsnaps) > 1 {
-		for d, sn := range dsnaps {
-			prepared, err := p.Prepare(sn.fs)
-			if err != nil {
+		if _, ok := eng.(join.NormPruned); ok {
+			perShard[d] = sn.normPruned()
+		} else if p, ok := eng.(join.Preparer); ok && len(qsnaps) > 1 {
+			if perShard[d], err = p.Prepare(sn.fs, sn.dead); err != nil {
 				return nil, err
 			}
-			perShard[d] = prepared
 		}
 	}
 
@@ -275,11 +259,18 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	}
 	parts := make([]join.Result, len(pairs))
 	errs := make([]error, len(pairs))
+	ssp := tr.StartSpan("scan")
 	run := func(i int, runner join.Runner) {
 		pr := pairs[i]
 		dsnap, qsnap := dsnaps[pr.d], qsnaps[pr.q]
-		res, err := perShard[pr.d].Join(dsnap.fs, qsnap.fs, sp.S, sp.CS(),
-			join.Opts{Unsigned: unsigned, TopK: engineK, Runner: runner})
+		var work flat.ScanStats
+		res, err := perShard[pr.d].Join(dsnap.fs, qsnap.fs, sp.S, sp.CS(), join.Opts{
+			Unsigned: unsigned, TopK: engineK, Runner: runner, Ctx: ctx,
+			DeadP: dsnap.dead, DeadQ: qsnap.dead, Stats: &work})
+		// The span sums its pairs' work, a cancelled pair's included.
+		ssp.SetInt("rows_scanned", int64(work.ScannedRows))
+		ssp.SetInt("cs_pruned_blocks", int64(work.PrunedBlocks))
+		ssp.SetInt("tombstone_skipped_blocks", int64(work.SkippedBlocks))
 		if err != nil {
 			errs[i] = err
 			return
@@ -298,12 +289,11 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 		res.Matches = keep
 		parts[i] = res
 	}
-	ssp := tr.StartSpan("scan")
 	var feedErr error
 	if len(pairs) == 1 {
 		// A single shard pair cannot fan out, so the engine itself may
 		// spread Q-tiles over the pool with the blocking executor.
-		run(0, joinRunner(ctx, s.pool))
+		run(0, s.pool)
 	} else {
 		// Pair-level fan-out holds pool slots, so the per-pair Q-tile
 		// runner must never block on the same pool — the borrowing
@@ -311,23 +301,23 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 		// idle (few pairs on a wide pool) and degrades to inline when
 		// there are none.
 		feedErr = s.pool.ForEachCtx(ctx, len(pairs), func(i int) {
-			run(i, joinRunner(ctx, s.pool.Borrowing()))
+			run(i, s.pool.Borrowing())
 		})
 	}
 	ssp.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	if feedErr == nil {
-		// Pairs that ran with skipped Q-tiles hold partial match sets;
-		// the post-run check catches a cancellation the feed never saw.
+		// A pair the engine abandoned reports ctx's error itself; this
+		// also catches a cancellation neither it nor the feed saw.
 		feedErr = ctx.Err()
 	}
 	if feedErr != nil {
 		dataCol.countTimeout(feedErr)
 		return nil, feedErr
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	msp := tr.StartSpan("merge")
 	merged := join.MergePerQuery(parts, req.TopK)

@@ -5,10 +5,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/flat"
+	"repro/internal/join"
 	"repro/internal/store"
 	"repro/internal/vec"
 	"repro/internal/xrand"
@@ -365,5 +369,259 @@ func TestConcurrentJoinIngest(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// compactedJoin is the reference of a join over tombstoned collections:
+// every shard with a live row is compacted (packLive), the request's
+// engine — given no dead set — runs over each pair of compacted stores,
+// and matches map back through the compacted id slices into the
+// per-query merge.
+func compactedJoin(t *testing.T, s *Server, req JoinRequest) (pairs []JoinPair, compared int64) {
+	t.Helper()
+	type live struct {
+		ids []int
+		fs  *flat.Store
+	}
+	compact := func(name string) (out []live) {
+		c, _ := s.Collection(name)
+		for _, sh := range c.shards {
+			if sn := sh.snap.Load(); len(sn.ids) > sn.dead.Count() {
+				ids, fs, err := sn.packLive()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, live{ids, fs})
+			}
+		}
+		return out
+	}
+	eng, _ := joinEngine(req)
+	sp, _ := joinSpec(req)
+	k := req.TopK
+	if req.ExcludeSelf {
+		k = max(k, 1) + 1
+	}
+	var parts []join.Result
+	for _, p := range compact(req.Data) {
+		for _, q := range compact(req.Queries) {
+			res, err := eng.Join(p.fs, q.fs, sp.S, sp.CS(), join.Opts{Unsigned: sp.Variant == core.Unsigned, TopK: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep := res.Matches[:0]
+			for _, m := range res.Matches {
+				if m.PIdx, m.QIdx = p.ids[m.PIdx], q.ids[m.QIdx]; !req.ExcludeSelf || m.PIdx != m.QIdx {
+					keep = append(keep, m)
+				}
+			}
+			res.Matches = keep
+			parts = append(parts, res)
+		}
+	}
+	merged := join.MergePerQuery(parts, req.TopK)
+	for _, m := range merged.Matches {
+		pairs = append(pairs, JoinPair{DataID: m.PIdx, QueryID: m.QIdx, Value: m.Value})
+	}
+	return pairs, merged.Compared
+}
+
+// The dead patterns of TestJoinTombstoneGrid, applied to both
+// collections: each mutates the served collection and the test's
+// id → vector reference alike.
+var joinDeadPatterns = []struct {
+	name string
+	// liveOnly names the exact engines that score live rows only under
+	// the pattern — no block they sweep mixes live and dead rows — so
+	// their Compared is the compacted reference's.
+	liveOnly string
+	apply    func(t *testing.T, s *Server, name string, ref map[int]vec.Vector, rng *xrand.RNG)
+}{
+	{"none", "exact normpruned", func(*testing.T, *Server, string, map[int]vec.Vector, *xrand.RNG) {}},
+	{"scattered", "", func(t *testing.T, s *Server, name string, ref map[int]vec.Vector, rng *xrand.RNG) {
+		var ids []int
+		for id := range ref {
+			if id%7 == 3 {
+				ids = append(ids, id)
+			}
+		}
+		deleteIDs(t, s, name, ref, ids)
+	}},
+	{"upserts", "", func(t *testing.T, s *Server, name string, ref map[int]vec.Vector, rng *xrand.RNG) {
+		var recs []store.Record
+		for id := range ref {
+			if id%5 == 2 {
+				recs = append(recs, store.Record{ID: id, Vec: vec.Vector(rng.UnitVec(8))})
+			}
+		}
+		sort.Slice(recs, func(a, b int) bool { return recs[a].ID < recs[b].ID })
+		if _, _, err := s.Upsert(name, nil, 0, recs); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			ref[r.ID] = r.Vec
+		}
+	}},
+	{"block", "exact", func(t *testing.T, s *Server, name string, ref map[int]vec.Vector, rng *xrand.RNG) {
+		c, _ := s.Collection(name)
+		ids := c.shards[0].snap.Load().ids
+		if len(ids) < 600 {
+			t.Fatalf("shard 0 of %s holds %d rows, too few for a whole dead block with live ones after it", name, len(ids))
+		}
+		deleteIDs(t, s, name, ref, ids[256:512])
+	}},
+	{"shard", "exact normpruned", func(t *testing.T, s *Server, name string, ref map[int]vec.Vector, rng *xrand.RNG) {
+		c, _ := s.Collection(name)
+		deleteIDs(t, s, name, ref, c.shards[1].snap.Load().ids)
+	}},
+	// Every row of b: it holds rows but no live one, and joins like an
+	// empty collection on either side; a is untouched.
+	{"collection", "exact normpruned", func(t *testing.T, s *Server, name string, ref map[int]vec.Vector, rng *xrand.RNG) {
+		if name == "b" {
+			c, _ := s.Collection(name)
+			for _, sh := range c.shards {
+				deleteIDs(t, s, name, ref, sh.snap.Load().ids)
+			}
+		}
+	}},
+}
+
+func deleteIDs(t *testing.T, s *Server, name string, ref map[int]vec.Vector, ids []int) {
+	t.Helper()
+	ids = append([]int(nil), ids...)
+	if _, deleted, _, err := s.Delete(name, ids); err != nil || deleted != len(ids) {
+		t.Fatalf("delete from %s: %v (%d of %d)", name, err, deleted, len(ids))
+	}
+	for _, id := range ids {
+		delete(ref, id)
+	}
+}
+
+// TestJoinTombstoneGrid is the deletes × joins equivalence grid: engine
+// × mode × variant × self/two-collection × dead pattern on the data and
+// the query side. The engines read the published snapshots through their
+// dead sets; every cell's pairs must equal — ids, order, value bits —
+// the compacted-copy reference, and for the exact engines the record
+// brute force over the live reference; Compared equals the reference's
+// wherever no scored block mixes live and dead rows.
+func TestJoinTombstoneGrid(t *testing.T) {
+	for _, pat := range joinDeadPatterns {
+		t.Run(pat.name, func(t *testing.T) {
+			s := New(Config{DefaultShards: 2, CacheCapacity: -1, CompactFraction: -1})
+			defer s.Close()
+			rng := xrand.New(31)
+			refs := map[string]map[int]vec.Vector{"a": {}, "b": {}}
+			for name, stride := range map[string]int{"a": 3, "b": 7} {
+				recs := make([]store.Record, 1300)
+				for i := range recs {
+					recs[i] = store.Record{ID: i*stride + 1, Vec: vec.Vector(rng.UnitVec(8))}
+					refs[name][recs[i].ID] = recs[i].Vec
+				}
+				if _, _, err := s.Ingest(name, nil, 0, recs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, name := range []string{"a", "b"} {
+				pat.apply(t, s, name, refs[name], rng)
+			}
+			records := func(name string) (out []store.Record) {
+				for id, v := range refs[name] {
+					out = append(out, store.Record{ID: id, Vec: v})
+				}
+				sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+				return out
+			}
+			brute := map[string][]JoinPair{} // by cell, shared by the two exact engines
+			for _, engine := range []string{"exact", "normpruned", "lsh", "sketch"} {
+				for _, topk := range []int{0, 3} {
+					for _, variant := range []string{"signed", "unsigned"} {
+						for _, queries := range []string{"a", "b"} {
+							self := queries == "a"
+							if engine == "sketch" && (self || variant == "signed") {
+								continue
+							}
+							req := JoinRequest{Data: "a", Queries: queries, Engine: engine, Variant: variant,
+								S: 0.8, C: 0.75, TopK: topk, ExcludeSelf: self, K: 4, L: 8, Seed: 5}
+							cell := fmt.Sprintf("%s/topk=%d/queries=%s", variant, topk, queries)
+							label := engine + "/" + cell
+							resp, err := s.Join(req)
+							if len(refs[queries]) == 0 {
+								for _, r := range []JoinRequest{req, {Data: queries, Queries: "a", Engine: engine, Variant: variant, S: 0.8}} {
+									if _, err := s.Join(r); err == nil || !strings.Contains(err.Error(), "join requires non-empty collections") {
+										t.Fatalf("%s: join %s×%s over a fully-deleted collection: err = %v", label, r.Data, r.Queries, err)
+									}
+								}
+								continue
+							}
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							want, compared := compactedJoin(t, s, req)
+							if len(want) == 0 {
+								t.Fatalf("%s: the reference reports no pair; the cell checks nothing", label)
+							}
+							samePairs(t, label, want, resp.Pairs)
+							exact := engine == "exact" || engine == "normpruned"
+							if exact {
+								if brute[cell] == nil {
+									brute[cell] = bruteJoin(records("a"), records(queries), 0.6, variant == "unsigned", topk, self)
+								}
+								samePairs(t, label+" vs brute force", brute[cell], resp.Pairs)
+							}
+							switch {
+							case !exact, strings.Contains(pat.liveOnly, engine):
+								if resp.Compared != compared {
+									t.Fatalf("%s: compared %d, the compacted reference %d", label, resp.Compared, compared)
+								}
+							case resp.Compared < compared:
+								t.Fatalf("%s: compared %d, fewer than the compacted reference's %d", label, resp.Compared, compared)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestNormPrunedJoinSweepsServingView: a normscan f64 shard already
+// serves from the descending-norm view of its rows, with the dead set in
+// that order; a normpruned join sweeps those — no second sorted copy per
+// snapshot — while other kinds build their view once per snapshot.
+func TestNormPrunedJoinSweepsServingView(t *testing.T) {
+	s := New(Config{DefaultShards: 1, CompactFraction: -1})
+	defer s.Close()
+	data, queries := joinWorkload(t, s, 600, 20, 8, 9)
+	for _, kind := range []string{KindNormScan, KindExact} {
+		if _, _, err := s.Ingest(kind, &IndexSpec{Kind: kind}, 1, data); err != nil {
+			t.Fatal(err)
+		}
+		ref := map[int]vec.Vector{}
+		for _, r := range data {
+			ref[r.ID] = r.Vec
+		}
+		deleteIDs(t, s, kind, ref, []int{data[3].ID, data[77].ID, data[400].ID})
+		c, _ := s.Collection(kind)
+		snap := c.shards[0].snap.Load()
+		eng := snap.normPruned()
+		if ix := snap.index.(*flatIndex); kind == KindNormScan {
+			np := eng.(join.NormPruned)
+			if &np.Sorted.Perm()[0] != &ix.view.Perm()[0] || np.SortedDead != ix.dead || np.SortedDead.Count() != 3 || snap.np != nil {
+				t.Fatalf("normscan shard: the join engine does not sweep the serving view and its dead set (lazily built: %v)", snap.np != nil)
+			}
+		} else if snap.np == nil {
+			t.Fatal("exact shard: the lazily built view is not kept on the snapshot")
+		}
+		resp, err := s.Join(JoinRequest{Data: kind, Queries: "queries", Engine: "normpruned", S: 0.6, TopK: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live []store.Record
+		for _, r := range data {
+			if _, ok := ref[r.ID]; ok {
+				live = append(live, r)
+			}
+		}
+		samePairs(t, kind, bruteJoin(live, queries, 0.6, false, 2, false), resp.Pairs)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/flat"
+	"repro/internal/join"
 	"repro/internal/trace"
 	"repro/internal/vec"
 )
@@ -59,11 +60,8 @@ type shardSnap struct {
 	index ShardIndex
 	dead  *flat.Tombstones
 
-	nsOnce sync.Once
-	ns     *flat.NormSorted
-
-	liveOnce sync.Once
-	live     *shardSnap
+	npOnce sync.Once
+	np     join.Engine // see normPruned
 }
 
 // rowIndex returns the id→row map of the published snapshot sn,
@@ -83,40 +81,9 @@ func (s *shard) rowIndex(sn *shardSnap) map[int]int {
 	return s.rows
 }
 
-// normSorted lazily builds — once per snapshot, the store being
-// immutable — the descending-norm view used by norm-pruned joins, so
-// a join fan-out reuses one build across every query-shard pairing
-// and across requests until the next ingest.
-func (sn *shardSnap) normSorted() *flat.NormSorted {
-	sn.nsOnce.Do(func() { sn.ns = flat.NewNormSorted(sn.fs) })
-	return sn.ns
-}
-
-// liveView returns a snapshot holding only the live rows — what the
-// join engines iterate, so a join can never emit a tombstoned row.
-// With no tombstones it is the snapshot itself (free); otherwise a
-// compacted (ids, fs) pair is built once per snapshot and cached, so
-// the cost is paid by the first join after a delete, not per request.
-// The view carries no serving index (joins build their own structures
-// over fs) and no dead bookkeeping — it is read-only.
-func (sn *shardSnap) liveView() *shardSnap {
-	if sn.dead.Count() == 0 {
-		return sn
-	}
-	sn.liveOnce.Do(func() {
-		ids, nfs, err := sn.packLive()
-		if err != nil {
-			// Unreachable: the rows come out of a store of the same dimension.
-			sn.live = &shardSnap{index: emptyIndex{}}
-			return
-		}
-		sn.live = &shardSnap{ids: ids, fs: nfs, index: emptyIndex{}}
-	})
-	return sn.live
-}
-
 // packLive copies the snapshot's live rows, in row order, into a fresh
-// store sized for exactly them, and returns it with their ids.
+// store sized for exactly them, and returns it with their ids — the
+// compaction's repack; reads (joins included) go through the dead set.
 func (sn *shardSnap) packLive() ([]int, *flat.Store, error) {
 	live := sn.fs.Len() - sn.dead.Count()
 	ids := make([]int, 0, live)
