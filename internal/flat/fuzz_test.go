@@ -199,3 +199,96 @@ func FuzzDotTile(f *testing.F) {
 		}
 	})
 }
+
+// fuzzAsmVsGo scores the range [lo, hi) of n rows that the fuzzed words
+// a, b select, once with the asm dispatch off and once with it on, and
+// requires sameScoreBits row for row.
+func fuzzAsmVsGo(t *testing.T, d, n int, a, b uint16, score func(lo, hi int, out []float64)) {
+	lo := int(a) % (n + 1)
+	hi := lo + int(b)%(n-lo+1)
+	want, got := make([]float64, hi-lo), make([]float64, hi-lo)
+	useQuantAsm = false
+	score(lo, hi, want)
+	useQuantAsm = true
+	score(lo, hi, got)
+	for i := range want {
+		if !sameScoreBits(got[i], want[i]) {
+			t.Fatalf("d=%d n=%d [%d, %d) row %d: asm %v (%x) != go %v (%x)",
+				d, n, lo, hi, lo+i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// FuzzDotI8Range drives the AVX2 int8 range kernels against the Go
+// kernel on raw codes: every byte value is a code (−128 included, which
+// the quantizer never emits), every int16 a query code, any d ≤ 300 —
+// so every tail length of the padded last chunk — and any range of up
+// to 1100 rows, enough to cross a storage chunk edge. raw is read
+// cyclically to fill the rows. Scores must be bit-identical, and the Go
+// side's slicing must stay in bounds.
+func FuzzDotI8Range(f *testing.F) {
+	seed := []byte{127, 129, 0, 1, 255, 128, 64, 3, 200, 17, 90}
+	for _, d := range []uint16{16, 17, 31, 32, 33, 40, 47, 257} {
+		f.Add(d-1, uint16(4), uint16(0), uint16(5), seed)
+		f.Add(d-1, uint16(1029), uint16(1019), uint16(10), seed)
+	}
+	f.Fuzz(func(t *testing.T, dw, nw, a, b uint16, raw []byte) {
+		if !useQuantAsm || len(raw) == 0 {
+			t.Skip()
+		}
+		d, n := int(dw)%300+1, int(nw)%1100+1
+		at := 0
+		next := func() byte { at++; return raw[(at-1)%len(raw)] }
+		s := &StoreI8{dim: d, scale: 1}
+		s.codes.width = d
+		for s.Len() < n {
+			codes := s.codes.grow(n - s.Len())
+			for i := range codes {
+				codes[i] = int8(next())
+			}
+		}
+		qc, _ := quantizeQueryI8(nil, vec.New(d)) // zeros, padded
+		for j := range qc[:d] {
+			qc[j] = int16(next()) | int16(next())<<8
+		}
+		fuzzAsmVsGo(t, d, n, a, b, func(lo, hi int, out []float64) { s.dotRange(qc, 1.0/3, lo, hi, out) })
+	})
+}
+
+// FuzzDot32Range is the float32 twin: raw bytes are float32 bit patterns
+// (NaNs of any payload, infinities, subnormals and signed zeros
+// included) for rows and query alike.
+func FuzzDot32Range(f *testing.F) {
+	seed := []byte{0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 128, 127, 1, 0, 192, 255, 219, 15, 73, 192, 1, 0, 0, 0, 7}
+	for _, d := range []uint16{8, 9, 15, 16, 17, 24, 33, 100} {
+		f.Add(d-1, uint16(4), uint16(0), uint16(5), seed)
+		f.Add(d-1, uint16(1029), uint16(1019), uint16(10), seed)
+	}
+	f.Fuzz(func(t *testing.T, dw, nw, a, b uint16, raw []byte) {
+		if !useQuantAsm || len(raw) == 0 {
+			t.Skip()
+		}
+		d, n := int(dw)%300+1, int(nw)%1100+1
+		at := 0
+		next := func() float32 {
+			var w [4]byte
+			for i := range w {
+				w[i] = raw[at%len(raw)]
+				at++
+			}
+			return math.Float32frombits(binary.LittleEndian.Uint32(w[:]))
+		}
+		s := newStore32(d)
+		for s.Len() < n {
+			rows, _ := s.grow(n - s.Len())
+			for i := range rows {
+				rows[i] = next()
+			}
+		}
+		qf := make([]float32, d)
+		for j := range qf {
+			qf[j] = next()
+		}
+		fuzzAsmVsGo(t, d, n, a, b, func(lo, hi int, out []float64) { s.dotRange(qf, lo, hi, out) })
+	})
+}

@@ -26,6 +26,12 @@ import (
 // actually splits across workers.
 var gridNs = []int{1, 255, 256, 257, 1023, 1024, 1025, 4097, 9000}
 
+// gridDims cycles over the row counts: the dimensions with their own
+// kernels (16, 8), one below every SIMD chunk (7, all Go), and two the
+// any-dimension quantized kernels serve — whole chunks (32) and a
+// padded int8 tail (40).
+var gridDims = []int{16, 7, 8, 32, 40}
+
 var gridDead = []string{"nil", "empty", "random25", "block", "all"}
 
 type gridCtx int
@@ -262,7 +268,7 @@ func withCtx(v View, gc gridCtx) (View, context.Context, context.CancelFunc, *ca
 // runScanGrid checks every Scan cell of the selected views and contexts.
 func runScanGrid(t *testing.T, views []gridView, ctxs []gridCtx) {
 	for ni, n := range gridNs {
-		d := []int{16, 7, 8}[ni%3] // the asm dimensions and a generic one
+		d := gridDims[ni%len(gridDims)]
 		rng := xrand.New(uint64(1000 + n))
 		vs := gridRows(rng, n, d)
 		fs, err := FromVectors(vs)
@@ -372,7 +378,7 @@ func checkScanCell(t *testing.T, cell string, v View, q vec.Vector, o ScanOpts, 
 // per-query scanned counts and the summed stats.
 func runScanMultiGrid(t *testing.T, views []gridView, ctxs []gridCtx) {
 	for ni, n := range gridNs {
-		d := []int{16, 7, 8}[ni%3]
+		d := gridDims[ni%len(gridDims)]
 		rng := xrand.New(uint64(2000 + n))
 		vs := gridRows(rng, n, d)
 		fs, err := FromVectors(vs)

@@ -2,12 +2,17 @@
 // Store's layout at half the bytes per element, so a scan moves twice
 // the rows per cache line; scores are computed in float32 (widened to
 // float64 only at the block-buffer boundary, where the shared scan
-// drivers take over). The d=8/16 kernels have AVX2 twins in quant_amd64.s at
-// twice the lanes of the f64 tile kernels (8 float32 per YMM multiply);
-// the pure-Go fallbacks below spell out the exact same accumulation
-// chains, and float32 arithmetic in Go is exact IEEE binary32, so the
-// two are bit-identical and the dispatch gate (useQuantAsm) is free to
-// differ across machines without changing answers.
+// drivers take over). Every dimension of at least one YMM register of
+// floats runs an AVX2 kernel from quant_amd64.s (quantSIMD) at twice
+// the lanes of the f64 tile kernels: d = 8 and d = 16 their own, every
+// other d the any-dimension one. Float addition is not associative, so
+// — unlike the int8 tier — each kernel has an ordering contract: the
+// pure-Go kernels below spell out the accumulation chain their AVX2
+// twin computes, float32 arithmetic in Go is exact IEEE binary32, so
+// the two are bit-identical and the dispatch gate (useQuantAsm) is free
+// to differ across machines without changing answers. (The d = 8/16
+// chains start from their first product, the any-d chain from zero;
+// they differ in the sign of a zero score, which is why both stay.)
 //
 // Scores are f32-accurate, not exact: callers that need the f64
 // ordering re-rank a widened candidate set through the retained f64
@@ -173,6 +178,9 @@ func (s *Store32) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 	return nil
 }
 
+// f32Chunk is the floats the AVX2 kernels take per step: one YMM.
+const f32Chunk = 8
+
 // dotRange fills out[0:hi-lo] with the float32 dots of rows [lo, hi),
 // one kernel call per chunk the range touches.
 // The 8-lane accumulation chain (twice the f64 kernels' width, matching
@@ -180,20 +188,22 @@ func (s *Store32) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 // holds Σ row[j]·q[j] over j ≡ l (mod 8), lanes fold as
 // t_i = s_i + s_{i+4}, and the result widens (t0+t1)+(t2+t3) to
 // float64. The AVX2 kernels reproduce exactly this chain
-// (VMULPS/VADDPS, VEXTRACTF128+VADDPS, VHADDPS×2, VCVTSS2SD).
+// (VMULPS/VADDPS, VEXTRACTF128+VADDPS, a VHADDPS pair, one widening).
 func (s *Store32) dotRange(qf []float32, lo, hi int, out []float64) {
-	d := s.dim
+	d, simd := s.dim, quantSIMD(s.dim, f32Chunk)
 	for lo < hi {
 		data, l, h := s.data.span(lo, hi)
 		switch {
-		case d == 16 && useQuantAsm:
+		case d == 16 && simd:
 			dot32Range16(data[l*16:h*16], qf, out[:h-l])
 		case d == 16:
 			dot32Range16Go(data, qf, l, h, out)
-		case d == 8 && useQuantAsm:
+		case d == 8 && simd:
 			dot32Range8(data[l*8:h*8], qf, out[:h-l])
 		case d == 8:
 			dot32Range8Go(data, qf, l, h, out)
+		case simd:
+			dot32Range(data[l*d:h*d], d, qf, out[:h-l])
 		default:
 			dot32RangeGeneric(data, d, qf, l, h, out)
 		}
@@ -241,9 +251,9 @@ func dot32Range8Go(data, q []float32, lo, hi int, out []float64) {
 }
 
 // dot32RangeGeneric is the any-dimension float32 kernel: 8 lanes
-// (j mod 8) with the scalar tail folded into lane 0, reduced through
-// the same t_i = s_i + s_{i+4} fold. Generic dimensions have no asm
-// twin, so the only contract is determinism.
+// (j mod 8) starting from zero, with the scalar tail folded into lane 0,
+// reduced through the same t_i = s_i + s_{i+4} fold. dot32Range is its
+// AVX2 twin for d ≥ 8.
 func dot32RangeGeneric(data []float32, d int, q []float32, lo, hi int, out []float64) {
 	q = q[:d:d]
 	for r := lo; r < hi; r++ {

@@ -4,10 +4,14 @@
 // the whole store, so codes are sign-symmetric (no zero-point) and the
 // decoder can verify a stored scale by recomputation. Queries are
 // quantized per scan against their own max|q|/127 scale and widened to
-// int16, so the d=16 AVX2 kernel is one sign-extension plus one
-// VPMADDWD per row; accumulation is exact int32 arithmetic — order
-// free — which makes the Go fallback trivially bit-identical to the
-// asm. A code score widens as float64(acc) · (scale·qscale).
+// int16, so the AVX2 kernels are one sign-extension plus one VPMADDWD
+// per 16 codes of a row. Every dimension of at least one such chunk
+// runs SIMD (quantSIMD): d = 16 through a kernel with the row stride
+// built in, every other d through the any-dimension kernel; below 16,
+// and without AVX2, the Go kernel scans. Accumulation is exact int32
+// arithmetic — order free — so the kernels need no ordering contract
+// to be bit-identical, unlike the float32 tier's. A code score widens
+// as float64(acc) · (scale·qscale).
 //
 // Int8 scores are approximations with per-element error ≤ scale/2 on
 // each side; the serving layer treats them as candidates only and
@@ -119,8 +123,10 @@ func quantizeI8(x, scale float64) int8 {
 
 // quantizeQueryI8 codes a query against its own symmetric scale,
 // widening the codes to int16 for the VPMADDWD kernel and appending
-// them to dst. A zero (or non-finite-only) query yields scale 0 and
-// all-zero codes, matching the exact all-zero dot.
+// them to dst, zero-padded to whole i8Chunk-code chunks (what the AVX2
+// kernel multiplies; the Go kernel reads the first len(q)). A zero (or
+// non-finite-only) query yields scale 0 and all-zero codes, matching
+// the exact all-zero dot.
 func quantizeQueryI8(dst []int16, q vec.Vector) ([]int16, float64) {
 	maxAbs := 0.0
 	for _, x := range q {
@@ -131,6 +137,9 @@ func quantizeQueryI8(dst []int16, q vec.Vector) ([]int16, float64) {
 	scale := maxAbs / 127
 	for _, x := range q {
 		dst = append(dst, int16(quantizeI8(x, scale)))
+	}
+	for n := len(q); n%i8Chunk != 0; n++ {
+		dst = append(dst, 0)
 	}
 	return dst, scale
 }
@@ -190,20 +199,41 @@ func (s *StoreI8) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 	return nil
 }
 
+// i8Chunk is the codes the AVX2 kernel takes per step: one VPMOVSXBW.
+const i8Chunk = 16
+
+// quantSIMD is the one gate between a quantized tier's dotRange and its
+// AVX2 kernels, which walk a row chunk elements at a time: every d of
+// at least a chunk runs SIMD, the rest (and every machine without AVX2)
+// the Go kernels.
+func quantSIMD(d, chunk int) bool { return useQuantAsm && d >= chunk }
+
 // dotRange fills out with float64(Σ code·qcode) · combined for rows
-// [lo, hi), one kernel call per chunk the range touches. Accumulation
-// is exact int32 arithmetic (|code·qcode| ≤ 127², so any practical
-// dimension fits), which is order independent — the AVX2 kernel's
-// pairwise VPMADDWD sums equal the scalar loop exactly, no
-// accumulation-chain contract needed.
+// [lo, hi), one kernel call per chunk the range touches; qc is
+// quantizeQueryI8's padded form. Accumulation is exact int32 arithmetic
+// (|code·qcode| ≤ 127², so any practical dimension fits), which is
+// order independent — the AVX2 kernel's pairwise VPMADDWD sums equal
+// the scalar loop exactly, no accumulation-chain contract needed. When
+// i8Chunk ∤ d the kernel's last load per row reaches into the next row
+// (against zero query codes), so the piece's last row — possibly the
+// allocation's — is scored by the Go kernel.
 func (s *StoreI8) dotRange(qc []int16, combined float64, lo, hi int, out []float64) {
-	d := s.dim
+	d, simd := s.dim, quantSIMD(s.dim, i8Chunk)
 	for lo < hi {
 		codes, l, h := s.codes.span(lo, hi)
-		if d == 16 && useQuantAsm {
+		g := l // [g, h) is the Go kernel's
+		switch {
+		case simd && d == 16:
+			g = h
 			dotI8Range16(codes[l*16:h*16], qc, combined, out[:h-l])
-		} else {
-			dotI8RangeGeneric(codes, d, qc, combined, l, h, out)
+		case simd:
+			if g = h; d%i8Chunk != 0 {
+				g--
+			}
+			dotI8Range(codes[l*d:g*d], d, qc, combined, out[:g-l])
+		}
+		if g < h {
+			dotI8RangeGeneric(codes, d, qc, combined, g, h, out[g-l:])
 		}
 		out = out[h-l:]
 		lo += h - l
