@@ -128,27 +128,34 @@ func TestGrownStoresMatchFromVectors(t *testing.T) {
 	}
 }
 
-// TestDotTileQueryChunkEdge: query quads that straddle a chunk edge of
-// the query store score exactly as the single-query kernel does.
+// TestDotTileQueryChunkEdge: a query tile that crosses a chunk edge of
+// the query store scores, on both sides of the edge, exactly as the
+// single-query kernel does — and only the quad holding the edge leaves
+// the micro-kernel: the quads before and after it are still served by
+// the assembly.
 func TestDotTileQueryChunkEdge(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
+		quads := 0
+		kernel := quadKernel
+		quadKernel = func(p []float64, d int, q, out []float64) {
+			quads++
+			kernel(p, d, q, out)
+		}
+		defer func() { quadKernel = kernel }()
 		rng := xrand.New(77)
-		for _, d := range []int{8, 16} {
+		for _, d := range []int{8, 16, 23, 32} {
 			s, _ := FromVectors(randomVecs(rng, 300, d))
-			qs, _ := FromVectors(randomVecs(rng, chunkRows+6, d))
-			qlo, qhi := chunkRows-6, chunkRows+6
-			out := make([]float64, (qhi-qlo)*256)
-			if err := s.DotTile(qs, qlo, qhi, 0, 256, out); err != nil {
-				t.Fatal(err)
+			qs, _ := FromVectors(randomVecs(rng, chunkRows+10, d))
+			// Quads start at chunkRows-6 and -2; the second holds the edge
+			// and goes to the pair kernel, then chunkRows and +4 are quads.
+			quads = 0
+			checkTile(t, s, qs, chunkRows-6, chunkRows+10, 0, 256)
+			want := 0
+			if tileSIMD(d) {
+				want = 3
 			}
-			want := make([]float64, 256)
-			for j := qlo; j < qhi; j++ {
-				if err := s.DotRange(qs.Row(j), 0, 256, want); err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(out[(j-qlo)*256:(j-qlo+1)*256], want) {
-					t.Fatalf("d=%d: query %d scores differ from DotRange", d, j)
-				}
+			if quads != want {
+				t.Fatalf("d=%d: %d query quads ran the micro-kernel, want %d", d, quads, want)
 			}
 		}
 	})

@@ -97,13 +97,14 @@ func FuzzDotBatch(f *testing.F) {
 }
 
 // FuzzDotTile drives the multi-query tile kernels (the AVX2 d=8/d=16
-// micro-kernels when available, plus the pure-Go pair kernels and the
-// generic path) against the single-query kernel: every cell of the
-// tile must match DotRange bit for bit, and TopKMulti must agree with
-// per-query TopK. Corpus bytes decode as (d, nq, row data, queries).
+// and any-dimension micro-kernels when available, plus the pure-Go pair
+// kernels) against the single-query kernel: every cell of the tile must
+// match DotRange bit for bit, and TopKMulti must agree with per-query
+// TopK. Corpus bytes decode as (d-1, nq-1, queries, row data), d up to
+// 72 and nq up to 9.
 func FuzzDotTile(f *testing.F) {
-	mk := func(d, nq byte, vals ...float64) []byte {
-		b := []byte{d, nq}
+	mk := func(d, nq int, vals ...float64) []byte {
+		b := []byte{byte(d - 1), byte(nq - 1)}
 		for _, v := range vals {
 			var w [8]byte
 			binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
@@ -111,21 +112,33 @@ func FuzzDotTile(f *testing.F) {
 		}
 		return b
 	}
+	// ramp is nq queries and three rows (a row pair and the trailing
+	// row) of small signed values with both zeros among them.
+	ramp := func(d, nq int) []float64 {
+		vals := make([]float64, (nq+3)*d)
+		for i := range vals {
+			vals[i] = float64(i%7-3) * math.Copysign(0.25, float64(i%5)-1.5)
+		}
+		return vals
+	}
 	f.Add(mk(2, 1, 1, 2, 3, 4, 5, 6))
 	f.Add(mk(8, 4,
 		1, 2, 3, 4, 5, 6, 7, 8, -1, -2, -3, -4, -5, -6, -7, -8,
 		1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0,
 		1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1,
 		2, 2, 2, 2, 2, 2, 2, 2))
-	f.Add(mk(16, 5,
+	f.Add(mk(16, 2,
 		1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8,
 		1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
 		0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5))
+	f.Add(mk(16, 4, ramp(16, 4)...))
+	f.Add(mk(23, 4, ramp(23, 4)...)) // the any-d kernel with a 3-element tail
+	f.Add(mk(64, 5, ramp(64, 5)...)) // and with none, plus a leftover query
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 2 {
 			return
 		}
-		d := int(raw[0]%24) + 1
+		d := int(raw[0]%72) + 1
 		nq := int(raw[1]%9) + 1
 		raw = raw[2:]
 		vals := make([]float64, 0, len(raw)/8)
@@ -162,22 +175,7 @@ func FuzzDotTile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("FromVectors(queries): %v", err)
 		}
-		out := make([]float64, nq*n)
-		if err := s.DotTile(qs, 0, nq, 0, n, out); err != nil {
-			t.Fatalf("DotTile: %v", err)
-		}
-		want := make([]float64, n)
-		for j := 0; j < nq; j++ {
-			if err := s.DotRange(qs.Row(j), 0, n, want); err != nil {
-				t.Fatalf("DotRange: %v", err)
-			}
-			for r := 0; r < n; r++ {
-				got := out[j*n+r]
-				if got != want[r] && !(math.IsNaN(got) && math.IsNaN(want[r])) {
-					t.Fatalf("d=%d nq=%d query %d row %d: DotTile=%g DotRange=%g", d, nq, j, r, got, want[r])
-				}
-			}
-		}
+		checkTile(t, s, qs, 0, nq, 0, n)
 		k := n%3 + 1
 		multi, err := s.TopKMulti(qs, k, false)
 		if err != nil {

@@ -1,0 +1,80 @@
+//go:build amd64 && unix
+
+package flat
+
+import (
+	"syscall"
+	"testing"
+	"unsafe"
+
+	"repro/internal/vec"
+)
+
+// guardedPage maps one readable page, filled with a fixed pattern, that
+// ends flush against an unreadable one: a kernel handed the page's last
+// bytes faults on any load past them. The equivalence grids cannot see
+// such a load — Go's heap is readable past most slices.
+func guardedPage(t *testing.T) []byte {
+	t.Helper()
+	page := syscall.Getpagesize()
+	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Skipf("mmap: %v", err)
+	}
+	t.Cleanup(func() { syscall.Munmap(mem) })
+	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+		t.Skipf("mprotect: %v", err)
+	}
+	for i := range mem[:page] {
+		mem[i] = byte(i*37 + 11)
+	}
+	return mem[:page]
+}
+
+// TestQuantKernelsStayInsideAllocation scores stores whose one chunk
+// ends flush against an unreadable page, at dimensions where the int8
+// kernel's padded last chunk (16 ∤ d) and the f32 kernel's element tail
+// (8 ∤ d) run up to the row's end: a load past the last row faults.
+func TestQuantKernelsStayInsideAllocation(t *testing.T) {
+	if !useQuantAsm {
+		t.Skip("no asm kernels on this machine")
+	}
+	mem := guardedPage(t)
+	for _, d := range []int{8, 9, 15, 16, 17, 31, 32, 33, 40, 100} {
+		for _, n := range []int{1, 2, 3, 4, 5, 9} {
+			out := make([]float64, n)
+
+			codes := unsafe.Slice((*int8)(unsafe.Pointer(&mem[len(mem)-n*d])), n*d)
+			s8 := &StoreI8{dim: d, scale: 1}
+			s8.codes.width, s8.codes.n, s8.codes.chunks = d, n, [][]int8{codes}
+			qc, _ := quantizeQueryI8(nil, vec.New(d))
+			s8.dotRange(qc, 1, 0, n, out)
+
+			rows := unsafe.Slice((*float32)(unsafe.Pointer(&mem[len(mem)-4*n*d])), n*d)
+			s32 := newStore32(d)
+			s32.data.n, s32.data.chunks = n, [][]float32{rows}
+			s32.dotRange(make([]float32, d), 0, n, out)
+		}
+	}
+}
+
+// TestTileKernelsStayInsideAllocation does the same for the f64 quad
+// micro-kernels: the data rows and the 4-query block each end flush
+// against an unreadable page, at dimensions with every element-tail
+// length (4 ∤ d) and at row counts whose odd ones end on the
+// trailing-row path.
+func TestTileKernelsStayInsideAllocation(t *testing.T) {
+	if !useDotTileAsm {
+		t.Skip("no asm kernels on this machine")
+	}
+	// last returns the n float64s that end a page.
+	last := func(page []byte, n int) []float64 {
+		return unsafe.Slice((*float64)(unsafe.Pointer(&page[len(page)-8*n])), n)
+	}
+	rows, queries := guardedPage(t), guardedPage(t)
+	for _, d := range []int{4, 5, 7, 8, 9, 16, 17, 33, 64, 100} {
+		for _, n := range []int{1, 2, 3, 5} {
+			dotTileQuad(last(rows, n*d), d, last(queries, 4*d), make([]float64, 4*n))
+		}
+	}
+}

@@ -2,9 +2,12 @@
 // flat.go block the *data* dimension; the tile kernels here block the
 // *query* dimension as well: DotTile scores a tile of up to maxTileQ
 // query rows against a block of data rows in one pass, so each data row
-// loaded from memory is amortized across the whole query tile, and the
-// d=8/d=16 specializations run as register-blocked AVX2 micro-kernels
-// (4 queries × 2 rows per iteration) on amd64.
+// loaded from memory is amortized across the whole query tile, and on
+// amd64 with AVX2 every dimension of at least one 4-double chunk runs a
+// register-blocked micro-kernel (4 queries × 2 rows per iteration;
+// tileSIMD is the gate): d=8 and d=16 through kernels with the row
+// stride built in, every other d through dotTile4, which walks a row in
+// 4-double chunks.
 //
 // Every score stays bit-identical to the single-query kernels: the
 // per-(row, query) accumulation is the same 4-lane split (lane i mod 4)
@@ -12,8 +15,16 @@
 // multiply/add reproduces exactly — lane k of the vector accumulator
 // *is* s_k — and the horizontal reduction performs the identical
 // (s0+s1)+(s2+s3) additions. No FMA is used (fused rounding would
-// break the equivalence). The tile equivalence grid and FuzzDotTile
-// pin this down.
+// break the equivalence). Two rules follow from dotRangeGeneric's chain
+// and are what keeps the d=8/16 kernels beside the any-dimension one:
+// its lanes start at +0 and *add* the first product (+0 + −0 is +0,
+// where dotRange8/16 and their micro-kernels start from the bare
+// product and keep −0), so dotTile4 zeroes its accumulators first; and
+// its d mod 4 trailing elements go into lane 0 alone, so dotTile4 loads
+// them as scalars with the upper lanes zeroed and lets lanes 1-3 add
+// +0, which cannot change a sum that began at +0. The tile equivalence
+// grid, its special-values pass and FuzzDotTile pin this down to the
+// sign of a zero; a guard-page test pins every load inside its row.
 //
 // View.ScanMulti drives the tile kernel over one data sweep,
 // maintaining a per-query accumulator.
@@ -133,14 +144,55 @@ func (s *Store) DotTile(qs *Store, qlo, qhi, plo, phi int, out []float64) error 
 	return nil
 }
 
-// scoreTile is the unchecked tile kernel dispatch (it implements tiler). Query quads run
-// through the AVX2 micro-kernels when available (d=8/d=16); leftovers
-// and other dimensions run the pure-Go kernels, which share the exact
-// accumulation chains, so the split is invisible in the results. The
-// micro-kernels want their operands contiguous: a block-aligned sweep
-// always hands them data rows inside one chunk, and the rare tile that
-// straddles a chunk edge (on either side) drops to the narrower kernels
-// for the same bits.
+// tileSIMD is the one gate between scoreTile and the AVX2 quad
+// micro-kernels: on an AVX2 machine every d of at least one 4-double
+// chunk runs SIMD — d = 8 and d = 16 through their fixed-dimension
+// kernels, every other d through dotTile4 — and the rest (and every
+// machine without AVX2) the Go kernels.
+func tileSIMD(d int) bool { return useDotTileAsm && d >= 4 }
+
+// quadKernel is the micro-kernel scoreTile hands a query quad to. A
+// variable only so a test can count the quads the assembly serves —
+// the scores cannot tell, every path returns the same bits.
+var quadKernel = dotTileQuad
+
+// dotTileQuad scores the 4 contiguous query rows of q against the
+// len(p)/d contiguous data rows of p on the AVX2 micro-kernel for d
+// (tileSIMD(d) must hold): out[j*nr+r] = p_row(r)·q_row(j).
+func dotTileQuad(p []float64, d int, q, out []float64) {
+	switch d {
+	case 16:
+		dotTile16x4(p, q, out)
+	case 8:
+		dotTile8x4(p, q, out)
+	default:
+		dotTile4(p, d, q, out)
+	}
+}
+
+// dotTilePair is the pure-Go 2-query kernel for d: one row load feeds
+// both queries' accumulator chains.
+func dotTilePair(data []float64, d int, u, v []float64, lo, hi int, out0, out1 []float64) {
+	switch d {
+	case 16:
+		dotTile16x2(data, u, v, lo, hi, out0, out1)
+	case 8:
+		dotTile8x2(data, u, v, lo, hi, out0, out1)
+	default:
+		dotTileGeneric2(data, d, u, v, lo, hi, out0, out1)
+	}
+}
+
+// scoreTile is the unchecked tile kernel dispatch (it implements
+// tiler). Where tileSIMD(d) holds, query quads run through the AVX2
+// micro-kernels; leftover queries, and every query elsewhere, run the
+// pure-Go pair and single kernels, which share the exact accumulation
+// chains, so the split is invisible in the results. The micro-kernels
+// want their operands contiguous: a block-aligned sweep always hands
+// them data rows inside one chunk, a tile whose data rows straddle a
+// chunk edge is scored query by query, and a quad whose query rows
+// straddle one gives its first two rows to the pair kernel — the quads
+// after the edge are served by the assembly again.
 func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64) {
 	d := s.dim
 	nb := phi - plo
@@ -154,51 +206,23 @@ func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64) {
 		}
 		return
 	}
-	j := qlo
-	switch d {
-	case 16:
-		if useDotTileAsm {
-			for ; j+4 <= qhi; j += 4 {
-				q4 := qs.data.contiguous(j, j+4)
-				if q4 == nil {
-					break
-				}
-				o := (j - qlo) * nb
-				dotTile16x4(data[lo*16:hi*16], q4, out[o:o+4*nb])
-			}
+	simd := tileSIMD(d)
+	for j := qlo; j < qhi; {
+		o := out[(j-qlo)*nb:]
+		var q4 []float64
+		if simd && j+4 <= qhi {
+			q4 = qs.data.contiguous(j, j+4)
 		}
-		for ; j+2 <= qhi; j += 2 {
-			o := (j - qlo) * nb
-			dotTile16x2(data, qs.Row(j), qs.Row(j+1), lo, hi, out[o:o+nb], out[o+nb:o+2*nb])
-		}
-		if j < qhi {
-			dotRange16(data, qs.Row(j), lo, hi, out[(j-qlo)*nb:(j-qlo+1)*nb])
-		}
-	case 8:
-		if useDotTileAsm {
-			for ; j+4 <= qhi; j += 4 {
-				q4 := qs.data.contiguous(j, j+4)
-				if q4 == nil {
-					break
-				}
-				o := (j - qlo) * nb
-				dotTile8x4(data[lo*8:hi*8], q4, out[o:o+4*nb])
-			}
-		}
-		for ; j+2 <= qhi; j += 2 {
-			o := (j - qlo) * nb
-			dotTile8x2(data, qs.Row(j), qs.Row(j+1), lo, hi, out[o:o+nb], out[o+nb:o+2*nb])
-		}
-		if j < qhi {
-			dotRange8(data, qs.Row(j), lo, hi, out[(j-qlo)*nb:(j-qlo+1)*nb])
-		}
-	default:
-		for ; j+2 <= qhi; j += 2 {
-			o := (j - qlo) * nb
-			dotTileGeneric2(data, d, qs.Row(j), qs.Row(j+1), lo, hi, out[o:o+nb], out[o+nb:o+2*nb])
-		}
-		if j < qhi {
-			dotRangeGeneric(data, d, qs.Row(j), lo, hi, out[(j-qlo)*nb:(j-qlo+1)*nb])
+		switch {
+		case q4 != nil:
+			quadKernel(data[lo*d:hi*d], d, q4, o[:4*nb])
+			j += 4
+		case j+2 <= qhi:
+			dotTilePair(data, d, qs.Row(j), qs.Row(j+1), lo, hi, o[:nb], o[nb:2*nb])
+			j += 2
+		default:
+			s.dotRange(qs.Row(j), plo, phi, o[:nb])
+			j++
 		}
 	}
 }

@@ -25,6 +25,16 @@ func dotTile16x4(p, q, out []float64)
 //go:noescape
 func dotTile8x4(p, q, out []float64)
 
+// dotTile4 is the any-dimension variant (d ≥ 4): 4 contiguous query
+// rows of d floats against nr = len(out)/4 contiguous data rows, the
+// same 4 queries × 2 rows blocking with d walked in 4-double chunks and
+// the d mod 4 trailing elements folded into lane 0 — dotRangeGeneric's
+// chains, which start at +0 where the fixed-dimension kernels' start at
+// the first product, so it does not stand in for them at d = 8 or 16.
+//
+//go:noescape
+func dotTile4(p []float64, d int, q, out []float64)
+
 // x86HasAVX2 reports whether the CPU and OS support AVX2 (CPUID leaf 7
 // EBX bit 5, plus OSXSAVE with YMM state enabled via XGETBV).
 func x86HasAVX2() bool

@@ -404,3 +404,171 @@ tail8:
 done8:
 	VZEROUPPER
 	RET
+
+// Bodies shared by dotTile4's chunk and element steps and its two row
+// paths. Row chunks ride in Y8 (row 0) and Y9 (row 1), the four
+// queries' chunks in Y10-Y13; accumulators are Y0-Y3 (row 0 × q0..q3)
+// and Y4-Y7 (row 1 × q0..q3), products go through Y14/Y15.
+#define TILE4_MAC_ROW0 \
+	VMULPD Y10, Y8, Y14; \
+	VADDPD Y14, Y0, Y0;  \
+	VMULPD Y11, Y8, Y15; \
+	VADDPD Y15, Y1, Y1;  \
+	VMULPD Y12, Y8, Y14; \
+	VADDPD Y14, Y2, Y2;  \
+	VMULPD Y13, Y8, Y15; \
+	VADDPD Y15, Y3, Y3
+
+#define TILE4_MAC_ROW1 \
+	VMULPD Y10, Y9, Y14; \
+	VADDPD Y14, Y4, Y4;  \
+	VMULPD Y11, Y9, Y15; \
+	VADDPD Y15, Y5, Y5;  \
+	VMULPD Y12, Y9, Y14; \
+	VADDPD Y14, Y6, Y6;  \
+	VMULPD Y13, Y9, Y15; \
+	VADDPD Y15, Y7, Y7
+
+// TILE4_STORE reduces one row's four accumulators to its four scores —
+// (s0+s1)+(s2+s3) each — and stores them off bytes into the four
+// queries' score runs: R9, R9+R10, R9+2·R10 and AX+R10 with
+// AX = R9+2·R10.
+#define TILE4_STORE(a0, a1, a2, a3, off) \
+	VHADDPD      a1, a0, Y8;         \
+	VHADDPD      a3, a2, Y9;         \
+	VPERM2F128   $0x20, Y9, Y8, Y10; \
+	VPERM2F128   $0x31, Y9, Y8, Y11; \
+	VADDPD       Y11, Y10, Y12;      \
+	VMOVSD       X12, off(R9);       \
+	VPERMILPD    $1, X12, X13;       \
+	VMOVSD       X13, off(R9)(R10*1); \
+	VEXTRACTF128 $1, Y12, X13;       \
+	VMOVSD       X13, off(R9)(R10*2); \
+	VPERMILPD    $1, X13, X13;       \
+	VMOVSD       X13, off(AX)(R10*1)
+
+// func dotTile4(p []float64, d int, q, out []float64)
+//
+// nr = len(out)/4 rows of d doubles (d ≥ 4, any value) against the 4
+// query rows of q: dotRangeGeneric's chain per (row, query). The same
+// 4 queries × 2 rows blocking as dotTile16x4, with the dimension walked
+// at run time: every accumulator starts at +0 and takes one unfused
+// VMULPD/VADDPD per 4-double chunk, so lane k is the Go kernel's s_k
+// from its first step (a chain begun with the bare first product, as
+// the fixed-dimension kernels begin theirs, holds −0 where +0 + −0 is
+// +0). The d mod 4 trailing elements are loaded with VMOVSD — lane 0
+// the element, lanes 1-3 zeroed — and go through the same 4-wide
+// multiply/add: lane 0 continues s_0's chain as the Go tail does, lanes
+// 1-3 add +0·+0 = +0 to sums that began at +0 and so are never −0,
+// which leaves them as they were. Every load stays inside its row.
+TEXT ·dotTile4(SB), NOSPLIT, $0-80
+	MOVQ p_base+0(FP), DI
+	MOVQ d+24(FP), DX
+	MOVQ q_base+32(FP), SI
+	MOVQ out_base+56(FP), R9
+	MOVQ out_len+64(FP), CX
+	SHRQ $2, CX           // rows
+	MOVQ CX, R10
+	SHLQ $3, R10          // bytes from one query's scores to the next's
+	SHLQ $3, DX           // row length in bytes
+	MOVQ DX, BX
+	ANDQ $-32, BX         // bytes of it in whole 4-double chunks
+	LEAQ (SI)(DX*1), R11  // query rows 1..3
+	LEAQ (R11)(DX*1), R12
+	LEAQ (R12)(DX*1), R13
+
+loop2_4:
+	CMPQ CX, $2
+	JL   tail_4
+
+	LEAQ   (DI)(DX*1), R8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ   AX, AX
+
+chunk2_4:
+	VMOVUPD (DI)(AX*1), Y8
+	VMOVUPD (R8)(AX*1), Y9
+	VMOVUPD (SI)(AX*1), Y10
+	VMOVUPD (R11)(AX*1), Y11
+	VMOVUPD (R12)(AX*1), Y12
+	VMOVUPD (R13)(AX*1), Y13
+	TILE4_MAC_ROW0
+	TILE4_MAC_ROW1
+	ADDQ    $32, AX
+	CMPQ    AX, BX
+	JL      chunk2_4
+	JMP     next2_4
+
+elem2_4:
+	VMOVSD (DI)(AX*1), X8
+	VMOVSD (R8)(AX*1), X9
+	VMOVSD (SI)(AX*1), X10
+	VMOVSD (R11)(AX*1), X11
+	VMOVSD (R12)(AX*1), X12
+	VMOVSD (R13)(AX*1), X13
+	TILE4_MAC_ROW0
+	TILE4_MAC_ROW1
+	ADDQ   $8, AX
+
+next2_4:
+	CMPQ AX, DX
+	JL   elem2_4
+
+	LEAQ (R9)(R10*2), AX
+	TILE4_STORE(Y0, Y1, Y2, Y3, 0)
+	TILE4_STORE(Y4, Y5, Y6, Y7, 8)
+
+	LEAQ (R8)(DX*1), DI
+	ADDQ $16, R9
+	SUBQ $2, CX
+	JMP  loop2_4
+
+tail_4:
+	TESTQ CX, CX
+	JZ    done_4
+
+	// One trailing row × 4 queries.
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   AX, AX
+
+chunk1_4:
+	VMOVUPD (DI)(AX*1), Y8
+	VMOVUPD (SI)(AX*1), Y10
+	VMOVUPD (R11)(AX*1), Y11
+	VMOVUPD (R12)(AX*1), Y12
+	VMOVUPD (R13)(AX*1), Y13
+	TILE4_MAC_ROW0
+	ADDQ    $32, AX
+	CMPQ    AX, BX
+	JL      chunk1_4
+	JMP     next1_4
+
+elem1_4:
+	VMOVSD (DI)(AX*1), X8
+	VMOVSD (SI)(AX*1), X10
+	VMOVSD (R11)(AX*1), X11
+	VMOVSD (R12)(AX*1), X12
+	VMOVSD (R13)(AX*1), X13
+	TILE4_MAC_ROW0
+	ADDQ   $8, AX
+
+next1_4:
+	CMPQ AX, DX
+	JL   elem1_4
+
+	LEAQ (R9)(R10*2), AX
+	TILE4_STORE(Y0, Y1, Y2, Y3, 0)
+
+done_4:
+	VZEROUPPER
+	RET

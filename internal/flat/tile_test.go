@@ -24,21 +24,40 @@ func forEachKernelPath(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// sameScore treats two NaNs as equal (payloads may differ between the
-// scalar and SIMD reduction orders; both are rejected by Acc anyway).
-func sameScore(a, b float64) bool {
-	return a == b || (math.IsNaN(a) && math.IsNaN(b))
+// checkTile requires every cell of the DotTile of query rows [qlo, qhi)
+// against rows [plo, phi) to hold the single-query kernel's score on
+// the same operands, bit for bit (sameScoreBits: −0 is not +0).
+func checkTile(t *testing.T, s, qs *Store, qlo, qhi, plo, phi int) {
+	t.Helper()
+	nb := phi - plo
+	out := make([]float64, (qhi-qlo)*nb)
+	if err := s.DotTile(qs, qlo, qhi, plo, phi, out); err != nil {
+		t.Fatalf("d=%d: DotTile: %v", s.Dim(), err)
+	}
+	want := make([]float64, nb)
+	for j := qlo; j < qhi; j++ {
+		if err := s.DotRange(qs.Row(j), plo, phi, want); err != nil {
+			t.Fatal(err)
+		}
+		for r, w := range want {
+			if got := out[(j-qlo)*nb+r]; !sameScoreBits(got, w) {
+				t.Fatalf("d=%d rows [%d, %d) queries [%d, %d): query %d row %d: tile %v (%#x), single %v (%#x)",
+					s.Dim(), plo, phi, qlo, qhi, j, plo+r, got, math.Float64bits(got), w, math.Float64bits(w))
+			}
+		}
+	}
 }
 
 // TestDotTileMatchesDotRange pins the tile kernel's bit-identity
 // contract: every (row, query) cell of the tile must equal the
 // single-query kernel's score on the same operands, across dimensions
-// that exercise the d=8/d=16 micro-kernels (quads plus remainders) and
-// the generic path.
+// that exercise the d=8/d=16 micro-kernels, the any-dimension one with
+// every element-tail length, and the Go kernels below d=4 — each with
+// quads plus remainders and odd row counts.
 func TestDotTileMatchesDotRange(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
 		rng := xrand.New(11)
-		for _, d := range []int{1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 24, 33} {
+		for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 23, 24, 31, 32, 33, 63, 64, 65, 100} {
 			for _, n := range []int{1, 2, 3, 5, 255, 256, 257} {
 				s, err := FromVectors(randomVecs(rng, n, d))
 				if err != nil {
@@ -53,24 +72,48 @@ func TestDotTileMatchesDotRange(t *testing.T) {
 					if n > 4 {
 						plo, phi = 1, n-2 // unaligned block offsets
 					}
-					nb := phi - plo
-					out := make([]float64, nq*nb)
-					if err := s.DotTile(qs, 0, nq, plo, phi, out); err != nil {
-						t.Fatalf("d=%d n=%d nq=%d: DotTile: %v", d, n, nq, err)
-					}
-					want := make([]float64, nb)
-					for j := 0; j < nq; j++ {
-						if err := s.DotRange(qs.Row(j), plo, phi, want); err != nil {
-							t.Fatal(err)
-						}
-						for r := 0; r < nb; r++ {
-							if got := out[j*nb+r]; !sameScore(got, want[r]) {
-								t.Fatalf("d=%d n=%d nq=%d query %d row %d: tile %v, single %v (must be bit-identical)",
-									d, n, nq, j, plo+r, got, want[r])
-							}
-						}
+					checkTile(t, s, qs, 0, nq, plo, phi)
+				}
+			}
+		}
+	})
+}
+
+// TestDotTileSpecialValues runs the same contract over operands where
+// the sign of a zero, an infinity or a NaN decides the bits: Gaussian
+// rows and queries with ±0, ±Inf, NaN, the smallest denormal and ±1e308
+// planted in them; operands drawn from {±0, ±1, ±5e-324} alone, so that
+// most partial sums are a signed zero; and −0 rows against non-negative
+// queries, where every product is −0 — a chain begun at +0 sums them to
+// +0, one begun with the first product to −0.
+func TestDotTileSpecialValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	planted := []float64{0, negZero, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e308, -1e308}
+	zeros := []float64{0, negZero, 1, -1, 5e-324, -5e-324}
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := xrand.New(13)
+		// fill draws one element in every from set, the rest Gaussian.
+		fill := func(n, d int, set []float64, every int) *Store {
+			vs := randomVecs(rng, n, d)
+			for _, v := range vs {
+				for i := range v {
+					if rng.Intn(every) == 0 {
+						v[i] = set[rng.Intn(len(set))]
 					}
 				}
+			}
+			s, err := FromVectors(vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		for _, d := range []int{3, 4, 5, 6, 7, 8, 9, 16, 17, 23, 32, 33, 64, 70} {
+			for rep := 0; rep < 8; rep++ {
+				n := 1 + rng.Intn(7)
+				checkTile(t, fill(n, d, planted, 6), fill(9, d, planted, 6), 0, 9, 0, n)
+				checkTile(t, fill(n, d, zeros, 1), fill(9, d, zeros, 1), 0, 9, 0, n)
+				checkTile(t, fill(n, d, []float64{negZero}, 1), fill(9, d, []float64{0, 1, 5e-324}, 1), 0, 9, 0, n)
 			}
 		}
 	})
