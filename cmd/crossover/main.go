@@ -1,8 +1,9 @@
 // Command crossover runs the ablation study of DESIGN.md experiment
 // E-X: who wins where among the join/search strategies — exact scan
-// (sequential and parallel), norm-pruned scan, ball tree, asymmetric
-// LSH, and the §4.3 sketch structure — as the data size grows, on the
-// latent-factor MIPS workload. It also runs the Valiant-style
+// (the scalar reference over row slices, and the columnar sweep ipsd
+// serves), norm-pruned scan, ball tree, asymmetric LSH, and the §4.3
+// sketch structure — as the data size grows, on the latent-factor MIPS
+// workload. It also runs the Valiant-style
 // aggregation detector against the naive correlation scan (the
 // permissible side of Table 1 for unsigned {−1,1}).
 //
@@ -12,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -22,6 +24,7 @@ import (
 	ips "repro"
 	"repro/internal/corr"
 	"repro/internal/dataset"
+	"repro/internal/flat"
 	"repro/internal/mips"
 	"repro/internal/stats"
 	"repro/internal/xrand"
@@ -55,6 +58,27 @@ func main() {
 			}
 		})
 		tb.Add(n, "exact-scan", perQuery(exactTime, *queries), 1.0, "ground truth")
+
+		// The same exact answer the way ipsd serves it: flat's blocked sweep
+		// of one columnar store.
+		fs, err := flat.FromVectors(lf.Items)
+		if err != nil {
+			fail(err)
+		}
+		flatHits := 0
+		flatTime := timeIt(func() {
+			for qi, q := range lf.Users {
+				hs, err := fs.View().Scan(context.Background(), q, flat.ScanOpts{K: 1})
+				if err != nil {
+					fail(err)
+				}
+				if hs[0].Index == exactIdx[qi] {
+					flatHits++
+				}
+			}
+		})
+		tb.Add(n, "flat-scan", perQuery(flatTime, *queries),
+			float64(flatHits)/float64(*queries), "the baseline ipsd serves")
 
 		np, err := mips.NewNormPruned(lf.Items)
 		if err != nil {

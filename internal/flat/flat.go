@@ -397,6 +397,35 @@ func (a *Acc) Threshold() float64 {
 // Full reports whether k hits have accumulated.
 func (a *Acc) Full() bool { return len(a.hits) == a.k }
 
+// OfferRows is the candidate engines' verification loop — the served
+// alsh search and the lsh and sketch joins run this one copy: it offers a
+// the score of q, |score| when unsigned, against each row that rows names
+// and dead does not mark, through the kernel the scans use (Dot), and
+// returns how many rows it scored. done (nil: never) is polled every
+// 1024 rows, the candidate set being unbounded; a true return means it
+// fired and a is partial. Panics like Dot on a dimension mismatch.
+func (s *Store) OfferRows(done <-chan struct{}, a *Acc, q vec.Vector, rows []int, dead *Tombstones, unsigned bool) (scored int, stopped bool) {
+	for i, r := range rows {
+		if done != nil && i&1023 == 1023 {
+			select {
+			case <-done:
+				return scored, true
+			default:
+			}
+		}
+		if dead.Dead(r) {
+			continue
+		}
+		v := s.Dot(r, q)
+		if unsigned && v < 0 {
+			v = -v
+		}
+		a.Offer(r, v)
+		scored++
+	}
+	return scored, false
+}
+
 // offerScores feeds one block of materialised scores (rows base..) into
 // a. perm maps physical to original row indexes; nil means the block was
 // scanned in ascending index order, which allows the stronger skip:

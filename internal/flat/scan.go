@@ -59,8 +59,8 @@ type ScanOpts struct {
 }
 
 // ScanStats counts the work of one scan. Every row block ends up in
-// exactly one of the three counters. ScanMulti reports the sum over its
-// queries of what a Scan per query would have counted.
+// exactly one of the three block counters. ScanMulti reports the sum
+// over its queries of what a Scan per query would have counted.
 type ScanStats struct {
 	// ScannedRows counts rows whose score the kernel evaluated.
 	ScannedRows int
@@ -70,12 +70,17 @@ type ScanStats struct {
 	// SkippedBlocks counts blocks skipped because every row in them was
 	// tombstoned.
 	SkippedBlocks int
+	// Candidates counts rows verified one by one (OfferRows) by an engine
+	// that finds candidates instead of sweeping; the scans leave it zero.
+	Candidates int
 }
 
-func (st *ScanStats) add(o ScanStats) {
+// Add adds o's counts to st's.
+func (st *ScanStats) Add(o ScanStats) {
 	st.ScannedRows += o.ScannedRows
 	st.PrunedBlocks += o.PrunedBlocks
 	st.SkippedBlocks += o.SkippedBlocks
+	st.Candidates += o.Candidates
 }
 
 // tier is what a storage precision gives the scan drivers: Store,
@@ -407,7 +412,7 @@ func (s sweep) parallel(workers int, a *Acc, st *ScanStats) bool {
 		if stopped[w] {
 			return true
 		}
-		st.add(stats[w])
+		st.Add(stats[w])
 		for _, h := range accs[w].Hits() {
 			a.Offer(h.Index, h.Score)
 		}
@@ -450,7 +455,7 @@ func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc
 				return stopErr(ctx)
 			}
 			scanned[j] = one.ScannedRows
-			st.add(one)
+			st.Add(one)
 		}
 	}
 	if o.Stats != nil {

@@ -407,7 +407,7 @@ func runScanMultiGrid(t *testing.T, views []gridView, ctxs []gridCtx) {
 							t.Fatal(err)
 						}
 						wantScanned[j] = st.ScannedRows
-						wantStats.add(st)
+						wantStats.Add(st)
 					}
 					for _, gc := range ctxs {
 						cell := fmt.Sprintf("%s n=%d d=%d dead=%s k=%d unsigned=%v ctx=%d", gv.name, n, d, shape, k, unsigned, gc)

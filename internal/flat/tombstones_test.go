@@ -167,3 +167,44 @@ func BenchmarkTopKMasked(b *testing.B) {
 		}
 	})
 }
+
+// TestOfferRows: verifying a candidate list is the masked reference scan
+// restricted to it — dead rows neither scored nor counted — and a fired
+// done channel stops it at the next 1024-row poll with the count so far.
+func TestOfferRows(t *testing.T) {
+	rng := xrand.New(71)
+	const n, d = 3000, 7
+	vs := make([]vec.Vector, n)
+	for i := range vs {
+		vs[i] = vec.Vector(rng.NormalVec(d))
+	}
+	s, _ := FromVectors(vs)
+	q := vec.Vector(rng.NormalVec(d))
+	dead, live := killRandom(rng, n, 0.3)
+	all := rng.Perm(n)
+	for _, unsigned := range []bool{false, true} {
+		for _, mask := range []*Tombstones{nil, dead} {
+			want := n
+			if mask != nil {
+				want = len(live)
+			}
+			a := NewAcc(10)
+			got, stopped := s.OfferRows(nil, &a, q, all, mask, unsigned)
+			if stopped || got != want {
+				t.Fatalf("scored %d rows (stopped %v), want %d", got, stopped, want)
+			}
+			if ref := naiveTopKMasked(s, q, 10, unsigned, mask); !hitsEqual(a.Hits(), ref) {
+				t.Fatalf("unsigned=%v masked=%v: %v, reference %v", unsigned, mask != nil, a.Hits(), ref)
+			}
+		}
+	}
+	done := make(chan struct{})
+	close(done)
+	a := NewAcc(10)
+	if got, stopped := s.OfferRows(done, &a, q, all, nil, false); !stopped || got != 1023 {
+		t.Fatalf("cancelled: scored %d rows, stopped %v; want 1023 and true", got, stopped)
+	}
+	if got, stopped := s.OfferRows(done, &a, q, all[:1023], nil, false); stopped || got != 1023 {
+		t.Fatalf("a list short of the first poll: scored %d rows, stopped %v", got, stopped)
+	}
+}

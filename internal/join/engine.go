@@ -11,10 +11,12 @@ package join
 // depends on scheduling.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/flat"
 	"repro/internal/lsh"
@@ -54,8 +56,9 @@ type Opts struct {
 	// row numbers. Nil means every row is live.
 	DeadP, DeadQ *flat.Tombstones
 	// Stats, when non-nil, is set to the work the join did, cancelled or
-	// not: ScannedRows is Result.Compared, and the block counters are the
-	// scan driver's, summed over queries (zero for the candidate engines).
+	// not: ScannedRows is Result.Compared, the block counters are the scan
+	// driver's, summed over queries (zero for the candidate engines), and
+	// Candidates the rows the candidate engines verified (zero for scans).
 	Stats *flat.ScanStats
 }
 
@@ -132,7 +135,7 @@ func joinTiles(Q *flat.Store, opts Opts, task func(ctx context.Context, qlo, qhi
 	}
 	var total flat.ScanStats
 	for t := range stats {
-		addStats(&total, stats[t])
+		total.Add(stats[t])
 	}
 	if opts.Stats != nil {
 		*opts.Stats = total
@@ -143,12 +146,6 @@ func joinTiles(Q *flat.Store, opts Opts, task func(ctx context.Context, qlo, qhi
 		}
 	}
 	return Result{Matches: slices.Concat(parts...), Compared: int64(total.ScannedRows)}, nil
-}
-
-func addStats(st *flat.ScanStats, o flat.ScanStats) {
-	st.ScannedRows += o.ScannedRows
-	st.PrunedBlocks += o.PrunedBlocks
-	st.SkippedBlocks += o.SkippedBlocks
 }
 
 // scanJoin is the exact join: every Q-tile is one multi-query top-k scan
@@ -181,7 +178,7 @@ func scanJoin(v flat.View, dead *flat.Tombstones, Q *flat.Store, cs float64, opt
 			if err := v.ScanMulti(ctx, Q, lo, hi, accs, sc, so); err != nil {
 				return err
 			}
-			addStats(st, run)
+			st.Add(run)
 			for j := range accs {
 				flushAcc(&accs[j], lo+j, cs, out)
 			}
@@ -309,9 +306,9 @@ func (e NormPruned) Join(P, Q *flat.Store, s, cs float64, opts Opts) (Result, er
 
 // liveRows returns views of the rows of P that dead does not mark (slice
 // headers into the store's chunks, no float copy) — what a candidate
-// engine builds its structure over, so a dead row is never a candidate —
-// and, when any row is dead, each view's row number in P (nil: the
-// identity).
+// engine with no structure lent to it builds one over, so a dead row is
+// never a candidate — and, when any row is dead, each view's row number
+// in P (nil: the identity).
 func liveRows(P *flat.Store, dead *flat.Tombstones) (rows []vec.Vector, rowOf []int) {
 	if dead.Count() == 0 {
 		return P.Rows(), nil
@@ -326,16 +323,51 @@ func liveRows(P *flat.Store, dead *flat.Tombstones) (rows []vec.Vector, rowOf []
 	return rows, rowOf
 }
 
+// renumber maps the tail of ids, from from on, through rowOf (nil: the
+// identity) — liveRows' numbering back to P's.
+func renumber(ids []int, from int, rowOf []int) []int {
+	if rowOf != nil {
+		for i := from; i < len(ids); i++ {
+			ids[i] = rowOf[ids[i]]
+		}
+	}
+	return ids
+}
+
+// probeScratch is one Q-tile's working set in a candidate engine,
+// pooled so a warm join allocates nothing per tile for it.
+type probeScratch struct {
+	cands []int
+	keys  lsh.QueryKeys
+}
+
+var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
+
+// A tileSource readies the candidate source of one Q-tile, query rows
+// [qlo, qhi) — whatever it computes for the tile at once kept in sc —
+// and returns it: a function appending to dst the rows of P worth
+// verifying for query qi.
+type tileSource func(sc *probeScratch, qlo, qhi int) func(dst []int, qi int) []int
+
 // candidateJoin is the Q-tile loop of the candidate engines: for each
-// live query, candidates reports candidate rows — in the numbering of
-// the structure built over liveRows, hence the rowOf translation — and
-// the work they cost, and every candidate is verified through the
-// store's kernel. Ties break toward the smaller p-index, like the exact
-// engines.
-func candidateJoin(P, Q *flat.Store, cs float64, opts Opts, rowOf []int, candidates func(q vec.Vector) ([]int, int)) (Result, error) {
+// live query, the tile's source names candidate rows and Store.OfferRows
+// — the served alsh search's loop — verifies those dead does not mark
+// through the store's kernel, ties toward the smaller p-index like the
+// exact engines. Compared counts the rows verified, or evals per query
+// when finding a query's candidates is the work (the sketch's
+// evaluations).
+func candidateJoin(P, Q *flat.Store, cs float64, opts Opts, dead *flat.Tombstones, evals int, tile tileSource) (Result, error) {
 	return joinTiles(Q, opts, func(ctx context.Context, qlo, qhi, k int, out *[]Match, st *flat.ScanStats) error {
-		acc := flat.NewAcc(k)
+		sc := probePool.Get().(*probeScratch)
+		defer probePool.Put(sc)
 		done := ctx.Done()
+		select { // before the tile is hashed for nothing
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+		candidates := tile(sc, qlo, qhi)
+		acc := flat.NewAcc(k)
 		for qi := qlo; qi < qhi; qi++ {
 			select {
 			case <-done:
@@ -345,19 +377,13 @@ func candidateJoin(P, Q *flat.Store, cs float64, opts Opts, rowOf []int, candida
 			if opts.DeadQ.Dead(qi) {
 				continue
 			}
-			q := Q.Row(qi)
-			cands, work := candidates(q)
-			st.ScannedRows += work
+			sc.cands = candidates(sc.cands[:0], qi)
 			acc.Reset(k)
-			for _, pi := range cands {
-				if rowOf != nil {
-					pi = rowOf[pi]
-				}
-				v := P.Dot(pi, q)
-				if opts.Unsigned && v < 0 {
-					v = -v
-				}
-				acc.Offer(pi, v)
+			n, stopped := P.OfferRows(done, &acc, Q.Row(qi), sc.cands, dead, opts.Unsigned)
+			st.Candidates += n
+			st.ScannedRows += cmp.Or(evals, n)
+			if stopped {
+				return ctx.Err()
 			}
 			flushAcc(&acc, qi, cs, out)
 		}
@@ -365,20 +391,43 @@ func candidateJoin(P, Q *flat.Store, cs float64, opts Opts, rowOf []int, candida
 	})
 }
 
-// LSH is the banding-index engine over the flat layout: P's live rows
-// are indexed as views into the store (no float copies), each query
-// probes the index (plus −q under the paper's unsigned reduction), and
-// every candidate is verified through the store's kernel.
+// LSH is the banding-index engine over the flat layout: each query
+// probes a (K, L) index over P's rows (plus −q under the paper's
+// unsigned reduction), and every candidate is verified through the
+// store's kernel.
 type LSH struct {
-	// NewFamily builds the hash family for the operand dimension.
+	// NewFamily builds the hash family for the operand dimension; K
+	// concatenated hashes per table, L tables. With these the index is
+	// built per Join (or once, by Prepare) over P's live rows, as views
+	// into the store.
 	NewFamily func(d int) (lsh.Family, error)
-	// K concatenated hashes per table, L tables (defaults 8, 16).
-	K, L int
-	Seed uint64
+	K, L      int
+	Seed      uint64
+	// Index, when non-nil, is a banding index the caller already keeps
+	// over every row of the P operand, row i under id i — an alsh shard's.
+	// The join probes it and builds nothing; rows Opts.DeadP marks are
+	// dropped before they are scored.
+	Index *lsh.Index
+	// Radius is the lsh.Probe radius the family's query map needs (zero:
+	// none).
+	Radius float64
 }
 
 // Name implements Engine.
 func (LSH) Name() string { return "lsh" }
+
+// probe is the candidate source over ix, whose ids rowOf maps to rows of
+// P: a Q-tile is hashed in one pass, then each query looks its buckets
+// up.
+func (e LSH) probe(ix *lsh.Index, rowOf []int, Q *flat.Store, unsigned bool) tileSource {
+	p := lsh.Probe{Radius: e.Radius, Neg: unsigned}
+	return func(sc *probeScratch, qlo, qhi int) func(dst []int, qi int) []int {
+		ix.HashQueries(&sc.keys, Q, qlo, qhi, p)
+		return func(dst []int, qi int) []int {
+			return renumber(ix.AppendHashed(dst, &sc.keys, qi-qlo), len(dst), rowOf)
+		}
+	}
+}
 
 // Prepare implements Preparer: the banding index over P's live rows is
 // built once and reused across Join calls against the same P.
@@ -390,36 +439,30 @@ func (e LSH) Prepare(P *flat.Store, dead *flat.Tombstones) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	k, l := e.K, e.L
-	if k == 0 {
-		k = 8
-	}
-	if l == 0 {
-		l = 16
-	}
-	ix, err := lsh.NewIndex(fam, k, l, e.Seed)
+	ix, err := lsh.NewIndex(fam, e.K, e.L, e.Seed)
 	if err != nil {
 		return nil, err
 	}
 	rows, rowOf := liveRows(P, dead)
 	ix.InsertAll(rows)
+	e.Index = nil // another operand gets a build of its own
 	return prepared{e, P, dead, func(Q *flat.Store, cs float64, opts Opts) (Result, error) {
-		return candidateJoin(P, Q, cs, opts, rowOf, func(q vec.Vector) ([]int, int) {
-			var cands []int
-			if opts.Unsigned {
-				// The paper's unsigned reduction: probe −q too.
-				cands = ix.Candidates(q, vec.Neg(q))
-			} else {
-				cands = ix.Candidates(q)
-			}
-			return cands, len(cands)
-		})
+		return candidateJoin(P, Q, cs, opts, nil, 0, e.probe(ix, rowOf, Q, opts.Unsigned))
 	}}, nil
 }
 
 // Join implements Engine.
 func (e LSH) Join(P, Q *flat.Store, s, cs float64, opts Opts) (Result, error) {
-	return joinOnce(e, P, Q, s, cs, opts)
+	if e.Index == nil {
+		return joinOnce(e, P, Q, s, cs, opts)
+	}
+	if empty, err := checkJoin(P, Q, s, cs, opts); empty || err != nil {
+		return Result{}, err
+	}
+	if e.Index.Len() != P.Len() {
+		return Result{}, fmt.Errorf("join: prebuilt index holds %d rows, operand has %d", e.Index.Len(), P.Len())
+	}
+	return candidateJoin(P, Q, cs, opts, opts.DeadP, 0, e.probe(e.Index, nil, Q, opts.Unsigned))
 }
 
 // Sketch is the §4.3 linear-sketch engine over the flat layout
@@ -427,9 +470,16 @@ func (e LSH) Join(P, Q *flat.Store, s, cs float64, opts Opts) (Result, error) {
 // one pair per query is reported regardless of Opts.TopK; the
 // recovered candidate's value is re-verified through the store.
 type Sketch struct {
+	// Kappa, Copies and Seed shape the recoverer built per Join (or once,
+	// by Prepare) over P's live rows.
 	Kappa  float64
 	Copies int
 	Seed   uint64
+	// Recoverer, when non-nil, is one the caller already keeps over every
+	// row of the P operand, built with Copies copies — a sketch shard's.
+	// A sketch sums its rows, so a dead one cannot be left out of it: the
+	// join refuses a DeadP that marks any.
+	Recoverer *sketch.Recoverer
 }
 
 var errSketchSigned = errors.New("join: sketch engine supports unsigned joins only")
@@ -437,33 +487,32 @@ var errSketchSigned = errors.New("join: sketch engine supports unsigned joins on
 // Name implements Engine.
 func (Sketch) Name() string { return "sketch" }
 
+// recover is the join over rec, whose ids rowOf maps to rows of P.
+func (e Sketch) recover(rec *sketch.Recoverer, rowOf []int, P, Q *flat.Store, cs float64, opts Opts) (Result, error) {
+	if !opts.Unsigned {
+		return Result{}, errSketchSigned
+	}
+	return candidateJoin(P, Q, cs, opts, nil, rec.Levels()*e.Copies, func(*probeScratch, int, int) func([]int, int) []int {
+		return func(dst []int, qi int) []int {
+			if pi, _ := rec.Query(Q.Row(qi)); pi >= 0 {
+				dst = append(dst, pi)
+			}
+			return renumber(dst, 0, rowOf)
+		}
+	})
+}
+
 // Prepare implements Preparer: the recoverer over P's live rows is built
 // once and reused across Join calls against the same P.
 func (e Sketch) Prepare(P *flat.Store, dead *flat.Tombstones) (Engine, error) {
-	// The zero-value defaults are κ=2, 9 copies.
-	kappa, copies := e.Kappa, e.Copies
-	if kappa == 0 {
-		kappa = 2
-	}
-	if copies == 0 {
-		copies = 9
-	}
 	rows, rowOf := liveRows(P, dead)
-	rec, err := sketch.NewRecoverer(rows, kappa, copies, e.Seed)
+	rec, err := sketch.NewRecoverer(rows, e.Kappa, e.Copies, e.Seed)
 	if err != nil {
 		return nil, err
 	}
-	perQuery := rec.Levels() * copies
+	e.Recoverer = nil // another operand gets a build of its own
 	return prepared{e, P, dead, func(Q *flat.Store, cs float64, opts Opts) (Result, error) {
-		if !opts.Unsigned {
-			return Result{}, errSketchSigned
-		}
-		return candidateJoin(P, Q, cs, opts, rowOf, func(q vec.Vector) ([]int, int) {
-			if pi, _ := rec.Query(q); pi >= 0 {
-				return []int{pi}, perQuery
-			}
-			return nil, perQuery
-		})
+		return e.recover(rec, rowOf, P, Q, cs, opts)
 	}}, nil
 }
 
@@ -472,5 +521,15 @@ func (e Sketch) Join(P, Q *flat.Store, s, cs float64, opts Opts) (Result, error)
 	if !opts.Unsigned {
 		return Result{}, errSketchSigned // before the recoverer is built for nothing
 	}
-	return joinOnce(e, P, Q, s, cs, opts)
+	if e.Recoverer == nil {
+		return joinOnce(e, P, Q, s, cs, opts)
+	}
+	if empty, err := checkJoin(P, Q, s, cs, opts); empty || err != nil {
+		return Result{}, err
+	}
+	if e.Recoverer.N != P.Len() || opts.DeadP.Count() > 0 {
+		return Result{}, fmt.Errorf("join: prebuilt recoverer sums %d rows, operand has %d of which %d are dead",
+			e.Recoverer.N, P.Len(), opts.DeadP.Count())
+	}
+	return e.recover(e.Recoverer, nil, P, Q, cs, opts)
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/flat"
 	"repro/internal/lsh"
+	"repro/internal/sketch"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -356,6 +357,57 @@ func TestNormPrunedPrebuiltView(t *testing.T) {
 	other, _ := flat.FromVectors(P[:100])
 	if _, err := (NormPruned{Sorted: flat.NewNormSorted(other)}).Join(fp, fq, 0.5, 0.5, Opts{}); err == nil {
 		t.Fatal("mismatched prebuilt view must fail")
+	}
+}
+
+// TestPrebuiltCandidateStructures: LSH.Index and Sketch.Recoverer let a
+// caller that already keeps the structure over every row of P join
+// without a build. A banding index is probed through DeadP — the result,
+// Compared included, is the one the engine gives building over the live
+// rows itself; a recoverer cannot leave a row out, so a DeadP that marks
+// one is refused; and a structure of another store's size is an error.
+func TestPrebuiltCandidateStructures(t *testing.T) {
+	rng := xrand.New(37)
+	P, Q := gridWorkload(rng, 300, 70, 8)
+	fp, _ := flat.FromVectors(P)
+	fq, _ := flat.FromVectors(Q)
+	other, _ := flat.FromVectors(P[:100])
+	fam, _ := lsh.NewHyperplane(8)
+	build := LSH{NewFamily: func(int) (lsh.Family, error) { return fam, nil }, K: 4, L: 8, Seed: 2}
+	ix, _ := lsh.NewIndex(fam, 4, 8, 2)
+	ix.InsertAll(fp.Rows())
+	for _, opts := range []Opts{{}, {Unsigned: true, TopK: 3}, {DeadP: gridDead("scattered", len(P), rng), DeadQ: gridDead("scattered", len(Q), rng)}} {
+		want := mustJoin(t, build, fp, fq, 0.5, 0.4, opts)
+		got := mustJoin(t, LSH{Index: ix}, fp, fq, 0.5, 0.4, opts)
+		sameMatches(t, "prebuilt index", want.Matches, got.Matches)
+		if got.Compared != want.Compared || len(want.Matches) == 0 {
+			t.Fatalf("prebuilt index compared %d pairs, a build over the live rows %d (%d matches)", got.Compared, want.Compared, len(want.Matches))
+		}
+	}
+	if _, err := (LSH{Index: ix}).Join(other, fq, 0.5, 0.4, Opts{}); err == nil {
+		t.Fatal("an index over another store's rows must fail")
+	}
+
+	sk := Sketch{Kappa: 2, Copies: 3, Seed: 2}
+	rec, err := sketch.NewRecoverer(fp.Rows(), sk.Kappa, sk.Copies, sk.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lent := Sketch{Recoverer: rec, Copies: sk.Copies}
+	want := mustJoin(t, sk, fp, fq, 0.5, 0.4, Opts{Unsigned: true})
+	got := mustJoin(t, lent, fp, fq, 0.5, 0.4, Opts{Unsigned: true})
+	sameMatches(t, "prebuilt recoverer", want.Matches, got.Matches)
+	if got.Compared != want.Compared || len(want.Matches) == 0 {
+		t.Fatalf("prebuilt recoverer compared %d, a build %d (%d matches)", got.Compared, want.Compared, len(want.Matches))
+	}
+	if _, err := lent.Join(fp, fq, 0.5, 0.4, Opts{Unsigned: true, DeadP: gridDead("scattered", len(P), rng)}); err == nil {
+		t.Fatal("a recoverer that sums dead rows must fail")
+	}
+	if _, err := lent.Join(other, fq, 0.5, 0.4, Opts{Unsigned: true}); err == nil {
+		t.Fatal("a recoverer over another store's rows must fail")
+	}
+	if _, err := lent.Join(fp, fq, 0.5, 0.4, Opts{}); err != errSketchSigned {
+		t.Fatalf("signed join through a prebuilt recoverer: err = %v", err)
 	}
 }
 

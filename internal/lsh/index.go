@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/flat"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -27,11 +28,12 @@ type Index struct {
 	// applied once per vector rather than once per hash function.
 	maps MapPair
 	// The K·L sampled functions, table-major: hashers, or for Hyperplane
-	// planes — the same normals packed as a (K·L)×D matrix, which on the
+	// planes — the same normals packed as a (K·L)×D store, which on the
 	// planted-alsh benchmark builds 26% and joins 28% faster than K·L
-	// Hasher calls (CHANGES.md, PR 14).
+	// Hasher calls (CHANGES.md, PR 14), and lets a batch of queries be
+	// hashed as one tile product (HashQueries).
 	hashers []Hasher
-	planes  *vec.Matrix
+	planes  *flat.Store
 	tables  []table
 	n       int
 }
@@ -72,12 +74,14 @@ func NewIndex(f Family, k, l int, seed uint64) (*Index, error) {
 	rng := xrand.New(seed)
 	if hp, ok := f.(*Hyperplane); ok {
 		// Hyperplane.Sample draws one normal per function; drawing them
-		// straight into the matrix consumes the identical RNG stream.
-		ix.planes = vec.NewMatrix(k*l, hp.D)
-		for r := 0; r < k*l; r++ {
-			ix.planes.SetRow(r, rng.NormalVec(hp.D))
+		// here consumes the identical RNG stream.
+		normals := make([]vec.Vector, k*l)
+		for r := range normals {
+			normals[r] = rng.NormalVec(hp.D)
 		}
-		return ix, nil
+		var err error
+		ix.planes, err = flat.FromVectors(normals)
+		return ix, err
 	}
 	ix.hashers = make([]Hasher, k*l)
 	for r := range ix.hashers {
@@ -96,6 +100,15 @@ func foldKey(key, h uint64) uint64 {
 	return key ^ key>>29
 }
 
+// signBit is the hyperplane hash of a projection. The comparison treats
+// −0 as +0, so kernels that agree to the sign of a zero hash alike.
+func signBit(dot float64) uint64 {
+	if dot >= 0 {
+		return 1
+	}
+	return 0
+}
+
 // keys writes x's L table keys into out: the data side of the family
 // when data is true, the query side otherwise.
 func (ix *Index) keys(x vec.Vector, data bool, out []uint64) {
@@ -107,19 +120,14 @@ func (ix *Index) keys(x vec.Vector, data bool, out []uint64) {
 		x = m(x)
 	}
 	if ix.planes != nil {
-		d := ix.planes.Cols
-		if len(x) != d {
+		if d := ix.planes.Dim(); len(x) != d {
 			panic(fmt.Sprintf("lsh: vector dimension %d != %d", len(x), d))
 		}
 		r := 0
 		for i := range out {
 			key := keySeed
 			for j := 0; j < ix.K; j, r = j+1, r+1 {
-				var h uint64
-				if vec.DotKernel(ix.planes.Data[r*d:(r+1)*d], x) >= 0 {
-					h = 1
-				}
-				key = foldKey(key, h)
+				key = foldKey(key, signBit(vec.DotKernel(ix.planes.Row(r), x)))
 			}
 			out[i] = key
 		}
@@ -234,15 +242,49 @@ func (ix *Index) InsertAll(ps []vec.Vector) { *ix = *ix.Extend(ps) }
 // Len returns the number of indexed vectors.
 func (ix *Index) Len() int { return ix.n }
 
-// probeScratch is the per-call working set of Candidates, pooled so a
-// warm call allocates nothing but its result.
+// Probe says how a query reaches the index beyond its own hash.
+type Probe struct {
+	// Radius, when positive, is the radius of the ball the family's query
+	// map is defined on (SIMPLE's U): a longer query is hashed scaled to
+	// just inside it — the hash reads direction only — so no query is
+	// out of the map's domain.
+	Radius float64
+	// Neg probes −q too: the paper's reduction of unsigned search to
+	// signed.
+	Neg bool
+}
+
+// probeScratch is the per-call working set of a probe, pooled so a warm
+// call allocates nothing but what the family's maps do.
 type probeScratch struct {
 	keys    []uint64
 	buckets [][]int32
 	seen    []uint64 // bitset over ids; all zero between calls
+	probeBufs
 }
 
 var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
+
+// probeBufs holds the vectors a query is hashed as, reused from query
+// to query.
+type probeBufs struct{ scaled, neg vec.Vector }
+
+// of returns what q is hashed as under p — q′: q itself, or q scaled to
+// just inside p.Radius when it is longer — and, with p.Neg, −q′ (nil
+// without): vec.Scaled's and vec.Neg's values, in b's storage.
+func (b *probeBufs) of(q vec.Vector, p Probe) (pos, neg vec.Vector) {
+	if p.Radius > 0 {
+		if n := vec.Norm(q); n > p.Radius {
+			b.scaled = vec.Scale(append(b.scaled[:0], q...), (1-1e-12)*p.Radius/n)
+			q = b.scaled
+		}
+	}
+	if !p.Neg {
+		return q, nil
+	}
+	b.neg = vec.Scale(append(b.neg[:0], q...), -1)
+	return q, b.neg
+}
 
 // Candidates returns the deduplicated ids colliding with any of qs in
 // any table, in first-collision order (probes in argument order, tables
@@ -252,39 +294,150 @@ var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
 func (ix *Index) Candidates(qs ...vec.Vector) []int {
 	sc := probePool.Get().(*probeScratch)
 	defer probePool.Put(sc)
-	sc.keys = slices.Grow(sc.keys[:0], ix.L)[:ix.L]
 	sc.buckets = sc.buckets[:0]
-	total := 0
 	for _, q := range qs {
-		ix.keys(q, false, sc.keys)
-		for t, key := range sc.keys {
-			if b := ix.tables[t].bucket(key); len(b) > 0 {
-				sc.buckets = append(sc.buckets, b)
-				total += len(b)
+		ix.collide(sc, q)
+	}
+	return ix.distinct(sc, nil)
+}
+
+// AppendCandidates appends to dst — the caller's buffer, reused from
+// query to query — exactly Candidates(q′) or, with p.Neg,
+// Candidates(q′, −q′) (see probeBufs.of). The probes live in pooled
+// scratch: the family's maps must not keep their argument.
+func (ix *Index) AppendCandidates(dst []int, q vec.Vector, p Probe) []int {
+	sc := probePool.Get().(*probeScratch)
+	defer probePool.Put(sc)
+	sc.buckets = sc.buckets[:0]
+	pos, neg := sc.of(q, p)
+	ix.collide(sc, pos)
+	if neg != nil {
+		ix.collide(sc, neg)
+	}
+	return ix.distinct(sc, dst)
+}
+
+// QueryKeys holds the table keys of a batch of queries — a join's
+// Q-tile — as HashQueries hashed them. The zero value is ready to use; a
+// reused one keeps its buffers. Not to be copied once used.
+type QueryKeys struct {
+	keys   []uint64 // probe-major, L apiece; a query's probes adjacent
+	per    int      // probes per query: q′, and −q′ with Probe.Neg
+	probes flat.Store
+	dots   []float64
+	probeBufs
+}
+
+// HashQueries fills qk with the keys of query rows [lo, hi) of qs under
+// p: for each, bit for bit the keys AppendCandidates hashes. Hyperplane
+// normals being one store, the whole batch is hashed as a single tile
+// product of the (mapped) probes against it — flat's multi-query kernel
+// — instead of K·L inner products per probe; its scores equal keys' to
+// the sign of a zero, which signBit does not read.
+func (ix *Index) HashQueries(qk *QueryKeys, qs *flat.Store, lo, hi int, p Probe) {
+	qk.per = 1
+	if p.Neg {
+		qk.per = 2
+	}
+	np := (hi - lo) * qk.per
+	qk.keys = slices.Grow(qk.keys[:0], np*ix.L)[:np*ix.L]
+	// hash takes the r-th probe: straight to its keys, or, mapped, into the
+	// probe store the tile product below reads.
+	hash := func(r int, x vec.Vector) { ix.keys(x, false, qk.keys[r*ix.L:(r+1)*ix.L]) }
+	if ix.planes != nil {
+		if err := qk.probes.ResetDim(ix.planes.Dim()); err != nil {
+			panic("lsh: " + err.Error())
+		}
+		hash = func(_ int, x vec.Vector) {
+			if m := ix.maps.Query; m != nil {
+				x = m(x)
+			}
+			if err := qk.probes.Append(x); err != nil {
+				panic("lsh: " + err.Error())
 			}
 		}
 	}
+	for i := lo; i < hi; i++ {
+		pos, neg := qk.of(qs.Row(i), p)
+		r := (i - lo) * qk.per
+		hash(r, pos)
+		if neg != nil {
+			hash(r+1, neg)
+		}
+	}
+	if ix.planes == nil {
+		return
+	}
+	kl := ix.K * ix.L
+	qk.dots = slices.Grow(qk.dots[:0], np*kl)[:np*kl]
+	if err := ix.planes.DotTile(&qk.probes, 0, np, 0, kl, qk.dots); err != nil {
+		panic("lsh: " + err.Error())
+	}
+	for i, dots := 0, qk.dots; i < len(qk.keys); i++ {
+		key := keySeed
+		for _, dot := range dots[:ix.K] {
+			key = foldKey(key, signBit(dot))
+		}
+		qk.keys[i], dots = key, dots[ix.K:]
+	}
+}
+
+// AppendHashed is AppendCandidates for the j-th query HashQueries
+// hashed into qk.
+func (ix *Index) AppendHashed(dst []int, qk *QueryKeys, j int) []int {
+	sc := probePool.Get().(*probeScratch)
+	defer probePool.Put(sc)
+	sc.buckets = sc.buckets[:0]
+	ix.lookup(sc, qk.keys[j*qk.per*ix.L:(j+1)*qk.per*ix.L])
+	return ix.distinct(sc, dst)
+}
+
+// collide adds q's non-empty bucket in every table to sc.buckets.
+func (ix *Index) collide(sc *probeScratch, q vec.Vector) {
+	sc.keys = slices.Grow(sc.keys[:0], ix.L)[:ix.L]
+	ix.keys(q, false, sc.keys)
+	ix.lookup(sc, sc.keys)
+}
+
+// lookup adds to sc.buckets the non-empty bucket of each key, keys
+// being one or more probes' L table keys back to back.
+func (ix *Index) lookup(sc *probeScratch, keys []uint64) {
+	for i, key := range keys {
+		if b := ix.tables[i%ix.L].bucket(key); len(b) > 0 {
+			sc.buckets = append(sc.buckets, b)
+		}
+	}
+}
+
+// distinct appends each id of sc.buckets to dst once, in bucket order,
+// and drops the buckets.
+func (ix *Index) distinct(sc *probeScratch, dst []int) []int {
+	total := 0
+	for _, b := range sc.buckets {
+		total += len(b)
+	}
 	if total == 0 {
-		return nil
+		return dst
 	}
 	if words := (ix.n + 63) / 64; len(sc.seen) < words {
 		sc.seen = make([]uint64, words)
 	}
-	out := make([]int, 0, min(total, ix.n))
+	base := len(dst)
+	dst = slices.Grow(dst, min(total, ix.n))
 	for _, b := range sc.buckets {
 		for _, id := range b {
 			w, bit := id>>6, uint64(1)<<(id&63)
 			if sc.seen[w]&bit == 0 {
 				sc.seen[w] |= bit
-				out = append(out, int(id))
+				dst = append(dst, int(id))
 			}
 		}
 	}
-	for _, id := range out {
+	for _, id := range dst[base:] {
 		sc.seen[id>>6] = 0
 	}
 	clear(sc.buckets) // drop the references into ix's tables
-	return out
+	return dst
 }
 
 // Query returns the candidate id maximising score over the ids

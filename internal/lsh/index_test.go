@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/flat"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -268,6 +270,168 @@ func TestCandidatesJointProbes(t *testing.T) {
 		}
 		if got := ix.Candidates(q, vec.Neg(q)); !slices.Equal(got, want) {
 			t.Fatalf("joint probe %v, want %v", got, want)
+		}
+	}
+}
+
+// probesOf is what a query is hashed as under p, the allocating way.
+func probesOf(q vec.Vector, p Probe) []vec.Vector {
+	if n := vec.Norm(q); p.Radius > 0 && n > p.Radius {
+		q = vec.Scaled(q, (1-1e-12)*p.Radius/n)
+	}
+	if p.Neg {
+		return []vec.Vector{q, vec.Neg(q)}
+	}
+	return []vec.Vector{q}
+}
+
+// TestAppendCandidatesMatchesCandidates: the append-into-buffer entry
+// point returns exactly Candidates of the probes it stands for — order
+// included, behind whatever the buffer already held — and, where the
+// family's maps do not allocate, a warm call allocates nothing.
+func TestAppendCandidatesMatchesCandidates(t *testing.T) {
+	const d, n = 10, 600
+	rng := xrand.New(51)
+	data := ballVecs(rng, n, d)
+	inBall := ballVecs(rng, 12, d)
+	var long []vec.Vector
+	for _, q := range ballVecs(rng, 12, d) {
+		long = append(long, vec.Scaled(q, 1.01/vec.Norm(q)+rng.Float64()))
+	}
+	for name, f := range equivFamilies(t, d) {
+		ix, _ := NewIndex(f, 4, 8, 52)
+		ix.InsertAll(data)
+		buf := []int{-7}
+		found := 0
+		for _, p := range []Probe{{}, {Neg: true}, {Radius: 1}, {Radius: 1, Neg: true}} {
+			queries := inBall
+			if p.Radius > 0 {
+				queries = append(queries[:len(queries):len(queries)], long...)
+			}
+			for _, q := range queries {
+				want := ix.Candidates(probesOf(q, p)...)
+				buf = ix.AppendCandidates(buf[:1], q, p)
+				if buf[0] != -7 || !slices.Equal(buf[1:], want) {
+					t.Fatalf("%s %+v: appended %v, Candidates %v", name, p, buf, want)
+				}
+				found += len(want)
+			}
+		}
+		if found == 0 {
+			t.Fatalf("%s: no probe found a candidate; the test checks nothing", name)
+		}
+	}
+	if raceEnabled {
+		return // sync.Pool drops Puts under the race detector
+	}
+	hp, _ := NewHyperplane(d)
+	ix, _ := NewIndex(hp, 4, 8, 52)
+	ix.InsertAll(data)
+	buf := ix.AppendCandidates(nil, long[0], Probe{Radius: 1, Neg: true})
+	if a := testing.AllocsPerRun(100, func() { buf = ix.AppendCandidates(buf[:0], long[0], Probe{Radius: 1, Neg: true}) }); a != 0 || len(buf) == 0 {
+		t.Errorf("warm AppendCandidates allocates %v times for %d candidates, want 0", a, len(buf))
+	}
+}
+
+// TestHashQueriesMatchesKeys: a batch hashed as one tile product carries,
+// probe for probe, bit for bit the keys the one-vector path computes —
+// across plane dimensions on both sides of the SIMD kernels' chunk and
+// tail cases, tile sizes through odd quads, a tile straddling a chunk
+// edge of the query store, a plane store of more than one chunk, NaN
+// and ±0 rows, and on the per-hasher path.
+func TestHashQueriesMatchesKeys(t *testing.T) {
+	type shape struct {
+		d, k, l int
+		asym    bool
+	}
+	var shapes []shape
+	for _, d := range []int{1, 3, 4, 7, 8, 16, 17, 32, 33, 64} {
+		for _, k := range []int{1, 8} {
+			shapes = append(shapes, shape{d, k, 3, false}, shape{d, k, 3, true})
+		}
+	}
+	shapes = append(shapes, shape{5, 8, 130, true}) // 1 040 planes: two chunks
+	rng := xrand.New(53)
+	check := func(name string, ix *Index, qs *flat.Store, lo, hi int, p Probe) {
+		t.Helper()
+		var qk QueryKeys
+		ix.HashQueries(&qk, qs, lo, hi, p)
+		want := make([]uint64, ix.L)
+		at := 0
+		for i := lo; i < hi; i++ {
+			for _, x := range probesOf(qs.Row(i), p) {
+				ix.keys(x, false, want)
+				if got := qk.keys[at : at+ix.L]; !slices.Equal(got, want) {
+					t.Fatalf("%s: rows [%d, %d) %+v: row %d hashed to %v in the batch, %v alone", name, lo, hi, p, i, got, want)
+				}
+				at += ix.L
+			}
+		}
+		if at != len(qk.keys) {
+			t.Fatalf("%s: batch holds %d keys, want %d", name, len(qk.keys), at)
+		}
+	}
+	for _, sh := range shapes {
+		var f Family
+		if f, _ = NewHyperplane(sh.d); sh.asym {
+			f = mustSimpleALSHFamily(t, sh.d)
+		}
+		ix, err := NewIndex(f, sh.k, sh.l, 54)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := ballVecs(rng, 1100, sh.d)
+		for i := range rows[:8] {
+			vec.Scale(rows[40+i], 3) // outside the ball: scaled before hashing
+		}
+		nan, zero, negZero := make(vec.Vector, sh.d), make(vec.Vector, sh.d), make(vec.Vector, sh.d)
+		nan[0] = math.NaN()
+		for i := range negZero {
+			negZero[i] = math.Copysign(0, -1)
+		}
+		rows[3], rows[4], rows[5] = nan, zero, negZero
+		qs, _ := flat.FromVectors(rows)
+		name := fmt.Sprintf("d=%d K=%d L=%d asym=%v", sh.d, sh.k, sh.l, sh.asym)
+		for size := 1; size <= 65; size++ {
+			lo := size % 7
+			p := Probe{Radius: 1, Neg: size%2 == 0}
+			if !sh.asym && size%3 == 0 {
+				p.Radius = 0
+			}
+			check(name, ix, qs, lo, lo+size, p)
+			if sh.l > 100 {
+				break // one pass over the big plane store is enough
+			}
+		}
+		check(name, ix, qs, 1000, 1060, Probe{Radius: 1, Neg: true})
+	}
+	cp, _ := NewCrossPolytope(12)
+	ix, _ := NewIndex(cp, 3, 4, 54)
+	qs, _ := flat.FromVectors(ballVecs(rng, 30, 12))
+	check("cross-polytope", ix, qs, 2, 29, Probe{Radius: 0.5, Neg: true})
+}
+
+// TestAppendHashedMatchesAppendCandidates: looking a batch-hashed query
+// up gives the candidates probing it alone does.
+func TestAppendHashedMatchesAppendCandidates(t *testing.T) {
+	const d = 10
+	rng := xrand.New(55)
+	ix, _ := NewIndex(mustSimpleALSHFamily(t, d), 4, 8, 56)
+	ix.InsertAll(ballVecs(rng, 600, d))
+	qs, _ := flat.FromVectors(ballVecs(rng, 40, d))
+	for _, p := range []Probe{{Radius: 1}, {Radius: 1, Neg: true}} {
+		var qk QueryKeys
+		ix.HashQueries(&qk, qs, 5, 38, p)
+		found := 0
+		for i := 5; i < 38; i++ {
+			want := ix.AppendCandidates(nil, qs.Row(i), p)
+			if got := ix.AppendHashed(nil, &qk, i-5); !slices.Equal(got, want) {
+				t.Fatalf("%+v row %d: batch candidates %v, alone %v", p, i, got, want)
+			}
+			found += len(want)
+		}
+		if found == 0 {
+			t.Fatalf("%+v: no query found a candidate; the test checks nothing", p)
 		}
 	}
 }

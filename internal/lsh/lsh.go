@@ -258,7 +258,9 @@ func (a *AsymMinHash) Sample(rng *xrand.RNG) Hasher {
 	return asymMinHasher{seed: rng.Uint64(), d: a.D, m: a.M}
 }
 
-// MapPair holds the two sides of an asymmetric pre-transform.
+// MapPair holds the two sides of an asymmetric pre-transform. Neither
+// map may keep its argument: an Index hashes probes out of reused
+// buffers.
 type MapPair struct {
 	Data  func(vec.Vector) vec.Vector
 	Query func(vec.Vector) vec.Vector

@@ -56,6 +56,36 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkServerJoin measures one join of 64 queries against 6 000 × 32
+// unit-ball rows on 4 shards — the planted-alsh benchmark's shape — per
+// iteration: the lsh engine probing the index an alsh collection keeps,
+// the same engine building one per shard per request on an exact
+// collection, and the exact sweep both are up against.
+func BenchmarkServerJoin(b *testing.B) {
+	for _, c := range []struct{ name, kind, engine string }{
+		{"lsh-on-alsh", KindALSH, "lsh"},
+		{"lsh-on-exact", KindExact, "lsh"},
+		{"exact", KindExact, "exact"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, users := benchServer(b, 6000, 32, 4, c.kind)
+			for _, u := range users {
+				vec.Normalize(u)
+			}
+			if _, _, err := s.Ingest("q", nil, 1, records(users[:64], 0)); err != nil {
+				b.Fatal(err)
+			}
+			req := JoinRequest{Data: "bench", Queries: "q", Engine: c.engine, S: 0.9, C: 0.8}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Join(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkServerIngest measures sustained ingest across durability
 // modes: pure in-memory, and WAL-backed under each fsync policy. One
 // iteration pre-seeds a fresh 4-shard collection with 20k vectors

@@ -481,47 +481,21 @@ func (ix *alshIndex) extend(fs *flat.Store) *alshIndex {
 }
 
 func (ix *alshIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error) {
-	unsigned := o.Unsigned
 	if len(q) != ix.fs.Dim() {
 		return nil, fmt.Errorf("server: query dimension %d, index has %d", len(q), ix.fs.Dim())
 	}
 	// Candidate scoring is cheap per row but the candidate set is
-	// unbounded; poll the deadline at entry and periodically through the
-	// verification loop (a nil Done keeps the loop poll-free).
-	done := ctx.Done()
-	if done != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	// unbounded: poll the deadline at entry, and OfferRows does through
+	// the verification loop (a nil Done keeps it poll-free).
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	probe := q
-	if n := vec.Norm(q); n > ix.u {
-		probe = vec.Scaled(q, (1-1e-12)*ix.u/n)
-	}
-	var cands []int
-	if unsigned {
-		// The paper's unsigned reduction: probe −q too.
-		cands = ix.ix.Candidates(probe, vec.Neg(probe))
-	} else {
-		cands = ix.ix.Candidates(probe)
-	}
+	// A query outside the U-ball is hashed scaled inside it and scored
+	// raw; unsigned probes −q too, the paper's reduction.
+	cands := ix.ix.AppendCandidates(nil, q, lsh.Probe{Radius: ix.u, Neg: o.Unsigned})
 	acc := flat.NewAcc(k)
-	for i, pi := range cands {
-		if done != nil && i&1023 == 1023 {
-			select {
-			case <-done:
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		if ix.dead.Dead(pi) {
-			continue
-		}
-		v := ix.fs.Dot(pi, q)
-		if unsigned && v < 0 {
-			v = -v
-		}
-		acc.Offer(pi, v)
+	if _, stopped := ix.fs.OfferRows(ctx.Done(), &acc, q, cands, ix.dead, o.Unsigned); stopped {
+		return nil, ctx.Err()
 	}
 	return flatHits(acc.Hits()), nil
 }

@@ -10,8 +10,10 @@ package server
 // reports up to k pairs per query.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -46,8 +48,13 @@ type JoinRequest struct {
 	// before merging — the useful default for self-joins, where every
 	// record trivially matches itself. The self-join endpoint sets it.
 	ExcludeSelf bool `json:"exclude_self,omitempty"`
-	// K, L shape the LSH banding (defaults 8, 16); Kappa, Copies the
-	// sketch engine (defaults 2, 9).
+	// K, L and Seed shape the lsh engine's banding index; Kappa, Copies
+	// and Seed the sketch engine's recoverer. Zero means the data
+	// collection's own when it keeps such a structure (an alsh
+	// collection's index, a sketch collection's recoverer), else the
+	// defaults 8/16 and 2/9. A join whose parameters come out as the
+	// collection's probes the structure its shards serve from; any other
+	// builds one per data shard for this request (see shardSnap.joinEngine).
 	K      int     `json:"k,omitempty"`
 	L      int     `json:"l,omitempty"`
 	Kappa  float64 `json:"kappa,omitempty"`
@@ -79,24 +86,65 @@ type JoinResponse struct {
 	TookMS   float64    `json:"took_ms"`
 }
 
-// joinEngine builds the flat join engine for a request.
-func joinEngine(req JoinRequest) (join.Engine, error) {
-	switch req.Engine {
+// joinEngineName resolves a request's engine to the name the response
+// reports.
+func joinEngineName(engine string) (string, error) {
+	switch engine {
 	case "", "exact", "tiled":
-		return join.Tiled{}, nil
+		return join.Tiled{}.Name(), nil
 	case "normpruned", "normscan":
-		return join.NormPruned{}, nil
-	case "lsh":
-		k, l := defaultBanding(req.K, req.L)
-		return join.LSH{
-			NewFamily: func(d int) (lsh.Family, error) { return lsh.NewHyperplane(d) },
-			K:         k, L: l, Seed: req.Seed,
-		}, nil
-	case "sketch":
-		kappa, copies := defaultSketch(req.Kappa, req.Copies)
-		return join.Sketch{Kappa: kappa, Copies: copies, Seed: req.Seed}, nil
+		return join.NormPruned{}.Name(), nil
+	case "lsh", "sketch":
+		return engine, nil
 	}
-	return nil, fmt.Errorf("server: unknown join engine %q", req.Engine)
+	return "", fmt.Errorf("server: unknown join engine %q", engine)
+}
+
+// joinEngine returns the engine (by joinEngineName) that answers req
+// against this snapshot of a collection created under spec, and whether
+// its per-P structure had to be built for this request. A snapshot lends
+// a join the structure it serves from: normpruned sweeps the norm view
+// (see normPruned), lsh on an alsh shard probes the shard's banding
+// index — the asymmetric SIMPLE construction, dead rows dropped before
+// scoring — and sketch on a sketch shard without tombstones queries its
+// recoverer (a sketch sums its rows, so a dead one cannot be masked out).
+// Zero request parameters mean the lent structure's; a request that
+// names others, or a shard that keeps no such structure, pays for a
+// build over the live rows.
+func (sn *shardSnap) joinEngine(engine string, req JoinRequest, spec IndexSpec) (eng join.Engine, built bool, err error) {
+	switch engine {
+	case "normpruned":
+		return sn.normPruned(), false, nil
+	case "lsh":
+		k, l := defaultBanding(0, 0)
+		var seed uint64
+		ix, keeps := sn.index.(*alshIndex)
+		if keeps {
+			k, l, seed = ix.ix.K, ix.ix.L, spec.Seed
+		}
+		e := join.LSH{K: cmp.Or(req.K, k), L: cmp.Or(req.L, l), Seed: cmp.Or(req.Seed, seed)}
+		if keeps && e.K == k && e.L == l && e.Seed == seed {
+			return join.LSH{Index: ix.ix, Radius: ix.u}, false, nil
+		}
+		e.NewFamily = func(d int) (lsh.Family, error) { return lsh.NewHyperplane(d) }
+		eng, err = e.Prepare(sn.fs, sn.dead)
+		return eng, true, err
+	case "sketch":
+		kappa, copies := defaultSketch(0, 0)
+		var seed uint64
+		ix, keeps := sn.index.(sketchIndex)
+		if keeps {
+			kappa, copies = defaultSketch(spec.Kappa, spec.Copies)
+			seed = spec.Seed
+		}
+		e := join.Sketch{Kappa: cmp.Or(req.Kappa, kappa), Copies: cmp.Or(req.Copies, copies), Seed: cmp.Or(req.Seed, seed)}
+		if keeps && sn.dead.Count() == 0 && e.Kappa == kappa && e.Copies == copies && e.Seed == seed {
+			return join.Sketch{Recoverer: ix.rec, Copies: copies}, false, nil
+		}
+		eng, err = e.Prepare(sn.fs, sn.dead)
+		return eng, true, err
+	}
+	return join.Tiled{}, false, nil // the store is the structure
 }
 
 // joinSpec resolves and validates the (cs, s) specification.
@@ -180,7 +228,7 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	if req.TopK < 0 {
 		return nil, fmt.Errorf("server: topk %d must be non-negative", req.TopK)
 	}
-	eng, err := joinEngine(req)
+	engine, err := joinEngineName(req.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +268,7 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	// recovered argmax is usually itself); reject it instead.
 	engineK := req.TopK
 	if req.ExcludeSelf {
-		if eng.Name() == "sketch" {
+		if engine == "sketch" {
 			return nil, fmt.Errorf("server: the sketch engine reports a single pair per query and cannot exclude self-pairs; use exact, normpruned or lsh for self-joins")
 		}
 		if engineK == 0 {
@@ -233,23 +281,6 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 
 	start := time.Now()
 
-	// Per-P engine state (norm view, LSH index, sketch recoverer) is
-	// built once per data shard, not once per shard pair: normpruned
-	// reuses the snapshot's cached view (amortized across requests
-	// too), the other preparable engines build per request — worth it
-	// only when several query shards would otherwise each rebuild.
-	perShard := make([]join.Engine, len(dsnaps))
-	for d, sn := range dsnaps {
-		perShard[d] = eng
-		if _, ok := eng.(join.NormPruned); ok {
-			perShard[d] = sn.normPruned()
-		} else if p, ok := eng.(join.Preparer); ok && len(qsnaps) > 1 {
-			if perShard[d], err = p.Prepare(sn.fs, sn.dead); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	type pair struct{ d, q int }
 	pairs := make([]pair, 0, len(dsnaps)*len(qsnaps))
 	for d := range dsnaps {
@@ -260,15 +291,36 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	parts := make([]join.Result, len(pairs))
 	errs := make([]error, len(pairs))
 	ssp := tr.StartSpan("scan")
+	// Each data shard's engine is resolved once, by the first of its
+	// pairs to run: lent by the snapshot where it serves from a matching
+	// structure, else built here, on the fan-out, not once per pair.
+	engines := make([]func() (join.Engine, error), len(dsnaps))
+	for d, sn := range dsnaps {
+		engines[d] = sync.OnceValues(func() (join.Engine, error) {
+			eng, built, err := sn.joinEngine(engine, req, dataCol.spec)
+			if built {
+				ssp.SetInt("index_builds", 1)
+			} else {
+				ssp.SetInt("index_builds", 0)
+			}
+			return eng, err
+		})
+	}
 	run := func(i int, runner join.Runner) {
 		pr := pairs[i]
 		dsnap, qsnap := dsnaps[pr.d], qsnaps[pr.q]
+		eng, err := engines[pr.d]()
+		if err != nil {
+			errs[i] = err
+			return
+		}
 		var work flat.ScanStats
-		res, err := perShard[pr.d].Join(dsnap.fs, qsnap.fs, sp.S, sp.CS(), join.Opts{
+		res, err := eng.Join(dsnap.fs, qsnap.fs, sp.S, sp.CS(), join.Opts{
 			Unsigned: unsigned, TopK: engineK, Runner: runner, Ctx: ctx,
 			DeadP: dsnap.dead, DeadQ: qsnap.dead, Stats: &work})
 		// The span sums its pairs' work, a cancelled pair's included.
 		ssp.SetInt("rows_scanned", int64(work.ScannedRows))
+		ssp.SetInt("candidates", int64(work.Candidates))
 		ssp.SetInt("cs_pruned_blocks", int64(work.PrunedBlocks))
 		ssp.SetInt("tombstone_skipped_blocks", int64(work.SkippedBlocks))
 		if err != nil {
@@ -324,7 +376,7 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	msp.End()
 	s.joins.Add(1)
 	resp := &JoinResponse{
-		Engine:   eng.Name(),
+		Engine:   engine,
 		TopK:     req.TopK,
 		Pairs:    make([]JoinPair, len(merged.Matches)),
 		Compared: merged.Compared,

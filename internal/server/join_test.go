@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,9 +12,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/flat"
 	"repro/internal/join"
 	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -373,38 +374,44 @@ func TestConcurrentJoinIngest(t *testing.T) {
 }
 
 // compactedJoin is the reference of a join over tombstoned collections:
-// every shard with a live row is compacted (packLive), the request's
-// engine — given no dead set — runs over each pair of compacted stores,
-// and matches map back through the compacted id slices into the
-// per-query merge.
+// every shard with a live row is compacted the way a compaction would —
+// live rows repacked, the index rebuilt over them, nothing published —
+// the request's engine runs over each pair of compacted snapshots, and
+// matches map back through the compacted id slices into the per-query
+// merge.
 func compactedJoin(t *testing.T, s *Server, req JoinRequest) (pairs []JoinPair, compared int64) {
 	t.Helper()
-	type live struct {
-		ids []int
-		fs  *flat.Store
-	}
-	compact := func(name string) (out []live) {
-		c, _ := s.Collection(name)
+	compact := func(name string) (c *Collection, out []*shardSnap) {
+		c, _ = s.Collection(name)
 		for _, sh := range c.shards {
-			if sn := sh.snap.Load(); len(sn.ids) > sn.dead.Count() {
-				ids, fs, err := sn.packLive()
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, live{ids, fs})
+			sn, err := sh.prepareCompact(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sn == nil {
+				sn = sh.snap.Load() // no tombstones: compact already
+			}
+			if len(sn.ids) > 0 {
+				out = append(out, sn)
 			}
 		}
-		return out
+		return c, out
 	}
-	eng, _ := joinEngine(req)
+	engine, _ := joinEngineName(req.Engine)
 	sp, _ := joinSpec(req)
 	k := req.TopK
 	if req.ExcludeSelf {
 		k = max(k, 1) + 1
 	}
 	var parts []join.Result
-	for _, p := range compact(req.Data) {
-		for _, q := range compact(req.Queries) {
+	dataCol, data := compact(req.Data)
+	_, queries := compact(req.Queries)
+	for _, p := range data {
+		eng, _, err := p.joinEngine(engine, req, dataCol.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
 			res, err := eng.Join(p.fs, q.fs, sp.S, sp.CS(), join.Opts{Unsigned: sp.Variant == core.Unsigned, TopK: k})
 			if err != nil {
 				t.Fatal(err)
@@ -521,7 +528,19 @@ func TestJoinTombstoneGrid(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, name := range []string{"a", "b"} {
+			// h holds unit vectors too — the edge of the SIMPLE map's ball — as
+			// an alsh collection: its lsh joins probe the shards' own banding
+			// indexes through the dead sets.
+			refs["h"] = map[int]vec.Vector{}
+			hrecs := make([]store.Record, 1300)
+			for i := range hrecs {
+				hrecs[i] = store.Record{ID: i*5 + 1, Vec: vec.Vector(rng.UnitVec(8))}
+				refs["h"][hrecs[i].ID] = hrecs[i].Vec
+			}
+			if _, _, err := s.Ingest("h", &IndexSpec{Kind: KindALSH, K: 4, L: 8, Seed: 5}, 0, hrecs); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"a", "b", "h"} {
 				pat.apply(t, s, name, refs[name], rng)
 			}
 			records := func(name string) (out []store.Record) {
@@ -532,52 +551,59 @@ func TestJoinTombstoneGrid(t *testing.T) {
 				return out
 			}
 			brute := map[string][]JoinPair{} // by cell, shared by the two exact engines
-			for _, engine := range []string{"exact", "normpruned", "lsh", "sketch"} {
-				for _, topk := range []int{0, 3} {
-					for _, variant := range []string{"signed", "unsigned"} {
-						for _, queries := range []string{"a", "b"} {
-							self := queries == "a"
-							if engine == "sketch" && (self || variant == "signed") {
-								continue
-							}
-							req := JoinRequest{Data: "a", Queries: queries, Engine: engine, Variant: variant,
-								S: 0.8, C: 0.75, TopK: topk, ExcludeSelf: self, K: 4, L: 8, Seed: 5}
-							cell := fmt.Sprintf("%s/topk=%d/queries=%s", variant, topk, queries)
-							label := engine + "/" + cell
-							resp, err := s.Join(req)
-							if len(refs[queries]) == 0 {
-								for _, r := range []JoinRequest{req, {Data: queries, Queries: "a", Engine: engine, Variant: variant, S: 0.8}} {
-									if _, err := s.Join(r); err == nil || !strings.Contains(err.Error(), "join requires non-empty collections") {
-										t.Fatalf("%s: join %s×%s over a fully-deleted collection: err = %v", label, r.Data, r.Queries, err)
-									}
-								}
-								continue
-							}
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							want, compared := compactedJoin(t, s, req)
-							if len(want) == 0 {
-								t.Fatalf("%s: the reference reports no pair; the cell checks nothing", label)
-							}
-							samePairs(t, label, want, resp.Pairs)
-							exact := engine == "exact" || engine == "normpruned"
-							if exact {
-								if brute[cell] == nil {
-									brute[cell] = bruteJoin(records("a"), records(queries), 0.6, variant == "unsigned", topk, self)
-								}
-								samePairs(t, label+" vs brute force", brute[cell], resp.Pairs)
-							}
-							switch {
-							case !exact, strings.Contains(pat.liveOnly, engine):
-								if resp.Compared != compared {
-									t.Fatalf("%s: compared %d, the compacted reference %d", label, resp.Compared, compared)
-								}
-							case resp.Compared < compared:
-								t.Fatalf("%s: compared %d, fewer than the compacted reference's %d", label, resp.Compared, compared)
-							}
+			cell := func(data, engine string, topk int, variant, queries string) {
+				self := queries == data
+				if engine == "sketch" && (self || variant == "signed") {
+					return
+				}
+				req := JoinRequest{Data: data, Queries: queries, Engine: engine, Variant: variant,
+					S: 0.8, C: 0.75, TopK: topk, ExcludeSelf: self}
+				if data == "a" {
+					req.K, req.L, req.Seed = 4, 8, 5 // h lends its own: zeros
+				}
+				cell := fmt.Sprintf("%s/topk=%d/queries=%s", variant, topk, queries)
+				label := data + "/" + engine + "/" + cell
+				resp, err := s.Join(req)
+				if len(refs[queries]) == 0 {
+					for _, r := range []JoinRequest{req, {Data: queries, Queries: data, Engine: engine, Variant: variant, S: 0.8}} {
+						if _, err := s.Join(r); err == nil || !strings.Contains(err.Error(), "join requires non-empty collections") {
+							t.Fatalf("%s: join %s×%s over a fully-deleted collection: err = %v", label, r.Data, r.Queries, err)
 						}
 					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want, compared := compactedJoin(t, s, req)
+				if len(want) == 0 {
+					t.Fatalf("%s: the reference reports no pair; the cell checks nothing", label)
+				}
+				samePairs(t, label, want, resp.Pairs)
+				exact := engine == "exact" || engine == "normpruned"
+				if exact {
+					if brute[cell] == nil {
+						brute[cell] = bruteJoin(records(data), records(queries), 0.6, variant == "unsigned", topk, self)
+					}
+					samePairs(t, label+" vs brute force", brute[cell], resp.Pairs)
+				}
+				switch {
+				case !exact, strings.Contains(pat.liveOnly, engine):
+					if resp.Compared != compared {
+						t.Fatalf("%s: compared %d, the compacted reference %d", label, resp.Compared, compared)
+					}
+				case resp.Compared < compared:
+					t.Fatalf("%s: compared %d, fewer than the compacted reference's %d", label, resp.Compared, compared)
+				}
+			}
+			for _, topk := range []int{0, 3} {
+				for _, variant := range []string{"signed", "unsigned"} {
+					for _, engine := range []string{"exact", "normpruned", "lsh", "sketch"} {
+						cell("a", engine, topk, variant, "a")
+						cell("a", engine, topk, variant, "b")
+					}
+					cell("h", "lsh", topk, variant, "h")
+					cell("h", "lsh", topk, variant, "b")
 				}
 			}
 		})
@@ -623,5 +649,125 @@ func TestNormPrunedJoinSweepsServingView(t *testing.T) {
 			}
 		}
 		samePairs(t, kind, bruteJoin(live, queries, 0.6, false, 2, false), resp.Pairs)
+	}
+}
+
+// TestApproximateJoinProbesServingStructure: an alsh shard lends an lsh
+// join the banding index it serves from — with tombstones too, the join
+// drops dead candidates — and a sketch shard lends a sketch join its
+// recoverer while nothing is deleted; a request naming the collection's
+// own parameters is lent them like one naming none, and any other
+// request, or collection kind, gets a structure built for it. The traced
+// scan span counts the builds.
+func TestApproximateJoinProbesServingStructure(t *testing.T) {
+	const shards = 3
+	s := New(Config{DefaultShards: shards, CacheCapacity: -1, CompactFraction: -1})
+	defer s.Close()
+	data, _ := joinWorkload(t, s, 600, 20, 8, 9)
+	for i := range data {
+		data[i].ID = i // joinWorkload's ids all hash to one shard
+	}
+	specs := map[string]IndexSpec{
+		KindALSH:   {Kind: KindALSH, K: 4, L: 8, Seed: 3},
+		KindSketch: {Kind: KindSketch, Copies: 5, Seed: 3},
+		KindExact:  {Kind: KindExact},
+	}
+	for kind, spec := range specs {
+		if _, _, err := s.Ingest(kind, &spec, 0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapOf := func(kind string) *shardSnap {
+		c, _ := s.Collection(kind)
+		return c.shards[0].snap.Load()
+	}
+	lent := func(kind, engine string, req JoinRequest) (join.Engine, bool) {
+		t.Helper()
+		eng, built, err := snapOf(kind).joinEngine(engine, req, specs[kind])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, !built
+	}
+	builds := func(req JoinRequest) int64 {
+		t.Helper()
+		tr := trace.New("join", "")
+		resp, err := s.JoinCtx(trace.NewContext(context.Background(), tr), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range tr.Export().Spans {
+			if sp.Name == "scan" {
+				if req.Engine == "lsh" && (sp.Attrs["candidates"] != resp.Compared || resp.Compared == 0) {
+					t.Fatalf("%+v: span counts %d candidates, the response compared %d", req, sp.Attrs["candidates"], resp.Compared)
+				}
+				n, ok := sp.Attrs["index_builds"]
+				if !ok {
+					t.Fatalf("%+v: the scan span has no index_builds: %v", req, sp.Attrs)
+				}
+				return n
+			}
+		}
+		t.Fatalf("no scan span in %+v", tr.Export())
+		return 0
+	}
+
+	check := func(stage string) {
+		t.Helper()
+		ix := snapOf(KindALSH).index.(*alshIndex)
+		for _, req := range []JoinRequest{{}, {K: 4}, {K: 4, L: 8, Seed: 3}} {
+			if eng, ok := lent(KindALSH, "lsh", req); !ok || eng.(join.LSH).Index != ix.ix || eng.(join.LSH).Radius != ix.u {
+				t.Fatalf("%s: alsh shard, request %+v: the join does not probe the shard's index", stage, req)
+			}
+		}
+		for _, req := range []JoinRequest{{K: 5}, {L: 4}, {Seed: 9}} {
+			if _, ok := lent(KindALSH, "lsh", req); ok {
+				t.Fatalf("%s: alsh shard, request %+v asks for another index and was lent the shard's", stage, req)
+			}
+		}
+		if _, ok := lent(KindExact, "lsh", JoinRequest{}); ok {
+			t.Fatalf("%s: an exact shard keeps no banding index to lend", stage)
+		}
+		if n := builds(JoinRequest{Data: KindALSH, Queries: "queries", Engine: "lsh", S: 0.8, C: 0.5}); n != 0 {
+			t.Fatalf("%s: lsh join on an alsh collection built %d indexes", stage, n)
+		}
+		if n := builds(JoinRequest{Data: KindExact, Queries: "queries", Engine: "lsh", S: 0.8, C: 0.5}); n != shards {
+			t.Fatalf("%s: lsh join on an exact collection built %d indexes, want one per data shard (%d)", stage, n, shards)
+		}
+	}
+	check("fresh")
+	rec := snapOf(KindSketch).index.(sketchIndex).rec
+	for _, req := range []JoinRequest{{}, {Kappa: 2, Copies: 5, Seed: 3}} {
+		if eng, ok := lent(KindSketch, "sketch", req); !ok || eng.(join.Sketch).Recoverer != rec {
+			t.Fatalf("sketch shard, request %+v: the join does not query the shard's recoverer", req)
+		}
+	}
+	if _, ok := lent(KindSketch, "sketch", JoinRequest{Copies: 3}); ok {
+		t.Fatal("sketch shard: a request for 3 copies was lent the shard's 5-copy recoverer")
+	}
+	unsigned := JoinRequest{Data: KindSketch, Queries: "queries", Engine: "sketch", Variant: "unsigned", S: 0.8, C: 0.5}
+	if n := builds(unsigned); n != 0 {
+		t.Fatalf("sketch join on a sketch collection built %d recoverers", n)
+	}
+
+	// Tombstones: the banding index is still lent, the recoverer — which
+	// sums the dead row in — is not.
+	c, _ := s.Collection(KindSketch)
+	doomed := c.shards[0].snap.Load().ids[:2]
+	for _, kind := range []string{KindALSH, KindSketch, KindExact} {
+		ref := map[int]vec.Vector{}
+		for _, id := range doomed {
+			ref[id] = nil
+		}
+		deleteIDs(t, s, kind, ref, doomed)
+	}
+	check("tombstoned")
+	if sn := snapOf(KindSketch); sn.dead.Count() == 0 {
+		t.Fatal("the delete left shard 0 without tombstones")
+	} else if _, ok := lent(KindSketch, "sketch", JoinRequest{}); ok {
+		t.Fatal("tombstoned sketch shard: the join was lent a recoverer that sums dead rows")
+	}
+	if n := builds(unsigned); n != 1 {
+		t.Fatalf("sketch join over one tombstoned shard built %d recoverers, want 1", n)
 	}
 }
