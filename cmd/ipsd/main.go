@@ -75,7 +75,7 @@ func main() {
 	defaultTimeout := flag.Duration("default-timeout", 0, "deadline for queries that carry no timeout_ms (0 = unbounded)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently executing queries per collection (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "queries allowed to wait for an admission slot before shedding with 429 (negative = unbounded)")
-	maxBody := flag.Int64("max-body-bytes", 32<<20, "request body cap on mutating routes (negative disables)")
+	maxBody := flag.Int64("max-body-bytes", 32<<20, "request body cap on every route that reads one (negative disables)")
 	rerankOverfetch := flag.Int("rerank-overfetch", 0, "candidate multiplier for quantized-tier re-ranking (0 = built-in default)")
 	recoverMode := flag.String("recover", "strict", "boot behavior when a collection fails recovery: strict (fail the boot) | quarantine (serve it as 503, directory untouched)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background segment integrity scrub period per collection (0 disables)")

@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/dataset"
@@ -167,6 +171,103 @@ func BenchmarkServerUpsert(b *testing.B) {
 				if _, _, err := s.Upsert("bench", nil, 0, records(vs[lo:lo+width], (lo+width)%(bc.n-width))); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// benchServe runs one request through h and fails on anything but 200.
+func benchServe(b *testing.B, h http.Handler, method, path string, body []byte) {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	if w.Code != http.StatusOK {
+		b.Fatalf("%s %s: %d %s", method, path, w.Code, w.Body)
+	}
+}
+
+// BenchmarkServerUpsertHTTP is BenchmarkServerUpsert one layer up: the
+// same 64-record replacement through the HTTP handler, body decode and
+// response included, in the benchmark's two write shapes (scan-heavy's
+// 64 × 64 onto exact f64, small-hot's 64 × 16 onto normscan). Against
+// BenchmarkServerUpsert it prices the wire.
+func BenchmarkServerUpsertHTTP(b *testing.B) {
+	const width = 64
+	for _, bc := range []struct {
+		name string
+		n, d int
+		kind string
+	}{
+		{"exact-f64/n=40000/d=64", 40_000, 64, KindExact},
+		{"normscan/n=20000/d=16", 20_000, 16, KindNormScan},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			vs := dataset.Gaussian(xrand.New(4), bc.n, bc.d, false)
+			s := New(Config{DefaultShards: 4, CacheCapacity: -1, CompactFraction: -1})
+			defer s.Close()
+			for lo := 0; lo < bc.n; lo += 1000 {
+				if _, _, err := s.Ingest("bench", &IndexSpec{Kind: bc.kind}, 0, records(vs[lo:lo+1000], lo)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			h := NewHandler(s)
+			// A few distinct bodies, each moving rows between live IDs.
+			bodies := make([][]byte, 16)
+			for i := range bodies {
+				lo := i * width
+				recs := make([]RecordJSON, width)
+				for j := range recs {
+					id := (lo + width + j) % (bc.n - width)
+					recs[j] = RecordJSON{ID: &id, Vec: vs[lo+j]}
+				}
+				var err error
+				if bodies[i], err = json.Marshal(IngestRequest{Records: recs}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(bodies[0])))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchServe(b, h, http.MethodPost, "/collections/bench/vectors", bodies[i%len(bodies)])
+			}
+		})
+	}
+}
+
+// BenchmarkServerSearchHTTP measures a search through the HTTP handler
+// on a collection small enough (4 000 rows) that the request's fixed
+// costs — body decode, response encode — are not lost under the scan:
+// one query of 16 floats, and the benchmark's 64-query batches at d = 16
+// and d = 64.
+func BenchmarkServerSearchHTTP(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		d, nq int
+	}{
+		{"single/d=16", 16, 1},
+		{"batch=64/d=16", 16, 64},
+		{"batch=64/d=64", 64, 64},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, users := benchServer(b, 4000, bc.d, 4, KindExact)
+			h := NewHandler(s)
+			req := SearchRequest{K: 10}
+			if bc.nq == 1 {
+				req.Q = users[0]
+			} else {
+				for _, u := range users[:bc.nq] {
+					req.Queries = append(req.Queries, u)
+				}
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchServe(b, h, http.MethodPost, "/collections/bench/search", body)
 			}
 		})
 	}

@@ -563,9 +563,10 @@ func TestForEachCtx(t *testing.T) {
 	}
 }
 
-// TestHTTPBodyLimit413 pins the request-body cap: an ingest larger
-// than Config.MaxBodyBytes is rejected with a structured 413 and the
-// collection is untouched, while a small body still lands.
+// TestHTTPBodyLimit413 pins the request-body cap on every route that
+// reads a body: an ingest larger than Config.MaxBodyBytes is rejected
+// with a structured 413 and the collection is untouched, while a small
+// body still lands; so are an oversized search and join.
 func TestHTTPBodyLimit413(t *testing.T) {
 	s := New(Config{DefaultShards: 1, MaxBodyBytes: 2 << 10})
 	defer s.Close()
@@ -592,6 +593,33 @@ func TestHTTPBodyLimit413(t *testing.T) {
 	if code := doJSON(t, ts, http.MethodPut, "/collections/c",
 		IngestRequest{Records: recs[:2]}, nil); code != http.StatusOK {
 		t.Fatalf("small ingest after 413: status %d", code)
+	}
+
+	// The read routes are capped too: a search whose batch overruns the
+	// limit, and join bodies padded past it by a field the decoder would
+	// skip, on all three join routes.
+	batch := make([][]float64, len(items))
+	for i, v := range items {
+		batch[i] = v
+	}
+	padded := map[string]any{"data": "c", "queries": "c", "s": 0.5, "pad": strings.Repeat("x", 4<<10)}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/collections/c/search", SearchRequest{Queries: batch, K: 1}},
+		{"/collections/c/join/c", padded},
+		{"/collections/c/join", padded},
+		{"/join", padded},
+	} {
+		e = nil
+		if code := doJSON(t, ts, http.MethodPost, c.path, c.body, &e); code != http.StatusRequestEntityTooLarge || e["error"] == "" {
+			t.Errorf("oversized %s: status %d, error %q; want structured 413", c.path, code, e["error"])
+		}
+	}
+	if code := doJSON(t, ts, http.MethodPost, "/collections/c/search",
+		SearchRequest{Q: items[0], K: 1}, nil); code != http.StatusOK {
+		t.Fatalf("small search after 413: status %d", code)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/store"
 	"repro/internal/trace"
-	"repro/internal/vec"
 )
 
 // NewHandler wires the server's HTTP/JSON API:
@@ -39,35 +38,29 @@ import (
 //	GET  /metrics                     Prometheus text exposition
 //
 // Every route is instrumented (per-route latency histogram + status
-// counts, served at /metrics), and mutating routes cap their request
-// body at Config.MaxBodyBytes (default 32 MiB; oversized bodies get a
-// structured 413).
+// counts, served at /metrics), and every route that reads a request body
+// reads it through readBody, capped at Config.MaxBodyBytes (default
+// 32 MiB; oversized bodies get a structured 413). A body is exactly one
+// JSON value; wire.go decodes the vector-bearing ones.
 func NewHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	hm := newHTTPMetrics()
-	maxBody := s.cfg.MaxBodyBytes
-	if maxBody == 0 {
-		maxBody = defaultMaxBodyBytes
-	}
-	route := func(pattern, label string, h http.HandlerFunc, limited bool) {
-		if limited && maxBody > 0 {
-			h = limitBody(maxBody, h)
-		}
+	route := func(pattern, label string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, instrument(s, hm, label, h))
 	}
-	route("PUT /collections/{name}", "ingest", s.handleIngest, true)
-	route("DELETE /collections/{name}", "drop", s.handleDrop, false)
-	route("PUT /collections/{name}/vectors/{id}", "upsert_one", s.handleUpsertOne, true)
-	route("DELETE /collections/{name}/vectors/{id}", "delete_one", s.handleDeleteOne, false)
-	route("POST /collections/{name}/vectors", "upsert_batch", s.handleUpsertBatch, true)
-	route("POST /collections/{name}/vectors/delete", "delete_batch", s.handleDeleteBatch, true)
-	route("POST /collections/{name}/search", "search", s.handleSearch, false)
-	route("POST /collections/{a}/join/{b}", "join", s.handleJoinPath, false)
-	route("POST /collections/{name}/join", "join", s.handleSelfJoin, false)
-	route("POST /join", "join", s.handleJoin, false)
-	route("GET /healthz", "healthz", s.handleHealthz, false)
-	route("GET /readyz", "readyz", s.handleReadyz, false)
-	route("GET /stats", "stats", s.handleStats, false)
+	route("PUT /collections/{name}", "ingest", s.handleIngest)
+	route("DELETE /collections/{name}", "drop", s.handleDrop)
+	route("PUT /collections/{name}/vectors/{id}", "upsert_one", s.handleUpsertOne)
+	route("DELETE /collections/{name}/vectors/{id}", "delete_one", s.handleDeleteOne)
+	route("POST /collections/{name}/vectors", "upsert_batch", s.handleUpsertBatch)
+	route("POST /collections/{name}/vectors/delete", "delete_batch", s.handleDeleteBatch)
+	route("POST /collections/{name}/search", "search", s.handleSearch)
+	route("POST /collections/{a}/join/{b}", "join", s.handleJoinPath)
+	route("POST /collections/{name}/join", "join", s.handleSelfJoin)
+	route("POST /join", "join", s.handleJoin)
+	route("GET /healthz", "healthz", s.handleHealthz)
+	route("GET /readyz", "readyz", s.handleReadyz)
+	route("GET /stats", "stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		s.handleMetrics(hm, w, r)
 	})
@@ -79,18 +72,9 @@ func NewHandler(s *Server) http.Handler {
 	return mux
 }
 
-// defaultMaxBodyBytes caps mutating request bodies when the config
-// leaves Config.MaxBodyBytes zero.
+// defaultMaxBodyBytes caps request bodies when the config leaves
+// Config.MaxBodyBytes zero.
 const defaultMaxBodyBytes = 32 << 20
-
-// limitBody wraps a handler so its request body reads past max fail
-// with *http.MaxBytesError (surfaced as a 413 by bodyError).
-func limitBody(max int64, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, max)
-		h(w, r)
-	}
-}
 
 // statusRecorder captures the status a handler wrote so the metrics
 // middleware can count it.
@@ -248,8 +232,8 @@ func queryError(w http.ResponseWriter, err error) {
 	httpError(w, status, err)
 }
 
-// bodyError writes a request-body decode failure: 413 when the body
-// limiter tripped, 400 otherwise.
+// bodyError writes a request-body read or decode failure: 413 when
+// readBody's cap tripped, 400 otherwise.
 func bodyError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var mbe *http.MaxBytesError
@@ -319,20 +303,14 @@ type SearchResponse struct {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	wb, err := s.decodeWire(w, r, (*wireBuf).parseIngest)
+	if err != nil {
 		bodyError(w, err)
 		return
 	}
-	recs := make([]store.Record, len(req.Records))
-	for i, rj := range req.Records {
-		id := AutoID
-		if rj.ID != nil {
-			id = *rj.ID
-		}
-		recs[i] = store.Record{ID: id, Vec: vec.Vector(rj.Vec), Attrs: rj.Attrs}
-	}
-	version, invalidated, err := s.IngestCtx(r.Context(), name, req.Index, req.Shards, recs)
+	defer wb.release()
+	recs := wb.storeRecords()
+	version, invalidated, err := s.IngestCtx(r.Context(), name, wb.index, wb.shards, recs)
 	if err != nil {
 		status := mutationStatus(err)
 		hintRetry(w, status)
@@ -342,6 +320,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	total := len(recs)
 	if c, ok := s.Collection(name); ok {
 		total = c.Len()
+		c.observeStage("decode", wb.took)
 	}
 	writeJSON(w, http.StatusOK, IngestResponse{
 		Collection:  name,
@@ -354,42 +333,35 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := s.decodeWire(w, r, (*wireBuf).parseSearch)
+	if err != nil {
 		bodyError(w, err)
 		return
 	}
-	single := len(req.Q) > 0
-	if single == (len(req.Queries) > 0) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("set exactly one of \"q\" and \"queries\""))
+	defer req.release()
+	qs, single, err := req.queryVectors()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Explain && !single {
+	if req.explain && !single {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("\"explain\" supports single-query requests only"))
 		return
 	}
-	k := req.K
+	k := req.k
 	if k == 0 {
 		k = 1
 	}
-	queries := req.Queries
-	if single {
-		queries = [][]float64{req.Q}
-	}
-	qs := make([]vec.Vector, len(queries))
-	for i, q := range queries {
-		qs[i] = vec.Vector(q)
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
+	ctx, cancel := s.requestCtx(r, req.timeoutMS)
 	defer cancel()
-	if req.Explain && trace.FromContext(ctx) == nil {
+	if req.explain && trace.FromContext(ctx) == nil {
 		// Explain wants stage timings even when server-side tracing is
 		// off: give this one request a private trace. It is never
 		// registered, so it costs nothing beyond the request itself.
 		ctx = trace.NewContext(ctx, trace.New("search", r.Header.Get("traceparent")))
 	}
 	start := time.Now()
-	results, err := s.SearchWithOpts(ctx, name, qs, SearchOpts{K: k, Unsigned: req.Unsigned, Rerank: req.Rerank, Explain: req.Explain})
+	results, err := s.SearchWithOpts(ctx, name, qs, SearchOpts{K: k, Unsigned: req.unsigned, Rerank: req.rerank, Explain: req.explain})
 	if err != nil {
 		if _, ok := s.Collection(name); !ok {
 			httpError(w, http.StatusNotFound, err)
@@ -478,10 +450,10 @@ func mutationStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// serveUpsert runs an upsert batch and writes the response; shared by
-// the single-record and batch routes.
-func (s *Server) serveUpsert(w http.ResponseWriter, r *http.Request, name string, spec *IndexSpec, shards int, recs []store.Record) {
-	version, invalidated, err := s.UpsertCtx(r.Context(), name, spec, shards, recs)
+// serveUpsert runs the upsert batch decoded into wb and writes the
+// response; shared by the single-record and batch routes.
+func (s *Server) serveUpsert(w http.ResponseWriter, r *http.Request, name string, wb *wireBuf, recs []store.Record) {
+	version, invalidated, err := s.UpsertCtx(r.Context(), name, wb.index, wb.shards, recs)
 	if err != nil {
 		status := mutationStatus(err)
 		hintRetry(w, status)
@@ -491,6 +463,7 @@ func (s *Server) serveUpsert(w http.ResponseWriter, r *http.Request, name string
 	total := len(recs)
 	if c, ok := s.Collection(name); ok {
 		total = c.Len()
+		c.observeStage("decode", wb.took)
 	}
 	writeJSON(w, http.StatusOK, UpsertResponse{
 		Collection:  name,
@@ -511,37 +484,39 @@ func (s *Server) handleUpsertOne(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("record id: %w", err))
 		return
 	}
-	var rj RecordJSON
-	if err := json.NewDecoder(r.Body).Decode(&rj); err != nil {
+	wb, err := s.decodeWire(w, r, (*wireBuf).parseRecord)
+	if err != nil {
 		bodyError(w, err)
 		return
 	}
-	if rj.ID != nil && *rj.ID != id {
+	defer wb.release()
+	if rec := &wb.recs[0]; rec.hasID && rec.id != id {
 		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("body id %d disagrees with path id %d", *rj.ID, id))
+			fmt.Errorf("body id %d disagrees with path id %d", rec.id, id))
 		return
 	}
-	s.serveUpsert(w, r, name, nil, 0, []store.Record{{ID: id, Vec: vec.Vector(rj.Vec), Attrs: rj.Attrs}})
+	recs := wb.storeRecords()
+	recs[0].ID = id
+	s.serveUpsert(w, r, name, wb, recs)
 }
 
 // handleUpsertBatch serves POST /collections/{name}/vectors: an
 // IngestRequest-shaped body whose records must all carry explicit IDs.
 func (s *Server) handleUpsertBatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	wb, err := s.decodeWire(w, r, (*wireBuf).parseIngest)
+	if err != nil {
 		bodyError(w, err)
 		return
 	}
-	recs := make([]store.Record, len(req.Records))
-	for i, rj := range req.Records {
-		if rj.ID == nil {
+	defer wb.release()
+	for i := range wb.recs[:wb.nrecs] {
+		if !wb.recs[i].hasID {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("record %d: upsert requires an id", i))
 			return
 		}
-		recs[i] = store.Record{ID: *rj.ID, Vec: vec.Vector(rj.Vec), Attrs: rj.Attrs}
 	}
-	s.serveUpsert(w, r, name, req.Index, req.Shards, recs)
+	s.serveUpsert(w, r, name, wb, wb.storeRecords())
 }
 
 // handleDeleteOne serves DELETE /collections/{name}/vectors/{id}. An
@@ -586,7 +561,7 @@ func (s *Server) handleDeleteOne(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req DeleteVectorsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		bodyError(w, err)
 		return
 	}
@@ -616,7 +591,7 @@ func (s *Server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) {
 // handleJoin serves the body-addressed POST /join route.
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		bodyError(w, err)
 		return
 	}
@@ -629,7 +604,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 // sets exclude_self).
 func (s *Server) handleJoinPath(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		bodyError(w, err)
 		return
 	}
@@ -642,7 +617,7 @@ func (s *Server) handleJoinPath(w http.ResponseWriter, r *http.Request) {
 // {name} with identity pairs always excluded.
 func (s *Server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		bodyError(w, err)
 		return
 	}

@@ -84,8 +84,8 @@ type Config struct {
 	// MaxInflight are running; beyond it queries are shed with
 	// ErrOverloaded (HTTP 429). Negative means an unbounded queue.
 	MaxQueue int
-	// MaxBodyBytes caps HTTP request bodies on mutating endpoints
-	// (default 32 MiB; negative disables the limit).
+	// MaxBodyBytes caps the HTTP request body on every endpoint that
+	// reads one (default 32 MiB; negative disables the limit).
 	MaxBodyBytes int64
 
 	// RerankOverfetch is the default candidate-widening factor for

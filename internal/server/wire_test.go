@@ -1,0 +1,702 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/store"
+	"repro/internal/vec"
+	"repro/internal/xrand"
+)
+
+// parseWire runs one wire.go shape function over body on a pooled
+// buffer, as decodeWire does after reading the body.
+func parseWire(body []byte, parse func(*wireBuf) error) (*wireBuf, error) {
+	wb := wireBufPool.Get().(*wireBuf)
+	wb.b = append(wb.b[:0], body...)
+	if err := parse(wb); err != nil {
+		wb.release()
+		return nil, err
+	}
+	return wb, nil
+}
+
+func sameFloats(what string, got vec.Vector, want []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+func sameRecord(what string, wb *wireBuf, got *wireRec, want *RecordJSON) error {
+	if got.hasID != (want.ID != nil) || got.hasID && got.id != *want.ID {
+		return fmt.Errorf("%s: id (%v, %d), encoding/json has %v", what, got.hasID, got.id, want.ID)
+	}
+	if !reflect.DeepEqual(got.attrs, want.Attrs) {
+		return fmt.Errorf("%s: attrs %#v, encoding/json has %#v", what, got.attrs, want.Attrs)
+	}
+	return sameFloats(what+".vec", wb.vector(got.vec), want.Vec)
+}
+
+// acceptAlike is the first half of the oracle: both decoders take the
+// body or both refuse it.
+func acceptAlike(shape string, got, want error) error {
+	if (got == nil) != (want == nil) {
+		return fmt.Errorf("%s: wire.go says %v, encoding/json says %v", shape, got, want)
+	}
+	return nil
+}
+
+// diffWire decodes body in all three shapes with wire.go and with
+// json.Unmarshal over the whole body, and describes the first
+// disagreement: in whether the body is accepted or, when it is, in any
+// decoded value.
+func diffWire(body []byte) error {
+	var ing IngestRequest
+	want := json.Unmarshal(body, &ing)
+	wb, got := parseWire(body, (*wireBuf).parseIngest)
+	if err := acceptAlike("ingest", got, want); err != nil {
+		return err
+	}
+	if got == nil {
+		defer wb.release()
+		if !reflect.DeepEqual(wb.index, ing.Index) || wb.shards != ing.Shards {
+			return fmt.Errorf("ingest: index %+v shards %d, encoding/json has %+v, %d", wb.index, wb.shards, ing.Index, ing.Shards)
+		}
+		if wb.nrecs != len(ing.Records) {
+			return fmt.Errorf("ingest: %d records, encoding/json has %d", wb.nrecs, len(ing.Records))
+		}
+		for i := range ing.Records {
+			if err := sameRecord(fmt.Sprintf("records[%d]", i), wb, &wb.recs[i], &ing.Records[i]); err != nil {
+				return err
+			}
+		}
+		// What the handlers are given is the same batch again.
+		for i, r := range wb.storeRecords() {
+			if id := ing.Records[i].ID; id == nil && r.ID != AutoID || id != nil && r.ID != *id {
+				return fmt.Errorf("storeRecords[%d].ID = %d, encoding/json has %v", i, r.ID, id)
+			}
+			if err := sameFloats(fmt.Sprintf("storeRecords[%d].Vec", i), r.Vec, ing.Records[i].Vec); err != nil {
+				return err
+			}
+		}
+	}
+
+	var rj RecordJSON
+	want = json.Unmarshal(body, &rj)
+	wb1, got := parseWire(body, (*wireBuf).parseRecord)
+	if err := acceptAlike("record", got, want); err != nil {
+		return err
+	}
+	if got == nil {
+		defer wb1.release()
+		if err := sameRecord("record", wb1, &wb1.recs[0], &rj); err != nil {
+			return err
+		}
+	}
+
+	var sr SearchRequest
+	want = json.Unmarshal(body, &sr)
+	wbs, got := parseWire(body, (*wireBuf).parseSearch)
+	if err := acceptAlike("search", got, want); err != nil {
+		return err
+	}
+	if got == nil {
+		defer wbs.release()
+		gotScalars := SearchRequest{K: wbs.k, Unsigned: wbs.unsigned, Rerank: wbs.rerank, TimeoutMS: wbs.timeoutMS, Explain: wbs.explain}
+		wantScalars := SearchRequest{K: sr.K, Unsigned: sr.Unsigned, Rerank: sr.Rerank, TimeoutMS: sr.TimeoutMS, Explain: sr.Explain}
+		if !reflect.DeepEqual(gotScalars, wantScalars) {
+			return fmt.Errorf("search: scalars %+v, encoding/json has %+v", gotScalars, wantScalars)
+		}
+		if err := sameFloats("q", wbs.vector(wbs.q), sr.Q); err != nil {
+			return err
+		}
+		if wbs.nrows != len(sr.Queries) {
+			return fmt.Errorf("search: %d queries, encoding/json has %d", wbs.nrows, len(sr.Queries))
+		}
+		for i, q := range sr.Queries {
+			if err := sameFloats(fmt.Sprintf("queries[%d]", i), wbs.vector(wbs.rows[i]), q); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// wireTraps are bodies a hand-written decoder gets wrong; ok says
+// whether the shape they are written for accepts them.
+var wireTraps = []struct {
+	shape, body string
+	ok          bool
+}{
+	// Keys: exact, then Unicode case folding; escapes; invalid UTF-8.
+	{"search", `{"Q":[1,0,0,0],"K":2,"UNSIGNED":true}`, true},
+	{"ingest", `{"RECORDS":[{"ID":1,"VEC":[1,2],"Attrs":{"a":"b"}}],"Shards":3}`, true},
+	{"ingest", `{"recordſ":[{"id":1,"vec":[1]}],"ſhardſ":2}`, true},
+	{"search", `{"K":3,"q":[1]}`, true}, // Kelvin sign folds to k
+	{"search", `{"q":[1,2],"timeout_ms":5}`, true},
+	{"search", "{\"q\xff\":[1],\"q\":[2]}", true},
+	{"record", `{"id":1,"vec":[1],"attrs":{"k\ud800":"v\udc00","é":"\/"}}`, true},
+	{"record", "{\"attrs\":{\"\xff\":\"\xfe\"}}", true},
+	{"search", `{"q ":[1],"":[2],"q":[3]}`, true},
+	// Duplicate keys decode into what the earlier one left.
+	{"ingest", `{"records":[{"id":1,"vec":[1]},{"id":2,"vec":[2]}],"records":[{"id":3,"vec":[3]}]}`, true},
+	{"ingest", `{"records":[{"id":1,"vec":[1,2],"attrs":{"a":"b"}}],"records":[{"vec":[null,null,null]}]}`, true},
+	{"ingest", `{"records":[{"id":1},{"id":2,"vec":[7]}],"records":[{"id":null}],"records":[null,{}]}`, true},
+	{"ingest", `{"records":[{"id":1,"vec":[5]}],"records":[],"records":[null]}`, true},
+	{"ingest", `{"records":[{"id":1,"vec":[5]}],"records":null,"records":[{}]}`, true},
+	{"ingest", `{"shards":3,"shards":null,"index":{"kind":"alsh","k":4},"index":{"l":2},"index":null,"index":{"u":2}}`, true},
+	{"record", `{"vec":[1,2,3],"vec":[9],"vec":[null,null,null,null,null]}`, true},
+	{"record", `{"vec":[1,2],"vec":[],"vec":[null,null]}`, true},
+	{"record", `{"vec":[1,2],"vec":null,"vec":[null]}`, true},
+	{"record", `{"id":4,"id":5,"attrs":{"a":"1"},"attrs":{"b":"2"},"attrs":null,"attrs":{"c":"3"}}`, true},
+	{"record", `{"vec":[1,2,3],"id":1,"vec":[4,5,6,7,8],"vec":[null]}`, true},
+	{"search", `{"queries":[[1,2],[3,4]],"queries":[[null],null,[5]],"queries":[null,[null,null]]}`, true},
+	{"search", `{"q":[1,2],"queries":[[3]],"q":[null,null,null],"k":2,"k":null,"explain":true,"explain":null}`, true},
+	// null leaves a scalar unset and empties a slice.
+	{"search", `{"queries":[null,[1,0,0,0]]}`, true},
+	{"search", `{"q":null,"queries":null,"k":null,"unsigned":null,"rerank":null,"timeout_ms":null,"explain":null}`, true},
+	{"search", `null`, true},
+	{"ingest", ` null `, true},
+	{"record", `{"id":null,"vec":[null,1.5,null],"attrs":null}`, true},
+	{"ingest", `{"index":null,"shards":null,"records":[null,{"vec":[1]},null]}`, true},
+	// Numbers: the JSON grammar, ParseInt for ints, no overflow.
+	{"record", `{"id":1.0,"vec":[1]}`, false},
+	{"record", `{"id":1e2,"vec":[1]}`, false},
+	{"record", `{"id":-0,"vec":[-0,0e0,-0.0E-0,1E+2,5e-324,1e-999]}`, true},
+	{"record", `{"id":9223372036854775807}`, true},
+	{"record", `{"id":9223372036854775808}`, false},
+	{"record", `{"vec":[1e999]}`, false},
+	{"record", `{"vec":[-1.7976931348623159e308]}`, false},
+	{"record", `{"vec":[1.7976931348623157e308,0.1234567890123456789012345678901234567890]}`, true},
+	{"record", `{"vec":[01]}`, false},
+	{"record", `{"vec":[.5]}`, false},
+	{"record", `{"vec":[+1]}`, false},
+	{"record", `{"vec":[1.]}`, false},
+	{"record", `{"vec":[1e]}`, false},
+	{"record", `{"vec":[-]}`, false},
+	{"record", `{"vec":[0x10]}`, false},
+	{"record", `{"vec":[1_0]}`, false},
+	{"record", `{"vec":[NaN]}`, false},
+	{"record", `{"vec":[Infinity]}`, false},
+	{"search", `{"k":"3"}`, false},
+	{"search", `{"k":3.5}`, false},
+	{"search", `{"unsigned":1}`, false},
+	{"search", `{"unsigned":"true"}`, false},
+	// Types.
+	{"record", `{"vec":["1"]}`, false},
+	{"record", `{"vec":[[1]]}`, false},
+	{"record", `{"vec":{"0":1}}`, false},
+	{"record", `{"vec":1}`, false},
+	{"record", `{"vec":"AQID"}`, false},
+	{"record", `{"attrs":{"a":1}}`, false},
+	{"record", `{"attrs":[]}`, false},
+	{"ingest", `{"records":{}}`, false},
+	{"ingest", `{"records":[[]]}`, false},
+	{"ingest", `{"records":[1]}`, false},
+	{"ingest", `{"index":"exact"}`, false},
+	{"ingest", `{"index":{"kind":7}}`, false},
+	{"ingest", `{"index":{"seed":-1}}`, false},
+	{"search", `{"queries":[1]}`, false},
+	{"search", `{"queries":[[[1]]]}`, false},
+	{"search", `{"queries":{"0":[1]}}`, false},
+	{"search", `[]`, false},
+	{"search", `42`, false},
+	{"search", `"q"`, false},
+	{"search", `true`, false},
+	// Syntax, also in what is skipped.
+	{"search", ``, false},
+	{"search", `   `, false},
+	{"search", `{`, false},
+	{"search", `{"q":[1,0,0,0]`, false},
+	{"search", `{"q":[1,0,0,0],}`, false},
+	{"search", `{"q":[1,]}`, false},
+	{"search", `{"q":[,1]}`, false},
+	{"search", `{"q":[1 2]}`, false},
+	{"search", `{"q" [1]}`, false},
+	{"search", `{q:[1]}`, false},
+	{"search", `{"q":[1]}}`, false},
+	{"search", `{"q":[1]} x`, false},
+	{"search", `{"q":[1]}{"q":[2]}`, false},
+	{"search", "{\"q\":[1]}\x00", false},
+	{"search", "\ufeff{\"q\":[1]}", false},
+	{"search", "{\"q\":[1]} \t\r\n", true},
+	{"search", "\n{ \"q\" : [ 1 , 2 ] , \"k\" : 1 }", true},
+	{"search", `{"q":[1],"x":{"a":[1,{"b":null}],"c":"é\n","d":-1.5e3,"e":[true,false]},"y":[]}`, true},
+	{"search", `{"q":[1],"x":{"a":[1,{"b":nul}]}}`, false},
+	{"search", `{"q":[1],"x":"\x"}`, false},
+	{"search", `{"q":[1],"x":"\u12g4"}`, false},
+	{"search", "{\"q\":[1],\"x\":\"a\tb\"}", false},
+	{"search", `{"q":[1],"x":"unterminated}`, false},
+	{"search", `{"q":[1],"x":[1,2}`, false},
+	{"search", `{"q":[1],"x":{"a":1]}`, false},
+	{"search", `{"q":[1],"x":{"a"}}`, false},
+	{"search", `{"q":[1],"x":{1:2}}`, false},
+	{"search", `{"q":[1],"x":[1,]}`, false},
+	{"search", `{"q":[1],"x":{"a":1,}}`, false},
+	{"search", `{"q":[1],"x":tru}`, false},
+	{"search", `{"q":[1],"x":01}`, false},
+	{"search", `{"q":[1],"x":}`, false},
+	{"search", `{"q":[1],"x"}`, false},
+	{"search", "{\"q\":[1],\"x\":\"\xff\xfe\"}", true},
+}
+
+// TestWireDecodeTraps holds the decoder to the trap list: each body is
+// accepted or refused as listed — by encoding/json too, so the list
+// cannot drift from the oracle — and decodes to the oracle's values in
+// every shape.
+func TestWireDecodeTraps(t *testing.T) {
+	for _, c := range wireTraps {
+		body := []byte(c.body)
+		var err, want error
+		var wb *wireBuf
+		switch c.shape {
+		case "ingest":
+			want = json.Unmarshal(body, new(IngestRequest))
+			wb, err = parseWire(body, (*wireBuf).parseIngest)
+		case "record":
+			want = json.Unmarshal(body, new(RecordJSON))
+			wb, err = parseWire(body, (*wireBuf).parseRecord)
+		case "search":
+			want = json.Unmarshal(body, new(SearchRequest))
+			wb, err = parseWire(body, (*wireBuf).parseSearch)
+		}
+		if (want == nil) != c.ok {
+			t.Errorf("%s %q: the table says ok=%v, encoding/json says %v", c.shape, c.body, c.ok, want)
+		}
+		if (err == nil) != c.ok {
+			t.Errorf("%s %q: error %v, want ok=%v", c.shape, c.body, err, c.ok)
+		}
+		if err == nil {
+			wb.release()
+		} else if !strings.HasPrefix(err.Error(), "offset ") {
+			t.Errorf("%s %q: error %q does not carry the byte offset", c.shape, c.body, err)
+		}
+		if err := diffWire(body); err != nil {
+			t.Errorf("%q: %v", c.body, err)
+		}
+	}
+}
+
+// TestWireDecodeDepth pins the nesting cap where encoding/json has it —
+// 10 000 containers, counted from the top of the body — and that a body
+// of nothing but '[' is refused, not recursed into.
+func TestWireDecodeDepth(t *testing.T) {
+	nest := func(prefix string, n int, suffix string) []byte {
+		return []byte(prefix + strings.Repeat("[", n) + strings.Repeat("]", n) + suffix)
+	}
+	for _, c := range []struct {
+		body []byte
+		ok   bool
+	}{
+		{nest(`{"q":[1],"x":`, maxWireDepth-1, `}`), true},
+		{nest(`{"q":[1],"x":`, maxWireDepth, `}`), false},
+		{nest(`{"records":[{"vec":[1],"x":`, maxWireDepth-3, `}]}`), true},
+		{nest(`{"records":[{"vec":[1],"x":`, maxWireDepth-2, `}]}`), false},
+		{nest(`{"records":[{"attrs":{"a":"b"},"index":`, maxWireDepth-3, `}]}`), true},
+		{bytes.Repeat([]byte("["), 4<<20), false},
+		{append([]byte(`{"x":`), bytes.Repeat([]byte("["), 4<<20)...), false},
+		{append([]byte(`{"x":`), bytes.Repeat([]byte(`{"a":`), 1<<20)...), false},
+	} {
+		label := fmt.Sprintf("%.30s… (%d bytes)", c.body, len(c.body))
+		if err := json.Unmarshal(c.body, new(IngestRequest)); (err == nil) != c.ok {
+			t.Errorf("%s: the table says ok=%v, encoding/json says %v", label, c.ok, err)
+		}
+		if err := diffWire(c.body); err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
+	}
+}
+
+// FuzzWireDecode is the decoder's contract: for arbitrary bytes, wire.go
+// and json.Unmarshal of the whole body agree on accept or reject in each
+// shape and, on accept, on every id, every float's bits, attrs, index,
+// shards, k, unsigned, rerank, explain and timeout_ms. The buffers come
+// from the pool, so state leaking from one body into the next shows up
+// as a disagreement too.
+func FuzzWireDecode(f *testing.F) {
+	for _, c := range wireTraps {
+		f.Add([]byte(c.body))
+	}
+	for _, s := range []string{
+		// FuzzSearchHandler's seeds.
+		`{"q":[1,0,0,0]}`,
+		`{"q":[1,0,0,0],"k":3,"unsigned":true}`,
+		`{"queries":[[1,0,0,0],[0,1,0,0]],"k":2}`,
+		`{"q":[1,2]}`,
+		`{"q":[]}`,
+		`{"q":[1,0,0,0],"queries":[[1]]}`,
+		`{"queries":[[1,0,0,0],[1,2]]}`,
+		`{"q":[1,0,0,0],"k":-5}`,
+		`{"q":[1,0,0,0],"k":999999}`,
+		`{"q":[1e308,1e308,-1e308,1e308]}`,
+		// Whole requests as clients write them.
+		`{"index":{"kind":"exact","precision":"int8"},"shards":2,"records":[{"id":0,"vec":[0.1,0.9]},{"id":1,"vec":[0.8,0.2],"attrs":{"tag":"x"}}]}`,
+		`{"records":[{"vec":[-0.46218354238070714,1.0309328859163227e-05]},{"vec":[3,4]}]}`,
+		`{"id":7,"vec":[0.25,-0.5],"attrs":{"a":"b"}}`,
+		`{"q":[0.5,0.25],"k":10,"rerank":true,"explain":true,"timeout_ms":250}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if err := diffWire(body); err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+	})
+}
+
+// upsertBody is the benchmark's write body: n records of dimension d,
+// ids from base, shortest-round-trip floats.
+func upsertBody(n, d, base int, seed uint64) []byte {
+	rng := xrand.New(seed)
+	recs := make([]RecordJSON, n)
+	for i := range recs {
+		id := base + i
+		recs[i] = RecordJSON{ID: &id, Vec: rng.NormalVec(d)}
+	}
+	body, err := json.Marshal(IngestRequest{Records: recs})
+	if err != nil {
+		panic(err)
+	}
+	return body
+}
+
+// TestWireDecodeAllocs pins what the decoder is for: a warm 64 × 64
+// records decode allocates nothing (encoding/json: 539 allocations,
+// 332 KB).
+func TestWireDecodeAllocs(t *testing.T) {
+	body := upsertBody(64, 64, 0, 9)
+	wb := new(wireBuf)
+	decode := func() {
+		wb.reset()
+		wb.b = append(wb.b, body...)
+		if err := wb.parseIngest(); err != nil {
+			t.Fatal(err)
+		}
+		if recs := wb.storeRecords(); len(recs) != 64 || len(recs[63].Vec) != 64 {
+			t.Fatalf("decoded %d records", len(recs))
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
+		t.Fatalf("warm 64 × 64 records decode: %v allocations, want 0", allocs)
+	}
+}
+
+// serve runs one request through h on the calling goroutine.
+func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	return rec
+}
+
+// TestOneJSONValuePerBody: on every route that decodes a body, bytes
+// after the JSON value are a 400 — Decoder.Decode used to stop at the
+// end of the first value, so `{"ids":[1]}{"ids":[2]} garbage` deleted
+// record 1 and answered 200 — and trailing whitespace is not.
+func TestOneJSONValuePerBody(t *testing.T) {
+	s := New(Config{DefaultShards: 2, CacheCapacity: 16})
+	defer s.Close()
+	h := NewHandler(s)
+	seed := func() {
+		t.Helper()
+		for _, name := range []string{"a", "b"} {
+			body := `{"records":[{"id":1,"vec":[1,0,0,0]},{"id":2,"vec":[0,1,0,0]}]}`
+			if rec := serve(h, "POST", "/collections/"+name+"/vectors", body); rec.Code != http.StatusOK {
+				t.Fatalf("seeding %s: %d %s", name, rec.Code, rec.Body)
+			}
+		}
+	}
+	seed()
+	for _, c := range []struct{ method, path, body string }{
+		{"PUT", "/collections/a", `{"records":[{"id":10,"vec":[1,1,0,0]}]}`},
+		{"PUT", "/collections/a/vectors/11", `{"vec":[1,1,1,0]}`},
+		{"POST", "/collections/a/vectors", `{"records":[{"id":12,"vec":[1,1,1,1]}]}`},
+		{"POST", "/collections/a/vectors/delete", `{"ids":[1]}`},
+		{"POST", "/collections/a/search", `{"q":[1,0,0,0]}`},
+		{"POST", "/collections/a/join/b", `{"s":0.5}`},
+		{"POST", "/collections/a/join", `{"s":0.5}`},
+		{"POST", "/join", `{"data":"a","queries":"b","s":0.5}`},
+	} {
+		for _, tail := range []string{` trailing`, `{"ids":[2]} garbage`, `]`, "\x00", `0`} {
+			rec := serve(h, c.method, c.path, c.body+tail)
+			var e map[string]string
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("%s %s: error body %q: %v", c.method, c.path, rec.Body, err)
+			}
+			if rec.Code != http.StatusBadRequest || !strings.HasPrefix(e["error"], "decoding body: offset ") {
+				t.Errorf("%s %s with %q after the value: %d %q, want a 400 \"decoding body: offset …\"",
+					c.method, c.path, tail, rec.Code, e["error"])
+			}
+		}
+		if col, _ := s.Collection("a"); col.Len() != 2 || col.Version() != 1 {
+			t.Fatalf("%s %s: a refused body changed the collection (%d records, version %d)",
+				c.method, c.path, col.Len(), col.Version())
+		}
+		if rec := serve(h, c.method, c.path, c.body+" \r\n\t"); rec.Code != http.StatusOK {
+			t.Errorf("%s %s with trailing whitespace: %d %s", c.method, c.path, rec.Code, rec.Body)
+		}
+		s.Drop("a")
+		s.Drop("b")
+		seed()
+	}
+}
+
+// poisonPooledBuffers overwrites every request buffer resting in the
+// pool — arena with NaN, body bytes with '9' — and reports how many it
+// found. Whatever still aliased one would now read garbage.
+func poisonPooledBuffers() int {
+	var found []*wireBuf
+	for range 64 {
+		wb := wireBufPool.Get().(*wireBuf)
+		if cap(wb.b) == 0 {
+			break // fresh from New: the pool is drained
+		}
+		found = append(found, wb)
+	}
+	for _, wb := range found {
+		flat := wb.flat[:cap(wb.flat)]
+		for i := range flat {
+			flat[i] = math.NaN()
+		}
+		b := wb.b[:cap(wb.b)]
+		for i := range b {
+			b[i] = '9'
+		}
+		wireBufPool.Put(wb)
+	}
+	return len(found)
+}
+
+// TestRequestBuffersNotRetained: records and queries alias the pooled
+// request buffer only while their handler runs. After every ingest,
+// upsert and search the pooled buffers are overwritten; searches (cache
+// on, so also what the cache keyed and kept), the same searches after a
+// WAL reopen, and the f32 tier's rounded copies must all still agree
+// with a server that was fed the same data in process from slices
+// nobody touches.
+func TestRequestBuffersNotRetained(t *testing.T) {
+	const n, d, nq = 96, 12, 6
+	rng := xrand.New(31)
+	rows := make([]store.Record, n+8)
+	for i := range rows {
+		rows[i] = ballRecord(rng, i, d)
+		if i%7 == 0 {
+			rows[i].Attrs = map[string]string{"tag": fmt.Sprint(i)}
+		}
+	}
+	queries := make([]vec.Vector, nq)
+	for i := range queries {
+		queries[i] = rng.UnitVec(d)
+	}
+	recordsJSON := func(recs []store.Record) string {
+		out := make([]RecordJSON, len(recs))
+		for i, r := range recs {
+			id := r.ID
+			out[i] = RecordJSON{ID: &id, Vec: r.Vec, Attrs: r.Attrs}
+		}
+		b, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	poisoned := 0
+	for _, spec := range []IndexSpec{
+		{Kind: KindExact},
+		{Kind: KindExact, Precision: PrecisionF32},
+		{Kind: KindExact, Precision: PrecisionI8},
+		{Kind: KindNormScan},
+		{Kind: KindNormScan, Precision: PrecisionF32},
+		{Kind: KindALSH},
+		{Kind: KindSketch},
+	} {
+		t.Run(spec.kind()+"-"+spec.precision(), func(t *testing.T) {
+			unsigned := spec.Kind == KindSketch
+			cfg := durableConfig(t.TempDir())
+			cfg.DefaultShards, cfg.CacheCapacity, cfg.Seed = 2, 64, 5
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { s.Close() }()
+			ref := New(Config{DefaultShards: 2, CacheCapacity: -1, Seed: 5})
+			defer ref.Close()
+			h := NewHandler(s)
+
+			do := func(method, path, body string) []byte {
+				t.Helper()
+				rec := serve(h, method, path, body)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body)
+				}
+				poisoned += poisonPooledBuffers()
+				return rec.Body.Bytes()
+			}
+			// check searches s over HTTP — each query alone, twice (the
+			// second answer comes from the cache), then all as one batch —
+			// against ref in process.
+			check := func(when string) {
+				t.Helper()
+				res, err := ref.SearchWithOpts(t.Context(), "c", queries, SearchOpts{K: 5, Unsigned: unsigned})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([][]Hit, len(res))
+				for i, r := range res {
+					want[i] = r.Hits
+				}
+				got := make([][]Hit, len(queries))
+				for round := range 2 {
+					for i, q := range queries {
+						var resp SearchResponse
+						body := do("POST", "/collections/c/search", fmt.Sprintf(`{"q":%s,"k":5,"unsigned":%v}`, jsonVec(q), unsigned))
+						if err := json.Unmarshal(body, &resp); err != nil {
+							t.Fatal(err)
+						}
+						if resp.Cached != round {
+							t.Fatalf("%s: query %d round %d: cached = %d", when, i, round, resp.Cached)
+						}
+						got[i] = resp.Matches
+					}
+					if !sameHitsBitExact(got, want) {
+						t.Fatalf("%s: single searches (round %d) differ from the in-process reference\n got %v\nwant %v", when, round, got, want)
+					}
+				}
+				qs, _ := json.Marshal(queries)
+				var resp SearchResponse
+				if err := json.Unmarshal(do("POST", "/collections/c/search", fmt.Sprintf(`{"queries":%s,"k":5,"unsigned":%v}`, qs, unsigned)), &resp); err != nil {
+					t.Fatal(err)
+				}
+				if !sameHitsBitExact(resp.Results, want) {
+					t.Fatalf("%s: batch search differs from the in-process reference\n got %v\nwant %v", when, resp.Results, want)
+				}
+			}
+
+			specJSON, _ := json.Marshal(spec)
+			do("PUT", "/collections/c", fmt.Sprintf(`{"index":%s,"records":%s}`, specJSON, recordsJSON(rows[:n])))
+			if _, _, err := ref.Ingest("c", &spec, 0, rows[:n]); err != nil {
+				t.Fatal(err)
+			}
+			check("after ingest")
+
+			// Replace the first rows with the spare ones' vectors, insert two
+			// new ids, then upsert one record alone.
+			batch := make([]store.Record, 8)
+			for i := range batch {
+				batch[i] = store.Record{ID: i * 5, Vec: rows[n+i].Vec, Attrs: rows[n+i].Attrs}
+			}
+			batch[6].ID, batch[7].ID = n+100, n+101
+			do("POST", "/collections/c/vectors", fmt.Sprintf(`{"records":%s}`, recordsJSON(batch)))
+			one := store.Record{ID: 3, Vec: rows[n+1].Vec}
+			do("PUT", "/collections/c/vectors/3", fmt.Sprintf(`{"vec":%s}`, jsonVec(one.Vec)))
+			if _, _, err := ref.Upsert("c", nil, 0, append(batch, one)); err != nil {
+				t.Fatal(err)
+			}
+			check("after upserts")
+
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = Open(cfg); err != nil {
+				t.Fatal(err)
+			}
+			h = NewHandler(s)
+			c, _ := s.Collection("c")
+			rc, _ := ref.Collection("c")
+			got, want := c.records(), rc.records()
+			if len(got) != len(want) {
+				t.Fatalf("recovered %d records, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i].ID != want[i].ID || !reflect.DeepEqual(got[i].Attrs, want[i].Attrs) {
+					t.Fatalf("recovered record %d: id %d attrs %v, want %d %v", i, got[i].ID, got[i].Attrs, want[i].ID, want[i].Attrs)
+				}
+				if err := sameFloats(fmt.Sprintf("recovered record %d", got[i].ID), got[i].Vec, want[i].Vec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if spec.Kind != KindSketch { // a recovered sketch summarises the rows in another order
+				check("after reopening the WAL")
+			}
+		})
+	}
+	t.Logf("overwrote %d pooled buffers", poisoned)
+	if poisoned == 0 {
+		t.Fatal("never found a request buffer in the pool to overwrite")
+	}
+}
+
+// TestDecodeStageIsTraced: body read + parse shows as a "decode" span in
+// a request's trace and as ipsd_stage_seconds{stage="decode"} on ingest,
+// upsert and search.
+func TestDecodeStageIsTraced(t *testing.T) {
+	s := New(Config{DefaultShards: 2, Tracing: true})
+	defer s.Close()
+	h := NewHandler(s)
+	for _, c := range []struct{ method, path, body, route string }{
+		{"PUT", "/collections/c", `{"records":[{"id":1,"vec":[1,0]},{"id":2,"vec":[0,1]}]}`, "ingest"},
+		{"POST", "/collections/c/vectors", `{"records":[{"id":1,"vec":[1,1]}]}`, "upsert_batch"},
+		{"PUT", "/collections/c/vectors/2", `{"vec":[2,1]}`, "upsert_one"},
+		{"POST", "/collections/c/search", `{"q":[1,0]}`, "search"},
+	} {
+		if rec := serve(h, c.method, c.path, c.body); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", c.route, rec.Code, rec.Body)
+		}
+		_, recent := s.traces.Recent()
+		if len(recent[c.route]) == 0 {
+			t.Fatalf("%s: no trace recorded", c.route)
+		}
+		found := false
+		for _, sp := range recent[c.route][0].Export().Spans {
+			found = found || sp.Name == "decode"
+		}
+		if !found {
+			t.Errorf("%s: trace has no decode span: %+v", c.route, recent[c.route][0].Export().Spans)
+		}
+	}
+	metrics := serve(h, "GET", "/metrics", "").Body.String()
+	// Three writes observed directly, one search through its trace.
+	if want := `ipsd_stage_seconds_count{stage="decode",collection="c"} 4`; !strings.Contains(metrics, want) {
+		t.Errorf("/metrics lacks %s", want)
+	}
+}
+
+// TestRequestBufferBounds: a Content-Length header sizes the body buffer
+// only up to the body cap, and a buffer one huge request grew is not
+// kept in the pool.
+func TestRequestBufferBounds(t *testing.T) {
+	s := New(Config{MaxBodyBytes: 4 << 10})
+	defer s.Close()
+	r := httptest.NewRequest("POST", "/", strings.NewReader(`{"ids":[1]}`))
+	r.ContentLength = 1 << 40
+	wb, err := s.readBody(httptest.NewRecorder(), r)
+	if err != nil || string(wb.b) != `{"ids":[1]}` {
+		t.Fatalf("readBody: %q, %v", wb.b, err)
+	}
+	if cap(wb.b) > maxPooledJSONBuf { // a pooled buffer may be larger than the cap; none is larger than this
+		t.Fatalf("a 1 TiB Content-Length under a 4 KiB cap sized the buffer to %d bytes", cap(wb.b))
+	}
+	wb.b = make([]byte, 0, 2*maxPooledJSONBuf)
+	wb.release()
+	huge := new(wireBuf)
+	huge.flat = make([]float64, 0, maxPooledJSONBuf)
+	huge.release()
+	for range 64 {
+		if wb := wireBufPool.Get().(*wireBuf); cap(wb.b) > maxPooledJSONBuf || 8*cap(wb.flat) > maxPooledJSONBuf {
+			t.Fatalf("the pool kept a ballooned buffer (%d body bytes, %d floats)", cap(wb.b), cap(wb.flat))
+		}
+	}
+}
