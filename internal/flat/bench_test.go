@@ -46,6 +46,8 @@ func BenchmarkFlatTopK(b *testing.B) {
 		b.Fatal(err)
 	}
 	ns := NewNormSorted(s)
+	// The same rows as a write leaves them: the last 512 a tail run.
+	tailed := extendTo(NewNormSorted(prefixOf(s, n-chunkRows/2)).View, s, n)
 	q := vec.Vector(rng.NormalVec(d))
 	b.Run("flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -61,11 +63,37 @@ func BenchmarkFlatTopK(b *testing.B) {
 			}
 		}
 	})
+	b.Run("normsorted-tail", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := tailed.Scan(context.Background(), q, ScanOpts{K: 10}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("rowslices", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			naiveTopK(vs, q, 10, false)
 		}
 	})
+}
+
+// BenchmarkFlatNormSortedExtend measures a normscan write's index work:
+// 16 rows onto a norm-sorted view of n whose tail run is half full.
+// ns/op and B/op must not scale with n
+// (TestNormSortedExtendCostIsBatchSized holds the ratio under 2).
+func BenchmarkFlatNormSortedExtend(b *testing.B) {
+	for _, n := range []int{5000, 40000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			v, fs := halfTailed(b, n, 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, ok := v.Extend(fs); !ok {
+					b.Fatal("Extend asked for a rebuild")
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkFlatDotTile measures the multi-query tile kernel against

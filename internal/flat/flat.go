@@ -17,8 +17,11 @@
 //
 // NormSorted adds the LEMP-style descending-norm traversal: rows are
 // physically reordered by decreasing norm (preserving contiguity) so a
-// top-k scan can stop at the first block whose leading norm cannot beat
-// the k-th best hit via the Cauchy–Schwarz bound ‖p‖·‖q‖ ≥ |pᵀq|.
+// top-k scan can stop at the first row whose norm cannot beat the k-th
+// best hit via the Cauchy–Schwarz bound ‖p‖·‖q‖ ≥ |pᵀq|. Rows appended
+// after the sort form a second, short norm-sorted run behind the first
+// (View.Extend), so a write sorts and copies less than one chunk of
+// rows.
 package flat
 
 import (
@@ -427,18 +430,18 @@ func (s *Store) OfferRows(done <-chan struct{}, a *Acc, q vec.Vector, rows []int
 }
 
 // offerScores feeds one block of materialised scores (rows base..) into
-// a. perm maps physical to original row indexes; nil means the block was
-// scanned in ascending index order, which allows the stronger skip:
-// once full, a tie at the threshold always loses to the smaller index
-// already held (so v <= thr skips in one compare). With a permutation a
-// tie may carry a smaller original index, so only strictly-worse scores
-// can be skipped. This is the single copy of the top-k bookkeeping both
-// scan orders share; the loops are specialised on the loop-invariant
-// (full, unsigned, perm) flags because the skip compare runs once per
-// scanned row — the hottest non-kernel instruction in the scan. NaN
-// scores fail every skip compare and are rejected by Offer, exactly as
-// in the unspecialised form.
-func offerScores(a *Acc, buf []float64, base int, unsigned bool, perm []int) {
+// a. ids holds the block's original row indexes when it was scanned
+// through a permutation; nil means it was scanned in ascending index
+// order, which allows the stronger skip: once full, a tie at the
+// threshold always loses to the smaller index already held (so v <= thr
+// skips in one compare). With a permutation a tie may carry a smaller
+// original index, so only strictly-worse scores can be skipped. This is
+// the single copy of the top-k bookkeeping both scan orders share; the
+// loops are specialised on the loop-invariant (full, unsigned, ids)
+// flags because the skip compare runs once per scanned row — the hottest
+// non-kernel instruction in the scan. NaN scores fail every skip compare
+// and are rejected by Offer, exactly as in the unspecialised form.
+func offerScores(a *Acc, buf []float64, base int, unsigned bool, ids []int) {
 	r := 0
 	for ; r < len(buf) && !a.Full(); r++ {
 		v := buf[r]
@@ -446,8 +449,8 @@ func offerScores(a *Acc, buf []float64, base int, unsigned bool, perm []int) {
 			v = -v
 		}
 		idx := base + r
-		if perm != nil {
-			idx = perm[idx]
+		if ids != nil {
+			idx = ids[r]
 		}
 		a.Offer(idx, v)
 	}
@@ -457,14 +460,14 @@ func offerScores(a *Acc, buf []float64, base int, unsigned bool, perm []int) {
 	// Full from here on (hits are never removed, so Full is sticky).
 	thr := a.Threshold()
 	switch {
-	case perm == nil && !unsigned:
+	case ids == nil && !unsigned:
 		for ; r < len(buf); r++ {
 			if v := buf[r]; !(v <= thr) {
 				a.Offer(base+r, v)
 				thr = a.Threshold()
 			}
 		}
-	case perm == nil:
+	case ids == nil:
 		for ; r < len(buf); r++ {
 			v := buf[r]
 			if v < 0 {
@@ -478,7 +481,7 @@ func offerScores(a *Acc, buf []float64, base int, unsigned bool, perm []int) {
 	case !unsigned:
 		for ; r < len(buf); r++ {
 			if v := buf[r]; !(v < thr) {
-				a.Offer(perm[base+r], v)
+				a.Offer(ids[r], v)
 				thr = a.Threshold()
 			}
 		}
@@ -489,7 +492,7 @@ func offerScores(a *Acc, buf []float64, base int, unsigned bool, perm []int) {
 				v = -v
 			}
 			if !(v < thr) {
-				a.Offer(perm[base+r], v)
+				a.Offer(ids[r], v)
 				thr = a.Threshold()
 			}
 		}
@@ -497,15 +500,31 @@ func offerScores(a *Acc, buf []float64, base int, unsigned bool, perm []int) {
 }
 
 // View returns the store-order scan view of s.
-func (s *Store) View() View { return View{t: s} }
+func (s *Store) View() View { return View{run: run{t: s}} }
 
 // bind implements tier: the f64 kernel reads the query as given.
 func (s *Store) bind(q vec.Vector, bq *query) { bq.f64 = q }
 
 func (s *Store) scoreBlock(bq *query, lo, hi int, out []float64) { s.dotRange(bq.f64, lo, hi, out) }
 
-// bound implements normBounded: Cauchy–Schwarz, ‖p‖·‖q‖ ≥ |pᵀq|.
-func (s *Store) bound(bq *query) float64 { return vec.Norm(bq.f64) }
+// bound implements normSorter: Cauchy–Schwarz, ‖p‖·‖q‖ ≥ |pᵀq|.
+func (s *Store) bound(bq *query) float64 { return f64Bound(vec.Norm(bq.f64), s.dim) }
+
+// f64Bound is the norm bound of a query of the given norm against
+// d-dimensional f64 rows. Computed, a dot product and the product of the
+// two norms are each off by up to ≈ d·2⁻⁵³ relative, so between parallel
+// vectors the first can come out a few ulps above the second; the scan
+// cuts a block at the first row whose bound is below the bar, and a row
+// that ties the bar exactly — a join's cs, a k-th best — must not fall
+// to that. (The margin is rounding's only: a norm whose square
+// underflowed to 0 bounds nothing.)
+func f64Bound(qnorm float64, d int) float64 { return qnorm * (1 + float64(d+4)*0x1p-52) }
+
+func (s *Store) sortedRun(fs *Store, from int) run {
+	re := newStore(fs.dim)
+	ids := sortByNorm(&fs.data, &fs.norms, from, &re.data, &re.norms)
+	return run{t: re, ids: ids, norms: &re.norms, off: from}
+}
 
 func (s *Store) extend(fs *Store) (tier, int) { return fs, fs.SharedRows(s) }
 
@@ -538,17 +557,11 @@ type NormSorted struct {
 	View
 }
 
-// NewNormSorted builds the reordered view in O(n log n + n·d).
+// NewNormSorted builds the reordered view in O(n·d): every row of s in
+// one run (View.Extend adds the second).
 func NewNormSorted(s *Store) *NormSorted {
-	re := newStore(s.dim)
-	perm := sortByNorm(&s.data, &s.norms, &re.data, &re.norms)
-	return &NormSorted{View{t: re, perm: perm, norms: &re.norms}}
+	return &NormSorted{View{run: s.sortedRun(s, 0)}}
 }
-
-// Store returns the physically reordered store (rows in descending-norm
-// order; row norms via Norm are therefore monotonically non-increasing).
-// Callers must treat it as read-only — it backs this view.
-func (ns *NormSorted) Store() *Store { return ns.t.(*Store) }
 
 // TopK is Scan with positional arguments and no deadline, plus the
 // number of rows whose inner product was evaluated before the norm

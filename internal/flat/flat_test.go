@@ -244,7 +244,7 @@ func TestNormSortedOrder(t *testing.T) {
 		for name, v := range map[string]View{"f64": NewNormSorted(s).View, "f32": NewStore32(s).NormSorted()} {
 			norm := func(i int) float64 { return v.norms.at(i) } // the tier's own, in view order
 			seen := make([]bool, n)
-			for phys, orig := range v.Perm() {
+			for phys, orig := range physPerm(v) {
 				if seen[orig] {
 					t.Fatalf("%s n=%d: row %d appears twice", name, n, orig)
 				}
@@ -252,13 +252,13 @@ func TestNormSortedOrder(t *testing.T) {
 				if phys == 0 {
 					continue
 				}
-				prev := v.Perm()[phys-1]
+				prev := v.ids[phys-1]
 				if a, b := norm(phys-1), norm(phys); a < b || (a == b && prev > orig) {
 					t.Fatalf("%s n=%d: rows %d (norm %v) and %d (norm %v) are out of order at %d", name, n, prev, a, orig, b, phys)
 				}
 			}
 			if name == "f64" {
-				for phys, orig := range v.Perm() {
+				for phys, orig := range physPerm(v) {
 					if norm(phys) != s.Norm(orig) {
 						t.Fatalf("n=%d: view row %d carries norm %v, row %d has %v", n, phys, norm(phys), orig, s.Norm(orig))
 					}

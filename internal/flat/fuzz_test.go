@@ -290,3 +290,78 @@ func FuzzDot32Range(f *testing.F) {
 		fuzzAsmVsGo(t, d, n, a, b, func(lo, hi int, out []float64) { s.dotRange(qf, lo, hi, out) })
 	})
 }
+
+// FuzzNormRuns holds a two-run norm-sorted view to the store-order scan
+// of the same rows (checkRuns: Scan and ScanMulti, hits and counts) on
+// fuzzed rows, queries, split point, dead set, floor and k, both tiers.
+// raw decodes as float64 bit patterns — NaNs and infinities stay, the
+// sort and the cut must cope — read cyclically to fill up to three
+// queries and the rows; the floor is 0, beyond every score, or the score
+// of a fuzzed row against the first query, a tie at the bar.
+func FuzzNormRuns(f *testing.F) {
+	word := func(vals ...float64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(uint16(3), uint16(40), uint16(17), uint16(2), uint16(0), uint64(0), word(1, -2, 0.5, 3, 0, -0.25, 7))
+	f.Add(uint16(15), uint16(700), uint16(300), uint16(9), uint16(2), uint64(0x8421), word(0.5, 0.5, 0.5, 0.5, math.NaN(), 1, 2))
+	f.Add(uint16(7), uint16(1400), uint16(1399), uint16(0), uint16(5), ^uint64(0), word(1, math.Inf(1), -1, 0, 3, 1e-9, math.Copysign(0, -1)))
+	f.Add(uint16(0), uint16(2), uint16(1), uint16(1), uint16(1), uint64(1), word(2, 2, 2))
+	// Every row parallel to every query and the floor one of their
+	// scores: the computed norms' product falls an ulp short of it.
+	f.Add(uint16(81), uint16(1400), uint16(1399), uint16(74), uint16(5), ^uint64(0), word(0.3, 0.5))
+	f.Fuzz(func(t *testing.T, dw, nw, split, kw, floorSel uint16, deadBits uint64, raw []byte) {
+		if len(raw) < 8 {
+			t.Skip()
+		}
+		d, n := int(dw)%20+1, int(nw)%1500+1
+		at := 0
+		next := func() float64 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[at%(len(raw)/8)*8:]))
+			at++
+			if a := math.Abs(v); (a > 1e15 && !math.IsInf(v, 0)) || (a != 0 && a < 1e-15) {
+				// Squares and products must neither overflow nor underflow,
+				// in float32 either: a norm that rounds to 0, or a score
+				// that rounds to ±Inf, is no longer bounded by the norms.
+				v = 0
+			}
+			return v
+		}
+		fill := func(vs []vec.Vector) *Store {
+			for i := range vs {
+				vs[i] = vec.New(d)
+				for j := range vs[i] {
+					// A scale per row spreads the norms; raw is short.
+					vs[i][j] = next() / float64(1+i%11)
+				}
+			}
+			s, err := FromVectors(vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		qs, fs := fill(make([]vec.Vector, 3)), fill(make([]vec.Vector, n))
+		tailLen := int(split) % min(n, chunkRows)
+		dead := NewTombstones(n)
+		for i := 0; i < n; i++ {
+			if deadBits>>(i%64)&1 == 1 && (i/64)%3 != 1 {
+				dead.Kill(i)
+			}
+		}
+		o := ScanOpts{K: int(kw)%(n+2) + 1, Unsigned: floorSel&1 == 1}
+		switch floorSel >> 1 % 3 {
+		case 1:
+			o.Floor = 1e9
+		case 2:
+			o.Floor = math.Abs(fs.Dot(int(floorSel)%n, qs.Row(0)))
+		}
+		for _, tier := range sortedTiers {
+			v := extendTo(tier.sorted(prefixOf(fs, n-tailLen)), fs, n-tailLen/2, n)
+			checkRuns(t, tier.name, v, tier.rowOrder(fs), qs, qs.Len(), o, dead)
+		}
+	})
+}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/vec"
@@ -44,28 +45,31 @@ type ScanOpts struct {
 	// the same whatever the split.
 	Workers int
 	// Dead marks rows to leave out, in the view's own row order (for a
-	// norm-sorted view, Gather(Perm()) of the original-order set). Nil
-	// means every row is live.
+	// norm-sorted view, GatherDead of the store-order set). Nil means
+	// every row is live.
 	Dead *Tombstones
 	// Floor is a pruning-only acceptance bar for norm-sorted views: a
-	// query's sweep ends at the first block whose norm bound falls below
-	// max(Floor, its k-th best) even while its accumulator is under-full —
-	// a join's cs, below which it reports nothing anyway. Hits are not
-	// filtered by it, and since norm bounds are ≥ 0 the zero value never
-	// prunes.
+	// query's sweep of a run ends at the first row whose norm bound falls
+	// below max(Floor, its k-th best) even while its accumulator is
+	// under-full — a join's cs, below which it reports nothing anyway.
+	// Hits are not filtered by it, and since norm bounds are ≥ 0 the zero
+	// value never prunes.
 	Floor float64
 	// Stats, when non-nil, is set to the work the scan did.
 	Stats *ScanStats
 }
 
-// ScanStats counts the work of one scan. Every row block ends up in
-// exactly one of the three block counters. ScanMulti reports the sum
-// over its queries of what a Scan per query would have counted.
+// ScanStats counts the work of one scan. Every row block of every run
+// is scored, pruned or skipped — a block the norm bound cut short counts
+// as scored, by the rows before the cut. ScanMulti reports the sum over
+// its queries of what a Scan per query would have counted.
 type ScanStats struct {
-	// ScannedRows counts rows whose score the kernel evaluated.
+	// ScannedRows counts rows whose score the scan offered its
+	// accumulator: every row of a scored block up to the norm bound's
+	// cut.
 	ScannedRows int
 	// PrunedBlocks counts blocks never evaluated because the
-	// descending-norm Cauchy–Schwarz bound ended the scan first.
+	// descending-norm Cauchy–Schwarz bound ended their run first.
 	PrunedBlocks int
 	// SkippedBlocks counts blocks skipped because every row in them was
 	// tombstoned.
@@ -102,11 +106,16 @@ type tier interface {
 	extend(fs *Store) (tier, int)
 }
 
-// normBounded is the capability a norm-sorted view needs from its tier
-// (Store and Store32 have it): bound returns B such that every computed
-// score satisfies |score(row)| ≤ ‖row‖·B, rounding included.
-type normBounded interface {
+// normSorter is the capability a norm-sorted view needs from its tier
+// (Store and Store32 have it).
+type normSorter interface {
+	// bound returns B such that every computed score satisfies
+	// |score(row)| ≤ ‖row‖·B, rounding included.
 	bound(bq *query) float64
+	// sortedRun returns rows [from, fs.Len()) of fs as a norm-sorted run
+	// of this tier's kind: a private physical copy in (norm descending,
+	// index ascending) order.
+	sortedRun(fs *Store, from int) run
 }
 
 // tiler is the optional multi-query kernel: scoreTile fills out with the
@@ -126,33 +135,67 @@ type query struct {
 	scale float64 // int8: store scale × query scale
 }
 
+// run is a stretch of rows swept as one: a store-order view's rows, or
+// one norm-sorted run of a norm-sorted view's.
+type run struct {
+	t tier
+	// ids, norms and off are set on a norm-sorted run: ids[i] is the
+	// store-order index of its physical row i (non-nil even when empty),
+	// norms its norm column, which never increases, and off the position
+	// of its first row in the view's physical order.
+	ids   []int
+	norms *chunked[float64]
+	off   int
+}
+
 // View is a scannable arrangement of one tier's rows: the rows in store
 // order (Store.View, Store32.View, StoreI8.View) or physically
 // reordered by descending norm for early-terminating scans
 // (NewNormSorted, Store32.NormSorted). Hits always carry store-order row
 // indexes. A View is a small value; copies scan the same rows.
+//
+// A norm-sorted view is one or two norm-sorted runs, each swept under
+// its own bound: the base run — a prefix of the store, sorted once and
+// shared untouched by every view extended from it — and behind it in
+// the physical order the tail run, the rows appended since, sorted among
+// themselves (see Extend).
 type View struct {
-	t tier
-	// perm and norms are set on a norm-sorted view: perm[physical] is
-	// the store-order index, norms the (non-increasing) norm column.
-	perm  []int
-	norms *chunked[float64]
+	run      // the rows in store order, or a norm-sorted view's base run
+	tail run // a norm-sorted view's tail run; the zero run when it has none
 }
 
 // Len returns the number of rows.
-func (v View) Len() int { return v.t.Len() }
+func (v View) Len() int {
+	if v.tail.t == nil {
+		return v.t.Len()
+	}
+	return v.t.Len() + v.tail.t.Len()
+}
 
 // Dim returns the row dimension.
 func (v View) Dim() int { return v.t.Dim() }
 
-// Perm returns the physical→store-order index map of a norm-sorted
-// view, nil for a store-order view. The slice aliases the view's state
-// and must not be mutated.
-func (v View) Perm() []int { return v.perm }
+// Sorted reports whether v is a norm-sorted view.
+func (v View) Sorted() bool { return v.ids != nil }
 
-// AllocatedBytes returns the bytes of row storage the view's tier holds
-// allocated.
-func (v View) AllocatedBytes() int64 { return v.t.AllocatedBytes() }
+// GatherDead returns dead, a set over store-order rows, as v's scans
+// want it (ScanOpts.Dead): in physical order — through both runs' maps —
+// on a norm-sorted view, as it is otherwise.
+func (v View) GatherDead(dead *Tombstones) *Tombstones {
+	if !v.Sorted() {
+		return dead
+	}
+	return dead.Gather(v.ids, v.tail.ids)
+}
+
+// AllocatedBytes returns the bytes of row storage the view holds
+// allocated — on a norm-sorted view the physical copy, both runs.
+func (v View) AllocatedBytes() int64 {
+	if v.tail.t == nil {
+		return v.t.AllocatedBytes()
+	}
+	return v.t.AllocatedBytes() + v.tail.t.AllocatedBytes()
+}
 
 // MaxScanWorkers returns the largest Workers value Scan can spend on
 // this view — the clamp Scan applies itself. Serving layers use it to
@@ -160,47 +203,56 @@ func (v View) AllocatedBytes() int64 { return v.t.AllocatedBytes() }
 // norm-sorted scan is sequential by nature: each block's bound depends
 // on the hits so far.
 func (v View) MaxScanWorkers() int {
-	if v.perm != nil {
+	if v.Sorted() {
 		return 1
 	}
 	return v.Len() / minParallelRows
 }
 
-// Extend returns the store-order view of fs through v's tier, where fs
-// is an append-only store whose leading rows are the ones v scans: only
-// the rows the tier lacks are converted, the rest is shared with v
-// (which keeps serving), and copied reports how many of the result's
-// rows do not share memory with v's. ok is false for a norm-sorted
-// view: a new row can land anywhere in the order, so it is rebuilt.
+// Extend returns the view of fs through v's tier and in v's order,
+// where fs is an append-only store whose leading rows are the ones v
+// scans: only the rows the tier lacks are converted, the rest is shared
+// with v (which keeps serving), and copied reports how many of the
+// result's rows do not share memory with v's. A norm-sorted view keeps
+// its base run and sorts every row of fs past it into a new tail run —
+// fewer than chunkRows rows, so the cost does not depend on how many v
+// holds. ok is false once the tail would reach chunkRows: the caller
+// sorts fs afresh, which makes all of it the base run again.
 func (v View) Extend(fs *Store) (ext View, copied int, ok bool) {
-	if v.perm != nil {
+	if !v.Sorted() {
+		t, shared := v.t.extend(fs)
+		return View{run: run{t: t}}, fs.Len() - shared, true
+	}
+	base := v.t.Len()
+	if fs.Len()-base >= chunkRows {
 		return View{}, 0, false
 	}
-	t, shared := v.t.extend(fs)
-	return View{t: t}, fs.Len() - shared, true
+	return View{run: v.run, tail: v.t.(normSorter).sortedRun(fs, base)}, fs.Len() - base, true
 }
 
 // sortByNorm fills the empty columns dst/dstNorms with the rows of
-// data/norms in (norm descending, index ascending) order and returns
-// the physical→original index map. The physical copy deliberately
-// doubles the rows' resident memory: keeping the norm-ordered prefix
-// contiguous is what lets the early-terminating scan stream at kernel
-// speed (≈3× a permutation-chasing scan on the serving batch path). The
-// sort sits on the rebuild path of every normscan write, where it, not
-// the row copy, is the cost: it is a stable byte-wise radix sort on the
-// norms' bit patterns — norms are ≥ 0, so their bits order as they do,
-// complemented for the descending order, and stability keeps equal norms
-// in index order — several times faster at a shard's few thousand rows
-// than a comparison sort calling back into a comparator.
-func sortByNorm[T any](data *chunked[T], norms *chunked[float64], dst *chunked[T], dstNorms *chunked[float64]) []int {
-	n := data.n
+// data/norms from row from on, in (norm descending, index ascending)
+// order, and returns their physical→original index map. The physical
+// copy deliberately doubles the rows' resident memory: keeping the
+// norm-ordered prefix contiguous is what lets the early-terminating scan
+// stream at kernel speed (≈3× a permutation-chasing scan on the serving
+// batch path). A normscan write runs it over the tail run alone, and
+// over a whole shard once per chunkRows rows appended to it; there the
+// sort, not the row copy, is the cost: it is a stable byte-wise radix
+// sort on the norms' bit patterns — norms are ≥ 0, so their bits order
+// as they do, complemented for the descending order (NaN norms lead),
+// and stability keeps equal norms in index order — several times faster
+// at a shard's few thousand rows than a comparison sort calling back
+// into a comparator.
+func sortByNorm[T any](data *chunked[T], norms *chunked[float64], from int, dst *chunked[T], dstNorms *chunked[float64]) []int {
+	n := data.n - from
 	type key struct {
 		bits uint64
 		idx  int
 	}
 	keys, spare := make([]key, n), make([]key, n)
 	for i := range keys {
-		keys[i] = key{bits: ^math.Float64bits(norms.at(i)), idx: i}
+		keys[i] = key{bits: ^math.Float64bits(norms.at(from + i)), idx: from + i}
 	}
 	for shift := 0; shift < 64 && n > 1; shift += 8 {
 		var start [256]int
@@ -283,23 +335,30 @@ func (s *sweep) bar(a *Acc) float64 {
 func (s *sweep) bind(q vec.Vector, bq *query) {
 	s.bq = bq
 	s.t.bind(q, bq)
-	if s.perm != nil {
-		s.bound = s.t.(normBounded).bound(bq)
+	if s.Sorted() {
+		s.bound = s.t.(normSorter).bound(bq)
 	}
 }
 
-// rows runs the blocked top-k scan over rows [lo, hi) in ascending
+// all sweeps the view's rows into a, run by run; a true return is rows'.
+func (s *sweep) all(a *Acc, st *ScanStats, buf []float64) bool {
+	return s.rows(s.run, 0, s.t.Len(), a, st, buf) ||
+		s.tail.t != nil && s.rows(s.tail, 0, s.tail.t.Len(), a, st, buf)
+}
+
+// rows runs the blocked top-k scan over rows [lo, hi) of r in ascending
 // physical order, offering into a and counting into st. Scores are
 // materialised blockRows at a time into buf, so the top-k bookkeeping
 // runs over a dense score slice instead of interleaving with the FP
 // pipeline, and the common row costs one multiply-add chain and one
-// compare. On a norm-sorted view the scan ends at the first block whose
-// leading (largest) norm cannot reach the bar — the k-th best hit, or
-// the floor: no later row can enter, tombstoned or not, so exactness
-// does not depend on the bound — it only saves work. A true return means
-// done fired and the scan was abandoned; a is then partial and must be
+// compare. A norm-sorted run ends at the first block whose leading
+// (largest) norm cannot reach the bar — the k-th best hit, or the floor
+// — and the block before it is cut at the first such row (see cut): no
+// later row of the run can enter, tombstoned or not, so exactness does
+// not depend on the bound — it only saves work. A true return means done
+// fired and the scan was abandoned; a is then partial and must be
 // discarded.
-func (s *sweep) rows(lo, hi int, a *Acc, st *ScanStats, buf []float64) bool {
+func (s *sweep) rows(r run, lo, hi int, a *Acc, st *ScanStats, buf []float64) bool {
 	for start := lo; start < hi; start += blockRows {
 		if s.done != nil {
 			select {
@@ -308,33 +367,57 @@ func (s *sweep) rows(lo, hi int, a *Acc, st *ScanStats, buf []float64) bool {
 			default:
 			}
 		}
-		if s.perm != nil && s.norms.at(start)*s.bound < s.bar(a) {
-			st.PrunedBlocks += (hi - start + blockRows - 1) / blockRows
-			break
-		}
 		end := min(start+blockRows, hi)
+		if r.norms != nil {
+			bar := s.bar(a)
+			if r.norms.at(start)*s.bound < bar {
+				st.PrunedBlocks += (hi - start + blockRows - 1) / blockRows
+				break
+			}
+			end = r.cut(start, end, s.bound, bar)
+		}
 		nb := end - start
 		nd := 0
 		if s.dead != nil {
-			if nd = s.dead.DeadIn(start, end); nd == nb {
+			if nd = s.dead.DeadIn(r.off+start, r.off+end); nd == nb {
 				st.SkippedBlocks++
 				continue
 			}
 		}
-		s.t.scoreBlock(s.bq, start, end, buf[:nb])
+		r.t.scoreBlock(s.bq, start, end, buf[:nb])
 		st.ScannedRows += nb
-		s.offer(a, buf[:nb], start, nd)
+		s.offer(a, buf[:nb], r, start, nd)
 	}
 	return false
 }
 
-// offer feeds one block of scores into a; nd is the number of dead rows
-// in the block.
-func (s *sweep) offer(a *Acc, scores []float64, base, nd int) {
+// cut returns where a query with the given norm bound stops scoring
+// block [lo, hi) of the norm-sorted run r, whose leading row reaches
+// bar: the first row whose norm·bound is below it — hi when there is
+// none. The run's norms do not increase, so no row from there on can
+// reach the bar either, and the bar, taken before the block is scored,
+// only rises; the compare is strict, so a row that could tie the k-th
+// best is still offered. A NaN norm sorts first and a NaN product
+// compares false, which keeps the predicate monotone for the binary
+// search.
+func (r run) cut(lo, hi int, bound, bar float64) int {
+	if !(r.norms.at(hi-1)*bound < bar) {
+		return hi
+	}
+	return lo + sort.Search(hi-1-lo, func(i int) bool { return r.norms.at(lo+i)*bound < bar })
+}
+
+// offer feeds a the scores of r's rows from row start on; nd is the
+// number of dead rows in their block.
+func (s *sweep) offer(a *Acc, scores []float64, r run, start, nd int) {
+	var ids []int
+	if r.ids != nil {
+		ids = r.ids[start : start+len(scores)]
+	}
 	if nd == 0 {
-		offerScores(a, scores, base, s.unsigned, s.perm)
+		offerScores(a, scores, start, s.unsigned, ids)
 	} else {
-		offerScoresMasked(a, scores, base, s.unsigned, s.perm, s.dead)
+		offerScoresMasked(a, scores, r.off+start, s.unsigned, ids, s.dead)
 	}
 }
 
@@ -372,7 +455,7 @@ func (v View) Scan(ctx context.Context, q vec.Vector, o ScanOpts) ([]Hit, error)
 	if workers := min(o.Workers, v.MaxScanWorkers()); workers > 1 {
 		stopped = s.parallel(workers, &a, &st)
 	} else {
-		stopped = s.rows(0, v.Len(), &a, &st, sc.tileBuf())
+		stopped = s.all(&a, &st, sc.tileBuf())
 	}
 	if stopped {
 		return nil, stopErr(ctx)
@@ -404,7 +487,7 @@ func (s sweep) parallel(workers int, a *Acc, st *ScanStats) bool {
 			sc := GetTileScratch()
 			defer PutTileScratch(sc)
 			accs[w] = NewAcc(k)
-			stopped[w] = s.rows(w*per, min((w+1)*per, n), &accs[w], &stats[w], sc.tileBuf())
+			stopped[w] = s.rows(s.run, w*per, min((w+1)*per, n), &accs[w], &stats[w], sc.tileBuf())
 		}(w)
 	}
 	wg.Wait()
@@ -427,9 +510,9 @@ func (s sweep) parallel(workers int, a *Acc, st *ScanStats) bool {
 // the same options, and sc.Scanned()[j] is that scan's ScannedRows. On a
 // tier with a tile kernel all queries share one sweep of the rows, each
 // row loaded from memory scored against up to maxTileQ queries; on a
-// norm-sorted view a query goes inactive at the first block its own
-// bound excludes and only still-live queries are scored (contiguous
-// live runs feed the tile kernel). Other tiers are swept once per
+// norm-sorted view a query leaves a run at the first row its own bound
+// excludes and only still-live queries are scored (contiguous stretches
+// of them feed the tile kernel). Other tiers are swept once per
 // query. With a tile kernel and warm scratch it allocates nothing.
 // o.Workers is ignored. On an error accs hold partial state and must be
 // Reset before reuse.
@@ -443,15 +526,15 @@ func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc
 	scanned := sc.scannedBuf(len(accs))
 	s := v.newSweep(ctx, o)
 	var st ScanStats
-	if til, ok := v.t.(tiler); ok {
-		if s.tiles(til, qs, qlo, accs, scanned, &st, sc) {
+	if _, ok := v.t.(tiler); ok {
+		if s.tiles(qs, qlo, accs, scanned, &st, sc) {
 			return stopErr(ctx)
 		}
 	} else {
 		for j := range accs {
 			s.bind(qs.Row(qlo+j), &sc.q)
 			var one ScanStats
-			if s.rows(0, v.Len(), &accs[j], &one, sc.tileBuf()) {
+			if s.all(&accs[j], &one, sc.tileBuf()) {
 				return stopErr(ctx)
 			}
 			scanned[j] = one.ScannedRows
@@ -465,60 +548,82 @@ func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc
 }
 
 // tiles is the one-sweep form of ScanMulti, rows' twin over a query
-// tile: the same poll, early exit, tombstone triage and bookkeeping per
-// block, with the scores of up to maxTileQ queries materialised at once.
-// A true return means done fired.
-func (s *sweep) tiles(til tiler, qs *Store, qlo int, accs []Acc, scanned []int, st *ScanStats, sc *TileScratch) bool {
-	qn, n := len(accs), s.Len()
+// tile: the same poll, early exit, cut, tombstone triage and bookkeeping
+// per block and per query, with the scores of up to maxTileQ queries
+// materialised at once — to the farthest of their cuts, each query being
+// offered and counted only up to its own. A true return means done fired.
+func (s *sweep) tiles(qs *Store, qlo int, accs []Acc, scanned []int, st *ScanStats, sc *TileScratch) bool {
+	qn := len(accs)
 	buf := sc.tileBuf()
-	// pruned[j]: query j's bound has ended its scan. The f64 tile kernel
-	// scores the query rows as stored, so a query's bound is its cached
-	// norm — the value bind computes for Scan.
-	pruned := sc.prunedBuf(qn)
-	live := qn
-	for start := 0; start < n && live > 0; start += blockRows {
-		if s.done != nil {
-			select {
-			case <-s.done:
-				return true
-			default:
-			}
+	// ends[j]: where query j stops scoring the current block; the
+	// block's first row when it sits the block out.
+	ends := sc.endsBuf(qn)
+	for _, r := range [2]run{s.run, s.tail} {
+		if r.t == nil {
+			break
 		}
-		if s.perm != nil {
-			lead := s.norms.at(start)
-			for j := 0; j < qn; j++ {
-				if !pruned[j] && lead*qs.Norm(qlo+j) < s.bar(&accs[j]) {
-					pruned[j] = true
-					live--
-					st.PrunedBlocks += (n - start + blockRows - 1) / blockRows
+		til, hi := r.t.(tiler), r.t.Len()
+		// pruned[j]: query j's bound has ended its sweep of this run. The
+		// f64 tile kernel scores the query rows as stored, so a query's
+		// bound comes from its cached norm — the value bind computes for
+		// Scan.
+		pruned := sc.prunedBuf(qn)
+		live := qn
+		for start := 0; start < hi && live > 0; start += blockRows {
+			if s.done != nil {
+				select {
+				case <-s.done:
+					return true
+				default:
 				}
 			}
-		}
-		end := min(start+blockRows, n)
-		nb := end - start
-		nd := 0
-		if s.dead != nil {
-			if nd = s.dead.DeadIn(start, end); nd == nb {
-				st.SkippedBlocks += live
-				continue
+			end := min(start+blockRows, hi)
+			nd := 0
+			if s.dead != nil {
+				nd = s.dead.DeadIn(r.off+start, r.off+end)
 			}
-		}
-		for j := 0; j < qn; {
-			if pruned[j] {
-				j++
-				continue
+			for j := range accs {
+				ends[j] = start
+				switch {
+				case pruned[j]:
+					continue
+				case r.norms == nil:
+					ends[j] = end
+				default:
+					bound, bar := f64Bound(qs.Norm(qlo+j), qs.dim), s.bar(&accs[j])
+					if r.norms.at(start)*bound < bar {
+						pruned[j] = true
+						live--
+						st.PrunedBlocks += (hi - start + blockRows - 1) / blockRows
+						continue
+					}
+					ends[j] = r.cut(start, end, bound, bar)
+				}
+				if e := ends[j]; nd > 0 && s.dead.DeadIn(r.off+start, r.off+e) == e-start {
+					st.SkippedBlocks++
+					ends[j] = start
+				}
 			}
-			r := j + 1
-			for r < qn && !pruned[r] && r-j < maxTileQ {
-				r++
+			for j := 0; j < qn; {
+				if ends[j] == start {
+					j++
+					continue
+				}
+				k, far := j+1, ends[j]
+				for k < qn && ends[k] > start && k-j < maxTileQ {
+					far = max(far, ends[k])
+					k++
+				}
+				nb := far - start
+				til.scoreTile(qs, qlo+j, qlo+k, start, far, buf)
+				for jj := j; jj < k; jj++ {
+					n := ends[jj] - start
+					s.offer(&accs[jj], buf[(jj-j)*nb:(jj-j)*nb+n], r, start, nd)
+					scanned[jj] += n
+					st.ScannedRows += n
+				}
+				j = k
 			}
-			til.scoreTile(qs, qlo+j, qlo+r, start, end, buf)
-			for jj := j; jj < r; jj++ {
-				s.offer(&accs[jj], buf[(jj-j)*nb:(jj-j+1)*nb], start, nd)
-				scanned[jj] += nb
-				st.ScannedRows += nb
-			}
-			j = r
 		}
 	}
 	return false

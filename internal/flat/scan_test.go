@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/vec"
 	"repro/internal/xrand"
@@ -68,10 +71,59 @@ var gridViews = []gridView{
 		s := NewStore32(fs)
 		return s.NormSorted(), func(q vec.Vector, out []float64) error { return s.DotRange(q, 0, s.Len(), out) }
 	}},
+	// The norm-sorted views as a write leaves them: a base run and a tail
+	// run (the last third of the rows, a chunk at most), extended twice.
+	{"f64/sorted+tail", func(fs *Store) (View, func(vec.Vector, []float64) error) {
+		return withTail(fs, func(p *Store) View { return NewNormSorted(p).View }), fs.DotBatch
+	}},
+	{"f32/sorted+tail", func(fs *Store) (View, func(vec.Vector, []float64) error) {
+		s := NewStore32(fs)
+		return withTail(fs, func(p *Store) View { return NewStore32(p).NormSorted() }),
+			func(q vec.Vector, out []float64) error { return s.DotRange(q, 0, s.Len(), out) }
+	}},
 	{"int8/row", func(fs *Store) (View, func(vec.Vector, []float64) error) {
 		s := NewStoreI8(fs)
 		return s.View(), func(q vec.Vector, out []float64) error { return s.DotRange(q, 0, s.Len(), out) }
 	}},
+}
+
+// prefixOf returns a store of fs's first n rows.
+func prefixOf(fs *Store, n int) *Store {
+	p := newStore(fs.dim)
+	if err := p.AppendAll(fs.Rows()[:n]); err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// extendTo extends v over the prefixes of fs of the given lengths, one
+// after the other; an Extend that asks for a rebuild is a test bug.
+func extendTo(v View, fs *Store, lens ...int) View {
+	for _, n := range lens {
+		ext, copied, ok := v.Extend(prefixOf(fs, n))
+		if !ok || copied >= chunkRows {
+			panic(fmt.Sprintf("extending a %d-row view to %d rows: ok=%v copied=%d", v.Len(), n, ok, copied))
+		}
+		v = ext
+	}
+	return v
+}
+
+// withTail sorts a prefix of fs and extends the view to all of fs in two
+// steps, leaving the last third of the rows — a chunk at most — as its
+// tail run.
+func withTail(fs *Store, sorted func(*Store) View) View {
+	n := fs.Len()
+	tail := min(n/3, chunkRows-1)
+	return extendTo(sorted(prefixOf(fs, n-tail)), fs, n-tail/2, n)
+}
+
+// runsOf returns a view's runs as physical row ranges.
+func runsOf(v View) [][2]int {
+	if v.tail.t == nil {
+		return [][2]int{{0, v.Len()}}
+	}
+	return [][2]int{{0, v.t.Len()}, {v.t.Len(), v.Len()}}
 }
 
 // viewsOf selects grid views by name prefix ("f64", "f32/row", ...).
@@ -113,6 +165,15 @@ func gridQueries(rng *xrand.RNG, vs []vec.Vector, nq, d int) []vec.Vector {
 	nan := vec.New(d)
 	nan[rng.Intn(d)] = math.NaN()
 	return append(qs, vs[rng.Intn(len(vs))].Clone(), vec.New(d), nan)
+}
+
+// physPerm returns a norm-sorted view's physical→store-order map, both
+// runs end to end; nil for a store-order view.
+func physPerm(v View) []int {
+	if !v.Sorted() {
+		return nil
+	}
+	return append(slices.Clone(v.ids), v.tail.ids...)
 }
 
 // gridTombstones builds one tombstone shape over the n physical rows of
@@ -164,23 +225,44 @@ func refTopK(scores []float64, dead *Tombstones, k int, unsigned bool) []Hit {
 	return hits
 }
 
-// refRowStats is what a store-order scan must count: blocks are scored
-// unless every row in them is dead, and nothing is pruned.
-func refRowStats(n int, dead *Tombstones) ScanStats {
+// refRowStats is what a scan that never prunes must count over v's
+// blocks: they are scored unless every row in them is dead.
+func refRowStats(v View, dead *Tombstones) ScanStats {
 	var st ScanStats
-	for lo := 0; lo < n; lo += blockRows {
-		hi := min(lo+blockRows, n)
-		alive := false
-		for i := lo; i < hi; i++ {
-			alive = alive || !dead.Dead(i)
-		}
-		if alive {
-			st.ScannedRows += hi - lo
-		} else {
-			st.SkippedBlocks++
+	for _, r := range runsOf(v) {
+		for lo := r[0]; lo < r[1]; lo += blockRows {
+			hi := min(lo+blockRows, r[1])
+			alive := false
+			for i := lo; i < hi; i++ {
+				alive = alive || !dead.Dead(i)
+			}
+			if alive {
+				st.ScannedRows += hi - lo
+			} else {
+				st.SkippedBlocks++
+			}
 		}
 	}
 	return st
+}
+
+// checkSortedStats holds a norm-sorted scan's counts to the contract:
+// every block of every run is scored, pruned or skipped; a scored block
+// counts the rows up to its cut, at least one and at most all of them;
+// and the bound only ever removes work from the never-pruning scan's.
+func checkSortedStats(t testing.TB, cell string, v View, st, unpruned ScanStats, queries int) {
+	t.Helper()
+	blocks := 0
+	for _, r := range runsOf(v) {
+		blocks += blocksOf(r[1] - r[0])
+	}
+	scored := queries*blocks - st.PrunedBlocks - st.SkippedBlocks
+	if scored < 0 || st.ScannedRows < scored || st.ScannedRows > scored*blockRows {
+		t.Fatalf("%s: stats %+v leave %d of %d blocks scored", cell, st, scored, queries*blocks)
+	}
+	if st.ScannedRows > queries*unpruned.ScannedRows {
+		t.Fatalf("%s: norm-sorted scan scored %d rows, a scan without the bound %d", cell, st.ScannedRows, queries*unpruned.ScannedRows)
+	}
 }
 
 func blocksOf(rows int) int { return (rows + blockRows - 1) / blockRows }
@@ -229,7 +311,11 @@ func (c cancelTier) scoreBlock(bq *query, lo, hi int, out []float64) {
 	c.p.tick(lo)
 }
 
-func (c cancelTier) bound(bq *query) float64 { return c.tier.(normBounded).bound(bq) }
+func (c cancelTier) bound(bq *query) float64 { return c.tier.(normSorter).bound(bq) }
+
+func (c cancelTier) sortedRun(fs *Store, from int) run {
+	return c.tier.(normSorter).sortedRun(fs, from)
+}
 
 // cancelTileTier is cancelTier over a tier with a tile kernel.
 type cancelTileTier struct{ cancelTier }
@@ -280,8 +366,8 @@ func runScanGrid(t *testing.T, views []gridView, ctxs []gridCtx) {
 			v, scoresOf := gv.build(fs)
 			f64 := strings.HasPrefix(gv.name, "f64")
 			for _, shape := range gridDead {
-				phys, orig := gridTombstones(shape, n, v.Perm(), rng.Split(7))
-				rowStats := refRowStats(n, phys)
+				phys, orig := gridTombstones(shape, n, physPerm(v), rng.Split(7))
+				rowStats := refRowStats(v, phys)
 				for qi, q := range queries {
 					scores := make([]float64, n)
 					if err := scoresOf(q, scores); err != nil {
@@ -327,7 +413,7 @@ func checkScanCell(t *testing.T, cell string, v View, q vec.Vector, o ScanOpts, 
 	// How many blocks an uncancelled run scores: the cancellation cells
 	// need it to know whether the scan had to notice.
 	full := rowStats
-	if v.Perm() != nil && gc >= ctxCancelled {
+	if v.Sorted() && gc >= ctxCancelled {
 		o.Stats = &full
 		if _, err := v.Scan(context.Background(), q, o); err != nil {
 			t.Fatalf("%s: uncancelled twin: %v", cell, err)
@@ -358,20 +444,13 @@ func checkScanCell(t *testing.T, cell string, v View, q vec.Vector, o ScanOpts, 
 	if !hitsEqual(got, want) {
 		t.Fatalf("%s: hits %v, want %v", cell, got, want)
 	}
-	if v.Perm() == nil {
+	if !v.Sorted() {
 		if st != rowStats {
 			t.Fatalf("%s: stats %+v, want %+v", cell, st, rowStats)
 		}
 		return
 	}
-	// Norm-sorted: every block is scored, pruned or skipped, and the
-	// bound only ever removes work.
-	if b := blocksOf(st.ScannedRows) + st.PrunedBlocks + st.SkippedBlocks; b != blocksOf(n) {
-		t.Fatalf("%s: stats %+v cover %d blocks of %d", cell, st, b, blocksOf(n))
-	}
-	if st.ScannedRows > rowStats.ScannedRows {
-		t.Fatalf("%s: norm-sorted scan scored %d rows, store-order scan %d", cell, st.ScannedRows, rowStats.ScannedRows)
-	}
+	checkSortedStats(t, cell, v, st, rowStats, 1)
 }
 
 // runScanMultiGrid checks ScanMulti against Scan per query: hits,
@@ -393,7 +472,7 @@ func runScanMultiGrid(t *testing.T, views []gridView, ctxs []gridCtx) {
 		for _, gv := range views {
 			v, _ := gv.build(fs)
 			for _, shape := range gridDead {
-				phys, _ := gridTombstones(shape, n, v.Perm(), rng.Split(7))
+				phys, _ := gridTombstones(shape, n, physPerm(v), rng.Split(7))
 				for _, unsigned := range []bool{false, true} {
 					k := 1 + (n+len(shape))%12
 					o := ScanOpts{K: k, Unsigned: unsigned, Dead: phys}
@@ -582,9 +661,7 @@ func TestNormSortedMaskedStats(t *testing.T) {
 	if st.SkippedBlocks != 1 || st.PrunedBlocks == 0 {
 		t.Fatalf("stats %+v: want the dead leading block skipped and the tail pruned", st)
 	}
-	if b := blocksOf(st.ScannedRows) + st.PrunedBlocks + st.SkippedBlocks; b != blocksOf(n) {
-		t.Fatalf("stats %+v cover %d blocks of %d", st, b, blocksOf(n))
-	}
+	checkSortedStats(t, "dead leading block", ns.View, st, refRowStats(ns.View, dead), 1)
 }
 
 // TestScanAllocs holds the single-query f64 scan to the allocations of
@@ -614,5 +691,370 @@ func TestScanAllocs(t *testing.T) {
 		if got > accOnly {
 			t.Fatalf("%s: Scan allocates %v per run, its accumulator alone %v", name, got, accOnly)
 		}
+	}
+}
+
+// sortedTier names one tier with a norm-sorted view: how to sort a store
+// through it, and its store-order view of the same rows — the reference
+// a norm-sorted scan must match hit for hit.
+type sortedTier struct {
+	name     string
+	sorted   func(fs *Store) View
+	rowOrder func(fs *Store) View
+}
+
+var sortedTiers = []sortedTier{
+	{"f64", func(fs *Store) View { return NewNormSorted(fs).View }, func(fs *Store) View { return fs.View() }},
+	{"f32", func(fs *Store) View { return NewStore32(fs).NormSorted() }, func(fs *Store) View { return NewStore32(fs).View() }},
+}
+
+// hitsAbove is the prefix of hs scoring at least floor: what a scan
+// under ScanOpts.Floor owes its caller.
+func hitsAbove(hs []Hit, floor float64) []Hit {
+	for i, h := range hs {
+		if h.Score < floor {
+			return hs[:i]
+		}
+	}
+	return hs
+}
+
+// hitBitsEqual is hitsEqual down to the sign of a zero score.
+func hitBitsEqual(a, b []Hit) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Index != b[i].Index || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkRuns holds both drivers over the norm-sorted view v to the
+// store-order scan of the same rows, ref, on the first nq rows of qs:
+// hits at or above floor bit-identical to ref's, ScanMulti bit-identical
+// to Scan with equal per-query scanned counts and summed stats, and the
+// stats inside checkSortedStats' contract. dead is in store order.
+func checkRuns(t testing.TB, cell string, v, ref View, qs *Store, nq int, o ScanOpts, dead *Tombstones) {
+	t.Helper()
+	ctx := context.Background()
+	o.Dead = v.GatherDead(dead)
+	unpruned := refRowStats(v, o.Dead)
+	singles := make([][]Hit, nq)
+	scanned := make([]int, nq)
+	var sum ScanStats
+	for j := 0; j < nq; j++ {
+		q := qs.Row(j)
+		want, err := ref.Scan(ctx, q, ScanOpts{K: o.K, Unsigned: o.Unsigned, Dead: dead})
+		if err != nil {
+			t.Fatalf("%s query %d: store-order scan: %v", cell, j, err)
+		}
+		var st ScanStats
+		o.Stats = &st
+		got, err := v.Scan(ctx, q, o)
+		if err != nil {
+			t.Fatalf("%s query %d: %v", cell, j, err)
+		}
+		if !hitBitsEqual(hitsAbove(got, o.Floor), hitsAbove(want, o.Floor)) {
+			t.Fatalf("%s query %d: hits %v, store-order scan %v", cell, j, hitsAbove(got, o.Floor), hitsAbove(want, o.Floor))
+		}
+		checkSortedStats(t, fmt.Sprintf("%s query %d", cell, j), v, st, unpruned, 1)
+		singles[j], scanned[j] = got, st.ScannedRows
+		sum.Add(st)
+	}
+	sc := GetTileScratch()
+	defer PutTileScratch(sc)
+	accs := sc.Accs(nq, o.K)
+	var multi ScanStats
+	o.Stats = &multi
+	if err := v.ScanMulti(ctx, qs, 0, nq, accs, sc, o); err != nil {
+		t.Fatalf("%s: ScanMulti: %v", cell, err)
+	}
+	for j := range accs {
+		if !hitBitsEqual(accs[j].Hits(), singles[j]) || sc.Scanned()[j] != scanned[j] {
+			t.Fatalf("%s query %d of %d: tile %v (%d rows scored), single %v (%d)", cell, j, nq, accs[j].Hits(), sc.Scanned()[j], singles[j], scanned[j])
+		}
+	}
+	if multi != sum {
+		t.Fatalf("%s: tile stats %+v, summed single stats %+v", cell, multi, sum)
+	}
+}
+
+// cutRows returns, in store order, the rows around where q's sweep of
+// each run of v is cut once the bar stands at bar: the first row whose
+// norm bound is below it, the two before and the one after.
+func cutRows(v View, q vec.Vector, bar float64) *Tombstones {
+	var bq query
+	v.t.bind(q, &bq)
+	bound := v.t.(normSorter).bound(&bq)
+	dead := NewTombstones(v.Len())
+	for _, r := range []run{v.run, v.tail} {
+		if r.t == nil {
+			break
+		}
+		cut := 0
+		for cut < r.t.Len() && !(r.norms.at(cut)*bound < bar) {
+			cut++
+		}
+		for i := max(0, cut-2); i < min(cut+2, r.t.Len()); i++ {
+			dead.Kill(r.ids[i])
+		}
+	}
+	return dead
+}
+
+// TestNormRunsMatchStoreOrder is the grid for two-run views and the
+// cut: views sorted over a prefix and extended one to three times to the
+// whole store — every tail length around a block and up to the last
+// before a merge, behind bases that end on a row, mid-block, mid-chunk
+// and on a chunk edge — × tier × tombstone shape × signed/unsigned ×
+// floor × k, tiles of one to nine queries.
+func TestNormRunsMatchStoreOrder(t *testing.T) {
+	const d = 16
+	cells := 0
+	for _, base := range []int{1, 300, chunkRows + 300, 2 * chunkRows} {
+		for _, tailLen := range []int{0, 1, 255, 256, 257, chunkRows - 1} {
+			n := base + tailLen
+			rng := xrand.New(uint64(31*base + tailLen))
+			rows := gridRows(rng, n, d)
+			fs, err := FromVectors(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries := gridQueries(rng, rows, 9, d)
+			qs, err := FromVectors(queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ti, tier := range sortedTiers {
+				var steps []int // one to three extensions
+				for i, ext := 1, (base+tailLen+ti)%3+1; i <= ext; i++ {
+					steps = append(steps, base+i*tailLen/ext)
+				}
+				v, ref := extendTo(tier.sorted(prefixOf(fs, base)), fs, steps...), tier.rowOrder(fs)
+				if v.t.Len() != base || v.Len() != n {
+					t.Fatalf("%s base=%d tail=%d: view has runs of %d and %d rows", tier.name, base, tailLen, v.t.Len(), v.Len()-v.t.Len())
+				}
+				last := v.run // the last run that has a row
+				if tailLen > 0 {
+					last = v.tail
+				}
+				floors := []float64{0, last.norms.at(last.t.Len()/2) * qs.Norm(0), 1e9}
+				for _, shape := range []string{"none", "tail", "base block", "every fourth", "cuts"} {
+					for _, unsigned := range []bool{false, true} {
+						for _, floor := range floors {
+							for _, k := range []int{1, 10, n + 5} {
+								dead := NewTombstones(n)
+								switch shape {
+								case "none":
+									dead = nil
+								case "tail":
+									for _, id := range v.tail.ids {
+										dead.Kill(id)
+									}
+								case "base block":
+									for _, id := range v.ids[:min(blockRows, base)] {
+										dead.Kill(id)
+									}
+								case "every fourth":
+									for i := 0; i < n; i += 4 {
+										dead.Kill(i)
+									}
+								case "cuts":
+									hits, err := ref.Scan(context.Background(), queries[0], ScanOpts{K: k, Unsigned: unsigned})
+									if err != nil {
+										t.Fatal(err)
+									}
+									bar := floor
+									if len(hits) == k {
+										bar = max(bar, hits[k-1].Score)
+									}
+									dead = cutRows(v, queries[0], bar)
+								}
+								cells++
+								cell := fmt.Sprintf("%s base=%d tail=%d steps=%v dead=%s unsigned=%v floor=%g k=%d", tier.name, base, tailLen, steps, shape, unsigned, floor, k)
+								checkRuns(t, cell, v, ref, qs, 1+cells%len(queries), ScanOpts{K: k, Unsigned: unsigned, Floor: floor}, dead)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNormRunsSpecialValues: the cut's binary search leans on a run's
+// norm column being monotone with NaN norms leading, and on strict
+// compares at the bar. Rows with NaN, ±Inf and zero norms, a stretch of
+// equal norms, and copies of c·e₀ on both sides of the run boundary —
+// their score against e₀ equals their norm bound exactly, so a floor or
+// a k-th best of c ties the bar on both sides of a cut — must come back
+// as the store-order scan returns them.
+func TestNormRunsSpecialValues(t *testing.T) {
+	const d, base, tailLen = 8, 400, 300
+	rng := xrand.New(99)
+	rows := randomVecs(rng, base+tailLen, d)
+	axis := func(c float64) vec.Vector { v := vec.New(d); v[0] = c; return v }
+	for i := range rows {
+		switch {
+		case i%50 == 7:
+			rows[i] = axis(0.5) // ties, in both runs
+		case i%50 == 8:
+			rows[i] = axis(-0.5)
+		case i%100 == 20:
+			rows[i][i%d] = math.NaN()
+		case i%100 == 21:
+			rows[i][i%d] = math.Inf(1 - i/100%2*2)
+		case i%25 == 3:
+			rows[i] = vec.New(d)
+		case i%3 == 0: // one norm for a third of the rows
+			vec.Scale(rows[i], 1/vec.Norm(rows[i]))
+		default:
+			vec.Scale(rows[i], 1/float64(1+i%13))
+		}
+	}
+	fs, err := FromVectors(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := vec.New(d)
+	inf[1] = math.Inf(1)
+	nan := vec.New(d)
+	nan[2] = math.NaN()
+	queries := append(randomVecs(rng, 4, d), axis(1), axis(-2), vec.New(d), inf, nan)
+	qs, err := FromVectors(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forEachKernelPath(t, func(t *testing.T) {
+		for _, tier := range sortedTiers {
+			ref := tier.rowOrder(fs)
+			for name, v := range map[string]View{
+				"one run":  tier.sorted(fs),
+				"two runs": extendTo(tier.sorted(prefixOf(fs, base)), fs, base+tailLen/2, base+tailLen),
+			} {
+				for _, r := range []run{v.run, v.tail} {
+					for i := 1; r.t != nil && i < r.t.Len(); i++ {
+						if a, b := r.norms.at(i-1), r.norms.at(i); a < b || (math.IsNaN(b) && !math.IsNaN(a)) {
+							t.Fatalf("%s %s: norms %v, %v at rows %d, %d of a run: not NaNs first, then falling", tier.name, name, a, b, i-1, i)
+						}
+					}
+				}
+				for _, unsigned := range []bool{false, true} {
+					for _, floor := range []float64{0, 0.5, 1} {
+						for _, k := range []int{1, 3, 10, 40} {
+							cell := fmt.Sprintf("%s %s unsigned=%v floor=%g k=%d", tier.name, name, unsigned, floor, k)
+							checkRuns(t, cell, v, ref, qs, len(queries), ScanOpts{K: k, Unsigned: unsigned, Floor: floor}, nil)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestNormSortedExtendKeepsSnapshots: extending a norm-sorted view
+// shares its base run and builds a tail run of its own, so a reader
+// holding the superseded view — here across three extensions and the
+// merge the fourth write asks for — keeps getting the answers it got;
+// and the merge is asked for exactly when the tail would reach a chunk.
+func TestNormSortedExtendKeepsSnapshots(t *testing.T) {
+	const d, base = 16, 1500
+	rng := xrand.New(41)
+	rows := gridRows(rng, base+chunkRows, d)
+	fs, err := FromVectors(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := gridQueries(rng, rows, 6, d)
+	for _, tier := range sortedTiers {
+		held := extendTo(tier.sorted(prefixOf(fs, base)), fs, base+100)
+		scan := func() (out [][]Hit) {
+			for _, q := range queries {
+				hits, err := held.Scan(context.Background(), q, ScanOpts{K: 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, hits)
+			}
+			return out
+		}
+		before, permBefore := scan(), physPerm(held)
+		v := held
+		for _, n := range []int{base + 101, base + 600, base + chunkRows - 1} {
+			ext, copied, ok := v.Extend(prefixOf(fs, n))
+			if !ok || copied != n-base {
+				t.Fatalf("%s: extending to %d rows: ok=%v copied=%d, want the %d rows past the base run", tier.name, n, ok, copied, n-base)
+			}
+			if ext.t != held.t || &ext.ids[0] != &held.ids[0] || ext.Len() != n {
+				t.Fatalf("%s: the view extended to %d rows does not share the base run", tier.name, n)
+			}
+			v = ext
+		}
+		if _, _, ok := v.Extend(fs); ok {
+			t.Fatalf("%s: a tail run of %d rows was not sent back for a merge", tier.name, chunkRows)
+		}
+		if merged := tier.sorted(fs); merged.tail.t != nil || merged.t.Len() != fs.Len() {
+			t.Fatalf("%s: the merged view is not one run", tier.name)
+		}
+		after := scan()
+		for j := range before {
+			if !hitBitsEqual(before[j], after[j]) {
+				t.Fatalf("%s query %d: the held view answered %v, and %v once its successors were built", tier.name, j, before[j], after[j])
+			}
+		}
+		if !slices.Equal(permBefore, physPerm(held)) {
+			t.Fatalf("%s: the held view's row order changed", tier.name)
+		}
+	}
+}
+
+// halfTailed returns a norm-sorted view of n rows of dimension 16 and
+// half a chunk more in its tail run, and the store holding those rows
+// and batch rows beyond them: what the next write extends the view over.
+func halfTailed(tb testing.TB, n, batch int) (View, *Store) {
+	fs, err := FromVectors(randomVecs(xrand.New(uint64(n)), n+chunkRows/2+batch, 16))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return extendTo(NewNormSorted(prefixOf(fs, n)).View, fs, n+chunkRows/2), fs
+}
+
+// extendCost returns the time and bytes one Extend by batch rows costs a
+// norm-sorted view of n rows whose tail run is half a chunk: the least
+// of several rounds, so a noisy neighbour cannot make it look slow.
+func extendCost(tb testing.TB, n, batch int) (ns, bytes float64) {
+	const rounds, iters = 7, 50
+	v, fs := halfTailed(tb, n, batch)
+	ns = math.Inf(1)
+	for r := 0; r < rounds; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			if _, _, ok := v.Extend(fs); !ok {
+				tb.Fatal("Extend asked for a rebuild")
+			}
+		}
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		ns = min(ns, float64(took.Nanoseconds())/iters)
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / iters
+	}
+	return ns, bytes
+}
+
+// TestNormSortedExtendCostIsBatchSized gates what
+// BenchmarkFlatNormSortedExtend measures without a benchmark run: 16
+// rows onto a view of 40 000 cost under twice what they cost onto one
+// of 5 000 — an eighth of it, where every write re-sorted the shard.
+func TestNormSortedExtendCostIsBatchSized(t *testing.T) {
+	smallNs, smallB := extendCost(t, 5000, 16)
+	largeNs, largeB := extendCost(t, 40000, 16)
+	t.Logf("Extend by 16 rows: %.0f ns, %.0f B at n=5000; %.0f ns, %.0f B at n=40000", smallNs, smallB, largeNs, largeB)
+	if largeNs > 2*smallNs || largeB > 2*smallB {
+		t.Fatalf("Extend by 16 rows costs %.0f ns / %.0f B at n=40000 but %.0f ns / %.0f B at n=5000: not O(batch + tail)", largeNs, largeB, smallNs, smallB)
 	}
 }

@@ -47,7 +47,7 @@ type Store32 struct {
 // segment round trip.
 func NewStore32(s *Store) *Store32 {
 	q := newStore32(s.dim)
-	q.convert(s)
+	q.convert(s, 0)
 	return q
 }
 
@@ -65,14 +65,14 @@ func (s *Store32) Extend(fs *Store) *Store32 {
 	q := &Store32{dim: s.dim}
 	s.data.share(&q.data)
 	s.norms.share(&q.norms)
-	q.convert(fs)
+	q.convert(fs, s.Len())
 	return q
 }
 
-// convert appends the rounded rows of fs that q does not hold yet.
-func (q *Store32) convert(fs *Store) {
+// convert appends the rounded rows of fs from row from on.
+func (q *Store32) convert(fs *Store, from int) {
 	d := q.dim
-	for i := q.Len(); i < fs.Len(); {
+	for i := from; i < fs.Len(); {
 		rows, norms := q.grow(fs.Len() - i)
 		for r := range norms {
 			dst := rows[r*d : (r+1)*d]
@@ -283,15 +283,15 @@ func dot32RangeGeneric(data []float32, d int, q []float32, lo, hi int, out []flo
 }
 
 // View returns the store-order scan view of s.
-func (s *Store32) View() View { return View{t: s} }
+func (s *Store32) View() View { return View{run: run{t: s}} }
 
 // NormSorted returns the descending-norm view of s: a physically
 // reordered private copy of the float32 rows (see sortByNorm), scanned
 // with the early exit guarded by the inflated bound below.
 func (s *Store32) NormSorted() View {
 	re := newStore32(s.dim)
-	perm := sortByNorm(&s.data, &s.norms, &re.data, &re.norms)
-	return View{t: re, perm: perm, norms: &re.norms}
+	ids := sortByNorm(&s.data, &s.norms, 0, &re.data, &re.norms)
+	return View{run: run{t: re, ids: ids, norms: &re.norms}}
 }
 
 // bind implements tier: q rounded to the binary32 grid the kernels
@@ -300,7 +300,7 @@ func (s *Store32) bind(q vec.Vector, bq *query) { bq.f32 = round32(bq.f32[:0], q
 
 func (s *Store32) scoreBlock(bq *query, lo, hi int, out []float64) { s.dotRange(bq.f32, lo, hi, out) }
 
-// bound implements normBounded. The bound must dominate the *computed*
+// bound implements normSorter. The bound must dominate the *computed*
 // f32 scores, which are dots against the rounded query — so the query
 // norm is taken over the rounded values and inflated by the f32 error
 // margin.
@@ -309,6 +309,17 @@ func (s *Store32) bound(bq *query) float64 { return norm64of32(bq.f32) * f32Boun
 func (s *Store32) extend(fs *Store) (tier, int) {
 	q := s.Extend(fs)
 	return q, q.SharedRows(s)
+}
+
+func (s *Store32) sortedRun(fs *Store, from int) run {
+	rounded := newStore32(s.dim) // its row i is fs's row from+i
+	rounded.convert(fs, from)
+	r := rounded.NormSorted().run
+	for i := range r.ids {
+		r.ids[i] += from
+	}
+	r.off = from
+	return r
 }
 
 // f32BoundFudge inflates the Cauchy–Schwarz bound for the float32 scan:

@@ -262,7 +262,7 @@ func dotI8RangeGeneric(codes []int8, d int, qc []int16, combined float64, lo, hi
 }
 
 // View returns the store-order scan view of s.
-func (s *StoreI8) View() View { return View{t: s} }
+func (s *StoreI8) View() View { return View{run: run{t: s}} }
 
 // bind implements tier: q quantized against its own scale.
 func (s *StoreI8) bind(q vec.Vector, bq *query) {

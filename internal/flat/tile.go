@@ -60,6 +60,7 @@ type TileScratch struct {
 	q       query
 	pruned  []bool
 	scanned []int
+	ends    []int
 	accs    []Acc
 }
 
@@ -98,6 +99,14 @@ func (sc *TileScratch) scannedBuf(n int) []int {
 	sc.scanned = sc.scanned[:n]
 	clear(sc.scanned)
 	return sc.scanned
+}
+
+// endsBuf returns an n-slot buffer the caller fills.
+func (sc *TileScratch) endsBuf(n int) []int {
+	if cap(sc.ends) < n {
+		sc.ends = make([]int, n)
+	}
+	return sc.ends[:n]
 }
 
 // Scanned returns, per query of the last ScanMulti run with this

@@ -286,14 +286,6 @@ func TestScanFloorOnlyPrunes(t *testing.T) {
 	}
 	s, _ := FromVectors(vs)
 	qs, _ := FromVectors(tileGrid(rng, vs, 9, 16))
-	above := func(hs []Hit, floor float64) []Hit {
-		for i, h := range hs {
-			if h.Score < floor {
-				return hs[:i]
-			}
-		}
-		return hs
-	}
 	sc := GetTileScratch()
 	defer PutTileScratch(sc)
 	const k = 4
@@ -313,23 +305,23 @@ func TestScanFloorOnlyPrunes(t *testing.T) {
 					want, _ := v.Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Stats: &full})
 					o.Stats = &one
 					got, _ := v.Scan(context.Background(), q, o)
-					if !hitsEqual(above(got, floor), above(want, floor)) || !hitsEqual(above(accs[j].Hits(), floor), above(want, floor)) {
-						t.Fatalf("sorted=%v unsigned=%v floor=%v query %d: hits above the floor differ from the floor-less scan's", v.Perm() != nil, unsigned, floor, j)
+					if !hitsEqual(hitsAbove(got, floor), hitsAbove(want, floor)) || !hitsEqual(hitsAbove(accs[j].Hits(), floor), hitsAbove(want, floor)) {
+						t.Fatalf("sorted=%v unsigned=%v floor=%v query %d: hits above the floor differ from the floor-less scan's", v.Sorted(), unsigned, floor, j)
 					}
 					if one.ScannedRows != sc.Scanned()[j] || one.ScannedRows > full.ScannedRows {
-						t.Fatalf("sorted=%v floor=%v query %d: scanned %d (single) / %d (tile), floor-less %d", v.Perm() != nil, floor, j, one.ScannedRows, sc.Scanned()[j], full.ScannedRows)
+						t.Fatalf("sorted=%v floor=%v query %d: scanned %d (single) / %d (tile), floor-less %d", v.Sorted(), floor, j, one.ScannedRows, sc.Scanned()[j], full.ScannedRows)
 					}
-					if v.Perm() == nil && one.ScannedRows != s.Len() {
+					if !v.Sorted() && one.ScannedRows != s.Len() {
 						t.Fatalf("store-order scan under a floor scanned %d of %d rows", one.ScannedRows, s.Len())
 					}
 					// (A NaN query's bound is NaN and never prunes.)
-					if floor == 1e9 && v.Perm() != nil && !math.IsNaN(qs.Norm(j)) && one.ScannedRows != 0 {
+					if floor == 1e9 && v.Sorted() && !math.IsNaN(qs.Norm(j)) && one.ScannedRows != 0 {
 						t.Fatalf("query %d scanned %d rows under a floor no row reaches", j, one.ScannedRows)
 					}
 					singles += one.ScannedRows
 				}
 				if multi.ScannedRows != singles {
-					t.Fatalf("sorted=%v floor=%v: tile scanned %d rows, singles %d", v.Perm() != nil, floor, multi.ScannedRows, singles)
+					t.Fatalf("sorted=%v floor=%v: tile scanned %d rows, singles %d", v.Sorted(), floor, multi.ScannedRows, singles)
 				}
 			}
 		}

@@ -74,18 +74,28 @@ func (t *Tombstones) Grow(n int) *Tombstones {
 	return nt
 }
 
-// Gather returns the tombstone set seen through a row permutation:
-// out.Dead(i) == t.Dead(perm[i]). It maps an original-row-space set
-// into NormSorted's physical order (perm = NormSorted.Perm()).
-func (t *Tombstones) Gather(perm []int) *Tombstones {
+// Gather returns the tombstone set seen through a row permutation given
+// as consecutive pieces: out.Dead(i) == t.Dead(perm[i]), perm being the
+// pieces end to end. It maps an original-row-space set into a
+// norm-sorted view's physical order (View.GatherDead), one piece per
+// run.
+func (t *Tombstones) Gather(perm ...[]int) *Tombstones {
 	if t == nil {
 		return nil
 	}
-	out := NewTombstones(len(perm))
-	for i, p := range perm {
-		if t.Dead(p) {
-			out.bits.W[i>>6] |= 1 << (uint(i) & 63)
-			out.count++
+	n := 0
+	for _, piece := range perm {
+		n += len(piece)
+	}
+	out := NewTombstones(n)
+	i := 0
+	for _, piece := range perm {
+		for _, p := range piece {
+			if t.Dead(p) {
+				out.bits.W[i>>6] |= 1 << (uint(i) & 63)
+				out.count++
+			}
+			i++
 		}
 	}
 	return out
@@ -115,11 +125,11 @@ func (t *Tombstones) DeadIn(lo, hi int) int {
 // offerScoresMasked feeds one block of materialised scores into a,
 // skipping rows that dead marks tombstoned. dead lives in the same
 // (physical) row space as base — for a NormSorted scan that is the
-// reordered space, with perm still mapping offers back to original
-// indexes. The skip compare mirrors offerScores: with a permutation a
-// threshold tie may carry a smaller original index, so only
-// strictly-worse scores are skipped.
-func offerScoresMasked(a *Acc, buf []float64, base int, unsigned bool, perm []int, dead *Tombstones) {
+// reordered space, with ids (see offerScores) still mapping offers back
+// to original indexes. The skip compare mirrors offerScores: with a
+// permutation a threshold tie may carry a smaller original index, so
+// only strictly-worse scores are skipped.
+func offerScoresMasked(a *Acc, buf []float64, base int, unsigned bool, ids []int, dead *Tombstones) {
 	full, thr := a.Full(), a.Threshold()
 	for r := range buf {
 		v := buf[r]
@@ -128,7 +138,7 @@ func offerScoresMasked(a *Acc, buf []float64, base int, unsigned bool, perm []in
 		}
 		// The score test comes first: once a is full nearly every row
 		// fails it, and only the few that pass pay the bit test.
-		if full && (v < thr || (perm == nil && v == thr)) {
+		if full && (v < thr || (ids == nil && v == thr)) {
 			continue
 		}
 		phys := base + r
@@ -136,8 +146,8 @@ func offerScoresMasked(a *Acc, buf []float64, base int, unsigned bool, perm []in
 			continue
 		}
 		idx := phys
-		if perm != nil {
-			idx = perm[phys]
+		if ids != nil {
+			idx = ids[r]
 		}
 		a.Offer(idx, v)
 		full, thr = a.Full(), a.Threshold()

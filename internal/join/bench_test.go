@@ -77,6 +77,22 @@ func BenchmarkJoinNormPruned_10kx256_d16(b *testing.B) {
 	benchEngine(b, NormPruned{}, fp, fq, Opts{})
 }
 
+// BenchmarkJoinNormPrunedTail is the norm-pruned join as a normscan
+// collection serves it between two merges: the view prebuilt, the last
+// 512 rows of P its tail run.
+func BenchmarkJoinNormPrunedTail_10kx256_d16(b *testing.B) {
+	P, _, fp, fq := benchWorkload()
+	base, err := flat.FromVectors(P[:benchN-512])
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, _, ok := flat.NewNormSorted(base).Extend(fp)
+	if !ok {
+		b.Fatal("Extend asked for a rebuild")
+	}
+	benchEngine(b, NormPruned{Sorted: &flat.NormSorted{View: v}}, fp, fq, Opts{})
+}
+
 // benchDead tombstones a scattered tenth of the data rows: nearly every
 // row block is mixed, the state a join sees between a burst of deletes
 // and the next compaction.

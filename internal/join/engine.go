@@ -266,7 +266,7 @@ type NormPruned struct {
 	// store passed as P.
 	Sorted *flat.NormSorted
 	// SortedDead, when non-nil, is Opts.DeadP as Sorted's rows see it —
-	// DeadP.Gather(Sorted.Perm()) — for callers that keep it beside the
+	// Sorted.GatherDead(DeadP) — for callers that keep it beside the
 	// view; left nil, every Join gathers it.
 	SortedDead *flat.Tombstones
 }
@@ -279,7 +279,7 @@ func (NormPruned) Name() string { return "normpruned" }
 // same P.
 func (e NormPruned) Prepare(P *flat.Store, dead *flat.Tombstones) (Engine, error) {
 	ns := flat.NewNormSorted(P)
-	sortedDead := dead.Gather(ns.Perm())
+	sortedDead := ns.GatherDead(dead)
 	return prepared{NormPruned{}, P, dead, func(Q *flat.Store, cs float64, opts Opts) (Result, error) {
 		return scanJoin(ns.View, sortedDead, Q, cs, opts)
 	}}, nil
@@ -299,7 +299,7 @@ func (e NormPruned) Join(P, Q *flat.Store, s, cs float64, opts Opts) (Result, er
 	}
 	dead := e.SortedDead
 	if dead == nil && opts.DeadP.Count() > 0 {
-		dead = opts.DeadP.Gather(e.Sorted.Perm())
+		dead = e.Sorted.GatherDead(opts.DeadP)
 	}
 	return scanJoin(e.Sorted.View, dead, Q, cs, opts)
 }

@@ -442,12 +442,12 @@ func TestIndexBuildStageAndSpan(t *testing.T) {
 	if a := indexBuild(http.MethodPut, "/collections/e", IngestRequest{Records: recs(2)}); a["extend"] != 1 || a["rebuild"] != 0 {
 		t.Fatalf("exact re-ingest index_build attrs = %v, want extend=1", a)
 	}
-	// A norm-sorted run has no place to put a row but by re-sorting.
+	// A norm-sorted view takes a new row into its tail run.
 	if a := indexBuild(http.MethodPut, "/collections/n", IngestRequest{Index: &IndexSpec{Kind: KindNormScan}, Records: recs(0, 1)}); a["rebuild"] != 2 {
 		t.Fatalf("normscan ingest index_build attrs = %v, want rebuild=2", a)
 	}
-	if a := indexBuild(http.MethodPut, "/collections/n", IngestRequest{Records: recs(2)}); a["rebuild"] != 1 || a["extend"] != 0 {
-		t.Fatalf("normscan re-ingest index_build attrs = %v, want rebuild=1", a)
+	if a := indexBuild(http.MethodPut, "/collections/n", IngestRequest{Records: recs(2)}); a["extend"] != 1 || a["rebuild"] != 0 {
+		t.Fatalf("normscan re-ingest index_build attrs = %v, want extend=1", a)
 	}
 
 	resp, err := ts.Client().Get(ts.URL + "/metrics")

@@ -63,6 +63,10 @@ type Collection struct {
 	compacting  atomic.Bool
 	compactions atomic.Int64
 
+	// builds counts the shards' index extends and rebuilds and the rows
+	// they copied, for /metrics.
+	builds indexBuilds
+
 	queries atomic.Int64
 	lat     *latencyRing
 	// hist is the cumulative fixed-bucket query latency histogram
@@ -267,7 +271,7 @@ func newCollection(name string, spec IndexSpec, nshards int, seed uint64, overfe
 		bg:          make(chan struct{}),
 	}
 	for i := range c.shards {
-		c.shards[i] = newShard(i, seed+uint64(i)*0x9e3779b97f4a7c15+1, overfetch)
+		c.shards[i] = newShard(i, seed+uint64(i)*0x9e3779b97f4a7c15+1, overfetch, &c.builds)
 	}
 	return c, nil
 }
@@ -300,10 +304,12 @@ func (c *Collection) shardFor(id int) int {
 // and new indexes become visible only after every shard's build has
 // succeeded, and a rejected batch leaves no trace (IDs reserved for
 // it are released). A touched shard's next store shares the current
-// one's rows and adds the batch, and an exact (any precision) or alsh
-// index is extended by the batch alone, so such a write costs O(batch);
-// normscan and sketch re-derive their structure from the full store, so
-// prefer fewer, larger batches for those. Returns the new version.
+// one's rows and adds the batch, and an exact (any precision), alsh or
+// normscan index is extended by the batch alone (normscan re-sorting at
+// most one chunk of rows, and the whole shard once per chunk appended
+// to it), so such a write costs O(batch); sketch re-derives its
+// structure from the full store, so prefer fewer, larger batches for
+// it. Returns the new version.
 func (c *Collection) Ingest(recs []store.Record) (uint64, error) {
 	return c.ingest(context.Background(), recs)
 }
@@ -804,6 +810,29 @@ func (c *Collection) observeLatency(d time.Duration) {
 	c.hist.observe(d)
 }
 
+// indexBuilds is a collection's write amplification as counters: how
+// many shard index builds extended the previous snapshot's index, how
+// many rebuilt it, and the rows they copied — what a traced write's
+// index_build span says, summed, and fed whether or not anything is
+// traced.
+type indexBuilds struct {
+	extend, rebuild, rowsCopied atomic.Int64
+}
+
+// record counts one shard's index build; how is "extend" or "rebuild".
+// A nil receiver drops it.
+func (b *indexBuilds) record(how string, copied int) {
+	if b == nil {
+		return
+	}
+	if how == "rebuild" {
+		b.rebuild.Add(1)
+	} else {
+		b.extend.Add(1)
+	}
+	b.rowsCopied.Add(int64(copied))
+}
+
 // observeStage forwards one write-path stage duration (index_build,
 // wal_append, wal_fsync, checkpoint) to the server's per-stage
 // histograms; a collection without an owner drops it. Only touches
@@ -940,7 +969,8 @@ func doneChan(ctx context.Context) <-chan struct{} {
 // precision as the shards hold it allocated — chunk capacity, so
 // tombstoned rows and the unused tail of each store's open chunk
 // count: every collection retains the f64 truth rows; quantized tiers
-// additionally hold their compact mirror.
+// additionally hold their compact mirror, and a normscan shard the
+// norm-sorted physical copy it scans, in its own precision.
 func (c *Collection) vectorBytes() map[string]int64 {
 	vb := map[string]int64{PrecisionF64: 0}
 	mirror := c.spec.precision()
@@ -953,7 +983,8 @@ func (c *Collection) vectorBytes() map[string]int64 {
 			continue
 		}
 		vb[PrecisionF64] += sn.fs.AllocatedBytes()
-		if ix, ok := sn.index.(*flatIndex); ok && mirror != PrecisionF64 {
+		// An exact f64 shard scans sn.fs itself: nothing more is resident.
+		if ix, ok := sn.index.(*flatIndex); ok && (mirror != PrecisionF64 || ix.view.Sorted()) {
 			vb[mirror] += ix.view.AllocatedBytes()
 		}
 	}

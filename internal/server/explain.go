@@ -21,7 +21,8 @@ type ShardExplain struct {
 	Shard   int `json:"shard"`
 	Records int `json:"records"`
 	Live    int `json:"live"`
-	// RowsScanned counts rows the scan kernel actually evaluated
+	// RowsScanned counts rows the scan actually scored — on normscan, up
+	// to the row where the norm bound ends each run, not whole blocks
 	// (candidate-based engines leave it zero — they never sweep).
 	RowsScanned int `json:"rows_scanned"`
 	// CSPrunedBlocks counts row blocks the norm-sorted scan's

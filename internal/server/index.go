@@ -326,10 +326,7 @@ func (ix *flatIndex) extend(nfs *flat.Store) (*flatIndex, int) {
 
 func (ix *flatIndex) withDead(dead *flat.Tombstones) ShardIndex {
 	masked := *ix
-	masked.dead = dead
-	if perm := ix.view.Perm(); perm != nil {
-		masked.dead = dead.Gather(perm)
-	}
+	masked.dead = ix.view.GatherDead(dead)
 	return &masked
 }
 

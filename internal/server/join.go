@@ -187,7 +187,7 @@ func (c *Collection) shardSnaps() []*shardSnap {
 // so a join fan-out reuses one build across every query-shard pairing
 // and across requests until the next write.
 func (sn *shardSnap) normPruned() join.Engine {
-	if ix, ok := sn.index.(*flatIndex); ok && ix.rerank == rerankNever && ix.view.Perm() != nil {
+	if ix, ok := sn.index.(*flatIndex); ok && ix.rerank == rerankNever && ix.view.Sorted() {
 		return join.NormPruned{Sorted: &flat.NormSorted{View: ix.view}, SortedDead: ix.dead}
 	}
 	sn.npOnce.Do(func() {

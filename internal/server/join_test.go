@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -632,7 +633,7 @@ func TestNormPrunedJoinSweepsServingView(t *testing.T) {
 		eng := snap.normPruned()
 		if ix := snap.index.(*flatIndex); kind == KindNormScan {
 			np := eng.(join.NormPruned)
-			if &np.Sorted.Perm()[0] != &ix.view.Perm()[0] || np.SortedDead != ix.dead || np.SortedDead.Count() != 3 || snap.np != nil {
+			if !reflect.DeepEqual(np.Sorted.View, ix.view) || np.SortedDead != ix.dead || np.SortedDead.Count() != 3 || snap.np != nil {
 				t.Fatalf("normscan shard: the join engine does not sweep the serving view and its dead set (lazily built: %v)", snap.np != nil)
 			}
 		} else if snap.np == nil {

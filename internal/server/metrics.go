@@ -353,6 +353,17 @@ func writeMetrics(w io.Writer, s *Server, hm *httpMetrics) {
 	emit("ipsd_collection_last_scrub_timestamp_seconds", "gauge", "Unix time of the last completed scrub pass (0 before the first).",
 		func(c *Collection) string { return fmt.Sprintf("%d", c.lastScrub.Load()) })
 
+	emit("ipsd_index_rows_copied_total", "counter", "Rows the shards' index builds copied: those of each new snapshot that share no memory with the one before it.",
+		func(c *Collection) string { return fmt.Sprintf("%d", c.builds.rowsCopied.Load()) })
+
+	fmt.Fprintf(w, "# HELP ipsd_index_builds_total Shard index builds by writes: extend grew the previous snapshot's index by the batch, rebuild made a new one over every row.\n")
+	fmt.Fprintf(w, "# TYPE ipsd_index_builds_total counter\n")
+	for _, n := range names {
+		b := &cols[n].builds
+		fmt.Fprintf(w, "ipsd_index_builds_total{collection=%q,how=\"extend\"} %d\n", promLabel(n), b.extend.Load())
+		fmt.Fprintf(w, "ipsd_index_builds_total{collection=%q,how=\"rebuild\"} %d\n", promLabel(n), b.rebuild.Load())
+	}
+
 	// Health is one series per (collection, state) pair, Kubernetes
 	// kube_pod_status_phase style: exactly one of the three is 1, so
 	// alerts can match on state by label instead of decoding an enum.

@@ -364,8 +364,9 @@ func TestF32IngestRounding(t *testing.T) {
 }
 
 // TestPrecisionStatsAndMetrics: /stats carries the precision and the
-// per-tier resident vector bytes, and /metrics exposes the same as a
-// labeled gauge.
+// per-tier resident vector bytes — a normscan shard's norm-sorted copy,
+// base and tail run, included under its own precision — and /metrics
+// exposes the same as a labeled gauge.
 func TestPrecisionStatsAndMetrics(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -379,6 +380,18 @@ func TestPrecisionStatsAndMetrics(t *testing.T) {
 	}
 	if _, _, err := s.Ingest("plain", nil, 2, recs); err != nil {
 		t.Fatal(err)
+	}
+	// Two batches, so the second is each shard's tail run. Its sorted
+	// copy is sized to its rows; the truth store's open chunk doubled to
+	// take it — 15 rows a shard, then 5 more, are 30 rows of capacity,
+	// 1.5× the rows held.
+	for _, batch := range [][]store.Record{recs[:30], recs[30:]} {
+		if _, _, err := s.Ingest("ns64", &IndexSpec{Kind: KindNormScan}, 2, batch); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Ingest("ns32", &IndexSpec{Kind: KindNormScan, Precision: PrecisionF32}, 2, batch); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := s.Stats()
 	elems := int64(n * d)
@@ -397,6 +410,8 @@ func TestPrecisionStatsAndMetrics(t *testing.T) {
 	check("plain", PrecisionF64, map[string]int64{PrecisionF64: elems * 8})
 	check("qf32", PrecisionF32, map[string]int64{PrecisionF64: elems * 8, PrecisionF32: elems * 4})
 	check("qi8", PrecisionI8, map[string]int64{PrecisionF64: elems * 8, PrecisionI8: elems})
+	check("ns64", PrecisionF64, map[string]int64{PrecisionF64: elems*3/2*8 + elems*8}) // the truth rows and their sorted copy
+	check("ns32", PrecisionF32, map[string]int64{PrecisionF64: elems * 3 / 2 * 8, PrecisionF32: elems * 4})
 
 	var sb strings.Builder
 	writeMetrics(&sb, s, nil)
@@ -405,6 +420,7 @@ func TestPrecisionStatsAndMetrics(t *testing.T) {
 		`ipsd_collection_vector_bytes{collection="qi8",precision="int8"} ` + itoa(elems),
 		`ipsd_collection_vector_bytes{collection="qf32",precision="f32"} ` + itoa(elems*4),
 		`ipsd_collection_vector_bytes{collection="plain",precision="f64"} ` + itoa(elems*8),
+		`ipsd_collection_vector_bytes{collection="ns64",precision="f64"} ` + itoa(elems*3/2*8+elems*8),
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("/metrics missing %q", want)

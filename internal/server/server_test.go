@@ -325,7 +325,7 @@ func TestDuplicateAndAutoIDs(t *testing.T) {
 }
 
 func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
-	sh := newShard(0, 1, defaultOverfetch)
+	sh := newShard(0, 1, defaultOverfetch, nil)
 	defer sh.close()
 	if err := func() error {
 		snap, err := sh.prepare(IndexSpec{Kind: KindExact}, []int{0}, []vec.Vector{{1, 0}}, nil)

@@ -32,6 +32,9 @@ type shard struct {
 	ops       chan func()
 	done      chan struct{}
 	queries   atomic.Int64
+	// builds, the owning collection's, counts what each write's index
+	// work came to (see nextIndex); nil for a shard without a collection.
+	builds *indexBuilds
 	// rows maps a global ID to its newest local row in the published
 	// snapshot. It belongs to the owner goroutine alone — writers are
 	// the only ones who ask "where does this ID live" — so it is one
@@ -101,11 +104,12 @@ func (sn *shardSnap) packLive() ([]int, *flat.Store, error) {
 	return ids, nfs, nfs.AppendAll(rows)
 }
 
-func newShard(id int, seed uint64, overfetch int) *shard {
+func newShard(id int, seed uint64, overfetch int, builds *indexBuilds) *shard {
 	s := &shard{
 		id:        id,
 		seed:      seed,
 		overfetch: overfetch,
+		builds:    builds,
 		ops:       make(chan func()),
 		done:      make(chan struct{}),
 	}
@@ -181,11 +185,14 @@ func (s *shard) prepare(spec IndexSpec, ids []int, vs []vec.Vector, sp *trace.Sp
 // rows — masked by dead. Engines whose structure over the old rows
 // stays valid extend it by the new rows (exact at every precision: the
 // store is the index, and the f32/int8 mirrors convert only what they
-// lack; alsh hashes only the new rows); normscan and sketch order or
-// summarize all rows together and are rebuilt. sp counts the shard
+// lack; alsh hashes only the new rows; normscan sorts the rows appended
+// since its last full sort into a second run, and sorts everything
+// afresh — a rebuild — once that run would reach a chunk); sketch
+// summarizes all rows together and is rebuilt. sp counts the shard
 // under extend or rebuild and records rows_copied: the rows of the next
 // snapshot, in whichever tier copied most, that do not share memory
-// with the current one.
+// with the current one. The collection's counters get the same two
+// facts, traced or not.
 func (s *shard) nextIndex(spec IndexSpec, old *shardSnap, nfs *flat.Store, dead *flat.Tombstones, sp *trace.Span) (ShardIndex, error) {
 	// spec is only read on the rebuild path: a collection's spec never
 	// changes, so an index being extended was built under it with this
@@ -210,6 +217,7 @@ func (s *shard) nextIndex(spec IndexSpec, old *shardSnap, nfs *flat.Store, dead 
 	}
 	sp.SetInt(how, 1)
 	sp.SetInt("rows_copied", int64(copied))
+	s.builds.record(how, copied)
 	if dead.Count() > 0 {
 		index = index.withDead(dead)
 	}

@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,13 +24,15 @@ import (
 const flatChunkRows = 1024
 
 // TestWriteCopiesOnlyTheBatch pins what each index kind pays per write,
-// as the index_build span reports it: exact at every precision and alsh
-// copy the batch plus at most the open chunk of each touched shard,
-// whatever the collection holds; normscan re-sorts — and so rewrites —
-// every row (open in ROADMAP), as does an int8 batch that raises the
-// quantization scale.
+// as the index_build span reports it: every kind but sketch copies the
+// batch plus at most one chunk of each touched shard — the open chunk,
+// or a normscan shard's tail run — whatever the collection holds. The
+// exceptions: a normscan shard on the write that brings the rows
+// appended since its last sort to a chunk, which re-sorts it whole, and
+// an int8 batch that raises the quantization scale.
 func TestWriteCopiesOnlyTheBatch(t *testing.T) {
-	s := New(Config{DefaultShards: 2, Tracing: true})
+	const shards = 2
+	s := New(Config{DefaultShards: shards, Tracing: true})
 	defer s.Close()
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
@@ -44,34 +48,54 @@ func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 		return out
 	}
 	for _, tc := range []struct {
-		name    string
-		spec    IndexSpec
-		extends bool
+		name string
+		spec IndexSpec
 	}{
-		{"f64", IndexSpec{Kind: KindExact}, true},
-		{"f32", IndexSpec{Kind: KindExact, Precision: PrecisionF32}, true},
-		{"int8", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, true},
-		{"alsh", IndexSpec{Kind: KindALSH}, true},
-		{"normscan", IndexSpec{Kind: KindNormScan}, false},
+		{"f64", IndexSpec{Kind: KindExact}},
+		{"f32", IndexSpec{Kind: KindExact, Precision: PrecisionF32}},
+		{"int8", IndexSpec{Kind: KindExact, Precision: PrecisionI8}},
+		{"alsh", IndexSpec{Kind: KindALSH}},
+		{"normscan", IndexSpec{Kind: KindNormScan}},
+		{"normscan-f32", IndexSpec{Kind: KindNormScan, Precision: PrecisionF32}},
 	} {
 		path := "/collections/" + tc.name
 		spec := tc.spec
 		indexBuildAttrs(t, ts, http.MethodPut, path, IngestRequest{Index: &spec, Records: recs(0, n, 1)})
-		for _, w := range []struct {
-			method, path string
-			recs         []RecordJSON
-		}{
-			{http.MethodPut, path, recs(n, n+batch, 0.5)},
-			{http.MethodPost, path + "/vectors", recs(0, batch, 0.5)},
-		} {
-			a := indexBuildAttrs(t, ts, w.method, w.path, IngestRequest{Records: w.recs})
-			if tc.extends {
-				if a["extend"] != 2 || a["rows_copied"] > batch+2*flatChunkRows {
-					t.Errorf("%s %s: index_build attrs %v, want extend=2 and rows_copied <= %d", tc.name, w.method, a, batch+2*flatChunkRows)
-				}
-			} else if a["rebuild"] != 2 || a["rows_copied"] < n {
-				t.Errorf("%s %s: index_build attrs %v, want rebuild=2 and rows_copied >= %d", tc.name, w.method, a, n)
+		// unsorted[si]: rows appended to shard si since a normscan index
+		// last sorted it (the ingest above did). The merge cadence is the
+		// contract: a shard rebuilds on exactly the write that brings this
+		// to a chunk, and extends on every other.
+		var unsorted [shards]int
+		const limit = batch + shards*flatChunkRows
+		write := func(method, path string, rs []RecordJSON) {
+			t.Helper()
+			var extend, rebuild int64
+			var touched [shards]int
+			for _, r := range rs {
+				touched[*r.ID%shards]++
 			}
+			for si, rows := range touched {
+				switch unsorted[si] += rows; {
+				case rows == 0:
+				case spec.Kind == KindNormScan && unsorted[si] >= flatChunkRows:
+					rebuild, unsorted[si] = rebuild+1, 0
+				default:
+					extend++
+				}
+			}
+			a := indexBuildAttrs(t, ts, method, path, IngestRequest{Records: rs})
+			if a["extend"] != extend || a["rebuild"] != rebuild || (rebuild == 0 && a["rows_copied"] > limit) {
+				t.Fatalf("%s %s of ids %d..: index_build attrs %v, want extend=%d rebuild=%d and, between rebuilds, rows_copied <= %d",
+					tc.name, method, *rs[0].ID, a, extend, rebuild, limit)
+			}
+		}
+		write(http.MethodPut, path, recs(n, n+batch, 0.5))
+		write(http.MethodPost, path+"/vectors", recs(0, batch, 0.5))
+		if spec.Kind != KindNormScan {
+			continue
+		}
+		for next := n + batch; next < n+2*shards*flatChunkRows+batch; next += batch {
+			write(http.MethodPut, path, recs(next, next+batch, 0.5))
 		}
 	}
 	// A batch that raises max|x| moves every int8 code.
@@ -81,15 +105,28 @@ func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 }
 
 // TestUpsertAllocationIsBatchSized: what a fixed-size upsert allocates
-// must not grow with the collection it lands in.
+// must not grow with the collection it lands in — on normscan too,
+// between two merges of its tail run: ingested in one batch, a shard is
+// all base run, and the 41 upserts of 16 rows each stay under the chunk
+// that triggers the next merge.
 func TestUpsertAllocationIsBatchSized(t *testing.T) {
+	for _, kind := range []string{KindExact, KindNormScan} {
+		t.Run(kind, func(t *testing.T) { testUpsertAllocationIsBatchSized(t, kind) })
+	}
+}
+
+func testUpsertAllocationIsBatchSized(t *testing.T, kind string) {
 	const d, width, writes = 64, 64, 40
 	perUpsert := func(n int) float64 {
 		s := New(Config{DefaultShards: 4, CacheCapacity: -1, CompactFraction: -1})
 		defer s.Close()
 		recs := randRecords(n+width, d, uint64(n))
-		for lo := 0; lo < n; lo += 1000 {
-			if _, _, err := s.Ingest("c", nil, 0, recs[lo:min(lo+1000, n)]); err != nil {
+		step := 1000
+		if kind == KindNormScan {
+			step = n
+		}
+		for lo := 0; lo < n; lo += step {
+			if _, _, err := s.Ingest("c", &IndexSpec{Kind: kind}, 0, recs[lo:min(lo+step, n)]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -116,6 +153,66 @@ func TestUpsertAllocationIsBatchSized(t *testing.T) {
 	t.Logf("bytes allocated per %d-record upsert: %.0f at n=5000, %.0f at n=40000", width, small, large)
 	if large > 2*small {
 		t.Fatalf("a %d-record upsert allocates %.0f B at n=40000 but %.0f B at n=5000: writes are not O(batch)", width, large, small)
+	}
+}
+
+// TestIndexBuildCountersWithoutTrace: the merge cadence of a normscan
+// shard — and any other write amplification — shows on /metrics with
+// tracing off: of 70 upserts of 16 rows into one shard, the 64th brings
+// the tail run to a chunk and rebuilds, the other 69 extend.
+func TestIndexBuildCountersWithoutTrace(t *testing.T) {
+	s := New(Config{DefaultShards: 1, CacheCapacity: -1, CompactFraction: -1})
+	defer s.Close()
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	const n, d, width, writes = 2000, 8, 16, 70
+	recs := randRecords(n+width, d, 5)
+	if _, _, err := s.Ingest("c", &IndexSpec{Kind: KindNormScan}, 0, recs[:n]); err != nil {
+		t.Fatal(err)
+	}
+	counters := func() (extend, rebuild, copied int64) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		page, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		validatePromText(t, string(page))
+		read := func(series string) (v int64) {
+			_, rest, ok := strings.Cut(string(page), "\n"+series+" ")
+			if _, err := fmt.Sscan(rest, &v); !ok || err != nil {
+				t.Fatalf("/metrics lacks %s (%v)", series, err)
+			}
+			return v
+		}
+		return read(`ipsd_index_builds_total{collection="c",how="extend"}`),
+			read(`ipsd_index_builds_total{collection="c",how="rebuild"}`),
+			read(`ipsd_index_rows_copied_total{collection="c"}`)
+	}
+	extend0, rebuild0, copied0 := counters()
+	c, _ := s.Collection("c")
+	for w := 0; w < writes; w++ {
+		batch := make([]store.Record, width)
+		for i := range batch {
+			batch[i] = store.Record{ID: (w*width + i) % n, Vec: recs[n+i].Vec}
+		}
+		if _, err := c.Upsert(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	extend, rebuild, copied := counters()
+	if extend-extend0 != writes-1 || rebuild-rebuild0 != 1 {
+		t.Fatalf("%d upserts of %d rows: extend +%d, rebuild +%d, want +%d and +1", writes, width, extend-extend0, rebuild-rebuild0, writes-1)
+	}
+	// The rebuild copied the shard as it then stood; an extend, the tail
+	// run: under a chunk.
+	merged := int64(n + flatChunkRows)
+	if got := copied - copied0; got < merged || got > merged+(writes-1)*flatChunkRows {
+		t.Fatalf("rows copied +%d, want within [%d, %d]", got, merged, merged+(writes-1)*flatChunkRows)
 	}
 }
 
