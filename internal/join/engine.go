@@ -349,43 +349,56 @@ var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
 // verifying for query qi.
 type tileSource func(sc *probeScratch, qlo, qhi int) func(dst []int, qi int) []int
 
-// candidateJoin is the Q-tile loop of the candidate engines: for each
-// live query, the tile's source names candidate rows and Store.OfferRows
-// — the served alsh search's loop — verifies those dead does not mark
-// through the store's kernel, ties toward the smaller p-index like the
-// exact engines. Compared counts the rows verified, or evals per query
+// verifyTile is the candidate engines' loop over one Q-tile — a join's,
+// or a served alsh batch search's: for each query of rows [qlo, qhi) that
+// deadQ does not mark, the tile's source names candidate rows and
+// Store.OfferRows verifies those dead does not mark through the store's
+// kernel into accs[qi-qlo], ties toward the smaller p-index like the exact
+// engines. ctx is polled before the tile is hashed, between two queries
+// and inside OfferRows; a cancelled tile returns ctx's error with accs
+// partial. st counts the rows verified, and as scanned evals per query
 // when finding a query's candidates is the work (the sketch's
 // evaluations).
-func candidateJoin(P, Q *flat.Store, cs float64, opts Opts, dead *flat.Tombstones, evals int, tile tileSource) (Result, error) {
-	return joinTiles(Q, opts, func(ctx context.Context, qlo, qhi, k int, out *[]Match, st *flat.ScanStats) error {
-		sc := probePool.Get().(*probeScratch)
-		defer probePool.Put(sc)
-		done := ctx.Done()
-		select { // before the tile is hashed for nothing
+func verifyTile(ctx context.Context, P, Q *flat.Store, qlo, qhi int, accs []flat.Acc, dead, deadQ *flat.Tombstones, unsigned bool, evals int, tile tileSource, st *flat.ScanStats) error {
+	sc := probePool.Get().(*probeScratch)
+	defer probePool.Put(sc)
+	if err := ctx.Err(); err != nil {
+		return err // before the tile is hashed for nothing
+	}
+	candidates := tile(sc, qlo, qhi)
+	done := ctx.Done()
+	for qi := qlo; qi < qhi; qi++ {
+		select {
 		case <-done:
 			return ctx.Err()
 		default:
 		}
-		candidates := tile(sc, qlo, qhi)
-		acc := flat.NewAcc(k)
-		for qi := qlo; qi < qhi; qi++ {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-			if opts.DeadQ.Dead(qi) {
-				continue
-			}
-			sc.cands = candidates(sc.cands[:0], qi)
-			acc.Reset(k)
-			n, stopped := P.OfferRows(done, &acc, Q.Row(qi), sc.cands, dead, opts.Unsigned)
-			st.Candidates += n
-			st.ScannedRows += cmp.Or(evals, n)
-			if stopped {
-				return ctx.Err()
-			}
-			flushAcc(&acc, qi, cs, out)
+		if deadQ.Dead(qi) {
+			continue
+		}
+		sc.cands = candidates(sc.cands[:0], qi)
+		n, stopped := P.OfferRows(done, &accs[qi-qlo], Q.Row(qi), sc.cands, dead, unsigned)
+		st.Candidates += n
+		st.ScannedRows += cmp.Or(evals, n)
+		if stopped {
+			return ctx.Err()
+		}
+	}
+	return nil
+}
+
+// candidateJoin is the join of a candidate engine: verifyTile per Q-tile,
+// each query's verified values at ≥ cs its pairs.
+func candidateJoin(P, Q *flat.Store, cs float64, opts Opts, dead *flat.Tombstones, evals int, tile tileSource) (Result, error) {
+	return joinTiles(Q, opts, func(ctx context.Context, qlo, qhi, k int, out *[]Match, st *flat.ScanStats) error {
+		sc := flat.GetTileScratch()
+		defer flat.PutTileScratch(sc)
+		accs := sc.Accs(qhi-qlo, k)
+		if err := verifyTile(ctx, P, Q, qlo, qhi, accs, dead, opts.DeadQ, opts.Unsigned, evals, tile, st); err != nil {
+			return err
+		}
+		for j := range accs {
+			flushAcc(&accs[j], qlo+j, cs, out)
 		}
 		return nil
 	})
@@ -427,6 +440,16 @@ func (e LSH) probe(ix *lsh.Index, rowOf []int, Q *flat.Store, unsigned bool) til
 			return renumber(ix.AppendHashed(dst, &sc.keys, qi-qlo), len(dst), rowOf)
 		}
 	}
+}
+
+// TopKTile answers query rows [qlo, qhi) of Q from e.Index, which must
+// hold every row of P (row i under id i): accs[i], as the caller reset
+// it, is offered each candidate of query qlo+i that dead does not mark —
+// one tile of a served alsh batch search, the join's loop to the letter
+// (verifyTile), a single search being the tile of one.
+func (e LSH) TopKTile(ctx context.Context, P, Q *flat.Store, qlo, qhi int, accs []flat.Acc, dead *flat.Tombstones, unsigned bool) error {
+	var st flat.ScanStats
+	return verifyTile(ctx, P, Q, qlo, qhi, accs, dead, nil, unsigned, 0, e.probe(e.Index, nil, Q, unsigned), &st)
 }
 
 // Prepare implements Preparer: the banding index over P's live rows is

@@ -489,6 +489,78 @@ func TestJoinCtxAndStats(t *testing.T) {
 	}
 }
 
+// TestTopKTileIsTheJoinsLoop: the tile entry a served alsh batch search
+// uses gives, query for query, the pairs (cut at cs = 0) the top-k join
+// over the same prebuilt index reports, through DeadP; and the loop the two share,
+// cancelled between two queries of a tile — by the candidate source of
+// the fourth — returns the context's error with the later queries'
+// accumulators untouched, and refuses an expired context before asking
+// the source for anything.
+func TestTopKTileIsTheJoinsLoop(t *testing.T) {
+	rng := xrand.New(41)
+	P, Q := gridWorkload(rng, 500, 40, 8)
+	fp, _ := flat.FromVectors(P)
+	fq, _ := flat.FromVectors(Q)
+	fam, _ := lsh.NewHyperplane(8)
+	ix, _ := lsh.NewIndex(fam, 4, 8, 2)
+	ix.InsertAll(fp.Rows())
+	e := LSH{Index: ix}
+	dead := gridDead("scattered", len(P), rng)
+	const k, qlo, qhi = 3, 5, 37
+	for _, unsigned := range []bool{false, true} {
+		want := mustJoin(t, e, fp, fq, 1, 0, Opts{Unsigned: unsigned, TopK: k, DeadP: dead})
+		accs := make([]flat.Acc, qhi-qlo)
+		for i := range accs {
+			accs[i].Reset(k)
+		}
+		if err := e.TopKTile(context.Background(), fp, fq, qlo, qhi, accs, dead, unsigned); err != nil {
+			t.Fatal(err)
+		}
+		var got, wantTile []Match
+		for i := range accs {
+			flushAcc(&accs[i], qlo+i, 0, &got)
+		}
+		for _, m := range want.Matches {
+			if m.QIdx >= qlo && m.QIdx < qhi {
+				wantTile = append(wantTile, m)
+			}
+		}
+		sameMatches(t, "TopKTile", wantTile, got)
+		if len(got) < qhi-qlo {
+			t.Fatalf("only %d pairs over %d queries; the test compares next to nothing", len(got), qhi-qlo)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	asked := 0
+	source := func(*probeScratch, int, int) func([]int, int) []int {
+		return func(dst []int, qi int) []int {
+			if asked++; qi == qlo+3 {
+				cancel()
+			}
+			return append(dst, qi)
+		}
+	}
+	accs := make([]flat.Acc, qhi-qlo)
+	for i := range accs {
+		accs[i].Reset(k)
+	}
+	var st flat.ScanStats
+	err := verifyTile(ctx, fp, fq, qlo, qhi, accs, nil, nil, false, 0, source, &st)
+	if !errors.Is(err, context.Canceled) || asked != 4 || st.Candidates != 4 {
+		t.Fatalf("cancelled at the fourth query: err %v after %d queries, %d rows verified", err, asked, st.Candidates)
+	}
+	for i := range accs {
+		if held := len(accs[i].Hits()) == 1; held != (i < 4) || len(accs[i].Hits()) > 1 {
+			t.Fatalf("query %d of the cancelled tile holds %d hits", i, len(accs[i].Hits()))
+		}
+	}
+	if err := verifyTile(ctx, fp, fq, qlo, qhi, accs, nil, nil, false, 0, source, &st); !errors.Is(err, context.Canceled) || asked != 4 {
+		t.Fatalf("expired tile: err %v, source asked %d times in all", err, asked)
+	}
+}
+
 // TestEngineValidation covers the shared operand checks.
 func TestEngineValidation(t *testing.T) {
 	fp, _ := flat.FromVectors([]vec.Vector{{1, 0}})

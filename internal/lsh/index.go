@@ -17,21 +17,21 @@ import (
 // approximate queries in sublinear time — this is the data-structure
 // side of the paper's upper bounds.
 //
-// A vector is hashed once: the family's pre-map (the maps of an
-// Asymmetric family) runs once per vector in front of all K·L
-// functions, and hyperplane normals sit in one contiguous matrix so the
-// L table keys fall out of a single matrix–vector pass. The index keeps
-// ids only — callers own the vectors and score candidates by id.
+// A vector is hashed once, and every vector the same way (tileKeys):
+// the family's pre-map (the maps of an Asymmetric family) runs once per
+// vector in front of all K·L functions, and hyperplane normals sit in
+// one (K·L)-row store, so the keys of a batch of vectors — the rows of a
+// build or an extend, a join's or a batch search's Q-tile, one query's
+// q′ and −q′ — fall out of a single tile product against it. The index
+// keeps ids only — callers own the vectors and score candidates by id.
 type Index struct {
 	K, L int
 	// maps is the pre-map of an Asymmetric family (nil funcs otherwise),
 	// applied once per vector rather than once per hash function.
 	maps MapPair
 	// The K·L sampled functions, table-major: hashers, or for Hyperplane
-	// planes — the same normals packed as a (K·L)×D store, which on the
-	// planted-alsh benchmark builds 26% and joins 28% faster than K·L
-	// Hasher calls (CHANGES.md, PR 14), and lets a batch of queries be
-	// hashed as one tile product (HashQueries).
+	// planes — the same normals packed as a (K·L)×D store for flat's
+	// multi-query kernel.
 	hashers []Hasher
 	planes  *flat.Store
 	tables  []table
@@ -109,30 +109,10 @@ func signBit(dot float64) uint64 {
 	return 0
 }
 
-// keys writes x's L table keys into out: the data side of the family
-// when data is true, the query side otherwise.
+// keys writes into out the L table keys of x, already through the
+// family's pre-map, under the sampled hashers — the families that are
+// not Hyperplane, which the paper artifact's figures use.
 func (ix *Index) keys(x vec.Vector, data bool, out []uint64) {
-	m := ix.maps.Query
-	if data {
-		m = ix.maps.Data
-	}
-	if m != nil {
-		x = m(x)
-	}
-	if ix.planes != nil {
-		if d := ix.planes.Dim(); len(x) != d {
-			panic(fmt.Sprintf("lsh: vector dimension %d != %d", len(x), d))
-		}
-		r := 0
-		for i := range out {
-			key := keySeed
-			for j := 0; j < ix.K; j, r = j+1, r+1 {
-				key = foldKey(key, signBit(vec.DotKernel(ix.planes.Row(r), x)))
-			}
-			out[i] = key
-		}
-		return
-	}
 	for i := range out {
 		key := keySeed
 		for _, h := range ix.hashers[i*ix.K : (i+1)*ix.K] {
@@ -143,6 +123,82 @@ func (ix *Index) keys(x vec.Vector, data bool, out []uint64) {
 			}
 		}
 		out[i] = key
+	}
+}
+
+// hashStep is how many vectors one tile product hashes, so the dot
+// buffer stays small (hashStep·K·L floats — 256 KiB at the served
+// K·L = 128) however many rows a build hashes.
+const hashStep = 256
+
+// tileHash is tileKeys' working set. The zero value is ready to use and
+// a reused one keeps its buffers.
+type tileHash struct {
+	probes flat.Store // one step's mapped vectors, a row each
+	dots   []float64  // their inner products with the planes
+}
+
+// tileKeys is the index's one hashing function: it writes into out the L
+// table keys of each of n vectors — at(i) the i-th, asked for once each,
+// in order — on the data side of the family when data is true, the query
+// side otherwise. Every vector goes through the family's pre-map once.
+// Sampled hashers then hash it alone; under a Hyperplane family the
+// mapped vectors become the rows of a probe store, hashStep at a time,
+// and one tile product gives every probe·plane inner product, whose signs
+// fold into the keys. The product equals vec.Dot's to the sign of a
+// zero, which signBit does not read, in either orientation (a·b = b·a
+// exactly, along the same 4-lane unfused chain), so the orientation is
+// the kernel's best: flat runs its SIMD micro-kernel on quads of query
+// rows, so fewer than four probes (one search's q′ and −q′) are its data
+// rows under the planes as queries, and a batch is the queries over the
+// planes.
+func (ix *Index) tileKeys(h *tileHash, out []uint64, n int, at func(int) vec.Vector, data bool) {
+	m := ix.maps.Query
+	if data {
+		m = ix.maps.Data
+	}
+	mapped := func(i int) vec.Vector {
+		if m != nil {
+			return m(at(i))
+		}
+		return at(i)
+	}
+	if ix.planes == nil {
+		for i := 0; i < n; i++ {
+			ix.keys(mapped(i), data, out[i*ix.L:(i+1)*ix.L])
+		}
+		return
+	}
+	must := func(err error) {
+		if err != nil {
+			panic("lsh: " + err.Error()) // a vector of the wrong dimension
+		}
+	}
+	kl := ix.K * ix.L
+	for lo := 0; lo < n; lo += hashStep {
+		np := min(n-lo, hashStep)
+		must(h.probes.ResetDim(ix.planes.Dim()))
+		for v := 0; v < np; v++ {
+			must(h.probes.Append(mapped(lo + v)))
+		}
+		h.dots = slices.Grow(h.dots[:0], np*kl)[:np*kl]
+		probe, plane := kl, 1 // dots[v*probe+r*plane] is probe v · plane r
+		if np < 4 {
+			probe, plane = 1, np
+			must(h.probes.DotTile(ix.planes, 0, kl, 0, np, h.dots))
+		} else {
+			must(ix.planes.DotTile(&h.probes, 0, np, 0, kl, h.dots))
+		}
+		for v, keys := 0, out[lo*ix.L:]; v < np; v++ {
+			d := v * probe
+			for t := 0; t < ix.L; t++ {
+				key := keySeed
+				for j := 0; j < ix.K; j, d = j+1, d+plane {
+					key = foldKey(key, signBit(h.dots[d]))
+				}
+				keys[v*ix.L+t] = key
+			}
+		}
 	}
 }
 
@@ -216,10 +272,11 @@ func (ix *Index) Extend(ps []vec.Vector) *Index {
 	if int(int32(n)) != n {
 		panic(fmt.Sprintf("lsh: index size %d overflows int32 ids", n))
 	}
-	keys := make([]uint64, len(ps)*ix.L) // row-major: vector r, table t
-	for r, p := range ps {
-		ix.keys(p, true, keys[r*ix.L:(r+1)*ix.L])
-	}
+	sc := probePool.Get().(*probeScratch)
+	defer probePool.Put(sc)
+	sc.qk.keys = slices.Grow(sc.qk.keys[:0], len(ps)*ix.L)[:len(ps)*ix.L]
+	keys := sc.qk.keys // row-major: vector r, table t
+	ix.tileKeys(&sc.qk.tileHash, keys, len(ps), func(i int) vec.Vector { return ps[i] }, true)
 	nx := *ix
 	nx.n = n
 	nx.tables = make([]table, ix.L)
@@ -254,36 +311,32 @@ type Probe struct {
 	Neg bool
 }
 
-// probeScratch is the per-call working set of a probe, pooled so a warm
-// call allocates nothing but what the family's maps do.
+// probeScratch is the per-call working set of a probe (and, for its
+// keys, of an Extend), pooled so a warm call allocates nothing but what
+// the family's maps do.
 type probeScratch struct {
-	keys    []uint64
+	qk      QueryKeys
 	buckets [][]int32
 	seen    []uint64 // bitset over ids; all zero between calls
-	probeBufs
 }
 
 var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
 
-// probeBufs holds the vectors a query is hashed as, reused from query
-// to query.
-type probeBufs struct{ scaled, neg vec.Vector }
-
 // of returns what q is hashed as under p — q′: q itself, or q scaled to
 // just inside p.Radius when it is longer — and, with p.Neg, −q′ (nil
-// without): vec.Scaled's and vec.Neg's values, in b's storage.
-func (b *probeBufs) of(q vec.Vector, p Probe) (pos, neg vec.Vector) {
+// without): vec.Scaled's and vec.Neg's values, in qk's storage.
+func (qk *QueryKeys) of(q vec.Vector, p Probe) (pos, neg vec.Vector) {
 	if p.Radius > 0 {
 		if n := vec.Norm(q); n > p.Radius {
-			b.scaled = vec.Scale(append(b.scaled[:0], q...), (1-1e-12)*p.Radius/n)
-			q = b.scaled
+			qk.scaled = vec.Scale(append(qk.scaled[:0], q...), (1-1e-12)*p.Radius/n)
+			q = qk.scaled
 		}
 	}
 	if !p.Neg {
 		return q, nil
 	}
-	b.neg = vec.Scale(append(b.neg[:0], q...), -1)
-	return q, b.neg
+	qk.neg = vec.Scale(append(qk.neg[:0], q...), -1)
+	return q, qk.neg
 }
 
 // Candidates returns the deduplicated ids colliding with any of qs in
@@ -294,92 +347,53 @@ func (b *probeBufs) of(q vec.Vector, p Probe) (pos, neg vec.Vector) {
 func (ix *Index) Candidates(qs ...vec.Vector) []int {
 	sc := probePool.Get().(*probeScratch)
 	defer probePool.Put(sc)
-	sc.buckets = sc.buckets[:0]
-	for _, q := range qs {
-		ix.collide(sc, q)
-	}
-	return ix.distinct(sc, nil)
+	ix.hash(&sc.qk, len(qs), func(i int) vec.Vector { return qs[i] }, Probe{})
+	return ix.collisions(sc, sc.qk.keys, nil)
 }
 
 // AppendCandidates appends to dst — the caller's buffer, reused from
 // query to query — exactly Candidates(q′) or, with p.Neg,
-// Candidates(q′, −q′) (see probeBufs.of). The probes live in pooled
+// Candidates(q′, −q′) (see QueryKeys.of). The probes live in pooled
 // scratch: the family's maps must not keep their argument.
 func (ix *Index) AppendCandidates(dst []int, q vec.Vector, p Probe) []int {
 	sc := probePool.Get().(*probeScratch)
 	defer probePool.Put(sc)
-	sc.buckets = sc.buckets[:0]
-	pos, neg := sc.of(q, p)
-	ix.collide(sc, pos)
-	if neg != nil {
-		ix.collide(sc, neg)
-	}
-	return ix.distinct(sc, dst)
+	ix.hash(&sc.qk, 1, func(int) vec.Vector { return q }, p)
+	return ix.collisions(sc, sc.qk.keys, dst)
 }
 
-// QueryKeys holds the table keys of a batch of queries — a join's
-// Q-tile — as HashQueries hashed them. The zero value is ready to use; a
-// reused one keeps its buffers. Not to be copied once used.
+// QueryKeys holds the table keys of a batch of queries — a join's or a
+// batch search's Q-tile — as HashQueries hashed them. The zero value is
+// ready to use; a reused one keeps its buffers. Not to be copied once
+// used.
 type QueryKeys struct {
-	keys   []uint64 // probe-major, L apiece; a query's probes adjacent
-	per    int      // probes per query: q′, and −q′ with Probe.Neg
-	probes flat.Store
-	dots   []float64
-	probeBufs
+	keys        []uint64   // probe-major, L apiece; a query's probes adjacent
+	per         int        // probes per query: q′, and −q′ with Probe.Neg
+	scaled, neg vec.Vector // what the query in hand is hashed as, reused from query to query
+	tileHash
 }
 
 // HashQueries fills qk with the keys of query rows [lo, hi) of qs under
-// p: for each, bit for bit the keys AppendCandidates hashes. Hyperplane
-// normals being one store, the whole batch is hashed as a single tile
-// product of the (mapped) probes against it — flat's multi-query kernel
-// — instead of K·L inner products per probe; its scores equal keys' to
-// the sign of a zero, which signBit does not read.
+// p: for each, bit for bit the keys AppendCandidates hashes.
 func (ix *Index) HashQueries(qk *QueryKeys, qs *flat.Store, lo, hi int, p Probe) {
+	ix.hash(qk, hi-lo, func(i int) vec.Vector { return qs.Row(lo + i) }, p)
+}
+
+// hash fills qk with the keys of n queries under p, at(i) being the i-th.
+func (ix *Index) hash(qk *QueryKeys, n int, at func(int) vec.Vector, p Probe) {
 	qk.per = 1
 	if p.Neg {
 		qk.per = 2
 	}
-	np := (hi - lo) * qk.per
+	np := n * qk.per
 	qk.keys = slices.Grow(qk.keys[:0], np*ix.L)[:np*ix.L]
-	// hash takes the r-th probe: straight to its keys, or, mapped, into the
-	// probe store the tile product below reads.
-	hash := func(r int, x vec.Vector) { ix.keys(x, false, qk.keys[r*ix.L:(r+1)*ix.L]) }
-	if ix.planes != nil {
-		if err := qk.probes.ResetDim(ix.planes.Dim()); err != nil {
-			panic("lsh: " + err.Error())
+	ix.tileKeys(&qk.tileHash, qk.keys, np, func(r int) vec.Vector {
+		if r%qk.per == 1 {
+			return qk.neg // −q′ of the query whose q′ was the probe before
 		}
-		hash = func(_ int, x vec.Vector) {
-			if m := ix.maps.Query; m != nil {
-				x = m(x)
-			}
-			if err := qk.probes.Append(x); err != nil {
-				panic("lsh: " + err.Error())
-			}
-		}
-	}
-	for i := lo; i < hi; i++ {
-		pos, neg := qk.of(qs.Row(i), p)
-		r := (i - lo) * qk.per
-		hash(r, pos)
-		if neg != nil {
-			hash(r+1, neg)
-		}
-	}
-	if ix.planes == nil {
-		return
-	}
-	kl := ix.K * ix.L
-	qk.dots = slices.Grow(qk.dots[:0], np*kl)[:np*kl]
-	if err := ix.planes.DotTile(&qk.probes, 0, np, 0, kl, qk.dots); err != nil {
-		panic("lsh: " + err.Error())
-	}
-	for i, dots := 0, qk.dots; i < len(qk.keys); i++ {
-		key := keySeed
-		for _, dot := range dots[:ix.K] {
-			key = foldKey(key, signBit(dot))
-		}
-		qk.keys[i], dots = key, dots[ix.K:]
-	}
+		pos, _ := qk.of(at(r/qk.per), p)
+		return pos
+	}, false)
 }
 
 // AppendHashed is AppendCandidates for the j-th query HashQueries
@@ -387,34 +401,20 @@ func (ix *Index) HashQueries(qk *QueryKeys, qs *flat.Store, lo, hi int, p Probe)
 func (ix *Index) AppendHashed(dst []int, qk *QueryKeys, j int) []int {
 	sc := probePool.Get().(*probeScratch)
 	defer probePool.Put(sc)
+	return ix.collisions(sc, qk.keys[j*qk.per*ix.L:(j+1)*qk.per*ix.L], dst)
+}
+
+// collisions appends to dst, once each and in first-collision order,
+// the ids in the buckets of keys — one or more probes' L table keys back
+// to back.
+func (ix *Index) collisions(sc *probeScratch, keys []uint64, dst []int) []int {
 	sc.buckets = sc.buckets[:0]
-	ix.lookup(sc, qk.keys[j*qk.per*ix.L:(j+1)*qk.per*ix.L])
-	return ix.distinct(sc, dst)
-}
-
-// collide adds q's non-empty bucket in every table to sc.buckets.
-func (ix *Index) collide(sc *probeScratch, q vec.Vector) {
-	sc.keys = slices.Grow(sc.keys[:0], ix.L)[:ix.L]
-	ix.keys(q, false, sc.keys)
-	ix.lookup(sc, sc.keys)
-}
-
-// lookup adds to sc.buckets the non-empty bucket of each key, keys
-// being one or more probes' L table keys back to back.
-func (ix *Index) lookup(sc *probeScratch, keys []uint64) {
+	total := 0
 	for i, key := range keys {
 		if b := ix.tables[i%ix.L].bucket(key); len(b) > 0 {
 			sc.buckets = append(sc.buckets, b)
+			total += len(b)
 		}
-	}
-}
-
-// distinct appends each id of sc.buckets to dst once, in bucket order,
-// and drops the buckets.
-func (ix *Index) distinct(sc *probeScratch, dst []int) []int {
-	total := 0
-	for _, b := range sc.buckets {
-		total += len(b)
 	}
 	if total == 0 {
 		return dst

@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"slices"
@@ -158,24 +159,93 @@ func combine(hs []uint64) uint64 {
 	return key
 }
 
-// referenceKeys hashes x the construction's naive way: K·L hashers
-// sampled from the family itself (so an Asymmetric family runs its
-// pre-map inside every one of them), combined per table.
-func referenceKeys(f Family, k, l int, seed uint64, x vec.Vector, data bool) []uint64 {
+// reference is the construction done the naive way, the oracle of every
+// hashing path: K·L hashers sampled from the family itself (so an
+// Asymmetric family runs its pre-map inside every one of them, and a
+// Hyperplane hasher is one vec.Dot), combined per table.
+type reference struct {
+	k, l int
+	hs   []Hasher
+}
+
+func newReference(f Family, k, l int, seed uint64) reference {
 	rng := xrand.New(seed)
-	keys := make([]uint64, l)
+	hs := make([]Hasher, k*l)
+	for i := range hs {
+		hs[i] = f.Sample(rng)
+	}
+	return reference{k, l, hs}
+}
+
+// keys returns x's L table keys.
+func (r reference) keys(x vec.Vector, data bool) []uint64 {
+	keys, vals := make([]uint64, r.l), make([]uint64, r.k)
 	for i := range keys {
-		hs := make([]uint64, k)
-		for j := range hs {
-			if h := f.Sample(rng); data {
-				hs[j] = h.HashData(x)
+		for j, h := range r.hs[i*r.k : (i+1)*r.k] {
+			if data {
+				vals[j] = h.HashData(x)
 			} else {
-				hs[j] = h.HashQuery(x)
+				vals[j] = h.HashQuery(x)
 			}
 		}
-		keys[i] = combine(hs)
+		keys[i] = combine(vals)
 	}
 	return keys
+}
+
+// tables returns the bucket tables of data (row i under id i), in the
+// index's form: keys ascending, ids ascending within a bucket.
+func (r reference) tables(data []vec.Vector) []table {
+	rows := make([][]uint64, len(data))
+	for i, x := range data {
+		rows[i] = r.keys(x, true)
+	}
+	tabs := make([]table, r.l)
+	for t := range tabs {
+		buckets := map[uint64][]int32{}
+		for id, keys := range rows {
+			buckets[keys[t]] = append(buckets[keys[t]], int32(id))
+		}
+		tb := &tabs[t]
+		for _, key := range slices.Sorted(maps.Keys(buckets)) {
+			tb.keys = append(tb.keys, key)
+			tb.offs = append(tb.offs, int32(len(tb.ids)))
+			tb.ids = append(tb.ids, buckets[key]...)
+		}
+		tb.offs = append(tb.offs, int32(len(tb.ids)))
+	}
+	return tabs
+}
+
+// candidates returns the ids of tabs colliding with the probes, in
+// first-collision order.
+func (r reference) candidates(tabs []table, probes []vec.Vector) []int {
+	var out []int
+	seen := map[int32]bool{}
+	for _, x := range probes {
+		for t, key := range r.keys(x, false) {
+			for _, id := range tabs[t].bucket(key) {
+				if !seen[id] {
+					seen[id] = true
+					out = append(out, int(id))
+				}
+			}
+		}
+	}
+	return out
+}
+
+func sameTables(a, b []table) bool {
+	return slices.EqualFunc(a, b, func(x, y table) bool {
+		return slices.Equal(x.keys, y.keys) && slices.Equal(x.offs, y.offs) && slices.Equal(x.ids, y.ids)
+	})
+}
+
+// hashOne returns x's keys as ix hashes a vector alone.
+func hashOne(ix *Index, x vec.Vector, data bool) []uint64 {
+	out := make([]uint64, ix.L)
+	ix.tileKeys(new(tileHash), out, 1, func(int) vec.Vector { return x }, data)
+	return out
 }
 
 // ballVecs returns n vectors inside the unit ball of R^d.
@@ -209,11 +279,11 @@ func TestIndexKeysMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]uint64, l)
+		ref := newReference(f, k, l, seed)
 		for _, x := range ballVecs(xrand.New(42), 50, d) {
 			for _, data := range []bool{true, false} {
-				ix.keys(x, data, got)
-				if want := referenceKeys(f, k, l, seed, x, data); !slices.Equal(got, want) {
+				got := hashOne(ix, x, data)
+				if want := ref.keys(x, data); !slices.Equal(got, want) {
 					t.Fatalf("%s (data=%v): keys %v, reference %v", name, data, got, want)
 				}
 			}
@@ -334,7 +404,7 @@ func TestAppendCandidatesMatchesCandidates(t *testing.T) {
 }
 
 // TestHashQueriesMatchesKeys: a batch hashed as one tile product carries,
-// probe for probe, bit for bit the keys the one-vector path computes —
+// probe for probe, bit for bit the keys K·L separate hashers compute —
 // across plane dimensions on both sides of the SIMD kernels' chunk and
 // tail cases, tile sizes through odd quads, a tile straddling a chunk
 // edge of the query store, a plane store of more than one chunk, NaN
@@ -352,15 +422,14 @@ func TestHashQueriesMatchesKeys(t *testing.T) {
 	}
 	shapes = append(shapes, shape{5, 8, 130, true}) // 1 040 planes: two chunks
 	rng := xrand.New(53)
-	check := func(name string, ix *Index, qs *flat.Store, lo, hi int, p Probe) {
+	check := func(name string, ix *Index, ref reference, qs *flat.Store, lo, hi int, p Probe) {
 		t.Helper()
 		var qk QueryKeys
 		ix.HashQueries(&qk, qs, lo, hi, p)
-		want := make([]uint64, ix.L)
 		at := 0
 		for i := lo; i < hi; i++ {
 			for _, x := range probesOf(qs.Row(i), p) {
-				ix.keys(x, false, want)
+				want := ref.keys(x, false)
 				if got := qk.keys[at : at+ix.L]; !slices.Equal(got, want) {
 					t.Fatalf("%s: rows [%d, %d) %+v: row %d hashed to %v in the batch, %v alone", name, lo, hi, p, i, got, want)
 				}
@@ -380,6 +449,7 @@ func TestHashQueriesMatchesKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := newReference(f, sh.k, sh.l, 54)
 		rows := ballVecs(rng, 1100, sh.d)
 		for i := range rows[:8] {
 			vec.Scale(rows[40+i], 3) // outside the ball: scaled before hashing
@@ -398,17 +468,17 @@ func TestHashQueriesMatchesKeys(t *testing.T) {
 			if !sh.asym && size%3 == 0 {
 				p.Radius = 0
 			}
-			check(name, ix, qs, lo, lo+size, p)
+			check(name, ix, ref, qs, lo, lo+size, p)
 			if sh.l > 100 {
 				break // one pass over the big plane store is enough
 			}
 		}
-		check(name, ix, qs, 1000, 1060, Probe{Radius: 1, Neg: true})
+		check(name, ix, ref, qs, 1000, 1060, Probe{Radius: 1, Neg: true})
 	}
 	cp, _ := NewCrossPolytope(12)
 	ix, _ := NewIndex(cp, 3, 4, 54)
 	qs, _ := flat.FromVectors(ballVecs(rng, 30, 12))
-	check("cross-polytope", ix, qs, 2, 29, Probe{Radius: 0.5, Neg: true})
+	check("cross-polytope", ix, newReference(cp, 3, 4, 54), qs, 2, 29, Probe{Radius: 0.5, Neg: true})
 }
 
 // TestAppendHashedMatchesAppendCandidates: looking a batch-hashed query
@@ -434,6 +504,174 @@ func TestAppendHashedMatchesAppendCandidates(t *testing.T) {
 			t.Fatalf("%+v: no query found a candidate; the test checks nothing", p)
 		}
 	}
+}
+
+// checkHashing is one cell of the hashing grid: the tables of an index
+// grown over data in the slices each of cuts names (ascending row
+// boundaries, the end implied) equal the reference's, and on it every
+// probing entry point — Candidates over the probes, AppendCandidates,
+// and AppendHashed behind a HashQueries of rows [lo, lo+len(queries)) of
+// a store holding the queries there — returns the reference's ids in the
+// reference's order, under each of probes.
+func checkHashing(t testing.TB, name string, f Family, k, l int, seed uint64, data []vec.Vector, cuts [][]int, queries []vec.Vector, lo int, probes []Probe) {
+	t.Helper()
+	ref := newReference(f, k, l, seed)
+	tabs := ref.tables(data)
+	var ix *Index
+	for _, cut := range cuts {
+		ix, _ = NewIndex(f, k, l, seed)
+		from := 0
+		for _, to := range append(cut[:len(cut):len(cut)], len(data)) {
+			ix = ix.Extend(data[from:to])
+			from = to
+		}
+		if ix.Len() != len(data) || len(data) > 0 && !sameTables(ix.tables, tabs) {
+			t.Fatalf("%s: tables of %d rows extended at %v differ from the reference's", name, len(data), cut)
+		}
+	}
+	filler := make([]vec.Vector, lo, lo+len(queries))
+	for i := range filler {
+		filler[i] = queries[i%len(queries)]
+	}
+	qs, err := flat.FromVectors(append(filler, queries...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range probes {
+		var qk QueryKeys
+		ix.HashQueries(&qk, qs, lo, lo+len(queries), p)
+		for i, q := range queries {
+			pr := probesOf(q, p)
+			want := ref.candidates(tabs, pr)
+			for path, got := range map[string][]int{
+				"Candidates":       ix.Candidates(pr...),
+				"AppendCandidates": ix.AppendCandidates(nil, q, p),
+				"AppendHashed":     ix.AppendHashed(nil, &qk, i),
+			} {
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: %d rows, query %d under %+v: %s %v, reference %v", name, len(data), i, p, path, got, want)
+				}
+			}
+		}
+	}
+}
+
+// evenCuts cuts n rows into parts near-equal slices.
+func evenCuts(n, parts int) []int {
+	cut := make([]int, 0, parts-1)
+	for i := 1; i < parts; i++ {
+		cut = append(cut, i*n/parts)
+	}
+	return cut
+}
+
+// signedZeros returns the vector of zeros whose signs are those of a
+// (flip: the opposite ones), so every product with a is +0 (−0).
+func signedZeros(a vec.Vector, flip bool) vec.Vector {
+	z := make(vec.Vector, len(a))
+	for i, v := range a {
+		z[i] = math.Copysign(0, v)
+		if flip {
+			z[i] = -z[i]
+		}
+	}
+	return z
+}
+
+// TestIndexHashGrid: the one hashing function against K·L separate
+// hashers, for Hyperplane bare and behind SIMPLE — plane dimensions below
+// one 4-double chunk (the Go kernels), on a chunk edge and with an
+// element tail; K·L leaving a quad, a pair and a single plane over when
+// the planes are the kernel's queries; batches through the kernel's
+// leftovers and hashStep's edges, built in 1, 2 and 7 slices; queries
+// inside and outside the radius, with and without −q, in a tile that
+// straddles a chunk edge of the query store; and zero vectors and ±0
+// coordinates on both sides.
+func TestIndexHashGrid(t *testing.T) {
+	rng := xrand.New(57)
+	for _, d := range []int{1, 2, 3, 4, 5, 16, 32, 33, 64} {
+		queries := ballVecs(rng, 9, d)
+		vec.Scale(queries[1], 1.5/vec.Norm(queries[1]))
+		vec.Scale(queries[2], 40/vec.Norm(queries[2]))
+		queries[3] = make(vec.Vector, d)
+		queries[4] = signedZeros(queries[0], true)
+		for _, kl := range [][2]int{{1, 1}, {3, 1}, {2, 2}, {2, 3}, {8, 16}} {
+			for _, batch := range []int{1, 2, 3, 4, 5, 255, 256, 257, 1500} {
+				if batch == 1500 && raceEnabled && d != 32 {
+					continue // the big build at one dimension is enough at the detector's speed
+				}
+				data := ballVecs(rng, batch, d)
+				data[batch/2] = make(vec.Vector, d)
+				data[batch/3] = signedZeros(data[0], batch%2 == 0)
+				cuts := [][]int{nil, evenCuts(batch, 2), evenCuts(batch, 7)}
+				hp, _ := NewHyperplane(d)
+				name := fmt.Sprintf("d=%d K=%d L=%d", d, kl[0], kl[1])
+				checkHashing(t, "hyperplane "+name, hp, kl[0], kl[1], 58, data, cuts, queries, 1020,
+					[]Probe{{}, {Neg: true}, {Radius: 1}, {Radius: 1, Neg: true}})
+				checkHashing(t, "simple-alsh "+name, mustSimpleALSHFamily(t, d), kl[0], kl[1], 58, data, cuts, queries, 1020,
+					[]Probe{{Radius: 1}, {Radius: 1, Neg: true}})
+			}
+		}
+	}
+}
+
+// TestIndexHashOnPlane: a vector exactly on a hyperplane — a projection
+// of +0, or of −0 on the kernels that keep a zero's sign (d = 8 and 16
+// start from the bare product) — hashes as +0 on every path, data side
+// and query side, alone and in a batch.
+func TestIndexHashOnPlane(t *testing.T) {
+	for _, d := range []int{2, 5, 8, 16, 33} {
+		hp, _ := NewHyperplane(d)
+		const k, l = 3, 4
+		ix, _ := NewIndex(hp, k, l, 59)
+		var on []vec.Vector
+		for r := 0; r < k*l; r++ {
+			a := ix.planes.Row(r)
+			orth := make(vec.Vector, d)
+			orth[0], orth[1] = a[1], -a[0] // a₀a₁ − a₁a₀ is +0 exactly
+			on = append(on, orth, vec.Neg(orth), signedZeros(a, false), signedZeros(a, true))
+		}
+		for _, batch := range []int{1, 2, 3, 4, 5, len(on)} {
+			name := fmt.Sprintf("on-plane d=%d batch=%d", d, batch)
+			checkHashing(t, name, hp, k, l, 59, on[:batch], [][]int{nil, evenCuts(batch, 2)}, on, 3, []Probe{{}, {Neg: true}})
+		}
+		ref := newReference(hp, k, l, 59)
+		zeros := 0
+		for _, x := range on {
+			for r := 0; r < k*l; r++ {
+				if ix.planes.Dot(r, x) == 0 {
+					zeros++
+				}
+			}
+			if got, want := hashOne(ix, x, true), ref.keys(x, true); !slices.Equal(got, want) {
+				t.Fatalf("d=%d: %v alone hashed to %v, reference %v", d, x, got, want)
+			}
+		}
+		if zeros < len(on) {
+			t.Fatalf("d=%d: %d zero projections among %d on-plane vectors; the test checks nothing", d, zeros, len(on))
+		}
+	}
+}
+
+// FuzzIndexHash drives checkHashing over random shapes: dimension, K, L,
+// row count, where the build is split, how the queries probe.
+func FuzzIndexHash(f *testing.F) {
+	f.Add(uint64(1), uint8(32), uint8(8), uint8(16), uint16(300), uint16(256), true, true)
+	f.Add(uint64(2), uint8(3), uint8(1), uint8(3), uint16(5), uint16(1), false, false)
+	f.Add(uint64(3), uint8(16), uint8(2), uint8(3), uint16(513), uint16(257), false, true)
+	f.Fuzz(func(t *testing.T, seed uint64, d, k, l uint8, rows, split uint16, asym, neg bool) {
+		dim, K, L, n := int(d%70)+1, int(k%9)+1, int(l%17)+1, int(rows%700)+1
+		rng := xrand.New(seed)
+		var fam Family
+		if fam, _ = NewHyperplane(dim); asym {
+			fam = mustSimpleALSHFamily(t, dim)
+		}
+		data, queries := ballVecs(rng, n, dim), ballVecs(rng, 1+int(seed%6), dim)
+		data[int(seed>>8)%n] = make(vec.Vector, dim)
+		vec.Scale(queries[0], 3)
+		checkHashing(t, fmt.Sprintf("seed=%d d=%d K=%d L=%d asym=%v", seed, dim, K, L, asym), fam, K, L, seed,
+			data, [][]int{{int(split) % (n + 1)}}, queries, int(seed>>16)%5, []Probe{{Radius: 1, Neg: neg}})
+	})
 }
 
 func TestIndexProbesDuringExtend(t *testing.T) {
@@ -529,12 +767,37 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexExtend shows both terms of an extend's cost: hashing the
+// b new rows, and re-copying the n old rows' bucket entries in L tables.
 func BenchmarkIndexExtend(b *testing.B) {
-	ix, data, extra, _ := benchIndex(b)
-	ix.InsertAll(data)
-	b.ReportAllocs()
-	for b.Loop() {
-		benchSink += ix.Extend(extra).Len()
+	for _, n := range []int{1500, 24000} {
+		ix, _, _, _ := benchIndex(b)
+		ix.InsertAll(ballVecs(xrand.New(31), n, 32))
+		for _, rows := range []int{16, 1500} {
+			extra := ballVecs(xrand.New(32), rows, 32)
+			b.Run(fmt.Sprintf("n=%d/b=%d", n, rows), func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					benchSink += ix.Extend(extra).Len()
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkIndexHashQueries hashes one batch-search tile.
+func BenchmarkIndexHashQueries(b *testing.B) {
+	ix, _, _, queries := benchIndex(b)
+	qs, _ := flat.FromVectors(queries)
+	for _, neg := range []bool{false, true} {
+		b.Run(fmt.Sprintf("tile=32/neg=%v", neg), func(b *testing.B) {
+			var qk QueryKeys
+			b.ReportAllocs()
+			for b.Loop() {
+				ix.HashQueries(&qk, qs, 0, 32, Probe{Radius: 1, Neg: neg})
+				benchSink += len(qk.keys)
+			}
+		})
 	}
 }
 

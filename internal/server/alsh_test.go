@@ -368,6 +368,35 @@ func TestALSHUpsertsDoNotPinOldStores(t *testing.T) {
 	}
 }
 
+// TestALSHBatchAllocs: a warm alsh batch allocates what the family's
+// query map does — one mapped vector per probe per shard — plus a handful
+// per tile: candidate sets, accumulators, probe stores and hit lists all
+// come from pooled scratch, not one slice per query per shard.
+func TestALSHBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	const shards, nq, k = 4, 2 * searchTileQ, 10
+	s, users := benchServer(t, 2000, 16, shards, KindALSH)
+	queries := users[:nq]
+	for _, q := range queries {
+		vec.Normalize(q)
+	}
+	search := func() {
+		res, err := s.Search("bench", queries, k, true)
+		if err != nil || res[0].Err != nil || len(res[0].Hits) == 0 {
+			t.Fatalf("batch search: %v, %+v", err, res[0])
+		}
+	}
+	search()
+	const probes, tiles = 2 * nq * shards, nq / searchTileQ
+	if a := testing.AllocsPerRun(20, search); a > probes+16*tiles+16 {
+		t.Errorf("a warm %d-query unsigned batch on %d shards allocates %v times, want <= %d mapped probes + %d", nq, shards, a, probes, 16*tiles+16)
+	} else {
+		t.Logf("%v allocations: %d mapped probes + %v", a, probes, a-probes)
+	}
+}
+
 // indexBuildAttrs sends one traced write and returns the attributes of
 // its index_build span.
 func indexBuildAttrs(t *testing.T, ts *httptest.Server, method, path string, body any) map[string]int64 {
@@ -429,11 +458,14 @@ func TestIndexBuildStageAndSpan(t *testing.T) {
 	if a := indexBuild(http.MethodPut, "/collections/a", IngestRequest{Index: &IndexSpec{Kind: KindALSH}, Records: recs(0, 1, 2, 3)}); a["rebuild"] != 2 || a["extend"] != 0 {
 		t.Fatalf("first ingest index_build attrs = %v, want rebuild=2", a)
 	}
-	if a := indexBuild(http.MethodPut, "/collections/a", IngestRequest{Records: recs(4, 5)}); a["extend"] != 2 || a["rebuild"] != 0 {
-		t.Fatalf("second ingest index_build attrs = %v, want extend=2", a)
+	// An alsh extend hashes the batch but writes the touched shards' bucket
+	// tables afresh: rows_copied is their rows — 3 + 3, then the 4 of the
+	// shard the upsert lands in.
+	if a := indexBuild(http.MethodPut, "/collections/a", IngestRequest{Records: recs(4, 5)}); a["extend"] != 2 || a["rebuild"] != 0 || a["rows_copied"] != 6 {
+		t.Fatalf("second ingest index_build attrs = %v, want extend=2 rows_copied=6", a)
 	}
-	if a := indexBuild(http.MethodPost, "/collections/a/vectors", IngestRequest{Records: recs(2)}); a["extend"] != 1 || a["rebuild"] != 0 {
-		t.Fatalf("upsert index_build attrs = %v, want extend=1", a)
+	if a := indexBuild(http.MethodPost, "/collections/a/vectors", IngestRequest{Records: recs(2)}); a["extend"] != 1 || a["rebuild"] != 0 || a["rows_copied"] != 4 {
+		t.Fatalf("upsert index_build attrs = %v, want extend=1 rows_copied=4", a)
 	}
 	// An exact collection's store is its index: it grows with the store.
 	if a := indexBuild(http.MethodPut, "/collections/e", IngestRequest{Records: recs(0, 1)}); a["rebuild"] != 2 {
@@ -465,11 +497,12 @@ func TestIndexBuildStageAndSpan(t *testing.T) {
 	}
 }
 
-// TestALSHSearchDuringWrites: searches run against the previous
-// snapshot's banding index while the owner goroutines extend it, so a
-// hit must always pair an id with that id's score — record i is
-// ((i mod 97)+1)/100·e_{i mod d}, which the all-ones query scores at
-// exactly that scale whichever snapshot answers.
+// TestALSHSearchDuringWrites: searches — single ones, and batches hashed
+// a tile at a time — run against the previous snapshot's banding index
+// while the owner goroutines extend it, so a hit must always pair an id
+// with that id's score — record i is ((i mod 97)+1)/100·e_{i mod d},
+// which the all-ones query scores at exactly that scale whichever
+// snapshot answers.
 func TestALSHSearchDuringWrites(t *testing.T) {
 	const d, batches, batchSize, searchers = 8, 20, 40, 3
 	mkRec := func(i int) store.Record {
@@ -511,22 +544,28 @@ func TestALSHSearchDuringWrites(t *testing.T) {
 		}
 	}()
 	for w := 0; w < searchers; w++ {
+		queries := []vec.Vector{q}
+		for len(queries) < 1+w*(searchTileQ+1)/2 { // 1, 17 and 34 queries: no tile, one, two
+			queries = append(queries, vec.Scaled(q, 1/float64(len(queries))))
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				res, err := s.Search("c", []vec.Vector{q}, 20, true)
-				if err == nil {
-					err = res[0].Err
+				res, err := s.Search("c", queries, 20, true)
+				for i := 0; i < len(res) && err == nil; i++ {
+					err = res[i].Err
 				}
 				if err != nil {
 					t.Errorf("search: %v", err)
 					return
 				}
-				for _, h := range res[0].Hits {
-					if want := float64(h.ID%97+1) / 100; h.Score != want {
-						t.Errorf("hit id %d scored %v, want %v", h.ID, h.Score, want)
-						return
+				for i, r := range res {
+					for _, h := range r.Hits {
+						if want := float64(h.ID%97+1) / 100 * queries[i][0]; h.Score != want {
+							t.Errorf("query %d: hit id %d scored %v, want %v", i, h.ID, h.Score, want)
+							return
+						}
 					}
 				}
 			}

@@ -6,16 +6,18 @@ package server
 // and allocated cache keys, hit lists and sort closures per query.
 // Now a batch is tiled: cache misses are packed into one pooled
 // columnar query store, the pool fans out per query *tile*, and each
-// tile task sweeps every shard snapshot once through the
-// register-blocked multi-query kernels (flatIndex.topKMulti), translating,
-// sorting and k-way-merging through pooled scratch. Steady state does
-// O(tiles) small allocations per request instead of O(queries·shards).
+// tile task visits every shard snapshot once — sweeping it through the
+// register-blocked multi-query kernels (flatIndex.topKMulti), or probing
+// its alsh index with the tile hashed as one product against the planes
+// (alshIndex.topKMulti) — translating, sorting and k-way-merging through
+// pooled scratch. Steady state does O(tiles) small allocations per
+// request instead of O(queries·shards).
 //
 // Results are bit-identical to the per-query path: the tile scan is
 // bit-identical to the single-query scan (flat's contract), re-ranked
-// tiers re-rank identically, translation and canonical
-// per-shard ordering are shared with shard.topK, and the same k-way
-// merge combines the shard lists.
+// tiers re-rank identically, a single alsh search is the tile of one,
+// translation and canonical per-shard ordering are shared with
+// shard.topK, and the same k-way merge combines the shard lists.
 
 import (
 	"context"
@@ -61,6 +63,7 @@ func putBatchState(bs *batchState) {
 type tileScratch struct {
 	tile  flat.TileScratch
 	cands []flat.Hit // re-rank candidates of one query (flatIndex.topKMulti)
+	one   flat.Store // a single search as a tile of one (alshIndex.TopK)
 	lists [][]Hit    // per (shard, tile query) translated hit lists
 	trans []Hit      // arena backing lists
 	qerrs []error
@@ -244,42 +247,40 @@ func (s *Server) searchTile(ctx context.Context, c *Collection, name string, que
 
 	topts := TopKOpts{Unsigned: unsigned, Workers: 1, Rerank: opts.Rerank}
 	for si, snap := range snaps {
-		if ix, ok := snap.index.(*flatIndex); ok {
-			accs, err := ix.topKMulti(ctx, qst, tlo, thi, k, topts, &ts.tile, &ts.cands)
-			if err != nil {
-				for j := 0; j < tn; j++ {
-					if ts.qerrs[j] == nil {
-						ts.qerrs[j] = err
-					}
-				}
-				continue
-			}
-			for j := 0; j < tn; j++ {
-				local := accs[j].Hits()
-				base := len(ts.trans)
+		var accs []flat.Acc
+		var err error
+		switch ix := snap.index.(type) {
+		case *flatIndex:
+			accs, err = ix.topKMulti(ctx, qst, tlo, thi, k, topts, ts)
+		case *alshIndex:
+			accs, err = ix.topKMulti(ctx, qst, tlo, thi, k, topts, ts)
+		default:
+			// sketch (and the empty index) answers one query at a time,
+			// exactly like the single-query path at Workers 1.
+			accs = ts.tile.Accs(tn, k)
+			for j := 0; j < tn && err == nil; j++ {
+				var local []Hit
+				local, err = snap.index.TopK(ctx, vec.Vector(queries[valid[tlo+j]]), k, topts)
 				for _, h := range local {
-					ts.trans = append(ts.trans, Hit{ID: snap.ids[h.Index], Score: h.Score})
+					accs[j].Offer(h.ID, h.Score)
 				}
-				hs := ts.trans[base:]
-				sortHitsCanonical(hs)
-				ts.lists[si*tn+j] = hs
 			}
-			continue
 		}
-		// Engines without a columnar sweep (alsh, sketch) answer per
-		// query, exactly like the single-query path at Workers 1.
-		for j := 0; j < tn; j++ {
-			local, err := snap.index.TopK(ctx, vec.Vector(queries[valid[tlo+j]]), k, topts)
-			if err != nil {
+		if err != nil {
+			// A shard fails a tile whole — a deadline, a cancellation, a
+			// signed query on sketch: every query of the tile carries the
+			// error and none a partial answer.
+			for j := 0; j < tn; j++ {
 				if ts.qerrs[j] == nil {
 					ts.qerrs[j] = err
 				}
-				ts.lists[si*tn+j] = nil
-				continue
 			}
+			continue
+		}
+		for j := 0; j < tn; j++ {
 			base := len(ts.trans)
-			for _, h := range local {
-				ts.trans = append(ts.trans, Hit{ID: snap.ids[h.ID], Score: h.Score})
+			for _, h := range accs[j].Hits() {
+				ts.trans = append(ts.trans, Hit{ID: snap.ids[h.Index], Score: h.Score})
 			}
 			hs := ts.trans[base:]
 			sortHitsCanonical(hs)

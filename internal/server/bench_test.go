@@ -14,7 +14,7 @@ import (
 )
 
 // benchServer builds a populated server for the search benchmarks.
-func benchServer(b *testing.B, n, d, shards int, kind string) (*Server, []vec.Vector) {
+func benchServer(b testing.TB, n, d, shards int, kind string) (*Server, []vec.Vector) {
 	b.Helper()
 	rng := xrand.New(1)
 	lf := dataset.NewLatentFactor(rng, n, 256, d, 0.5)
@@ -45,14 +45,28 @@ func BenchmarkServerSearchSingle(b *testing.B) {
 }
 
 // BenchmarkServerSearchBatch measures a 256-query batched top-10
-// request (the worker-pool path); ns/op is per batch.
+// request (the worker-pool path); ns/op is per batch. The alsh cell is
+// the planted-alsh benchmark's batch beside BenchmarkServerJoin's
+// lsh-on-alsh: 64 unsigned unit-norm queries against 6 000 × 32
+// unit-ball rows on 4 shards.
 func BenchmarkServerSearchBatch(b *testing.B) {
-	for _, kind := range []string{KindExact, KindNormScan} {
+	for _, kind := range []string{KindExact, KindNormScan, KindALSH} {
 		b.Run("index="+kind, func(b *testing.B) {
-			s, users := benchServer(b, 20000, 16, 4, kind)
+			n, d, unsigned := 20000, 16, false
+			if kind == KindALSH {
+				n, d, unsigned = 6000, 32, true
+			}
+			s, users := benchServer(b, n, d, 4, kind)
+			if kind == KindALSH {
+				users = users[:64]
+				for _, u := range users {
+					vec.Normalize(u)
+				}
+			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Search("bench", users, 10, false); err != nil {
+				if _, err := s.Search("bench", users, 10, unsigned); err != nil {
 					b.Fatal(err)
 				}
 			}

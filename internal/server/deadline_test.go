@@ -15,8 +15,11 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/flat"
+	"repro/internal/lsh"
 	"repro/internal/store"
 	"repro/internal/trace"
+	"repro/internal/transform"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -139,6 +142,101 @@ func TestDeadlineMatrix(t *testing.T) {
 				t.Fatalf("timeouts counter = %d, want >= %d", got, 1+len(queries))
 			}
 		})
+	}
+}
+
+// TestALSHTileDeadline: what TestDeadlineMatrix cannot reach — the pool
+// stops feeding tiles to an expired context, so its alsh batch row never
+// enters alshIndex.topKMulti cancelled. Shard 1's index is rebuilt here
+// over a query map that counts the probes it is handed: an expired
+// context is refused before the tile is hashed; and a context cancelled
+// inside the second tile — as that shard finishes hashing it, shard 0
+// having answered it in full — gives every query of that tile the
+// context's error and no partial hits, leaves the tile before it
+// answered and cached, and puts nothing of the cancelled tile in the
+// cache.
+func TestALSHTileDeadline(t *testing.T) {
+	s := New(Config{DefaultShards: 2, CacheCapacity: 128, Workers: 1}) // one worker: tiles run in order
+	defer s.Close()
+	const d, k, tail = 16, 5, 8
+	queries := seedKind(t, s, "m", KindALSH, 400, d, searchTileQ+tail)
+	c, _ := s.Collection("m")
+
+	var hashed atomic.Int64
+	var onHash func(n int64)
+	tr, err := transform.NewSimple(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, _ := lsh.NewHyperplane(tr.OutputDim())
+	fam, err := lsh.NewAsymmetric("counting-simple", lsh.MapPair{Data: tr.Data, Query: func(q vec.Vector) vec.Vector {
+		if n := hashed.Add(1); onHash != nil {
+			onHash(n)
+		}
+		return tr.Query(q)
+	}}, inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	banding, err := lsh.NewIndex(fam, 8, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := c.shards[1]
+	snap := sh.snap.Load()
+	index, _ := (&alshIndex{ix: banding, u: 1}).extend(snap.fs)
+	sh.commit(&shardSnap{ids: snap.ids, fs: snap.fs, index: index}, false)
+
+	qs, err := flat.FromVectors(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := getTileScratch()
+	_, err = index.topKMulti(expiredCtx(), qs, 0, searchTileQ, k, TopKOpts{Unsigned: true}, ts)
+	putTileScratch(ts)
+	if !errors.Is(err, context.Canceled) || hashed.Load() != 0 {
+		t.Fatalf("expired tile: err = %v after hashing %d probes, want the context's error and none", err, hashed.Load())
+	}
+
+	// Unsigned: two probes a query. Cancel on the second tile's last one.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	onHash = func(n int64) {
+		if n == 2*(searchTileQ+tail) {
+			cancel()
+		}
+	}
+	res, err := s.SearchCtx(ctx, "m", queries, k, true)
+	if err != nil {
+		t.Fatalf("cancelled batch: top-level %v", err)
+	}
+	onHash = nil
+	for i, r := range res {
+		switch {
+		case i < searchTileQ && r.Err != nil:
+			t.Fatalf("query %d of the tile before the cancellation: %v", i, r.Err)
+		case i >= searchTileQ && (!errors.Is(r.Err, context.Canceled) || r.Hits != nil):
+			t.Fatalf("query %d of the cancelled tile: err = %v with %d hits, want the context's error and none", i, r.Err, len(r.Hits))
+		}
+	}
+	if got := hashed.Load(); got != 2*(searchTileQ+tail) {
+		t.Fatalf("shard 1 hashed %d probes, want %d: both tiles once", got, 2*(searchTileQ+tail))
+	}
+	waitPoolIdle(t, s)
+	again, err := s.Search("m", queries, k, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range again {
+		if r.Err != nil || r.Cached != (i < searchTileQ) {
+			t.Fatalf("query %d after the cancelled batch: err = %v, cached = %v", i, r.Err, r.Cached)
+		}
+		if i < searchTileQ && !reflect.DeepEqual(r.Hits, res[i].Hits) {
+			t.Fatalf("query %d: cached %v, computed %v", i, r.Hits, res[i].Hits)
+		}
+		if alone, err := c.SearchOne(context.Background(), nil, queries[i], k, true); err != nil || !reflect.DeepEqual(alone, r.Hits) {
+			t.Fatalf("query %d: batch %v, alone %v (%v)", i, r.Hits, alone, err)
+		}
 	}
 }
 
@@ -356,9 +454,15 @@ func TestHTTPDeadline504(t *testing.T) {
 // query re-run without a deadline must compute fresh, correct hits —
 // and only then become cache-served.
 func TestCancelledQueryDoesNotPoisonCache(t *testing.T) {
+	for _, kind := range []string{KindExact, KindALSH} {
+		t.Run(kind, func(t *testing.T) { testCancelledQueryDoesNotPoisonCache(t, kind) })
+	}
+}
+
+func testCancelledQueryDoesNotPoisonCache(t *testing.T, kind string) {
 	s := New(Config{DefaultShards: 2, CacheCapacity: 128})
 	defer s.Close()
-	queries := seedKind(t, s, "m", KindExact, 300, 8, 8)
+	queries := seedKind(t, s, "m", kind, 300, 8, 8)
 
 	// Cancelled single query: must error, must not cache.
 	res, err := s.SearchCtx(expiredCtx(), "m", queries[:1], 3, true)

@@ -212,12 +212,14 @@ func TestSingleShardParallelScanMatchesExact(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBatchSearchMatchesPerQuery pins the tiled batch executor to the
-// per-query path: for every index kind, a batch answer (multi-query
-// tile sweep over the shard snapshots) must be identical — hits,
-// ordering, scores, per-query errors — to issuing each query alone,
-// including wrong-dimension queries mixed into the batch and enough
-// queries to span several tiles.
+// TestBatchSearchMatchesPerQuery pins the batch executor to the
+// per-query path: for every index kind, signed and unsigned, a batch
+// answer (a tile swept or hashed at once over the shard snapshots) must
+// be identical — hits, ordering, scores, per-query errors — to issuing
+// each query alone, on a collection carrying tombstones (upserts and
+// deletes, no compaction), at batch widths on both sides of a tile and
+// of two, with queries inside and outside alsh's unit ball and
+// wrong-dimension queries mixed in.
 func TestBatchSearchMatchesPerQuery(t *testing.T) {
 	for _, kind := range []string{KindExact, KindNormScan, KindALSH, KindSketch} {
 		for _, shards := range []int{1, 4} {
@@ -233,44 +235,79 @@ func TestBatchSearchMatchesPerQuery(t *testing.T) {
 			for _, v := range data {
 				vec.Scale(v, 1/scale)
 			}
-			s := New(Config{DefaultShards: shards, CacheCapacity: -1})
+			s := New(Config{DefaultShards: shards, CacheCapacity: -1, CompactFraction: -1})
 			if _, _, err := s.Ingest("c", &IndexSpec{Kind: kind}, shards, records(data, 0)); err != nil {
 				t.Fatal(err)
 			}
-			unsigned := kind == KindSketch // sketch serves unsigned only
-			queries := make([]vec.Vector, 0, searchTileQ+20)
-			for i := 0; i < searchTileQ+17; i++ {
-				queries = append(queries, vec.Vector(rng.NormalVec(16)))
+			// Replace 40 rows and delete 30 more: every shard scans, or
+			// probes, past dead rows.
+			replaced := records(data[300:340], 0)
+			for i := range replaced {
+				replaced[i].ID = 3 * i
+			}
+			if _, _, err := s.Upsert("c", nil, 0, replaced); err != nil {
+				t.Fatal(err)
+			}
+			gone := make([]int, 30)
+			for i := range gone {
+				gone[i] = 5*i + 1
+			}
+			if _, _, _, err := s.Delete("c", gone); err != nil {
+				t.Fatal(err)
+			}
+			queries := make([]vec.Vector, 0, 2*searchTileQ+3)
+			for i := 0; i < 2*searchTileQ-2; i++ {
+				q := vec.Vector(rng.NormalVec(16)) // outside the ball, mostly
+				if i%3 == 0 {
+					vec.Scale(q, rng.Float64()/vec.Norm(q))
+				}
+				queries = append(queries, q)
 			}
 			queries = append(queries, vec.New(16))                  // all-ties query
 			queries = append(queries, data[7].Clone())              // exact-row query
 			queries = append(queries, vec.Vector(rng.NormalVec(9))) // wrong dimension
-			batch, err := s.Search("c", queries, 5, unsigned)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, q := range queries {
-				single, err := s.Search("c", []vec.Vector{q}, 5, unsigned)
-				if err != nil {
-					t.Fatal(err)
+			for _, unsigned := range []bool{false, true} {
+				if kind == KindSketch && !unsigned {
+					continue // sketch serves unsigned only
 				}
-				ctx := fmt.Sprintf("kind=%s shards=%d query=%d", kind, shards, i)
-				if (batch[i].Err == nil) != (single[0].Err == nil) {
-					t.Fatalf("%s: batch err %v, single err %v", ctx, batch[i].Err, single[0].Err)
-				}
-				if batch[i].Err != nil {
-					if batch[i].Err.Error() != single[0].Err.Error() {
-						t.Fatalf("%s: batch err %q, single err %q", ctx, batch[i].Err, single[0].Err)
+				single := make([]SearchResult, len(queries))
+				found := 0
+				for i, q := range queries {
+					res, err := s.Search("c", []vec.Vector{q}, 5, unsigned)
+					if err != nil {
+						t.Fatal(err)
 					}
-					continue
+					single[i] = res[0]
+					found += len(res[0].Hits)
 				}
-				if len(batch[i].Hits) != len(single[0].Hits) {
-					t.Fatalf("%s: batch %v != single %v", ctx, batch[i].Hits, single[0].Hits)
+				if found < len(queries)/2 {
+					t.Fatalf("kind=%s shards=%d unsigned=%v: %d hits over %d queries; the test compares next to nothing", kind, shards, unsigned, found, len(queries))
 				}
-				for r := range single[0].Hits {
-					if batch[i].Hits[r] != single[0].Hits[r] {
-						t.Fatalf("%s rank %d: batch %v != single %v (must be bit-identical)",
-							ctx, r, batch[i].Hits, single[0].Hits)
+				for _, width := range []int{1, searchTileQ - 1, searchTileQ, searchTileQ + 1, 2 * searchTileQ, len(queries)} {
+					batch, err := s.Search("c", queries[:width], 5, unsigned)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range batch {
+						ctx := fmt.Sprintf("kind=%s shards=%d unsigned=%v width=%d query=%d", kind, shards, unsigned, width, i)
+						if (batch[i].Err == nil) != (single[i].Err == nil) {
+							t.Fatalf("%s: batch err %v, single err %v", ctx, batch[i].Err, single[i].Err)
+						}
+						if batch[i].Err != nil {
+							if batch[i].Err.Error() != single[i].Err.Error() {
+								t.Fatalf("%s: batch err %q, single err %q", ctx, batch[i].Err, single[i].Err)
+							}
+							continue
+						}
+						if len(batch[i].Hits) != len(single[i].Hits) {
+							t.Fatalf("%s: batch %v != single %v", ctx, batch[i].Hits, single[i].Hits)
+						}
+						for r := range single[i].Hits {
+							if batch[i].Hits[r] != single[i].Hits[r] {
+								t.Fatalf("%s rank %d: batch %v != single %v (must be bit-identical)",
+									ctx, r, batch[i].Hits, single[i].Hits)
+							}
+						}
 					}
 				}
 			}

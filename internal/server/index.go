@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/flat"
+	"repro/internal/join"
 	"repro/internal/lsh"
 	"repro/internal/sketch"
 	"repro/internal/transform"
@@ -372,21 +373,20 @@ func (ix *flatIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) 
 // returned accumulators (owned by sc) hold each query's top-k hits —
 // local row indices, canonical order — bit-identical to TopK per query
 // with Workers 1. On the f64 views the whole tile shares one sweep of
-// the rows through the register-blocked multi-query kernel; cands is
-// scratch for re-ranked tiers.
-func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, sc *flat.TileScratch, cands *[]flat.Hit) ([]flat.Acc, error) {
+// the rows through the register-blocked multi-query kernel.
+func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, ts *tileScratch) ([]flat.Acc, error) {
 	fetch, rerank := ix.fetchK(k, o.Rerank)
-	accs := sc.Accs(qhi-qlo, fetch)
-	if err := ix.view.ScanMulti(ctx, qs, qlo, qhi, accs, sc, flat.ScanOpts{Unsigned: o.Unsigned, Dead: ix.dead}); err != nil {
+	accs := ts.tile.Accs(qhi-qlo, fetch)
+	if err := ix.view.ScanMulti(ctx, qs, qlo, qhi, accs, &ts.tile, flat.ScanOpts{Unsigned: o.Unsigned, Dead: ix.dead}); err != nil {
 		return nil, err
 	}
 	if !rerank {
 		return accs, nil
 	}
 	for j := range accs {
-		*cands = append((*cands)[:0], accs[j].Hits()...)
+		ts.cands = append(ts.cands[:0], accs[j].Hits()...)
 		accs[j].Reset(k)
-		if err := ix.rerankInto(&accs[j], qs.Row(qlo+j), *cands, o.Unsigned); err != nil {
+		if err := ix.rerankInto(&accs[j], qs.Row(qlo+j), ts.cands, o.Unsigned); err != nil {
 			return nil, err
 		}
 	}
@@ -461,40 +461,49 @@ func newALSHIndex(spec IndexSpec, fs *flat.Store, shardSeed uint64) (*alshIndex,
 	if err != nil {
 		return nil, err
 	}
-	return (&alshIndex{ix: ix, u: u}).extend(fs), nil
+	index, _ := (&alshIndex{ix: ix, u: u}).extend(fs)
+	return index, nil
 }
 
 // extend returns the unmasked index over fs, an append-only store whose
-// leading rows must be exactly the rows ix indexes: only the rows the
-// banding index has not seen are hashed, and the hash functions (spec
-// and shard seed) carry over with it. ix is untouched and keeps
-// serving.
-func (ix *alshIndex) extend(fs *flat.Store) *alshIndex {
+// leading rows must be exactly the rows ix indexes, and how many rows'
+// bucket entries it wrote: only the rows the banding index has not seen
+// are hashed, and the hash functions (spec and shard seed) carry over
+// with it, but lsh.Index.Extend writes every table afresh — all fs.Len()
+// rows, whatever the batch. ix is untouched and keeps serving.
+func (ix *alshIndex) extend(fs *flat.Store) (*alshIndex, int) {
 	rows := make([]vec.Vector, fs.Len()-ix.ix.Len())
 	for i := range rows {
 		rows[i] = fs.Row(ix.ix.Len() + i)
 	}
-	return &alshIndex{fs: fs, ix: ix.ix.Extend(rows), u: ix.u}
+	return &alshIndex{fs: fs, ix: ix.ix.Extend(rows), u: ix.u}, fs.Len()
 }
 
+// topKMulti answers query rows [qlo, qhi) of qs in one call, like
+// flatIndex.topKMulti, through the lsh join's tile loop: the tile is
+// hashed as one product against the index's planes, then each query's
+// buckets are looked up and its candidates verified through the store,
+// ctx polled throughout. A query outside the U-ball is hashed scaled
+// inside it and scored raw; unsigned probes −q too, the paper's reduction.
+func (ix *alshIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, ts *tileScratch) ([]flat.Acc, error) {
+	accs := ts.tile.Accs(qhi-qlo, k)
+	e := join.LSH{Index: ix.ix, Radius: ix.u}
+	return accs, e.TopKTile(ctx, ix.fs, qs, qlo, qhi, accs, ix.dead, o.Unsigned)
+}
+
+// TopK is topKMulti for the tile of one query.
 func (ix *alshIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error) {
-	if len(q) != ix.fs.Dim() {
+	ts := getTileScratch()
+	defer putTileScratch(ts)
+	_ = ts.one.ResetDim(ix.fs.Dim())
+	if err := ts.one.Append(q); err != nil {
 		return nil, fmt.Errorf("server: query dimension %d, index has %d", len(q), ix.fs.Dim())
 	}
-	// Candidate scoring is cheap per row but the candidate set is
-	// unbounded: poll the deadline at entry, and OfferRows does through
-	// the verification loop (a nil Done keeps it poll-free).
-	if err := ctx.Err(); err != nil {
+	accs, err := ix.topKMulti(ctx, &ts.one, 0, 1, k, o, ts)
+	if err != nil {
 		return nil, err
 	}
-	// A query outside the U-ball is hashed scaled inside it and scored
-	// raw; unsigned probes −q too, the paper's reduction.
-	cands := ix.ix.AppendCandidates(nil, q, lsh.Probe{Radius: ix.u, Neg: o.Unsigned})
-	acc := flat.NewAcc(k)
-	if _, stopped := ix.fs.OfferRows(ctx.Done(), &acc, q, cands, ix.dead, o.Unsigned); stopped {
-		return nil, ctx.Err()
-	}
-	return flatHits(acc.Hits()), nil
+	return flatHits(accs[0].Hits()), nil
 }
 
 func (ix *alshIndex) withDead(dead *flat.Tombstones) ShardIndex {

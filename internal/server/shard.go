@@ -205,7 +205,7 @@ func (s *shard) nextIndex(spec IndexSpec, old *shardSnap, nfs *flat.Store, dead 
 			index, copied = next, max(copied, tierCopied)
 		}
 	case *alshIndex:
-		index = prev.extend(nfs)
+		index, copied = prev.extend(nfs)
 	}
 	how := "extend"
 	if index == nil {

@@ -24,12 +24,14 @@ import (
 const flatChunkRows = 1024
 
 // TestWriteCopiesOnlyTheBatch pins what each index kind pays per write,
-// as the index_build span reports it: every kind but sketch copies the
-// batch plus at most one chunk of each touched shard — the open chunk,
-// or a normscan shard's tail run — whatever the collection holds. The
+// as the index_build span reports it: exact and normscan copy the batch
+// plus at most one chunk of each touched shard — the open chunk, or a
+// normscan shard's tail run — whatever the collection holds. The
 // exceptions: a normscan shard on the write that brings the rows
-// appended since its last sort to a chunk, which re-sorts it whole, and
-// an int8 batch that raises the quantization scale.
+// appended since its last sort to a chunk, which re-sorts it whole; an
+// int8 batch that raises the quantization scale; and alsh, which hashes
+// only the batch but writes every bucket table of a touched shard afresh
+// — an extend whose rows_copied is the shard, and says so.
 func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 	const shards = 2
 	s := New(Config{DefaultShards: shards, Tracing: true})
@@ -66,27 +68,34 @@ func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 		// contract: a shard rebuilds on exactly the write that brings this
 		// to a chunk, and extends on every other.
 		var unsorted [shards]int
+		// held[si]: the rows shard si holds, dead ones included — what an
+		// alsh extend re-writes the bucket entries of.
+		held := [shards]int{n / shards, n / shards}
 		const limit = batch + shards*flatChunkRows
 		write := func(method, path string, rs []RecordJSON) {
 			t.Helper()
-			var extend, rebuild int64
+			var extend, rebuild, rewritten int64
 			var touched [shards]int
 			for _, r := range rs {
 				touched[*r.ID%shards]++
 			}
 			for si, rows := range touched {
+				held[si] += rows
 				switch unsorted[si] += rows; {
 				case rows == 0:
 				case spec.Kind == KindNormScan && unsorted[si] >= flatChunkRows:
 					rebuild, unsorted[si] = rebuild+1, 0
 				default:
-					extend++
+					extend, rewritten = extend+1, rewritten+int64(held[si])
 				}
 			}
 			a := indexBuildAttrs(t, ts, method, path, IngestRequest{Records: rs})
-			if a["extend"] != extend || a["rebuild"] != rebuild || (rebuild == 0 && a["rows_copied"] > limit) {
+			if a["extend"] != extend || a["rebuild"] != rebuild || (rebuild == 0 && a["rows_copied"] > limit && spec.Kind != KindALSH) {
 				t.Fatalf("%s %s of ids %d..: index_build attrs %v, want extend=%d rebuild=%d and, between rebuilds, rows_copied <= %d",
 					tc.name, method, *rs[0].ID, a, extend, rebuild, limit)
+			}
+			if spec.Kind == KindALSH && a["rows_copied"] != rewritten {
+				t.Fatalf("alsh %s of ids %d..: index_build attrs %v, want rows_copied = %d, the touched shards' rows", method, *rs[0].ID, a, rewritten)
 			}
 		}
 		write(http.MethodPut, path, recs(n, n+batch, 0.5))
@@ -105,10 +114,14 @@ func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 }
 
 // TestUpsertAllocationIsBatchSized: what a fixed-size upsert allocates
-// must not grow with the collection it lands in — on normscan too,
-// between two merges of its tail run: ingested in one batch, a shard is
-// all base run, and the 41 upserts of 16 rows each stay under the chunk
-// that triggers the next merge.
+// must not grow with the collection it lands in — on the exact and
+// normscan kinds, which are the two it covers: on normscan between two
+// merges of its tail run (ingested in one batch, a shard is all base
+// run, and the 41 upserts of 16 rows each stay under the chunk that
+// triggers the next merge). An alsh upsert is not batch-sized — it
+// allocates every bucket table of a touched shard afresh, L ids a row
+// (TestWriteCopiesOnlyTheBatch pins that it says so) — and sketch
+// rebuilds.
 func TestUpsertAllocationIsBatchSized(t *testing.T) {
 	for _, kind := range []string{KindExact, KindNormScan} {
 		t.Run(kind, func(t *testing.T) { testUpsertAllocationIsBatchSized(t, kind) })
