@@ -11,8 +11,8 @@ import (
 
 // BenchmarkFlatDotBatch measures the blocked columnar kernel: one full
 // DotBatch over n rows per iteration (report ns/op ÷ n for per-row
-// cost). d=16 exercises the specialized row-pair kernel, d=24 the
-// generic 4-way unrolled loop.
+// cost). d=16 runs dotRange16, the fixed-dimension row-pair kernel
+// small-hot serves, d=24 dotRangeGeneric, which every other d runs.
 func BenchmarkFlatDotBatch(b *testing.B) {
 	for _, d := range []int{16, 24} {
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
@@ -99,9 +99,10 @@ func BenchmarkFlatNormSortedExtend(b *testing.B) {
 // BenchmarkFlatDotTile measures the multi-query tile kernel against
 // repeated single-query sweeps: one iteration scores 8 queries over
 // the full store (ns/op ÷ 8 is the per-query sweep cost; compare with
-// BenchmarkFlatDotBatch). d=16/d=8 exercise the fixed-dimension AVX2
-// micro-kernels when present, d=24/32/64 the any-dimension one (32 and
-// 64 are the benchmark workloads' dimensions).
+// BenchmarkFlatDotBatch). With AVX2, d=16 runs dotTile16x4, the one
+// fixed-dimension micro-kernel (small-hot serves d=16), and d=8/24/32/64
+// dotTile4, the any-dimension one (32 and 64 are the benchmark
+// workloads' dimensions; d=8 is its two-chunk row).
 func BenchmarkFlatDotTile(b *testing.B) {
 	for _, d := range []int{8, 16, 24, 32, 64} {
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {

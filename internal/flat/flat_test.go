@@ -104,7 +104,7 @@ func TestCloneIsIndependent(t *testing.T) {
 }
 
 // TestDotBatchMatchesVecDot pins the bit-identity contract: every
-// kernel path (generic, d=8, d=16 row-pair) must reproduce vec.Dot
+// kernel path (generic, d=16 row-pair) must reproduce vec.Dot's bits
 // exactly, because the serving layer's equivalence guarantees are built
 // on it.
 func TestDotBatchMatchesVecDot(t *testing.T) {
@@ -122,7 +122,7 @@ func TestDotBatchMatchesVecDot(t *testing.T) {
 				t.Fatalf("d=%d n=%d: DotBatch: %v", d, n, err)
 			}
 			for i := range vs {
-				if want := vec.Dot(vs[i], q); out[i] != want {
+				if want := vec.Dot(vs[i], q); math.Float64bits(out[i]) != math.Float64bits(want) {
 					t.Fatalf("d=%d n=%d row %d: DotBatch=%v, vec.Dot=%v (must be bit-identical)",
 						d, n, i, out[i], want)
 				}

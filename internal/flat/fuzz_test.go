@@ -8,11 +8,11 @@ import (
 	"repro/internal/vec"
 )
 
-// FuzzDotBatch drives the blocked columnar kernel (including the d=8
-// and d=16 specializations and the row-pair tail) against a naive
-// per-element reference, with the corpus bytes decoded as (d, row data,
-// query). The kernel must agree with compensated-naive summation to a
-// relative 1e-9 and must agree with vec.Dot exactly.
+// FuzzDotBatch drives the blocked columnar kernel (including the d=16
+// specialization and its row-pair tail) against a naive per-element
+// reference, with the corpus bytes decoded as (d, row data, query). The
+// kernel must agree with compensated-naive summation to a relative 1e-9
+// and must have vec.Dot's bits exactly (sameScoreBits).
 func FuzzDotBatch(f *testing.F) {
 	mk := func(d byte, vals ...float64) []byte {
 		b := []byte{d}
@@ -66,8 +66,8 @@ func FuzzDotBatch(f *testing.F) {
 		}
 		for i := range vs {
 			// Exact agreement with the shared scalar kernel.
-			if want := vec.Dot(vs[i], q); out[i] != want && !(math.IsNaN(out[i]) && math.IsNaN(want)) {
-				t.Fatalf("row %d: DotBatch=%g vec.Dot=%g", i, out[i], want)
+			if want := vec.Dot(vs[i], q); !sameScoreBits(out[i], want) {
+				t.Fatalf("row %d: DotBatch=%g (%#x) vec.Dot=%g (%#x)", i, out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
 			}
 			// Tolerance agreement with a naive left-to-right sum.
 			var naive, scale float64
@@ -96,12 +96,12 @@ func FuzzDotBatch(f *testing.F) {
 	})
 }
 
-// FuzzDotTile drives the multi-query tile kernels (the AVX2 d=8/d=16
-// and any-dimension micro-kernels when available, plus the pure-Go pair
-// kernels) against the single-query kernel: every cell of the tile must
-// match DotRange bit for bit, and TopKMulti must agree with per-query
-// TopK. Corpus bytes decode as (d-1, nq-1, queries, row data), d up to
-// 72 and nq up to 9.
+// FuzzDotTile drives the multi-query tile kernels (the AVX2 d=16 and
+// any-dimension micro-kernels when available, plus the pure-Go pair
+// kernel) and the single-query kernel against vec.DotKernel: every cell
+// of the tile and every DotRange score must have its bits (checkTile),
+// and TopKMulti must agree with per-query TopK. Corpus bytes decode as
+// (d-1, nq-1, queries, row data), d up to 72 and nq up to 9.
 func FuzzDotTile(f *testing.F) {
 	mk := func(d, nq int, vals ...float64) []byte {
 		b := []byte{byte(d - 1), byte(nq - 1)}
@@ -255,7 +255,8 @@ func FuzzDotI8Range(f *testing.F) {
 
 // FuzzDot32Range is the float32 twin: raw bytes are float32 bit patterns
 // (NaNs of any payload, infinities, subnormals and signed zeros
-// included) for rows and query alike.
+// included) for rows and query alike. With the asm off, Store32.dotRange
+// is dot32RangeGeneric at every d: the one reference.
 func FuzzDot32Range(f *testing.F) {
 	seed := []byte{0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 128, 127, 1, 0, 192, 255, 219, 15, 73, 192, 1, 0, 0, 0, 7}
 	for _, d := range []uint16{8, 9, 15, 16, 17, 24, 33, 100} {

@@ -35,6 +35,7 @@ func guardedPage(t *testing.T) []byte {
 // ends flush against an unreadable page, at dimensions where the int8
 // kernel's padded last chunk (16 ∤ d) and the f32 kernel's element tail
 // (8 ∤ d) run up to the row's end: a load past the last row faults.
+// d = 8 and 16 run the same two any-dimension kernels as the rest.
 func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 	if !useQuantAsm {
 		t.Skip("no asm kernels on this machine")
@@ -62,7 +63,7 @@ func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 // micro-kernels: the data rows and the 4-query block each end flush
 // against an unreadable page, at dimensions with every element-tail
 // length (4 ∤ d) and at row counts whose odd ones end on the
-// trailing-row path.
+// trailing-row path: dotTile16x4 at d = 16, dotTile4 at every other d.
 func TestTileKernelsStayInsideAllocation(t *testing.T) {
 	if !useDotTileAsm {
 		t.Skip("no asm kernels on this machine")

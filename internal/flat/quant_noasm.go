@@ -6,16 +6,8 @@ package flat
 // kernels (same accumulation chains, same results).
 var useQuantAsm = false
 
-func dot32Range16(p, q []float32, out []float64) { panic("flat: dot32Range16 asm unavailable") }
-
-func dot32Range8(p, q []float32, out []float64) { panic("flat: dot32Range8 asm unavailable") }
-
 func dot32Range(p []float32, d int, q []float32, out []float64) {
 	panic("flat: dot32Range asm unavailable")
-}
-
-func dotI8Range16(p []int8, q []int16, combined float64, out []float64) {
-	panic("flat: dotI8Range16 asm unavailable")
 }
 
 func dotI8Range(p []int8, d int, q []int16, combined float64, out []float64) {

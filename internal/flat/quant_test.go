@@ -136,9 +136,8 @@ func quantGridQueries(rng *xrand.RNG, d int) []vec.Vector {
 // pattern, or NaN on both sides. Which sign and payload the sum of two
 // different NaNs keeps (0·Inf meeting a query's NaN) is the first
 // operand's on x86, and which operand comes first in the Go kernels is
-// the register allocator's choice, not the source's — the d=8/16 twins
-// never agreed there either. Acc.Offer rejects every NaN score, so
-// those bits never leave the scan.
+// the register allocator's choice, not the source's. Acc.Offer rejects
+// every NaN score, so those bits never leave the scan.
 func sameScoreBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
@@ -184,10 +183,10 @@ func runQuantAsmGrid(t *testing.T, seed uint64, build func(fs *Store) func(q vec
 	}
 }
 
-// TestStore32AsmMatchesGo proves the AVX2 f32 kernels and the pure-Go
-// chains produce bit-identical widened scores at every dimension: the
-// d=8/16 kernels against their unrolled twins, the any-d kernel against
-// dot32RangeGeneric (and d < 8, which stays on the Go kernel).
+// TestStore32AsmMatchesGo proves the AVX2 f32 kernel and the pure-Go
+// chain produce bit-identical widened scores at every dimension: with
+// the asm off Store32.dotRange is dot32RangeGeneric, the one reference,
+// at every d (and d < 8 stays on it with the asm on).
 func TestStore32AsmMatchesGo(t *testing.T) {
 	runQuantAsmGrid(t, 7, func(fs *Store) func(vec.Vector, int, int, []float64) error {
 		return NewStore32(fs).DotRange

@@ -19,20 +19,22 @@ import (
 // The scan grid: every way of calling View.Scan and View.ScanMulti —
 // kernel × row order × tombstone shape × workers × signed/unsigned ×
 // context × store size — checked against references that share nothing
-// with the drivers: the tier's own DotRange scores ranked by a full
-// sort (topKFromScores), and for f64 the scalar-kernel accumulator scan
+// with the drivers: store-order scores ranked by a full sort
+// (topKFromScores) — vec.DotKernel's for f64, the tier's own DotRange
+// otherwise — and for f64 the scalar-kernel accumulator scan
 // (naiveTopKMasked) and the over-fetch-then-filter strawman
-// (scoreThenFilter). The tests below each run one slice of it.
+// (scoreThenFilter). Hits are compared down to their score bits
+// (hitBitsEqual). The tests below each run one slice of it.
 
 // gridNs are the store sizes: the edges of a row block (256), a storage
 // chunk (1024) and the per-worker minimum (4096), and one size that
 // actually splits across workers.
 var gridNs = []int{1, 255, 256, 257, 1023, 1024, 1025, 4097, 9000}
 
-// gridDims cycles over the row counts: the dimensions with their own
-// kernels (16, 8), one below every SIMD chunk (7, all Go), and two the
-// any-dimension quantized kernels serve — whole chunks (32) and a
-// padded int8 tail (40).
+// gridDims cycles over the row counts: the one dimension with its own
+// f64 kernels (16), one below every SIMD chunk (7, all Go), one f32
+// chunk (8), and two the any-dimension quantized kernels serve — whole
+// chunks (32) and a padded int8 tail (40).
 var gridDims = []int{16, 7, 8, 32, 40}
 
 var gridDead = []string{"nil", "empty", "random25", "block", "all"}
@@ -50,18 +52,30 @@ var allCtx = []gridCtx{ctxBackground, ctxLive, ctxCancelled, ctxMidScan}
 
 // gridView names one kernel × order combination and builds it over an
 // f64 store, together with the tier's store-order scores — the
-// reference's input, straight from the exported kernel entry point.
+// reference's input: vec.DotKernel on each row for f64, the exported
+// kernel entry point for the quantized tiers.
 type gridView struct {
 	name  string
 	build func(fs *Store) (View, func(q vec.Vector, out []float64) error)
 }
 
+// dotKernelScores scores every row of fs with vec.DotKernel, the chain
+// every f64 kernel must reproduce bit for bit.
+func dotKernelScores(fs *Store) func(vec.Vector, []float64) error {
+	return func(q vec.Vector, out []float64) error {
+		for i := range out {
+			out[i] = vec.DotKernel(fs.Row(i), q)
+		}
+		return nil
+	}
+}
+
 var gridViews = []gridView{
 	{"f64/row", func(fs *Store) (View, func(vec.Vector, []float64) error) {
-		return fs.View(), fs.DotBatch
+		return fs.View(), dotKernelScores(fs)
 	}},
 	{"f64/sorted", func(fs *Store) (View, func(vec.Vector, []float64) error) {
-		return NewNormSorted(fs).View, fs.DotBatch
+		return NewNormSorted(fs).View, dotKernelScores(fs)
 	}},
 	{"f32/row", func(fs *Store) (View, func(vec.Vector, []float64) error) {
 		s := NewStore32(fs)
@@ -74,7 +88,7 @@ var gridViews = []gridView{
 	// The norm-sorted views as a write leaves them: a base run and a tail
 	// run (the last third of the rows, a chunk at most), extended twice.
 	{"f64/sorted+tail", func(fs *Store) (View, func(vec.Vector, []float64) error) {
-		return withTail(fs, func(p *Store) View { return NewNormSorted(p).View }), fs.DotBatch
+		return withTail(fs, func(p *Store) View { return NewNormSorted(p).View }), dotKernelScores(fs)
 	}},
 	{"f32/sorted+tail", func(fs *Store) (View, func(vec.Vector, []float64) error) {
 		s := NewStore32(fs)
@@ -378,11 +392,11 @@ func runScanGrid(t *testing.T, views []gridView, ctxs []gridCtx) {
 						cell := fmt.Sprintf("%s n=%d d=%d dead=%s q=%d k=%d unsigned=%v", gv.name, n, d, shape, qi, k, unsigned)
 						want := refTopK(scores, orig, k, unsigned)
 						if f64 {
-							if naive := naiveTopKMasked(fs, q, k, unsigned, orig); !hitsEqual(naive, want) {
+							if naive := naiveTopKMasked(fs, q, k, unsigned, orig); !hitBitsEqual(naive, want) {
 								t.Fatalf("%s: references disagree: %v vs %v", cell, naive, want)
 							}
 							if !unsigned && qi < 2 && orig.Count() < n {
-								if stf := scoreThenFilter(fs, q, k, orig); !hitsEqual(stf, want) {
+								if stf := scoreThenFilter(fs, q, k, orig); !hitBitsEqual(stf, want) {
 									t.Fatalf("%s: score-then-filter %v, want %v", cell, stf, want)
 								}
 							}
@@ -441,7 +455,7 @@ func checkScanCell(t *testing.T, cell string, v View, q vec.Vector, o ScanOpts, 
 	if err != nil {
 		t.Fatalf("%s: %v", cell, err)
 	}
-	if !hitsEqual(got, want) {
+	if !hitBitsEqual(got, want) {
 		t.Fatalf("%s: hits %v, want %v", cell, got, want)
 	}
 	if !v.Sorted() {
@@ -512,7 +526,7 @@ func runScanMultiGrid(t *testing.T, views []gridView, ctxs []gridCtx) {
 							t.Fatalf("%s: %v", cell, err)
 						default:
 							for j := range queries {
-								if !hitsEqual(accs[j].Hits(), want[j]) {
+								if !hitBitsEqual(accs[j].Hits(), want[j]) {
 									t.Fatalf("%s query %d: multi %v, single %v", cell, j, accs[j].Hits(), want[j])
 								}
 								if sc.Scanned()[j] != wantScanned[j] {
@@ -719,7 +733,7 @@ func hitsAbove(hs []Hit, floor float64) []Hit {
 	return hs
 }
 
-// hitBitsEqual is hitsEqual down to the sign of a zero score.
+// hitBitsEqual is hitsEqual with the scores compared by Float64bits.
 func hitBitsEqual(a, b []Hit) bool {
 	if len(a) != len(b) {
 		return false

@@ -3,16 +3,15 @@
 // the rows per cache line; scores are computed in float32 (widened to
 // float64 only at the block-buffer boundary, where the shared scan
 // drivers take over). Every dimension of at least one YMM register of
-// floats runs an AVX2 kernel from quant_amd64.s (quantSIMD) at twice
-// the lanes of the f64 tile kernels: d = 8 and d = 16 their own, every
-// other d the any-dimension one. Float addition is not associative, so
-// — unlike the int8 tier — each kernel has an ordering contract: the
-// pure-Go kernels below spell out the accumulation chain their AVX2
+// floats runs dot32Range, the AVX2 kernel from quant_amd64.s
+// (quantSIMD), at twice the lanes of the f64 tile kernels; no dimension
+// has a kernel of its own (at d = 8 and 16 the any-d kernel is the
+// faster one, see quant_amd64.s). Float addition is not associative,
+// so — unlike the int8 tier — the kernel has an ordering contract:
+// dot32RangeGeneric below spells out the accumulation chain its AVX2
 // twin computes, float32 arithmetic in Go is exact IEEE binary32, so
 // the two are bit-identical and the dispatch gate (useQuantAsm) is free
-// to differ across machines without changing answers. (The d = 8/16
-// chains start from their first product, the any-d chain from zero;
-// they differ in the sign of a zero score, which is why both stay.)
+// to differ across machines without changing answers.
 //
 // Scores are f32-accurate, not exact: callers that need the f64
 // ordering re-rank a widened candidate set through the retained f64
@@ -187,24 +186,15 @@ const f32Chunk = 8
 // one YMM register of float32) is fixed across implementations: lane l
 // holds Σ row[j]·q[j] over j ≡ l (mod 8), lanes fold as
 // t_i = s_i + s_{i+4}, and the result widens (t0+t1)+(t2+t3) to
-// float64. The AVX2 kernels reproduce exactly this chain
+// float64. The AVX2 kernel reproduces exactly this chain
 // (VMULPS/VADDPS, VEXTRACTF128+VADDPS, a VHADDPS pair, one widening).
 func (s *Store32) dotRange(qf []float32, lo, hi int, out []float64) {
 	d, simd := s.dim, quantSIMD(s.dim, f32Chunk)
 	for lo < hi {
 		data, l, h := s.data.span(lo, hi)
-		switch {
-		case d == 16 && simd:
-			dot32Range16(data[l*16:h*16], qf, out[:h-l])
-		case d == 16:
-			dot32Range16Go(data, qf, l, h, out)
-		case d == 8 && simd:
-			dot32Range8(data[l*8:h*8], qf, out[:h-l])
-		case d == 8:
-			dot32Range8Go(data, qf, l, h, out)
-		case simd:
+		if simd {
 			dot32Range(data[l*d:h*d], d, qf, out[:h-l])
-		default:
+		} else {
 			dot32RangeGeneric(data, d, qf, l, h, out)
 		}
 		out = out[h-l:]
@@ -212,48 +202,10 @@ func (s *Store32) dotRange(qf []float32, lo, hi int, out []float64) {
 	}
 }
 
-// dot32Range16Go is the d=16 float32 kernel: a complete unroll with
-// eight independent accumulator lanes, each summing its two strided
-// elements without an initial zero add — exactly the chain the AVX2
-// twin computes, so the two are bit-identical (including signed zeros).
-func dot32Range16Go(data, q []float32, lo, hi int, out []float64) {
-	q = q[:16:16]
-	for r := lo; r < hi; r++ {
-		row := data[r*16 : r*16+16 : r*16+16]
-		s0 := row[0]*q[0] + row[8]*q[8]
-		s1 := row[1]*q[1] + row[9]*q[9]
-		s2 := row[2]*q[2] + row[10]*q[10]
-		s3 := row[3]*q[3] + row[11]*q[11]
-		s4 := row[4]*q[4] + row[12]*q[12]
-		s5 := row[5]*q[5] + row[13]*q[13]
-		s6 := row[6]*q[6] + row[14]*q[14]
-		s7 := row[7]*q[7] + row[15]*q[15]
-		t0 := s0 + s4
-		t1 := s1 + s5
-		t2 := s2 + s6
-		t3 := s3 + s7
-		out[r-lo] = float64((t0 + t1) + (t2 + t3))
-	}
-}
-
-// dot32Range8Go is the d=8 specialization: one product per lane, the
-// shared 8→4→1 reduction.
-func dot32Range8Go(data, q []float32, lo, hi int, out []float64) {
-	q = q[:8:8]
-	for r := lo; r < hi; r++ {
-		row := data[r*8 : r*8+8 : r*8+8]
-		t0 := row[0]*q[0] + row[4]*q[4]
-		t1 := row[1]*q[1] + row[5]*q[5]
-		t2 := row[2]*q[2] + row[6]*q[6]
-		t3 := row[3]*q[3] + row[7]*q[7]
-		out[r-lo] = float64((t0 + t1) + (t2 + t3))
-	}
-}
-
-// dot32RangeGeneric is the any-dimension float32 kernel: 8 lanes
-// (j mod 8) starting from zero, with the scalar tail folded into lane 0,
-// reduced through the same t_i = s_i + s_{i+4} fold. dot32Range is its
-// AVX2 twin for d ≥ 8.
+// dot32RangeGeneric is the float32 chain at any dimension: 8 lanes
+// (j mod 8) starting from +0, with the scalar tail folded into lane 0,
+// reduced through the t_i = s_i + s_{i+4} fold. dot32Range is its AVX2
+// twin for d ≥ 8, and it is the tests' one f32 reference.
 func dot32RangeGeneric(data []float32, d int, q []float32, lo, hi int, out []float64) {
 	q = q[:d:d]
 	for r := lo; r < hi; r++ {

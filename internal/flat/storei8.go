@@ -4,14 +4,15 @@
 // the whole store, so codes are sign-symmetric (no zero-point) and the
 // decoder can verify a stored scale by recomputation. Queries are
 // quantized per scan against their own max|q|/127 scale and widened to
-// int16, so the AVX2 kernels are one sign-extension plus one VPMADDWD
+// int16, so the AVX2 kernel is one sign-extension plus one VPMADDWD
 // per 16 codes of a row. Every dimension of at least one such chunk
-// runs SIMD (quantSIMD): d = 16 through a kernel with the row stride
-// built in, every other d through the any-dimension kernel; below 16,
-// and without AVX2, the Go kernel scans. Accumulation is exact int32
-// arithmetic — order free — so the kernels need no ordering contract
-// to be bit-identical, unlike the float32 tier's. A code score widens
-// as float64(acc) · (scale·qscale).
+// runs SIMD (quantSIMD) through one any-dimension kernel, dotI8Range —
+// d = 16 included, where a kernel with the row stride built in is no
+// faster (see quant_amd64.s); below 16, and without AVX2, the Go
+// kernel scans. Accumulation is exact int32 arithmetic — order free —
+// so the kernels need no ordering contract to be bit-identical, unlike
+// the float32 tier's. A code score widens as float64(acc) ·
+// (scale·qscale).
 //
 // Int8 scores are approximations with per-element error ≤ scale/2 on
 // each side; the serving layer treats them as candidates only and
@@ -222,11 +223,7 @@ func (s *StoreI8) dotRange(qc []int16, combined float64, lo, hi int, out []float
 	for lo < hi {
 		codes, l, h := s.codes.span(lo, hi)
 		g := l // [g, h) is the Go kernel's
-		switch {
-		case simd && d == 16:
-			g = h
-			dotI8Range16(codes[l*16:h*16], qc, combined, out[:h-l])
-		case simd:
+		if simd {
 			if g = h; d%i8Chunk != 0 {
 				g--
 			}

@@ -5,26 +5,24 @@
 // loaded from memory is amortized across the whole query tile, and on
 // amd64 with AVX2 every dimension of at least one 4-double chunk runs a
 // register-blocked micro-kernel (4 queries × 2 rows per iteration;
-// tileSIMD is the gate): d=8 and d=16 through kernels with the row
-// stride built in, every other d through dotTile4, which walks a row in
-// 4-double chunks.
+// tileSIMD is the gate): dotTile4, which walks a row in 4-double
+// chunks, at every d but 16, which small-hot serves through
+// dotTile16x4, the row stride built in (256 vs 284 µs per 20 000-row
+// sweep of 8 queries against dotTile4).
 //
-// Every score stays bit-identical to the single-query kernels: the
-// per-(row, query) accumulation is the same 4-lane split (lane i mod 4)
-// combined as (s0+s1)+(s2+s3), which a 4-wide SIMD vertical
+// Every score is vec.Dot's, bit for bit: the per-(row, query)
+// accumulation is flat.go's one chain, which a 4-wide SIMD vertical
 // multiply/add reproduces exactly — lane k of the vector accumulator
 // *is* s_k — and the horizontal reduction performs the identical
 // (s0+s1)+(s2+s3) additions. No FMA is used (fused rounding would
-// break the equivalence). Two rules follow from dotRangeGeneric's chain
-// and are what keeps the d=8/16 kernels beside the any-dimension one:
-// its lanes start at +0 and *add* the first product (+0 + −0 is +0,
-// where dotRange8/16 and their micro-kernels start from the bare
-// product and keep −0), so dotTile4 zeroes its accumulators first; and
-// its d mod 4 trailing elements go into lane 0 alone, so dotTile4 loads
-// them as scalars with the upper lanes zeroed and lets lanes 1-3 add
-// +0, which cannot change a sum that began at +0. The tile equivalence
-// grid, its special-values pass and FuzzDotTile pin this down to the
-// sign of a zero; a guard-page test pins every load inside its row.
+// break the equivalence). dotTile4 zeroes its accumulators before the
+// first multiply/add, and loads the d mod 4 trailing elements as
+// scalars with the upper lanes zeroed, so lane 0 takes them and lanes
+// 1-3 add +0, which cannot change a sum that began at +0. dotTile16x4
+// starts from the first products and adds + 0 to each score, as
+// dotRange16 does. The tile equivalence grid, its special-values pass
+// and FuzzDotTile compare every cell with vec.DotKernel by Float64bits;
+// a guard-page test pins every load inside its row.
 //
 // View.ScanMulti drives the tile kernel over one data sweep,
 // maintaining a per-query accumulator.
@@ -155,9 +153,8 @@ func (s *Store) DotTile(qs *Store, qlo, qhi, plo, phi int, out []float64) error 
 
 // tileSIMD is the one gate between scoreTile and the AVX2 quad
 // micro-kernels: on an AVX2 machine every d of at least one 4-double
-// chunk runs SIMD — d = 8 and d = 16 through their fixed-dimension
-// kernels, every other d through dotTile4 — and the rest (and every
-// machine without AVX2) the Go kernels.
+// chunk runs SIMD, and the rest (and every machine without AVX2) the Go
+// kernels.
 func tileSIMD(d int) bool { return useDotTileAsm && d >= 4 }
 
 // quadKernel is the micro-kernel scoreTile hands a query quad to. A
@@ -169,26 +166,10 @@ var quadKernel = dotTileQuad
 // len(p)/d contiguous data rows of p on the AVX2 micro-kernel for d
 // (tileSIMD(d) must hold): out[j*nr+r] = p_row(r)·q_row(j).
 func dotTileQuad(p []float64, d int, q, out []float64) {
-	switch d {
-	case 16:
+	if d == 16 {
 		dotTile16x4(p, q, out)
-	case 8:
-		dotTile8x4(p, q, out)
-	default:
+	} else {
 		dotTile4(p, d, q, out)
-	}
-}
-
-// dotTilePair is the pure-Go 2-query kernel for d: one row load feeds
-// both queries' accumulator chains.
-func dotTilePair(data []float64, d int, u, v []float64, lo, hi int, out0, out1 []float64) {
-	switch d {
-	case 16:
-		dotTile16x2(data, u, v, lo, hi, out0, out1)
-	case 8:
-		dotTile8x2(data, u, v, lo, hi, out0, out1)
-	default:
-		dotTileGeneric2(data, d, u, v, lo, hi, out0, out1)
 	}
 }
 
@@ -227,7 +208,7 @@ func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64) {
 			quadKernel(data[lo*d:hi*d], d, q4, o[:4*nb])
 			j += 4
 		case j+2 <= qhi:
-			dotTilePair(data, d, qs.Row(j), qs.Row(j+1), lo, hi, o[:nb], o[nb:2*nb])
+			dotTileGeneric2(data, d, qs.Row(j), qs.Row(j+1), lo, hi, o[:nb], o[nb:2*nb])
 			j += 2
 		default:
 			s.dotRange(qs.Row(j), plo, phi, o[:nb])
@@ -236,48 +217,8 @@ func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64) {
 	}
 }
 
-// dotTile16x2 is the pure-Go 2-query d=16 kernel: one row load feeds
-// both queries' accumulator chains, each chain identical to
-// dotRange16's per-row expression.
-func dotTile16x2(data []float64, u, v []float64, lo, hi int, out0, out1 []float64) {
-	u = u[:16:16]
-	v = v[:16:16]
-	for r := lo; r < hi; r++ {
-		a := data[r*16 : r*16+16 : r*16+16]
-		u0 := ((a[0]*u[0] + a[4]*u[4]) + a[8]*u[8]) + a[12]*u[12]
-		u1 := ((a[1]*u[1] + a[5]*u[5]) + a[9]*u[9]) + a[13]*u[13]
-		u2 := ((a[2]*u[2] + a[6]*u[6]) + a[10]*u[10]) + a[14]*u[14]
-		u3 := ((a[3]*u[3] + a[7]*u[7]) + a[11]*u[11]) + a[15]*u[15]
-		v0 := ((a[0]*v[0] + a[4]*v[4]) + a[8]*v[8]) + a[12]*v[12]
-		v1 := ((a[1]*v[1] + a[5]*v[5]) + a[9]*v[9]) + a[13]*v[13]
-		v2 := ((a[2]*v[2] + a[6]*v[6]) + a[10]*v[10]) + a[14]*v[14]
-		v3 := ((a[3]*v[3] + a[7]*v[7]) + a[11]*v[11]) + a[15]*v[15]
-		out0[r-lo] = (u0 + u1) + (u2 + u3)
-		out1[r-lo] = (v0 + v1) + (v2 + v3)
-	}
-}
-
-// dotTile8x2 is the pure-Go 2-query d=8 kernel (dotRange8's chains).
-func dotTile8x2(data []float64, u, v []float64, lo, hi int, out0, out1 []float64) {
-	u = u[:8:8]
-	v = v[:8:8]
-	for r := lo; r < hi; r++ {
-		a := data[r*8 : r*8+8 : r*8+8]
-		u0 := a[0]*u[0] + a[4]*u[4]
-		u1 := a[1]*u[1] + a[5]*u[5]
-		u2 := a[2]*u[2] + a[6]*u[6]
-		u3 := a[3]*u[3] + a[7]*u[7]
-		v0 := a[0]*v[0] + a[4]*v[4]
-		v1 := a[1]*v[1] + a[5]*v[5]
-		v2 := a[2]*v[2] + a[6]*v[6]
-		v3 := a[3]*v[3] + a[7]*v[7]
-		out0[r-lo] = (u0 + u1) + (u2 + u3)
-		out1[r-lo] = (v0 + v1) + (v2 + v3)
-	}
-}
-
-// dotTileGeneric2 is the pure-Go 2-query any-dimension kernel
-// (dotRangeGeneric's chains, tail folded into lane 0).
+// dotTileGeneric2 is the pure-Go 2-query kernel: one row load feeds
+// both queries' chains (dotRangeGeneric's, tail folded into lane 0).
 func dotTileGeneric2(data []float64, d int, u, v []float64, lo, hi int, out0, out1 []float64) {
 	u = u[:d:d]
 	v = v[:d:d]

@@ -8,6 +8,4 @@ var useDotTileAsm = false
 
 func dotTile16x4(p, q, out []float64) { panic("flat: dotTile16x4 asm unavailable") }
 
-func dotTile8x4(p, q, out []float64) { panic("flat: dotTile8x4 asm unavailable") }
-
 func dotTile4(p []float64, d int, q, out []float64) { panic("flat: dotTile4 asm unavailable") }

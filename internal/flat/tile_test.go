@@ -25,8 +25,9 @@ func forEachKernelPath(t *testing.T, fn func(t *testing.T)) {
 }
 
 // checkTile requires every cell of the DotTile of query rows [qlo, qhi)
-// against rows [plo, phi) to hold the single-query kernel's score on
-// the same operands, bit for bit (sameScoreBits: −0 is not +0).
+// against rows [plo, phi), and every score of the single-query kernel
+// on the same operands, to hold vec.DotKernel's score bit for bit
+// (sameScoreBits: −0 is not +0).
 func checkTile(t *testing.T, s, qs *Store, qlo, qhi, plo, phi int) {
 	t.Helper()
 	nb := phi - plo
@@ -34,26 +35,27 @@ func checkTile(t *testing.T, s, qs *Store, qlo, qhi, plo, phi int) {
 	if err := s.DotTile(qs, qlo, qhi, plo, phi, out); err != nil {
 		t.Fatalf("d=%d: DotTile: %v", s.Dim(), err)
 	}
-	want := make([]float64, nb)
+	single := make([]float64, nb)
 	for j := qlo; j < qhi; j++ {
-		if err := s.DotRange(qs.Row(j), plo, phi, want); err != nil {
+		if err := s.DotRange(qs.Row(j), plo, phi, single); err != nil {
 			t.Fatal(err)
 		}
-		for r, w := range want {
-			if got := out[(j-qlo)*nb+r]; !sameScoreBits(got, w) {
-				t.Fatalf("d=%d rows [%d, %d) queries [%d, %d): query %d row %d: tile %v (%#x), single %v (%#x)",
-					s.Dim(), plo, phi, qlo, qhi, j, plo+r, got, math.Float64bits(got), w, math.Float64bits(w))
+		for r, one := range single {
+			w := vec.DotKernel(s.Row(plo+r), qs.Row(j))
+			if tile := out[(j-qlo)*nb+r]; !sameScoreBits(tile, w) || !sameScoreBits(one, w) {
+				t.Fatalf("d=%d rows [%d, %d) queries [%d, %d): query %d row %d: tile %v (%#x), single %v (%#x), vec.DotKernel %v (%#x)",
+					s.Dim(), plo, phi, qlo, qhi, j, plo+r, tile, math.Float64bits(tile), one, math.Float64bits(one), w, math.Float64bits(w))
 			}
 		}
 	}
 }
 
 // TestDotTileMatchesDotRange pins the tile kernel's bit-identity
-// contract: every (row, query) cell of the tile must equal the
-// single-query kernel's score on the same operands, across dimensions
-// that exercise the d=8/d=16 micro-kernels, the any-dimension one with
-// every element-tail length, and the Go kernels below d=4 — each with
-// quads plus remainders and odd row counts.
+// contract: every (row, query) cell of the tile, and the single-query
+// kernel's score on the same operands, must equal vec.DotKernel's,
+// across dimensions that exercise the d=16 micro-kernel, the
+// any-dimension one with every element-tail length, and the Go kernels
+// below d=4 — each with quads plus remainders and odd row counts.
 func TestDotTileMatchesDotRange(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
 		rng := xrand.New(11)
@@ -84,8 +86,8 @@ func TestDotTileMatchesDotRange(t *testing.T) {
 // rows and queries with ±0, ±Inf, NaN, the smallest denormal and ±1e308
 // planted in them; operands drawn from {±0, ±1, ±5e-324} alone, so that
 // most partial sums are a signed zero; and −0 rows against non-negative
-// queries, where every product is −0 — a chain begun at +0 sums them to
-// +0, one begun with the first product to −0.
+// queries, where every product is −0 — vec.DotKernel's chain, begun at
+// +0, sums them to +0, and so must every kernel, d = 8 and 16 included.
 func TestDotTileSpecialValues(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	planted := []float64{0, negZero, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e308, -1e308}

@@ -100,8 +100,8 @@ func foldKey(key, h uint64) uint64 {
 	return key ^ key>>29
 }
 
-// signBit is the hyperplane hash of a projection. The comparison treats
-// −0 as +0, so kernels that agree to the sign of a zero hash alike.
+// signBit is the hyperplane hash of a projection: 1 for ≥ 0, so a
+// zero projection hashes as 1 whatever its sign.
 func signBit(dot float64) uint64 {
 	if dot >= 0 {
 		return 1
@@ -145,13 +145,12 @@ type tileHash struct {
 // Sampled hashers then hash it alone; under a Hyperplane family the
 // mapped vectors become the rows of a probe store, hashStep at a time,
 // and one tile product gives every probe·plane inner product, whose signs
-// fold into the keys. The product equals vec.Dot's to the sign of a
-// zero, which signBit does not read, in either orientation (a·b = b·a
-// exactly, along the same 4-lane unfused chain), so the orientation is
-// the kernel's best: flat runs its SIMD micro-kernel on quads of query
-// rows, so fewer than four probes (one search's q′ and −q′) are its data
-// rows under the planes as queries, and a batch is the queries over the
-// planes.
+// fold into the keys. The product has vec.Dot's bits in either
+// orientation (a·b = b·a exactly, along the same 4-lane unfused chain
+// from +0), so the orientation is the kernel's best: flat runs its SIMD
+// micro-kernel on quads of query rows, so fewer than four probes (one
+// search's q′ and −q′) are its data rows under the planes as queries,
+// and a batch is the queries over the planes.
 func (ix *Index) tileKeys(h *tileHash, out []uint64, n int, at func(int) vec.Vector, data bool) {
 	m := ix.maps.Query
 	if data {

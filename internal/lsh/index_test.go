@@ -616,9 +616,9 @@ func TestIndexHashGrid(t *testing.T) {
 }
 
 // TestIndexHashOnPlane: a vector exactly on a hyperplane — a projection
-// of +0, or of −0 on the kernels that keep a zero's sign (d = 8 and 16
-// start from the bare product) — hashes as +0 on every path, data side
-// and query side, alone and in a batch.
+// of +0, whatever the signs of its zero products — hashes as +0 on every
+// path, data side and query side, alone and in a batch, at d = 8 and 16
+// as at any other d.
 func TestIndexHashOnPlane(t *testing.T) {
 	for _, d := range []int{2, 5, 8, 16, 33} {
 		hp, _ := NewHyperplane(d)

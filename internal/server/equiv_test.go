@@ -16,22 +16,24 @@ import (
 // to the old row-slice reference — mips.LinearScan for the argmax and a
 // naive vec.Dot accumulator for the full ranked list — across
 // randomized n/d/k/seed grids seeded with adversarial ties (duplicate
-// rows, zero rows, sign flips). Exact engines must match ID-for-ID with
-// scores within 1e-12 (they are ==-identical in practice, since every
-// path shares vec.DotKernel's accumulation order); candidate engines
+// rows, zero rows of both signs, sign flips). Exact engines must match
+// ID-for-ID with the reference's score bits (every path shares
+// vec.DotKernel's accumulation chain, at every d); candidate engines
 // (alsh, sketch) must report exactly verified scores for whatever they
 // return.
 
 const equivTol = 1e-12
 
-// adversarial salts tie-forcing rows into a random set.
+// adversarial salts tie-forcing rows into a random set, and a row of
+// −0s, whose every product with a non-negative query is −0: the chain,
+// begun at +0, sums them to +0.
 func adversarial(rng *xrand.RNG, n, d int) []vec.Vector {
-	vs := make([]vec.Vector, 0, n+5)
+	vs := make([]vec.Vector, 0, n+6)
 	for i := 0; i < n; i++ {
 		vs = append(vs, vec.Vector(rng.NormalVec(d)))
 	}
 	dup := vs[rng.Intn(len(vs))]
-	vs = append(vs, dup.Clone(), dup.Clone(), vec.New(d), vec.New(d), vec.Neg(dup))
+	vs = append(vs, dup.Clone(), dup.Clone(), vec.New(d), vec.New(d), vec.Neg(dup), vec.Neg(vec.New(d)))
 	return vs
 }
 
@@ -44,15 +46,17 @@ func hitsEquivalent(t *testing.T, ctx string, got, want []Hit) {
 		if got[i].ID != want[i].ID {
 			t.Fatalf("%s rank %d: ID %d, want %d\n got: %v\nwant: %v", ctx, i, got[i].ID, want[i].ID, got, want)
 		}
-		if math.Abs(got[i].Score-want[i].Score) > equivTol {
-			t.Fatalf("%s rank %d: score %v, want %v", ctx, i, got[i].Score, want[i].Score)
+		if math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s rank %d (ID %d): score %v (%#x), want %v (%#x)", ctx, i, got[i].ID,
+				got[i].Score, math.Float64bits(got[i].Score), want[i].Score, math.Float64bits(want[i].Score))
 		}
 	}
 }
 
 // TestExactEnginesMatchLinearScanGrid sweeps shard counts, n, d, k and
 // seeds: the flat-backed exact and normscan engines must reproduce the
-// naive reference exactly, and top-1 must agree with mips.LinearScan.
+// naive reference exactly — bit for bit, alone and in a batch of the
+// four queries — and top-1 must agree with mips.LinearScan.
 func TestExactEnginesMatchLinearScanGrid(t *testing.T) {
 	for _, kind := range []string{KindExact, KindNormScan} {
 		for _, shards := range []int{1, 3} {
@@ -68,22 +72,28 @@ func TestExactEnginesMatchLinearScanGrid(t *testing.T) {
 						}
 						for _, k := range []int{1, 7, 2 * len(data)} {
 							for _, unsigned := range []bool{false, true} {
-								for trial := 0; trial < 3; trial++ {
-									q := vec.Vector(rng.NormalVec(d))
-									if trial == 2 {
-										q = vec.New(d) // all-ties query
-									}
+								nonNeg := vec.Vector(rng.NormalVec(d))
+								for i := range nonNeg {
+									nonNeg[i] = math.Abs(nonNeg[i])
+								}
+								queries := []vec.Vector{rng.NormalVec(d), rng.NormalVec(d), vec.New(d) /* all ties */, nonNeg}
+								batch, err := s.Search("c", queries, k, unsigned)
+								if err != nil {
+									t.Fatal(err)
+								}
+								for trial, q := range queries {
 									ctx := fmt.Sprintf("kind=%s shards=%d n=%d d=%d k=%d unsigned=%v seed=%d trial=%d",
 										kind, shards, n, d, k, unsigned, seed, trial)
 									res, err := s.Search("c", []vec.Vector{q}, k, unsigned)
 									if err != nil {
 										t.Fatalf("%s: %v", ctx, err)
 									}
-									if res[0].Err != nil {
-										t.Fatalf("%s: %v", ctx, res[0].Err)
+									if res[0].Err != nil || batch[trial].Err != nil {
+										t.Fatalf("%s: %v / batch %v", ctx, res[0].Err, batch[trial].Err)
 									}
 									want := exactTopK(recs, q, k, unsigned)
 									hitsEquivalent(t, ctx, res[0].Hits, want)
+									hitsEquivalent(t, ctx+" batch", batch[trial].Hits, want)
 									if !unsigned && len(res[0].Hits) > 0 {
 										ls := mips.LinearScan(data, q)
 										if res[0].Hits[0].ID != ls.Index {
