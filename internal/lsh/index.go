@@ -1,8 +1,8 @@
 package lsh
 
 import (
-	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -39,8 +39,9 @@ type Index struct {
 }
 
 // table is one band's buckets in CSR form: keys ascending, and bucket j
-// is ids[offs[j]:offs[j+1]], ids ascending. Tables are never mutated
-// once built; growth builds fresh ones (see Extend).
+// is ids[offs[j]:offs[j+1]], ids ascending; an empty table is the one
+// offset 0. Tables are never mutated once built, so a table Extend
+// writes may share its keys with the table it grew from.
 type table struct {
 	keys []uint64
 	offs []int32
@@ -66,6 +67,10 @@ func NewIndex(f Family, k, l int, seed uint64) (*Index, error) {
 		return nil, fmt.Errorf("lsh: invalid index shape K=%d L=%d", k, l)
 	}
 	ix := &Index{K: k, L: l, tables: make([]table, l)}
+	empty := []int32{0}
+	for t := range ix.tables {
+		ix.tables[t].offs = empty
+	}
 	if a, ok := f.(*Asymmetric); ok {
 		// Asymmetric.Sample only wraps Inner.Sample, so sampling the inner
 		// family directly consumes the identical RNG stream.
@@ -201,67 +206,140 @@ func (ix *Index) tileKeys(h *tileHash, out []uint64, n int, at func(int) vec.Vec
 	}
 }
 
-// keyed is one new row's key in the table being merged.
-type keyed struct {
-	key uint64
-	id  int32
+// grouper turns one band of a batch's keys into the batch's own table
+// without comparing rows: an open-addressed table counts each distinct
+// key, only the distinct keys are sorted (at most 2^K of them under a
+// hyperplane family), and a counting pass places the ids — ascending
+// within a bucket, since rows are placed in id order. merge then splices
+// that table into an old one. The zero value is ready to use and a
+// reused one keeps its buffers.
+type grouper struct {
+	slots []slot  // open-addressed on the key's low bits; empty between calls
+	row   []int32 // each row's slot
+	at    []int32 // each batch key's slot, then its insertion point in the old keys (^p when absent)
+	tab   table   // the batch's table
 }
 
-// compareKeyed orders by (key, id), the order merge consumes.
-func compareKeyed(a, b keyed) int {
-	if c := cmp.Compare(a.key, b.key); c != 0 {
-		return c
+// slot is one distinct key of the batch being grouped.
+type slot struct {
+	key  uint64
+	n    int32 // rows under key, then where the next of them goes
+	full bool
+}
+
+// slotOf returns the slot holding key, or the empty slot it belongs in.
+// Table keys come out of foldKey's multiply and shift, so their low bits
+// are already mixed.
+func slotOf(slots []slot, key uint64) int {
+	mask := uint64(len(slots) - 1)
+	s := key & mask
+	for slots[s].full && slots[s].key != key {
+		s = (s + 1) & mask
 	}
-	return cmp.Compare(a.id, b.id)
+	return int(s)
 }
 
-// merge returns a fresh table holding t's buckets plus add, which must
-// be sorted by (key, id) with every id above all of t's.
-func (t *table) merge(add []keyed, ids []int32) table {
-	fresh, i := 0, 0
-	for j, a := range add {
-		if j > 0 && a.key == add[j-1].key {
-			continue
+// group fills g.tab with band t of b rows' keys — row-major, l to a
+// row — row r under id base+r.
+func (g *grouper) group(keys []uint64, l, t, b int, base int32) {
+	size := 1 << bits.Len(uint(2*b)) // over twice the rows: probes stay short
+	if len(g.slots) < size {
+		g.slots = make([]slot, size)
+	}
+	slots := g.slots[:size]
+	g.row = slices.Grow(g.row[:0], b)[:b]
+	g.tab.keys = g.tab.keys[:0]
+	for r := range g.row {
+		key := keys[r*l+t]
+		s := slotOf(slots, key)
+		if !slots[s].full {
+			slots[s] = slot{key: key, full: true}
+			g.tab.keys = append(g.tab.keys, key)
 		}
-		for i < len(t.keys) && t.keys[i] < a.key {
-			i++
-		}
-		if i == len(t.keys) || t.keys[i] != a.key {
+		slots[s].n++
+		g.row[r] = int32(s)
+	}
+	slices.Sort(g.tab.keys)
+	nk := len(g.tab.keys)
+	g.tab.offs = slices.Grow(g.tab.offs[:0], nk+1)[:nk+1]
+	g.at = slices.Grow(g.at[:0], nk)[:nk]
+	off := int32(0)
+	for j, key := range g.tab.keys {
+		s := slotOf(slots, key)
+		g.at[j], g.tab.offs[j] = int32(s), off
+		off, slots[s].n = off+slots[s].n, off
+	}
+	g.tab.offs[nk] = off
+	g.tab.ids = slices.Grow(g.tab.ids[:0], b)[:b]
+	for r, s := range g.row {
+		g.tab.ids[slots[s].n] = base + int32(r)
+		slots[s].n++
+	}
+	for _, s := range g.at {
+		slots[s] = slot{}
+	}
+}
+
+// merge returns a fresh table holding old's buckets plus g.tab's, whose
+// ids must all exceed old's, with its ids in ids (len(old.ids) +
+// len(g.tab.ids) of them). Each batch key is searched for once in the
+// old keys; the old ids between two insertion points move as one copy,
+// and their offsets by the batch ids placed before them. A batch that
+// brings no fresh key shares old's keys.
+func (g *grouper) merge(old *table, ids []int32) table {
+	add := &g.tab
+	fresh, p := 0, 0
+	for j, key := range add.keys {
+		q, found := slices.BinarySearch(old.keys[p:], key)
+		p += q
+		if g.at[j] = int32(p); !found {
+			g.at[j] = ^int32(p)
 			fresh++
 		}
 	}
-	nt := table{
-		keys: make([]uint64, 0, len(t.keys)+fresh),
-		offs: make([]int32, 0, len(t.keys)+fresh+1),
-		ids:  ids[:0],
+	nt := table{keys: old.keys, offs: make([]int32, len(old.offs)+fresh), ids: ids}
+	shared := fresh == 0
+	if !shared {
+		nt.keys = make([]uint64, len(old.keys)+fresh)
 	}
-	i, j := 0, 0
-	for i < len(t.keys) || j < len(add) {
-		var key uint64
-		if j == len(add) || (i < len(t.keys) && t.keys[i] < add[j].key) {
-			key = t.keys[i]
+	// run places old buckets [i, e) behind placed fresh keys and behind
+	// shift new ids.
+	i, placed := 0, 0
+	run := func(e int, shift int32) {
+		for k, o := range old.offs[i:e] {
+			nt.offs[placed+i+k] = o + shift
+		}
+		copy(nt.ids[old.offs[i]+shift:], old.ids[old.offs[i]:old.offs[e]])
+		if !shared {
+			copy(nt.keys[placed+i:], old.keys[i:e])
+		}
+		i = e
+	}
+	for j, key := range add.keys {
+		shift, e := add.offs[j], int(g.at[j])
+		if e >= 0 {
+			e++
+			run(e, shift) // up to and including key's old bucket
 		} else {
-			key = add[j].key
+			e = ^e
+			run(e, shift)
+			nt.offs[placed+e], nt.keys[placed+e] = old.offs[e]+shift, key
+			placed++
 		}
-		nt.keys = append(nt.keys, key)
-		nt.offs = append(nt.offs, int32(len(nt.ids)))
-		if i < len(t.keys) && t.keys[i] == key {
-			nt.ids = append(nt.ids, t.ids[t.offs[i]:t.offs[i+1]]...)
-			i++
-		}
-		for ; j < len(add) && add[j].key == key; j++ {
-			nt.ids = append(nt.ids, add[j].id)
-		}
+		copy(nt.ids[old.offs[e]+shift:], add.ids[add.offs[j]:add.offs[j+1]])
 	}
-	nt.offs = append(nt.offs, int32(len(nt.ids)))
+	run(len(old.keys), int32(len(add.ids)))
+	nt.offs[len(nt.offs)-1] = int32(len(ids))
 	return nt
 }
 
 // Extend returns a new index over ix's vectors followed by ps (ids
-// continue from ix.Len()). Only ps is hashed; the old buckets are merged
-// into fresh tables in O(n·L) id copies, so ix is untouched and stays
-// valid for concurrent readers. The two share nothing but the immutable
-// hash functions, and neither retains ps. The result's tables are
+// continue from ix.Len()). Only ps is hashed. Each band of ps is grouped
+// into its own table, and that table is merged with the old one in runs:
+// O(b·K·L·d) hashing plus O(n·L) id copies for b rows onto n. ix is
+// untouched and stays valid for concurrent readers; the two share the
+// immutable hash functions and the keys of each table the batch brings
+// no fresh key to, and neither retains ps. The result's tables are
 // identical to those of an index built over all the vectors at once.
 func (ix *Index) Extend(ps []vec.Vector) *Index {
 	if len(ps) == 0 {
@@ -280,13 +358,9 @@ func (ix *Index) Extend(ps []vec.Vector) *Index {
 	nx.n = n
 	nx.tables = make([]table, ix.L)
 	ids := make([]int32, ix.L*n) // every table's ids, one allocation
-	add := make([]keyed, len(ps))
 	for t := range nx.tables {
-		for r := range add {
-			add[r] = keyed{key: keys[r*ix.L+t], id: int32(ix.n + r)}
-		}
-		slices.SortFunc(add, compareKeyed)
-		nx.tables[t] = ix.tables[t].merge(add, ids[t*n:(t+1)*n:(t+1)*n])
+		sc.group.group(keys, ix.L, t, len(ps), int32(ix.n))
+		nx.tables[t] = sc.group.merge(&ix.tables[t], ids[t*n:(t+1)*n:(t+1)*n])
 	}
 	return &nx
 }
@@ -311,12 +385,13 @@ type Probe struct {
 }
 
 // probeScratch is the per-call working set of a probe (and, for its
-// keys, of an Extend), pooled so a warm call allocates nothing but what
-// the family's maps do.
+// keys and its grouping, of an Extend), pooled so a warm call allocates
+// nothing but what the family's maps do.
 type probeScratch struct {
 	qk      QueryKeys
 	buckets [][]int32
 	seen    []uint64 // bitset over ids; all zero between calls
+	group   grouper
 }
 
 var probePool = sync.Pool{New: func() any { return new(probeScratch) }}

@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -291,27 +292,57 @@ func TestIndexKeysMatchReference(t *testing.T) {
 	}
 }
 
+// cloneTables deep-copies tables.
+func cloneTables(ts []table) []table {
+	out := make([]table, len(ts))
+	for i, tb := range ts {
+		out[i] = table{keys: slices.Clone(tb.keys), offs: slices.Clone(tb.offs), ids: slices.Clone(tb.ids)}
+	}
+	return out
+}
+
+// TestIndexExtendMatchesBuild: an index grown in random-sized steps has
+// the tables of one built at once, and no step touches the tables it
+// grew from — not even the keys a step shares with them when its batch
+// brings no fresh key.
 func TestIndexExtendMatchesBuild(t *testing.T) {
 	const d, n, k, l, seed = 12, 300, 3, 6, 43
 	rng := xrand.New(44)
 	data := ballVecs(rng, n, d)
-	q := data[7]
 	for name, f := range equivFamilies(t, d) {
 		whole, _ := NewIndex(f, k, l, seed)
 		whole.InsertAll(data)
 		grown, _ := NewIndex(f, k, l, seed)
+		extend := func(ps []vec.Vector) {
+			t.Helper()
+			prev, before, size := grown, cloneTables(grown.tables), grown.Len()
+			grown = grown.Extend(ps)
+			if !reflect.DeepEqual(prev.tables, before) || prev.Len() != size {
+				t.Fatalf("%s: Extend of %d rows onto %d changed the index it extended", name, len(ps), prev.Len())
+			}
+		}
 		for lo := 0; lo < n; {
 			hi := min(n, lo+rng.Intn(40)) // random-sized steps, empty ones included
-			prev, before := grown, grown.Candidates(q)
-			grown = grown.Extend(data[lo:hi])
-			if after := prev.Candidates(q); !slices.Equal(before, after) || prev.Len() != lo {
-				t.Fatalf("%s: Extend(%d:%d) changed the index it extended", name, lo, hi)
-			}
+			extend(data[lo:hi])
 			lo = hi
 		}
 		if grown.Len() != n || !reflect.DeepEqual(grown.tables, whole.tables) {
 			t.Fatalf("%s: tables of the grown index differ from a from-scratch build", name)
 		}
+		// A row already indexed brings no fresh key to any table.
+		prev := grown
+		extend(data[7:8])
+		again, _ := NewIndex(f, k, l, seed)
+		again.InsertAll(append(data[:n:n], data[7]))
+		if !reflect.DeepEqual(grown.tables, again.tables) {
+			t.Fatalf("%s: tables after re-adding row 7 differ from a from-scratch build", name)
+		}
+		for ti, tb := range grown.tables {
+			if &tb.keys[0] != &prev.tables[ti].keys[0] {
+				t.Fatalf("%s: table %d copied keys the batch brought nothing new to", name, ti)
+			}
+		}
+		grown = prev
 		for ti, tb := range grown.tables {
 			if !slices.IsSorted(tb.keys) || len(tb.ids) != n {
 				t.Fatalf("%s: table %d is not a sorted partition of the ids", name, ti)
@@ -320,6 +351,70 @@ func TestIndexExtendMatchesBuild(t *testing.T) {
 				if b := tb.ids[tb.offs[j]:tb.offs[j+1]]; len(b) == 0 || !slices.IsSorted(b) {
 					t.Fatalf("%s: table %d bucket %d empty or unsorted: %v", name, ti, j, b)
 				}
+			}
+		}
+	}
+}
+
+// TestGroupMatchesSort: grouping one band of a batch gives the table a
+// comparison sort of its (key, id) pairs does — at batch sizes around
+// the slot table's powers of two, with one key, two, 256 (K = 8's
+// hyperplane keys) or a key per row, half of them equal in their low 40
+// bits so they collide in the slot table, 0 and the all-ones key among
+// them — and leaves the slot table empty for the next call.
+func TestGroupMatchesSort(t *testing.T) {
+	const l, band, base = 3, 1, 1000
+	rng := xrand.New(60)
+	var g grouper
+	for _, b := range []int{0, 1, 2, 15, 16, 17, 500, 1500, 16, 0, 17} {
+		for _, distinct := range []int{1, 2, 256, b} {
+			pool := make([]uint64, max(1, min(distinct, b)))
+			for i := range pool {
+				switch {
+				case i == 2:
+					pool[i] = 0
+				case i == 3:
+					pool[i] = ^uint64(0)
+				case i%2 == 0:
+					pool[i] = 0x5a5a<<8 | uint64(i+1)<<40
+				default:
+					pool[i] = rng.Uint64()
+				}
+			}
+			keys := make([]uint64, b*l)
+			for i := range keys {
+				keys[i] = rng.Uint64() // the other bands
+			}
+			type pair struct {
+				key uint64
+				id  int32
+			}
+			pairs := make([]pair, b)
+			for r, pi := range rng.Perm(b) {
+				key := pool[pi%len(pool)] // every pool key, in shuffled first-seen order
+				keys[r*l+band], pairs[r] = key, pair{key, int32(base + r)}
+			}
+			slices.SortFunc(pairs, func(a, b pair) int {
+				if c := cmp.Compare(a.key, b.key); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.id, b.id)
+			})
+			var want table
+			for i, p := range pairs {
+				if i == 0 || p.key != pairs[i-1].key {
+					want.keys = append(want.keys, p.key)
+					want.offs = append(want.offs, int32(i))
+				}
+				want.ids = append(want.ids, p.id)
+			}
+			want.offs = append(want.offs, int32(b))
+			g.group(keys, l, band, b, base)
+			if !sameTables([]table{g.tab}, []table{want}) {
+				t.Fatalf("b=%d distinct=%d: grouped %+v, sorted %+v", b, distinct, g.tab, want)
+			}
+			if i := slices.IndexFunc(g.slots, func(s slot) bool { return s != slot{} }); i >= 0 {
+				t.Fatalf("b=%d distinct=%d: slot %d left holding %+v", b, distinct, i, g.slots[i])
 			}
 		}
 	}
@@ -654,12 +749,13 @@ func TestIndexHashOnPlane(t *testing.T) {
 }
 
 // FuzzIndexHash drives checkHashing over random shapes: dimension, K, L,
-// row count, where the build is split, how the queries probe.
+// row count, the two points the build is split at — so the last extend
+// merges into tables already extended once — and how the queries probe.
 func FuzzIndexHash(f *testing.F) {
-	f.Add(uint64(1), uint8(32), uint8(8), uint8(16), uint16(300), uint16(256), true, true)
-	f.Add(uint64(2), uint8(3), uint8(1), uint8(3), uint16(5), uint16(1), false, false)
-	f.Add(uint64(3), uint8(16), uint8(2), uint8(3), uint16(513), uint16(257), false, true)
-	f.Fuzz(func(t *testing.T, seed uint64, d, k, l uint8, rows, split uint16, asym, neg bool) {
+	f.Add(uint64(1), uint8(32), uint8(8), uint8(16), uint16(300), uint16(256), uint16(284), true, true)
+	f.Add(uint64(2), uint8(3), uint8(1), uint8(3), uint16(5), uint16(1), uint16(1), false, false)
+	f.Add(uint64(3), uint8(16), uint8(2), uint8(3), uint16(513), uint16(257), uint16(17), false, true)
+	f.Fuzz(func(t *testing.T, seed uint64, d, k, l uint8, rows, split1, split2 uint16, asym, neg bool) {
 		dim, K, L, n := int(d%70)+1, int(k%9)+1, int(l%17)+1, int(rows%700)+1
 		rng := xrand.New(seed)
 		var fam Family
@@ -669,8 +765,9 @@ func FuzzIndexHash(f *testing.F) {
 		data, queries := ballVecs(rng, n, dim), ballVecs(rng, 1+int(seed%6), dim)
 		data[int(seed>>8)%n] = make(vec.Vector, dim)
 		vec.Scale(queries[0], 3)
+		a, b := int(split1)%(n+1), int(split2)%(n+1)
 		checkHashing(t, fmt.Sprintf("seed=%d d=%d K=%d L=%d asym=%v", seed, dim, K, L, asym), fam, K, L, seed,
-			data, [][]int{{int(split) % (n + 1)}}, queries, int(seed>>16)%5, []Probe{{Radius: 1, Neg: neg}})
+			data, [][]int{{min(a, b), max(a, b)}}, queries, int(seed>>16)%5, []Probe{{Radius: 1, Neg: neg}})
 	})
 }
 
@@ -767,8 +864,12 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexExtend shows both terms of an extend's cost: hashing the
-// b new rows, and re-copying the n old rows' bucket entries in L tables.
+// BenchmarkIndexExtend shows the terms of an extend's cost for b rows
+// onto n: hashing the batch, O(b·K·L·d); grouping each of its L bands
+// by key, O(b) plus a sort of the band's distinct keys (at most 2^K);
+// and merging each table in runs — one search per batch key into the
+// old keys, then the n old ids moved a run at a time into a freshly
+// zeroed L·(n+b) ids array, O(n·L) whatever b.
 func BenchmarkIndexExtend(b *testing.B) {
 	for _, n := range []int{1500, 24000} {
 		ix, _, _, _ := benchIndex(b)

@@ -458,9 +458,9 @@ func TestIndexBuildStageAndSpan(t *testing.T) {
 	if a := indexBuild(http.MethodPut, "/collections/a", IngestRequest{Index: &IndexSpec{Kind: KindALSH}, Records: recs(0, 1, 2, 3)}); a["rebuild"] != 2 || a["extend"] != 0 {
 		t.Fatalf("first ingest index_build attrs = %v, want rebuild=2", a)
 	}
-	// An alsh extend hashes the batch but writes the touched shards' bucket
-	// tables afresh: rows_copied is their rows — 3 + 3, then the 4 of the
-	// shard the upsert lands in.
+	// An alsh extend hashes the batch but copies the ids of the touched
+	// shards' bucket tables: rows_copied is their rows — 3 + 3, then the 4
+	// of the shard the upsert lands in.
 	if a := indexBuild(http.MethodPut, "/collections/a", IngestRequest{Records: recs(4, 5)}); a["extend"] != 2 || a["rebuild"] != 0 || a["rows_copied"] != 6 {
 		t.Fatalf("second ingest index_build attrs = %v, want extend=2 rows_copied=6", a)
 	}

@@ -153,8 +153,12 @@ func BenchmarkServerIngest(b *testing.B) {
 // BenchmarkServerUpsert measures one 64-record upsert (replacements of
 // live IDs) onto a loaded 4-shard in-memory collection, on the shapes
 // whose write paths differ: exact f64 and int8 extend their stores and
-// mirrors by the batch, normscan re-sorts every touched shard. B/op is
-// the point: it should track the batch, not the collection.
+// mirrors by the batch, normscan sorts the batch into each touched
+// shard's tail run, and alsh (unit-ball rows, the planted-alsh
+// benchmark's shape) hashes the batch and merges it into all L bucket
+// tables of each touched shard. B/op is the point: it should track the
+// batch, not the collection — on every shape but alsh, whose fresh
+// tables hold an id per row of the shard in each of its L tables.
 func BenchmarkServerUpsert(b *testing.B) {
 	const width = 64
 	for _, bc := range []struct {
@@ -165,9 +169,13 @@ func BenchmarkServerUpsert(b *testing.B) {
 		{"exact-f64/n=40000/d=64", 40_000, 64, IndexSpec{Kind: KindExact}},
 		{"normscan/n=20000/d=16", 20_000, 16, IndexSpec{Kind: KindNormScan}},
 		{"exact-int8/n=40000/d=32", 40_000, 32, IndexSpec{Kind: KindExact, Precision: PrecisionI8}},
+		{"alsh/n=6000/d=32", 6_000, 32, IndexSpec{Kind: KindALSH}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			vs := dataset.Gaussian(xrand.New(4), bc.n, bc.d, false)
+			if bc.spec.Kind == KindALSH {
+				vs = dataset.UnitBall(xrand.New(4), bc.n, bc.d)
+			}
 			s := New(Config{DefaultShards: 4, CacheCapacity: -1, CompactFraction: -1})
 			defer s.Close()
 			spec := bc.spec

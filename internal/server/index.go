@@ -469,8 +469,9 @@ func newALSHIndex(spec IndexSpec, fs *flat.Store, shardSeed uint64) (*alshIndex,
 // leading rows must be exactly the rows ix indexes, and how many rows'
 // bucket entries it wrote: only the rows the banding index has not seen
 // are hashed, and the hash functions (spec and shard seed) carry over
-// with it, but lsh.Index.Extend writes every table afresh — all fs.Len()
-// rows, whatever the batch. ix is untouched and keeps serving.
+// with it, but lsh.Index.Extend merges the batch into fresh ids arrays
+// for all L tables — all fs.Len() rows' ids are copied, whatever the
+// batch. ix is untouched and keeps serving.
 func (ix *alshIndex) extend(fs *flat.Store) (*alshIndex, int) {
 	rows := make([]vec.Vector, fs.Len()-ix.ix.Len())
 	for i := range rows {

@@ -30,8 +30,8 @@ const flatChunkRows = 1024
 // exceptions: a normscan shard on the write that brings the rows
 // appended since its last sort to a chunk, which re-sorts it whole; an
 // int8 batch that raises the quantization scale; and alsh, which hashes
-// only the batch but writes every bucket table of a touched shard afresh
-// — an extend whose rows_copied is the shard, and says so.
+// only the batch but copies the ids of every bucket table of a touched
+// shard — an extend whose rows_copied is the shard, and says so.
 func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 	const shards = 2
 	s := New(Config{DefaultShards: shards, Tracing: true})
@@ -119,7 +119,7 @@ func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 // merges of its tail run (ingested in one batch, a shard is all base
 // run, and the 41 upserts of 16 rows each stay under the chunk that
 // triggers the next merge). An alsh upsert is not batch-sized — it
-// allocates every bucket table of a touched shard afresh, L ids a row
+// allocates every bucket table's ids of a touched shard afresh, L a row
 // (TestWriteCopiesOnlyTheBatch pins that it says so) — and sketch
 // rebuilds.
 func TestUpsertAllocationIsBatchSized(t *testing.T) {
