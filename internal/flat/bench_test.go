@@ -129,6 +129,35 @@ func BenchmarkFlatDotTile(b *testing.B) {
 	}
 }
 
+// BenchmarkFlatOfferRows measures the candidate verify loop at
+// planted-alsh's shard shape: 1 500 × 32 rows inside the unit ball, 240
+// scattered candidates per query (≈ 953 per query over 4 shards), k = 10.
+// One iteration verifies one query's candidates; ns/op ÷ 240 is the
+// per-candidate cost.
+func BenchmarkFlatOfferRows(b *testing.B) {
+	rng := xrand.New(3)
+	n, d, m := 1500, 32, 240
+	vs := make([]vec.Vector, n)
+	for i := range vs {
+		vs[i] = vec.Scale(rng.UnitVec(d), rng.Float64())
+	}
+	s, err := FromVectors(vs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := vec.Vector(rng.UnitVec(d))
+	rows := rng.Perm(n)[:m]
+	for _, unsigned := range []bool{false, true} {
+		b.Run(fmt.Sprintf("unsigned=%v", unsigned), func(b *testing.B) {
+			a := NewAcc(10)
+			for i := 0; i < b.N; i++ {
+				a.hits = a.hits[:0] // pooled, as the engines' accumulators are
+				s.OfferRows(nil, &a, q, rows, nil, unsigned)
+			}
+		})
+	}
+}
+
 // BenchmarkFlatTopKMulti measures the full multi-query top-k driver:
 // one iteration answers 256 top-10 queries over a 20k-row store
 // (ns/op ÷ 256 compares against BenchmarkFlatTopK/flat), at every

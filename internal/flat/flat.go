@@ -391,13 +391,32 @@ func (a *Acc) Full() bool { return len(a.hits) == a.k }
 // OfferRows is the candidate engines' verification loop — the served
 // alsh search and the lsh and sketch joins run this one copy: it offers a
 // the score of q, |score| when unsigned, against each row that rows names
-// and dead does not mark, through the kernel the scans use (Dot), and
-// returns how many rows it scored. done (nil: never) is polled every
-// 1024 rows, the candidate set being unbounded; a true return means it
-// fired and a is partial. Panics like Dot on a dimension mismatch.
+// and dead does not mark, in list order, and returns how many rows it
+// scored. done (nil: never) is polled every 1024 rows, the candidate set
+// being unbounded; a true return means it fired and a is partial. Panics
+// like Dot on a dimension mismatch.
+//
+// Candidates are scattered rows, so one row's dot is bound by the latency
+// of its four dependent add chains, not by memory or arithmetic. Live rows
+// are therefore scored in pairs through dotTileGeneric2, q as its one data
+// row and the two candidates as its queries: eight independent chains per
+// pass, each of them vec.DotKernel's own (x·y = y·x exactly), so every
+// score keeps Dot's bits. A row left without a partner — the last one, or
+// one pending at a poll, so scored counts only rows offered — goes
+// through Dot alone.
 func (s *Store) OfferRows(done <-chan struct{}, a *Acc, q vec.Vector, rows []int, dead *Tombstones, unsigned bool) (scored int, stopped bool) {
+	if len(q) != s.dim {
+		panic(fmt.Sprintf("flat: Dot dimension mismatch %d != %d", len(q), s.dim))
+	}
+	var v [2]float64
+	pending := -1
 	for i, r := range rows {
 		if done != nil && i&1023 == 1023 {
+			if pending >= 0 {
+				offerRow(a, pending, s.Dot(pending, q), unsigned)
+				scored++
+				pending = -1
+			}
 			select {
 			case <-done:
 				return scored, true
@@ -407,14 +426,34 @@ func (s *Store) OfferRows(done <-chan struct{}, a *Acc, q vec.Vector, rows []int
 		if dead.Dead(r) {
 			continue
 		}
-		v := s.Dot(r, q)
-		if unsigned && v < 0 {
-			v = -v
+		if pending < 0 {
+			pending = r
+			continue
 		}
-		a.Offer(r, v)
+		dotTileGeneric2(q, s.dim, s.Row(pending), s.Row(r), 0, 1, v[:1], v[1:])
+		offerRow(a, pending, v[0], unsigned)
+		offerRow(a, r, v[1], unsigned)
+		scored += 2
+		pending = -1
+	}
+	if pending >= 0 {
+		offerRow(a, pending, s.Dot(pending, q), unsigned)
 		scored++
 	}
 	return scored, false
+}
+
+// offerRow offers row r's score v, |v| when unsigned, skipping a score
+// Offer would reject as below the threshold: a tie still reaches Offer
+// (a smaller index displaces the held one), and so does NaN, which Offer
+// drops.
+func offerRow(a *Acc, r int, v float64, unsigned bool) {
+	if unsigned {
+		v = math.Abs(v)
+	}
+	if !(v < a.Threshold()) {
+		a.Offer(r, v)
+	}
 }
 
 // offerScores feeds one block of materialised scores (rows base..) into

@@ -3,9 +3,11 @@ package flat
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/vec"
+	"repro/internal/xrand"
 )
 
 // FuzzDotBatch drives the blocked columnar kernel (including the d=16
@@ -193,6 +195,77 @@ func FuzzDotTile(f *testing.F) {
 				if multi[j][i] != single[i] {
 					t.Fatalf("query %d: multi %v != single %v", j, multi[j], single)
 				}
+			}
+		}
+	})
+}
+
+// FuzzOfferRows holds the candidate verify loop to the masked reference
+// scan restricted to the candidates, at k = n (every score visible, each
+// with vec.DotKernel's bits) and at a fuzzed k (the threshold skip).
+// Inputs: d, n, the dead fraction, the candidates' order (ascending,
+// descending, shuffled) and count, signed or unsigned, and coarse rows
+// of {−1, 0, 1} so that scores tie across indexes.
+func FuzzOfferRows(f *testing.F) {
+	f.Add(uint8(6), uint16(40), uint8(80), uint8(2), uint16(33), uint8(3), false, false, uint64(1))
+	f.Add(uint8(31), uint16(1500), uint8(0), uint8(2), uint16(240), uint8(9), true, false, uint64(2))
+	// d = 1, coarse, descending, k = 1: the top score ties, and the
+	// smallest index offered last must win.
+	f.Add(uint8(0), uint16(40), uint8(64), uint8(1), uint16(40), uint8(0), false, true, uint64(3))
+	f.Add(uint8(32), uint16(2100), uint8(40), uint8(0), uint16(2100), uint8(1), true, true, uint64(4))
+	f.Fuzz(func(t *testing.T, dw uint8, nw uint16, deadw, order uint8, mw uint16, kw uint8, unsigned, coarse bool, seed uint64) {
+		d, n := int(dw)%40+1, int(nw)%2100+1
+		rng := xrand.New(seed)
+		vs := randomVecs(rng, n, d)
+		if coarse {
+			for _, v := range vs {
+				for j := range v {
+					v[j] = math.Round(v[j])
+				}
+			}
+		}
+		s, err := FromVectors(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := vec.Vector(rng.NormalVec(d))
+		dead, _ := killRandom(rng, n, float64(deadw)/255)
+		rows := rng.Perm(n)
+		if order%3 != 2 {
+			slices.Sort(rows)
+			if order%3 == 1 {
+				slices.Reverse(rows)
+			}
+		}
+		rows = rows[:int(mw)%(n+1)]
+		// The reference's mask: dead rows and every row not a candidate.
+		candidate := make([]bool, n)
+		for _, r := range rows {
+			candidate[r] = true
+		}
+		mask := NewTombstones(n)
+		for i := 0; i < n; i++ {
+			if !candidate[i] || dead.Dead(i) {
+				mask.Kill(i)
+			}
+		}
+		for _, k := range []int{n, int(kw)%n + 1} {
+			a := NewAcc(k)
+			scored, stopped := s.OfferRows(nil, &a, q, rows, dead, unsigned)
+			if want := n - mask.Count(); stopped || scored != want {
+				t.Fatalf("k=%d: scored %d (stopped %v), want %d", k, scored, stopped, want)
+			}
+			for _, h := range a.Hits() {
+				want := vec.DotKernel(s.Row(h.Index), q)
+				if unsigned {
+					want = math.Abs(want)
+				}
+				if math.Float64bits(h.Score) != math.Float64bits(want) {
+					t.Fatalf("row %d: %v (%#x), vec.DotKernel %v (%#x)", h.Index, h.Score, math.Float64bits(h.Score), want, math.Float64bits(want))
+				}
+			}
+			if ref := naiveTopKMasked(s, q, k, unsigned, mask); !hitBitsEqual(a.Hits(), ref) {
+				t.Fatalf("k=%d d=%d n=%d: %v, reference %v", k, d, n, a.Hits(), ref)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package flat
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/vec"
@@ -168,18 +169,99 @@ func BenchmarkTopKMasked(b *testing.B) {
 	})
 }
 
+// offerRowsRef is OfferRows' reference: each row of the list that dead
+// does not mark, offered in list order with its vec.DotKernel score
+// (math.Abs of it when unsigned). It returns the hits and the rows
+// offered.
+func offerRowsRef(s *Store, q vec.Vector, k int, rows []int, dead *Tombstones, unsigned bool) ([]Hit, int) {
+	a := NewAcc(k)
+	n := 0
+	for _, r := range rows {
+		if dead.Dead(r) {
+			continue
+		}
+		v := vec.DotKernel(s.Row(r), q)
+		if unsigned {
+			v = math.Abs(v)
+		}
+		a.Offer(r, v)
+		n++
+	}
+	return a.Hits(), n
+}
+
+// checkOfferRows runs OfferRows on rows and requires offerRowsRef's
+// count and hits, scores compared by Float64bits.
+func checkOfferRows(t *testing.T, s *Store, q vec.Vector, k int, rows []int, dead *Tombstones, unsigned bool) {
+	t.Helper()
+	a := NewAcc(k)
+	got, stopped := s.OfferRows(nil, &a, q, rows, dead, unsigned)
+	want, n := offerRowsRef(s, q, k, rows, dead, unsigned)
+	if stopped || got != n || !hitBitsEqual(a.Hits(), want) {
+		t.Fatalf("d=%d k=%d unsigned=%v rows=%v dead=%d: scored %d (stopped %v), want %d\n got %v\nwant %v",
+			s.Dim(), k, unsigned, rows, dead.Count(), got, stopped, n, a.Hits(), want)
+	}
+}
+
 // TestOfferRows: verifying a candidate list is the masked reference scan
-// restricted to it — dead rows neither scored nor counted — and a fired
-// done channel stops it at the next 1024-row poll with the count so far.
+// restricted to it — dead rows neither scored nor counted, every score
+// vec.DotKernel's bits whichever of a pair or a lone row it was scored
+// as, a tie at the threshold still offered — and a fired done channel
+// stops it at the next 1024-row poll with the count so far.
 func TestOfferRows(t *testing.T) {
 	rng := xrand.New(71)
-	const n, d = 3000, 7
-	vs := make([]vec.Vector, n)
-	for i := range vs {
-		vs[i] = vec.Vector(rng.NormalVec(d))
+	for _, d := range []int{1, 3, 4, 5, 16, 32, 33} {
+		const n = 40
+		s, _ := FromVectors(randomVecs(rng, n, d))
+		q := vec.Vector(rng.NormalVec(d))
+		dead, _ := killRandom(rng, n, 0.3)
+		// Live, dead, live, dead, …: every would-be partner is dead.
+		alt := NewTombstones(n)
+		for i := 1; i < n; i += 2 {
+			alt.Kill(i)
+		}
+		perm := rng.Perm(n)
+		asc := make([]int, n)
+		for i := range asc {
+			asc[i] = i
+		}
+		for _, unsigned := range []bool{false, true} {
+			for _, mask := range []*Tombstones{nil, dead, alt} {
+				for _, m := range []int{0, 1, 2, 3, 4, 5, n - 1, n} {
+					checkOfferRows(t, s, q, n, perm[:m], mask, unsigned)
+					checkOfferRows(t, s, q, 3, perm[:m], mask, unsigned)
+				}
+				checkOfferRows(t, s, q, n, asc, mask, unsigned)
+			}
+		}
 	}
-	s, _ := FromVectors(vs)
+
+	// Rows 2 and 5 are equal, row 7 scores lower: offered 5 before 2, the
+	// tie at the full accumulator's threshold must still displace 5,
+	// whether 2 is scored in a pair or alone.
+	d := 5
+	vs := randomVecs(rng, 8, d)
 	q := vec.Vector(rng.NormalVec(d))
+	if vec.Dot(vs[2], q) < 0 {
+		q = vec.Neg(q)
+	}
+	vs[5] = vs[2]
+	vs[7] = vec.Vector(make([]float64, d))
+	s, _ := FromVectors(vs)
+	for _, rows := range [][]int{{5, 2}, {7, 5, 2}, {5, 7, 2}, {5, 2, 7}, {5, 5, 2, 2}} {
+		for _, unsigned := range []bool{false, true} {
+			a := NewAcc(1)
+			s.OfferRows(nil, &a, q, rows, nil, unsigned)
+			if h := a.Hits(); len(h) != 1 || h[0].Index != 2 {
+				t.Fatalf("rows %v unsigned=%v: %v, want row 2", rows, unsigned, h)
+			}
+			checkOfferRows(t, s, q, 1, rows, nil, unsigned)
+		}
+	}
+
+	const n = 3000
+	s, _ = FromVectors(randomVecs(rng, n, 7))
+	q = vec.Vector(rng.NormalVec(7))
 	dead, live := killRandom(rng, n, 0.3)
 	all := rng.Perm(n)
 	for _, unsigned := range []bool{false, true} {
@@ -193,16 +275,22 @@ func TestOfferRows(t *testing.T) {
 			if stopped || got != want {
 				t.Fatalf("scored %d rows (stopped %v), want %d", got, stopped, want)
 			}
-			if ref := naiveTopKMasked(s, q, 10, unsigned, mask); !hitsEqual(a.Hits(), ref) {
+			if ref := naiveTopKMasked(s, q, 10, unsigned, mask); !hitBitsEqual(a.Hits(), ref) {
 				t.Fatalf("unsigned=%v masked=%v: %v, reference %v", unsigned, mask != nil, a.Hits(), ref)
 			}
+			checkOfferRows(t, s, q, n, all, mask, unsigned)
 		}
 	}
+	// 1023 live rows precede the first poll, so the last of them waits
+	// there for a partner: it is scored before the poll stops the loop.
 	done := make(chan struct{})
 	close(done)
-	a := NewAcc(10)
-	if got, stopped := s.OfferRows(done, &a, q, all, nil, false); !stopped || got != 1023 {
-		t.Fatalf("cancelled: scored %d rows, stopped %v; want 1023 and true", got, stopped)
+	a := NewAcc(n)
+	if got, stopped := s.OfferRows(done, &a, q, all, nil, false); !stopped || got != 1023 || len(a.Hits()) != 1023 {
+		t.Fatalf("cancelled: scored %d rows with %d hits, stopped %v; want 1023, 1023 and true", got, len(a.Hits()), stopped)
+	}
+	if want, _ := offerRowsRef(s, q, n, all[:1023], nil, false); !hitBitsEqual(a.Hits(), want) {
+		t.Fatalf("cancelled: hits are not the first 1023 rows'")
 	}
 	if got, stopped := s.OfferRows(done, &a, q, all[:1023], nil, false); stopped || got != 1023 {
 		t.Fatalf("a list short of the first poll: scored %d rows, stopped %v", got, stopped)
