@@ -8,63 +8,13 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/join"
 	"repro/internal/lsh"
-	"repro/internal/store"
 	"repro/internal/vec"
 	"repro/internal/vecio"
 	"repro/internal/xrand"
 )
-
-// TestIntegration_StorePipelineWithALSH runs the database-operator
-// pipeline (Scan → SimJoin → Filter → Limit) over an ALSH search
-// structure and cross-checks every emitted tuple.
-func TestIntegration_StorePipelineWithALSH(t *testing.T) {
-	rng := xrand.New(1)
-	P, Q, _ := dataset.Planted(rng, 150, 20, 16, 0.95, []int{0, 5, 10, 15})
-	itemRecs := make([]store.Record, len(P))
-	for i, p := range P {
-		itemRecs[i] = store.Record{ID: i, Vec: p}
-	}
-	queryRecs := make([]store.Record, len(Q))
-	for i, q := range Q {
-		queryRecs[i] = store.Record{ID: i, Vec: q}
-	}
-	items, err := store.NewRelation("items", itemRecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries, err := store.NewRelation("queries", queryRecs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeline := &store.Limit{
-		N: 3,
-		Input: &store.Filter{
-			Pred: func(tp store.Tuple) bool { return tp.Value >= 0.9 },
-			Input: &store.SimJoin{
-				Input:   store.NewScan(queries),
-				Right:   items,
-				Spec:    core.Spec{Variant: core.Signed, S: 0.9, C: 0.5},
-				Builder: core.ALSHSearch{K: 6, L: 32, Seed: 2},
-			},
-		},
-	}
-	tuples, err := store.Collect(pipeline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tuples) != 3 {
-		t.Fatalf("pipeline emitted %d tuples, want 3", len(tuples))
-	}
-	for _, tp := range tuples {
-		if got := vec.Dot(tp.Left.Vec, tp.Right.Vec); got < 0.9 {
-			t.Fatalf("tuple below filter threshold: %v", got)
-		}
-	}
-}
 
 // TestIntegration_SymmetricFamilyJoin runs a signed join where data and
 // query domains coincide, through the §4.2 symmetric family — the

@@ -41,7 +41,7 @@ type ScanOpts struct {
 	// Unsigned ranks by |pᵀq|.
 	Unsigned bool
 	// Workers > 1 lets Scan split a row-order view across that many
-	// goroutines when it is large enough (see MaxScanWorkers); hits are
+	// goroutines when it is large enough (see maxScanWorkers); hits are
 	// the same whatever the split.
 	Workers int
 	// Dead marks rows to leave out, in the view's own row order (for a
@@ -197,12 +197,10 @@ func (v View) AllocatedBytes() int64 {
 	return v.t.AllocatedBytes() + v.tail.t.AllocatedBytes()
 }
 
-// MaxScanWorkers returns the largest Workers value Scan can spend on
-// this view — the clamp Scan applies itself. Serving layers use it to
-// avoid reserving parallelism a small shard would hold idle. A
-// norm-sorted scan is sequential by nature: each block's bound depends
-// on the hits so far.
-func (v View) MaxScanWorkers() int {
+// maxScanWorkers returns the largest Workers value Scan can spend on
+// this view: one per minParallelRows rows. A norm-sorted scan is
+// sequential by nature: each block's bound depends on the hits so far.
+func (v View) maxScanWorkers() int {
 	if v.Sorted() {
 		return 1
 	}
@@ -452,7 +450,7 @@ func (v View) Scan(ctx context.Context, q vec.Vector, o ScanOpts) ([]Hit, error)
 	a := NewAcc(o.K)
 	var st ScanStats
 	var stopped bool
-	if workers := min(o.Workers, v.MaxScanWorkers()); workers > 1 {
+	if workers := min(o.Workers, v.maxScanWorkers()); workers > 1 {
 		stopped = s.parallel(workers, &a, &st)
 	} else {
 		stopped = s.all(&a, &st, sc.tileBuf())

@@ -433,7 +433,7 @@ func checkScanCell(t *testing.T, cell string, v View, q vec.Vector, o ScanOpts, 
 			t.Fatalf("%s: uncancelled twin: %v", cell, err)
 		}
 	}
-	inflight := max(1, min(o.Workers, v.MaxScanWorkers()))
+	inflight := max(1, min(o.Workers, v.maxScanWorkers()))
 	switch {
 	case gc == ctxCancelled && n > 0:
 		if !errors.Is(err, context.Canceled) || got != nil {

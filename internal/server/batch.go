@@ -245,7 +245,7 @@ func (s *Server) searchTile(ctx context.Context, c *Collection, name string, que
 		ts.trans = make([]Hit, 0, nsh*tn*k)
 	}
 
-	topts := TopKOpts{Unsigned: unsigned, Workers: 1, Rerank: opts.Rerank}
+	topts := TopKOpts{Unsigned: unsigned, Rerank: opts.Rerank}
 	for si, snap := range snaps {
 		var accs []flat.Acc
 		var err error
@@ -256,7 +256,7 @@ func (s *Server) searchTile(ctx context.Context, c *Collection, name string, que
 			accs, err = ix.topKMulti(ctx, qst, tlo, thi, k, topts, ts)
 		default:
 			// sketch (and the empty index) answers one query at a time,
-			// exactly like the single-query path at Workers 1.
+			// exactly like the single-query path.
 			accs = ts.tile.Accs(tn, k)
 			for j := 0; j < tn && err == nil; j++ {
 				var local []Hit

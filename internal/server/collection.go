@@ -843,15 +843,12 @@ func (c *Collection) observeStage(stage string, d time.Duration) {
 	}
 }
 
-// SearchOne answers a single top-k query. When pool is non-nil the
-// shard fan-out runs on the worker pool; for a single-shard collection
-// any worker slots that are idle right now are borrowed (non-blocking,
-// released at return) to split the scan across row blocks, so one query
-// against one large shard still uses every idle core while the pool's
-// shared budget keeps concurrent requests from multiplying goroutines.
-// When pool is nil (the batch executor path, where parallelism already
-// comes from concurrent queries) shards are scanned serially on the
-// calling goroutine.
+// SearchOne answers a single top-k query. A query's only parallelism is
+// the collection's shards: with a non-nil pool and more than one shard
+// the shards are scanned on the pool, one task each; with one shard, or
+// a nil pool, they are scanned in turn on the calling goroutine. Each
+// shard's scan runs on one core, so a one-shard collection answers on
+// one core.
 //
 // ctx carries the request deadline; the shard scans poll it per row
 // block, so a cancelled query stops within one block and the first
@@ -886,39 +883,12 @@ func (c *Collection) searchOne(ctx context.Context, pool *Pool, q vec.Vector, k 
 	c.queries.Add(1)
 	lists := make([][]Hit, len(c.shards))
 	errs := make([]error, len(c.shards))
-	workers := 1
-	if pool != nil && len(c.shards) == 1 {
-		// Single-shard path over an index that can split its scan: the
-		// scan runs inline on this goroutine, so borrow idle slots for
-		// row-block parallelism — but no more than the scan can spend,
-		// so excess slots aren't held hostage from concurrent requests.
-		// Borrowing must never happen on the multi-shard path below —
-		// holding slots while ForEach blocks acquiring more could
-		// deadlock concurrent searches against each other; there,
-		// parallelism comes from the shard fan-out itself.
-		want := c.shards[0].scanParallelism() - 1
-		if max := pool.Workers() - 1; want > max {
-			want = max
-		}
-		extras := 0
-		for extras < want && pool.TryAcquire() {
-			extras++
-		}
-		if extras > 0 {
-			defer func() {
-				for i := 0; i < extras; i++ {
-					pool.Release()
-				}
-			}()
-		}
-		workers = 1 + extras
-	}
 	scan := func(i int) {
 		var shx *ShardExplain
 		if ex != nil {
 			shx = &ex[i]
 		}
-		lists[i], errs[i] = c.shards[i].topK(ctx, q, k, TopKOpts{Unsigned: unsigned, Workers: workers, Rerank: rerank, Explain: shx})
+		lists[i], errs[i] = c.shards[i].topK(ctx, q, k, TopKOpts{Unsigned: unsigned, Rerank: rerank, Explain: shx})
 	}
 	tr := trace.FromContext(ctx)
 	ssp := tr.StartSpan("scan")

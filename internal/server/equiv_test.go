@@ -178,12 +178,11 @@ func TestCandidateEnginesVerifyScores(t *testing.T) {
 	}
 }
 
-// TestSingleShardParallelScanMatchesExact drives the slot-borrowing
-// path: a single-shard collection large enough for flat.Store.TopK to
-// split the scan across borrowed pool slots must still return exactly
-// the reference answer (the chunk merge preserves canonical ordering),
-// including under concurrent single-query load.
-func TestSingleShardParallelScanMatchesExact(t *testing.T) {
+// TestSingleShardConcurrentSearchMatchesExact: concurrent single-query
+// searches on one 13 000-row shard — each scanned on its caller's
+// goroutine, while the others hold the same snapshot — must each return
+// exactly the reference answer.
+func TestSingleShardConcurrentSearchMatchesExact(t *testing.T) {
 	rng := xrand.New(97)
 	data := adversarial(rng, 13000, 16)
 	recs := records(data, 0)

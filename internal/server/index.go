@@ -53,9 +53,6 @@ type ShardIndex interface {
 type TopKOpts struct {
 	// Unsigned ranks by |pᵀq|.
 	Unsigned bool
-	// Workers > 1 permits the engine to parallelize its scan across that
-	// many goroutines (engines may ignore the hint).
-	Workers int
 	// Rerank asks for scores bit-identical to the f64 exact scan's from
 	// an engine whose own scores are not (the f32 tier); engines that are
 	// already exact, or always re-rank, ignore it.
@@ -342,7 +339,7 @@ func (ix *flatIndex) fetchK(k int, rerank bool) (int, bool) {
 
 func (ix *flatIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error) {
 	fetch, rerank := ix.fetchK(k, o.Rerank)
-	so := flat.ScanOpts{K: fetch, Unsigned: o.Unsigned, Workers: o.Workers, Dead: ix.dead}
+	so := flat.ScanOpts{K: fetch, Unsigned: o.Unsigned, Dead: ix.dead}
 	var st flat.ScanStats
 	if o.Explain != nil {
 		so.Stats = &st
@@ -371,9 +368,9 @@ func (ix *flatIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) 
 
 // topKMulti answers query rows [qlo, qhi) of qs in one call: the
 // returned accumulators (owned by sc) hold each query's top-k hits —
-// local row indices, canonical order — bit-identical to TopK per query
-// with Workers 1. On the f64 views the whole tile shares one sweep of
-// the rows through the register-blocked multi-query kernel.
+// local row indices, canonical order — bit-identical to TopK per query.
+// On the f64 views the whole tile shares one sweep of the rows through
+// the register-blocked multi-query kernel.
 func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, ts *tileScratch) ([]flat.Acc, error) {
 	fetch, rerank := ix.fetchK(k, o.Rerank)
 	accs := ts.tile.Accs(qhi-qlo, fetch)

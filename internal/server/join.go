@@ -306,7 +306,7 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 			return eng, err
 		})
 	}
-	run := func(i int, runner join.Runner) {
+	run := func(i int) {
 		pr := pairs[i]
 		dsnap, qsnap := dsnaps[pr.d], qsnaps[pr.q]
 		eng, err := engines[pr.d]()
@@ -316,7 +316,7 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 		}
 		var work flat.ScanStats
 		res, err := eng.Join(dsnap.fs, qsnap.fs, sp.S, sp.CS(), join.Opts{
-			Unsigned: unsigned, TopK: engineK, Runner: runner, Ctx: ctx,
+			Unsigned: unsigned, TopK: engineK, Ctx: ctx,
 			DeadP: dsnap.dead, DeadQ: qsnap.dead, Stats: &work})
 		// The span sums its pairs' work, a cancelled pair's included.
 		ssp.SetInt("rows_scanned", int64(work.ScannedRows))
@@ -341,21 +341,9 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 		res.Matches = keep
 		parts[i] = res
 	}
-	var feedErr error
-	if len(pairs) == 1 {
-		// A single shard pair cannot fan out, so the engine itself may
-		// spread Q-tiles over the pool with the blocking executor.
-		run(0, s.pool)
-	} else {
-		// Pair-level fan-out holds pool slots, so the per-pair Q-tile
-		// runner must never block on the same pool — the borrowing
-		// executor soaks up whatever slots the pair fan-out leaves
-		// idle (few pairs on a wide pool) and degrades to inline when
-		// there are none.
-		feedErr = s.pool.ForEachCtx(ctx, len(pairs), func(i int) {
-			run(i, s.pool.Borrowing())
-		})
-	}
+	// The shard pairs are the join's only parallelism: each pair's engine
+	// runs serially on its pool task.
+	feedErr := s.pool.ForEachCtx(ctx, len(pairs), run)
 	ssp.End()
 	if feedErr == nil {
 		// A pair the engine abandoned reports ctx's error itself; this

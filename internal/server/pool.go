@@ -4,14 +4,14 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-// Pool is the batch executor: a bounded parallel-for over task
-// indices. The bound is a server-wide semaphore, so a single request
-// carrying a thousand queries saturates every core while any number
-// of concurrent requests still share the same worker budget instead
-// of multiplying it.
+// Pool is the server's bounded parallel-for over task indices. Inside
+// one request it runs the shard fan-out of a search, the shard-pair
+// fan-out of a join and the query tiles of a batch search; nothing
+// splits one task further. The bound is a server-wide semaphore, so any
+// number of concurrent requests share the same worker budget instead of
+// multiplying it.
 type Pool struct {
 	sem chan struct{}
 }
@@ -28,183 +28,60 @@ func NewPool(n int) *Pool {
 // Workers returns the pool parallelism.
 func (p *Pool) Workers() int { return cap(p.sem) }
 
-// TryAcquire claims one worker slot without blocking, reporting whether
-// a slot was free. It lets callers borrow budget for extra intra-task
-// parallelism (e.g. splitting one shard scan across row blocks) while
-// keeping the pool's invariant that concurrent requests share, rather
-// than multiply, the worker budget. Every successful TryAcquire must be
-// paired with Release.
-func (p *Pool) TryAcquire() bool {
-	select {
-	case p.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
+// ForEach is ForEachCtx without cancellation; it makes the pool a
+// join.Runner.
+func (p *Pool) ForEach(n int, fn func(i int)) { p.ForEachCtx(nil, n, fn) }
 
-// Release returns a slot claimed by TryAcquire.
-func (p *Pool) Release() { <-p.sem }
-
-// Borrowing returns an executor that spreads tasks over worker slots
-// claimed non-blockingly from the pool (TryAcquire), always keeping
-// the calling goroutine as one participant. Unlike ForEach it can
-// safely run *inside* a pool task: when the pool is saturated it
-// simply degrades to inline execution instead of deadlocking, so it
-// is the executor to hand to nested parallel work (e.g. the Q-tile
-// fan-out of one shard-pair join running under the pair-level
-// ForEach).
-func (p *Pool) Borrowing() *BorrowingExecutor { return &BorrowingExecutor{pool: p} }
-
-// BorrowingExecutor is the non-blocking nested-parallelism executor
-// returned by Pool.Borrowing. It satisfies the serving and join
-// layers' parallel-for contracts.
-type BorrowingExecutor struct{ pool *Pool }
-
-// ForEach invokes fn(i) for every i in [0, n), running inline plus on
-// however many workers it could borrow without blocking. Slots are
-// released before returning.
-func (b *BorrowingExecutor) ForEach(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	extras := 0
-	for extras < n-1 && b.pool.TryAcquire() {
-		extras++
-	}
-	if extras == 0 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(extras)
-	for w := 0; w < extras; w++ {
-		go func() {
-			defer func() {
-				b.pool.Release()
-				wg.Done()
-			}()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
-
-// ForEach invokes fn(i) for every i in [0, n) and blocks until all
-// calls return. At most Workers tasks run at once across every
-// concurrent ForEach on the pool; the feeding goroutine blocks while
-// the pool is saturated, which back-pressures oversized requests.
-// Tasks must not themselves call ForEach on the same pool (slots are
-// held for a task's full duration, so nesting can deadlock); use
-// Borrowing for nested parallelism.
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if n == 1 || cap(p.sem) == 1 {
-		// Inline, but still holding a slot per task: the budget must
-		// stay honest for concurrent requests and for Borrowing
-		// executors watching for idle slots — a free slot here would
-		// let a nested borrower run a second scan on a pool sized for
-		// one.
-		for i := 0; i < n; i++ {
-			p.sem <- struct{}{}
-			fn(i)
-			<-p.sem
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		p.sem <- struct{}{}
-		go func(i int) {
-			defer func() {
-				<-p.sem
-				wg.Done()
-			}()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// ForEachCtx is ForEach with cancellation: the feeding loop stops
-// submitting tasks once ctx is cancelled (the cancellable feed also
-// means a request queued behind a saturated pool stops waiting for a
-// slot the moment its deadline fires, releasing nothing it never
-// held). Tasks already started always run to completion — fn itself is
-// expected to observe ctx — and every claimed slot is released before
-// return. Returns ctx.Err() when any task was skipped, nil when all n
-// ran. A nil or never-cancellable ctx takes exactly the ForEach path.
+// ForEachCtx invokes fn(i) for every i in [0, n) and blocks until every
+// started call returns. At most Workers tasks run at once across every
+// concurrent call on the pool; the feeding goroutine blocks while the
+// pool is saturated, which back-pressures oversized requests. Tasks must
+// not themselves call into the same pool: slots are held for a task's
+// full duration, so nesting can deadlock.
+//
+// The feed stops submitting tasks once ctx is cancelled, so a request
+// queued behind a saturated pool stops waiting for a slot the moment its
+// deadline fires, releasing nothing it never held. Tasks already started
+// always run to completion — fn itself is expected to observe ctx — and
+// every claimed slot is released before return. Returns ctx.Err() when
+// any task was skipped, nil when all n ran. A nil ctx never cancels.
 func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(i int)) error {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	if done == nil {
-		p.ForEach(n, fn)
-		return nil
-	}
-	if n <= 0 {
-		return nil
-	}
-	if n == 1 || cap(p.sem) == 1 {
-		for i := 0; i < n; i++ {
-			// The explicit Err check makes an already-expired context
-			// deterministic (select picks randomly among ready cases, so
-			// without it one task could still sneak through).
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			select {
-			case <-done:
-				return ctx.Err()
-			case p.sem <- struct{}{}:
-			}
-			fn(i)
-			<-p.sem
-		}
-		return nil
-	}
+	// Nil for a context that never cancels; receiving from it never fires.
+	done := ctx.Done()
+	inline := n == 1 || cap(p.sem) == 1
 	var wg sync.WaitGroup
-	var err error
+	defer wg.Wait()
 	for i := 0; i < n; i++ {
-		if err = ctx.Err(); err != nil {
-			break
+		// The explicit Err check makes an already-expired context
+		// deterministic (select picks randomly among ready cases, so
+		// without it one task could still sneak through).
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		var acquired bool
 		select {
 		case <-done:
+			return ctx.Err()
 		case p.sem <- struct{}{}:
-			acquired = true
 		}
-		if !acquired {
-			err = ctx.Err()
-			break
+		if inline {
+			// No goroutine, but the slot is held for the task's whole
+			// run: an inline task is as much a worker as a spawned one,
+			// and concurrent requests must see it against the budget.
+			fn(i)
+			<-p.sem
+			continue
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer func() {
 				<-p.sem
 				wg.Done()
 			}()
 			fn(i)
-		}(i)
+		}()
 	}
-	wg.Wait()
-	return err
+	return nil
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,68 +19,61 @@ func TestPoolForEachRunsEveryTask(t *testing.T) {
 	}
 }
 
-// TestBorrowingExecutor pins the nested-parallelism contract: every
-// task runs exactly once, slots are returned afterwards, and a
-// saturated pool degrades to inline execution instead of blocking.
-func TestBorrowingExecutor(t *testing.T) {
-	p := NewPool(3)
-	var hits [50]atomic.Int32
-	p.Borrowing().ForEach(len(hits), func(i int) { hits[i].Add(1) })
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("task %d ran %d times", i, got)
-		}
-	}
-	// All borrowed slots must be back: a full blocking ForEach still
-	// completes.
-	p.ForEach(3, func(int) {})
-
-	// Saturate the pool, then borrow: must run inline, not block.
-	for i := 0; i < p.Workers(); i++ {
-		if !p.TryAcquire() {
-			t.Fatal("could not saturate pool")
-		}
-	}
-	var ran atomic.Int32
-	p.Borrowing().ForEach(10, func(int) { ran.Add(1) })
-	if ran.Load() != 10 {
-		t.Fatalf("saturated borrowing ran %d of 10 tasks", ran.Load())
-	}
-	for i := 0; i < p.Workers(); i++ {
-		p.Release()
-	}
-
-	// Nested inside a pool task (the shard-pair join shape): must not
-	// deadlock and must cover every index.
-	var nested atomic.Int32
-	p.ForEach(p.Workers(), func(int) {
-		p.Borrowing().ForEach(8, func(int) { nested.Add(1) })
-	})
-	if want := int32(p.Workers() * 8); nested.Load() != want {
-		t.Fatalf("nested borrowing ran %d of %d tasks", nested.Load(), want)
-	}
-}
-
-// TestBorrowingHonorsSingleWorkerBudget pins the worker-budget
-// invariant on a 1-worker pool: ForEach's inline path holds the slot,
-// so a nested borrower cannot run a second concurrent task.
-func TestBorrowingHonorsSingleWorkerBudget(t *testing.T) {
-	p := NewPool(1)
-	var concurrent, peak atomic.Int32
-	p.ForEach(4, func(int) {
-		p.Borrowing().ForEach(6, func(int) {
-			cur := concurrent.Add(1)
-			for {
-				old := peak.Load()
-				if cur <= old || peak.CompareAndSwap(old, cur) {
-					break
+// TestPoolSharesBudget pins the worker budget: with several goroutines
+// calling ForEach and ForEachCtx (nil ctx) at once, over one task and
+// over many, every task runs exactly once, ForEachCtx reports nil, and
+// no more than Workers tasks ever run at the same time — on the inline
+// path (a one-worker pool, a one-task call) as on the goroutine path.
+func TestPoolSharesBudget(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			p := NewPool(workers)
+			var running, peak atomic.Int32
+			task := func(hits []atomic.Int32) func(int) {
+				return func(i int) {
+					cur := running.Add(1)
+					for {
+						old := peak.Load()
+						if cur <= old || peak.CompareAndSwap(old, cur) {
+							break
+						}
+					}
+					time.Sleep(200 * time.Microsecond)
+					running.Add(-1)
+					hits[i].Add(1)
 				}
 			}
-			time.Sleep(100 * time.Microsecond)
-			concurrent.Add(-1)
+			const callers = 6
+			var wg sync.WaitGroup
+			hits := make([][]atomic.Int32, 2*callers)
+			for c := range hits {
+				// Even callers take one task (the inline path on any
+				// pool), odd callers eight.
+				hits[c] = make([]atomic.Int32, 1+(c%2)*7)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if c < callers {
+						p.ForEach(len(hits[c]), task(hits[c]))
+					} else if err := p.ForEachCtx(nil, len(hits[c]), task(hits[c])); err != nil {
+						t.Errorf("ForEachCtx(nil): %v", err)
+					}
+				}()
+			}
+			wg.Wait()
+			for c := range hits {
+				for i := range hits[c] {
+					if got := hits[c][i].Load(); got != 1 {
+						t.Fatalf("caller %d task %d ran %d times", c, i, got)
+					}
+				}
+			}
+			if got := peak.Load(); got > int32(p.Workers()) {
+				t.Fatalf("%d tasks ran at once on a %d-worker pool", got, p.Workers())
+			}
+			if len(p.sem) != 0 {
+				t.Fatalf("%d slots still held", len(p.sem))
+			}
 		})
-	})
-	if got := peak.Load(); got > 1 {
-		t.Fatalf("1-worker pool reached %d concurrent tasks", got)
 	}
 }

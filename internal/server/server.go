@@ -31,7 +31,9 @@ type Config struct {
 	// CacheCapacity bounds the query-result LRU (default 4096 entries;
 	// negative disables caching).
 	CacheCapacity int
-	// Workers bounds the batch executor (default GOMAXPROCS).
+	// Workers sizes the pool that a search's shard fan-out, a join's
+	// shard-pair fan-out and a batch's query tiles run on (default
+	// GOMAXPROCS).
 	Workers int
 	// Seed derives per-collection and per-shard hashing seeds.
 	Seed uint64

@@ -344,7 +344,7 @@ func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
 	if sh.size() != 1 {
 		t.Fatalf("failed prepare changed shard size to %d", sh.size())
 	}
-	hits, err := sh.topK(context.Background(), vec.Vector{1, 0}, 1, TopKOpts{Workers: 1})
+	hits, err := sh.topK(context.Background(), vec.Vector{1, 0}, 1, TopKOpts{})
 	if err != nil || len(hits) != 1 || hits[0].ID != 0 {
 		t.Fatalf("shard unusable after failed prepare: hits=%v err=%v", hits, err)
 	}

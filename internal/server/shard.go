@@ -408,13 +408,3 @@ func sortHitsCanonical(hs []Hit) {
 
 // size returns the current record count.
 func (s *shard) size() int { return len(s.snap.Load().ids) }
-
-// scanParallelism returns how many workers the current snapshot's
-// index can actually spend on one scan (1 when the engine ignores the
-// hint or the shard is too small — large store-order flat shards only).
-func (s *shard) scanParallelism() int {
-	if ix, ok := s.snap.Load().index.(*flatIndex); ok {
-		return max(1, ix.view.MaxScanWorkers())
-	}
-	return 1
-}

@@ -1,17 +1,9 @@
-// Package store provides a small database-flavoured execution layer for
-// IPS joins, after the "similarity join database operator" framing of
-// Silva–Aref–Ali that the paper's related work builds on: relations of
-// vector-payload records and Volcano-style iterators (Open/Next/Close)
-// composing scans, filters, limits and the similarity-join operator
-// driven by any core.SearchBuilder (exact, ALSH, or sketch).
+// Package store defines Record, the unit the serving layers move: the
+// server ingests records, and the persistence layer logs and
+// checkpoints them.
 package store
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/vec"
-)
+import "repro/internal/vec"
 
 // Record is one tuple: an id, a vector payload, and optional
 // string attributes.
@@ -19,233 +11,4 @@ type Record struct {
 	ID    int
 	Vec   vec.Vector
 	Attrs map[string]string
-}
-
-// Relation is a named set of records with a common vector dimension.
-type Relation struct {
-	Name string
-	Dim  int
-	Recs []Record
-}
-
-// NewRelation validates and builds a relation.
-func NewRelation(name string, recs []Record) (*Relation, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("store: relation %q is empty", name)
-	}
-	d := len(recs[0].Vec)
-	if d == 0 {
-		return nil, fmt.Errorf("store: relation %q has zero-dimensional vectors", name)
-	}
-	for i, r := range recs {
-		if len(r.Vec) != d {
-			return nil, fmt.Errorf("store: relation %q record %d has dimension %d, want %d",
-				name, i, len(r.Vec), d)
-		}
-	}
-	return &Relation{Name: name, Dim: d, Recs: recs}, nil
-}
-
-// Vectors returns the payload vectors in record order.
-func (r *Relation) Vectors() []vec.Vector {
-	out := make([]vec.Vector, len(r.Recs))
-	for i, rec := range r.Recs {
-		out[i] = rec.Vec
-	}
-	return out
-}
-
-// Tuple is one similarity-join output row.
-type Tuple struct {
-	Left, Right Record
-	// Value is the verified (absolute, for unsigned) inner product.
-	Value float64
-}
-
-// Operator is the Volcano iterator contract.
-type Operator interface {
-	Open() error
-	// Next returns the next tuple; ok=false signals exhaustion.
-	Next() (t Tuple, ok bool, err error)
-	Close() error
-}
-
-// Scan emits a relation's records as left-only tuples.
-type Scan struct {
-	Rel *Relation
-	pos int
-}
-
-// NewScan returns a scan over rel.
-func NewScan(rel *Relation) *Scan { return &Scan{Rel: rel} }
-
-// Open implements Operator.
-func (s *Scan) Open() error {
-	if s.Rel == nil {
-		return fmt.Errorf("store: scan over nil relation")
-	}
-	s.pos = 0
-	return nil
-}
-
-// Next implements Operator.
-func (s *Scan) Next() (Tuple, bool, error) {
-	if s.pos >= len(s.Rel.Recs) {
-		return Tuple{}, false, nil
-	}
-	t := Tuple{Left: s.Rel.Recs[s.pos]}
-	s.pos++
-	return t, true, nil
-}
-
-// Close implements Operator.
-func (s *Scan) Close() error { return nil }
-
-// SimJoin is the similarity-join operator: for each left tuple, it
-// consults a (cs, s) search structure over the right relation and emits
-// a joined tuple when the search reports a qualifying partner. One
-// output per satisfied left tuple — the paper's Definition 1 semantics.
-type SimJoin struct {
-	Input   Operator
-	Right   *Relation
-	Spec    core.Spec
-	Builder core.SearchBuilder
-
-	searcher core.Searcher
-	opened   bool
-}
-
-// Open builds the search structure and opens the input.
-func (j *SimJoin) Open() error {
-	if j.Input == nil || j.Right == nil || j.Builder == nil {
-		return fmt.Errorf("store: simjoin requires input, right relation and builder")
-	}
-	if err := j.Spec.Validate(); err != nil {
-		return err
-	}
-	if err := j.Input.Open(); err != nil {
-		return err
-	}
-	s, err := j.Builder.Build(j.Right.Vectors())
-	if err != nil {
-		return err
-	}
-	j.searcher = s
-	j.opened = true
-	return nil
-}
-
-// Next implements Operator: it pulls left tuples until one joins.
-func (j *SimJoin) Next() (Tuple, bool, error) {
-	if !j.opened {
-		return Tuple{}, false, fmt.Errorf("store: simjoin not opened")
-	}
-	for {
-		left, ok, err := j.Input.Next()
-		if err != nil || !ok {
-			return Tuple{}, false, err
-		}
-		if len(left.Left.Vec) != j.Right.Dim {
-			return Tuple{}, false, fmt.Errorf("store: left record %d has dimension %d, want %d",
-				left.Left.ID, len(left.Left.Vec), j.Right.Dim)
-		}
-		idx, val, hit := j.searcher.Search(left.Left.Vec, j.Spec)
-		if !hit {
-			continue
-		}
-		return Tuple{Left: left.Left, Right: j.Right.Recs[idx], Value: val}, true, nil
-	}
-}
-
-// Close implements Operator.
-func (j *SimJoin) Close() error {
-	j.opened = false
-	if j.Input != nil {
-		return j.Input.Close()
-	}
-	return nil
-}
-
-// Filter drops tuples failing the predicate.
-type Filter struct {
-	Input Operator
-	Pred  func(Tuple) bool
-}
-
-// Open implements Operator.
-func (f *Filter) Open() error {
-	if f.Input == nil || f.Pred == nil {
-		return fmt.Errorf("store: filter requires input and predicate")
-	}
-	return f.Input.Open()
-}
-
-// Next implements Operator.
-func (f *Filter) Next() (Tuple, bool, error) {
-	for {
-		t, ok, err := f.Input.Next()
-		if err != nil || !ok {
-			return Tuple{}, false, err
-		}
-		if f.Pred(t) {
-			return t, true, nil
-		}
-	}
-}
-
-// Close implements Operator.
-func (f *Filter) Close() error { return f.Input.Close() }
-
-// Limit emits at most N tuples.
-type Limit struct {
-	Input Operator
-	N     int
-	count int
-}
-
-// Open implements Operator.
-func (l *Limit) Open() error {
-	if l.Input == nil {
-		return fmt.Errorf("store: limit requires input")
-	}
-	if l.N < 0 {
-		return fmt.Errorf("store: negative limit %d", l.N)
-	}
-	l.count = 0
-	return l.Input.Open()
-}
-
-// Next implements Operator.
-func (l *Limit) Next() (Tuple, bool, error) {
-	if l.count >= l.N {
-		return Tuple{}, false, nil
-	}
-	t, ok, err := l.Input.Next()
-	if err != nil || !ok {
-		return Tuple{}, false, err
-	}
-	l.count++
-	return t, true, nil
-}
-
-// Close implements Operator.
-func (l *Limit) Close() error { return l.Input.Close() }
-
-// Collect drains an operator into a slice, handling Open/Close.
-func Collect(op Operator) ([]Tuple, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	var out []Tuple
-	for {
-		t, ok, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, t)
-	}
 }
