@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -24,6 +25,12 @@ import (
 // build or an extend, a join's or a batch search's Q-tile, one query's
 // q′ and −q′ — fall out of a single tile product against it. The index
 // keeps ids only — callers own the vectors and score candidates by id.
+//
+// Under a Hyperplane family (K ≤ 64) a table key is the K-bit sign code
+// itself; other families fold their K hash values into a 64-bit key. Up
+// to K = maxDenseK a sign-code table is dense, a bucket per code found by
+// two loads; past it, and under other families, a table is sparse, a
+// bucket per key that occurs found by binary search.
 type Index struct {
 	K, L int
 	// maps is the pre-map of an Asymmetric family (nil funcs otherwise),
@@ -38,23 +45,54 @@ type Index struct {
 	n       int
 }
 
-// table is one band's buckets in CSR form: keys ascending, and bucket j
-// is ids[offs[j]:offs[j+1]], ids ascending; an empty table is the one
-// offset 0. Tables are never mutated once built, so a table Extend
-// writes may share its keys with the table it grew from.
+// maxDenseK is the largest K whose sign-code tables are dense. A dense
+// table costs 4·(2^K+1) bytes, and a write rewrites all its offsets; a
+// sparse one costs 12 bytes per occupied code, and a write moves only
+// those. At a served shard (1 500 rows of SIMPLE + hyperplane, d = 32,
+// L = 16) K = 8 occupies 144 of 256 codes, above the (2^K+1)/3 = 86 past
+// which dense costs fewer bytes, and dense tables build and probe faster
+// than sparse ones with 16-row writes even. At K = 9 they still cost
+// fewer bytes (200 of 512 occupied) but such a write takes 1.3× as long.
+const maxDenseK = 8
+
+// dense reports whether ix's tables hold a bucket per sign code.
+func (ix *Index) dense() bool { return ix.planes != nil && ix.K <= maxDenseK }
+
+// table is one band's buckets in CSR form: bucket j is
+// ids[offs[j]:offs[j+1]], ids ascending. A dense table has a bucket for
+// each of the 2^K codes, j the code itself, and no keys; a sparse one
+// lists the keys that occur, scrambled and ascending, and j is a key's
+// position. An empty table's offsets are all 0. Tables are never mutated
+// once built.
 type table struct {
 	keys []uint64
 	offs []int32
 	ids  []int32
 }
 
-// bucket returns the ids stored under key (nil when absent).
-func (t *table) bucket(key uint64) []int32 {
-	j, ok := slices.BinarySearch(t.keys, key)
-	if !ok {
-		return nil
+// bucket returns the ids t stores under key, a code of a dense table
+// (empty or nil when none).
+func (t *table) bucket(key uint64, dense bool) []int32 {
+	if !dense {
+		j, ok := slices.BinarySearch(t.keys, scramble(key))
+		if !ok {
+			return nil
+		}
+		key = uint64(j)
 	}
-	return t.ids[t.offs[j]:t.offs[j+1]]
+	return t.ids[t.offs[key]:t.offs[key+1]]
+}
+
+// scramble orders a sparse table's keys: a bijection of uint64 (murmur3's
+// finalizer) whose top bits depend on every bit of the key, so scrambled
+// keys spread evenly over their top bits, however alike the family's
+// keys are there.
+func scramble(key uint64) uint64 {
+	key ^= key >> 33
+	key *= 0xff51afd7ed558ccd
+	key ^= key >> 33
+	key *= 0xc4ceb9fe1a85ec53
+	return key ^ key>>33
 }
 
 // NewIndex samples K·L hash functions from the family. Deterministic
@@ -67,30 +105,36 @@ func NewIndex(f Family, k, l int, seed uint64) (*Index, error) {
 		return nil, fmt.Errorf("lsh: invalid index shape K=%d L=%d", k, l)
 	}
 	ix := &Index{K: k, L: l, tables: make([]table, l)}
-	empty := []int32{0}
-	for t := range ix.tables {
-		ix.tables[t].offs = empty
-	}
 	if a, ok := f.(*Asymmetric); ok {
 		// Asymmetric.Sample only wraps Inner.Sample, so sampling the inner
 		// family directly consumes the identical RNG stream.
 		ix.maps, f = a.Maps, a.Inner
 	}
 	rng := xrand.New(seed)
-	if hp, ok := f.(*Hyperplane); ok {
+	if hp, ok := f.(*Hyperplane); ok && k <= 64 {
 		// Hyperplane.Sample draws one normal per function; drawing them
-		// here consumes the identical RNG stream.
+		// here consumes the identical RNG stream. (A code of more than 64
+		// signs does not fit a key: such a family keeps its hashers.)
 		normals := make([]vec.Vector, k*l)
 		for r := range normals {
 			normals[r] = rng.NormalVec(hp.D)
 		}
 		var err error
-		ix.planes, err = flat.FromVectors(normals)
-		return ix, err
+		if ix.planes, err = flat.FromVectors(normals); err != nil {
+			return nil, err
+		}
+	} else {
+		ix.hashers = make([]Hasher, k*l)
+		for r := range ix.hashers {
+			ix.hashers[r] = f.Sample(rng)
+		}
 	}
-	ix.hashers = make([]Hasher, k*l)
-	for r := range ix.hashers {
-		ix.hashers[r] = f.Sample(rng)
+	empty := table{offs: []int32{0}}
+	if ix.dense() {
+		empty.offs = make([]int32, 1<<k+1)
+	}
+	for t := range ix.tables {
+		ix.tables[t] = empty
 	}
 	return ix, nil
 }
@@ -150,12 +194,13 @@ type tileHash struct {
 // Sampled hashers then hash it alone; under a Hyperplane family the
 // mapped vectors become the rows of a probe store, hashStep at a time,
 // and one tile product gives every probe·plane inner product, whose signs
-// fold into the keys. The product has vec.Dot's bits in either
-// orientation (a·b = b·a exactly, along the same 4-lane unfused chain
-// from +0), so the orientation is the kernel's best: flat runs its SIMD
-// micro-kernel on quads of query rows, so fewer than four probes (one
-// search's q′ and −q′) are its data rows under the planes as queries,
-// and a batch is the queries over the planes.
+// are the keys: bit j of a table's code is the signBit of its plane j.
+// The product has vec.Dot's bits in either orientation (a·b = b·a
+// exactly, along the same 4-lane unfused chain from +0), so the
+// orientation is the kernel's best: flat runs its SIMD micro-kernel on
+// quads of query rows, so fewer than four probes (one search's q′ and
+// −q′) are its data rows under the planes as queries, and a batch is the
+// queries over the planes.
 func (ix *Index) tileKeys(h *tileHash, out []uint64, n int, at func(int) vec.Vector, data bool) {
 	m := ix.maps.Query
 	if data {
@@ -196,9 +241,9 @@ func (ix *Index) tileKeys(h *tileHash, out []uint64, n int, at func(int) vec.Vec
 		for v, keys := 0, out[lo*ix.L:]; v < np; v++ {
 			d := v * probe
 			for t := 0; t < ix.L; t++ {
-				key := keySeed
+				key := uint64(0)
 				for j := 0; j < ix.K; j, d = j+1, d+plane {
-					key = foldKey(key, signBit(h.dots[d]))
+					key |= signBit(h.dots[d]) << j
 				}
 				keys[v*ix.L+t] = key
 			}
@@ -206,141 +251,153 @@ func (ix *Index) tileKeys(h *tileHash, out []uint64, n int, at func(int) vec.Vec
 	}
 }
 
-// grouper turns one band of a batch's keys into the batch's own table
-// without comparing rows: an open-addressed table counts each distinct
-// key, only the distinct keys are sorted (at most 2^K of them under a
-// hyperplane family), and a counting pass places the ids — ascending
-// within a bucket, since rows are placed in id order. merge then splices
-// that table into an old one. The zero value is ready to use and a
-// reused one keeps its buffers.
-type grouper struct {
-	slots []slot  // open-addressed on the key's low bits; empty between calls
-	row   []int32 // each row's slot
-	at    []int32 // each batch key's slot, then its insertion point in the old keys (^p when absent)
-	tab   table   // the batch's table
-}
-
-// slot is one distinct key of the batch being grouped.
-type slot struct {
-	key  uint64
-	n    int32 // rows under key, then where the next of them goes
-	full bool
-}
-
-// slotOf returns the slot holding key, or the empty slot it belongs in.
-// Table keys come out of foldKey's multiply and shift, so their low bits
-// are already mixed.
-func slotOf(slots []slot, key uint64) int {
-	mask := uint64(len(slots) - 1)
-	s := key & mask
-	for slots[s].full && slots[s].key != key {
-		s = (s + 1) & mask
+// extendDense returns the dense table holding old's buckets plus band t
+// of a batch's codes — row-major, l to a row, row r under id
+// len(old.ids)+r — in offs (2^K+1 of them) and ids (len(old.ids) plus the
+// batch's). One pass counts the batch per code in at (2^K counters,
+// zeroed here); a second writes each offset as old's plus the batch rows
+// under lower codes, and copies the old ids between two batch codes as
+// one run; a third places each batch id at the end of its code's bucket.
+func (old *table) extendDense(codes []uint64, l, t int, offs, ids, at []int32) table {
+	clear(at)
+	for r := t; r < len(codes); r += l {
+		at[codes[r]]++
 	}
-	return int(s)
-}
-
-// group fills g.tab with band t of b rows' keys — row-major, l to a
-// row — row r under id base+r.
-func (g *grouper) group(keys []uint64, l, t, b int, base int32) {
-	size := 1 << bits.Len(uint(2*b)) // over twice the rows: probes stay short
-	if len(g.slots) < size {
-		g.slots = make([]slot, size)
-	}
-	slots := g.slots[:size]
-	g.row = slices.Grow(g.row[:0], b)[:b]
-	g.tab.keys = g.tab.keys[:0]
-	for r := range g.row {
-		key := keys[r*l+t]
-		s := slotOf(slots, key)
-		if !slots[s].full {
-			slots[s] = slot{key: key, full: true}
-			g.tab.keys = append(g.tab.keys, key)
+	oo, shift, lo := old.offs, int32(0), 0
+	for c, n := range at {
+		if n == 0 {
+			continue
 		}
-		slots[s].n++
-		g.row[r] = int32(s)
+		// Old buckets [lo, c] move as one run, behind shift batch ids.
+		shifted(offs[lo:], oo[lo:c+1], shift)
+		copy(ids[oo[lo]+shift:], old.ids[oo[lo]:oo[c+1]])
+		lo, at[c], shift = c+1, oo[c+1]+shift, shift+n // at[c]: where code c's batch ids go
 	}
-	slices.Sort(g.tab.keys)
-	nk := len(g.tab.keys)
-	g.tab.offs = slices.Grow(g.tab.offs[:0], nk+1)[:nk+1]
-	g.at = slices.Grow(g.at[:0], nk)[:nk]
-	off := int32(0)
-	for j, key := range g.tab.keys {
-		s := slotOf(slots, key)
-		g.at[j], g.tab.offs[j] = int32(s), off
-		off, slots[s].n = off+slots[s].n, off
+	shifted(offs[lo:], oo[lo:len(at)], shift)
+	copy(ids[oo[lo]+shift:], old.ids[oo[lo]:])
+	offs[len(at)] = int32(len(ids))
+	base := int32(len(old.ids))
+	for r := t; r < len(codes); r += l {
+		c := codes[r]
+		ids[at[c]] = base + int32(r/l)
+		at[c]++
 	}
-	g.tab.offs[nk] = off
-	g.tab.ids = slices.Grow(g.tab.ids[:0], b)[:b]
-	for r, s := range g.row {
-		g.tab.ids[slots[s].n] = base + int32(r)
-		slots[s].n++
-	}
-	for _, s := range g.at {
-		slots[s] = slot{}
+	return table{offs: offs, ids: ids}
+}
+
+// shifted writes src[j]+shift into dst[j] for each j.
+func shifted(dst, src []int32, shift int32) {
+	dst = dst[:len(src)]
+	for j, o := range src {
+		dst[j] = o + shift
 	}
 }
 
-// merge returns a fresh table holding old's buckets plus g.tab's, whose
-// ids must all exceed old's, with its ids in ids (len(old.ids) +
-// len(g.tab.ids) of them). Each batch key is searched for once in the
-// old keys; the old ids between two insertion points move as one copy,
-// and their offsets by the batch ids placed before them. A batch that
-// brings no fresh key shares old's keys.
-func (g *grouper) merge(old *table, ids []int32) table {
-	add := &g.tab
-	fresh, p := 0, 0
-	for j, key := range add.keys {
-		q, found := slices.BinarySearch(old.keys[p:], key)
-		p += q
-		if g.at[j] = int32(p); !found {
-			g.at[j] = ^int32(p)
-			fresh++
+// extendSparse is extendDense for a sparse table: band t's batch rows,
+// in scrambled key order, merge into old's buckets in one pass. Before
+// each batch key, the old buckets below it — and its own, if old has it —
+// move as one run: keys, offsets behind the batch ids placed so far, ids.
+// A fresh key then opens an empty bucket, and the key's batch ids go at
+// the end of its bucket, in row order. A batch that brings no fresh key
+// shares old's keys.
+func (old *table) extendSparse(keys []uint64, l, t int, ids []int32, sc *probeScratch) table {
+	band, fresh := sc.sortBand(keys, l, t), 0
+	for j, p := range band {
+		if j == 0 || p.key != band[j-1].key {
+			if _, found := slices.BinarySearch(old.keys, p.key); !found {
+				fresh++
+			}
 		}
 	}
-	nt := table{keys: old.keys, offs: make([]int32, len(old.offs)+fresh), ids: ids}
-	shared := fresh == 0
-	if !shared {
-		nt.keys = make([]uint64, len(old.keys)+fresh)
+	nk := old.keys
+	if fresh > 0 {
+		nk = make([]uint64, 0, len(old.keys)+fresh)
 	}
-	// run places old buckets [i, e) behind placed fresh keys and behind
-	// shift new ids.
-	i, placed := 0, 0
-	run := func(e int, shift int32) {
-		for k, o := range old.offs[i:e] {
-			nt.offs[placed+i+k] = o + shift
+	offs := make([]int32, len(old.keys)+fresh+1)
+	oo, base, shift, i, k := old.offs, int32(len(old.ids)), int32(0), 0, 0 // k: buckets placed
+	for j := 0; j < len(band); {
+		key := band[j].key
+		e, found := slices.BinarySearch(old.keys[i:], key)
+		if e += i; found {
+			e++
 		}
-		copy(nt.ids[old.offs[i]+shift:], old.ids[old.offs[i]:old.offs[e]])
-		if !shared {
-			copy(nt.keys[placed+i:], old.keys[i:e])
+		shifted(offs[k:], oo[i:e], shift)
+		copy(ids[oo[i]+shift:], old.ids[oo[i]:oo[e]])
+		if k += e - i; fresh > 0 {
+			nk = append(nk, old.keys[i:e]...)
+		}
+		if !found {
+			offs[k], nk, k = oo[e]+shift, append(nk, key), k+1
+		}
+		for ; j < len(band) && band[j].key == key; j++ {
+			ids[oo[e]+shift] = base + band[j].row
+			shift++
 		}
 		i = e
 	}
-	for j, key := range add.keys {
-		shift, e := add.offs[j], int(g.at[j])
-		if e >= 0 {
-			e++
-			run(e, shift) // up to and including key's old bucket
-		} else {
-			e = ^e
-			run(e, shift)
-			nt.offs[placed+e], nt.keys[placed+e] = old.offs[e]+shift, key
-			placed++
-		}
-		copy(nt.ids[old.offs[e]+shift:], add.ids[add.offs[j]:add.offs[j+1]])
+	shifted(offs[k:], oo[i:], shift) // and the end, len(ids)
+	copy(ids[oo[i]+shift:], old.ids[oo[i]:])
+	if fresh > 0 {
+		nk = append(nk, old.keys[i:]...)
 	}
-	run(len(old.keys), int32(len(add.ids)))
-	nt.offs[len(nt.offs)-1] = int32(len(ids))
-	return nt
+	return table{keys: nk, offs: offs, ids: ids}
+}
+
+// keyed is a batch row under its scrambled key.
+type keyed struct {
+	key uint64
+	row int32
+}
+
+// sortBand returns band t of a batch's keys — row-major, l to a row —
+// scrambled, each with its row, in key order and ties in row order: one
+// counting pass on the top w bits, 2^w about the row count, then a
+// stable sort of each bucket whose keys are out of order — few, as
+// scrambled keys spread evenly over their top bits.
+func (sc *probeScratch) sortBand(keys []uint64, l, t int) []keyed {
+	b := len(keys) / l
+	w := bits.Len(uint(b))
+	at := slices.Grow(sc.count[:0], 1<<w)[:1<<w]
+	clear(at)
+	for r := t; r < len(keys); r += l {
+		at[scramble(keys[r])>>(64-w)]++
+	}
+	sum := int32(0)
+	for d, n := range at {
+		at[d], sum = sum, sum+n // where bucket d starts
+	}
+	band := slices.Grow(sc.band[:0], b)[:b]
+	for r := range b {
+		key := scramble(keys[r*l+t])
+		d := key >> (64 - w)
+		band[at[d]] = keyed{key, int32(r)}
+		at[d]++ // then where it ends
+	}
+	for i := 1; i < b; i++ {
+		if band[i].key < band[i-1].key { // keys that share the top bits
+			d := band[i].key >> (64 - w)
+			lo := int32(0)
+			if d > 0 {
+				lo = at[d-1]
+			}
+			slices.SortStableFunc(band[lo:at[d]], func(x, y keyed) int { return cmp.Compare(x.key, y.key) })
+			i = int(at[d]) - 1
+		}
+	}
+	sc.band, sc.count = band, at
+	return band
 }
 
 // Extend returns a new index over ix's vectors followed by ps (ids
-// continue from ix.Len()). Only ps is hashed. Each band of ps is grouped
-// into its own table, and that table is merged with the old one in runs:
-// O(b·K·L·d) hashing plus O(n·L) id copies for b rows onto n. ix is
-// untouched and stays valid for concurrent readers; the two share the
-// immutable hash functions and the keys of each table the batch brings
-// no fresh key to, and neither retains ps. The result's tables are
-// identical to those of an index built over all the vectors at once.
+// continue from ix.Len()). Only ps is hashed: O(b·K·L·d) for b rows. A
+// dense table then takes one count of the batch's codes, a pass over the
+// 2^K offsets and one copy per run of old ids — O(n·L + 2^K·L) onto n
+// rows; a sparse one sorts the batch's rows by key and merges them into
+// its u keys in one pass, O(n·L + u·L) beside the sort. ix is untouched
+// and stays valid for concurrent readers; the two share only immutable
+// data — the hash functions, and the keys of a sparse table the batch
+// brings no fresh key to — and neither retains ps. The result's tables
+// are identical to those of an index built over all the vectors at once.
 func (ix *Index) Extend(ps []vec.Vector) *Index {
 	if len(ps) == 0 {
 		return ix
@@ -358,9 +415,18 @@ func (ix *Index) Extend(ps []vec.Vector) *Index {
 	nx.n = n
 	nx.tables = make([]table, ix.L)
 	ids := make([]int32, ix.L*n) // every table's ids, one allocation
+	if !ix.dense() {
+		for t := range nx.tables {
+			nx.tables[t] = ix.tables[t].extendSparse(keys, ix.L, t, ids[t*n:(t+1)*n:(t+1)*n], sc)
+		}
+		return &nx
+	}
+	size := 1<<ix.K + 1
+	offs := make([]int32, ix.L*size) // and every table's 2^K+1 offsets
+	sc.count = slices.Grow(sc.count[:0], size-1)[:size-1]
 	for t := range nx.tables {
-		sc.group.group(keys, ix.L, t, len(ps), int32(ix.n))
-		nx.tables[t] = sc.group.merge(&ix.tables[t], ids[t*n:(t+1)*n:(t+1)*n])
+		to := offs[t*size : (t+1)*size : (t+1)*size]
+		nx.tables[t] = ix.tables[t].extendDense(keys, ix.L, t, to, ids[t*n:(t+1)*n:(t+1)*n], sc.count)
 	}
 	return &nx
 }
@@ -385,13 +451,14 @@ type Probe struct {
 }
 
 // probeScratch is the per-call working set of a probe (and, for its
-// keys and its grouping, of an Extend), pooled so a warm call allocates
-// nothing but what the family's maps do.
+// keys and its per-table work, of an Extend), pooled so a warm call
+// allocates nothing but what the family's maps do.
 type probeScratch struct {
 	qk      QueryKeys
 	buckets [][]int32
 	seen    []uint64 // bitset over ids; all zero between calls
-	group   grouper
+	count   []int32  // an Extend's per-code (per-bucket when sparse) counts
+	band    []keyed  // a sparse Extend's sorted band of batch keys
 }
 
 var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
@@ -483,9 +550,9 @@ func (ix *Index) AppendHashed(dst []int, qk *QueryKeys, j int) []int {
 // to back.
 func (ix *Index) collisions(sc *probeScratch, keys []uint64, dst []int) []int {
 	sc.buckets = sc.buckets[:0]
-	total := 0
+	total, dense := 0, ix.dense()
 	for i, key := range keys {
-		if b := ix.tables[i%ix.L].bucket(key); len(b) > 0 {
+		if b := ix.tables[i%ix.L].bucket(key, dense); len(b) > 0 {
 			sc.buckets = append(sc.buckets, b)
 			total += len(b)
 		}

@@ -163,10 +163,13 @@ func combine(hs []uint64) uint64 {
 // reference is the construction done the naive way, the oracle of every
 // hashing path: K·L hashers sampled from the family itself (so an
 // Asymmetric family runs its pre-map inside every one of them, and a
-// Hyperplane hasher is one vec.Dot), combined per table.
+// Hyperplane hasher is one vec.Dot), combined per table — into the K-bit
+// sign code under a Hyperplane family to K = 64, folded otherwise — into
+// a bucket per code when the index's tables are dense.
 type reference struct {
-	k, l int
-	hs   []Hasher
+	k, l        int
+	hs          []Hasher
+	code, dense bool
 }
 
 func newReference(f Family, k, l int, seed uint64) reference {
@@ -175,7 +178,12 @@ func newReference(f Family, k, l int, seed uint64) reference {
 	for i := range hs {
 		hs[i] = f.Sample(rng)
 	}
-	return reference{k, l, hs}
+	inner := f
+	if a, ok := f.(*Asymmetric); ok {
+		inner = a.Inner
+	}
+	_, hp := inner.(*Hyperplane)
+	return reference{k, l, hs, hp && k <= 64, hp && k <= maxDenseK}
 }
 
 // keys returns x's L table keys.
@@ -189,13 +197,20 @@ func (r reference) keys(x vec.Vector, data bool) []uint64 {
 				vals[j] = h.HashQuery(x)
 			}
 		}
-		keys[i] = combine(vals)
+		if !r.code {
+			keys[i] = combine(vals)
+			continue
+		}
+		for j, v := range vals {
+			keys[i] |= v << j
+		}
 	}
 	return keys
 }
 
 // tables returns the bucket tables of data (row i under id i), in the
-// index's form: keys ascending, ids ascending within a bucket.
+// index's form, ids ascending within a bucket: a bucket per code when
+// dense, scrambled keys ascending otherwise.
 func (r reference) tables(data []vec.Vector) []table {
 	rows := make([][]uint64, len(data))
 	for i, x := range data {
@@ -205,11 +220,24 @@ func (r reference) tables(data []vec.Vector) []table {
 	for t := range tabs {
 		buckets := map[uint64][]int32{}
 		for id, keys := range rows {
-			buckets[keys[t]] = append(buckets[keys[t]], int32(id))
+			key := keys[t]
+			if !r.dense {
+				key = scramble(key)
+			}
+			buckets[key] = append(buckets[key], int32(id))
 		}
 		tb := &tabs[t]
-		for _, key := range slices.Sorted(maps.Keys(buckets)) {
-			tb.keys = append(tb.keys, key)
+		keys := slices.Sorted(maps.Keys(buckets))
+		if r.dense {
+			keys = nil
+			for c := range uint64(1) << r.k {
+				keys = append(keys, c)
+			}
+		}
+		for _, key := range keys {
+			if !r.dense {
+				tb.keys = append(tb.keys, key)
+			}
 			tb.offs = append(tb.offs, int32(len(tb.ids)))
 			tb.ids = append(tb.ids, buckets[key]...)
 		}
@@ -225,7 +253,7 @@ func (r reference) candidates(tabs []table, probes []vec.Vector) []int {
 	seen := map[int32]bool{}
 	for _, x := range probes {
 		for t, key := range r.keys(x, false) {
-			for _, id := range tabs[t].bucket(key) {
+			for _, id := range tabs[t].bucket(key, r.dense) {
 				if !seen[id] {
 					seen[id] = true
 					out = append(out, int(id))
@@ -302,119 +330,129 @@ func cloneTables(ts []table) []table {
 }
 
 // TestIndexExtendMatchesBuild: an index grown in random-sized steps has
-// the tables of one built at once, and no step touches the tables it
-// grew from — not even the keys a step shares with them when its batch
-// brings no fresh key.
+// the tables of one built at once — sign-code tables dense at K = 3 and
+// sparse past maxDenseK, the other family's sparse at both — and no step
+// touches the tables it grew from, not even the keys a sparse table
+// shares when its batch brings no fresh key.
 func TestIndexExtendMatchesBuild(t *testing.T) {
-	const d, n, k, l, seed = 12, 300, 3, 6, 43
+	const d, n, l, seed = 12, 300, 6, 43
 	rng := xrand.New(44)
 	data := ballVecs(rng, n, d)
 	for name, f := range equivFamilies(t, d) {
-		whole, _ := NewIndex(f, k, l, seed)
-		whole.InsertAll(data)
-		grown, _ := NewIndex(f, k, l, seed)
-		extend := func(ps []vec.Vector) {
-			t.Helper()
-			prev, before, size := grown, cloneTables(grown.tables), grown.Len()
-			grown = grown.Extend(ps)
-			if !reflect.DeepEqual(prev.tables, before) || prev.Len() != size {
-				t.Fatalf("%s: Extend of %d rows onto %d changed the index it extended", name, len(ps), prev.Len())
+		for _, k := range []int{3, maxDenseK + 2} {
+			whole, _ := NewIndex(f, k, l, seed)
+			whole.InsertAll(data)
+			grown, _ := NewIndex(f, k, l, seed)
+			extend := func(ps []vec.Vector) {
+				t.Helper()
+				prev, before, size := grown, cloneTables(grown.tables), grown.Len()
+				grown = grown.Extend(ps)
+				if !reflect.DeepEqual(prev.tables, before) || prev.Len() != size {
+					t.Fatalf("%s K=%d: Extend of %d rows onto %d changed the index it extended", name, k, len(ps), prev.Len())
+				}
 			}
-		}
-		for lo := 0; lo < n; {
-			hi := min(n, lo+rng.Intn(40)) // random-sized steps, empty ones included
-			extend(data[lo:hi])
-			lo = hi
-		}
-		if grown.Len() != n || !reflect.DeepEqual(grown.tables, whole.tables) {
-			t.Fatalf("%s: tables of the grown index differ from a from-scratch build", name)
-		}
-		// A row already indexed brings no fresh key to any table.
-		prev := grown
-		extend(data[7:8])
-		again, _ := NewIndex(f, k, l, seed)
-		again.InsertAll(append(data[:n:n], data[7]))
-		if !reflect.DeepEqual(grown.tables, again.tables) {
-			t.Fatalf("%s: tables after re-adding row 7 differ from a from-scratch build", name)
-		}
-		for ti, tb := range grown.tables {
-			if &tb.keys[0] != &prev.tables[ti].keys[0] {
-				t.Fatalf("%s: table %d copied keys the batch brought nothing new to", name, ti)
+			for lo := 0; lo < n; {
+				hi := min(n, lo+rng.Intn(40)) // random-sized steps, empty ones included
+				extend(data[lo:hi])
+				lo = hi
 			}
-		}
-		grown = prev
-		for ti, tb := range grown.tables {
-			if !slices.IsSorted(tb.keys) || len(tb.ids) != n {
-				t.Fatalf("%s: table %d is not a sorted partition of the ids", name, ti)
+			if grown.Len() != n || !reflect.DeepEqual(grown.tables, whole.tables) {
+				t.Fatalf("%s K=%d: tables of the grown index differ from a from-scratch build", name, k)
 			}
-			for j := range tb.keys {
-				if b := tb.ids[tb.offs[j]:tb.offs[j+1]]; len(b) == 0 || !slices.IsSorted(b) {
-					t.Fatalf("%s: table %d bucket %d empty or unsorted: %v", name, ti, j, b)
+			// A row already indexed brings no fresh key to any table.
+			prev := grown
+			extend(data[7:8])
+			again, _ := NewIndex(f, k, l, seed)
+			again.InsertAll(append(data[:n:n], data[7]))
+			if !reflect.DeepEqual(grown.tables, again.tables) {
+				t.Fatalf("%s K=%d: tables after re-adding row 7 differ from a from-scratch build", name, k)
+			}
+			for ti, tb := range grown.tables {
+				if !grown.dense() && &tb.keys[0] != &prev.tables[ti].keys[0] {
+					t.Fatalf("%s K=%d: table %d copied keys the batch brought nothing new to", name, k, ti)
+				}
+			}
+			grown = prev
+			for ti, tb := range grown.tables {
+				if !slices.IsSorted(tb.keys) || len(tb.ids) != n || tb.offs[len(tb.offs)-1] != n {
+					t.Fatalf("%s K=%d: table %d is not a sorted partition of the ids", name, k, ti)
+				}
+				for j := range len(tb.offs) - 1 {
+					b := tb.ids[tb.offs[j]:tb.offs[j+1]]
+					if len(b) == 0 && !grown.dense() || !slices.IsSorted(b) {
+						t.Fatalf("%s K=%d: table %d sparse bucket %d empty, or unsorted: %v", name, k, ti, j, b)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestGroupMatchesSort: grouping one band of a batch gives the table a
-// comparison sort of its (key, id) pairs does — at batch sizes around
-// the slot table's powers of two, with one key, two, 256 (K = 8's
-// hyperplane keys) or a key per row, half of them equal in their low 40
-// bits so they collide in the slot table, 0 and the all-ones key among
-// them — and leaves the slot table empty for the next call.
-func TestGroupMatchesSort(t *testing.T) {
-	const l, band, base = 3, 1, 1000
-	rng := xrand.New(60)
-	var g grouper
-	for _, b := range []int{0, 1, 2, 15, 16, 17, 500, 1500, 16, 0, 17} {
-		for _, distinct := range []int{1, 2, 256, b} {
-			pool := make([]uint64, max(1, min(distinct, b)))
-			for i := range pool {
-				switch {
-				case i == 2:
-					pool[i] = 0
-				case i == 3:
-					pool[i] = ^uint64(0)
-				case i%2 == 0:
-					pool[i] = 0x5a5a<<8 | uint64(i+1)<<40
-				default:
-					pool[i] = rng.Uint64()
-				}
-			}
-			keys := make([]uint64, b*l)
-			for i := range keys {
-				keys[i] = rng.Uint64() // the other bands
-			}
+// TestDenseTablesMatchSparse: under a hyperplane family, bare and behind
+// SIMPLE, at K = 1 and maxDenseK (the largest dense table), an index
+// built in one slice or extended in several holds, code by code, the
+// buckets of a sparse table a comparison sort builds from the same codes
+// (scrambled, the order of sparse tables); at K = maxDenseK+1, 16 and 24
+// it holds that very sparse table.
+func TestDenseTablesMatchSparse(t *testing.T) {
+	const d, n, l = 12, 700, 3
+	data := ballVecs(xrand.New(61), n, d)
+	hp, _ := NewHyperplane(d)
+	for name, f := range map[string]Family{"hyperplane": hp, "simple-alsh": mustSimpleALSHFamily(t, d)} {
+		for _, k := range []int{1, maxDenseK, maxDenseK + 1, 16, 24} {
+			ix, _ := NewIndex(f, k, l, 62)
 			type pair struct {
-				key uint64
-				id  int32
+				code uint64
+				id   int32
 			}
-			pairs := make([]pair, b)
-			for r, pi := range rng.Perm(b) {
-				key := pool[pi%len(pool)] // every pool key, in shuffled first-seen order
-				keys[r*l+band], pairs[r] = key, pair{key, int32(base + r)}
-			}
-			slices.SortFunc(pairs, func(a, b pair) int {
-				if c := cmp.Compare(a.key, b.key); c != 0 {
-					return c
+			pairs := make([][]pair, l)
+			for id, x := range data {
+				for ti, code := range hashOne(ix, x, true) {
+					if code >= 1<<k {
+						t.Fatalf("%s K=%d: row %d table %d hashed to code %#x", name, k, id, ti, code)
+					}
+					pairs[ti] = append(pairs[ti], pair{scramble(code), int32(id)})
 				}
-				return cmp.Compare(a.id, b.id)
-			})
-			var want table
-			for i, p := range pairs {
-				if i == 0 || p.key != pairs[i-1].key {
-					want.keys = append(want.keys, p.key)
-					want.offs = append(want.offs, int32(i))
+			}
+			sparse := make([]table, l)
+			for ti, ps := range pairs {
+				slices.SortFunc(ps, func(a, b pair) int {
+					return cmp.Or(cmp.Compare(a.code, b.code), cmp.Compare(a.id, b.id))
+				})
+				tb := &sparse[ti]
+				for i, p := range ps {
+					if i == 0 || p.code != ps[i-1].code {
+						tb.keys = append(tb.keys, p.code)
+						tb.offs = append(tb.offs, int32(i))
+					}
+					tb.ids = append(tb.ids, p.id)
 				}
-				want.ids = append(want.ids, p.id)
+				tb.offs = append(tb.offs, int32(len(ps)))
 			}
-			want.offs = append(want.offs, int32(b))
-			g.group(keys, l, band, b, base)
-			if !sameTables([]table{g.tab}, []table{want}) {
-				t.Fatalf("b=%d distinct=%d: grouped %+v, sorted %+v", b, distinct, g.tab, want)
-			}
-			if i := slices.IndexFunc(g.slots, func(s slot) bool { return s != slot{} }); i >= 0 {
-				t.Fatalf("b=%d distinct=%d: slot %d left holding %+v", b, distinct, i, g.slots[i])
+			for _, cut := range [][]int{nil, evenCuts(n, 2), {1, 2, 3, 350, 699}} {
+				grown := ix
+				from := 0
+				for _, to := range append(cut[:len(cut):len(cut)], n) {
+					grown = grown.Extend(data[from:to])
+					from = to
+				}
+				for ti, tb := range grown.tables {
+					if !grown.dense() {
+						if !sameTables([]table{tb}, sparse[ti:ti+1]) {
+							t.Fatalf("%s K=%d cut %v: table %d differs from the sorted one", name, k, cut, ti)
+						}
+						continue
+					}
+					if tb.keys != nil || len(tb.offs) != 1<<k+1 || tb.offs[1<<k] != n || len(tb.ids) != n {
+						t.Fatalf("%s K=%d cut %v: table %d is not dense over %d ids: %d keys, %d offsets",
+							name, k, cut, ti, n, len(tb.keys), len(tb.offs))
+					}
+					for c := range uint64(1) << k {
+						if got, want := tb.bucket(c, true), sparse[ti].bucket(c, false); !slices.Equal(got, want) {
+							t.Fatalf("%s K=%d cut %v: table %d code %#x holds %v, sorted %v", name, k, cut, ti, c, got, want)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -677,7 +715,8 @@ func signedZeros(a vec.Vector, flip bool) vec.Vector {
 // hashers, for Hyperplane bare and behind SIMPLE — plane dimensions below
 // one 4-double chunk (the Go kernels), on a chunk edge and with an
 // element tail; K·L leaving a quad, a pair and a single plane over when
-// the planes are the kernel's queries; batches through the kernel's
+// the planes are the kernel's queries; K past maxDenseK (sparse tables)
+// and past 64 (no sign code: the hashers); batches through the kernel's
 // leftovers and hashStep's edges, built in 1, 2 and 7 slices; queries
 // inside and outside the radius, with and without −q, in a tile that
 // straddles a chunk edge of the query store; and zero vectors and ±0
@@ -690,7 +729,7 @@ func TestIndexHashGrid(t *testing.T) {
 		vec.Scale(queries[2], 40/vec.Norm(queries[2]))
 		queries[3] = make(vec.Vector, d)
 		queries[4] = signedZeros(queries[0], true)
-		for _, kl := range [][2]int{{1, 1}, {3, 1}, {2, 2}, {2, 3}, {8, 16}} {
+		for _, kl := range [][2]int{{1, 1}, {3, 1}, {2, 2}, {2, 3}, {8, 16}, {maxDenseK + 2, 2}, {65, 1}} {
 			for _, batch := range []int{1, 2, 3, 4, 5, 255, 256, 257, 1500} {
 				if batch == 1500 && raceEnabled && d != 32 {
 					continue // the big build at one dimension is enough at the detector's speed
@@ -748,15 +787,16 @@ func TestIndexHashOnPlane(t *testing.T) {
 	}
 }
 
-// FuzzIndexHash drives checkHashing over random shapes: dimension, K, L,
-// row count, the two points the build is split at — so the last extend
-// merges into tables already extended once — and how the queries probe.
+// FuzzIndexHash drives checkHashing over random shapes: dimension, K (to
+// maxDenseK on dense tables, past it on sparse ones, up to 18), L, row
+// count, the two points the build is split at — so the last extend grows
+// tables already extended once — and how the queries probe.
 func FuzzIndexHash(f *testing.F) {
 	f.Add(uint64(1), uint8(32), uint8(8), uint8(16), uint16(300), uint16(256), uint16(284), true, true)
 	f.Add(uint64(2), uint8(3), uint8(1), uint8(3), uint16(5), uint16(1), uint16(1), false, false)
 	f.Add(uint64(3), uint8(16), uint8(2), uint8(3), uint16(513), uint16(257), uint16(17), false, true)
 	f.Fuzz(func(t *testing.T, seed uint64, d, k, l uint8, rows, split1, split2 uint16, asym, neg bool) {
-		dim, K, L, n := int(d%70)+1, int(k%9)+1, int(l%17)+1, int(rows%700)+1
+		dim, K, L, n := int(d%70)+1, int(k%18)+1, int(l%17)+1, int(rows%700)+1
 		rng := xrand.New(seed)
 		var fam Family
 		if fam, _ = NewHyperplane(dim); asym {
@@ -856,20 +896,33 @@ func TestCandidatesAllocs(t *testing.T) {
 
 var benchSink int
 
+// BenchmarkIndexBuild builds one shard's index and reports how many of
+// a table's 2^K codes its rows occupy, on average: a dense table costs
+// 4·(2^K+1) bytes whatever its occupancy, 12 per occupied key sparse.
 func BenchmarkIndexBuild(b *testing.B) {
 	ix, data, _, _ := benchIndex(b)
 	b.ReportAllocs()
+	built := ix
 	for b.Loop() {
-		benchSink += ix.Extend(data).Len()
+		built = ix.Extend(data)
+		benchSink += built.Len()
 	}
+	occupied := 0
+	for _, tb := range built.tables {
+		for j := range len(tb.offs) - 1 {
+			if tb.offs[j+1] > tb.offs[j] {
+				occupied++
+			}
+		}
+	}
+	b.ReportMetric(float64(occupied)/float64(built.L), "codes/table")
 }
 
 // BenchmarkIndexExtend shows the terms of an extend's cost for b rows
-// onto n: hashing the batch, O(b·K·L·d); grouping each of its L bands
-// by key, O(b) plus a sort of the band's distinct keys (at most 2^K);
-// and merging each table in runs — one search per batch key into the
-// old keys, then the n old ids moved a run at a time into a freshly
-// zeroed L·(n+b) ids array, O(n·L) whatever b.
+// onto n: hashing the batch, O(b·K·L·d); counting each band's codes,
+// O(b); and rewriting each table — its 2^K+1 offsets, then the n old ids
+// moved a run at a time into a freshly zeroed L·(n+b) ids array, O(n·L)
+// whatever b.
 func BenchmarkIndexExtend(b *testing.B) {
 	for _, n := range []int{1500, 24000} {
 		ix, _, _, _ := benchIndex(b)

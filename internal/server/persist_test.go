@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -282,7 +283,8 @@ func TestCheckpointDuringIngest(t *testing.T) {
 // hashing is seeded — the manifest pins the seed, so a restarted
 // server must answer alsh queries identically to the original (even
 // though recovery enumerates collections in directory order, not
-// creation order).
+// creation order). A k past the dense tables' limit (sparse sign-code
+// tables, grown by a second ingest) recovers like the default k.
 func TestRestartKeepsApproxIndexSeeds(t *testing.T) {
 	dir := t.TempDir()
 	const n, d, q, k = 2000, 8, 30, 3
@@ -312,8 +314,18 @@ func TestRestartKeepsApproxIndexSeeds(t *testing.T) {
 	if _, _, err := s1.Ingest("alpha", &IndexSpec{Kind: KindALSH}, 2, recs[:500]); err != nil {
 		t.Fatal(err)
 	}
+	wide := &IndexSpec{Kind: KindALSH, K: 17, L: 4}
+	for _, part := range [][]store.Record{recs[:1500], recs[1500:]} {
+		if _, _, err := s1.Ingest("wide", wide, 2, part); err != nil {
+			t.Fatal(err)
+		}
+	}
 	wantZeta := searchAll(t, s1, "zeta", queries, k)
 	wantAlpha := searchAll(t, s1, "alpha", queries, k)
+	wantWide := searchAll(t, s1, "wide", queries, k)
+	if hits := slices.Concat(wantWide...); len(hits) == 0 {
+		t.Fatal("alsh collection wide answers nothing; the restart check would compare nothing")
+	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -327,6 +339,12 @@ func TestRestartKeepsApproxIndexSeeds(t *testing.T) {
 	}
 	if got := searchAll(t, s2, "alpha", queries, k); !reflect.DeepEqual(got, wantAlpha) {
 		t.Fatal("alsh collection alpha answers differently after restart")
+	}
+	if c, _ := s2.Collection("wide"); c == nil || c.Spec().K != 17 {
+		t.Fatal("alsh collection wide did not recover with k=17")
+	}
+	if got := searchAll(t, s2, "wide", queries, k); !reflect.DeepEqual(got, wantWide) {
+		t.Fatal("alsh collection wide (k=17) answers differently after restart")
 	}
 }
 

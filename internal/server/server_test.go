@@ -383,7 +383,7 @@ func TestIndexSpecValidate(t *testing.T) {
 			t.Fatalf("spec %+v validated", sp)
 		}
 	}
-	good := []IndexSpec{{}, {Kind: KindExact}, {Kind: KindSketch, Kappa: 2.5, Copies: 5}}
+	good := []IndexSpec{{}, {Kind: KindExact}, {Kind: KindALSH, K: 9}, {Kind: KindALSH, K: 17}, {Kind: KindSketch, Kappa: 2.5, Copies: 5}}
 	for _, sp := range good {
 		if err := sp.Validate(); err != nil {
 			t.Fatalf("spec %+v rejected: %v", sp, err)
