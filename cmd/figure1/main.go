@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/grid"
@@ -24,21 +25,30 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 15, "grid size (must be 2^l − 1); 15 reproduces the figure")
-	bound := flag.Bool("bound", false, "run the Lemma 4 empirical-gap experiment")
-	masses := flag.Bool("masses", false, "run the full Lemma 4 mass-accounting ledger")
-	u := flag.Float64("u", 512, "query ball radius U for the staircases")
-	trials := flag.Int("trials", 3000, "hash samples for the empirical gap")
-	flag.Parse()
-
-	out, err := grid.Render(*n)
-	if err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "figure1: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("# Figure 1: square partition of the lower triangle (n = %d)\n", *n)
-	fmt.Printf("# cell value = level r of the covering square G_{r,s}; '·' = P2-node\n")
-	fmt.Print(out)
+}
+
+// run writes the figure, and the experiments args ask for, to w. A
+// staircase that cannot be built is reported on stderr and skipped.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("figure1", flag.ExitOnError)
+	n := fs.Int("n", 15, "grid size (must be 2^l − 1); 15 reproduces the figure")
+	bound := fs.Bool("bound", false, "run the Lemma 4 empirical-gap experiment")
+	masses := fs.Bool("masses", false, "run the full Lemma 4 mass-accounting ledger")
+	u := fs.Float64("u", 512, "query ball radius U for the staircases")
+	trials := fs.Int("trials", 3000, "hash samples for the empirical gap")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with the usage, as before
+
+	out, err := grid.Render(*n)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "# Figure 1: square partition of the lower triangle (n = %d)\n", *n)
+	fmt.Fprintf(w, "# cell value = level r of the covering square G_{r,s}; '·' = P2-node\n")
+	fmt.Fprint(w, out)
 
 	// Block geometry of the square the paper zooms into.
 	if *n >= 15 {
@@ -47,21 +57,20 @@ func main() {
 		clo, chi := sq.ColRange()
 		llo, lhi := sq.LeftBlockCols()
 		tlo, thi := sq.TopBlockRows()
-		fmt.Printf("\n# G_{2,0}: rows [%d,%d) cols [%d,%d); left-block cols [%d,%d); top-block rows [%d,%d)\n",
+		fmt.Fprintf(w, "\n# G_{2,0}: rows [%d,%d) cols [%d,%d); left-block cols [%d,%d); top-block rows [%d,%d)\n",
 			rlo, rhi, clo, chi, llo, lhi, tlo, thi)
 	}
 
 	if *masses {
-		if err := runMasses(*trials); err != nil {
-			fmt.Fprintf(os.Stderr, "figure1: %v\n", err)
-			os.Exit(1)
+		if err := runMasses(w, *trials); err != nil {
+			return err
 		}
 	}
 
 	if !*bound {
-		return
+		return nil
 	}
-	fmt.Printf("\n# Lemma 4 experiment: empirical gap of SIMPLE-ALSH on Theorem 3 staircases (U = %g)\n", *u)
+	fmt.Fprintf(w, "\n# Lemma 4 experiment: empirical gap of SIMPLE-ALSH on Theorem 3 staircases (U = %g)\n", *u)
 	tb := stats.NewTable("case", "n", "s", "cs", "emp_P1", "emp_P2", "emp_gap", "lemma4_bound", "ok")
 	for _, tc := range []struct {
 		name  string
@@ -93,20 +102,20 @@ func main() {
 		}
 		fam, err := simpleALSH(len(st.P[0]), *u)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figure1: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		p1, p2 := grid.EmpiricalGap(fam, st.P[:m], st.Q[:m], *trials, 11)
 		b := grid.GapBound(m)
 		tb.Add(tc.name, m, st.S, st.CS, p1, p2, p1-p2, b, p1-p2 <= b)
 	}
-	fmt.Print(tb.String())
+	fmt.Fprint(w, tb.String())
+	return nil
 }
 
 // runMasses reproduces the proof's bookkeeping on a 15-long case-1
 // staircase under SIMPLE-ALSH: per-square total/proper/shared/partially
 // shared masses, the inequality chain, and the resulting gap bound.
-func runMasses(trials int) error {
+func runMasses(w io.Writer, trials int) error {
 	const bigU = 1 << 16
 	st, err := seqs.Case1_1D(1.0/256, 0.5, bigU)
 	if err != nil {
@@ -123,7 +132,7 @@ func runMasses(trials int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\n# Lemma 4 mass accounting (n = 15, SIMPLE-ALSH, %d sampled hashers)\n", trials)
+	fmt.Fprintf(w, "\n# Lemma 4 mass accounting (n = 15, SIMPLE-ALSH, %d sampled hashers)\n", trials)
 	tb := stats.NewTable("square", "side", "total", "proper", "shared", "part_shared",
 		"area*P1", "combined_bound")
 	for _, sm := range ma.Squares {
@@ -132,13 +141,13 @@ func runMasses(trials int) error {
 			sm.Shared, sm.PartShared, area*ma.P1,
 			float64(2*sm.Side()+1)*sm.Proper+area*ma.P2)
 	}
-	fmt.Print(tb.String())
-	fmt.Printf("empirical P1 = %.4f, P2 = %.4f, gap = %.4f (Lemma 4 bound %.4f)\n",
+	fmt.Fprint(w, tb.String())
+	fmt.Fprintf(w, "empirical P1 = %.4f, P2 = %.4f, gap = %.4f (Lemma 4 bound %.4f)\n",
 		ma.P1, ma.P2, ma.Gap(), grid.GapBound(ma.N))
 	if err := ma.VerifyProof(1e-9); err != nil {
 		return fmt.Errorf("proof inequalities violated: %w", err)
 	}
-	fmt.Println("proof inequalities: OK (decomposition, area bound, combined bound, Σproper ≤ 2n)")
+	fmt.Fprintln(w, "proof inequalities: OK (decomposition, area bound, combined bound, Σproper ≤ 2n)")
 	return nil
 }
 

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -28,20 +29,28 @@ import (
 )
 
 func main() {
-	cList := flag.String("c", "0.5,0.7,0.9", "comma-separated approximation factors")
-	points := flag.Int("points", 19, "number of s samples in (0,1)")
-	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
-	mc := flag.Bool("mc", false, "Monte-Carlo validate the SIMP curve with real hashes")
-	trials := flag.Int("trials", 20000, "Monte-Carlo trials per point")
-	flag.Parse()
-
-	cs, err := parseFloats(*cList)
-	if err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "figure2: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// run writes the series args ask for to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("figure2", flag.ExitOnError)
+	cList := fs.String("c", "0.5,0.7,0.9", "comma-separated approximation factors")
+	points := fs.Int("points", 19, "number of s samples in (0,1)")
+	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
+	mc := fs.Bool("mc", false, "Monte-Carlo validate the SIMP curve with real hashes")
+	trials := fs.Int("trials", 20000, "Monte-Carlo trials per point")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with the usage, as before
+
+	cs, err := parseFloats(*cList)
+	if err != nil {
+		return err
+	}
 	for _, c := range cs {
-		fmt.Printf("# Figure 2, c = %.3g\n", c)
+		fmt.Fprintf(w, "# Figure 2, c = %.3g\n", c)
 		header := []string{"s", "rho_datadep", "rho_simp", "rho_mhalsh"}
 		if *mc {
 			header = append(header, "rho_simp_mc")
@@ -55,12 +64,13 @@ func main() {
 			tb.Add(row...)
 		}
 		if *csv {
-			fmt.Print(tb.CSV())
+			fmt.Fprint(w, tb.CSV())
 		} else {
-			fmt.Print(tb.String())
+			fmt.Fprint(w, tb.String())
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }
 
 // mcSimpleRho estimates the SIMP exponent log P1/log P2 by hashing unit

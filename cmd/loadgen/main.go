@@ -112,7 +112,7 @@ func main() {
 	batch := flag.Int("batch", 1000, "queries per search request")
 	chunk := flag.Int("chunk", 20000, "records per ingest request")
 	shards := flag.Int("shards", 4, "shards for the collection")
-	index := flag.String("index", "exact", "index kind: exact | normscan | alsh | sketch")
+	index := flag.String("index", "exact", "index kind: exact | normscan (the kinds whose answers an exact scan verifies)")
 	precision := flag.String("precision", "f64", "collection storage precision: f64 | f32 | int8")
 	rerank := flag.Bool("rerank", false, "re-rank candidates through the exact f64 store (implied for f32/int8 verification)")
 	sigma := flag.Float64("sigma", 0.5, "latent-factor popularity skew")
@@ -138,6 +138,11 @@ func main() {
 	sloRequireShed := flag.Bool("slo-require-shed", false, "fail unless the overload phase saw 429s with Retry-After")
 	flag.Parse()
 	retryMax = *retries
+	switch *index {
+	case server.KindExact, server.KindNormScan:
+	default:
+		log.Fatalf("loadgen: -index %q is not verifiable here: every answer is checked against an exact scan, so -index takes exact or normscan (bench/'s planted-alsh workload measures alsh against its recall and Definition 1 bounds)", *index)
+	}
 	switch *precision {
 	case server.PrecisionF64, server.PrecisionF32, server.PrecisionI8:
 	default:

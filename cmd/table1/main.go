@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -35,28 +36,33 @@ import (
 )
 
 func main() {
-	hard := flag.Bool("hard", true, "emit the hard-range (embedding) rows")
-	perm := flag.Bool("permissible", true, "emit the permissible-range (algorithm) rows")
-	quick := flag.Bool("quick", false, "smaller sweeps for fast runs")
-	flag.Parse()
-
-	if *hard {
-		if err := hardRows(); err != nil {
-			fmt.Fprintf(os.Stderr, "table1: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *perm {
-		if err := permissibleRows(*quick); err != nil {
-			fmt.Fprintf(os.Stderr, "table1: %v\n", err)
-			os.Exit(1)
-		}
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "table1: %v\n", err)
+		os.Exit(1)
 	}
 }
 
+// run writes the table that args ask for to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("table1", flag.ExitOnError)
+	hard := fs.Bool("hard", true, "emit the hard-range (embedding) rows")
+	perm := fs.Bool("permissible", true, "emit the permissible-range (algorithm) rows")
+	quick := fs.Bool("quick", false, "smaller sweeps for fast runs")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with the usage, as before
+	if *hard {
+		if err := hardRows(w); err != nil {
+			return err
+		}
+	}
+	if *perm {
+		return permissibleRows(w, *quick)
+	}
+	return nil
+}
+
 // hardRows certifies the Lemma 3 embeddings behind Table 1's hard ranges.
-func hardRows() error {
-	fmt.Println("# Table 1 — hard ranges (constructive: Lemma 3 embeddings, verified on planted OVP)")
+func hardRows(w io.Writer) error {
+	fmt.Fprintln(w, "# Table 1 — hard ranges (constructive: Lemma 3 embeddings, verified on planted OVP)")
 	tb := stats.NewTable("problem", "embedding", "d1", "d2", "cs", "s",
 		"c=cs/s", "ratio", "ovp_ok")
 	rng := xrand.New(1)
@@ -103,9 +109,9 @@ func hardRows() error {
 		tb.Add("unsigned {0,1}", fmt.Sprintf("E3(k=%d)", k),
 			p.D1, p.D2, p.CS, p.S, p.C(), p.Ratio(), ok)
 	}
-	fmt.Print(tb.String())
-	fmt.Println("# c=cs/s is the hard approximation the embedding certifies; ratio is log(s/d2)/log(cs/d2) (Theorem 2).")
-	fmt.Println()
+	fmt.Fprint(w, tb.String())
+	fmt.Fprintln(w, "# c=cs/s is the hard approximation the embedding certifies; ratio is log(s/d2)/log(cs/d2) (Theorem 2).")
+	fmt.Fprintln(w)
 	return nil
 }
 
@@ -126,8 +132,8 @@ func pipelineOK(rng *xrand.RNG, d int, solve func(*ovp.Instance) (ovp.Pair, bool
 
 // permissibleRows measures the work exponents of the two subquadratic
 // algorithms on the permissible side of Table 1.
-func permissibleRows(quick bool) error {
-	fmt.Println("# Table 1 — permissible ranges (measured subquadratic algorithms)")
+func permissibleRows(w io.Writer, quick bool) error {
+	fmt.Fprintln(w, "# Table 1 — permissible ranges (measured subquadratic algorithms)")
 
 	// (a) §4.3 sketch join: c = n^{−1/κ}, predicted per-query work
 	// exponent 1−2/κ (total 2−2/κ). The work proxy is the total sketch
@@ -163,9 +169,9 @@ func permissibleRows(quick bool) error {
 		ys = append(ys, math.Max(cands, 0.5))
 	}
 	tb.Add("minhash-join {0,1}", "-", "-", stats.LogLogSlope(xs, ys), rhoPred)
-	fmt.Print(tb.String())
-	fmt.Println("# sketch-join: per-query work ~ n^{1−2/κ} with approximation c = n^{−1/κ} (§4.3).")
-	fmt.Println("# minhash-join: per-query candidates ~ n^ρ with ρ = log(P1)/log(P2) from the Jaccard gap.")
+	fmt.Fprint(w, tb.String())
+	fmt.Fprintln(w, "# sketch-join: per-query work ~ n^{1−2/κ} with approximation c = n^{−1/κ} (§4.3).")
+	fmt.Fprintln(w, "# minhash-join: per-query candidates ~ n^ρ with ρ = log(P1)/log(P2) from the Jaccard gap.")
 	return nil
 }
 

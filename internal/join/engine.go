@@ -446,10 +446,10 @@ func (e LSH) probe(ix *lsh.Index, rowOf []int, Q *flat.Store, unsigned bool) til
 // hold every row of P (row i under id i): accs[i], as the caller reset
 // it, is offered each candidate of query qlo+i that dead does not mark —
 // one tile of a served alsh batch search, the join's loop to the letter
-// (verifyTile), a single search being the tile of one.
-func (e LSH) TopKTile(ctx context.Context, P, Q *flat.Store, qlo, qhi int, accs []flat.Acc, dead *flat.Tombstones, unsigned bool) error {
-	var st flat.ScanStats
-	return verifyTile(ctx, P, Q, qlo, qhi, accs, dead, nil, unsigned, 0, e.probe(e.Index, nil, Q, unsigned), &st)
+// (verifyTile), a single search being the tile of one. st counts the
+// candidates verified, like a join's Opts.Stats.
+func (e LSH) TopKTile(ctx context.Context, P, Q *flat.Store, qlo, qhi int, accs []flat.Acc, dead *flat.Tombstones, unsigned bool, st *flat.ScanStats) error {
+	return verifyTile(ctx, P, Q, qlo, qhi, accs, dead, nil, unsigned, 0, e.probe(e.Index, nil, Q, unsigned), st)
 }
 
 // Prepare implements Preparer: the banding index over P's live rows is
@@ -498,11 +498,6 @@ type Sketch struct {
 	Kappa  float64
 	Copies int
 	Seed   uint64
-	// Recoverer, when non-nil, is one the caller already keeps over every
-	// row of the P operand, built with Copies copies — a sketch shard's.
-	// A sketch sums its rows, so a dead one cannot be left out of it: the
-	// join refuses a DeadP that marks any.
-	Recoverer *sketch.Recoverer
 }
 
 var errSketchSigned = errors.New("join: sketch engine supports unsigned joins only")
@@ -533,7 +528,6 @@ func (e Sketch) Prepare(P *flat.Store, dead *flat.Tombstones) (Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.Recoverer = nil // another operand gets a build of its own
 	return prepared{e, P, dead, func(Q *flat.Store, cs float64, opts Opts) (Result, error) {
 		return e.recover(rec, rowOf, P, Q, cs, opts)
 	}}, nil
@@ -544,15 +538,5 @@ func (e Sketch) Join(P, Q *flat.Store, s, cs float64, opts Opts) (Result, error)
 	if !opts.Unsigned {
 		return Result{}, errSketchSigned // before the recoverer is built for nothing
 	}
-	if e.Recoverer == nil {
-		return joinOnce(e, P, Q, s, cs, opts)
-	}
-	if empty, err := checkJoin(P, Q, s, cs, opts); empty || err != nil {
-		return Result{}, err
-	}
-	if e.Recoverer.N != P.Len() || opts.DeadP.Count() > 0 {
-		return Result{}, fmt.Errorf("join: prebuilt recoverer sums %d rows, operand has %d of which %d are dead",
-			e.Recoverer.N, P.Len(), opts.DeadP.Count())
-	}
-	return e.recover(e.Recoverer, nil, P, Q, cs, opts)
+	return joinOnce(e, P, Q, s, cs, opts)
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/flat"
 	"repro/internal/lsh"
-	"repro/internal/sketch"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -360,12 +359,11 @@ func TestNormPrunedPrebuiltView(t *testing.T) {
 	}
 }
 
-// TestPrebuiltCandidateStructures: LSH.Index and Sketch.Recoverer let a
-// caller that already keeps the structure over every row of P join
-// without a build. A banding index is probed through DeadP — the result,
-// Compared included, is the one the engine gives building over the live
-// rows itself; a recoverer cannot leave a row out, so a DeadP that marks
-// one is refused; and a structure of another store's size is an error.
+// TestPrebuiltCandidateStructures: LSH.Index lets a caller that already
+// keeps a banding index over every row of P join without a build. The
+// index is probed through DeadP — the result, Compared included, is the
+// one the engine gives building over the live rows itself — and an index
+// of another store's size is an error.
 func TestPrebuiltCandidateStructures(t *testing.T) {
 	rng := xrand.New(37)
 	P, Q := gridWorkload(rng, 300, 70, 8)
@@ -386,28 +384,6 @@ func TestPrebuiltCandidateStructures(t *testing.T) {
 	}
 	if _, err := (LSH{Index: ix}).Join(other, fq, 0.5, 0.4, Opts{}); err == nil {
 		t.Fatal("an index over another store's rows must fail")
-	}
-
-	sk := Sketch{Kappa: 2, Copies: 3, Seed: 2}
-	rec, err := sketch.NewRecoverer(fp.Rows(), sk.Kappa, sk.Copies, sk.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lent := Sketch{Recoverer: rec, Copies: sk.Copies}
-	want := mustJoin(t, sk, fp, fq, 0.5, 0.4, Opts{Unsigned: true})
-	got := mustJoin(t, lent, fp, fq, 0.5, 0.4, Opts{Unsigned: true})
-	sameMatches(t, "prebuilt recoverer", want.Matches, got.Matches)
-	if got.Compared != want.Compared || len(want.Matches) == 0 {
-		t.Fatalf("prebuilt recoverer compared %d, a build %d (%d matches)", got.Compared, want.Compared, len(want.Matches))
-	}
-	if _, err := lent.Join(fp, fq, 0.5, 0.4, Opts{Unsigned: true, DeadP: gridDead("scattered", len(P), rng)}); err == nil {
-		t.Fatal("a recoverer that sums dead rows must fail")
-	}
-	if _, err := lent.Join(other, fq, 0.5, 0.4, Opts{Unsigned: true}); err == nil {
-		t.Fatal("a recoverer over another store's rows must fail")
-	}
-	if _, err := lent.Join(fp, fq, 0.5, 0.4, Opts{}); err != errSketchSigned {
-		t.Fatalf("signed join through a prebuilt recoverer: err = %v", err)
 	}
 }
 
@@ -513,7 +489,8 @@ func TestTopKTileIsTheJoinsLoop(t *testing.T) {
 		for i := range accs {
 			accs[i].Reset(k)
 		}
-		if err := e.TopKTile(context.Background(), fp, fq, qlo, qhi, accs, dead, unsigned); err != nil {
+		var st flat.ScanStats
+		if err := e.TopKTile(context.Background(), fp, fq, qlo, qhi, accs, dead, unsigned, &st); err != nil {
 			t.Fatal(err)
 		}
 		var got, wantTile []Match
@@ -526,6 +503,9 @@ func TestTopKTileIsTheJoinsLoop(t *testing.T) {
 			}
 		}
 		sameMatches(t, "TopKTile", wantTile, got)
+		if st.Candidates < len(got) {
+			t.Fatalf("TopKTile counts %d candidates verified for %d pairs", st.Candidates, len(got))
+		}
 		if len(got) < qhi-qlo {
 			t.Fatalf("only %d pairs over %d queries; the test compares next to nothing", len(got), qhi-qlo)
 		}

@@ -576,3 +576,64 @@ func TestALSHSearchDuringWrites(t *testing.T) {
 		t.Fatalf("collection holds %d records, want %d", c.Len(), batches*batchSize)
 	}
 }
+
+// TestALSHExplainCountsCandidates: an explained alsh search reports, per
+// shard, the candidates it verified — the live, distinct ids the shard's
+// banding index names for q, and for −q when unsigned — and answers
+// bit-identically to the unexplained search.
+func TestALSHExplainCountsCandidates(t *testing.T) {
+	const d, k = 16, 10
+	s := New(Config{DefaultShards: 3, CacheCapacity: -1, CompactFraction: -1})
+	defer s.Close()
+	rng := xrand.New(8)
+	recs := make([]store.Record, 900)
+	for i := range recs {
+		recs[i] = ballRecord(rng, i, d)
+	}
+	if _, _, err := s.Ingest("a", &IndexSpec{Kind: KindALSH, K: 4, L: 8}, 0, recs); err != nil {
+		t.Fatal(err)
+	}
+	var doomed []int
+	for id := 0; id < len(recs); id += 5 {
+		doomed = append(doomed, id)
+	}
+	if _, _, _, err := s.Delete("a", doomed); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := s.Collection("a")
+	total := 0
+	for trial := 0; trial < 8; trial++ {
+		q := vec.Scaled(rng.UnitVec(d), 0.9) // inside the ball: hashed as is
+		for _, unsigned := range []bool{false, true} {
+			ex := make([]ShardExplain, len(c.shards))
+			got, err := c.searchOne(context.Background(), s.pool, q, k, unsigned, false, ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := c.SearchOne(context.Background(), s.pool, q, k, unsigned)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d unsigned=%v: explained %v, plain %v (%v)", trial, unsigned, got, want, err)
+			}
+			probes := []vec.Vector{q}
+			if unsigned {
+				probes = append(probes, vec.Neg(q))
+			}
+			for i, sh := range c.shards {
+				sn := sh.snap.Load()
+				live := 0
+				for _, id := range sn.index.(*alshIndex).ix.Candidates(probes...) {
+					if !sn.dead.Dead(id) {
+						live++
+					}
+				}
+				if ex[i].Candidates != live {
+					t.Fatalf("trial %d unsigned=%v shard %d: explain reports %d candidates, the index names %d live", trial, unsigned, i, ex[i].Candidates, live)
+				}
+				total += live
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("no query had a candidate; the test compares nothing")
+	}
+}

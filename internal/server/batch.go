@@ -199,7 +199,7 @@ func (s *Server) searchBatch(ctx context.Context, c *Collection, name string, qu
 	tileDone := make([]bool, tiles)
 	ssp := trace.FromContext(ctx).StartSpan("scan")
 	feedErr := s.pool.ForEachCtx(ctx, tiles, func(t int) {
-		s.searchTile(ctx, c, name, queries, bs, t, opts, cacheOn, out)
+		s.searchTile(ctx, c, name, bs, t, opts, cacheOn, out)
 		tileDone[t] = true
 	})
 	ssp.End()
@@ -222,7 +222,7 @@ func (s *Server) searchBatch(ctx context.Context, c *Collection, name string, qu
 // merges the per-shard lists. It allocates only the result hits that
 // escape to the caller (one arena per task, or exact per-query slices
 // when they must outlive the request inside the cache).
-func (s *Server) searchTile(ctx context.Context, c *Collection, name string, queries []vec.Vector, bs *batchState, t int, opts SearchOpts, cacheOn bool, out []SearchResult) {
+func (s *Server) searchTile(ctx context.Context, c *Collection, name string, bs *batchState, t int, opts SearchOpts, cacheOn bool, out []SearchResult) {
 	k, unsigned := opts.K, opts.Unsigned
 	valid, snaps, qst := bs.miss, bs.snaps, bs.qstore
 	tlo := t * searchTileQ
@@ -255,21 +255,12 @@ func (s *Server) searchTile(ctx context.Context, c *Collection, name string, que
 		case *alshIndex:
 			accs, err = ix.topKMulti(ctx, qst, tlo, thi, k, topts, ts)
 		default:
-			// sketch (and the empty index) answers one query at a time,
-			// exactly like the single-query path.
-			accs = ts.tile.Accs(tn, k)
-			for j := 0; j < tn && err == nil; j++ {
-				var local []Hit
-				local, err = snap.index.TopK(ctx, vec.Vector(queries[valid[tlo+j]]), k, topts)
-				for _, h := range local {
-					accs[j].Offer(h.ID, h.Score)
-				}
-			}
+			accs = ts.tile.Accs(tn, k) // the empty index answers nothing
 		}
 		if err != nil {
-			// A shard fails a tile whole — a deadline, a cancellation, a
-			// signed query on sketch: every query of the tile carries the
-			// error and none a partial answer.
+			// A shard fails a tile whole — a deadline, a cancellation:
+			// every query of the tile carries the error and none a partial
+			// answer.
 			for j := 0; j < tn; j++ {
 				if ts.qerrs[j] == nil {
 					ts.qerrs[j] = err

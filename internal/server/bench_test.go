@@ -77,12 +77,10 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 // BenchmarkServerJoin measures one join of 64 queries against 6 000 × 32
 // unit-ball rows on 4 shards — the planted-alsh benchmark's shape — per
 // iteration: the lsh engine probing the index an alsh collection keeps,
-// the same engine building one per shard per request on an exact
-// collection, and the exact sweep both are up against.
+// and the exact sweep it is up against.
 func BenchmarkServerJoin(b *testing.B) {
 	for _, c := range []struct{ name, kind, engine string }{
 		{"lsh-on-alsh", KindALSH, "lsh"},
-		{"lsh-on-exact", KindExact, "lsh"},
 		{"exact", KindExact, "exact"},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -307,9 +307,9 @@ func (c *Collection) shardFor(id int) int {
 // one's rows and adds the batch, and an exact (any precision), alsh or
 // normscan index is extended by the batch alone (normscan re-sorting at
 // most one chunk of rows, and the whole shard once per chunk appended
-// to it), so such a write costs O(batch); sketch re-derives its
-// structure from the full store, so prefer fewer, larger batches for
-// it. Returns the new version.
+// to it; alsh hashing the batch but copying every bucket table's ids),
+// so a write hashes, converts and sorts O(batch) rows. Returns the new
+// version.
 func (c *Collection) Ingest(recs []store.Record) (uint64, error) {
 	return c.ingest(context.Background(), recs)
 }
@@ -522,8 +522,8 @@ func roundRecords32(name string, recs []store.Record) error {
 // address — and a batch must not name the same ID twice (the intended
 // final state would be ambiguous). Replacement tombstones the old row
 // in its shard and appends the new one, so the change is one WAL
-// frame, an index extension (exact, alsh: O(batch)) or rebuild
-// (normscan, sketch) per touched shard as in Ingest, and one atomic
+// frame, an index extension (or, on normscan once per chunk appended,
+// rebuild) per touched shard as in Ingest, and one atomic
 // snapshot swap; the space held by replaced rows is reclaimed by
 // background compaction. All-or-nothing like Ingest. Returns the new
 // version.

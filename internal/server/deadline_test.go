@@ -39,8 +39,9 @@ func waitPoolIdle(t *testing.T, s *Server) {
 	t.Fatalf("pool not idle: %d/%d slots still held", len(s.pool.sem), cap(s.pool.sem))
 }
 
-// seedKind builds a collection of the given index kind with unsigned
-// data (so the sketch engine is usable) and returns the query set.
+// seedKind builds a collection of the given index kind over unit vectors
+// (inside alsh's ball) and returns the query set; the same n and d give
+// the same vectors whatever the kind.
 func seedKind(t *testing.T, s *Server, name, kind string, n, d, nq int) []vec.Vector {
 	t.Helper()
 	rng := xrand.New(77)
@@ -50,12 +51,7 @@ func seedKind(t *testing.T, s *Server, name, kind string, n, d, nq int) []vec.Ve
 	for i, v := range items {
 		recs[i] = store.Record{ID: i, Vec: v}
 	}
-	spec := &IndexSpec{Kind: kind}
-	if kind == KindSketch {
-		spec.Kappa = 2
-		spec.Copies = 9
-	}
-	if _, _, err := s.Ingest(name, spec, 3, recs); err != nil {
+	if _, _, err := s.Ingest(name, &IndexSpec{Kind: kind}, 3, recs); err != nil {
 		t.Fatalf("ingest %s: %v", kind, err)
 	}
 	return queries
@@ -74,7 +70,7 @@ func expiredCtx() context.Context {
 // bit-identical to the no-deadline answers), and absent (the baseline).
 // After each cancelled run the scan pool must drain back to idle.
 func TestDeadlineMatrix(t *testing.T) {
-	for _, kind := range []string{KindExact, KindNormScan, KindALSH, KindSketch} {
+	for _, kind := range []string{KindExact, KindNormScan, KindALSH} {
 		t.Run(kind, func(t *testing.T) {
 			s := New(Config{DefaultShards: 3, CacheCapacity: -1})
 			defer s.Close()
@@ -243,15 +239,20 @@ func TestALSHTileDeadline(t *testing.T) {
 // TestJoinDeadline pins cancellation through the join path: an expired
 // context fails with a context error on every engine, a generous one
 // matches the no-deadline join exactly, and the pool drains either way.
+// The lsh engine joins the same rows held by an alsh collection.
 func TestJoinDeadline(t *testing.T) {
 	s := New(Config{DefaultShards: 2, CacheCapacity: -1})
 	defer s.Close()
 	seedKind(t, s, "p", KindExact, 300, 12, 1)
+	seedKind(t, s, "pa", KindALSH, 300, 12, 1)
 	seedKind(t, s, "q", KindExact, 60, 12, 1)
 
-	for _, engine := range []string{"exact", "normpruned", "lsh", "sketch"} {
+	for _, engine := range []string{"exact", "normpruned", "lsh"} {
 		t.Run(engine, func(t *testing.T) {
 			req := JoinRequest{Data: "p", Queries: "q", Engine: engine, S: 0.3, Variant: "unsigned"}
+			if engine == "lsh" {
+				req.Data = "pa"
+			}
 			base, err := s.Join(req)
 			if err != nil {
 				t.Fatalf("baseline join: %v", err)
@@ -318,19 +319,29 @@ func (c *fetchCtx) Err() error {
 // having scored, per query, less than the one block a driver may be
 // into when the channel closes (the traced scan span says how much),
 // not the whole sweep; the pool must drain, and the next join must be
-// untouched by it.
+// untouched by it. The lsh engine probes pa, p's rows in an alsh
+// collection.
 func joinCancelledInsideTile(t *testing.T) {
 	s := New(Config{CacheCapacity: -1})
 	defer s.Close()
 	const n, nq, block = 17*256 - 100, 40, 256
 	rng := xrand.New(5)
-	for name, size := range map[string]int{"p": n, "q": nq} {
-		recs := make([]store.Record, size)
-		for i, v := range dataset.Gaussian(rng, size, 8, true) {
+	for _, c := range []struct {
+		names []string
+		size  int
+	}{{[]string{"p", "pa"}, n}, {[]string{"q"}, nq}} {
+		recs := make([]store.Record, c.size)
+		for i, v := range dataset.Gaussian(rng, c.size, 8, true) {
 			recs[i] = store.Record{ID: i, Vec: v}
 		}
-		if _, _, err := s.Ingest(name, nil, 1, recs); err != nil {
-			t.Fatal(err)
+		for _, name := range c.names {
+			var spec *IndexSpec
+			if name == "pa" {
+				spec = &IndexSpec{Kind: KindALSH, K: 2, L: 4}
+			}
+			if _, _, err := s.Ingest(name, spec, 1, recs); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	traced := func(ctx context.Context, req JoinRequest) (*JoinResponse, int64, error) {
@@ -344,9 +355,12 @@ func joinCancelledInsideTile(t *testing.T) {
 		t.Fatalf("no scan span in %+v", tr.Export())
 		return nil, 0, nil
 	}
-	for _, engine := range []string{"exact", "normpruned", "lsh", "sketch"} {
+	for _, engine := range []string{"exact", "normpruned", "lsh"} {
 		t.Run(engine, func(t *testing.T) {
-			req := JoinRequest{Data: "p", Queries: "q", Engine: engine, S: 0.5, C: 0.5, Variant: "unsigned", K: 2, L: 4}
+			req := JoinRequest{Data: "p", Queries: "q", Engine: engine, S: 0.5, C: 0.5, Variant: "unsigned"}
+			if engine == "lsh" {
+				req.Data = "pa"
+			}
 			dry := newFetchCtx(0)
 			base, scanned, err := traced(dry, req)
 			if err != nil {

@@ -18,9 +18,8 @@ import (
 // randomized n/d/k/seed grids seeded with adversarial ties (duplicate
 // rows, zero rows of both signs, sign flips). Exact engines must match
 // ID-for-ID with the reference's score bits (every path shares
-// vec.DotKernel's accumulation chain, at every d); candidate engines
-// (alsh, sketch) must report exactly verified scores for whatever they
-// return.
+// vec.DotKernel's accumulation chain, at every d); the candidate engine
+// (alsh) must report exactly verified scores for whatever it returns.
 
 const equivTol = 1e-12
 
@@ -117,12 +116,12 @@ func TestExactEnginesMatchLinearScanGrid(t *testing.T) {
 }
 
 // TestCandidateEnginesVerifyScores checks the flat-backed candidate
-// engines: whatever alsh/sketch return, the reported score must equal
-// the exact (absolute) inner product of that record — i.e. candidate
-// verification through the columnar store is exact — and hits must
-// keep the canonical ordering.
+// engine: whatever alsh returns, the reported score must equal the exact
+// (absolute) inner product of that record — i.e. candidate verification
+// through the columnar store is exact — and hits must keep the canonical
+// ordering.
 func TestCandidateEnginesVerifyScores(t *testing.T) {
-	for _, kind := range []string{KindALSH, KindSketch} {
+	for _, kind := range []string{KindALSH} {
 		for seed := uint64(0); seed < 3; seed++ {
 			rng := xrand.New(31 + seed)
 			data := adversarial(rng, 300, 16)
@@ -230,7 +229,7 @@ func TestSingleShardConcurrentSearchMatchesExact(t *testing.T) {
 // of two, with queries inside and outside alsh's unit ball and
 // wrong-dimension queries mixed in.
 func TestBatchSearchMatchesPerQuery(t *testing.T) {
-	for _, kind := range []string{KindExact, KindNormScan, KindALSH, KindSketch} {
+	for _, kind := range []string{KindExact, KindNormScan, KindALSH} {
 		for _, shards := range []int{1, 4} {
 			rng := xrand.New(uint64(len(kind)*1009 + shards))
 			data := adversarial(rng, 400, 16)
@@ -276,9 +275,6 @@ func TestBatchSearchMatchesPerQuery(t *testing.T) {
 			queries = append(queries, data[7].Clone())              // exact-row query
 			queries = append(queries, vec.Vector(rng.NormalVec(9))) // wrong dimension
 			for _, unsigned := range []bool{false, true} {
-				if kind == KindSketch && !unsigned {
-					continue // sketch serves unsigned only
-				}
 				single := make([]SearchResult, len(queries))
 				found := 0
 				for i, q := range queries {

@@ -4,11 +4,10 @@ package server
 // accounting. A search request carrying explain:true gets, alongside
 // its hits, one ShardExplain per shard — rows actually scanned, blocks
 // the Cauchy–Schwarz bound pruned, blocks skipped as fully tombstoned,
-// re-rank candidate counts — plus per-stage timings lifted from the
-// request's trace. The scan counters are the flat driver's own ScanStats,
-// measured by the scan that produced the hits (TopKOpts.Explain);
-// engines that never sweep (alsh, sketch) still report shard size and
-// timing.
+// re-rank candidate counts, the candidates an alsh shard verified — plus
+// per-stage timings lifted from the request's trace. The counters are
+// the flat driver's own ScanStats, measured by the scan or the probe
+// that produced the hits (TopKOpts.Explain).
 
 import (
 	"time"
@@ -33,8 +32,11 @@ type ShardExplain struct {
 	TombstoneSkippedBlocks int `json:"tombstone_skipped_blocks"`
 	// RerankCandidates counts quantized candidates re-scored through
 	// the exact f64 rows (quantized tiers only).
-	RerankCandidates int   `json:"rerank_candidates"`
-	Micros           int64 `json:"micros"`
+	RerankCandidates int `json:"rerank_candidates"`
+	// Candidates counts the distinct live rows an alsh shard's banding
+	// index named and the shard verified (alsh only).
+	Candidates int   `json:"candidates"`
+	Micros     int64 `json:"micros"`
 }
 
 // QueryExplain is the explain:true payload of a search response.

@@ -350,6 +350,83 @@ func TestQuarantineBoot(t *testing.T) {
 	}
 }
 
+// TestSketchCollectionUpgrade: a data directory holding a collection of
+// the sketch kind, which is no longer served, fails a strict boot with
+// an error that names the collection and says so. Under
+// -recover=quarantine the collection is quarantined with that reason, its
+// directory left byte-identical, and /readyz names it.
+func TestSketchCollectionUpgrade(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s1.Ingest("sk", nil, 2, randRecords(100, 4, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The manifest an earlier server wrote for a sketch collection.
+	manifest := filepath.Join(dir, "sk", "manifest.json")
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["index"] = map[string]any{"kind": "sketch", "kappa": 2, "copies": 9}
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		entries, err := os.ReadDir(filepath.Join(dir, "sk"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, "sk", e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	before := files()
+
+	_, err = Open(durableConfig(dir))
+	if err == nil || !strings.Contains(err.Error(), `collection "sk"`) || !strings.Contains(err.Error(), "no longer served") {
+		t.Fatalf("strict boot over a sketch collection: err = %v, want one naming the collection and the retired kind", err)
+	}
+	cfg := durableConfig(dir)
+	cfg.RecoverMode = RecoverQuarantine
+	s2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("quarantine boot: %v", err)
+	}
+	defer s2.Close()
+	c, ok := s2.Collection("sk")
+	if _, reason := c.healthInfo(); !ok || c.healthState() != HealthQuarantined || !strings.Contains(reason, "no longer served") {
+		t.Fatalf("sketch collection: ok=%v state=%v reason %q", ok, c.healthState(), reason)
+	}
+	rec := httptest.NewRecorder()
+	NewHandler(s2).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "sk (quarantined)") {
+		t.Fatalf("readyz: %d %q, want 503 naming the quarantined collection", rec.Code, rec.Body)
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatal("quarantining the sketch collection modified its directory")
+	}
+}
+
 // TestDropWhileDegradedDoesNotDeadlock races DELETE against the repair
 // probe of a collection whose disk is still broken: Drop must complete
 // promptly (the probe exits on the closed bg channel / ErrClosed), the

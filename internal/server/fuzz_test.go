@@ -93,9 +93,10 @@ func FuzzJoinHandler(f *testing.F) {
 	seeds := []string{
 		`{"s":0.5}`,
 		`{"s":0.5,"engine":"normpruned","topk":3}`,
+		// lsh on an exact collection; sketch no longer served
 		`{"s":0.9,"engine":"lsh","variant":"unsigned","k":2,"l":4}`,
 		`{"s":0.9,"engine":"sketch","variant":"unsigned","kappa":2}`,
-		`{"s":0.9,"engine":"sketch"}`,            // sketch is unsigned-only
+		`{"s":0.9,"engine":"sketch"}`,
 		`{"s":0.5,"engine":"warp"}`,              // unknown engine
 		`{"s":0.5,"variant":"sideways"}`,         // unknown variant
 		`{"s":-1}`,                               // invalid threshold

@@ -160,38 +160,6 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
-func TestHTTPSketchUnsignedOnly(t *testing.T) {
-	s := New(Config{DefaultShards: 1})
-	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
-
-	rng := xrand.New(33)
-	items := dataset.Gaussian(rng, 64, 8, true)
-	recs := make([]RecordJSON, len(items))
-	for i, v := range items {
-		id := i
-		recs[i] = RecordJSON{ID: &id, Vec: v}
-	}
-	if code := doJSON(t, ts, http.MethodPut, "/collections/sk",
-		IngestRequest{Index: &IndexSpec{Kind: KindSketch, Kappa: 2, Copies: 9}, Shards: 1, Records: recs}, nil); code != http.StatusOK {
-		t.Fatalf("ingest status %d", code)
-	}
-	var e map[string]string
-	if code := doJSON(t, ts, http.MethodPost, "/collections/sk/search",
-		SearchRequest{Q: items[0], K: 1}, &e); code != http.StatusBadRequest {
-		t.Fatalf("signed query against sketch index: status %d, want 400", code)
-	}
-	var ok SearchResponse
-	if code := doJSON(t, ts, http.MethodPost, "/collections/sk/search",
-		SearchRequest{Q: items[0], K: 1, Unsigned: true}, &ok); code != http.StatusOK {
-		t.Fatalf("unsigned query status %d", code)
-	}
-	if len(ok.Matches) != 1 {
-		t.Fatalf("unsigned query returned %d matches, want 1", len(ok.Matches))
-	}
-}
-
 // TestHTTPDimensionMismatch pins the structured-400 contract for every
 // dimension-mismatch path: mixed-dimension ingest batches, follow-up
 // batches that disagree with the collection, single and batched queries

@@ -2,21 +2,22 @@
 // concurrent, sharded inner-product search and join server. Named
 // collections hold store.Record vectors; each collection is split
 // across N goroutine-owned shards, every shard holding its own index
-// built from a selectable engine (exact scan, norm-pruned MIPS scan,
-// §4.1 ALSH, or the §4.3 sketch recovery structure). Queries fan out to
-// the shards and the per-shard top-k lists are combined by a k-way
-// merge; batches run on a worker pool and results are memoized in an
-// LRU cache invalidated on ingest.
+// built from a selectable engine (exact scan, norm-pruned MIPS scan, or
+// §4.1 ALSH). Queries fan out to the shards and the per-shard top-k
+// lists are combined by a k-way merge; batches run on a worker pool and
+// results are memoized in an LRU cache invalidated on ingest. The §4.3
+// sketch is not served: it sums its rows, so it can neither mask a
+// tombstone nor extend by a write (ips.SketchJoin and cmd/ipsjoin run it).
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
 	"repro/internal/flat"
 	"repro/internal/join"
 	"repro/internal/lsh"
-	"repro/internal/sketch"
 	"repro/internal/transform"
 	"repro/internal/vec"
 )
@@ -57,33 +58,30 @@ type TopKOpts struct {
 	// an engine whose own scores are not (the f32 tier); engines that are
 	// already exact, or always re-rank, ignore it.
 	Rerank bool
-	// Explain, when non-nil, receives the engine's scan accounting;
-	// hits stay bit-identical to the unexplained call. Engines that
-	// never sweep (alsh, sketch) leave the counters zero.
+	// Explain, when non-nil, receives the engine's scan accounting —
+	// rows scanned by a sweep, candidates verified by alsh; hits stay
+	// bit-identical to the unexplained call.
 	Explain *ShardExplain
 }
 
 // IndexSpec selects and parameterizes the per-shard index engine. The
 // zero value of every field means "use the engine default".
 type IndexSpec struct {
-	// Kind is one of "exact", "normscan", "alsh", "sketch".
+	// Kind is one of "exact", "normscan", "alsh".
 	Kind string `json:"kind"`
 	// U is the ALSH query-ball radius (default 1).
 	U float64 `json:"u,omitempty"`
 	// K, L are the ALSH banding parameters (defaults 8, 16).
-	K int `json:"k,omitempty"`
-	L int `json:"l,omitempty"`
-	// Kappa, Copies parameterize the sketch recoverer (defaults 2, 9).
-	Kappa  float64 `json:"kappa,omitempty"`
-	Copies int     `json:"copies,omitempty"`
-	Seed   uint64  `json:"seed,omitempty"`
+	K    int    `json:"k,omitempty"`
+	L    int    `json:"l,omitempty"`
+	Seed uint64 `json:"seed,omitempty"`
 	// Precision selects the vector storage tier: "f64" (the default;
 	// exact scores), "f32" (half the scan bytes, f32-accurate scores,
 	// opt-in exact re-rank per query), or "int8" (an eighth of the scan
 	// bytes; approximate candidates always re-ranked through the
 	// retained f64 rows, so answers stay exact). f32 supports the exact
-	// and normscan kinds, int8 the exact kind only; alsh and sketch are
-	// f64-only (they already verify candidates against the f64 store).
+	// and normscan kinds, int8 the exact kind only; alsh is f64-only (it
+	// already verifies candidates against the f64 store).
 	Precision string `json:"precision,omitempty"`
 	// Overfetch widens re-ranked candidate sets: a re-ranked query
 	// fetches k·Overfetch quantized candidates before exact re-scoring
@@ -96,20 +94,17 @@ type IndexSpec struct {
 // specs fail at collection creation instead of at the first ingest.
 func (s IndexSpec) Validate() error {
 	switch s.Kind {
-	case "", KindExact, KindNormScan, KindALSH, KindSketch:
+	case "", KindExact, KindNormScan, KindALSH:
+	case "sketch":
+		return fmt.Errorf("server: index kind %q is no longer served (use %s, %s or %s; the §4.3 sketch join is ips.SketchJoin or cmd/ipsjoin -engine sketch)",
+			s.Kind, KindExact, KindNormScan, KindALSH)
 	default:
-		return fmt.Errorf("server: unknown index kind %q (want %s, %s, %s or %s)",
-			s.Kind, KindExact, KindNormScan, KindALSH, KindSketch)
+		return fmt.Errorf("server: unknown index kind %q (want %s, %s or %s)",
+			s.Kind, KindExact, KindNormScan, KindALSH)
 	}
-	if s.U < 0 || s.K < 0 || s.L < 0 || s.Copies < 0 {
-		return fmt.Errorf("server: index %q: negative parameter (u=%v k=%d l=%d copies=%d)",
-			s.kind(), s.U, s.K, s.L, s.Copies)
-	}
-	if s.Kind == KindSketch && s.Kappa != 0 && s.Kappa < 2 {
-		return fmt.Errorf("server: index %q: kappa %v must be >= 2", s.kind(), s.Kappa)
-	}
-	if s.Kappa < 0 {
-		return fmt.Errorf("server: index %q: negative kappa %v", s.kind(), s.Kappa)
+	if s.U < 0 || s.K < 0 || s.L < 0 {
+		return fmt.Errorf("server: index %q: negative parameter (u=%v k=%d l=%d)",
+			s.kind(), s.U, s.K, s.L)
 	}
 	switch s.precision() {
 	case PrecisionF64:
@@ -149,7 +144,6 @@ const (
 	KindExact    = "exact"
 	KindNormScan = "normscan"
 	KindALSH     = "alsh"
-	KindSketch   = "sketch"
 )
 
 // The registered storage precisions (IndexSpec.Precision).
@@ -177,37 +171,13 @@ const (
 	maxOverfetch     = 1024
 )
 
-// defaultBanding resolves zero LSH banding parameters to the repo-wide
-// defaults (K=8 concatenated hashes, L=16 tables) — the single source
-// of truth for both the shard indexes and the join engines.
-func defaultBanding(k, l int) (int, int) {
-	if k == 0 {
-		k = 8
-	}
-	if l == 0 {
-		l = 16
-	}
-	return k, l
-}
-
-// defaultSketch resolves zero sketch parameters (κ=2, 9 copies).
-func defaultSketch(kappa float64, copies int) (float64, int) {
-	if kappa == 0 {
-		kappa = 2
-	}
-	if copies == 0 {
-		copies = 9
-	}
-	return kappa, copies
-}
-
 // buildShardIndex constructs the index for one shard over its columnar
 // store. Shard seeds are derived from the spec seed so shards hash
-// independently. Candidate-based engines (alsh, sketch) are built from
-// row views of the store — slice headers into its chunks, no float
-// copies — and verify candidates through the store's kernel.
-// Every engine retains fs itself as the exact truth it verifies or
-// re-ranks against; overfetch scales re-ranked candidate sets.
+// independently. The alsh index hashes row views of the store — slice
+// headers into its chunks, no float copies — and verifies candidates
+// through the store's kernel. Every engine retains fs itself as the
+// exact truth it verifies or re-ranks against; overfetch scales
+// re-ranked candidate sets.
 func buildShardIndex(spec IndexSpec, fs *flat.Store, shardSeed uint64, overfetch int) (ShardIndex, error) {
 	if fs == nil || fs.Len() == 0 {
 		return emptyIndex{}, nil
@@ -217,13 +187,6 @@ func buildShardIndex(spec IndexSpec, fs *flat.Store, shardSeed uint64, overfetch
 		return newFlatIndex(spec, fs, overfetch), nil
 	case KindALSH:
 		return newALSHIndex(spec, fs, shardSeed)
-	case KindSketch:
-		kappa, copies := defaultSketch(spec.Kappa, spec.Copies)
-		rec, err := sketch.NewRecoverer(fs.Rows(), kappa, copies, spec.Seed^shardSeed)
-		if err != nil {
-			return nil, err
-		}
-		return sketchIndex{rec: rec, fs: fs}, nil
 	}
 	return nil, fmt.Errorf("server: unknown index kind %q", spec.Kind)
 }
@@ -258,7 +221,7 @@ const (
 	rerankOnRequest
 	// rerankAlways: int8 — raw scores are candidates only, so this
 	// engine never serves an approximate score (the same
-	// candidate-then-verify guarantee alsh and sketch carry).
+	// candidate-then-verify guarantee alsh carries).
 	rerankAlways
 )
 
@@ -440,7 +403,7 @@ func newALSHIndex(spec IndexSpec, fs *flat.Store, shardSeed uint64) (*alshIndex,
 	if u == 0 {
 		u = 1
 	}
-	k, l := defaultBanding(spec.K, spec.L)
+	k, l := cmp.Or(spec.K, 8), cmp.Or(spec.L, 16) // the default banding
 	tr, err := transform.NewSimple(fs.Dim(), u)
 	if err != nil {
 		return nil, err
@@ -483,10 +446,16 @@ func (ix *alshIndex) extend(fs *flat.Store) (*alshIndex, int) {
 // buckets are looked up and its candidates verified through the store,
 // ctx polled throughout. A query outside the U-ball is hashed scaled
 // inside it and scored raw; unsigned probes −q too, the paper's reduction.
+// o.Explain, if set, receives the candidates the tile verified.
 func (ix *alshIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, ts *tileScratch) ([]flat.Acc, error) {
 	accs := ts.tile.Accs(qhi-qlo, k)
 	e := join.LSH{Index: ix.ix, Radius: ix.u}
-	return accs, e.TopKTile(ctx, ix.fs, qs, qlo, qhi, accs, ix.dead, o.Unsigned)
+	var st flat.ScanStats
+	err := e.TopKTile(ctx, ix.fs, qs, qlo, qhi, accs, ix.dead, o.Unsigned, &st)
+	if o.Explain != nil {
+		o.Explain.Candidates = st.Candidates
+	}
+	return accs, err
 }
 
 // TopK is topKMulti for the tile of one query.
@@ -506,38 +475,4 @@ func (ix *alshIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) 
 
 func (ix *alshIndex) withDead(dead *flat.Tombstones) ShardIndex {
 	return &alshIndex{fs: ix.fs, ix: ix.ix, u: ix.u, dead: dead}
-}
-
-// sketchIndex answers via the §4.3 trie recoverer (unsigned only,
-// top-1 by construction); the recovered candidate's score is
-// re-verified against the columnar store. A tombstoned recovery yields
-// no hit — the sketch has no second candidate — so recall degrades on
-// deleted rows until compaction rebuilds the recoverer over live rows.
-type sketchIndex struct {
-	rec  *sketch.Recoverer
-	fs   *flat.Store
-	dead *flat.Tombstones
-}
-
-func (ix sketchIndex) withDead(dead *flat.Tombstones) ShardIndex {
-	return sketchIndex{rec: ix.rec, fs: ix.fs, dead: dead}
-}
-
-func (ix sketchIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if !o.Unsigned {
-		return nil, fmt.Errorf("server: sketch index answers unsigned queries only")
-	}
-	if len(q) != ix.fs.Dim() {
-		return nil, fmt.Errorf("server: query dimension %d, index has %d", len(q), ix.fs.Dim())
-	}
-	// The recoverer's score is already the exact |pᵀq| over this
-	// shard's store rows (bit-identical to fs.Dot — shared kernel).
-	idx, v := ix.rec.Query(q)
-	if idx < 0 || ix.dead.Dead(idx) {
-		return nil, nil
-	}
-	return []Hit{{ID: idx, Score: v}}, nil
 }

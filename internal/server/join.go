@@ -10,16 +10,13 @@ package server
 // reports up to k pairs per query.
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/flat"
 	"repro/internal/join"
-	"repro/internal/lsh"
 	"repro/internal/trace"
 )
 
@@ -31,8 +28,10 @@ type JoinRequest struct {
 	// names the same collection twice.
 	Data    string `json:"data"`
 	Queries string `json:"queries"`
-	// Engine is "exact" (alias "tiled"), "normpruned", "lsh" or
-	// "sketch" (default "exact").
+	// Engine is "exact" (alias "tiled"), "normpruned" or "lsh" (default
+	// "exact"). Every engine joins through the structure the data
+	// collection serves from: lsh needs an alsh data collection and probes
+	// its shards' banding indexes.
 	Engine string `json:"engine,omitempty"`
 	// Variant is "signed" (default) or "unsigned".
 	Variant string `json:"variant,omitempty"`
@@ -48,18 +47,6 @@ type JoinRequest struct {
 	// before merging — the useful default for self-joins, where every
 	// record trivially matches itself. The self-join endpoint sets it.
 	ExcludeSelf bool `json:"exclude_self,omitempty"`
-	// K, L and Seed shape the lsh engine's banding index; Kappa, Copies
-	// and Seed the sketch engine's recoverer. Zero means the data
-	// collection's own when it keeps such a structure (an alsh
-	// collection's index, a sketch collection's recoverer), else the
-	// defaults 8/16 and 2/9. A join whose parameters come out as the
-	// collection's probes the structure its shards serve from; any other
-	// builds one per data shard for this request (see shardSnap.joinEngine).
-	K      int     `json:"k,omitempty"`
-	L      int     `json:"l,omitempty"`
-	Kappa  float64 `json:"kappa,omitempty"`
-	Copies int     `json:"copies,omitempty"`
-	Seed   uint64  `json:"seed,omitempty"`
 	// TimeoutMS is the client's deadline in milliseconds, overriding
 	// the server default (zero means use the default).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -75,9 +62,9 @@ type JoinPair struct {
 // JoinResponse is the join outcome. Pairs are ordered by ascending
 // query ID; within one query by decreasing value, ties toward the
 // smaller data ID. Compared counts the pairs whose inner product was
-// evaluated (candidates verified, for lsh; sketch evaluations, for
-// sketch): the exact engines score whole 256-row blocks, so the
-// tombstoned rows of a block that still holds a live row are counted.
+// evaluated (candidates verified, for lsh): the exact engines score
+// whole 256-row blocks, so the tombstoned rows of a block that still
+// holds a live row are counted.
 type JoinResponse struct {
 	Engine   string     `json:"engine"`
 	TopK     int        `json:"topk,omitempty"`
@@ -86,65 +73,44 @@ type JoinResponse struct {
 	TookMS   float64    `json:"took_ms"`
 }
 
-// joinEngineName resolves a request's engine to the name the response
-// reports.
-func joinEngineName(engine string) (string, error) {
+// joinEngineName resolves a request's engine, on a data collection
+// created under spec, to the name the response reports. Every served
+// engine joins through what the data collection already keeps, so one
+// that would have to build a structure per request is refused with the
+// alternative.
+func joinEngineName(engine string, spec IndexSpec) (string, error) {
 	switch engine {
 	case "", "exact", "tiled":
 		return join.Tiled{}.Name(), nil
 	case "normpruned", "normscan":
 		return join.NormPruned{}.Name(), nil
-	case "lsh", "sketch":
+	case "lsh":
+		if k := spec.kind(); k != KindALSH {
+			return "", fmt.Errorf("server: the lsh engine probes the banding index of an %s data collection, and this one is %s: use engine exact or normpruned, or create the data collection with index kind %s",
+				KindALSH, k, KindALSH)
+		}
 		return engine, nil
+	case "sketch":
+		return "", fmt.Errorf("server: the sketch join engine is no longer served (use exact, normpruned or lsh; the §4.3 sketch join is ips.SketchJoin or cmd/ipsjoin -engine sketch)")
 	}
 	return "", fmt.Errorf("server: unknown join engine %q", engine)
 }
 
-// joinEngine returns the engine (by joinEngineName) that answers req
-// against this snapshot of a collection created under spec, and whether
-// its per-P structure had to be built for this request. A snapshot lends
-// a join the structure it serves from: normpruned sweeps the norm view
-// (see normPruned), lsh on an alsh shard probes the shard's banding
-// index — the asymmetric SIMPLE construction, dead rows dropped before
-// scoring — and sketch on a sketch shard without tombstones queries its
-// recoverer (a sketch sums its rows, so a dead one cannot be masked out).
-// Zero request parameters mean the lent structure's; a request that
-// names others, or a shard that keeps no such structure, pays for a
-// build over the live rows.
-func (sn *shardSnap) joinEngine(engine string, req JoinRequest, spec IndexSpec) (eng join.Engine, built bool, err error) {
+// joinEngine returns the engine (by joinEngineName) that answers a join
+// against this snapshot: the snapshot lends the structure it serves
+// from. normpruned sweeps the norm view (see normPruned); lsh, on an
+// alsh shard, probes the shard's banding index — the asymmetric SIMPLE
+// construction, dead rows dropped before scoring; exact sweeps the
+// store itself.
+func (sn *shardSnap) joinEngine(engine string) join.Engine {
 	switch engine {
 	case "normpruned":
-		return sn.normPruned(), false, nil
+		return sn.normPruned()
 	case "lsh":
-		k, l := defaultBanding(0, 0)
-		var seed uint64
-		ix, keeps := sn.index.(*alshIndex)
-		if keeps {
-			k, l, seed = ix.ix.K, ix.ix.L, spec.Seed
-		}
-		e := join.LSH{K: cmp.Or(req.K, k), L: cmp.Or(req.L, l), Seed: cmp.Or(req.Seed, seed)}
-		if keeps && e.K == k && e.L == l && e.Seed == seed {
-			return join.LSH{Index: ix.ix, Radius: ix.u}, false, nil
-		}
-		e.NewFamily = func(d int) (lsh.Family, error) { return lsh.NewHyperplane(d) }
-		eng, err = e.Prepare(sn.fs, sn.dead)
-		return eng, true, err
-	case "sketch":
-		kappa, copies := defaultSketch(0, 0)
-		var seed uint64
-		ix, keeps := sn.index.(sketchIndex)
-		if keeps {
-			kappa, copies = defaultSketch(spec.Kappa, spec.Copies)
-			seed = spec.Seed
-		}
-		e := join.Sketch{Kappa: cmp.Or(req.Kappa, kappa), Copies: cmp.Or(req.Copies, copies), Seed: cmp.Or(req.Seed, seed)}
-		if keeps && sn.dead.Count() == 0 && e.Kappa == kappa && e.Copies == copies && e.Seed == seed {
-			return join.Sketch{Recoverer: ix.rec, Copies: copies}, false, nil
-		}
-		eng, err = e.Prepare(sn.fs, sn.dead)
-		return eng, true, err
+		ix := sn.index.(*alshIndex)
+		return join.LSH{Index: ix.ix, Radius: ix.u}
 	}
-	return join.Tiled{}, false, nil // the store is the structure
+	return join.Tiled{}
 }
 
 // joinSpec resolves and validates the (cs, s) specification.
@@ -207,8 +173,8 @@ func (s *Server) Join(req JoinRequest) (*JoinResponse, error) {
 // JoinCtx is Join with a request context: the join is one admission
 // unit against the data collection's gate, the pair fan-out stops
 // feeding once ctx fires, and the engines stop like a search does —
-// within one row block of the scan (between two queries for lsh and
-// sketch). A cancelled join returns ctx's error and no pairs.
+// within one row block of the scan (between two queries for lsh). A
+// cancelled join returns ctx's error and no pairs.
 func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -228,16 +194,16 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	if req.TopK < 0 {
 		return nil, fmt.Errorf("server: topk %d must be non-negative", req.TopK)
 	}
-	engine, err := joinEngineName(req.Engine)
-	if err != nil {
-		return nil, err
-	}
 	// Joins are reads: degraded collections keep serving their last
 	// published snapshots, but quarantine on either side blocks.
 	if err := dataCol.checkReadable(); err != nil {
 		return nil, err
 	}
 	if err := queryCol.checkReadable(); err != nil {
+		return nil, err
+	}
+	engine, err := joinEngineName(req.Engine, dataCol.spec)
+	if err != nil {
 		return nil, err
 	}
 	tr := trace.FromContext(ctx)
@@ -262,20 +228,10 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	// With self-exclusion the per-pair join must over-fetch by one: the
 	// identity pair can displace the legitimate answer within its shard
 	// pair (IDs are shard-disjoint, so it appears at most once per
-	// query, and only on diagonal pairs). The sketch engine cannot
-	// over-fetch — its recoverer is top-1 by construction — so a
-	// self-join through it would silently drop most answers (a query's
-	// recovered argmax is usually itself); reject it instead.
+	// query, and only on diagonal pairs).
 	engineK := req.TopK
 	if req.ExcludeSelf {
-		if engine == "sketch" {
-			return nil, fmt.Errorf("server: the sketch engine reports a single pair per query and cannot exclude self-pairs; use exact, normpruned or lsh for self-joins")
-		}
-		if engineK == 0 {
-			engineK = 2
-		} else {
-			engineK++
-		}
+		engineK = max(engineK, 1) + 1
 	}
 	unsigned := sp.Variant == core.Unsigned
 
@@ -291,31 +247,11 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	parts := make([]join.Result, len(pairs))
 	errs := make([]error, len(pairs))
 	ssp := tr.StartSpan("scan")
-	// Each data shard's engine is resolved once, by the first of its
-	// pairs to run: lent by the snapshot where it serves from a matching
-	// structure, else built here, on the fan-out, not once per pair.
-	engines := make([]func() (join.Engine, error), len(dsnaps))
-	for d, sn := range dsnaps {
-		engines[d] = sync.OnceValues(func() (join.Engine, error) {
-			eng, built, err := sn.joinEngine(engine, req, dataCol.spec)
-			if built {
-				ssp.SetInt("index_builds", 1)
-			} else {
-				ssp.SetInt("index_builds", 0)
-			}
-			return eng, err
-		})
-	}
 	run := func(i int) {
 		pr := pairs[i]
 		dsnap, qsnap := dsnaps[pr.d], qsnaps[pr.q]
-		eng, err := engines[pr.d]()
-		if err != nil {
-			errs[i] = err
-			return
-		}
 		var work flat.ScanStats
-		res, err := eng.Join(dsnap.fs, qsnap.fs, sp.S, sp.CS(), join.Opts{
+		res, err := dsnap.joinEngine(engine).Join(dsnap.fs, qsnap.fs, sp.S, sp.CS(), join.Opts{
 			Unsigned: unsigned, TopK: engineK, Ctx: ctx,
 			DeadP: dsnap.dead, DeadQ: qsnap.dead, Stats: &work})
 		// The span sums its pairs' work, a cancelled pair's included.

@@ -170,6 +170,18 @@ func TestJoinPathEndpoint(t *testing.T) {
 		JoinRequest{S: 0.5, TopK: -2}, nil); code != http.StatusBadRequest {
 		t.Fatalf("negative topk status %d", code)
 	}
+	// An engine the data collection keeps no structure for is refused,
+	// naming the alternative, rather than built per request.
+	for _, c := range []struct{ engine, names string }{
+		{"lsh", "create the data collection with index kind alsh"},
+		{"sketch", "ips.SketchJoin"},
+	} {
+		var e map[string]string
+		if code := doJSON(t, ts, http.MethodPost, "/collections/data/join/queries",
+			JoinRequest{S: 0.5, Engine: c.engine, Variant: "unsigned"}, &e); code != http.StatusBadRequest || !strings.Contains(e["error"], c.names) {
+			t.Fatalf("engine %s on an exact collection: status %d, error %q; want 400 naming %q", c.engine, code, e["error"], c.names)
+		}
+	}
 	// The legacy body-addressed route: omitting the collection names is
 	// a malformed request (400), not a missing resource (404).
 	if code := doJSON(t, ts, http.MethodPost, "/join",
@@ -220,14 +232,6 @@ func TestSelfJoinEndpoint(t *testing.T) {
 		}
 	}
 
-	// The sketch engine is top-1 by construction and cannot over-fetch
-	// past the identity pair — self-joins through it must be rejected,
-	// not silently emptied.
-	if code := doJSON(t, ts, http.MethodPost, "/collections/c/join",
-		JoinRequest{S: 0.9, Engine: "sketch", Variant: "unsigned"}, nil); code != http.StatusBadRequest {
-		t.Fatalf("sketch self-join status %d, want 400", code)
-	}
-
 	// The two-collection path with the same name keeps identity pairs
 	// unless exclude_self is set in the body.
 	if code := doJSON(t, ts, http.MethodPost, "/collections/c/join/c",
@@ -248,20 +252,21 @@ func TestSelfJoinEndpoint(t *testing.T) {
 	}
 }
 
-// TestServedJoinLSHRecall runs the LSH engine through the server on a
-// planted workload and requires high recall against the exact engine.
+// TestServedJoinLSHRecall runs the LSH engine through the server — the
+// banding indexes of an alsh collection holding the data — on a planted
+// workload and requires high recall against the exact engine.
 func TestServedJoinLSHRecall(t *testing.T) {
 	s := New(Config{DefaultShards: 2})
 	defer s.Close()
-	_, _ = joinWorkload(t, s, 200, 24, 16, 55)
+	data, _ := joinWorkload(t, s, 200, 24, 16, 55)
+	if _, _, err := s.Ingest("alsh", &IndexSpec{Kind: KindALSH, K: 6, L: 24, Seed: 4}, 0, data); err != nil {
+		t.Fatal(err)
+	}
 	exact, err := s.Join(JoinRequest{Data: "data", Queries: "queries", S: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lshResp, err := s.Join(JoinRequest{
-		Data: "data", Queries: "queries",
-		Engine: "lsh", S: 0.9, C: 0.5, K: 6, L: 24, Seed: 4,
-	})
+	lshResp, err := s.Join(JoinRequest{Data: "alsh", Queries: "queries", Engine: "lsh", S: 0.9, C: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +403,6 @@ func compactedJoin(t *testing.T, s *Server, req JoinRequest) (pairs []JoinPair, 
 		}
 		return c, out
 	}
-	engine, _ := joinEngineName(req.Engine)
 	sp, _ := joinSpec(req)
 	k := req.TopK
 	if req.ExcludeSelf {
@@ -407,11 +411,9 @@ func compactedJoin(t *testing.T, s *Server, req JoinRequest) (pairs []JoinPair, 
 	var parts []join.Result
 	dataCol, data := compact(req.Data)
 	_, queries := compact(req.Queries)
+	engine, _ := joinEngineName(req.Engine, dataCol.spec)
 	for _, p := range data {
-		eng, _, err := p.joinEngine(engine, req, dataCol.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := p.joinEngine(engine)
 		for _, q := range queries {
 			res, err := eng.Join(p.fs, q.fs, sp.S, sp.CS(), join.Opts{Unsigned: sp.Variant == core.Unsigned, TopK: k})
 			if err != nil {
@@ -554,19 +556,17 @@ func TestJoinTombstoneGrid(t *testing.T) {
 			brute := map[string][]JoinPair{} // by cell, shared by the two exact engines
 			cell := func(data, engine string, topk int, variant, queries string) {
 				self := queries == data
-				if engine == "sketch" && (self || variant == "signed") {
-					return
-				}
 				req := JoinRequest{Data: data, Queries: queries, Engine: engine, Variant: variant,
 					S: 0.8, C: 0.75, TopK: topk, ExcludeSelf: self}
-				if data == "a" {
-					req.K, req.L, req.Seed = 4, 8, 5 // h lends its own: zeros
-				}
 				cell := fmt.Sprintf("%s/topk=%d/queries=%s", variant, topk, queries)
 				label := data + "/" + engine + "/" + cell
 				resp, err := s.Join(req)
 				if len(refs[queries]) == 0 {
-					for _, r := range []JoinRequest{req, {Data: queries, Queries: data, Engine: engine, Variant: variant, S: 0.8}} {
+					rev := JoinRequest{Data: queries, Queries: data, Engine: engine, Variant: variant, S: 0.8}
+					if engine == "lsh" {
+						rev.Engine = "exact" // the emptied collection keeps no banding index
+					}
+					for _, r := range []JoinRequest{req, rev} {
 						if _, err := s.Join(r); err == nil || !strings.Contains(err.Error(), "join requires non-empty collections") {
 							t.Fatalf("%s: join %s×%s over a fully-deleted collection: err = %v", label, r.Data, r.Queries, err)
 						}
@@ -599,7 +599,7 @@ func TestJoinTombstoneGrid(t *testing.T) {
 			}
 			for _, topk := range []int{0, 3} {
 				for _, variant := range []string{"signed", "unsigned"} {
-					for _, engine := range []string{"exact", "normpruned", "lsh", "sketch"} {
+					for _, engine := range []string{"exact", "normpruned"} {
 						cell("a", engine, topk, variant, "a")
 						cell("a", engine, topk, variant, "b")
 					}
@@ -654,121 +654,43 @@ func TestNormPrunedJoinSweepsServingView(t *testing.T) {
 }
 
 // TestApproximateJoinProbesServingStructure: an alsh shard lends an lsh
-// join the banding index it serves from — with tombstones too, the join
-// drops dead candidates — and a sketch shard lends a sketch join its
-// recoverer while nothing is deleted; a request naming the collection's
-// own parameters is lent them like one naming none, and any other
-// request, or collection kind, gets a structure built for it. The traced
-// scan span counts the builds.
+// join the banding index it serves from — fresh, and with tombstones,
+// which the join drops from the candidates — and lsh on a collection
+// that keeps no banding index is a 400, not a per-request build.
 func TestApproximateJoinProbesServingStructure(t *testing.T) {
-	const shards = 3
-	s := New(Config{DefaultShards: shards, CacheCapacity: -1, CompactFraction: -1})
+	s := New(Config{DefaultShards: 3, CacheCapacity: -1, CompactFraction: -1})
 	defer s.Close()
 	data, _ := joinWorkload(t, s, 600, 20, 8, 9)
 	for i := range data {
 		data[i].ID = i // joinWorkload's ids all hash to one shard
 	}
-	specs := map[string]IndexSpec{
-		KindALSH:   {Kind: KindALSH, K: 4, L: 8, Seed: 3},
-		KindSketch: {Kind: KindSketch, Copies: 5, Seed: 3},
-		KindExact:  {Kind: KindExact},
+	if _, _, err := s.Ingest(KindALSH, &IndexSpec{Kind: KindALSH, K: 4, L: 8, Seed: 3}, 0, data); err != nil {
+		t.Fatal(err)
 	}
-	for kind, spec := range specs {
-		if _, _, err := s.Ingest(kind, &spec, 0, data); err != nil {
-			t.Fatal(err)
+	c, _ := s.Collection(KindALSH)
+	req := JoinRequest{Data: KindALSH, Queries: "queries", Engine: "lsh", S: 0.8, C: 0.5}
+	for _, stage := range []string{"fresh", "tombstoned"} {
+		if stage == "tombstoned" {
+			deleteIDs(t, s, KindALSH, map[int]vec.Vector{}, c.shards[0].snap.Load().ids[:2])
 		}
-	}
-	snapOf := func(kind string) *shardSnap {
-		c, _ := s.Collection(kind)
-		return c.shards[0].snap.Load()
-	}
-	lent := func(kind, engine string, req JoinRequest) (join.Engine, bool) {
-		t.Helper()
-		eng, built, err := snapOf(kind).joinEngine(engine, req, specs[kind])
-		if err != nil {
-			t.Fatal(err)
+		sn := c.shards[0].snap.Load()
+		ix := sn.index.(*alshIndex)
+		if eng := sn.joinEngine("lsh").(join.LSH); eng.Index != ix.ix || eng.Radius != ix.u {
+			t.Fatalf("%s: the join does not probe the shard's index", stage)
 		}
-		return eng, !built
-	}
-	builds := func(req JoinRequest) int64 {
-		t.Helper()
 		tr := trace.New("join", "")
 		resp, err := s.JoinCtx(trace.NewContext(context.Background(), tr), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, sp := range tr.Export().Spans {
-			if sp.Name == "scan" {
-				if req.Engine == "lsh" && (sp.Attrs["candidates"] != resp.Compared || resp.Compared == 0) {
-					t.Fatalf("%+v: span counts %d candidates, the response compared %d", req, sp.Attrs["candidates"], resp.Compared)
-				}
-				n, ok := sp.Attrs["index_builds"]
-				if !ok {
-					t.Fatalf("%+v: the scan span has no index_builds: %v", req, sp.Attrs)
-				}
-				return n
+			if sp.Name == "scan" && (sp.Attrs["candidates"] != resp.Compared || resp.Compared == 0) {
+				t.Fatalf("%s: span counts %d candidates, the response compared %d", stage, sp.Attrs["candidates"], resp.Compared)
 			}
 		}
-		t.Fatalf("no scan span in %+v", tr.Export())
-		return 0
 	}
-
-	check := func(stage string) {
-		t.Helper()
-		ix := snapOf(KindALSH).index.(*alshIndex)
-		for _, req := range []JoinRequest{{}, {K: 4}, {K: 4, L: 8, Seed: 3}} {
-			if eng, ok := lent(KindALSH, "lsh", req); !ok || eng.(join.LSH).Index != ix.ix || eng.(join.LSH).Radius != ix.u {
-				t.Fatalf("%s: alsh shard, request %+v: the join does not probe the shard's index", stage, req)
-			}
-		}
-		for _, req := range []JoinRequest{{K: 5}, {L: 4}, {Seed: 9}} {
-			if _, ok := lent(KindALSH, "lsh", req); ok {
-				t.Fatalf("%s: alsh shard, request %+v asks for another index and was lent the shard's", stage, req)
-			}
-		}
-		if _, ok := lent(KindExact, "lsh", JoinRequest{}); ok {
-			t.Fatalf("%s: an exact shard keeps no banding index to lend", stage)
-		}
-		if n := builds(JoinRequest{Data: KindALSH, Queries: "queries", Engine: "lsh", S: 0.8, C: 0.5}); n != 0 {
-			t.Fatalf("%s: lsh join on an alsh collection built %d indexes", stage, n)
-		}
-		if n := builds(JoinRequest{Data: KindExact, Queries: "queries", Engine: "lsh", S: 0.8, C: 0.5}); n != shards {
-			t.Fatalf("%s: lsh join on an exact collection built %d indexes, want one per data shard (%d)", stage, n, shards)
-		}
-	}
-	check("fresh")
-	rec := snapOf(KindSketch).index.(sketchIndex).rec
-	for _, req := range []JoinRequest{{}, {Kappa: 2, Copies: 5, Seed: 3}} {
-		if eng, ok := lent(KindSketch, "sketch", req); !ok || eng.(join.Sketch).Recoverer != rec {
-			t.Fatalf("sketch shard, request %+v: the join does not query the shard's recoverer", req)
-		}
-	}
-	if _, ok := lent(KindSketch, "sketch", JoinRequest{Copies: 3}); ok {
-		t.Fatal("sketch shard: a request for 3 copies was lent the shard's 5-copy recoverer")
-	}
-	unsigned := JoinRequest{Data: KindSketch, Queries: "queries", Engine: "sketch", Variant: "unsigned", S: 0.8, C: 0.5}
-	if n := builds(unsigned); n != 0 {
-		t.Fatalf("sketch join on a sketch collection built %d recoverers", n)
-	}
-
-	// Tombstones: the banding index is still lent, the recoverer — which
-	// sums the dead row in — is not.
-	c, _ := s.Collection(KindSketch)
-	doomed := c.shards[0].snap.Load().ids[:2]
-	for _, kind := range []string{KindALSH, KindSketch, KindExact} {
-		ref := map[int]vec.Vector{}
-		for _, id := range doomed {
-			ref[id] = nil
-		}
-		deleteIDs(t, s, kind, ref, doomed)
-	}
-	check("tombstoned")
-	if sn := snapOf(KindSketch); sn.dead.Count() == 0 {
-		t.Fatal("the delete left shard 0 without tombstones")
-	} else if _, ok := lent(KindSketch, "sketch", JoinRequest{}); ok {
-		t.Fatal("tombstoned sketch shard: the join was lent a recoverer that sums dead rows")
-	}
-	if n := builds(unsigned); n != 1 {
-		t.Fatalf("sketch join over one tombstoned shard built %d recoverers, want 1", n)
+	req.Data = "data" // an exact collection
+	if _, err := s.Join(req); err == nil || !strings.Contains(err.Error(), "index kind alsh") {
+		t.Fatalf("lsh join on an exact collection: err = %v, want the alsh alternative named", err)
 	}
 }

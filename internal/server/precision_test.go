@@ -294,7 +294,6 @@ func TestPrecisionTierContextCancel(t *testing.T) {
 func TestPrecisionSpecValidation(t *testing.T) {
 	bad := []IndexSpec{
 		{Kind: KindALSH, Precision: PrecisionF32},
-		{Kind: KindSketch, Precision: PrecisionF32},
 		{Kind: KindNormScan, Precision: PrecisionI8},
 		{Kind: KindALSH, Precision: PrecisionI8},
 		{Precision: "f16"},

@@ -248,7 +248,7 @@ const seedStride = 0x100000001b3
 
 // collectionSeed derives the hashing seed for the ordinal-th created
 // collection. Durable collections persist the result in their manifest
-// so recovery rebuilds approximate (alsh/sketch) indexes with the
+// so recovery rebuilds approximate (alsh) indexes with the
 // original seed no matter what order the data dir enumerates in.
 func (s *Server) collectionSeed(ordinal int) uint64 {
 	return s.cfg.Seed + uint64(ordinal)*seedStride
@@ -360,12 +360,12 @@ func (s *Server) adoptRecovered(lg *persist.Log, rec *persist.Recovered) error {
 		return fmt.Errorf("collection %q recovered twice", name)
 	}
 	// The manifest pins the seed the collection was created with, so
-	// alsh/sketch shard indexes hash identically across restarts even
+	// alsh shard indexes hash identically across restarts even
 	// though recovery enumerates the data dir in name order.
 	c, err := newCollection(name, spec, rec.Manifest.Shards, rec.Manifest.Seed, s.cfg.RerankOverfetch)
 	if err != nil {
 		s.mu.Unlock()
-		return err
+		return fmt.Errorf("collection %q: %w", name, err)
 	}
 	c.gen = s.gens.Add(1)
 	s.configureCompaction(c)

@@ -375,15 +375,15 @@ func TestIndexSpecValidate(t *testing.T) {
 	bad := []IndexSpec{
 		{Kind: "bogus"},
 		{Kind: KindALSH, K: -1},
-		{Kind: KindSketch, Kappa: 1.5},
-		{Kind: KindSketch, Copies: -2},
+		{Kind: KindALSH, L: -2},
+		{Kind: "sketch"}, // no longer served
 	}
 	for _, sp := range bad {
 		if err := sp.Validate(); err == nil {
 			t.Fatalf("spec %+v validated", sp)
 		}
 	}
-	good := []IndexSpec{{}, {Kind: KindExact}, {Kind: KindALSH, K: 9}, {Kind: KindALSH, K: 17}, {Kind: KindSketch, Kappa: 2.5, Copies: 5}}
+	good := []IndexSpec{{}, {Kind: KindExact}, {Kind: KindALSH, K: 9}, {Kind: KindALSH, K: 17}}
 	for _, sp := range good {
 		if err := sp.Validate(); err != nil {
 			t.Fatalf("spec %+v rejected: %v", sp, err)

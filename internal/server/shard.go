@@ -187,11 +187,10 @@ func (s *shard) prepare(spec IndexSpec, ids []int, vs []vec.Vector, sp *trace.Sp
 // store is the index, and the f32/int8 mirrors convert only what they
 // lack; alsh hashes only the new rows; normscan sorts the rows appended
 // since its last full sort into a second run, and sorts everything
-// afresh — a rebuild — once that run would reach a chunk); sketch
-// summarizes all rows together and is rebuilt. sp counts the shard
-// under extend or rebuild and records rows_copied: the rows of the next
-// snapshot, in whichever tier copied most, that do not share memory
-// with the current one. The collection's counters get the same two
+// afresh — a rebuild — once that run would reach a chunk). sp counts
+// the shard under extend or rebuild and records rows_copied: the rows of
+// the next snapshot, in whichever tier copied most, that do not share
+// memory with the current one. The collection's counters get the same two
 // facts, traced or not.
 func (s *shard) nextIndex(spec IndexSpec, old *shardSnap, nfs *flat.Store, dead *flat.Tombstones, sp *trace.Span) (ShardIndex, error) {
 	// spec is only read on the rebuild path: a collection's spec never

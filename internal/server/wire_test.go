@@ -521,10 +521,8 @@ func TestRequestBuffersNotRetained(t *testing.T) {
 		{Kind: KindNormScan},
 		{Kind: KindNormScan, Precision: PrecisionF32},
 		{Kind: KindALSH},
-		{Kind: KindSketch},
 	} {
 		t.Run(spec.kind()+"-"+spec.precision(), func(t *testing.T) {
-			unsigned := spec.Kind == KindSketch
 			cfg := durableConfig(t.TempDir())
 			cfg.DefaultShards, cfg.CacheCapacity, cfg.Seed = 2, 64, 5
 			s, err := Open(cfg)
@@ -550,7 +548,7 @@ func TestRequestBuffersNotRetained(t *testing.T) {
 			// against ref in process.
 			check := func(when string) {
 				t.Helper()
-				res, err := ref.SearchWithOpts(t.Context(), "c", queries, SearchOpts{K: 5, Unsigned: unsigned})
+				res, err := ref.SearchWithOpts(t.Context(), "c", queries, SearchOpts{K: 5})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -562,7 +560,7 @@ func TestRequestBuffersNotRetained(t *testing.T) {
 				for round := range 2 {
 					for i, q := range queries {
 						var resp SearchResponse
-						body := do("POST", "/collections/c/search", fmt.Sprintf(`{"q":%s,"k":5,"unsigned":%v}`, jsonVec(q), unsigned))
+						body := do("POST", "/collections/c/search", fmt.Sprintf(`{"q":%s,"k":5}`, jsonVec(q)))
 						if err := json.Unmarshal(body, &resp); err != nil {
 							t.Fatal(err)
 						}
@@ -577,7 +575,7 @@ func TestRequestBuffersNotRetained(t *testing.T) {
 				}
 				qs, _ := json.Marshal(queries)
 				var resp SearchResponse
-				if err := json.Unmarshal(do("POST", "/collections/c/search", fmt.Sprintf(`{"queries":%s,"k":5,"unsigned":%v}`, qs, unsigned)), &resp); err != nil {
+				if err := json.Unmarshal(do("POST", "/collections/c/search", fmt.Sprintf(`{"queries":%s,"k":5}`, qs)), &resp); err != nil {
 					t.Fatal(err)
 				}
 				if !sameHitsBitExact(resp.Results, want) {
@@ -628,9 +626,7 @@ func TestRequestBuffersNotRetained(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if spec.Kind != KindSketch { // a recovered sketch summarises the rows in another order
-				check("after reopening the WAL")
-			}
+			check("after reopening the WAL")
 		})
 	}
 	t.Logf("overwrote %d pooled buffers", poisoned)

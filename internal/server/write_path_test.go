@@ -120,8 +120,7 @@ func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 // run, and the 41 upserts of 16 rows each stay under the chunk that
 // triggers the next merge). An alsh upsert is not batch-sized — it
 // allocates every bucket table's ids of a touched shard afresh, L a row
-// (TestWriteCopiesOnlyTheBatch pins that it says so) — and sketch
-// rebuilds.
+// (TestWriteCopiesOnlyTheBatch pins that it says so).
 func TestUpsertAllocationIsBatchSized(t *testing.T) {
 	for _, kind := range []string{KindExact, KindNormScan} {
 		t.Run(kind, func(t *testing.T) { testUpsertAllocationIsBatchSized(t, kind) })

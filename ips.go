@@ -380,7 +380,8 @@ type ServerConfig = server.Config
 type Server = server.Server
 
 // ServerIndexSpec selects the per-shard index engine of a collection
-// ("exact", "normscan", "alsh" or "sketch", plus engine parameters).
+// ("exact", "normscan" or "alsh", plus engine parameters). The §4.3
+// sketch is not served; SketchJoin and NewSketchMIPS run it offline.
 type ServerIndexSpec = server.IndexSpec
 
 // SearchHit is one served answer: record ID and inner product.
@@ -391,8 +392,9 @@ type SearchHit = server.Hit
 type ServerStats = server.Stats
 
 // ServerJoinRequest asks the serving layer for an approximate (cs, s)
-// join between two collections (threshold or top-k-pairs mode, any
-// flat engine), fanned out across shard pairs on the worker pool.
+// join between two collections (threshold or top-k-pairs mode; exact,
+// norm-pruned, or lsh through an alsh collection's own banding indexes),
+// fanned out across shard pairs on the worker pool.
 type ServerJoinRequest = server.JoinRequest
 
 // ServerJoinResponse is the served join outcome in record-ID space.
