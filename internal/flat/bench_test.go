@@ -130,31 +130,43 @@ func BenchmarkFlatDotTile(b *testing.B) {
 }
 
 // BenchmarkFlatOfferRows measures the candidate verify loop at
-// planted-alsh's shard shape: 1 500 × 32 rows inside the unit ball, 240
+// planted-alsh's shard shape: 1 500 rows inside the unit ball, 240
 // scattered candidates per query (≈ 953 per query over 4 shards), k = 10.
-// One iteration verifies one query's candidates; ns/op ÷ 240 is the
-// per-candidate cost.
+// One iteration verifies one query's candidates; ns/cand is the
+// per-candidate cost. d = 32 is planted-alsh's; 16 walks whole chunks
+// only and 33 adds the one-element tail. asm runs the AVX2 dotRows4
+// (skipped without AVX2), go the pure-Go pair kernel every machine
+// without it serves.
 func BenchmarkFlatOfferRows(b *testing.B) {
-	rng := xrand.New(3)
-	n, d, m := 1500, 32, 240
-	vs := make([]vec.Vector, n)
-	for i := range vs {
-		vs[i] = vec.Scale(rng.UnitVec(d), rng.Float64())
-	}
-	s, err := FromVectors(vs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := vec.Vector(rng.UnitVec(d))
-	rows := rng.Perm(n)[:m]
-	for _, unsigned := range []bool{false, true} {
-		b.Run(fmt.Sprintf("unsigned=%v", unsigned), func(b *testing.B) {
-			a := NewAcc(10)
-			for i := 0; i < b.N; i++ {
-				a.hits = a.hits[:0] // pooled, as the engines' accumulators are
-				s.OfferRows(nil, &a, q, rows, nil, unsigned)
-			}
-		})
+	for _, d := range []int{16, 32, 33} {
+		rng := xrand.New(3)
+		n, m := 1500, 240
+		vs := make([]vec.Vector, n)
+		for i := range vs {
+			vs[i] = vec.Scale(rng.UnitVec(d), rng.Float64())
+		}
+		s, err := FromVectors(vs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q := vec.Vector(rng.UnitVec(d))
+		rows := rng.Perm(n)[:m]
+		for _, asm := range []bool{true, false} {
+			b.Run(fmt.Sprintf("d=%d/asm=%v", d, asm), func(b *testing.B) {
+				saved := useDotTileAsm
+				defer func() { useDotTileAsm = saved }()
+				if asm && !saved {
+					b.Skip("no AVX2 on this machine")
+				}
+				useDotTileAsm = asm
+				a := NewAcc(10)
+				for i := 0; i < b.N; i++ {
+					a.hits = a.hits[:0] // pooled, as the engines' accumulators are
+					s.OfferRows(nil, &a, q, rows, nil, false)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/cand")
+			})
+		}
 	}
 }
 

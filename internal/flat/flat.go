@@ -398,25 +398,23 @@ func (a *Acc) Full() bool { return len(a.hits) == a.k }
 //
 // Candidates are scattered rows, so one row's dot is bound by the latency
 // of its four dependent add chains, not by memory or arithmetic. Live rows
-// are therefore scored in pairs through dotTileGeneric2, q as its one data
-// row and the two candidates as its queries: eight independent chains per
-// pass, each of them vec.DotKernel's own (x·y = y·x exactly), so every
-// score keeps Dot's bits. A row left without a partner — the last one, or
-// one pending at a poll, so scored counts only rows offered — goes
-// through Dot alone.
+// are therefore buffered four at a time and scored in one scoreRows4
+// call, q against four rows read straight from their chunks: sixteen
+// independent chains per call, each of them vec.DotKernel's own (x·y =
+// y·x exactly), so every score keeps Dot's bits. The buffer is flushed
+// when full, at each poll (so scored counts only rows offered) and at
+// the end; a short one pads its empty slots with its first row and
+// offers only the rows it holds.
 func (s *Store) OfferRows(done <-chan struct{}, a *Acc, q vec.Vector, rows []int, dead *Tombstones, unsigned bool) (scored int, stopped bool) {
 	if len(q) != s.dim {
 		panic(fmt.Sprintf("flat: Dot dimension mismatch %d != %d", len(q), s.dim))
 	}
-	var v [2]float64
-	pending := -1
+	var buf [4]int // live rows awaiting one scoreRows4 call
+	n := 0
 	for i, r := range rows {
 		if done != nil && i&1023 == 1023 {
-			if pending >= 0 {
-				offerRow(a, pending, s.Dot(pending, q), unsigned)
-				scored++
-				pending = -1
-			}
+			scored += s.verify4(a, q, &buf, n, unsigned)
+			n = 0
 			select {
 			case <-done:
 				return scored, true
@@ -426,21 +424,31 @@ func (s *Store) OfferRows(done <-chan struct{}, a *Acc, q vec.Vector, rows []int
 		if dead.Dead(r) {
 			continue
 		}
-		if pending < 0 {
-			pending = r
-			continue
+		buf[n] = r
+		if n++; n == 4 {
+			scored += s.verify4(a, q, &buf, n, unsigned)
+			n = 0
 		}
-		dotTileGeneric2(q, s.dim, s.Row(pending), s.Row(r), 0, 1, v[:1], v[1:])
-		offerRow(a, pending, v[0], unsigned)
-		offerRow(a, r, v[1], unsigned)
-		scored += 2
-		pending = -1
 	}
-	if pending >= 0 {
-		offerRow(a, pending, s.Dot(pending, q), unsigned)
-		scored++
+	return scored + s.verify4(a, q, &buf, n, unsigned), false
+}
+
+// verify4 scores q against the first n rows of buf in one scoreRows4
+// call, offers them and returns n. Empty slots are padded with buf[0],
+// whose extra scores are dropped.
+func (s *Store) verify4(a *Acc, q vec.Vector, buf *[4]int, n int, unsigned bool) int {
+	if n == 0 {
+		return 0
 	}
-	return scored, false
+	for j := n; j < 4; j++ {
+		buf[j] = buf[0]
+	}
+	var v [4]float64
+	scoreRows4(q, s.Row(buf[0]), s.Row(buf[1]), s.Row(buf[2]), s.Row(buf[3]), &v)
+	for j, r := range buf[:n] {
+		offerRow(a, r, v[j], unsigned)
+	}
+	return n
 }
 
 // offerRow offers row r's score v, |v| when unsigned, skipping a score

@@ -202,10 +202,11 @@ func FuzzDotTile(f *testing.F) {
 
 // FuzzOfferRows holds the candidate verify loop to the masked reference
 // scan restricted to the candidates, at k = n (every score visible, each
-// with vec.DotKernel's bits) and at a fuzzed k (the threshold skip).
-// Inputs: d, n, the dead fraction, the candidates' order (ascending,
-// descending, shuffled) and count, signed or unsigned, and coarse rows
-// of {−1, 0, 1} so that scores tie across indexes.
+// with vec.DotKernel's bits) and at a fuzzed k (the threshold skip), on
+// the Go pair kernel and, where the machine has it, on the AVX2
+// dotRows4. Inputs: d, n, the dead fraction, the candidates' order
+// (ascending, descending, shuffled) and count, signed or unsigned, and
+// coarse rows of {−1, ±0, 1} so that scores tie across indexes.
 func FuzzOfferRows(f *testing.F) {
 	f.Add(uint8(6), uint16(40), uint8(80), uint8(2), uint16(33), uint8(3), false, false, uint64(1))
 	f.Add(uint8(31), uint16(1500), uint8(0), uint8(2), uint16(240), uint8(9), true, false, uint64(2))
@@ -249,23 +250,31 @@ func FuzzOfferRows(f *testing.F) {
 				mask.Kill(i)
 			}
 		}
-		for _, k := range []int{n, int(kw)%n + 1} {
-			a := NewAcc(k)
-			scored, stopped := s.OfferRows(nil, &a, q, rows, dead, unsigned)
-			if want := n - mask.Count(); stopped || scored != want {
-				t.Fatalf("k=%d: scored %d (stopped %v), want %d", k, scored, stopped, want)
+		saved := useDotTileAsm
+		defer func() { useDotTileAsm = saved }()
+		for _, asm := range []bool{false, true} {
+			if asm && !saved {
+				break
 			}
-			for _, h := range a.Hits() {
-				want := vec.DotKernel(s.Row(h.Index), q)
-				if unsigned {
-					want = math.Abs(want)
+			useDotTileAsm = asm
+			for _, k := range []int{n, int(kw)%n + 1} {
+				a := NewAcc(k)
+				scored, stopped := s.OfferRows(nil, &a, q, rows, dead, unsigned)
+				if want := n - mask.Count(); stopped || scored != want {
+					t.Fatalf("asm=%v k=%d: scored %d (stopped %v), want %d", asm, k, scored, stopped, want)
 				}
-				if math.Float64bits(h.Score) != math.Float64bits(want) {
-					t.Fatalf("row %d: %v (%#x), vec.DotKernel %v (%#x)", h.Index, h.Score, math.Float64bits(h.Score), want, math.Float64bits(want))
+				for _, h := range a.Hits() {
+					want := vec.DotKernel(s.Row(h.Index), q)
+					if unsigned {
+						want = math.Abs(want)
+					}
+					if math.Float64bits(h.Score) != math.Float64bits(want) {
+						t.Fatalf("asm=%v row %d: %v (%#x), vec.DotKernel %v (%#x)", asm, h.Index, h.Score, math.Float64bits(h.Score), want, math.Float64bits(want))
+					}
 				}
-			}
-			if ref := naiveTopKMasked(s, q, k, unsigned, mask); !hitBitsEqual(a.Hits(), ref) {
-				t.Fatalf("k=%d d=%d n=%d: %v, reference %v", k, d, n, a.Hits(), ref)
+				if ref := naiveTopKMasked(s, q, k, unsigned, mask); !hitBitsEqual(a.Hits(), ref) {
+					t.Fatalf("asm=%v k=%d d=%d n=%d: %v, reference %v", asm, k, d, n, a.Hits(), ref)
+				}
 			}
 		}
 	})

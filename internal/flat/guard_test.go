@@ -59,11 +59,13 @@ func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 	}
 }
 
-// TestTileKernelsStayInsideAllocation does the same for the f64 quad
-// micro-kernels: the data rows and the 4-query block each end flush
-// against an unreadable page, at dimensions with every element-tail
-// length (4 ∤ d) and at row counts whose odd ones end on the
-// trailing-row path: dotTile16x4 at d = 16, dotTile4 at every other d.
+// TestTileKernelsStayInsideAllocation does the same for the f64 AVX2
+// kernels, at dimensions with every element-tail length (4 ∤ d). For
+// the quad micro-kernels the data rows and the 4-query block each end
+// flush against an unreadable page, at row counts whose odd ones end on
+// the trailing-row path: dotTile16x4 at d = 16, dotTile4 at every other
+// d. For dotRows4 the query and each of the four rows ends a page of
+// its own.
 func TestTileKernelsStayInsideAllocation(t *testing.T) {
 	if !useDotTileAsm {
 		t.Skip("no asm kernels on this machine")
@@ -73,9 +75,15 @@ func TestTileKernelsStayInsideAllocation(t *testing.T) {
 		return unsafe.Slice((*float64)(unsafe.Pointer(&page[len(page)-8*n])), n)
 	}
 	rows, queries := guardedPage(t), guardedPage(t)
+	var cands [4][]byte
+	for j := range cands {
+		cands[j] = guardedPage(t)
+	}
 	for _, d := range []int{4, 5, 7, 8, 9, 16, 17, 33, 64, 100} {
 		for _, n := range []int{1, 2, 3, 5} {
 			dotTileQuad(last(rows, n*d), d, last(queries, 4*d), make([]float64, 4*n))
 		}
+		var out [4]float64
+		dotRows4(last(queries, d), last(cands[0], d), last(cands[1], d), last(cands[2], d), last(cands[3], d), &out)
 	}
 }

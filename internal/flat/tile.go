@@ -24,6 +24,14 @@
 // and FuzzDotTile compare every cell with vec.DotKernel by Float64bits;
 // a guard-page test pins every load inside its row.
 //
+// The candidate verify loop (Store.OfferRows) turns the tile around:
+// scoreRows4 scores one query against four scattered rows, on AVX2 in
+// one dotRows4 call — dotTile4's one-row body with the query as its row
+// and the four candidates, each loaded straight from its chunk, as its
+// queries: +0-started lanes, no FMA, so again vec.DotKernel's bits — and
+// elsewhere in two dotTileGeneric2 passes. TestOfferRows and
+// FuzzOfferRows hold both to vec.DotKernel by Float64bits.
+//
 // View.ScanMulti drives the tile kernel over one data sweep,
 // maintaining a per-query accumulator.
 package flat
@@ -215,6 +223,21 @@ func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64) {
 			j++
 		}
 	}
+}
+
+// scoreRows4 is the candidate verify kernel: out[j] = r_j·q for four
+// rows of len(q) floats, each wherever it lies. Where tileSIMD holds it
+// is dotRows4, one AVX2 call; elsewhere two dotTileGeneric2 passes, q
+// as the one data row and a pair of the rows as its queries. Both are
+// dotRangeGeneric's chains.
+func scoreRows4(q, r0, r1, r2, r3 []float64, out *[4]float64) {
+	d := len(q)
+	if tileSIMD(d) {
+		dotRows4(q, r0, r1, r2, r3, out)
+		return
+	}
+	dotTileGeneric2(q, d, r0, r1, 0, 1, out[0:1], out[1:2])
+	dotTileGeneric2(q, d, r2, r3, 0, 1, out[2:3], out[3:4])
 }
 
 // dotTileGeneric2 is the pure-Go 2-query kernel: one row load feeds

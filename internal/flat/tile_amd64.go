@@ -32,6 +32,14 @@ func dotTile16x4(p, q, out []float64)
 //go:noescape
 func dotTile4(p []float64, d int, q, out []float64)
 
+// dotRows4 scores q against four rows of at least len(q) ≥ 4 floats,
+// each at its own address: out[j] = r_j·q, dotRangeGeneric's chain —
+// dotTile4's one-row body with q as the row and the four rows as its
+// queries.
+//
+//go:noescape
+func dotRows4(q, r0, r1, r2, r3 []float64, out *[4]float64)
+
 // x86HasAVX2 reports whether the CPU and OS support AVX2 (CPUID leaf 7
 // EBX bit 5, plus OSXSAVE with YMM state enabled via XGETBV).
 func x86HasAVX2() bool

@@ -7,7 +7,10 @@
 // (IEEE addition is commutative for the values involved). dotTile4
 // serves every d ≥ 4 but 16; dotTile16x4, the row stride built in, is
 // kept for d = 16, which small-hot serves, where it sweeps 20 000 rows
-// for 8 queries in 256 µs to dotTile4's 284.
+// for 8 queries in 256 µs to dotTile4's 284. dotRows4 is the candidate
+// verify kernel (d ≥ 4): one query against four scattered rows, each
+// lane begun at +0 like dotTile4's, no FMA, so every score is
+// vec.DotKernel's.
 
 #include "textflag.h"
 
@@ -443,5 +446,64 @@ next1_4:
 	TILE4_STORE(Y0, Y1, Y2, Y3, 0)
 
 done_4:
+	VZEROUPPER
+	RET
+
+// func dotRows4(q, r0, r1, r2, r3 []float64, out *[4]float64)
+//
+// out[j] = r_j·q over d = len(q) ≥ 4: dotTile4's trailing-row path with
+// the operands turned around — q is the one data row (Y8), the four
+// candidate rows, each at its own address, are the four queries
+// (Y10-Y13). Each row is loaded once, straight from where it lies; the
+// same +0-started accumulators, unfused VMULPD/VADDPD per 4-double
+// chunk, VMOVSD element tail into lane 0 and (s0+s1)+(s2+s3) reduction,
+// so out[j] is dotRangeGeneric's chain (x·y = y·x exactly). The four
+// scores are stored contiguously: R10 = 8 turns TILE4_STORE's four
+// score runs into out[0..3].
+TEXT ·dotRows4(SB), NOSPLIT, $0-128
+	MOVQ q_base+0(FP), DI
+	MOVQ q_len+8(FP), DX
+	MOVQ r0_base+24(FP), SI
+	MOVQ r1_base+48(FP), R11
+	MOVQ r2_base+72(FP), R12
+	MOVQ r3_base+96(FP), R13
+	MOVQ out+120(FP), R9
+	MOVQ $8, R10
+	SHLQ $3, DX           // row length in bytes
+	MOVQ DX, BX
+	ANDQ $-32, BX         // bytes of it in whole 4-double chunks
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ   AX, AX
+
+chunk_r4:
+	VMOVUPD (DI)(AX*1), Y8
+	VMOVUPD (SI)(AX*1), Y10
+	VMOVUPD (R11)(AX*1), Y11
+	VMOVUPD (R12)(AX*1), Y12
+	VMOVUPD (R13)(AX*1), Y13
+	TILE4_MAC_ROW0
+	ADDQ    $32, AX
+	CMPQ    AX, BX
+	JL      chunk_r4
+	JMP     next_r4
+
+elem_r4:
+	VMOVSD (DI)(AX*1), X8
+	VMOVSD (SI)(AX*1), X10
+	VMOVSD (R11)(AX*1), X11
+	VMOVSD (R12)(AX*1), X12
+	VMOVSD (R13)(AX*1), X13
+	TILE4_MAC_ROW0
+	ADDQ   $8, AX
+
+next_r4:
+	CMPQ AX, DX
+	JL   elem_r4
+
+	LEAQ (R9)(R10*2), AX
+	TILE4_STORE(Y0, Y1, Y2, Y3, 0)
 	VZEROUPPER
 	RET

@@ -205,94 +205,130 @@ func checkOfferRows(t *testing.T, s *Store, q vec.Vector, k int, rows []int, dea
 
 // TestOfferRows: verifying a candidate list is the masked reference scan
 // restricted to it — dead rows neither scored nor counted, every score
-// vec.DotKernel's bits whichever of a pair or a lone row it was scored
-// as, a tie at the threshold still offered — and a fired done channel
-// stops it at the next 1024-row poll with the count so far.
+// vec.DotKernel's bits whichever slot of a four-row call it took and
+// however short the last call, a tie at the threshold still offered —
+// and a fired done channel stops it at the next 1024-row poll with the
+// rows buffered there offered and counted. Every case runs on the Go
+// pair kernel and, where the machine has it, on the AVX2 dotRows4.
 func TestOfferRows(t *testing.T) {
-	rng := xrand.New(71)
-	for _, d := range []int{1, 3, 4, 5, 16, 32, 33} {
-		const n = 40
-		s, _ := FromVectors(randomVecs(rng, n, d))
-		q := vec.Vector(rng.NormalVec(d))
-		dead, _ := killRandom(rng, n, 0.3)
-		// Live, dead, live, dead, …: every would-be partner is dead.
-		alt := NewTombstones(n)
-		for i := 1; i < n; i += 2 {
-			alt.Kill(i)
-		}
-		perm := rng.Perm(n)
-		asc := make([]int, n)
-		for i := range asc {
-			asc[i] = i
-		}
-		for _, unsigned := range []bool{false, true} {
-			for _, mask := range []*Tombstones{nil, dead, alt} {
-				for _, m := range []int{0, 1, 2, 3, 4, 5, n - 1, n} {
-					checkOfferRows(t, s, q, n, perm[:m], mask, unsigned)
-					checkOfferRows(t, s, q, 3, perm[:m], mask, unsigned)
+	negZero := math.Copysign(0, -1)
+	zeros := []float64{0, negZero, 1, -1, 5e-324, -5e-324}
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := xrand.New(71)
+		for _, d := range []int{1, 2, 3, 4, 5, 7, 16, 32, 33} {
+			const n = 40
+			s, _ := FromVectors(randomVecs(rng, n, d))
+			q := vec.Vector(rng.NormalVec(d))
+			// Signed zeros decide the bits: a row of −0 against a
+			// non-negative query sums to the chain's +0, never −0.
+			zs := randomVecs(rng, n, d)
+			for i, v := range zs {
+				for j := range v {
+					v[j] = zeros[rng.Intn(len(zeros))]
+					if i%3 == 0 {
+						v[j] = negZero
+					}
 				}
-				checkOfferRows(t, s, q, n, asc, mask, unsigned)
+			}
+			z, _ := FromVectors(zs)
+			zq := vec.New(d)
+			for j := range zq {
+				zq[j] = []float64{0, 1, 5e-324}[rng.Intn(3)]
+			}
+			dead, _ := killRandom(rng, n, 0.3)
+			// Live, dead, live, dead, …: half of every call's slots are dead.
+			alt := NewTombstones(n)
+			for i := 1; i < n; i += 2 {
+				alt.Kill(i)
+			}
+			perm := rng.Perm(n)
+			asc := make([]int, n)
+			for i := range asc {
+				asc[i] = i
+			}
+			for _, c := range []struct {
+				s *Store
+				q vec.Vector
+			}{{s, q}, {z, zq}} {
+				for _, unsigned := range []bool{false, true} {
+					for _, mask := range []*Tombstones{nil, dead, alt} {
+						for _, m := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, n - 1, n} {
+							checkOfferRows(t, c.s, c.q, n, perm[:m], mask, unsigned)
+							checkOfferRows(t, c.s, c.q, 3, perm[:m], mask, unsigned)
+						}
+						checkOfferRows(t, c.s, c.q, n, asc, mask, unsigned)
+					}
+				}
 			}
 		}
-	}
 
-	// Rows 2 and 5 are equal, row 7 scores lower: offered 5 before 2, the
-	// tie at the full accumulator's threshold must still displace 5,
-	// whether 2 is scored in a pair or alone.
-	d := 5
-	vs := randomVecs(rng, 8, d)
-	q := vec.Vector(rng.NormalVec(d))
-	if vec.Dot(vs[2], q) < 0 {
-		q = vec.Neg(q)
-	}
-	vs[5] = vs[2]
-	vs[7] = vec.Vector(make([]float64, d))
-	s, _ := FromVectors(vs)
-	for _, rows := range [][]int{{5, 2}, {7, 5, 2}, {5, 7, 2}, {5, 2, 7}, {5, 5, 2, 2}} {
+		// Rows 2 and 5 are equal, row 7 scores lower: offered 5 before 2,
+		// the tie at the full accumulator's threshold must still displace
+		// 5, whatever slot 2 is scored in.
+		d := 5
+		vs := randomVecs(rng, 8, d)
+		q := vec.Vector(rng.NormalVec(d))
+		if vec.Dot(vs[2], q) < 0 {
+			q = vec.Neg(q)
+		}
+		vs[5] = vs[2]
+		vs[7] = vec.Vector(make([]float64, d))
+		s, _ := FromVectors(vs)
+		for _, rows := range [][]int{{5, 2}, {7, 5, 2}, {5, 7, 2}, {5, 2, 7}, {5, 5, 2, 2}, {7, 7, 7, 5, 2}} {
+			for _, unsigned := range []bool{false, true} {
+				a := NewAcc(1)
+				s.OfferRows(nil, &a, q, rows, nil, unsigned)
+				if h := a.Hits(); len(h) != 1 || h[0].Index != 2 {
+					t.Fatalf("rows %v unsigned=%v: %v, want row 2", rows, unsigned, h)
+				}
+				checkOfferRows(t, s, q, 1, rows, nil, unsigned)
+			}
+		}
+
+		const n = 3000
+		s, _ = FromVectors(randomVecs(rng, n, 7))
+		q = vec.Vector(rng.NormalVec(7))
+		dead, live := killRandom(rng, n, 0.3)
+		all := rng.Perm(n)
 		for _, unsigned := range []bool{false, true} {
-			a := NewAcc(1)
-			s.OfferRows(nil, &a, q, rows, nil, unsigned)
-			if h := a.Hits(); len(h) != 1 || h[0].Index != 2 {
-				t.Fatalf("rows %v unsigned=%v: %v, want row 2", rows, unsigned, h)
+			for _, mask := range []*Tombstones{nil, dead} {
+				want := n
+				if mask != nil {
+					want = len(live)
+				}
+				a := NewAcc(10)
+				got, stopped := s.OfferRows(nil, &a, q, all, mask, unsigned)
+				if stopped || got != want {
+					t.Fatalf("scored %d rows (stopped %v), want %d", got, stopped, want)
+				}
+				if ref := naiveTopKMasked(s, q, 10, unsigned, mask); !hitBitsEqual(a.Hits(), ref) {
+					t.Fatalf("unsigned=%v masked=%v: %v, reference %v", unsigned, mask != nil, a.Hits(), ref)
+				}
+				checkOfferRows(t, s, q, n, all, mask, unsigned)
 			}
-			checkOfferRows(t, s, q, 1, rows, nil, unsigned)
 		}
-	}
-
-	const n = 3000
-	s, _ = FromVectors(randomVecs(rng, n, 7))
-	q = vec.Vector(rng.NormalVec(7))
-	dead, live := killRandom(rng, n, 0.3)
-	all := rng.Perm(n)
-	for _, unsigned := range []bool{false, true} {
-		for _, mask := range []*Tombstones{nil, dead} {
-			want := n
-			if mask != nil {
-				want = len(live)
+		// 1023 rows precede the first poll. With the first j of them dead,
+		// 1023 − j are live and (1023 − j) mod 4 = 3, 2, 1, 0 of them wait
+		// in the buffer there: they are scored and offered before the poll
+		// stops the loop.
+		done := make(chan struct{})
+		close(done)
+		for j := 0; j < 4; j++ {
+			mask := NewTombstones(n)
+			for _, r := range all[:j] {
+				mask.Kill(r)
 			}
-			a := NewAcc(10)
-			got, stopped := s.OfferRows(nil, &a, q, all, mask, unsigned)
-			if stopped || got != want {
-				t.Fatalf("scored %d rows (stopped %v), want %d", got, stopped, want)
+			a := NewAcc(n)
+			got, stopped := s.OfferRows(done, &a, q, all, mask, false)
+			want, offered := offerRowsRef(s, q, n, all[:1023], mask, false)
+			if !stopped || got != offered || !hitBitsEqual(a.Hits(), want) {
+				t.Fatalf("cancelled with %d rows buffered: scored %d rows with %d hits, stopped %v; want %d, the first 1023 rows' hits and true",
+					offered%4, got, len(a.Hits()), stopped, offered)
 			}
-			if ref := naiveTopKMasked(s, q, 10, unsigned, mask); !hitBitsEqual(a.Hits(), ref) {
-				t.Fatalf("unsigned=%v masked=%v: %v, reference %v", unsigned, mask != nil, a.Hits(), ref)
-			}
-			checkOfferRows(t, s, q, n, all, mask, unsigned)
 		}
-	}
-	// 1023 live rows precede the first poll, so the last of them waits
-	// there for a partner: it is scored before the poll stops the loop.
-	done := make(chan struct{})
-	close(done)
-	a := NewAcc(n)
-	if got, stopped := s.OfferRows(done, &a, q, all, nil, false); !stopped || got != 1023 || len(a.Hits()) != 1023 {
-		t.Fatalf("cancelled: scored %d rows with %d hits, stopped %v; want 1023, 1023 and true", got, len(a.Hits()), stopped)
-	}
-	if want, _ := offerRowsRef(s, q, n, all[:1023], nil, false); !hitBitsEqual(a.Hits(), want) {
-		t.Fatalf("cancelled: hits are not the first 1023 rows'")
-	}
-	if got, stopped := s.OfferRows(done, &a, q, all[:1023], nil, false); stopped || got != 1023 {
-		t.Fatalf("a list short of the first poll: scored %d rows, stopped %v", got, stopped)
-	}
+		a := NewAcc(n)
+		if got, stopped := s.OfferRows(done, &a, q, all[:1023], nil, false); stopped || got != 1023 {
+			t.Fatalf("a list short of the first poll: scored %d rows, stopped %v", got, stopped)
+		}
+	})
 }

@@ -62,7 +62,7 @@ func putBatchState(bs *batchState) {
 // tileScratch is the pooled per-tile-task state.
 type tileScratch struct {
 	tile  flat.TileScratch
-	cands []flat.Hit // re-rank candidates of one query (flatIndex.topKMulti)
+	rows  []int      // re-rank candidates' rows of one query (flatIndex.rerankInto)
 	one   flat.Store // a single search as a tile of one (alshIndex.TopK)
 	lists [][]Hit    // per (shard, tile query) translated hit lists
 	trans []Hit      // arena backing lists

@@ -322,10 +322,10 @@ func (ix *flatIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) 
 	if !rerank {
 		return flatHits(hs), nil
 	}
-	acc := flat.NewAcc(k)
-	if err := ix.rerankInto(&acc, q, hs, o.Unsigned); err != nil {
-		return nil, err
-	}
+	ts := getTileScratch()
+	defer putTileScratch(ts)
+	var acc flat.Acc
+	ix.rerankInto(&acc, k, q, hs, o.Unsigned, ts)
 	return flatHits(acc.Hits()), nil
 }
 
@@ -344,11 +344,7 @@ func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k 
 		return accs, nil
 	}
 	for j := range accs {
-		ts.cands = append(ts.cands[:0], accs[j].Hits()...)
-		accs[j].Reset(k)
-		if err := ix.rerankInto(&accs[j], qs.Row(qlo+j), ts.cands, o.Unsigned); err != nil {
-			return nil, err
-		}
+		ix.rerankInto(&accs[j], k, qs.Row(qlo+j), accs[j].Hits(), o.Unsigned, ts)
 	}
 	return accs, nil
 }
@@ -365,26 +361,23 @@ func overfetchK(k, overfetch int) int {
 	return k * overfetch
 }
 
-// rerankInto re-scores scan candidates through the exact f64 rows into
-// acc. Scores come from the same DotRange kernel as the exact scan, so
-// a candidate set that covers the true top k yields answers
-// bit-identical to the f64 exact index (guaranteed-approximate, exact
-// once overfetch covers the quantization error). The candidate set is
-// at most k·overfetch rows, so the loop needs no ctx polling beyond the
-// scan's own.
-func (ix *flatIndex) rerankInto(acc *flat.Acc, q vec.Vector, cands []flat.Hit, unsigned bool) error {
-	var out [1]float64
+// rerankInto resets acc to keep k hits and re-scores the scan's
+// candidates through the exact f64 rows into it — cands may be acc's own
+// hits: their rows are gathered into ts first. It is the candidate
+// engines' verify loop, flat.Store.OfferRows, whose scores are the exact
+// scan's chain, so a candidate set that covers the true top k yields
+// answers bit-identical to the f64 exact index (guaranteed-approximate,
+// exact once overfetch covers the quantization error). The candidates
+// are live rows of a scan that already checked q's dimension, at most
+// k·overfetch of them, so the loop needs no dead set and no ctx polling
+// beyond the scan's own.
+func (ix *flatIndex) rerankInto(acc *flat.Acc, k int, q vec.Vector, cands []flat.Hit, unsigned bool, ts *tileScratch) {
+	ts.rows = ts.rows[:0]
 	for _, h := range cands {
-		if err := ix.fs.DotRange(q, h.Index, h.Index+1, out[:]); err != nil {
-			return err
-		}
-		v := out[0]
-		if unsigned && v < 0 {
-			v = -v
-		}
-		acc.Offer(h.Index, v)
+		ts.rows = append(ts.rows, h.Index)
 	}
-	return nil
+	acc.Reset(k)
+	ix.fs.OfferRows(nil, acc, q, ts.rows, nil, unsigned)
 }
 
 // alshIndex is the §4.1 structure (SIMPLE map + hyperplane banding):
