@@ -346,8 +346,8 @@ var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
 // A tileSource readies the candidate source of one Q-tile, query rows
 // [qlo, qhi) — whatever it computes for the tile at once kept in sc —
 // and returns it: a function appending to dst the rows of P worth
-// verifying for query qi.
-type tileSource func(sc *probeScratch, qlo, qhi int) func(dst []int, qi int) []int
+// verifying for query qi, or failing the tile.
+type tileSource func(sc *probeScratch, qlo, qhi int) func(dst []int, qi int) ([]int, error)
 
 // verifyTile is the candidate engines' loop over one Q-tile — a join's,
 // or a served alsh batch search's: for each query of rows [qlo, qhi) that
@@ -356,9 +356,9 @@ type tileSource func(sc *probeScratch, qlo, qhi int) func(dst []int, qi int) []i
 // kernel into accs[qi-qlo], ties toward the smaller p-index like the exact
 // engines. ctx is polled before the tile is hashed, between two queries
 // and inside OfferRows; a cancelled tile returns ctx's error with accs
-// partial. st counts the rows verified, and as scanned evals per query
-// when finding a query's candidates is the work (the sketch's
-// evaluations).
+// partial, and a tile whose source fails returns that error. st counts
+// the rows verified, and as scanned evals per query when finding a
+// query's candidates is the work (the sketch's evaluations).
 func verifyTile(ctx context.Context, P, Q *flat.Store, qlo, qhi int, accs []flat.Acc, dead, deadQ *flat.Tombstones, unsigned bool, evals int, tile tileSource, st *flat.ScanStats) error {
 	sc := probePool.Get().(*probeScratch)
 	defer probePool.Put(sc)
@@ -376,7 +376,10 @@ func verifyTile(ctx context.Context, P, Q *flat.Store, qlo, qhi int, accs []flat
 		if deadQ.Dead(qi) {
 			continue
 		}
-		sc.cands = candidates(sc.cands[:0], qi)
+		var err error
+		if sc.cands, err = candidates(sc.cands[:0], qi); err != nil {
+			return err
+		}
 		n, stopped := P.OfferRows(done, &accs[qi-qlo], Q.Row(qi), sc.cands, dead, unsigned)
 		st.Candidates += n
 		st.ScannedRows += cmp.Or(evals, n)
@@ -421,6 +424,13 @@ type LSH struct {
 	// The join probes it and builds nothing; rows Opts.DeadP marks are
 	// dropped before they are scored.
 	Index *lsh.Index
+	// Keys, when non-nil, are the Q operand's rows as lsh.HashQueries
+	// hashed them — every row a join or a TopKTile reads, under Index's
+	// hash functions and Probe{Radius, Neg: unsigned} — so no tile is
+	// hashed here: a caller probing several indexes that share their hash
+	// functions (the shards of one alsh collection) hashes each query once
+	// for all of them. Keys from other hash functions fail the join.
+	Keys *lsh.QueryKeys
 	// Radius is the lsh.Probe radius the family's query map needs (zero:
 	// none).
 	Radius float64
@@ -430,14 +440,19 @@ type LSH struct {
 func (LSH) Name() string { return "lsh" }
 
 // probe is the candidate source over ix, whose ids rowOf maps to rows of
-// P: a Q-tile is hashed in one pass, then each query looks its buckets
-// up.
+// P: a Q-tile is hashed in one pass, unless e.Keys already holds it, then
+// each query looks its buckets up.
 func (e LSH) probe(ix *lsh.Index, rowOf []int, Q *flat.Store, unsigned bool) tileSource {
 	p := lsh.Probe{Radius: e.Radius, Neg: unsigned}
-	return func(sc *probeScratch, qlo, qhi int) func(dst []int, qi int) []int {
-		ix.HashQueries(&sc.keys, Q, qlo, qhi, p)
-		return func(dst []int, qi int) []int {
-			return renumber(ix.AppendHashed(dst, &sc.keys, qi-qlo), len(dst), rowOf)
+	return func(sc *probeScratch, qlo, qhi int) func(dst []int, qi int) ([]int, error) {
+		keys := e.Keys
+		if keys == nil {
+			ix.HashQueries(&sc.keys, Q, qlo, qhi, p)
+			keys = &sc.keys
+		}
+		return func(dst []int, qi int) ([]int, error) {
+			out, err := ix.AppendHashed(dst, keys, qi)
+			return renumber(out, len(dst), rowOf), err
 		}
 	}
 }
@@ -468,7 +483,7 @@ func (e LSH) Prepare(P *flat.Store, dead *flat.Tombstones) (Engine, error) {
 	}
 	rows, rowOf := liveRows(P, dead)
 	ix.InsertAll(rows)
-	e.Index = nil // another operand gets a build of its own
+	e.Index, e.Keys = nil, nil // another operand gets a build of its own, which no keys were hashed for
 	return prepared{e, P, dead, func(Q *flat.Store, cs float64, opts Opts) (Result, error) {
 		return candidateJoin(P, Q, cs, opts, nil, 0, e.probe(ix, rowOf, Q, opts.Unsigned))
 	}}, nil
@@ -510,12 +525,12 @@ func (e Sketch) recover(rec *sketch.Recoverer, rowOf []int, P, Q *flat.Store, cs
 	if !opts.Unsigned {
 		return Result{}, errSketchSigned
 	}
-	return candidateJoin(P, Q, cs, opts, nil, rec.Levels()*e.Copies, func(*probeScratch, int, int) func([]int, int) []int {
-		return func(dst []int, qi int) []int {
+	return candidateJoin(P, Q, cs, opts, nil, rec.Levels()*e.Copies, func(*probeScratch, int, int) func([]int, int) ([]int, error) {
+		return func(dst []int, qi int) ([]int, error) {
 			if pi, _ := rec.Query(Q.Row(qi)); pi >= 0 {
 				dst = append(dst, pi)
 			}
-			return renumber(dst, 0, rowOf)
+			return renumber(dst, 0, rowOf), nil
 		}
 	})
 }

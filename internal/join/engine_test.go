@@ -3,6 +3,7 @@ package join
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -514,12 +515,12 @@ func TestTopKTileIsTheJoinsLoop(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	asked := 0
-	source := func(*probeScratch, int, int) func([]int, int) []int {
-		return func(dst []int, qi int) []int {
+	source := func(*probeScratch, int, int) func([]int, int) ([]int, error) {
+		return func(dst []int, qi int) ([]int, error) {
 			if asked++; qi == qlo+3 {
 				cancel()
 			}
-			return append(dst, qi)
+			return append(dst, qi), nil
 		}
 	}
 	accs := make([]flat.Acc, qhi-qlo)
@@ -538,6 +539,43 @@ func TestTopKTileIsTheJoinsLoop(t *testing.T) {
 	}
 	if err := verifyTile(ctx, fp, fq, qlo, qhi, accs, nil, nil, false, 0, source, &st); !errors.Is(err, context.Canceled) || asked != 4 {
 		t.Fatalf("expired tile: err %v, source asked %d times in all", err, asked)
+	}
+}
+
+// TestLSHJoinTakesHashedKeys: an LSH engine handed the Q operand's keys,
+// hashed once under the hash functions its index shares with a sibling
+// over other rows, joins exactly as one that hashes each tile itself —
+// on either index, over more than one tile, tiles run in parallel — and
+// keys of a twin index, sampled alike, fail the join.
+func TestLSHJoinTakesHashedKeys(t *testing.T) {
+	rng := xrand.New(43)
+	P, Q := gridWorkload(rng, 500, tileQRows+9, 8)
+	fq, _ := flat.FromVectors(Q)
+	fam, _ := lsh.NewHyperplane(8)
+	base, _ := lsh.NewIndex(fam, 4, 8, 2)
+	var stores []*flat.Store
+	var parts []*lsh.Index
+	for _, rows := range [][]vec.Vector{P[:300], P[300:]} {
+		fs, _ := flat.FromVectors(rows)
+		stores, parts = append(stores, fs), append(parts, base.Extend(rows))
+	}
+	for _, unsigned := range []bool{false, true} {
+		var keys lsh.QueryKeys
+		parts[1].HashQueries(&keys, fq, 0, fq.Len(), lsh.Probe{Neg: unsigned})
+		opts := Opts{Unsigned: unsigned, TopK: 3, Runner: newChanRunner(2)}
+		for i, ix := range parts {
+			want := mustJoin(t, LSH{Index: ix}, stores[i], fq, 1, 0, opts)
+			got := mustJoin(t, LSH{Index: ix, Keys: &keys}, stores[i], fq, 1, 0, opts)
+			sameMatches(t, fmt.Sprintf("part %d unsigned=%v", i, unsigned), want.Matches, got.Matches)
+			if len(got.Matches) == 0 {
+				t.Fatalf("part %d: no pairs; the test compares nothing", i)
+			}
+		}
+		twin, _ := lsh.NewIndex(fam, 4, 8, 2)
+		twin = twin.Extend(P[:300])
+		if _, err := (LSH{Index: twin, Keys: &keys}).Join(stores[0], fq, 1, 0, opts); err == nil {
+			t.Fatal("a join probed a twin index with keys hashed by another's functions")
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -33,6 +34,17 @@ import (
 // bucket per key that occurs found by binary search.
 type Index struct {
 	K, L int
+	// The hash functions, sampled by NewIndex and shared by every index
+	// Extend derives from it, so keys HashQueries makes under one of them
+	// probe any of them.
+	*funcs
+	tables []table
+	n      int
+}
+
+// funcs is an index's hash functions, never mutated once sampled; its
+// address is their identity (QueryKeys.by).
+type funcs struct {
 	// maps is the pre-map of an Asymmetric family (nil funcs otherwise),
 	// applied once per vector rather than once per hash function.
 	maps MapPair
@@ -41,8 +53,6 @@ type Index struct {
 	// multi-query kernel.
 	hashers []Hasher
 	planes  *flat.Store
-	tables  []table
-	n       int
 }
 
 // maxDenseK is the largest K whose sign-code tables are dense. A dense
@@ -104,7 +114,7 @@ func NewIndex(f Family, k, l int, seed uint64) (*Index, error) {
 	if k <= 0 || l <= 0 {
 		return nil, fmt.Errorf("lsh: invalid index shape K=%d L=%d", k, l)
 	}
-	ix := &Index{K: k, L: l, tables: make([]table, l)}
+	ix := &Index{K: k, L: l, funcs: new(funcs), tables: make([]table, l)}
 	if a, ok := f.(*Asymmetric); ok {
 		// Asymmetric.Sample only wraps Inner.Sample, so sampling the inner
 		// family directly consumes the identical RNG stream.
@@ -231,23 +241,41 @@ func (ix *Index) tileKeys(h *tileHash, out []uint64, n int, at func(int) vec.Vec
 			must(h.probes.Append(mapped(lo + v)))
 		}
 		h.dots = slices.Grow(h.dots[:0], np*kl)[:np*kl]
-		probe, plane := kl, 1 // dots[v*probe+r*plane] is probe v · plane r
+		plane := 1 // dots[v*kl+r] is probe v · plane r, or dots[v+r*np] when plane is np
 		if np < 4 {
-			probe, plane = 1, np
+			plane = np
 			must(h.probes.DotTile(ix.planes, 0, kl, 0, np, h.dots))
 		} else {
 			must(ix.planes.DotTile(&h.probes, 0, np, 0, kl, h.dots))
 		}
-		for v, keys := 0, out[lo*ix.L:]; v < np; v++ {
-			d := v * probe
-			for t := 0; t < ix.L; t++ {
-				key := uint64(0)
-				for j := 0; j < ix.K; j, d = j+1, d+plane {
-					key |= signBit(h.dots[d]) << j
-				}
-				keys[v*ix.L+t] = key
+		signCodes(h.dots, out[lo*ix.L:(lo+np)*ix.L], ix.K, ix.L, plane)
+	}
+}
+
+// signCodes writes into keys, L per probe, each table's K-bit sign code
+// of a step's inner products: bit j of a table's code is the signBit of
+// its plane j. dots[v·K·L+r] is probe v · plane r when plane is 1, so
+// key i's K products are dots[i·K:(i+1)·K]; otherwise it is
+// dots[v+r·plane]. A code is shifted in from its top bit down: a shift by
+// a constant keeps the loop in registers.
+func signCodes(dots []float64, keys []uint64, k, l, plane int) {
+	if plane == 1 {
+		for i := range keys {
+			ds, key := dots[i*k:(i+1)*k], uint64(0)
+			for j := len(ds) - 1; j >= 0; j-- {
+				key = key<<1 | signBit(ds[j])
 			}
+			keys[i] = key
 		}
+		return
+	}
+	for i := range keys {
+		key, d := uint64(0), i/l+(i%l*k+k-1)*plane // probe i/l, table i%l's last plane
+		for range k {
+			key = key<<1 | signBit(dots[d])
+			d -= plane
+		}
+		keys[i] = key
 	}
 }
 
@@ -488,7 +516,7 @@ func (qk *QueryKeys) of(q vec.Vector, p Probe) (pos, neg vec.Vector) {
 func (ix *Index) Candidates(qs ...vec.Vector) []int {
 	sc := probePool.Get().(*probeScratch)
 	defer probePool.Put(sc)
-	ix.hash(&sc.qk, len(qs), func(i int) vec.Vector { return qs[i] }, Probe{})
+	ix.hash(&sc.qk, 0, len(qs), func(i int) vec.Vector { return qs[i] }, Probe{})
 	return ix.collisions(sc, sc.qk.keys, nil)
 }
 
@@ -499,50 +527,64 @@ func (ix *Index) Candidates(qs ...vec.Vector) []int {
 func (ix *Index) AppendCandidates(dst []int, q vec.Vector, p Probe) []int {
 	sc := probePool.Get().(*probeScratch)
 	defer probePool.Put(sc)
-	ix.hash(&sc.qk, 1, func(int) vec.Vector { return q }, p)
+	ix.hash(&sc.qk, 0, 1, func(int) vec.Vector { return q }, p)
 	return ix.collisions(sc, sc.qk.keys, dst)
 }
 
-// QueryKeys holds the table keys of a batch of queries — a join's or a
-// batch search's Q-tile — as HashQueries hashed them. The zero value is
-// ready to use; a reused one keeps its buffers. Not to be copied once
-// used.
+// QueryKeys holds the table keys of a batch of queries — a join's query
+// store or a batch search's Q-tile — as HashQueries hashed them, and which
+// hash functions did. The zero value is ready to use; a reused one keeps
+// its buffers. Not to be copied once used.
 type QueryKeys struct {
 	keys        []uint64   // probe-major, L apiece; a query's probes adjacent
 	per         int        // probes per query: q′, and −q′ with Probe.Neg
+	by          *funcs     // the hash functions that made keys
+	lo, hi      int        // the query rows keys hold
 	scaled, neg vec.Vector // what the query in hand is hashed as, reused from query to query
 	tileHash
 }
 
 // HashQueries fills qk with the keys of query rows [lo, hi) of qs under
-// p: for each, bit for bit the keys AppendCandidates hashes.
+// p: for each, bit for bit the keys AppendCandidates hashes. They probe ix
+// and every index that shares its hash functions — those Extend derives
+// from the same NewIndex, such as the row-split parts of one collection.
 func (ix *Index) HashQueries(qk *QueryKeys, qs *flat.Store, lo, hi int, p Probe) {
-	ix.hash(qk, hi-lo, func(i int) vec.Vector { return qs.Row(lo + i) }, p)
+	ix.hash(qk, lo, hi, qs.Row, p)
 }
 
-// hash fills qk with the keys of n queries under p, at(i) being the i-th.
-func (ix *Index) hash(qk *QueryKeys, n int, at func(int) vec.Vector, p Probe) {
-	qk.per = 1
+// hash fills qk with the keys of queries lo to hi under p, at(i) being
+// query i.
+func (ix *Index) hash(qk *QueryKeys, lo, hi int, at func(int) vec.Vector, p Probe) {
+	qk.per, qk.by, qk.lo, qk.hi = 1, ix.funcs, lo, hi
 	if p.Neg {
 		qk.per = 2
 	}
-	np := n * qk.per
+	np := (hi - lo) * qk.per
 	qk.keys = slices.Grow(qk.keys[:0], np*ix.L)[:np*ix.L]
 	ix.tileKeys(&qk.tileHash, qk.keys, np, func(r int) vec.Vector {
 		if r%qk.per == 1 {
 			return qk.neg // −q′ of the query whose q′ was the probe before
 		}
-		pos, _ := qk.of(at(r/qk.per), p)
+		pos, _ := qk.of(at(lo+r/qk.per), p)
 		return pos
 	}, false)
 }
 
-// AppendHashed is AppendCandidates for the j-th query HashQueries
-// hashed into qk.
-func (ix *Index) AppendHashed(dst []int, qk *QueryKeys, j int) []int {
+// AppendHashed is AppendCandidates for query i of the rows HashQueries
+// hashed into qk. The keys must come from ix's own hash functions, shared
+// or not: keys of other functions — even ones sampled alike — or a row qk
+// does not hold are an error, and dst comes back as it was.
+func (ix *Index) AppendHashed(dst []int, qk *QueryKeys, i int) ([]int, error) {
+	if qk.by != ix.funcs {
+		return dst, errors.New("lsh: query keys were hashed by another index's hash functions")
+	}
+	if i < qk.lo || i >= qk.hi {
+		return dst, fmt.Errorf("lsh: query %d is outside the hashed rows [%d, %d)", i, qk.lo, qk.hi)
+	}
 	sc := probePool.Get().(*probeScratch)
 	defer probePool.Put(sc)
-	return ix.collisions(sc, qk.keys[j*qk.per*ix.L:(j+1)*qk.per*ix.L], dst)
+	j := i - qk.lo
+	return ix.collisions(sc, qk.keys[j*qk.per*ix.L:(j+1)*qk.per*ix.L], dst), nil
 }
 
 // collisions appends to dst, once each and in first-collision order,

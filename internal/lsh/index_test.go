@@ -628,13 +628,75 @@ func TestAppendHashedMatchesAppendCandidates(t *testing.T) {
 		found := 0
 		for i := 5; i < 38; i++ {
 			want := ix.AppendCandidates(nil, qs.Row(i), p)
-			if got := ix.AppendHashed(nil, &qk, i-5); !slices.Equal(got, want) {
-				t.Fatalf("%+v row %d: batch candidates %v, alone %v", p, i, got, want)
+			if got, err := ix.AppendHashed(nil, &qk, i); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%+v row %d: batch candidates %v (%v), alone %v", p, i, got, err, want)
 			}
 			found += len(want)
 		}
 		if found == 0 {
 			t.Fatalf("%+v: no query found a candidate; the test checks nothing", p)
+		}
+	}
+}
+
+// TestHashedKeysProbeSharedIndexes: indexes Extend derives from one
+// NewIndex share its hash functions, so a query hashed once probes each of
+// them — and the parts of a row split together name exactly the
+// candidates one index over all the rows does. Keys from any other
+// functions, even ones sampled from the same family and seed, are refused,
+// as is a row the keys do not hold.
+func TestHashedKeysProbeSharedIndexes(t *testing.T) {
+	const d, split = 10, 250
+	rng := xrand.New(61)
+	fam := mustSimpleALSHFamily(t, d)
+	rows := ballVecs(rng, 600, d)
+	base, _ := NewIndex(fam, 4, 8, 62)
+	parts := []*Index{base.Extend(rows[:split]), base.Extend(rows[split:])}
+	whole := parts[0].Extend(rows[split:])
+	qs, _ := flat.FromVectors(ballVecs(rng, 20, d))
+	p := Probe{Radius: 1, Neg: true}
+	var qk QueryKeys
+	parts[1].HashQueries(&qk, qs, 3, 17, p)
+	found := 0
+	for i := 3; i < 17; i++ {
+		var union []int
+		for pi, part := range parts {
+			got, err := part.AppendHashed(nil, &qk, i)
+			if err != nil {
+				t.Fatalf("part %d row %d: %v", pi, i, err)
+			}
+			if want := part.AppendCandidates(nil, qs.Row(i), p); !slices.Equal(got, want) {
+				t.Fatalf("part %d row %d: shared keys name %v, the part's own hash %v", pi, i, got, want)
+			}
+			for _, id := range got {
+				union = append(union, id+pi*split)
+			}
+		}
+		want, err := whole.AppendHashed(nil, &qk, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(union)
+		slices.Sort(want)
+		if !slices.Equal(union, want) {
+			t.Fatalf("row %d: the parts name %v together, one index over all rows %v", i, union, want)
+		}
+		found += len(want)
+	}
+	if found == 0 {
+		t.Fatal("no query found a candidate; the test checks nothing")
+	}
+	twin, _ := NewIndex(fam, 4, 8, 62)
+	twin = twin.Extend(rows)
+	dst := []int{7}
+	for _, c := range []struct {
+		name string
+		ix   *Index
+		row  int
+	}{{"a twin index", twin, 5}, {"row 2", whole, 2}, {"row 17", whole, 17}} {
+		got, err := c.ix.AppendHashed(dst, &qk, c.row)
+		if err == nil || !slices.Equal(got, dst) {
+			t.Fatalf("%s: AppendHashed gave %v, %v; want an error and dst untouched", c.name, got, err)
 		}
 	}
 }
@@ -676,10 +738,14 @@ func checkHashing(t testing.TB, name string, f Family, k, l int, seed uint64, da
 		for i, q := range queries {
 			pr := probesOf(q, p)
 			want := ref.candidates(tabs, pr)
+			hashed, err := ix.AppendHashed(nil, &qk, lo+i)
+			if err != nil {
+				t.Fatalf("%s: query %d: %v", name, i, err)
+			}
 			for path, got := range map[string][]int{
 				"Candidates":       ix.Candidates(pr...),
 				"AppendCandidates": ix.AppendCandidates(nil, q, p),
-				"AppendHashed":     ix.AppendHashed(nil, &qk, i),
+				"AppendHashed":     hashed,
 			} {
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s: %d rows, query %d under %+v: %s %v, reference %v", name, len(data), i, p, path, got, want)

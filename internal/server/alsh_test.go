@@ -9,10 +9,12 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -144,6 +146,202 @@ func TestALSHMutationsMatchFreshBuild(t *testing.T) {
 			}
 		}
 	})
+}
+
+// appendHits appends, bit for bit, a hit list behind its length.
+func appendHits(out []uint64, hs []Hit) []uint64 {
+	out = append(out, uint64(len(hs)))
+	for _, h := range hs {
+		out = append(out, uint64(h.ID), math.Float64bits(h.Score))
+	}
+	return out
+}
+
+// alshAnswers renders, bit for bit, what collection "p" of s answers for
+// queries — record i of collection "q" — at k: each query alone, then all
+// as one batch, signed and unsigned; then an lsh join against "q" at
+// (cs, s) = (0.8·0.9, 0.9), signed and unsigned.
+func alshAnswers(t *testing.T, s *Server, queries []vec.Vector, k int) []uint64 {
+	t.Helper()
+	var out []uint64
+	c, _ := s.Collection("p")
+	for _, unsigned := range []bool{false, true} {
+		for _, q := range queries {
+			hits, err := c.SearchOne(context.Background(), s.pool, q, k, unsigned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = appendHits(out, hits)
+		}
+		res, err := s.Search("p", queries, k, unsigned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			out = appendHits(out, r.Hits)
+		}
+		variant := core.Signed
+		if unsigned {
+			variant = core.Unsigned
+		}
+		resp, err := s.Join(JoinRequest{Data: "p", Queries: "q", Engine: "lsh", S: 0.9, C: 0.8, Variant: variant.String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, uint64(len(resp.Pairs)))
+		for _, p := range resp.Pairs {
+			out = append(out, uint64(p.QueryID), uint64(p.DataID), math.Float64bits(p.Value))
+		}
+	}
+	return out
+}
+
+// oneIndexAnswers is alshAnswers from one lsh.Index over live — the
+// records in id order, row i of one store — built from the hash functions
+// an alsh collection of spec and seed samples: each query's candidates,
+// verified through flat.Store.OfferRows, are its answers; its best one
+// at ≥ cs, its join pair.
+func oneIndexAnswers(t *testing.T, spec IndexSpec, seed uint64, live []store.Record, queries []vec.Vector, k int) []uint64 {
+	t.Helper()
+	rows := make([]vec.Vector, len(live))
+	for i, r := range live {
+		rows[i] = r.Vec
+	}
+	hashes, err := newALSHHashes(spec, len(rows[0]), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := hashes.Extend(rows)
+	fs, err := flat.FromVectors(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(q vec.Vector, k int, unsigned bool) []Hit {
+		var acc flat.Acc
+		acc.Reset(k)
+		fs.OfferRows(nil, &acc, q, ix.AppendCandidates(nil, q, spec.probe(unsigned)), nil, unsigned)
+		hits := make([]Hit, 0, k)
+		for _, h := range acc.Hits() {
+			hits = append(hits, Hit{ID: live[h.Index].ID, Score: h.Score})
+		}
+		return hits
+	}
+	var out []uint64
+	for _, unsigned := range []bool{false, true} {
+		for range 2 { // alone, then batched
+			for _, q := range queries {
+				out = appendHits(out, answer(q, k, unsigned))
+			}
+		}
+		var pairs []uint64
+		for qi, q := range queries {
+			if best := answer(q, 1, unsigned); len(best) == 1 && best[0].Score >= 0.8*0.9 {
+				pairs = append(pairs, uint64(qi), uint64(best[0].ID), math.Float64bits(best[0].Score))
+			}
+		}
+		out = append(append(out, uint64(len(pairs)/3)), pairs...)
+	}
+	return out
+}
+
+// TestALSHShardCountInvariance: an alsh collection is the paper's one (K,
+// L) index split by rows — every shard extends the collection's one set
+// of hash functions — so the same records answer the same at 1, 2 and 4
+// shards: searches, batches and lsh joins, bit for bit, and equal to one
+// lsh.Index over all the live rows. It holds as ingested, after deletes
+// and a compaction, and after a close and a reopen from the data dir.
+func TestALSHShardCountInvariance(t *testing.T) {
+	const d, n, nq, k = 16, 900, 40, 10
+	spec := IndexSpec{Kind: KindALSH, K: 6, L: 12}
+	rng := xrand.New(12)
+	queries := make([]vec.Vector, nq)
+	qrecs := make([]store.Record, nq)
+	recs := make([]store.Record, n)
+	for i := range recs {
+		recs[i] = ballRecord(rng, i, d)
+	}
+	for i := range queries {
+		queries[i] = rng.UnitVec(d)
+		qrecs[i] = store.Record{ID: i, Vec: queries[i]}
+		recs[7*i].Vec = vec.Scaled(queries[i], 0.95) // a planted partner
+	}
+	live := slices.Clone(recs)
+	shardCounts := []int{1, 2, 4}
+	dirs := make([]string, len(shardCounts))
+	servers := make([]*Server, len(shardCounts))
+	open := func() {
+		for i, shards := range shardCounts {
+			cfg := durableConfig(dirs[i])
+			cfg.CacheCapacity, cfg.CompactFraction = -1, -1
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			servers[i] = s
+			if _, ok := s.Collection("p"); ok {
+				continue // recovered
+			}
+			// "p" first, so it gets the same collection seed on every server.
+			if _, _, err := s.Ingest("p", &spec, shards, recs); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Ingest("q", nil, shards, qrecs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		c, _ := servers[0].Collection("p")
+		want := oneIndexAnswers(t, spec, c.seed, live, queries, k)
+		if len(want) < 4*nq*(k+1) {
+			t.Fatalf("%s: the reference answers little; the test compares next to nothing", stage)
+		}
+		for i, s := range servers {
+			if got := alshAnswers(t, s, queries, k); !slices.Equal(got, want) {
+				t.Fatalf("%s: %d shards answer differently from one index over all the rows", stage, shardCounts[i])
+			}
+		}
+	}
+	for i := range dirs {
+		dirs[i] = t.TempDir()
+	}
+	open()
+	defer func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	}()
+	check("ingested")
+
+	var doomed []int
+	for id := 1; id < n; id += 5 {
+		if id%7 != 0 {
+			doomed = append(doomed, id)
+		}
+	}
+	live = slices.DeleteFunc(live, func(r store.Record) bool { return slices.Contains(doomed, r.ID) })
+	for _, s := range servers {
+		if _, _, _, err := s.Delete("p", doomed); err != nil {
+			t.Fatal(err)
+		}
+		c, _ := s.Collection("p")
+		if err := c.compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("compacted")
+
+	for _, s := range servers {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open()
+	check("reopened")
 }
 
 // TestServedLSHJoinMeetsDefinition1: the paper's (cs, s) contract on the
@@ -369,9 +567,10 @@ func TestALSHUpsertsDoNotPinOldStores(t *testing.T) {
 }
 
 // TestALSHBatchAllocs: a warm alsh batch allocates what the family's
-// query map does — one mapped vector per probe per shard — plus a handful
-// per tile: candidate sets, accumulators, probe stores and hit lists all
-// come from pooled scratch, not one slice per query per shard.
+// query map does — one mapped vector per probe, each query hashed once for
+// every shard — plus a handful per tile: candidate sets, accumulators,
+// probe stores and hit lists all come from pooled scratch, not one slice
+// per query per shard.
 func TestALSHBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -389,7 +588,7 @@ func TestALSHBatchAllocs(t *testing.T) {
 		}
 	}
 	search()
-	const probes, tiles = 2 * nq * shards, nq / searchTileQ
+	const probes, tiles = 2 * nq, nq / searchTileQ
 	if a := testing.AllocsPerRun(20, search); a > probes+16*tiles+16 {
 		t.Errorf("a warm %d-query unsigned batch on %d shards allocates %v times, want <= %d mapped probes + %d", nq, shards, a, probes, 16*tiles+16)
 	} else {

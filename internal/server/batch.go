@@ -8,10 +8,11 @@ package server
 // columnar query store, the pool fans out per query *tile*, and each
 // tile task visits every shard snapshot once — sweeping it through the
 // register-blocked multi-query kernels (flatIndex.topKMulti), or probing
-// its alsh index with the tile hashed as one product against the planes
-// (alshIndex.topKMulti) — translating, sorting and k-way-merging through
-// pooled scratch. Steady state does O(tiles) small allocations per
-// request instead of O(queries·shards).
+// its alsh index under the tile's keys (alshIndex.topKMulti), hashed once
+// for all shards as one product against the collection's planes —
+// translating, sorting and k-way-merging through pooled scratch. Steady
+// state does O(tiles) small allocations per request instead of
+// O(queries·shards).
 //
 // Results are bit-identical to the per-query path: the tile scan is
 // bit-identical to the single-query scan (flat's contract), re-ranked
@@ -26,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/flat"
+	"repro/internal/lsh"
 	"repro/internal/trace"
 	"repro/internal/vec"
 )
@@ -62,10 +64,11 @@ func putBatchState(bs *batchState) {
 // tileScratch is the pooled per-tile-task state.
 type tileScratch struct {
 	tile  flat.TileScratch
-	rows  []int      // re-rank candidates' rows of one query (flatIndex.rerankInto)
-	one   flat.Store // a single search as a tile of one (alshIndex.TopK)
-	lists [][]Hit    // per (shard, tile query) translated hit lists
-	trans []Hit      // arena backing lists
+	rows  []int         // re-rank candidates' rows of one query (flatIndex.rerankInto)
+	one   flat.Store    // a single search as a tile of one (alshIndex.TopK, Collection.searchOne)
+	keys  lsh.QueryKeys // an alsh tile's keys, hashed once for every shard (Collection.hashQueries)
+	lists [][]Hit       // per (shard, tile query) translated hit lists
+	trans []Hit         // arena backing lists
 	qerrs []error
 	heap  mergeHeap
 	per   [][]Hit // per-query gather of shard lists for the merge
@@ -245,8 +248,24 @@ func (s *Server) searchTile(ctx context.Context, c *Collection, name string, bs 
 		ts.trans = make([]Hit, 0, nsh*tn*k)
 	}
 
-	topts := TopKOpts{Unsigned: unsigned, Rerank: opts.Rerank}
-	for si, snap := range snaps {
+	// A shard fails a tile whole — a deadline, a cancellation: every query
+	// of the tile carries the error and none a partial answer.
+	fail := func(err error) {
+		for j := range ts.qerrs {
+			if ts.qerrs[j] == nil {
+				ts.qerrs[j] = err
+			}
+		}
+	}
+	// An alsh tile is hashed once, for every shard; one whose request
+	// expired first fails before any shard sees it.
+	keys, hashErr := c.hashQueries(ctx, &ts.keys, qst, tlo, thi, unsigned)
+	if hashErr != nil {
+		fail(hashErr)
+	}
+	topts := TopKOpts{Unsigned: unsigned, Rerank: opts.Rerank, Keys: keys}
+	for si := 0; si < nsh && hashErr == nil; si++ {
+		snap := snaps[si]
 		var accs []flat.Acc
 		var err error
 		switch ix := snap.index.(type) {
@@ -258,14 +277,7 @@ func (s *Server) searchTile(ctx context.Context, c *Collection, name string, bs 
 			accs = ts.tile.Accs(tn, k) // the empty index answers nothing
 		}
 		if err != nil {
-			// A shard fails a tile whole — a deadline, a cancellation:
-			// every query of the tile carries the error and none a partial
-			// answer.
-			for j := 0; j < tn; j++ {
-				if ts.qerrs[j] == nil {
-					ts.qerrs[j] = err
-				}
-			}
+			fail(err)
 			continue
 		}
 		for j := 0; j < tn; j++ {

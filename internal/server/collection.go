@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/errfs"
+	"repro/internal/flat"
+	"repro/internal/lsh"
 	"repro/internal/persist"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -41,6 +43,15 @@ type Collection struct {
 	// owning server's lifetime; it namespaces cache keys so entries
 	// from a dropped collection can never serve a same-name successor.
 	gen uint64
+	// seed is the collection's hashing seed, kept in its manifest.
+	seed uint64
+	// hashes is an alsh collection's one set of hash functions: an empty
+	// banding index, sampled from spec and seed once a write brings the
+	// dimension (see sampleHashes), that every shard's index extends. A
+	// query hashed once under it probes every shard (hashQueries). Nil on
+	// other kinds; set under ingestMu before any shard indexes a row, read
+	// lock-free.
+	hashes atomic.Pointer[lsh.Index]
 
 	ingestMu sync.Mutex
 	// seenIDs is the currently-live ID set: deletes remove from it, so
@@ -269,9 +280,10 @@ func newCollection(name string, spec IndexSpec, nshards int, seed uint64, overfe
 		lat:         newLatencyRing(),
 		hist:        newLatencyHist(),
 		bg:          make(chan struct{}),
+		seed:        seed,
 	}
 	for i := range c.shards {
-		c.shards[i] = newShard(i, seed+uint64(i)*0x9e3779b97f4a7c15+1, overfetch, &c.builds)
+		c.shards[i] = newShard(i, overfetch, &c.builds)
 	}
 	return c, nil
 }
@@ -337,6 +349,9 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 	if err := c.checkNormBound(recs); err != nil {
 		return 0, err
 	}
+	if err := c.sampleHashes(dim); err != nil {
+		return 0, err
+	}
 
 	// Assign and reserve IDs; any later failure releases the whole
 	// batch's reservations.
@@ -395,7 +410,7 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 	// Phase 1: build every touched shard's new snapshot in parallel on
 	// the shard-owner goroutines, publishing nothing yet.
 	snaps, err := c.buildSnaps(ctx, ids, func(si int, sp *trace.Span) (*shardSnap, error) {
-		return c.shards[si].prepare(c.spec, ids[si], vs[si], sp)
+		return c.shards[si].prepare(c.spec, c.hashes.Load(), ids[si], vs[si], sp)
 	})
 	if err != nil {
 		rollback()
@@ -459,6 +474,40 @@ func (c *Collection) checkNormBound(recs []store.Record) error {
 		}
 	}
 	return nil
+}
+
+// sampleHashes samples an alsh collection's hash functions for vectors
+// of dimension dim while no write has fixed the dimension yet — a write
+// that then fails leaves no shard indexing a row, so the next one may
+// sample afresh — and leaves them alone ever after. Callers hold
+// ingestMu.
+func (c *Collection) sampleHashes(dim int) error {
+	if c.spec.kind() != KindALSH || c.dim.Load() != 0 {
+		return nil
+	}
+	hashes, err := newALSHHashes(c.spec, dim, c.seed)
+	if err != nil {
+		return fmt.Errorf("server: collection %q: %w", c.name, err)
+	}
+	c.hashes.Store(hashes)
+	return nil
+}
+
+// hashQueries hashes query rows [lo, hi) of qs into qk once, under the
+// alsh hash functions every shard shares, and returns qk — or nil keys
+// when the collection has none (another kind, or no row yet). qs must
+// have the collection's dimension. ctx is polled first, so an expired
+// request hashes nothing.
+func (c *Collection) hashQueries(ctx context.Context, qk *lsh.QueryKeys, qs *flat.Store, lo, hi int, unsigned bool) (*lsh.QueryKeys, error) {
+	hashes := c.hashes.Load()
+	if hashes == nil {
+		return nil, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	hashes.HashQueries(qk, qs, lo, hi, c.spec.probe(unsigned))
+	return qk, nil
 }
 
 // buildSnaps is phase 1 of an ingest or upsert: prepare builds the next
@@ -551,6 +600,9 @@ func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, e
 	if err := c.checkNormBound(recs); err != nil {
 		return 0, err
 	}
+	if err := c.sampleHashes(dim); err != nil {
+		return 0, err
+	}
 	if c.spec.precision() == PrecisionF32 {
 		// Same binary32 rounding as Ingest, on a private copy (the
 		// caller keeps its slices).
@@ -596,7 +648,7 @@ func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, e
 	}
 
 	snaps, err := c.buildSnaps(ctx, ids, func(si int, sp *trace.Span) (*shardSnap, error) {
-		return c.shards[si].prepareUpsert(c.spec, ids[si], vs[si], sp)
+		return c.shards[si].prepareUpsert(c.spec, c.hashes.Load(), ids[si], vs[si], sp)
 	})
 	if err != nil {
 		rollback()
@@ -763,7 +815,7 @@ func (c *Collection) compact() error {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			snaps[si], errs[si] = c.shards[si].prepareCompact(c.spec)
+			snaps[si], errs[si] = c.shards[si].prepareCompact(c.spec, c.hashes.Load())
 		}(si)
 	}
 	wg.Wait()
@@ -877,18 +929,31 @@ func (c *Collection) searchOne(ctx context.Context, pool *Pool, q vec.Vector, k 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if dim := int(c.dim.Load()); dim != 0 && len(q) != dim {
+	dim := int(c.dim.Load())
+	if dim != 0 && len(q) != dim {
 		return nil, fmt.Errorf("server: collection %q: query dimension %d, want %d", c.name, len(q), dim)
 	}
 	c.queries.Add(1)
+	o := TopKOpts{Unsigned: unsigned, Rerank: rerank}
+	if c.spec.kind() == KindALSH && dim != 0 {
+		// q is hashed once, as a tile of one, for every shard.
+		ts := getTileScratch()
+		defer putTileScratch(ts)
+		_ = ts.one.ResetDim(dim)
+		_ = ts.one.Append(q) // dimension checked above
+		var err error
+		if o.Keys, err = c.hashQueries(ctx, &ts.keys, &ts.one, 0, 1, unsigned); err != nil {
+			return nil, err
+		}
+	}
 	lists := make([][]Hit, len(c.shards))
 	errs := make([]error, len(c.shards))
 	scan := func(i int) {
-		var shx *ShardExplain
+		o := o
 		if ex != nil {
-			shx = &ex[i]
+			o.Explain = &ex[i]
 		}
-		lists[i], errs[i] = c.shards[i].topK(ctx, q, k, TopKOpts{Unsigned: unsigned, Rerank: rerank, Explain: shx})
+		lists[i], errs[i] = c.shards[i].topK(ctx, q, k, o)
 	}
 	tr := trace.FromContext(ctx)
 	ssp := tr.StartSpan("scan")

@@ -141,64 +141,156 @@ func TestDeadlineMatrix(t *testing.T) {
 	}
 }
 
-// TestALSHTileDeadline: what TestDeadlineMatrix cannot reach — the pool
-// stops feeding tiles to an expired context, so its alsh batch row never
-// enters alshIndex.topKMulti cancelled. Shard 1's index is rebuilt here
-// over a query map that counts the probes it is handed: an expired
-// context is refused before the tile is hashed; and a context cancelled
-// inside the second tile — as that shard finishes hashing it, shard 0
-// having answered it in full — gives every query of that tile the
-// context's error and no partial hits, leaves the tile before it
-// answered and cached, and puts nothing of the cancelled tile in the
-// cache.
-func TestALSHTileDeadline(t *testing.T) {
-	s := New(Config{DefaultShards: 2, CacheCapacity: 128, Workers: 1}) // one worker: tiles run in order
-	defer s.Close()
-	const d, k, tail = 16, 5, 8
-	queries := seedKind(t, s, "m", KindALSH, 400, d, searchTileQ+tail)
-	c, _ := s.Collection("m")
+// hashCounter stands in for an alsh collection's hash functions: the
+// same SIMPLE + hyperplane construction, behind a query map that counts
+// the probes it is handed and, when onHash is set, reports the count.
+type hashCounter struct {
+	hashed atomic.Int64
+	onHash func(n int64)
+}
 
-	var hashed atomic.Int64
-	var onHash func(n int64)
+// countHashes swaps c's hash functions for a hashCounter's and rebuilds
+// every shard's index as an extend of them, as c's first write would have.
+func countHashes(t *testing.T, c *Collection, d int) *hashCounter {
+	t.Helper()
+	h := new(hashCounter)
 	tr, err := transform.NewSimple(d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inner, _ := lsh.NewHyperplane(tr.OutputDim())
 	fam, err := lsh.NewAsymmetric("counting-simple", lsh.MapPair{Data: tr.Data, Query: func(q vec.Vector) vec.Vector {
-		if n := hashed.Add(1); onHash != nil {
-			onHash(n)
+		if n := h.hashed.Add(1); h.onHash != nil {
+			h.onHash(n)
 		}
 		return tr.Query(q)
 	}}, inner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	banding, err := lsh.NewIndex(fam, 8, 16, 1)
+	hashes, err := lsh.NewIndex(fam, 8, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := c.shards[1]
-	snap := sh.snap.Load()
-	index, _ := (&alshIndex{ix: banding, u: 1}).extend(snap.fs)
-	sh.commit(&shardSnap{ids: snap.ids, fs: snap.fs, index: index}, false)
-
-	qs, err := flat.FromVectors(queries)
-	if err != nil {
-		t.Fatal(err)
+	c.hashes.Store(hashes)
+	for _, sh := range c.shards {
+		snap := sh.snap.Load()
+		index, _ := (&alshIndex{ix: hashes, u: 1}).extend(snap.fs)
+		sh.commit(&shardSnap{ids: snap.ids, fs: snap.fs, index: index}, false)
 	}
-	ts := getTileScratch()
-	_, err = index.topKMulti(expiredCtx(), qs, 0, searchTileQ, k, TopKOpts{Unsigned: true}, ts)
-	putTileScratch(ts)
-	if !errors.Is(err, context.Canceled) || hashed.Load() != 0 {
-		t.Fatalf("expired tile: err = %v after hashing %d probes, want the context's error and none", err, hashed.Load())
+	return h
+}
+
+// alshWithQueries builds the alsh collection "m" of 400 unit vectors and
+// the exact collection "q" of nq more, both at the given shard count, and
+// returns the query vectors.
+func alshWithQueries(t *testing.T, s *Server, shards, d, nq int) []vec.Vector {
+	t.Helper()
+	rng := xrand.New(77)
+	var vs []vec.Vector
+	for _, c := range []struct {
+		name, kind string
+		n          int
+	}{{"m", KindALSH, 400}, {"q", KindExact, nq}} {
+		vs = dataset.Gaussian(rng, c.n, d, true)
+		recs := make([]store.Record, len(vs))
+		for i, v := range vs {
+			recs[i] = store.Record{ID: i, Vec: v}
+		}
+		if _, _, err := s.Ingest(c.name, &IndexSpec{Kind: c.kind}, shards, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return vs // "q"'s
+}
+
+// TestALSHTileDeadline: an alsh request hashes each query once, before
+// its shard fan-out, whatever the shard count — a batch tile, a single
+// search and an lsh join's query shards alike — polling ctx first, so an
+// expired request hashes nothing; keys from other hash functions, even
+// ones sampled alike, are refused rather than probed. And what
+// TestDeadlineMatrix cannot reach: a context cancelled as the second tile
+// of a batch is hashed gives every query of that tile the context's error
+// and no partial hits, leaves the first tile answered and cached, and
+// puts nothing of the cancelled tile in the cache.
+func TestALSHTileDeadline(t *testing.T) {
+	const d, k, tail = 16, 5, 8
+	const nq = searchTileQ + tail
+	for _, shards := range []int{1, 2, 4} {
+		s := New(Config{DefaultShards: shards, CacheCapacity: -1})
+		queries := alshWithQueries(t, s, shards, d, nq)
+		c, _ := s.Collection("m")
+		h := countHashes(t, c, d)
+		requests := []struct {
+			name string
+			run  func(ctx context.Context) error
+		}{
+			{"batch", func(ctx context.Context) error {
+				res, err := s.SearchCtx(ctx, "m", queries, k, true)
+				for i := 0; err == nil && i < len(res); i++ {
+					err = res[i].Err
+				}
+				return err
+			}},
+			{"single", func(ctx context.Context) error {
+				_, err := c.SearchOne(ctx, s.pool, queries[0], k, true)
+				return err
+			}},
+			{"join", func(ctx context.Context) error {
+				_, err := s.JoinCtx(ctx, JoinRequest{Data: "m", Queries: "q", Engine: "lsh", S: 0.5, Variant: "unsigned"})
+				return err
+			}},
+		}
+		for _, r := range requests {
+			want := int64(2 * nq) // q′ and −q′ of each query
+			if r.name == "single" {
+				want = 2
+			}
+			h.hashed.Store(0)
+			if err := r.run(context.Background()); err != nil {
+				t.Fatalf("%d shards, %s: %v", shards, r.name, err)
+			}
+			if got := h.hashed.Load(); got != want {
+				t.Fatalf("%d shards, %s: hashed %d probes, want %d: each query once", shards, r.name, got, want)
+			}
+			h.hashed.Store(0)
+			if err := r.run(expiredCtx()); !errors.Is(err, context.Canceled) || h.hashed.Load() != 0 {
+				t.Fatalf("%d shards, expired %s: err = %v after hashing %d probes, want the context's error and none", shards, r.name, err, h.hashed.Load())
+			}
+		}
+		qs, err := flat.FromVectors(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qk lsh.QueryKeys
+		if keys, err := c.hashQueries(expiredCtx(), &qk, qs, 0, searchTileQ, true); !errors.Is(err, context.Canceled) || keys != nil || h.hashed.Load() != 0 {
+			t.Fatalf("%d shards: an expired tile hashed %d probes (err = %v)", shards, h.hashed.Load(), err)
+		}
+		twin, err := newALSHHashes(c.spec, d, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin.HashQueries(&qk, qs, 0, searchTileQ, c.spec.probe(true))
+		ts := getTileScratch()
+		_, err = c.shards[0].snap.Load().index.(*alshIndex).topKMulti(context.Background(), qs, 0, searchTileQ, k, TopKOpts{Unsigned: true, Keys: &qk}, ts)
+		putTileScratch(ts)
+		if err == nil {
+			t.Fatalf("%d shards: a shard probed a tile hashed by other hash functions", shards)
+		}
+		waitPoolIdle(t, s)
+		s.Close()
 	}
 
+	s := New(Config{DefaultShards: 2, CacheCapacity: 128, Workers: 1}) // one worker: tiles run in order
+	defer s.Close()
+	queries := alshWithQueries(t, s, 2, d, nq)
+	c, _ := s.Collection("m")
+	h := countHashes(t, c, d)
 	// Unsigned: two probes a query. Cancel on the second tile's last one.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	onHash = func(n int64) {
-		if n == 2*(searchTileQ+tail) {
+	h.onHash = func(n int64) {
+		if n == 2*nq {
 			cancel()
 		}
 	}
@@ -206,7 +298,7 @@ func TestALSHTileDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cancelled batch: top-level %v", err)
 	}
-	onHash = nil
+	h.onHash = nil
 	for i, r := range res {
 		switch {
 		case i < searchTileQ && r.Err != nil:
@@ -215,8 +307,8 @@ func TestALSHTileDeadline(t *testing.T) {
 			t.Fatalf("query %d of the cancelled tile: err = %v with %d hits, want the context's error and none", i, r.Err, len(r.Hits))
 		}
 	}
-	if got := hashed.Load(); got != 2*(searchTileQ+tail) {
-		t.Fatalf("shard 1 hashed %d probes, want %d: both tiles once", got, 2*(searchTileQ+tail))
+	if got := h.hashed.Load(); got != 2*nq {
+		t.Fatalf("hashed %d probes, want %d: both tiles once", got, 2*nq)
 	}
 	waitPoolIdle(t, s)
 	again, err := s.Search("m", queries, k, true)

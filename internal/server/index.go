@@ -62,6 +62,10 @@ type TopKOpts struct {
 	// rows scanned by a sweep, candidates verified by alsh; hits stay
 	// bit-identical to the unexplained call.
 	Explain *ShardExplain
+	// Keys, when non-nil, are q's keys under the collection's alsh hash
+	// functions (Collection.hashQueries), hashed once for every shard; an
+	// alsh index given none hashes q itself. Other engines ignore them.
+	Keys *lsh.QueryKeys
 }
 
 // IndexSpec selects and parameterizes the per-shard index engine. The
@@ -72,8 +76,11 @@ type IndexSpec struct {
 	// U is the ALSH query-ball radius (default 1).
 	U float64 `json:"u,omitempty"`
 	// K, L are the ALSH banding parameters (defaults 8, 16).
-	K    int    `json:"k,omitempty"`
-	L    int    `json:"l,omitempty"`
+	K int `json:"k,omitempty"`
+	L int `json:"l,omitempty"`
+	// Seed, mixed with the collection's own seed (kept in its manifest),
+	// samples the ALSH hash functions: one set per collection, shared by
+	// every shard, so answers do not depend on the shard count.
 	Seed uint64 `json:"seed,omitempty"`
 	// Precision selects the vector storage tier: "f64" (the default;
 	// exact scores), "f32" (half the scan bytes, f32-accurate scores,
@@ -172,13 +179,14 @@ const (
 )
 
 // buildShardIndex constructs the index for one shard over its columnar
-// store. Shard seeds are derived from the spec seed so shards hash
-// independently. The alsh index hashes row views of the store — slice
+// store. An alsh index extends hashes, the collection's one set of hash
+// functions (see newALSHHashes), so every shard hashes alike and a query
+// hashed once probes them all; it hashes row views of the store — slice
 // headers into its chunks, no float copies — and verifies candidates
 // through the store's kernel. Every engine retains fs itself as the
 // exact truth it verifies or re-ranks against; overfetch scales
 // re-ranked candidate sets.
-func buildShardIndex(spec IndexSpec, fs *flat.Store, shardSeed uint64, overfetch int) (ShardIndex, error) {
+func buildShardIndex(spec IndexSpec, fs *flat.Store, hashes *lsh.Index, overfetch int) (ShardIndex, error) {
 	if fs == nil || fs.Len() == 0 {
 		return emptyIndex{}, nil
 	}
@@ -186,7 +194,8 @@ func buildShardIndex(spec IndexSpec, fs *flat.Store, shardSeed uint64, overfetch
 	case KindExact, KindNormScan:
 		return newFlatIndex(spec, fs, overfetch), nil
 	case KindALSH:
-		return newALSHIndex(spec, fs, shardSeed)
+		index, _ := (&alshIndex{ix: hashes, u: spec.radius()}).extend(fs)
+		return index, nil
 	}
 	return nil, fmt.Errorf("server: unknown index kind %q", spec.Kind)
 }
@@ -391,13 +400,14 @@ type alshIndex struct {
 	dead *flat.Tombstones
 }
 
-func newALSHIndex(spec IndexSpec, fs *flat.Store, shardSeed uint64) (*alshIndex, error) {
-	u := spec.U
-	if u == 0 {
-		u = 1
-	}
+// newALSHHashes samples an alsh collection's hash functions for vectors
+// of dimension dim — the SIMPLE map into hyperplane LSH, banded (K, L) —
+// as an empty banding index every shard's index extends. They are a
+// function of spec and seed, the collection's, so a collection rebuilt
+// from its manifest (recovery) hashes as it did.
+func newALSHHashes(spec IndexSpec, dim int, seed uint64) (*lsh.Index, error) {
 	k, l := cmp.Or(spec.K, 8), cmp.Or(spec.L, 16) // the default banding
-	tr, err := transform.NewSimple(fs.Dim(), u)
+	tr, err := transform.NewSimple(dim, spec.radius())
 	if err != nil {
 		return nil, err
 	}
@@ -410,19 +420,23 @@ func newALSHIndex(spec IndexSpec, fs *flat.Store, shardSeed uint64) (*alshIndex,
 	if err != nil {
 		return nil, err
 	}
-	ix, err := lsh.NewIndex(fam, k, l, spec.Seed^shardSeed)
-	if err != nil {
-		return nil, err
-	}
-	index, _ := (&alshIndex{ix: ix, u: u}).extend(fs)
-	return index, nil
+	return lsh.NewIndex(fam, k, l, spec.Seed^seed)
+}
+
+// radius is the ALSH query-ball radius U, defaulted.
+func (s IndexSpec) radius() float64 { return cmp.Or(s.U, 1) }
+
+// probe is how an alsh query reaches the banding index: hashed scaled
+// inside the U-ball when longer, and −q probed too when unsigned.
+func (s IndexSpec) probe(unsigned bool) lsh.Probe {
+	return lsh.Probe{Radius: s.radius(), Neg: unsigned}
 }
 
 // extend returns the unmasked index over fs, an append-only store whose
 // leading rows must be exactly the rows ix indexes, and how many rows'
 // bucket entries it wrote: only the rows the banding index has not seen
-// are hashed, and the hash functions (spec and shard seed) carry over
-// with it, but lsh.Index.Extend merges the batch into fresh ids arrays
+// are hashed, and the hash functions (the collection's) carry over with
+// it, but lsh.Index.Extend merges the batch into fresh ids arrays
 // for all L tables — all fs.Len() rows' ids are copied, whatever the
 // batch. ix is untouched and keeps serving.
 func (ix *alshIndex) extend(fs *flat.Store) (*alshIndex, int) {
@@ -434,15 +448,17 @@ func (ix *alshIndex) extend(fs *flat.Store) (*alshIndex, int) {
 }
 
 // topKMulti answers query rows [qlo, qhi) of qs in one call, like
-// flatIndex.topKMulti, through the lsh join's tile loop: the tile is
-// hashed as one product against the index's planes, then each query's
-// buckets are looked up and its candidates verified through the store,
-// ctx polled throughout. A query outside the U-ball is hashed scaled
-// inside it and scored raw; unsigned probes −q too, the paper's reduction.
+// flatIndex.topKMulti, through the lsh join's tile loop: each query's
+// buckets are looked up under the tile's keys — o.Keys, hashed once for
+// every shard, which must hold those rows under this index's hash
+// functions, or else hashed here as one product against its planes — and
+// its candidates verified through the store, ctx polled throughout. A
+// query outside the U-ball is hashed scaled inside it and scored raw;
+// unsigned probes −q too, the paper's reduction.
 // o.Explain, if set, receives the candidates the tile verified.
 func (ix *alshIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, ts *tileScratch) ([]flat.Acc, error) {
 	accs := ts.tile.Accs(qhi-qlo, k)
-	e := join.LSH{Index: ix.ix, Radius: ix.u}
+	e := join.LSH{Index: ix.ix, Radius: ix.u, Keys: o.Keys}
 	var st flat.ScanStats
 	err := e.TopKTile(ctx, ix.fs, qs, qlo, qhi, accs, ix.dead, o.Unsigned, &st)
 	if o.Explain != nil {
@@ -451,7 +467,8 @@ func (ix *alshIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k 
 	return accs, err
 }
 
-// TopK is topKMulti for the tile of one query.
+// TopK is topKMulti for the tile of one query, whose keys o.Keys holds as
+// row 0.
 func (ix *alshIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error) {
 	ts := getTileScratch()
 	defer putTileScratch(ts)

@@ -10,6 +10,7 @@ package server
 // reports up to k pairs per query.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flat"
 	"repro/internal/join"
+	"repro/internal/lsh"
 	"repro/internal/trace"
 )
 
@@ -100,15 +102,16 @@ func joinEngineName(engine string, spec IndexSpec) (string, error) {
 // against this snapshot: the snapshot lends the structure it serves
 // from. normpruned sweeps the norm view (see normPruned); lsh, on an
 // alsh shard, probes the shard's banding index — the asymmetric SIMPLE
-// construction, dead rows dropped before scoring; exact sweeps the
-// store itself.
-func (sn *shardSnap) joinEngine(engine string) join.Engine {
+// construction, dead rows dropped before scoring — under keys, the query
+// shard's rows hashed once by the collection's hash functions; exact
+// sweeps the store itself.
+func (sn *shardSnap) joinEngine(engine string, keys *lsh.QueryKeys) join.Engine {
 	switch engine {
 	case "normpruned":
 		return sn.normPruned()
 	case "lsh":
 		ix := sn.index.(*alshIndex)
-		return join.LSH{Index: ix.ix, Radius: ix.u}
+		return join.LSH{Index: ix.ix, Radius: ix.u, Keys: keys}
 	}
 	return join.Tiled{}
 }
@@ -236,6 +239,27 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	unsigned := sp.Variant == core.Unsigned
 
 	start := time.Now()
+	ssp := tr.StartSpan("scan")
+
+	// An lsh join hashes each query shard once, on the pool, under the
+	// data collection's hash functions, for every data shard it meets.
+	keys := make([]*lsh.QueryKeys, len(qsnaps))
+	if engine == "lsh" {
+		for q := range keys {
+			ts := getTileScratch()
+			defer putTileScratch(ts)
+			keys[q] = &ts.keys
+		}
+		hashErr := s.pool.ForEachCtx(ctx, len(qsnaps), func(q int) {
+			// Hashing fails only as ctx does, which the check below catches.
+			keys[q], _ = dataCol.hashQueries(ctx, keys[q], qsnaps[q].fs, 0, qsnaps[q].fs.Len(), unsigned)
+		})
+		if err := cmp.Or(hashErr, ctx.Err()); err != nil {
+			ssp.End()
+			dataCol.countTimeout(err)
+			return nil, err
+		}
+	}
 
 	type pair struct{ d, q int }
 	pairs := make([]pair, 0, len(dsnaps)*len(qsnaps))
@@ -246,12 +270,11 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	}
 	parts := make([]join.Result, len(pairs))
 	errs := make([]error, len(pairs))
-	ssp := tr.StartSpan("scan")
 	run := func(i int) {
 		pr := pairs[i]
 		dsnap, qsnap := dsnaps[pr.d], qsnaps[pr.q]
 		var work flat.ScanStats
-		res, err := dsnap.joinEngine(engine).Join(dsnap.fs, qsnap.fs, sp.S, sp.CS(), join.Opts{
+		res, err := dsnap.joinEngine(engine, keys[pr.q]).Join(dsnap.fs, qsnap.fs, sp.S, sp.CS(), join.Opts{
 			Unsigned: unsigned, TopK: engineK, Ctx: ctx,
 			DeadP: dsnap.dead, DeadQ: qsnap.dead, Stats: &work})
 		// The span sums its pairs' work, a cancelled pair's included.

@@ -390,7 +390,7 @@ func compactedJoin(t *testing.T, s *Server, req JoinRequest) (pairs []JoinPair, 
 	compact := func(name string) (c *Collection, out []*shardSnap) {
 		c, _ = s.Collection(name)
 		for _, sh := range c.shards {
-			sn, err := sh.prepareCompact(c.spec)
+			sn, err := sh.prepareCompact(c.spec, c.hashes.Load())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -413,7 +413,7 @@ func compactedJoin(t *testing.T, s *Server, req JoinRequest) (pairs []JoinPair, 
 	_, queries := compact(req.Queries)
 	engine, _ := joinEngineName(req.Engine, dataCol.spec)
 	for _, p := range data {
-		eng := p.joinEngine(engine)
+		eng := p.joinEngine(engine, nil)
 		for _, q := range queries {
 			res, err := eng.Join(p.fs, q.fs, sp.S, sp.CS(), join.Opts{Unsigned: sp.Variant == core.Unsigned, TopK: k})
 			if err != nil {
@@ -675,7 +675,7 @@ func TestApproximateJoinProbesServingStructure(t *testing.T) {
 		}
 		sn := c.shards[0].snap.Load()
 		ix := sn.index.(*alshIndex)
-		if eng := sn.joinEngine("lsh").(join.LSH); eng.Index != ix.ix || eng.Radius != ix.u {
+		if eng := sn.joinEngine("lsh", nil).(join.LSH); eng.Index != ix.ix || eng.Radius != ix.u {
 			t.Fatalf("%s: the join does not probe the shard's index", stage)
 		}
 		tr := trace.New("join", "")

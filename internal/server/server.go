@@ -35,7 +35,7 @@ type Config struct {
 	// shard-pair fan-out and a batch's query tiles run on (default
 	// GOMAXPROCS).
 	Workers int
-	// Seed derives per-collection and per-shard hashing seeds.
+	// Seed derives per-collection hashing seeds.
 	Seed uint64
 
 	// DataDir enables durability: every collection gets a directory
@@ -359,9 +359,9 @@ func (s *Server) adoptRecovered(lg *persist.Log, rec *persist.Recovered) error {
 		s.mu.Unlock()
 		return fmt.Errorf("collection %q recovered twice", name)
 	}
-	// The manifest pins the seed the collection was created with, so
-	// alsh shard indexes hash identically across restarts even
-	// though recovery enumerates the data dir in name order.
+	// The manifest pins the seed the collection was created with, so an
+	// alsh collection samples the same hash functions across restarts
+	// even though recovery enumerates the data dir in name order.
 	c, err := newCollection(name, spec, rec.Manifest.Shards, rec.Manifest.Seed, s.cfg.RerankOverfetch)
 	if err != nil {
 		s.mu.Unlock()

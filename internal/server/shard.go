@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/flat"
 	"repro/internal/join"
+	"repro/internal/lsh"
 	"repro/internal/trace"
 	"repro/internal/vec"
 )
@@ -23,8 +24,7 @@ import (
 // readers see a consistent (ids, vectors, index) triple through a
 // single atomic snapshot pointer and never block on writers.
 type shard struct {
-	id   int
-	seed uint64
+	id int
 	// overfetch is the resolved candidate-widening factor for re-ranked
 	// queries on quantized indexes; fixed at collection construction.
 	overfetch int
@@ -104,10 +104,9 @@ func (sn *shardSnap) packLive() ([]int, *flat.Store, error) {
 	return ids, nfs, nfs.AppendAll(rows)
 }
 
-func newShard(id int, seed uint64, overfetch int, builds *indexBuilds) *shard {
+func newShard(id int, overfetch int, builds *indexBuilds) *shard {
 	s := &shard{
 		id:        id,
-		seed:      seed,
 		overfetch: overfetch,
 		builds:    builds,
 		ops:       make(chan func()),
@@ -158,12 +157,13 @@ func (s *shard) build(fn func(old *shardSnap) (*shardSnap, error)) (snap *shardS
 // from appending (ids, vs): ids and store grow from the current ones,
 // sharing their rows, and the index follows — extended by the batch
 // where the engine can (see nextIndex), rebuilt over the grown store
-// otherwise. sp, the mutation's index_build span, learns which, and how
-// many rows the write had to copy. The caller publishes the result with
-// commit only once every shard's prepare has succeeded and the batch is
-// in the WAL; a prepared snapshot that is dropped instead leaves nothing
-// behind but unreachable bytes past the current snapshot's length.
-func (s *shard) prepare(spec IndexSpec, ids []int, vs []vec.Vector, sp *trace.Span) (*shardSnap, error) {
+// otherwise — an alsh one under hashes, the collection's hash functions.
+// sp, the mutation's index_build span, learns which, and how many rows
+// the write had to copy. The caller publishes the result with commit only
+// once every shard's prepare has succeeded and the batch is in the WAL; a
+// prepared snapshot that is dropped instead leaves nothing behind but
+// unreachable bytes past the current snapshot's length.
+func (s *shard) prepare(spec IndexSpec, hashes *lsh.Index, ids []int, vs []vec.Vector, sp *trace.Span) (*shardSnap, error) {
 	return s.build(func(old *shardSnap) (*shardSnap, error) {
 		nfs, err := appendStore(old.fs, vs)
 		if err != nil {
@@ -173,7 +173,7 @@ func (s *shard) prepare(spec IndexSpec, ids []int, vs []vec.Vector, sp *trace.Sp
 		if old.dead.Count() > 0 {
 			dead = old.dead.Grow(nfs.Len())
 		}
-		index, err := s.nextIndex(spec, old, nfs, dead, sp)
+		index, err := s.nextIndex(spec, hashes, old, nfs, dead, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -192,10 +192,11 @@ func (s *shard) prepare(spec IndexSpec, ids []int, vs []vec.Vector, sp *trace.Sp
 // the next snapshot, in whichever tier copied most, that do not share
 // memory with the current one. The collection's counters get the same two
 // facts, traced or not.
-func (s *shard) nextIndex(spec IndexSpec, old *shardSnap, nfs *flat.Store, dead *flat.Tombstones, sp *trace.Span) (ShardIndex, error) {
-	// spec is only read on the rebuild path: a collection's spec never
-	// changes, so an index being extended was built under it with this
-	// shard's seed and overfetch, and inherits them.
+func (s *shard) nextIndex(spec IndexSpec, hashes *lsh.Index, old *shardSnap, nfs *flat.Store, dead *flat.Tombstones, sp *trace.Span) (ShardIndex, error) {
+	// spec and hashes are only read on the rebuild path: a collection's
+	// spec and hash functions never change once a row is in, so an index
+	// being extended was built under them and this shard's overfetch, and
+	// inherits them.
 	var index ShardIndex
 	copied := nfs.Len() - nfs.SharedRows(old.fs)
 	switch prev := old.index.(type) {
@@ -210,7 +211,7 @@ func (s *shard) nextIndex(spec IndexSpec, old *shardSnap, nfs *flat.Store, dead 
 	if index == nil {
 		how, copied = "rebuild", nfs.Len()
 		var err error
-		if index, err = buildShardIndex(spec, nfs, s.seed, s.overfetch); err != nil {
+		if index, err = buildShardIndex(spec, nfs, hashes, s.overfetch); err != nil {
 			return nil, err
 		}
 	}
@@ -228,7 +229,7 @@ func (s *shard) nextIndex(spec IndexSpec, old *shardSnap, nfs *flat.Store, dead 
 // old row tombstoned and every record lands in a fresh appended row,
 // so the store stays append-only and the index follows it exactly as
 // in prepare. Runs on the owner goroutine; the caller commits.
-func (s *shard) prepareUpsert(spec IndexSpec, ids []int, vs []vec.Vector, sp *trace.Span) (*shardSnap, error) {
+func (s *shard) prepareUpsert(spec IndexSpec, hashes *lsh.Index, ids []int, vs []vec.Vector, sp *trace.Span) (*shardSnap, error) {
 	return s.build(func(old *shardSnap) (*shardSnap, error) {
 		nfs, err := appendStore(old.fs, vs)
 		if err != nil {
@@ -244,7 +245,7 @@ func (s *shard) prepareUpsert(spec IndexSpec, ids []int, vs []vec.Vector, sp *tr
 		if dead.Count() == 0 {
 			dead = nil // keep the zero-tombstone fast paths
 		}
-		index, err := s.nextIndex(spec, old, nfs, dead, sp)
+		index, err := s.nextIndex(spec, hashes, old, nfs, dead, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -286,9 +287,10 @@ func (s *shard) prepareDelete(ids []int) (*shardSnap, int, error) {
 // prepareCompact builds — but does not publish — the fully-compacted
 // snapshot: live rows repacked into a fresh store, no tombstones, and
 // the index rebuilt over the compact store (row numbers change, so this
-// is the one write that cannot extend). Returns nil when the shard has
-// no tombstones.
-func (s *shard) prepareCompact(spec IndexSpec) (*shardSnap, error) {
+// is the one write that cannot extend) — an alsh one as an extend of
+// hashes, so it hashes as before. Returns nil when the shard has no
+// tombstones.
+func (s *shard) prepareCompact(spec IndexSpec, hashes *lsh.Index) (*shardSnap, error) {
 	return s.build(func(old *shardSnap) (*shardSnap, error) {
 		if old.dead.Count() == 0 {
 			return nil, nil
@@ -297,7 +299,7 @@ func (s *shard) prepareCompact(spec IndexSpec) (*shardSnap, error) {
 		if err != nil {
 			return nil, err
 		}
-		index, err := buildShardIndex(spec, nfs, s.seed, s.overfetch)
+		index, err := buildShardIndex(spec, nfs, hashes, s.overfetch)
 		if err != nil {
 			return nil, err
 		}
