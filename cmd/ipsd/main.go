@@ -65,7 +65,7 @@ func main() {
 	addr := flag.String("addr", ":7070", "listen address")
 	shards := flag.Int("shards", 4, "default shards per collection")
 	cache := flag.Int("cache", 4096, "query cache capacity (negative disables)")
-	workers := flag.Int("workers", 0, "batch executor workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "search and join pool workers (0 = GOMAXPROCS)")
 	seed := flag.Uint64("seed", 1, "hashing seed")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty disables)")
 	dataDir := flag.String("data", "", "data directory for durable collections (empty = in-memory only)")

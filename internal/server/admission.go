@@ -105,3 +105,12 @@ func (g *gate) snapshot() (inflight, queued, shed int64) {
 	}
 	return g.inflight.Load(), g.queued.Load(), g.shed.Load()
 }
+
+// doneChan returns ctx's cancellation channel, or nil when ctx is nil
+// or can never fire.
+func doneChan(ctx context.Context) <-chan struct{} {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Done()
+}

@@ -804,11 +804,14 @@ func TestALSHExplainCountsCandidates(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		q := vec.Scaled(rng.UnitVec(d), 0.9) // inside the ball: hashed as is
 		for _, unsigned := range []bool{false, true} {
-			ex := make([]ShardExplain, len(c.shards))
-			got, err := c.searchOne(context.Background(), s.pool, q, k, unsigned, false, ex)
+			res, err := s.SearchWithOpts(context.Background(), "a", []vec.Vector{q}, SearchOpts{K: k, Unsigned: unsigned, Explain: true})
+			if err == nil {
+				err = res[0].Err
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
+			got, ex := res[0].Hits, res[0].Explain.Shards
 			want, err := c.SearchOne(context.Background(), s.pool, q, k, unsigned)
 			if err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d unsigned=%v: explained %v, plain %v (%v)", trial, unsigned, got, want, err)

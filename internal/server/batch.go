@@ -1,24 +1,23 @@
 package server
 
-// The batch executor. PR 2/3 made single scans stream the columnar
-// store; until this file the batch path still ran one pool task per
-// query, so a 256-query request swept every shard snapshot 256 times
-// and allocated cache keys, hit lists and sort closures per query.
-// Now a batch is tiled: cache misses are packed into one pooled
-// columnar query store, the pool fans out per query *tile*, and each
-// tile task visits every shard snapshot once — sweeping it through the
-// register-blocked multi-query kernels (flatIndex.topKMulti), or probing
-// its alsh index under the tile's keys (alshIndex.topKMulti), hashed once
-// for all shards as one product against the collection's planes —
-// translating, sorting and k-way-merging through pooled scratch. Steady
-// state does O(tiles) small allocations per request instead of
-// O(queries·shards).
+// The search executor. Every search request — one query or a batch — runs
+// here, as query tiles: the queries the cache does not answer are packed
+// into one pooled columnar query store, and each tile of up to searchTileQ
+// of them is hashed once for every shard (alsh, Collection.hashQueries),
+// scanned once per shard snapshot — swept through the register-blocked
+// multi-query kernels (flatIndex.topKMulti) or probed under the tile's keys
+// (alshIndex.topKMulti) — and k-way-merged per query, through pooled
+// scratch. A single query is the tile of one. Steady state does O(tiles)
+// small allocations per request, not O(queries·shards).
 //
-// Results are bit-identical to the per-query path: the tile scan is
-// bit-identical to the single-query scan (flat's contract), re-ranked
-// tiers re-rank identically, a single alsh search is the tile of one,
-// translation and canonical per-shard ordering are shared with
-// shard.topK, and the same k-way merge combines the shard lists.
+// Parallelism follows the request: a request of one tile scans its shards
+// on the pool, one task each; a request of several tiles runs its tiles on
+// the pool, each visiting the shards in turn, so nothing nests on the pool.
+// A query's answer and error depend on neither, nor on the batch width or
+// its place in its tile: the tile scan is bit-identical to scanning the
+// query alone (flat's contract), re-ranked tiers re-rank per query, every
+// shard scan translates and sorts into its own region of the tile's arena,
+// and a shard that fails fails its tile whole.
 
 import (
 	"context"
@@ -32,44 +31,37 @@ import (
 	"repro/internal/vec"
 )
 
-// searchTileQ is the query-tile size of the batch executor: the unit
-// of parallel work handed to the pool, and the number of queries that
-// share one sweep of each shard snapshot.
+// searchTileQ is the query-tile size of the executor: the number of
+// queries that share one scan of each shard snapshot, and the unit of
+// parallel work a request of several tiles hands the pool.
 const searchTileQ = 32
 
-// batchState is the pooled per-request state of the batch executor.
-type batchState struct {
+// searchState is the pooled per-request state of the executor.
+type searchState struct {
 	qstore *flat.Store
-	miss   []int
-	keys   []string
+	miss   []int    // the queries to scan, by index into the request
+	keys   []string // their cache keys, when the cache is on
 	snaps  []*shardSnap
 }
 
-var batchStatePool = sync.Pool{New: func() any { return new(batchState) }}
+var searchStatePool = sync.Pool{New: func() any { return new(searchState) }}
 
-func getBatchState() *batchState { return batchStatePool.Get().(*batchState) }
-
-func putBatchState(bs *batchState) {
+func putSearchState(rs *searchState) {
 	// Drop snapshot references so pooling does not pin retired shard
 	// data; keys keep their backing array (overwritten next use).
-	for i := range bs.snaps {
-		bs.snaps[i] = nil
-	}
-	bs.snaps = bs.snaps[:0]
-	bs.miss = bs.miss[:0]
-	bs.keys = bs.keys[:0]
-	batchStatePool.Put(bs)
+	clear(rs.snaps)
+	rs.snaps = rs.snaps[:0]
+	rs.miss = rs.miss[:0]
+	rs.keys = rs.keys[:0]
+	searchStatePool.Put(rs)
 }
 
-// tileScratch is the pooled per-tile-task state.
+// tileScratch is the pooled per-tile state.
 type tileScratch struct {
-	tile  flat.TileScratch
-	rows  []int         // re-rank candidates' rows of one query (flatIndex.rerankInto)
-	one   flat.Store    // a single search as a tile of one (alshIndex.TopK, Collection.searchOne)
 	keys  lsh.QueryKeys // an alsh tile's keys, hashed once for every shard (Collection.hashQueries)
 	lists [][]Hit       // per (shard, tile query) translated hit lists
-	trans []Hit         // arena backing lists
-	qerrs []error
+	trans []Hit         // arena backing lists: k hits per (shard, tile query)
+	errs  []error       // per shard scan
 	heap  mergeHeap
 	per   [][]Hit // per-query gather of shard lists for the merge
 }
@@ -79,14 +71,20 @@ var tileScratchPool = sync.Pool{New: func() any { return new(tileScratch) }}
 func getTileScratch() *tileScratch { return tileScratchPool.Get().(*tileScratch) }
 
 func putTileScratch(ts *tileScratch) {
-	for i := range ts.lists {
-		ts.lists[i] = nil
-	}
-	for i := range ts.per {
-		ts.per[i] = nil
-	}
+	clear(ts.lists)
+	clear(ts.per)
 	tileScratchPool.Put(ts)
 }
+
+// scanScratch is one shard scan's pooled state: the shard scans of a
+// one-tile request run side by side, so each takes its own.
+type scanScratch struct {
+	tile  flat.TileScratch
+	rows  []int          // re-rank candidates' rows of one query (flatIndex.rerankInto)
+	stats flat.ScanStats // an explained sweep's accounting (flatIndex.topKMulti)
+}
+
+var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
 // grow returns s resized to n elements, reusing capacity.
 func grow[T any](s []T, n int) []T {
@@ -96,28 +94,63 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// searchBatch answers a multi-query request. out[i] receives query
-// i's result; cached answers are resolved inline, the misses are
-// packed into one columnar store and fanned out per tile on the pool.
-// ctx propagates into every tile's scan; queries whose tile was
-// cancelled (mid-scan or before it started) carry the context error
-// and are never cached.
-func (s *Server) searchBatch(ctx context.Context, c *Collection, name string, queries []vec.Vector, opts SearchOpts, out []SearchResult) {
-	k, unsigned := opts.K, opts.Unsigned
-	version := c.Version()
-	cacheOn := s.cache.enabled()
-	bs := getBatchState()
-	defer putBatchState(bs)
+// search answers queries against c: out[i] receives query i's result.
+// Cached answers are resolved first (a nil or disabled cache: none), and
+// the misses are validated, packed into one columnar store and run as
+// tiles — the shards of a one-tile request on pool, or in turn on the
+// calling goroutine when pool is nil (SearchOne's), the tiles of a larger
+// request on pool, which must then be set. ctx propagates into every
+// scan; queries whose tile was cancelled (mid-scan or before it started)
+// carry the context error and are never cached. With opts.Explain — a
+// one-query request — out[0].Explain says how the query was answered.
+func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, queries []vec.Vector, opts SearchOpts, out []SearchResult) {
+	// Degraded collections keep serving reads from their last published
+	// snapshots; only quarantine — no trustworthy snapshot — blocks them.
+	if err := c.checkReadable(); err != nil {
+		for i := range out {
+			out[i] = SearchResult{Err: err}
+		}
+		return
+	}
+	k := opts.K
+	tr := trace.FromContext(ctx)
+	var qe *QueryExplain
+	if opts.Explain {
+		qe = &QueryExplain{
+			TraceID:    tr.ID(),
+			Collection: c.name,
+			Index:      c.spec.kind(),
+			Precision:  c.spec.precision(),
+			K:          k,
+			// Rerank reports the effective behavior: int8 collections
+			// always re-rank through the exact f64 rows, whatever the
+			// request asked for.
+			Rerank: opts.Rerank || c.spec.precision() == PrecisionI8,
+		}
+	}
+	rs := searchStatePool.Get().(*searchState)
+	defer putSearchState(rs)
 
-	// Resolve cache hits; collect misses (with their keys, so the tile
-	// tasks don't serialize the key bytes a second time at put).
-	miss, keys := bs.miss[:0], bs.keys[:0]
+	// Resolve cache hits; collect misses (with their keys, so the tiles
+	// don't serialize the key bytes a second time at put).
+	if cache != nil && !cache.enabled() {
+		cache = nil
+	}
+	var csp *trace.Span
+	if cache != nil {
+		csp = tr.StartSpan("cache")
+	}
+	version := c.Version()
+	miss, keys := rs.miss[:0], rs.keys[:0]
 	for i := range queries {
-		if cacheOn {
+		if cache != nil {
 			qstart := time.Now()
-			key := cacheKey(name, c.gen, version, k, unsigned, opts.Rerank, queries[i])
-			if hits, ok := s.cache.get(key); ok {
-				out[i] = SearchResult{Hits: hits, Cached: true}
+			key := cacheKey(c.name, c.gen, version, k, opts.Unsigned, opts.Rerank, queries[i])
+			if hits, ok := cache.get(key); ok {
+				if qe != nil {
+					qe.CacheHit = true
+				}
+				out[i] = SearchResult{Hits: hits, Cached: true, Explain: qe}
 				c.observeLatency(time.Since(qstart))
 				continue
 			}
@@ -125,7 +158,8 @@ func (s *Server) searchBatch(ctx context.Context, c *Collection, name string, qu
 		}
 		miss = append(miss, i)
 	}
-	bs.miss, bs.keys = miss, keys
+	csp.End()
+	rs.miss, rs.keys = miss, keys
 	if len(miss) == 0 {
 		return
 	}
@@ -137,9 +171,8 @@ func (s *Server) searchBatch(ctx context.Context, c *Collection, name string, qu
 		return
 	}
 
-	// Per-query dimension validation (same rule and message as
-	// SearchOne). Invalid queries keep their error; the rest stay in
-	// miss order.
+	// Per-query dimension validation. Invalid queries keep their error;
+	// the rest stay in request order.
 	dim := int(c.dim.Load())
 	valid, vkeys := miss[:0], keys[:0]
 	for mi, i := range miss {
@@ -148,176 +181,211 @@ func (s *Server) searchBatch(ctx context.Context, c *Collection, name string, qu
 			continue
 		}
 		valid = append(valid, i)
-		if cacheOn {
+		if cache != nil {
 			vkeys = append(vkeys, keys[mi])
 		}
 	}
-	bs.miss, bs.keys = valid, vkeys
+	rs.miss, rs.keys = valid, vkeys
 	if len(valid) == 0 {
 		return
 	}
 	c.queries.Add(int64(len(valid)))
 
-	// Pin one snapshot per shard for the whole batch.
-	snaps := bs.snaps[:0]
+	// Pin one snapshot per shard for the whole request.
+	snaps := rs.snaps[:0]
 	for _, sh := range c.shards {
 		snaps = append(snaps, sh.snap.Load())
 		sh.queries.Add(int64(len(valid)))
 	}
-	bs.snaps = snaps
+	rs.snaps = snaps
 
 	if dim == 0 {
-		// Nothing ingested yet: every shard serves the empty index.
-		// The per-query path returns a non-nil empty merge result;
-		// keep that shape.
+		// Nothing ingested yet: every shard serves the empty index, and
+		// every query the non-nil empty answer.
 		start := time.Now()
 		empty := make([]Hit, 0)
 		for vi, i := range valid {
-			if cacheOn {
-				s.cache.put(name, vkeys[vi], empty)
+			if cache != nil {
+				cache.put(c.name, vkeys[vi], empty)
 			}
-			out[i] = SearchResult{Hits: empty}
+			out[i] = SearchResult{Hits: empty, Explain: qe}
 			c.observeLatency(time.Since(start))
 		}
 		return
 	}
 
-	// Pack the miss queries into one contiguous columnar store: the
-	// tile kernels want query rows adjacent, and the norms computed
-	// here (vec.Norm, as everywhere) drive the per-query
-	// Cauchy–Schwarz bounds of normscan shards.
-	if bs.qstore == nil {
-		bs.qstore, _ = flat.New(dim)
+	// Pack the misses into one contiguous columnar store: the tile
+	// kernels want query rows adjacent, and the norms computed here
+	// (vec.Norm, as everywhere) drive the per-query Cauchy–Schwarz bounds
+	// of normscan shards.
+	if rs.qstore == nil {
+		rs.qstore, _ = flat.New(dim)
 	}
-	_ = bs.qstore.ResetDim(dim)
+	_ = rs.qstore.ResetDim(dim)
 	for _, i := range valid {
-		_ = bs.qstore.Append(vec.Vector(queries[i])) // dims pre-checked
+		_ = rs.qstore.Append(queries[i]) // dims pre-checked
 	}
 
 	tiles := (len(valid) + searchTileQ - 1) / searchTileQ
-	// tileDone marks tiles whose task ran to completion; when the
-	// cancellable fan-out stops feeding, the queries of never-started
-	// tiles must still get an answer (the context error) rather than a
-	// zero SearchResult.
+	if tiles == 1 {
+		var ex []ShardExplain
+		if qe != nil {
+			ex = make([]ShardExplain, len(snaps))
+		}
+		c.searchTile(ctx, pool, cache, rs, 0, opts, ex, out)
+		if r := &out[valid[0]]; qe != nil && r.Err == nil {
+			qe.fill(ex)
+			r.Explain = qe
+		}
+		return
+	}
+	// tileDone marks tiles whose task ran; when the cancellable fan-out
+	// stops feeding, the queries of never-started tiles must still get an
+	// answer (the context error) rather than a zero SearchResult.
 	tileDone := make([]bool, tiles)
-	ssp := trace.FromContext(ctx).StartSpan("scan")
-	feedErr := s.pool.ForEachCtx(ctx, tiles, func(t int) {
-		s.searchTile(ctx, c, name, bs, t, opts, cacheOn, out)
+	feedErr := pool.ForEachCtx(ctx, tiles, func(t int) {
+		c.searchTile(ctx, nil, cache, rs, t, opts, nil, out)
 		tileDone[t] = true
 	})
-	ssp.End()
-	if feedErr != nil {
-		for t, done := range tileDone {
-			if done {
-				continue
-			}
-			tlo := t * searchTileQ
-			thi := min(tlo+searchTileQ, len(valid))
-			for _, i := range valid[tlo:thi] {
-				out[i] = SearchResult{Err: feedErr}
-				c.countTimeout(feedErr)
-			}
+	if feedErr == nil {
+		return
+	}
+	for t, done := range tileDone {
+		if done {
+			continue
+		}
+		for _, i := range valid[t*searchTileQ : min((t+1)*searchTileQ, len(valid))] {
+			out[i] = SearchResult{Err: feedErr}
+			c.countTimeout(feedErr)
 		}
 	}
 }
 
-// searchTile runs one query tile against every shard snapshot and
-// merges the per-shard lists. It allocates only the result hits that
-// escape to the caller (one arena per task, or exact per-query slices
-// when they must outlive the request inside the cache).
-func (s *Server) searchTile(ctx context.Context, c *Collection, name string, bs *batchState, t int, opts SearchOpts, cacheOn bool, out []SearchResult) {
-	k, unsigned := opts.K, opts.Unsigned
-	valid, snaps, qst := bs.miss, bs.snaps, bs.qstore
+// searchTile answers tile t of the request's misses: hashed once (alsh),
+// scanned once per shard snapshot — on pool, one task a shard, or in turn
+// when pool is nil — and merged per query into out, and into cache when it
+// is non-nil. ex, when non-nil, receives each shard's explain. A traced
+// request gets one scan and one merge span per tile. It allocates only the
+// hits that escape to the caller: one arena per tile, or an exact slice
+// per query when the cache keeps them past the request.
+func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCache, rs *searchState, t int, opts SearchOpts, ex []ShardExplain, out []SearchResult) {
+	k := opts.K
+	valid, snaps := rs.miss, rs.snaps
 	tlo := t * searchTileQ
 	thi := min(tlo+searchTileQ, len(valid))
-	tn := thi - tlo
-	nsh := len(snaps)
+	tn, nsh := thi-tlo, len(snaps)
 	start := time.Now()
+	tr := trace.FromContext(ctx)
 
 	ts := getTileScratch()
 	defer putTileScratch(ts)
 	ts.lists = grow(ts.lists, nsh*tn)
-	ts.qerrs = grow(ts.qerrs, tn)
-	for j := range ts.qerrs {
-		ts.qerrs[j] = nil
-	}
-	// The translation arena is sized up front: growing it mid-loop
-	// would invalidate earlier lists aliasing it.
-	ts.trans = grow(ts.trans, 0)[:0]
-	if cap(ts.trans) < nsh*tn*k {
-		ts.trans = make([]Hit, 0, nsh*tn*k)
-	}
+	ts.errs = grow(ts.errs, nsh)
+	clear(ts.errs)
+	// Shard si translates into trans[si·tn·k:]: the arena is sized up front,
+	// since growing it would move the lists aliasing it, and a fixed region
+	// per shard makes its bytes independent of which scan ran first.
+	ts.trans = grow(ts.trans, nsh*tn*k)
 
-	// A shard fails a tile whole — a deadline, a cancellation: every query
-	// of the tile carries the error and none a partial answer.
-	fail := func(err error) {
-		for j := range ts.qerrs {
-			if ts.qerrs[j] == nil {
-				ts.qerrs[j] = err
-			}
-		}
-	}
+	ssp := tr.StartSpan("scan")
 	// An alsh tile is hashed once, for every shard; one whose request
 	// expired first fails before any shard sees it.
-	keys, hashErr := c.hashQueries(ctx, &ts.keys, qst, tlo, thi, unsigned)
-	if hashErr != nil {
-		fail(hashErr)
-	}
-	topts := TopKOpts{Unsigned: unsigned, Rerank: opts.Rerank, Keys: keys}
-	for si := 0; si < nsh && hashErr == nil; si++ {
-		snap := snaps[si]
-		var accs []flat.Acc
-		var err error
-		switch ix := snap.index.(type) {
-		case *flatIndex:
-			accs, err = ix.topKMulti(ctx, qst, tlo, thi, k, topts, ts)
-		case *alshIndex:
-			accs, err = ix.topKMulti(ctx, qst, tlo, thi, k, topts, ts)
-		default:
-			accs = ts.tile.Accs(tn, k) // the empty index answers nothing
-		}
-		if err != nil {
-			fail(err)
-			continue
-		}
-		for j := 0; j < tn; j++ {
-			base := len(ts.trans)
-			for _, h := range accs[j].Hits() {
-				ts.trans = append(ts.trans, Hit{ID: snap.ids[h.Index], Score: h.Score})
+	keys, err := c.hashQueries(ctx, &ts.keys, rs.qstore, tlo, thi, opts.Unsigned)
+	if err == nil {
+		o := TopKOpts{Unsigned: opts.Unsigned, Rerank: opts.Rerank, Keys: keys}
+		if pool == nil {
+			for si := range snaps {
+				ts.errs[si] = scanShard(ctx, rs, ts, tlo, thi, k, si, o, ex)
 			}
-			hs := ts.trans[base:]
-			sortHitsCanonical(hs)
-			ts.lists[si*tn+j] = hs
+		} else {
+			err = pool.ForEachCtx(ctx, nsh, func(si int) {
+				ts.errs[si] = scanShard(ctx, rs, ts, tlo, thi, k, si, o, ex)
+			})
 		}
+		// A shard fails a tile whole — a deadline, a cancellation: every
+		// query of the tile carries the first shard's error, else the
+		// fan-out's, and none a partial answer.
+		for _, e := range ts.errs {
+			if e != nil {
+				err = e
+				break
+			}
+		}
+	}
+	ssp.End()
+	if err != nil {
+		for _, i := range valid[tlo:thi] {
+			out[i] = SearchResult{Err: err}
+			c.countTimeout(err)
+		}
+		return
 	}
 
 	// Merge per query. Without the cache the merged hits live in one
-	// arena per task; with it each query gets an exact-size slice,
-	// since cached hits outlive the request.
+	// arena per tile; with it each query gets an exact-size slice, since
+	// cached hits outlive the request.
+	msp := tr.StartSpan("merge")
 	var arena []Hit
-	if !cacheOn {
+	if cache == nil {
 		arena = make([]Hit, 0, tn*k)
 	}
 	ts.per = grow(ts.per, nsh)
 	for j := 0; j < tn; j++ {
-		i := valid[tlo+j]
-		if ts.qerrs[j] != nil {
-			out[i] = SearchResult{Err: ts.qerrs[j]}
-			c.countTimeout(ts.qerrs[j])
-			continue
-		}
-		for si := 0; si < nsh; si++ {
+		for si := range ts.per {
 			ts.per[si] = ts.lists[si*tn+j]
 		}
 		var hits []Hit
-		if cacheOn {
+		if cache != nil {
 			hits = mergeTopKInto(ts.per, k, make([]Hit, 0, k), &ts.heap)
-			s.cache.put(name, bs.keys[tlo+j], hits)
+			cache.put(c.name, rs.keys[tlo+j], hits)
 		} else {
 			hits = mergeTopKInto(ts.per, k, arena, &ts.heap)
 			arena = arena[:len(arena)+len(hits)]
 		}
-		out[i] = SearchResult{Hits: hits}
+		out[valid[tlo+j]] = SearchResult{Hits: hits}
 		c.observeLatency(time.Since(start))
 	}
+	msp.End()
+}
+
+// scanShard runs the request's query rows [tlo, thi) against shard si's
+// pinned snapshot and leaves query tlo+j's hits in ts.lists[si·tn+j] —
+// global IDs in the canonical (score descending, ID ascending) order, so
+// the k-way merge's tie-breaking is exact even where the ID-to-shard
+// assignment does not preserve ID order — in the shard's region of
+// ts.trans, k hits a query. ex, when non-nil, has ex[si] receive the
+// shard's size, scan accounting and timing; a traced request gets one
+// shard_scan span.
+func scanShard(ctx context.Context, rs *searchState, ts *tileScratch, tlo, thi, k, si int, o TopKOpts, ex []ShardExplain) error {
+	sp := trace.FromContext(ctx).StartSpan("shard_scan")
+	sp.SetInt("shard", int64(si))
+	defer sp.End()
+	var start time.Time
+	if ex != nil {
+		start = time.Now()
+		o.Explain = &ex[si]
+	}
+	sc := scanScratchPool.Get().(*scanScratch)
+	defer scanScratchPool.Put(sc)
+	snap := rs.snaps[si]
+	accs, err := snap.index.topKMulti(ctx, rs.qstore, tlo, thi, k, o, sc)
+	if err != nil {
+		return err
+	}
+	tn := thi - tlo
+	for j := range accs {
+		at := (si*tn + j) * k
+		hs := ts.trans[at : at : at+k]
+		for _, h := range accs[j].Hits() {
+			hs = append(hs, Hit{ID: snap.ids[h.Index], Score: h.Score})
+		}
+		sortHitsCanonical(hs)
+		ts.lists[si*tn+j] = hs
+	}
+	if sx := o.Explain; sx != nil {
+		sx.Shard, sx.Records, sx.Live = si, len(snap.ids), len(snap.ids)-snap.dead.Count()
+		sx.Micros = time.Since(start).Microseconds()
+		sp.SetInt("rows_scanned", int64(sx.RowsScanned))
+	}
+	return nil
 }

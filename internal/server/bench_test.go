@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -28,28 +27,11 @@ func benchServer(b testing.TB, n, d, shards int, kind string) (*Server, []vec.Ve
 	return s, lf.Users
 }
 
-// BenchmarkServerSearchSingle measures one top-10 query (shard fan-out
-// on the pool) per iteration, across shard counts.
-func BenchmarkServerSearchSingle(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, users := benchServer(b, 20000, 16, shards, KindExact)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Search("bench", users[i%len(users):i%len(users)+1], 10, false); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkServerSearchBatch measures a 256-query batched top-10
-// request (the worker-pool path); ns/op is per batch. The alsh cell is
-// the planted-alsh benchmark's batch beside BenchmarkServerJoin's
-// lsh-on-alsh: 64 unsigned unit-norm queries against 6 000 × 32
-// unit-ball rows on 4 shards.
-func BenchmarkServerSearchBatch(b *testing.B) {
+// searchCells runs bench once per served index kind on a 4-shard
+// collection: 20 000 × 16 latent-factor rows and their 256 users as
+// signed queries, or for alsh the planted-alsh benchmark's shape — 64
+// unsigned unit-norm queries against 6 000 × 32 unit-ball rows.
+func searchCells(b *testing.B, bench func(b *testing.B, s *Server, users []vec.Vector, unsigned bool)) {
 	for _, kind := range []string{KindExact, KindNormScan, KindALSH} {
 		b.Run("index="+kind, func(b *testing.B) {
 			n, d, unsigned := 20000, 16, false
@@ -65,13 +47,36 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Search("bench", users, 10, unsigned); err != nil {
-					b.Fatal(err)
-				}
-			}
+			bench(b, s, users, unsigned)
 		})
 	}
+}
+
+// BenchmarkServerSearchSingle measures one top-10 query per iteration:
+// the tile of one, its shards scanned on the pool.
+func BenchmarkServerSearchSingle(b *testing.B) {
+	searchCells(b, func(b *testing.B, s *Server, users []vec.Vector, unsigned bool) {
+		for i := 0; i < b.N; i++ {
+			j := i % len(users)
+			if _, err := s.Search("bench", users[j:j+1], 10, unsigned); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkServerSearchBatch measures one request of every query (256, or
+// 64 for alsh) at top-10, its tiles run on the pool; ns/op is per batch.
+// The alsh cell is the planted-alsh benchmark's batch beside
+// BenchmarkServerJoin's lsh-on-alsh.
+func BenchmarkServerSearchBatch(b *testing.B) {
+	searchCells(b, func(b *testing.B, s *Server, users []vec.Vector, unsigned bool) {
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Search("bench", users, 10, unsigned); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkServerJoin measures one join of 64 queries against 6 000 × 32
@@ -306,8 +311,11 @@ func BenchmarkMergeTopK(b *testing.B) {
 		}
 		lists[s] = l
 	}
+	var heap mergeHeap
+	dst := make([]Hit, 0, 10)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mergeTopK(lists, 10)
+		mergeTopKInto(lists, 10, dst, &heap)
 	}
 }

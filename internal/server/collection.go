@@ -895,109 +895,22 @@ func (c *Collection) observeStage(stage string, d time.Duration) {
 	}
 }
 
-// SearchOne answers a single top-k query. A query's only parallelism is
-// the collection's shards: with a non-nil pool and more than one shard
-// the shards are scanned on the pool, one task each; with one shard, or
-// a nil pool, they are scanned in turn on the calling goroutine. Each
-// shard's scan runs on one core, so a one-shard collection answers on
-// one core.
+// SearchOne answers a single top-k query: the search executor's tile of
+// one (see batch.go), with no cache and no admission gate. The shards are
+// scanned on pool, one task each, or in turn on the calling goroutine when
+// pool is nil; each shard's scan runs on one core, so a one-shard
+// collection answers on one core.
 //
 // ctx carries the request deadline; the shard scans poll it per row
-// block, so a cancelled query stops within one block and the first
-// ctx error is returned. A nil ctx means no deadline.
+// block, so a cancelled query stops within one block and returns ctx's
+// error. A nil ctx means no deadline.
 func (c *Collection) SearchOne(ctx context.Context, pool *Pool, q vec.Vector, k int, unsigned bool) ([]Hit, error) {
-	return c.searchOne(ctx, pool, q, k, unsigned, false, nil)
-}
-
-// searchOne is SearchOne plus the rerank flag — on an f32 collection it
-// routes every shard through the exact re-rank pipeline (int8 shards
-// re-rank unconditionally; exact engines ignore the flag) — and the
-// explain slot: a non-nil ex must hold one ShardExplain per shard,
-// filled in place by the fan-out.
-func (c *Collection) searchOne(ctx context.Context, pool *Pool, q vec.Vector, k int, unsigned bool, rerank bool, ex []ShardExplain) ([]Hit, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("server: k=%d must be positive", k)
-	}
-	// Degraded collections keep serving reads from their last published
-	// snapshots; only quarantine — no trustworthy snapshot — blocks them.
-	if err := c.checkReadable(); err != nil {
-		return nil, err
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	dim := int(c.dim.Load())
-	if dim != 0 && len(q) != dim {
-		return nil, fmt.Errorf("server: collection %q: query dimension %d, want %d", c.name, len(q), dim)
-	}
-	c.queries.Add(1)
-	o := TopKOpts{Unsigned: unsigned, Rerank: rerank}
-	if c.spec.kind() == KindALSH && dim != 0 {
-		// q is hashed once, as a tile of one, for every shard.
-		ts := getTileScratch()
-		defer putTileScratch(ts)
-		_ = ts.one.ResetDim(dim)
-		_ = ts.one.Append(q) // dimension checked above
-		var err error
-		if o.Keys, err = c.hashQueries(ctx, &ts.keys, &ts.one, 0, 1, unsigned); err != nil {
-			return nil, err
-		}
-	}
-	lists := make([][]Hit, len(c.shards))
-	errs := make([]error, len(c.shards))
-	scan := func(i int) {
-		o := o
-		if ex != nil {
-			o.Explain = &ex[i]
-		}
-		lists[i], errs[i] = c.shards[i].topK(ctx, q, k, o)
-	}
-	tr := trace.FromContext(ctx)
-	ssp := tr.StartSpan("scan")
-	var feedErr error
-	if pool != nil && len(c.shards) > 1 {
-		feedErr = pool.ForEachCtx(ctx, len(c.shards), scan)
-	} else {
-		done := doneChan(ctx)
-		for i := range c.shards {
-			if done != nil {
-				select {
-				case <-done:
-					feedErr = ctx.Err()
-				default:
-				}
-				if feedErr != nil {
-					break
-				}
-			}
-			scan(i)
-		}
-	}
-	ssp.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if feedErr != nil {
-		return nil, feedErr
-	}
-	msp := tr.StartSpan("merge")
-	hits := mergeTopK(lists, k)
-	msp.End()
-	return hits, nil
-}
-
-// doneChan returns ctx's cancellation channel, or nil when ctx is nil
-// or can never fire.
-func doneChan(ctx context.Context) <-chan struct{} {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Done()
+	var res [1]SearchResult
+	c.search(ctx, pool, nil, []vec.Vector{q}, SearchOpts{K: k, Unsigned: unsigned}, res[:])
+	return res[0].Hits, res[0].Err
 }
 
 // vectorBytes reports the resident vector payload per storage

@@ -271,9 +271,7 @@ func TestALSHTileDeadline(t *testing.T) {
 			t.Fatal(err)
 		}
 		twin.HashQueries(&qk, qs, 0, searchTileQ, c.spec.probe(true))
-		ts := getTileScratch()
-		_, err = c.shards[0].snap.Load().index.(*alshIndex).topKMulti(context.Background(), qs, 0, searchTileQ, k, TopKOpts{Unsigned: true, Keys: &qk}, ts)
-		putTileScratch(ts)
+		_, err = c.shards[0].snap.Load().index.(*alshIndex).topKMulti(context.Background(), qs, 0, searchTileQ, k, TopKOpts{Unsigned: true, Keys: &qk}, new(scanScratch))
 		if err == nil {
 			t.Fatalf("%d shards: a shard probed a tile hashed by other hash functions", shards)
 		}

@@ -220,14 +220,15 @@ func TestSingleShardConcurrentSearchMatchesExact(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBatchSearchMatchesPerQuery pins the batch executor to the
-// per-query path: for every index kind, signed and unsigned, a batch
-// answer (a tile swept or hashed at once over the shard snapshots) must
-// be identical — hits, ordering, scores, per-query errors — to issuing
-// each query alone, on a collection carrying tombstones (upserts and
-// deletes, no compaction), at batch widths on both sides of a tile and
-// of two, with queries inside and outside alsh's unit ball and
-// wrong-dimension queries mixed in.
+// TestBatchSearchMatchesPerQuery pins tile-position invariance: a
+// query's answer and error do not depend on the batch width or on where
+// the query sits in its tile. For every index kind, signed and unsigned,
+// each query of a batch (a tile swept or hashed at once over the shard
+// snapshots) must be answered identically — hits, ordering, scores,
+// per-query errors — to the same query alone (the tile of one), on a
+// collection carrying tombstones (upserts and deletes, no compaction), at
+// batch widths on both sides of a tile and of two, with queries inside and
+// outside alsh's unit ball and wrong-dimension queries mixed in.
 func TestBatchSearchMatchesPerQuery(t *testing.T) {
 	for _, kind := range []string{KindExact, KindNormScan, KindALSH} {
 		for _, shards := range []int{1, 4} {
@@ -321,9 +322,9 @@ func TestBatchSearchMatchesPerQuery(t *testing.T) {
 	}
 }
 
-// TestBatchSearchCaching checks the batch executor's cache interplay:
-// a repeated batch is served from the LRU with identical hits, and the
-// k<=0 rejection matches the per-query path.
+// TestBatchSearchCaching checks a batch's cache interplay: a repeated
+// batch is served from the LRU with identical hits, and k<=0 is rejected
+// for every query.
 func TestBatchSearchCaching(t *testing.T) {
 	rng := xrand.New(99)
 	data := adversarial(rng, 200, 8)

@@ -256,9 +256,10 @@ func TestScrubberDetectsCorruptionAndSelfHeals(t *testing.T) {
 
 // TestQuarantineBoot: with -recover=quarantine an unrecoverable
 // collection becomes a 503-serving placeholder — boot succeeds, the
-// damaged directory is left byte-for-byte untouched, reads and writes
-// both fail with the retryable class, and DELETE discards it. Strict
-// mode (the default) still refuses the boot.
+// damaged directory is left byte-for-byte untouched, reads (a single
+// query, and batches of one tile and of two) and writes all fail with the
+// retryable class, nothing is cached, and DELETE discards it. Strict mode
+// (the default) still refuses the boot.
 func TestQuarantineBoot(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Open(durableConfig(dir))
@@ -305,16 +306,20 @@ func TestQuarantineBoot(t *testing.T) {
 	if !ok || b.healthState() != HealthQuarantined {
 		t.Fatalf("quarantined collection: ok=%v state=%v", ok, b.healthState())
 	}
-	results, err := s2.Search("bad", randQueries(1, 4, 1), 1, false)
-	if err == nil {
-		for _, r := range results {
-			if r.Err != nil {
-				err = r.Err
+	cached := s2.cache.len()
+	for _, width := range []int{1, 2, searchTileQ + 1} {
+		results, err := s2.Search("bad", randQueries(width, 4, 1), 1, false)
+		if err != nil {
+			t.Fatalf("width %d: search on quarantined collection: top-level %v", width, err)
+		}
+		for i, r := range results {
+			if !errors.Is(r.Err, ErrUnavailable) || r.Hits != nil {
+				t.Fatalf("width %d query %d on quarantined collection: err=%v hits=%v, want ErrUnavailable and none", width, i, r.Err, r.Hits)
 			}
 		}
 	}
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("search on quarantined collection err=%v, want ErrUnavailable", err)
+	if got := s2.cache.len(); got != cached {
+		t.Fatalf("searches of the quarantined collection grew the cache %d → %d", cached, got)
 	}
 	if _, _, err := s2.Ingest("bad", nil, 0, recs[:10]); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("ingest on quarantined collection err=%v, want ErrUnavailable", err)

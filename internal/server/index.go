@@ -3,11 +3,12 @@
 // collections hold store.Record vectors; each collection is split
 // across N goroutine-owned shards, every shard holding its own index
 // built from a selectable engine (exact scan, norm-pruned MIPS scan, or
-// §4.1 ALSH). Queries fan out to the shards and the per-shard top-k
-// lists are combined by a k-way merge; batches run on a worker pool and
-// results are memoized in an LRU cache invalidated on ingest. The §4.3
-// sketch is not served: it sums its rows, so it can neither mask a
-// tombstone nor extend by a write (ips.SketchJoin and cmd/ipsjoin run it).
+// §4.1 ALSH). Queries run as tiles — a single query is a tile of one —
+// that scan every shard and k-way-merge the per-shard top-k lists, on a
+// worker pool, and results are memoized in an LRU cache invalidated on
+// ingest. The §4.3 sketch is not served: it sums its rows, so it can
+// neither mask a tombstone nor extend by a write (ips.SketchJoin and
+// cmd/ipsjoin run it).
 package server
 
 import (
@@ -29,18 +30,19 @@ type Hit struct {
 	Score float64 `json:"score"`
 }
 
-// ShardIndex answers top-k MIPS queries over one shard's vectors.
-// Returned hits carry *local* indices into the build store, are ordered
-// by decreasing score with ties broken by increasing index, and have
-// exact scores (re-verified against the stored vectors by
-// candidate-based engines). Implementations must return a structured
-// error — never panic — on a query dimension mismatch.
+// ShardIndex answers top-k MIPS queries over one shard's vectors, a tile
+// of queries at a time; a single search is the tile of one.
 type ShardIndex interface {
-	// TopK returns up to k hits for q. ctx carries the request deadline:
-	// engines backed by the flat drivers abandon the scan within one
-	// row-block of cancellation and return ctx's error; a never-cancelled
-	// ctx costs nothing.
-	TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error)
+	// topKMulti answers query rows [qlo, qhi) of qs, which has the shard's
+	// dimension: the returned accumulators, owned by sc, hold each query's
+	// top-k hits — *local* indices into the build store, ordered by
+	// decreasing score with ties broken by increasing index, with exact
+	// scores (re-verified against the stored vectors by candidate-based
+	// engines), each bit-identical to the query's answer as a tile of one.
+	// ctx carries the request deadline: the engines abandon the tile within
+	// one row block (or one candidate check) of cancellation and return
+	// ctx's error; a never-cancelled ctx costs nothing.
+	topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, sc *scanScratch) ([]flat.Acc, error)
 	// withDead returns an index answering exactly as if the store held
 	// only the rows dead does not mark — same local row indices,
 	// canonical ordering — with dead given in the store's original row
@@ -50,7 +52,8 @@ type ShardIndex interface {
 	withDead(dead *flat.Tombstones) ShardIndex
 }
 
-// TopKOpts is what one query asks of a ShardIndex beyond q and k.
+// TopKOpts is what a tile of queries asks of a ShardIndex beyond the
+// queries and k.
 type TopKOpts struct {
 	// Unsigned ranks by |pᵀq|.
 	Unsigned bool
@@ -58,13 +61,15 @@ type TopKOpts struct {
 	// an engine whose own scores are not (the f32 tier); engines that are
 	// already exact, or always re-rank, ignore it.
 	Rerank bool
-	// Explain, when non-nil, receives the engine's scan accounting —
-	// rows scanned by a sweep, candidates verified by alsh; hits stay
-	// bit-identical to the unexplained call.
+	// Explain, when non-nil, receives the engine's accounting of the tile,
+	// summed over its queries — rows scanned, blocks pruned or skipped and
+	// candidates re-ranked by a sweep, candidates verified by alsh; hits
+	// stay bit-identical to the unexplained call.
 	Explain *ShardExplain
-	// Keys, when non-nil, are q's keys under the collection's alsh hash
-	// functions (Collection.hashQueries), hashed once for every shard; an
-	// alsh index given none hashes q itself. Other engines ignore them.
+	// Keys, when non-nil, are the tile's keys under the collection's alsh
+	// hash functions (Collection.hashQueries), hashed once for every shard;
+	// an alsh index given none hashes the tile itself. Other engines ignore
+	// them.
 	Keys *lsh.QueryKeys
 }
 
@@ -203,20 +208,12 @@ func buildShardIndex(spec IndexSpec, fs *flat.Store, hashes *lsh.Index, overfetc
 // emptyIndex serves a shard that holds no vectors yet.
 type emptyIndex struct{}
 
-func (emptyIndex) TopK(context.Context, vec.Vector, int, TopKOpts) ([]Hit, error) {
-	return nil, nil
+// topKMulti answers every query of the tile with nothing.
+func (emptyIndex) topKMulti(_ context.Context, _ *flat.Store, qlo, qhi, k int, _ TopKOpts, sc *scanScratch) ([]flat.Acc, error) {
+	return sc.tile.Accs(qhi-qlo, k), nil
 }
 
 func (ix emptyIndex) withDead(*flat.Tombstones) ShardIndex { return ix }
-
-// flatHits converts flat scan hits into serving-layer hits.
-func flatHits(hs []flat.Hit) []Hit {
-	out := make([]Hit, len(hs))
-	for i, h := range hs {
-		out[i] = Hit{ID: h.Index, Score: h.Score}
-	}
-	return out
-}
 
 // rerankMode says when a flat index re-scores its scan's hits through
 // the f64 rows.
@@ -309,51 +306,35 @@ func (ix *flatIndex) fetchK(k int, rerank bool) (int, bool) {
 	return k, false
 }
 
-func (ix *flatIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error) {
+// topKMulti sweeps the view once for the whole tile — on the f64 views
+// through the register-blocked multi-query kernel — and re-ranks each
+// query's candidates where the tier asks for it. o.Explain, if set,
+// receives ScanMulti's accounting (the per-query sum of what a scan of
+// each query alone counts) and the candidates re-ranked.
+func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, sc *scanScratch) ([]flat.Acc, error) {
 	fetch, rerank := ix.fetchK(k, o.Rerank)
-	so := flat.ScanOpts{K: fetch, Unsigned: o.Unsigned, Dead: ix.dead}
-	var st flat.ScanStats
+	accs := sc.tile.Accs(qhi-qlo, fetch)
+	so := flat.ScanOpts{Unsigned: o.Unsigned, Dead: ix.dead}
+	st := &sc.stats
 	if o.Explain != nil {
-		so.Stats = &st
+		so.Stats = st
 	}
-	hs, err := ix.view.Scan(ctx, q, so)
-	if err != nil {
+	if err := ix.view.ScanMulti(ctx, qs, qlo, qhi, accs, &sc.tile, so); err != nil {
 		return nil, err
 	}
 	if ex := o.Explain; ex != nil {
 		ex.RowsScanned = st.ScannedRows
 		ex.CSPrunedBlocks = st.PrunedBlocks
 		ex.TombstoneSkippedBlocks = st.SkippedBlocks
-		if rerank {
-			ex.RerankCandidates = len(hs)
-		}
-	}
-	if !rerank {
-		return flatHits(hs), nil
-	}
-	ts := getTileScratch()
-	defer putTileScratch(ts)
-	var acc flat.Acc
-	ix.rerankInto(&acc, k, q, hs, o.Unsigned, ts)
-	return flatHits(acc.Hits()), nil
-}
-
-// topKMulti answers query rows [qlo, qhi) of qs in one call: the
-// returned accumulators (owned by sc) hold each query's top-k hits —
-// local row indices, canonical order — bit-identical to TopK per query.
-// On the f64 views the whole tile shares one sweep of the rows through
-// the register-blocked multi-query kernel.
-func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, ts *tileScratch) ([]flat.Acc, error) {
-	fetch, rerank := ix.fetchK(k, o.Rerank)
-	accs := ts.tile.Accs(qhi-qlo, fetch)
-	if err := ix.view.ScanMulti(ctx, qs, qlo, qhi, accs, &ts.tile, flat.ScanOpts{Unsigned: o.Unsigned, Dead: ix.dead}); err != nil {
-		return nil, err
 	}
 	if !rerank {
 		return accs, nil
 	}
 	for j := range accs {
-		ix.rerankInto(&accs[j], k, qs.Row(qlo+j), accs[j].Hits(), o.Unsigned, ts)
+		if o.Explain != nil {
+			o.Explain.RerankCandidates += len(accs[j].Hits())
+		}
+		ix.rerankInto(&accs[j], k, qs.Row(qlo+j), accs[j].Hits(), o.Unsigned, sc)
 	}
 	return accs, nil
 }
@@ -372,7 +353,7 @@ func overfetchK(k, overfetch int) int {
 
 // rerankInto resets acc to keep k hits and re-scores the scan's
 // candidates through the exact f64 rows into it — cands may be acc's own
-// hits: their rows are gathered into ts first. It is the candidate
+// hits: their rows are gathered into sc first. It is the candidate
 // engines' verify loop, flat.Store.OfferRows, whose scores are the exact
 // scan's chain, so a candidate set that covers the true top k yields
 // answers bit-identical to the f64 exact index (guaranteed-approximate,
@@ -380,13 +361,13 @@ func overfetchK(k, overfetch int) int {
 // are live rows of a scan that already checked q's dimension, at most
 // k·overfetch of them, so the loop needs no dead set and no ctx polling
 // beyond the scan's own.
-func (ix *flatIndex) rerankInto(acc *flat.Acc, k int, q vec.Vector, cands []flat.Hit, unsigned bool, ts *tileScratch) {
-	ts.rows = ts.rows[:0]
+func (ix *flatIndex) rerankInto(acc *flat.Acc, k int, q vec.Vector, cands []flat.Hit, unsigned bool, sc *scanScratch) {
+	sc.rows = sc.rows[:0]
 	for _, h := range cands {
-		ts.rows = append(ts.rows, h.Index)
+		sc.rows = append(sc.rows, h.Index)
 	}
 	acc.Reset(k)
-	ix.fs.OfferRows(nil, acc, q, ts.rows, nil, unsigned)
+	ix.fs.OfferRows(nil, acc, q, sc.rows, nil, unsigned)
 }
 
 // alshIndex is the §4.1 structure (SIMPLE map + hyperplane banding):
@@ -447,8 +428,7 @@ func (ix *alshIndex) extend(fs *flat.Store) (*alshIndex, int) {
 	return &alshIndex{fs: fs, ix: ix.ix.Extend(rows), u: ix.u}, fs.Len()
 }
 
-// topKMulti answers query rows [qlo, qhi) of qs in one call, like
-// flatIndex.topKMulti, through the lsh join's tile loop: each query's
+// topKMulti answers the tile through the lsh join's tile loop: each query's
 // buckets are looked up under the tile's keys — o.Keys, hashed once for
 // every shard, which must hold those rows under this index's hash
 // functions, or else hashed here as one product against its planes — and
@@ -456,8 +436,8 @@ func (ix *alshIndex) extend(fs *flat.Store) (*alshIndex, int) {
 // query outside the U-ball is hashed scaled inside it and scored raw;
 // unsigned probes −q too, the paper's reduction.
 // o.Explain, if set, receives the candidates the tile verified.
-func (ix *alshIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, ts *tileScratch) ([]flat.Acc, error) {
-	accs := ts.tile.Accs(qhi-qlo, k)
+func (ix *alshIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, sc *scanScratch) ([]flat.Acc, error) {
+	accs := sc.tile.Accs(qhi-qlo, k)
 	e := join.LSH{Index: ix.ix, Radius: ix.u, Keys: o.Keys}
 	var st flat.ScanStats
 	err := e.TopKTile(ctx, ix.fs, qs, qlo, qhi, accs, ix.dead, o.Unsigned, &st)
@@ -465,22 +445,6 @@ func (ix *alshIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k 
 		o.Explain.Candidates = st.Candidates
 	}
 	return accs, err
-}
-
-// TopK is topKMulti for the tile of one query, whose keys o.Keys holds as
-// row 0.
-func (ix *alshIndex) TopK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error) {
-	ts := getTileScratch()
-	defer putTileScratch(ts)
-	_ = ts.one.ResetDim(ix.fs.Dim())
-	if err := ts.one.Append(q); err != nil {
-		return nil, fmt.Errorf("server: query dimension %d, index has %d", len(q), ix.fs.Dim())
-	}
-	accs, err := ix.topKMulti(ctx, &ts.one, 0, 1, k, o, ts)
-	if err != nil {
-		return nil, err
-	}
-	return flatHits(accs[0].Hits()), nil
 }
 
 func (ix *alshIndex) withDead(dead *flat.Tombstones) ShardIndex {

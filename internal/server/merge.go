@@ -1,22 +1,13 @@
 package server
 
-// mergeTopK combines per-shard top-k lists — each already ordered by
-// (score descending, ID ascending) — into the global top-k under the
+// mergeTopKInto combines per-shard top-k lists — each already ordered
+// by (score descending, ID ascending) — into the global top-k under the
 // same ordering, via a k-way heap merge: the heap holds one cursor per
-// non-empty list and pops the best head until k hits are emitted.
-func mergeTopK(lists [][]Hit, k int) []Hit {
-	if k <= 0 {
-		return nil
-	}
-	scratch := make(mergeHeap, 0, len(lists))
-	return mergeTopKInto(lists, k, make([]Hit, 0, k), &scratch)
-}
-
-// mergeTopKInto is the allocation-free core of mergeTopK: merged hits
-// are appended to dst and the cursor heap's backing array is recycled
-// through scratch. dst must have spare capacity for k more entries if
-// the caller needs previously returned slices to stay stable. The
-// appended portion is returned. The heap operations are hand-rolled
+// non-empty list and pops the best head until k hits are emitted. Merged
+// hits are appended to dst and the cursor heap's backing array is
+// recycled through scratch. dst must have spare capacity for k more
+// entries if the caller needs previously returned slices to stay stable.
+// The appended portion is returned. The heap operations are hand-rolled
 // (no container/heap) so nothing is boxed through an interface.
 func mergeTopKInto(lists [][]Hit, k int, dst []Hit, scratch *mergeHeap) []Hit {
 	h := (*scratch)[:0]

@@ -7,8 +7,8 @@ import (
 )
 
 // Pool is the server's bounded parallel-for over task indices. Inside
-// one request it runs the shard fan-out of a search, the shard-pair
-// fan-out of a join and the query tiles of a batch search; nothing
+// one request it runs the shard fan-out of a one-tile search, the query
+// tiles of a larger one and the shard-pair fan-out of a join; nothing
 // splits one task further. The bound is a server-wide semaphore, so any
 // number of concurrent requests share the same worker budget instead of
 // multiplying it.

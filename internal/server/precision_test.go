@@ -160,9 +160,9 @@ func TestPrecisionTierEquivalence(t *testing.T) {
 	}
 }
 
-// TestPrecisionTierBatchMatchesSingle: the batch executor's per-query
-// fallback must answer quantized (and re-ranked) queries bit-identically
-// to the single-query path.
+// TestPrecisionTierBatchMatchesSingle: a batch's tiles must answer
+// quantized (and re-ranked) queries bit-identically to each query alone,
+// the tile of one.
 func TestPrecisionTierBatchMatchesSingle(t *testing.T) {
 	items, queries := recallWorkload(777)
 	queries = queries[:64]

@@ -724,14 +724,15 @@ type SearchResult struct {
 	Explain *QueryExplain
 }
 
-// Search answers a batch of top-k queries against the named collection.
-// A single query fans out across the shards on the worker pool; a
-// batch is tiled — cache misses are packed into one columnar query
-// store, the pool fans out per query tile, and every tile sweeps each
-// shard snapshot once through the register-blocked multi-query kernels
-// (see batch.go), answering each query bit-identically to the
-// per-query path. Results are served from / stored into the LRU cache
-// keyed by the collection version observed at entry.
+// Search answers top-k queries — one or a batch — against the named
+// collection. Every request runs through one executor (see batch.go):
+// cache misses are packed into one columnar query store and answered a
+// tile of up to 32 queries at a time, each tile scanning every shard
+// snapshot once through the multi-query kernels; a single query is the
+// tile of one. A request of one tile scans its shards in parallel on the
+// worker pool, a larger one runs its tiles there. A query's answer does
+// not depend on the batch it came in. Results are served from / stored
+// into the LRU cache keyed by the collection version observed at entry.
 func (s *Server) Search(name string, queries []vec.Vector, k int, unsigned bool) ([]SearchResult, error) {
 	return s.SearchCtx(context.Background(), name, queries, k, unsigned)
 }
@@ -791,11 +792,7 @@ func (s *Server) SearchWithOpts(ctx context.Context, name string, queries []vec.
 	}
 	defer c.adm.exit()
 	out := make([]SearchResult, len(queries))
-	if len(queries) == 1 {
-		s.searchSingle(ctx, c, name, queries[0], opts, &out[0])
-	} else {
-		s.searchBatch(ctx, c, name, queries, opts, out)
-	}
+	c.search(ctx, s.pool, s.cache, queries, opts, out)
 	return out, nil
 }
 
@@ -805,64 +802,6 @@ func (c *Collection) countTimeout(err error) {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		c.timeouts.Add(1)
 	}
-}
-
-// searchSingle is the one-query path: shard fan-out on the pool, LRU
-// in front (key construction skipped entirely when caching is off).
-func (s *Server) searchSingle(ctx context.Context, c *Collection, name string, q vec.Vector, opts SearchOpts, res *SearchResult) {
-	k, unsigned := opts.K, opts.Unsigned
-	tr := trace.FromContext(ctx)
-	var qe *QueryExplain
-	var shardsEx []ShardExplain
-	if opts.Explain {
-		qe = &QueryExplain{
-			TraceID:    tr.ID(),
-			Collection: name,
-			Index:      c.spec.kind(),
-			Precision:  c.spec.precision(),
-			K:          k,
-			// Rerank reports the effective behavior: int8 collections
-			// always re-rank through the exact f64 rows, whatever the
-			// request asked for.
-			Rerank: opts.Rerank || c.spec.precision() == PrecisionI8,
-		}
-		shardsEx = make([]ShardExplain, len(c.shards))
-	}
-	qstart := time.Now()
-	var key string
-	if cacheOn := s.cache.enabled(); cacheOn {
-		csp := tr.StartSpan("cache")
-		key = cacheKey(name, c.gen, c.Version(), k, unsigned, opts.Rerank, q)
-		hits, ok := s.cache.get(key)
-		csp.End()
-		if ok {
-			if qe != nil {
-				qe.CacheHit = true
-			}
-			*res = SearchResult{Hits: hits, Cached: true, Explain: qe}
-			c.observeLatency(time.Since(qstart))
-			return
-		}
-	} else {
-		key = ""
-	}
-	hits, err := c.searchOne(ctx, s.pool, q, k, unsigned, opts.Rerank, shardsEx)
-	if err != nil {
-		// A cancelled scan returns partial garbage-free state but no
-		// hits; nothing is cached, so the next identical query runs
-		// fresh rather than inheriting a poisoned entry.
-		c.countTimeout(err)
-		res.Err = err
-		return
-	}
-	if key != "" {
-		s.cache.put(name, key, hits)
-	}
-	if qe != nil {
-		qe.fill(shardsEx)
-	}
-	*res = SearchResult{Hits: hits, Explain: qe}
-	c.observeLatency(time.Since(qstart))
 }
 
 // recordTrace feeds a finished trace's spans into the per-stage

@@ -46,7 +46,11 @@ func exactTopK(recs []store.Record, q vec.Vector, k int, unsigned bool) []Hit {
 		}
 		acc.Offer(r.ID, v)
 	}
-	return flatHits(acc.Hits())
+	hits := make([]Hit, 0, k)
+	for _, h := range acc.Hits() {
+		hits = append(hits, Hit{ID: h.Index, Score: h.Score})
+	}
+	return hits
 }
 
 func TestMergeTopK(t *testing.T) {
@@ -56,7 +60,10 @@ func TestMergeTopK(t *testing.T) {
 		{},
 		{{ID: 2, Score: 7}},
 	}
-	got := mergeTopK(lists, 4)
+	var heap mergeHeap
+	// The second merge appends behind the first; both must stay intact.
+	dst := make([]Hit, 0, 4+100)
+	got := mergeTopKInto(lists, 4, dst, &heap)
 	want := []Hit{{ID: 0, Score: 9}, {ID: 1, Score: 9}, {ID: 2, Score: 7}, {ID: 4, Score: 5}}
 	if len(got) != len(want) {
 		t.Fatalf("merged %d hits, want %d", len(got), len(want))
@@ -66,8 +73,11 @@ func TestMergeTopK(t *testing.T) {
 			t.Fatalf("hit %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if got := mergeTopK(lists, 100); len(got) != 6 {
-		t.Fatalf("over-asking returned %d hits, want 6", len(got))
+	if all := mergeTopKInto(lists, 100, dst[:len(got)], &heap); len(all) != 6 || all[0] != want[0] {
+		t.Fatalf("over-asking returned %v, want 6 hits", all)
+	}
+	if got[3] != want[3] {
+		t.Fatalf("the second merge overwrote the first: %v", got)
 	}
 }
 
@@ -344,8 +354,14 @@ func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
 	if sh.size() != 1 {
 		t.Fatalf("failed prepare changed shard size to %d", sh.size())
 	}
-	hits, err := sh.topK(context.Background(), vec.Vector{1, 0}, 1, TopKOpts{})
-	if err != nil || len(hits) != 1 || hits[0].ID != 0 {
+	qs, err := flat.FromVectors([]vec.Vector{{1, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := &searchState{qstore: qs, snaps: []*shardSnap{sh.snap.Load()}}
+	ts := &tileScratch{lists: make([][]Hit, 1), trans: make([]Hit, 1)}
+	err = scanShard(context.Background(), rs, ts, 0, 1, 1, 0, TopKOpts{}, nil)
+	if hits := ts.lists[0]; err != nil || len(hits) != 1 || hits[0].ID != 0 {
 		t.Fatalf("shard unusable after failed prepare: hits=%v err=%v", hits, err)
 	}
 }

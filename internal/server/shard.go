@@ -2,14 +2,12 @@ package server
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"log/slog"
 	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/flat"
 	"repro/internal/join"
@@ -351,43 +349,6 @@ func (s *shard) commit(snap *shardSnap, renumbered bool) {
 		close(done)
 	}
 	<-done
-}
-
-// topK answers a query against the current snapshot, translating local
-// hit indices to global record IDs. o goes to the index as it is (see
-// TopKOpts); o.Explain, when non-nil, additionally receives this
-// shard's size and timing (see explain.go), and a traced request gets
-// one shard_scan span. The returned list keeps the canonical (score
-// descending, global ID ascending) order so the k-way merge's
-// tie-breaking is exact even when the ID-to-shard assignment does not
-// preserve ID order within a shard.
-func (s *shard) topK(ctx context.Context, q vec.Vector, k int, o TopKOpts) ([]Hit, error) {
-	snap := s.snap.Load()
-	s.queries.Add(1)
-	sp := trace.FromContext(ctx).StartSpan("shard_scan")
-	sp.SetInt("shard", int64(s.id))
-	defer sp.End()
-	var start time.Time
-	ex := o.Explain
-	if ex != nil {
-		start = time.Now()
-		ex.Shard = s.id
-		ex.Records = len(snap.ids)
-		ex.Live = len(snap.ids) - snap.dead.Count()
-	}
-	out, err := snap.index.TopK(ctx, q, k, o)
-	if err != nil {
-		return nil, err
-	}
-	for i, h := range out {
-		out[i].ID = snap.ids[h.ID]
-	}
-	sortHitsCanonical(out)
-	if ex != nil {
-		ex.Micros = time.Since(start).Microseconds()
-		sp.SetInt("rows_scanned", int64(ex.RowsScanned))
-	}
-	return out, nil
 }
 
 // sortHitsCanonical sorts hits into the canonical (score descending,
