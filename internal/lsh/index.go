@@ -509,10 +509,11 @@ func (qk *QueryKeys) of(q vec.Vector, p Probe) (pos, neg vec.Vector) {
 }
 
 // Candidates returns the deduplicated ids colliding with any of qs in
-// any table, in first-collision order (probes in argument order, tables
-// in index order, ids ascending within a bucket); callers needing id
-// order should sort. Passing q and −q together is the paper's unsigned
-// reduction. The result length is also the probes' candidate cost.
+// any table, in first-collision order (tables in index order, each under
+// the probes in argument order, ids ascending within a bucket); callers
+// needing id order should sort. Passing q and −q together is the paper's
+// unsigned reduction. The result length is also the probes' candidate
+// cost.
 func (ix *Index) Candidates(qs ...vec.Vector) []int {
 	sc := probePool.Get().(*probeScratch)
 	defer probePool.Put(sc)
@@ -575,52 +576,130 @@ func (ix *Index) hash(qk *QueryKeys, lo, hi int, at func(int) vec.Vector, p Prob
 // or not: keys of other functions — even ones sampled alike — or a row qk
 // does not hold are an error, and dst comes back as it was.
 func (ix *Index) AppendHashed(dst []int, qk *QueryKeys, i int) ([]int, error) {
-	if qk.by != ix.funcs {
-		return dst, errors.New("lsh: query keys were hashed by another index's hash functions")
-	}
-	if i < qk.lo || i >= qk.hi {
-		return dst, fmt.Errorf("lsh: query %d is outside the hashed rows [%d, %d)", i, qk.lo, qk.hi)
+	keys, err := ix.hashed(qk, i)
+	if err != nil {
+		return dst, err
 	}
 	sc := probePool.Get().(*probeScratch)
 	defer probePool.Put(sc)
+	return ix.collisions(sc, keys, dst), nil
+}
+
+// hashed returns the keys of query i in qk — its probes' L table keys
+// back to back — or why ix cannot take them (see AppendHashed).
+func (ix *Index) hashed(qk *QueryKeys, i int) ([]uint64, error) {
+	if qk.by != ix.funcs {
+		return nil, errors.New("lsh: query keys were hashed by another index's hash functions")
+	}
+	if i < qk.lo || i >= qk.hi {
+		return nil, fmt.Errorf("lsh: query %d is outside the hashed rows [%d, %d)", i, qk.lo, qk.hi)
+	}
 	j := i - qk.lo
-	return ix.collisions(sc, qk.keys[j*qk.per*ix.L:(j+1)*qk.per*ix.L], dst), nil
+	return qk.keys[j*qk.per*ix.L : (j+1)*qk.per*ix.L], nil
 }
 
 // collisions appends to dst, once each and in first-collision order,
 // the ids in the buckets of keys — one or more probes' L table keys back
-// to back.
+// to back: every table step of the query's walk, in turn.
 func (ix *Index) collisions(sc *probeScratch, keys []uint64, dst []int) []int {
-	sc.buckets = sc.buckets[:0]
-	total, dense := 0, ix.dense()
-	for i, key := range keys {
-		if b := ix.tables[i%ix.L].bucket(key, dense); len(b) > 0 {
-			sc.buckets = append(sc.buckets, b)
-			total += len(b)
-		}
+	sc.buckets = ix.steps(sc.buckets[:0], keys, 0, ix.L)
+	total := 0
+	for _, b := range sc.buckets {
+		total += len(b)
 	}
 	if total == 0 {
 		return dst
 	}
-	if words := (ix.n + 63) / 64; len(sc.seen) < words {
-		sc.seen = make([]uint64, words)
-	}
+	sc.seen = ix.bitset(sc.seen)
 	base := len(dst)
 	dst = slices.Grow(dst, min(total, ix.n))
 	for _, b := range sc.buckets {
-		for _, id := range b {
-			w, bit := id>>6, uint64(1)<<(id&63)
-			if sc.seen[w]&bit == 0 {
-				sc.seen[w] |= bit
-				dst = append(dst, int(id))
+		dst = appendNew(dst, sc.seen, b)
+	}
+	unmark(sc.seen, dst[base:])
+	clear(sc.buckets) // drop the references into ix's tables
+	return dst
+}
+
+// steps appends to bs the nonempty buckets of tables lo to hi−1 under
+// keys — one or more probes' L table keys back to back — table by table,
+// each under the probes in order (q′, then −q′): table steps lo to hi−1
+// of a query's walk.
+func (ix *Index) steps(bs [][]int32, keys []uint64, lo, hi int) [][]int32 {
+	dense := ix.dense()
+	for t := lo; t < hi; t++ {
+		tb := &ix.tables[t]
+		for p := t; p < len(keys); p += ix.L {
+			if b := tb.bucket(keys[p], dense); len(b) > 0 {
+				bs = append(bs, b)
 			}
 		}
 	}
-	for _, id := range dst[base:] {
-		sc.seen[id>>6] = 0
+	return bs
+}
+
+// appendNew appends to dst, once each, the ids of bucket b that seen does
+// not mark, and marks them: the one bucket-deduplication loop, which
+// collisions and Index.Step share.
+func appendNew(dst []int, seen []uint64, b []int32) []int {
+	for _, id := range b {
+		w, bit := id>>6, uint64(1)<<(id&63)
+		if seen[w]&bit == 0 {
+			seen[w] |= bit
+			dst = append(dst, int(id))
+		}
 	}
-	clear(sc.buckets) // drop the references into ix's tables
 	return dst
+}
+
+// bitset returns seen grown to a bit per id of ix, the new words zero.
+func (ix *Index) bitset(seen []uint64) []uint64 {
+	if words := (ix.n + 63) / 64; len(seen) < words {
+		seen = append(seen, make([]uint64, words-len(seen))...)
+	}
+	return seen
+}
+
+// unmark zeroes seen's words under ids, which hold every id seen marks.
+func unmark(seen []uint64, ids []int) {
+	for _, id := range ids {
+		seen[id>>6] = 0
+	}
+}
+
+// Walk is one query's candidate union in an index, grown a table step at
+// a time by Index.Step: the LSH query algorithm probes the L tables in
+// turn and may stop after any of them (Indyk–Motwani; the paper's §4.1).
+// The zero value is ready to use, and a reused one keeps its buffers.
+type Walk struct {
+	// IDs is the union so far, once each, in first-collision order.
+	IDs  []int
+	seen []uint64 // IDs as a bitset over the index's ids
+}
+
+// Reset empties w for another query, or another index, in O(len(w.IDs)).
+func (w *Walk) Reset() {
+	unmark(w.seen, w.IDs)
+	w.IDs = w.IDs[:0]
+}
+
+// Step appends to w.IDs step t of query i's walk: the ids in table t's
+// buckets under the query's probes — q′, then −q′ when qk was hashed with
+// Probe.Neg — that w does not hold yet, ascending within a bucket. Steps
+// 0 to L−1 in turn leave w.IDs holding exactly AppendHashed's candidates,
+// in its order. w must hold only this query's ids in ix; the keys fail as
+// they fail AppendHashed, w untouched.
+func (ix *Index) Step(w *Walk, qk *QueryKeys, i, t int) error {
+	keys, err := ix.hashed(qk, i)
+	if err != nil {
+		return err
+	}
+	w.seen = ix.bitset(w.seen)
+	var buckets [2][]int32 // q′'s and −q′'s
+	for _, b := range ix.steps(buckets[:0], keys, t, t+1) {
+		w.IDs = appendNew(w.IDs, w.seen, b)
+	}
+	return nil
 }
 
 // Query returns the candidate id maximising score over the ids

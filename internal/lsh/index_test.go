@@ -249,11 +249,15 @@ func (r reference) tables(data []vec.Vector) []table {
 // candidates returns the ids of tabs colliding with the probes, in
 // first-collision order.
 func (r reference) candidates(tabs []table, probes []vec.Vector) []int {
+	keys := make([][]uint64, len(probes))
+	for p, x := range probes {
+		keys[p] = r.keys(x, false)
+	}
 	var out []int
 	seen := map[int32]bool{}
-	for _, x := range probes {
-		for t, key := range r.keys(x, false) {
-			for _, id := range tabs[t].bucket(key, r.dense) {
+	for t := range tabs {
+		for p := range probes {
+			for _, id := range tabs[t].bucket(keys[p][t], r.dense) {
 				if !seen[id] {
 					seen[id] = true
 					out = append(out, int(id))
@@ -459,7 +463,8 @@ func TestDenseTablesMatchSparse(t *testing.T) {
 }
 
 func TestCandidatesJointProbes(t *testing.T) {
-	// Candidates(q, −q) is Candidates(q) followed by what −q adds.
+	// Candidates(q, −q) names, once each, what Candidates(q) and
+	// Candidates(−q) name.
 	const d, n = 10, 400
 	rng := xrand.New(45)
 	ix, _ := NewIndex(mustSimpleALSHFamily(t, d), 4, 8, 46)
@@ -471,7 +476,13 @@ func TestCandidatesJointProbes(t *testing.T) {
 				want = append(want, id)
 			}
 		}
-		if got := ix.Candidates(q, vec.Neg(q)); !slices.Equal(got, want) {
+		got := ix.Candidates(q, vec.Neg(q))
+		if len(got) != len(want) {
+			t.Fatalf("joint probe names %d ids, the two probes %d", len(got), len(want))
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
 			t.Fatalf("joint probe %v, want %v", got, want)
 		}
 	}
@@ -635,6 +646,70 @@ func TestAppendHashedMatchesAppendCandidates(t *testing.T) {
 		}
 		if found == 0 {
 			t.Fatalf("%+v: no query found a candidate; the test checks nothing", p)
+		}
+	}
+}
+
+// TestWalkStepsMatchAppendHashed: a query's walk, table step 0 to L−1,
+// names exactly AppendHashed's candidates in its first-collision order —
+// each step only ids no earlier step named — on dense and sparse tables,
+// signed and unsigned; one Walk, Reset between queries and indexes,
+// serves them all. Keys from other hash functions, or a row they do not
+// hold, fail a step and leave the walk as it was.
+func TestWalkStepsMatchAppendHashed(t *testing.T) {
+	const d = 10
+	rng := xrand.New(57)
+	data := ballVecs(rng, 600, d)
+	qs, _ := flat.FromVectors(ballVecs(rng, 30, d))
+	var w Walk
+	for name, f := range equivFamilies(t, d) {
+		for _, k := range []int{4, 9} { // hyperplane tables: dense, then sparse
+			ix, _ := NewIndex(f, k, 8, 58)
+			ix.InsertAll(data)
+			for _, p := range []Probe{{}, {Neg: true}, {Radius: 1, Neg: true}} {
+				var qk QueryKeys
+				ix.HashQueries(&qk, qs, 2, 27, p)
+				found := 0
+				for i := 2; i < 27; i++ {
+					want, err := ix.AppendHashed(nil, &qk, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w.Reset()
+					for step := range ix.L {
+						if err := ix.Step(&w, &qk, i, step); err != nil {
+							t.Fatalf("%s K=%d %+v row %d step %d: %v", name, k, p, i, step, err)
+						}
+					}
+					if !slices.Equal(w.IDs, want) {
+						t.Fatalf("%s K=%d %+v row %d: the walk names %v, AppendHashed %v", name, k, p, i, w.IDs, want)
+					}
+					found += len(want)
+				}
+				if found == 0 {
+					t.Fatalf("%s K=%d %+v: no query found a candidate; the test checks nothing", name, k, p)
+				}
+			}
+		}
+	}
+	ix, _ := NewIndex(mustSimpleALSHFamily(t, d), 4, 8, 58)
+	ix.InsertAll(data)
+	twin, _ := NewIndex(mustSimpleALSHFamily(t, d), 4, 8, 58)
+	twin.InsertAll(data)
+	var qk QueryKeys
+	ix.HashQueries(&qk, qs, 2, 27, Probe{Radius: 1})
+	w.Reset()
+	if err := ix.Step(&w, &qk, 3, 0); err != nil || len(w.IDs) == 0 {
+		t.Fatalf("row 3 step 0: %v ids, %v; the test checks nothing", len(w.IDs), err)
+	}
+	held := slices.Clone(w.IDs)
+	for _, c := range []struct {
+		name string
+		ix   *Index
+		row  int
+	}{{"a twin index", twin, 3}, {"row 1", ix, 1}, {"row 27", ix, 27}} {
+		if err := c.ix.Step(&w, &qk, c.row, 1); err == nil || !slices.Equal(w.IDs, held) {
+			t.Fatalf("%s: Step gave %v with the walk at %v; want an error and %v", c.name, err, w.IDs, held)
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flat"
 	"repro/internal/join"
+	"repro/internal/lsh"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/vec"
@@ -202,8 +203,10 @@ func alshAnswers(t *testing.T, s *Server, queries []vec.Vector, k int) []uint64 
 // oneIndexAnswers is alshAnswers from one lsh.Index over live — the
 // records in id order, row i of one store — built from the hash functions
 // an alsh collection of spec and seed samples: each query's candidates,
-// verified through flat.Store.OfferRows, are its answers; its best one
-// at ≥ cs, its join pair.
+// verified through flat.Store.OfferRows, are its search answers. Its join
+// pair stops at the first table step that yields one: the query walks
+// the tables in turn (lsh.Index.Step), and the best candidate of the
+// union through that step, at ≥ cs, is the pair.
 func oneIndexAnswers(t *testing.T, spec IndexSpec, seed uint64, live []store.Record, queries []vec.Vector, k int) []uint64 {
 	t.Helper()
 	rows := make([]vec.Vector, len(live))
@@ -229,6 +232,11 @@ func oneIndexAnswers(t *testing.T, spec IndexSpec, seed uint64, live []store.Rec
 		}
 		return hits
 	}
+	qs, err := flat.FromVectors(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cs = 0.8 * 0.9
 	var out []uint64
 	for _, unsigned := range []bool{false, true} {
 		for range 2 { // alone, then batched
@@ -236,10 +244,22 @@ func oneIndexAnswers(t *testing.T, spec IndexSpec, seed uint64, live []store.Rec
 				out = appendHits(out, answer(q, k, unsigned))
 			}
 		}
+		var qk lsh.QueryKeys
+		ix.HashQueries(&qk, qs, 0, len(queries), spec.probe(unsigned))
 		var pairs []uint64
 		for qi, q := range queries {
-			if best := answer(q, 1, unsigned); len(best) == 1 && best[0].Score >= 0.8*0.9 {
-				pairs = append(pairs, uint64(qi), uint64(best[0].ID), math.Float64bits(best[0].Score))
+			var w lsh.Walk
+			var acc flat.Acc
+			acc.Reset(1)
+			for step := 0; step < ix.L && (len(acc.Hits()) == 0 || acc.Hits()[0].Score < cs); step++ {
+				from := len(w.IDs)
+				if err := ix.Step(&w, &qk, qi, step); err != nil {
+					t.Fatal(err)
+				}
+				fs.OfferRows(nil, &acc, q, w.IDs[from:], nil, unsigned)
+			}
+			if best := acc.Hits(); len(best) == 1 && best[0].Score >= cs {
+				pairs = append(pairs, uint64(qi), uint64(live[best[0].Index].ID), math.Float64bits(best[0].Score))
 			}
 		}
 		out = append(append(out, uint64(len(pairs)/3)), pairs...)

@@ -64,6 +64,12 @@ type tileScratch struct {
 	errs  []error       // per shard scan
 	heap  mergeHeap
 	per   [][]Hit // per-query gather of shard lists for the merge
+	// An lsh join tile's per-(data shard, query) state (walkTile): the
+	// query's walk of the shard's tables and its top-k there, and the
+	// queries still walking.
+	walks   []lsh.Walk
+	accs    []flat.Acc
+	walking []int
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(tileScratch) }}

@@ -81,27 +81,55 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 
 // BenchmarkServerJoin measures one join of 64 queries against 6 000 × 32
 // unit-ball rows on 4 shards — the planted-alsh benchmark's shape — per
-// iteration: the lsh engine probing the index an alsh collection keeps,
-// and the exact sweep it is up against.
+// iteration: the lsh engine walking the indexes an alsh collection keeps,
+// and the exact sweep it is up against. Few latent-factor queries have a
+// partner ≥ c·s, so lsh-on-alsh walks nearly every table; lsh-planted
+// gives each query one at 0.95·q̂, as planted-alsh does, so its walks stop
+// at the first table step holding it. candidates/query is what a query
+// verified.
 func BenchmarkServerJoin(b *testing.B) {
-	for _, c := range []struct{ name, kind, engine string }{
-		{"lsh-on-alsh", KindALSH, "lsh"},
-		{"exact", KindExact, "exact"},
+	for _, c := range []struct {
+		name, kind, engine string
+		planted            bool
+	}{
+		{"lsh-on-alsh", KindALSH, "lsh", false},
+		{"lsh-planted", KindALSH, "lsh", true},
+		{"exact", KindExact, "exact", false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			s, users := benchServer(b, 6000, 32, 4, c.kind)
 			for _, u := range users {
 				vec.Normalize(u)
 			}
-			if _, _, err := s.Ingest("q", nil, 1, records(users[:64], 0)); err != nil {
+			queries := users[:64]
+			if c.planted {
+				partners := make([]vec.Vector, len(queries))
+				for i, q := range queries {
+					partners[i] = vec.Scaled(q, 0.95)
+				}
+				if _, _, err := s.Upsert("bench", nil, 0, records(partners, 0)); err != nil {
+					b.Fatal(err)
+				}
+				bc, _ := s.Collection("bench")
+				if err := bc.compact(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, _, err := s.Ingest("q", nil, 1, records(queries, 0)); err != nil {
 				b.Fatal(err)
 			}
 			req := JoinRequest{Data: "bench", Queries: "q", Engine: c.engine, S: 0.9, C: 0.8}
+			var compared int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Join(req); err != nil {
+				resp, err := s.Join(req)
+				if err != nil {
 					b.Fatal(err)
 				}
+				compared += resp.Compared
+			}
+			if c.engine == "lsh" {
+				b.ReportMetric(float64(compared)/float64(b.N*len(queries)), "candidates/query")
 			}
 		})
 	}

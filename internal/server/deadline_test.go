@@ -402,8 +402,9 @@ func (c *fetchCtx) Err() error {
 	}
 }
 
-// joinCancelledInsideTile: a join of one shard pair and one Q-tile
-// over 17 row blocks, cancelled the moment its tile starts — past
+// joinCancelledInsideTile: a join of one shard pair and one Q-tile —
+// searchTileQ queries, one tile for every engine — over 17 row blocks,
+// cancelled the moment its tile starts — past
 // admission, snapshot pinning and engine set-up, where only the engine's
 // own polling can notice. It must come back with the context's error
 // having scored, per query, less than the one block a driver may be
@@ -414,7 +415,7 @@ func (c *fetchCtx) Err() error {
 func joinCancelledInsideTile(t *testing.T) {
 	s := New(Config{CacheCapacity: -1})
 	defer s.Close()
-	const n, nq, block = 17*256 - 100, 40, 256
+	const n, nq, block = 17*256 - 100, searchTileQ, 256
 	rng := xrand.New(5)
 	for _, c := range []struct {
 		names []string
@@ -499,8 +500,13 @@ func TestHTTPDeadline504(t *testing.T) {
 	const n, d = 1 << 17, 32
 	var q []float64
 
-	// Grow the collection until a full scan takes well over the 2ms
-	// deadline; a fixed size would be flaky across kernel speeds.
+	// The scan notices the deadline at its next poll after the timer has
+	// run, which on one core can wait out Go's 10ms preemption quantum —
+	// twice, on a loaded machine. quantum is that slack.
+	const quantum = 20 * time.Millisecond
+
+	// Grow the collection until a full scan takes several quanta over the
+	// 2ms deadline; a fixed size would be flaky across kernel speeds.
 	var baseline time.Duration
 	for grow, next := 0, 0; grow < 4; grow++ {
 		items := dataset.Gaussian(rng, n, d, true)
@@ -521,7 +527,7 @@ func TestHTTPDeadline504(t *testing.T) {
 			t.Fatalf("baseline status %d", code)
 		}
 		baseline = time.Since(start)
-		if baseline >= 25*time.Millisecond {
+		if baseline >= 3*quantum {
 			break
 		}
 	}
@@ -538,7 +544,7 @@ func TestHTTPDeadline504(t *testing.T) {
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline search status %d (%v), want 504", code, e)
 	}
-	if baseline > 40*time.Millisecond && took > baseline/2 {
+	if baseline >= 3*quantum && took > baseline/2+quantum {
 		t.Fatalf("deadline search took %v against a %v scan; cancellation did not cut it short", took, baseline)
 	}
 	t.Logf("baseline scan %v, 2ms-deadline response %v", baseline, took)

@@ -2,15 +2,18 @@ package server
 
 // Online similarity joins: the serving-layer face of the join Engine
 // layer. A join runs directly over the two collections' per-shard
-// columnar snapshots — no row materialisation — fanning the |P-shards| ×
-// |Q-shards| pairs out on the server's worker pool, translating each
-// pair's matches into record-ID space, and merging the partials per
-// query through join.MergePerQuery. Threshold mode reports the single
-// best partner per satisfied query (Definition 1); top-k-pairs mode
-// reports up to k pairs per query.
+// columnar snapshots — no row materialisation — as tasks on the server's
+// worker pool, each translating its matches into record-ID space, and
+// merges the partials per query through join.MergePerQuery. The exact
+// engines run one task per (P-shard, Q-shard) pair. The lsh engine runs
+// the LSH query algorithm instead, one task per query tile: each query
+// walks the banding tables of every P-shard a table step at a time
+// (walkTile). Threshold mode reports one pair per satisfied query
+// (Definition 1): the exact engines the best pair, lsh the best pair
+// among the candidates up to the first table step that yields a witness.
+// Top-k-pairs mode reports up to k pairs per query.
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -18,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/flat"
 	"repro/internal/join"
-	"repro/internal/lsh"
 	"repro/internal/trace"
 )
 
@@ -43,7 +45,10 @@ type JoinRequest struct {
 	C float64 `json:"c,omitempty"`
 	// TopK switches to top-k-pairs mode: up to TopK pairs per query at
 	// value ≥ c·s, in decreasing order. 0 (default) is threshold mode:
-	// the single best pair per satisfied query.
+	// one pair per satisfied query. The exact engines report its best
+	// pair; lsh reports the best pair among the candidates up to the first
+	// table step that yields a witness (a pair ≥ c·s, not the identity
+	// pair under ExcludeSelf) — the LSH query algorithm's stop.
 	TopK int `json:"topk,omitempty"`
 	// ExcludeSelf drops identity pairs (same record ID on both sides)
 	// before merging — the useful default for self-joins, where every
@@ -64,9 +69,11 @@ type JoinPair struct {
 // JoinResponse is the join outcome. Pairs are ordered by ascending
 // query ID; within one query by decreasing value, ties toward the
 // smaller data ID. Compared counts the pairs whose inner product was
-// evaluated (candidates verified, for lsh): the exact engines score
-// whole 256-row blocks, so the tombstoned rows of a block that still
-// holds a live row are counted.
+// evaluated: the exact engines score whole 256-row blocks, so the
+// tombstoned rows of a block that still holds a live row are counted;
+// lsh counts the live candidates it verified — in threshold mode those
+// up to each query's first table step that yields a witness, in top-k
+// mode each query's whole candidate union.
 type JoinResponse struct {
 	Engine   string     `json:"engine"`
 	TopK     int        `json:"topk,omitempty"`
@@ -98,22 +105,172 @@ func joinEngineName(engine string, spec IndexSpec) (string, error) {
 	return "", fmt.Errorf("server: unknown join engine %q", engine)
 }
 
-// joinEngine returns the engine (by joinEngineName) that answers a join
-// against this snapshot: the snapshot lends the structure it serves
-// from. normpruned sweeps the norm view (see normPruned); lsh, on an
-// alsh shard, probes the shard's banding index — the asymmetric SIMPLE
-// construction, dead rows dropped before scoring — under keys, the query
-// shard's rows hashed once by the collection's hash functions; exact
-// sweeps the store itself.
-func (sn *shardSnap) joinEngine(engine string, keys *lsh.QueryKeys) join.Engine {
-	switch engine {
-	case "normpruned":
-		return sn.normPruned()
-	case "lsh":
-		ix := sn.index.(*alshIndex)
-		return join.LSH{Index: ix.ix, Radius: ix.u, Keys: keys}
+// joinOpts is what every task of one join shares beyond its operands.
+type joinOpts struct {
+	cs       float64
+	unsigned bool
+	// topK is the request's (0: threshold mode); k the per-data-shard
+	// top-k a task keeps for it, at least one more under excludeSelf
+	// (0 in threshold mode without it: the engines' single best pair).
+	topK, k     int
+	excludeSelf bool
+}
+
+// newJoinOpts resolves a validated request. A query's per-shard top-k
+// over-fetches by one under self-exclusion: the identity pair can
+// displace the legitimate answer within its data shard (IDs are
+// shard-disjoint, so it appears at most once per query).
+func newJoinOpts(sp core.Spec, req JoinRequest) joinOpts {
+	o := joinOpts{cs: sp.CS(), unsigned: sp.Variant == core.Unsigned, topK: req.TopK, k: req.TopK, excludeSelf: req.ExcludeSelf}
+	if o.excludeSelf {
+		o.k = max(o.k, 1) + 1
 	}
-	return join.Tiled{}
+	return o
+}
+
+// keep appends to dst, as pairs of query record qid, the hits of acc —
+// local rows of data snapshot sn — at value ≥ cs, the identity pair
+// dropped under excludeSelf.
+func (o *joinOpts) keep(dst []join.Match, acc *flat.Acc, sn *shardSnap, qid int) []join.Match {
+	for _, h := range acc.Hits() {
+		if h.Score < o.cs {
+			break
+		}
+		if id := sn.ids[h.Index]; !o.excludeSelf || id != qid {
+			dst = append(dst, join.Match{QIdx: qid, PIdx: id, Value: h.Score})
+		}
+	}
+	return dst
+}
+
+// join is the task of one (data shard, query shard) pair of an exact
+// join: engine (by joinEngineName) sweeps this snapshot — normpruned its
+// norm view (see normPruned), exact the store itself — for the query
+// snapshot's live rows, and its matches come back in record-ID space.
+func (sn *shardSnap) join(ctx context.Context, engine string, qsnap *shardSnap, s float64, o joinOpts, work *flat.ScanStats) (join.Result, error) {
+	var eng join.Engine = join.Tiled{}
+	if engine == "normpruned" {
+		eng = sn.normPruned()
+	}
+	res, err := eng.Join(sn.fs, qsnap.fs, s, o.cs, join.Opts{
+		Unsigned: o.unsigned, TopK: o.k, Ctx: ctx,
+		DeadP: sn.dead, DeadQ: qsnap.dead, Stats: work})
+	if err != nil {
+		return res, err
+	}
+	keep := res.Matches[:0]
+	for _, m := range res.Matches {
+		if m.PIdx, m.QIdx = sn.ids[m.PIdx], qsnap.ids[m.QIdx]; !o.excludeSelf || m.PIdx != m.QIdx {
+			keep = append(keep, m)
+		}
+	}
+	res.Matches = keep
+	return res, nil
+}
+
+// walkTile answers query rows [lo, hi) of qsnap by the LSH query
+// algorithm (Indyk–Motwani; the paper's §4.1) over every data shard of an
+// alsh collection at once. The tile is hashed once under the collection's
+// hash functions. Each live query then walks the tables: at step t it
+// takes table t under its probes in every data shard, in shard order,
+// and verifies through the shard's store the ids that shard's walk has
+// not yet named, dead ones dropped, into the shard's top-k. In threshold
+// mode a query stops after the first step at which some shard holds a
+// witness — a pair ≥ cs that is not the identity pair under excludeSelf —
+// and reports the pairs of the union verified so far; top-k mode walks
+// all L steps, the whole union. Every shard extends the collection's one
+// set of hash functions, so a row's bucket in table t does not depend on
+// its shard, and the answer depends on neither the shard count nor the
+// pool. The queries still walking take each (step, shard) together, so a
+// shard's tables and rows stay in cache across the tile. ctx is polled
+// between two of those; work counts the rows verified.
+func walkTile(ctx context.Context, c *Collection, dsnaps []*shardSnap, qsnap *shardSnap, lo, hi int, o joinOpts, work *flat.ScanStats) (join.Result, error) {
+	ts := getTileScratch()
+	defer putTileScratch(ts)
+	keys, err := c.hashQueries(ctx, &ts.keys, qsnap.fs, lo, hi, o.unsigned)
+	if err != nil {
+		return join.Result{}, err
+	}
+	// Query lo+j's walk and top-k in shard si are walks[si·nq+j], accs[si·nq+j].
+	nq := hi - lo
+	ts.walks = grow(ts.walks, len(dsnaps)*nq)
+	ts.accs = grow(ts.accs, len(dsnaps)*nq)
+	walking := ts.walking[:0]
+	for j := range nq {
+		if !qsnap.dead.Dead(lo + j) {
+			walking = append(walking, j)
+		}
+	}
+	for i := range ts.walks {
+		ts.walks[i].Reset()
+		ts.accs[i].Reset(max(o.k, 1))
+	}
+	var res join.Result
+	report := func(j int) {
+		for si, sn := range dsnaps {
+			res.Matches = o.keep(res.Matches, &ts.accs[si*nq+j], sn, qsnap.ids[lo+j])
+		}
+	}
+	// Top-k mode verifies the whole union, so it takes all L steps at once.
+	steps, per := dsnaps[0].index.(*alshIndex).ix.L, 1
+	if o.topK > 0 {
+		per = steps
+	}
+	done := ctx.Done()
+	for t := 0; t < steps && len(walking) > 0; t += per {
+		// Only a top-k offered a candidate this step can have gained a
+		// witness: above records whether one of them holds a pair ≥ cs.
+		above := false
+		for si, sn := range dsnaps {
+			select {
+			case <-done:
+				return join.Result{}, ctx.Err()
+			default:
+			}
+			ix := sn.index.(*alshIndex).ix
+			for _, j := range walking {
+				w, acc := &ts.walks[si*nq+j], &ts.accs[si*nq+j]
+				from := len(w.IDs)
+				for u := t; u < t+per; u++ {
+					if err := ix.Step(w, keys, lo+j, u); err != nil {
+						return join.Result{}, err
+					}
+				}
+				if len(w.IDs) == from {
+					continue
+				}
+				n, stopped := sn.fs.OfferRows(done, acc, qsnap.fs.Row(lo+j), w.IDs[from:], sn.dead, o.unsigned)
+				work.Candidates += n
+				if stopped {
+					return join.Result{}, ctx.Err()
+				}
+				if h := acc.Hits(); len(h) > 0 && h[0].Score >= o.cs {
+					above = true
+				}
+			}
+		}
+		if o.topK > 0 || !above {
+			continue
+		}
+		// A query whose union now holds a witness stops, its pairs reported.
+		still := walking[:0]
+		for _, j := range walking {
+			base := len(res.Matches)
+			if report(j); len(res.Matches) == base {
+				still = append(still, j)
+			}
+		}
+		walking = still
+	}
+	if o.topK > 0 {
+		for _, j := range walking {
+			report(j)
+		}
+	}
+	ts.walking = walking
+	work.ScannedRows = work.Candidates
+	res.Compared = int64(work.Candidates)
+	return res, nil
 }
 
 // joinSpec resolves and validates the (cs, s) specification.
@@ -174,9 +331,9 @@ func (s *Server) Join(req JoinRequest) (*JoinResponse, error) {
 }
 
 // JoinCtx is Join with a request context: the join is one admission
-// unit against the data collection's gate, the pair fan-out stops
-// feeding once ctx fires, and the engines stop like a search does —
-// within one row block of the scan (between two queries for lsh). A
+// unit against the data collection's gate, the task fan-out stops
+// feeding once ctx fires, and the tasks stop like a search does — within
+// one row block of the scan (between two table steps for lsh). A
 // cancelled join returns ctx's error and no pairs.
 func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, error) {
 	if ctx == nil {
@@ -228,85 +385,46 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 			req.Data, dd, req.Queries, qd)
 	}
 
-	// With self-exclusion the per-pair join must over-fetch by one: the
-	// identity pair can displace the legitimate answer within its shard
-	// pair (IDs are shard-disjoint, so it appears at most once per
-	// query, and only on diagonal pairs).
-	engineK := req.TopK
-	if req.ExcludeSelf {
-		engineK = max(engineK, 1) + 1
-	}
-	unsigned := sp.Variant == core.Unsigned
-
+	o := newJoinOpts(sp, req)
 	start := time.Now()
 	ssp := tr.StartSpan("scan")
-
-	// An lsh join hashes each query shard once, on the pool, under the
-	// data collection's hash functions, for every data shard it meets.
-	keys := make([]*lsh.QueryKeys, len(qsnaps))
+	var tasks []func(work *flat.ScanStats) (join.Result, error)
 	if engine == "lsh" {
-		for q := range keys {
-			ts := getTileScratch()
-			defer putTileScratch(ts)
-			keys[q] = &ts.keys
+		// One task per query tile, each walking every data shard.
+		for _, qsnap := range qsnaps {
+			for lo := 0; lo < qsnap.fs.Len(); lo += searchTileQ {
+				hi := min(lo+searchTileQ, qsnap.fs.Len())
+				tasks = append(tasks, func(work *flat.ScanStats) (join.Result, error) {
+					return walkTile(ctx, dataCol, dsnaps, qsnap, lo, hi, o, work)
+				})
+			}
 		}
-		hashErr := s.pool.ForEachCtx(ctx, len(qsnaps), func(q int) {
-			// Hashing fails only as ctx does, which the check below catches.
-			keys[q], _ = dataCol.hashQueries(ctx, keys[q], qsnaps[q].fs, 0, qsnaps[q].fs.Len(), unsigned)
-		})
-		if err := cmp.Or(hashErr, ctx.Err()); err != nil {
-			ssp.End()
-			dataCol.countTimeout(err)
-			return nil, err
-		}
-	}
-
-	type pair struct{ d, q int }
-	pairs := make([]pair, 0, len(dsnaps)*len(qsnaps))
-	for d := range dsnaps {
-		for q := range qsnaps {
-			pairs = append(pairs, pair{d, q})
+	} else {
+		// One task per (data shard, query shard) pair, its engine run
+		// serially on it.
+		for _, dsnap := range dsnaps {
+			for _, qsnap := range qsnaps {
+				tasks = append(tasks, func(work *flat.ScanStats) (join.Result, error) {
+					return dsnap.join(ctx, engine, qsnap, sp.S, o, work)
+				})
+			}
 		}
 	}
-	parts := make([]join.Result, len(pairs))
-	errs := make([]error, len(pairs))
-	run := func(i int) {
-		pr := pairs[i]
-		dsnap, qsnap := dsnaps[pr.d], qsnaps[pr.q]
+	parts := make([]join.Result, len(tasks))
+	errs := make([]error, len(tasks))
+	feedErr := s.pool.ForEachCtx(ctx, len(tasks), func(i int) {
 		var work flat.ScanStats
-		res, err := dsnap.joinEngine(engine, keys[pr.q]).Join(dsnap.fs, qsnap.fs, sp.S, sp.CS(), join.Opts{
-			Unsigned: unsigned, TopK: engineK, Ctx: ctx,
-			DeadP: dsnap.dead, DeadQ: qsnap.dead, Stats: &work})
-		// The span sums its pairs' work, a cancelled pair's included.
+		parts[i], errs[i] = tasks[i](&work)
+		// The span sums its tasks' work, a cancelled task's included.
 		ssp.SetInt("rows_scanned", int64(work.ScannedRows))
 		ssp.SetInt("candidates", int64(work.Candidates))
 		ssp.SetInt("cs_pruned_blocks", int64(work.PrunedBlocks))
 		ssp.SetInt("tombstone_skipped_blocks", int64(work.SkippedBlocks))
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		// Translate local row indices into record-ID space; the merge
-		// below then operates on globally comparable matches.
-		keep := res.Matches[:0]
-		for _, m := range res.Matches {
-			m.PIdx = dsnap.ids[m.PIdx]
-			m.QIdx = qsnap.ids[m.QIdx]
-			if req.ExcludeSelf && m.PIdx == m.QIdx {
-				continue
-			}
-			keep = append(keep, m)
-		}
-		res.Matches = keep
-		parts[i] = res
-	}
-	// The shard pairs are the join's only parallelism: each pair's engine
-	// runs serially on its pool task.
-	feedErr := s.pool.ForEachCtx(ctx, len(pairs), run)
+	})
 	ssp.End()
 	if feedErr == nil {
-		// A pair the engine abandoned reports ctx's error itself; this
-		// also catches a cancellation neither it nor the feed saw.
+		// A task abandoned mid-scan reports ctx's error itself; this also
+		// catches a cancellation neither it nor the feed saw.
 		feedErr = ctx.Err()
 	}
 	if feedErr != nil {

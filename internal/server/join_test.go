@@ -2,10 +2,13 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,7 +16,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/flat"
 	"repro/internal/join"
+	"repro/internal/lsh"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/vec"
@@ -382,7 +387,8 @@ func TestConcurrentJoinIngest(t *testing.T) {
 // compactedJoin is the reference of a join over tombstoned collections:
 // every shard with a live row is compacted the way a compaction would —
 // live rows repacked, the index rebuilt over them, nothing published —
-// the request's engine runs over each pair of compacted snapshots, and
+// the request's engine runs over each pair of compacted snapshots (lsh
+// walks each compacted query snapshot over all the data snapshots), and
 // matches map back through the compacted id slices into the per-query
 // merge.
 func compactedJoin(t *testing.T, s *Server, req JoinRequest) (pairs []JoinPair, compared int64) {
@@ -404,28 +410,26 @@ func compactedJoin(t *testing.T, s *Server, req JoinRequest) (pairs []JoinPair, 
 		return c, out
 	}
 	sp, _ := joinSpec(req)
-	k := req.TopK
-	if req.ExcludeSelf {
-		k = max(k, 1) + 1
-	}
+	o := newJoinOpts(sp, req)
 	var parts []join.Result
 	dataCol, data := compact(req.Data)
 	_, queries := compact(req.Queries)
 	engine, _ := joinEngineName(req.Engine, dataCol.spec)
-	for _, p := range data {
-		eng := p.joinEngine(engine, nil)
-		for _, q := range queries {
-			res, err := eng.Join(p.fs, q.fs, sp.S, sp.CS(), join.Opts{Unsigned: sp.Variant == core.Unsigned, TopK: k})
+	ctx := context.Background()
+	for _, q := range queries {
+		if engine == "lsh" {
+			res, err := walkTile(ctx, dataCol, data, q, 0, q.fs.Len(), o, new(flat.ScanStats))
 			if err != nil {
 				t.Fatal(err)
 			}
-			keep := res.Matches[:0]
-			for _, m := range res.Matches {
-				if m.PIdx, m.QIdx = p.ids[m.PIdx], q.ids[m.QIdx]; !req.ExcludeSelf || m.PIdx != m.QIdx {
-					keep = append(keep, m)
-				}
+			parts = append(parts, res)
+			continue
+		}
+		for _, p := range data {
+			res, err := p.join(ctx, engine, q, sp.S, o, new(flat.ScanStats))
+			if err != nil {
+				t.Fatal(err)
 			}
-			res.Matches = keep
 			parts = append(parts, res)
 		}
 	}
@@ -653,10 +657,11 @@ func TestNormPrunedJoinSweepsServingView(t *testing.T) {
 	}
 }
 
-// TestApproximateJoinProbesServingStructure: an alsh shard lends an lsh
-// join the banding index it serves from — fresh, and with tombstones,
-// which the join drops from the candidates — and lsh on a collection
-// that keeps no banding index is a 400, not a per-request build.
+// TestApproximateJoinProbesServingStructure: an lsh join walks the banding
+// indexes an alsh collection's shards serve from — fresh, and with
+// tombstones, which the join drops from the candidates, its span counting
+// the candidates it verified — and lsh on a collection that keeps no
+// banding index is a 400, not a per-request build.
 func TestApproximateJoinProbesServingStructure(t *testing.T) {
 	s := New(Config{DefaultShards: 3, CacheCapacity: -1, CompactFraction: -1})
 	defer s.Close()
@@ -673,11 +678,6 @@ func TestApproximateJoinProbesServingStructure(t *testing.T) {
 		if stage == "tombstoned" {
 			deleteIDs(t, s, KindALSH, map[int]vec.Vector{}, c.shards[0].snap.Load().ids[:2])
 		}
-		sn := c.shards[0].snap.Load()
-		ix := sn.index.(*alshIndex)
-		if eng := sn.joinEngine("lsh", nil).(join.LSH); eng.Index != ix.ix || eng.Radius != ix.u {
-			t.Fatalf("%s: the join does not probe the shard's index", stage)
-		}
 		tr := trace.New("join", "")
 		resp, err := s.JoinCtx(trace.NewContext(context.Background(), tr), req)
 		if err != nil {
@@ -693,4 +693,239 @@ func TestApproximateJoinProbesServingStructure(t *testing.T) {
 	if _, err := s.Join(req); err == nil || !strings.Contains(err.Error(), "index kind alsh") {
 		t.Fatalf("lsh join on an exact collection: err = %v, want the alsh alternative named", err)
 	}
+}
+
+// lshJoinReference answers an lsh join request from one lsh.Index over
+// data — the data collection's live records in id order, row i of one
+// store — built from the hash functions an alsh collection of spec and
+// seed samples, for queries, the live query records in id order. full is
+// the full-union answer: every candidate verified, the best pairs of the
+// union reported. walk is the table-step stop: each query walks the
+// tables in turn and, in threshold mode, stops after the first step
+// whose union holds a pair ≥ cs that is not the identity pair under
+// ExcludeSelf. Each comes with the candidates it verified. early counts
+// the queries whose walk names their own record at a step before the one
+// that stops it: an identity pair the walk would have stopped at, had it
+// counted.
+func lshJoinReference(t *testing.T, spec IndexSpec, seed uint64, data, queries []store.Record, req JoinRequest) (full, walk []JoinPair, fullCompared, walkCompared int64, early int) {
+	t.Helper()
+	sp, err := joinSpec(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsigned, cs, keep := sp.Variant == core.Unsigned, sp.CS(), max(req.TopK, 1)
+	k := keep
+	if req.ExcludeSelf {
+		k++
+	}
+	storeOf := func(recs []store.Record) *flat.Store {
+		vs := make([]vec.Vector, len(recs))
+		for i, r := range recs {
+			vs[i] = r.Vec
+		}
+		fs, err := flat.FromVectors(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs
+	}
+	fs, qs := storeOf(data), storeOf(queries)
+	hashes, err := newALSHHashes(spec, fs.Dim(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]vec.Vector, fs.Len())
+	for i := range rows {
+		rows[i] = fs.Row(i)
+	}
+	ix := hashes.Extend(rows)
+	var qk lsh.QueryKeys
+	ix.HashQueries(&qk, qs, 0, qs.Len(), spec.probe(unsigned))
+	pairs := func(acc *flat.Acc, qid int) []JoinPair {
+		var out []JoinPair
+		for _, h := range acc.Hits() {
+			if h.Score >= cs && (!req.ExcludeSelf || data[h.Index].ID != qid) && len(out) < keep {
+				out = append(out, JoinPair{DataID: data[h.Index].ID, QueryID: qid, Value: h.Score})
+			}
+		}
+		return out
+	}
+	var acc flat.Acc
+	var w lsh.Walk
+	for qi, qr := range queries {
+		cands, err := ix.AppendHashed(nil, &qk, qi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc.Reset(k)
+		n, _ := fs.OfferRows(nil, &acc, qr.Vec, cands, nil, unsigned)
+		fullCompared += int64(n)
+		full = append(full, pairs(&acc, qr.ID)...)
+
+		acc.Reset(k)
+		w.Reset()
+		var got []JoinPair
+		met := false
+		for step := 0; step < ix.L && (req.TopK > 0 || len(got) == 0); step++ {
+			from := len(w.IDs)
+			if err := ix.Step(&w, &qk, qi, step); err != nil {
+				t.Fatal(err)
+			}
+			n, _ := fs.OfferRows(nil, &acc, qr.Vec, w.IDs[from:], nil, unsigned)
+			walkCompared += int64(n)
+			if got = pairs(&acc, qr.ID); len(got) == 0 {
+				met = met || slices.ContainsFunc(w.IDs, func(row int) bool { return data[row].ID == qr.ID })
+			}
+		}
+		if met && len(got) > 0 {
+			early++
+		}
+		walk = append(walk, got...)
+	}
+	return full, walk, fullCompared, walkCompared, early
+}
+
+// sameBits reports whether two pair lists are identical, values compared
+// bit for bit.
+func sameBits(a, b []JoinPair) bool {
+	return slices.EqualFunc(a, b, func(x, y JoinPair) bool {
+		return x.DataID == y.DataID && x.QueryID == y.QueryID && math.Float64bits(x.Value) == math.Float64bits(y.Value)
+	})
+}
+
+// TestServedLSHJoinStopsAtFirstWitness: the served lsh join runs the LSH
+// query algorithm. Every query has three partners ≥ cs at different
+// values, so the first table step to yield a witness and the best pair of
+// the whole union can differ. On 1, 2 and 4 shards, fresh and with
+// tombstones on the data and the query side, signed and unsigned, as a
+// plain join and as a self-join, at TopK 0, 1 and 10:
+//   - threshold mode reports, bit for bit, the table-step reference's
+//     pairs from one index over all the live rows, and its Compared: no
+//     more than the full union's, and fewer in total;
+//   - its satisfied query set is the full-union reference's;
+//   - top-k mode reports the full-union reference's pairs and Compared;
+//   - in the self-join, queries whose own record the walk names before
+//     any witness exist, and the identity pair stops none of them;
+//   - a cancelled join returns ctx's error and no pairs.
+func TestServedLSHJoinStopsAtFirstWitness(t *testing.T) {
+	const d, noise, nq = 16, 700, 40
+	spec := IndexSpec{Kind: KindALSH, K: 6, L: 12}
+	rng := xrand.New(71)
+	partner := func(q vec.Vector, value float64) vec.Vector {
+		// value·q plus an orthogonal part, the norm 0.999: inside the ball.
+		u := vec.Vector(rng.UnitVec(d))
+		vec.Axpy(-vec.Dot(u, q), q, u)
+		vec.Normalize(u)
+		p := vec.Scaled(q, value)
+		vec.Axpy(math.Sqrt(0.999*0.999-value*value), u, p)
+		return p
+	}
+	var data, queries, self []store.Record
+	for i := range nq {
+		q := vec.Vector(rng.UnitVec(d))
+		queries = append(queries, store.Record{ID: i, Vec: q})
+		for j, value := range []float64{0.97, 0.9, 0.8} {
+			data = append(data, store.Record{ID: 3*i + j, Vec: partner(q, value)})
+		}
+	}
+	for i := range noise {
+		data = append(data, ballRecord(rng, 3*nq+i, d))
+	}
+	self = append(self, data...)
+	for _, q := range queries { // near the sphere: each collides with itself early
+		self = append(self, store.Record{ID: len(data) + q.ID, Vec: vec.Scaled(q.Vec, 0.999)})
+	}
+	deadIDs := func(recs []store.Record, m, r int) (ids []int) {
+		for _, rec := range recs {
+			if rec.ID%m == r {
+				ids = append(ids, rec.ID)
+			}
+		}
+		return ids
+	}
+	live := func(recs []store.Record, dead []int) []store.Record {
+		return slices.DeleteFunc(slices.Clone(recs), func(r store.Record) bool { return slices.Contains(dead, r.ID) })
+	}
+	differs, early := 0, 0
+	for _, shards := range []int{1, 2, 4} {
+		s := New(Config{DefaultShards: shards, CacheCapacity: -1, CompactFraction: -1})
+		defer s.Close()
+		for name, recs := range map[string][]store.Record{"p": data, "self": self} {
+			if _, _, err := s.Ingest(name, &spec, shards, recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := s.Ingest("q", nil, shards, queries); err != nil {
+			t.Fatal(err)
+		}
+		liveRecs := map[string][]store.Record{"p": data, "q": queries, "self": self}
+		for _, stage := range []string{"fresh", "tombstoned"} {
+			if stage == "tombstoned" {
+				for name, dead := range map[string][]int{"p": deadIDs(data, 11, 5), "q": deadIDs(queries, 7, 3), "self": deadIDs(self, 11, 5)} {
+					if _, _, _, err := s.Delete(name, dead); err != nil {
+						t.Fatal(err)
+					}
+					liveRecs[name] = live(liveRecs[name], dead)
+				}
+			}
+			for _, variant := range []string{"signed", "unsigned"} {
+				for _, topk := range []int{0, 1, 10} {
+					for _, req := range []JoinRequest{
+						{Data: "p", Queries: "q"},
+						selfJoinRequest("self", JoinRequest{}),
+					} {
+						req.Engine, req.Variant, req.S, req.C, req.TopK = "lsh", variant, 0.9, 0.8, topk
+						label := fmt.Sprintf("shards=%d/%s/%s/topk=%d/%s×%s", shards, stage, variant, topk, req.Data, req.Queries)
+						c, _ := s.Collection(req.Data)
+						full, walk, fullCompared, walkCompared, e := lshJoinReference(t, spec, c.seed, liveRecs[req.Data], liveRecs[req.Queries], req)
+						resp, err := s.Join(req)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if topk > 0 {
+							if !sameBits(resp.Pairs, full) || resp.Compared != fullCompared {
+								t.Fatalf("%s: top-k join reports %v (compared %d), the full union %v (compared %d)", label, resp.Pairs, resp.Compared, full, fullCompared)
+							}
+							continue
+						}
+						if !sameBits(resp.Pairs, walk) || resp.Compared != walkCompared {
+							t.Fatalf("%s: threshold join reports %v (compared %d), the table-step reference %v (compared %d)", label, resp.Pairs, resp.Compared, walk, walkCompared)
+						}
+						if len(walk) == 0 || len(walk) != len(full) || walkCompared >= fullCompared {
+							t.Fatalf("%s: %d queries satisfied by the walk, %d by the full union, after %d and %d candidates", label, len(walk), len(full), walkCompared, fullCompared)
+						}
+						for i := range walk {
+							if walk[i].QueryID != full[i].QueryID {
+								t.Fatalf("%s: the walk satisfies query %d where the full union satisfies %d", label, walk[i].QueryID, full[i].QueryID)
+							}
+							if walk[i] != full[i] {
+								differs++
+							}
+						}
+						if req.ExcludeSelf {
+							early += e
+						}
+					}
+				}
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		req := JoinRequest{Data: "p", Queries: "q", Engine: "lsh", S: 0.9, C: 0.8}
+		if resp, err := s.JoinCtx(ctx, req); !errors.Is(err, context.Canceled) || resp != nil {
+			t.Fatalf("shards=%d: cancelled join: %v, %v; want ctx's error and no pairs", shards, resp, err)
+		}
+		dc, _ := s.Collection("p")
+		qc, _ := s.Collection("q")
+		if res, err := walkTile(ctx, dc, dc.shardSnaps(), qc.shardSnaps()[0], 0, 1, newJoinOpts(core.Spec{S: 0.9, C: 0.8}, req), new(flat.ScanStats)); !errors.Is(err, context.Canceled) || len(res.Matches) != 0 {
+			t.Fatalf("shards=%d: cancelled walk: %v, %v; want ctx's error and no pairs", shards, res, err)
+		}
+	}
+	if differs == 0 {
+		t.Fatal("every walk reported the full union's best pair: the grid cannot tell the stop from a full verification")
+	}
+	if early == 0 {
+		t.Fatal("no self-join walk met its own record before a witness: the grid does not check that the identity pair is no witness")
+	}
+	t.Logf("%d threshold pairs differ from the full union's best; %d self-join walks met the identity before a witness", differs, early)
 }
