@@ -105,8 +105,7 @@ func (b ALSHSearch) Build(P []vec.Vector) (Searcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	fam, err := lsh.NewAsymmetric("simple-alsh",
-		lsh.MapPair{Data: tr.Data, Query: tr.Query}, inner)
+	fam, err := lsh.NewAsymmetric("simple-alsh", lsh.SimpleMaps(tr), inner)
 	if err != nil {
 		return nil, err
 	}

@@ -96,36 +96,42 @@ func BenchmarkFlatNormSortedExtend(b *testing.B) {
 	}
 }
 
-// BenchmarkFlatDotTile measures the multi-query tile kernel against
-// repeated single-query sweeps: one iteration scores 8 queries over
-// the full store (ns/op ÷ 8 is the per-query sweep cost; compare with
-// BenchmarkFlatDotBatch). With AVX2, d=16 runs dotTile16x4, the one
-// fixed-dimension micro-kernel (small-hot serves d=16), and d=8/24/32/64
-// dotTile4, the any-dimension one (32 and 64 are the benchmark
-// workloads' dimensions; d=8 is its two-chunk row).
+// BenchmarkFlatDotTile measures the multi-query tile kernel, quads and
+// octets side by side: one iteration scores 8 queries over the full
+// store (ns/op ÷ 8 is the per-query sweep cost; compare with
+// BenchmarkFlatDotBatch). quads runs the AVX2 kernels — dotTile16x4 at
+// d = 16, dotTile4 elsewhere — and octets the AVX-512 dotTile8, each
+// skipped on a machine without it. 16, 32 and 64 are the benchmark
+// workloads' dimensions, 34 ALSH hashing's (SIMPLE maps d = 32 to 34).
 func BenchmarkFlatDotTile(b *testing.B) {
-	for _, d := range []int{8, 16, 24, 32, 64} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			rng := xrand.New(1)
-			n, nq := 20000, 8
-			s, err := FromVectors(randomVecs(rng, n, d))
-			if err != nil {
-				b.Fatal(err)
-			}
-			qs, err := FromVectors(randomVecs(rng, nq, d))
-			if err != nil {
-				b.Fatal(err)
-			}
-			out := make([]float64, nq*blockRows)
-			b.SetBytes(int64(n * d * 8)) // one data sweep serves all 8 queries
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < n; lo += blockRows {
-					hi := min(lo+blockRows, n)
-					s.scoreTile(qs, 0, nq, lo, hi, out[:nq*(hi-lo)])
+	for _, d := range []int{16, 32, 34, 64} {
+		rng := xrand.New(1)
+		n, nq := 20000, 8
+		s, err := FromVectors(randomVecs(rng, n, d))
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs, err := FromVectors(randomVecs(rng, nq, d))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kernel := range []string{"quads", "octets"} {
+			b.Run(fmt.Sprintf("d=%d/%s", d, kernel), func(b *testing.B) {
+				k := kernelTier{quads: true, octets: kernel == "octets"}
+				if !useDotTileAsm || (k.octets && !useOctetAsm) {
+					b.Skipf("no %s on this machine", kernel)
 				}
-			}
-		})
+				defer k.use()()
+				sc, out := new(TileScratch), make([]float64, nq*blockRows)
+				b.SetBytes(int64(n * d * 8)) // one data sweep serves all 8 queries
+				for b.Loop() {
+					for lo := 0; lo < n; lo += blockRows {
+						hi := min(lo+blockRows, n)
+						s.scoreTile(qs, 0, nq, lo, hi, out[:nq*(hi-lo)], sc)
+					}
+				}
+			})
+		}
 	}
 }
 

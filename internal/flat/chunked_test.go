@@ -121,7 +121,8 @@ func TestGrownStoresMatchFromVectors(t *testing.T) {
 					same("Store32.DotRange", x, y, got32.DotRange(q, lo, hi, x), want32.DotRange(q, lo, hi, y))
 					same("StoreI8.DotRange", x, y, got8.DotRange(q, lo, hi, x), want8.DotRange(q, lo, hi, y))
 					x, y = make([]float64, 9*(hi-lo)), make([]float64, 9*(hi-lo))
-					same("DotTile", x, y, got.DotTile(qs, 1, 10, lo, hi, x), want.DotTile(qs, 1, 10, lo, hi, y))
+					sc := new(TileScratch)
+					same("DotTile", x, y, got.DotTile(qs, 1, 10, lo, hi, x, sc), want.DotTile(qs, 1, 10, lo, hi, y, sc))
 				}
 			})
 		}
@@ -130,32 +131,42 @@ func TestGrownStoresMatchFromVectors(t *testing.T) {
 
 // TestDotTileQueryChunkEdge: a query tile that crosses a chunk edge of
 // the query store scores, on both sides of the edge, exactly as the
-// single-query kernel does — and only the quad holding the edge leaves
-// the micro-kernel: the quads before and after it are still served by
-// the assembly.
+// single-query kernel does — and only the octet or quad holding the
+// edge leaves its micro-kernel: the ones before and after it are still
+// served by the assembly.
 func TestDotTileQueryChunkEdge(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
-		quads := 0
-		kernel := quadKernel
+		quads, octets := 0, 0
+		quad, octet := quadKernel, octetKernel
 		quadKernel = func(p []float64, d int, q, out []float64) {
 			quads++
-			kernel(p, d, q, out)
+			quad(p, d, q, out)
 		}
-		defer func() { quadKernel = kernel }()
+		octetKernel = func(p []float64, d int, q, pack, out []float64) {
+			octets++
+			octet(p, d, q, pack, out)
+		}
+		defer func() { quadKernel, octetKernel = quad, octet }()
 		rng := xrand.New(77)
-		for _, d := range []int{8, 16, 23, 32} {
+		for _, d := range []int{8, 16, 23, 32, 34} {
 			s, _ := FromVectors(randomVecs(rng, 300, d))
 			qs, _ := FromVectors(randomVecs(rng, chunkRows+10, d))
-			// Quads start at chunkRows-6 and -2; the second holds the edge
-			// and goes to the pair kernel, then chunkRows and +4 are quads.
-			quads = 0
+			quads, octets = 0, 0
 			checkTile(t, s, qs, chunkRows-6, chunkRows+10, 0, 256)
-			want := 0
-			if tileSIMD(d) {
-				want = 3
+			wantQuads, wantOctets := 0, 0
+			switch {
+			case tileOctets(d):
+				// The octet at chunkRows-6 holds the edge, and so does the one
+				// at -2: a quad and a pair take them. chunkRows is an octet,
+				// the last two queries a pair.
+				wantQuads, wantOctets = 1, 1
+			case tileSIMD(d):
+				// Quads start at chunkRows-6 and -2; the second holds the edge
+				// and goes to the pair kernel, then chunkRows and +4 are quads.
+				wantQuads = 3
 			}
-			if quads != want {
-				t.Fatalf("d=%d: %d query quads ran the micro-kernel, want %d", d, quads, want)
+			if quads != wantQuads || octets != wantOctets {
+				t.Fatalf("d=%d: %d query quads and %d octets ran a micro-kernel, want %d and %d", d, quads, octets, wantQuads, wantOctets)
 			}
 		}
 	})

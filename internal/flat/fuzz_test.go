@@ -98,9 +98,9 @@ func FuzzDotBatch(f *testing.F) {
 	})
 }
 
-// FuzzDotTile drives the multi-query tile kernels (the AVX2 d=16 and
-// any-dimension micro-kernels when available, plus the pure-Go pair
-// kernel) and the single-query kernel against vec.DotKernel: every cell
+// FuzzDotTile drives the multi-query tile kernels, on every kernel tier
+// the machine has (the pure-Go pair kernel, the AVX2 quads, the AVX-512
+// octets), and the single-query kernel against vec.DotKernel: every cell
 // of the tile and every DotRange score must have its bits (checkTile),
 // and TopKMulti must agree with per-query TopK. Corpus bytes decode as
 // (d-1, nq-1, queries, row data), d up to 72 and nq up to 9.
@@ -136,6 +136,7 @@ func FuzzDotTile(f *testing.F) {
 	f.Add(mk(16, 4, ramp(16, 4)...))
 	f.Add(mk(23, 4, ramp(23, 4)...)) // the any-d kernel with a 3-element tail
 	f.Add(mk(64, 5, ramp(64, 5)...)) // and with none, plus a leftover query
+	f.Add(mk(34, 9, ramp(34, 9)...)) // an octet with a 2-element tail, plus a leftover query
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 2 {
 			return
@@ -177,25 +178,35 @@ func FuzzDotTile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("FromVectors(queries): %v", err)
 		}
-		checkTile(t, s, qs, 0, nq, 0, n)
-		k := n%3 + 1
-		multi, err := s.TopKMulti(qs, k, false)
-		if err != nil {
-			t.Fatalf("TopKMulti: %v", err)
-		}
-		for j := range qvecs {
-			single, err := s.TopK(qs.Row(j), k, false, 1)
-			if err != nil {
-				t.Fatalf("TopK: %v", err)
-			}
-			if len(multi[j]) != len(single) {
-				t.Fatalf("query %d: multi %v != single %v", j, multi[j], single)
-			}
-			for i := range single {
-				if multi[j][i] != single[i] {
-					t.Fatalf("query %d: multi %v != single %v", j, multi[j], single)
+		for _, kt := range kernelTiers {
+			func() {
+				defer kt.use()()
+				defer func() {
+					if t.Failed() {
+						t.Logf("on the %s tier", kt.name)
+					}
+				}()
+				checkTile(t, s, qs, 0, nq, 0, n)
+				k := n%3 + 1
+				multi, err := s.TopKMulti(qs, k, false)
+				if err != nil {
+					t.Fatalf("TopKMulti: %v", err)
 				}
-			}
+				for j := range qvecs {
+					single, err := s.TopK(qs.Row(j), k, false, 1)
+					if err != nil {
+						t.Fatalf("TopK: %v", err)
+					}
+					if len(multi[j]) != len(single) {
+						t.Fatalf("query %d: multi %v != single %v", j, multi[j], single)
+					}
+					for i := range single {
+						if multi[j][i] != single[i] {
+							t.Fatalf("query %d: multi %v != single %v", j, multi[j], single)
+						}
+					}
+				}
+			}()
 		}
 	})
 }

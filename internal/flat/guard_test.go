@@ -10,25 +10,25 @@ import (
 	"repro/internal/vec"
 )
 
-// guardedPage maps one readable page, filled with a fixed pattern, that
-// ends flush against an unreadable one: a kernel handed the page's last
-// bytes faults on any load past them. The equivalence grids cannot see
-// such a load — Go's heap is readable past most slices.
+// guardedPage maps two readable pages, filled with a fixed pattern, that
+// end flush against an unreadable one: a kernel handed their last bytes
+// faults on any load or store past them. The equivalence grids cannot
+// see such an access — Go's heap is readable past most slices.
 func guardedPage(t *testing.T) []byte {
 	t.Helper()
 	page := syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	mem, err := syscall.Mmap(-1, 0, 3*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Skipf("mmap: %v", err)
 	}
 	t.Cleanup(func() { syscall.Munmap(mem) })
-	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+	if err := syscall.Mprotect(mem[2*page:], syscall.PROT_NONE); err != nil {
 		t.Skipf("mprotect: %v", err)
 	}
-	for i := range mem[:page] {
+	for i := range mem[:2*page] {
 		mem[i] = byte(i*37 + 11)
 	}
-	return mem[:page]
+	return mem[:2*page]
 }
 
 // TestQuantKernelsStayInsideAllocation scores stores whose one chunk
@@ -64,8 +64,9 @@ func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 // the quad micro-kernels the data rows and the 4-query block each end
 // flush against an unreadable page, at row counts whose odd ones end on
 // the trailing-row path: dotTile16x4 at d = 16, dotTile4 at every other
-// d. For dotRows4 the query and each of the four rows ends a page of
-// its own.
+// d. dotTile8 gets the same rows and an octet of queries, and its pack
+// and scores end pages too (it writes both). For dotRows4 the query and
+// each of the four rows ends a page of its own.
 func TestTileKernelsStayInsideAllocation(t *testing.T) {
 	if !useDotTileAsm {
 		t.Skip("no asm kernels on this machine")
@@ -74,14 +75,17 @@ func TestTileKernelsStayInsideAllocation(t *testing.T) {
 	last := func(page []byte, n int) []float64 {
 		return unsafe.Slice((*float64)(unsafe.Pointer(&page[len(page)-8*n])), n)
 	}
-	rows, queries := guardedPage(t), guardedPage(t)
+	rows, queries, pack, scores := guardedPage(t), guardedPage(t), guardedPage(t), guardedPage(t)
 	var cands [4][]byte
 	for j := range cands {
 		cands[j] = guardedPage(t)
 	}
-	for _, d := range []int{4, 5, 7, 8, 9, 16, 17, 33, 64, 100} {
+	for _, d := range []int{4, 5, 7, 8, 9, 16, 17, 33, 34, 64, 100} {
 		for _, n := range []int{1, 2, 3, 5} {
 			dotTileQuad(last(rows, n*d), d, last(queries, 4*d), make([]float64, 4*n))
+			if useOctetAsm {
+				dotTile8(last(rows, n*d), d, last(queries, 8*d), last(pack, octetPackLen(d)), last(scores, 8*n))
+			}
 		}
 		var out [4]float64
 		dotRows4(last(queries, d), last(cands[0], d), last(cands[1], d), last(cands[2], d), last(cands[3], d), &out)

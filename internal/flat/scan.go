@@ -120,10 +120,11 @@ type normSorter interface {
 
 // tiler is the optional multi-query kernel: scoreTile fills out with the
 // (qhi-qlo)×(hi-lo) tile of query rows [qlo, qhi) of qs against rows
-// [lo, hi), every score bit-identical to scoreBlock's. Only Store has
-// one; ScanMulti sweeps the other tiers once per query.
+// [lo, hi), every score bit-identical to scoreBlock's, with sc as its
+// working memory. Only Store has one; ScanMulti sweeps the other tiers
+// once per query.
 type tiler interface {
-	scoreTile(qs *Store, qlo, qhi, lo, hi int, out []float64)
+	scoreTile(qs *Store, qlo, qhi, lo, hi int, out []float64, sc *TileScratch)
 }
 
 // query is one query bound to a tier: the field that tier's kernel
@@ -613,7 +614,7 @@ func (s *sweep) tiles(qs *Store, qlo int, accs []Acc, scanned []int, st *ScanSta
 					k++
 				}
 				nb := far - start
-				til.scoreTile(qs, qlo+j, qlo+k, start, far, buf)
+				til.scoreTile(qs, qlo+j, qlo+k, start, far, buf, sc)
 				for jj := j; jj < k; jj++ {
 					n := ends[jj] - start
 					s.offer(&accs[jj], buf[(jj-j)*nb:(jj-j)*nb+n], r, start, nd)

@@ -334,9 +334,9 @@ func (c cancelTier) sortedRun(fs *Store, from int) run {
 // cancelTileTier is cancelTier over a tier with a tile kernel.
 type cancelTileTier struct{ cancelTier }
 
-func (c cancelTileTier) scoreTile(qs *Store, qlo, qhi, lo, hi int, out []float64) {
+func (c cancelTileTier) scoreTile(qs *Store, qlo, qhi, lo, hi int, out []float64, sc *TileScratch) {
 	c.p.begin()
-	c.tier.(tiler).scoreTile(qs, qlo, qhi, lo, hi, out)
+	c.tier.(tiler).scoreTile(qs, qlo, qhi, lo, hi, out, sc)
 	c.p.tick(lo)
 }
 

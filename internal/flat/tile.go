@@ -2,27 +2,44 @@
 // flat.go block the *data* dimension; the tile kernels here block the
 // *query* dimension as well: DotTile scores a tile of up to maxTileQ
 // query rows against a block of data rows in one pass, so each data row
-// loaded from memory is amortized across the whole query tile, and on
-// amd64 with AVX2 every dimension of at least one 4-double chunk runs a
-// register-blocked micro-kernel (4 queries × 2 rows per iteration;
-// tileSIMD is the gate): dotTile4, which walks a row in 4-double
-// chunks, at every d but 16, which small-hot serves through
-// dotTile16x4, the row stride built in (256 vs 284 µs per 20 000-row
-// sweep of 8 queries against dotTile4).
+// loaded from memory is amortized across the whole query tile, through
+// register-blocked micro-kernels (Goto and van de Geijn, Anatomy of
+// High-Performance Matrix Multiplication, ACM TOMS 2008). scoreTile
+// picks one per run of query rows from what the CPU and OS support — no
+// option selects it — at every dimension of at least one 4-double chunk:
+//   - octets, where AVX-512F and the OS's full zmm state are there
+//     (x86HasAVX512F: CPUID leaf 7 EBX bit 16 and XCR0 & 0xE6 = 0xE6,
+//     since the kernel uses Z16-Z31; tileOctets is the gate): dotTile8
+//     scores 8 queries × 2 rows per iteration. It packs the octet into
+//     the scratch chunk-major in query pairs — one zmm holds
+//     [q₂ₘ[4c:4c+4], q₂ₘ₊₁[4c:4c+4]] — and broadcasts each 4-double
+//     chunk of a data row to both halves with VBROADCASTF64X4, a load
+//     with no shuffle;
+//   - quads, where AVX2 is (tileSIMD): 4 queries × 2 rows per
+//     iteration, dotTile4 at every d but 16, which small-hot serves
+//     through dotTile16x4, the row stride built in (256 vs 284 µs per
+//     20 000-row sweep of 8 queries against dotTile4). They take the
+//     quads an octet run leaves, and every quad on a machine without
+//     AVX-512;
+//   - the pure-Go pair and single kernels, for the rest: leftover
+//     queries, d < 4, and machines with neither.
 //
 // Every score is vec.Dot's, bit for bit: the per-(row, query)
 // accumulation is flat.go's one chain, which a 4-wide SIMD vertical
 // multiply/add reproduces exactly — lane k of the vector accumulator
-// *is* s_k — and the horizontal reduction performs the identical
-// (s0+s1)+(s2+s3) additions. No FMA is used (fused rounding would
-// break the equivalence). dotTile4 zeroes its accumulators before the
-// first multiply/add, and loads the d mod 4 trailing elements as
-// scalars with the upper lanes zeroed, so lane 0 takes them and lanes
-// 1-3 add +0, which cannot change a sum that began at +0. dotTile16x4
-// starts from the first products and adds + 0 to each score, as
-// dotRange16 does. The tile equivalence grid, its special-values pass
-// and FuzzDotTile compare every cell with vec.DotKernel by Float64bits;
-// a guard-page test pins every load inside its row.
+// (of each 4-lane half, in dotTile8) *is* s_k — and the horizontal
+// reduction performs the identical (s0+s1)+(s2+s3) additions, with the
+// Go code's left operands. No FMA is used: the fused rounding would
+// break the equivalence, so wider registers, not FMA, are what unfused
+// AVX2 leaves to gain. dotTile4 and dotTile8 zero their
+// accumulators before the first multiply/add, and put each of the d
+// mod 4 trailing elements in lane 0 with lanes 1-3 zeroed, so lane 0
+// takes it and lanes 1-3 add +0, which cannot change a sum that began
+// at +0. dotTile16x4 starts from the first products and adds + 0 to
+// each score, as dotRange16 does. The tile equivalence grid, its
+// special-values pass and FuzzDotTile compare every cell with
+// vec.DotKernel by Float64bits on every tier; a guard-page test pins
+// every load inside its row.
 //
 // The candidate verify loop (Store.OfferRows) turns the tile around:
 // scoreRows4 scores one query against four scattered rows, on AVX2 in
@@ -43,9 +60,8 @@ import (
 
 // maxTileQ is the query-tile width of ScanMulti: dots for
 // up to maxTileQ queries are materialised per data block before the
-// top-k bookkeeping runs. Two quads of the 4-query micro-kernel; at
-// blockRows=256 the score tile is 16 KiB, leaving the data block
-// cache-resident.
+// top-k bookkeeping runs. One octet, or two quads; at blockRows=256 the
+// score tile is 16 KiB, leaving the data block cache-resident.
 const maxTileQ = 8
 
 // Reset reconfigures the accumulator to keep the best k hits, dropping
@@ -63,6 +79,7 @@ func (a *Acc) Reset(k int) {
 // allocates nothing per scan for them.
 type TileScratch struct {
 	buf     []float64
+	pack    []float64
 	q       query
 	pruned  []bool
 	scanned []int
@@ -86,6 +103,21 @@ func (sc *TileScratch) tileBuf() []float64 {
 	}
 	return sc.buf[:maxTileQ*blockRows]
 }
+
+// packBuf returns the buffer the octet kernel packs a query octet of
+// dimension d into.
+func (sc *TileScratch) packBuf(d int) []float64 {
+	n := octetPackLen(d)
+	if cap(sc.pack) < n {
+		sc.pack = make([]float64, n)
+	}
+	return sc.pack[:n]
+}
+
+// octetPackLen is the length of a packed query octet of dimension d: 8
+// queries' 4 lanes for each 4-double chunk and for each of the d mod 4
+// trailing elements.
+func octetPackLen(d int) int { return 32 * (d/4 + d%4) }
 
 // prunedBuf returns a cleared n-slot flag buffer.
 func (sc *TileScratch) prunedBuf(n int) []bool {
@@ -141,8 +173,9 @@ func (sc *TileScratch) Accs(n, k int) []Acc {
 // row(plo+r)ᵀ·qs.Row(qlo+j). The tile is computed in one pass over the
 // data block — each data row load is shared by every query of the tile
 // — and every score is bit-identical to Dot/DotRange on the same
-// operands. out must have length (qhi-qlo)·(phi-plo).
-func (s *Store) DotTile(qs *Store, qlo, qhi, plo, phi int, out []float64) error {
+// operands. out must have length (qhi-qlo)·(phi-plo); sc, not nil, is
+// the scratch the octet kernel packs its queries into.
+func (s *Store) DotTile(qs *Store, qlo, qhi, plo, phi int, out []float64, sc *TileScratch) error {
 	if qs.dim != s.dim {
 		return fmt.Errorf("flat: DotTile query dimension %d, store has %d", qs.dim, s.dim)
 	}
@@ -155,20 +188,28 @@ func (s *Store) DotTile(qs *Store, qlo, qhi, plo, phi int, out []float64) error 
 	if len(out) != (qhi-qlo)*(phi-plo) {
 		return fmt.Errorf("flat: DotTile out length %d, want %d", len(out), (qhi-qlo)*(phi-plo))
 	}
-	s.scoreTile(qs, qlo, qhi, plo, phi, out)
+	s.scoreTile(qs, qlo, qhi, plo, phi, out, sc)
 	return nil
 }
 
-// tileSIMD is the one gate between scoreTile and the AVX2 quad
+// tileSIMD is the gate between scoreTile and the AVX2 quad
 // micro-kernels: on an AVX2 machine every d of at least one 4-double
 // chunk runs SIMD, and the rest (and every machine without AVX2) the Go
 // kernels.
 func tileSIMD(d int) bool { return useDotTileAsm && d >= 4 }
 
-// quadKernel is the micro-kernel scoreTile hands a query quad to. A
-// variable only so a test can count the quads the assembly serves —
-// the scores cannot tell, every path returns the same bits.
-var quadKernel = dotTileQuad
+// tileOctets is the gate between scoreTile and the AVX-512 octet
+// micro-kernel: on a machine with AVX-512F, at the same dimensions.
+func tileOctets(d int) bool { return useOctetAsm && d >= 4 }
+
+// quadKernel and octetKernel are the micro-kernels scoreTile hands a
+// query quad and a query octet to. Variables only so a test can count
+// the runs the assembly serves — the scores cannot tell, every path
+// returns the same bits.
+var (
+	quadKernel  = dotTileQuad
+	octetKernel = dotTile8
+)
 
 // dotTileQuad scores the 4 contiguous query rows of q against the
 // len(p)/d contiguous data rows of p on the AVX2 micro-kernel for d
@@ -182,16 +223,18 @@ func dotTileQuad(p []float64, d int, q, out []float64) {
 }
 
 // scoreTile is the unchecked tile kernel dispatch (it implements
-// tiler). Where tileSIMD(d) holds, query quads run through the AVX2
-// micro-kernels; leftover queries, and every query elsewhere, run the
-// pure-Go pair and single kernels, which share the exact accumulation
-// chains, so the split is invisible in the results. The micro-kernels
-// want their operands contiguous: a block-aligned sweep always hands
-// them data rows inside one chunk, a tile whose data rows straddle a
-// chunk edge is scored query by query, and a quad whose query rows
-// straddle one gives its first two rows to the pair kernel — the quads
-// after the edge are served by the assembly again.
-func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64) {
+// tiler). Where tileOctets(d) holds, query octets run through the
+// AVX-512 micro-kernel, packed into sc; where tileSIMD(d) holds, the
+// quads left run through the AVX2 micro-kernels; leftover queries, and
+// every query elsewhere, run the pure-Go pair and single kernels. All
+// share the exact accumulation chains, so the split is invisible in the
+// results. The micro-kernels want their operands contiguous: a
+// block-aligned sweep always hands them data rows inside one chunk, a
+// tile whose data rows straddle a chunk edge is scored query by query,
+// and an octet or quad whose query rows straddle one falls to the next
+// narrower kernel — the octets and quads after the edge are served by
+// the assembly again.
+func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64, sc *TileScratch) {
 	d := s.dim
 	nb := phi - plo
 	if nb <= 0 || qhi-qlo <= 0 {
@@ -204,16 +247,23 @@ func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64) {
 		}
 		return
 	}
-	simd := tileSIMD(d)
+	rows := data[lo*d : hi*d]
+	octets, quads := tileOctets(d), tileSIMD(d)
 	for j := qlo; j < qhi; {
 		o := out[(j-qlo)*nb:]
-		var q4 []float64
-		if simd && j+4 <= qhi {
+		var q8, q4 []float64
+		if octets && j+8 <= qhi {
+			q8 = qs.data.contiguous(j, j+8)
+		}
+		if q8 == nil && quads && j+4 <= qhi {
 			q4 = qs.data.contiguous(j, j+4)
 		}
 		switch {
+		case q8 != nil:
+			octetKernel(rows, d, q8, sc.packBuf(d), o[:8*nb])
+			j += 8
 		case q4 != nil:
-			quadKernel(data[lo*d:hi*d], d, q4, o[:4*nb])
+			quadKernel(rows, d, q4, o[:4*nb])
 			j += 4
 		case j+2 <= qhi:
 			dotTileGeneric2(data, d, qs.Row(j), qs.Row(j+1), lo, hi, o[:nb], o[nb:2*nb])

@@ -43,3 +43,23 @@ func dotRows4(q, r0, r1, r2, r3 []float64, out *[4]float64)
 // x86HasAVX2 reports whether the CPU and OS support AVX2 (CPUID leaf 7
 // EBX bit 5, plus OSXSAVE with YMM state enabled via XGETBV).
 func x86HasAVX2() bool
+
+// useOctetAsm gates the AVX-512 octet micro-kernel, dotTile8. Like
+// useDotTileAsm it is a variable so the tile tests can run every tier —
+// the quads included — on an AVX-512 machine.
+var useOctetAsm = x86HasAVX512F()
+
+// dotTile8 scores 8 contiguous query rows of d ≥ 4 floats (q) against
+// nr = len(out)/8 contiguous data rows (p): out[j*nr+r] =
+// p_row(r)·q_row(j), dotRangeGeneric's chain per (row, query) as in
+// dotTile4, 8 queries × 2 rows per iteration. It first packs the octet
+// into pack, which must hold exactly octetPackLen(d) floats.
+//
+//go:noescape
+func dotTile8(p []float64, d int, q, pack, out []float64)
+
+// x86HasAVX512F reports whether the CPU and OS support AVX-512F with the
+// register file dotTile8 uses: CPUID leaf 7 EBX bit 16, plus OSXSAVE
+// with XCR0 enabling the XMM, YMM, opmask, upper-ZMM and Z16–Z31 state
+// (XCR0 & 0xE6 = 0xE6).
+func x86HasAVX512F() bool

@@ -6,6 +6,11 @@ package flat
 // multi-query path (same accumulation chains, same results).
 var useDotTileAsm = false
 
+// useOctetAsm is false off amd64 too: there is no octet kernel.
+var useOctetAsm = false
+
+func dotTile8(p []float64, d int, q, pack, out []float64) { panic("flat: dotTile8 asm unavailable") }
+
 func dotTile16x4(p, q, out []float64) { panic("flat: dotTile16x4 asm unavailable") }
 
 func dotTile4(p []float64, d int, q, out []float64) { panic("flat: dotTile4 asm unavailable") }

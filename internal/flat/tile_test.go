@@ -9,18 +9,43 @@ import (
 	"repro/internal/xrand"
 )
 
-// forEachKernelPath runs fn under every available kernel dispatch: the
-// pure-Go tile kernels always, and the AVX2 micro-kernels when the
-// machine has them. Both must produce bit-identical results.
+// kernelTier is one f64 tile dispatch: quads runs the AVX2 quad
+// kernels, octets the AVX-512 octet kernel.
+type kernelTier struct {
+	name          string
+	quads, octets bool
+}
+
+// kernelTiers are the dispatches this machine can run, read before any
+// test switches them: the pure-Go kernels always ("go"), the AVX2 quads
+// alone with AVX2 ("asm"), and the octets — the quads taking what they
+// leave — with AVX-512F ("octets"). All must produce bit-identical
+// results.
+var kernelTiers = func() []kernelTier {
+	tiers := []kernelTier{{name: "go"}}
+	if useDotTileAsm {
+		tiers = append(tiers, kernelTier{name: "asm", quads: true})
+	}
+	if useOctetAsm {
+		tiers = append(tiers, kernelTier{name: "octets", quads: useDotTileAsm, octets: true})
+	}
+	return tiers
+}()
+
+// use switches the tile dispatch to k and returns the switch back.
+func (k kernelTier) use() (restore func()) {
+	quads, octets := useDotTileAsm, useOctetAsm
+	useDotTileAsm, useOctetAsm = k.quads, k.octets
+	return func() { useDotTileAsm, useOctetAsm = quads, octets }
+}
+
+// forEachKernelPath runs fn as a subtest under every kernel tier.
 func forEachKernelPath(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	saved := useDotTileAsm
-	defer func() { useDotTileAsm = saved }()
-	useDotTileAsm = false
-	t.Run("go", fn)
-	if saved {
-		useDotTileAsm = true
-		t.Run("asm", fn)
+	for _, k := range kernelTiers {
+		restore := k.use()
+		t.Run(k.name, fn)
+		restore()
 	}
 }
 
@@ -32,7 +57,7 @@ func checkTile(t *testing.T, s, qs *Store, qlo, qhi, plo, phi int) {
 	t.Helper()
 	nb := phi - plo
 	out := make([]float64, (qhi-qlo)*nb)
-	if err := s.DotTile(qs, qlo, qhi, plo, phi, out); err != nil {
+	if err := s.DotTile(qs, qlo, qhi, plo, phi, out, new(TileScratch)); err != nil {
 		t.Fatalf("d=%d: DotTile: %v", s.Dim(), err)
 	}
 	single := make([]float64, nb)
@@ -126,20 +151,20 @@ func TestDotTileErrors(t *testing.T) {
 	s, _ := FromVectors([]vec.Vector{{1, 2}, {3, 4}})
 	qs, _ := FromVectors([]vec.Vector{{1, 2}})
 	q3, _ := FromVectors([]vec.Vector{{1, 2, 3}})
-	out := make([]float64, 2)
-	if err := s.DotTile(q3, 0, 1, 0, 2, out); err == nil {
+	out, sc := make([]float64, 2), new(TileScratch)
+	if err := s.DotTile(q3, 0, 1, 0, 2, out, sc); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
-	if err := s.DotTile(qs, 0, 2, 0, 2, out); err == nil {
+	if err := s.DotTile(qs, 0, 2, 0, 2, out, sc); err == nil {
 		t.Fatal("query range out of bounds accepted")
 	}
-	if err := s.DotTile(qs, 0, 1, 0, 3, out); err == nil {
+	if err := s.DotTile(qs, 0, 1, 0, 3, out, sc); err == nil {
 		t.Fatal("row range out of bounds accepted")
 	}
-	if err := s.DotTile(qs, 0, 1, 0, 2, out[:1]); err == nil {
+	if err := s.DotTile(qs, 0, 1, 0, 2, out[:1], sc); err == nil {
 		t.Fatal("short out accepted")
 	}
-	if err := s.DotTile(qs, 0, 1, 0, 2, out); err != nil {
+	if err := s.DotTile(qs, 0, 1, 0, 2, out, sc); err != nil {
 		t.Fatalf("valid DotTile rejected: %v", err)
 	}
 }
@@ -381,8 +406,9 @@ func TestAccReset(t *testing.T) {
 }
 
 // TestTileKernelAllocs is the zero-allocation contract of the flat
-// kernels: with a warm scratch and warm accumulators, DotTile and
-// ScanMulti — store order and norm-sorted — must allocate nothing.
+// kernels, on every kernel tier: with a warm scratch and warm
+// accumulators, DotTile and ScanMulti — store order and norm-sorted —
+// must allocate nothing.
 func TestTileKernelAllocs(t *testing.T) {
 	rng := xrand.New(21)
 	n, d, nq, k := 1500, 16, 9, 10
@@ -394,28 +420,29 @@ func TestTileKernelAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := GetTileScratch()
-	defer PutTileScratch(sc)
-	out := make([]float64, nq*256)
+	forEachKernelPath(t, func(t *testing.T) {
+		sc := new(TileScratch)
+		out := make([]float64, nq*256)
 
-	if allocs := testing.AllocsPerRun(20, func() {
-		if err := s.DotTile(qs, 0, nq, 0, 256, out); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("DotTile allocates %v per run, want 0", allocs)
-	}
-
-	for name, v := range map[string]View{"store order": s.View(), "norm-sorted": NewNormSorted(s).View} {
-		sweep := func() {
-			accs := sc.Accs(nq, k)
-			if err := v.ScanMulti(context.Background(), qs, 0, nq, accs, sc, ScanOpts{}); err != nil {
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := s.DotTile(qs, 0, nq, 0, 256, out, sc); err != nil {
 				t.Fatal(err)
 			}
+		}); allocs != 0 {
+			t.Fatalf("DotTile allocates %v per run, want 0", allocs)
 		}
-		sweep() // warm the accumulators so their hit storage reaches capacity
-		if allocs := testing.AllocsPerRun(20, sweep); allocs != 0 {
-			t.Fatalf("%s ScanMulti allocates %v per run, want 0", name, allocs)
+
+		for name, v := range map[string]View{"store order": s.View(), "norm-sorted": NewNormSorted(s).View} {
+			sweep := func() {
+				accs := sc.Accs(nq, k)
+				if err := v.ScanMulti(context.Background(), qs, 0, nq, accs, sc, ScanOpts{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sweep() // warm the accumulators so their hit storage reaches capacity
+			if allocs := testing.AllocsPerRun(20, sweep); allocs != 0 {
+				t.Fatalf("%s ScanMulti allocates %v per run, want 0", name, allocs)
+			}
 		}
-	}
+	})
 }

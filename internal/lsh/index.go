@@ -193,31 +193,38 @@ const hashStep = 256
 // tileHash is tileKeys' working set. The zero value is ready to use and
 // a reused one keeps its buffers.
 type tileHash struct {
-	probes flat.Store // one step's mapped vectors, a row each
-	dots   []float64  // their inner products with the planes
+	probes flat.Store       // one step's mapped vectors, a row each
+	mapped vec.Vector       // the vector an append-style pre-map wrote last
+	dots   []float64        // their inner products with the planes
+	tile   flat.TileScratch // the tile kernel's working memory
 }
 
 // tileKeys is the index's one hashing function: it writes into out the L
 // table keys of each of n vectors — at(i) the i-th, asked for once each,
 // in order — on the data side of the family when data is true, the query
-// side otherwise. Every vector goes through the family's pre-map once.
-// Sampled hashers then hash it alone; under a Hyperplane family the
+// side otherwise. Every vector goes through the family's pre-map once,
+// into h.mapped when the map has an append form. Sampled hashers then
+// hash it alone; under a Hyperplane family the
 // mapped vectors become the rows of a probe store, hashStep at a time,
 // and one tile product gives every probe·plane inner product, whose signs
 // are the keys: bit j of a table's code is the signBit of its plane j.
 // The product has vec.Dot's bits in either orientation (a·b = b·a
 // exactly, along the same 4-lane unfused chain from +0), so the
-// orientation is the kernel's best: flat runs its SIMD micro-kernel on
-// quads of query rows, so fewer than four probes (one search's q′ and
-// −q′) are its data rows under the planes as queries, and a batch is the
-// queries over the planes.
+// orientation is the kernel's best: flat runs its SIMD micro-kernels on
+// quads or octets of query rows, so fewer than four probes (one search's
+// q′ and −q′) are its data rows under the planes as queries, and a batch
+// is the queries over the planes.
 func (ix *Index) tileKeys(h *tileHash, out []uint64, n int, at func(int) vec.Vector, data bool) {
-	m := ix.maps.Query
+	m, app := ix.maps.Query, ix.maps.AppendQuery
 	if data {
-		m = ix.maps.Data
+		m, app = ix.maps.Data, ix.maps.AppendData
 	}
 	mapped := func(i int) vec.Vector {
-		if m != nil {
+		switch {
+		case app != nil:
+			h.mapped = app(h.mapped[:0], at(i))
+			return h.mapped
+		case m != nil:
 			return m(at(i))
 		}
 		return at(i)
@@ -244,9 +251,9 @@ func (ix *Index) tileKeys(h *tileHash, out []uint64, n int, at func(int) vec.Vec
 		plane := 1 // dots[v*kl+r] is probe v · plane r, or dots[v+r*np] when plane is np
 		if np < 4 {
 			plane = np
-			must(h.probes.DotTile(ix.planes, 0, kl, 0, np, h.dots))
+			must(h.probes.DotTile(ix.planes, 0, kl, 0, np, h.dots, &h.tile))
 		} else {
-			must(ix.planes.DotTile(&h.probes, 0, np, 0, kl, h.dots))
+			must(ix.planes.DotTile(&h.probes, 0, np, 0, kl, h.dots, &h.tile))
 		}
 		signCodes(h.dots, out[lo*ix.L:(lo+np)*ix.L], ix.K, ix.L, plane)
 	}

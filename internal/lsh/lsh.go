@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/transform"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -264,6 +265,17 @@ func (a *AsymMinHash) Sample(rng *xrand.RNG) Hasher {
 type MapPair struct {
 	Data  func(vec.Vector) vec.Vector
 	Query func(vec.Vector) vec.Vector
+	// AppendData and AppendQuery, when set, are Data and Query in append
+	// form: they append the image of v to dst and return the extended
+	// slice, the values Data and Query return. An Index maps through
+	// them, into a buffer it reuses, so a warm probe maps without
+	// allocating.
+	AppendData, AppendQuery func(dst, v vec.Vector) vec.Vector
+}
+
+// SimpleMaps is the SIMPLE map's pair, append forms included.
+func SimpleMaps(t *transform.Simple) MapPair {
+	return MapPair{Data: t.Data, Query: t.Query, AppendData: t.AppendData, AppendQuery: t.AppendQuery}
 }
 
 // Asymmetric composes a (data, query) pre-transform with an inner

@@ -112,7 +112,7 @@ func NewNormRangeMIPS(data []vec.Vector, opts NormRangeOptions) (*NormRangeMIPS,
 			return nil, err
 		}
 		fam, err := NewAsymmetric(fmt.Sprintf("range-alsh-band-%d", b),
-			MapPair{Data: tr.Data, Query: tr.Query}, inner)
+			SimpleMaps(tr), inner)
 		if err != nil {
 			return nil, err
 		}

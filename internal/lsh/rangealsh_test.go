@@ -156,7 +156,7 @@ func mustSimpleALSHFamily(t testing.TB, d int) Family {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam, err := NewAsymmetric("simple-alsh", MapPair{Data: tr.Data, Query: tr.Query}, inner)
+	fam, err := NewAsymmetric("simple-alsh", SimpleMaps(tr), inner)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,17 +190,25 @@ func BenchmarkServerIngest(b *testing.B) {
 // tables of each touched shard. B/op is the point: it should track the
 // batch, not the collection — on every shape but alsh, whose fresh
 // tables hold an id per row of the shard in each of its L tables.
+//
+// Every upsert tombstones 64 rows and appends 64, so the shards grow
+// with b.N; every compactEvery upserts a compaction, outside the timer,
+// takes them back to n rows, so ns/op and B/op do not depend on b.N.
+// An alsh write copies every table's ids and compacts every 16 writes
+// (≤ 1 024 extra rows on 6 000); the others every 64, the writes a
+// normscan shard takes to fill the tail run it then re-sorts.
 func BenchmarkServerUpsert(b *testing.B) {
 	const width = 64
 	for _, bc := range []struct {
-		name string
-		n, d int
-		spec IndexSpec
+		name         string
+		n, d         int
+		spec         IndexSpec
+		compactEvery int
 	}{
-		{"exact-f64/n=40000/d=64", 40_000, 64, IndexSpec{Kind: KindExact}},
-		{"normscan/n=20000/d=16", 20_000, 16, IndexSpec{Kind: KindNormScan}},
-		{"exact-int8/n=40000/d=32", 40_000, 32, IndexSpec{Kind: KindExact, Precision: PrecisionI8}},
-		{"alsh/n=6000/d=32", 6_000, 32, IndexSpec{Kind: KindALSH}},
+		{"exact-f64/n=40000/d=64", 40_000, 64, IndexSpec{Kind: KindExact}, 64},
+		{"normscan/n=20000/d=16", 20_000, 16, IndexSpec{Kind: KindNormScan}, 64},
+		{"exact-int8/n=40000/d=32", 40_000, 32, IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 64},
+		{"alsh/n=6000/d=32", 6_000, 32, IndexSpec{Kind: KindALSH}, 16},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			vs := dataset.Gaussian(xrand.New(4), bc.n, bc.d, false)
@@ -215,6 +223,7 @@ func BenchmarkServerUpsert(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			c, _ := s.Collection("bench")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -223,6 +232,13 @@ func BenchmarkServerUpsert(b *testing.B) {
 				// without raising the int8 scale.
 				if _, _, err := s.Upsert("bench", nil, 0, records(vs[lo:lo+width], (lo+width)%(bc.n-width))); err != nil {
 					b.Fatal(err)
+				}
+				if (i+1)%bc.compactEvery == 0 {
+					b.StopTimer()
+					if err := c.compact(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
 				}
 			}
 		})

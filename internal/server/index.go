@@ -396,8 +396,7 @@ func newALSHHashes(spec IndexSpec, dim int, seed uint64) (*lsh.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	fam, err := lsh.NewAsymmetric("simple-alsh",
-		lsh.MapPair{Data: tr.Data, Query: tr.Query}, inner)
+	fam, err := lsh.NewAsymmetric("simple-alsh", lsh.SimpleMaps(tr), inner)
 	if err != nil {
 		return nil, err
 	}

@@ -65,26 +65,32 @@ func (t *Simple) OutputDim() int { return t.D + 2 }
 
 // Data embeds a data vector from the unit ball.
 func (t *Simple) Data(p vec.Vector) vec.Vector {
+	return t.AppendData(make(vec.Vector, 0, t.D+2), p)
+}
+
+// AppendData appends Data(p) to dst and returns the extended slice.
+func (t *Simple) AppendData(dst, p vec.Vector) vec.Vector {
 	if len(p) != t.D {
 		panic(fmt.Sprintf("transform: data dimension %d != %d", len(p), t.D))
 	}
-	out := make(vec.Vector, t.D+2)
-	copy(out, p)
-	out[t.D] = clampRoot(1-vec.Norm2(p), "Simple.Data")
-	return out
+	dst = append(dst, p...)
+	return append(dst, clampRoot(1-vec.Norm2(p), "Simple.Data"), 0)
 }
 
 // Query embeds a query vector from the ball of radius U.
 func (t *Simple) Query(q vec.Vector) vec.Vector {
+	return t.AppendQuery(make(vec.Vector, 0, t.D+2), q)
+}
+
+// AppendQuery appends Query(q) to dst and returns the extended slice.
+func (t *Simple) AppendQuery(dst, q vec.Vector) vec.Vector {
 	if len(q) != t.D {
 		panic(fmt.Sprintf("transform: query dimension %d != %d", len(q), t.D))
 	}
-	out := make(vec.Vector, t.D+2)
-	for i, v := range q {
-		out[i] = v / t.U
+	for _, v := range q {
+		dst = append(dst, v/t.U)
 	}
-	out[t.D+1] = clampRoot(1-vec.Norm2(q)/(t.U*t.U), "Simple.Query")
-	return out
+	return append(dst, 0, clampRoot(1-vec.Norm2(q)/(t.U*t.U), "Simple.Query"))
 }
 
 // Xbox is the Bachrach et al. reduction: data p ↦ (p, √(M²−‖p‖²))

@@ -220,8 +220,7 @@ func NewMIPSIndex(data []Vector, opts MIPSOptions) (*MIPSIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	fam, err := lsh.NewAsymmetric("simple-alsh",
-		lsh.MapPair{Data: tr.Data, Query: tr.Query}, inner)
+	fam, err := lsh.NewAsymmetric("simple-alsh", lsh.SimpleMaps(tr), inner)
 	if err != nil {
 		return nil, err
 	}
