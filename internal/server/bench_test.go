@@ -181,15 +181,13 @@ func BenchmarkServerIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkServerUpsert measures one 64-record upsert (replacements of
-// live IDs) onto a loaded 4-shard in-memory collection, on the shapes
-// whose write paths differ: exact f64 and int8 extend their stores and
-// mirrors by the batch, normscan sorts the batch into each touched
-// shard's tail run, and alsh (unit-ball rows, the planted-alsh
-// benchmark's shape) hashes the batch and merges it into all L bucket
-// tables of each touched shard. B/op is the point: it should track the
-// batch, not the collection — on every shape but alsh, whose fresh
-// tables hold an id per row of the shard in each of its L tables.
+// upsertShapes are the write shapes of the upsert benchmarks, each a
+// loaded 4-shard in-memory collection taking 64-record replacements of
+// live IDs: the benchmark's four workloads' writes, on the paths that
+// differ. Exact f64 and int8 extend their stores and mirrors by the
+// batch, normscan sorts the batch into each touched shard's tail run,
+// and alsh (unit-ball rows, planted-alsh's shape) hashes the batch and
+// merges it into all L bucket tables of each touched shard.
 //
 // Every upsert tombstones 64 rows and appends 64, so the shards grow
 // with b.N; every compactEvery upserts a compaction, outside the timer,
@@ -197,19 +195,24 @@ func BenchmarkServerIngest(b *testing.B) {
 // An alsh write copies every table's ids and compacts every 16 writes
 // (≤ 1 024 extra rows on 6 000); the others every 64, the writes a
 // normscan shard takes to fill the tail run it then re-sorts.
-func BenchmarkServerUpsert(b *testing.B) {
-	const width = 64
-	for _, bc := range []struct {
-		name         string
-		n, d         int
-		spec         IndexSpec
-		compactEvery int
-	}{
-		{"exact-f64/n=40000/d=64", 40_000, 64, IndexSpec{Kind: KindExact}, 64},
-		{"normscan/n=20000/d=16", 20_000, 16, IndexSpec{Kind: KindNormScan}, 64},
-		{"exact-int8/n=40000/d=32", 40_000, 32, IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 64},
-		{"alsh/n=6000/d=32", 6_000, 32, IndexSpec{Kind: KindALSH}, 16},
-	} {
+var upsertShapes = []struct {
+	name         string
+	n, d         int
+	spec         IndexSpec
+	compactEvery int
+}{
+	{"exact-f64/n=40000/d=64", 40_000, 64, IndexSpec{Kind: KindExact}, 64},
+	{"normscan/n=20000/d=16", 20_000, 16, IndexSpec{Kind: KindNormScan}, 64},
+	{"exact-int8/n=40000/d=32", 40_000, 32, IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 64},
+	{"alsh/n=6000/d=32", 6_000, 32, IndexSpec{Kind: KindALSH}, 16},
+}
+
+// benchUpserts runs one sub-benchmark per upsert shape: a server loaded
+// with the shape's n rows vs, then b.N calls of the upsert prepare
+// returns for it, the compactions between them untimed. Upsert i moves
+// 64 of vs between live IDs, so the int8 scale never rises.
+func benchUpserts(b *testing.B, prepare func(b *testing.B, s *Server, vs []vec.Vector, n int) (upsert func(i int))) {
+	for _, bc := range upsertShapes {
 		b.Run(bc.name, func(b *testing.B) {
 			vs := dataset.Gaussian(xrand.New(4), bc.n, bc.d, false)
 			if bc.spec.Kind == KindALSH {
@@ -224,15 +227,11 @@ func BenchmarkServerUpsert(b *testing.B) {
 				}
 			}
 			c, _ := s.Collection("bench")
+			upsert := prepare(b, s, vs, bc.n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				lo := i * width % (bc.n - width)
-				// Rows move between IDs, so every upsert replaces live records
-				// without raising the int8 scale.
-				if _, _, err := s.Upsert("bench", nil, 0, records(vs[lo:lo+width], (lo+width)%(bc.n-width))); err != nil {
-					b.Fatal(err)
-				}
+				upsert(i)
 				if (i+1)%bc.compactEvery == 0 {
 					b.StopTimer()
 					if err := c.compact(); err != nil {
@@ -245,6 +244,22 @@ func BenchmarkServerUpsert(b *testing.B) {
 	}
 }
 
+// BenchmarkServerUpsert measures one 64-record upsert in process on
+// each upsert shape. B/op is the point: it should track the batch, not
+// the collection — on every shape but alsh, whose fresh tables hold an
+// id per row of the shard in each of its L tables.
+func BenchmarkServerUpsert(b *testing.B) {
+	const width = 64
+	benchUpserts(b, func(b *testing.B, s *Server, vs []vec.Vector, n int) func(int) {
+		return func(i int) {
+			lo := i * width % (n - width)
+			if _, _, err := s.Upsert("bench", nil, 0, records(vs[lo:lo+width], (lo+width)%(n-width))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // benchServe runs one request through h and fails on anything but 200.
 func benchServe(b *testing.B, h http.Handler, method, path string, body []byte) {
 	w := httptest.NewRecorder()
@@ -255,52 +270,32 @@ func benchServe(b *testing.B, h http.Handler, method, path string, body []byte) 
 }
 
 // BenchmarkServerUpsertHTTP is BenchmarkServerUpsert one layer up: the
-// same 64-record replacement through the HTTP handler, body decode and
-// response included, in the benchmark's two write shapes (scan-heavy's
-// 64 × 64 onto exact f64, small-hot's 64 × 16 onto normscan). Against
-// BenchmarkServerUpsert it prices the wire.
+// same shapes' 64-record replacements through the HTTP handler, body
+// decode and response included — each workload's write as its client
+// sends it. Against BenchmarkServerUpsert it prices the wire.
 func BenchmarkServerUpsertHTTP(b *testing.B) {
 	const width = 64
-	for _, bc := range []struct {
-		name string
-		n, d int
-		kind string
-	}{
-		{"exact-f64/n=40000/d=64", 40_000, 64, KindExact},
-		{"normscan/n=20000/d=16", 20_000, 16, KindNormScan},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			vs := dataset.Gaussian(xrand.New(4), bc.n, bc.d, false)
-			s := New(Config{DefaultShards: 4, CacheCapacity: -1, CompactFraction: -1})
-			defer s.Close()
-			for lo := 0; lo < bc.n; lo += 1000 {
-				if _, _, err := s.Ingest("bench", &IndexSpec{Kind: bc.kind}, 0, records(vs[lo:lo+1000], lo)); err != nil {
-					b.Fatal(err)
-				}
+	benchUpserts(b, func(b *testing.B, s *Server, vs []vec.Vector, n int) func(int) {
+		h := NewHandler(s)
+		// A few distinct bodies, each moving rows between live IDs.
+		bodies := make([][]byte, 16)
+		for k := range bodies {
+			lo := k * width
+			recs := make([]RecordJSON, width)
+			for j := range recs {
+				id := (lo + width + j) % (n - width)
+				recs[j] = RecordJSON{ID: &id, Vec: vs[lo+j]}
 			}
-			h := NewHandler(s)
-			// A few distinct bodies, each moving rows between live IDs.
-			bodies := make([][]byte, 16)
-			for i := range bodies {
-				lo := i * width
-				recs := make([]RecordJSON, width)
-				for j := range recs {
-					id := (lo + width + j) % (bc.n - width)
-					recs[j] = RecordJSON{ID: &id, Vec: vs[lo+j]}
-				}
-				var err error
-				if bodies[i], err = json.Marshal(IngestRequest{Records: recs}); err != nil {
-					b.Fatal(err)
-				}
+			var err error
+			if bodies[k], err = json.Marshal(IngestRequest{Records: recs}); err != nil {
+				b.Fatal(err)
 			}
-			b.SetBytes(int64(len(bodies[0])))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchServe(b, h, http.MethodPost, "/collections/bench/vectors", bodies[i%len(bodies)])
-			}
-		})
-	}
+		}
+		b.SetBytes(int64(len(bodies[0])))
+		return func(i int) {
+			benchServe(b, h, http.MethodPost, "/collections/bench/vectors", bodies[i%len(bodies)])
+		}
+	})
 }
 
 // BenchmarkServerSearchHTTP measures a search through the HTTP handler

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,9 +20,15 @@ import (
 // The vector-bearing request bodies — records (ingest, batch upsert,
 // single upsert) and search — are decoded here in one pass over the
 // bytes instead of by reflection: the body is read whole into a pooled
-// buffer, every float goes through strconv.ParseFloat straight into one
-// pooled flat []float64, and the records and queries handed on are
-// sub-slices of it that live until the handler releases the buffer.
+// buffer, every float lands in one pooled flat []float64, and the
+// records and queries handed on are sub-slices of it that live until
+// the handler releases the buffer. A number is converted in the pass
+// that validates it: number() gathers its first 19 significant digits
+// and decimal exponent, and Eisel–Lemire (eisellemire.go) rounds them.
+// strconv.ParseFloat converts the token again only where strconv itself
+// would leave that fast path — a non-zero digit past the 19th, an
+// exponent beyond ±348, a result too near halfway between two floats,
+// subnormal or overflowing — so every value has its bits.
 //
 // encoding/json is the specification, and the tests hold this decoder
 // to it (FuzzWireDecode): json.Unmarshal of the same bytes into
@@ -271,46 +278,107 @@ func isHex(c byte) bool {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// digits is the end of the run of digits at b[i:].
-func digits(b []byte, i int) int {
-	for i < len(b) && isDigit(b[i]) {
-		i++
+// eightDigits is the value of w's eight bytes, read little-endian, as a
+// decimal number, if they are all ASCII digits — in a few word
+// operations instead of eight dependent multiply-adds (Lemire, as in
+// fast_float's parse_eight_digits_unrolled).
+func eightDigits(w uint64) (uint64, bool) {
+	if w&0xF0F0F0F0F0F0F0F0|(w+0x0606060606060606)&0xF0F0F0F0F0F0F0F0>>4 != 0x3333333333333333 {
+		return 0, false
 	}
-	return i
+	w -= 0x3030303030303030
+	w = w*10 + w>>8 // byte pairs: 10·d[2k] + d[2k+1] in the even bytes
+	return (w&0x000000FF000000FF*(100+1000000<<32) + w>>16&0x000000FF000000FF*(1+10000<<32)) >> 32, true
 }
 
-// number consumes the number the cursor is on and returns its bytes,
-// holding it to the JSON grammar — strconv alone would also take "+1",
-// ".5", "0x1p-2", "1_0", "Inf" and leading zeros.
-func (d *wireDecoder) number() []byte {
+// decimal is a number token's value as strconv reads it before
+// converting: man × 10^exp10, negated if neg, where man holds the first
+// 19 significant digits and trunc says a non-zero digit after them was
+// dropped. The exponent after 'e' saturates past 5 digits as strconv's
+// does, so exp10 is strconv's exponent even where it is not the token's.
+type decimal struct {
+	man   uint64
+	exp10 int
+	neg   bool
+	trunc bool
+}
+
+// number consumes the number the cursor is on and returns its bytes and
+// its decimal value, holding it to the JSON grammar — strconv alone
+// would also take "+1", ".5", "0x1p-2", "1_0", "Inf" and leading zeros.
+func (d *wireDecoder) number() (tok []byte, v decimal) {
 	b, i := d.b, d.i
 	if i < len(b) && b[i] == '-' {
+		v.neg = true
 		i++
 	}
+	nd := 0  // significant digits in man
 	run := i // where the digit run that must not be empty starts
 	if i < len(b) && b[i] == '0' {
-		i++
+		i++ // a leading zero is the whole integer part and adds nothing
 	} else {
-		i = digits(b, i)
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if nd < 19 {
+				v.man = v.man*10 + uint64(b[i]-'0')
+				nd++
+			} else {
+				v.exp10++
+				v.trunc = v.trunc || b[i] != '0'
+			}
+		}
 	}
 	if i > run && i < len(b) && b[i] == '.' {
-		run = i + 1
-		i = digits(b, run)
+		i++
+		run = i
+		if nd == 0 {
+			for ; i < len(b) && b[i] == '0'; i++ {
+				v.exp10-- // a leading zero is not significant
+			}
+		}
+		for ; nd <= 19-8 && len(b)-i >= 8; i += 8 {
+			w, ok := eightDigits(binary.LittleEndian.Uint64(b[i:]))
+			if !ok {
+				break
+			}
+			v.man = v.man*1e8 + w
+			nd += 8
+			v.exp10 -= 8
+		}
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if nd < 19 {
+				v.man = v.man*10 + uint64(b[i]-'0')
+				nd++
+				v.exp10--
+			} else {
+				v.trunc = v.trunc || b[i] != '0'
+			}
+		}
 	}
 	if i > run && i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		run = i + 1
-		if run < len(b) && (b[run] == '+' || b[run] == '-') {
-			run++
+		i++
+		neg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || neg) {
+			i++
 		}
-		i = digits(b, run)
+		run = i
+		e := 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < 10000 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if neg {
+			e = -e
+		}
+		v.exp10 += e
 	}
-	tok := b[d.i:i]
+	tok = b[d.i:i]
 	d.i = i
 	if i == run {
 		d.unexpected("a digit")
-		return nil
+		return nil, decimal{}
 	}
-	return tok
+	return tok, v
 }
 
 // skipValue validates and consumes the value the cursor is on, whatever
@@ -428,7 +496,7 @@ func (d *wireDecoder) intValue(v *int) {
 		d.lit("null")
 	case c == '-' || isDigit(c):
 		start := d.i
-		tok := d.number()
+		tok, _ := d.number()
 		if d.err != nil {
 			return
 		}
@@ -486,15 +554,20 @@ func (d *wireDecoder) floats(sp *span) {
 		switch c := d.b[d.i]; {
 		case c == '-' || isDigit(c):
 			start := d.i
-			tok := d.number()
+			tok, v := d.number()
 			if d.err != nil {
 				return
 			}
-			// The conversion does not escape: no allocation up to 32 bytes.
-			f, err := strconv.ParseFloat(string(tok), 64)
-			if err != nil {
-				d.fail(start, "number %s overflows float64", tok)
-				return
+			// Past a dropped non-zero digit, or where Eisel–Lemire cannot
+			// decide, strconv converts the token again, as it would itself.
+			f, ok := eiselLemire64(v.man, v.exp10, v.neg)
+			if !ok || v.trunc {
+				var err error
+				// The conversion does not escape: no allocation up to 32 bytes.
+				if f, err = strconv.ParseFloat(string(tok), 64); err != nil {
+					d.fail(start, "number %s overflows float64", tok)
+					return
+				}
 			}
 			d.flat[sp.off+n] = f
 		case c == 'n':

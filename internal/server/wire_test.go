@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -347,12 +349,172 @@ func FuzzWireDecode(f *testing.F) {
 		`{"records":[{"vec":[-0.46218354238070714,1.0309328859163227e-05]},{"vec":[3,4]}]}`,
 		`{"id":7,"vec":[0.25,-0.5],"attrs":{"a":"b"}}`,
 		`{"q":[0.5,0.25],"k":10,"rerank":true,"explain":true,"timeout_ms":250}`,
+		// Numbers that leave the Eisel–Lemire path for strconv.ParseFloat:
+		// long mantissas, extreme exponents, halfway cases, subnormals.
+		`{"q":[12345678901234567890,1234567890123456789000000,0.12345678901234567891e-5]}`,
+		`{"q":[9007199254740993,9007199254740993.0000000000000000001,9007199254740992.9999999999999999999]}`,
+		`{"q":[1e-349,1e348,-1e-400,1e0000000000000000001,1e99999999999999999999]}`,
+		`{"queries":[[2.2250738585072011e-308,4.9406564584124654e-324,2.4703282292062328e-324]]}`,
+		`{"records":[{"vec":[1.7976931348623157e308,-0.000000000000000000000000000000000000001]}]}`,
+		`{"vec":[1.7976931348623159e308]}`,
 	} {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if err := diffWire(body); err != nil {
 			t.Fatalf("%q: %v", body, err)
+		}
+	})
+}
+
+// wireFloat decodes tok on d the way every request float is decoded, as
+// the one element of an array of numbers.
+func wireFloat(d *wireDecoder, tok string) (float64, error) {
+	*d = wireDecoder{b: append(append(append(d.b[:0], '['), tok...), ']'), flat: d.flat[:0]}
+	var sp span
+	d.floats(&sp)
+	if err := d.end(); err != nil {
+		return 0, err
+	}
+	return d.flat[sp.off], nil
+}
+
+// matchStrconv holds the wire conversion of tok to strconv.ParseFloat's:
+// the same bits, or a refusal carrying the token's offset in "[tok]".
+func matchStrconv(d *wireDecoder, tok string) error {
+	got, err := wireFloat(d, tok)
+	want, werr := strconv.ParseFloat(tok, 64)
+	switch {
+	case werr != nil:
+		if wantMsg := fmt.Sprintf("offset 1: number %s overflows float64", tok); err == nil || err.Error() != wantMsg {
+			return fmt.Errorf("%s: wire.go says (%v, %v), strconv says %v", tok, got, err, werr)
+		}
+	case err != nil:
+		return fmt.Errorf("%s: wire.go says %v, strconv says %v", tok, err, want)
+	case math.Float64bits(got) != math.Float64bits(want):
+		return fmt.Errorf("%s: wire.go says %v (%#x), strconv says %v (%#x)", tok, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	return nil
+}
+
+// TestParseNumberMatchesStrconv: every float a request carries converts
+// to strconv.ParseFloat's bits, whether Eisel–Lemire decides it while
+// the token is scanned or strconv converts it again, and a float that
+// overflows is refused with the parent's message and offset.
+func TestParseNumberMatchesStrconv(t *testing.T) {
+	var d wireDecoder
+	check := func(tok string) {
+		t.Helper()
+		if err := matchStrconv(&d, tok); err != nil {
+			t.Error(err)
+		}
+	}
+	// Every power of ten eiselLemire64 has, and one past each end.
+	for e := pow10Min - 2; e <= pow10Max+2; e++ {
+		for _, man := range []string{"1", "5", "9999999999999999999"} {
+			check(fmt.Sprintf("%se%d", man, e))
+			check(fmt.Sprintf("-0.%se%d", man, e+len(man)))
+		}
+	}
+	// 19 significant digits fill the mantissa; a 20th is dropped, and only
+	// a non-zero one sends the token to strconv.
+	for _, digits := range []string{"1234567890123456789", "9999999999999999999", "1000000000000000000"} {
+		for _, tail := range []string{"", "0", "000000", "1", "5", "000001", "9"} {
+			for _, e := range []int{-330, -30, -19, 0, 5, 280} {
+				check(fmt.Sprintf("%s%se%d", digits, tail, e))
+				check(fmt.Sprintf("0.000%s%se%d", digits, tail, e))
+				check(fmt.Sprintf("%s.%s%se%d", digits[:7], digits[7:], tail, e))
+			}
+		}
+	}
+	for _, tok := range []string{
+		"0", "-0", "-0.0", "0e0", "-0E-0", "0.0e99999", "0." + strings.Repeat("0", 400),
+		"0.000000000000000000000000000000001", "0." + strings.Repeat("0", 400) + "1",
+		"1" + strings.Repeat("0", 400), "0.1", "0.3", "123.456", "100", "-100.5e-2",
+		"9007199254740993", "9007199254740993.0000000000000000001", "9007199254740992.9999999999999999999",
+		"2.2250738585072011e-308", "2.2250738585072014e-308", "4.9406564584124654e-324",
+		"2.4703282292062327e-324", "2.4703282292062328e-324", "1e-400", "-1e-400",
+		"1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308", "-1.7976931348623159e308",
+		"1e0000000000000000001", "1e99999999999999999999", "1e-99999999999999999999", "1e308", "1e309",
+		"0." + strings.Repeat("0", 20000) + "1e20300", "123" + strings.Repeat("0", 20000) + "e-20010",
+		// The exponent after 'e' saturates past 5 digits, in strconv too,
+		// so both read these two as 1.
+		"0." + strings.Repeat("0", 10000) + "1e100010", "1" + strings.Repeat("0", 10000) + "e-1000000",
+	} {
+		check(tok)
+	}
+	// Halfway between two floats: a tie rounds to even, and any non-zero
+	// digit after it — dropped past the 19th — rounds it up.
+	check("73786976294838214656") // 2^66 + 2^13
+	check("73786976294838214657")
+	rng := xrand.New(38)
+	for i := range 3000 {
+		f := math.Abs(rng.Normal()) * math.Pow10(rng.Intn(40)-20)
+		if i%2 == 0 {
+			f = math.Float64frombits(rng.Uint64() % math.Float64bits(math.MaxFloat64)) // subnormals too
+		}
+		mid := new(big.Float).SetPrec(1200).SetFloat64(f)
+		mid.Add(mid, new(big.Float).SetFloat64(math.Nextafter(f, math.Inf(1))))
+		mant, exp, _ := strings.Cut(mid.SetMantExp(mid, -1).Text('e', 1100), "e")
+		mant = strings.TrimRight(mant, "0")
+		check(mant + "e" + exp)
+		check(mant + "1e" + exp)
+	}
+	// Random values in every format strconv writes, at 0–25 digits: from
+	// random bits (every exponent), the unit normal and the decades.
+	n := 1 << 20
+	if raceEnabled || testing.Short() {
+		n = 1 << 15
+	}
+	buf := make([]byte, 0, 400)
+	for i := range n {
+		var f float64
+		switch i % 3 {
+		case 0:
+			if f = math.Float64frombits(rng.Uint64()); math.IsNaN(f) || math.IsInf(f, 0) {
+				f = 0
+			}
+		case 1:
+			f = rng.Normal()
+		case 2:
+			f = rng.Float64() * math.Pow10(rng.Intn(60)-30)
+		}
+		buf = strconv.AppendFloat(buf[:0], f, "gfe"[i/3%3], i/9%26, 64)
+		if err := matchStrconv(&d, string(buf)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A float that overflows is a 400 on the wire.
+	s := New(Config{})
+	defer s.Close()
+	const huge = "1.7976931348623159e308"
+	body := `{"records":[{"vec":[1,` + huge + `]}]}`
+	rec := serve(NewHandler(s), "POST", "/collections/c/vectors", body)
+	if want := fmt.Sprintf("decoding body: offset %d: number %s overflows float64", strings.Index(body, huge), huge); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("overflowing float: %d %s, want 400 %q", rec.Code, rec.Body, want)
+	}
+}
+
+// FuzzParseNumber: any bytes number() accepts as a token convert to
+// strconv.ParseFloat's bits, or are refused where it returns an error.
+func FuzzParseNumber(f *testing.F) {
+	for _, s := range []string{
+		"0", "-0", "1", "-1.5e-3", "9007199254740993", "12345678901234567890",
+		"1234567890123456789000000001e-10", "0.000000000000000000000000012345678901234567891",
+		"2.2250738585072011e-308", "4.9406564584124654e-324", "1.7976931348623159e308",
+		"1e-349", "1e348", "1e0000000000000000001", "1e99999999999999999999",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scan := wireDecoder{b: data}
+		tok, _ := scan.number()
+		if scan.err != nil {
+			return
+		}
+		var d wireDecoder
+		if err := matchStrconv(&d, string(tok)); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
@@ -392,6 +554,48 @@ func TestWireDecodeAllocs(t *testing.T) {
 	decode()
 	if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
 		t.Fatalf("warm 64 × 64 records decode: %v allocations, want 0", allocs)
+	}
+}
+
+// BenchmarkWireDecode prices the decoder alone, on a warm buffer: the
+// benchmark's 64-record write bodies at scan-heavy's d = 64,
+// planted-alsh's and mixed-durable's 32 and small-hot's 16, and a
+// 64 × 32 search batch. ns/float is what one request float costs to
+// scan, check and convert.
+func BenchmarkWireDecode(b *testing.B) {
+	rng := xrand.New(5)
+	batch := SearchRequest{K: 10}
+	for range 64 {
+		batch.Queries = append(batch.Queries, rng.NormalVec(32))
+	}
+	search, err := json.Marshal(batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name   string
+		body   []byte
+		parse  func(*wireBuf) error
+		floats int
+	}{
+		{"upsert=64/d=64", upsertBody(64, 64, 0, 9), (*wireBuf).parseIngest, 64 * 64},
+		{"upsert=64/d=32", upsertBody(64, 32, 0, 9), (*wireBuf).parseIngest, 64 * 32},
+		{"upsert=64/d=16", upsertBody(64, 16, 0, 9), (*wireBuf).parseIngest, 64 * 16},
+		{"search=64/d=32", search, (*wireBuf).parseSearch, 64 * 32},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			wb := new(wireBuf)
+			b.SetBytes(int64(len(bc.body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				wb.reset()
+				wb.b = bc.body // parsing only reads it
+				if err := bc.parse(wb); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.floats), "ns/float")
+		})
 	}
 }
 
