@@ -179,30 +179,42 @@ func BenchmarkFlatOfferRows(b *testing.B) {
 // BenchmarkFlatTopKMulti measures the full multi-query top-k driver:
 // one iteration answers 256 top-10 queries over a 20k-row store
 // (ns/op ÷ 256 compares against BenchmarkFlatTopK/flat), at every
-// dimension a benchmark workload serves — the f64 batch path the
-// bench-gate's BenchmarkFlatTopK filter holds to its bar.
+// dimension a benchmark workload serves — the batch paths the
+// bench-gate's BenchmarkFlatTopK filter holds to its bar: f64 (the
+// d=… cells) and int8 (int8/d=…, at the top 40 an int8 collection
+// fetches for a re-ranked top 10).
 func BenchmarkFlatTopKMulti(b *testing.B) {
-	for _, d := range []int{16, 32, 64} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			rng := xrand.New(2)
-			n, nq := 20000, 256
-			s, err := FromVectors(randomVecs(rng, n, d))
-			if err != nil {
-				b.Fatal(err)
+	for _, tier := range []string{"f64", "int8"} {
+		for _, d := range []int{16, 32, 64} {
+			name, k := fmt.Sprintf("d=%d", d), 10
+			if tier == "int8" {
+				name, k = "int8/"+name, 40
 			}
-			qs, err := FromVectors(randomVecs(rng, nq, d))
-			if err != nil {
-				b.Fatal(err)
-			}
-			sc := GetTileScratch()
-			defer PutTileScratch(sc)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				accs := sc.Accs(nq, 10)
-				if err := s.View().ScanMulti(context.Background(), qs, 0, nq, accs, sc, ScanOpts{}); err != nil {
+			b.Run(name, func(b *testing.B) {
+				rng := xrand.New(2)
+				n, nq := 20000, 256
+				s, err := FromVectors(randomVecs(rng, n, d))
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				qs, err := FromVectors(randomVecs(rng, nq, d))
+				if err != nil {
+					b.Fatal(err)
+				}
+				v := s.View()
+				if tier == "int8" {
+					v = NewStoreI8(s).View()
+				}
+				sc := GetTileScratch()
+				defer PutTileScratch(sc)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					accs := sc.Accs(nq, k)
+					if err := v.ScanMulti(context.Background(), qs, 0, nq, accs, sc, ScanOpts{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -33,16 +33,21 @@ func guardedPage(t *testing.T) []byte {
 
 // TestQuantKernelsStayInsideAllocation scores stores whose one chunk
 // ends flush against an unreadable page, at dimensions where the int8
-// kernel's padded last chunk (16 ∤ d) and the f32 kernel's element tail
-// (8 ∤ d) run up to the row's end: a load past the last row faults.
-// d = 8 and 16 run the same two any-dimension kernels as the rest.
+// kernels' padded last chunk (16 ∤ d) or last 4-code column (4 ∤ d) and
+// the f32 kernel's element tail (8 ∤ d) run up to the row's end: a load
+// past the last row faults. The int8 tile runs both ways — the VNNI
+// kernel, where the machine has it, and the AVX2 one per query — at row
+// counts off a 16-row group as well as on one. d = 8 and 16 run the
+// same any-dimension kernels as the rest.
 func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 	if !useQuantAsm {
 		t.Skip("no asm kernels on this machine")
 	}
 	mem := guardedPage(t)
-	for _, d := range []int{8, 9, 15, 16, 17, 31, 32, 33, 40, 100} {
-		for _, n := range []int{1, 2, 3, 4, 5, 9} {
+	vnni := useI8TileAsm
+	defer func() { useI8TileAsm = vnni }()
+	for _, d := range []int{4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 100} {
+		for _, n := range []int{1, 2, 3, 4, 5, 9, 15, 16, 17} {
 			out := make([]float64, n)
 
 			codes := unsafe.Slice((*int8)(unsafe.Pointer(&mem[len(mem)-n*d])), n*d)
@@ -50,6 +55,14 @@ func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 			s8.codes.width, s8.codes.n, s8.codes.chunks = d, n, [][]int8{codes}
 			qc, _ := quantizeQueryI8(nil, vec.New(d))
 			s8.dotRange(qc, 1, 0, n, out)
+
+			tl := &i8Tile{stride: len(qc), combined: make([]float64, maxTileQ)}
+			tl.i16 = make([]int16, maxTileQ*tl.stride)
+			for _, useVNNI := range []bool{false, vnni} {
+				useI8TileAsm = useVNNI
+				tl.pack(d)
+				s8.tileDots(tl, 0, maxTileQ, 0, n, false)
+			}
 
 			rows := unsafe.Slice((*float32)(unsafe.Pointer(&mem[len(mem)-4*n*d])), n*d)
 			s32 := newStore32(d)

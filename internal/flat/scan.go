@@ -118,13 +118,16 @@ type normSorter interface {
 	sortedRun(fs *Store, from int) run
 }
 
-// tiler is the optional multi-query kernel: scoreTile fills out with the
-// (qhi-qlo)×(hi-lo) tile of query rows [qlo, qhi) of qs against rows
-// [lo, hi), every score bit-identical to scoreBlock's, with sc as its
-// working memory. Only Store has one; ScanMulti sweeps the other tiers
-// once per query.
+// tiler is the optional multi-query kernel, what lets ScanMulti sweep
+// the rows once for a tile of queries. bindTile readies query rows
+// [qlo, qhi) of qs for offerTile, once per run; offerTile scores the
+// tile qs[qlo : qlo+len(accs)] against rows [b.start, max(ends)) of b's
+// run in one pass and offers query j its rows [b.start, ends[j]),
+// leaving accs[j] as b.offer would over scoreBlock's scores. Store and
+// StoreI8 have one; ScanMulti sweeps a Store32 once per query.
 type tiler interface {
-	scoreTile(qs *Store, qlo, qhi, lo, hi int, out []float64, sc *TileScratch)
+	bindTile(qs *Store, qlo, qhi int, sc *TileScratch)
+	offerTile(b block, qs *Store, qlo int, accs []Acc, ends []int, sc *TileScratch)
 }
 
 // query is one query bound to a tier: the field that tier's kernel
@@ -385,7 +388,7 @@ func (s *sweep) rows(r run, lo, hi int, a *Acc, st *ScanStats, buf []float64) bo
 		}
 		r.t.scoreBlock(s.bq, start, end, buf[:nb])
 		st.ScannedRows += nb
-		s.offer(a, buf[:nb], r, start, nd)
+		s.block(r, start, nd).offer(a, buf[:nb])
 	}
 	return false
 }
@@ -406,17 +409,36 @@ func (r run) cut(lo, hi int, bound, bar float64) int {
 	return lo + sort.Search(hi-1-lo, func(i int) bool { return r.norms.at(lo+i)*bound < bar })
 }
 
-// offer feeds a the scores of r's rows from row start on; nd is the
-// number of dead rows in their block.
-func (s *sweep) offer(a *Acc, scores []float64, r run, start, nd int) {
-	var ids []int
-	if r.ids != nil {
-		ids = r.ids[start : start+len(scores)]
+// block is a row block of a run as the bookkeeping sees it: its first
+// row, the ranking, and the sweep's dead set when the block holds a
+// dead row — nil when it holds none.
+type block struct {
+	run
+	start    int
+	unsigned bool
+	dead     *Tombstones
+}
+
+// block returns the block of r from row start on, nd of whose rows are
+// dead.
+func (s *sweep) block(r run, start, nd int) block {
+	b := block{run: r, start: start, unsigned: s.unsigned}
+	if nd > 0 {
+		b.dead = s.dead
 	}
-	if nd == 0 {
-		offerScores(a, scores, start, s.unsigned, ids)
+	return b
+}
+
+// offer feeds a the scores of b's rows from its first on.
+func (b block) offer(a *Acc, scores []float64) {
+	var ids []int
+	if b.ids != nil {
+		ids = b.ids[b.start : b.start+len(scores)]
+	}
+	if b.dead == nil {
+		offerScores(a, scores, b.start, b.unsigned, ids)
 	} else {
-		offerScoresMasked(a, scores, r.off+start, s.unsigned, ids, s.dead)
+		offerScoresMasked(a, scores, b.off+b.start, b.unsigned, ids, b.dead)
 	}
 }
 
@@ -553,7 +575,6 @@ func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc
 // offered and counted only up to its own. A true return means done fired.
 func (s *sweep) tiles(qs *Store, qlo int, accs []Acc, scanned []int, st *ScanStats, sc *TileScratch) bool {
 	qn := len(accs)
-	buf := sc.tileBuf()
 	// ends[j]: where query j stops scoring the current block; the
 	// block's first row when it sits the block out.
 	ends := sc.endsBuf(qn)
@@ -562,6 +583,7 @@ func (s *sweep) tiles(qs *Store, qlo int, accs []Acc, scanned []int, st *ScanSta
 			break
 		}
 		til, hi := r.t.(tiler), r.t.Len()
+		til.bindTile(qs, qlo, qlo+qn, sc)
 		// pruned[j]: query j's bound has ended its sweep of this run. The
 		// f64 tile kernel scores the query rows as stored, so a query's
 		// bound comes from its cached norm — the value bind computes for
@@ -608,16 +630,13 @@ func (s *sweep) tiles(qs *Store, qlo int, accs []Acc, scanned []int, st *ScanSta
 					j++
 					continue
 				}
-				k, far := j+1, ends[j]
+				k := j + 1
 				for k < qn && ends[k] > start && k-j < maxTileQ {
-					far = max(far, ends[k])
 					k++
 				}
-				nb := far - start
-				til.scoreTile(qs, qlo+j, qlo+k, start, far, buf, sc)
+				til.offerTile(s.block(r, start, nd), qs, qlo+j, accs[j:k], ends[j:k], sc)
 				for jj := j; jj < k; jj++ {
 					n := ends[jj] - start
-					s.offer(&accs[jj], buf[(jj-j)*nb:(jj-j)*nb+n], r, start, nd)
 					scanned[jj] += n
 					st.ScannedRows += n
 				}

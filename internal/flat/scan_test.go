@@ -334,10 +334,15 @@ func (c cancelTier) sortedRun(fs *Store, from int) run {
 // cancelTileTier is cancelTier over a tier with a tile kernel.
 type cancelTileTier struct{ cancelTier }
 
-func (c cancelTileTier) scoreTile(qs *Store, qlo, qhi, lo, hi int, out []float64, sc *TileScratch) {
+func (c cancelTileTier) bindTile(qs *Store, qlo, qhi int, sc *TileScratch) {
+	c.tier.(tiler).bindTile(qs, qlo, qhi, sc)
+}
+
+func (c cancelTileTier) offerTile(b block, qs *Store, qlo int, accs []Acc, ends []int, sc *TileScratch) {
 	c.p.begin()
-	c.tier.(tiler).scoreTile(qs, qlo, qhi, lo, hi, out, sc)
-	c.p.tick(lo)
+	b.t = c.tier
+	c.tier.(tiler).offerTile(b, qs, qlo, accs, ends, sc)
+	c.p.tick(b.start)
 }
 
 // withCtx returns the view and context one grid context calls for, plus

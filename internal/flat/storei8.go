@@ -14,6 +14,22 @@
 // the float32 tier's. A code score widens as float64(acc) ·
 // (scale·qscale).
 //
+// A batch (View.ScanMulti) compares in the code domain instead. Before
+// each block, each query's bar — its k-th best once its accumulator is
+// full — becomes an int32 code floor F, the largest t with
+// float64(t)·combined ≤ bar (codeFloor). One pass over the block's
+// codes scores a tile of up to maxTileQ queries — where the CPU has
+// AVX-512 VNNI one gather per 4-code column of 16 rows and one VPDPBUSD
+// per query (dotI8Tile, i8tile_amd64.s), elsewhere the AVX2 kernel per
+// query (dotI8Mask) or the Go loop — and writes exact int32 dots and a
+// mask of the rows with dot > F (|dot| > F when unsigned). Only those
+// rows are dequantized, float64(dot)·combined as above, and offered
+// under the float compare the single-query bookkeeping makes. Rounding
+// is monotone, so a row the mask drops scores at or under the bar: a
+// row that bookkeeping skips too. The accumulators see the same offers
+// in the same order, and hits and ScanStats are Scan's per query, bit
+// for bit.
+//
 // Int8 scores are approximations with per-element error ≤ scale/2 on
 // each side; the serving layer treats them as candidates only and
 // always re-ranks the survivors through the retained f64 store, the
@@ -24,6 +40,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/vec"
@@ -203,11 +220,15 @@ func (s *StoreI8) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 // i8Chunk is the codes the AVX2 kernel takes per step: one VPMOVSXBW.
 const i8Chunk = 16
 
-// quantSIMD is the one gate between a quantized tier's dotRange and its
-// AVX2 kernels, which walk a row chunk elements at a time: every d of
-// at least a chunk runs SIMD, the rest (and every machine without AVX2)
-// the Go kernels.
+// quantSIMD is the one gate between a quantized tier's per-query
+// kernels and their AVX2 forms, which walk a row chunk elements at a
+// time: every d of at least a chunk runs SIMD, the rest (and every
+// machine without AVX2) the Go kernels.
 func quantSIMD(d, chunk int) bool { return useQuantAsm && d >= chunk }
+
+// i8TileSIMD is the gate of the VNNI tile kernel: every d of at least
+// one 4-code column, where the machine has AVX-512 VNNI.
+func i8TileSIMD(d int) bool { return useI8TileAsm && d >= 4 }
 
 // dotRange fills out with float64(Σ code·qcode) · combined for rows
 // [lo, hi), one kernel call per chunk the range touches; qc is
@@ -217,44 +238,267 @@ func quantSIMD(d, chunk int) bool { return useQuantAsm && d >= chunk }
 // the scalar loop exactly, no accumulation-chain contract needed. When
 // i8Chunk ∤ d the kernel's last load per row reaches into the next row
 // (against zero query codes), so the piece's last row — possibly the
-// allocation's — is scored by the Go kernel.
+// allocation's — is scored by the Go loop.
 func (s *StoreI8) dotRange(qc []int16, combined float64, lo, hi int, out []float64) {
 	d, simd := s.dim, quantSIMD(s.dim, i8Chunk)
 	for lo < hi {
 		codes, l, h := s.codes.span(lo, hi)
-		g := l // [g, h) is the Go kernel's
+		g := l // [g, h) is the Go loop's
 		if simd {
 			if g = h; d%i8Chunk != 0 {
 				g--
 			}
 			dotI8Range(codes[l*d:g*d], d, qc, combined, out[:g-l])
 		}
-		if g < h {
-			dotI8RangeGeneric(codes, d, qc, combined, g, h, out[g-l:])
+		for r := g; r < h; r++ {
+			out[r-l] = float64(dotI8(codes[r*d:(r+1)*d], qc)) * combined
 		}
 		out = out[h-l:]
 		lo += h - l
 	}
 }
 
-// dotI8RangeGeneric is the any-dimension int8 kernel.
-func dotI8RangeGeneric(codes []int8, d int, qc []int16, combined float64, lo, hi int, out []float64) {
+// dotI8 is the Go kernel: the exact int32 dot of one row of codes with
+// the first len(row) query codes.
+func dotI8(row []int8, qc []int16) int32 {
+	d := len(row)
 	qc = qc[:d:d]
-	for r := lo; r < hi; r++ {
-		off := r * d
-		row := codes[off : off+d : off+d]
-		var a0, a1, a2, a3 int32
-		j := 0
-		for ; j+4 <= d; j += 4 {
-			a0 += int32(row[j]) * int32(qc[j])
-			a1 += int32(row[j+1]) * int32(qc[j+1])
-			a2 += int32(row[j+2]) * int32(qc[j+2])
-			a3 += int32(row[j+3]) * int32(qc[j+3])
+	var a0, a1, a2, a3 int32
+	j := 0
+	for ; j+4 <= d; j += 4 {
+		a0 += int32(row[j]) * int32(qc[j])
+		a1 += int32(row[j+1]) * int32(qc[j+1])
+		a2 += int32(row[j+2]) * int32(qc[j+2])
+		a3 += int32(row[j+3]) * int32(qc[j+3])
+	}
+	for ; j < d; j++ {
+		a0 += int32(row[j]) * int32(qc[j])
+	}
+	return a0 + a1 + a2 + a3
+}
+
+// dotI8Rows is dotRange's code-domain form, the int8 tile kernel where
+// the VNNI one does not run: it writes the exact int32 dots of the
+// len(dots) rows of codes against qc to dots, and sets bit r of mask
+// when row r beats floor (codePass); mask must hold ⌈len(dots)/64⌉
+// cleared words. The AVX2 kernel runs where quantSIMD holds, the last
+// row left to the Go loop as in dotRange.
+func dotI8Rows(codes []int8, d int, qc []int16, floor int32, unsigned bool, dots []int32, mask []uint64) {
+	g := 0 // [g, len(dots)) is the Go loop's
+	if quantSIMD(d, i8Chunk) {
+		if g = len(dots); d%i8Chunk != 0 {
+			g--
 		}
-		for ; j < d; j++ {
-			a0 += int32(row[j]) * int32(qc[j])
+		dotI8Mask(codes[:g*d], d, qc, floor, unsigned, dots[:g], mask)
+	}
+	for r := g; r < len(dots); r++ {
+		dot := dotI8(codes[r*d:(r+1)*d], qc)
+		dots[r] = dot
+		if codePass(dot, floor, unsigned) {
+			mask[r>>6] |= 1 << (r & 63)
 		}
-		out[r-lo] = float64(a0+a1+a2+a3) * combined
+	}
+}
+
+// codePass is the kernels' compare: dot > floor, or when unsigned
+// |dot| > floor with both read as unsigned, so that |MinInt32| is 2³¹.
+func codePass(dot, floor int32, unsigned bool) bool {
+	if !unsigned {
+		return dot > floor
+	}
+	if dot < 0 {
+		dot = -dot
+	}
+	return uint32(dot) > uint32(floor)
+}
+
+// codeFloor returns the largest int32 t with float64(t)·combined ≤ bar
+// (combined ≥ 0; a NaN product fails the test), or math.MinInt32 when
+// even that one fails. Rounding is monotone, so a dot ≤ the floor
+// scores ≤ bar — a row the bookkeeping would skip against that bar.
+// ⌊bar/combined⌋ is the answer but for rounding, a step either way, so
+// two products usually settle it; where it is further off (a product
+// overflowed) a binary search between the int32 ends finds it.
+func codeFloor(bar, combined float64) int32 {
+	holds := func(t int64) bool { return float64(t)*combined <= bar }
+	switch {
+	case holds(math.MaxInt32):
+		return math.MaxInt32
+	case !holds(math.MinInt32):
+		return math.MinInt32
+	case math.IsInf(combined, 1):
+		return -1 // 0·Inf is NaN, every t < 0 scores −Inf ≤ bar
+	}
+	// combined is finite and > 0 (at 0 the two ends agree), so holds is
+	// true up to the answer and false past it.
+	lo, hi := int64(math.MinInt32), int64(math.MaxInt32) // holds(lo), !holds(hi)
+	if f := math.Floor(bar / combined); f > math.MinInt32 && f < math.MaxInt32 {
+		if t := int64(f); holds(t) {
+			lo = t
+			if !holds(t + 1) {
+				hi = t + 1
+			}
+		} else {
+			hi = t
+			if holds(t - 1) {
+				lo = t - 1
+			}
+		}
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; holds(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return int32(lo)
+}
+
+// tileFloor is query a's code floor for the next block: math.MinInt32 —
+// every row passes — while a is under-full, when offerScores offers
+// every row, and else codeFloor of the k-th best. Unsigned scores are
+// ≥ 0, so an unsigned floor below 0 lets every row pass too.
+func tileFloor(a *Acc, combined float64, unsigned bool) int32 {
+	if !a.Full() {
+		return math.MinInt32
+	}
+	f := codeFloor(a.Threshold(), combined)
+	if unsigned && f < 0 {
+		return math.MinInt32
+	}
+	return f
+}
+
+// i8Tile is the int8 tier's ScanMulti state: the queries, bound once per
+// sweep, and one tile kernel call's output.
+type i8Tile struct {
+	qlo      int       // the qs row of query 0
+	stride   int       // codes per query in i16
+	i16      []int16   // query j's quantizeQueryI8 codes at j·stride
+	cols     []int32   // the VNNI kernel's form: column c of query j at c·nq + j
+	nbias    []int32   // −128 times query j's code sum (VNNI)
+	combined []float64 // the store's scale times query j's
+	floors   [maxTileQ]int32
+	dots     [maxTileQ * blockRows]int32
+	mask     [maxTileQ * maskWords]uint64
+}
+
+// maskWords is the mask words of one query of a tile.
+const maskWords = blockRows / 64
+
+// bindTile implements tiler: query rows [qlo, qhi) of qs, each quantized
+// against its own scale as bind quantizes it, then packed for the
+// kernel in use.
+func (s *StoreI8) bindTile(qs *Store, qlo, qhi int, sc *TileScratch) {
+	t := &sc.i8
+	t.qlo, t.stride = qlo, i8Chunk*((s.dim+i8Chunk-1)/i8Chunk)
+	t.i16, t.combined = t.i16[:0], t.combined[:0]
+	for j := qlo; j < qhi; j++ {
+		var qscale float64
+		t.i16, qscale = quantizeQueryI8(t.i16, qs.Row(j))
+		t.combined = append(t.combined, s.scale*qscale)
+	}
+	t.pack(s.dim)
+}
+
+// pack lays the len(t.combined) queries of t.i16 out for the VNNI
+// kernel, where it runs at d: by 4-code column — column c covers codes
+// [o, o+4), o = min(4c, d−4), so a row's last column stays inside it,
+// and holds zero for the codes an earlier column already covered —
+// with each query's −128·Σ codes beside.
+func (t *i8Tile) pack(d int) {
+	if !i8TileSIMD(d) {
+		return
+	}
+	nq, cols := len(t.combined), (d+3)/4
+	t.cols = slices.Grow(t.cols[:0], cols*nq)[:cols*nq]
+	t.nbias = t.nbias[:0]
+	for j := 0; j < nq; j++ {
+		qc := t.i16[j*t.stride : j*t.stride+d]
+		var sum int32
+		for _, c := range qc {
+			sum += int32(c)
+		}
+		t.nbias = append(t.nbias, -128*sum)
+		for c := 0; c < cols; c++ {
+			o := min(4*c, d-4)
+			var w uint32
+			for i := max(0, 4*c-o); i < 4; i++ {
+				w |= uint32(uint8(qc[o+i])) << (8 * i)
+			}
+			t.cols[c*nq+j] = int32(w)
+		}
+	}
+}
+
+// offerTile implements tiler in the code domain. Each query's bar
+// becomes an int32 code floor (tileFloor); one kernel pass over the
+// block's codes writes every query's exact int32 dots and the rows that
+// beat its floor (tileDots); and only those rows are dequantized and
+// offered (offerCodes).
+func (s *StoreI8) offerTile(b block, _ *Store, qlo int, accs []Acc, ends []int, sc *TileScratch) {
+	t := &sc.i8
+	j0 := qlo - t.qlo
+	for j := range accs {
+		t.floors[j] = tileFloor(&accs[j], t.combined[j0+j], b.unsigned)
+	}
+	s.tileDots(t, j0, len(accs), b.start, slices.Max(ends)-b.start, b.unsigned)
+	for j := range accs {
+		b.offerCodes(&accs[j], t.dots[j*blockRows:][:ends[j]-b.start], t.mask[j*maskWords:], t.floors[j], t.combined[j0+j])
+	}
+}
+
+// tileDots fills t.dots and t.mask for tile queries [j0, j0+nq) against
+// rows [start, start+n) — a block, which never straddles a chunk: in one
+// VNNI kernel pass where i8TileSIMD holds, else dotI8Rows per query.
+// Integer sums are exact, so every tier writes the same dots and bits.
+func (s *StoreI8) tileDots(t *i8Tile, j0, nq, start, n int, unsigned bool) {
+	d := s.dim
+	codes := s.codes.contiguous(start, start+n)
+	if i8TileSIMD(d) {
+		dotI8Tile(codes, d, n, t.cols[j0:], len(t.combined), t.nbias[j0:j0+nq], t.floors[:nq], unsigned, t.dots[:], t.mask[:])
+		return
+	}
+	for j := 0; j < nq; j++ {
+		mask := t.mask[j*maskWords : (j+1)*maskWords]
+		clear(mask)
+		dotI8Rows(codes, d, t.i16[(j0+j)*t.stride:][:t.stride], t.floors[j], unsigned, t.dots[j*blockRows:][:n], mask)
+	}
+}
+
+// offerCodes is offerScores over the code dots of b's rows: it offers
+// a, in ascending row order, the rows whose mask bit is set — every row
+// when floor is math.MinInt32 — each scored float64(dot)·combined as
+// scoreBlock scores it (|…| when unsigned), skipping dead rows and, once
+// a is full, scores at or under its k-th best, as offerScores does. A
+// clear bit means dot ≤ floor, hence (codeFloor) a score at or under the
+// bar the floor was taken from, which only rises: a row offerScores
+// skips too. So a sees offerScores's offers, in its order. b is a
+// store-order block: an int8 view is never norm-sorted.
+func (b block) offerCodes(a *Acc, dots []int32, mask []uint64, floor int32, combined float64) {
+	full, thr := a.Full(), a.Threshold()
+	for w := 0; w*64 < len(dots); w++ {
+		m := ^uint64(0)
+		if floor != math.MinInt32 {
+			m = mask[w]
+		}
+		if rest := len(dots) - w*64; rest < 64 {
+			m &= 1<<rest - 1
+		}
+		for m != 0 {
+			r := w*64 + bits.TrailingZeros64(m)
+			m &= m - 1
+			v := float64(dots[r]) * combined
+			if b.unsigned && v < 0 {
+				v = -v
+			}
+			if full && v <= thr || b.dead.Dead(b.off+b.start+r) {
+				continue
+			}
+			a.Offer(b.start+r, v)
+			full, thr = a.Full(), a.Threshold()
+		}
 	}
 }
 

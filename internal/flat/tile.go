@@ -49,12 +49,14 @@
 // elsewhere in two dotTileGeneric2 passes. TestOfferRows and
 // FuzzOfferRows hold both to vec.DotKernel by Float64bits.
 //
-// View.ScanMulti drives the tile kernel over one data sweep,
-// maintaining a per-query accumulator.
+// View.ScanMulti drives the tile kernel — this one over f64 rows,
+// StoreI8's code-domain one (storei8.go) over int8 rows — over one data
+// sweep, maintaining a per-query accumulator.
 package flat
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -85,6 +87,7 @@ type TileScratch struct {
 	scanned []int
 	ends    []int
 	accs    []Acc
+	i8      i8Tile
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(TileScratch) }}
@@ -272,6 +275,21 @@ func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64, sc *
 			s.dotRange(qs.Row(j), plo, phi, o[:nb])
 			j++
 		}
+	}
+}
+
+// bindTile implements tiler: the f64 kernels read the query rows as
+// stored.
+func (s *Store) bindTile(qs *Store, qlo, qhi int, sc *TileScratch) {}
+
+// offerTile implements tiler: scoreTile scores the tile to the farthest
+// query's end, and each query is offered its own stretch of the scores.
+func (s *Store) offerTile(b block, qs *Store, qlo int, accs []Acc, ends []int, sc *TileScratch) {
+	nb := slices.Max(ends) - b.start
+	buf := sc.tileBuf()
+	s.scoreTile(qs, qlo, qlo+len(accs), b.start, b.start+nb, buf, sc)
+	for j := range accs {
+		b.offer(&accs[j], buf[j*nb:j*nb+ends[j]-b.start])
 	}
 }
 

@@ -9,34 +9,36 @@ import (
 	"repro/internal/xrand"
 )
 
-// kernelTier is one f64 tile dispatch: quads runs the AVX2 quad
-// kernels, octets the AVX-512 octet kernel.
+// kernelTier is one kernel dispatch. For f64 tiles quads runs the
+// AVX2 quad kernels and octets the AVX-512 octet kernel; for int8 quant
+// runs the AVX2 kernels (per query in a tile) and i8Tile the AVX-512
+// VNNI tile kernel.
 type kernelTier struct {
-	name          string
-	quads, octets bool
+	name                         string
+	quads, octets, quant, i8Tile bool
 }
 
 // kernelTiers are the dispatches this machine can run, read before any
-// test switches them: the pure-Go kernels always ("go"), the AVX2 quads
-// alone with AVX2 ("asm"), and the octets — the quads taking what they
-// leave — with AVX-512F ("octets"). All must produce bit-identical
-// results.
+// test switches them: the pure-Go kernels always ("go"); with AVX2 the
+// quads and the AVX2 int8 kernels ("asm"); and with AVX-512F the octets,
+// the quads taking what they leave, beside the VNNI int8 tile where the
+// machine has it ("octets"). All must produce bit-identical results.
 var kernelTiers = func() []kernelTier {
 	tiers := []kernelTier{{name: "go"}}
 	if useDotTileAsm {
-		tiers = append(tiers, kernelTier{name: "asm", quads: true})
+		tiers = append(tiers, kernelTier{name: "asm", quads: true, quant: useQuantAsm})
 	}
 	if useOctetAsm {
-		tiers = append(tiers, kernelTier{name: "octets", quads: useDotTileAsm, octets: true})
+		tiers = append(tiers, kernelTier{name: "octets", quads: useDotTileAsm, octets: true, quant: useQuantAsm, i8Tile: useI8TileAsm})
 	}
 	return tiers
 }()
 
-// use switches the tile dispatch to k and returns the switch back.
+// use switches the kernel dispatch to k and returns the switch back.
 func (k kernelTier) use() (restore func()) {
-	quads, octets := useDotTileAsm, useOctetAsm
-	useDotTileAsm, useOctetAsm = k.quads, k.octets
-	return func() { useDotTileAsm, useOctetAsm = quads, octets }
+	quads, octets, quant, i8Tile := useDotTileAsm, useOctetAsm, useQuantAsm, useI8TileAsm
+	useDotTileAsm, useOctetAsm, useQuantAsm, useI8TileAsm = k.quads, k.octets, k.quant, k.i8Tile
+	return func() { useDotTileAsm, useOctetAsm, useQuantAsm, useI8TileAsm = quads, octets, quant, i8Tile }
 }
 
 // forEachKernelPath runs fn as a subtest under every kernel tier.
@@ -407,8 +409,8 @@ func TestAccReset(t *testing.T) {
 
 // TestTileKernelAllocs is the zero-allocation contract of the flat
 // kernels, on every kernel tier: with a warm scratch and warm
-// accumulators, DotTile and ScanMulti — store order and norm-sorted —
-// must allocate nothing.
+// accumulators, DotTile and ScanMulti — store order, norm-sorted and
+// int8 — must allocate nothing.
 func TestTileKernelAllocs(t *testing.T) {
 	rng := xrand.New(21)
 	n, d, nq, k := 1500, 16, 9, 10
@@ -432,7 +434,8 @@ func TestTileKernelAllocs(t *testing.T) {
 			t.Fatalf("DotTile allocates %v per run, want 0", allocs)
 		}
 
-		for name, v := range map[string]View{"store order": s.View(), "norm-sorted": NewNormSorted(s).View} {
+		views := map[string]View{"store order": s.View(), "norm-sorted": NewNormSorted(s).View, "int8": NewStoreI8(s).View()}
+		for name, v := range views {
 			sweep := func() {
 				accs := sc.Accs(nq, k)
 				if err := v.ScanMulti(context.Background(), qs, 0, nq, accs, sc, ScanOpts{}); err != nil {

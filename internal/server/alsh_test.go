@@ -595,7 +595,7 @@ func TestALSHBatchAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
 	const shards, nq, k = 4, 2 * searchTileQ, 10
-	s, users := benchServer(t, 2000, 16, shards, KindALSH)
+	s, users := benchServer(t, 2000, 16, shards, IndexSpec{Kind: KindALSH})
 	queries := users[:nq]
 	for _, q := range queries {
 		vec.Normalize(q)

@@ -13,7 +13,7 @@ import (
 )
 
 // benchServer builds a populated server for the search benchmarks.
-func benchServer(b testing.TB, n, d, shards int, kind string) (*Server, []vec.Vector) {
+func benchServer(b testing.TB, n, d, shards int, spec IndexSpec) (*Server, []vec.Vector) {
 	b.Helper()
 	rng := xrand.New(1)
 	lf := dataset.NewLatentFactor(rng, n, 256, d, 0.5)
@@ -21,7 +21,7 @@ func benchServer(b testing.TB, n, d, shards int, kind string) (*Server, []vec.Ve
 	s := New(Config{DefaultShards: shards, CacheCapacity: -1})
 	b.Cleanup(func() { s.Close() })
 	recs := records(lf.Items, 0)
-	if _, _, err := s.Ingest("bench", &IndexSpec{Kind: kind}, shards, recs); err != nil {
+	if _, _, err := s.Ingest("bench", &spec, shards, recs); err != nil {
 		b.Fatalf("ingest: %v", err)
 	}
 	return s, lf.Users
@@ -29,17 +29,24 @@ func benchServer(b testing.TB, n, d, shards int, kind string) (*Server, []vec.Ve
 
 // searchCells runs bench once per served index kind on a 4-shard
 // collection: 20 000 × 16 latent-factor rows and their 256 users as
-// signed queries, or for alsh the planted-alsh benchmark's shape — 64
-// unsigned unit-norm queries against 6 000 × 32 unit-ball rows.
+// signed queries; for alsh the planted-alsh benchmark's shape — 64
+// unsigned unit-norm queries against 6 000 × 32 unit-ball rows; and for
+// exact-int8 mixed-durable's — 40 000 × 32 int8 rows, re-ranked.
 func searchCells(b *testing.B, bench func(b *testing.B, s *Server, users []vec.Vector, unsigned bool)) {
-	for _, kind := range []string{KindExact, KindNormScan, KindALSH} {
-		b.Run("index="+kind, func(b *testing.B) {
-			n, d, unsigned := 20000, 16, false
-			if kind == KindALSH {
-				n, d, unsigned = 6000, 32, true
-			}
-			s, users := benchServer(b, n, d, 4, kind)
-			if kind == KindALSH {
+	for _, c := range []struct {
+		name     string
+		spec     IndexSpec
+		n, d     int
+		unsigned bool
+	}{
+		{KindExact, IndexSpec{Kind: KindExact}, 20000, 16, false},
+		{KindNormScan, IndexSpec{Kind: KindNormScan}, 20000, 16, false},
+		{KindALSH, IndexSpec{Kind: KindALSH}, 6000, 32, true},
+		{"exact-int8", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 40000, 32, false},
+	} {
+		b.Run("index="+c.name, func(b *testing.B) {
+			s, users := benchServer(b, c.n, c.d, 4, c.spec)
+			if c.spec.Kind == KindALSH {
 				users = users[:64]
 				for _, u := range users {
 					vec.Normalize(u)
@@ -47,7 +54,7 @@ func searchCells(b *testing.B, bench func(b *testing.B, s *Server, users []vec.V
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			bench(b, s, users, unsigned)
+			bench(b, s, users, c.unsigned)
 		})
 	}
 }
@@ -97,7 +104,7 @@ func BenchmarkServerJoin(b *testing.B) {
 		{"exact", KindExact, "exact", false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			s, users := benchServer(b, 6000, 32, 4, c.kind)
+			s, users := benchServer(b, 6000, 32, 4, IndexSpec{Kind: c.kind})
 			for _, u := range users {
 				vec.Normalize(u)
 			}
@@ -313,7 +320,7 @@ func BenchmarkServerSearchHTTP(b *testing.B) {
 		{"batch=64/d=64", 64, 64},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			s, users := benchServer(b, 4000, bc.d, 4, KindExact)
+			s, users := benchServer(b, 4000, bc.d, 4, IndexSpec{Kind: KindExact})
 			h := NewHandler(s)
 			req := SearchRequest{K: 10}
 			if bc.nq == 1 {
