@@ -35,17 +35,14 @@ func guardedPage(t *testing.T) []byte {
 // ends flush against an unreadable page, at dimensions where the int8
 // kernels' padded last chunk (16 ∤ d) or last 4-code column (4 ∤ d) and
 // the f32 kernel's element tail (8 ∤ d) run up to the row's end: a load
-// past the last row faults. The int8 tile runs both ways — the VNNI
-// kernel, where the machine has it, and the AVX2 one per query — at row
-// counts off a 16-row group as well as on one. d = 8 and 16 run the
-// same any-dimension kernels as the rest.
+// past the last row faults. The VNNI int8 tile kernel, where the
+// machine has it, runs at row counts off a 16-row group as well as on
+// one. d = 8 and 16 run the same any-dimension kernels as the rest.
 func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 	if !useQuantAsm {
 		t.Skip("no asm kernels on this machine")
 	}
 	mem := guardedPage(t)
-	vnni := useI8TileAsm
-	defer func() { useI8TileAsm = vnni }()
 	for _, d := range []int{4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 100} {
 		for _, n := range []int{1, 2, 3, 4, 5, 9, 15, 16, 17} {
 			out := make([]float64, n)
@@ -56,10 +53,9 @@ func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 			qc, _ := quantizeQueryI8(nil, vec.New(d))
 			s8.dotRange(qc, 1, 0, n, out)
 
-			tl := &i8Tile{stride: len(qc), combined: make([]float64, maxTileQ)}
-			tl.i16 = make([]int16, maxTileQ*tl.stride)
-			for _, useVNNI := range []bool{false, vnni} {
-				useI8TileAsm = useVNNI
+			if i8TileSIMD(d) {
+				tl := &i8Tile{stride: len(qc), combined: make([]float64, maxTileQ)}
+				tl.i16 = make([]int16, maxTileQ*tl.stride)
 				tl.pack(d)
 				s8.tileDots(tl, 0, maxTileQ, 0, n, false)
 			}

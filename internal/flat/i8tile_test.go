@@ -51,9 +51,10 @@ func i8GridQueries(rng *xrand.RNG, vs []vec.Vector, d int) []vec.Vector {
 	return append(qs, vec.New(d), sat, vs[rng.Intn(len(vs))].Clone(), tiny)
 }
 
-// TestStoreI8ScanMultiMatchesScan holds the int8 tile sweep — the code
-// floor, every kernel tier, the masked offers — to Scan per query, the
-// float-scored path: hits bit-identical and in order, per-query scanned
+// TestStoreI8ScanMultiMatchesScan holds the int8 tile sweep — on the
+// VNNI tier the code floor and the masked offers, on the others the
+// per-query scoring — to Scan per query, the float-scored path: hits
+// bit-identical and in order, per-query scanned
 // rows and summed stats equal. Dimensions cover a lone 4-code column and
 // every column remainder around the AVX2 chunk; row counts put blocks
 // on both sides of a chunk edge; an all-zero store has combined scale 0;
@@ -229,13 +230,45 @@ func TestCodeFloor(t *testing.T) {
 	}
 }
 
-// FuzzDotI8Tile holds every int8 tile tier — the VNNI tile kernel, the
-// AVX2 kernel per query, the Go loop — to the Go loop's int32 dots and
-// to codePass bit by bit, on raw codes: every byte a data or a query
-// code (−128 included, which the quantizer never emits), any d ≤ 300,
-// 1..blockRows rows, a tile of 1..8 queries at any offset in a larger
-// bound set, floors at, around and far from the dots, signed and
-// unsigned. raw is read cyclically.
+// dotI8 is the fuzz reference: the exact int32 dot of one row of codes
+// with the first len(row) query codes.
+func dotI8(row []int8, qc []int16) int32 {
+	d := len(row)
+	qc = qc[:d:d]
+	var a0, a1, a2, a3 int32
+	j := 0
+	for ; j+4 <= d; j += 4 {
+		a0 += int32(row[j]) * int32(qc[j])
+		a1 += int32(row[j+1]) * int32(qc[j+1])
+		a2 += int32(row[j+2]) * int32(qc[j+2])
+		a3 += int32(row[j+3]) * int32(qc[j+3])
+	}
+	for ; j < d; j++ {
+		a0 += int32(row[j]) * int32(qc[j])
+	}
+	return a0 + a1 + a2 + a3
+}
+
+// codePass is the code-domain compare dotI8Tile makes: dot > floor, or
+// when unsigned |dot| > floor with both read as unsigned, so that
+// |MinInt32| is 2³¹.
+func codePass(dot, floor int32, unsigned bool) bool {
+	if !unsigned {
+		return dot > floor
+	}
+	if dot < 0 {
+		dot = -dot
+	}
+	return uint32(dot) > uint32(floor)
+}
+
+// FuzzDotI8Tile holds the VNNI tile kernel to the Go loop's int32 dots
+// and to codePass bit by bit, on raw codes: every byte a data or a
+// query code (−128 included, which the quantizer never emits), any
+// d ≤ 300, 1..blockRows rows, a tile of 1..8 queries at any offset in a
+// larger bound set, floors at, around and far from the dots, signed and
+// unsigned. raw is read cyclically. It skips where the kernel does not
+// run: the other tiers score per query, as Scan does.
 func FuzzDotI8Tile(f *testing.F) {
 	seed := []byte{127, 129, 0, 1, 255, 128, 64, 3, 200, 17, 90, 7, 250}
 	for _, d := range []uint16{4, 5, 15, 16, 17, 31, 32, 33, 64, 80, 257} {
@@ -244,10 +277,10 @@ func FuzzDotI8Tile(f *testing.F) {
 		f.Add(d-1, uint16(0), uint8(0), true, seed)
 	}
 	f.Fuzz(func(t *testing.T, dw, nw uint16, qw uint8, unsigned bool, raw []byte) {
-		if len(raw) == 0 {
+		d, n, nq := int(dw)%300+1, int(nw)%blockRows+1, int(qw)%maxTileQ+1
+		if len(raw) == 0 || !i8TileSIMD(d) {
 			t.Skip()
 		}
-		d, n, nq := int(dw)%300+1, int(nw)%blockRows+1, int(qw)%maxTileQ+1
 		at := 0
 		next := func() byte { at++; return raw[(at-1)%len(raw)] }
 		s := &StoreI8{dim: d, scale: 1}
@@ -281,30 +314,24 @@ func FuzzDotI8Tile(f *testing.F) {
 				tl.floors[j] = int32(int8(next()))
 			}
 		}
-		for _, kt := range kernelTiers {
-			// Stale output would pass unnoticed: start from the
-			// complement of every dot and bit the tier owes.
-			for j := 0; j < nq; j++ {
-				for r := 0; r < n; r++ {
-					tl.dots[j*blockRows+r] = ^want[j*n+r]
-					if !codePass(want[j*n+r], tl.floors[j], unsigned) {
-						tl.mask[j*maskWords+r/64] |= 1 << (r % 64)
-					} else {
-						tl.mask[j*maskWords+r/64] &^= 1 << (r % 64)
-					}
+		// Stale output would pass unnoticed: start from the complement
+		// of every dot and bit the kernel owes.
+		for j := 0; j < nq; j++ {
+			for r := 0; r < n; r++ {
+				tl.dots[j*blockRows+r] = ^want[j*n+r]
+				if !codePass(want[j*n+r], tl.floors[j], unsigned) {
+					tl.mask[j*maskWords+r/64] |= 1 << (r % 64)
 				}
 			}
-			restore := kt.use()
-			tl.pack(d)
-			s.tileDots(tl, j0, nq, 0, n, unsigned)
-			restore()
-			for j := 0; j < nq; j++ {
-				for r := 0; r < n; r++ {
-					dot, bit := tl.dots[j*blockRows+r], tl.mask[j*maskWords+r/64]>>(r%64)&1 == 1
-					if w := want[j*n+r]; dot != w || bit != codePass(w, tl.floors[j], unsigned) {
-						t.Fatalf("%s d=%d n=%d tile [%d, %d) of %d: query %d row %d: dot %d bit %v, want %d %v (floor %d, unsigned %v)",
-							kt.name, d, n, j0, j0+nq, total, j, r, dot, bit, w, codePass(w, tl.floors[j], unsigned), tl.floors[j], unsigned)
-					}
+		}
+		tl.pack(d)
+		s.tileDots(tl, j0, nq, 0, n, unsigned)
+		for j := 0; j < nq; j++ {
+			for r := 0; r < n; r++ {
+				dot, bit := tl.dots[j*blockRows+r], tl.mask[j*maskWords+r/64]>>(r%64)&1 == 1
+				if w := want[j*n+r]; dot != w || bit != codePass(w, tl.floors[j], unsigned) {
+					t.Fatalf("d=%d n=%d tile [%d, %d) of %d: query %d row %d: dot %d bit %v, want %d %v (floor %d, unsigned %v)",
+						d, n, j0, j0+nq, total, j, r, dot, bit, w, codePass(w, tl.floors[j], unsigned), tl.floors[j], unsigned)
 				}
 			}
 		}

@@ -31,18 +31,6 @@ func dot32Range(p []float32, d int, q []float32, out []float64)
 //go:noescape
 func dotI8Range(p []int8, d int, q []int16, combined float64, out []float64)
 
-// dotI8Mask is the int8 kernel at every d ≥ 16 in its code-domain
-// form: dotI8Range's body, writing each row's exact int32 dot to dots
-// and, in mask, bit r set when row r's dot beats floor — dot > floor,
-// or when unsigned |dot| > floor, both read as unsigned (|MinInt32| is
-// 2³¹). len(dots) rows; their bits start at bit 0 of mask[0], a byte per
-// 8 rows, the last partial byte's spare bits clear and later bytes left
-// alone. The same read-ahead as dotI8Range: keep the row after p inside
-// the allocation.
-//
-//go:noescape
-func dotI8Mask(p []int8, d int, q []int16, floor int32, unsigned bool, dots []int32, mask []uint64)
-
 // useI8TileAsm gates the AVX-512 VNNI int8 tile kernel, dotI8Tile, at
 // every d ≥ 4 (i8TileSIMD). A variable so the tests can run the AVX2
 // and Go tiers on a machine that has it.
@@ -52,7 +40,8 @@ var useI8TileAsm = x86HasAVX512F() && x86HasAVX512VNNI()
 // tile of nq = len(floors) ≤ maxTileQ queries: the int32 dot of row r
 // and query j goes to dots[j·blockRows + r], and bit r of query j's
 // maskWords-word stretch of mask, from word j·maskWords on, is set
-// exactly when dotI8Mask would set it against floors[j]. The kernel
+// exactly when the dot beats floors[j]: dot > floor, or when unsigned
+// |dot| > floor, both read as unsigned (|MinInt32| is 2³¹). The kernel
 // stores 16 bits per 16-row group, those past n clear; later words and
 // the dots past n are left alone. Query j's codes are packed in q by
 // 4-code column: column c of query j is q[c·qstride + j] (see

@@ -1,21 +1,16 @@
 // AVX2 quantized-store range kernels. See quant_amd64.go for the
-// contracts. Each tier has one kernel body, for any dimension of at
-// least one chunk (8 floats, 16 codes), and no fixed-dimension twin:
-// with the row stride built in, the f32 kernel scans 20 000 rows in
-// 45 µs at d = 8 and 45 at d = 16 to the any-d kernel's 21 and 31, the
-// int8 one in 16.3 µs at d = 16 to its 15.6. The int8 body ends two
-// ways: dotI8Range dequantizes each dot in-register (a single-query
-// scan's scores), dotI8Mask stores the int32 dots and compares them
-// with a code floor (an int8 tile's, per query, where the VNNI tile
-// kernel in i8tile_amd64.s does not run). Like the f64 tile kernels,
-// the float32 kernel avoids FMA so every multiply and add is a
-// separately rounded IEEE operation; the 8-lane vector accumulator
-// matches the Go kernel's s_0..s_7, the in-register fold
-// VEXTRACTF128+VADDPS reproduces t_i = s_i + s_{i+4}, and the VHADDPS
-// pair computes (t0+t1)+(t2+t3) before the score is widened (IEEE
-// addition is commutative for the values involved). The int8 kernels
-// are exact int32 arithmetic throughout, so no ordering contract is
-// needed at all.
+// contracts. Each tier has one kernel, for any dimension of at least
+// one chunk (8 floats, 16 codes), and no fixed-dimension twin: with the
+// row stride built in, the f32 kernel scans 20 000 rows in 45 µs at
+// d = 8 and 45 at d = 16 to the any-d kernel's 21 and 31, the int8 one
+// in 16.3 µs at d = 16 to its 15.6. Like the f64 tile kernels, the
+// float32 kernel avoids FMA so every multiply and add is a separately
+// rounded IEEE operation; the 8-lane vector accumulator matches the Go
+// kernel's s_0..s_7, the in-register fold VEXTRACTF128+VADDPS
+// reproduces t_i = s_i + s_{i+4}, and the VHADDPS pair computes
+// (t0+t1)+(t2+t3) before the score is widened (IEEE addition is
+// commutative for the values involved). The int8 kernel is exact int32
+// arithmetic throughout, so no ordering contract is needed at all.
 
 #include "textflag.h"
 
@@ -271,175 +266,5 @@ next1_i8d:
 	JMP  tail_i8d
 
 done_i8d:
-	VZEROUPPER
-	RET
-
-// func dotI8Mask(p []int8, d int, q []int16, floor int32, unsigned bool, dots []int32, mask []uint64)
-//
-// dotI8Range's body with the dequantization replaced by a store of the
-// folded int32 dots [d0 d1 d2 d3], then a second pass over the dots,
-// which are still in L1, for the code-domain compare: eight at a time,
-// one VPCMPGTD against the floor (unsigned: |dot| against the floor as
-// unsigned — VPABSD, then both sides biased by 2³¹) and one VMOVMSKPS
-// give the byte of mask bits of eight rows, mask being little-endian
-// words; the last n mod 8 rows take one bit each, from the same compare
-// on a broadcast dot. Y12 holds the (biased) floor and Y13 the bias.
-TEXT ·dotI8Mask(SB), NOSPLIT, $0-112
-	MOVQ p_base+0(FP), DI
-	MOVQ d+24(FP), DX
-	MOVQ q_base+32(FP), SI
-	MOVQ q_len+40(FP), BX
-	MOVQ dots_base+64(FP), R9
-	MOVQ dots_len+72(FP), CX
-
-	VMOVDQU (SI), Y8
-
-loop4_i8m:
-	CMPQ CX, $4
-	JL   tail_i8m
-
-	LEAQ (DI)(DX*1), R10
-	LEAQ (DI)(DX*2), R11
-	LEAQ (R11)(DX*1), R12
-
-	VPMOVSXBW (DI), Y0
-	VPMOVSXBW (R10), Y1
-	VPMOVSXBW (R11), Y2
-	VPMOVSXBW (R12), Y3
-	VPMADDWD  Y8, Y0, Y0
-	VPMADDWD  Y8, Y1, Y1
-	VPMADDWD  Y8, Y2, Y2
-	VPMADDWD  Y8, Y3, Y3
-
-	CMPQ BX, $16
-	JE   fold4_i8m
-	MOVQ $16, AX
-
-chunk4_i8m:
-	VMOVDQU   (SI)(AX*2), Y10
-	VPMOVSXBW (DI)(AX*1), Y4
-	VPMOVSXBW (R10)(AX*1), Y5
-	VPMOVSXBW (R11)(AX*1), Y6
-	VPMOVSXBW (R12)(AX*1), Y7
-	VPMADDWD  Y10, Y4, Y4
-	VPMADDWD  Y10, Y5, Y5
-	VPMADDWD  Y10, Y6, Y6
-	VPMADDWD  Y10, Y7, Y7
-	VPADDD    Y4, Y0, Y0
-	VPADDD    Y5, Y1, Y1
-	VPADDD    Y6, Y2, Y2
-	VPADDD    Y7, Y3, Y3
-	ADDQ      $16, AX
-	CMPQ      AX, BX
-	JL        chunk4_i8m
-
-fold4_i8m:
-	VPHADDD      Y1, Y0, Y0
-	VPHADDD      Y3, Y2, Y2
-	VPHADDD      Y2, Y0, Y0
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD       X1, X0, X0
-	VMOVDQU      X0, (R9)
-
-	LEAQ (R12)(DX*1), DI
-	ADDQ $16, R9
-	SUBQ $4, CX
-	JMP  loop4_i8m
-
-tail_i8m:
-	TESTQ CX, CX
-	JZ    mask_i8m
-
-	VPMOVSXBW (DI), Y0
-	VPMADDWD  Y8, Y0, Y0
-	MOVQ      $16, AX
-	JMP       next1_i8m
-
-chunk1_i8m:
-	VPMOVSXBW (DI)(AX*1), Y4
-	VPMADDWD  (SI)(AX*2), Y4, Y4
-	VPADDD    Y4, Y0, Y0
-	ADDQ      $16, AX
-
-next1_i8m:
-	CMPQ AX, BX
-	JL   chunk1_i8m
-
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD       X1, X0, X0
-	VPHADDD      X0, X0, X0
-	VPHADDD      X0, X0, X0
-	MOVQ         X0, AX
-	MOVL         AX, (R9)
-
-	ADDQ DX, DI
-	ADDQ $4, R9
-	DECQ CX
-	JMP  tail_i8m
-
-mask_i8m:
-	MOVQ         dots_base+64(FP), R9
-	MOVQ         dots_len+72(FP), CX
-	MOVQ         mask_base+88(FP), R14
-	MOVL         floor+56(FP), AX
-	MOVQ         AX, X12
-	VPBROADCASTD X12, Y12
-	VPXOR        Y13, Y13, Y13
-	MOVB         unsigned+60(FP), R8
-	TESTB        R8, R8
-	JZ           mask8_i8m
-	MOVL         $0x80000000, AX
-	MOVQ         AX, X13
-	VPBROADCASTD X13, Y13
-	VPXOR        Y13, Y12, Y12
-
-mask8_i8m:
-	CMPQ CX, $8
-	JL   maskrest_i8m
-	VMOVDQU (R9), Y0
-	TESTB   R8, R8
-	JZ      cmp8_i8m
-	VPABSD  Y0, Y0
-	VPXOR   Y13, Y0, Y0
-
-cmp8_i8m:
-	VPCMPGTD  Y12, Y0, Y0
-	VMOVMSKPS Y0, AX
-	MOVB      AX, (R14)
-	ADDQ      $32, R9
-	INCQ      R14
-	SUBQ      $8, CX
-	JMP       mask8_i8m
-
-maskrest_i8m:
-	// The last n mod 8 rows: bit i of the byte from dot i.
-	MOVQ CX, R12
-	XORQ R11, R11
-	XORQ CX, CX
-
-rest1_i8m:
-	CMPQ         CX, R12
-	JGE          restdone_i8m
-	VPBROADCASTD (R9)(CX*4), X0
-	TESTB        R8, R8
-	JZ           cmp1_i8m
-	VPABSD       X0, X0
-	VPXOR        X13, X0, X0
-
-cmp1_i8m:
-	VPCMPGTD  X12, X0, X0
-	VMOVMSKPS X0, AX
-	ANDQ      $1, AX
-	SHLQ      CX, AX
-	ORQ       AX, R11
-	INCQ      CX
-	JMP       rest1_i8m
-
-restdone_i8m:
-	TESTQ R12, R12
-	JZ    done_i8m
-	MOVB  R11, (R14)
-
-done_i8m:
 	VZEROUPPER
 	RET

@@ -14,12 +14,8 @@ func dotI8Range(p []int8, d int, q []int16, combined float64, out []float64) {
 	panic("flat: dotI8Range asm unavailable")
 }
 
-// useI8TileAsm is false off amd64: the int8 tiles run per query.
+// useI8TileAsm is false off amd64: the int8 tiles score per query.
 var useI8TileAsm = false
-
-func dotI8Mask(p []int8, d int, q []int16, floor int32, unsigned bool, dots []int32, mask []uint64) {
-	panic("flat: dotI8Mask asm unavailable")
-}
 
 func dotI8Tile(p []int8, d, n int, q []int32, qstride int, nbias, floors []int32, unsigned bool, dots []int32, mask []uint64) {
 	panic("flat: dotI8Tile asm unavailable")

@@ -123,9 +123,12 @@ type normSorter interface {
 // [qlo, qhi) of qs for offerTile, once per run; offerTile scores the
 // tile qs[qlo : qlo+len(accs)] against rows [b.start, max(ends)) of b's
 // run in one pass and offers query j its rows [b.start, ends[j]),
-// leaving accs[j] as b.offer would over scoreBlock's scores. Store and
-// StoreI8 have one; ScanMulti sweeps a Store32 once per query.
+// leaving accs[j] as b.offer would over scoreBlock's scores.
+// tileKernel reports whether the kernel runs on this machine: Store's
+// always does, StoreI8's where the CPU has AVX-512 VNNI. ScanMulti
+// sweeps the other tiers, a Store32 among them, once per query.
 type tiler interface {
+	tileKernel() bool
 	bindTile(qs *Store, qlo, qhi int, sc *TileScratch)
 	offerTile(b block, qs *Store, qlo int, accs []Acc, ends []int, sc *TileScratch)
 }
@@ -547,7 +550,7 @@ func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc
 	scanned := sc.scannedBuf(len(accs))
 	s := v.newSweep(ctx, o)
 	var st ScanStats
-	if _, ok := v.t.(tiler); ok {
+	if til, ok := v.t.(tiler); ok && til.tileKernel() {
 		if s.tiles(qs, qlo, accs, scanned, &st, sc) {
 			return stopErr(ctx)
 		}

@@ -334,6 +334,8 @@ func (c cancelTier) sortedRun(fs *Store, from int) run {
 // cancelTileTier is cancelTier over a tier with a tile kernel.
 type cancelTileTier struct{ cancelTier }
 
+func (c cancelTileTier) tileKernel() bool { return c.tier.(tiler).tileKernel() }
+
 func (c cancelTileTier) bindTile(qs *Store, qlo, qhi int, sc *TileScratch) {
 	c.tier.(tiler).bindTile(qs, qlo, qhi, sc)
 }

@@ -14,21 +14,22 @@
 // the float32 tier's. A code score widens as float64(acc) ·
 // (scale·qscale).
 //
-// A batch (View.ScanMulti) compares in the code domain instead. Before
-// each block, each query's bar — its k-th best once its accumulator is
-// full — becomes an int32 code floor F, the largest t with
-// float64(t)·combined ≤ bar (codeFloor). One pass over the block's
-// codes scores a tile of up to maxTileQ queries — where the CPU has
-// AVX-512 VNNI one gather per 4-code column of 16 rows and one VPDPBUSD
-// per query (dotI8Tile, i8tile_amd64.s), elsewhere the AVX2 kernel per
-// query (dotI8Mask) or the Go loop — and writes exact int32 dots and a
-// mask of the rows with dot > F (|dot| > F when unsigned). Only those
-// rows are dequantized, float64(dot)·combined as above, and offered
-// under the float compare the single-query bookkeeping makes. Rounding
-// is monotone, so a row the mask drops scores at or under the bar: a
-// row that bookkeeping skips too. The accumulators see the same offers
-// in the same order, and hits and ScanStats are Scan's per query, bit
-// for bit.
+// Where the CPU has AVX-512 VNNI a batch (View.ScanMulti) compares in
+// the code domain instead. Before each block, each query's bar — its
+// k-th best once its accumulator is full — becomes an int32 code floor
+// F, the largest t with float64(t)·combined ≤ bar (codeFloor). One pass
+// over the block's codes scores a tile of up to maxTileQ queries, one
+// gather per 4-code column of 16 rows and one VPDPBUSD per query
+// (dotI8Tile, i8tile_amd64.s), and writes exact int32 dots and a mask
+// of the rows with dot > F (|dot| > F when unsigned). Only those rows
+// are dequantized, float64(dot)·combined as above, and offered under
+// the float compare the single-query bookkeeping makes. Rounding is
+// monotone, so a row the mask drops scores at or under the bar: a row
+// that bookkeeping skips too. The accumulators see the same offers in
+// the same order, and hits and ScanStats are Scan's per query, bit for
+// bit. Elsewhere a batch sweeps the rows once per query, as Scan does:
+// an AVX2 form of the code-domain kernel, run per query, measured
+// slower than that.
 //
 // Int8 scores are approximations with per-element error ≤ scale/2 on
 // each side; the serving layer treats them as candidates only and
@@ -220,10 +221,10 @@ func (s *StoreI8) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 // i8Chunk is the codes the AVX2 kernel takes per step: one VPMOVSXBW.
 const i8Chunk = 16
 
-// quantSIMD is the one gate between a quantized tier's per-query
-// kernels and their AVX2 forms, which walk a row chunk elements at a
-// time: every d of at least a chunk runs SIMD, the rest (and every
-// machine without AVX2) the Go kernels.
+// quantSIMD is the one gate between a quantized tier's dotRange and its
+// AVX2 kernels, which walk a row chunk elements at a time: every d of
+// at least a chunk runs SIMD, the rest (and every machine without AVX2)
+// the Go kernels.
 func quantSIMD(d, chunk int) bool { return useQuantAsm && d >= chunk }
 
 // i8TileSIMD is the gate of the VNNI tile kernel: every d of at least
@@ -238,78 +239,45 @@ func i8TileSIMD(d int) bool { return useI8TileAsm && d >= 4 }
 // the scalar loop exactly, no accumulation-chain contract needed. When
 // i8Chunk ∤ d the kernel's last load per row reaches into the next row
 // (against zero query codes), so the piece's last row — possibly the
-// allocation's — is scored by the Go loop.
+// allocation's — is scored by the Go kernel.
 func (s *StoreI8) dotRange(qc []int16, combined float64, lo, hi int, out []float64) {
 	d, simd := s.dim, quantSIMD(s.dim, i8Chunk)
 	for lo < hi {
 		codes, l, h := s.codes.span(lo, hi)
-		g := l // [g, h) is the Go loop's
+		g := l // [g, h) is the Go kernel's
 		if simd {
 			if g = h; d%i8Chunk != 0 {
 				g--
 			}
 			dotI8Range(codes[l*d:g*d], d, qc, combined, out[:g-l])
 		}
-		for r := g; r < h; r++ {
-			out[r-l] = float64(dotI8(codes[r*d:(r+1)*d], qc)) * combined
+		if g < h {
+			dotI8RangeGeneric(codes, d, qc, combined, g, h, out[g-l:])
 		}
 		out = out[h-l:]
 		lo += h - l
 	}
 }
 
-// dotI8 is the Go kernel: the exact int32 dot of one row of codes with
-// the first len(row) query codes.
-func dotI8(row []int8, qc []int16) int32 {
-	d := len(row)
+// dotI8RangeGeneric is the any-dimension int8 kernel.
+func dotI8RangeGeneric(codes []int8, d int, qc []int16, combined float64, lo, hi int, out []float64) {
 	qc = qc[:d:d]
-	var a0, a1, a2, a3 int32
-	j := 0
-	for ; j+4 <= d; j += 4 {
-		a0 += int32(row[j]) * int32(qc[j])
-		a1 += int32(row[j+1]) * int32(qc[j+1])
-		a2 += int32(row[j+2]) * int32(qc[j+2])
-		a3 += int32(row[j+3]) * int32(qc[j+3])
-	}
-	for ; j < d; j++ {
-		a0 += int32(row[j]) * int32(qc[j])
-	}
-	return a0 + a1 + a2 + a3
-}
-
-// dotI8Rows is dotRange's code-domain form, the int8 tile kernel where
-// the VNNI one does not run: it writes the exact int32 dots of the
-// len(dots) rows of codes against qc to dots, and sets bit r of mask
-// when row r beats floor (codePass); mask must hold ⌈len(dots)/64⌉
-// cleared words. The AVX2 kernel runs where quantSIMD holds, the last
-// row left to the Go loop as in dotRange.
-func dotI8Rows(codes []int8, d int, qc []int16, floor int32, unsigned bool, dots []int32, mask []uint64) {
-	g := 0 // [g, len(dots)) is the Go loop's
-	if quantSIMD(d, i8Chunk) {
-		if g = len(dots); d%i8Chunk != 0 {
-			g--
+	for r := lo; r < hi; r++ {
+		off := r * d
+		row := codes[off : off+d : off+d]
+		var a0, a1, a2, a3 int32
+		j := 0
+		for ; j+4 <= d; j += 4 {
+			a0 += int32(row[j]) * int32(qc[j])
+			a1 += int32(row[j+1]) * int32(qc[j+1])
+			a2 += int32(row[j+2]) * int32(qc[j+2])
+			a3 += int32(row[j+3]) * int32(qc[j+3])
 		}
-		dotI8Mask(codes[:g*d], d, qc, floor, unsigned, dots[:g], mask)
-	}
-	for r := g; r < len(dots); r++ {
-		dot := dotI8(codes[r*d:(r+1)*d], qc)
-		dots[r] = dot
-		if codePass(dot, floor, unsigned) {
-			mask[r>>6] |= 1 << (r & 63)
+		for ; j < d; j++ {
+			a0 += int32(row[j]) * int32(qc[j])
 		}
+		out[r-lo] = float64(a0+a1+a2+a3) * combined
 	}
-}
-
-// codePass is the kernels' compare: dot > floor, or when unsigned
-// |dot| > floor with both read as unsigned, so that |MinInt32| is 2³¹.
-func codePass(dot, floor int32, unsigned bool) bool {
-	if !unsigned {
-		return dot > floor
-	}
-	if dot < 0 {
-		dot = -dot
-	}
-	return uint32(dot) > uint32(floor)
 }
 
 // codeFloor returns the largest int32 t with float64(t)·combined ≤ bar
@@ -387,9 +355,12 @@ type i8Tile struct {
 // maskWords is the mask words of one query of a tile.
 const maskWords = blockRows / 64
 
+// tileKernel implements tiler: the tile kernel is the VNNI one.
+func (s *StoreI8) tileKernel() bool { return i8TileSIMD(s.dim) }
+
 // bindTile implements tiler: query rows [qlo, qhi) of qs, each quantized
-// against its own scale as bind quantizes it, then packed for the
-// kernel in use.
+// against its own scale as bind quantizes it, then packed for the VNNI
+// kernel.
 func (s *StoreI8) bindTile(qs *Store, qlo, qhi int, sc *TileScratch) {
 	t := &sc.i8
 	t.qlo, t.stride = qlo, i8Chunk*((s.dim+i8Chunk-1)/i8Chunk)
@@ -403,14 +374,11 @@ func (s *StoreI8) bindTile(qs *Store, qlo, qhi int, sc *TileScratch) {
 }
 
 // pack lays the len(t.combined) queries of t.i16 out for the VNNI
-// kernel, where it runs at d: by 4-code column — column c covers codes
+// kernel at d ≥ 4: by 4-code column — column c covers codes
 // [o, o+4), o = min(4c, d−4), so a row's last column stays inside it,
 // and holds zero for the codes an earlier column already covered —
 // with each query's −128·Σ codes beside.
 func (t *i8Tile) pack(d int) {
-	if !i8TileSIMD(d) {
-		return
-	}
 	nq, cols := len(t.combined), (d+3)/4
 	t.cols = slices.Grow(t.cols[:0], cols*nq)[:cols*nq]
 	t.nbias = t.nbias[:0]
@@ -450,21 +418,11 @@ func (s *StoreI8) offerTile(b block, _ *Store, qlo int, accs []Acc, ends []int, 
 }
 
 // tileDots fills t.dots and t.mask for tile queries [j0, j0+nq) against
-// rows [start, start+n) — a block, which never straddles a chunk: in one
-// VNNI kernel pass where i8TileSIMD holds, else dotI8Rows per query.
-// Integer sums are exact, so every tier writes the same dots and bits.
+// rows [start, start+n) — a block, which never straddles a chunk — in
+// one VNNI kernel pass.
 func (s *StoreI8) tileDots(t *i8Tile, j0, nq, start, n int, unsigned bool) {
-	d := s.dim
 	codes := s.codes.contiguous(start, start+n)
-	if i8TileSIMD(d) {
-		dotI8Tile(codes, d, n, t.cols[j0:], len(t.combined), t.nbias[j0:j0+nq], t.floors[:nq], unsigned, t.dots[:], t.mask[:])
-		return
-	}
-	for j := 0; j < nq; j++ {
-		mask := t.mask[j*maskWords : (j+1)*maskWords]
-		clear(mask)
-		dotI8Rows(codes, d, t.i16[(j0+j)*t.stride:][:t.stride], t.floors[j], unsigned, t.dots[j*blockRows:][:n], mask)
-	}
+	dotI8Tile(codes, s.dim, n, t.cols[j0:], len(t.combined), t.nbias[j0:j0+nq], t.floors[:nq], unsigned, t.dots[:], t.mask[:])
 }
 
 // offerCodes is offerScores over the code dots of b's rows: it offers

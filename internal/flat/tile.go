@@ -50,8 +50,9 @@
 // FuzzOfferRows hold both to vec.DotKernel by Float64bits.
 //
 // View.ScanMulti drives the tile kernel — this one over f64 rows,
-// StoreI8's code-domain one (storei8.go) over int8 rows — over one data
-// sweep, maintaining a per-query accumulator.
+// StoreI8's code-domain one (storei8.go) over int8 rows where the CPU
+// has AVX-512 VNNI — over one data sweep, maintaining a per-query
+// accumulator.
 package flat
 
 import (
@@ -277,6 +278,9 @@ func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64, sc *
 		}
 	}
 }
+
+// tileKernel implements tiler: the f64 tile kernels have a Go form.
+func (s *Store) tileKernel() bool { return true }
 
 // bindTile implements tiler: the f64 kernels read the query rows as
 // stored.

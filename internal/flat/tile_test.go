@@ -11,8 +11,8 @@ import (
 
 // kernelTier is one kernel dispatch. For f64 tiles quads runs the
 // AVX2 quad kernels and octets the AVX-512 octet kernel; for int8 quant
-// runs the AVX2 kernels (per query in a tile) and i8Tile the AVX-512
-// VNNI tile kernel.
+// runs the AVX2 kernel (a batch sweeping once per query) and i8Tile the
+// AVX-512 VNNI tile kernel.
 type kernelTier struct {
 	name                         string
 	quads, octets, quant, i8Tile bool
