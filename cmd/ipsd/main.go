@@ -6,7 +6,7 @@
 //	     [-data dir] [-fsync always|interval|never] [-fsync-interval 100ms]
 //	     [-checkpoint-bytes 67108864]
 //	     [-default-timeout 0] [-max-inflight 0] [-max-queue 0]
-//	     [-max-body-bytes 33554432] [-rerank-overfetch 4]
+//	     [-max-body-bytes 33554432]
 //	     [-recover strict|quarantine] [-scrub-interval 0]
 //	     [-read-timeout 30s] [-write-timeout 60s] [-idle-timeout 2m]
 //	     [-trace] [-trace-buffer 32] [-slow-query-ms 0]
@@ -25,10 +25,9 @@
 // collection from its manifest, newest valid segment and WAL tail.
 //
 // Collections created with "precision": "f32" or "int8" store a
-// quantized scan copy alongside the exact f64 rows; -rerank-overfetch
-// sets the server-wide candidate multiplier used when re-ranking
-// quantized results through the f64 store (a collection's own
-// "overfetch" spec field takes priority).
+// quantized scan copy alongside the exact f64 rows. An int8 search
+// re-ranks the candidates its quantization error bound certifies
+// through the f64 rows, so it answers as the f64 exact scan does.
 //
 // -trace (on by default) gives every request a trace: W3C traceparent
 // headers are honored and echoed, per-stage timings feed the
@@ -76,7 +75,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently executing queries per collection (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "queries allowed to wait for an admission slot before shedding with 429 (negative = unbounded)")
 	maxBody := flag.Int64("max-body-bytes", 32<<20, "request body cap on every route that reads one (negative disables)")
-	rerankOverfetch := flag.Int("rerank-overfetch", 0, "candidate multiplier for quantized-tier re-ranking (0 = built-in default)")
 	recoverMode := flag.String("recover", "strict", "boot behavior when a collection fails recovery: strict (fail the boot) | quarantine (serve it as 503, directory untouched)")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background segment integrity scrub period per collection (0 disables)")
 	tracing := flag.Bool("trace", true, "per-request tracing: /debug/requests, /debug/trace/{id}, ipsd_stage_seconds")
@@ -160,7 +158,6 @@ func main() {
 		MaxInflight:     *maxInflight,
 		MaxQueue:        *maxQueue,
 		MaxBodyBytes:    *maxBody,
-		RerankOverfetch: *rerankOverfetch,
 		Tracing:         *tracing,
 		TraceBuffer:     *traceBuffer,
 		SlowQueryMS:     *slowQueryMS,

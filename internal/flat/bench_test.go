@@ -181,14 +181,14 @@ func BenchmarkFlatOfferRows(b *testing.B) {
 // (ns/op ÷ 256 compares against BenchmarkFlatTopK/flat), at every
 // dimension a benchmark workload serves — the batch paths the
 // bench-gate's BenchmarkFlatTopK filter holds to its bar: f64 (the
-// d=… cells) and int8 (int8/d=…, at the top 40 an int8 collection
-// fetches for a re-ranked top 10).
+// d=… cells) and int8 (int8/d=…, which also lists each query's
+// certified candidates, as an int8 collection's top 10 does).
 func BenchmarkFlatTopKMulti(b *testing.B) {
 	for _, tier := range []string{"f64", "int8"} {
 		for _, d := range []int{16, 32, 64} {
-			name, k := fmt.Sprintf("d=%d", d), 10
+			name := fmt.Sprintf("d=%d", d)
 			if tier == "int8" {
-				name, k = "int8/"+name, 40
+				name = "int8/" + name
 			}
 			b.Run(name, func(b *testing.B) {
 				rng := xrand.New(2)
@@ -209,7 +209,7 @@ func BenchmarkFlatTopKMulti(b *testing.B) {
 				defer PutTileScratch(sc)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					accs := sc.Accs(nq, k)
+					accs := sc.Accs(nq, 10)
 					if err := v.ScanMulti(context.Background(), qs, 0, nq, accs, sc, ScanOpts{}); err != nil {
 						b.Fatal(err)
 					}

@@ -35,40 +35,45 @@ func i8Lattice(rng *xrand.RNG, v vec.Vector) {
 	v[rng.Intn(len(v))] = 127
 }
 
-// i8GridQueries are a tile's 20 queries: Gaussian ones, two lattice
+// i8GridQueries are a tile's 21 queries: Gaussian ones, two lattice
 // ones, the zero query (every dot 0), a saturated one (codes ±127), a
-// copy of a row and a subnormal one, whose scale times the store's is
-// subnormal too.
+// copy of a row, a subnormal one, whose scale times the store's is
+// subnormal too, and a huge one, whose ‖q‖₁ overflows.
 func i8GridQueries(rng *xrand.RNG, vs []vec.Vector, d int) []vec.Vector {
 	qs := randomVecs(rng, 16, d)
 	i8Lattice(rng, qs[0])
 	i8Lattice(rng, qs[1])
-	sat, tiny := vec.New(d), vec.Vector(rng.NormalVec(d))
+	sat, tiny, huge := vec.New(d), vec.Vector(rng.NormalVec(d)), vec.Vector(rng.NormalVec(d))
 	for i := range sat {
 		sat[i] = float64(1 - 2*(i%3%2))
 		tiny[i] *= 1e-310
+		huge[i] *= 1e308
 	}
-	return append(qs, vec.New(d), sat, vs[rng.Intn(len(vs))].Clone(), tiny)
+	return append(qs, vec.New(d), sat, vs[rng.Intn(len(vs))].Clone(), tiny, huge)
 }
 
 // TestStoreI8ScanMultiMatchesScan holds the int8 tile sweep — on the
 // VNNI tier the code floor and the masked offers, on the others the
 // per-query scoring — to Scan per query, the float-scored path: hits
 // bit-identical and in order, per-query scanned
-// rows and summed stats equal. Dimensions cover a lone 4-code column and
-// every column remainder around the AVX2 chunk; row counts put blocks
-// on both sides of a chunk edge; an all-zero store has combined scale 0;
-// a lattice store (i8Lattice rows) ties many rows at every small dot,
-// so a floor one code too high drops a row Scan keeps.
+// rows and summed stats equal. And it holds the sweep's certificate to
+// the f64 scan: each query's candidates, re-ranked through the f64 rows,
+// are the f64 Scan's hits bit for bit. Dimensions cover a lone 4-code
+// column and every column remainder around the AVX2 chunk; row counts
+// put blocks on both sides of a chunk edge; an all-zero store has
+// combined scale 0; a lattice store (i8Lattice rows) ties many rows at
+// every small dot, so a floor one code too high drops a row Scan keeps;
+// a non-finite store holds ±Inf and NaN elements, which no code bounds.
 // Each store runs every tombstone shape signed and unsigned, k cycling
-// through 1, 10, 40 and more than n (the floor never rises: every row
-// passes), tile widths cycling through 1..20 over the 20 queries.
+// through 1, 10, 50 and more than n (the floor never rises: every row
+// passes), tile widths cycling through 1..20 over the 21 queries — a
+// width of 1 is a single search.
 func TestStoreI8ScanMultiMatchesScan(t *testing.T) {
 	rng := xrand.New(40)
 	ctx := context.Background()
 	cells := 0
 	for _, d := range []int{4, 5, 15, 16, 17, 31, 32, 33, 64, 80} {
-		for _, n := range []int{1023, 1024, 1025, 2300, -1, -2} {
+		for _, n := range []int{1023, 1024, 1025, 2300, -1, -2, -3} {
 			name := fmt.Sprintf("d=%d n=%d", d, n)
 			vs := i8GridRows(rng, max(n, 1025), d)
 			switch n {
@@ -82,6 +87,9 @@ func TestStoreI8ScanMultiMatchesScan(t *testing.T) {
 				for _, v := range vs {
 					i8Lattice(rng, v)
 				}
+			case -3:
+				name = fmt.Sprintf("d=%d non-finite store", d)
+				vs[5][0], vs[600][d-1], vs[900][d/2] = math.Inf(1), math.NaN(), math.Inf(-1)
 			}
 			fs, err := FromVectors(vs)
 			if err != nil {
@@ -96,20 +104,25 @@ func TestStoreI8ScanMultiMatchesScan(t *testing.T) {
 			for _, shape := range []string{"nil", "random25", "block1", "all"} {
 				dead := i8GridDead(shape, n, rng)
 				for _, unsigned := range []bool{false, true} {
-					k := []int{1, 10, 40, n + 1}[cells%4]
+					k := []int{1, 10, 50, n + 1}[cells%4]
 					nq := qs.Len()
 					if k > n {
 						nq = 3 // every row is offered: a few queries suffice
 					}
 					o := ScanOpts{K: k, Unsigned: unsigned, Dead: dead}
 					want := make([][]Hit, nq)
+					exact := make([][]Hit, nq)
 					wantScanned := make([]int, nq)
 					wantStats := make([]ScanStats, nq)
 					for j := range want {
+						if exact[j], err = fs.View().Scan(ctx, qs.Row(j), o); err != nil {
+							t.Fatal(err)
+						}
 						o.Stats = &wantStats[j]
 						if want[j], err = v.Scan(ctx, qs.Row(j), o); err != nil {
 							t.Fatal(err)
 						}
+						o.Stats = nil
 						wantScanned[j] = wantStats[j].ScannedRows
 					}
 					w := 1 + cells%min(nq, 20)
@@ -117,7 +130,7 @@ func TestStoreI8ScanMultiMatchesScan(t *testing.T) {
 					cell := fmt.Sprintf("%s dead=%s unsigned=%v k=%d", name, shape, unsigned, k)
 					forEachKernelPath(t, func(t *testing.T) {
 						for _, tile := range [][2]int{{0, w}, {w, nq}} {
-							checkI8Tile(t, cell, v, qs, tile[0], tile[1], o, want, wantScanned, wantStats)
+							checkI8Tile(t, cell, fs, v, qs, tile[0], tile[1], o, want, exact, wantScanned, wantStats)
 						}
 					})
 				}
@@ -150,8 +163,9 @@ func i8GridDead(shape string, n int, rng *xrand.RNG) *Tombstones {
 }
 
 // checkI8Tile runs ScanMulti over queries [qlo, qhi) of qs and holds it
-// to the per-query Scan results want, wantScanned and wantStats.
-func checkI8Tile(t *testing.T, cell string, v View, qs *Store, qlo, qhi int, o ScanOpts, want [][]Hit, wantScanned []int, wantStats []ScanStats) {
+// to the per-query Scan results want, wantScanned and wantStats, and its
+// candidates, re-ranked through fs, to the f64 Scan results exact.
+func checkI8Tile(t *testing.T, cell string, fs *Store, v View, qs *Store, qlo, qhi int, o ScanOpts, want, exact [][]Hit, wantScanned []int, wantStats []ScanStats) {
 	t.Helper()
 	if qlo == qhi {
 		return
@@ -172,6 +186,11 @@ func checkI8Tile(t *testing.T, cell string, v View, qs *Store, qlo, qhi int, o S
 			t.Fatalf("%s query %d: tile scanned %d rows, Scan %d", cell, qlo+j, sc.Scanned()[j], wantScanned[qlo+j])
 		}
 		sum.Add(wantStats[qlo+j])
+		a := NewAcc(o.K)
+		fs.OfferRows(nil, &a, qs.Row(qlo+j), sc.Candidates(j, &accs[j]), nil, o.Unsigned)
+		if !hitBitsEqual(a.Hits(), exact[qlo+j]) {
+			t.Fatalf("%s queries [%d, %d) query %d: re-ranked candidates %v, f64 Scan %v", cell, qlo, qhi, qlo+j, a.Hits(), exact[qlo+j])
+		}
 	}
 	if st != sum {
 		t.Fatalf("%s queries [%d, %d): tile stats %+v, summed Scan stats %+v", cell, qlo, qhi, st, sum)
@@ -334,6 +353,124 @@ func FuzzDotI8Tile(f *testing.F) {
 						d, n, j0, j0+nq, total, j, r, dot, bit, w, codePass(w, tl.floors[j], unsigned), tl.floors[j], unsigned)
 				}
 			}
+		}
+	})
+}
+
+// FuzzI8Certificate holds the int8 certificate to the f64 rows: every
+// row's f64 dot with every query lies within ε of its dequantized score,
+// and each query's trimmed candidates hold the f64 top k — re-ranked
+// through the f64 rows, they are the f64 Scan's hits bit for bit. The
+// rows come in two batches, the second through Extend at a standing, a
+// rising or an unchanged scale, which must equal a fresh quantization,
+// bound included. mode picks Gaussian, lattice (many ties),
+// wide-exponent or duplicated rows, and may add a non-finite element and
+// tombstones; the queries are Gaussian at random scales and the zero
+// query. Every kernel tier the machine has runs.
+func FuzzI8Certificate(f *testing.F) {
+	for i, d := range []uint8{4, 16, 17, 32, 33, 64} {
+		f.Add(uint64(i), d, uint16(700), uint8(10), uint8(i*7), i%2 == 0)
+		f.Add(uint64(i+10), d, uint16(300), uint8(1), uint8(i*5+4), i%2 == 1)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, dw uint8, nw uint16, kw uint8, mode uint8, unsigned bool) {
+		d, n, k := int(dw)%80+1, int(nw)%1200+2, int(kw)%60+1
+		rng := xrand.New(seed)
+		vs := make([]vec.Vector, n)
+		for i := range vs {
+			v := vec.Vector(rng.NormalVec(d))
+			switch mode % 4 {
+			case 1:
+				for j := range v {
+					v[j] = float64(rng.Intn(5) - 2)
+				}
+			case 2:
+				for j := range v {
+					v[j] = math.Ldexp(v[j], rng.Intn(60)-30)
+				}
+			case 3:
+				if i > 0 && rng.Intn(3) == 0 {
+					v = vs[rng.Intn(i)].Clone()
+				}
+			}
+			vs[i] = v
+		}
+		split := n / 2
+		for _, v := range vs[split:] {
+			switch mode / 4 % 3 {
+			case 0:
+				vec.Scale(v, 0.5) // the scale stands
+			case 1:
+				vec.Scale(v, 4) // it rises
+			}
+		}
+		if mode&32 != 0 {
+			vs[rng.Intn(n)][rng.Intn(d)] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)]
+		}
+		fs, err := FromVectors(vs[:split])
+		if err != nil {
+			t.Fatal(err)
+		}
+		q8 := NewStoreI8(fs)
+		all := fs.CloneGrow(n - split)
+		if err := all.AppendAll(vs[split:]); err != nil {
+			t.Fatal(err)
+		}
+		q8 = q8.Extend(all)
+		if fresh := NewStoreI8(all); !q8.Equal(fresh) || q8.maxL1 != fresh.maxL1 || q8.unbounded != fresh.unbounded {
+			t.Fatalf("Extend: maxL1 %d unbounded %v, a fresh quantization %d %v (or codes differ)", q8.maxL1, q8.unbounded, fresh.maxL1, fresh.unbounded)
+		}
+		queries := randomVecs(rng, 5, d)
+		for _, q := range queries {
+			vec.Scale(q, math.Ldexp(1, rng.Intn(20)-10))
+		}
+		qs, err := FromVectors(append(queries, vec.New(d)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dead *Tombstones
+		if mode&64 != 0 {
+			dead, _ = killRandom(rng, n, 0.1)
+		}
+		o := ScanOpts{K: k, Unsigned: unsigned, Dead: dead}
+		for _, kt := range kernelTiers {
+			restore := kt.use()
+			sc := GetTileScratch()
+			accs := sc.Accs(qs.Len(), k)
+			if err := q8.View().ScanMulti(context.Background(), qs, 0, qs.Len(), accs, sc, o); err != nil {
+				t.Fatal(err)
+			}
+			for j := range accs {
+				q := qs.Row(j)
+				if eps := sc.i8.slack[j] / 2; !math.IsInf(eps, 1) {
+					for r := 0; r < n; r++ {
+						v := float64(dotI8(q8.Row(r), sc.i8.i16[j*sc.i8.stride:])) * sc.i8.combined[j]
+						if f := vec.DotKernel(all.Row(r), q); !(math.Abs(f-v) <= eps) {
+							t.Fatalf("%s: d=%d query %d row %d: f64 dot %v, dequantized %v, ε %v", kt.name, d, j, r, f, v, eps)
+						}
+					}
+				}
+				want, err := all.View().Scan(context.Background(), q, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := sc.Candidates(j, &accs[j])
+				in := make(map[int]bool, len(rows))
+				for _, r := range rows {
+					in[r] = true
+				}
+				for _, h := range want {
+					if !in[h.Index] {
+						t.Fatalf("%s: d=%d k=%d query %d: f64 hit %v is not a candidate (%d candidates)", kt.name, d, k, j, h, len(rows))
+					}
+				}
+				a := NewAcc(k)
+				all.OfferRows(nil, &a, q, rows, nil, unsigned)
+				if !hitBitsEqual(a.Hits(), want) {
+					t.Fatalf("%s: d=%d k=%d query %d: re-ranked candidates %v, f64 Scan %v", kt.name, d, k, j, a.Hits(), want)
+				}
+			}
+			PutTileScratch(sc)
+			restore()
 		}
 	})
 }

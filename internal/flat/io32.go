@@ -130,7 +130,10 @@ func (s *StoreI8) AppendBinary(buf []byte) []byte {
 // returning the decoded store and the number of bytes consumed. The
 // scale must be finite and non-negative (zero only alongside all-zero
 // codes is what the encoder emits, but that pairing is the segment
-// layer's requantization check, not the codec's).
+// layer's requantization check, not the codec's). The largest Σ|code|
+// comes from the codes; whether a coded row was finite does not, so the
+// decoded store certifies nothing (every live row is a batch's
+// candidate).
 func DecodeStoreI8(data []byte) (*StoreI8, int, error) {
 	if len(data) < blockI8HeaderSize+4 {
 		return nil, 0, fmt.Errorf("flat: int8 block truncated: %d bytes", len(data))
@@ -161,13 +164,16 @@ func DecodeStoreI8(data []byte) (*StoreI8, int, error) {
 	if got := crc32.Checksum(data[:total-4], castagnoli); got != want {
 		return nil, 0, fmt.Errorf("flat: int8 block checksum mismatch: %08x != %08x", got, want)
 	}
-	s := &StoreI8{dim: int(dim), scale: scale}
+	s := &StoreI8{dim: int(dim), scale: scale, unbounded: true}
 	s.codes.width = s.dim
 	raw := data[blockI8HeaderSize : blockI8HeaderSize+n]
 	for len(raw) > 0 {
 		codes := s.codes.grow(len(raw) / s.dim)
 		for j := range codes {
 			codes[j] = int8(raw[j])
+		}
+		for r := 0; r < len(codes); r += s.dim {
+			s.maxL1 = max(s.maxL1, codeL1(codes[r:r+s.dim]))
 		}
 		raw = raw[len(codes):]
 	}

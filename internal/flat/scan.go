@@ -123,12 +123,9 @@ type normSorter interface {
 // [qlo, qhi) of qs for offerTile, once per run; offerTile scores the
 // tile qs[qlo : qlo+len(accs)] against rows [b.start, max(ends)) of b's
 // run in one pass and offers query j its rows [b.start, ends[j]),
-// leaving accs[j] as b.offer would over scoreBlock's scores.
-// tileKernel reports whether the kernel runs on this machine: Store's
-// always does, StoreI8's where the CPU has AVX-512 VNNI. ScanMulti
-// sweeps the other tiers, a Store32 among them, once per query.
+// leaving accs[j] as b.offer would over scoreBlock's scores. Store and
+// StoreI8 have it; ScanMulti sweeps a Store32 once per query.
 type tiler interface {
-	tileKernel() bool
 	bindTile(qs *Store, qlo, qhi int, sc *TileScratch)
 	offerTile(b block, qs *Store, qlo int, accs []Acc, ends []int, sc *TileScratch)
 }
@@ -458,8 +455,8 @@ func stopErr(ctx context.Context) error {
 // Scan returns up to o.K hits for q under the canonical (score
 // descending, index ascending) ordering, among the rows o.Dead does not
 // mark. Scores are the tier's: exact on Store, float32-accurate on
-// Store32, dequantized approximations on StoreI8 (callers needing exact
-// scores re-rank the hits through the f64 rows). The answer is
+// Store32, dequantized approximations on StoreI8 (ScanMulti's
+// certified candidates are what an exact answer re-ranks). The answer is
 // bit-identical across view orders, worker counts and contexts; only
 // the work differs, and o.Stats reports it.
 func (v View) Scan(ctx context.Context, q vec.Vector, o ScanOpts) ([]Hit, error) {
@@ -536,10 +533,11 @@ func (s sweep) parallel(workers int, a *Acc, st *ScanStats) bool {
 // row loaded from memory scored against up to maxTileQ queries; on a
 // norm-sorted view a query leaves a run at the first row its own bound
 // excludes and only still-live queries are scored (contiguous stretches
-// of them feed the tile kernel). Other tiers are swept once per
-// query. With a tile kernel and warm scratch it allocates nothing.
-// o.Workers is ignored. On an error accs hold partial state and must be
-// Reset before reuse.
+// of them feed the tile kernel). A Store32 is swept once per query. On
+// an int8 view each query also lists the rows its f64 top k must come
+// from (TileScratch.Candidates). With a tile kernel and warm scratch it
+// allocates nothing. o.Workers is ignored. On an error accs hold
+// partial state and must be Reset before reuse.
 func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc, sc *TileScratch, o ScanOpts) error {
 	if err := checkMulti(qs, qlo, qhi, accs); err != nil {
 		return err
@@ -550,7 +548,7 @@ func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc
 	scanned := sc.scannedBuf(len(accs))
 	s := v.newSweep(ctx, o)
 	var st ScanStats
-	if til, ok := v.t.(tiler); ok && til.tileKernel() {
+	if _, ok := v.t.(tiler); ok {
 		if s.tiles(qs, qlo, accs, scanned, &st, sc) {
 			return stopErr(ctx)
 		}

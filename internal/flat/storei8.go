@@ -14,27 +14,44 @@
 // the float32 tier's. A code score widens as float64(acc) ·
 // (scale·qscale).
 //
-// Where the CPU has AVX-512 VNNI a batch (View.ScanMulti) compares in
-// the code domain instead. Before each block, each query's bar — its
-// k-th best once its accumulator is full — becomes an int32 code floor
-// F, the largest t with float64(t)·combined ≤ bar (codeFloor). One pass
-// over the block's codes scores a tile of up to maxTileQ queries, one
-// gather per 4-code column of 16 rows and one VPDPBUSD per query
-// (dotI8Tile, i8tile_amd64.s), and writes exact int32 dots and a mask
-// of the rows with dot > F (|dot| > F when unsigned). Only those rows
-// are dequantized, float64(dot)·combined as above, and offered under
-// the float compare the single-query bookkeeping makes. Rounding is
-// monotone, so a row the mask drops scores at or under the bar: a row
-// that bookkeeping skips too. The accumulators see the same offers in
-// the same order, and hits and ScanStats are Scan's per query, bit for
-// bit. Elsewhere a batch sweeps the rows once per query, as Scan does:
-// an AVX2 form of the code-domain kernel, run per query, measured
-// slower than that.
+// A batch (View.ScanMulti) certifies its answers, the filter-and-refine
+// of the VA-file (Weber, Schek and Blott, VLDB 1998). Write a row as
+// x = s·c + a and a query as q = qs·e + b, c and e their codes: each
+// |aᵢ| ≤ s/2 and |bᵢ| ≤ qs/2, so
 //
-// Int8 scores are approximations with per-element error ≤ scale/2 on
-// each side; the serving layer treats them as candidates only and
-// always re-ranks the survivors through the retained f64 store, the
-// same candidate-then-verify shape as internal/sketch.MaxDot.
+//	|x·q − s·qs·(c·e)| ≤ (s/2)·‖q‖₁ + (s·qs/2)·‖c‖₁.
+//
+// The store keeps the largest ‖c‖₁ over its rows, so bindTile gives each
+// query one ε — that bound under the store's maximum, plus the rounding
+// of the f64 dot and of the dequantized score, padded — with
+// |f64 dot − dequantized score| ≤ ε for every row (slack). Each query
+// keeps an accumulator of its k best dequantized scores, and every live
+// row within 2ε of its k-th best is listed as a candidate; at the end the
+// list is trimmed to the final k-th best less 2ε (Candidates). The k
+// rows of the dequantized top k each score at least that k-th best less
+// ε in f64, so every row of the f64 top k does too, and its dequantized
+// score is at least the k-th best less 2ε: the list holds the whole f64
+// top k, ties included (|·| when unsigned keeps every bound), and
+// re-ranking it through the f64 rows (Store.OfferRows) answers as the
+// f64 scan does, bit for bit.
+// Where the codes bound nothing — a row with a non-finite element, a
+// subnormal scale, a query whose ‖q‖₁ overflows — ε is +Inf and every
+// live row is a candidate.
+//
+// Where the CPU has AVX-512 VNNI the batch compares in the code domain.
+// Before each block, each query's bar less 2ε becomes an int32 code
+// floor F, the largest t with float64(t)·combined below it (tileFloor).
+// One pass over the block's codes scores a tile of up to maxTileQ
+// queries, one gather per 4-code column of 16 rows and one VPDPBUSD per
+// query (dotI8Tile, i8tile_amd64.s), and writes exact int32 dots and a
+// mask of the rows with dot > F (|dot| > F when unsigned). Only those
+// rows are dequantized, float64(dot)·combined as above, and offered
+// (offerCodes): rounding is monotone, so a row the mask drops scores
+// below the bar less 2ε, a row that is neither offered nor listed.
+// Elsewhere the tile scores each query block by block with dotRange,
+// masks the scores against the same bar (scoreMask) and makes the same
+// offers. Either way the accumulators see the offers a
+// per-query Scan makes, so they and ScanStats are Scan's, bit for bit.
 package flat
 
 import (
@@ -49,11 +66,15 @@ import (
 
 // StoreI8 is the int8 mirror of a Store: row i is d contiguous codes
 // inside one chunk; scale is the shared dequantization factor. It grows
-// only through Extend, in step with the store it mirrors.
+// only through Extend, in step with the store it mirrors. maxL1, the
+// largest Σ|code| over the rows, and unbounded, set when a row holds a
+// non-finite element, are what a batch's certificate needs (slack).
 type StoreI8 struct {
-	dim   int
-	codes chunked[int8]
-	scale float64
+	dim       int
+	codes     chunked[int8]
+	scale     float64
+	maxL1     int
+	unbounded bool
 }
 
 // NewStoreI8 quantizes s under the symmetric scheme. The scale is a
@@ -78,24 +99,41 @@ func (s *StoreI8) Extend(fs *Store) *StoreI8 {
 	if maxAbsFrom(fs, s.Len())/127 > s.scale {
 		return NewStoreI8(fs)
 	}
-	q := &StoreI8{dim: s.dim, scale: s.scale}
+	q := &StoreI8{dim: s.dim, scale: s.scale, maxL1: s.maxL1, unbounded: s.unbounded}
 	s.codes.share(&q.codes)
 	q.encode(fs)
 	return q
 }
 
 // encode appends the codes of the rows of fs that q does not hold yet.
+// A row whose cached norm is not finite holds a non-finite element (or
+// overflows), which no code approximates.
 func (q *StoreI8) encode(fs *Store) {
 	d := q.dim
 	for i := q.Len(); i < fs.Len(); {
 		codes := q.codes.grow(fs.Len() - i)
 		for r := 0; r < len(codes)/d; r++ {
+			row := codes[r*d : (r+1)*d]
 			for j, x := range fs.Row(i + r) {
-				codes[r*d+j] = quantizeI8(x, q.scale)
+				row[j] = quantizeI8(x, q.scale)
+			}
+			q.maxL1 = max(q.maxL1, codeL1(row))
+			if !(fs.Norm(i+r) <= math.MaxFloat64) {
+				q.unbounded = true
 			}
 		}
 		i += len(codes) / d
 	}
+}
+
+// codeL1 returns Σ|code| over row, branch free.
+func codeL1(row []int8) int {
+	l1 := 0
+	for _, c := range row {
+		m := int(c) >> 7
+		l1 += (int(c) ^ m) - m
+	}
+	return l1
 }
 
 // maxAbsFrom returns the largest finite |x| over rows [from, Len) of s.
@@ -122,22 +160,25 @@ func (s *StoreI8) SharedRows(p *StoreI8) int { return s.codes.sharedRows(&p.code
 func (s *StoreI8) AllocatedBytes() int64 { return int64(s.codes.capElems()) }
 
 // quantizeI8 codes one element: nearest integer multiple of scale,
-// clamped to the symmetric range. A zero scale (all-zero store) codes
-// everything as 0; non-finite inputs saturate deterministically.
+// halves rounded away from zero, clamped to the symmetric range. A zero
+// scale (all-zero store) codes everything as 0; non-finite inputs
+// saturate deterministically. Inside the range, adding just under a half
+// of v's sign and truncating is math.Round(v) exactly (the sum rounds up
+// to the next integer only from a half or above), without its branches.
 func quantizeI8(x, scale float64) int8 {
 	if scale == 0 {
 		return 0
 	}
-	v := math.Round(x / scale)
+	v := x / scale
 	switch {
-	case v > 127:
+	case v >= 127.5:
 		return 127
-	case v < -127:
+	case v <= -127.5:
 		return -127
-	case math.IsNaN(v):
+	case v != v:
 		return 0
 	}
-	return int8(v)
+	return int8(v + math.Copysign(0.49999999999999994, v))
 }
 
 // quantizeQueryI8 codes a query against its own symmetric scale,
@@ -323,15 +364,43 @@ func codeFloor(bar, combined float64) int32 {
 	return int32(lo)
 }
 
-// tileFloor is query a's code floor for the next block: math.MinInt32 —
-// every row passes — while a is under-full, when offerScores offers
-// every row, and else codeFloor of the k-th best. Unsigned scores are
-// ≥ 0, so an unsigned floor below 0 lets every row pass too.
-func tileFloor(a *Acc, combined float64, unsigned bool) int32 {
-	if !a.Full() {
+// slack returns 2ε for a query of ℓ1 norm l1 coded under qscale: every
+// row's f64 dot with the query — as computed, the f64 scan's score —
+// lies within ε of its dequantized score. Beside the quantization bound
+// (see the package comment) ε covers the code roundings, |x/s − c| ≤
+// 1/2 + 127·2⁻⁵³ and likewise for the query; the f64 dot's, within
+// (d+2)·2⁻⁵³ of Σ|xᵢqᵢ| ≤ 127·s·‖q‖₁; and the dequantized product's two,
+// within 2⁻⁵² of 127·s·qs·‖c‖₁ — all inside the relative pad
+// (d+16)·2⁻⁴⁴ — and underflow in any of them inside the absolute term.
+// It is +Inf where the codes bound nothing: a non-finite row, a
+// subnormal scale (max/127 then loses relative precision and a code can
+// clamp), dots that can wrap int32, or an ε too large for the scores
+// around it to stay finite.
+func (s *StoreI8) slack(l1, qscale float64) float64 {
+	normal := func(x float64) bool { return x == 0 || x >= 0x1p-1022 }
+	if s.unbounded || !normal(s.scale) || !normal(qscale) || 127*s.maxL1 > math.MaxInt32 {
+		return math.Inf(1)
+	}
+	d, c := float64(s.dim), float64(s.maxL1)
+	eps := (s.scale/2*l1+s.scale*qscale/2*c)*(1+(d+16)*0x1p-44) + (d+127*c+4)*0x1p-1074
+	if !(eps < math.MaxFloat64/1024) {
+		return math.Inf(1)
+	}
+	return 2 * eps
+}
+
+// tileFloor is query a's code floor for the next block: the largest t
+// whose score float64(t)·combined is strictly below a's bar less slack
+// (codeFloor), so a row the floor drops is neither offered nor listed;
+// math.MinInt32 — every row passes — while a is under-full or slack is
+// +Inf. Unsigned scores are ≥ 0, so an unsigned floor below 0 lets
+// every row pass too.
+func tileFloor(a *Acc, combined, slack float64, unsigned bool) int32 {
+	lo := a.Threshold() - slack
+	if !(lo > -math.MaxFloat64) {
 		return math.MinInt32
 	}
-	f := codeFloor(a.Threshold(), combined)
+	f := codeFloor(math.Nextafter(lo, math.Inf(-1)), combined)
 	if unsigned && f < 0 {
 		return math.MinInt32
 	}
@@ -339,7 +408,7 @@ func tileFloor(a *Acc, combined float64, unsigned bool) int32 {
 }
 
 // i8Tile is the int8 tier's ScanMulti state: the queries, bound once per
-// sweep, and one tile kernel call's output.
+// sweep, their candidate lists, and one tile kernel call's output.
 type i8Tile struct {
 	qlo      int       // the qs row of query 0
 	stride   int       // codes per query in i16
@@ -347,30 +416,59 @@ type i8Tile struct {
 	cols     []int32   // the VNNI kernel's form: column c of query j at c·nq + j
 	nbias    []int32   // −128 times query j's code sum (VNNI)
 	combined []float64 // the store's scale times query j's
-	floors   [maxTileQ]int32
-	dots     [maxTileQ * blockRows]int32
-	mask     [maxTileQ * maskWords]uint64
+	slack    []float64 // query j's 2ε (StoreI8.slack)
+	// cands[j] lists query j's live rows that scored within slack[j] of
+	// its bar when scanned, in row order, with their dequantized scores.
+	cands  [][]Hit
+	rows   []int // Candidates' result
+	floors [maxTileQ]int32
+	dots   [maxTileQ * blockRows]int32
+	mask   [maxTileQ * maskWords]uint64
 }
 
 // maskWords is the mask words of one query of a tile.
 const maskWords = blockRows / 64
 
-// tileKernel implements tiler: the tile kernel is the VNNI one.
-func (s *StoreI8) tileKernel() bool { return i8TileSIMD(s.dim) }
-
 // bindTile implements tiler: query rows [qlo, qhi) of qs, each quantized
-// against its own scale as bind quantizes it, then packed for the VNNI
-// kernel.
+// against its own scale as bind quantizes it and given its ε, with an
+// empty candidate list, then packed for the VNNI kernel where it runs.
 func (s *StoreI8) bindTile(qs *Store, qlo, qhi int, sc *TileScratch) {
 	t := &sc.i8
 	t.qlo, t.stride = qlo, i8Chunk*((s.dim+i8Chunk-1)/i8Chunk)
-	t.i16, t.combined = t.i16[:0], t.combined[:0]
+	t.i16, t.combined, t.slack = t.i16[:0], t.combined[:0], t.slack[:0]
+	t.cands = slices.Grow(t.cands[:0], qhi-qlo)[:qhi-qlo]
 	for j := qlo; j < qhi; j++ {
-		var qscale float64
+		var qscale, l1 float64
 		t.i16, qscale = quantizeQueryI8(t.i16, qs.Row(j))
+		for _, x := range qs.Row(j) {
+			l1 += math.Abs(x)
+		}
 		t.combined = append(t.combined, s.scale*qscale)
+		t.slack = append(t.slack, s.slack(l1, qscale))
+		t.cands[j-qlo] = t.cands[j-qlo][:0]
 	}
-	t.pack(s.dim)
+	if i8TileSIMD(s.dim) {
+		t.pack(s.dim)
+	}
+}
+
+// Candidates returns query j's certified candidates from the last
+// ScanMulti over an int8 view with this scratch — a being accs[j] as that
+// scan left it: its live rows whose dequantized score is within 2ε of
+// a's k-th best, every row of the f64 top k among them, ties included.
+// Re-ranked through the f64 rows (Store.OfferRows) they give the f64
+// scan's hits bit for bit. The slice is owned by the scratch and
+// overwritten by the next call.
+func (sc *TileScratch) Candidates(j int, a *Acc) []int {
+	t := &sc.i8
+	lo := a.Threshold() - t.slack[j]
+	t.rows = t.rows[:0]
+	for _, h := range t.cands[j] {
+		if !(h.Score < lo) {
+			t.rows = append(t.rows, h.Index)
+		}
+	}
+	return t.rows
 }
 
 // pack lays the len(t.combined) queries of t.i16 out for the VNNI
@@ -400,20 +498,36 @@ func (t *i8Tile) pack(d int) {
 	}
 }
 
-// offerTile implements tiler in the code domain. Each query's bar
-// becomes an int32 code floor (tileFloor); one kernel pass over the
-// block's codes writes every query's exact int32 dots and the rows that
-// beat its floor (tileDots); and only those rows are dequantized and
-// offered (offerCodes).
+// offerTile implements tiler. On the VNNI tier each query's bar less 2ε
+// becomes an int32 code floor (tileFloor), and one kernel pass over the
+// block's codes writes every query's exact int32 dots and a mask of the
+// rows that beat its floor (tileDots). Elsewhere each query's rows are
+// scored by dotRange, as scoreBlock scores them, and the mask holds the
+// scores not below the bar less 2ε (scoreMask). Either way only the
+// masked rows are offered (offerCodes).
 func (s *StoreI8) offerTile(b block, _ *Store, qlo int, accs []Acc, ends []int, sc *TileScratch) {
 	t := &sc.i8
 	j0 := qlo - t.qlo
-	for j := range accs {
-		t.floors[j] = tileFloor(&accs[j], t.combined[j0+j], b.unsigned)
+	if i8TileSIMD(s.dim) {
+		for j := range accs {
+			t.floors[j] = tileFloor(&accs[j], t.combined[j0+j], t.slack[j0+j], b.unsigned)
+		}
+		s.tileDots(t, j0, len(accs), b.start, slices.Max(ends)-b.start, b.unsigned)
+		for j := range accs {
+			mask := t.mask[j*maskWords:]
+			if t.floors[j] == math.MinInt32 {
+				mask = nil
+			}
+			offerCodes(b, &accs[j], &t.cands[j0+j], t.dots[j*blockRows:][:ends[j]-b.start], mask, t.combined[j0+j], t.slack[j0+j])
+		}
+		return
 	}
-	s.tileDots(t, j0, len(accs), b.start, slices.Max(ends)-b.start, b.unsigned)
+	buf := sc.tileBuf()
 	for j := range accs {
-		b.offerCodes(&accs[j], t.dots[j*blockRows:][:ends[j]-b.start], t.mask[j*maskWords:], t.floors[j], t.combined[j0+j])
+		q, n := j0+j, ends[j]-b.start
+		s.dotRange(t.i16[q*t.stride:(q+1)*t.stride], t.combined[q], b.start, ends[j], buf[:n])
+		mask := scoreMask(t.mask[:maskWords], buf[:n], accs[j].Threshold()-t.slack[q], b.unsigned)
+		offerCodes(b, &accs[j], &t.cands[q], buf[:n], mask, 1, t.slack[q])
 	}
 }
 
@@ -425,20 +539,39 @@ func (s *StoreI8) tileDots(t *i8Tile, j0, nq, start, n int, unsigned bool) {
 	dotI8Tile(codes, s.dim, n, t.cols[j0:], len(t.combined), t.nbias[j0:j0+nq], t.floors[:nq], unsigned, t.dots[:], t.mask[:])
 }
 
-// offerCodes is offerScores over the code dots of b's rows: it offers
-// a, in ascending row order, the rows whose mask bit is set — every row
-// when floor is math.MinInt32 — each scored float64(dot)·combined as
-// scoreBlock scores it (|…| when unsigned), skipping dead rows and, once
-// a is full, scores at or under its k-th best, as offerScores does. A
-// clear bit means dot ≤ floor, hence (codeFloor) a score at or under the
-// bar the floor was taken from, which only rises: a row offerScores
-// skips too. So a sees offerScores's offers, in its order. b is a
-// store-order block: an int8 view is never norm-sorted.
-func (b block) offerCodes(a *Acc, dots []int32, mask []uint64, floor int32, combined float64) {
+// scoreMask sets bit r of mask exactly when scores[r] (|…| when
+// unsigned) is not below lo — NaN included — the float form of the VNNI
+// kernel's compare with its code floor.
+func scoreMask(mask []uint64, scores []float64, lo float64, unsigned bool) []uint64 {
+	clear(mask)
+	for r, v := range scores {
+		if unsigned {
+			v = math.Abs(v)
+		}
+		if !(v < lo) {
+			mask[r>>6] |= 1 << (r & 63)
+		}
+	}
+	return mask
+}
+
+// offerCodes is the certified offer over the dots of b's rows — exact
+// int32 code dots, or dotRange's scores under a unit combined — in
+// ascending row order, of the rows whose mask bit is set, every row when
+// mask is nil. Each is scored float64(dot)·combined as scoreBlock scores
+// it (|…| when unsigned). A dead row, or one below a's bar less slack, is
+// skipped; the rest are listed in cands, and offered to a unless a is
+// full and the score is at or under its k-th best, as offerScores skips
+// it. A clear bit means (tileFloor, scoreMask) a score below the bar
+// less slack, which only rises: a row skipped here too. So a sees
+// offerScores's offers, in its order. b is a store-order block: an int8
+// view is never norm-sorted.
+func offerCodes[D int32 | float64](b block, a *Acc, cands *[]Hit, dots []D, mask []uint64, combined, slack float64) {
 	full, thr := a.Full(), a.Threshold()
+	lo := thr - slack
 	for w := 0; w*64 < len(dots); w++ {
 		m := ^uint64(0)
-		if floor != math.MinInt32 {
+		if mask != nil {
 			m = mask[w]
 		}
 		if rest := len(dots) - w*64; rest < 64 {
@@ -451,11 +584,16 @@ func (b block) offerCodes(a *Acc, dots []int32, mask []uint64, floor int32, comb
 			if b.unsigned && v < 0 {
 				v = -v
 			}
-			if full && v <= thr || b.dead.Dead(b.off+b.start+r) {
+			if v < lo || b.dead.Dead(b.off+b.start+r) {
+				continue
+			}
+			*cands = append(*cands, Hit{Index: b.start + r, Score: v})
+			if full && v <= thr {
 				continue
 			}
 			a.Offer(b.start+r, v)
 			full, thr = a.Full(), a.Threshold()
+			lo = thr - slack
 		}
 	}
 }
@@ -480,9 +618,9 @@ func (s *StoreI8) extend(fs *Store) (tier, int) {
 }
 
 // TopK is Scan with positional arguments and no deadline (see
-// Store.TopK) over the dequantized approximate scores. Callers needing
-// exact scores re-rank the hits through the f64 store they quantized
-// from.
+// Store.TopK) over the dequantized approximate scores. An exact answer
+// re-ranks ScanMulti's certified candidates (TileScratch.Candidates)
+// through the f64 store they were quantized from.
 func (s *StoreI8) TopK(q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
 	return s.View().Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Workers: workers})
 }

@@ -112,7 +112,7 @@ func TestALSHMutationsMatchFreshBuild(t *testing.T) {
 	const d, shards, seed, k = 8, 3, 77, 10
 	spec := IndexSpec{Kind: KindALSH, K: 4, L: 8}
 	rng := xrand.New(5)
-	c, err := newCollection("grown", spec, shards, seed, 0)
+	c, err := newCollection("grown", spec, shards, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestALSHMutationsMatchFreshBuild(t *testing.T) {
 	live := modelSet{}
 	alshScript(t, c, rng, d, live, 0, func(op int, randomLive func(n int) []int) {
 		t.Helper()
-		fresh, err := newCollection("fresh", spec, shards, seed, 0)
+		fresh, err := newCollection("fresh", spec, shards, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,7 +554,7 @@ func TestShardBuildPanicBecomesError(t *testing.T) {
 func TestALSHUpsertsDoNotPinOldStores(t *testing.T) {
 	const d, n, writes = 16, 512, 12
 	rng := xrand.New(9)
-	c, err := newCollection("pin", IndexSpec{Kind: KindALSH}, 1, 1, 0)
+	c, err := newCollection("pin", IndexSpec{Kind: KindALSH}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func putTileScratch(ts *tileScratch) {
 // one-tile request run side by side, so each takes its own.
 type scanScratch struct {
 	tile  flat.TileScratch
-	rows  []int          // re-rank candidates' rows of one query (flatIndex.rerankInto)
+	rows  []int          // an f32 re-rank's candidate rows of one query (flatIndex.topKMulti)
 	stats flat.ScanStats // an explained sweep's accounting (flatIndex.topKMulti)
 }
 

@@ -253,21 +253,12 @@ func (c *Collection) setAttrs(recs []store.Record) {
 	}
 }
 
-func newCollection(name string, spec IndexSpec, nshards int, seed uint64, overfetch int) (*Collection, error) {
+func newCollection(name string, spec IndexSpec, nshards int, seed uint64) (*Collection, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if nshards <= 0 {
 		return nil, fmt.Errorf("server: collection %q: shard count %d must be positive", name, nshards)
-	}
-	// The spec's own overfetch wins (and is part of the persisted spec,
-	// so it survives recovery); otherwise the server-resolved default
-	// passed in applies.
-	if spec.Overfetch > 0 {
-		overfetch = spec.Overfetch
-	}
-	if overfetch <= 0 {
-		overfetch = defaultOverfetch
 	}
 	c := &Collection{
 		name:        name,
@@ -283,7 +274,7 @@ func newCollection(name string, spec IndexSpec, nshards int, seed uint64, overfe
 		seed:        seed,
 	}
 	for i := range c.shards {
-		c.shards[i] = newShard(i, overfetch, &c.builds)
+		c.shards[i] = newShard(i, &c.builds)
 	}
 	return c, nil
 }

@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/flat"
 	"repro/internal/join"
@@ -90,15 +91,12 @@ type IndexSpec struct {
 	// Precision selects the vector storage tier: "f64" (the default;
 	// exact scores), "f32" (half the scan bytes, f32-accurate scores,
 	// opt-in exact re-rank per query), or "int8" (an eighth of the scan
-	// bytes; approximate candidates always re-ranked through the
-	// retained f64 rows, so answers stay exact). f32 supports the exact
-	// and normscan kinds, int8 the exact kind only; alsh is f64-only (it
-	// already verifies candidates against the f64 store).
+	// bytes; the candidates its error bound certifies are re-ranked
+	// through the retained f64 rows, so answers are the f64 scan's). f32
+	// supports the exact and normscan kinds, int8 the exact kind only;
+	// alsh is f64-only (it already verifies candidates against the f64
+	// store).
 	Precision string `json:"precision,omitempty"`
-	// Overfetch widens re-ranked candidate sets: a re-ranked query
-	// fetches k·Overfetch quantized candidates before exact re-scoring
-	// (default 4, via Config.RerankOverfetch).
-	Overfetch int `json:"overfetch,omitempty"`
 }
 
 // Validate checks that the spec names a registered engine and that
@@ -134,12 +132,6 @@ func (s IndexSpec) Validate() error {
 		return fmt.Errorf("server: unknown precision %q (want %s, %s or %s)",
 			s.Precision, PrecisionF64, PrecisionF32, PrecisionI8)
 	}
-	if s.Overfetch < 0 {
-		return fmt.Errorf("server: negative rerank overfetch %d", s.Overfetch)
-	}
-	if s.Overfetch > maxOverfetch {
-		return fmt.Errorf("server: rerank overfetch %d exceeds the cap %d", s.Overfetch, maxOverfetch)
-	}
 	return nil
 }
 
@@ -174,30 +166,20 @@ func (s IndexSpec) precision() string {
 	return s.Precision
 }
 
-// Overfetch bounds: re-ranking k·overfetch candidates costs
-// O(k·overfetch·d) exact flops per query, so the cap keeps a
-// misconfigured spec from turning every query into a near-full exact
-// scan through the scalar (non-blocked) re-rank path.
-const (
-	defaultOverfetch = 4
-	maxOverfetch     = 1024
-)
-
 // buildShardIndex constructs the index for one shard over its columnar
 // store. An alsh index extends hashes, the collection's one set of hash
 // functions (see newALSHHashes), so every shard hashes alike and a query
 // hashed once probes them all; it hashes row views of the store — slice
 // headers into its chunks, no float copies — and verifies candidates
 // through the store's kernel. Every engine retains fs itself as the
-// exact truth it verifies or re-ranks against; overfetch scales
-// re-ranked candidate sets.
-func buildShardIndex(spec IndexSpec, fs *flat.Store, hashes *lsh.Index, overfetch int) (ShardIndex, error) {
+// exact truth it verifies or re-ranks against.
+func buildShardIndex(spec IndexSpec, fs *flat.Store, hashes *lsh.Index) (ShardIndex, error) {
 	if fs == nil || fs.Len() == 0 {
 		return emptyIndex{}, nil
 	}
 	switch spec.kind() {
 	case KindExact, KindNormScan:
-		return newFlatIndex(spec, fs, overfetch), nil
+		return newFlatIndex(spec, fs), nil
 	case KindALSH:
 		index, _ := (&alshIndex{ix: hashes, u: spec.radius()}).extend(fs)
 		return index, nil
@@ -227,9 +209,12 @@ const (
 	rerankOnRequest
 	// rerankAlways: int8 — raw scores are candidates only, so this
 	// engine never serves an approximate score (the same
-	// candidate-then-verify guarantee alsh carries).
+	// candidate-then-verify shape alsh has).
 	rerankAlways
 )
+
+// f32Overfetch is how many times k candidates an f32 re-rank fetches.
+const f32Overfetch = 4
 
 // flatIndex is the scan engine behind the exact and normscan kinds at
 // every precision. What differs between them is data, not code: which
@@ -246,17 +231,14 @@ type flatIndex struct {
 	// dead (nil until the first delete) lives in the view's row order:
 	// withDead pre-permutes once per delete publication, so a
 	// norm-sorted scan never pays a per-row indirection.
-	dead *flat.Tombstones
-	// overfetch widens a re-ranked scan: k·overfetch candidates are
-	// fetched before exact re-scoring.
-	overfetch int
-	rerank    rerankMode
+	dead   *flat.Tombstones
+	rerank rerankMode
 }
 
 // newFlatIndex builds the view spec asks for over fs. Quantized
 // precisions build their compact mirror here, at index-build time.
-func newFlatIndex(spec IndexSpec, fs *flat.Store, overfetch int) *flatIndex {
-	ix := &flatIndex{fs: fs, overfetch: overfetch}
+func newFlatIndex(spec IndexSpec, fs *flat.Store) *flatIndex {
+	ix := &flatIndex{fs: fs}
 	sorted := spec.kind() == KindNormScan
 	switch spec.precision() {
 	case PrecisionF32:
@@ -288,7 +270,7 @@ func (ix *flatIndex) extend(nfs *flat.Store) (*flatIndex, int) {
 	if !ok {
 		return nil, 0
 	}
-	return &flatIndex{fs: nfs, view: view, overfetch: ix.overfetch, rerank: ix.rerank}, copied
+	return &flatIndex{fs: nfs, view: view, rerank: ix.rerank}, copied
 }
 
 func (ix *flatIndex) withDead(dead *flat.Tombstones) ShardIndex {
@@ -297,22 +279,19 @@ func (ix *flatIndex) withDead(dead *flat.Tombstones) ShardIndex {
 	return &masked
 }
 
-// fetchK returns how many hits the scan must produce for a top-k
-// answer, and whether they are then re-ranked.
-func (ix *flatIndex) fetchK(k int, rerank bool) (int, bool) {
-	if ix.rerank == rerankAlways || (ix.rerank == rerankOnRequest && rerank) {
-		return overfetchK(k, ix.overfetch), true
-	}
-	return k, false
-}
-
 // topKMulti sweeps the view once for the whole tile — on the f64 views
 // through the register-blocked multi-query kernel — and re-ranks each
-// query's candidates where the tier asks for it. o.Explain, if set,
+// query's candidates through the f64 rows where the tier asks for it:
+// on int8 the rows the scan certified (flat.TileScratch.Candidates),
+// which hold the f64 top k, so the answer is the f64 exact scan's; on
+// f32 the k·f32Overfetch hits of the f32 scan. o.Explain, if set,
 // receives ScanMulti's accounting (the per-query sum of what a scan of
 // each query alone counts) and the candidates re-ranked.
 func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, sc *scanScratch) ([]flat.Acc, error) {
-	fetch, rerank := ix.fetchK(k, o.Rerank)
+	fetch, f32 := k, ix.rerank == rerankOnRequest && o.Rerank
+	if f32 {
+		fetch = k * min(f32Overfetch, math.MaxInt/k) // saturating
+	}
 	accs := sc.tile.Accs(qhi-qlo, fetch)
 	so := flat.ScanOpts{Unsigned: o.Unsigned, Dead: ix.dead}
 	st := &sc.stats
@@ -327,47 +306,28 @@ func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k 
 		ex.CSPrunedBlocks = st.PrunedBlocks
 		ex.TombstoneSkippedBlocks = st.SkippedBlocks
 	}
-	if !rerank {
+	if !f32 && ix.rerank != rerankAlways {
 		return accs, nil
 	}
 	for j := range accs {
-		if o.Explain != nil {
-			o.Explain.RerankCandidates += len(accs[j].Hits())
+		rows := sc.rows[:0]
+		if f32 {
+			for _, h := range accs[j].Hits() {
+				rows = append(rows, h.Index)
+			}
+			sc.rows = rows
+		} else {
+			rows = sc.tile.Candidates(j, &accs[j])
 		}
-		ix.rerankInto(&accs[j], k, qs.Row(qlo+j), accs[j].Hits(), o.Unsigned, sc)
+		if o.Explain != nil {
+			o.Explain.RerankCandidates += len(rows)
+		}
+		// The candidates are live rows of a scan that already checked q's
+		// dimension and polled ctx, so the loop needs neither.
+		accs[j].Reset(k)
+		ix.fs.OfferRows(nil, &accs[j], qs.Row(qlo+j), rows, nil, o.Unsigned)
 	}
 	return accs, nil
-}
-
-// overfetchK widens k by the overfetch factor, saturating instead of
-// overflowing on absurd k.
-func overfetchK(k, overfetch int) int {
-	if overfetch <= 1 {
-		return k
-	}
-	if k > int(^uint(0)>>1)/overfetch {
-		return k
-	}
-	return k * overfetch
-}
-
-// rerankInto resets acc to keep k hits and re-scores the scan's
-// candidates through the exact f64 rows into it — cands may be acc's own
-// hits: their rows are gathered into sc first. It is the candidate
-// engines' verify loop, flat.Store.OfferRows, whose scores are the exact
-// scan's chain, so a candidate set that covers the true top k yields
-// answers bit-identical to the f64 exact index (guaranteed-approximate,
-// exact once overfetch covers the quantization error). The candidates
-// are live rows of a scan that already checked q's dimension, at most
-// k·overfetch of them, so the loop needs no dead set and no ctx polling
-// beyond the scan's own.
-func (ix *flatIndex) rerankInto(acc *flat.Acc, k int, q vec.Vector, cands []flat.Hit, unsigned bool, sc *scanScratch) {
-	sc.rows = sc.rows[:0]
-	for _, h := range cands {
-		sc.rows = append(sc.rows, h.Index)
-	}
-	acc.Reset(k)
-	ix.fs.OfferRows(nil, acc, q, sc.rows, nil, unsigned)
 }
 
 // alshIndex is the §4.1 structure (SIMPLE map + hyperplane banding):

@@ -2,7 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -10,6 +15,7 @@ import (
 
 	"repro/internal/store"
 	"repro/internal/vec"
+	"repro/internal/xrand"
 )
 
 // The precision-tier grid: every quantized tier must track the f64
@@ -107,8 +113,8 @@ func sameHitsBitExact(got, want [][]Hit) bool {
 // TestPrecisionTierEquivalence is the tier grid on the latent-factor
 // workload: raw f32 set recall ≥ 0.999; f32+rerank bit-identical to
 // the f64 scan over the rounded vectors (both kinds, both variants);
-// int8 (always re-ranked) recall@10 ≥ 0.99 with every shared hit's
-// score bit-identical to f64's.
+// int8 (always re-ranked from its certified candidates) bit-identical
+// to the f64 scan of the same rows, one query at a time and as a batch.
 func TestPrecisionTierEquivalence(t *testing.T) {
 	items, queries := recallWorkload(424242)
 	rounded := round32All(items)
@@ -139,21 +145,128 @@ func TestPrecisionTierEquivalence(t *testing.T) {
 			}
 		}
 
-		// int8 always re-ranks; recall floor plus bit-exact scores on
-		// every hit shared with the f64 list.
-		got := searchOpts(t, i8, queries, raw)
-		if r := setRecall(got, wantRaw); r < 0.99 {
-			t.Errorf("unsigned=%v int8 recall@%d %.4f < 0.99", unsigned, k, r)
+		if got := searchOpts(t, i8, queries, raw); !sameHitsBitExact(got, wantRaw) {
+			t.Errorf("unsigned=%v int8 results differ from the f64 exact scan", unsigned)
 		}
-		for i := range wantRaw {
-			scores := make(map[int]uint64, len(wantRaw[i]))
-			for _, h := range wantRaw[i] {
-				scores[h.ID] = math.Float64bits(h.Score)
+		if got := searchBatch(t, i8, queries, raw); !sameHitsBitExact(got, wantRaw) {
+			t.Errorf("unsigned=%v int8 batch results differ from the f64 exact scan", unsigned)
+		}
+	}
+}
+
+// searchBatch answers queries as one request under opts.
+func searchBatch(t *testing.T, s *Server, queries []vec.Vector, opts SearchOpts) [][]Hit {
+	t.Helper()
+	res, err := s.SearchWithOpts(context.Background(), "items", queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]Hit, len(res))
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		out[i] = r.Hits
+	}
+	return out
+}
+
+// TestInt8ExactWhereOverfetchMissed is an input on which an int8 top 10
+// re-ranked from the 4k best dequantized scores loses the true top-1
+// row. Every row holds 1.27 in the coordinate the query zeroes, so every
+// shard's scale is 0.01. Row 0, 15 × 0.00499, scores 0.07485 but codes
+// as 0; the 400 rows of 8 × 0.00501 score 0.04008 but code as 8 units
+// each, so each shard holds far more than 40 of them above row 0; the
+// 200 rows of 15 × −0.5 are far below both. The certified candidates
+// reach row 0, and the answer is the f64 scan's.
+func TestInt8ExactWhereOverfetchMissed(t *testing.T) {
+	const d = 16
+	row := func(x float64, n int) vec.Vector {
+		v := vec.New(d)
+		for i := 0; i < n; i++ {
+			v[i] = x
+		}
+		v[d-1] = 1.27
+		return v
+	}
+	items := []vec.Vector{row(0.00499, 15)}
+	for i := 0; i < 400; i++ {
+		items = append(items, row(0.00501, 8))
+	}
+	for i := 0; i < 200; i++ {
+		items = append(items, row(-0.5, 15))
+	}
+	q := vec.New(d)
+	for i := 0; i < d-1; i++ {
+		q[i] = 1
+	}
+	opts := SearchOpts{K: 10}
+	want := searchOpts(t, tierServer(t, IndexSpec{Kind: KindExact}, items), []vec.Vector{q}, opts)
+	if len(want[0]) == 0 || want[0][0].ID != 0 {
+		t.Fatalf("f64 top 10 %v does not lead with row 0", want[0])
+	}
+	i8 := tierServer(t, IndexSpec{Kind: KindExact, Precision: PrecisionI8}, items)
+	if got := searchOpts(t, i8, []vec.Vector{q}, opts); !sameHitsBitExact(got, want) {
+		t.Fatalf("int8 top 10 %v, f64 %v", got[0], want[0])
+	}
+}
+
+// TestInt8CertifiedGrid holds int8 answers to the f64 exact scan's, bit
+// for bit, one query at a time and as a batch, over d ∈ {4, 16, 17, 32,
+// 33, 64}, signed and unsigned, k ∈ {1, 10, 50}, after deletes and
+// upserts, on rows with duplicates and ties, for the zero query and a
+// query whose ‖q‖₁ overflows — and on a collection holding ±Inf and NaN
+// elements, whose codes bound nothing.
+func TestInt8CertifiedGrid(t *testing.T) {
+	for _, d := range []int{4, 16, 17, 32, 33, 64} {
+		for _, nonFinite := range []bool{false, true} {
+			rng := xrand.New(uint64(d))
+			items := make([]vec.Vector, 1500)
+			for i := range items {
+				switch {
+				case i%10 == 3:
+					items[i] = items[i-1].Clone() // a duplicate
+				case i%10 == 7:
+					items[i] = vec.New(d) // ties at small integer dots
+					for j := range items[i] {
+						items[i][j] = float64(rng.Intn(3) - 1)
+					}
+				default:
+					items[i] = vec.Vector(rng.NormalVec(d))
+				}
 			}
-			for _, h := range got[i] {
-				if bits, ok := scores[h.ID]; ok && bits != math.Float64bits(h.Score) {
-					t.Fatalf("unsigned=%v query %d: int8 re-ranked score for %d not bit-identical to f64",
-						unsigned, i, h.ID)
+			if nonFinite {
+				items[11][0], items[500][d-1], items[900][d/2] = math.Inf(1), math.NaN(), math.Inf(-1)
+			}
+			queries := randQueries(6, d, uint64(d)+1)
+			zero, huge := vec.New(d), vec.Vector(rng.NormalVec(d))
+			vec.Scale(huge, 1e308)
+			queries = append(queries, zero, huge, items[7].Clone())
+			ref := tierServer(t, IndexSpec{Kind: KindExact}, items)
+			i8 := tierServer(t, IndexSpec{Kind: KindExact, Precision: PrecisionI8}, items)
+			var del []int
+			for id := 0; id < len(items); id += 7 {
+				del = append(del, id)
+			}
+			ups := []store.Record{{ID: 3, Vec: vec.Scaled(items[100], -1)}, {ID: 5000, Vec: items[200].Clone()}}
+			for _, s := range []*Server{ref, i8} {
+				if _, _, _, err := s.Delete("items", del); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := s.Upsert("items", nil, 0, ups); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, unsigned := range []bool{false, true} {
+				for _, k := range []int{1, 10, 50} {
+					opts := SearchOpts{K: k, Unsigned: unsigned}
+					want := searchOpts(t, ref, queries, opts)
+					if got := searchOpts(t, i8, queries, opts); !sameHitsBitExact(got, want) {
+						t.Errorf("d=%d non-finite=%v unsigned=%v k=%d: int8 single searches differ from f64", d, nonFinite, unsigned, k)
+					}
+					if got := searchBatch(t, i8, queries, opts); !sameHitsBitExact(got, want) {
+						t.Errorf("d=%d non-finite=%v unsigned=%v k=%d: int8 batch differs from f64", d, nonFinite, unsigned, k)
+					}
 				}
 			}
 		}
@@ -197,8 +310,9 @@ func TestPrecisionTierBatchMatchesSingle(t *testing.T) {
 
 // TestPrecisionTierMutations runs deletes and upserts through the
 // quantized tiers: tombstoned IDs must vanish from every tier's
-// answers, and f32+rerank must stay bit-identical to an f64 reference
-// collection fed the identical (pre-rounded) mutations.
+// answers, f32+rerank must stay bit-identical to an f64 reference
+// collection fed the identical (pre-rounded) mutations, and int8 to one
+// fed the raw ones.
 func TestPrecisionTierMutations(t *testing.T) {
 	items, queries := recallWorkload(1357)
 	rounded := round32All(items)
@@ -206,6 +320,7 @@ func TestPrecisionTierMutations(t *testing.T) {
 	const k = 10
 
 	ref := tierServer(t, IndexSpec{Kind: KindExact}, rounded)
+	refRaw := tierServer(t, IndexSpec{Kind: KindExact}, items)
 	tiers := map[string]*Server{
 		"f32/exact":    tierServer(t, IndexSpec{Kind: KindExact, Precision: PrecisionF32}, items),
 		"f32/normscan": tierServer(t, IndexSpec{Kind: KindNormScan, Precision: PrecisionF32}, items),
@@ -237,6 +352,7 @@ func TestPrecisionTierMutations(t *testing.T) {
 		refUps[i] = store.Record{ID: r.ID, Vec: round32(r.Vec)}
 	}
 	apply(ref, refUps)
+	apply(refRaw, ups)
 	for _, s := range tiers {
 		apply(s, ups)
 	}
@@ -249,6 +365,7 @@ func TestPrecisionTierMutations(t *testing.T) {
 		delete(deleted, r.ID)
 	}
 	want := searchOpts(t, ref, queries, SearchOpts{K: k, Unsigned: true, Rerank: true})
+	wantRaw := searchOpts(t, refRaw, queries, SearchOpts{K: k, Unsigned: true})
 	for name, s := range tiers {
 		got := searchOpts(t, s, queries, SearchOpts{K: k, Unsigned: true, Rerank: true})
 		for i := range got {
@@ -262,8 +379,8 @@ func TestPrecisionTierMutations(t *testing.T) {
 			if !sameHitsBitExact(got, want) {
 				t.Errorf("%s: post-mutation rerank results differ from f64 reference", name)
 			}
-		} else if r := setRecall(got, want); r < 0.99 {
-			t.Errorf("%s: post-mutation recall %.4f < 0.99", name, r)
+		} else if !sameHitsBitExact(got, wantRaw) {
+			t.Errorf("%s: post-mutation results differ from the f64 scan of the same rows", name)
 		}
 	}
 }
@@ -288,8 +405,7 @@ func TestPrecisionTierContextCancel(t *testing.T) {
 }
 
 // TestPrecisionSpecValidation pins the spec surface: precisions bind to
-// their supported kinds, junk precisions and out-of-range overfetch are
-// rejected, and a precision mismatch on an existing collection fails
+// their supported kinds, junk precisions are rejected, and a precision mismatch on an existing collection fails
 // EnsureCollection like any other spec mismatch.
 func TestPrecisionSpecValidation(t *testing.T) {
 	bad := []IndexSpec{
@@ -297,8 +413,6 @@ func TestPrecisionSpecValidation(t *testing.T) {
 		{Kind: KindNormScan, Precision: PrecisionI8},
 		{Kind: KindALSH, Precision: PrecisionI8},
 		{Precision: "f16"},
-		{Overfetch: -1},
-		{Overfetch: maxOverfetch + 1},
 	}
 	for _, spec := range bad {
 		if err := spec.Validate(); err == nil {
@@ -307,10 +421,10 @@ func TestPrecisionSpecValidation(t *testing.T) {
 	}
 	good := []IndexSpec{
 		{},
-		{Precision: PrecisionF64, Overfetch: 16},
+		{Precision: PrecisionF64},
 		{Kind: KindExact, Precision: PrecisionF32},
 		{Kind: KindNormScan, Precision: PrecisionF32},
-		{Kind: KindExact, Precision: PrecisionI8, Overfetch: maxOverfetch},
+		{Kind: KindExact, Precision: PrecisionI8},
 		{Kind: KindALSH}, // f64 default stays valid for every kind
 	}
 	for _, spec := range good {
@@ -489,4 +603,76 @@ func TestInt8CrashRecoveryIdenticalAnswers(t *testing.T) {
 		t.Fatal("int8 answers differ after crash recovery")
 	}
 	s1.Close()
+}
+
+// TestInt8ManifestOverfetchIgnored: a data dir whose manifest still
+// carries the over-fetch factor int8 specs once had reopens — the field
+// decodes and is ignored — with the same spec, answering as the f64
+// exact scan does, one query at a time and as a batch; a create request
+// carrying it is accepted likewise.
+func TestInt8ManifestOverfetchIgnored(t *testing.T) {
+	dir := t.TempDir()
+	const n, d = 1200, 16
+	recs := randRecords(n, d, 31)
+	queries := randQueries(20, d, 32)
+	spec := IndexSpec{Kind: KindExact, Precision: PrecisionI8}
+	s1, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s1.Ingest("items", &spec, 2, recs); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	paths, err := filepath.Glob(filepath.Join(dir, "*", "manifest.json"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("manifests %v: %v", paths, err)
+	}
+	var m map[string]json.RawMessage
+	raw, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["index"] = json.RawMessage(`{"kind":"exact","precision":"int8","overfetch":16}`)
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(paths[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	c, ok := s2.Collection("items")
+	if !ok || c.Spec() != spec {
+		t.Fatalf("reopened spec %+v, want %+v", c.Spec(), spec)
+	}
+	ref := New(Config{CacheCapacity: -1})
+	defer ref.Close()
+	if _, _, err := ref.Ingest("items", nil, 2, recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, unsigned := range []bool{false, true} {
+		opts := SearchOpts{K: 10, Unsigned: unsigned}
+		want := searchOpts(t, ref, queries, opts)
+		if got := searchOpts(t, s2, queries, opts); !sameHitsBitExact(got, want) {
+			t.Errorf("unsigned=%v: reopened int8 answers differ from the f64 scan", unsigned)
+		}
+		if got := searchBatch(t, s2, queries, opts); !sameHitsBitExact(got, want) {
+			t.Errorf("unsigned=%v: reopened int8 batch differs from the f64 scan", unsigned)
+		}
+	}
+
+	w := httptest.NewRecorder()
+	NewHandler(ref).ServeHTTP(w, httptest.NewRequest(http.MethodPut, "/collections/q8",
+		strings.NewReader(`{"index":{"kind":"exact","precision":"int8","overfetch":16},"records":[{"id":0,"vec":[0.5,1]}]}`)))
+	if c, ok := ref.Collection("q8"); w.Code != http.StatusOK || !ok || c.Spec() != spec {
+		t.Fatalf("create with overfetch: status %d %s", w.Code, w.Body)
+	}
 }

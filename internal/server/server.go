@@ -90,13 +90,6 @@ type Config struct {
 	// reads one (default 32 MiB; negative disables the limit).
 	MaxBodyBytes int64
 
-	// RerankOverfetch is the default candidate-widening factor for
-	// re-ranked queries on quantized (f32/int8) collections: a re-ranked
-	// query fetches k·overfetch quantized candidates and re-scores them
-	// through the exact f64 rows (default 4). A collection spec's own
-	// Overfetch overrides it.
-	RerankOverfetch int
-
 	// Tracing enables the per-request tracing plane: every instrumented
 	// HTTP request gets a trace (adopting an incoming W3C traceparent),
 	// spans are recorded through the pipeline stages, finished traces
@@ -362,7 +355,7 @@ func (s *Server) adoptRecovered(lg *persist.Log, rec *persist.Recovered) error {
 	// The manifest pins the seed the collection was created with, so an
 	// alsh collection samples the same hash functions across restarts
 	// even though recovery enumerates the data dir in name order.
-	c, err := newCollection(name, spec, rec.Manifest.Shards, rec.Manifest.Seed, s.cfg.RerankOverfetch)
+	c, err := newCollection(name, spec, rec.Manifest.Shards, rec.Manifest.Seed)
 	if err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("collection %q: %w", name, err)
@@ -622,7 +615,7 @@ func shardsOrDefault(shards, def int) int {
 // its data directory. On any failure nothing is left running: the
 // shard-owner goroutines newCollection spawned are stopped.
 func (s *Server) buildCollection(name string, spec IndexSpec, shards int, seed uint64) (*Collection, error) {
-	c, err := newCollection(name, spec, shards, seed, s.cfg.RerankOverfetch)
+	c, err := newCollection(name, spec, shards, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -755,12 +748,12 @@ type SearchOpts struct {
 	K int
 	// Unsigned ranks by |pᵀq| instead of pᵀq.
 	Unsigned bool
-	// Rerank asks f32 collections for exact scores: each shard widens
-	// its quantized candidate set by the collection's overfetch factor
-	// and re-scores it through the retained f64 rows, making the answer
-	// bit-identical to an f64 exact scan whenever the candidate set
-	// covers the true top k. int8 collections re-rank unconditionally;
-	// on exact (f64) engines the flag is a no-op.
+	// Rerank asks f32 collections for exact scores: each shard fetches
+	// 4k f32 candidates and re-scores them through the retained f64 rows,
+	// making the answer bit-identical to an f64 exact scan whenever the
+	// candidate set covers the true top k. int8 collections always
+	// re-rank the candidates their error bound certifies, which always
+	// cover it; on exact (f64) engines the flag is a no-op.
 	Rerank bool
 	// Explain collects per-shard execution detail (rows scanned, blocks
 	// pruned or skipped, rerank candidates, timings) into

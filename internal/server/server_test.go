@@ -335,7 +335,7 @@ func TestDuplicateAndAutoIDs(t *testing.T) {
 }
 
 func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
-	sh := newShard(0, defaultOverfetch, nil)
+	sh := newShard(0, nil)
 	defer sh.close()
 	if err := func() error {
 		snap, err := sh.prepare(IndexSpec{Kind: KindExact}, nil, []int{0}, []vec.Vector{{1, 0}}, nil)

@@ -22,14 +22,11 @@ import (
 // readers see a consistent (ids, vectors, index) triple through a
 // single atomic snapshot pointer and never block on writers.
 type shard struct {
-	id int
-	// overfetch is the resolved candidate-widening factor for re-ranked
-	// queries on quantized indexes; fixed at collection construction.
-	overfetch int
-	snap      atomic.Pointer[shardSnap]
-	ops       chan func()
-	done      chan struct{}
-	queries   atomic.Int64
+	id      int
+	snap    atomic.Pointer[shardSnap]
+	ops     chan func()
+	done    chan struct{}
+	queries atomic.Int64
 	// builds, the owning collection's, counts what each write's index
 	// work came to (see nextIndex); nil for a shard without a collection.
 	builds *indexBuilds
@@ -102,13 +99,12 @@ func (sn *shardSnap) packLive() ([]int, *flat.Store, error) {
 	return ids, nfs, nfs.AppendAll(rows)
 }
 
-func newShard(id int, overfetch int, builds *indexBuilds) *shard {
+func newShard(id int, builds *indexBuilds) *shard {
 	s := &shard{
-		id:        id,
-		overfetch: overfetch,
-		builds:    builds,
-		ops:       make(chan func()),
-		done:      make(chan struct{}),
+		id:     id,
+		builds: builds,
+		ops:    make(chan func()),
+		done:   make(chan struct{}),
 	}
 	s.snap.Store(&shardSnap{index: emptyIndex{}})
 	go s.loop()
@@ -209,7 +205,7 @@ func (s *shard) nextIndex(spec IndexSpec, hashes *lsh.Index, old *shardSnap, nfs
 	if index == nil {
 		how, copied = "rebuild", nfs.Len()
 		var err error
-		if index, err = buildShardIndex(spec, nfs, hashes, s.overfetch); err != nil {
+		if index, err = buildShardIndex(spec, nfs, hashes); err != nil {
 			return nil, err
 		}
 	}
@@ -297,7 +293,7 @@ func (s *shard) prepareCompact(spec IndexSpec, hashes *lsh.Index) (*shardSnap, e
 		if err != nil {
 			return nil, err
 		}
-		index, err := buildShardIndex(spec, nfs, hashes, s.overfetch)
+		index, err := buildShardIndex(spec, nfs, hashes)
 		if err != nil {
 			return nil, err
 		}
