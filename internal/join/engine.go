@@ -6,9 +6,11 @@ package join
 // multi-query scans of P through flat's scan driver, and the LSH /
 // sketch joiners verifying candidates through the flat layout. Engines
 // partition Q into row tiles and may execute tiles in parallel through
-// a caller-supplied Runner (the serving layer passes its bounded worker
-// pool); results are concatenated in tile order, so the output never
-// depends on scheduling.
+// a caller-supplied Runner (a bounded worker pool such as the server's);
+// results are concatenated in tile order, so the output never depends on
+// scheduling. The server joins through none of them: its exact join is a
+// batch search over the shards' own indexes, its lsh join the LSH query
+// algorithm over their banding indexes.
 
 import (
 	"cmp"
@@ -77,9 +79,9 @@ type Engine interface {
 // built once: Prepare returns an engine bound to P and its dead set
 // that reuses that state across any number of Join calls against the
 // same pair. A caller joining one data store against many query stores
-// — the server's shard-pair fan-out — prepares each data store once
-// instead of rebuilding per pair. The returned engine still answers
-// safely for other operands (it falls back to building from scratch).
+// prepares it once instead of rebuilding per pair. The returned engine
+// still answers safely for other operands (it falls back to building
+// from scratch).
 type Preparer interface {
 	Prepare(P *flat.Store, dead *flat.Tombstones) (Engine, error)
 }
@@ -265,10 +267,6 @@ type NormPruned struct {
 	// caller keeping the view). It must have been built from the exact
 	// store passed as P.
 	Sorted *flat.NormSorted
-	// SortedDead, when non-nil, is Opts.DeadP as Sorted's rows see it —
-	// Sorted.GatherDead(DeadP) — for callers that keep it beside the
-	// view; left nil, every Join gathers it.
-	SortedDead *flat.Tombstones
 }
 
 // Name implements Engine.
@@ -297,11 +295,7 @@ func (e NormPruned) Join(P, Q *flat.Store, s, cs float64, opts Opts) (Result, er
 		return Result{}, fmt.Errorf("join: prebuilt norm view is %dx%d, operand is %dx%d",
 			e.Sorted.Len(), e.Sorted.Dim(), P.Len(), P.Dim())
 	}
-	dead := e.SortedDead
-	if dead == nil && opts.DeadP.Count() > 0 {
-		dead = e.Sorted.GatherDead(opts.DeadP)
-	}
-	return scanJoin(e.Sorted.View, dead, Q, cs, opts)
+	return scanJoin(e.Sorted.View, e.Sorted.GatherDead(opts.DeadP), Q, cs, opts)
 }
 
 // liveRows returns views of the rows of P that dead does not mark (slice

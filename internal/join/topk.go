@@ -54,13 +54,13 @@ func NaiveUnsignedTopK(P, Q []vec.Vector, s float64, k int) Result {
 }
 
 // MergePerQuery combines partial join results that share one global
-// index space — e.g. per-shard-pair joins after local→global index
+// index space — e.g. per-tile joins after local→global index
 // translation — into a single Result under the canonical ordering
 // (QIdx ascending; within a query, Value descending with ties toward
 // the smaller PIdx). k > 0 keeps up to k pairs per query (top-k-pairs
 // mode); k == 0 keeps the single best pair per query (threshold mode).
 // Compared counters are summed. Partials are assumed pair-disjoint, as
-// shard-pair joins are by construction.
+// per-tile joins are by construction.
 func MergePerQuery(parts []Result, k int) Result {
 	keep := k
 	if keep <= 0 {

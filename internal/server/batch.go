@@ -7,8 +7,9 @@ package server
 // scanned once per shard snapshot — swept through the register-blocked
 // multi-query kernels (flatIndex.topKMulti) or probed under the tile's keys
 // (alshIndex.topKMulti) — and k-way-merged per query, through pooled
-// scratch. A single query is the tile of one. Steady state does O(tiles)
-// small allocations per request, not O(queries·shards).
+// scratch. A single query is the tile of one, a join a batch (runJoin).
+// Steady state does O(tiles) small allocations per request, not
+// O(queries·shards).
 //
 // Parallelism follows the request: a request of one tile scans its shards
 // on the pool, one task each; a request of several tiles runs its tiles on
@@ -91,6 +92,20 @@ type scanScratch struct {
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// pack makes rs.qstore the n query rows row(0), …, row(n−1), of dimension
+// dim, in one contiguous columnar store: the tile kernels want query rows
+// adjacent, and the norms computed here (vec.Norm, as everywhere) drive
+// the per-query Cauchy–Schwarz bounds of normscan shards.
+func (rs *searchState) pack(dim, n int, row func(int) vec.Vector) {
+	if rs.qstore == nil {
+		rs.qstore, _ = flat.New(dim)
+	}
+	_ = rs.qstore.ResetDim(dim)
+	for i := range n {
+		_ = rs.qstore.Append(row(i)) // dims pre-checked
+	}
+}
 
 // grow returns s resized to n elements, reusing capacity.
 func grow[T any](s []T, n int) []T {
@@ -204,6 +219,7 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 		sh.queries.Add(int64(len(valid)))
 	}
 	rs.snaps = snaps
+	opts.K = clampK(k, snaps)
 
 	if dim == 0 {
 		// Nothing ingested yet: every shard serves the empty index, and
@@ -220,17 +236,7 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 		return
 	}
 
-	// Pack the misses into one contiguous columnar store: the tile
-	// kernels want query rows adjacent, and the norms computed here
-	// (vec.Norm, as everywhere) drive the per-query Cauchy–Schwarz bounds
-	// of normscan shards.
-	if rs.qstore == nil {
-		rs.qstore, _ = flat.New(dim)
-	}
-	_ = rs.qstore.ResetDim(dim)
-	for _, i := range valid {
-		_ = rs.qstore.Append(queries[i]) // dims pre-checked
-	}
+	rs.pack(dim, len(valid), func(vi int) vec.Vector { return queries[valid[vi]] })
 
 	tiles := (len(valid) + searchTileQ - 1) / searchTileQ
 	if tiles == 1 {
@@ -267,56 +273,38 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 	}
 }
 
+// clampK clamps k to the rows snaps hold, a query's most hits.
+func clampK(k int, snaps []*shardSnap) int {
+	rows := 0
+	for _, sn := range snaps {
+		rows += len(sn.ids)
+	}
+	return min(k, max(rows, 1))
+}
+
 // searchTile answers tile t of the request's misses: hashed once (alsh),
-// scanned once per shard snapshot — on pool, one task a shard, or in turn
-// when pool is nil — and merged per query into out, and into cache when it
+// scanned (scanTile) and merged per query into out, and into cache when it
 // is non-nil. ex, when non-nil, receives each shard's explain. A traced
 // request gets one scan and one merge span per tile. It allocates only the
 // hits that escape to the caller: one arena per tile, or an exact slice
 // per query when the cache keeps them past the request.
 func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCache, rs *searchState, t int, opts SearchOpts, ex []ShardExplain, out []SearchResult) {
 	k := opts.K
-	valid, snaps := rs.miss, rs.snaps
+	valid := rs.miss
 	tlo := t * searchTileQ
 	thi := min(tlo+searchTileQ, len(valid))
-	tn, nsh := thi-tlo, len(snaps)
+	tn := thi - tlo
 	start := time.Now()
 	tr := trace.FromContext(ctx)
 
 	ts := getTileScratch()
 	defer putTileScratch(ts)
-	ts.lists = grow(ts.lists, nsh*tn)
-	ts.errs = grow(ts.errs, nsh)
-	clear(ts.errs)
-	// Shard si translates into trans[si·tn·k:]: the arena is sized up front,
-	// since growing it would move the lists aliasing it, and a fixed region
-	// per shard makes its bytes independent of which scan ran first.
-	ts.trans = grow(ts.trans, nsh*tn*k)
-
 	ssp := tr.StartSpan("scan")
 	// An alsh tile is hashed once, for every shard; one whose request
 	// expired first fails before any shard sees it.
 	keys, err := c.hashQueries(ctx, &ts.keys, rs.qstore, tlo, thi, opts.Unsigned)
 	if err == nil {
-		o := TopKOpts{Unsigned: opts.Unsigned, Rerank: opts.Rerank, Keys: keys}
-		if pool == nil {
-			for si := range snaps {
-				ts.errs[si] = scanShard(ctx, rs, ts, tlo, thi, k, si, o, ex)
-			}
-		} else {
-			err = pool.ForEachCtx(ctx, nsh, func(si int) {
-				ts.errs[si] = scanShard(ctx, rs, ts, tlo, thi, k, si, o, ex)
-			})
-		}
-		// A shard fails a tile whole — a deadline, a cancellation: every
-		// query of the tile carries the first shard's error, else the
-		// fan-out's, and none a partial answer.
-		for _, e := range ts.errs {
-			if e != nil {
-				err = e
-				break
-			}
-		}
+		err = scanTile(ctx, pool, rs, ts, tlo, thi, k, TopKOpts{Unsigned: opts.Unsigned, Rerank: opts.Rerank, Keys: keys}, ex)
 	}
 	ssp.End()
 	if err != nil {
@@ -335,17 +323,13 @@ func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCac
 	if cache == nil {
 		arena = make([]Hit, 0, tn*k)
 	}
-	ts.per = grow(ts.per, nsh)
 	for j := 0; j < tn; j++ {
-		for si := range ts.per {
-			ts.per[si] = ts.lists[si*tn+j]
-		}
 		var hits []Hit
 		if cache != nil {
-			hits = mergeTopKInto(ts.per, k, make([]Hit, 0, k), &ts.heap)
+			hits = ts.merge(j, tn, k, make([]Hit, 0, k))
 			cache.put(c.name, rs.keys[tlo+j], hits)
 		} else {
-			hits = mergeTopKInto(ts.per, k, arena, &ts.heap)
+			hits = ts.merge(j, tn, k, arena)
 			arena = arena[:len(arena)+len(hits)]
 		}
 		out[valid[tlo+j]] = SearchResult{Hits: hits}
@@ -354,14 +338,41 @@ func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCac
 	msp.End()
 }
 
+// scanTile scans query rows [tlo, thi) against every pinned shard snapshot
+// (scanShard) — on pool, one task a shard, or in turn when pool is nil. A
+// shard fails a tile whole — a deadline, a cancellation: the first
+// shard's error, else the fan-out's, and no query a partial answer.
+func scanTile(ctx context.Context, pool *Pool, rs *searchState, ts *tileScratch, tlo, thi, k int, o TopKOpts, ex []ShardExplain) error {
+	nsh := len(rs.snaps)
+	ts.lists = grow(ts.lists, nsh*(thi-tlo))
+	ts.errs = grow(ts.errs, nsh)
+	clear(ts.errs)
+	// Shard si translates into trans[si·tn·k:]: the arena is sized up front,
+	// since growing it would move the lists aliasing it, and a fixed region
+	// per shard makes its bytes independent of which scan ran first.
+	ts.trans = grow(ts.trans, nsh*(thi-tlo)*k)
+	var err error
+	if pool == nil {
+		for si := range rs.snaps {
+			ts.errs[si] = scanShard(ctx, rs, ts, tlo, thi, k, si, o, ex)
+		}
+	} else {
+		err = pool.ForEachCtx(ctx, nsh, func(si int) {
+			ts.errs[si] = scanShard(ctx, rs, ts, tlo, thi, k, si, o, ex)
+		})
+	}
+	for _, e := range ts.errs {
+		if e != nil {
+			return e
+		}
+	}
+	return err
+}
+
 // scanShard runs the request's query rows [tlo, thi) against shard si's
-// pinned snapshot and leaves query tlo+j's hits in ts.lists[si·tn+j] —
-// global IDs in the canonical (score descending, ID ascending) order, so
-// the k-way merge's tie-breaking is exact even where the ID-to-shard
-// assignment does not preserve ID order — in the shard's region of
-// ts.trans, k hits a query. ex, when non-nil, has ex[si] receive the
-// shard's size, scan accounting and timing; a traced request gets one
-// shard_scan span.
+// pinned snapshot and lists their hits (tileScratch.list). ex, when
+// non-nil, has ex[si] receive the shard's size, scan accounting and
+// timing; a traced request gets one shard_scan span.
 func scanShard(ctx context.Context, rs *searchState, ts *tileScratch, tlo, thi, k, si int, o TopKOpts, ex []ShardExplain) error {
 	sp := trace.FromContext(ctx).StartSpan("shard_scan")
 	sp.SetInt("shard", int64(si))
@@ -378,7 +389,22 @@ func scanShard(ctx context.Context, rs *searchState, ts *tileScratch, tlo, thi, 
 	if err != nil {
 		return err
 	}
-	tn := thi - tlo
+	ts.list(si, snap, accs, k)
+	if sx := o.Explain; sx != nil {
+		sx.Shard, sx.Records, sx.Live = si, len(snap.ids), len(snap.ids)-snap.dead.Count()
+		sx.Micros = time.Since(start).Microseconds()
+		sp.SetInt("rows_scanned", int64(sx.RowsScanned))
+	}
+	return nil
+}
+
+// list leaves tile query j's hits in shard si's accs — local rows of
+// snap, k at most — in ts.lists[si·tn+j], in the shard's region of
+// ts.trans: global IDs in the canonical (score descending, ID ascending)
+// order, so the merge's tie-breaking is exact whatever the ID-to-shard
+// assignment.
+func (ts *tileScratch) list(si int, snap *shardSnap, accs []flat.Acc, k int) {
+	tn := len(accs)
 	for j := range accs {
 		at := (si*tn + j) * k
 		hs := ts.trans[at : at : at+k]
@@ -388,10 +414,14 @@ func scanShard(ctx context.Context, rs *searchState, ts *tileScratch, tlo, thi, 
 		sortHitsCanonical(hs)
 		ts.lists[si*tn+j] = hs
 	}
-	if sx := o.Explain; sx != nil {
-		sx.Shard, sx.Records, sx.Live = si, len(snap.ids), len(snap.ids)-snap.dead.Count()
-		sx.Micros = time.Since(start).Microseconds()
-		sp.SetInt("rows_scanned", int64(sx.RowsScanned))
+}
+
+// merge appends to dst the k best hits of tile query j over every shard's
+// list, of a tile of tn queries.
+func (ts *tileScratch) merge(j, tn, k int, dst []Hit) []Hit {
+	ts.per = grow(ts.per, len(ts.lists)/tn)
+	for si := range ts.per {
+		ts.per[si] = ts.lists[si*tn+j]
 	}
-	return nil
+	return mergeTopKInto(ts.per, k, dst, &ts.heap)
 }

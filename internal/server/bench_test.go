@@ -89,22 +89,28 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 // BenchmarkServerJoin measures one join of 64 queries against 6 000 × 32
 // unit-ball rows on 4 shards — the planted-alsh benchmark's shape — per
 // iteration: the lsh engine walking the indexes an alsh collection keeps,
-// and the exact sweep it is up against. Few latent-factor queries have a
-// partner ≥ c·s, so lsh-on-alsh walks nearly every table; lsh-planted
+// and the exact sweeps it is up against: the f64 rows, the norm-sorted
+// view of a normscan collection, and — at mixed-durable's 40 000 × 32 —
+// the int8 codes under their certificate. Few latent-factor queries have
+// a partner ≥ c·s, so lsh-on-alsh walks nearly every table; lsh-planted
 // gives each query one at 0.95·q̂, as planted-alsh does, so its walks stop
 // at the first table step holding it. candidates/query is what a query
 // verified.
 func BenchmarkServerJoin(b *testing.B) {
 	for _, c := range []struct {
-		name, kind, engine string
-		planted            bool
+		name, engine string
+		spec         IndexSpec
+		n            int
+		planted      bool
 	}{
-		{"lsh-on-alsh", KindALSH, "lsh", false},
-		{"lsh-planted", KindALSH, "lsh", true},
-		{"exact", KindExact, "exact", false},
+		{"lsh-on-alsh", "lsh", IndexSpec{Kind: KindALSH}, 6000, false},
+		{"lsh-planted", "lsh", IndexSpec{Kind: KindALSH}, 6000, true},
+		{"exact", "exact", IndexSpec{Kind: KindExact}, 6000, false},
+		{"normscan", "normpruned", IndexSpec{Kind: KindNormScan}, 6000, false},
+		{"exact-int8", "exact", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 40000, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			s, users := benchServer(b, 6000, 32, 4, IndexSpec{Kind: c.kind})
+			s, users := benchServer(b, c.n, 32, 4, c.spec)
 			for _, u := range users {
 				vec.Normalize(u)
 			}

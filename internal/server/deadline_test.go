@@ -329,20 +329,20 @@ func TestALSHTileDeadline(t *testing.T) {
 // TestJoinDeadline pins cancellation through the join path: an expired
 // context fails with a context error on every engine, a generous one
 // matches the no-deadline join exactly, and the pool drains either way.
-// The lsh engine joins the same rows held by an alsh collection.
+// The normpruned and lsh engines join the same rows held by a normscan
+// and an alsh collection.
 func TestJoinDeadline(t *testing.T) {
 	s := New(Config{DefaultShards: 2, CacheCapacity: -1})
 	defer s.Close()
 	seedKind(t, s, "p", KindExact, 300, 12, 1)
+	seedKind(t, s, "pn", KindNormScan, 300, 12, 1)
 	seedKind(t, s, "pa", KindALSH, 300, 12, 1)
 	seedKind(t, s, "q", KindExact, 60, 12, 1)
 
+	data := map[string]string{"exact": "p", "normpruned": "pn", "lsh": "pa"}
 	for _, engine := range []string{"exact", "normpruned", "lsh"} {
 		t.Run(engine, func(t *testing.T) {
-			req := JoinRequest{Data: "p", Queries: "q", Engine: engine, S: 0.3, Variant: "unsigned"}
-			if engine == "lsh" {
-				req.Data = "pa"
-			}
+			req := JoinRequest{Data: data[engine], Queries: "q", Engine: engine, S: 0.3, Variant: "unsigned"}
 			base, err := s.Join(req)
 			if err != nil {
 				t.Fatalf("baseline join: %v", err)
@@ -410,7 +410,8 @@ func (c *fetchCtx) Err() error {
 // having scored, per query, less than the one block a driver may be
 // into when the channel closes (the traced scan span says how much),
 // not the whole sweep; the pool must drain, and the next join must be
-// untouched by it. The lsh engine probes pa, p's rows in an alsh
+// untouched by it. The normpruned engine sweeps pn, p's rows in a
+// normscan collection, and the lsh engine probes pa, p's rows in an alsh
 // collection.
 func joinCancelledInsideTile(t *testing.T) {
 	s := New(Config{CacheCapacity: -1})
@@ -420,16 +421,13 @@ func joinCancelledInsideTile(t *testing.T) {
 	for _, c := range []struct {
 		names []string
 		size  int
-	}{{[]string{"p", "pa"}, n}, {[]string{"q"}, nq}} {
+	}{{[]string{"p", "pn", "pa"}, n}, {[]string{"q"}, nq}} {
 		recs := make([]store.Record, c.size)
 		for i, v := range dataset.Gaussian(rng, c.size, 8, true) {
 			recs[i] = store.Record{ID: i, Vec: v}
 		}
 		for _, name := range c.names {
-			var spec *IndexSpec
-			if name == "pa" {
-				spec = &IndexSpec{Kind: KindALSH, K: 2, L: 4}
-			}
+			spec := map[string]*IndexSpec{"pn": {Kind: KindNormScan}, "pa": {Kind: KindALSH, K: 2, L: 4}}[name]
 			if _, _, err := s.Ingest(name, spec, 1, recs); err != nil {
 				t.Fatal(err)
 			}
@@ -446,12 +444,10 @@ func joinCancelledInsideTile(t *testing.T) {
 		t.Fatalf("no scan span in %+v", tr.Export())
 		return nil, 0, nil
 	}
+	data := map[string]string{"exact": "p", "normpruned": "pn", "lsh": "pa"}
 	for _, engine := range []string{"exact", "normpruned", "lsh"} {
 		t.Run(engine, func(t *testing.T) {
-			req := JoinRequest{Data: "p", Queries: "q", Engine: engine, S: 0.5, C: 0.5, Variant: "unsigned"}
-			if engine == "lsh" {
-				req.Data = "pa"
-			}
+			req := JoinRequest{Data: data[engine], Queries: "q", Engine: engine, S: 0.5, C: 0.5, Variant: "unsigned"}
 			dry := newFetchCtx(0)
 			base, scanned, err := traced(dry, req)
 			if err != nil {

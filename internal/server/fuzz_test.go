@@ -22,15 +22,17 @@ func FuzzSearchHandler(f *testing.F) {
 		`{"q":[1,0,0,0]}`,
 		`{"q":[1,0,0,0],"k":3,"unsigned":true}`,
 		`{"queries":[[1,0,0,0],[0,1,0,0]],"k":2}`,
-		`{"q":[1,2]}`,                      // wrong dimension
-		`{"q":[]}`,                         // neither q nor queries
-		`{"q":[1,0,0,0],"queries":[[1]]}`,  // both set
-		`{"queries":[[1,0,0,0],[1,2]]}`,    // mixed dimensions in a batch
-		`{"q":[1,0,0,0],"k":-5}`,           // negative k
-		`{"q":[1,0,0,0],"k":999999}`,       // over-asking
-		`{"queries":[null,[1,0,0,0]]}`,     // null query row
-		`{"q":[1e308,1e308,-1e308,1e308]}`, // overflow-prone values
-		`{`,                                // truncated JSON
+		`{"q":[1,2]}`,                             // wrong dimension
+		`{"q":[]}`,                                // neither q nor queries
+		`{"q":[1,0,0,0],"queries":[[1]]}`,         // both set
+		`{"queries":[[1,0,0,0],[1,2]]}`,           // mixed dimensions in a batch
+		`{"q":[1,0,0,0],"k":-5}`,                  // negative k
+		`{"q":[1,0,0,0],"k":999999}`,              // over-asking
+		`{"q":[1,0,0,0],"k":1099511627776}`,       // k = 2^40: sizes nothing past the rows
+		`{"q":[1,0,0,0],"k":4611686018427387904}`, // k = 2^62
+		`{"queries":[null,[1,0,0,0]]}`,            // null query row
+		`{"q":[1e308,1e308,-1e308,1e308]}`,        // overflow-prone values
+		`{`,                                       // truncated JSON
 		`[]`,
 		`42`,
 		``,
@@ -84,11 +86,11 @@ func checkFuzzResponse(t *testing.T, rec *httptest.ResponseRecorder, body []byte
 }
 
 // FuzzJoinHandler throws arbitrary bytes at the join endpoint's JSON
-// path — and, through it, the whole shard-pair join pipeline: engine
-// selection, spec validation, top-k handling and the per-pair merge.
-// Bodies alternate between the two-collection route and the self-join
-// route; whatever the body, the handler must not panic and must answer
-// 200 or a structured 4xx with valid JSON.
+// path — and, through it, the whole join pipeline: engine selection, spec
+// validation, top-k handling and the per-query merge. Each body goes to
+// the two-collection route from an exact and from a normscan data
+// collection, and to the self-join route; whatever the body, the handler
+// must not panic and must answer 200 or a structured 4xx with valid JSON.
 func FuzzJoinHandler(f *testing.F) {
 	seeds := []string{
 		`{"s":0.5}`,
@@ -103,6 +105,7 @@ func FuzzJoinHandler(f *testing.F) {
 		`{"s":0.5,"c":7}`,                        // c out of (0,1]
 		`{"s":0.5,"topk":-3}`,                    // negative topk
 		`{"s":0.5,"topk":999999}`,                // absurd topk
+		`{"s":0.5,"topk":1099511627776}`,         // topk = 2^40
 		`{"s":1e308,"c":1e-308}`,                 // overflow-prone spec
 		`{"s":0.5,"exclude_self":true}`,          // exclusion on the pair route
 		`{"s":0.5,"data":"x","queries":"ghost"}`, // body names ignored on path routes
@@ -126,8 +129,11 @@ func FuzzJoinHandler(f *testing.F) {
 		if _, _, err := s.Ingest("b", nil, 0, recs[:7]); err != nil {
 			t.Fatal(err)
 		}
+		if _, _, err := s.Ingest("n", &IndexSpec{Kind: KindNormScan}, 0, recs); err != nil {
+			t.Fatal(err)
+		}
 		h := NewHandler(s)
-		for _, path := range []string{"/collections/a/join/b", "/collections/a/join"} {
+		for _, path := range []string{"/collections/a/join/b", "/collections/n/join/b", "/collections/a/join"} {
 			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req) // must not panic

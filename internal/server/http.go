@@ -55,8 +55,8 @@ func NewHandler(s *Server) http.Handler {
 	route("POST /collections/{name}/vectors", "upsert_batch", s.handleUpsertBatch)
 	route("POST /collections/{name}/vectors/delete", "delete_batch", s.handleDeleteBatch)
 	route("POST /collections/{name}/search", "search", s.handleSearch)
-	route("POST /collections/{a}/join/{b}", "join", s.handleJoinPath)
-	route("POST /collections/{name}/join", "join", s.handleSelfJoin)
+	route("POST /collections/{a}/join/{b}", "join", s.handleJoin)
+	route("POST /collections/{name}/join", "join", s.handleJoin)
 	route("POST /join", "join", s.handleJoin)
 	route("GET /healthz", "healthz", s.handleHealthz)
 	route("GET /readyz", "readyz", s.handleReadyz)
@@ -588,47 +588,25 @@ func (s *Server) handleDeleteBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleJoin serves the body-addressed POST /join route.
+// handleJoin serves the join routes. POST /join names both collections
+// in the body. POST /collections/{a}/join/{b} joins data collection P =
+// {a} with queries collection Q = {b}; naming the same collection twice
+// is a self-join (identity pairs kept unless the body sets exclude_self).
+// POST /collections/{name}/join is the self-join of {name}, identity
+// pairs always excluded. A named-but-unknown collection maps to 404; shed
+// joins 429, expired ones 504; every other rejection — including a body
+// that omits the collection names on /join — stays a 400.
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
 		bodyError(w, err)
 		return
 	}
-	s.serveJoin(w, r, req)
-}
-
-// handleJoinPath serves POST /collections/{a}/join/{b}: {a} is the data
-// collection P, {b} the queries collection Q; naming the same
-// collection twice is a self-join (identity pairs kept unless the body
-// sets exclude_self).
-func (s *Server) handleJoinPath(w http.ResponseWriter, r *http.Request) {
-	var req JoinRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		bodyError(w, err)
-		return
+	if name := r.PathValue("name"); name != "" {
+		req = selfJoinRequest(name, req)
+	} else if a := r.PathValue("a"); a != "" {
+		req.Data, req.Queries = a, r.PathValue("b")
 	}
-	req.Data = r.PathValue("a")
-	req.Queries = r.PathValue("b")
-	s.serveJoin(w, r, req)
-}
-
-// handleSelfJoin serves POST /collections/{name}/join: a self-join of
-// {name} with identity pairs always excluded.
-func (s *Server) handleSelfJoin(w http.ResponseWriter, r *http.Request) {
-	var req JoinRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
-		bodyError(w, err)
-		return
-	}
-	s.serveJoin(w, r, selfJoinRequest(r.PathValue("name"), req))
-}
-
-// serveJoin runs a resolved join request and writes the response. A
-// named-but-unknown collection maps to 404; shed joins 429, expired
-// ones 504; every other rejection — including a body that omits the
-// collection names on the legacy /join route — stays a 400.
-func (s *Server) serveJoin(w http.ResponseWriter, r *http.Request, req JoinRequest) {
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 	resp, err := s.JoinCtx(ctx, req)
@@ -650,9 +628,6 @@ func (s *Server) serveJoin(w http.ResponseWriter, r *http.Request, req JoinReque
 				fmt.Errorf("join produced a non-finite value for pair (%d, %d)", p.DataID, p.QueryID))
 			return
 		}
-	}
-	if resp.Pairs == nil {
-		resp.Pairs = []JoinPair{}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/store"
+	"repro/internal/vec"
 	"repro/internal/xrand"
 )
 
@@ -240,4 +243,31 @@ func TestHTTPNonFiniteScores(t *testing.T) {
 		SearchRequest{Q: []float64{1e308, 1e308}}, &e); code != http.StatusBadRequest || e["error"] == "" {
 		t.Fatalf("overflowing query: status %d, error %q (want 400 with error)", code, e["error"])
 	}
+}
+
+// TestHTTPUnboundedK: a k or topk past every collection's size sizes
+// nothing by it — a query has at most as many hits as the pinned
+// snapshots hold rows — and returns the full answer. Two rows on four
+// shards, searched at k = 2^40 and 2^62 and joined at topk = 2^40.
+func TestHTTPUnboundedK(t *testing.T) {
+	s := New(Config{DefaultShards: 4})
+	defer s.Close()
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	recs := []store.Record{{ID: 0, Vec: vec.Vector{1, 0}}, {ID: 1, Vec: vec.Vector{0.5, 0.5}}}
+	if _, _, err := s.Ingest("c", nil, 0, recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1 << 40, 1 << 62} {
+		var resp SearchResponse
+		if code := doJSON(t, ts, http.MethodPost, "/collections/c/search", SearchRequest{Q: []float64{1, 1}, K: k}, &resp); code != http.StatusOK ||
+			!reflect.DeepEqual(resp.Matches, []Hit{{ID: 0, Score: 1}, {ID: 1, Score: 1}}) {
+			t.Fatalf("k = %d: status %d, matches %v", k, code, resp.Matches)
+		}
+	}
+	var resp JoinResponse
+	if code := doJSON(t, ts, http.MethodPost, "/collections/c/join/c", JoinRequest{S: 0.5, TopK: 1 << 40}, &resp); code != http.StatusOK {
+		t.Fatalf("topk = 2^40: status %d", code)
+	}
+	samePairs(t, "topk = 2^40", bruteJoin(recs, recs, 0.5, false, 1<<40, false), resp.Pairs)
 }

@@ -72,6 +72,9 @@ type TopKOpts struct {
 	// an alsh index given none hashes the tile itself. Other engines ignore
 	// them.
 	Keys *lsh.QueryKeys
+	// floor is the sweep's flat.ScanOpts.Floor: a join's cs, below which
+	// it reports nothing (zero, a search's, never prunes).
+	floor float64
 }
 
 // IndexSpec selects and parameterizes the per-shard index engine. The
@@ -293,7 +296,7 @@ func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k 
 		fetch = k * min(f32Overfetch, math.MaxInt/k) // saturating
 	}
 	accs := sc.tile.Accs(qhi-qlo, fetch)
-	so := flat.ScanOpts{Unsigned: o.Unsigned, Dead: ix.dead}
+	so := flat.ScanOpts{Unsigned: o.Unsigned, Dead: ix.dead, Floor: o.floor}
 	st := &sc.stats
 	if o.Explain != nil {
 		so.Stats = st

@@ -1,27 +1,29 @@
 package server
 
-// Online similarity joins: the serving-layer face of the join Engine
-// layer. A join runs directly over the two collections' per-shard
-// columnar snapshots — no row materialisation — as tasks on the server's
-// worker pool, each translating its matches into record-ID space, and
-// merges the partials per query through join.MergePerQuery. The exact
-// engines run one task per (P-shard, Q-shard) pair. The lsh engine runs
-// the LSH query algorithm instead, one task per query tile: each query
-// walks the banding tables of every P-shard a table step at a time
-// (walkTile). Threshold mode reports one pair per satisfied query
-// (Definition 1): the exact engines the best pair, lsh the best pair
-// among the candidates up to the first table step that yields a witness.
-// Top-k-pairs mode reports up to k pairs per query.
+// Online similarity joins. A join is a batch (runJoin): the query
+// collection's live rows run as the search executor's query tiles against
+// the data collection's shard snapshots, read through their dead sets and
+// a structure each already keeps. An exact tile is a search tile with cs
+// as the sweep's floor; an lsh tile walks the banding tables of every data
+// shard a table step at a time — the LSH query algorithm (walkTile).
+// Threshold mode reports one pair per satisfied query (Definition 1): the
+// exact engines the best pair, lsh the best pair among the candidates up
+// to the first table step that yields a witness. Top-k-pairs mode reports
+// up to k pairs per query.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/flat"
 	"repro/internal/join"
 	"repro/internal/trace"
+	"repro/internal/vec"
 )
 
 // JoinRequest asks for an approximate (cs, s) join: for each query
@@ -32,10 +34,14 @@ type JoinRequest struct {
 	// names the same collection twice.
 	Data    string `json:"data"`
 	Queries string `json:"queries"`
-	// Engine is "exact" (alias "tiled"), "normpruned" or "lsh" (default
-	// "exact"). Every engine joins through the structure the data
-	// collection serves from: lsh needs an alsh data collection and probes
-	// its shards' banding indexes.
+	// Engine is "exact" (alias "tiled"), "normpruned" (alias "normscan")
+	// or "lsh" (default "exact"). Every engine joins through a structure
+	// the data collection already keeps: exact sweeps its rows in store
+	// order — an int8 collection's codes under their error bound, the f64
+	// rows otherwise — normpruned the norm-sorted f64 view a normscan f64
+	// collection serves from, and lsh the banding indexes of an alsh one.
+	// An engine the collection keeps no structure for is refused, naming
+	// the alternative.
 	Engine string `json:"engine,omitempty"`
 	// Variant is "signed" (default) or "unsigned".
 	Variant string `json:"variant,omitempty"`
@@ -86,16 +92,22 @@ type JoinResponse struct {
 // created under spec, to the name the response reports. Every served
 // engine joins through what the data collection already keeps, so one
 // that would have to build a structure per request is refused with the
-// alternative.
+// alternative: normpruned needs the norm-sorted f64 view of a normscan f64
+// collection — exact returns its pairs from any other — and lsh the
+// banding indexes of an alsh one.
 func joinEngineName(engine string, spec IndexSpec) (string, error) {
 	switch engine {
 	case "", "exact", "tiled":
 		return join.Tiled{}.Name(), nil
 	case "normpruned", "normscan":
+		if k, p := spec.kind(), spec.precision(); k != KindNormScan || p != PrecisionF64 {
+			return "", fmt.Errorf("server: the normpruned engine sweeps the norm-sorted view of a %s %s data collection, and this one is %s %s: use engine exact, which returns the same pairs",
+				KindNormScan, PrecisionF64, k, p)
+		}
 		return join.NormPruned{}.Name(), nil
 	case "lsh":
 		if k := spec.kind(); k != KindALSH {
-			return "", fmt.Errorf("server: the lsh engine probes the banding index of an %s data collection, and this one is %s: use engine exact or normpruned, or create the data collection with index kind %s",
+			return "", fmt.Errorf("server: the lsh engine probes the banding index of an %s data collection, and this one is %s: use engine exact, or create the data collection with index kind %s",
 				KindALSH, k, KindALSH)
 		}
 		return engine, nil
@@ -105,111 +117,166 @@ func joinEngineName(engine string, spec IndexSpec) (string, error) {
 	return "", fmt.Errorf("server: unknown join engine %q", engine)
 }
 
-// joinOpts is what every task of one join shares beyond its operands.
+// joinOpts is what every tile of one join shares beyond its operands.
 type joinOpts struct {
 	cs       float64
 	unsigned bool
-	// topK is the request's (0: threshold mode); k the per-data-shard
-	// top-k a task keeps for it, at least one more under excludeSelf
-	// (0 in threshold mode without it: the engines' single best pair).
+	// topK is the request's (0: threshold mode); k the top-k a query keeps
+	// in each data shard for it, max(topK, 1), one more under excludeSelf.
 	topK, k     int
 	excludeSelf bool
 }
 
-// newJoinOpts resolves a validated request. A query's per-shard top-k
-// over-fetches by one under self-exclusion: the identity pair can
-// displace the legitimate answer within its data shard (IDs are
-// shard-disjoint, so it appears at most once per query).
+// newJoinOpts resolves a validated request. A query's top-k over-fetches
+// by one under self-exclusion: the identity pair can displace the
+// legitimate answer (IDs are shard-disjoint, so it appears at most once
+// per query).
 func newJoinOpts(sp core.Spec, req JoinRequest) joinOpts {
-	o := joinOpts{cs: sp.CS(), unsigned: sp.Variant == core.Unsigned, topK: req.TopK, k: req.TopK, excludeSelf: req.ExcludeSelf}
+	o := joinOpts{cs: sp.CS(), unsigned: sp.Variant == core.Unsigned, topK: req.TopK, k: max(req.TopK, 1), excludeSelf: req.ExcludeSelf}
 	if o.excludeSelf {
-		o.k = max(o.k, 1) + 1
+		o.k++
 	}
 	return o
 }
 
-// keep appends to dst, as pairs of query record qid, the hits of acc —
-// local rows of data snapshot sn — at value ≥ cs, the identity pair
-// dropped under excludeSelf.
-func (o *joinOpts) keep(dst []join.Match, acc *flat.Acc, sn *shardSnap, qid int) []join.Match {
-	for _, h := range acc.Hits() {
-		if h.Score < o.cs {
-			break
-		}
-		if id := sn.ids[h.Index]; !o.excludeSelf || id != qid {
-			dst = append(dst, join.Match{QIdx: qid, PIdx: id, Value: h.Score})
-		}
+// joinSnap returns sn as a join of engine (by joinEngineName) reads it:
+// lsh and normpruned through its serving index, exact through it too
+// where that sweeps the store in order with exact scores — f64 rows, or
+// int8 codes under their certificate — and otherwise through a
+// store-order index over sn.fs itself, which copies nothing.
+func (sn *shardSnap) joinSnap(engine string) *shardSnap {
+	ix, ok := sn.index.(*flatIndex)
+	if engine != "tiled" || ok && !ix.view.Sorted() && ix.rerank != rerankOnRequest {
+		return sn
 	}
-	return dst
+	rows := *sn
+	rows.index = &flatIndex{fs: sn.fs, view: sn.fs.View(), dead: sn.dead}
+	return &rows
 }
 
-// join is the task of one (data shard, query shard) pair of an exact
-// join: engine (by joinEngineName) sweeps this snapshot — normpruned its
-// norm view (see normPruned), exact the store itself — for the query
-// snapshot's live rows, and its matches come back in record-ID space.
-func (sn *shardSnap) join(ctx context.Context, engine string, qsnap *shardSnap, s float64, o joinOpts, work *flat.ScanStats) (join.Result, error) {
-	var eng join.Engine = join.Tiled{}
-	if engine == "normpruned" {
-		eng = sn.normPruned()
+// runJoin packs the live rows of qsnaps and runs them as query tiles
+// against dsnaps, each read as engine reads it (joinSnap) — the shards of
+// a one-tile join on pool, the tiles of a larger one. Either kind of tile
+// (scanTile, walkTile) lists each query's top k in every data shard, and
+// a query's pairs are the merge's hits ≥ cs, the identity pair dropped
+// under excludeSelf. ssp sums every tile's work, a cancelled tile's
+// included. A join neither reads nor fills the query cache, and leaves
+// the search counters as they were.
+func runJoin(ctx context.Context, pool *Pool, c *Collection, engine string, dsnaps, qsnaps []*shardSnap, o joinOpts, ssp *trace.Span) (pairs []JoinPair, compared int64, err error) {
+	rs := searchStatePool.Get().(*searchState)
+	defer putSearchState(rs)
+	for _, sn := range dsnaps {
+		rs.snaps = append(rs.snaps, sn.joinSnap(engine))
 	}
-	res, err := eng.Join(sn.fs, qsnap.fs, s, o.cs, join.Opts{
-		Unsigned: o.unsigned, TopK: o.k, Ctx: ctx,
-		DeadP: sn.dead, DeadQ: qsnap.dead, Stats: work})
-	if err != nil {
-		return res, err
-	}
-	keep := res.Matches[:0]
-	for _, m := range res.Matches {
-		if m.PIdx, m.QIdx = sn.ids[m.PIdx], qsnap.ids[m.QIdx]; !o.excludeSelf || m.PIdx != m.QIdx {
-			keep = append(keep, m)
+	o.k = clampK(o.k, dsnaps)
+	var qids []int
+	var rows []vec.Vector
+	for _, sn := range qsnaps {
+		for i, id := range sn.ids {
+			if !sn.dead.Dead(i) {
+				qids, rows = append(qids, id), append(rows, sn.fs.Row(i))
+			}
 		}
 	}
-	res.Matches = keep
-	return res, nil
+	rs.pack(qsnaps[0].fs.Dim(), len(rows), func(i int) vec.Vector { return rows[i] })
+
+	tiles := (len(rows) + searchTileQ - 1) / searchTileQ
+	parts := make([][]JoinPair, tiles)
+	errs := make([]error, tiles)
+	var scanned atomic.Int64
+	tile := func(t int, pool *Pool) {
+		lo, hi := t*searchTileQ, min((t+1)*searchTileQ, len(rows))
+		ts := getTileScratch()
+		defer putTileScratch(ts)
+		var work flat.ScanStats
+		if engine == "lsh" {
+			errs[t] = walkTile(ctx, c, rs, ts, lo, hi, qids, o, &work)
+		} else {
+			ex := make([]ShardExplain, len(rs.snaps))
+			errs[t] = scanTile(ctx, pool, rs, ts, lo, hi, o.k, TopKOpts{Unsigned: o.unsigned, floor: o.cs}, ex)
+			for _, e := range ex {
+				work.Add(flat.ScanStats{ScannedRows: e.RowsScanned, PrunedBlocks: e.CSPrunedBlocks, SkippedBlocks: e.TombstoneSkippedBlocks})
+			}
+		}
+		scanned.Add(int64(work.ScannedRows))
+		ssp.SetInt("rows_scanned", int64(work.ScannedRows))
+		ssp.SetInt("candidates", int64(work.Candidates))
+		ssp.SetInt("cs_pruned_blocks", int64(work.PrunedBlocks))
+		ssp.SetInt("tombstone_skipped_blocks", int64(work.SkippedBlocks))
+		if errs[t] != nil {
+			return
+		}
+		hits := make([]Hit, 0, o.k)
+		for j := range hi - lo {
+			n := 0
+			for _, h := range ts.merge(j, hi-lo, o.k, hits) {
+				if h.Score < o.cs || n == max(o.topK, 1) {
+					break
+				}
+				if !o.excludeSelf || h.ID != qids[lo+j] {
+					parts[t] = append(parts[t], JoinPair{DataID: h.ID, QueryID: qids[lo+j], Value: h.Score})
+					n++
+				}
+			}
+		}
+	}
+	if tiles == 1 && engine != "lsh" {
+		tile(0, pool) // its shard scans take the pool's slots
+	} else {
+		err = pool.ForEachCtx(ctx, tiles, func(t int) { tile(t, nil) })
+	}
+	err = cmp.Or(err, cmp.Or(errs...)) // the fan-out's, else the first tile's
+	// A query's pairs are contiguous, in its tile; queries go by record ID.
+	pairs = []JoinPair{}
+	for _, part := range parts {
+		pairs = append(pairs, part...)
+	}
+	slices.SortStableFunc(pairs, func(a, b JoinPair) int { return cmp.Compare(a.QueryID, b.QueryID) })
+	return pairs, scanned.Load(), err
 }
 
-// walkTile answers query rows [lo, hi) of qsnap by the LSH query
-// algorithm (Indyk–Motwani; the paper's §4.1) over every data shard of an
-// alsh collection at once. The tile is hashed once under the collection's
-// hash functions. Each live query then walks the tables: at step t it
-// takes table t under its probes in every data shard, in shard order,
-// and verifies through the shard's store the ids that shard's walk has
-// not yet named, dead ones dropped, into the shard's top-k. In threshold
-// mode a query stops after the first step at which some shard holds a
-// witness — a pair ≥ cs that is not the identity pair under excludeSelf —
-// and reports the pairs of the union verified so far; top-k mode walks
+// walkTile answers query rows [lo, hi) of rs, record qids[i] at row i, by
+// the LSH query algorithm (Indyk–Motwani; the paper's §4.1) over every
+// data shard of an alsh collection at once, and lists each query's top k
+// in every shard. The tile is hashed once under the collection's hash
+// functions. Each query then walks the tables: at step t it takes table t
+// under its probes in every data shard, in shard order, and verifies
+// through the shard's store the ids that shard's walk has not yet named,
+// dead ones dropped, into the shard's top-k. In threshold mode a query
+// stops after the first step at which some shard holds a witness — a pair
+// ≥ cs that is not the identity pair under excludeSelf; top-k mode walks
 // all L steps, the whole union. Every shard extends the collection's one
 // set of hash functions, so a row's bucket in table t does not depend on
 // its shard, and the answer depends on neither the shard count nor the
 // pool. The queries still walking take each (step, shard) together, so a
 // shard's tables and rows stay in cache across the tile. ctx is polled
 // between two of those; work counts the rows verified.
-func walkTile(ctx context.Context, c *Collection, dsnaps []*shardSnap, qsnap *shardSnap, lo, hi int, o joinOpts, work *flat.ScanStats) (join.Result, error) {
-	ts := getTileScratch()
-	defer putTileScratch(ts)
-	keys, err := c.hashQueries(ctx, &ts.keys, qsnap.fs, lo, hi, o.unsigned)
+func walkTile(ctx context.Context, c *Collection, rs *searchState, ts *tileScratch, lo, hi int, qids []int, o joinOpts, work *flat.ScanStats) error {
+	keys, err := c.hashQueries(ctx, &ts.keys, rs.qstore, lo, hi, o.unsigned)
 	if err != nil {
-		return join.Result{}, err
+		return err
 	}
 	// Query lo+j's walk and top-k in shard si are walks[si·nq+j], accs[si·nq+j].
-	nq := hi - lo
+	nq, dsnaps := hi-lo, rs.snaps
 	ts.walks = grow(ts.walks, len(dsnaps)*nq)
 	ts.accs = grow(ts.accs, len(dsnaps)*nq)
 	walking := ts.walking[:0]
 	for j := range nq {
-		if !qsnap.dead.Dead(lo + j) {
-			walking = append(walking, j)
-		}
+		walking = append(walking, j)
 	}
 	for i := range ts.walks {
 		ts.walks[i].Reset()
-		ts.accs[i].Reset(max(o.k, 1))
+		ts.accs[i].Reset(o.k)
 	}
-	var res join.Result
-	report := func(j int) {
+	witness := func(j int) bool {
 		for si, sn := range dsnaps {
-			res.Matches = o.keep(res.Matches, &ts.accs[si*nq+j], sn, qsnap.ids[lo+j])
+			for _, h := range ts.accs[si*nq+j].Hits() {
+				if h.Score >= o.cs && (!o.excludeSelf || sn.ids[h.Index] != qids[lo+j]) {
+					return true
+				}
+			}
 		}
+		return false
 	}
 	// Top-k mode verifies the whole union, so it takes all L steps at once.
 	steps, per := dsnaps[0].index.(*alshIndex).ix.L, 1
@@ -224,7 +291,7 @@ func walkTile(ctx context.Context, c *Collection, dsnaps []*shardSnap, qsnap *sh
 		for si, sn := range dsnaps {
 			select {
 			case <-done:
-				return join.Result{}, ctx.Err()
+				return ctx.Err()
 			default:
 			}
 			ix := sn.index.(*alshIndex).ix
@@ -233,16 +300,16 @@ func walkTile(ctx context.Context, c *Collection, dsnaps []*shardSnap, qsnap *sh
 				from := len(w.IDs)
 				for u := t; u < t+per; u++ {
 					if err := ix.Step(w, keys, lo+j, u); err != nil {
-						return join.Result{}, err
+						return err
 					}
 				}
 				if len(w.IDs) == from {
 					continue
 				}
-				n, stopped := sn.fs.OfferRows(done, acc, qsnap.fs.Row(lo+j), w.IDs[from:], sn.dead, o.unsigned)
+				n, stopped := sn.fs.OfferRows(done, acc, rs.qstore.Row(lo+j), w.IDs[from:], sn.dead, o.unsigned)
 				work.Candidates += n
 				if stopped {
-					return join.Result{}, ctx.Err()
+					return ctx.Err()
 				}
 				if h := acc.Hits(); len(h) > 0 && h[0].Score >= o.cs {
 					above = true
@@ -252,25 +319,23 @@ func walkTile(ctx context.Context, c *Collection, dsnaps []*shardSnap, qsnap *sh
 		if o.topK > 0 || !above {
 			continue
 		}
-		// A query whose union now holds a witness stops, its pairs reported.
+		// A query whose union now holds a witness stops.
 		still := walking[:0]
 		for _, j := range walking {
-			base := len(res.Matches)
-			if report(j); len(res.Matches) == base {
+			if !witness(j) {
 				still = append(still, j)
 			}
 		}
 		walking = still
 	}
-	if o.topK > 0 {
-		for _, j := range walking {
-			report(j)
-		}
-	}
 	ts.walking = walking
 	work.ScannedRows = work.Candidates
-	res.Compared = int64(work.Candidates)
-	return res, nil
+	ts.lists = grow(ts.lists, len(dsnaps)*nq)
+	ts.trans = grow(ts.trans, len(dsnaps)*nq*o.k)
+	for si, sn := range dsnaps {
+		ts.list(si, sn, ts.accs[si*nq:(si+1)*nq], o.k)
+	}
+	return nil
 }
 
 // joinSpec resolves and validates the (cs, s) specification.
@@ -304,22 +369,6 @@ func (c *Collection) shardSnaps() []*shardSnap {
 		}
 	}
 	return snaps
-}
-
-// normPruned returns the norm-pruned join engine over this snapshot. A
-// normscan f64 collection already serves from the descending-norm view,
-// with the dead set in its order: the join sweeps that. Other kinds
-// build the view lazily, once per snapshot — the store being immutable —
-// so a join fan-out reuses one build across every query-shard pairing
-// and across requests until the next write.
-func (sn *shardSnap) normPruned() join.Engine {
-	if ix, ok := sn.index.(*flatIndex); ok && ix.rerank == rerankNever && ix.view.Sorted() {
-		return join.NormPruned{Sorted: &flat.NormSorted{View: ix.view}, SortedDead: ix.dead}
-	}
-	sn.npOnce.Do(func() {
-		sn.np, _ = join.NormPruned{}.Prepare(sn.fs, sn.dead) // sorting a store cannot fail
-	})
-	return sn.np
 }
 
 // Join runs the requested join over current shard snapshots of the two
@@ -385,90 +434,34 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 			req.Data, dd, req.Queries, qd)
 	}
 
-	o := newJoinOpts(sp, req)
 	start := time.Now()
 	ssp := tr.StartSpan("scan")
-	var tasks []func(work *flat.ScanStats) (join.Result, error)
-	if engine == "lsh" {
-		// One task per query tile, each walking every data shard.
-		for _, qsnap := range qsnaps {
-			for lo := 0; lo < qsnap.fs.Len(); lo += searchTileQ {
-				hi := min(lo+searchTileQ, qsnap.fs.Len())
-				tasks = append(tasks, func(work *flat.ScanStats) (join.Result, error) {
-					return walkTile(ctx, dataCol, dsnaps, qsnap, lo, hi, o, work)
-				})
-			}
-		}
-	} else {
-		// One task per (data shard, query shard) pair, its engine run
-		// serially on it.
-		for _, dsnap := range dsnaps {
-			for _, qsnap := range qsnaps {
-				tasks = append(tasks, func(work *flat.ScanStats) (join.Result, error) {
-					return dsnap.join(ctx, engine, qsnap, sp.S, o, work)
-				})
-			}
-		}
-	}
-	parts := make([]join.Result, len(tasks))
-	errs := make([]error, len(tasks))
-	feedErr := s.pool.ForEachCtx(ctx, len(tasks), func(i int) {
-		var work flat.ScanStats
-		parts[i], errs[i] = tasks[i](&work)
-		// The span sums its tasks' work, a cancelled task's included.
-		ssp.SetInt("rows_scanned", int64(work.ScannedRows))
-		ssp.SetInt("candidates", int64(work.Candidates))
-		ssp.SetInt("cs_pruned_blocks", int64(work.PrunedBlocks))
-		ssp.SetInt("tombstone_skipped_blocks", int64(work.SkippedBlocks))
-	})
+	pairs, compared, err := runJoin(ctx, s.pool, dataCol, engine, dsnaps, qsnaps, newJoinOpts(sp, req), ssp)
 	ssp.End()
-	if feedErr == nil {
-		// A task abandoned mid-scan reports ctx's error itself; this also
+	if ctx.Err() != nil {
+		// A tile abandoned mid-scan reports ctx's error itself; this also
 		// catches a cancellation neither it nor the feed saw.
-		feedErr = ctx.Err()
+		err = ctx.Err()
 	}
-	if feedErr != nil {
-		dataCol.countTimeout(feedErr)
-		return nil, feedErr
+	if err != nil {
+		dataCol.countTimeout(err)
+		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	msp := tr.StartSpan("merge")
-	merged := join.MergePerQuery(parts, req.TopK)
-	msp.End()
 	s.joins.Add(1)
-	resp := &JoinResponse{
+	return &JoinResponse{
 		Engine:   engine,
 		TopK:     req.TopK,
-		Pairs:    make([]JoinPair, len(merged.Matches)),
-		Compared: merged.Compared,
+		Pairs:    pairs,
+		Compared: compared,
 		TookMS:   float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	for i, m := range merged.Matches {
-		resp.Pairs[i] = JoinPair{DataID: m.PIdx, QueryID: m.QIdx, Value: m.Value}
-	}
-	return resp, nil
+	}, nil
 }
 
 // selfJoinRequest resolves a request into the self-join of name:
-// both sides the same collection, identity pairs excluded. It is the
-// single definition of the self-join policy, shared by the
-// programmatic API and the HTTP route.
+// both sides the same collection, identity pairs excluded — the
+// self-join route's policy.
 func selfJoinRequest(name string, req JoinRequest) JoinRequest {
 	req.Data, req.Queries = name, name
 	req.ExcludeSelf = true
 	return req
-}
-
-// SelfJoin joins a collection with itself, excluding identity pairs.
-func (s *Server) SelfJoin(name string, req JoinRequest) (*JoinResponse, error) {
-	return s.Join(selfJoinRequest(name, req))
-}
-
-// SelfJoinCtx is SelfJoin with a request context (see JoinCtx).
-func (s *Server) SelfJoinCtx(ctx context.Context, name string, req JoinRequest) (*JoinResponse, error) {
-	return s.JoinCtx(ctx, selfJoinRequest(name, req))
 }

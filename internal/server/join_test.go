@@ -1,13 +1,14 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -17,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flat"
-	"repro/internal/join"
 	"repro/internal/lsh"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -33,11 +33,10 @@ func bruteJoin(data, queries []store.Record, cs float64, unsigned bool, k int, e
 	if k <= 0 {
 		k = 1
 	}
-	var out []JoinPair
-	qs := append([]store.Record(nil), queries...)
-	sort.Slice(qs, func(a, b int) bool { return qs[a].ID < qs[b].ID })
+	var out, cands []JoinPair
+	qs := slices.SortedFunc(slices.Values(queries), func(a, b store.Record) int { return cmp.Compare(a.ID, b.ID) })
 	for _, q := range qs {
-		var cands []JoinPair
+		cands = cands[:0]
 		for _, p := range data {
 			if excludeSelf && p.ID == q.ID {
 				continue
@@ -50,11 +49,11 @@ func bruteJoin(data, queries []store.Record, cs float64, unsigned bool, k int, e
 				cands = append(cands, JoinPair{DataID: p.ID, QueryID: q.ID, Value: v})
 			}
 		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].Value != cands[b].Value {
-				return cands[a].Value > cands[b].Value
+		slices.SortFunc(cands, func(a, b JoinPair) int {
+			if a.Value != b.Value {
+				return cmp.Compare(b.Value, a.Value)
 			}
-			return cands[a].DataID < cands[b].DataID
+			return cmp.Compare(a.DataID, b.DataID)
 		})
 		if len(cands) > k {
 			cands = cands[:k]
@@ -69,9 +68,9 @@ func samePairs(t *testing.T, label string, want, got []JoinPair) {
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d pairs, want %d\ngot:  %v\nwant: %v", label, len(got), len(want), got, want)
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("%s: pair %d = %+v, want %+v", label, i, got[i], want[i])
+	for i, w := range want {
+		if g := got[i]; g.DataID != w.DataID || g.QueryID != w.QueryID || math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+			t.Fatalf("%s: pair %d = %+v, want %+v", label, i, g, w)
 		}
 	}
 }
@@ -109,7 +108,12 @@ func TestServedJoinMatchesBruteForce(t *testing.T) {
 	s := New(Config{DefaultShards: 4})
 	defer s.Close()
 	data, queries := joinWorkload(t, s, 90, 30, 8, 21)
-	for _, engine := range []string{"exact", "normpruned"} {
+	// normpruned sweeps the norm-sorted view of a normscan collection.
+	if _, _, err := s.Ingest("sorted", &IndexSpec{Kind: KindNormScan}, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ engine, data string }{{"exact", "data"}, {"normpruned", "sorted"}} {
+		engine := c.engine
 		for _, unsigned := range []bool{false, true} {
 			for _, topk := range []int{0, 3} {
 				variant := "signed"
@@ -118,7 +122,7 @@ func TestServedJoinMatchesBruteForce(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s/%s/topk=%d", engine, variant, topk)
 				resp, err := s.Join(JoinRequest{
-					Data: "data", Queries: "queries",
+					Data: c.data, Queries: "queries",
 					Engine: engine, Variant: variant, S: 0.6, TopK: topk,
 				})
 				if err != nil {
@@ -326,6 +330,10 @@ func TestConcurrentJoinIngest(t *testing.T) {
 	if _, _, err := s.Ingest("b", nil, 0, seed); err != nil {
 		t.Fatal(err)
 	}
+	// an holds a's rows under a normscan index, for the normpruned joiners.
+	if _, _, err := s.Ingest("an", &IndexSpec{Kind: KindNormScan}, 0, seed); err != nil {
+		t.Fatal(err)
+	}
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -340,13 +348,15 @@ func TestConcurrentJoinIngest(t *testing.T) {
 			for i := range recs {
 				recs[i] = mkRec(bi*batch + i)
 			}
-			name := "a"
+			names := []string{"a", "an"}
 			if bi%2 == 0 {
-				name = "b"
+				names = []string{"b"}
 			}
-			if _, _, err := s.Ingest(name, nil, 0, recs); err != nil {
-				errs <- err
-				return
+			for _, name := range names {
+				if _, _, err := s.Ingest(name, nil, 0, recs); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}
 	}()
@@ -355,11 +365,12 @@ func TestConcurrentJoinIngest(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			engines := []string{"exact", "normpruned"}
+			engines := []struct{ name, data string }{{"exact", "a"}, {"normpruned", "an"}}
+			e := engines[w%len(engines)]
 			for !stop.Load() {
 				resp, err := s.Join(JoinRequest{
-					Data: "a", Queries: "b",
-					Engine: engines[w%len(engines)], S: 1, TopK: w % 3,
+					Data: e.data, Queries: "b",
+					Engine: e.name, S: 1, TopK: w % 3,
 				})
 				if err != nil {
 					errs <- err
@@ -385,16 +396,33 @@ func TestConcurrentJoinIngest(t *testing.T) {
 }
 
 // compactedJoin is the reference of a join over tombstoned collections:
-// every shard with a live row is compacted the way a compaction would —
-// live rows repacked, the index rebuilt over them, nothing published —
-// the request's engine runs over each pair of compacted snapshots (lsh
-// walks each compacted query snapshot over all the data snapshots), and
-// matches map back through the compacted id slices into the per-query
-// merge.
-func compactedJoin(t *testing.T, s *Server, req JoinRequest) (pairs []JoinPair, compared int64) {
+// the request's engine runs over the collections' compactions — every
+// shard with a live row compacted the way a compaction would, live rows
+// repacked and the index rebuilt over them, nothing published — which
+// compact memoizes by name.
+func compactedJoin(t *testing.T, s *Server, req JoinRequest, compact func(name string) (*Collection, []*shardSnap)) (pairs []JoinPair, compared int64) {
 	t.Helper()
-	compact := func(name string) (c *Collection, out []*shardSnap) {
-		c, _ = s.Collection(name)
+	sp, _ := joinSpec(req)
+	o := newJoinOpts(sp, req)
+	dataCol, data := compact(req.Data)
+	_, queries := compact(req.Queries)
+	engine, _ := joinEngineName(req.Engine, dataCol.spec)
+	pairs, compared, err := runJoin(context.Background(), s.pool, dataCol, engine, data, queries, o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pairs, compared
+}
+
+// compactions returns compactedJoin's memo over s's collections.
+func compactions(t *testing.T, s *Server) func(name string) (*Collection, []*shardSnap) {
+	memo := map[string][]*shardSnap{}
+	return func(name string) (*Collection, []*shardSnap) {
+		c, _ := s.Collection(name)
+		if out, ok := memo[name]; ok {
+			return c, out
+		}
+		var out []*shardSnap
 		for _, sh := range c.shards {
 			sn, err := sh.prepareCompact(c.spec, c.hashes.Load())
 			if err != nil {
@@ -407,37 +435,28 @@ func compactedJoin(t *testing.T, s *Server, req JoinRequest) (pairs []JoinPair, 
 				out = append(out, sn)
 			}
 		}
+		memo[name] = out
 		return c, out
 	}
-	sp, _ := joinSpec(req)
-	o := newJoinOpts(sp, req)
-	var parts []join.Result
-	dataCol, data := compact(req.Data)
-	_, queries := compact(req.Queries)
-	engine, _ := joinEngineName(req.Engine, dataCol.spec)
-	ctx := context.Background()
-	for _, q := range queries {
-		if engine == "lsh" {
-			res, err := walkTile(ctx, dataCol, data, q, 0, q.fs.Len(), o, new(flat.ScanStats))
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts = append(parts, res)
-			continue
-		}
-		for _, p := range data {
-			res, err := p.join(ctx, engine, q, sp.S, o, new(flat.ScanStats))
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts = append(parts, res)
+}
+
+// searchCounters is what a search moves and a join must leave as it was:
+// the query cache's size, hits and misses, and every collection's query
+// counters — its own and its shards' — and latency sinks.
+func searchCounters(s *Server) []int64 {
+	out := []int64{int64(s.cache.len()), s.cache.hits.Load(), s.cache.misses.Load()}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, name := range slices.Sorted(maps.Keys(s.cols)) {
+		c := s.cols[name]
+		c.lat.mu.Lock()
+		out = append(out, c.queries.Load(), c.hist.count.Load(), int64(c.lat.count))
+		c.lat.mu.Unlock()
+		for _, sh := range c.shards {
+			out = append(out, sh.queries.Load())
 		}
 	}
-	merged := join.MergePerQuery(parts, req.TopK)
-	for _, m := range merged.Matches {
-		pairs = append(pairs, JoinPair{DataID: m.PIdx, QueryID: m.QIdx, Value: m.Value})
-	}
-	return pairs, merged.Compared
+	return out
 }
 
 // The dead patterns of TestJoinTombstoneGrid, applied to both
@@ -511,44 +530,62 @@ func deleteIDs(t *testing.T, s *Server, name string, ref map[int]vec.Vector, ids
 	}
 }
 
-// TestJoinTombstoneGrid is the deletes × joins equivalence grid: engine
-// × mode × variant × self/two-collection × dead pattern on the data and
-// the query side. The engines read the published snapshots through their
-// dead sets; every cell's pairs must equal — ids, order, value bits —
-// the compacted-copy reference, and for the exact engines the record
-// brute force over the live reference; Compared equals the reference's
-// wherever no scored block mixes live and dead rows.
+// TestJoinTombstoneGrid is the deletes × joins equivalence grid: data
+// kind × precision × each engine the kind serves × mode × ExcludeSelf,
+// each pair of the last two under one variant and both variants across
+// them, × self/two-collection × dead pattern on the data and the query
+// side. The engines read the published snapshots through their dead sets;
+// every cell's pairs must equal — ids, order, value bits — the record
+// brute force over the live reference for the exact engines, and the
+// compacted-copy reference for the others; Compared equals the compacted
+// reference's wherever no scored block mixes live and dead rows. An engine
+// a kind does not serve is refused naming the one that does, and no join
+// touches the query cache or the search counters.
 func TestJoinTombstoneGrid(t *testing.T) {
+	// The data collections, by kind and precision, and the engines each
+	// serves; b, exact f64, is every cell's second query collection.
+	// h holds unit vectors — the edge of the SIMPLE map's ball — as an alsh
+	// collection: its lsh joins probe the shards' own banding indexes
+	// through the dead sets.
+	grid := []struct {
+		name    string
+		spec    IndexSpec
+		stride  int
+		engines []string
+	}{
+		{"a", IndexSpec{Kind: KindExact}, 3, []string{"exact"}},
+		{"a32", IndexSpec{Kind: KindExact, Precision: PrecisionF32}, 9, []string{"exact"}},
+		{"a8", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 11, []string{"exact"}},
+		{"n", IndexSpec{Kind: KindNormScan}, 13, []string{"exact", "normpruned"}},
+		{"n32", IndexSpec{Kind: KindNormScan, Precision: PrecisionF32}, 15, []string{"exact"}},
+		{"h", IndexSpec{Kind: KindALSH, K: 4, L: 8, Seed: 5}, 5, []string{"exact", "lsh"}},
+		{"b", IndexSpec{Kind: KindExact}, 7, nil},
+	}
 	for _, pat := range joinDeadPatterns {
 		t.Run(pat.name, func(t *testing.T) {
-			s := New(Config{DefaultShards: 2, CacheCapacity: -1, CompactFraction: -1})
+			t.Parallel()
+			s := New(Config{DefaultShards: 2, CacheCapacity: 64, CompactFraction: -1})
 			defer s.Close()
 			rng := xrand.New(31)
-			refs := map[string]map[int]vec.Vector{"a": {}, "b": {}}
-			for name, stride := range map[string]int{"a": 3, "b": 7} {
+			refs := map[string]map[int]vec.Vector{}
+			for _, g := range grid {
+				refs[g.name] = map[int]vec.Vector{}
 				recs := make([]store.Record, 1300)
 				for i := range recs {
-					recs[i] = store.Record{ID: i*stride + 1, Vec: vec.Vector(rng.UnitVec(8))}
-					refs[name][recs[i].ID] = recs[i].Vec
+					recs[i] = store.Record{ID: i*g.stride + 1, Vec: vec.Vector(rng.UnitVec(8))}
+					refs[g.name][recs[i].ID] = recs[i].Vec
 				}
-				if _, _, err := s.Ingest(name, nil, 0, recs); err != nil {
+				if _, _, err := s.Ingest(g.name, &g.spec, 0, recs); err != nil {
 					t.Fatal(err)
 				}
 			}
-			// h holds unit vectors too — the edge of the SIMPLE map's ball — as
-			// an alsh collection: its lsh joins probe the shards' own banding
-			// indexes through the dead sets.
-			refs["h"] = map[int]vec.Vector{}
-			hrecs := make([]store.Record, 1300)
-			for i := range hrecs {
-				hrecs[i] = store.Record{ID: i*5 + 1, Vec: vec.Vector(rng.UnitVec(8))}
-				refs["h"][hrecs[i].ID] = hrecs[i].Vec
-			}
-			if _, _, err := s.Ingest("h", &IndexSpec{Kind: KindALSH, K: 4, L: 8, Seed: 5}, 0, hrecs); err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range []string{"a", "b", "h"} {
-				pat.apply(t, s, name, refs[name], rng)
+			for _, g := range grid {
+				pat.apply(t, s, g.name, refs[g.name], rng)
+				if g.spec.Precision == PrecisionF32 {
+					for id, v := range refs[g.name] {
+						refs[g.name][id] = round32(v) // as ingest stores them
+					}
+				}
 			}
 			records := func(name string) (out []store.Record) {
 				for id, v := range refs[name] {
@@ -557,19 +594,23 @@ func TestJoinTombstoneGrid(t *testing.T) {
 				sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 				return out
 			}
-			brute := map[string][]JoinPair{} // by cell, shared by the two exact engines
-			cell := func(data, engine string, topk int, variant, queries string) {
-				self := queries == data
+			compact := compactions(t, s)
+			// Every pair ≥ cs by (data, queries, variant), before the cell's
+			// top-k and self-exclusion cut it.
+			brute := map[string][]JoinPair{}
+			cell := func(data, engine string, topk int, variant string, excludeSelf bool, queries string) {
 				req := JoinRequest{Data: data, Queries: queries, Engine: engine, Variant: variant,
-					S: 0.8, C: 0.75, TopK: topk, ExcludeSelf: self}
-				cell := fmt.Sprintf("%s/topk=%d/queries=%s", variant, topk, queries)
-				label := data + "/" + engine + "/" + cell
+					S: 0.8, C: 0.75, TopK: topk, ExcludeSelf: excludeSelf}
+				label := fmt.Sprintf("%s/%s/%s/topk=%d/exclude_self=%v/queries=%s", data, engine, variant, topk, excludeSelf, queries)
+				counters := searchCounters(s)
 				resp, err := s.Join(req)
+				if after := searchCounters(s); !slices.Equal(counters, after) {
+					t.Fatalf("%s: the join moved the cache or search counters: %v, then %v", label, counters, after)
+				}
 				if len(refs[queries]) == 0 {
-					rev := JoinRequest{Data: queries, Queries: data, Engine: engine, Variant: variant, S: 0.8}
-					if engine == "lsh" {
-						rev.Engine = "exact" // the emptied collection keeps no banding index
-					}
+					// The emptied collection, exact, keeps no banding index
+					// and no norm view.
+					rev := JoinRequest{Data: queries, Queries: data, Engine: "exact", Variant: variant, S: 0.8}
 					for _, r := range []JoinRequest{req, rev} {
 						if _, err := s.Join(r); err == nil || !strings.Contains(err.Error(), "join requires non-empty collections") {
 							t.Fatalf("%s: join %s×%s over a fully-deleted collection: err = %v", label, r.Data, r.Queries, err)
@@ -580,17 +621,28 @@ func TestJoinTombstoneGrid(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				want, compared := compactedJoin(t, s, req)
-				if len(want) == 0 {
-					t.Fatalf("%s: the reference reports no pair; the cell checks nothing", label)
-				}
-				samePairs(t, label, want, resp.Pairs)
-				exact := engine == "exact" || engine == "normpruned"
-				if exact {
-					if brute[cell] == nil {
-						brute[cell] = bruteJoin(records(data), records(queries), 0.6, variant == "unsigned", topk, self)
+				// A store-order sweep of the compaction scores every live row
+				// for every live query; the other engines' references run.
+				compared := int64(len(refs[data]) * len(refs[queries]))
+				if engine != "exact" {
+					var want []JoinPair
+					want, compared = compactedJoin(t, s, req, compact)
+					if len(want) == 0 {
+						t.Fatalf("%s: the reference reports no pair; the cell checks nothing", label)
 					}
-					samePairs(t, label+" vs brute force", brute[cell], resp.Pairs)
+					samePairs(t, label, want, resp.Pairs)
+				}
+				exact := engine != "lsh"
+				if exact {
+					key := data + "/" + queries + "/" + variant
+					if brute[key] == nil {
+						brute[key] = bruteJoin(records(data), records(queries), 0.6, variant == "unsigned", math.MaxInt, false)
+					}
+					if want := cutPairs(brute[key], topk, excludeSelf); len(want) == 0 {
+						t.Fatalf("%s: the brute force reports no pair; the cell checks nothing", label)
+					} else {
+						samePairs(t, label+" vs brute force", want, resp.Pairs)
+					}
 				}
 				switch {
 				case !exact, strings.Contains(pat.liveOnly, engine):
@@ -601,24 +653,53 @@ func TestJoinTombstoneGrid(t *testing.T) {
 					t.Fatalf("%s: compared %d, fewer than the compacted reference's %d", label, resp.Compared, compared)
 				}
 			}
-			for _, topk := range []int{0, 3} {
-				for _, variant := range []string{"signed", "unsigned"} {
-					for _, engine := range []string{"exact", "normpruned"} {
-						cell("a", engine, topk, variant, "a")
-						cell("a", engine, topk, variant, "b")
+			for _, g := range grid {
+				if g.engines == nil {
+					continue
+				}
+				if !slices.Contains(g.engines, "normpruned") {
+					_, err := s.Join(JoinRequest{Data: g.name, Queries: "b", Engine: "normpruned", S: 0.8})
+					if err == nil || !strings.Contains(err.Error(), "use engine exact") {
+						t.Fatalf("%s: normpruned without a norm-sorted f64 view: err = %v", g.name, err)
 					}
-					cell("h", "lsh", topk, variant, "h")
-					cell("h", "lsh", topk, variant, "b")
+				}
+				// Each mode and each ExcludeSelf meets both variants.
+				for _, engine := range g.engines {
+					for ti, topk := range []int{0, 1, 10} {
+						for ei, excludeSelf := range []bool{false, true} {
+							variant := []string{"signed", "unsigned"}[(ti+ei)%2]
+							cell(g.name, engine, topk, variant, excludeSelf, g.name)
+							cell(g.name, engine, topk, variant, excludeSelf, "b")
+						}
+					}
 				}
 			}
 		})
 	}
 }
 
+// cutPairs cuts every pair of a join, in its order, to what a request of
+// topk and excludeSelf reports: the identity pairs dropped under
+// excludeSelf, then each query's first max(topk, 1).
+func cutPairs(all []JoinPair, topk int, excludeSelf bool) []JoinPair {
+	var out []JoinPair
+	n := 0
+	for i, p := range all {
+		if i == 0 || all[i-1].QueryID != p.QueryID {
+			n = 0
+		}
+		if (!excludeSelf || p.DataID != p.QueryID) && n < max(topk, 1) {
+			out = append(out, p)
+			n++
+		}
+	}
+	return out
+}
+
 // TestNormPrunedJoinSweepsServingView: a normscan f64 shard already
 // serves from the descending-norm view of its rows, with the dead set in
 // that order; a normpruned join sweeps those — no second sorted copy per
-// snapshot — while other kinds build their view once per snapshot.
+// snapshot. A collection without that view is refused, naming exact.
 func TestNormPrunedJoinSweepsServingView(t *testing.T) {
 	s := New(Config{DefaultShards: 1, CompactFraction: -1})
 	defer s.Close()
@@ -632,18 +713,23 @@ func TestNormPrunedJoinSweepsServingView(t *testing.T) {
 			ref[r.ID] = r.Vec
 		}
 		deleteIDs(t, s, kind, ref, []int{data[3].ID, data[77].ID, data[400].ID})
+		req := JoinRequest{Data: kind, Queries: "queries", Engine: "normpruned", S: 0.6, TopK: 2}
+		if kind == KindExact {
+			ts := httptest.NewServer(NewHandler(s))
+			var body struct{ Error string }
+			code := doJSON(t, ts, http.MethodPost, "/join", req, &body)
+			ts.Close()
+			if code != http.StatusBadRequest || !strings.Contains(body.Error, "normscan f64") || !strings.Contains(body.Error, "use engine exact") {
+				t.Fatalf("normpruned on an exact collection: %d %q, want a 400 naming exact", code, body.Error)
+			}
+			continue
+		}
 		c, _ := s.Collection(kind)
 		snap := c.shards[0].snap.Load()
-		eng := snap.normPruned()
-		if ix := snap.index.(*flatIndex); kind == KindNormScan {
-			np := eng.(join.NormPruned)
-			if !reflect.DeepEqual(np.Sorted.View, ix.view) || np.SortedDead != ix.dead || np.SortedDead.Count() != 3 || snap.np != nil {
-				t.Fatalf("normscan shard: the join engine does not sweep the serving view and its dead set (lazily built: %v)", snap.np != nil)
-			}
-		} else if snap.np == nil {
-			t.Fatal("exact shard: the lazily built view is not kept on the snapshot")
+		if swept := snap.joinSnap("normpruned"); swept != snap || snap.index.(*flatIndex).dead.Count() != 3 {
+			t.Fatal("normscan shard: the join does not sweep the serving view and its dead set")
 		}
-		resp, err := s.Join(JoinRequest{Data: kind, Queries: "queries", Engine: "normpruned", S: 0.6, TopK: 2})
+		resp, err := s.Join(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -917,8 +1003,8 @@ func TestServedLSHJoinStopsAtFirstWitness(t *testing.T) {
 		}
 		dc, _ := s.Collection("p")
 		qc, _ := s.Collection("q")
-		if res, err := walkTile(ctx, dc, dc.shardSnaps(), qc.shardSnaps()[0], 0, 1, newJoinOpts(core.Spec{S: 0.9, C: 0.8}, req), new(flat.ScanStats)); !errors.Is(err, context.Canceled) || len(res.Matches) != 0 {
-			t.Fatalf("shards=%d: cancelled walk: %v, %v; want ctx's error and no pairs", shards, res, err)
+		if pairs, _, err := runJoin(ctx, s.pool, dc, "lsh", dc.shardSnaps(), qc.shardSnaps(), newJoinOpts(core.Spec{S: 0.9, C: 0.8}, req), nil); !errors.Is(err, context.Canceled) || len(pairs) != 0 {
+			t.Fatalf("shards=%d: cancelled walk: %v, %v; want ctx's error and no pairs", shards, pairs, err)
 		}
 	}
 	if differs == 0 {

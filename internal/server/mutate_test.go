@@ -509,7 +509,7 @@ func TestJoinSkipsTombstonedRows(t *testing.T) {
 	if _, _, _, err := s.Delete("col", []int{1}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s.SelfJoin("col", JoinRequest{S: 0.1, TopK: 3})
+	resp, err := s.Join(selfJoinRequest("col", JoinRequest{S: 0.1, TopK: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}

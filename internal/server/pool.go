@@ -7,8 +7,8 @@ import (
 )
 
 // Pool is the server's bounded parallel-for over task indices. Inside
-// one request it runs the shard fan-out of a one-tile search, the query
-// tiles of a larger one and the shard-pair fan-out of a join; nothing
+// one request it runs the shard fan-out of a one-tile search or exact
+// join, the query tiles of a larger one and of an lsh join; nothing
 // splits one task further. The bound is a server-wide semaphore, so any
 // number of concurrent requests share the same worker budget instead of
 // multiplying it.

@@ -31,9 +31,8 @@ type Config struct {
 	// CacheCapacity bounds the query-result LRU (default 4096 entries;
 	// negative disables caching).
 	CacheCapacity int
-	// Workers sizes the pool that a search's shard fan-out, a join's
-	// shard-pair fan-out and a batch's query tiles run on (default
-	// GOMAXPROCS).
+	// Workers sizes the pool that a search's or join's shard fan-out and
+	// query tiles run on (default GOMAXPROCS).
 	Workers int
 	// Seed derives per-collection hashing seeds.
 	Seed uint64

@@ -6,11 +6,9 @@ import (
 	"log/slog"
 	"runtime/debug"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/flat"
-	"repro/internal/join"
 	"repro/internal/lsh"
 	"repro/internal/trace"
 	"repro/internal/vec"
@@ -57,9 +55,6 @@ type shardSnap struct {
 	fs    *flat.Store
 	index ShardIndex
 	dead  *flat.Tombstones
-
-	npOnce sync.Once
-	np     join.Engine // see normPruned
 }
 
 // rowIndex returns the id→row map of the published snapshot sn,

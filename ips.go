@@ -392,8 +392,9 @@ type ServerStats = server.Stats
 
 // ServerJoinRequest asks the serving layer for an approximate (cs, s)
 // join between two collections (threshold or top-k-pairs mode; exact,
-// norm-pruned, or lsh through an alsh collection's own banding indexes),
-// fanned out across shard pairs on the worker pool.
+// norm-pruned through a normscan collection's sorted view, or lsh through
+// an alsh collection's own banding indexes), run as query tiles on the
+// worker pool.
 type ServerJoinRequest = server.JoinRequest
 
 // ServerJoinResponse is the served join outcome in record-ID space.
