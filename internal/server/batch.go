@@ -21,6 +21,7 @@ package server
 // and a shard that fails fails its tile whole.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -71,6 +72,9 @@ type tileScratch struct {
 	walks   []lsh.Walk
 	accs    []flat.Acc
 	walking []int
+	// A join tile's queries (loadJoinTile) and their record IDs.
+	q    *flat.Store
+	qids []int
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(tileScratch) }}
@@ -93,17 +97,17 @@ type scanScratch struct {
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-// pack makes rs.qstore the n query rows row(0), …, row(n−1), of dimension
-// dim, in one contiguous columnar store: the tile kernels want query rows
+// pack makes *q the n query rows row(0), …, row(n−1), of dimension dim,
+// in one contiguous columnar store: the tile kernels want query rows
 // adjacent, and the norms computed here (vec.Norm, as everywhere) drive
 // the per-query Cauchy–Schwarz bounds of normscan shards.
-func (rs *searchState) pack(dim, n int, row func(int) vec.Vector) {
-	if rs.qstore == nil {
-		rs.qstore, _ = flat.New(dim)
+func pack(q **flat.Store, dim, n int, row func(int) vec.Vector) {
+	if *q == nil {
+		*q, _ = flat.New(dim)
 	}
-	_ = rs.qstore.ResetDim(dim)
+	_ = (*q).ResetDim(dim)
 	for i := range n {
-		_ = rs.qstore.Append(row(i)) // dims pre-checked
+		_ = (*q).Append(row(i)) // dims pre-checked
 	}
 }
 
@@ -236,7 +240,7 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 		return
 	}
 
-	rs.pack(dim, len(valid), func(vi int) vec.Vector { return queries[valid[vi]] })
+	pack(&rs.qstore, dim, len(valid), func(vi int) vec.Vector { return queries[valid[vi]] })
 
 	tiles := (len(valid) + searchTileQ - 1) / searchTileQ
 	if tiles == 1 {
@@ -304,7 +308,7 @@ func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCac
 	// expired first fails before any shard sees it.
 	keys, err := c.hashQueries(ctx, &ts.keys, rs.qstore, tlo, thi, opts.Unsigned)
 	if err == nil {
-		err = scanTile(ctx, pool, rs, ts, tlo, thi, k, TopKOpts{Unsigned: opts.Unsigned, Rerank: opts.Rerank, Keys: keys}, ex)
+		err = scanTile(ctx, pool, rs.snaps, rs.qstore, ts, tlo, thi, k, TopKOpts{Unsigned: opts.Unsigned, Rerank: opts.Rerank, Keys: keys}, ex)
 	}
 	ssp.End()
 	if err != nil {
@@ -338,42 +342,42 @@ func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCac
 	msp.End()
 }
 
-// scanTile scans query rows [tlo, thi) against every pinned shard snapshot
+// scanTile scans rows [tlo, thi) of q against every pinned shard snapshot
 // (scanShard) — on pool, one task a shard, or in turn when pool is nil. A
 // shard fails a tile whole — a deadline, a cancellation: the first
 // shard's error, else the fan-out's, and no query a partial answer.
-func scanTile(ctx context.Context, pool *Pool, rs *searchState, ts *tileScratch, tlo, thi, k int, o TopKOpts, ex []ShardExplain) error {
-	nsh := len(rs.snaps)
-	ts.lists = grow(ts.lists, nsh*(thi-tlo))
+func scanTile(ctx context.Context, pool *Pool, snaps []*shardSnap, q *flat.Store, ts *tileScratch, tlo, thi, k int, o TopKOpts, ex []ShardExplain) error {
+	ts.prepare(len(snaps), thi-tlo, k)
+	var err error
+	if pool == nil {
+		for si := range snaps {
+			ts.errs[si] = scanShard(ctx, snaps, q, ts, tlo, thi, k, si, o, ex)
+		}
+	} else {
+		err = pool.ForEachCtx(ctx, len(snaps), func(si int) {
+			ts.errs[si] = scanShard(ctx, snaps, q, ts, tlo, thi, k, si, o, ex)
+		})
+	}
+	return cmp.Or(cmp.Or(ts.errs...), err)
+}
+
+// prepare sizes ts for the scans of a tile of tn queries against nsh
+// shards at k, and clears their errors.
+func (ts *tileScratch) prepare(nsh, tn, k int) {
+	ts.lists = grow(ts.lists, nsh*tn)
 	ts.errs = grow(ts.errs, nsh)
 	clear(ts.errs)
 	// Shard si translates into trans[si·tn·k:]: the arena is sized up front,
 	// since growing it would move the lists aliasing it, and a fixed region
 	// per shard makes its bytes independent of which scan ran first.
-	ts.trans = grow(ts.trans, nsh*(thi-tlo)*k)
-	var err error
-	if pool == nil {
-		for si := range rs.snaps {
-			ts.errs[si] = scanShard(ctx, rs, ts, tlo, thi, k, si, o, ex)
-		}
-	} else {
-		err = pool.ForEachCtx(ctx, nsh, func(si int) {
-			ts.errs[si] = scanShard(ctx, rs, ts, tlo, thi, k, si, o, ex)
-		})
-	}
-	for _, e := range ts.errs {
-		if e != nil {
-			return e
-		}
-	}
-	return err
+	ts.trans = grow(ts.trans, nsh*tn*k)
 }
 
-// scanShard runs the request's query rows [tlo, thi) against shard si's
-// pinned snapshot and lists their hits (tileScratch.list). ex, when
-// non-nil, has ex[si] receive the shard's size, scan accounting and
-// timing; a traced request gets one shard_scan span.
-func scanShard(ctx context.Context, rs *searchState, ts *tileScratch, tlo, thi, k, si int, o TopKOpts, ex []ShardExplain) error {
+// scanShard runs query rows [tlo, thi) of q against shard si's pinned
+// snapshot and lists their hits (tileScratch.list). ex, when non-nil, has
+// ex[si] receive the shard's size, scan accounting and timing; a traced
+// request gets one shard_scan span.
+func scanShard(ctx context.Context, snaps []*shardSnap, q *flat.Store, ts *tileScratch, tlo, thi, k, si int, o TopKOpts, ex []ShardExplain) error {
 	sp := trace.FromContext(ctx).StartSpan("shard_scan")
 	sp.SetInt("shard", int64(si))
 	defer sp.End()
@@ -384,8 +388,8 @@ func scanShard(ctx context.Context, rs *searchState, ts *tileScratch, tlo, thi, 
 	}
 	sc := scanScratchPool.Get().(*scanScratch)
 	defer scanScratchPool.Put(sc)
-	snap := rs.snaps[si]
-	accs, err := snap.index.topKMulti(ctx, rs.qstore, tlo, thi, k, o, sc)
+	snap := snaps[si]
+	accs, err := snap.index.topKMulti(ctx, q, tlo, thi, k, o, sc)
 	if err != nil {
 		return err
 	}

@@ -106,6 +106,7 @@ func FuzzJoinHandler(f *testing.F) {
 		`{"s":0.5,"topk":-3}`,                    // negative topk
 		`{"s":0.5,"topk":999999}`,                // absurd topk
 		`{"s":0.5,"topk":1099511627776}`,         // topk = 2^40
+		`{"s":0.5,"topk":9223372036854775807}`,   // topk = MaxInt: +1 under self-exclusion must not wrap
 		`{"s":1e308,"c":1e-308}`,                 // overflow-prone spec
 		`{"s":0.5,"exclude_self":true}`,          // exclusion on the pair route
 		`{"s":0.5,"data":"x","queries":"ghost"}`, // body names ignored on path routes

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -248,7 +250,10 @@ func TestHTTPNonFiniteScores(t *testing.T) {
 // TestHTTPUnboundedK: a k or topk past every collection's size sizes
 // nothing by it — a query has at most as many hits as the pinned
 // snapshots hold rows — and returns the full answer. Two rows on four
-// shards, searched at k = 2^40 and 2^62 and joined at topk = 2^40.
+// shards, searched at k = 2^40 and 2^62 and joined at topk = 2^40 and
+// MaxInt, on the pair route and on the self-join route, whose identity
+// exclusion asks one more hit of each query; an alsh copy is joined by
+// the lsh engine at MaxInt.
 func TestHTTPUnboundedK(t *testing.T) {
 	s := New(Config{DefaultShards: 4})
 	defer s.Close()
@@ -265,9 +270,25 @@ func TestHTTPUnboundedK(t *testing.T) {
 			t.Fatalf("k = %d: status %d, matches %v", k, code, resp.Matches)
 		}
 	}
-	var resp JoinResponse
-	if code := doJSON(t, ts, http.MethodPost, "/collections/c/join/c", JoinRequest{S: 0.5, TopK: 1 << 40}, &resp); code != http.StatusOK {
-		t.Fatalf("topk = 2^40: status %d", code)
+	for _, topk := range []int{1 << 40, math.MaxInt} {
+		for _, self := range []bool{false, true} {
+			path := "/collections/c/join/c"
+			if self {
+				path = "/collections/c/join"
+			}
+			label := fmt.Sprintf("%s topk = %d", path, topk)
+			var resp JoinResponse
+			if code := doJSON(t, ts, http.MethodPost, path, JoinRequest{S: 0.5, TopK: topk}, &resp); code != http.StatusOK {
+				t.Fatalf("%s: status %d", label, code)
+			}
+			samePairs(t, label, bruteJoin(recs, recs, 0.5, false, topk, self), resp.Pairs)
+		}
 	}
-	samePairs(t, "topk = 2^40", bruteJoin(recs, recs, 0.5, false, 1<<40, false), resp.Pairs)
+	if _, _, err := s.Ingest("a", &IndexSpec{Kind: KindALSH}, 0, recs); err != nil {
+		t.Fatal(err)
+	}
+	var resp JoinResponse
+	if code := doJSON(t, ts, http.MethodPost, "/collections/a/join", JoinRequest{S: 0.5, Engine: "lsh", TopK: math.MaxInt}, &resp); code != http.StatusOK {
+		t.Fatalf("lsh self-join at topk = MaxInt: status %d", code)
+	}
 }

@@ -15,7 +15,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,7 +25,6 @@ import (
 	"repro/internal/flat"
 	"repro/internal/join"
 	"repro/internal/trace"
-	"repro/internal/vec"
 )
 
 // JoinRequest asks for an approximate (cs, s) join: for each query
@@ -130,9 +131,10 @@ type joinOpts struct {
 // newJoinOpts resolves a validated request. A query's top-k over-fetches
 // by one under self-exclusion: the identity pair can displace the
 // legitimate answer (IDs are shard-disjoint, so it appears at most once
-// per query).
+// per query). k stops short of MaxInt so that the extra slot cannot wrap
+// it; runJoin clamps it to the data rows.
 func newJoinOpts(sp core.Spec, req JoinRequest) joinOpts {
-	o := joinOpts{cs: sp.CS(), unsigned: sp.Variant == core.Unsigned, topK: req.TopK, k: max(req.TopK, 1), excludeSelf: req.ExcludeSelf}
+	o := joinOpts{cs: sp.CS(), unsigned: sp.Variant == core.Unsigned, topK: req.TopK, k: min(max(req.TopK, 1), math.MaxInt-1), excludeSelf: req.ExcludeSelf}
 	if o.excludeSelf {
 		o.k++
 	}
@@ -154,88 +156,133 @@ func (sn *shardSnap) joinSnap(engine string) *shardSnap {
 	return &rows
 }
 
-// runJoin packs the live rows of qsnaps and runs them as query tiles
-// against dsnaps, each read as engine reads it (joinSnap) — the shards of
-// a one-tile join on pool, the tiles of a larger one. Either kind of tile
-// (scanTile, walkTile) lists each query's top k in every data shard, and
-// a query's pairs are the merge's hits ≥ cs, the identity pair dropped
-// under excludeSelf. ssp sums every tile's work, a cancelled tile's
-// included. A join neither reads nor fills the query cache, and leaves
-// the search counters as they were.
+// runJoin runs the live rows of qsnaps as query tiles against dsnaps, each
+// read as engine reads it (joinSnap), as tasks on pool. An lsh join runs a
+// task per tile (walkTile); an exact join splits each tile's data shards
+// into as many groups as it takes to give every worker a task, and runs a
+// task per (tile, group), which scans the group's shards in turn
+// (scanShard) — a join of many tiles a task per tile, one of a single tile
+// a task per shard when the pool is that wide. A tile's first task packs
+// its queries (loadJoinTile) and its last cuts its pairs (the merge's hits
+// ≥ cs, the identity pair dropped under excludeSelf); tasks start in
+// order, so a join holds at most one more packed tile than it has tasks
+// in flight. ssp sums every tile's work, a cancelled tile's included. A
+// join neither reads nor fills the query cache, and leaves the search
+// counters as they were.
 func runJoin(ctx context.Context, pool *Pool, c *Collection, engine string, dsnaps, qsnaps []*shardSnap, o joinOpts, ssp *trace.Span) (pairs []JoinPair, compared int64, err error) {
-	rs := searchStatePool.Get().(*searchState)
-	defer putSearchState(rs)
-	for _, sn := range dsnaps {
-		rs.snaps = append(rs.snaps, sn.joinSnap(engine))
+	snaps := make([]*shardSnap, len(dsnaps))
+	for si, sn := range dsnaps {
+		snaps[si] = sn.joinSnap(engine)
 	}
 	o.k = clampK(o.k, dsnaps)
-	var qids []int
-	var rows []vec.Vector
-	for _, sn := range qsnaps {
-		for i, id := range sn.ids {
+	// Tile t's queries start at row starts[t][1] of qsnaps[starts[t][0]].
+	var starts [][2]int
+	live := 0
+	for s, sn := range qsnaps {
+		for i := range sn.ids {
 			if !sn.dead.Dead(i) {
-				qids, rows = append(qids, id), append(rows, sn.fs.Row(i))
+				if live%searchTileQ == 0 {
+					starts = append(starts, [2]int{s, i})
+				}
+				live++
 			}
 		}
 	}
-	rs.pack(qsnaps[0].fs.Dim(), len(rows), func(i int) vec.Vector { return rows[i] })
-
-	tiles := (len(rows) + searchTileQ - 1) / searchTileQ
+	tiles, nsh, per := len(starts), len(snaps), 1
+	if engine != "lsh" && tiles > 0 {
+		per = min(nsh, (pool.Workers()+tiles-1)/tiles)
+	}
+	runs := make([]struct {
+		once sync.Once
+		ts   *tileScratch
+		left atomic.Int32 // tasks yet to run
+		work flat.ScanStats
+	}, tiles)
+	ex := make([]ShardExplain, tiles*nsh)
+	errs := make([]error, tiles*nsh)
 	parts := make([][]JoinPair, tiles)
-	errs := make([]error, tiles)
-	var scanned atomic.Int64
-	tile := func(t int, pool *Pool) {
-		lo, hi := t*searchTileQ, min((t+1)*searchTileQ, len(rows))
-		ts := getTileScratch()
-		defer putTileScratch(ts)
-		var work flat.ScanStats
-		if engine == "lsh" {
-			errs[t] = walkTile(ctx, c, rs, ts, lo, hi, qids, o, &work)
-		} else {
-			ex := make([]ShardExplain, len(rs.snaps))
-			errs[t] = scanTile(ctx, pool, rs, ts, lo, hi, o.k, TopKOpts{Unsigned: o.unsigned, floor: o.cs}, ex)
-			for _, e := range ex {
-				work.Add(flat.ScanStats{ScannedRows: e.RowsScanned, PrunedBlocks: e.CSPrunedBlocks, SkippedBlocks: e.TombstoneSkippedBlocks})
-			}
+	// finish records tile t's work and, unless a task failed, its pairs.
+	finish := func(t int) {
+		r := &runs[t]
+		defer putTileScratch(r.ts)
+		for _, e := range ex[t*nsh : (t+1)*nsh] {
+			r.work.Add(flat.ScanStats{ScannedRows: e.RowsScanned, PrunedBlocks: e.CSPrunedBlocks, SkippedBlocks: e.TombstoneSkippedBlocks})
 		}
-		scanned.Add(int64(work.ScannedRows))
-		ssp.SetInt("rows_scanned", int64(work.ScannedRows))
-		ssp.SetInt("candidates", int64(work.Candidates))
-		ssp.SetInt("cs_pruned_blocks", int64(work.PrunedBlocks))
-		ssp.SetInt("tombstone_skipped_blocks", int64(work.SkippedBlocks))
-		if errs[t] != nil {
+		ssp.SetInt("rows_scanned", int64(r.work.ScannedRows))
+		ssp.SetInt("candidates", int64(r.work.Candidates))
+		ssp.SetInt("cs_pruned_blocks", int64(r.work.PrunedBlocks))
+		ssp.SetInt("tombstone_skipped_blocks", int64(r.work.SkippedBlocks))
+		if r.left.Load() > 0 || cmp.Or(errs[t*nsh:(t+1)*nsh]...) != nil {
 			return
 		}
 		hits := make([]Hit, 0, o.k)
-		for j := range hi - lo {
+		for j, qid := range r.ts.qids {
 			n := 0
-			for _, h := range ts.merge(j, hi-lo, o.k, hits) {
+			for _, h := range r.ts.merge(j, len(r.ts.qids), o.k, hits) {
 				if h.Score < o.cs || n == max(o.topK, 1) {
 					break
 				}
-				if !o.excludeSelf || h.ID != qids[lo+j] {
-					parts[t] = append(parts[t], JoinPair{DataID: h.ID, QueryID: qids[lo+j], Value: h.Score})
+				if !o.excludeSelf || h.ID != qid {
+					parts[t] = append(parts[t], JoinPair{DataID: h.ID, QueryID: qid, Value: h.Score})
 					n++
 				}
 			}
 		}
 	}
-	if tiles == 1 && engine != "lsh" {
-		tile(0, pool) // its shard scans take the pool's slots
-	} else {
-		err = pool.ForEachCtx(ctx, tiles, func(t int) { tile(t, nil) })
+	err = pool.ForEachCtx(ctx, tiles*per, func(i int) {
+		t, g := i/per, i%per
+		r := &runs[t]
+		r.once.Do(func() {
+			r.ts = getTileScratch()
+			r.ts.loadJoinTile(qsnaps, starts[t])
+			r.ts.prepare(nsh, len(r.ts.qids), o.k)
+			r.left.Store(int32(per))
+		})
+		if engine == "lsh" {
+			errs[t*nsh] = walkTile(ctx, c, snaps, r.ts, o, &r.work)
+		} else {
+			for si := g * nsh / per; si < (g+1)*nsh/per; si++ {
+				errs[t*nsh+si] = scanShard(ctx, snaps, r.ts.q, r.ts, 0, len(r.ts.qids), o.k, si, TopKOpts{Unsigned: o.unsigned, floor: o.cs}, ex[t*nsh:(t+1)*nsh])
+			}
+		}
+		if r.left.Add(-1) == 0 {
+			finish(t)
+		}
+	})
+	for t := range runs {
+		if runs[t].left.Load() > 0 {
+			finish(t) // a tile the fan-out stopped feeding
+		}
+		compared += int64(runs[t].work.ScannedRows)
 	}
-	err = cmp.Or(err, cmp.Or(errs...)) // the fan-out's, else the first tile's
+	err = cmp.Or(err, cmp.Or(errs...)) // the fan-out's, else the first task's
 	// A query's pairs are contiguous, in its tile; queries go by record ID.
 	pairs = []JoinPair{}
 	for _, part := range parts {
 		pairs = append(pairs, part...)
 	}
 	slices.SortStableFunc(pairs, func(a, b JoinPair) int { return cmp.Compare(a.QueryID, b.QueryID) })
-	return pairs, scanned.Load(), err
+	return pairs, compared, err
 }
 
-// walkTile answers query rows [lo, hi) of rs, record qids[i] at row i, by
+// loadJoinTile packs into ts.q the next searchTileQ live rows of qsnaps
+// (fewer at their end) from row at[1] of qsnaps[at[0]] on, and their
+// record IDs into ts.qids.
+func (ts *tileScratch) loadJoinTile(qsnaps []*shardSnap, at [2]int) {
+	pack(&ts.q, qsnaps[0].fs.Dim(), 0, nil) // empty
+	ts.qids = ts.qids[:0]
+	for s, i := at[0], at[1]; s < len(qsnaps) && len(ts.qids) < searchTileQ; s, i = s+1, 0 {
+		sn := qsnaps[s]
+		for ; i < len(sn.ids) && len(ts.qids) < searchTileQ; i++ {
+			if !sn.dead.Dead(i) {
+				_ = ts.q.Append(sn.fs.Row(i))
+				ts.qids = append(ts.qids, sn.ids[i])
+			}
+		}
+	}
+}
+
+// walkTile answers ts's queries, record ts.qids[j] at row j of ts.q, by
 // the LSH query algorithm (Indyk–Motwani; the paper's §4.1) over every
 // data shard of an alsh collection at once, and lists each query's top k
 // in every shard. The tile is hashed once under the collection's hash
@@ -250,14 +297,15 @@ func runJoin(ctx context.Context, pool *Pool, c *Collection, engine string, dsna
 // its shard, and the answer depends on neither the shard count nor the
 // pool. The queries still walking take each (step, shard) together, so a
 // shard's tables and rows stay in cache across the tile. ctx is polled
-// between two of those; work counts the rows verified.
-func walkTile(ctx context.Context, c *Collection, rs *searchState, ts *tileScratch, lo, hi int, qids []int, o joinOpts, work *flat.ScanStats) error {
-	keys, err := c.hashQueries(ctx, &ts.keys, rs.qstore, lo, hi, o.unsigned)
+// between two of those; work counts the rows verified. ts is prepared
+// (tileScratch.prepare) for its queries.
+func walkTile(ctx context.Context, c *Collection, dsnaps []*shardSnap, ts *tileScratch, o joinOpts, work *flat.ScanStats) error {
+	nq := len(ts.qids)
+	keys, err := c.hashQueries(ctx, &ts.keys, ts.q, 0, nq, o.unsigned)
 	if err != nil {
 		return err
 	}
-	// Query lo+j's walk and top-k in shard si are walks[si·nq+j], accs[si·nq+j].
-	nq, dsnaps := hi-lo, rs.snaps
+	// Query j's walk and top-k in shard si are walks[si·nq+j], accs[si·nq+j].
 	ts.walks = grow(ts.walks, len(dsnaps)*nq)
 	ts.accs = grow(ts.accs, len(dsnaps)*nq)
 	walking := ts.walking[:0]
@@ -271,7 +319,7 @@ func walkTile(ctx context.Context, c *Collection, rs *searchState, ts *tileScrat
 	witness := func(j int) bool {
 		for si, sn := range dsnaps {
 			for _, h := range ts.accs[si*nq+j].Hits() {
-				if h.Score >= o.cs && (!o.excludeSelf || sn.ids[h.Index] != qids[lo+j]) {
+				if h.Score >= o.cs && (!o.excludeSelf || sn.ids[h.Index] != ts.qids[j]) {
 					return true
 				}
 			}
@@ -299,14 +347,14 @@ func walkTile(ctx context.Context, c *Collection, rs *searchState, ts *tileScrat
 				w, acc := &ts.walks[si*nq+j], &ts.accs[si*nq+j]
 				from := len(w.IDs)
 				for u := t; u < t+per; u++ {
-					if err := ix.Step(w, keys, lo+j, u); err != nil {
+					if err := ix.Step(w, keys, j, u); err != nil {
 						return err
 					}
 				}
 				if len(w.IDs) == from {
 					continue
 				}
-				n, stopped := sn.fs.OfferRows(done, acc, rs.qstore.Row(lo+j), w.IDs[from:], sn.dead, o.unsigned)
+				n, stopped := sn.fs.OfferRows(done, acc, ts.q.Row(j), w.IDs[from:], sn.dead, o.unsigned)
 				work.Candidates += n
 				if stopped {
 					return ctx.Err()
@@ -330,8 +378,6 @@ func walkTile(ctx context.Context, c *Collection, rs *searchState, ts *tileScrat
 	}
 	ts.walking = walking
 	work.ScannedRows = work.Candidates
-	ts.lists = grow(ts.lists, len(dsnaps)*nq)
-	ts.trans = grow(ts.trans, len(dsnaps)*nq*o.k)
 	for si, sn := range dsnaps {
 		ts.list(si, sn, ts.accs[si*nq:(si+1)*nq], o.k)
 	}

@@ -540,7 +540,8 @@ func deleteIDs(t *testing.T, s *Server, name string, ref map[int]vec.Vector, ids
 // compacted-copy reference for the others; Compared equals the compacted
 // reference's wherever no scored block mixes live and dead rows. An engine
 // a kind does not serve is refused naming the one that does, and no join
-// touches the query cache or the search counters.
+// touches the query cache or the search counters. Half the patterns run
+// on a pool with more workers than a join has tiles.
 func TestJoinTombstoneGrid(t *testing.T) {
 	// The data collections, by kind and precision, and the engines each
 	// serves; b, exact f64, is every cell's second query collection.
@@ -561,10 +562,13 @@ func TestJoinTombstoneGrid(t *testing.T) {
 		{"h", IndexSpec{Kind: KindALSH, K: 4, L: 8, Seed: 5}, 5, []string{"exact", "lsh"}},
 		{"b", IndexSpec{Kind: KindExact}, 7, nil},
 	}
-	for _, pat := range joinDeadPatterns {
+	for pi, pat := range joinDeadPatterns {
 		t.Run(pat.name, func(t *testing.T) {
 			t.Parallel()
-			s := New(Config{DefaultShards: 2, CacheCapacity: 64, CompactFraction: -1})
+			// Every other pattern runs on a pool wider than a join has
+			// tiles: a task per (tile, data shard), every tile open at once.
+			workers := []int{0, 64}[pi%2]
+			s := New(Config{DefaultShards: 2, CacheCapacity: 64, CompactFraction: -1, Workers: workers})
 			defer s.Close()
 			rng := xrand.New(31)
 			refs := map[string]map[int]vec.Vector{}
@@ -1003,9 +1007,14 @@ func TestServedLSHJoinStopsAtFirstWitness(t *testing.T) {
 		}
 		dc, _ := s.Collection("p")
 		qc, _ := s.Collection("q")
-		if pairs, _, err := runJoin(ctx, s.pool, dc, "lsh", dc.shardSnaps(), qc.shardSnaps(), newJoinOpts(core.Spec{S: 0.9, C: 0.8}, req), nil); !errors.Is(err, context.Canceled) || len(pairs) != 0 {
-			t.Fatalf("shards=%d: cancelled walk: %v, %v; want ctx's error and no pairs", shards, pairs, err)
+		// Cancelled as the walk fetches its done channel, past the hashing.
+		ts := getTileScratch()
+		ts.loadJoinTile(qc.shardSnaps(), [2]int{})
+		ts.prepare(len(dc.shardSnaps()), len(ts.qids), 1)
+		if err := walkTile(newFetchCtx(1), dc, dc.shardSnaps(), ts, newJoinOpts(core.Spec{S: 0.9, C: 0.8}, req), new(flat.ScanStats)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("shards=%d: cancelled walk: %v; want ctx's error", shards, err)
 		}
+		putTileScratch(ts)
 	}
 	if differs == 0 {
 		t.Fatal("every walk reported the full union's best pair: the grid cannot tell the stop from a full verification")

@@ -7,9 +7,9 @@ import (
 )
 
 // Pool is the server's bounded parallel-for over task indices. Inside
-// one request it runs the shard fan-out of a one-tile search or exact
-// join, the query tiles of a larger one and of an lsh join; nothing
-// splits one task further. The bound is a server-wide semaphore, so any
+// one request it runs the shard fan-out of a one-tile search, the query
+// tiles of a larger one, and a join's tiles or (tile, shard group)
+// scans; nothing splits one task further. The bound is a server-wide semaphore, so any
 // number of concurrent requests share the same worker budget instead of
 // multiplying it.
 type Pool struct {

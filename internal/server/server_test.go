@@ -358,9 +358,8 @@ func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := &searchState{qstore: qs, snaps: []*shardSnap{sh.snap.Load()}}
 	ts := &tileScratch{lists: make([][]Hit, 1), trans: make([]Hit, 1)}
-	err = scanShard(context.Background(), rs, ts, 0, 1, 1, 0, TopKOpts{}, nil)
+	err = scanShard(context.Background(), []*shardSnap{sh.snap.Load()}, qs, ts, 0, 1, 1, 0, TopKOpts{}, nil)
 	if hits := ts.lists[0]; err != nil || len(hits) != 1 || hits[0].ID != 0 {
 		t.Fatalf("shard unusable after failed prepare: hits=%v err=%v", hits, err)
 	}
