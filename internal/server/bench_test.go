@@ -91,7 +91,7 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 // iteration: the lsh engine walking the indexes an alsh collection keeps,
 // and the exact sweeps it is up against: the f64 rows, the norm-sorted
 // view of a normscan collection, and — at mixed-durable's 40 000 × 32 —
-// the int8 codes under their certificate. Few latent-factor queries have
+// the f64 rows under an int8 collection. Few latent-factor queries have
 // a partner ≥ c·s, so lsh-on-alsh walks nearly every table; lsh-planted
 // gives each query one at 0.95·q̂, as planted-alsh does, so its walks stop
 // at the first table step holding it. candidates/query is what a query

@@ -37,9 +37,8 @@ type JoinRequest struct {
 	Queries string `json:"queries"`
 	// Engine is "exact" (alias "tiled"), "normpruned" (alias "normscan")
 	// or "lsh" (default "exact"). Every engine joins through a structure
-	// the data collection already keeps: exact sweeps its rows in store
-	// order — an int8 collection's codes under their error bound, the f64
-	// rows otherwise — normpruned the norm-sorted f64 view a normscan f64
+	// the data collection already keeps: exact sweeps its f64 rows in
+	// store order, normpruned the norm-sorted f64 view a normscan f64
 	// collection serves from, and lsh the banding indexes of an alsh one.
 	// An engine the collection keeps no structure for is refused, naming
 	// the alternative.
@@ -143,12 +142,15 @@ func newJoinOpts(sp core.Spec, req JoinRequest) joinOpts {
 
 // joinSnap returns sn as a join of engine (by joinEngineName) reads it:
 // lsh and normpruned through its serving index, exact through it too
-// where that sweeps the store in order with exact scores — f64 rows, or
-// int8 codes under their certificate — and otherwise through a
-// store-order index over sn.fs itself, which copies nothing.
+// where that sweeps the f64 rows in store order, and otherwise through a
+// store-order index over sn.fs itself, which copies nothing. An int8
+// shard is swept through its f64 rows too. Its codes give the same pairs
+// about five times faster at 40 000 × 32, but that compute-bound sweep's
+// time spread between runs several times wider than the f64 sweep's, too
+// wide to tell a regression from noise (ROADMAP item 14, step (b)).
 func (sn *shardSnap) joinSnap(engine string) *shardSnap {
 	ix, ok := sn.index.(*flatIndex)
-	if engine != "tiled" || ok && !ix.view.Sorted() && ix.rerank != rerankOnRequest {
+	if engine != "tiled" || ok && !ix.view.Sorted() && ix.rerank == rerankNever {
 		return sn
 	}
 	rows := *sn
