@@ -15,7 +15,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,7 +23,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/flat"
-	"repro/internal/join"
 	"repro/internal/lsh"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -35,118 +33,6 @@ import (
 // ballRecord is a record with the given id inside the unit ball.
 func ballRecord(rng *xrand.RNG, id, d int) store.Record {
 	return store.Record{ID: id, Vec: vec.Scaled(rng.UnitVec(d), 0.2+0.8*rng.Float64())}
-}
-
-// alshScript drives c through a seeded random ingest/upsert/delete/compact
-// sequence of 60 operations — every ingest and upsert extends the
-// shards' banding indexes, compaction rebuilds them — keeping live in
-// step and calling check after every sixth operation and at the end.
-// live may come holding records already in c; ids below pinned are never
-// replaced or deleted.
-func alshScript(t *testing.T, c *Collection, rng *xrand.RNG, d int, live modelSet, pinned int, check func(op int, randomLive func(n int) []int)) {
-	t.Helper()
-	c.compactFrac = -1 // compaction only where the script says so
-	nextID := len(live)
-	randomLive := func(n int) []int {
-		ids := make([]int, 0, len(live))
-		for id := range live {
-			if id >= pinned {
-				ids = append(ids, id)
-			}
-		}
-		sort.Ints(ids)
-		out := make([]int, min(n, len(ids)))
-		for i, j := range rng.Perm(len(ids))[:len(out)] {
-			out[i] = ids[j]
-		}
-		return out
-	}
-	for op := 0; op < 60; op++ {
-		switch r := rng.Float64(); {
-		case r < 0.35 || len(live) == pinned: // ingest fresh ids
-			batch := make([]store.Record, 1+rng.Intn(40))
-			for i := range batch {
-				batch[i] = ballRecord(rng, nextID, d)
-				nextID++
-			}
-			if _, err := c.Ingest(batch); err != nil {
-				t.Fatalf("op %d: ingest: %v", op, err)
-			}
-			live.upsert(batch)
-		case r < 0.7: // upsert: replacements and inserts mixed
-			var batch []store.Record
-			for _, id := range randomLive(1 + rng.Intn(12)) {
-				batch = append(batch, ballRecord(rng, id, d))
-			}
-			for i := rng.Intn(6); i > 0; i-- {
-				batch = append(batch, ballRecord(rng, nextID, d))
-				nextID++
-			}
-			if _, err := c.Upsert(batch); err != nil {
-				t.Fatalf("op %d: upsert: %v", op, err)
-			}
-			live.upsert(batch)
-		case r < 0.9:
-			ids := randomLive(1 + rng.Intn(10))
-			if _, _, err := c.Delete(ids); err != nil {
-				t.Fatalf("op %d: delete: %v", op, err)
-			}
-			live.delete(ids)
-		default:
-			if err := c.compact(); err != nil {
-				t.Fatalf("op %d: compact: %v", op, err)
-			}
-		}
-		if op%6 == 5 {
-			check(op, randomLive)
-		}
-	}
-	check(60, randomLive)
-}
-
-// TestALSHMutationsMatchFreshBuild drives an alsh collection through
-// alshScript and checks that it answers exactly like a fresh collection
-// with the same seed bulk-loaded with the live set: extending must be
-// indistinguishable from rebuilding.
-func TestALSHMutationsMatchFreshBuild(t *testing.T) {
-	const d, shards, seed, k = 8, 3, 77, 10
-	spec := IndexSpec{Kind: KindALSH, K: 4, L: 8}
-	rng := xrand.New(5)
-	c, err := newCollection("grown", spec, shards, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.close()
-	live := modelSet{}
-	alshScript(t, c, rng, d, live, 0, func(op int, randomLive func(n int) []int) {
-		t.Helper()
-		fresh, err := newCollection("fresh", spec, shards, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fresh.close()
-		recs := make([]store.Record, 0, len(live))
-		for _, id := range randomLive(len(live)) {
-			recs = append(recs, live[id])
-		}
-		if _, err := fresh.Ingest(recs); err != nil {
-			t.Fatal(err)
-		}
-		for qi := 0; qi < 24; qi++ {
-			q := vec.Vector(rng.UnitVec(d))
-			for _, unsigned := range []bool{false, true} {
-				got, err1 := c.SearchOne(context.Background(), nil, q, k, unsigned)
-				want, err2 := fresh.SearchOne(context.Background(), nil, q, k, unsigned)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("op %d: search: %v / %v", op, err1, err2)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("op %d query %d (unsigned=%v): grown collection diverges from a fresh build\n got %v\nwant %v",
-						op, qi, unsigned, got, want)
-				}
-			}
-		}
-	})
 }
 
 // appendHits appends, bit for bit, a hit list behind its length.
@@ -362,79 +248,6 @@ func TestALSHShardCountInvariance(t *testing.T) {
 	}
 	open()
 	check("reopened")
-}
-
-// TestServedLSHJoinMeetsDefinition1: the paper's (cs, s) contract on the
-// served path. An alsh collection of planted promise-satisfying inputs —
-// every query has a partner at inner product 0.95 ≥ s — goes through the
-// same seeded ingest/upsert/delete/compact script, the planted partners
-// pinned; after every stage the served lsh join, probing the shards' own
-// mutated indexes, must pass core.CheckGuarantee for at least 0.9 of the
-// promised queries, signed and unsigned.
-func TestServedLSHJoinMeetsDefinition1(t *testing.T) {
-	const d, shards, nq, noise = 8, 3, 48, 300
-	s := New(Config{DefaultShards: shards, CacheCapacity: -1, CompactFraction: -1})
-	defer s.Close()
-	rng := xrand.New(5)
-	live := modelSet{}
-	queries := make([]store.Record, nq)
-	var planted []store.Record
-	for i := range queries {
-		queries[i] = store.Record{ID: i, Vec: vec.Vector(rng.UnitVec(d))}
-		planted = append(planted, store.Record{ID: i, Vec: vec.Scaled(queries[i].Vec, 0.95)})
-	}
-	for i := 0; i < noise; i++ {
-		planted = append(planted, ballRecord(rng, nq+i, d))
-	}
-	live.upsert(planted)
-	if _, _, err := s.Ingest("p", &IndexSpec{Kind: KindALSH, K: 4, L: 8}, 0, planted); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Ingest("q", nil, 1, queries); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := s.Collection("p")
-	Q := make([]vec.Vector, nq)
-	for i, r := range queries {
-		Q[i] = r.Vec
-	}
-	alshScript(t, c, rng, d, live, nq, func(op int, _ func(int) []int) {
-		t.Helper()
-		ids := make([]int, 0, len(live))
-		for id := range live {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		P := make([]vec.Vector, len(ids))
-		rowOf := make(map[int]int, len(ids))
-		for i, id := range ids {
-			P[i], rowOf[id] = live[id].Vec, i
-		}
-		for _, variant := range []core.Variant{core.Signed, core.Unsigned} {
-			sp := core.Spec{S: 0.9, C: 0.8, Variant: variant}
-			resp, err := s.Join(JoinRequest{Data: "p", Queries: "q", Engine: "lsh", S: sp.S, C: sp.C, Variant: variant.String()})
-			if err != nil {
-				t.Fatalf("op %d: join: %v", op, err)
-			}
-			byQuery := make([][]join.Match, nq)
-			for _, pr := range resp.Pairs {
-				row, ok := rowOf[pr.DataID]
-				if !ok {
-					t.Fatalf("op %d: pair %+v names a record that is not live", op, pr)
-				}
-				byQuery[pr.QueryID] = append(byQuery[pr.QueryID], join.Match{PIdx: row, Value: pr.Value})
-			}
-			met := 0
-			for qi := range Q { // every query is promised: its planted partner is pinned
-				if core.CheckGuarantee(P, Q[qi:qi+1], join.Result{Matches: byQuery[qi]}, sp) == nil {
-					met++
-				}
-			}
-			if met*10 < nq*9 {
-				t.Fatalf("op %d (%v): Definition 1 holds for %d of %d promised queries, want >= 0.9", op, variant, met, nq)
-			}
-		}
-	})
 }
 
 // TestALSHOverNormRejectedOverHTTP: a vector outside the unit ball used

@@ -220,108 +220,6 @@ func TestSingleShardConcurrentSearchMatchesExact(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBatchSearchMatchesPerQuery pins tile-position invariance: a
-// query's answer and error do not depend on the batch width or on where
-// the query sits in its tile. For every index kind, signed and unsigned,
-// each query of a batch (a tile swept or hashed at once over the shard
-// snapshots) must be answered identically — hits, ordering, scores,
-// per-query errors — to the same query alone (the tile of one), on a
-// collection carrying tombstones (upserts and deletes, no compaction), at
-// batch widths on both sides of a tile and of two, with queries inside and
-// outside alsh's unit ball and wrong-dimension queries mixed in.
-func TestBatchSearchMatchesPerQuery(t *testing.T) {
-	for _, kind := range []string{KindExact, KindNormScan, KindALSH} {
-		for _, shards := range []int{1, 4} {
-			rng := xrand.New(uint64(len(kind)*1009 + shards))
-			data := adversarial(rng, 400, 16)
-			// alsh expects unit-ball data; scale in place.
-			scale := 0.0
-			for _, v := range data {
-				if n := vec.Norm(v); n > scale {
-					scale = n
-				}
-			}
-			for _, v := range data {
-				vec.Scale(v, 1/scale)
-			}
-			s := New(Config{DefaultShards: shards, CacheCapacity: -1, CompactFraction: -1})
-			if _, _, err := s.Ingest("c", &IndexSpec{Kind: kind}, shards, records(data, 0)); err != nil {
-				t.Fatal(err)
-			}
-			// Replace 40 rows and delete 30 more: every shard scans, or
-			// probes, past dead rows.
-			replaced := records(data[300:340], 0)
-			for i := range replaced {
-				replaced[i].ID = 3 * i
-			}
-			if _, _, err := s.Upsert("c", nil, 0, replaced); err != nil {
-				t.Fatal(err)
-			}
-			gone := make([]int, 30)
-			for i := range gone {
-				gone[i] = 5*i + 1
-			}
-			if _, _, _, err := s.Delete("c", gone); err != nil {
-				t.Fatal(err)
-			}
-			queries := make([]vec.Vector, 0, 2*searchTileQ+3)
-			for i := 0; i < 2*searchTileQ-2; i++ {
-				q := vec.Vector(rng.NormalVec(16)) // outside the ball, mostly
-				if i%3 == 0 {
-					vec.Scale(q, rng.Float64()/vec.Norm(q))
-				}
-				queries = append(queries, q)
-			}
-			queries = append(queries, vec.New(16))                  // all-ties query
-			queries = append(queries, data[7].Clone())              // exact-row query
-			queries = append(queries, vec.Vector(rng.NormalVec(9))) // wrong dimension
-			for _, unsigned := range []bool{false, true} {
-				single := make([]SearchResult, len(queries))
-				found := 0
-				for i, q := range queries {
-					res, err := s.Search("c", []vec.Vector{q}, 5, unsigned)
-					if err != nil {
-						t.Fatal(err)
-					}
-					single[i] = res[0]
-					found += len(res[0].Hits)
-				}
-				if found < len(queries)/2 {
-					t.Fatalf("kind=%s shards=%d unsigned=%v: %d hits over %d queries; the test compares next to nothing", kind, shards, unsigned, found, len(queries))
-				}
-				for _, width := range []int{1, searchTileQ - 1, searchTileQ, searchTileQ + 1, 2 * searchTileQ, len(queries)} {
-					batch, err := s.Search("c", queries[:width], 5, unsigned)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range batch {
-						ctx := fmt.Sprintf("kind=%s shards=%d unsigned=%v width=%d query=%d", kind, shards, unsigned, width, i)
-						if (batch[i].Err == nil) != (single[i].Err == nil) {
-							t.Fatalf("%s: batch err %v, single err %v", ctx, batch[i].Err, single[i].Err)
-						}
-						if batch[i].Err != nil {
-							if batch[i].Err.Error() != single[i].Err.Error() {
-								t.Fatalf("%s: batch err %q, single err %q", ctx, batch[i].Err, single[i].Err)
-							}
-							continue
-						}
-						if len(batch[i].Hits) != len(single[i].Hits) {
-							t.Fatalf("%s: batch %v != single %v", ctx, batch[i].Hits, single[i].Hits)
-						}
-						for r := range single[i].Hits {
-							if batch[i].Hits[r] != single[i].Hits[r] {
-								t.Fatalf("%s rank %d: batch %v != single %v (must be bit-identical)",
-									ctx, r, batch[i].Hits, single[i].Hits)
-							}
-						}
-					}
-				}
-			}
-			s.Close()
-		}
-	}
-}
-
 // TestBatchSearchCaching checks a batch's cache interplay: a repeated
 // batch is served from the LRU with identical hits, and k<=0 is rejected
 // for every query.

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,35 +29,22 @@ import (
 // value ≥ cs, under the canonical (query ID asc; value desc; data ID
 // asc) ordering, optionally excluding identity pairs.
 func bruteJoin(data, queries []store.Record, cs float64, unsigned bool, k int, excludeSelf bool) []JoinPair {
-	if k <= 0 {
-		k = 1
-	}
-	var out, cands []JoinPair
+	var out []JoinPair
 	qs := slices.SortedFunc(slices.Values(queries), func(a, b store.Record) int { return cmp.Compare(a.ID, b.ID) })
 	for _, q := range qs {
-		cands = cands[:0]
+		acc := flat.NewAcc(max(k, 1))
 		for _, p := range data {
-			if excludeSelf && p.ID == q.ID {
-				continue
-			}
 			v := vec.Dot(p.Vec, q.Vec)
 			if unsigned && v < 0 {
 				v = -v
 			}
-			if v >= cs {
-				cands = append(cands, JoinPair{DataID: p.ID, QueryID: q.ID, Value: v})
+			if v >= cs && (!excludeSelf || p.ID != q.ID) {
+				acc.Offer(p.ID, v)
 			}
 		}
-		slices.SortFunc(cands, func(a, b JoinPair) int {
-			if a.Value != b.Value {
-				return cmp.Compare(b.Value, a.Value)
-			}
-			return cmp.Compare(a.DataID, b.DataID)
-		})
-		if len(cands) > k {
-			cands = cands[:k]
+		for _, h := range acc.Hits() {
+			out = append(out, JoinPair{DataID: h.Index, QueryID: q.ID, Value: h.Score})
 		}
-		out = append(out, cands...)
 	}
 	return out
 }
@@ -99,43 +85,6 @@ func joinWorkload(t *testing.T, s *Server, nd, nq, d int, seed uint64) (data, qu
 		t.Fatalf("ingest queries: %v", err)
 	}
 	return data, queries
-}
-
-// TestServedJoinMatchesBruteForce drives Server.Join across engines,
-// modes and variants on multi-shard collections and compares the pair
-// lists against the record-space brute force.
-func TestServedJoinMatchesBruteForce(t *testing.T) {
-	s := New(Config{DefaultShards: 4})
-	defer s.Close()
-	data, queries := joinWorkload(t, s, 90, 30, 8, 21)
-	// normpruned sweeps the norm-sorted view of a normscan collection.
-	if _, _, err := s.Ingest("sorted", &IndexSpec{Kind: KindNormScan}, 0, data); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct{ engine, data string }{{"exact", "data"}, {"normpruned", "sorted"}} {
-		engine := c.engine
-		for _, unsigned := range []bool{false, true} {
-			for _, topk := range []int{0, 3} {
-				variant := "signed"
-				if unsigned {
-					variant = "unsigned"
-				}
-				label := fmt.Sprintf("%s/%s/topk=%d", engine, variant, topk)
-				resp, err := s.Join(JoinRequest{
-					Data: c.data, Queries: "queries",
-					Engine: engine, Variant: variant, S: 0.6, TopK: topk,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				want := bruteJoin(data, queries, 0.6, unsigned, topk, false)
-				samePairs(t, label, want, resp.Pairs)
-				if resp.Compared != int64(len(data))*int64(len(queries)) && engine == "exact" {
-					t.Fatalf("%s: compared %d, want %d", label, resp.Compared, len(data)*len(queries))
-				}
-			}
-		}
-	}
 }
 
 // TestJoinPathEndpoint exercises POST /collections/{a}/join/{b} end to
@@ -459,66 +408,6 @@ func searchCounters(s *Server) []int64 {
 	return out
 }
 
-// The dead patterns of TestJoinTombstoneGrid, applied to both
-// collections: each mutates the served collection and the test's
-// id → vector reference alike.
-var joinDeadPatterns = []struct {
-	name string
-	// liveOnly names the exact engines that score live rows only under
-	// the pattern — no block they sweep mixes live and dead rows — so
-	// their Compared is the compacted reference's.
-	liveOnly string
-	apply    func(t *testing.T, s *Server, name string, ref map[int]vec.Vector, rng *xrand.RNG)
-}{
-	{"none", "exact normpruned", func(*testing.T, *Server, string, map[int]vec.Vector, *xrand.RNG) {}},
-	{"scattered", "", func(t *testing.T, s *Server, name string, ref map[int]vec.Vector, rng *xrand.RNG) {
-		var ids []int
-		for id := range ref {
-			if id%7 == 3 {
-				ids = append(ids, id)
-			}
-		}
-		deleteIDs(t, s, name, ref, ids)
-	}},
-	{"upserts", "", func(t *testing.T, s *Server, name string, ref map[int]vec.Vector, rng *xrand.RNG) {
-		var recs []store.Record
-		for id := range ref {
-			if id%5 == 2 {
-				recs = append(recs, store.Record{ID: id, Vec: vec.Vector(rng.UnitVec(8))})
-			}
-		}
-		sort.Slice(recs, func(a, b int) bool { return recs[a].ID < recs[b].ID })
-		if _, _, err := s.Upsert(name, nil, 0, recs); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			ref[r.ID] = r.Vec
-		}
-	}},
-	{"block", "exact", func(t *testing.T, s *Server, name string, ref map[int]vec.Vector, rng *xrand.RNG) {
-		c, _ := s.Collection(name)
-		ids := c.shards[0].snap.Load().ids
-		if len(ids) < 600 {
-			t.Fatalf("shard 0 of %s holds %d rows, too few for a whole dead block with live ones after it", name, len(ids))
-		}
-		deleteIDs(t, s, name, ref, ids[256:512])
-	}},
-	{"shard", "exact normpruned", func(t *testing.T, s *Server, name string, ref map[int]vec.Vector, rng *xrand.RNG) {
-		c, _ := s.Collection(name)
-		deleteIDs(t, s, name, ref, c.shards[1].snap.Load().ids)
-	}},
-	// Every row of b: it holds rows but no live one, and joins like an
-	// empty collection on either side; a is untouched.
-	{"collection", "exact normpruned", func(t *testing.T, s *Server, name string, ref map[int]vec.Vector, rng *xrand.RNG) {
-		if name == "b" {
-			c, _ := s.Collection(name)
-			for _, sh := range c.shards {
-				deleteIDs(t, s, name, ref, sh.snap.Load().ids)
-			}
-		}
-	}},
-}
-
 func deleteIDs(t *testing.T, s *Server, name string, ref map[int]vec.Vector, ids []int) {
 	t.Helper()
 	ids = append([]int(nil), ids...)
@@ -528,176 +417,6 @@ func deleteIDs(t *testing.T, s *Server, name string, ref map[int]vec.Vector, ids
 	for _, id := range ids {
 		delete(ref, id)
 	}
-}
-
-// TestJoinTombstoneGrid is the deletes × joins equivalence grid: data
-// kind × precision × each engine the kind serves × mode × ExcludeSelf,
-// each pair of the last two under one variant and both variants across
-// them, × self/two-collection × dead pattern on the data and the query
-// side. The engines read the published snapshots through their dead sets;
-// every cell's pairs must equal — ids, order, value bits — the record
-// brute force over the live reference for the exact engines, and the
-// compacted-copy reference for the others; Compared equals the compacted
-// reference's wherever no scored block mixes live and dead rows. An engine
-// a kind does not serve is refused naming the one that does, and no join
-// touches the query cache or the search counters. Half the patterns run
-// on a pool with more workers than a join has tiles.
-func TestJoinTombstoneGrid(t *testing.T) {
-	// The data collections, by kind and precision, and the engines each
-	// serves; b, exact f64, is every cell's second query collection.
-	// h holds unit vectors — the edge of the SIMPLE map's ball — as an alsh
-	// collection: its lsh joins probe the shards' own banding indexes
-	// through the dead sets.
-	grid := []struct {
-		name    string
-		spec    IndexSpec
-		stride  int
-		engines []string
-	}{
-		{"a", IndexSpec{Kind: KindExact}, 3, []string{"exact"}},
-		{"a32", IndexSpec{Kind: KindExact, Precision: PrecisionF32}, 9, []string{"exact"}},
-		{"a8", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 11, []string{"exact"}},
-		{"n", IndexSpec{Kind: KindNormScan}, 13, []string{"exact", "normpruned"}},
-		{"n32", IndexSpec{Kind: KindNormScan, Precision: PrecisionF32}, 15, []string{"exact"}},
-		{"h", IndexSpec{Kind: KindALSH, K: 4, L: 8, Seed: 5}, 5, []string{"exact", "lsh"}},
-		{"b", IndexSpec{Kind: KindExact}, 7, nil},
-	}
-	for pi, pat := range joinDeadPatterns {
-		t.Run(pat.name, func(t *testing.T) {
-			t.Parallel()
-			// Every other pattern runs on a pool wider than a join has
-			// tiles: a task per (tile, data shard), every tile open at once.
-			workers := []int{0, 64}[pi%2]
-			s := New(Config{DefaultShards: 2, CacheCapacity: 64, CompactFraction: -1, Workers: workers})
-			defer s.Close()
-			rng := xrand.New(31)
-			refs := map[string]map[int]vec.Vector{}
-			for _, g := range grid {
-				refs[g.name] = map[int]vec.Vector{}
-				recs := make([]store.Record, 1300)
-				for i := range recs {
-					recs[i] = store.Record{ID: i*g.stride + 1, Vec: vec.Vector(rng.UnitVec(8))}
-					refs[g.name][recs[i].ID] = recs[i].Vec
-				}
-				if _, _, err := s.Ingest(g.name, &g.spec, 0, recs); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, g := range grid {
-				pat.apply(t, s, g.name, refs[g.name], rng)
-				if g.spec.Precision == PrecisionF32 {
-					for id, v := range refs[g.name] {
-						refs[g.name][id] = round32(v) // as ingest stores them
-					}
-				}
-			}
-			records := func(name string) (out []store.Record) {
-				for id, v := range refs[name] {
-					out = append(out, store.Record{ID: id, Vec: v})
-				}
-				sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-				return out
-			}
-			compact := compactions(t, s)
-			// Every pair ≥ cs by (data, queries, variant), before the cell's
-			// top-k and self-exclusion cut it.
-			brute := map[string][]JoinPair{}
-			cell := func(data, engine string, topk int, variant string, excludeSelf bool, queries string) {
-				req := JoinRequest{Data: data, Queries: queries, Engine: engine, Variant: variant,
-					S: 0.8, C: 0.75, TopK: topk, ExcludeSelf: excludeSelf}
-				label := fmt.Sprintf("%s/%s/%s/topk=%d/exclude_self=%v/queries=%s", data, engine, variant, topk, excludeSelf, queries)
-				counters := searchCounters(s)
-				resp, err := s.Join(req)
-				if after := searchCounters(s); !slices.Equal(counters, after) {
-					t.Fatalf("%s: the join moved the cache or search counters: %v, then %v", label, counters, after)
-				}
-				if len(refs[queries]) == 0 {
-					// The emptied collection, exact, keeps no banding index
-					// and no norm view.
-					rev := JoinRequest{Data: queries, Queries: data, Engine: "exact", Variant: variant, S: 0.8}
-					for _, r := range []JoinRequest{req, rev} {
-						if _, err := s.Join(r); err == nil || !strings.Contains(err.Error(), "join requires non-empty collections") {
-							t.Fatalf("%s: join %s×%s over a fully-deleted collection: err = %v", label, r.Data, r.Queries, err)
-						}
-					}
-					return
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				// A store-order sweep of the compaction scores every live row
-				// for every live query; the other engines' references run.
-				compared := int64(len(refs[data]) * len(refs[queries]))
-				if engine != "exact" {
-					var want []JoinPair
-					want, compared = compactedJoin(t, s, req, compact)
-					if len(want) == 0 {
-						t.Fatalf("%s: the reference reports no pair; the cell checks nothing", label)
-					}
-					samePairs(t, label, want, resp.Pairs)
-				}
-				exact := engine != "lsh"
-				if exact {
-					key := data + "/" + queries + "/" + variant
-					if brute[key] == nil {
-						brute[key] = bruteJoin(records(data), records(queries), 0.6, variant == "unsigned", math.MaxInt, false)
-					}
-					if want := cutPairs(brute[key], topk, excludeSelf); len(want) == 0 {
-						t.Fatalf("%s: the brute force reports no pair; the cell checks nothing", label)
-					} else {
-						samePairs(t, label+" vs brute force", want, resp.Pairs)
-					}
-				}
-				switch {
-				case !exact, strings.Contains(pat.liveOnly, engine):
-					if resp.Compared != compared {
-						t.Fatalf("%s: compared %d, the compacted reference %d", label, resp.Compared, compared)
-					}
-				case resp.Compared < compared:
-					t.Fatalf("%s: compared %d, fewer than the compacted reference's %d", label, resp.Compared, compared)
-				}
-			}
-			for _, g := range grid {
-				if g.engines == nil {
-					continue
-				}
-				if !slices.Contains(g.engines, "normpruned") {
-					_, err := s.Join(JoinRequest{Data: g.name, Queries: "b", Engine: "normpruned", S: 0.8})
-					if err == nil || !strings.Contains(err.Error(), "use engine exact") {
-						t.Fatalf("%s: normpruned without a norm-sorted f64 view: err = %v", g.name, err)
-					}
-				}
-				// Each mode and each ExcludeSelf meets both variants.
-				for _, engine := range g.engines {
-					for ti, topk := range []int{0, 1, 10} {
-						for ei, excludeSelf := range []bool{false, true} {
-							variant := []string{"signed", "unsigned"}[(ti+ei)%2]
-							cell(g.name, engine, topk, variant, excludeSelf, g.name)
-							cell(g.name, engine, topk, variant, excludeSelf, "b")
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// cutPairs cuts every pair of a join, in its order, to what a request of
-// topk and excludeSelf reports: the identity pairs dropped under
-// excludeSelf, then each query's first max(topk, 1).
-func cutPairs(all []JoinPair, topk int, excludeSelf bool) []JoinPair {
-	var out []JoinPair
-	n := 0
-	for i, p := range all {
-		if i == 0 || all[i-1].QueryID != p.QueryID {
-			n = 0
-		}
-		if (!excludeSelf || p.DataID != p.QueryID) && n < max(topk, 1) {
-			out = append(out, p)
-			n++
-		}
-	}
-	return out
 }
 
 // TestNormPrunedJoinSweepsServingView: a normscan f64 shard already

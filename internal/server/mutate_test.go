@@ -1,282 +1,15 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/store"
 	"repro/internal/vec"
-	"repro/internal/xrand"
 )
-
-// modelSet is the map-based reference the interleaving harness checks
-// the server against: the live record set, nothing else.
-type modelSet map[int]store.Record
-
-func (m modelSet) upsert(recs []store.Record) {
-	for _, r := range recs {
-		m[r.ID] = r
-	}
-}
-
-func (m modelSet) delete(ids []int) int {
-	n := 0
-	for _, id := range ids {
-		if _, ok := m[id]; ok {
-			delete(m, id)
-			n++
-		}
-	}
-	return n
-}
-
-// topK is the model's search answer: full scan over the live set with
-// the canonical (score descending, ID ascending) ordering — the exact
-// contract the server's masked kernels must reproduce bit-identically.
-func (m modelSet) topK(q vec.Vector, k int, unsigned bool) []Hit {
-	recs := make([]store.Record, 0, len(m))
-	for _, r := range m {
-		recs = append(recs, r)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	return exactTopK(recs, q, k, unsigned)
-}
-
-// mutationScript drives a deterministic random interleaving of upsert,
-// delete and search ops against both the server and the model,
-// failing on the first divergence. Searches mix single queries and
-// batches (the tiled executor path) and both variants.
-func mutationScript(t *testing.T, s *Server, m modelSet, name string, seed uint64, ops, universe, d, k int) {
-	t.Helper()
-	if _, err := s.EnsureCollection(name, &IndexSpec{Kind: KindExact}, 0); err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(seed)
-	randVec := func() vec.Vector { return vec.Vector(rng.NormalVec(d)) }
-	for op := 0; op < ops; op++ {
-		switch r := rng.Float64(); {
-		case r < 0.35: // upsert batch: mix of fresh inserts and replacements
-			nb := 1 + rng.Intn(8)
-			batch := make([]store.Record, 0, nb)
-			seen := map[int]struct{}{}
-			for len(batch) < nb {
-				id := rng.Intn(universe)
-				if _, dup := seen[id]; dup {
-					continue
-				}
-				seen[id] = struct{}{}
-				batch = append(batch, store.Record{ID: id, Vec: randVec()})
-			}
-			if _, _, err := s.Upsert(name, &IndexSpec{Kind: KindExact}, 0, batch); err != nil {
-				t.Fatalf("op %d: upsert: %v", op, err)
-			}
-			m.upsert(batch)
-		case r < 0.55: // delete batch, often including unknown ids
-			nb := 1 + rng.Intn(8)
-			ids := make([]int, nb)
-			for i := range ids {
-				ids[i] = rng.Intn(universe + universe/4) // some never-ingested ids
-			}
-			_, deleted, _, err := s.Delete(name, ids)
-			if err != nil {
-				t.Fatalf("op %d: delete: %v", op, err)
-			}
-			if want := m.delete(ids); deleted != want {
-				t.Fatalf("op %d: deleted %d records, model says %d", op, deleted, want)
-			}
-		default: // search: single query or small batch, signed or unsigned
-			nq := 1 + rng.Intn(3)
-			qs := make([]vec.Vector, nq)
-			for i := range qs {
-				qs[i] = randVec()
-			}
-			unsigned := rng.Float64() < 0.3
-			results, err := s.Search(name, qs, k, unsigned)
-			if err != nil {
-				t.Fatalf("op %d: search: %v", op, err)
-			}
-			for qi, res := range results {
-				if res.Err != nil {
-					t.Fatalf("op %d query %d: %v", op, qi, res.Err)
-				}
-				want := m.topK(qs[qi], k, unsigned)
-				if !reflect.DeepEqual(res.Hits, want) {
-					t.Fatalf("op %d query %d (unsigned=%v): hits diverge from model\n got %v\nwant %v",
-						op, qi, unsigned, res.Hits, want)
-				}
-				for _, h := range res.Hits {
-					if _, live := m[h.ID]; !live {
-						t.Fatalf("op %d query %d: hit on dead id %d (cached=%v)", op, qi, h.ID, res.Cached)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestMutationInterleavingMatchesReference randomizes upserts, deletes
-// and searches against an in-memory server and checks every search
-// bit-identically (hits and ordering) against the map-based model —
-// across shard counts, with the cache on (its invalidation is part of
-// the contract under test) and compaction triggered aggressively so
-// scans race snapshot swaps.
-func TestMutationInterleavingMatchesReference(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		for _, compact := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d/compact=%v", shards, compact), func(t *testing.T) {
-				cfg := Config{DefaultShards: shards}
-				if compact {
-					cfg.CompactFraction = 0.05
-					cfg.CompactMinDead = -1 // any tombstone count qualifies
-				} else {
-					cfg.CompactFraction = -1 // disabled: tombstones accumulate
-				}
-				s := New(cfg)
-				defer s.Close()
-				mutationScript(t, s, modelSet{}, "col", 42+uint64(shards), 400, 300, 8, 5)
-			})
-		}
-	}
-}
-
-// TestMutationDurableRestartAndCrash runs the interleaving against a
-// durable (fsync=always) server, then checks both recovery paths
-// against the model: a kill -9 image (directory copied out from under
-// the live server, never closed) and a clean restart. Both must serve
-// bit-identical results.
-func TestMutationDurableRestartAndCrash(t *testing.T) {
-	dir := t.TempDir()
-	const universe, d, k = 200, 6, 5
-	s1, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := modelSet{}
-	mutationScript(t, s1, m, "col", 99, 250, universe, d, k)
-
-	queries := randQueries(20, d, 7)
-	verify := func(s *Server, label string) {
-		t.Helper()
-		for qi, q := range queries {
-			got := searchAll(t, s, "col", []vec.Vector{q}, k)[0]
-			if want := m.topK(q, k, false); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s query %d: hits diverge from model\n got %v\nwant %v", label, qi, got, want)
-			}
-		}
-	}
-	verify(s1, "pre-crash")
-
-	// kill -9: copy the directory while the server is live and unclosed.
-	crashed := t.TempDir()
-	copyTree(t, dir, crashed)
-	s2, err := Open(durableConfig(crashed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	verify(s2, "kill-9 recovery")
-	if c, _ := s2.Collection("col"); c.Len() != len(m) {
-		t.Fatalf("kill-9 recovery: %d live records, model has %d", c.Len(), len(m))
-	}
-	// The recovered server keeps mutating correctly.
-	mutationScript(t, s2, m.clone(), "col", 123, 60, universe, d, k)
-	s2.Close()
-
-	// Clean restart of the original directory.
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	verify(s3, "clean restart")
-	mutationScript(t, s3, m, "col", 321, 60, universe, d, k)
-}
-
-func (m modelSet) clone() modelSet {
-	out := make(modelSet, len(m))
-	for id, r := range m {
-		out[id] = r
-	}
-	return out
-}
-
-// TestCacheNeverServesTombstonedHits pins the satellite contract
-// directly: a cached result list containing an id must stop being
-// served the moment that id is deleted or its vector replaced.
-func TestCacheNeverServesTombstonedHits(t *testing.T) {
-	s := New(Config{DefaultShards: 2}) // cache on (default capacity)
-	defer s.Close()
-	d := 4
-	recs := randRecords(50, d, 11)
-	if _, _, err := s.Ingest("col", nil, 0, recs); err != nil {
-		t.Fatal(err)
-	}
-	q := vec.Vector(xrand.New(12).NormalVec(d))
-
-	first := searchAll(t, s, "col", []vec.Vector{q}, 3)[0]
-	// Same query again: must now be a cache hit.
-	res, err := s.Search("col", []vec.Vector{q}, 3, false)
-	if err != nil || res[0].Err != nil {
-		t.Fatalf("search: %v / %v", err, res[0].Err)
-	}
-	if !res[0].Cached {
-		t.Fatal("second identical search was not served from cache")
-	}
-
-	// Delete the top hit: the cached entry must not survive.
-	top := first[0].ID
-	if _, deleted, _, err := s.Delete("col", []int{top}); err != nil || deleted != 1 {
-		t.Fatalf("delete: %v (deleted=%d)", err, deleted)
-	}
-	after, err := s.Search("col", []vec.Vector{q}, 3, false)
-	if err != nil || after[0].Err != nil {
-		t.Fatalf("search: %v / %v", err, after[0].Err)
-	}
-	if after[0].Cached {
-		t.Fatal("search after delete served a stale cached result")
-	}
-	for _, h := range after[0].Hits {
-		if h.ID == top {
-			t.Fatalf("search after delete returned tombstoned id %d", top)
-		}
-	}
-
-	// Replace the new top hit's vector with its negation: the cached
-	// score would be stale, so the entry must be gone too.
-	top2 := after[0].Hits[0].ID
-	neg := make(vec.Vector, d)
-	var old vec.Vector
-	for _, r := range recs {
-		if r.ID == top2 {
-			old = r.Vec
-		}
-	}
-	for i, v := range old {
-		neg[i] = -v
-	}
-	if _, _, err := s.Upsert("col", nil, 0, []store.Record{{ID: top2, Vec: neg}}); err != nil {
-		t.Fatal(err)
-	}
-	final, err := s.Search("col", []vec.Vector{q}, 3, false)
-	if err != nil || final[0].Err != nil {
-		t.Fatalf("search: %v / %v", err, final[0].Err)
-	}
-	if final[0].Cached {
-		t.Fatal("search after upsert served a stale cached result")
-	}
-	for _, h := range final[0].Hits {
-		if h.ID == top2 {
-			t.Fatalf("replaced record %d still ranked by its old score", top2)
-		}
-	}
-}
 
 // TestCompactionRewritesShards forces the trigger, waits for the
 // background pass, and checks it erased every tombstone without
@@ -309,7 +42,7 @@ func TestCompactionRewritesShards(t *testing.T) {
 	if _, deleted, _, err := s.Delete("col", doomed); err != nil || deleted != len(doomed) {
 		t.Fatalf("delete: %v (deleted=%d want %d)", err, deleted, len(doomed))
 	}
-	live := make(modelSet)
+	live := liveSet{}
 	for _, r := range recs {
 		if r.ID%5 >= 2 {
 			live[r.ID] = r
@@ -490,32 +223,5 @@ func TestMutationHTTPRoutes(t *testing.T) {
 	if code := doJSON(t, ts, http.MethodPut, "/collections/c/vectors/3",
 		RecordJSON{ID: &id4, Vec: []float64{1, 0}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("id mismatch status %d", code)
-	}
-}
-
-// TestJoinSkipsTombstonedRows: joins run over live views, so a deleted
-// record can appear on neither side of a reported pair.
-func TestJoinSkipsTombstonedRows(t *testing.T) {
-	s := New(Config{DefaultShards: 2})
-	defer s.Close()
-	recs := []store.Record{
-		{ID: 0, Vec: vec.Vector{1, 0}},
-		{ID: 1, Vec: vec.Vector{0.9, 0.1}},
-		{ID: 2, Vec: vec.Vector{0, 1}},
-	}
-	if _, _, err := s.Ingest("col", nil, 0, recs); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := s.Delete("col", []int{1}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := s.Join(selfJoinRequest("col", JoinRequest{S: 0.1, TopK: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range resp.Pairs {
-		if p.DataID == 1 || p.QueryID == 1 {
-			t.Fatalf("join reported tombstoned record: %+v", p)
-		}
 	}
 }

@@ -273,118 +273,6 @@ func TestInt8CertifiedGrid(t *testing.T) {
 	}
 }
 
-// TestPrecisionTierBatchMatchesSingle: a batch's tiles must answer
-// quantized (and re-ranked) queries bit-identically to each query alone,
-// the tile of one.
-func TestPrecisionTierBatchMatchesSingle(t *testing.T) {
-	items, queries := recallWorkload(777)
-	queries = queries[:64]
-	const k = 5
-	for _, spec := range []IndexSpec{
-		{Kind: KindExact, Precision: PrecisionF32},
-		{Kind: KindNormScan, Precision: PrecisionF32},
-		{Kind: KindExact, Precision: PrecisionI8},
-	} {
-		s := tierServer(t, spec, items)
-		for _, rerank := range []bool{false, true} {
-			opts := SearchOpts{K: k, Unsigned: true, Rerank: rerank}
-			want := searchOpts(t, s, queries, opts)
-			res, err := s.SearchWithOpts(context.Background(), "items", queries, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([][]Hit, len(res))
-			for i, r := range res {
-				if r.Err != nil {
-					t.Fatal(r.Err)
-				}
-				got[i] = r.Hits
-			}
-			if !sameHitsBitExact(got, want) {
-				t.Fatalf("%s/%s rerank=%v: batch results differ from single-query path",
-					spec.kind(), spec.precision(), rerank)
-			}
-		}
-	}
-}
-
-// TestPrecisionTierMutations runs deletes and upserts through the
-// quantized tiers: tombstoned IDs must vanish from every tier's
-// answers, f32+rerank must stay bit-identical to an f64 reference
-// collection fed the identical (pre-rounded) mutations, and int8 to one
-// fed the raw ones.
-func TestPrecisionTierMutations(t *testing.T) {
-	items, queries := recallWorkload(1357)
-	rounded := round32All(items)
-	queries = queries[:48]
-	const k = 10
-
-	ref := tierServer(t, IndexSpec{Kind: KindExact}, rounded)
-	refRaw := tierServer(t, IndexSpec{Kind: KindExact}, items)
-	tiers := map[string]*Server{
-		"f32/exact":    tierServer(t, IndexSpec{Kind: KindExact, Precision: PrecisionF32}, items),
-		"f32/normscan": tierServer(t, IndexSpec{Kind: KindNormScan, Precision: PrecisionF32}, items),
-		"int8/exact":   tierServer(t, IndexSpec{Kind: KindExact, Precision: PrecisionI8}, items),
-	}
-
-	// Delete every 7th record, then upsert every 11th with a fresh
-	// vector (rounded copies go to the reference so the ground truth
-	// matches what the f32 tier stores).
-	var del []int
-	for id := 0; id < len(items); id += 7 {
-		del = append(del, id)
-	}
-	var ups []store.Record
-	for id := 5; id < len(items); id += 11 {
-		nv := vec.Scaled(items[id%len(items)], -0.5)
-		ups = append(ups, store.Record{ID: id, Vec: nv})
-	}
-	apply := func(s *Server, recs []store.Record) {
-		if _, _, _, err := s.Delete("items", del); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.Upsert("items", nil, 0, recs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	refUps := make([]store.Record, len(ups))
-	for i, r := range ups {
-		refUps[i] = store.Record{ID: r.ID, Vec: round32(r.Vec)}
-	}
-	apply(ref, refUps)
-	apply(refRaw, ups)
-	for _, s := range tiers {
-		apply(s, ups)
-	}
-
-	deleted := make(map[int]bool, len(del))
-	for _, id := range del {
-		deleted[id] = true
-	}
-	for _, r := range ups {
-		delete(deleted, r.ID)
-	}
-	want := searchOpts(t, ref, queries, SearchOpts{K: k, Unsigned: true, Rerank: true})
-	wantRaw := searchOpts(t, refRaw, queries, SearchOpts{K: k, Unsigned: true})
-	for name, s := range tiers {
-		got := searchOpts(t, s, queries, SearchOpts{K: k, Unsigned: true, Rerank: true})
-		for i := range got {
-			for _, h := range got[i] {
-				if deleted[h.ID] {
-					t.Fatalf("%s: tombstoned ID %d served after delete", name, h.ID)
-				}
-			}
-		}
-		if strings.HasPrefix(name, "f32") {
-			if !sameHitsBitExact(got, want) {
-				t.Errorf("%s: post-mutation rerank results differ from f64 reference", name)
-			}
-		} else if !sameHitsBitExact(got, wantRaw) {
-			t.Errorf("%s: post-mutation results differ from the f64 scan of the same rows", name)
-		}
-	}
-}
-
 // TestPrecisionTierContextCancel: a pre-cancelled context must surface
 // context.Canceled through every tier's scan path.
 func TestPrecisionTierContextCancel(t *testing.T) {
@@ -543,66 +431,6 @@ func TestPrecisionStatsAndMetrics(t *testing.T) {
 
 func itoa(v int64) string {
 	return strconv.FormatInt(v, 10)
-}
-
-// TestInt8CrashRecoveryIdenticalAnswers is the int8 durability
-// contract: after a simulated kill -9 (directory copied out from under
-// a live fsync=always server, checkpointing after every batch so both
-// the segment and WAL-replay paths run), the recovered collection must
-// serve post-rerank answers bit-identical to the original's — which
-// requires the quantization scale to reconstruct exactly.
-func TestInt8CrashRecoveryIdenticalAnswers(t *testing.T) {
-	dir := t.TempDir()
-	const n, d, q, k = 2000, 8, 25, 5
-	recs := randRecords(n, d, 21)
-	queries := randQueries(q, d, 22)
-
-	cfg := durableConfig(dir)
-	cfg.CheckpointBytes = 1 // checkpoint after every batch: segments carry the codes
-	s1, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &IndexSpec{Kind: KindExact, Precision: PrecisionI8}
-	for lo := 0; lo < n; lo += 500 {
-		hi := min(lo+500, n)
-		if _, _, err := s1.Ingest("col", spec, 2, recs[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := make([][]Hit, len(queries))
-	for i, qv := range queries {
-		res, err := s1.SearchWithOpts(context.Background(), "col", []vec.Vector{qv}, SearchOpts{K: k, Unsigned: true})
-		if err != nil || res[0].Err != nil {
-			t.Fatal(err, res[0].Err)
-		}
-		want[i] = res[0].Hits
-	}
-
-	crashed := t.TempDir()
-	copyTree(t, dir, crashed)
-	cfg2 := durableConfig(crashed)
-	s2, err := Open(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	c, _ := s2.Collection("col")
-	if c.Spec().Precision != PrecisionI8 {
-		t.Fatalf("recovered precision %q", c.Spec().Precision)
-	}
-	got := make([][]Hit, len(queries))
-	for i, qv := range queries {
-		res, err := s2.SearchWithOpts(context.Background(), "col", []vec.Vector{qv}, SearchOpts{K: k, Unsigned: true})
-		if err != nil || res[0].Err != nil {
-			t.Fatal(err, res[0].Err)
-		}
-		got[i] = res[0].Hits
-	}
-	if !sameHitsBitExact(got, want) {
-		t.Fatal("int8 answers differ after crash recovery")
-	}
-	s1.Close()
 }
 
 // TestInt8ManifestOverfetchIgnored: a data dir whose manifest still
