@@ -397,14 +397,7 @@ func scanShard(ctx context.Context, snaps []*shardSnap, q *flat.Store, ts *tileS
 	if err != nil {
 		return err
 	}
-	var tied []int
-	for j := range accs {
-		if hs := accs[j].Hits(); len(hs) > k && hs[k].Score == hs[k-1].Score {
-			tied = append(tied, j)
-		}
-	}
-	ts.list(si, snap, accs, k)
-	for _, j := range tied {
+	for _, j := range ts.list(si, snap, accs, k) {
 		if err := ts.settleTies(ctx, snap, q, si, thi-tlo, tlo+j, j, k, o, sc); err != nil {
 			return err
 		}
@@ -417,22 +410,26 @@ func scanShard(ctx context.Context, snaps []*shardSnap, q *flat.Store, ts *tileS
 	return nil
 }
 
-// list leaves tile query j's hits in shard si's accs — local rows of
-// snap, k at most — in ts.lists[si·tn+j], in the shard's region of
+// list leaves tile query j's first k hits in shard si's accs — local
+// rows of snap — in ts.lists[si·tn+j], in the shard's region of
 // ts.trans: global IDs in the canonical (score descending, ID ascending)
 // order, so the merge's tie-breaking is exact whatever the ID-to-shard
-// assignment.
-func (ts *tileScratch) list(si int, snap *shardSnap, accs []flat.Acc, k int) {
+// assignment. It returns the queries whose k-th hit ties a (k+1)-th.
+func (ts *tileScratch) list(si int, snap *shardSnap, accs []flat.Acc, k int) (tied []int) {
 	tn := len(accs)
 	for j := range accs {
 		at := (si*tn + j) * k
-		hs := ts.trans[at : at : at+k]
-		for _, h := range accs[j].Hits()[:min(k, len(accs[j].Hits()))] {
+		hs, acc := ts.trans[at:at:at+k], accs[j].Hits()
+		if len(acc) > k && acc[k].Score == acc[k-1].Score {
+			tied = append(tied, j)
+		}
+		for _, h := range acc[:min(k, len(acc))] {
 			hs = append(hs, Hit{ID: snap.ids[h.Index], Score: h.Score})
 		}
 		sortHitsCanonical(hs)
 		ts.lists[si*tn+j] = hs
 	}
+	return tied
 }
 
 // settleTies re-lists tile query j — row qj of q, of a tile of tn — whose

@@ -345,8 +345,7 @@ type simRun struct {
 	s       *Server
 	m       map[string]liveSet
 	planted []store.Record   // hq's records
-	fresh   *Collection      // h's live rows in a fresh collection of its seed, until h's next write
-	last    map[string]simOp // each collection's last search, asked again after a direct write
+	last    map[string]simOp // each collection's last search, asked again after a write
 }
 
 // runSim runs ops on a fresh server of cfg and, on a divergence, returns
@@ -387,17 +386,9 @@ func (r *simRun) open() {
 }
 
 func (r *simRun) close() {
-	r.dropFresh()
 	if r.s != nil {
 		r.quiesce()
 		r.s.Close()
-	}
-}
-
-func (r *simRun) dropFresh() {
-	if r.fresh != nil {
-		r.fresh.close()
-		r.fresh = nil
 	}
 }
 
@@ -427,12 +418,11 @@ func (r *simRun) apply(i int, op simOp) {
 		if got := pinned(); !sameHitsBitExact([][]Hit{got}, [][]Hit{before}) {
 			failf("%s: snapshots pinned before it answer %v, %v before", op, got, before)
 		}
-		if op.col == "h" && op.kind != "checkpoint" {
-			r.dropFresh()
+		if op.col == "h" {
 			r.checkPlanted()
 		}
-		if last, ok := r.last[op.col]; ok && op.direct {
-			r.checkSearch(last) // no cached answer may survive the write
+		if last, ok := r.last[op.col]; ok {
+			r.checkSearch(last) // no cached answer survives a write
 		}
 	}
 }
@@ -534,9 +524,11 @@ func (r *simRun) reopen(crash bool) {
 		failf("close: %v", err)
 	}
 	r.open()
-	r.dropFresh()
 	r.checkState()
 	for _, name := range slices.Sorted(maps.Keys(r.m)) {
+		if c, _ := r.s.Collection(name); c.spec.kind() != simSpecs[name].kind() || c.spec.precision() != simSpecs[name].precision() || len(c.shards) != r.cfg.shards {
+			failf("%s reopened %s %s on %d shards", name, c.spec.kind(), c.spec.precision(), len(c.shards))
+		}
 		for _, unsigned := range []bool{false, true} {
 			r.checkSearch(simOp{kind: "search", col: name, queries: []vec.Vector{vec.New(r.cfg.dim), r.planted[0].Vec},
 				opts: SearchOpts{K: 10, Unsigned: unsigned, Rerank: true}})
@@ -570,6 +562,12 @@ func (r *simRun) checkSearch(op simOp) {
 		return
 	}
 	c, _ := r.s.Collection(op.col)
+	var fresh *Collection // live in a collection of c's spec, seed and shards, built on first use
+	defer func() {
+		if fresh != nil {
+			fresh.close()
+		}
+	}()
 	k, unsigned := op.opts.K, op.opts.Unsigned
 	exact := c.spec.kind() != KindALSH && (c.spec.precision() != PrecisionF32 || op.opts.Rerank)
 	for i, q := range op.queries {
@@ -593,8 +591,16 @@ func (r *simRun) checkSearch(op simOp) {
 			if c.spec.kind() != KindALSH {
 				break
 			}
-			if fresh, err := r.freshALSH(c, live).SearchOne(ctx, nil, q, k, unsigned); err != nil || !sameHitsBitExact([][]Hit{want}, [][]Hit{fresh}) {
-				failf("%s: query %d: the collection answers %v, a fresh build of its live rows %v (%v)", op, i, want, fresh, err)
+			if fresh == nil {
+				if fresh, err = newCollection("fresh", c.spec, len(c.shards), c.seed); err == nil {
+					_, err = fresh.Ingest(live.records())
+				}
+				if err != nil {
+					failf("%s: a fresh build of its live rows: %v", op, err)
+				}
+			}
+			if hits, err := fresh.SearchOne(ctx, nil, q, k, unsigned); err != nil || !sameHitsBitExact([][]Hit{want}, [][]Hit{hits}) {
+				failf("%s: query %d: the collection answers %v, a fresh build of its live rows %v (%v)", op, i, want, hits, err)
 			}
 		}
 		if !sameHitsBitExact([][]Hit{got.Hits}, [][]Hit{want}) {
@@ -613,22 +619,6 @@ func (r *simRun) checkSearch(op simOp) {
 	if err != nil {
 		failf("%s repeated: %v", op, err)
 	}
-}
-
-// freshALSH returns a collection of c's spec, seed and shard count
-// bulk-loaded with live.
-func (r *simRun) freshALSH(c *Collection, live liveSet) *Collection {
-	if r.fresh == nil {
-		fresh, err := newCollection("fresh", c.spec, len(c.shards), c.seed)
-		if err != nil {
-			failf("fresh alsh collection: %v", err)
-		}
-		r.fresh = fresh
-		if _, err := fresh.Ingest(live.records()); err != nil {
-			failf("fresh alsh collection: %v", err)
-		}
-	}
-	return r.fresh
 }
 
 // checkJoin runs a join op and checks its pairs, its Compared and that
@@ -832,6 +822,10 @@ func TestSim(t *testing.T) {
 // sub-traces. Its corpus holds the minimised traces of the defects the
 // simulator found.
 func FuzzSim(f *testing.F) {
+	// A score tie at the k-th hit kept by row order, not by record ID,
+	// once an upsert appended rows out of ID order (scanShard).
+	f.Add(uint64(0x2), []byte{34, 38})
+	f.Add(uint64(0xd), []byte{38, 50})
 	f.Fuzz(simulate)
 }
 
