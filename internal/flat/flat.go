@@ -335,19 +335,35 @@ type Hit struct {
 }
 
 // Acc accumulates the k best (index, score) pairs under the canonical
-// ordering: score descending, index ascending on ties. It is the single
-// implementation of that contract — the serving layer's indexes build
-// on it too, so flat-backed and candidate-based engines tie-break
-// identically. NaN scores are rejected outright: they cannot be ranked
-// and would otherwise evict legitimate hits while breaking the
-// descending-score invariant.
+// ordering: score descending, index ascending on ties — or, after
+// SetKeys, the index's key ascending. It is the single implementation of
+// that contract — the serving layer's indexes build on it too, so
+// flat-backed and candidate-based engines tie-break identically. NaN
+// scores are rejected outright: they cannot be ranked and would
+// otherwise evict legitimate hits while breaking the descending-score
+// invariant.
 type Acc struct {
 	k    int
 	hits []Hit
+	keys []int // nil: an index is its own key
 }
 
 // NewAcc returns an accumulator keeping the best k offers.
 func NewAcc(k int) Acc { return Acc{k: k} }
+
+// SetKeys breaks a's ties by keys[index] instead of the index, until the
+// next Reset: the serving layer's rows are not in record-ID order (an
+// upsert appends, a norm-sorted view permutes), so it keys them by ID.
+// Every index offered must be in range of keys.
+func (a *Acc) SetKeys(keys []int) { a.keys = keys }
+
+// key is index i's tie-break key.
+func (a *Acc) key(i int) int {
+	if a.keys == nil {
+		return i
+	}
+	return a.keys[i]
+}
 
 // Offer submits a candidate.
 func (a *Acc) Offer(idx int, score float64) {
@@ -356,14 +372,14 @@ func (a *Acc) Offer(idx int, score float64) {
 	}
 	if len(a.hits) == a.k {
 		last := a.hits[a.k-1]
-		if score < last.Score || (score == last.Score && idx > last.Index) {
+		if score < last.Score || (score == last.Score && a.key(idx) > a.key(last.Index)) {
 			return
 		}
 		a.hits = a.hits[:a.k-1]
 	}
 	pos := sort.Search(len(a.hits), func(i int) bool {
 		h := a.hits[i]
-		return h.Score < score || (h.Score == score && h.Index > idx)
+		return h.Score < score || (h.Score == score && a.key(h.Index) > a.key(idx))
 	})
 	a.hits = append(a.hits, Hit{})
 	copy(a.hits[pos+1:], a.hits[pos:])
@@ -377,7 +393,8 @@ func (a *Acc) Hits() []Hit { return a.hits }
 // Threshold returns the current admission bar: a candidate scanned at a
 // higher index than everything accumulated so far enters only with a
 // score strictly above the k-th best (ties lose to the smaller index
-// already held), or unconditionally while under-full.
+// already held, unless SetKeys keyed them), or unconditionally while
+// under-full.
 func (a *Acc) Threshold() float64 {
 	if len(a.hits) < a.k {
 		return math.Inf(-1)
@@ -469,8 +486,8 @@ func offerRow(a *Acc, r int, v float64, unsigned bool) {
 // through a permutation; nil means it was scanned in ascending index
 // order, which allows the stronger skip: once full, a tie at the
 // threshold always loses to the smaller index already held (so v <= thr
-// skips in one compare). With a permutation a tie may carry a smaller
-// original index, so only strictly-worse scores can be skipped. This is
+// skips in one compare). With a permutation, or keys, a tie may carry a
+// smaller key, so only strictly-worse scores can be skipped. This is
 // the single copy of the top-k bookkeeping both scan orders share; the
 // loops are specialised on the loop-invariant (full, unsigned, ids)
 // flags because the skip compare runs once per scanned row — the hottest
@@ -483,11 +500,7 @@ func offerScores(a *Acc, buf []float64, base int, unsigned bool, ids []int) {
 		if unsigned && v < 0 {
 			v = -v
 		}
-		idx := base + r
-		if ids != nil {
-			idx = ids[r]
-		}
-		a.Offer(idx, v)
+		a.Offer(blockIndex(ids, base, r), v)
 	}
 	if r == len(buf) {
 		return
@@ -495,14 +508,14 @@ func offerScores(a *Acc, buf []float64, base int, unsigned bool, ids []int) {
 	// Full from here on (hits are never removed, so Full is sticky).
 	thr := a.Threshold()
 	switch {
-	case ids == nil && !unsigned:
+	case ids == nil && a.keys == nil && !unsigned:
 		for ; r < len(buf); r++ {
 			if v := buf[r]; !(v <= thr) {
 				a.Offer(base+r, v)
 				thr = a.Threshold()
 			}
 		}
-	case ids == nil:
+	case ids == nil && a.keys == nil:
 		for ; r < len(buf); r++ {
 			v := buf[r]
 			if v < 0 {
@@ -516,7 +529,7 @@ func offerScores(a *Acc, buf []float64, base int, unsigned bool, ids []int) {
 	case !unsigned:
 		for ; r < len(buf); r++ {
 			if v := buf[r]; !(v < thr) {
-				a.Offer(ids[r], v)
+				a.Offer(blockIndex(ids, base, r), v)
 				thr = a.Threshold()
 			}
 		}
@@ -527,11 +540,20 @@ func offerScores(a *Acc, buf []float64, base int, unsigned bool, ids []int) {
 				v = -v
 			}
 			if !(v < thr) {
-				a.Offer(ids[r], v)
+				a.Offer(blockIndex(ids, base, r), v)
 				thr = a.Threshold()
 			}
 		}
 	}
+}
+
+// blockIndex is the index of row r of a block from row base on, ids its
+// original indexes when it was scanned through a permutation.
+func blockIndex(ids []int, base, r int) int {
+	if ids != nil {
+		return ids[r]
+	}
+	return base + r
 }
 
 // View returns the store-order scan view of s.

@@ -67,11 +67,12 @@ import (
 const maxTileQ = 8
 
 // Reset reconfigures the accumulator to keep the best k hits, dropping
-// any accumulated state but keeping the backing storage, so pooled
-// accumulators reach a zero-allocation steady state.
+// any accumulated state and keys but keeping the backing storage, so
+// pooled accumulators reach a zero-allocation steady state.
 func (a *Acc) Reset(k int) {
 	a.k = k
 	a.hits = a.hits[:0]
+	a.keys = nil
 }
 
 // TileScratch holds the reusable buffers of the scan drivers (the score

@@ -407,6 +407,59 @@ func TestAccReset(t *testing.T) {
 	}
 }
 
+// TestAccKeys: a keyed accumulator breaks ties by key whatever the order
+// rows are offered in. Rows of small integers tie often; ScanMulti over
+// the store-order, norm-sorted and int8 views, dead rows and all, keeps
+// each query's k best by (score descending, key ascending), the order a
+// brute force over the live rows gives; int8 through its candidates,
+// re-ranked under the keys.
+func TestAccKeys(t *testing.T) {
+	rng := xrand.New(5)
+	n, d, k := 700, 3, 9
+	vs := randomVecs(rng, n, d)
+	for _, v := range vs {
+		for j := range v {
+			v[j] = math.Round(v[j])
+		}
+	}
+	fs, _ := FromVectors(vs)
+	qs, _ := FromVectors(append(randomVecs(rng, 3, d), vec.New(d)))
+	keys := rng.Perm(n)
+	some, _ := killRandom(rng, n, 0.2)
+	for c, v := range []View{fs.View(), NewNormSorted(fs).View, NewStoreI8(fs).View(), fs.View(), NewNormSorted(fs).View} {
+		i, dead := c%3, map[bool]*Tombstones{true: some}[c < 3]
+		sc := GetTileScratch()
+		accs := sc.Accs(qs.Len(), k)
+		for j := range accs {
+			accs[j].SetKeys(keys)
+		}
+		if err := v.ScanMulti(context.Background(), qs, 0, qs.Len(), accs, sc, ScanOpts{Dead: v.GatherDead(dead)}); err != nil {
+			t.Fatal(err)
+		}
+		for j := range accs {
+			got := accs[j].Hits()
+			if i == 2 { // int8: re-rank the candidates
+				a := NewAcc(k)
+				a.SetKeys(keys)
+				fs.OfferRows(nil, &a, qs.Row(j), sc.Candidates(j, &accs[j]), nil, false)
+				got = a.Hits()
+			}
+			want := NewAcc(k)
+			for r := range n {
+				if !dead.Dead(r) {
+					want.Offer(keys[r], vec.Dot(fs.Row(r), qs.Row(j)))
+				}
+			}
+			for r, h := range want.Hits() {
+				if r >= len(got) || keys[got[r].Index] != h.Index || got[r].Score != h.Score {
+					t.Fatalf("view %d query %d (dead rows: %v): keyed hits %v, want %v by key", i, j, dead != nil, got, want.Hits())
+				}
+			}
+		}
+		PutTileScratch(sc)
+	}
+}
+
 // TestTileKernelAllocs is the zero-allocation contract of the flat
 // kernels, on every kernel tier: with a warm scratch and warm
 // accumulators, DotTile and ScanMulti — store order, norm-sorted and

@@ -389,19 +389,12 @@ func scanShard(ctx context.Context, snaps []*shardSnap, q *flat.Store, ts *tileS
 	sc := scanScratchPool.Get().(*scanScratch)
 	defer scanScratchPool.Put(sc)
 	snap := snaps[si]
-	// One hit past k tells whether the k-th ties the next. A scan breaks
-	// score ties by row, and a shard's rows are not in ID order (an upsert
-	// appends, normscan sorts by norm), so rows passed over at the k-th
-	// score can precede the kept ones canonically (settleTies).
-	accs, err := snap.index.topKMulti(ctx, q, tlo, thi, k+1, o, sc)
+	o.ids = snap.ids
+	accs, err := snap.index.topKMulti(ctx, q, tlo, thi, k, o, sc)
 	if err != nil {
 		return err
 	}
-	for _, j := range ts.list(si, snap, accs, k) {
-		if err := ts.settleTies(ctx, snap, q, si, thi-tlo, tlo+j, j, k, o, sc); err != nil {
-			return err
-		}
-	}
+	ts.list(si, snap, accs, k)
 	if sx := o.Explain; sx != nil {
 		sx.Shard, sx.Records, sx.Live = si, len(snap.ids), len(snap.ids)-snap.dead.Count()
 		sx.Micros = time.Since(start).Microseconds()
@@ -410,51 +403,21 @@ func scanShard(ctx context.Context, snaps []*shardSnap, q *flat.Store, ts *tileS
 	return nil
 }
 
-// list leaves tile query j's first k hits in shard si's accs — local
-// rows of snap — in ts.lists[si·tn+j], in the shard's region of
+// list leaves tile query j's hits in shard si's accs — local rows of
+// snap, k at most — in ts.lists[si·tn+j], in the shard's region of
 // ts.trans: global IDs in the canonical (score descending, ID ascending)
 // order, so the merge's tie-breaking is exact whatever the ID-to-shard
-// assignment. It returns the queries whose k-th hit ties a (k+1)-th.
-func (ts *tileScratch) list(si int, snap *shardSnap, accs []flat.Acc, k int) (tied []int) {
+// assignment.
+func (ts *tileScratch) list(si int, snap *shardSnap, accs []flat.Acc, k int) {
 	tn := len(accs)
 	for j := range accs {
 		at := (si*tn + j) * k
-		hs, acc := ts.trans[at:at:at+k], accs[j].Hits()
-		if len(acc) > k && acc[k].Score == acc[k-1].Score {
-			tied = append(tied, j)
-		}
-		for _, h := range acc[:min(k, len(acc))] {
+		hs := ts.trans[at : at : at+k]
+		for _, h := range accs[j].Hits() {
 			hs = append(hs, Hit{ID: snap.ids[h.Index], Score: h.Score})
 		}
 		sortHitsCanonical(hs)
 		ts.lists[si*tn+j] = hs
-	}
-	return tied
-}
-
-// settleTies re-lists tile query j — row qj of q, of a tile of tn — whose
-// k-th hit in shard si ties the next: it scans the query alone, keeping
-// twice as many hits each time, until the last falls below the k-th
-// score or the shard runs out of rows, so every row at that score is in
-// hand, and lists the canonical first k of them.
-func (ts *tileScratch) settleTies(ctx context.Context, snap *shardSnap, q *flat.Store, si, tn, qj, j, k int, o TopKOpts, sc *scanScratch) error {
-	o.Explain, o.Keys = nil, nil // the sweep is accounted once; the keys are the tile's
-	list := &ts.lists[si*tn+j]
-	tie := (*list)[k-1].Score
-	for n := 2 * (k + 1); ; n = min(2*n, len(snap.ids)+1) {
-		accs, err := snap.index.topKMulti(ctx, q, qj, qj+1, n, o, sc)
-		if err != nil {
-			return err
-		}
-		if hs := accs[0].Hits(); len(hs) < n || hs[n-1].Score < tie {
-			all := make([]Hit, len(hs))
-			for i, h := range hs {
-				all[i] = Hit{ID: snap.ids[h.Index], Score: h.Score}
-			}
-			sortHitsCanonical(all)
-			*list = append((*list)[:0], all[:k]...)
-			return nil
-		}
 	}
 }
 

@@ -75,6 +75,9 @@ type TopKOpts struct {
 	// floor is the sweep's flat.ScanOpts.Floor: a join's cs, below which
 	// it reports nothing (zero, a search's, never prunes).
 	floor float64
+	// ids are the shard's record IDs, by store row: a score tie goes to
+	// the smaller ID (flat.Acc.SetKeys), whatever the rows' order.
+	ids []int
 }
 
 // IndexSpec selects and parameterizes the per-shard index engine. The
@@ -295,7 +298,7 @@ func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k 
 	if f32 {
 		fetch = k * min(f32Overfetch, math.MaxInt/k) // saturating
 	}
-	accs := sc.tile.Accs(qhi-qlo, fetch)
+	accs := keyed(sc.tile.Accs(qhi-qlo, fetch), o.ids)
 	so := flat.ScanOpts{Unsigned: o.Unsigned, Dead: ix.dead, Floor: o.floor}
 	st := &sc.stats
 	if o.Explain != nil {
@@ -328,9 +331,18 @@ func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k 
 		// The candidates are live rows of a scan that already checked q's
 		// dimension and polled ctx, so the loop needs neither.
 		accs[j].Reset(k)
+		accs[j].SetKeys(o.ids)
 		ix.fs.OfferRows(nil, &accs[j], qs.Row(qlo+j), rows, nil, o.Unsigned)
 	}
 	return accs, nil
+}
+
+// keyed breaks the ties of every acc by ids and returns accs.
+func keyed(accs []flat.Acc, ids []int) []flat.Acc {
+	for j := range accs {
+		accs[j].SetKeys(ids)
+	}
+	return accs
 }
 
 // alshIndex is the §4.1 structure (SIMPLE map + hyperplane banding):
@@ -399,7 +411,7 @@ func (ix *alshIndex) extend(fs *flat.Store) (*alshIndex, int) {
 // unsigned probes −q too, the paper's reduction.
 // o.Explain, if set, receives the candidates the tile verified.
 func (ix *alshIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, sc *scanScratch) ([]flat.Acc, error) {
-	accs := sc.tile.Accs(qhi-qlo, k)
+	accs := keyed(sc.tile.Accs(qhi-qlo, k), o.ids)
 	e := join.LSH{Index: ix.ix, Radius: ix.u, Keys: o.Keys}
 	var st flat.ScanStats
 	err := e.TopKTile(ctx, ix.fs, qs, qlo, qhi, accs, ix.dead, o.Unsigned, &st)

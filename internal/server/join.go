@@ -317,6 +317,7 @@ func walkTile(ctx context.Context, c *Collection, dsnaps []*shardSnap, ts *tileS
 	for i := range ts.walks {
 		ts.walks[i].Reset()
 		ts.accs[i].Reset(o.k)
+		ts.accs[i].SetKeys(dsnaps[i/nq].ids)
 	}
 	witness := func(j int) bool {
 		for si, sn := range dsnaps {
