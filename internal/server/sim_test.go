@@ -170,28 +170,52 @@ func (op simOp) String() string {
 type simGen struct {
 	rng   *xrand.RNG
 	cfg   simConfig
+	cells []string                  // the collections it writes, searches and joins
 	drawn map[string][]store.Record // by collection, since its last drop
 	next  int                       // the next fresh ID, in any collection
 	stock []vec.Vector              // queries drawn again and again, so that cached answers are served
 }
 
+// simScenario narrows the simulator to one claim: fix sets configuration
+// fields once they are drawn, cells are the collections a trace writes,
+// searches and joins (every one of simCells when empty), and kinds the op
+// kinds it holds (any when empty; an op of another kind is drawn again).
+// Its traces are ops long, simOps when 0.
+type simScenario struct {
+	fix          func(*simConfig)
+	cells, kinds string // space-separated
+	ops          int
+}
+
 // genSim draws a configuration — shards, cache, pool width, compaction,
-// durability, dimension — and a trace of n ops from seed: ingests,
+// durability, dimension — and a trace of n ops of sc from seed: ingests,
 // upserts, deletes of ids, of a 256-row block, of a shard and of a
 // collection, searches and batches, joins over every engine, compactions,
 // checkpoints, drops, clean reopens and kill -9 images.
-func genSim(seed uint64, n int) (simConfig, []simOp) {
+func genSim(seed uint64, n int, sc simScenario) (simConfig, []simOp) {
 	rng := xrand.New(seed)
 	cfg := simConfig{
 		shards: 1 + rng.Intn(4), workers: []int{0, 64}[rng.Intn(2)], dim: []int{4, 8, 17}[rng.Intn(3)],
 		cache: rng.Intn(2) == 0, compact: rng.Intn(2) == 0, durable: rng.Intn(2) == 0, plant: rng.Uint64(),
 	}
+	if sc.fix != nil {
+		sc.fix(&cfg)
+	}
 	_, h := cfg.planted()
-	g := &simGen{rng: rng, cfg: cfg, drawn: map[string][]store.Record{"h": h[simPlanted:]}, next: simPlanted + simNoise}
+	g := &simGen{rng: rng, cfg: cfg, cells: simCells, drawn: map[string][]store.Record{"h": h[simPlanted:]}, next: simPlanted + simNoise}
+	if sc.cells != "" {
+		g.cells = strings.Fields(sc.cells)
+	}
 	g.stock = []vec.Vector{ballVec(rng, cfg.dim), ballVec(rng, cfg.dim), ballVec(rng, cfg.dim)}
 	ops := make([]simOp, n)
 	for i := range ops {
 		ops[i] = g.op()
+		for sc.kinds != "" && !slices.Contains(strings.Fields(sc.kinds), ops[i].kind) {
+			ops[i] = g.op()
+		}
+		if ops[i].kind == "drop" {
+			delete(g.drawn, ops[i].col)
+		}
 	}
 	return cfg, ops
 }
@@ -234,7 +258,7 @@ func (g *simGen) fresh(col string, n int) []store.Record {
 
 func (g *simGen) op() simOp {
 	rng := g.rng
-	op := simOp{col: simCells[rng.Intn(len(simCells))]}
+	op := simOp{col: g.cells[rng.Intn(len(g.cells))]}
 	switch r := rng.Float64(); {
 	case g.drawn[op.col] == nil && r < 0.9, r < 0.14:
 		n := 1 + rng.Intn(40)
@@ -271,7 +295,6 @@ func (g *simGen) op() simOp {
 		op.kind = "checkpoint"
 	case r < 0.945:
 		op.kind = "drop"
-		delete(g.drawn, op.col)
 	case r < 0.97 && g.cfg.durable:
 		return simOp{kind: []string{"reopen", "crash"}[rng.Intn(2)]}
 	default:
@@ -325,8 +348,8 @@ func (g *simGen) join(data string) simOp {
 		S: []float64{0.5, 0.9}[rng.Intn(2)], C: []float64{1, 0.8}[rng.Intn(2)],
 		TopK: []int{0, 0, 1, 3}[rng.Intn(4)], ExcludeSelf: rng.Intn(2) == 0,
 	}
-	if c := rng.Intn(2 * (len(simCells) + 1)); c <= len(simCells) {
-		req.Queries = append(simCells, "hq")[c]
+	if c := rng.Intn(2 * (len(g.cells) + 1)); c <= len(g.cells) {
+		req.Queries = append(slices.Clone(g.cells), "hq")[c]
 	}
 	return simOp{kind: "join", join: req}
 }
@@ -675,10 +698,6 @@ func (r *simRun) checkJoin(op simOp) {
 	if resp.Compared < compared || req.Engine == "lsh" && resp.Compared != compared {
 		failf("%s: compared %d, the reference %d", op, resp.Compared, compared)
 	}
-	if len(want) > 0 {
-		if req.Data == req.Queries && req.ExcludeSelf {
-		}
-	}
 }
 
 // checkPlanted: the lsh join of h and hq meets Definition 1, signed and
@@ -756,8 +775,13 @@ func (r *simRun) pinned(name string, o TopKOpts) func() []Hit {
 
 // simulate runs the trace seed draws — only the ops keep names, when it
 // names any — and on a divergence fails t with the trace minimised.
-func simulate(t *testing.T, seed uint64, keep []byte) {
-	cfg, ops := genSim(seed, simOps)
+func simulate(t *testing.T, seed uint64, keep []byte) { simScenario{}.simulate(t, seed, keep) }
+
+func (sc simScenario) simulate(t *testing.T, seed uint64, keep []byte) {
+	if sc.ops == 0 {
+		sc.ops = simOps
+	}
+	cfg, ops := genSim(seed, sc.ops, sc)
 	var idx []int
 	for i := range ops {
 		if len(keep) == 0 || slices.Contains(keep, byte(i)) {
@@ -779,8 +803,12 @@ func simulate(t *testing.T, seed uint64, keep []byte) {
 	idx = minimize(idx[:at+1], func(idx []int) bool { _, err := run(idx); return err != nil })
 	_, err = run(idx)
 	var b strings.Builder
-	fmt.Fprintf(&b, "seed %#x (%+v): %v\nminimised from %d to %d ops; replay with f.Add(uint64(%#x), []byte{%s}):",
-		seed, cfg, err, n, len(idx), seed, strings.Join(strings.Fields(strings.Trim(fmt.Sprint(idx), "[]")), ", "))
+	kept := strings.Join(strings.Fields(strings.Trim(fmt.Sprint(idx), "[]")), ", ")
+	replay := fmt.Sprintf("f.Add(uint64(%#x), []byte{%s})", seed, kept)
+	if sc.fix != nil || sc.cells != "" || sc.kinds != "" {
+		replay = fmt.Sprintf("the scenario's simulate(t, %#x, []byte{%s})", seed, kept)
+	}
+	fmt.Fprintf(&b, "seed %#x (%+v): %v\nminimised from %d to %d ops; replay with %s:", seed, cfg, err, n, len(idx), replay)
 	for _, j := range idx {
 		fmt.Fprintf(&b, "\n  %3d  %s", j, ops[j])
 	}
@@ -833,7 +861,7 @@ func FuzzSim(f *testing.F) {
 // id is deleted and its collection then searched, the minimiser returns
 // the two-op core, which still fails.
 func TestSimMinimizer(t *testing.T) {
-	_, ops := genSim(3, 200)
+	_, ops := genSim(3, 200, simScenario{})
 	del := slices.IndexFunc(ops, func(op simOp) bool { return op.kind == "delete" })
 	col, x := ops[del].col, ops[del].ids[0]
 	fails := func(ops []simOp) bool {
@@ -849,4 +877,131 @@ func TestSimMinimizer(t *testing.T) {
 	if got := minimize(ops, fails); !fails(ops) || len(got) > 2 || !fails(got) {
 		t.Fatalf("minimised to %d ops %v, want the failing 2-op core", len(got), got)
 	}
+}
+
+// The tests below are the simulator narrowed to the claims of the scripted
+// tests it replaces, under their names: each fixes the configuration a
+// claim needs and draws only the collections and op kinds it concerns.
+// Every invariant is checked after every op, as in TestSim.
+
+// run simulates the trace of seed, simScenarioOps long, which must hold an
+// op of every kind sc names.
+func (sc simScenario) run(t *testing.T, seed uint64) {
+	t.Parallel()
+	sc.ops = simScenarioOps
+	_, ops := genSim(seed, sc.ops, sc)
+	for _, kind := range strings.Fields(sc.kinds) {
+		if !slices.ContainsFunc(ops, func(op simOp) bool { return op.kind == kind }) {
+			t.Fatalf("seed %d draws no %s op", seed, kind)
+		}
+	}
+	sc.simulate(t, seed, nil)
+}
+
+const simScenarioOps = 60
+
+func simDurable(c *simConfig) { c.durable = true }
+
+// TestMutationInterleavingMatchesReference: upserts, deletes and searches
+// answer as the model does, at one and three shards, in memory, with the
+// cache on and compaction off or aggressive.
+func TestMutationInterleavingMatchesReference(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		for _, compact := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/compact=%v", shards, compact), func(t *testing.T) {
+				fix := func(c *simConfig) { c.shards, c.compact, c.cache, c.durable = shards, compact, true, false }
+				simScenario{fix: fix, kinds: "ingest upsert delete search"}.run(t, 1)
+			})
+		}
+	}
+}
+
+// TestMutationDurableRestartAndCrash: the same over fsync=always, through
+// clean reopens and kill -9 images.
+func TestMutationDurableRestartAndCrash(t *testing.T) {
+	simScenario{fix: simDurable, kinds: "ingest upsert delete search reopen crash"}.run(t, 3)
+}
+
+// TestCacheNeverServesTombstonedHits: with the cache on, no answer after a
+// delete, a block delete or an upsert names a dead or a replaced row.
+func TestCacheNeverServesTombstonedHits(t *testing.T) {
+	simScenario{fix: func(c *simConfig) { c.cache = true }, kinds: "ingest upsert delete block search"}.run(t, 1)
+}
+
+// TestJoinSkipsTombstonedRows: after deletes and upserts a join pairs live
+// rows only.
+func TestJoinSkipsTombstonedRows(t *testing.T) {
+	simScenario{kinds: "ingest upsert delete join"}.run(t, 1)
+}
+
+// TestALSHMutationsMatchFreshBuild: an alsh collection, written to and
+// compacted, answers as a fresh build of its live rows.
+func TestALSHMutationsMatchFreshBuild(t *testing.T) {
+	simScenario{cells: "h", kinds: "ingest upsert delete compact search"}.run(t, 1)
+}
+
+// TestServedLSHJoinMeetsDefinition1: the planted lsh join meets Definition
+// 1 after every write, compaction and reopen of its alsh collection.
+func TestServedLSHJoinMeetsDefinition1(t *testing.T) {
+	simScenario{fix: simDurable, cells: "h", kinds: "ingest upsert delete compact join reopen crash"}.run(t, 5)
+}
+
+// TestJoinTombstoneGrid: joins over every engine, mode and variant, self
+// and two-collection, beside each pattern of dead rows, half the patterns
+// on a pool wider than a join has tiles.
+func TestJoinTombstoneGrid(t *testing.T) {
+	for i, pat := range [][2]string{{"none", ""}, {"scattered", "delete"}, {"upserts", "upsert"}, {"block", "block"}, {"shard", "shard"}, {"collection", "all"}} {
+		t.Run(pat[0], func(t *testing.T) {
+			fix := func(c *simConfig) { c.workers = 64 * (i % 2) }
+			simScenario{fix: fix, kinds: "ingest join " + pat[1]}.run(t, 1)
+		})
+	}
+}
+
+// TestBatchSearchMatchesPerQuery: every query of a batch answers as it
+// does alone, or as the model does, over tombstones left uncompacted.
+func TestBatchSearchMatchesPerQuery(t *testing.T) {
+	simScenario{fix: func(c *simConfig) { c.compact = false }, kinds: "ingest upsert delete search"}.run(t, 1)
+}
+
+// TestPrecisionTierMutations: the f32 and int8 tiers answer as the model
+// does after deletes and upserts.
+func TestPrecisionTierMutations(t *testing.T) {
+	simScenario{cells: "e32 n32 e8", kinds: "ingest upsert delete search"}.run(t, 1)
+}
+
+// TestPrecisionTierBatchMatchesSingle: the f32 and int8 tiers answer each
+// query of a batch as they answer it alone.
+func TestPrecisionTierBatchMatchesSingle(t *testing.T) {
+	simScenario{cells: "e32 n32 e8", kinds: "ingest search"}.run(t, 1)
+}
+
+// TestServedJoinMatchesBruteForce: on three shards, every engine, mode and
+// variant pairs as the brute force does.
+func TestServedJoinMatchesBruteForce(t *testing.T) {
+	simScenario{fix: func(c *simConfig) { c.shards = 3 }, kinds: "ingest join"}.run(t, 1)
+}
+
+// TestCrashRecoversAcknowledgedWrites: a kill -9 image of an fsync=always
+// server holds every acknowledged write.
+func TestCrashRecoversAcknowledgedWrites(t *testing.T) {
+	simScenario{fix: simDurable, kinds: "ingest upsert delete crash search"}.run(t, 1)
+}
+
+// TestCheckpointFromShardsBitIdentical: a checkpoint written from shards
+// holding tombstones and reordered rows recovers, from a kill -9 image, a
+// collection answering as the model does, at every precision.
+func TestCheckpointFromShardsBitIdentical(t *testing.T) {
+	for _, tier := range [][2]string{{"f64", "e64 n64"}, {"f32", "e32 n32"}, {"int8", "e8"}} {
+		t.Run(tier[0], func(t *testing.T) {
+			simScenario{fix: simDurable, cells: tier[1], kinds: "ingest upsert delete checkpoint crash search"}.run(t, 1)
+		})
+	}
+}
+
+// TestInt8CrashRecoveryIdenticalAnswers: an int8 collection keeps its
+// precision and its answers through checkpoints, reopens and kill -9
+// images.
+func TestInt8CrashRecoveryIdenticalAnswers(t *testing.T) {
+	simScenario{fix: simDurable, cells: "e8", kinds: "ingest upsert delete checkpoint reopen crash search"}.run(t, 1)
 }
