@@ -561,11 +561,13 @@ func scoreMask(mask []uint64, scores []float64, lo float64, unsigned bool) []uin
 // mask is nil. Each is scored float64(dot)·combined as scoreBlock scores
 // it (|…| when unsigned). A dead row, or one below a's bar less slack, is
 // skipped; the rest are listed in cands, and offered to a unless a is
-// full and the score is at or under its k-th best, as offerScores skips
-// it. A clear bit means (tileFloor, scoreMask) a score below the bar
-// less slack, which only rises: a row skipped here too. So a sees
-// offerScores's offers, in its order. b is a store-order block: an int8
-// view is never norm-sorted.
+// full and the score is at or under its k-th best. A clear bit means
+// (tileFloor, scoreMask) a score below the bar less slack, which only
+// rises: a row skipped here too. a only sets the certificate's bar, whose
+// value no tie at it changes, so skipping ties is safe even when a is
+// keyed (Acc.SetKeys): they stay in cands, and the re-rank of cands
+// decides their order. b is a store-order block: an int8 view is never
+// norm-sorted.
 func offerCodes[D int32 | float64](b block, a *Acc, cands *[]Hit, dots []D, mask []uint64, combined, slack float64) {
 	full, thr := a.Full(), a.Threshold()
 	lo := thr - slack

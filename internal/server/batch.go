@@ -407,7 +407,8 @@ func scanShard(ctx context.Context, snaps []*shardSnap, q *flat.Store, ts *tileS
 // snap, k at most — in ts.lists[si·tn+j], in the shard's region of
 // ts.trans: global IDs in the canonical (score descending, ID ascending)
 // order, so the merge's tie-breaking is exact whatever the ID-to-shard
-// assignment.
+// assignment. The accs are keyed by snap.ids (flat.Acc.SetKeys), so they
+// emit that order as they stand.
 func (ts *tileScratch) list(si int, snap *shardSnap, accs []flat.Acc, k int) {
 	tn := len(accs)
 	for j := range accs {
@@ -416,7 +417,6 @@ func (ts *tileScratch) list(si int, snap *shardSnap, accs []flat.Acc, k int) {
 		for _, h := range accs[j].Hits() {
 			hs = append(hs, Hit{ID: snap.ids[h.Index], Score: h.Score})
 		}
-		sortHitsCanonical(hs)
 		ts.lists[si*tn+j] = hs
 	}
 }

@@ -29,22 +29,35 @@ import (
 // value ≥ cs, under the canonical (query ID asc; value desc; data ID
 // asc) ordering, optionally excluding identity pairs.
 func bruteJoin(data, queries []store.Record, cs float64, unsigned bool, k int, excludeSelf bool) []JoinPair {
-	var out []JoinPair
+	if k <= 0 {
+		k = 1
+	}
+	var out, cands []JoinPair
 	qs := slices.SortedFunc(slices.Values(queries), func(a, b store.Record) int { return cmp.Compare(a.ID, b.ID) })
 	for _, q := range qs {
-		acc := flat.NewAcc(max(k, 1))
+		cands = cands[:0]
 		for _, p := range data {
+			if excludeSelf && p.ID == q.ID {
+				continue
+			}
 			v := vec.Dot(p.Vec, q.Vec)
 			if unsigned && v < 0 {
 				v = -v
 			}
-			if v >= cs && (!excludeSelf || p.ID != q.ID) {
-				acc.Offer(p.ID, v)
+			if v >= cs {
+				cands = append(cands, JoinPair{DataID: p.ID, QueryID: q.ID, Value: v})
 			}
 		}
-		for _, h := range acc.Hits() {
-			out = append(out, JoinPair{DataID: h.Index, QueryID: q.ID, Value: h.Score})
+		slices.SortFunc(cands, func(a, b JoinPair) int {
+			if a.Value != b.Value {
+				return cmp.Compare(b.Value, a.Value)
+			}
+			return cmp.Compare(a.DataID, b.DataID)
+		})
+		if len(cands) > k {
+			cands = cands[:k]
 		}
+		out = append(out, cands...)
 	}
 	return out
 }
@@ -85,6 +98,43 @@ func joinWorkload(t *testing.T, s *Server, nd, nq, d int, seed uint64) (data, qu
 		t.Fatalf("ingest queries: %v", err)
 	}
 	return data, queries
+}
+
+// TestServedJoinMatchesBruteForce drives Server.Join across engines,
+// modes and variants on multi-shard collections and compares the pair
+// lists against the record-space brute force.
+func TestServedJoinMatchesBruteForce(t *testing.T) {
+	s := New(Config{DefaultShards: 4})
+	defer s.Close()
+	data, queries := joinWorkload(t, s, 90, 30, 8, 21)
+	// normpruned sweeps the norm-sorted view of a normscan collection.
+	if _, _, err := s.Ingest("sorted", &IndexSpec{Kind: KindNormScan}, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ engine, data string }{{"exact", "data"}, {"normpruned", "sorted"}} {
+		engine := c.engine
+		for _, unsigned := range []bool{false, true} {
+			for _, topk := range []int{0, 3} {
+				variant := "signed"
+				if unsigned {
+					variant = "unsigned"
+				}
+				label := fmt.Sprintf("%s/%s/topk=%d", engine, variant, topk)
+				resp, err := s.Join(JoinRequest{
+					Data: c.data, Queries: "queries",
+					Engine: engine, Variant: variant, S: 0.6, TopK: topk,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want := bruteJoin(data, queries, 0.6, unsigned, topk, false)
+				samePairs(t, label, want, resp.Pairs)
+				if resp.Compared != int64(len(data))*int64(len(queries)) && engine == "exact" {
+					t.Fatalf("%s: compared %d, want %d", label, resp.Compared, len(data)*len(queries))
+				}
+			}
+		}
+	}
 }
 
 // TestJoinPathEndpoint exercises POST /collections/{a}/join/{b} end to

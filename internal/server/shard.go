@@ -1,11 +1,9 @@
 package server
 
 import (
-	"cmp"
 	"fmt"
 	"log/slog"
 	"runtime/debug"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/flat"
@@ -340,23 +338,6 @@ func (s *shard) commit(snap *shardSnap, renumbered bool) {
 		close(done)
 	}
 	<-done
-}
-
-// sortHitsCanonical sorts hits into the canonical (score descending,
-// ID ascending) order without allocating (slices.SortFunc, unlike
-// sort.Slice, needs no reflection). All (score, ID) keys within one
-// shard are distinct — IDs are unique — so the non-stable sort is
-// deterministic.
-func sortHitsCanonical(hs []Hit) {
-	slices.SortFunc(hs, func(a, b Hit) int {
-		if a.Score != b.Score {
-			if a.Score > b.Score {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
 }
 
 // size returns the current record count.
