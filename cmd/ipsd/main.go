@@ -24,10 +24,12 @@
 // it exceeds -checkpoint-bytes, and a restart recovers every
 // collection from its manifest, newest valid segment and WAL tail.
 //
-// Collections created with "precision": "f32" or "int8" store a
-// quantized scan copy alongside the exact f64 rows. An int8 search
-// re-ranks the candidates its quantization error bound certifies
-// through the f64 rows, so it answers as the f64 exact scan does.
+// Collections created with "precision": "int8" store a quantized scan
+// copy alongside the exact f64 rows. An int8 search re-ranks the
+// candidates its quantization error bound certifies through the f64
+// rows, so it answers as the f64 exact scan does. "f32" is no longer a
+// precision: creating such a collection is refused, and one in a data
+// directory reopens as f64 of the same kind.
 //
 // -trace (on by default) gives every request a trace: W3C traceparent
 // headers are honored and echoed, per-stage timings feed the

@@ -21,10 +21,8 @@
 // the tracker's live set, so a hit on a deleted id or a stale vector
 // fails the run.
 //
-// -precision selects the collection's storage tier: f32 rounds the
-// local ground truth to binary32 and forces re-ranking, so the verified
-// pass still demands bit-identical f64 answers; int8 answers, which the
-// server re-ranks from certified candidates, must be the f64 exact
+// -precision selects the collection's storage tier: int8 answers, which
+// the server re-ranks from certified candidates, must be the f64 exact
 // scan's too.
 //
 // -skip-ingest assumes the server already holds the workload (e.g.
@@ -113,8 +111,7 @@ func main() {
 	chunk := flag.Int("chunk", 20000, "records per ingest request")
 	shards := flag.Int("shards", 4, "shards for the collection")
 	index := flag.String("index", "exact", "index kind: exact | normscan (the kinds whose answers an exact scan verifies)")
-	precision := flag.String("precision", "f64", "collection storage precision: f64 | f32 | int8")
-	rerank := flag.Bool("rerank", false, "re-rank candidates through the exact f64 store (implied for f32/int8 verification)")
+	precision := flag.String("precision", "f64", "collection storage precision: f64 | int8")
 	sigma := flag.Float64("sigma", 0.5, "latent-factor popularity skew")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	verify := flag.Bool("verify", true, "check sharded results against a local exact scan")
@@ -144,24 +141,20 @@ func main() {
 		log.Fatalf("loadgen: -index %q is not verifiable here: every answer is checked against an exact scan, so -index takes exact or normscan (bench/'s planted-alsh workload measures alsh against its recall and Definition 1 bounds)", *index)
 	}
 	switch *precision {
-	case server.PrecisionF64, server.PrecisionF32, server.PrecisionI8:
+	case server.PrecisionF64, server.PrecisionI8:
 	default:
-		log.Fatalf("loadgen: unknown -precision %q (want f64, f32 or int8)", *precision)
+		log.Fatalf("loadgen: unknown -precision %q (want f64 or int8)", *precision)
 	}
 	// The spec omits the default precision so requests (and durable
-	// manifests) stay byte-identical to pre-precision runs; re-ranking
-	// is forced on for f32 so the verification below can demand exact
-	// f64 answers (int8 always re-ranks server-side).
+	// manifests) stay byte-identical to pre-precision runs.
 	specPrecision := *precision
 	if specPrecision == server.PrecisionF64 {
 		specPrecision = ""
 	}
-	doRerank := *rerank || *precision != server.PrecisionF64
 	if *slo {
 		os.Exit(runSLO(sloFlags{
 			addr: *addr, n: *n, d: *d, k: *k,
-			index: *index, shards: *shards, seed: *seed,
-			precision: specPrecision, rerank: doRerank,
+			index: *index, shards: *shards, seed: *seed, precision: specPrecision,
 			tenants: *sloTenants, zipfA: *zipfA, timeoutMS: *sloTimeoutMS,
 			steady: *sloSteady, overload: *sloOverload,
 			clients: *sloClients, overloadClients: *sloOverloadClients,
@@ -201,14 +194,6 @@ func main() {
 	fmt.Printf("generating latent-factor workload: n=%d q=%d d=%d sigma=%g\n", *n, *q, *d, *sigma)
 	lf := dataset.NewLatentFactor(rng, *n, *q, *d, *sigma)
 	lf.ScaleItemsToUnitBall()
-	// An f32 collection rounds every ingested vector to binary32, so the
-	// local ground truth must be computed over the same rounded rows.
-	round := *precision == server.PrecisionF32
-	if round {
-		for _, v := range lf.Items {
-			roundVec32(v)
-		}
-	}
 
 	client := &http.Client{Timeout: 5 * time.Minute}
 	collection := "bench"
@@ -258,7 +243,7 @@ func main() {
 	expectedRecords := *n
 	if *mutatePass > 0 {
 		var overlay map[int][]float64
-		passPlan, overlay = mutationPlan(*seed+0xfeed, *n, *d, *mutatePass, *zipfA, round)
+		passPlan, overlay = mutationPlan(*seed+0xfeed, *n, *d, *mutatePass, *zipfA)
 		for _, v := range overlay {
 			if v == nil {
 				expectedRecords--
@@ -321,7 +306,7 @@ func main() {
 				var resp server.SearchResponse
 				err := timed("POST /collections/{name}/search (mixed)", http.MethodPost,
 					base+"/collections/"+collection+"/search",
-					server.SearchRequest{Queries: queries, K: *k, Rerank: doRerank}, &resp)
+					server.SearchRequest{Queries: queries, K: *k}, &resp)
 				if err != nil {
 					log.Fatalf("loadgen: mixed search: %v", err)
 				}
@@ -392,9 +377,6 @@ func main() {
 							for id := range batch {
 								id := id
 								v := mrng.NormalVec(*d)
-								if round {
-									roundVec32(v)
-								}
 								recs = append(recs, server.RecordJSON{ID: &id, Vec: v})
 								stripe[id] = v
 							}
@@ -515,7 +497,7 @@ func main() {
 		t0 := time.Now()
 		err := timed("POST /collections/{name}/search", http.MethodPost,
 			base+"/collections/"+collection+"/search",
-			server.SearchRequest{Queries: queries, K: *k, Rerank: doRerank}, &resp)
+			server.SearchRequest{Queries: queries, K: *k}, &resp)
 		if err != nil {
 			log.Fatalf("loadgen: search [%d,%d): %v", lo, hi, err)
 		}
@@ -581,8 +563,7 @@ func main() {
 		return
 	}
 
-	// Verify: at every precision — for f32, whose re-ranked answers must
-	// equal the f64 scan over the rounded rows; for int8, whose certified
+	// Verify: at every precision — for int8 too, whose certified
 	// candidates hold the f64 top k — the sharded answers must be
 	// identical to the unsharded exact scan (single-shard ground truth
 	// computed locally over the live set; after a mutation storm, the
@@ -635,14 +616,6 @@ func main() {
 	fmt.Printf("verified: all %d sharded top-%d answers identical to the single-shard exact scan\n", *q, *k)
 }
 
-// roundVec32 rounds v to binary32 in place, mirroring what an f32
-// collection does at ingest.
-func roundVec32(v []float64) {
-	for i, x := range v {
-		v[i] = float64(float32(x))
-	}
-}
-
 // mutOp is one precomputed mutation batch: recs non-nil for an
 // upsert, ids for a delete.
 type mutOp struct {
@@ -657,7 +630,7 @@ type mutOp struct {
 // the flags alone, which is what makes a kill/restart cycle checkable
 // end to end. Batch ids are sorted before the per-id vectors are
 // drawn, so map iteration order cannot perturb the RNG stream.
-func mutationPlan(seed uint64, n, d, ops int, a float64, round bool) ([]mutOp, map[int][]float64) {
+func mutationPlan(seed uint64, n, d, ops int, a float64) ([]mutOp, map[int][]float64) {
 	rng := xrand.New(seed)
 	zipf := xrand.NewZipf(rng, n, a)
 	overlay := map[int][]float64{}
@@ -678,9 +651,6 @@ func mutationPlan(seed uint64, n, d, ops int, a float64, round bool) ([]mutOp, m
 			for i, id := range ids {
 				id := id
 				v := rng.NormalVec(d)
-				if round {
-					roundVec32(v)
-				}
 				recs[i] = server.RecordJSON{ID: &id, Vec: v}
 				overlay[id] = v
 			}

@@ -45,7 +45,6 @@ type sloFlags struct {
 	n, d, k         int
 	index           string
 	precision       string // "" = f64
-	rerank          bool
 	shards          int
 	seed            uint64
 	tenants         int
@@ -295,7 +294,7 @@ func runSLO(f sloFlags) int {
 				route = "search"
 				q := lf.Users[wrng.Intn(len(lf.Users))]
 				status, ra, tid, err = sloCall(client, http.MethodPost, col+"/search",
-					server.SearchRequest{Q: q, K: f.k, TimeoutMS: f.timeoutMS, Rerank: f.rerank})
+					server.SearchRequest{Q: q, K: f.k, TimeoutMS: f.timeoutMS})
 			case r < 0.85: // batched search
 				route = "search_batch"
 				qs := make([][]float64, 16)
@@ -303,7 +302,7 @@ func runSLO(f sloFlags) int {
 					qs[i] = lf.Users[wrng.Intn(len(lf.Users))]
 				}
 				status, ra, tid, err = sloCall(client, http.MethodPost, col+"/search",
-					server.SearchRequest{Queries: qs, K: f.k, TimeoutMS: f.timeoutMS, Rerank: f.rerank})
+					server.SearchRequest{Queries: qs, K: f.k, TimeoutMS: f.timeoutMS})
 			case r < 0.95: // upsert a handful of hot ids
 				route = "upsert"
 				nrec := 1 + wrng.Intn(4)

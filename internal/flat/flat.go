@@ -564,9 +564,6 @@ func (s *Store) bind(q vec.Vector, bq *query) { bq.f64 = q }
 
 func (s *Store) scoreBlock(bq *query, lo, hi int, out []float64) { s.dotRange(bq.f64, lo, hi, out) }
 
-// bound implements normSorter: Cauchy–Schwarz, ‖p‖·‖q‖ ≥ |pᵀq|.
-func (s *Store) bound(bq *query) float64 { return f64Bound(vec.Norm(bq.f64), s.dim) }
-
 // f64Bound is the norm bound of a query of the given norm against
 // d-dimensional f64 rows. Computed, a dot product and the product of the
 // two norms are each off by up to ≈ d·2⁻⁵³ relative, so between parallel
@@ -577,7 +574,9 @@ func (s *Store) bound(bq *query) float64 { return f64Bound(vec.Norm(bq.f64), s.d
 // underflowed to 0 bounds nothing.)
 func f64Bound(qnorm float64, d int) float64 { return qnorm * (1 + float64(d+4)*0x1p-52) }
 
-func (s *Store) sortedRun(fs *Store, from int) run {
+// sortedRun returns rows [from, fs.Len()) of fs as a norm-sorted run: a
+// private physical copy in (norm descending, index ascending) order.
+func sortedRun(fs *Store, from int) run {
 	re := newStore(fs.dim)
 	ids := sortByNorm(&fs.data, &fs.norms, from, &re.data, &re.norms)
 	return run{t: re, ids: ids, norms: &re.norms, off: from}
@@ -617,7 +616,7 @@ type NormSorted struct {
 // NewNormSorted builds the reordered view in O(n·d): every row of s in
 // one run (View.Extend adds the second).
 func NewNormSorted(s *Store) *NormSorted {
-	return &NormSorted{View{run: s.sortedRun(s, 0)}}
+	return &NormSorted{View{run: sortedRun(s, 0)}}
 }
 
 // TopK is Scan with positional arguments and no deadline, plus the

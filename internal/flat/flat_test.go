@@ -241,7 +241,7 @@ func TestNormSortedOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, v := range map[string]View{"f64": NewNormSorted(s).View, "f32": NewStore32(s).NormSorted()} {
+		for name, v := range map[string]View{"f64": NewNormSorted(s).View} {
 			norm := func(i int) float64 { return v.norms.at(i) } // the tier's own, in view order
 			seen := make([]bool, n)
 			for phys, orig := range physPerm(v) {

@@ -372,7 +372,7 @@ func FuzzDot32Range(f *testing.F) {
 		}
 		s := newStore32(d)
 		for s.Len() < n {
-			rows, _ := s.grow(n - s.Len())
+			rows := s.data.grow(n - s.Len())
 			for i := range rows {
 				rows[i] = next()
 			}

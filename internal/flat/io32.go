@@ -10,7 +10,7 @@ import (
 // Binary block formats for the quantized stores, mirroring the Store
 // block (io.go) with tier-specific payloads. Everything little-endian:
 //
-//	FLATBLK2 (Store32)
+//	FLATBLK2 (Store32; decoded only, from older data directories)
 //	  magic  [8]byte  "FLATBLK2"
 //	  dim    uint32
 //	  count  uint64
@@ -25,36 +25,14 @@ import (
 //	  codes  count*dim int8
 //	  crc    uint32   CRC-32C (Castagnoli) over everything above
 //
-// As with FLATBLK1, norms are recomputed on decode (by the same
-// norms32 the builder uses), every length is validated before any
-// allocation, and the checksum must match — torn or bit-flipped input
-// yields an error, never a panic or a corrupt store.
+// As with FLATBLK1, every length is validated before any allocation,
+// and the checksum must match — torn or bit-flipped input yields an
+// error, never a panic or a corrupt store.
 
 var (
 	block32Magic = [8]byte{'F', 'L', 'A', 'T', 'B', 'L', 'K', '2'}
 	blockI8Magic = [8]byte{'F', 'L', 'A', 'T', 'B', 'L', 'K', '3'}
 )
-
-// EncodedSize returns the exact byte length AppendBinary will emit.
-func (s *Store32) EncodedSize() int {
-	return blockHeaderSize + s.Len()*s.dim*4 + 4
-}
-
-// AppendBinary appends the store's binary block encoding to buf and
-// returns the extended slice.
-func (s *Store32) AppendBinary(buf []byte) []byte {
-	start := len(buf)
-	buf = append(buf, block32Magic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.dim))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Len()))
-	for _, ch := range s.data.chunks {
-		for _, v := range ch {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-		}
-	}
-	crc := crc32.Checksum(buf[start:], castagnoli)
-	return binary.LittleEndian.AppendUint32(buf, crc)
-}
 
 // DecodeStore32 parses one FLATBLK2 block from the front of data,
 // returning the decoded store and the number of bytes consumed.
@@ -88,15 +66,12 @@ func DecodeStore32(data []byte) (*Store32, int, error) {
 	}
 	s := newStore32(int(dim))
 	raw := data[blockHeaderSize:]
-	for i := 0; i < int(count); {
-		rows, norms := s.grow(int(count) - i)
+	for i := 0; i < n; {
+		rows := s.data.grow((n - i) / s.dim)
 		for j := range rows {
-			rows[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[(i*s.dim+j)*4:]))
+			rows[j] = math.Float32frombits(binary.LittleEndian.Uint32(raw[(i+j)*4:]))
 		}
-		for r := range norms {
-			norms[r] = norm64of32(rows[r*s.dim : (r+1)*s.dim])
-		}
-		i += len(norms)
+		i += len(rows)
 	}
 	return s, total, nil
 }

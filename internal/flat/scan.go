@@ -106,18 +106,6 @@ type tier interface {
 	extend(fs *Store) (tier, int)
 }
 
-// normSorter is the capability a norm-sorted view needs from its tier
-// (Store and Store32 have it).
-type normSorter interface {
-	// bound returns B such that every computed score satisfies
-	// |score(row)| ≤ ‖row‖·B, rounding included.
-	bound(bq *query) float64
-	// sortedRun returns rows [from, fs.Len()) of fs as a norm-sorted run
-	// of this tier's kind: a private physical copy in (norm descending,
-	// index ascending) order.
-	sortedRun(fs *Store, from int) run
-}
-
 // tiler is the optional multi-query kernel, what lets ScanMulti sweep
 // the rows once for a tile of queries. bindTile readies query rows
 // [qlo, qhi) of qs for offerTile, once per run; offerTile scores the
@@ -153,9 +141,9 @@ type run struct {
 }
 
 // View is a scannable arrangement of one tier's rows: the rows in store
-// order (Store.View, Store32.View, StoreI8.View) or physically
-// reordered by descending norm for early-terminating scans
-// (NewNormSorted, Store32.NormSorted). Hits always carry store-order row
+// order (Store.View, Store32.View, StoreI8.View) or, f64 rows only,
+// physically reordered by descending norm for early-terminating scans
+// (NewNormSorted). Hits always carry store-order row
 // indexes. A View is a small value; copies scan the same rows.
 //
 // A norm-sorted view is one or two norm-sorted runs, each swept under
@@ -229,7 +217,7 @@ func (v View) Extend(fs *Store) (ext View, copied int, ok bool) {
 	if fs.Len()-base >= chunkRows {
 		return View{}, 0, false
 	}
-	return View{run: v.run, tail: v.t.(normSorter).sortedRun(fs, base)}, fs.Len() - base, true
+	return View{run: v.run, tail: sortedRun(fs, base)}, fs.Len() - base, true
 }
 
 // sortByNorm fills the empty columns dst/dstNorms with the rows of
@@ -338,7 +326,7 @@ func (s *sweep) bind(q vec.Vector, bq *query) {
 	s.bq = bq
 	s.t.bind(q, bq)
 	if s.Sorted() {
-		s.bound = s.t.(normSorter).bound(bq)
+		s.bound = f64Bound(vec.Norm(q), s.Dim()) // Cauchy–Schwarz: ‖p‖·‖q‖ ≥ |pᵀq|
 	}
 }
 

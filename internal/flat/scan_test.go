@@ -81,19 +81,10 @@ var gridViews = []gridView{
 		s := NewStore32(fs)
 		return s.View(), func(q vec.Vector, out []float64) error { return s.DotRange(q, 0, s.Len(), out) }
 	}},
-	{"f32/sorted", func(fs *Store) (View, func(vec.Vector, []float64) error) {
-		s := NewStore32(fs)
-		return s.NormSorted(), func(q vec.Vector, out []float64) error { return s.DotRange(q, 0, s.Len(), out) }
-	}},
 	// The norm-sorted views as a write leaves them: a base run and a tail
 	// run (the last third of the rows, a chunk at most), extended twice.
 	{"f64/sorted+tail", func(fs *Store) (View, func(vec.Vector, []float64) error) {
 		return withTail(fs, func(p *Store) View { return NewNormSorted(p).View }), dotKernelScores(fs)
-	}},
-	{"f32/sorted+tail", func(fs *Store) (View, func(vec.Vector, []float64) error) {
-		s := NewStore32(fs)
-		return withTail(fs, func(p *Store) View { return NewStore32(p).NormSorted() }),
-			func(q vec.Vector, out []float64) error { return s.DotRange(q, 0, s.Len(), out) }
 	}},
 	{"int8/row", func(fs *Store) (View, func(vec.Vector, []float64) error) {
 		s := NewStoreI8(fs)
@@ -323,12 +314,6 @@ func (c cancelTier) scoreBlock(bq *query, lo, hi int, out []float64) {
 	c.p.begin()
 	c.tier.scoreBlock(bq, lo, hi, out)
 	c.p.tick(lo)
-}
-
-func (c cancelTier) bound(bq *query) float64 { return c.tier.(normSorter).bound(bq) }
-
-func (c cancelTier) sortedRun(fs *Store, from int) run {
-	return c.tier.(normSorter).sortedRun(fs, from)
 }
 
 // cancelTileTier is cancelTier over a tier with a tile kernel.
@@ -565,12 +550,6 @@ func TestStore32TopKMatchesReference(t *testing.T) {
 	})
 }
 
-// TestNormSorted32MatchesFlat is the f32 norm-sorted slice: the inflated
-// Cauchy–Schwarz bound never prunes a row the f32 scores rank in.
-func TestNormSorted32MatchesFlat(t *testing.T) {
-	runScanGrid(t, viewsOf("f32/sorted"), []gridCtx{ctxBackground})
-}
-
 // TestStoreI8TopKMatchesReference is the int8 slice, asm gate both ways.
 func TestStoreI8TopKMatchesReference(t *testing.T) {
 	withQuantAsm(t, func(t *testing.T, _ bool) {
@@ -638,7 +617,7 @@ func TestNormSortedStatsMatchScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := vec.Vector(rng.NormalVec(d))
-	for _, v := range []View{NewNormSorted(fs).View, NewStore32(fs).NormSorted()} {
+	for _, v := range []View{NewNormSorted(fs).View} {
 		var st ScanStats
 		if _, err := v.Scan(context.Background(), q, ScanOpts{K: k, Stats: &st}); err != nil {
 			t.Fatal(err)
@@ -724,7 +703,6 @@ type sortedTier struct {
 
 var sortedTiers = []sortedTier{
 	{"f64", func(fs *Store) View { return NewNormSorted(fs).View }, func(fs *Store) View { return fs.View() }},
-	{"f32", func(fs *Store) View { return NewStore32(fs).NormSorted() }, func(fs *Store) View { return NewStore32(fs).View() }},
 }
 
 // hitsAbove is the prefix of hs scoring at least floor: what a scan
@@ -805,9 +783,7 @@ func checkRuns(t testing.TB, cell string, v, ref View, qs *Store, nq int, o Scan
 // each run of v is cut once the bar stands at bar: the first row whose
 // norm bound is below it, the two before and the one after.
 func cutRows(v View, q vec.Vector, bar float64) *Tombstones {
-	var bq query
-	v.t.bind(q, &bq)
-	bound := v.t.(normSorter).bound(&bq)
+	bound := f64Bound(vec.Norm(q), v.Dim())
 	dead := NewTombstones(v.Len())
 	for _, r := range []run{v.run, v.tail} {
 		if r.t == nil {

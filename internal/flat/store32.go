@@ -13,37 +13,30 @@
 // the two are bit-identical and the dispatch gate (useQuantAsm) is free
 // to differ across machines without changing answers.
 //
-// Scores are f32-accurate, not exact: callers that need the f64
-// ordering re-rank a widened candidate set through the retained f64
-// store (the serving layer's rerank pipeline). The norm-sorted view
-// keeps the Cauchy–Schwarz early exit sound under rounding by inflating
-// the bound with a d-scaled epsilon before pruning.
+// Scores are f32-accurate, not exact. The server no longer serves this
+// tier: it remains for the f32 kernel's bandwidth measurement and for
+// decoding the f32 segments older data directories hold (DecodeStore32,
+// ToStore).
 package flat
 
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/vec"
 )
 
 // Store32 is the float32 mirror of a Store: row i is d contiguous
-// float32s inside one chunk, norms caches the float64 Euclidean norm of
-// the widened row (it drives the norm-pruned scan's bound, so it is
-// kept at full precision). It grows only through Extend, in step with
+// float32s inside one chunk. It grows only through Extend, in step with
 // the store it mirrors.
 type Store32 struct {
-	dim   int
-	data  chunked[float32]
-	norms chunked[float64]
+	dim  int
+	data chunked[float32]
 }
 
 // NewStore32 builds the float32 view of s by rounding every element to
-// the nearest binary32. When the source rows are already binary32
-// representable (the f32 ingest path rounds before the WAL), the
-// conversion is lossless and the view decodes bit-identically from a
-// segment round trip.
+// the nearest binary32; rows that are already binary32 representable
+// convert losslessly.
 func NewStore32(s *Store) *Store32 {
 	q := newStore32(s.dim)
 	q.convert(s, 0)
@@ -52,7 +45,7 @@ func NewStore32(s *Store) *Store32 {
 
 func newStore32(d int) *Store32 {
 	q := &Store32{dim: d}
-	q.data.width, q.norms.width = d, 1
+	q.data.width = d
 	return q
 }
 
@@ -63,7 +56,6 @@ func newStore32(d int) *Store32 {
 func (s *Store32) Extend(fs *Store) *Store32 {
 	q := &Store32{dim: s.dim}
 	s.data.share(&q.data)
-	s.norms.share(&q.norms)
 	q.convert(fs, s.Len())
 	return q
 }
@@ -72,22 +64,14 @@ func (s *Store32) Extend(fs *Store) *Store32 {
 func (q *Store32) convert(fs *Store, from int) {
 	d := q.dim
 	for i := from; i < fs.Len(); {
-		rows, norms := q.grow(fs.Len() - i)
-		for r := range norms {
-			dst := rows[r*d : (r+1)*d]
+		rows := q.data.grow(fs.Len() - i)
+		for r := 0; r < len(rows)/d; r++ {
 			for j, x := range fs.Row(i + r) {
-				dst[j] = float32(x)
+				rows[r*d+j] = float32(x)
 			}
-			norms[r] = norm64of32(dst)
 		}
-		i += len(norms)
+		i += len(rows) / d
 	}
-}
-
-// grow extends both columns by the same k ≤ want rows (see Store.grow).
-func (s *Store32) grow(want int) (rows []float32, norms []float64) {
-	rows = s.data.grow(want)
-	return rows, s.norms.grow(len(rows) / s.dim)
 }
 
 // SharedRows returns how many leading rows of s occupy the same memory
@@ -104,16 +88,13 @@ func (s *Store32) Len() int { return s.data.n }
 // Dim returns the row dimension.
 func (s *Store32) Dim() int { return s.dim }
 
-// Norm returns the cached float64 norm of (widened) row i.
-func (s *Store32) Norm(i int) float64 { return s.norms.at(i) }
-
 // Row returns row i as a float32 view aliasing the backing array.
 // Callers must not mutate it.
 func (s *Store32) Row(i int) []float32 { return s.data.row(i) }
 
-// ToStore widens the rows back into a float64 Store (norms recomputed
-// by the append path, as everywhere). Used by the segment decoder to
-// materialize record vectors from an f32 payload.
+// ToStore widens the rows back into a float64 Store (norms computed by
+// the append path, as everywhere): what the segment decoder makes of an
+// f32 payload.
 func (s *Store32) ToStore() (*Store, error) {
 	fs, err := New(s.dim)
 	if err != nil {
@@ -138,19 +119,6 @@ func round32(dst []float32, q vec.Vector) []float32 {
 		dst = append(dst, float32(x))
 	}
 	return dst
-}
-
-// norm64of32 is the float64 norm of a widened float32 vector — the
-// single implementation behind a row's cached norm (builder and segment
-// decoder alike, so both sides of a round trip agree bit for bit) and
-// the rounded query's norm in the inflated Cauchy–Schwarz bound.
-func norm64of32(qf []float32) float64 {
-	var s float64
-	for _, x := range qf {
-		w := float64(x)
-		s += w * w
-	}
-	return math.Sqrt(s)
 }
 
 func (s *Store32) checkQuery(q vec.Vector) error {
@@ -237,49 +205,16 @@ func dot32RangeGeneric(data []float32, d int, q []float32, lo, hi int, out []flo
 // View returns the store-order scan view of s.
 func (s *Store32) View() View { return View{run: run{t: s}} }
 
-// NormSorted returns the descending-norm view of s: a physically
-// reordered private copy of the float32 rows (see sortByNorm), scanned
-// with the early exit guarded by the inflated bound below.
-func (s *Store32) NormSorted() View {
-	re := newStore32(s.dim)
-	ids := sortByNorm(&s.data, &s.norms, 0, &re.data, &re.norms)
-	return View{run: run{t: re, ids: ids, norms: &re.norms}}
-}
-
 // bind implements tier: q rounded to the binary32 grid the kernels
 // consume.
 func (s *Store32) bind(q vec.Vector, bq *query) { bq.f32 = round32(bq.f32[:0], q) }
 
 func (s *Store32) scoreBlock(bq *query, lo, hi int, out []float64) { s.dotRange(bq.f32, lo, hi, out) }
 
-// bound implements normSorter. The bound must dominate the *computed*
-// f32 scores, which are dots against the rounded query — so the query
-// norm is taken over the rounded values and inflated by the f32 error
-// margin.
-func (s *Store32) bound(bq *query) float64 { return norm64of32(bq.f32) * f32BoundFudge(s.dim) }
-
 func (s *Store32) extend(fs *Store) (tier, int) {
 	q := s.Extend(fs)
 	return q, q.SharedRows(s)
 }
-
-func (s *Store32) sortedRun(fs *Store, from int) run {
-	rounded := newStore32(s.dim) // its row i is fs's row from+i
-	rounded.convert(fs, from)
-	r := rounded.NormSorted().run
-	for i := range r.ids {
-		r.ids[i] += from
-	}
-	r.off = from
-	return r
-}
-
-// f32BoundFudge inflates the Cauchy–Schwarz bound for the float32 scan:
-// a float32 dot of length d differs from the exact product by at most
-// ≈ d·2⁻²⁴·‖p‖·‖q‖ (plus the rounding of q itself); doubling the
-// epsilon to d·2⁻²³ leaves comfortable margin, so a pruned block can
-// never hide a row whose computed f32 score would have entered.
-func f32BoundFudge(d int) float64 { return 1 + float64(d)*0x1p-23 }
 
 // TopK is Scan with positional arguments and no deadline (see
 // Store.TopK); scores are computed in float32 and widened.

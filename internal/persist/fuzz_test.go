@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"repro/internal/store"
@@ -95,6 +96,13 @@ func FuzzSegmentDecode(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	// An f32 segment, which only older data directories hold: the one the
+	// server's legacy data-dir fixture checkpointed.
+	legacy, err := os.ReadFile(legacyF32Segment)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seq, recs, err := decodeSegment(data)
 		if err != nil {

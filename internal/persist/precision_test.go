@@ -12,9 +12,9 @@ import (
 	"repro/internal/store"
 )
 
-// roundBatch32 rounds every vector element to binary32, the invariant
-// the f32 ingest path establishes before anything reaches the WAL —
-// and the reason an f32 segment is lossless.
+// roundBatch32 rounds every vector element to binary32, as the retired
+// f32 tier's ingest did before anything reached the WAL — the reason
+// its segments are lossless.
 func roundBatch32(recs []store.Record) []store.Record {
 	out := make([]store.Record, len(recs))
 	for i, r := range recs {
@@ -28,10 +28,66 @@ func roundBatch32(recs []store.Record) []store.Record {
 	return out
 }
 
+// legacyF32Segment is a segment the retired f32 tier wrote, in the
+// server's legacy data-dir fixture.
+const legacyF32Segment = "../server/testdata/legacy-f32/data/exact32/segment-00000000000000000001.seg"
+
+// legacySegment32 is the segment image the retired f32 tier checkpointed
+// (seq, recs) to: format 2, precision code 1, the vectors as one FLATBLK2
+// block of binary32 rows — recs' vectors must be binary32 values, as that
+// tier's ingest rounded them.
+func legacySegment32(seq uint64, recs []store.Record) []byte {
+	le := binary.LittleEndian
+	buf := append(le.AppendUint32(append([]byte(nil), segMagic[:]...), segFormatV2), 1)
+	buf = le.AppendUint64(le.AppendUint64(buf, seq), uint64(len(recs)))
+	for _, r := range recs {
+		buf = le.AppendUint64(buf, uint64(r.ID))
+	}
+	if len(recs) > 0 {
+		start := len(buf)
+		buf = le.AppendUint64(le.AppendUint32(append(buf, "FLATBLK2"...), uint32(len(recs[0].Vec))), uint64(len(recs)))
+		for _, r := range recs {
+			for _, x := range r.Vec {
+				buf = le.AppendUint32(buf, math.Float32bits(float32(x)))
+			}
+		}
+		buf = le.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
+	}
+	var with []int
+	for i, r := range recs {
+		if len(r.Attrs) > 0 {
+			with = append(with, i)
+		}
+	}
+	buf = le.AppendUint32(buf, uint32(len(with)))
+	for _, i := range with {
+		buf = appendAttrs(le.AppendUint64(buf, uint64(i)), recs[i].Attrs)
+	}
+	return le.AppendUint32(buf, crc32.Checksum(buf[8:], castagnoli))
+}
+
+// segmentAt is the segment image of (seq, recs) at prec: encodeSegment's,
+// or for f32, which is no longer written, legacySegment32's.
+func segmentAt(t *testing.T, seq uint64, recs []store.Record, prec Precision) []byte {
+	t.Helper()
+	data, err := encodeSegment(seq, recs, prec)
+	if prec == PrecisionF32 {
+		if err == nil {
+			t.Fatal("encodeSegment wrote an f32 segment")
+		}
+		return legacySegment32(seq, recs)
+	}
+	if err != nil {
+		t.Fatalf("%s: encode: %v", prec, err)
+	}
+	return data
+}
+
 // TestSegmentPrecisionRoundTrip covers the format-2 payloads: f32
-// segments must reproduce pre-rounded vectors bit for bit, and int8
-// segments must reproduce the exact f64 truth rows (the codes block is
-// verified internally by the decoder).
+// segments, which older data directories hold, must reproduce the
+// pre-rounded vectors bit for bit, and int8 segments must reproduce the
+// exact f64 truth rows (the codes block is verified internally by the
+// decoder).
 func TestSegmentPrecisionRoundTrip(t *testing.T) {
 	for _, prec := range []Precision{PrecisionF32, PrecisionI8} {
 		for _, n := range []int{0, 1, 100} {
@@ -39,10 +95,7 @@ func TestSegmentPrecisionRoundTrip(t *testing.T) {
 			if prec == PrecisionF32 {
 				recs = roundBatch32(recs)
 			}
-			data, err := encodeSegment(77, recs, prec)
-			if err != nil {
-				t.Fatalf("%s n=%d: encode: %v", prec, n, err)
-			}
+			data := segmentAt(t, 77, recs, prec)
 			if format := binary.LittleEndian.Uint32(data[8:]); format != segFormatV2 {
 				t.Fatalf("%s n=%d: wrote format %d, want %d", prec, n, format, segFormatV2)
 			}
@@ -71,10 +124,7 @@ func TestSegmentV2RejectsCorruption(t *testing.T) {
 		if prec == PrecisionF32 {
 			recs = roundBatch32(recs)
 		}
-		data, err := encodeSegment(5, recs, prec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := segmentAt(t, 5, recs, prec)
 		for cut := 0; cut < len(data); cut += 13 {
 			if _, _, err := decodeSegment(data[:cut]); err == nil {
 				t.Fatalf("%s cut=%d: decode accepted truncated segment", prec, cut)
@@ -134,7 +184,9 @@ func TestSegmentI8RequantizationCheck(t *testing.T) {
 // int8 precision: append → checkpoint (format-2 segment) → more
 // appends → reopen. Recovery must reproduce every acknowledged record
 // bit for bit, proving the quantization scale round-trips through a
-// restart (the decoder verifies codes against requantized truth).
+// restart (the decoder verifies codes against requantized truth). At
+// f32 the checkpoint's segment is replaced by the one the retired f32
+// tier wrote, which recovery must read the same way.
 func TestLogPrecisionCheckpointRecovery(t *testing.T) {
 	for _, prec := range []Precision{PrecisionF32, PrecisionI8} {
 		dir := filepath.Join(t.TempDir(), "col")
@@ -142,7 +194,9 @@ func TestLogPrecisionCheckpointRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.SetPrecision(prec)
+		if prec == PrecisionI8 {
+			l.SetPrecision(prec)
+		}
 		batch1 := testBatch(0, 40, 8)
 		batch2 := testBatch(40, 25, 8)
 		if prec == PrecisionF32 {
@@ -160,6 +214,11 @@ func TestLogPrecisionCheckpointRecovery(t *testing.T) {
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if prec == PrecisionF32 {
+			if err := os.WriteFile(filepath.Join(dir, segName(1)), legacySegment32(1, batch1), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		// The checkpoint must have produced a format-2 segment.
 		segData, err := os.ReadFile(filepath.Join(dir, segName(1)))

@@ -16,8 +16,8 @@ import (
 //
 //	magic   [8]byte "IPSSEG1\n"
 //	format  uint32  (1 or 2)
-//	prec    byte    format 2 only: storage precision (0 f64, 1 f32,
-//	                2 int8)
+//	prec    byte    format 2 only: storage precision (0 f64, 1 f32 —
+//	                decoded only, 2 int8)
 //	seq     uint64  WAL sequence covered: the segment holds every
 //	                record of batches 1..seq
 //	count   uint64  record count
@@ -26,9 +26,12 @@ import (
 //	                f64 — one flat.Store binary block (FLATBLK1): the
 //	                columnar dim/count header, raw little-endian float64
 //	                rows and block checksum from flat.AppendBinary;
-//	                f32 — one flat.Store32 block (FLATBLK2), lossless
-//	                because the f32 ingest path rounds vectors to
-//	                binary32 before they reach the WAL;
+//	                f32 — one flat.Store32 block (FLATBLK2): what
+//	                collections of the retired f32 tier checkpointed,
+//	                their vectors rounded to binary32 at ingest, so it
+//	                widens to those rows exactly. Nothing writes it
+//	                now; a data directory that holds one reopens it as
+//	                f64 rows;
 //	                int8 — the FLATBLK1 f64 truth block (re-ranking
 //	                needs the exact rows) followed by the FLATBLK3 code
 //	                block carrying the quantization scale. The decoder
@@ -42,7 +45,7 @@ import (
 // f64 collections keep writing format 1 — byte-identical to every
 // segment written before precisions existed — so existing data
 // directories open unchanged and new f64 directories stay readable by
-// older builds. Only f32/int8 collections emit format 2.
+// older builds. Only int8 collections emit format 2.
 //
 // Segments are written to a temp file, fsynced, renamed into place and
 // the directory fsynced, so a crash mid-checkpoint leaves at most an
@@ -64,23 +67,21 @@ type Precision string
 
 const (
 	PrecisionF64 Precision = "f64"
-	PrecisionF32 Precision = "f32"
+	PrecisionF32 Precision = "f32" // decoded only
 	PrecisionI8  Precision = "int8"
 )
 
-// precCode maps a precision to its format-2 header byte. The zero
-// Precision ("") counts as f64 so callers that never opted in keep the
-// legacy behavior everywhere.
+// precCode maps a precision segments are written at to its format-2
+// header byte. The zero Precision ("") counts as f64 so callers that
+// never opted in keep the legacy behavior everywhere.
 func precCode(p Precision) (byte, error) {
 	switch p {
 	case "", PrecisionF64:
 		return 0, nil
-	case PrecisionF32:
-		return 1, nil
 	case PrecisionI8:
 		return 2, nil
 	}
-	return 0, fmt.Errorf("persist: unknown precision %q", p)
+	return 0, fmt.Errorf("persist: segments are not written at precision %q", p)
 }
 
 func precFromCode(b byte) (Precision, error) {
@@ -132,13 +133,8 @@ func encodeSegment(seq uint64, recs []store.Record, prec Precision) ([]byte, err
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.ID))
 	}
 	if fs != nil {
-		switch code {
-		case 0:
-			buf = fs.AppendBinary(buf)
-		case 1:
-			buf = flat.NewStore32(fs).AppendBinary(buf)
-		case 2:
-			buf = fs.AppendBinary(buf)
+		buf = fs.AppendBinary(buf)
+		if code == 2 {
 			buf = flat.NewStoreI8(fs).AppendBinary(buf)
 		}
 	}

@@ -91,7 +91,6 @@ func putTileScratch(ts *tileScratch) {
 // one-tile request run side by side, so each takes its own.
 type scanScratch struct {
 	tile  flat.TileScratch
-	rows  []int          // an f32 re-rank's candidate rows of one query (flatIndex.topKMulti)
 	stats flat.ScanStats // an explained sweep's accounting (flatIndex.topKMulti)
 }
 
@@ -147,10 +146,8 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 			Index:      c.spec.kind(),
 			Precision:  c.spec.precision(),
 			K:          k,
-			// Rerank reports the effective behavior: int8 collections
-			// always re-rank through the exact f64 rows, whatever the
-			// request asked for.
-			Rerank: opts.Rerank || c.spec.precision() == PrecisionI8,
+			// int8 collections re-rank through the exact f64 rows.
+			Rerank: c.spec.precision() == PrecisionI8,
 		}
 	}
 	rs := searchStatePool.Get().(*searchState)
@@ -170,7 +167,7 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 	for i := range queries {
 		if cache != nil {
 			qstart := time.Now()
-			key := cacheKey(c.name, c.gen, version, k, opts.Unsigned, opts.Rerank, queries[i])
+			key := cacheKey(c.name, c.gen, version, k, opts.Unsigned, queries[i])
 			if hits, ok := cache.get(key); ok {
 				if qe != nil {
 					qe.CacheHit = true
@@ -308,7 +305,7 @@ func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCac
 	// expired first fails before any shard sees it.
 	keys, err := c.hashQueries(ctx, &ts.keys, rs.qstore, tlo, thi, opts.Unsigned)
 	if err == nil {
-		err = scanTile(ctx, pool, rs.snaps, rs.qstore, ts, tlo, thi, k, TopKOpts{Unsigned: opts.Unsigned, Rerank: opts.Rerank, Keys: keys}, ex)
+		err = scanTile(ctx, pool, rs.snaps, rs.qstore, ts, tlo, thi, k, TopKOpts{Unsigned: opts.Unsigned, Keys: keys}, ex)
 	}
 	ssp.End()
 	if err != nil {

@@ -51,21 +51,14 @@ func (c *queryCache) enabled() bool { return c.cap > 0 }
 // restarts versions at 0, so without it an in-flight put racing the
 // drop's invalidate could strand an old-incarnation entry that a
 // same-name successor would later serve.
-func cacheKey(collection string, gen, version uint64, k int, unsigned, rerank bool, q vec.Vector) string {
-	buf := make([]byte, 0, len(collection)+1+26+8*len(q))
+func cacheKey(collection string, gen, version uint64, k int, unsigned bool, q vec.Vector) string {
+	buf := make([]byte, 0, len(collection)+1+25+8*len(q))
 	buf = append(buf, collection...)
 	buf = append(buf, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, gen)
 	buf = binary.LittleEndian.AppendUint64(buf, version)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
 	if unsigned {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	// Re-ranked and raw-score answers differ on f32 collections, so
-	// they must never share an entry.
-	if rerank {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)

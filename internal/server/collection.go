@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -348,15 +347,6 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 	// batch's reservations.
 	assigned := make([]store.Record, len(recs))
 	copy(assigned, recs)
-	if c.spec.precision() == PrecisionF32 {
-		// Round to binary32 before anything durable or visible sees the
-		// batch: the WAL, the shard stores and the segment snapshots
-		// then all hold the identical rounded rows, which is what makes
-		// the f32 segment encoding lossless.
-		if err := roundRecords32(c.name, assigned); err != nil {
-			return 0, err
-		}
-	}
 	reserved := make([]int, 0, len(assigned))
 	rollback := func() {
 		for _, id := range reserved {
@@ -534,28 +524,6 @@ func (c *Collection) buildSnaps(ctx context.Context, touched map[int][]int, prep
 // AutoID marks a record whose ID the collection assigns at ingest.
 const AutoID = -1 << 62
 
-// roundRecords32 rewrites every record's vector (into fresh slices —
-// the caller's records may alias request data) with its elements
-// rounded to binary32, the invariant the f32 storage tier maintains
-// end to end. A finite element whose rounding overflows to ±Inf is
-// rejected: it would silently change the score semantics rather than
-// just the precision.
-func roundRecords32(name string, recs []store.Record) error {
-	for i := range recs {
-		v := make([]float64, len(recs[i].Vec))
-		for j, x := range recs[i].Vec {
-			r := float64(float32(x))
-			if math.IsInf(r, 0) && !math.IsInf(x, 0) {
-				return fmt.Errorf("server: collection %q: record %d element %d (%g) overflows float32",
-					name, i, j, x)
-			}
-			v[j] = r
-		}
-		recs[i].Vec = v
-	}
-	return nil
-}
-
 // Upsert inserts or replaces records by ID: a live ID gets its vector
 // and attributes overwritten, an unknown (or deleted) ID is inserted.
 // Every record must carry an explicit ID — AutoID has nothing to
@@ -593,16 +561,6 @@ func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, e
 	}
 	if err := c.sampleHashes(dim); err != nil {
 		return 0, err
-	}
-	if c.spec.precision() == PrecisionF32 {
-		// Same binary32 rounding as Ingest, on a private copy (the
-		// caller keeps its slices).
-		rounded := make([]store.Record, len(recs))
-		copy(rounded, recs)
-		if err := roundRecords32(c.name, rounded); err != nil {
-			return 0, err
-		}
-		recs = rounded
 	}
 	inBatch := make(map[int]struct{}, len(recs))
 	for _, r := range recs {

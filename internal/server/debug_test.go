@@ -146,8 +146,8 @@ func explainSearch(t *testing.T, ts *httptest.Server, name string, q []float64, 
 }
 
 // TestExplainCountsPrunedBlocks checks every scan engine surfaces the
-// driver's own block accounting through explain: the normscan kinds
-// their Cauchy–Schwarz pruning at both precisions, the exact kinds a
+// driver's own block accounting through explain: the normscan kind
+// its Cauchy–Schwarz pruning, the exact kinds at both precisions a
 // whole tombstoned block skipped — with rows scanned, pruned blocks and
 // skipped blocks always partitioning the shard.
 func TestExplainCountsPrunedBlocks(t *testing.T) {
@@ -159,24 +159,22 @@ func TestExplainCountsPrunedBlocks(t *testing.T) {
 	// needed to fill k; a tiny k maximizes pruning.
 	q := make([]float64, 8)
 	q[0] = 1e-9
-	for _, precision := range []string{PrecisionF64, PrecisionF32} {
-		name := "ns-" + precision
-		ts := explainFixture(t, s, name, &IndexSpec{Kind: KindNormScan, Precision: precision}, 2, 4000, 8)
-		var pruned, scanned int
-		for _, shx := range explainSearch(t, ts, name, q, 1).Shards {
-			pruned += shx.CSPrunedBlocks
-			scanned += shx.RowsScanned
-			blocks := (shx.RowsScanned+block-1)/block + shx.CSPrunedBlocks + shx.TombstoneSkippedBlocks
-			if want := (shx.Records + block - 1) / block; blocks != want {
-				t.Fatalf("%s shard %d: explain covers %d of %d blocks: %+v", name, shx.Shard, blocks, want, shx)
-			}
+	name := "ns"
+	ts := explainFixture(t, s, name, &IndexSpec{Kind: KindNormScan}, 2, 4000, 8)
+	var pruned, scanned int
+	for _, shx := range explainSearch(t, ts, name, q, 1).Shards {
+		pruned += shx.CSPrunedBlocks
+		scanned += shx.RowsScanned
+		blocks := (shx.RowsScanned+block-1)/block + shx.CSPrunedBlocks + shx.TombstoneSkippedBlocks
+		if want := (shx.Records + block - 1) / block; blocks != want {
+			t.Fatalf("%s shard %d: explain covers %d of %d blocks: %+v", name, shx.Shard, blocks, want, shx)
 		}
-		if pruned == 0 {
-			t.Fatalf("%s explain reports no pruned blocks (scanned %d rows)", name, scanned)
-		}
-		if scanned >= 4000 {
-			t.Fatalf("%s: pruning claimed but all %d rows scanned", name, scanned)
-		}
+	}
+	if pruned == 0 {
+		t.Fatalf("%s explain reports no pruned blocks (scanned %d rows)", name, scanned)
+	}
+	if scanned >= 4000 {
+		t.Fatalf("%s: pruning claimed but all %d rows scanned", name, scanned)
 	}
 
 	// One shard holds rows in ingest order, so deleting ids 256..511
@@ -185,7 +183,7 @@ func TestExplainCountsPrunedBlocks(t *testing.T) {
 	for id := block; id < 2*block; id++ {
 		doomed = append(doomed, id)
 	}
-	for _, precision := range []string{PrecisionF64, PrecisionF32, PrecisionI8} {
+	for _, precision := range []string{PrecisionF64, PrecisionI8} {
 		name := "exact-" + precision
 		ts := explainFixture(t, s, name, &IndexSpec{Kind: KindExact, Precision: precision}, 1, 700, 8)
 		if _, deleted, _, err := s.Delete(name, doomed); err != nil || deleted != block {

@@ -30,8 +30,8 @@ type ShardExplain struct {
 	// TombstoneSkippedBlocks counts row blocks skipped whole because
 	// every row in them was tombstoned.
 	TombstoneSkippedBlocks int `json:"tombstone_skipped_blocks"`
-	// RerankCandidates counts quantized candidates re-scored through
-	// the exact f64 rows (quantized tiers only).
+	// RerankCandidates counts int8 candidates re-scored through the
+	// exact f64 rows (int8 only).
 	RerankCandidates int `json:"rerank_candidates"`
 	// Candidates counts the distinct live rows an alsh shard's banding
 	// index named and the shard verified (alsh only).

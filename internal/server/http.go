@@ -276,9 +276,6 @@ type SearchRequest struct {
 	Queries  [][]float64 `json:"queries,omitempty"`
 	K        int         `json:"k,omitempty"` // default 1
 	Unsigned bool        `json:"unsigned,omitempty"`
-	// Rerank asks a quantized (f32) collection for exact re-ranked
-	// scores; int8 collections always re-rank, f64 ones ignore it.
-	Rerank bool `json:"rerank,omitempty"`
 	// TimeoutMS is the client's deadline for the whole request in
 	// milliseconds; it overrides the server's default timeout (in both
 	// directions). Zero means use the default.
@@ -361,7 +358,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		ctx = trace.NewContext(ctx, trace.New("search", r.Header.Get("traceparent")))
 	}
 	start := time.Now()
-	results, err := s.SearchWithOpts(ctx, name, qs, SearchOpts{K: k, Unsigned: req.unsigned, Rerank: req.rerank, Explain: req.explain})
+	results, err := s.SearchWithOpts(ctx, name, qs, SearchOpts{K: k, Unsigned: req.unsigned, Explain: req.explain})
 	if err != nil {
 		if _, ok := s.Collection(name); !ok {
 			httpError(w, http.StatusNotFound, err)

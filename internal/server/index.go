@@ -15,7 +15,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/flat"
 	"repro/internal/join"
@@ -58,10 +57,6 @@ type ShardIndex interface {
 type TopKOpts struct {
 	// Unsigned ranks by |pᵀq|.
 	Unsigned bool
-	// Rerank asks for scores bit-identical to the f64 exact scan's from
-	// an engine whose own scores are not (the f32 tier); engines that are
-	// already exact, or always re-rank, ignore it.
-	Rerank bool
 	// Explain, when non-nil, receives the engine's accounting of the tile,
 	// summed over its queries — rows scanned, blocks pruned or skipped and
 	// candidates re-ranked by a sweep, candidates verified by alsh; hits
@@ -94,14 +89,11 @@ type IndexSpec struct {
 	// samples the ALSH hash functions: one set per collection, shared by
 	// every shard, so answers do not depend on the shard count.
 	Seed uint64 `json:"seed,omitempty"`
-	// Precision selects the vector storage tier: "f64" (the default;
-	// exact scores), "f32" (half the scan bytes, f32-accurate scores,
-	// opt-in exact re-rank per query), or "int8" (an eighth of the scan
-	// bytes; the candidates its error bound certifies are re-ranked
-	// through the retained f64 rows, so answers are the f64 scan's). f32
-	// supports the exact and normscan kinds, int8 the exact kind only;
-	// alsh is f64-only (it already verifies candidates against the f64
-	// store).
+	// Precision selects the vector storage tier: "f64" (the default) or
+	// "int8" (an eighth of the scan bytes; the candidates its error bound
+	// certifies are re-ranked through the retained f64 rows, so answers
+	// are the f64 scan's). int8 supports the exact kind only. A data
+	// directory written when "f32" was a tier reopens it as "f64".
 	Precision string `json:"precision,omitempty"`
 }
 
@@ -124,19 +116,17 @@ func (s IndexSpec) Validate() error {
 	}
 	switch s.precision() {
 	case PrecisionF64:
-	case PrecisionF32:
-		if k := s.kind(); k != KindExact && k != KindNormScan {
-			return fmt.Errorf("server: precision %q supports index kinds %s and %s, not %q",
-				PrecisionF32, KindExact, KindNormScan, k)
-		}
 	case PrecisionI8:
 		if k := s.kind(); k != KindExact {
 			return fmt.Errorf("server: precision %q supports index kind %s only, not %q",
 				PrecisionI8, KindExact, k)
 		}
+	case legacyF32:
+		return fmt.Errorf("server: precision %q is no longer served (use %s, or %s for an eighth of the scan bytes and the same answers)",
+			s.Precision, PrecisionF64, PrecisionI8)
 	default:
-		return fmt.Errorf("server: unknown precision %q (want %s, %s or %s)",
-			s.Precision, PrecisionF64, PrecisionF32, PrecisionI8)
+		return fmt.Errorf("server: unknown precision %q (want %s or %s)",
+			s.Precision, PrecisionF64, PrecisionI8)
 	}
 	return nil
 }
@@ -159,9 +149,12 @@ const (
 // The registered storage precisions (IndexSpec.Precision).
 const (
 	PrecisionF64 = "f64"
-	PrecisionF32 = "f32"
 	PrecisionI8  = "int8"
 )
+
+// legacyF32 is the precision of the retired f32 tier: refused at
+// creation, reopened as f64 (Server.adoptRecovered).
+const legacyF32 = "f32"
 
 // precision returns the effective storage precision (defaulting to
 // f64, the tier every collection used before precisions existed).
@@ -203,33 +196,14 @@ func (emptyIndex) topKMulti(_ context.Context, _ *flat.Store, qlo, qhi, k int, _
 
 func (ix emptyIndex) withDead(*flat.Tombstones) ShardIndex { return ix }
 
-// rerankMode says when a flat index re-scores its scan's hits through
-// the f64 rows.
-type rerankMode uint8
-
-const (
-	// rerankNever: the scan's scores are already exact (f64).
-	rerankNever rerankMode = iota
-	// rerankOnRequest: f32 — served as scanned unless the query opts in
-	// (TopKOpts.Rerank).
-	rerankOnRequest
-	// rerankAlways: int8 — raw scores are candidates only, so this
-	// engine never serves an approximate score (the same
-	// candidate-then-verify shape alsh has).
-	rerankAlways
-)
-
-// f32Overfetch is how many times k candidates an f32 re-rank fetches.
-const f32Overfetch = 4
-
 // flatIndex is the scan engine behind the exact and normscan kinds at
 // every precision. What differs between them is data, not code: which
 // tier view is scanned — the f64 rows themselves (the Θ(nd) ground-truth
-// engine), their f32 or int8 mirror (half and an eighth of the bytes per
-// row), in store order or norm-sorted (row blocks visited in
+// engine) in store order or norm-sorted (row blocks visited in
 // decreasing-norm order, the scan stopping at the first block whose
-// Cauchy–Schwarz bound ‖p‖·‖q‖ cannot displace the k-th best hit) — and
-// when the scan's hits are re-scored through the f64 rows.
+// Cauchy–Schwarz bound ‖p‖·‖q‖ cannot displace the k-th best hit), or
+// their int8 mirror (an eighth of the bytes per row) — and whether the
+// scan's candidates are re-scored through the f64 rows.
 type flatIndex struct {
 	// fs holds the exact f64 rows: the truth a re-rank scores against.
 	fs   *flat.Store
@@ -237,32 +211,24 @@ type flatIndex struct {
 	// dead (nil until the first delete) lives in the view's row order:
 	// withDead pre-permutes once per delete publication, so a
 	// norm-sorted scan never pays a per-row indirection.
-	dead   *flat.Tombstones
-	rerank rerankMode
+	dead *flat.Tombstones
+	// rerank (int8) makes the scan's scores candidates only: the answer
+	// is their re-scoring through fs, so this engine never serves an
+	// approximate score (the candidate-then-verify shape alsh has).
+	rerank bool
 }
 
 // newFlatIndex builds the view spec asks for over fs. Quantized
 // precisions build their compact mirror here, at index-build time.
 func newFlatIndex(spec IndexSpec, fs *flat.Store) *flatIndex {
 	ix := &flatIndex{fs: fs}
-	sorted := spec.kind() == KindNormScan
-	switch spec.precision() {
-	case PrecisionF32:
-		ix.rerank = rerankOnRequest
-		if s32 := flat.NewStore32(fs); sorted {
-			ix.view = s32.NormSorted()
-		} else {
-			ix.view = s32.View()
-		}
-	case PrecisionI8:
-		ix.rerank = rerankAlways
-		ix.view = flat.NewStoreI8(fs).View()
+	switch {
+	case spec.precision() == PrecisionI8:
+		ix.rerank, ix.view = true, flat.NewStoreI8(fs).View()
+	case spec.kind() == KindNormScan:
+		ix.view = flat.NewNormSorted(fs).View
 	default:
-		if sorted {
-			ix.view = flat.NewNormSorted(fs).View
-		} else {
-			ix.view = fs.View()
-		}
+		ix.view = fs.View()
 	}
 	return ix
 }
@@ -285,20 +251,15 @@ func (ix *flatIndex) withDead(dead *flat.Tombstones) ShardIndex {
 	return &masked
 }
 
-// topKMulti sweeps the view once for the whole tile — on the f64 views
-// through the register-blocked multi-query kernel — and re-ranks each
-// query's candidates through the f64 rows where the tier asks for it:
-// on int8 the rows the scan certified (flat.TileScratch.Candidates),
-// which hold the f64 top k, so the answer is the f64 exact scan's; on
-// f32 the k·f32Overfetch hits of the f32 scan. o.Explain, if set,
-// receives ScanMulti's accounting (the per-query sum of what a scan of
-// each query alone counts) and the candidates re-ranked.
+// topKMulti sweeps the view once for the whole tile through the
+// register-blocked multi-query kernel and, on int8, re-ranks each
+// query's candidates through the f64 rows: the rows the scan certified
+// (flat.TileScratch.Candidates), which hold the f64 top k, so the answer
+// is the f64 exact scan's. o.Explain, if set, receives ScanMulti's
+// accounting (the per-query sum of what a scan of each query alone
+// counts) and the candidates re-ranked.
 func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, sc *scanScratch) ([]flat.Acc, error) {
-	fetch, f32 := k, ix.rerank == rerankOnRequest && o.Rerank
-	if f32 {
-		fetch = k * min(f32Overfetch, math.MaxInt/k) // saturating
-	}
-	accs := keyed(sc.tile.Accs(qhi-qlo, fetch), o.ids)
+	accs := keyed(sc.tile.Accs(qhi-qlo, k), o.ids)
 	so := flat.ScanOpts{Unsigned: o.Unsigned, Dead: ix.dead, Floor: o.floor}
 	st := &sc.stats
 	if o.Explain != nil {
@@ -312,19 +273,11 @@ func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k 
 		ex.CSPrunedBlocks = st.PrunedBlocks
 		ex.TombstoneSkippedBlocks = st.SkippedBlocks
 	}
-	if !f32 && ix.rerank != rerankAlways {
+	if !ix.rerank {
 		return accs, nil
 	}
 	for j := range accs {
-		rows := sc.rows[:0]
-		if f32 {
-			for _, h := range accs[j].Hits() {
-				rows = append(rows, h.Index)
-			}
-			sc.rows = rows
-		} else {
-			rows = sc.tile.Candidates(j, &accs[j])
-		}
+		rows := sc.tile.Candidates(j, &accs[j])
 		if o.Explain != nil {
 			o.Explain.RerankCandidates += len(rows)
 		}

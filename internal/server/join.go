@@ -150,7 +150,7 @@ func newJoinOpts(sp core.Spec, req JoinRequest) joinOpts {
 // wide to tell a regression from noise (ROADMAP item 14, step (b)).
 func (sn *shardSnap) joinSnap(engine string) *shardSnap {
 	ix, ok := sn.index.(*flatIndex)
-	if engine != "tiled" || ok && !ix.view.Sorted() && ix.rerank == rerankNever {
+	if engine != "tiled" || ok && !ix.view.Sorted() && !ix.rerank {
 		return sn
 	}
 	rows := *sn

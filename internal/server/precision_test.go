@@ -18,30 +18,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// The precision-tier grid: every quantized tier must track the f64
-// exact scan on the planted latent-factor workload, and the re-rank
-// pipeline must reproduce f64 answers bit for bit. f32 comparisons run
-// against an f64 reference fed the *pre-rounded* vectors (the f32
-// ingest path rounds to binary32, so that is the ground truth an f32
-// collection can possibly agree with); int8 comparisons run against
-// the raw vectors (the int8 tier retains them exactly).
-
-// round32 rounds one vector to binary32 per element.
-func round32(v vec.Vector) vec.Vector {
-	out := make(vec.Vector, len(v))
-	for i, x := range v {
-		out[i] = float64(float32(x))
-	}
-	return out
-}
-
-func round32All(vs []vec.Vector) []vec.Vector {
-	out := make([]vec.Vector, len(vs))
-	for i, v := range vs {
-		out[i] = round32(v)
-	}
-	return out
-}
+// The precision-tier grid: the int8 tier's re-rank pipeline must
+// reproduce the f64 exact scan's answers bit for bit on the planted
+// latent-factor workload (the tier retains the f64 rows exactly).
 
 // tierServer builds a single-purpose server over items with the given
 // spec (cache off, 2 shards, so the merge path is exercised).
@@ -72,25 +51,6 @@ func searchOpts(t *testing.T, s *Server, queries []vec.Vector, opts SearchOpts) 
 	return out
 }
 
-// setRecall returns the fraction of reference hits present in got,
-// aggregated over all queries.
-func setRecall(got, want [][]Hit) float64 {
-	hit, total := 0, 0
-	for i := range want {
-		ids := make(map[int]bool, len(got[i]))
-		for _, h := range got[i] {
-			ids[h.ID] = true
-		}
-		for _, h := range want[i] {
-			total++
-			if ids[h.ID] {
-				hit++
-			}
-		}
-	}
-	return float64(hit) / float64(total)
-}
-
 // sameHitsBitExact requires identical IDs, order, and score bits.
 func sameHitsBitExact(got, want [][]Hit) bool {
 	if len(got) != len(want) {
@@ -111,40 +71,19 @@ func sameHitsBitExact(got, want [][]Hit) bool {
 }
 
 // TestPrecisionTierEquivalence is the tier grid on the latent-factor
-// workload: raw f32 set recall ≥ 0.999; f32+rerank bit-identical to
-// the f64 scan over the rounded vectors (both kinds, both variants);
-// int8 (always re-ranked from its certified candidates) bit-identical
-// to the f64 scan of the same rows, one query at a time and as a batch.
+// workload: int8 (always re-ranked from its certified candidates) is
+// bit-identical to the f64 scan of the same rows, both variants, one
+// query at a time and as a batch.
 func TestPrecisionTierEquivalence(t *testing.T) {
 	items, queries := recallWorkload(424242)
-	rounded := round32All(items)
 	const k = 10
 
 	refRaw := tierServer(t, IndexSpec{Kind: KindExact}, items)
-	refRound := tierServer(t, IndexSpec{Kind: KindExact}, rounded)
-	f32exact := tierServer(t, IndexSpec{Kind: KindExact, Precision: PrecisionF32}, items)
-	f32norm := tierServer(t, IndexSpec{Kind: KindNormScan, Precision: PrecisionF32}, items)
 	i8 := tierServer(t, IndexSpec{Kind: KindExact, Precision: PrecisionI8}, items)
 
 	for _, unsigned := range []bool{false, true} {
 		raw := SearchOpts{K: k, Unsigned: unsigned}
-		rr := SearchOpts{K: k, Unsigned: unsigned, Rerank: true}
 		wantRaw := searchOpts(t, refRaw, queries, raw)
-		wantRound := searchOpts(t, refRound, queries, raw)
-
-		// Raw f32 scores: approximate, but the hit sets must be nearly
-		// identical to the rounded-f64 reference.
-		for name, s := range map[string]*Server{"exact": f32exact, "normscan": f32norm} {
-			got := searchOpts(t, s, queries, raw)
-			if r := setRecall(got, wantRound); r < 0.999 {
-				t.Errorf("unsigned=%v f32/%s raw set recall %.4f < 0.999", unsigned, name, r)
-			}
-			// Re-ranked: bit-identical to the f64 scan of the rounded rows.
-			if got := searchOpts(t, s, queries, rr); !sameHitsBitExact(got, wantRound) {
-				t.Errorf("unsigned=%v f32/%s rerank results differ from f64 over rounded vectors", unsigned, name)
-			}
-		}
-
 		if got := searchOpts(t, i8, queries, raw); !sameHitsBitExact(got, wantRaw) {
 			t.Errorf("unsigned=%v int8 results differ from the f64 exact scan", unsigned)
 		}
@@ -278,14 +217,14 @@ func TestInt8CertifiedGrid(t *testing.T) {
 func TestPrecisionTierContextCancel(t *testing.T) {
 	items, queries := recallWorkload(97)
 	for _, spec := range []IndexSpec{
-		{Kind: KindExact, Precision: PrecisionF32},
-		{Kind: KindNormScan, Precision: PrecisionF32},
+		{Kind: KindExact},
+		{Kind: KindNormScan},
 		{Kind: KindExact, Precision: PrecisionI8},
 	} {
 		s := tierServer(t, spec, items)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		res, err := s.SearchWithOpts(ctx, "items", queries[:1], SearchOpts{K: 3, Rerank: true})
+		res, err := s.SearchWithOpts(ctx, "items", queries[:1], SearchOpts{K: 3})
 		if err == nil && (len(res) == 0 || res[0].Err == nil) {
 			t.Fatalf("%s/%s: cancelled context did not stop the search", spec.kind(), spec.precision())
 		}
@@ -293,11 +232,15 @@ func TestPrecisionTierContextCancel(t *testing.T) {
 }
 
 // TestPrecisionSpecValidation pins the spec surface: precisions bind to
-// their supported kinds, junk precisions are rejected, and a precision mismatch on an existing collection fails
-// EnsureCollection like any other spec mismatch.
+// their supported kinds, junk and retired precisions are rejected — f32
+// over HTTP with a 400 that points at int8 — and a precision mismatch on
+// an existing collection fails EnsureCollection like any other spec
+// mismatch.
 func TestPrecisionSpecValidation(t *testing.T) {
 	bad := []IndexSpec{
-		{Kind: KindALSH, Precision: PrecisionF32},
+		{Kind: KindExact, Precision: "f32"},
+		{Kind: KindNormScan, Precision: "f32"},
+		{Kind: KindALSH, Precision: "f32"},
 		{Kind: KindNormScan, Precision: PrecisionI8},
 		{Kind: KindALSH, Precision: PrecisionI8},
 		{Precision: "f16"},
@@ -310,8 +253,6 @@ func TestPrecisionSpecValidation(t *testing.T) {
 	good := []IndexSpec{
 		{},
 		{Precision: PrecisionF64},
-		{Kind: KindExact, Precision: PrecisionF32},
-		{Kind: KindNormScan, Precision: PrecisionF32},
 		{Kind: KindExact, Precision: PrecisionI8},
 		{Kind: KindALSH}, // f64 default stays valid for every kind
 	}
@@ -323,44 +264,19 @@ func TestPrecisionSpecValidation(t *testing.T) {
 
 	s := New(Config{})
 	defer s.Close()
-	if _, err := s.EnsureCollection("c", &IndexSpec{Kind: KindExact, Precision: PrecisionF32}, 0); err != nil {
+	for _, kind := range []string{KindExact, KindNormScan} {
+		w := httptest.NewRecorder()
+		NewHandler(s).ServeHTTP(w, httptest.NewRequest(http.MethodPut, "/collections/c32",
+			strings.NewReader(`{"index":{"kind":"`+kind+`","precision":"f32"},"records":[{"id":0,"vec":[0.5,1]}]}`)))
+		if _, ok := s.Collection("c32"); w.Code != http.StatusBadRequest || ok || !strings.Contains(w.Body.String(), "int8") {
+			t.Fatalf("%s f32 create: status %d %s (created: %v), want a 400 naming int8", kind, w.Code, w.Body, ok)
+		}
+	}
+	if _, err := s.EnsureCollection("c", &IndexSpec{Kind: KindExact}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.EnsureCollection("c", &IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 0); err == nil {
 		t.Fatal("precision mismatch accepted on existing collection")
-	}
-}
-
-// TestF32IngestRounding: an f32 collection's visible records are the
-// binary32 roundings of what was ingested (WAL, relation and shards all
-// share them), and a finite element that overflows float32 is rejected.
-func TestF32IngestRounding(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	v := vec.Vector{0.1, 1e-42, 3.3333333333333}
-	if _, _, err := s.Ingest("c", &IndexSpec{Precision: PrecisionF32}, 1, []store.Record{{ID: 1, Vec: v}}); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := s.Collection("c")
-	for j, x := range c.records()[0].Vec {
-		if math.Float64bits(x) != math.Float64bits(float64(float32(v[j]))) {
-			t.Fatalf("element %d stored as %v, want binary32 rounding of %v", j, x, v[j])
-		}
-	}
-	// The caller's slice must not have been rewritten in place.
-	if v[2] != 3.3333333333333 {
-		t.Fatal("ingest mutated the caller's vector")
-	}
-	if _, _, err := s.Ingest("c", nil, 0, []store.Record{{ID: 2, Vec: vec.Vector{1e300, 0, 0}}}); err == nil {
-		t.Fatal("float32 overflow accepted into an f32 collection")
-	}
-	if _, _, err := s.Upsert("c", nil, 0, []store.Record{{ID: 1, Vec: vec.Vector{0, 1e-320, 0}}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range c.records() {
-		if r.ID == 1 && r.Vec[1] != 0 {
-			t.Fatalf("upsert stored %v, want the binary32 rounding 0", r.Vec[1])
-		}
 	}
 }
 
@@ -376,9 +292,6 @@ func TestPrecisionStatsAndMetrics(t *testing.T) {
 	if _, _, err := s.Ingest("qi8", &IndexSpec{Precision: PrecisionI8}, 2, recs); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Ingest("qf32", &IndexSpec{Precision: PrecisionF32}, 2, recs); err != nil {
-		t.Fatal(err)
-	}
 	if _, _, err := s.Ingest("plain", nil, 2, recs); err != nil {
 		t.Fatal(err)
 	}
@@ -388,9 +301,6 @@ func TestPrecisionStatsAndMetrics(t *testing.T) {
 	// 1.5× the rows held.
 	for _, batch := range [][]store.Record{recs[:30], recs[30:]} {
 		if _, _, err := s.Ingest("ns64", &IndexSpec{Kind: KindNormScan}, 2, batch); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.Ingest("ns32", &IndexSpec{Kind: KindNormScan, Precision: PrecisionF32}, 2, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -409,17 +319,14 @@ func TestPrecisionStatsAndMetrics(t *testing.T) {
 		}
 	}
 	check("plain", PrecisionF64, map[string]int64{PrecisionF64: elems * 8})
-	check("qf32", PrecisionF32, map[string]int64{PrecisionF64: elems * 8, PrecisionF32: elems * 4})
 	check("qi8", PrecisionI8, map[string]int64{PrecisionF64: elems * 8, PrecisionI8: elems})
 	check("ns64", PrecisionF64, map[string]int64{PrecisionF64: elems*3/2*8 + elems*8}) // the truth rows and their sorted copy
-	check("ns32", PrecisionF32, map[string]int64{PrecisionF64: elems * 3 / 2 * 8, PrecisionF32: elems * 4})
 
 	var sb strings.Builder
 	writeMetrics(&sb, s, nil)
 	page := sb.String()
 	for _, want := range []string{
 		`ipsd_collection_vector_bytes{collection="qi8",precision="int8"} ` + itoa(elems),
-		`ipsd_collection_vector_bytes{collection="qf32",precision="f32"} ` + itoa(elems*4),
 		`ipsd_collection_vector_bytes{collection="plain",precision="f64"} ` + itoa(elems*8),
 		`ipsd_collection_vector_bytes{collection="ns64",precision="f64"} ` + itoa(elems*3/2*8+elems*8),
 	} {
@@ -563,4 +470,77 @@ func TestInt8ManifestOverfetchIgnored(t *testing.T) {
 	if c, ok := ref.Collection("q8"); w.Code != http.StatusOK || !ok || c.Spec() != spec {
 		t.Fatalf("create with overfetch: status %d %s", w.Code, w.Body)
 	}
+}
+
+// TestLegacyF32DataDirReopensAsF64 reopens a copy of testdata/legacy-f32,
+// a data directory the retired f32 tier wrote (answers.json names the
+// commit): an exact and a normscan f32 collection of two shards each, a
+// checkpointed f32 segment, then a WAL tail of more rows and one delete.
+// Each collection keeps its kind and shards and reports f64, and every
+// recorded query, one at a time and as a batch, signed and unsigned,
+// answers with the bits the f32 tier's re-ranked search gave. A
+// checkpoint, now an f64 segment, and a second reopen change nothing.
+func TestLegacyF32DataDirReopensAsF64(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "legacy-f32", "answers.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fx struct {
+		K       int
+		Queries []vec.Vector
+		Answers map[string]map[string][][]Hit // collection → variant → query → hits
+	}
+	if err := json.Unmarshal(raw, &fx); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "legacy-f32", "data"), dir)
+	kinds := map[string]string{"exact32": KindExact, "norm32": KindNormScan}
+	check := func(when string, s *Server) {
+		t.Helper()
+		for name, kind := range kinds {
+			c, ok := s.Collection(name)
+			if !ok || c.spec.kind() != kind || c.Shards() != 2 || s.Stats().Collections[name].Precision != PrecisionF64 {
+				t.Fatalf("%s: %s reopened as %+v (held: %v), want %s f64 on 2 shards", when, name, c.Spec(), ok, kind)
+			}
+			for _, variant := range []string{"signed", "unsigned"} {
+				want := fx.Answers[name][variant]
+				opts := SearchOpts{K: fx.K, Unsigned: variant == "unsigned"}
+				batch, err := s.SearchWithOpts(context.Background(), name, fx.Queries, opts)
+				if err != nil || len(want) != len(fx.Queries) {
+					t.Fatalf("%s: %s %s batch: %v (%d recorded answers)", when, name, variant, err, len(want))
+				}
+				for i, q := range fx.Queries {
+					single, err := s.SearchWithOpts(context.Background(), name, []vec.Vector{q}, opts)
+					if err != nil || single[0].Err != nil || batch[i].Err != nil {
+						t.Fatalf("%s: %s %s query %d: %v %v %v", when, name, variant, i, err, single[0].Err, batch[i].Err)
+					}
+					if !sameHitsBitExact([][]Hit{single[0].Hits, batch[i].Hits}, [][]Hit{want[i], want[i]}) {
+						t.Fatalf("%s: %s %s query %d answered %v alone, %v in a batch; the f32 tier %v",
+							when, name, variant, i, single[0].Hits, batch[i].Hits, want[i])
+					}
+				}
+			}
+		}
+	}
+	s1, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", s1)
+	for name := range kinds {
+		c, _ := s1.Collection(name)
+		if err := c.log.Checkpoint(c.persistSnapshot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	check("checkpointed and reopened", s2)
 }

@@ -338,6 +338,11 @@ func (s *Server) adoptRecovered(lg *persist.Log, rec *persist.Recovered) error {
 			return fmt.Errorf("manifest index spec: %w", err)
 		}
 	}
+	if spec.Precision == legacyF32 {
+		// The f32 tier stored its rows rounded to binary32, which f64
+		// holds exactly: its collections reopen as f64 of the same kind.
+		spec.Precision = PrecisionF64
+	}
 	name := rec.Manifest.Name
 	if name == "" {
 		return fmt.Errorf("manifest has no collection name")
@@ -747,13 +752,6 @@ type SearchOpts struct {
 	K int
 	// Unsigned ranks by |pᵀq| instead of pᵀq.
 	Unsigned bool
-	// Rerank asks f32 collections for exact scores: each shard fetches
-	// 4k f32 candidates and re-scores them through the retained f64 rows,
-	// making the answer bit-identical to an f64 exact scan whenever the
-	// candidate set covers the true top k. int8 collections always
-	// re-rank the candidates their error bound certifies, which always
-	// cover it; on exact (f64) engines the flag is a no-op.
-	Rerank bool
 	// Explain collects per-shard execution detail (rows scanned, blocks
 	// pruned or skipped, rerank candidates, timings) into
 	// SearchResult.Explain. Single-query requests only; the hits are
@@ -762,7 +760,7 @@ type SearchOpts struct {
 }
 
 // SearchWithOpts is SearchCtx with the full option set (notably the
-// exact re-rank flag for quantized collections).
+// explain breakdown).
 func (s *Server) SearchWithOpts(ctx context.Context, name string, queries []vec.Vector, opts SearchOpts) ([]SearchResult, error) {
 	c, ok := s.Collection(name)
 	if !ok {

@@ -171,8 +171,8 @@ func (s *shard) prepare(spec IndexSpec, hashes *lsh.Index, ids []int, vs []vec.V
 // nextIndex returns the index over nfs — old's store plus appended
 // rows — masked by dead. Engines whose structure over the old rows
 // stays valid extend it by the new rows (exact at every precision: the
-// store is the index, and the f32/int8 mirrors convert only what they
-// lack; alsh hashes only the new rows; normscan sorts the rows appended
+// store is the index, and the int8 mirror converts only what it lacks;
+// alsh hashes only the new rows; normscan sorts the rows appended
 // since its last full sort into a second run, and sorts everything
 // afresh — a rebuild — once that run would reach a chunk). sp counts
 // the shard under extend or rebuild and records rows_copied: the rows of

@@ -1,14 +1,13 @@
 package server
 
 // The seeded simulator: one model-based harness for every served path. A
-// seed draws a configuration and a trace of ops over the six kind ×
+// seed draws a configuration and a trace of ops over the four kind ×
 // precision cells (genSim), run against the server and a model, a plain
 // map of each collection's liveSet. After every op:
 //
-//   - exact f64 and int8 answers, and re-ranked f32 ones, are bit for bit
-//     exactTopK over the live rows (f32 rows rounded as ingest rounds them);
-//     raw f32 and alsh answer each query of a batch as they answer it alone,
-//     alsh as a fresh collection of its seed and shard count built from the
+//   - exact, normscan and int8 answers are bit for bit exactTopK over the
+//     live rows; alsh answers each query of a batch as it answers it alone,
+//     and as a fresh collection of its seed and shard count built from the
 //     live rows; a wrong-dimension query carries its error in place; a
 //     repeated search is served from the cache, unchanged (checkSearch);
 //   - exact and normpruned pairs are bit for bit bruteJoin over the live
@@ -81,11 +80,11 @@ func (m liveSet) topK(q vec.Vector, k int, unsigned bool) []Hit {
 
 // simCells are the collections the generator writes, one per kind ×
 // precision, of simSpecs; the planted queries, hq, have the zero spec.
-var simCells = []string{"e64", "e32", "e8", "n64", "n32", "h"}
+var simCells = []string{"e64", "e8", "n64", "h"}
 
 var simSpecs = map[string]IndexSpec{
-	"e64": {Kind: KindExact}, "e32": {Kind: KindExact, Precision: PrecisionF32}, "e8": {Kind: KindExact, Precision: PrecisionI8},
-	"n64": {Kind: KindNormScan}, "n32": {Kind: KindNormScan, Precision: PrecisionF32}, "h": {Kind: KindALSH, K: 4, L: 8},
+	"e64": {Kind: KindExact}, "e8": {Kind: KindExact, Precision: PrecisionI8},
+	"n64": {Kind: KindNormScan}, "h": {Kind: KindALSH, K: 4, L: 8},
 }
 
 // Every trace starts from the planted collections: "hq" holds simPlanted
@@ -309,7 +308,7 @@ func (g *simGen) op() simOp {
 // and Gaussian queries.
 func (g *simGen) search(col string) simOp {
 	rng, d := g.rng, g.cfg.dim
-	op := simOp{kind: "search", col: col, opts: SearchOpts{K: []int{1, 3, 10, 1000}[rng.Intn(4)], Unsigned: rng.Intn(2) == 0, Rerank: rng.Intn(2) == 0}}
+	op := simOp{kind: "search", col: col, opts: SearchOpts{K: []int{1, 3, 10, 1000}[rng.Intn(4)], Unsigned: rng.Intn(2) == 0}}
 	width := []int{1, 1, 1, 1, 2, 3, 4, searchTileQ - 1, searchTileQ, searchTileQ + 1, 2*searchTileQ - 1, 2 * searchTileQ, 2*searchTileQ + 1}[rng.Intn(13)]
 	for range width {
 		q := vec.Vector(rng.NormalVec(d))
@@ -436,7 +435,7 @@ func (r *simRun) apply(i int, op simOp) {
 	case "reopen", "crash":
 		r.reopen(op.kind == "crash")
 	default:
-		pinned := r.pinned(op.col, TopKOpts{Unsigned: i%2 == 1, Rerank: true})
+		pinned := r.pinned(op.col, TopKOpts{Unsigned: i%2 == 1})
 		before := pinned()
 		r.write(op)
 		if got := pinned(); !sameHitsBitExact([][]Hit{got}, [][]Hit{before}) {
@@ -469,12 +468,7 @@ func (r *simRun) write(op simOp) {
 		if r.m[op.col] == nil {
 			r.m[op.col] = liveSet{}
 		}
-		for _, rec := range op.recs {
-			if spec.precision() == PrecisionF32 {
-				rec.Vec = round32(rec.Vec) // as ingest stores it
-			}
-			r.m[op.col][rec.ID] = rec
-		}
+		r.m[op.col].upsert(op.recs)
 	case "delete", "block", "shard", "all":
 		ids := op.ids
 		if op.kind != "delete" && exists {
@@ -555,7 +549,7 @@ func (r *simRun) reopen(crash bool) {
 		}
 		for _, unsigned := range []bool{false, true} {
 			r.checkSearch(simOp{kind: "search", col: name, queries: []vec.Vector{vec.New(r.cfg.dim), r.planted[0].Vec},
-				opts: SearchOpts{K: 10, Unsigned: unsigned, Rerank: true}})
+				opts: SearchOpts{K: 10, Unsigned: unsigned}})
 		}
 	}
 	r.checkPlanted()
@@ -593,7 +587,7 @@ func (r *simRun) checkSearch(op simOp) {
 		}
 	}()
 	k, unsigned := op.opts.K, op.opts.Unsigned
-	exact := c.spec.kind() != KindALSH && (c.spec.precision() != PrecisionF32 || op.opts.Rerank)
+	exact := c.spec.kind() != KindALSH
 	for i, q := range op.queries {
 		got, want := res[i], []Hit(nil)
 		switch {
@@ -611,9 +605,6 @@ func (r *simRun) checkSearch(op simOp) {
 		default:
 			if want, err = c.SearchOne(ctx, nil, q, k, unsigned); err != nil {
 				failf("%s: query %d alone: %v", op, i, err)
-			}
-			if c.spec.kind() != KindALSH {
-				break
 			}
 			if fresh == nil {
 				if fresh, err = newCollection("fresh", c.spec, len(c.shards), c.seed); err == nil {
@@ -660,7 +651,7 @@ func (r *simRun) checkJoin(op simOp) {
 	switch spec := simSpecs[req.Data]; {
 	case !dok || !qok:
 		refused = "unknown"
-	case req.Engine == "normpruned" && (spec.kind() != KindNormScan || spec.precision() != PrecisionF64):
+	case req.Engine == "normpruned" && spec.kind() != KindNormScan:
 		refused = "use engine exact"
 	case req.Engine == "lsh" && spec.kind() != KindALSH:
 		refused = "index kind alsh"
@@ -856,8 +847,8 @@ func TestSim(t *testing.T) {
 func FuzzSim(f *testing.F) {
 	// A score tie at the k-th hit kept by row order, not by record ID,
 	// once an upsert appended rows out of ID order (scanShard).
-	f.Add(uint64(0x2), []byte{34, 38})
-	f.Add(uint64(0xd), []byte{38, 50})
+	f.Add(uint64(0x2), []byte{148, 149}) // exact f64
+	f.Add(uint64(0xd), []byte{170, 180}) // normscan f64
 	f.Fuzz(simulate)
 }
 
@@ -986,14 +977,14 @@ func TestBatchSearchMatchesPerQuery(t *testing.T) {
 	simScenario{fix: func(c *simConfig) { c.compact = false }, kinds: "ingest upsert delete search"}.run(t)
 }
 
-// TestPrecisionTierMutations: the f32 and int8 tiers answer as the model
-// does after deletes and upserts.
+// TestPrecisionTierMutations: the int8 tier answers as the model does
+// after deletes and upserts.
 func TestPrecisionTierMutations(t *testing.T) {
-	simScenario{cells: "e32 n32 e8", kinds: "ingest upsert delete search"}.run(t)
+	simScenario{cells: "e8", kinds: "ingest upsert delete search"}.run(t)
 }
 
-// TestPrecisionTierBatchMatchesSingle: the f32 and int8 tiers answer each
-// query of a batch as they answer it alone.
+// TestPrecisionTierBatchMatchesSingle: the int8 tier answers each query
+// of a batch as it answers it alone, and as the model does.
 func TestPrecisionTierBatchMatchesSingle(t *testing.T) {
-	simScenario{cells: "e32 n32 e8", kinds: "ingest search"}.run(t)
+	simScenario{cells: "e8", kinds: "ingest search"}.run(t)
 }

@@ -620,7 +620,6 @@ type wireBuf struct {
 	k         int
 	timeoutMS int
 	unsigned  bool
-	rerank    bool
 	explain   bool
 	qs        []vec.Vector
 }
@@ -651,7 +650,7 @@ func (wb *wireBuf) reset() {
 var (
 	ingestFields = []string{"index", "shards", "records"}
 	recordFields = []string{"id", "vec", "attrs"}
-	searchFields = []string{"q", "queries", "k", "unsigned", "rerank", "timeout_ms", "explain"}
+	searchFields = []string{"q", "queries", "k", "unsigned", "timeout_ms", "explain"}
 )
 
 // parseIngest decodes wb's body as an IngestRequest (PUT
@@ -758,8 +757,6 @@ func (wb *wireBuf) parseSearch() error {
 				wb.intValue(&wb.k)
 			case "unsigned":
 				wb.boolValue(&wb.unsigned)
-			case "rerank":
-				wb.boolValue(&wb.rerank)
 			case "timeout_ms":
 				wb.intValue(&wb.timeoutMS)
 			case "explain":

@@ -117,8 +117,8 @@ func diffWire(body []byte) error {
 	}
 	if got == nil {
 		defer wbs.release()
-		gotScalars := SearchRequest{K: wbs.k, Unsigned: wbs.unsigned, Rerank: wbs.rerank, TimeoutMS: wbs.timeoutMS, Explain: wbs.explain}
-		wantScalars := SearchRequest{K: sr.K, Unsigned: sr.Unsigned, Rerank: sr.Rerank, TimeoutMS: sr.TimeoutMS, Explain: sr.Explain}
+		gotScalars := SearchRequest{K: wbs.k, Unsigned: wbs.unsigned, TimeoutMS: wbs.timeoutMS, Explain: wbs.explain}
+		wantScalars := SearchRequest{K: sr.K, Unsigned: sr.Unsigned, TimeoutMS: sr.TimeoutMS, Explain: sr.Explain}
 		if !reflect.DeepEqual(gotScalars, wantScalars) {
 			return fmt.Errorf("search: scalars %+v, encoding/json has %+v", gotScalars, wantScalars)
 		}
@@ -325,7 +325,7 @@ func TestWireDecodeDepth(t *testing.T) {
 // FuzzWireDecode is the decoder's contract: for arbitrary bytes, wire.go
 // and json.Unmarshal of the whole body agree on accept or reject in each
 // shape and, on accept, on every id, every float's bits, attrs, index,
-// shards, k, unsigned, rerank, explain and timeout_ms. The buffers come
+// shards, k, unsigned, explain and timeout_ms. The buffers come
 // from the pool, so state leaking from one body into the next shows up
 // as a disagreement too.
 func FuzzWireDecode(f *testing.F) {
@@ -357,6 +357,8 @@ func FuzzWireDecode(f *testing.F) {
 		`{"queries":[[2.2250738585072011e-308,4.9406564584124654e-324,2.4703282292062328e-324]]}`,
 		`{"records":[{"vec":[1.7976931348623157e308,-0.000000000000000000000000000000000000001]}]}`,
 		`{"vec":[1.7976931348623159e308]}`,
+		// "rerank", a search field no longer: skipped whatever it holds.
+		`{"q":[1,0],"rerank":"x","k":3,"rerank":{"a":[1,{"b":null}]}}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -606,6 +608,43 @@ func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder
 	return rec
 }
 
+// TestRemovedRerankFieldIgnored: "rerank" is no longer a search field,
+// so a body that still carries it answers as the body without it, on an
+// f64 and on an int8 collection, whatever the field holds.
+func TestRemovedRerankFieldIgnored(t *testing.T) {
+	s := New(Config{DefaultShards: 2, CacheCapacity: -1})
+	defer s.Close()
+	h := NewHandler(s)
+	rng := xrand.New(44)
+	rows := make([]store.Record, 300)
+	for i := range rows {
+		rows[i] = ballRecord(rng, i, 6)
+	}
+	q := jsonVec(rng.UnitVec(6))
+	for _, spec := range []IndexSpec{{Kind: KindExact}, {Kind: KindExact, Precision: PrecisionI8}} {
+		if _, _, err := s.Ingest(spec.precision(), &spec, 0, rows); err != nil {
+			t.Fatal(err)
+		}
+		path := "/collections/" + spec.precision() + "/search"
+		answer := func(body string) []Hit {
+			t.Helper()
+			rec := serve(h, http.MethodPost, path, body)
+			var resp SearchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil {
+				t.Fatalf("%s %s: %d %s", path, body, rec.Code, rec.Body)
+			}
+			return resp.Matches
+		}
+		want := answer(`{"q":` + q + `,"k":3}`)
+		for _, rerank := range []string{`true`, `false`, `"x"`, `null`} {
+			body := `{"q":` + q + `,"k":3,"rerank":` + rerank + `}`
+			if got := answer(body); len(want) != 3 || !sameHitsBitExact([][]Hit{got}, [][]Hit{want}) {
+				t.Fatalf("%s %s answered %v, without the field %v", path, body, got, want)
+			}
+		}
+	}
+}
+
 // TestOneJSONValuePerBody: on every route that decodes a body, bytes
 // after the JSON value are a 400 — Decoder.Decode used to stop at the
 // end of the first value, so `{"ids":[1]}{"ids":[2]} garbage` deleted
@@ -687,10 +726,9 @@ func poisonPooledBuffers() int {
 // TestRequestBuffersNotRetained: records and queries alias the pooled
 // request buffer only while their handler runs. After every ingest,
 // upsert and search the pooled buffers are overwritten; searches (cache
-// on, so also what the cache keyed and kept), the same searches after a
-// WAL reopen, and the f32 tier's rounded copies must all still agree
-// with a server that was fed the same data in process from slices
-// nobody touches.
+// on, so also what the cache keyed and kept) and the same searches after
+// a WAL reopen must all still agree with a server that was fed the same
+// data in process from slices nobody touches.
 func TestRequestBuffersNotRetained(t *testing.T) {
 	const n, d, nq = 96, 12, 6
 	rng := xrand.New(31)
@@ -720,10 +758,8 @@ func TestRequestBuffersNotRetained(t *testing.T) {
 	poisoned := 0
 	for _, spec := range []IndexSpec{
 		{Kind: KindExact},
-		{Kind: KindExact, Precision: PrecisionF32},
 		{Kind: KindExact, Precision: PrecisionI8},
 		{Kind: KindNormScan},
-		{Kind: KindNormScan, Precision: PrecisionF32},
 		{Kind: KindALSH},
 	} {
 		t.Run(spec.kind()+"-"+spec.precision(), func(t *testing.T) {

@@ -54,11 +54,9 @@ func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 		spec IndexSpec
 	}{
 		{"f64", IndexSpec{Kind: KindExact}},
-		{"f32", IndexSpec{Kind: KindExact, Precision: PrecisionF32}},
 		{"int8", IndexSpec{Kind: KindExact, Precision: PrecisionI8}},
 		{"alsh", IndexSpec{Kind: KindALSH}},
 		{"normscan", IndexSpec{Kind: KindNormScan}},
-		{"normscan-f32", IndexSpec{Kind: KindNormScan, Precision: PrecisionF32}},
 	} {
 		path := "/collections/" + tc.name
 		spec := tc.spec
@@ -232,7 +230,7 @@ func TestIndexBuildCountersWithoutTrace(t *testing.T) {
 // beside ingests, upserts and deletes on the exact index at every
 // precision (under -race in CI). Record i is b·e_{i mod d} with
 // b = (i mod 50)+1, an upsert doubles it, and small integers are exact
-// in all three tiers — so against the all-ones query a hit for ID i
+// in both tiers — so against the all-ones query a hit for ID i
 // scores b or 2b whichever snapshot answers, and anything else is a row
 // read while it was being written.
 func TestReadsDuringWritesEveryPrecision(t *testing.T) {
@@ -246,7 +244,7 @@ func TestReadsDuringWritesEveryPrecision(t *testing.T) {
 	for i := range ones {
 		ones[i] = 1
 	}
-	for _, precision := range []string{PrecisionF64, PrecisionF32, PrecisionI8} {
+	for _, precision := range []string{PrecisionF64, PrecisionI8} {
 		t.Run(precision, func(t *testing.T) {
 			s := New(Config{DefaultShards: 2, CacheCapacity: -1, CompactFraction: 0.05, CompactMinDead: -1})
 			defer s.Close()
@@ -302,7 +300,7 @@ func TestReadsDuringWritesEveryPrecision(t *testing.T) {
 			}
 			wg.Add(3)
 			go reader(func() error {
-				res, err := s.SearchWithOpts(context.Background(), "c", []vec.Vector{ones}, SearchOpts{K: 20, Rerank: true})
+				res, err := s.SearchWithOpts(context.Background(), "c", []vec.Vector{ones}, SearchOpts{K: 20})
 				if err != nil || res[0].Err != nil {
 					return fmt.Errorf("search: %v %v", err, res[0].Err)
 				}
@@ -518,7 +516,7 @@ func TestCheckpointFromShardsBitIdentical(t *testing.T) {
 	const n, d, k = 2500, 8, 5
 	recs := randRecords(n+200, d, 41)
 	queries := randQueries(25, d, 42)
-	for _, precision := range []string{PrecisionF64, PrecisionF32, PrecisionI8} {
+	for _, precision := range []string{PrecisionF64, PrecisionI8} {
 		t.Run(precision, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := durableConfig(dir)
@@ -560,7 +558,7 @@ func TestCheckpointFromShardsBitIdentical(t *testing.T) {
 			answers := func(s *Server) [][]Hit {
 				out := make([][]Hit, len(queries))
 				for i, q := range queries {
-					res, err := s.SearchWithOpts(context.Background(), "col", []vec.Vector{q}, SearchOpts{K: k, Rerank: true})
+					res, err := s.SearchWithOpts(context.Background(), "col", []vec.Vector{q}, SearchOpts{K: k})
 					if err != nil || res[0].Err != nil {
 						t.Fatal(err, res[0].Err)
 					}

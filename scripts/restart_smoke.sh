@@ -17,8 +17,7 @@
 #
 # Usage: scripts/restart_smoke.sh [n] [q] [mutate_ops] [precision]
 #
-# With precision=int8 (or f32) the cycle runs against a quantized
-# collection: the restart must recover the quantization scales exactly
+# With precision=int8 the cycle runs against a quantized collection: the restart must recover the quantization scales exactly
 # from the WAL/segments, or the re-ranked answers drift and the
 # -skip-ingest verification fails.
 set -euo pipefail
