@@ -78,21 +78,25 @@ func BenchmarkFlatTopK(b *testing.B) {
 }
 
 // BenchmarkFlatNormSortedExtend measures a normscan write's index work:
-// 16 rows onto a norm-sorted view of n whose tail run is half full.
+// 16 rows onto a norm-sorted view of n whose tail run is half full, and
+// /masked with 16 deaths, the dead set gathered from the last write's.
 // ns/op and B/op must not scale with n
 // (TestNormSortedExtendCostIsBatchSized holds the ratio under 2).
 func BenchmarkFlatNormSortedExtend(b *testing.B) {
 	for _, n := range []int{5000, 40000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			v, fs := halfTailed(b, n, 16)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, ok := v.Extend(fs); !ok {
-					b.Fatal("Extend asked for a rebuild")
-				}
+		for _, masked := range []bool{false, true} {
+			name := fmt.Sprintf("n=%d", n)
+			if masked {
+				name += "/masked"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				write := normWrite(b, n, 16, masked)
+				b.ReportAllocs()
+				for b.Loop() {
+					write()
+				}
+			})
+		}
 	}
 }
 

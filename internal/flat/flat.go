@@ -20,8 +20,8 @@
 // top-k scan can stop at the first row whose norm cannot beat the k-th
 // best hit via the Cauchy–Schwarz bound ‖p‖·‖q‖ ≥ |pᵀq|. Rows appended
 // after the sort form a second, short norm-sorted run behind the first
-// (View.Extend), so a write sorts and copies less than one chunk of
-// rows.
+// (View.Extend), into which a write merges its sorted batch, so it sorts
+// its batch and copies less than one chunk of rows.
 package flat
 
 import (
@@ -108,7 +108,7 @@ func (s *Store) Append(v vec.Vector) error {
 	}
 	row, norm := s.grow(1)
 	copy(row, v)
-	norm[0] = vec.Norm(v)
+	norm[0] = rowNorm(v)
 	return nil
 }
 
@@ -133,7 +133,7 @@ func (s *Store) AppendAll(vs []vec.Vector) error {
 		rows, norms := s.grow(len(vs))
 		for i, v := range vs[:len(norms)] {
 			copy(rows[i*s.dim:], v)
-			norms[i] = vec.Norm(v)
+			norms[i] = rowNorm(v)
 		}
 		vs = vs[len(norms):]
 	}
@@ -570,16 +570,177 @@ func (s *Store) scoreBlock(bq *query, lo, hi int, out []float64) { s.dotRange(bq
 // vectors the first can come out a few ulps above the second; the scan
 // cuts a block at the first row whose bound is below the bar, and a row
 // that ties the bar exactly — a join's cs, a k-th best — must not fall
-// to that. (The margin is rounding's only: a norm whose square
-// underflowed to 0 bounds nothing.)
-func f64Bound(qnorm float64, d int) float64 { return qnorm * (1 + float64(d+4)*0x1p-52) }
+// to that. A subnormal bound is rounded up, since its rounding is an
+// absolute half ulp that a large row norm would multiply; what subnormal
+// products still lose, the sweep's slack below the bar covers.
+func f64Bound(qnorm float64, d int) float64 {
+	b := qnorm * (1 + float64(d+4)*0x1p-52)
+	if 0 < b && b < 0x1p-1022 {
+		b = math.Nextafter(b, math.Inf(1))
+	}
+	return b
+}
+
+// f64Slack is how far below the bar a d-dimensional f64 row's norm
+// bound may fall and still be kept: what the 2d roundings of a dot
+// product and the rounding of the bound's product can each lose in
+// absolute terms when their results are subnormal, at most 2⁻¹⁰⁷⁵ apiece.
+// It shifts no bar of normal size (≥ ≈ d·2⁻¹⁰²¹), being under half its
+// ulp.
+func f64Slack(d int) float64 { return float64(d+4) * 0x1p-1074 }
+
+// rowNorm is ‖v‖ as the norm bound needs it, for rows and queries
+// alike: vec.Norm's bits when they are at least 2⁻⁵⁰⁰ (or NaN or +Inf).
+// Below that Σx² may have underflowed — to 0 for (1e-170, 0), whose
+// norm is 1e-170 — so it is summed again, by the same kernel, over v
+// scaled by the power of two that brings its largest element into
+// [½, 1), as math.Hypot scales; a subnormal result that rounded down
+// is rounded up, as f64Bound rounds. A power-of-two scale is exact, so
+// where no square underflowed the two sums agree bit for bit.
+func rowNorm(v []float64) float64 {
+	n := vec.Norm(v)
+	if !(n < 0x1p-500) {
+		return n
+	}
+	var m float64
+	for _, x := range v {
+		m = max(m, math.Abs(x))
+	}
+	if m == 0 {
+		return 0
+	}
+	_, e := math.Frexp(m)
+	scaled := make([]float64, len(v))
+	for i, x := range v {
+		scaled[i] = math.Ldexp(x, -e)
+	}
+	sn := vec.Norm(scaled)
+	if n = math.Ldexp(sn, e); n < 0x1p-1022 && math.Ldexp(n, -e) < sn {
+		n = math.Nextafter(n, math.Inf(1)) // rounded down to a subnormal
+	}
+	return n
+}
+
+// normKey is a row's place in a norm-sorted run: its norm's bits,
+// complemented — norms are ≥ 0, so their bits order as they do, and the
+// complement descends (NaN norms lead) — then its store index.
+type normKey struct {
+	bits uint64
+	idx  int
+}
+
+func keyOf(norm float64, idx int) normKey { return normKey{^math.Float64bits(norm), idx} }
+
+func (a normKey) less(b normKey) bool { return a.bits < b.bits || a.bits == b.bits && a.idx < b.idx }
+
+// normOrder returns the keys of rows [from, to) of the norm column in
+// (norm descending, index ascending) order. Keys are distinct, so every
+// sort orders them alike: a write's batch of up to 64 rows is
+// insertion-sorted, and more rows — a shard's few thousand — go through
+// a stable byte-wise radix sort on the keys' bits, taken in index order,
+// several times faster there than a comparison sort calling back into a
+// comparator.
+func normOrder(norms *chunked[float64], from, to int) []normKey {
+	n := to - from
+	keys := make([]normKey, n)
+	for i := range keys {
+		keys[i] = keyOf(norms.at(from+i), from+i)
+	}
+	if n <= 64 {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && keys[j].less(keys[j-1]); j-- {
+				keys[j], keys[j-1] = keys[j-1], keys[j]
+			}
+		}
+		return keys
+	}
+	spare := make([]normKey, n)
+	for shift := 0; shift < 64; shift += 8 {
+		var start [256]int
+		for _, k := range keys {
+			start[k.bits>>shift&255]++
+		}
+		if start[keys[0].bits>>shift&255] == n {
+			continue // every key has the same byte here
+		}
+		at := 0
+		for b, c := range start {
+			start[b], at = at, at+c
+		}
+		for _, k := range keys {
+			b := k.bits >> shift & 255
+			spare[start[b]] = k
+			start[b]++
+		}
+		keys, spare = spare, keys
+	}
+	return keys
+}
 
 // sortedRun returns rows [from, fs.Len()) of fs as a norm-sorted run: a
 // private physical copy in (norm descending, index ascending) order.
+// The copy deliberately doubles the rows' resident memory: keeping the
+// norm-ordered rows contiguous is what lets the early-terminating scan
+// stream at kernel speed (≈3× a permutation-chasing scan on the serving
+// batch path). A normscan shard runs it over all its rows once per
+// chunkRows rows appended to it; the writes between merge their batch
+// into the tail run (mergedRun).
 func sortedRun(fs *Store, from int) run {
+	keys := normOrder(&fs.norms, from, fs.Len())
 	re := newStore(fs.dim)
-	ids := sortByNorm(&fs.data, &fs.norms, from, &re.data, &re.norms)
+	ids := make([]int, len(keys))
+	for phys := 0; phys < len(keys); {
+		rows, norms := re.grow(len(keys) - phys)
+		for i := range norms {
+			idx := keys[phys+i].idx
+			ids[phys+i] = idx
+			copy(rows[i*fs.dim:], fs.data.row(idx))
+			norms[i] = fs.norms.at(idx)
+		}
+		phys += len(norms)
+	}
 	return run{t: re, ids: ids, norms: &re.norms, off: from}
+}
+
+// mergedRun returns sortedRun(fs, off) — row for row, norm for norm, id
+// for id — given tail, the norm-sorted run of rows [off, from) of fs (the
+// zero run when from = off), at the cost of the rows from on: only they
+// are sorted, and one pass merges them into tail's key order, copying
+// tail's rows in stretches between them. The run must stay under
+// chunkRows rows (see View.Extend), so it is one exactly-sized chunk.
+func mergedRun(fs *Store, tail run, off int) run {
+	var oldRows, oldNorms []float64
+	if tail.t != nil && tail.t.Len() > 0 {
+		ts := tail.t.(*Store)
+		oldRows, oldNorms = ts.data.contiguous(0, ts.Len()), ts.norms.contiguous(0, ts.Len())
+	}
+	old := len(oldNorms)
+	batch := normOrder(&fs.norms, off+old, fs.Len())
+	n, d := old+len(batch), fs.dim
+	re := newStore(d)
+	ids := make([]int, n)
+	rows, norms := re.grow(n)
+	// at is the next physical row, i the next tail row; take places tail
+	// rows [i, hi).
+	at, i := 0, 0
+	take := func(hi int) {
+		copy(rows[at*d:], oldRows[i*d:hi*d])
+		copy(norms[at:], oldNorms[i:hi])
+		copy(ids[at:], tail.ids[i:hi])
+		at, i = at+hi-i, hi
+	}
+	for _, k := range batch {
+		j := i
+		for j < old && keyOf(oldNorms[j], tail.ids[j]).less(k) {
+			j++
+		}
+		take(j)
+		copy(rows[at*d:], fs.data.row(k.idx))
+		norms[at], ids[at] = fs.norms.at(k.idx), k.idx
+		at++
+	}
+	take(old)
+	return run{t: re, ids: ids, norms: &re.norms, off: off}
 }
 
 func (s *Store) extend(fs *Store) (tier, int) { return fs, fs.SharedRows(s) }

@@ -1,7 +1,9 @@
 package flat
 
 import (
+	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -388,10 +390,11 @@ func FuzzDot32Range(f *testing.F) {
 // FuzzNormRuns holds a two-run norm-sorted view to the store-order scan
 // of the same rows (checkRuns: Scan and ScanMulti, hits and counts) on
 // fuzzed rows, queries, split point, dead set, floor and k, both tiers.
-// raw decodes as float64 bit patterns — NaNs and infinities stay, the
-// sort and the cut must cope — read cyclically to fill up to three
-// queries and the rows; the floor is 0, beyond every score, or the score
-// of a fuzzed row against the first query, a tie at the bar.
+// raw decodes as float64 bit patterns — NaNs, infinities, subnormals and
+// values whose squares underflow stay: the sort, the norms and the cut
+// must cope — read cyclically to fill up to three queries and the rows;
+// the floor is 0, beyond every score, or the score of a fuzzed row
+// against the first query, a tie at the bar.
 func FuzzNormRuns(f *testing.F) {
 	word := func(vals ...float64) []byte {
 		var b []byte
@@ -407,6 +410,8 @@ func FuzzNormRuns(f *testing.F) {
 	// Every row parallel to every query and the floor one of their
 	// scores: the computed norms' product falls an ulp short of it.
 	f.Add(uint16(81), uint16(1400), uint16(1399), uint16(74), uint16(5), ^uint64(0), word(0.3, 0.5))
+	// Squares that underflow, subnormal norms and subnormal scores.
+	f.Add(uint16(1), uint16(600), uint16(200), uint16(0), uint16(4), uint64(0x5), word(1e-170, 0, 1e-180, 1, 5e-324, 1e-310, -2e-160, 3e-200))
 	f.Fuzz(func(t *testing.T, dw, nw, split, kw, floorSel uint16, deadBits uint64, raw []byte) {
 		if len(raw) < 8 {
 			t.Skip()
@@ -416,10 +421,9 @@ func FuzzNormRuns(f *testing.F) {
 		next := func() float64 {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(raw[at%(len(raw)/8)*8:]))
 			at++
-			if a := math.Abs(v); (a > 1e15 && !math.IsInf(v, 0)) || (a != 0 && a < 1e-15) {
-				// Squares and products must neither overflow nor underflow,
-				// in float32 either: a norm that rounds to 0, or a score
-				// that rounds to ±Inf, is no longer bounded by the norms.
+			if a := math.Abs(v); a > 1e15 && !math.IsInf(v, 0) {
+				// Products must not overflow: a score that rounds to ±Inf
+				// is no longer bounded by the norms.
 				v = 0
 			}
 			return v
@@ -456,6 +460,165 @@ func FuzzNormRuns(f *testing.F) {
 		for _, tier := range sortedTiers {
 			v := extendTo(tier.sorted(prefixOf(fs, n-tailLen)), fs, n-tailLen/2, n)
 			checkRuns(t, tier.name, v, tier.rowOrder(fs), qs, qs.Len(), o, dead)
+		}
+	})
+}
+
+// FuzzNormTail drives a norm-sorted view through fuzzed writes as a
+// normscan shard does: each appends rows to a store grown from the last
+// one and Extends the view over it (sorting afresh when Extend asks),
+// kills or revives rows, and gathers the dead set from the previous
+// write's (GatherDeadSince) — nil while no row is dead. Rows are drawn
+// from a palette of ties, zeros, NaN, ±Inf, subnormals and values whose
+// squares underflow. After every write the tail run is sortedRun over its
+// rows — rows, norms and ids, by their bits — and the dead set is
+// GatherDead's, count included; a view held at some write answers as the
+// store-order scan did then, and keeps its answers and row order to the
+// end. ops is read a byte per write: its low two bits pick the write
+// (append a few rows, append many, kill, revive or hold) and the rest
+// its size.
+func FuzzNormTail(f *testing.F) {
+	f.Add(uint8(3), uint64(1), []byte{0x81, 0x42, 0x0e, 0x13, 0x55, 0x7d, 0x22, 0xfe, 0x07})
+	f.Add(uint8(1), uint64(7), []byte{0xfd, 0xfd, 0x0a, 0xfd, 0x3f, 0x1b, 0xfd, 0x0e, 0xff, 0x03})
+	f.Add(uint8(16), uint64(42), []byte{0xfc, 0x19, 0x0a, 0x40, 0x0b, 0x09, 0xfc, 0xfd, 0x06, 0x0e})
+	// A dead tail row in the base run's last, partial word.
+	f.Add(uint8(18), uint64(138), []byte("0000200"))
+	palette := []float64{1, 1, -1, 0.5, 0, 2, 3, -3, 1e-170, -1e-180, 2e-160, 1e-310, -5e-324,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	f.Fuzz(func(t *testing.T, dw uint8, seed uint64, ops []byte) {
+		if len(ops) > 64 {
+			t.Skip()
+		}
+		d := int(dw)%17 + 1
+		rng := xrand.New(seed)
+		draw := func(n int) []vec.Vector {
+			vs := make([]vec.Vector, n)
+			for i := range vs {
+				vs[i] = vec.New(d)
+				for j := range vs[i] {
+					vs[i][j] = palette[rng.Intn(len(palette))]
+				}
+			}
+			return vs
+		}
+		qs, err := FromVectors(draw(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := FromVectors(draw(1 + rng.Intn(600)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := NewNormSorted(fs).View
+		dead := make([]bool, fs.Len()) // the store-order dead rows
+		var was, gathered *Tombstones  // the last write's, nil while no row is dead
+		type heldView struct {
+			v     View
+			dead  *Tombstones // physical
+			perm  []int
+			ans   [][]Hit
+			write int
+		}
+		var held []heldView
+		answers := func(v View, phys *Tombstones) (out [][]Hit) {
+			for j := 0; j < qs.Len(); j++ {
+				for _, unsigned := range []bool{false, true} {
+					hits, err := v.Scan(context.Background(), qs.Row(j), ScanOpts{K: 5, Unsigned: unsigned, Dead: phys})
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, hits)
+				}
+			}
+			return out
+		}
+		for w, op := range ops {
+			size := int(op >> 2)
+			next := v
+			switch op & 3 {
+			case 0, 1: // append size rows, or 16·size
+				if op&3 == 1 {
+					size *= 16
+				}
+				grown := fs.CloneGrow(size)
+				if err := grown.AppendAll(draw(size)); err != nil {
+					t.Fatal(err)
+				}
+				fs = grown
+				dead = append(dead, make([]bool, size)...)
+				ext, copied, ok := v.Extend(fs)
+				if !ok {
+					if fs.Len()-v.t.Len() < chunkRows {
+						t.Fatalf("write %d: Extend to %d rows over a base of %d asked for a rebuild", w, fs.Len(), v.t.Len())
+					}
+					ext = NewNormSorted(fs).View
+				} else if copied != fs.Len()-v.t.Len() || ext.t != v.t {
+					t.Fatalf("write %d: Extend copied %d rows (base shared: %v), want the %d past the base run", w, copied, ext.t == v.t, fs.Len()-v.t.Len())
+				}
+				next = ext
+			case 2: // kill size rows
+				for range size {
+					dead[rng.Intn(len(dead))] = true
+				}
+			default:
+				if size&1 == 0 { // revive up to size/2 rows
+					for range size / 2 {
+						dead[rng.Intn(len(dead))] = false
+					}
+					break
+				}
+				held = append(held, heldView{v: v, dead: gathered, perm: physPerm(v), ans: answers(v, gathered), write: w})
+				checkRuns(t, fmt.Sprintf("write %d", w), v, fs.View(), qs, qs.Len(), ScanOpts{K: 5}, was)
+				continue
+			}
+			if next.Len() != fs.Len() {
+				t.Fatalf("write %d: a view of %d rows over a store of %d", w, next.Len(), fs.Len())
+			}
+			if next.tail.t != nil {
+				want := sortedRun(fs, next.t.Len())
+				got := next.tail
+				if got.off != want.off || len(got.ids) != len(want.ids) {
+					t.Fatalf("write %d: a tail of %d rows from %d, sortedRun's %d from %d", w, len(got.ids), got.off, len(want.ids), want.off)
+				}
+				if p := slices.Compare(got.ids, want.ids); p != 0 {
+					for p = 0; got.ids[p] == want.ids[p]; p++ {
+					}
+					t.Fatalf("write %d: tail row %d holds row %d, sortedRun's row %d", w, p, got.ids[p], want.ids[p])
+				}
+				gs, ws := got.t.(*Store), want.t.(*Store)
+				for p := range want.ids {
+					if math.Float64bits(gs.Norm(p)) != math.Float64bits(ws.Norm(p)) {
+						t.Fatalf("write %d: tail row %d has norm %v, sortedRun's %v", w, p, gs.Norm(p), ws.Norm(p))
+					}
+					for j, x := range ws.Row(p) {
+						if math.Float64bits(gs.Row(p)[j]) != math.Float64bits(x) {
+							t.Fatalf("write %d: tail row %d is %v, sortedRun's %v", w, p, gs.Row(p), ws.Row(p))
+						}
+					}
+				}
+			}
+			var now *Tombstones
+			if slices.Contains(dead, true) {
+				now = NewTombstones(len(dead))
+				for i, x := range dead {
+					if x {
+						now.Kill(i)
+					}
+				}
+			}
+			got, want := next.GatherDeadSince(fs, now, v, was, gathered), next.GatherDead(now)
+			if got.Count() != want.Count() || got.Len() != want.Len() || (want != nil && !slices.Equal(got.bits.W, want.bits.W)) {
+				t.Fatalf("write %d: patched dead set (%d of %d) is not GatherDead's (%d of %d)", w, got.Count(), got.Len(), want.Count(), want.Len())
+			}
+			v, was, gathered = next, now, got
+		}
+		for _, h := range held {
+			if !slices.Equal(physPerm(h.v), h.perm) {
+				t.Fatalf("the view held at write %d changed its row order", h.write)
+			}
+			if ans := answers(h.v, h.dead); !slices.EqualFunc(ans, h.ans, hitBitsEqual) {
+				t.Fatalf("the view held at write %d answered %v, then %v", h.write, h.ans, ans)
+			}
 		}
 	})
 }

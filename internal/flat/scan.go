@@ -25,7 +25,7 @@ package flat
 import (
 	"context"
 	"fmt"
-	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -171,13 +171,67 @@ func (v View) Dim() int { return v.t.Dim() }
 func (v View) Sorted() bool { return v.ids != nil }
 
 // GatherDead returns dead, a set over store-order rows, as v's scans
-// want it (ScanOpts.Dead): in physical order — through both runs' maps —
-// on a norm-sorted view, as it is otherwise.
+// want it (ScanOpts.Dead): in physical order — every row looked up
+// through both runs' maps — on a norm-sorted view, as it is otherwise.
+// A write that has the previous snapshot's gathered set calls
+// GatherDeadSince instead.
 func (v View) GatherDead(dead *Tombstones) *Tombstones {
 	if !v.Sorted() {
 		return dead
 	}
 	return dead.Gather(v.ids, v.tail.ids)
+}
+
+// GatherDeadSince returns v.GatherDead(dead) for v, a view over fs,
+// from the set gathered for an earlier one: gathered is
+// prev.GatherDead(was), prev being v or a view v was extended from. When
+// the two share their base run and dead keeps every base row was marks,
+// the base run's words are copied from gathered, each base row dead
+// newly marks is found by binary search on its key — fs holds its norm,
+// and the run is in key order — and only the tail run is gathered: n/64
+// words, the new deaths and the tail, and nothing O(n) per row. Any
+// other case (a rebuilt base, no earlier set, a revived row) gathers in
+// full.
+func (v View) GatherDeadSince(fs *Store, dead *Tombstones, prev View, was, gathered *Tombstones) *Tombstones {
+	base := v.t.Len()
+	if !v.Sorted() || dead == nil || was == nil || gathered == nil || v.t != prev.t {
+		return v.GatherDead(dead)
+	}
+	out := NewTombstones(v.Len())
+	words := (base + 63) >> 6
+	copy(out.bits.W[:words], gathered.bits.W[:words])
+	out.count = gathered.count - gathered.DeadIn(base, prev.Len())
+	for w := range words {
+		mask := ^uint64(0)
+		if w == words-1 && base&63 != 0 {
+			mask = 1<<(base&63) - 1
+		}
+		then, now := was.bits.W[w]&mask, dead.bits.W[w]&mask
+		if then&^now != 0 {
+			return v.GatherDead(dead)
+		}
+		out.bits.W[w] &= mask
+		for killed := now &^ then; killed != 0; killed &= killed - 1 {
+			i := w<<6 + bits.TrailingZeros64(killed)
+			out.Kill(v.find(keyOf(fs.Norm(i), i)))
+		}
+	}
+	for p, i := range v.tail.ids {
+		if dead.Dead(i) {
+			out.Kill(base + p)
+		}
+	}
+	return out
+}
+
+// find returns the physical row of the norm-sorted run r holding key's
+// row.
+func (r run) find(key normKey) int {
+	p := sort.Search(len(r.ids), func(p int) bool { return !keyOf(r.norms.at(p), r.ids[p]).less(key) })
+	if p == len(r.ids) || r.ids[p] != key.idx {
+		panic(fmt.Sprintf("flat: row %d is not in the norm-sorted run", key.idx))
+	}
+	return p
 }
 
 // AllocatedBytes returns the bytes of row storage the view holds
@@ -204,10 +258,12 @@ func (v View) maxScanWorkers() int {
 // scans: only the rows the tier lacks are converted, the rest is shared
 // with v (which keeps serving), and copied reports how many of the
 // result's rows do not share memory with v's. A norm-sorted view keeps
-// its base run and sorts every row of fs past it into a new tail run —
-// fewer than chunkRows rows, so the cost does not depend on how many v
-// holds. ok is false once the tail would reach chunkRows: the caller
-// sorts fs afresh, which makes all of it the base run again.
+// its base run and builds a new tail run of every row of fs past it —
+// fewer than chunkRows rows — by sorting only the rows v lacks and
+// merging them into its tail run (mergedRun), so the cost is the batch
+// and one copy of the tail, not how many rows v holds. ok is false once
+// the tail would reach chunkRows: the caller sorts fs afresh, which
+// makes all of it the base run again.
 func (v View) Extend(fs *Store) (ext View, copied int, ok bool) {
 	if !v.Sorted() {
 		t, shared := v.t.extend(fs)
@@ -217,65 +273,7 @@ func (v View) Extend(fs *Store) (ext View, copied int, ok bool) {
 	if fs.Len()-base >= chunkRows {
 		return View{}, 0, false
 	}
-	return View{run: v.run, tail: sortedRun(fs, base)}, fs.Len() - base, true
-}
-
-// sortByNorm fills the empty columns dst/dstNorms with the rows of
-// data/norms from row from on, in (norm descending, index ascending)
-// order, and returns their physical→original index map. The physical
-// copy deliberately doubles the rows' resident memory: keeping the
-// norm-ordered prefix contiguous is what lets the early-terminating scan
-// stream at kernel speed (≈3× a permutation-chasing scan on the serving
-// batch path). A normscan write runs it over the tail run alone, and
-// over a whole shard once per chunkRows rows appended to it; there the
-// sort, not the row copy, is the cost: it is a stable byte-wise radix
-// sort on the norms' bit patterns — norms are ≥ 0, so their bits order
-// as they do, complemented for the descending order (NaN norms lead),
-// and stability keeps equal norms in index order — several times faster
-// at a shard's few thousand rows than a comparison sort calling back
-// into a comparator.
-func sortByNorm[T any](data *chunked[T], norms *chunked[float64], from int, dst *chunked[T], dstNorms *chunked[float64]) []int {
-	n := data.n - from
-	type key struct {
-		bits uint64
-		idx  int
-	}
-	keys, spare := make([]key, n), make([]key, n)
-	for i := range keys {
-		keys[i] = key{bits: ^math.Float64bits(norms.at(from + i)), idx: from + i}
-	}
-	for shift := 0; shift < 64 && n > 1; shift += 8 {
-		var start [256]int
-		for _, k := range keys {
-			start[k.bits>>shift&255]++
-		}
-		if start[keys[0].bits>>shift&255] == n {
-			continue // every key has the same byte here
-		}
-		at := 0
-		for b, c := range start {
-			start[b], at = at, at+c
-		}
-		for _, k := range keys {
-			b := k.bits >> shift & 255
-			spare[start[b]] = k
-			start[b]++
-		}
-		keys, spare = spare, keys
-	}
-	perm := make([]int, n)
-	for phys := 0; phys < n; {
-		rows := dst.grow(n - phys)
-		ns := dstNorms.grow(len(rows) / data.width)
-		for i := range ns {
-			idx := keys[phys+i].idx
-			perm[phys+i] = idx
-			copy(rows[i*data.width:], data.row(idx))
-			ns[i] = norms.at(idx)
-		}
-		phys += len(ns)
-	}
-	return perm
+	return View{run: v.run, tail: mergedRun(fs, v.tail, base)}, fs.Len() - base, true
 }
 
 // check validates a scan's query dimension and tombstone set.
@@ -297,6 +295,7 @@ type sweep struct {
 	bq       *query
 	bound    float64 // norm-sorted views: |score(row)| ≤ ‖row‖·bound
 	floor    float64 // ScanOpts.Floor
+	slack    float64 // f64Slack: how far below the bar a bound may fall
 	unsigned bool
 	dead     *Tombstones // nil when no row is dead
 }
@@ -304,20 +303,21 @@ type sweep struct {
 // newSweep starts a pass over v; bind gives it its query. An empty dead
 // set becomes nil, so delete-free stores never pay the triage.
 func (v View) newSweep(ctx context.Context, o ScanOpts) sweep {
-	s := sweep{View: v, done: ctx.Done(), floor: o.Floor, unsigned: o.Unsigned}
+	s := sweep{View: v, done: ctx.Done(), floor: o.Floor, slack: f64Slack(v.Dim()), unsigned: o.Unsigned}
 	if o.Dead.Count() > 0 {
 		s.dead = o.Dead
 	}
 	return s
 }
 
-// bar is the score a later row must reach to matter to a: its k-th best
-// once it is full, and never less than the floor.
+// bar is what a later row's norm bound must reach to matter to a: its
+// k-th best once it is full, and never less than the floor, less the
+// slack for subnormal roundings.
 func (s *sweep) bar(a *Acc) float64 {
 	if a.Full() && a.Threshold() > s.floor {
-		return a.Threshold()
+		return a.Threshold() - s.slack
 	}
-	return s.floor
+	return s.floor - s.slack
 }
 
 // bind puts q, in the tier's form, into bq and makes it the sweep's
@@ -326,7 +326,7 @@ func (s *sweep) bind(q vec.Vector, bq *query) {
 	s.bq = bq
 	s.t.bind(q, bq)
 	if s.Sorted() {
-		s.bound = f64Bound(vec.Norm(q), s.Dim()) // Cauchy–Schwarz: ‖p‖·‖q‖ ≥ |pᵀq|
+		s.bound = f64Bound(rowNorm(q), s.Dim()) // Cauchy–Schwarz: ‖p‖·‖q‖ ≥ |pᵀq|
 	}
 }
 

@@ -950,6 +950,102 @@ func TestNormRunsSpecialValues(t *testing.T) {
 	})
 }
 
+// TestNormBoundUnderflow: a norm whose square underflows still bounds
+// its row. Row form: 300 rows (1e-180, 1), then (1e-170, 0), against
+// (1, 0) — Σx² of the last row underflowed to 0, and a zero norm cut it
+// from the sweep, so k = 1 answered row 0. Query form: (1e-170, 0)
+// against 300 rows (1, 100), then (2, 0) — a zero query norm bounded
+// every row by 0, and the first block's best closed the sweep. Both
+// forms answer row 300 on one run and on two, as the store-order scan
+// does, and the norms are the true ones.
+func TestNormBoundUnderflow(t *testing.T) {
+	repeat := func(v vec.Vector, n int) []vec.Vector {
+		out := make([]vec.Vector, n)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		rows []vec.Vector
+		q    vec.Vector
+	}{
+		{"row", append(repeat(vec.Vector{1e-180, 1}, 300), vec.Vector{1e-170, 0}), vec.Vector{1, 0}},
+		{"query", append(repeat(vec.Vector{1, 100}, 300), vec.Vector{2, 0}), vec.Vector{1e-170, 0}},
+	} {
+		fs, err := FromVectors(c.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs, err := FromVectors([]vec.Vector{c.q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := min(fs.Norm(300), qs.Norm(0)); got != 1e-170 {
+			t.Fatalf("%s: the underflowing norm is %g, want 1e-170", c.name, got)
+		}
+		for _, unsigned := range []bool{false, true} {
+			want, err := fs.TopK(c.q, 1, unsigned, 1)
+			if err != nil || len(want) != 1 || want[0].Index != 300 {
+				t.Fatalf("%s: store-order scan answered %v (%v), want row 300", c.name, want, err)
+			}
+			got, _, err := NewNormSorted(fs).TopK(c.q, 1, unsigned)
+			if err != nil || !hitBitsEqual(got, want) {
+				t.Fatalf("%s unsigned=%v: norm-sorted scan answered %v (%v), want %v", c.name, unsigned, got, err, want)
+			}
+			for name, v := range map[string]View{"one run": NewNormSorted(fs).View, "two runs": withTail(fs, func(p *Store) View { return NewNormSorted(p).View })} {
+				for _, k := range []int{1, 2, 301} {
+					cell := fmt.Sprintf("%s %s unsigned=%v k=%d", c.name, name, unsigned, k)
+					checkRuns(t, cell, v, fs.View(), qs, 1, ScanOpts{K: k, Unsigned: unsigned}, nil)
+				}
+			}
+		}
+	}
+}
+
+// TestRowNormKeepsNormalBits: rowNorm is vec.Norm wherever no square
+// underflows, and a bound at least the true norm where one does.
+func TestRowNormKeepsNormalBits(t *testing.T) {
+	rng := xrand.New(5)
+	for i := 0; i < 2000; i++ {
+		v := vec.Vector(rng.NormalVec(1 + i%40))
+		vec.Scale(v, math.Ldexp(1, i%1200-600)) // 2⁻⁶⁰⁰ … 2⁵⁹⁹
+		got, want := rowNorm(v), vec.Norm(v)
+		if vec.Norm(v) >= 0x1p-500 && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v: rowNorm %v, vec.Norm %v", v, got, want)
+		}
+		// The same vector scaled into range, its norm scaled back.
+		e := 600 - i%1200
+		exact := math.Ldexp(vec.Norm(vec.Scale(slices.Clone(v), math.Ldexp(1, e))), -e)
+		if got < exact*(1-float64(len(v)+2)*0x1p-53) {
+			t.Fatalf("%v: rowNorm %v, under the norm %v", v, got, exact)
+		}
+	}
+	for _, c := range []struct {
+		v    vec.Vector
+		want float64
+	}{
+		{vec.Vector{1e-170, 0}, 1e-170},
+		{vec.Vector{0, 0, 0}, 0},
+		{vec.Vector{5e-324}, 5e-324},
+		{vec.Vector{math.Inf(-1), 1e-200}, math.Inf(1)},
+	} {
+		if got := rowNorm(c.v); got != c.want {
+			t.Fatalf("rowNorm(%v) = %v, want %v", c.v, got, c.want)
+		}
+	}
+	// ‖(3, 4)·2⁻¹⁰⁷⁴‖ is 5·2⁻¹⁰⁷⁴ exactly; ‖(1, 1)·2⁻¹⁰⁷⁴‖ = √2·2⁻¹⁰⁷⁴
+	// rounds up to 2·2⁻¹⁰⁷⁴, not down to 2⁻¹⁰⁷⁴.
+	tiny := math.SmallestNonzeroFloat64
+	if got := rowNorm(vec.Vector{3 * tiny, 4 * tiny}); got != 5*tiny {
+		t.Fatalf("rowNorm((3, 4)·2⁻¹⁰⁷⁴) = %v, want %v", got, 5*tiny)
+	}
+	if got := rowNorm(vec.Vector{tiny, tiny}); got != 2*tiny {
+		t.Fatalf("rowNorm((1, 1)·2⁻¹⁰⁷⁴) = %v, want %v", got, 2*tiny)
+	}
+}
+
 // TestNormSortedExtendKeepsSnapshots: extending a norm-sorted view
 // shares its base run and builds a tail run of its own, so a reader
 // holding the superseded view — here across three extensions and the
@@ -1017,21 +1113,43 @@ func halfTailed(tb testing.TB, n, batch int) (View, *Store) {
 	return extendTo(NewNormSorted(prefixOf(fs, n)).View, fs, n+chunkRows/2), fs
 }
 
-// extendCost returns the time and bytes one Extend by batch rows costs a
-// norm-sorted view of n rows whose tail run is half a chunk: the least
-// of several rounds, so a noisy neighbour cannot make it look slow.
-func extendCost(tb testing.TB, n, batch int) (ns, bytes float64) {
-	const rounds, iters = 7, 50
+// normWrite returns a normscan shard write's index work on a
+// norm-sorted view of n rows whose tail run is half a chunk: an Extend
+// by batch rows and, masked, the dead set of the extended view gathered
+// from the one before — a row in 50 dead — after batch more deaths.
+func normWrite(tb testing.TB, n, batch int, masked bool) func() {
 	v, fs := halfTailed(tb, n, batch)
+	was := NewTombstones(v.Len())
+	for i := 0; i < v.Len(); i += 50 {
+		was.Kill(i)
+	}
+	gathered := v.GatherDead(was)
+	return func() {
+		ext, _, ok := v.Extend(fs)
+		if !ok {
+			tb.Fatal("Extend asked for a rebuild")
+		}
+		if masked {
+			dead := was.Grow(fs.Len())
+			for i := range batch {
+				dead.Kill(1 + i*v.Len()/batch)
+			}
+			ext.GatherDeadSince(fs, dead, v, was, gathered)
+		}
+	}
+}
+
+// writeCost returns the time and bytes one write costs: the least of
+// several rounds, so a noisy neighbour cannot make it look slow.
+func writeCost(write func()) (ns, bytes float64) {
+	const rounds, iters = 7, 50
 	ns = math.Inf(1)
 	for r := 0; r < rounds; r++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			if _, _, ok := v.Extend(fs); !ok {
-				tb.Fatal("Extend asked for a rebuild")
-			}
+			write()
 		}
 		took := time.Since(start)
 		runtime.ReadMemStats(&after)
@@ -1044,12 +1162,16 @@ func extendCost(tb testing.TB, n, batch int) (ns, bytes float64) {
 // TestNormSortedExtendCostIsBatchSized gates what
 // BenchmarkFlatNormSortedExtend measures without a benchmark run: 16
 // rows onto a view of 40 000 cost under twice what they cost onto one
-// of 5 000 — an eighth of it, where every write re-sorted the shard.
+// of 5 000 — an eighth of it, where every write re-sorted the shard —
+// and so do they with 16 deaths, whose dead set gathered in full would
+// cost ≈ 8× there too.
 func TestNormSortedExtendCostIsBatchSized(t *testing.T) {
-	smallNs, smallB := extendCost(t, 5000, 16)
-	largeNs, largeB := extendCost(t, 40000, 16)
-	t.Logf("Extend by 16 rows: %.0f ns, %.0f B at n=5000; %.0f ns, %.0f B at n=40000", smallNs, smallB, largeNs, largeB)
-	if largeNs > 2*smallNs || largeB > 2*smallB {
-		t.Fatalf("Extend by 16 rows costs %.0f ns / %.0f B at n=40000 but %.0f ns / %.0f B at n=5000: not O(batch + tail)", largeNs, largeB, smallNs, smallB)
+	for _, masked := range []bool{false, true} {
+		smallNs, smallB := writeCost(normWrite(t, 5000, 16, masked))
+		largeNs, largeB := writeCost(normWrite(t, 40000, 16, masked))
+		t.Logf("masked=%v: %.0f ns, %.0f B at n=5000; %.0f ns, %.0f B at n=40000", masked, smallNs, smallB, largeNs, largeB)
+		if largeNs > 2*smallNs || largeB > 2*smallB {
+			t.Fatalf("masked=%v: a 16-row write costs %.0f ns / %.0f B at n=40000 but %.0f ns / %.0f B at n=5000: not O(batch + tail)", masked, largeNs, largeB, smallNs, smallB)
+		}
 	}
 }

@@ -48,8 +48,11 @@ type ShardIndex interface {
 	// canonical ordering — with dead given in the store's original row
 	// space. Calling it on an already-masked index replaces its dead set
 	// (each engine rebuilds its view from its own immutable structures),
-	// so delete publication never needs the unmasked original.
-	withDead(dead *flat.Tombstones) ShardIndex
+	// so delete publication never needs the unmasked original. old is the
+	// snapshot the write replaces, whose index is this one or the one this
+	// extends, masked by old.dead: an engine may derive its mask from
+	// old's instead of anew.
+	withDead(dead *flat.Tombstones, old *shardSnap) ShardIndex
 }
 
 // TopKOpts is what a tile of queries asks of a ShardIndex beyond the
@@ -194,7 +197,7 @@ func (emptyIndex) topKMulti(_ context.Context, _ *flat.Store, qlo, qhi, k int, _
 	return sc.tile.Accs(qhi-qlo, k), nil
 }
 
-func (ix emptyIndex) withDead(*flat.Tombstones) ShardIndex { return ix }
+func (ix emptyIndex) withDead(*flat.Tombstones, *shardSnap) ShardIndex { return ix }
 
 // flatIndex is the scan engine behind the exact and normscan kinds at
 // every precision. What differs between them is data, not code: which
@@ -208,9 +211,12 @@ type flatIndex struct {
 	// fs holds the exact f64 rows: the truth a re-rank scores against.
 	fs   *flat.Store
 	view flat.View
-	// dead (nil until the first delete) lives in the view's row order:
-	// withDead pre-permutes once per delete publication, so a
-	// norm-sorted scan never pays a per-row indirection.
+	// dead (nil until the first delete) lives in the view's row order, so
+	// a norm-sorted scan never pays a per-row indirection: withDead
+	// permutes it once per write that leaves a tombstone, patching the
+	// previous snapshot's (flat.View.GatherDeadSince) — its base run's
+	// words copied, its new deaths found by binary search, its tail run
+	// gathered — where the base run is the same.
 	dead *flat.Tombstones
 	// rerank (int8) makes the scan's scores candidates only: the answer
 	// is their re-scoring through fs, so this engine never serves an
@@ -245,9 +251,13 @@ func (ix *flatIndex) extend(nfs *flat.Store) (*flatIndex, int) {
 	return &flatIndex{fs: nfs, view: view, rerank: ix.rerank}, copied
 }
 
-func (ix *flatIndex) withDead(dead *flat.Tombstones) ShardIndex {
+func (ix *flatIndex) withDead(dead *flat.Tombstones, old *shardSnap) ShardIndex {
 	masked := *ix
-	masked.dead = ix.view.GatherDead(dead)
+	if prev, ok := old.index.(*flatIndex); ok {
+		masked.dead = ix.view.GatherDeadSince(ix.fs, dead, prev.view, old.dead, prev.dead)
+	} else {
+		masked.dead = ix.view.GatherDead(dead)
+	}
 	return &masked
 }
 
@@ -374,6 +384,6 @@ func (ix *alshIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k 
 	return accs, err
 }
 
-func (ix *alshIndex) withDead(dead *flat.Tombstones) ShardIndex {
+func (ix *alshIndex) withDead(dead *flat.Tombstones, _ *shardSnap) ShardIndex {
 	return &alshIndex{fs: ix.fs, ix: ix.ix, u: ix.u, dead: dead}
 }

@@ -172,13 +172,15 @@ func (s *shard) prepare(spec IndexSpec, hashes *lsh.Index, ids []int, vs []vec.V
 // rows — masked by dead. Engines whose structure over the old rows
 // stays valid extend it by the new rows (exact at every precision: the
 // store is the index, and the int8 mirror converts only what it lacks;
-// alsh hashes only the new rows; normscan sorts the rows appended
-// since its last full sort into a second run, and sorts everything
-// afresh — a rebuild — once that run would reach a chunk). sp counts
-// the shard under extend or rebuild and records rows_copied: the rows of
-// the next snapshot, in whichever tier copied most, that do not share
-// memory with the current one. The collection's counters get the same two
-// facts, traced or not.
+// alsh hashes only the new rows; normscan sorts the batch and merges it
+// into a copy of its second run, the rows appended since its last full
+// sort, and sorts everything afresh — a rebuild — once that run would
+// reach a chunk). The mask is derived from old's where the engine can:
+// a normscan shard patches its permuted dead set (see flatIndex.dead).
+// sp counts the shard under extend or rebuild and records rows_copied:
+// the rows of the next snapshot, in whichever tier copied most, that do
+// not share memory with the current one. The collection's counters get
+// the same two facts, traced or not.
 func (s *shard) nextIndex(spec IndexSpec, hashes *lsh.Index, old *shardSnap, nfs *flat.Store, dead *flat.Tombstones, sp *trace.Span) (ShardIndex, error) {
 	// spec and hashes are only read on the rebuild path: a collection's
 	// spec and hash functions never change once a row is in, so an index
@@ -206,7 +208,7 @@ func (s *shard) nextIndex(spec IndexSpec, hashes *lsh.Index, old *shardSnap, nfs
 	sp.SetInt("rows_copied", int64(copied))
 	s.builds.record(how, copied)
 	if dead.Count() > 0 {
-		index = index.withDead(dead)
+		index = index.withDead(dead, old)
 	}
 	return index, nil
 }
@@ -263,7 +265,7 @@ func (s *shard) prepareDelete(ids []int) (*shardSnap, int, error) {
 		if removed == 0 {
 			return nil, nil
 		}
-		return &shardSnap{ids: old.ids, fs: old.fs, index: old.index.withDead(dead), dead: dead}, nil
+		return &shardSnap{ids: old.ids, fs: old.fs, index: old.index.withDead(dead, old), dead: dead}, nil
 	})
 	if err != nil {
 		return nil, 0, err
