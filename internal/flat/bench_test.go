@@ -9,29 +9,40 @@ import (
 	"repro/internal/xrand"
 )
 
-// BenchmarkFlatDotBatch measures the blocked columnar kernel: one full
-// DotBatch over n rows per iteration (report ns/op ÷ n for per-row
-// cost). d=16 runs dotRange16, the fixed-dimension row-pair kernel
-// small-hot serves, d=24 dotRangeGeneric, which every other d runs.
+// BenchmarkFlatDotBatch measures the single-query f64 sweep: one full
+// DotBatch over n rows per iteration; ns/row is the per-row cost. d=16
+// runs dotRange16, the fixed-dimension row-pair kernel small-hot
+// serves, on both tiers. Every other d runs four rows per AVX2 dotRows4
+// call with asm=true (skipped without AVX2), and dotRangeGeneric, the
+// Go chain, with asm=false: d=24 has no element tail, d=32 is
+// mixed-durable's dimension and d=64 scan-heavy's.
 func BenchmarkFlatDotBatch(b *testing.B) {
-	for _, d := range []int{16, 24} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			rng := xrand.New(1)
-			n := 20000
-			s, err := FromVectors(randomVecs(rng, n, d))
-			if err != nil {
-				b.Fatal(err)
-			}
-			q := vec.Vector(rng.NormalVec(d))
-			out := make([]float64, n)
-			b.SetBytes(int64(n * d * 8))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.DotBatch(q, out); err != nil {
-					b.Fatal(err)
+	for _, d := range []int{16, 24, 32, 64} {
+		rng := xrand.New(1)
+		n := 20000
+		s, err := FromVectors(randomVecs(rng, n, d))
+		if err != nil {
+			b.Fatal(err)
+		}
+		q := vec.Vector(rng.NormalVec(d))
+		out := make([]float64, n)
+		for _, asm := range []bool{true, false} {
+			b.Run(fmt.Sprintf("d=%d/asm=%v", d, asm), func(b *testing.B) {
+				saved := useDotTileAsm
+				defer func() { useDotTileAsm = saved }()
+				if asm && !saved {
+					b.Skip("no AVX2 on this machine")
 				}
-			}
-		})
+				useDotTileAsm = asm
+				b.SetBytes(int64(n * d * 8))
+				for i := 0; i < b.N; i++ {
+					if err := s.DotBatch(q, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			})
+		}
 	}
 }
 

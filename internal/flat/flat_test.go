@@ -103,30 +103,82 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-// TestDotBatchMatchesVecDot pins the bit-identity contract: every
-// kernel path (generic, d=16 row-pair) must reproduce vec.Dot's bits
-// exactly, because the serving layer's equivalence guarantees are built
-// on it.
+// TestDotBatchMatchesVecDot pins the bit-identity contract of the
+// single-query sweep on every kernel tier — dotRange16 at d = 16, four
+// rows per AVX2 dotRows4 call at every other d ≥ 4 where the tier has
+// AVX2, the Go chain elsewhere — because the serving layer's
+// equivalence guarantees are built on it: every DotBatch score, and
+// every DotRange score over windows that start on odd rows and straddle
+// a chunk edge, must have vec.DotKernel's bits (sameScoreBits: −0 is
+// not +0), at n ≡ 0–3 mod 4 rows, every d mod 4, and over rows of +0,
+// −0 and subnormals against a query with the same. Scores land on NaN,
+// which no input makes, so a row left unscored fails.
 func TestDotBatchMatchesVecDot(t *testing.T) {
-	rng := xrand.New(2)
-	for _, d := range []int{1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 64} {
-		for _, n := range []int{1, 2, 3, 257, 513} {
-			vs := randomVecs(rng, n, d)
-			s, err := FromVectors(vs)
-			if err != nil {
-				t.Fatalf("d=%d n=%d: %v", d, n, err)
-			}
-			q := vec.Vector(rng.NormalVec(d))
-			out := make([]float64, n)
-			if err := s.DotBatch(q, out); err != nil {
-				t.Fatalf("d=%d n=%d: DotBatch: %v", d, n, err)
-			}
-			for i := range vs {
-				if want := vec.Dot(vs[i], q); math.Float64bits(out[i]) != math.Float64bits(want) {
-					t.Fatalf("d=%d n=%d row %d: DotBatch=%v, vec.Dot=%v (must be bit-identical)",
-						d, n, i, out[i], want)
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := xrand.New(2)
+		for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100} {
+			for _, n := range []int{1, 2, 3, 4, 5, 257, 514, 515, 516, chunkRows + 7} {
+				vs := randomVecs(rng, n, d)
+				tiny := math.SmallestNonzeroFloat64
+				for i, v := range vs[:min(n, 5)] {
+					for j := range v {
+						switch i {
+						case 0:
+							v[j] = 0
+						case 1:
+							v[j] = math.Copysign(0, -1)
+						case 2:
+							v[j] = float64(j%5-2) * tiny
+						default:
+							v[j] = [3]float64{math.Copysign(0, -1), 3 * tiny, -1}[(i+j)%3]
+						}
+					}
+				}
+				s, err := FromVectors(vs)
+				if err != nil {
+					t.Fatalf("d=%d n=%d: %v", d, n, err)
+				}
+				signed := vec.Vector(rng.NormalVec(d))
+				zeros := vec.New(d)
+				for j := range zeros {
+					zeros[j] = [3]float64{math.Copysign(0, -1), tiny, 0.5}[j%3]
+				}
+				out := make([]float64, n)
+				unscored := func(out []float64) []float64 {
+					for i := range out {
+						out[i] = math.NaN()
+					}
+					return out
+				}
+				for _, q := range []vec.Vector{signed, zeros} {
+					if err := s.DotBatch(q, unscored(out)); err != nil {
+						t.Fatalf("d=%d n=%d: DotBatch: %v", d, n, err)
+					}
+					checkDots(t, vs, q, 0, out)
+					for _, w := range [][2]int{{1, n}, {3, n}, {chunkRows - 5, chunkRows + 2}, {chunkRows - 3, n}} {
+						lo, hi := w[0], w[1]
+						if lo >= hi || hi > n {
+							continue
+						}
+						if err := s.DotRange(q, lo, hi, unscored(out[:hi-lo])); err != nil {
+							t.Fatalf("d=%d n=%d: DotRange(%d, %d): %v", d, n, lo, hi, err)
+						}
+						checkDots(t, vs, q, lo, out[:hi-lo])
+					}
 				}
 			}
+		}
+	})
+}
+
+// checkDots requires got[i] to hold vs[lo+i]·q with vec.DotKernel's
+// bits.
+func checkDots(t *testing.T, vs []vec.Vector, q vec.Vector, lo int, got []float64) {
+	t.Helper()
+	for i, g := range got {
+		if want := vec.DotKernel(vs[lo+i], q); !sameScoreBits(g, want) {
+			t.Fatalf("d=%d n=%d row %d (range from %d): %v (%#x), vec.DotKernel %v (%#x)",
+				len(q), len(vs), lo+i, lo, g, math.Float64bits(g), want, math.Float64bits(want))
 		}
 	}
 }

@@ -12,11 +12,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// FuzzDotBatch drives the blocked columnar kernel (including the d=16
-// specialization and its row-pair tail) against a naive per-element
-// reference, with the corpus bytes decoded as (d, row data, query). The
-// kernel must agree with compensated-naive summation to a relative 1e-9
-// and must have vec.Dot's bits exactly (sameScoreBits).
+// FuzzDotBatch drives the single-query sweep on every kernel tier — the
+// AVX2 four-row dotRows4 sweep and its Go-chain row tail, where the
+// machine has AVX2, the Go chain, and dotRange16's row pairs at d = 16 —
+// against a naive per-element reference, with the corpus bytes decoded
+// as (d ≤ 100, query, row data). The sweep must agree with a naive
+// left-to-right sum to a relative 1e-9 and have vec.DotKernel's bits
+// exactly (sameScoreBits).
 func FuzzDotBatch(f *testing.F) {
 	mk := func(d byte, vals ...float64) []byte {
 		b := []byte{d}
@@ -32,11 +34,18 @@ func FuzzDotBatch(f *testing.F) {
 	f.Add(mk(8, 1, 2, 3, 4, 5, 6, 7, 8, 1, 1, 1, 1, 1, 1, 1, 1))
 	f.Add(mk(16, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8,
 		1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1))
+	// d = 7 (the byte is d-1): a query and six rows, a full 4-row group
+	// and a 2-row tail, each with a 3-element tail.
+	ramp := make([]float64, 7*7)
+	for i := range ramp {
+		ramp[i] = float64(i%9-4) * 0.375
+	}
+	f.Add(mk(6, ramp...))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 1 {
 			return
 		}
-		d := int(raw[0]%32) + 1
+		d := int(raw[0]%100) + 1
 		raw = raw[1:]
 		vals := make([]float64, 0, len(raw)/8)
 		for len(raw) >= 8 {
@@ -65,14 +74,24 @@ func FuzzDotBatch(f *testing.F) {
 			t.Fatalf("FromVectors: %v", err)
 		}
 		out := make([]float64, n)
-		if err := s.DotBatch(q, out); err != nil {
-			t.Fatalf("DotBatch: %v", err)
+		for _, kt := range kernelTiers {
+			func() {
+				defer kt.use()()
+				for i := range out {
+					out[i] = math.NaN() // no input is NaN: a row left unscored fails
+				}
+				if err := s.DotBatch(q, out); err != nil {
+					t.Fatalf("DotBatch: %v", err)
+				}
+				for i := range vs {
+					if want := vec.DotKernel(vs[i], q); !sameScoreBits(out[i], want) {
+						t.Fatalf("%s tier, d=%d row %d of %d: DotBatch=%g (%#x) vec.DotKernel=%g (%#x)",
+							kt.name, d, i, n, out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
+					}
+				}
+			}()
 		}
 		for i := range vs {
-			// Exact agreement with the shared scalar kernel.
-			if want := vec.Dot(vs[i], q); !sameScoreBits(out[i], want) {
-				t.Fatalf("row %d: DotBatch=%g (%#x) vec.Dot=%g (%#x)", i, out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
-			}
 			// Tolerance agreement with a naive left-to-right sum.
 			var naive, scale float64
 			for j := 0; j < d; j++ {

@@ -75,7 +75,10 @@ func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 // the trailing-row path: dotTile16x4 at d = 16, dotTile4 at every other
 // d. dotTile8 gets the same rows and an octet of queries, and its pack
 // and scores end pages too (it writes both). For dotRows4 the query and
-// each of the four rows ends a page of its own.
+// each of the four rows ends a page of its own. A Store.dotRange sweep
+// whose one chunk ends a page — one full 4-row dotRows4 group, alone or
+// with a 1–3-row Go tail, or the tail alone — runs on every tier, its
+// query and scores ending pages too.
 func TestTileKernelsStayInsideAllocation(t *testing.T) {
 	if !useDotTileAsm {
 		t.Skip("no asm kernels on this machine")
@@ -98,5 +101,14 @@ func TestTileKernelsStayInsideAllocation(t *testing.T) {
 		}
 		var out [4]float64
 		dotRows4(last(queries, d), last(cands[0], d), last(cands[1], d), last(cands[2], d), last(cands[3], d), &out)
+		for _, n := range []int{1, 3, 4, 5, 7} {
+			s := newStore(d)
+			s.data.n, s.data.chunks = n, [][]float64{last(rows, n*d)}
+			for _, kt := range kernelTiers {
+				restore := kt.use()
+				s.dotRange(last(queries, d), 0, n, last(scores, n))
+				restore()
+			}
+		}
 	}
 }

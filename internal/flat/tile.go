@@ -21,8 +21,9 @@
 //     20 000-row sweep of 8 queries against dotTile4). They take the
 //     quads an octet run leaves, and every quad on a machine without
 //     AVX-512;
-//   - the pure-Go pair and single kernels, for the rest: leftover
-//     queries, d < 4, and machines with neither.
+//   - the single-query sweep (Store.dotRange) for each of the 1–3
+//     queries a run leaves;
+//   - the pure-Go pair and single kernels without AVX2 or at d < 4.
 //
 // Every score is vec.Dot's, bit for bit: the per-(row, query)
 // accumulation is flat.go's one chain, which a 4-wide SIMD vertical
@@ -41,13 +42,15 @@
 // vec.DotKernel by Float64bits on every tier; a guard-page test pins
 // every load inside its row.
 //
-// The candidate verify loop (Store.OfferRows) turns the tile around:
-// scoreRows4 scores one query against four scattered rows, on AVX2 in
-// one dotRows4 call — dotTile4's one-row body with the query as its row
-// and the four candidates, each loaded straight from its chunk, as its
-// queries: +0-started lanes, no FMA, so again vec.DotKernel's bits — and
-// elsewhere in two dotTileGeneric2 passes. TestOfferRows and
-// FuzzOfferRows hold both to vec.DotKernel by Float64bits.
+// dotRows4 turns the tile around: one query against four rows, each at
+// its own address — dotTile4's one-row body with the query as its row
+// and the rows as its queries: +0-started lanes, no FMA, so again
+// vec.DotKernel's bits. On AVX2 it scores the candidate verify loop's
+// (Store.OfferRows) four scattered rows, elsewhere two dotTileGeneric2
+// passes, and the single-query sweep's (Store.dotRange) four contiguous
+// rows at every d ≥ 4 but 16. TestOfferRows, FuzzOfferRows,
+// TestDotBatchMatchesVecDot and FuzzDotBatch hold each use to
+// vec.DotKernel by Float64bits.
 //
 // View.ScanMulti drives the tile kernel — this one over f64 rows,
 // StoreI8's (storei8.go) over int8 rows — over one data sweep,
@@ -229,9 +232,11 @@ func dotTileQuad(p []float64, d int, q, out []float64) {
 // scoreTile is the unchecked tile kernel dispatch (it implements
 // tiler). Where tileOctets(d) holds, query octets run through the
 // AVX-512 micro-kernel, packed into sc; where tileSIMD(d) holds, the
-// quads left run through the AVX2 micro-kernels; leftover queries, and
-// every query elsewhere, run the pure-Go pair and single kernels. All
-// share the exact accumulation chains, so the split is invisible in the
+// quads left run through the AVX2 micro-kernels and each leftover query
+// through dotRange's sweep (two sweeps of a 1 024-row chunk take
+// 0.25–0.6× one Go pair-kernel pass at d = 24–64, ≈ 0.7× at d = 16);
+// elsewhere queries run the pure-Go pair and single kernels. All share
+// the exact accumulation chains, so the split is invisible in the
 // results. The micro-kernels want their operands contiguous: a
 // block-aligned sweep always hands them data rows inside one chunk, a
 // tile whose data rows straddle a chunk edge is scored query by query,
@@ -269,7 +274,7 @@ func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64, sc *
 		case q4 != nil:
 			quadKernel(rows, d, q4, o[:4*nb])
 			j += 4
-		case j+2 <= qhi:
+		case j+2 <= qhi && !quads:
 			dotTileGeneric2(data, d, qs.Row(j), qs.Row(j+1), lo, hi, o[:nb], o[nb:2*nb])
 			j += 2
 		default:

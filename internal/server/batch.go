@@ -41,18 +41,17 @@ const searchTileQ = 32
 // searchState is the pooled per-request state of the executor.
 type searchState struct {
 	qstore *flat.Store
-	miss   []int    // the queries to scan, by index into the request
-	keys   []string // their cache keys, when the cache is on
-	snaps  []*shardSnap
+	miss   []int        // the queries to scan, by index into the request
+	keys   []string     // their cache keys, when the cache is on
+	snaps  []*shardSnap // the pinned view's, read-only
 }
 
 var searchStatePool = sync.Pool{New: func() any { return new(searchState) }}
 
 func putSearchState(rs *searchState) {
-	// Drop snapshot references so pooling does not pin retired shard
-	// data; keys keep their backing array (overwritten next use).
-	clear(rs.snaps)
-	rs.snaps = rs.snaps[:0]
+	// Drop the view so pooling does not pin retired shard data; keys
+	// keep their backing array (overwritten next use).
+	rs.snaps = nil
 	rs.miss = rs.miss[:0]
 	rs.keys = rs.keys[:0]
 	searchStatePool.Put(rs)
@@ -162,7 +161,10 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 	if cache != nil {
 		csp = tr.StartSpan("cache")
 	}
-	version := c.Version()
+	// Pin the published view once: the cache key and every shard scan
+	// read the same write.
+	view := c.view.Load()
+	version := view.version
 	miss, keys := rs.miss[:0], rs.keys[:0]
 	for i := range queries {
 		if cache != nil {
@@ -213,10 +215,8 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 	}
 	c.queries.Add(int64(len(valid)))
 
-	// Pin one snapshot per shard for the whole request.
-	snaps := rs.snaps[:0]
+	snaps := view.snaps
 	for _, sh := range c.shards {
-		snaps = append(snaps, sh.snap.Load())
 		sh.queries.Add(int64(len(valid)))
 	}
 	rs.snaps = snaps

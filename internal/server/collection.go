@@ -21,9 +21,10 @@ import (
 // Collection is a named, sharded vector set. The shards hold the only
 // copy of the rows: each publishes immutable snapshots of its columnar
 // store and the index over it, extended or rebuilt on the shard-owner
-// goroutine at ingest time; the collection itself keeps just the
-// counters readers need (dimension, live count, version) and the
-// records' attributes. When the server is durable, every ingest batch
+// goroutine at ingest time, and a write's snapshots become visible
+// together, as one published view; the collection itself keeps just the
+// counters readers need (dimension, live count) and the records'
+// attributes. When the server is durable, every ingest batch
 // is appended to the collection's write-ahead log before it becomes
 // visible, and a background checkpoint compacts the log into segment
 // snapshots read back out of the shards.
@@ -33,11 +34,14 @@ type Collection struct {
 	shards []*shard
 	// dim is the vector dimension, fixed by the first record ingested
 	// (0 until then) and kept even if every record is deleted; live
-	// counts live records; version counts applied mutations and keys
-	// the query cache. Written under ingestMu, read lock-free.
-	dim     atomic.Int64
-	live    atomic.Int64
-	version atomic.Uint64
+	// counts live records. Written under ingestMu, read lock-free.
+	dim  atomic.Int64
+	live atomic.Int64
+	// view is what every reader pins: the shards' snapshots and the
+	// version they make up, stored whole under ingestMu after a write's
+	// last shard commit (publish), so a reader sees a write on every
+	// shard or on none.
+	view atomic.Pointer[collView]
 	// gen is the collection's incarnation number, unique within the
 	// owning server's lifetime; it namespaces cache keys so entries
 	// from a dropped collection can never serve a same-name successor.
@@ -232,12 +236,32 @@ func (c *Collection) checkDims(recs []store.Record) (int, error) {
 	return dim, nil
 }
 
-// applied records a mutation that every shard has published and the WAL
-// holds: the change in live records and — last, see ingest — the
-// version bump. Callers hold ingestMu.
+// collView is one published state of a collection: a snapshot per shard
+// and the version they make up — the count of applied mutations, which
+// keys the query cache. Immutable once published.
+type collView struct {
+	snaps   []*shardSnap
+	version uint64
+}
+
+// publish makes the shards' committed snapshots, at version, the view
+// readers pin. Callers hold ingestMu, after a write's last shard commit.
+func (c *Collection) publish(version uint64) {
+	v := &collView{snaps: make([]*shardSnap, len(c.shards)), version: version}
+	for i, sh := range c.shards {
+		v.snaps[i] = sh.snap.Load()
+	}
+	c.view.Store(v)
+}
+
+// applied records a mutation that every shard has committed and the WAL
+// holds: the change in live records, then the next version's view.
+// Callers hold ingestMu.
 func (c *Collection) applied(liveDelta int) uint64 {
 	c.live.Add(int64(liveDelta))
-	return c.version.Add(1)
+	version := c.Version() + 1
+	c.publish(version)
+	return version
 }
 
 // setAttrs makes recs' attributes the stored ones for their IDs: a
@@ -275,6 +299,7 @@ func newCollection(name string, spec IndexSpec, nshards int, seed uint64) (*Coll
 	for i := range c.shards {
 		c.shards[i] = newShard(i, &c.builds)
 	}
+	c.publish(0)
 	return c, nil
 }
 
@@ -290,8 +315,8 @@ func (c *Collection) Shards() int { return len(c.shards) }
 // Len returns the current record count.
 func (c *Collection) Len() int { return int(c.live.Load()) }
 
-// Version returns the current ingest version.
-func (c *Collection) Version() uint64 { return c.version.Load() }
+// Version returns the published view's version.
+func (c *Collection) Version() uint64 { return c.view.Load().version }
 
 // shardFor maps a record ID to its home shard.
 func (c *Collection) shardFor(id int) int {
@@ -412,13 +437,8 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 		c.observeStage("wal_append", time.Since(wstart))
 	}
 
-	// Phase 2: publish — shard snapshots first, the version bump last.
-	// Ordering matters for the query cache: the version may only advance
-	// once every shard already serves data at least that new, so a
-	// result cached under the version a searcher observed can never be
-	// *older* than that version claims (it can transiently be newer,
-	// which the ingest's explicit invalidation cleans up, and
-	// version-embedded keys strand anything it misses).
+	// Phase 2: commit every shard's snapshot, then publish them together
+	// with the next version (applied).
 	for si, snap := range snaps {
 		if snap != nil {
 			c.shards[si].commit(snap, false)
@@ -779,6 +799,7 @@ func (c *Collection) compact() error {
 			c.shards[si].commit(snap, true)
 		}
 	}
+	c.publish(c.Version()) // the same records: the version stands
 	c.ingestMu.Unlock()
 	c.compactions.Add(1)
 	// The segment write reuses the checkpointer's rotate/retain
@@ -874,8 +895,7 @@ func (c *Collection) vectorBytes() map[string]int64 {
 	if mirror != PrecisionF64 {
 		vb[mirror] = 0
 	}
-	for _, sh := range c.shards {
-		sn := sh.snap.Load()
+	for _, sn := range c.view.Load().snaps {
 		if sn.fs == nil {
 			continue
 		}
@@ -888,15 +908,17 @@ func (c *Collection) vectorBytes() map[string]int64 {
 	return vb
 }
 
-// statsSnapshot renders the collection for /stats.
+// statsSnapshot renders the collection for /stats: its shard rows and
+// version from one pinned view.
 func (c *Collection) statsSnapshot() CollectionStats {
 	health, reason := c.healthInfo()
+	view := c.view.Load()
 	cs := CollectionStats{
 		Dim:           int(c.dim.Load()),
 		Records:       c.Len(),
 		Compactions:   c.compactions.Load(),
 		Compacting:    c.compacting.Load(),
-		Version:       c.Version(),
+		Version:       view.version,
 		Index:         c.spec.kind(),
 		Precision:     c.spec.precision(),
 		VectorBytes:   c.vectorBytes(),
@@ -911,9 +933,9 @@ func (c *Collection) statsSnapshot() CollectionStats {
 		Shards:        make([]ShardStats, len(c.shards)),
 	}
 	for i, sh := range c.shards {
-		sn := sh.snap.Load()
+		sn := view.snaps[i]
 		dead := sn.dead.Count()
-		size := sh.size()
+		size := len(sn.ids)
 		cs.Shards[i] = ShardStats{
 			ID:         i,
 			Records:    size,

@@ -150,7 +150,8 @@ type hashCounter struct {
 }
 
 // countHashes swaps c's hash functions for a hashCounter's and rebuilds
-// every shard's index as an extend of them, as c's first write would have.
+// every shard's index as an extend of them, as c's first write would
+// have, publishing the rebuilt shards as a write does.
 func countHashes(t *testing.T, c *Collection, d int) *hashCounter {
 	t.Helper()
 	h := new(hashCounter)
@@ -178,6 +179,9 @@ func countHashes(t *testing.T, c *Collection, d int) *hashCounter {
 		index, _ := (&alshIndex{ix: hashes, u: 1}).extend(snap.fs)
 		sh.commit(&shardSnap{ids: snap.ids, fs: snap.fs, index: index}, false)
 	}
+	c.ingestMu.Lock()
+	c.publish(c.Version())
+	c.ingestMu.Unlock()
 	return h
 }
 

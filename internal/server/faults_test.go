@@ -332,6 +332,15 @@ func TestQuarantineBoot(t *testing.T) {
 	if err := s2.Readiness(); err == nil || !strings.Contains(err.Error(), "bad (quarantined)") {
 		t.Fatalf("Readiness() = %v, want quarantined collection named", err)
 	}
+	// /stats and /metrics render it: no shards, no rows, version 0.
+	if st := s2.Stats().Collections["bad"]; st.Health != "quarantined" || st.Version != 0 || len(st.Shards) != 0 {
+		t.Fatalf("/stats of the quarantined collection: %+v", st)
+	}
+	mrec := httptest.NewRecorder()
+	NewHandler(s2).ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if mrec.Code != http.StatusOK || !strings.Contains(mrec.Body.String(), `collection="bad"`) {
+		t.Fatalf("/metrics with a quarantined collection: status %d", mrec.Code)
+	}
 	// Untouched for forensics: the corrupt manifest is byte-identical.
 	got, err := os.ReadFile(manifest)
 	if err != nil || string(got) != "{torn" {

@@ -294,6 +294,7 @@ func newQuarantined(name, dir string, fsys errfs.FS, reason string) *Collection 
 		quarDir: dir,
 		fsys:    fsys,
 	}
+	c.publish(0) // the empty view: /stats and /metrics still render it
 	c.setHealth(HealthQuarantined, reason)
 	return c
 }

@@ -404,16 +404,17 @@ func joinSpec(req JoinRequest) (core.Spec, error) {
 	return sp, sp.Validate()
 }
 
-// shardSnaps returns the collection's current shard snapshots that hold
-// a live row. The join engines read them as published — the snapshot's
-// dead set goes to the engine, which leaves those rows out on either
-// side — so a join copies nothing and can never report a deleted record.
-// Each snapshot is immutable, so a join scans it safely while ingests
-// publish newer ones.
+// shardSnaps returns the shard snapshots of the collection's published
+// view that hold a live row. The join engines read them as published —
+// the snapshot's dead set goes to the engine, which leaves those rows
+// out on either side — so a join copies nothing and can never report a
+// deleted record. Each snapshot is immutable, so a join scans it safely
+// while writes publish newer views.
 func (c *Collection) shardSnaps() []*shardSnap {
-	snaps := make([]*shardSnap, 0, len(c.shards))
-	for _, sh := range c.shards {
-		if snap := sh.snap.Load(); len(snap.ids) > snap.dead.Count() {
+	view := c.view.Load()
+	snaps := make([]*shardSnap, 0, len(view.snaps))
+	for _, snap := range view.snaps {
+		if len(snap.ids) > snap.dead.Count() {
 			snaps = append(snaps, snap)
 		}
 	}
@@ -474,7 +475,10 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	}
 	defer dataCol.adm.exit()
 	dsnaps := dataCol.shardSnaps()
-	qsnaps := queryCol.shardSnaps()
+	qsnaps := dsnaps // a self-join pins one view for both sides
+	if queryCol != dataCol {
+		qsnaps = queryCol.shardSnaps()
+	}
 	if len(dsnaps) == 0 || len(qsnaps) == 0 {
 		return nil, fmt.Errorf("server: join requires non-empty collections")
 	}

@@ -351,8 +351,8 @@ func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
 	if _, err := sh.prepare(IndexSpec{Kind: KindExact}, nil, []int{1}, []vec.Vector{{0, 1, 2}}, nil); err == nil {
 		t.Fatal("a row of the wrong dimension built")
 	}
-	if sh.size() != 1 {
-		t.Fatalf("failed prepare changed shard size to %d", sh.size())
+	if n := len(sh.snap.Load().ids); n != 1 {
+		t.Fatalf("failed prepare changed shard size to %d", n)
 	}
 	qs, err := flat.FromVectors([]vec.Vector{{1, 0}})
 	if err != nil {

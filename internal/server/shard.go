@@ -14,9 +14,11 @@ import (
 
 // shard owns one horizontal slice of a collection. All mutation happens
 // on the shard's dedicated goroutine (the ops loop), so snapshot builds
-// for different shards of one ingest proceed in parallel without locks;
-// readers see a consistent (ids, vectors, index) triple through a
-// single atomic snapshot pointer and never block on writers.
+// for different shards of one ingest proceed in parallel without locks.
+// snap is the newest committed snapshot, which the next build extends;
+// readers pin the collection's published view (Collection.publish)
+// instead, a consistent (ids, vectors, index) triple per shard, and
+// never block on writers.
 type shard struct {
 	id      int
 	snap    atomic.Pointer[shardSnap]
@@ -341,6 +343,3 @@ func (s *shard) commit(snap *shardSnap, renumbered bool) {
 	}
 	<-done
 }
-
-// size returns the current record count.
-func (s *shard) size() int { return len(s.snap.Load().ids) }

@@ -339,6 +339,113 @@ func TestReadsDuringWritesEveryPrecision(t *testing.T) {
 	}
 }
 
+// TestReadersSeeAWriteOnEveryShardOrNone pauses an upsert between its
+// shard commits — the last shard's owner goroutine lets the upsert's
+// build through, then receives its commit and holds it, which the
+// writer sends only after every earlier shard has committed — and reads
+// the collection there: a search, a batch, a self-join, and on a
+// cache-on server each search twice (the second a cache hit), at 2 and
+// 4 shards. Record i lives on shard i and is g·(e₀ + e_{i+1}) at
+// generation g, so against e₀ every hit scores g and every self-join
+// pair g², and a read that mixes generations mixes scores. Every read
+// must see generation 1 while the write is paused and 2 after it; the
+// read before the write asks for k+1, so the paused read is no cache
+// hit of it. Deterministic: the pause is a handshake on the shard's ops
+// loop.
+func TestReadersSeeAWriteOnEveryShardOrNone(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		for _, capacity := range []int{-1, 64} {
+			t.Run(fmt.Sprintf("shards=%d/cache=%v", shards, capacity > 0), func(t *testing.T) {
+				s := New(Config{DefaultShards: shards, CacheCapacity: capacity, CompactFraction: -1})
+				defer s.Close()
+				d := shards + 1
+				gen := func(g float64) []store.Record {
+					recs := make([]store.Record, shards)
+					for i := range recs {
+						v := vec.New(d)
+						v[0], v[i+1] = g, g
+						recs[i] = store.Record{ID: i, Vec: v}
+					}
+					return recs
+				}
+				if _, _, err := s.Ingest("c", &IndexSpec{Kind: KindExact}, 0, gen(1)); err != nil {
+					t.Fatal(err)
+				}
+				e0 := vec.New(d)
+				e0[0] = 1
+				read := func(when string, k int, g float64) {
+					t.Helper()
+					for pass := 0; pass < 2; pass++ {
+						res, err := s.Search("c", []vec.Vector{e0}, k, false)
+						if err != nil || res[0].Err != nil {
+							t.Fatalf("%s: search: %v %v", when, err, res[0].Err)
+						}
+						batch, err := s.Search("c", []vec.Vector{e0, e0, e0}, k, false)
+						if err != nil {
+							t.Fatalf("%s: batch: %v", when, err)
+						}
+						for i, r := range append(res, batch...) {
+							if r.Err != nil || len(r.Hits) != shards {
+								t.Fatalf("%s: %d hits, err %v", when, len(r.Hits), r.Err)
+							}
+							what := "batch"
+							if i == 0 {
+								what = "search"
+							}
+							for _, h := range r.Hits {
+								if h.Score != g {
+									t.Errorf("%s: %s pass %d (cached %v): ID %d scored %v, want %v: %v", when, what, pass, r.Cached, h.ID, h.Score, g, r.Hits)
+									break
+								}
+							}
+						}
+					}
+					join, err := s.Join(selfJoinRequest("c", JoinRequest{S: 0.5, TopK: shards}))
+					if err != nil {
+						t.Fatalf("%s: self-join: %v", when, err)
+					}
+					if len(join.Pairs) != shards*(shards-1) {
+						t.Fatalf("%s: self-join %d pairs, want %d", when, len(join.Pairs), shards*(shards-1))
+					}
+					for _, p := range join.Pairs {
+						if p.Value != g*g {
+							t.Errorf("%s: self-join pair (%d, %d) = %v, want %v", when, p.DataID, p.QueryID, p.Value, g*g)
+							break
+						}
+					}
+				}
+				read("before the upsert", shards+1, 1)
+
+				c, _ := s.Collection("c")
+				last := c.shards[shards-1]
+				paused, release := make(chan struct{}), make(chan struct{})
+				var once sync.Once
+				unpause := func() { once.Do(func() { close(release) }) }
+				defer unpause() // before s.Close, which waits for the owner goroutine
+				last.ops <- func() {
+					(<-last.ops)()       // the upsert's build
+					commit := <-last.ops // sent once every earlier shard committed
+					close(paused)
+					<-release
+					commit()
+				}
+				done := make(chan error, 1)
+				go func() {
+					_, _, err := s.Upsert("c", nil, 0, gen(2))
+					done <- err
+				}()
+				<-paused
+				read("between the upsert's shard commits", shards, 1)
+				unpause()
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+				read("after the upsert", shards, 2)
+			})
+		}
+	}
+}
+
 // TestWALFaultLeavesNoTrace: a batch whose shard snapshots were prepared
 // — rows written into the open chunk's tail, id→row maps consulted —
 // but whose WAL append then failed must leave nothing behind: not its
