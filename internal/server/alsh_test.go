@@ -466,9 +466,10 @@ func indexBuildAttrs(t *testing.T, ts *httptest.Server, method, path string, bod
 }
 
 // TestIndexBuildStageAndSpan: write-side index work is visible — every
-// ingest/upsert lands in ipsd_stage_seconds{stage="index_build"}, and a
-// traced one carries an index_build span saying how many shards
-// rebuilt their index and how many extended it.
+// ingest, upsert and delete lands in
+// ipsd_stage_seconds{stage="index_build"}, and a traced ingest or upsert
+// carries an index_build span saying how many shards rebuilt their index
+// and how many extended it.
 func TestIndexBuildStageAndSpan(t *testing.T) {
 	s := New(Config{DefaultShards: 2, Tracing: true})
 	defer s.Close()
@@ -513,17 +514,38 @@ func TestIndexBuildStageAndSpan(t *testing.T) {
 		t.Fatalf("normscan re-ingest index_build attrs = %v, want extend=1", a)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// metrics returns the /metrics page and its index_builds_total lines
+	// for collection a.
+	metrics := func() (page, builds string) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var text bytes.Buffer
+		if _, err := text.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		validatePromText(t, text.String())
+		for _, line := range strings.Split(text.String(), "\n") {
+			if strings.HasPrefix(line, `ipsd_index_builds_total{collection="a"`) {
+				builds += line + "\n"
+			}
+		}
+		return text.String(), builds
 	}
-	defer resp.Body.Close()
-	var text bytes.Buffer
-	if _, err := text.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
+	_, before := metrics()
+	// A delete re-masks the index of the shard it lands in: the write's
+	// fan-out is timed as index_build, but it neither extends nor rebuilds.
+	if code := doJSON(t, ts, http.MethodPost, "/collections/a/vectors/delete", DeleteVectorsRequest{IDs: []int{3}}, nil); code != http.StatusOK {
+		t.Fatalf("delete status %d", code)
 	}
-	validatePromText(t, text.String())
-	if want := `ipsd_stage_seconds_count{stage="index_build",collection="a"} 3`; !strings.Contains(text.String(), want) {
+	page, after := metrics()
+	if before == "" || after != before {
+		t.Fatalf("a delete moved the index build counters:\n%s->\n%s", before, after)
+	}
+	if want := `ipsd_stage_seconds_count{stage="index_build",collection="a"} 4`; !strings.Contains(page, want) {
 		t.Fatalf("/metrics lacks %q", want)
 	}
 }

@@ -20,13 +20,15 @@ import (
 
 // Collection is a named, sharded vector set. The shards hold the only
 // copy of the rows: each publishes immutable snapshots of its columnar
-// store and the index over it, extended or rebuilt on the shard-owner
-// goroutine at ingest time, and a write's snapshots become visible
+// store and the index over it, and a write's snapshots become visible
 // together, as one published view; the collection itself keeps just the
 // counters readers need (dimension, live count) and the records'
-// attributes. When the server is durable, every ingest batch
-// is appended to the collection's write-ahead log before it becomes
-// visible, and a background checkpoint compacts the log into segment
+// attributes. Ingest, upsert and delete take one path (apply): every
+// touched shard builds its next snapshot on its owner goroutine — rows
+// appended, rows tombstoned, the index extended, rebuilt or re-masked —
+// then, when the server is durable, the write's one frame is appended
+// to the collection's write-ahead log, and only then does any of it
+// become visible. A background checkpoint compacts the log into segment
 // snapshots read back out of the shards.
 type Collection struct {
 	name   string
@@ -216,11 +218,21 @@ func (c *Collection) liveRecords() []store.Record {
 	return recs
 }
 
-// checkDims reports whether recs fit the collection: every vector must
-// have the collection's dimension, or — on a collection that has never
-// held a record — the first record's, which must be positive. It
-// returns that dimension.
-func (c *Collection) checkDims(recs []store.Record) (int, error) {
+// admit is the check every write passes under ingestMu before it
+// touches any state: the collection is open and mutable, and the
+// records, if the write carries any, fit it — every vector has the
+// collection's dimension, or, on a collection that has never held a
+// record, the first record's, which must be positive; on an alsh
+// collection every vector lies in the unit ball, since §4.1's SIMPLE map
+// is only defined on ‖p‖ ≤ 1, and the hash functions are sampled for
+// the dimension (sampleHashes). It returns that dimension.
+func (c *Collection) admit(recs []store.Record) (int, error) {
+	if c.closed {
+		return 0, fmt.Errorf("%w: collection %q is closed", ErrUnavailable, c.name)
+	}
+	if err := c.checkMutable(); err != nil || len(recs) == 0 {
+		return 0, err
+	}
 	dim := int(c.dim.Load())
 	if dim == 0 {
 		if dim = len(recs[0].Vec); dim == 0 {
@@ -233,7 +245,19 @@ func (c *Collection) checkDims(recs []store.Record) (int, error) {
 				c.name, i, len(r.Vec), dim)
 		}
 	}
-	return dim, nil
+	if c.spec.kind() == KindALSH {
+		for i, r := range recs {
+			if !transform.InUnitBall(r.Vec) {
+				who := fmt.Sprintf("record %d", i)
+				if r.ID != AutoID {
+					who += fmt.Sprintf(" (id %d)", r.ID)
+				}
+				return 0, fmt.Errorf("server: collection %q: %s: norm %.6g exceeds 1, the data bound of the %s index",
+					c.name, who, vec.Norm(r.Vec), KindALSH)
+			}
+		}
+	}
+	return dim, c.sampleHashes(dim)
 }
 
 // collView is one published state of a collection: a snapshot per shard
@@ -254,14 +278,28 @@ func (c *Collection) publish(version uint64) {
 	c.view.Store(v)
 }
 
-// applied records a mutation that every shard has committed and the WAL
+// applied records a write that every shard has committed and the WAL
 // holds: the change in live records, then the next version's view.
-// Callers hold ingestMu.
+// A durable collection then compacts its WAL into a segment snapshot
+// once the log's tail outgrows the threshold, in the background (the
+// snapshot callback re-takes ingestMu for a coherent view). Callers
+// hold ingestMu.
 func (c *Collection) applied(liveDelta int) uint64 {
 	c.live.Add(int64(liveDelta))
 	version := c.Version() + 1
 	c.publish(version)
+	if c.log != nil {
+		c.log.MaybeCheckpoint(c.persistSnapshot)
+	}
 	return version
+}
+
+// release drops the IDs a failed write reserved from the live set.
+// Callers hold ingestMu.
+func (c *Collection) release(reserved []int) {
+	for _, id := range reserved {
+		delete(c.seenIDs, id)
+	}
 }
 
 // setAttrs makes recs' attributes the stored ones for their IDs: a
@@ -349,22 +387,8 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 	}
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
-	if c.closed {
-		return 0, fmt.Errorf("%w: collection %q is closed", ErrUnavailable, c.name)
-	}
-	if err := c.checkMutable(); err != nil {
-		return 0, err
-	}
-
-	// Validate dimensions before touching any state.
-	dim, err := c.checkDims(recs)
+	dim, err := c.admit(recs)
 	if err != nil {
-		return 0, err
-	}
-	if err := c.checkNormBound(recs); err != nil {
-		return 0, err
-	}
-	if err := c.sampleHashes(dim); err != nil {
 		return 0, err
 	}
 
@@ -373,11 +397,6 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 	assigned := make([]store.Record, len(recs))
 	copy(assigned, recs)
 	reserved := make([]int, 0, len(assigned))
-	rollback := func() {
-		for _, id := range reserved {
-			delete(c.seenIDs, id)
-		}
-	}
 	for i := range assigned {
 		if assigned[i].ID == AutoID {
 			for {
@@ -390,91 +409,20 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 			c.nextID++
 		}
 		if _, dup := c.seenIDs[assigned[i].ID]; dup {
-			rollback()
+			c.release(reserved)
 			return 0, fmt.Errorf("server: collection %q: duplicate record ID %d", c.name, assigned[i].ID)
 		}
 		c.seenIDs[assigned[i].ID] = struct{}{}
 		reserved = append(reserved, assigned[i].ID)
 	}
 
-	byShard := make(map[int]int, len(c.shards))
-	for _, r := range assigned {
-		byShard[c.shardFor(r.ID)]++
-	}
-	ids := make(map[int][]int, len(byShard))
-	vs := make(map[int][]vec.Vector, len(byShard))
-	for si, n := range byShard {
-		ids[si] = make([]int, 0, n)
-		vs[si] = make([]vec.Vector, 0, n)
-	}
-	for _, r := range assigned {
-		si := c.shardFor(r.ID)
-		ids[si] = append(ids[si], r.ID)
-		vs[si] = append(vs[si], r.Vec)
-	}
-
-	// Phase 1: build every touched shard's new snapshot in parallel on
-	// the shard-owner goroutines, publishing nothing yet.
-	snaps, err := c.buildSnaps(ctx, ids, func(si int, sp *trace.Span) (*shardSnap, error) {
-		return c.shards[si].prepare(c.spec, c.hashes.Load(), ids[si], vs[si], sp)
-	})
-	if err != nil {
-		rollback()
+	if err := c.apply(ctx, c.split(assigned, nil), func() (uint64, error) { return c.log.Append(assigned) }); err != nil {
+		c.release(reserved)
 		return 0, err
-	}
-
-	// Write-ahead: the batch must be durable (per the fsync policy)
-	// before any of it becomes visible, so a crash can never lose a
-	// write that a reader — or the ingest response — has observed. A
-	// WAL failure aborts the ingest with no trace, same as an index
-	// build failure.
-	if c.log != nil {
-		wstart := time.Now()
-		if _, err := c.log.Append(assigned); err != nil {
-			rollback()
-			return 0, c.walAppendFailed(err)
-		}
-		c.observeStage("wal_append", time.Since(wstart))
-	}
-
-	// Phase 2: commit every shard's snapshot, then publish them together
-	// with the next version (applied).
-	for si, snap := range snaps {
-		if snap != nil {
-			c.shards[si].commit(snap, false)
-		}
 	}
 	c.dim.Store(int64(dim)) // fixed by the first write, the same ever after
 	c.setAttrs(assigned)
-	version := c.applied(len(assigned))
-	if c.log != nil {
-		// Compact the WAL into a segment snapshot once its tail
-		// outgrows the threshold. Runs in the background; the snapshot
-		// callback re-takes ingestMu for a coherent view.
-		c.log.MaybeCheckpoint(c.persistSnapshot)
-	}
-	return version, nil
-}
-
-// checkNormBound rejects, for an alsh collection, a batch holding a
-// vector outside the unit ball: §4.1's SIMPLE map is only defined on
-// ‖p‖ ≤ 1, so the record could never be indexed. Checked before any ID
-// is reserved or any shard is touched.
-func (c *Collection) checkNormBound(recs []store.Record) error {
-	if c.spec.kind() != KindALSH {
-		return nil
-	}
-	for i, r := range recs {
-		if !transform.InUnitBall(r.Vec) {
-			who := fmt.Sprintf("record %d", i)
-			if r.ID != AutoID {
-				who += fmt.Sprintf(" (id %d)", r.ID)
-			}
-			return fmt.Errorf("server: collection %q: %s: norm %.6g exceeds 1, the data bound of the %s index",
-				c.name, who, vec.Norm(r.Vec), KindALSH)
-		}
-	}
-	return nil
+	return c.applied(len(assigned)), nil
 }
 
 // sampleHashes samples an alsh collection's hash functions for vectors
@@ -511,34 +459,86 @@ func (c *Collection) hashQueries(ctx context.Context, qk *lsh.QueryKeys, qs *fla
 	return qk, nil
 }
 
-// buildSnaps is phase 1 of an ingest or upsert: prepare builds the next
-// snapshot of every shard in touched, in parallel on the shard-owner
-// goroutines, publishing nothing. The phase is the write path's index
-// work, so it is timed as the index_build stage, and a traced request
-// gets an index_build span whose extend and rebuild attributes count
-// the shards that grew their index and those that rebuilt it.
-func (c *Collection) buildSnaps(ctx context.Context, touched map[int][]int, prepare func(si int, sp *trace.Span) (*shardSnap, error)) ([]*shardSnap, error) {
+// split partitions a write by home shard: each record of recs is
+// appended, and each ID of kill tombstoned, on the shard its ID maps to.
+func (c *Collection) split(recs []store.Record, kill []int) []shardWrite {
+	parts := make([]shardWrite, len(c.shards))
+	for _, id := range kill {
+		w := &parts[c.shardFor(id)]
+		w.kill = append(w.kill, id)
+	}
+	for _, r := range recs {
+		w := &parts[c.shardFor(r.ID)]
+		w.ids = append(w.ids, r.ID)
+		w.vs = append(w.vs, r.Vec)
+	}
+	return parts
+}
+
+// apply is the write step ingest, upsert and delete share, under
+// ingestMu. Phase 1 prepares the next snapshot of every shard parts
+// touches, in parallel on the shard-owner goroutines, publishing
+// nothing. The phase is the write's index work — an append's extend or
+// rebuild, a tombstone's re-mask — so it is timed as the index_build
+// stage, and a traced request gets an index_build span whose extend and
+// rebuild attributes count the shards that grew their index and those
+// that rebuilt it (a re-mask is neither). Then logWrite appends the
+// write's one frame to the WAL, if the collection has one: the write
+// must be durable (per the fsync policy) before any of it becomes
+// visible, so a crash can never lose a write that a reader — or the
+// response — has observed. Phase 2 commits every prepared snapshot,
+// which the caller publishes together (applied). A failed build or WAL
+// append commits nothing, so the write leaves no trace.
+func (c *Collection) apply(ctx context.Context, parts []shardWrite, logWrite func() (uint64, error)) error {
 	start := time.Now()
 	sp := trace.FromContext(ctx).StartSpan("index_build")
+	hashes := c.hashes.Load()
 	snaps := make([]*shardSnap, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for si := range touched {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			snaps[si], errs[si] = prepare(si, sp)
-		}(si)
-	}
-	wg.Wait()
+	err := c.eachShard(func(si int) (err error) {
+		if w := parts[si]; len(w.kill) > 0 || len(w.ids) > 0 {
+			snaps[si], err = c.shards[si].prepare(c.spec, hashes, w, sp)
+		}
+		return err
+	})
 	sp.End()
 	c.observeStage("index_build", time.Since(start))
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("server: collection %q: index build: %w", c.name, err)
+	if err != nil {
+		return fmt.Errorf("server: collection %q: index build: %w", c.name, err)
+	}
+	if c.log != nil {
+		wstart := time.Now()
+		if _, err := logWrite(); err != nil {
+			return c.walAppendFailed(err)
+		}
+		c.observeStage("wal_append", time.Since(wstart))
+	}
+	for si, snap := range snaps {
+		if snap != nil {
+			c.shards[si].commit(snap, false)
 		}
 	}
-	return snaps, nil
+	return nil
+}
+
+// eachShard runs fn for every shard index, in parallel, and returns the
+// first shard's error.
+func (c *Collection) eachShard(fn func(si int) error) error {
+	errs := make([]error, len(c.shards))
+	var wg sync.WaitGroup
+	for si := range c.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[si] = fn(si)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // AutoID marks a record whose ID the collection assigns at ingest.
@@ -566,20 +566,8 @@ func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, e
 	}
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
-	if c.closed {
-		return 0, fmt.Errorf("%w: collection %q is closed", ErrUnavailable, c.name)
-	}
-	if err := c.checkMutable(); err != nil {
-		return 0, err
-	}
-	dim, err := c.checkDims(recs)
+	dim, err := c.admit(recs)
 	if err != nil {
-		return 0, err
-	}
-	if err := c.checkNormBound(recs); err != nil {
-		return 0, err
-	}
-	if err := c.sampleHashes(dim); err != nil {
 		return 0, err
 	}
 	inBatch := make(map[int]struct{}, len(recs))
@@ -593,57 +581,25 @@ func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, e
 		inBatch[r.ID] = struct{}{}
 	}
 
-	// Reserve IDs that are new to the collection; a failed batch
-	// releases exactly those (IDs that were already live stay live).
-	reserved := make([]int, 0, len(recs))
+	// A live ID's row is tombstoned and the record appended anew; an ID
+	// new to the collection is reserved, and a failed batch releases
+	// exactly those (IDs that were already live stay live).
+	var kill, reserved []int
 	for _, r := range recs {
-		if _, ok := c.seenIDs[r.ID]; !ok {
+		if _, ok := c.seenIDs[r.ID]; ok {
+			kill = append(kill, r.ID)
+		} else {
 			c.seenIDs[r.ID] = struct{}{}
 			reserved = append(reserved, r.ID)
 		}
 	}
-	rollback := func() {
-		for _, id := range reserved {
-			delete(c.seenIDs, id)
-		}
-	}
-
-	ids := make(map[int][]int)
-	vs := make(map[int][]vec.Vector)
-	for _, r := range recs {
-		si := c.shardFor(r.ID)
-		ids[si] = append(ids[si], r.ID)
-		vs[si] = append(vs[si], r.Vec)
-	}
-
-	snaps, err := c.buildSnaps(ctx, ids, func(si int, sp *trace.Span) (*shardSnap, error) {
-		return c.shards[si].prepareUpsert(c.spec, c.hashes.Load(), ids[si], vs[si], sp)
-	})
-	if err != nil {
-		rollback()
+	if err := c.apply(ctx, c.split(recs, kill), func() (uint64, error) { return c.log.AppendUpsert(recs) }); err != nil {
+		c.release(reserved)
 		return 0, err
-	}
-
-	if c.log != nil {
-		wstart := time.Now()
-		if _, err := c.log.AppendUpsert(recs); err != nil {
-			rollback()
-			return 0, c.walAppendFailed(err)
-		}
-		c.observeStage("wal_append", time.Since(wstart))
-	}
-
-	for si, snap := range snaps {
-		if snap != nil {
-			c.shards[si].commit(snap, false)
-		}
 	}
 	c.dim.Store(int64(dim))
 	c.setAttrs(recs)
 	version := c.applied(len(reserved))
-	if c.log != nil {
-		c.log.MaybeCheckpoint(c.persistSnapshot)
-	}
 	c.maybeCompact()
 	return version, nil
 }
@@ -659,10 +615,7 @@ func (c *Collection) Delete(ids []int) (uint64, int, error) {
 	}
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
-	if c.closed {
-		return 0, 0, fmt.Errorf("%w: collection %q is closed", ErrUnavailable, c.name)
-	}
-	if err := c.checkMutable(); err != nil {
+	if _, err := c.admit(nil); err != nil {
 		return 0, 0, err
 	}
 	// Keep only IDs that are currently live, deduplicated, in request
@@ -682,49 +635,14 @@ func (c *Collection) Delete(ids []int) (uint64, int, error) {
 		return c.Version(), 0, nil
 	}
 
-	byShard := make(map[int][]int)
-	for _, id := range present {
-		si := c.shardFor(id)
-		byShard[si] = append(byShard[si], id)
-	}
-	snaps := make([]*shardSnap, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for si := range byShard {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			snaps[si], _, errs[si] = c.shards[si].prepareDelete(byShard[si])
-		}(si)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, 0, fmt.Errorf("server: collection %q: delete: %w", c.name, err)
-		}
-	}
-
-	if c.log != nil {
-		wstart := time.Now()
-		if _, err := c.log.AppendDelete(present); err != nil {
-			return 0, 0, c.walAppendFailed(err)
-		}
-		c.observeStage("wal_append", time.Since(wstart))
-	}
-
-	for si, snap := range snaps {
-		if snap != nil {
-			c.shards[si].commit(snap, false)
-		}
+	if err := c.apply(context.Background(), c.split(nil, present), func() (uint64, error) { return c.log.AppendDelete(present) }); err != nil {
+		return 0, 0, err
 	}
 	for _, id := range present {
 		delete(c.seenIDs, id)
 		delete(c.attrs, id)
 	}
 	version := c.applied(-len(present))
-	if c.log != nil {
-		c.log.MaybeCheckpoint(c.persistSnapshot)
-	}
 	c.maybeCompact()
 	return version, len(present), nil
 }
@@ -777,22 +695,14 @@ func (c *Collection) compact() error {
 		c.ingestMu.Unlock()
 		return nil
 	}
+	hashes := c.hashes.Load()
 	snaps := make([]*shardSnap, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for si := range c.shards {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			snaps[si], errs[si] = c.shards[si].prepareCompact(c.spec, c.hashes.Load())
-		}(si)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			c.ingestMu.Unlock()
-			return err
-		}
+	if err := c.eachShard(func(si int) (err error) {
+		snaps[si], err = c.shards[si].prepareCompact(c.spec, hashes)
+		return err
+	}); err != nil {
+		c.ingestMu.Unlock()
+		return err
 	}
 	for si, snap := range snaps {
 		if snap != nil {

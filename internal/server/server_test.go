@@ -338,7 +338,7 @@ func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
 	sh := newShard(0, nil)
 	defer sh.close()
 	if err := func() error {
-		snap, err := sh.prepare(IndexSpec{Kind: KindExact}, nil, []int{0}, []vec.Vector{{1, 0}}, nil)
+		snap, err := sh.prepare(IndexSpec{Kind: KindExact}, nil, shardWrite{ids: []int{0}, vs: []vec.Vector{{1, 0}}}, nil)
 		if err != nil {
 			return err
 		}
@@ -348,7 +348,7 @@ func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
 		t.Fatalf("seed prepare: %v", err)
 	}
 	// A failing build must not disturb the published snapshot.
-	if _, err := sh.prepare(IndexSpec{Kind: KindExact}, nil, []int{1}, []vec.Vector{{0, 1, 2}}, nil); err == nil {
+	if _, err := sh.prepare(IndexSpec{Kind: KindExact}, nil, shardWrite{ids: []int{1}, vs: []vec.Vector{{0, 1, 2}}}, nil); err == nil {
 		t.Fatal("a row of the wrong dimension built")
 	}
 	if n := len(sh.snap.Load().ids); n != 1 {

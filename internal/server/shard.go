@@ -14,7 +14,7 @@ import (
 
 // shard owns one horizontal slice of a collection. All mutation happens
 // on the shard's dedicated goroutine (the ops loop), so snapshot builds
-// for different shards of one ingest proceed in parallel without locks.
+// for different shards of one write proceed in parallel without locks.
 // snap is the newest committed snapshot, which the next build extends;
 // readers pin the collection's published view (Collection.publish)
 // instead, a consistent (ids, vectors, index) triple per shard, and
@@ -142,31 +142,59 @@ func (s *shard) build(fn func(old *shardSnap) (*shardSnap, error)) (snap *shardS
 	return snap, err
 }
 
+// shardWrite is one shard's part of a write: the IDs whose live rows it
+// tombstones, then the records (ids, vs) it appends. An ingest only
+// appends, a delete only tombstones, an upsert that replaces a live
+// record does both.
+type shardWrite struct {
+	kill []int
+	ids  []int
+	vs   []vec.Vector
+}
+
 // prepare builds — but does not publish — the snapshot that results
-// from appending (ids, vs): ids and store grow from the current ones,
-// sharing their rows, and the index follows — extended by the batch
-// where the engine can (see nextIndex), rebuilt over the grown store
-// otherwise — an alsh one under hashes, the collection's hash functions.
-// sp, the mutation's index_build span, learns which, and how many rows
-// the write had to copy. The caller publishes the result with commit only
-// once every shard's prepare has succeeded and the batch is in the WAL; a
+// from w: the live rows of w.kill are tombstoned, then (w.ids, w.vs) is
+// appended. ids and store grow from the current ones, sharing their
+// rows, and the index follows — extended by the batch where the engine
+// can (see nextIndex), rebuilt over the grown store otherwise — an alsh
+// one under hashes, the collection's hash functions. sp, the write's
+// index_build span, learns which, and how many rows the write had to
+// copy. A write that appends nothing shares the store and ids and only
+// re-masks the index; one that changes nothing returns nil. Only a kill
+// consults the id→row map (rowIndex), so an append-only shard never
+// builds one. The caller publishes the result with commit only once
+// every shard's prepare has succeeded and the write is in the WAL; a
 // prepared snapshot that is dropped instead leaves nothing behind but
 // unreachable bytes past the current snapshot's length.
-func (s *shard) prepare(spec IndexSpec, hashes *lsh.Index, ids []int, vs []vec.Vector, sp *trace.Span) (*shardSnap, error) {
+func (s *shard) prepare(spec IndexSpec, hashes *lsh.Index, w shardWrite, sp *trace.Span) (*shardSnap, error) {
 	return s.build(func(old *shardSnap) (*shardSnap, error) {
-		nfs, err := appendStore(old.fs, vs)
+		nfs, err := appendStore(old.fs, w.vs)
 		if err != nil {
 			return nil, err
 		}
-		var dead *flat.Tombstones
-		if old.dead.Count() > 0 {
-			dead = old.dead.Grow(nfs.Len())
+		dead := old.dead
+		if len(w.kill) > 0 || dead.Count() > 0 {
+			dead = old.dead.Grow(len(old.ids) + len(w.ids)) // nfs's rows
+		}
+		for _, id := range w.kill {
+			if r, ok := s.rowIndex(old)[id]; ok {
+				dead.Kill(r) // a no-op on a row already dead
+			}
+		}
+		if len(w.vs) == 0 {
+			if dead.Count() == old.dead.Count() {
+				return nil, nil
+			}
+			return &shardSnap{ids: old.ids, fs: old.fs, index: old.index.withDead(dead, old), dead: dead}, nil
+		}
+		if dead.Count() == 0 {
+			dead = nil // keep the zero-tombstone fast paths
 		}
 		index, err := s.nextIndex(spec, hashes, old, nfs, dead, sp)
 		if err != nil {
 			return nil, err
 		}
-		return &shardSnap{ids: append(old.ids, ids...), fs: nfs, index: index, dead: dead}, nil
+		return &shardSnap{ids: append(old.ids, w.ids...), fs: nfs, index: index, dead: dead}, nil
 	})
 }
 
@@ -213,66 +241,6 @@ func (s *shard) nextIndex(spec IndexSpec, hashes *lsh.Index, old *shardSnap, nfs
 		index = index.withDead(dead, old)
 	}
 	return index, nil
-}
-
-// prepareUpsert builds — but does not publish — the snapshot that
-// results from insert-or-replace of (ids, vs): replaced IDs have their
-// old row tombstoned and every record lands in a fresh appended row,
-// so the store stays append-only and the index follows it exactly as
-// in prepare. Runs on the owner goroutine; the caller commits.
-func (s *shard) prepareUpsert(spec IndexSpec, hashes *lsh.Index, ids []int, vs []vec.Vector, sp *trace.Span) (*shardSnap, error) {
-	return s.build(func(old *shardSnap) (*shardSnap, error) {
-		nfs, err := appendStore(old.fs, vs)
-		if err != nil {
-			return nil, err
-		}
-		rows := s.rowIndex(old)
-		dead := old.dead.Grow(nfs.Len())
-		for _, id := range ids {
-			if r, ok := rows[id]; ok && !dead.Dead(r) {
-				dead.Kill(r)
-			}
-		}
-		if dead.Count() == 0 {
-			dead = nil // keep the zero-tombstone fast paths
-		}
-		index, err := s.nextIndex(spec, hashes, old, nfs, dead, sp)
-		if err != nil {
-			return nil, err
-		}
-		return &shardSnap{ids: append(old.ids, ids...), fs: nfs, index: index, dead: dead}, nil
-	})
-}
-
-// prepareDelete builds — but does not publish — the snapshot with the
-// given IDs tombstoned, returning how many were live. A delete-only
-// snapshot is cheap: it shares the store and id slice with the old one;
-// only the bitmap is copied and the index re-masked. IDs that are
-// unknown or already dead are no-ops. Returns (nil, 0) when nothing
-// changed so the caller can skip the commit.
-func (s *shard) prepareDelete(ids []int) (*shardSnap, int, error) {
-	removed := 0
-	snap, err := s.build(func(old *shardSnap) (*shardSnap, error) {
-		if old.fs == nil {
-			return nil, nil
-		}
-		dead := old.dead.Grow(old.fs.Len())
-		rows := s.rowIndex(old)
-		for _, id := range ids {
-			if r, ok := rows[id]; ok && !dead.Dead(r) {
-				dead.Kill(r)
-				removed++
-			}
-		}
-		if removed == 0 {
-			return nil, nil
-		}
-		return &shardSnap{ids: old.ids, fs: old.fs, index: old.index.withDead(dead, old), dead: dead}, nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return snap, removed, nil
 }
 
 // prepareCompact builds — but does not publish — the fully-compacted
@@ -322,11 +290,14 @@ func appendStore(old *flat.Store, vs []vec.Vector) (*flat.Store, error) {
 	return nfs, nil
 }
 
-// commit publishes a prepared snapshot on the owner goroutine and
-// brings the id→row map, if the shard keeps one, in step: the rows snap
+// commit makes a prepared snapshot the shard's newest, on the owner
+// goroutine — a write's phase 2 (Collection.apply) or a compaction's;
+// readers see it once the collection publishes its view — and brings
+// the id→row map, if the shard keeps one, in step: the rows snap
 // appended behind the current snapshot's are indexed (O(batch)), or —
 // renumbered, after a compaction — the map is dropped for rowIndex to
-// rebuild on the next upsert or delete. Nothing is touched before this
+// rebuild on the next write that tombstones a row: an upsert that
+// replaces a live record, or a delete. Nothing is touched before this
 // point, so an abandoned prepare has nothing to roll back.
 func (s *shard) commit(snap *shardSnap, renumbered bool) {
 	done := make(chan struct{})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -446,94 +447,185 @@ func TestReadersSeeAWriteOnEveryShardOrNone(t *testing.T) {
 	}
 }
 
-// TestWALFaultLeavesNoTrace: a batch whose shard snapshots were prepared
-// — rows written into the open chunk's tail, id→row maps consulted —
-// but whose WAL append then failed must leave nothing behind: not its
-// rows, not its attributes, not a version bump, and the writes that
-// follow reuse the memory it touched without disturbing a reader.
+// TestWALFaultLeavesNoTrace: a write whose shard snapshots were
+// prepared — rows written into the open chunk's tail, id→row maps
+// consulted, indexes extended or re-masked — but whose WAL append then
+// failed must leave nothing behind: not its rows, not its tombstones,
+// not its attributes, not a reserved ID, not a version bump, and the
+// writes that follow reuse the memory it touched without disturbing a
+// reader. Ingest, upsert and delete each take the fault.
 func TestWALFaultLeavesNoTrace(t *testing.T) {
-	dir := t.TempDir()
-	f := errfs.NewFaulty(nil, 1)
-	s, err := Open(faultyConfig(dir, f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	const n, d, k = 600, 6, 5
 	recs := randRecords(n, d, 31)
-	queries := randQueries(15, d, 32)
-	m := liveSet{}
-	if _, _, err := s.Ingest("c", nil, 2, recs[:400]); err != nil {
-		t.Fatal(err)
+	doomedAttrs := map[string]string{"doomed": "yes"}
+	// The doomed writes: fresh IDs (450..469, which the writes after the
+	// repair then ingest), live IDs replaced with new vectors and attrs
+	// next to fresh ones, and live IDs removed.
+	var fresh, replace []store.Record
+	var kill []int
+	for i := 0; i < 20; i++ {
+		fresh = append(fresh, store.Record{ID: 450 + i, Vec: recs[450+i].Vec, Attrs: doomedAttrs})
+		replace = append(replace,
+			store.Record{ID: i, Vec: recs[500+i].Vec, Attrs: doomedAttrs},
+			store.Record{ID: 450 + i, Vec: recs[450+i].Vec, Attrs: doomedAttrs})
+		kill = append(kill, 3*i)
 	}
-	m.upsert(recs[:400])
-	// One upsert so every shard keeps an id→row map from here on.
-	if _, _, err := s.Upsert("c", nil, 0, recs[:2]); err != nil {
+	for _, tc := range []struct {
+		name   string
+		doomed func(s *Server) error
+	}{
+		{"ingest", func(s *Server) error { _, _, err := s.Ingest("c", nil, 0, fresh); return err }},
+		{"upsert", func(s *Server) error { _, _, err := s.Upsert("c", nil, 0, replace); return err }},
+		{"delete", func(s *Server) error { _, _, _, err := s.Delete("c", kill); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := errfs.NewFaulty(nil, 1)
+			s, err := Open(faultyConfig(t.TempDir(), f))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			queries := randQueries(15, d, 32)
+			m := liveSet{}
+			if _, _, err := s.Ingest("c", nil, 2, recs[:400]); err != nil {
+				t.Fatal(err)
+			}
+			m.upsert(recs[:400])
+			// One upsert replacing a record on each shard, so every shard
+			// keeps an id→row map from here on.
+			if _, _, err := s.Upsert("c", nil, 0, recs[:2]); err != nil {
+				t.Fatal(err)
+			}
+			c, _ := s.Collection("c")
+			verify := func(label string) {
+				t.Helper()
+				for qi, q := range queries {
+					got := searchAll(t, s, "c", []vec.Vector{q}, k)[0]
+					if want := m.topK(q, k, false); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s query %d: hits diverge from model\n got %v\nwant %v", label, qi, got, want)
+					}
+				}
+				// Every live ID answers a search that asks for all of them.
+				if got, want := searchAll(t, s, "c", queries[:1], len(m))[0], m.topK(queries[0], len(m), false); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: a search for every record diverges from model\n got %v\nwant %v", label, got, want)
+				}
+				got := c.records()
+				if len(got) != len(m) || c.Len() != len(m) {
+					t.Fatalf("%s: %d records (Len %d), model has %d", label, len(got), c.Len(), len(m))
+				}
+				for _, r := range got {
+					if !reflect.DeepEqual(r.Attrs, m[r.ID].Attrs) || !vec.EqualTol(r.Vec, m[r.ID].Vec, 0) {
+						t.Fatalf("%s: record %d is %+v, model has %+v", label, r.ID, r, m[r.ID])
+					}
+				}
+			}
+			verify("before the fault")
+			version := c.Version()
+			rowMaps := make([]map[int]int, len(c.shards))
+			for si, sh := range c.shards {
+				if rowMaps[si] = shardRows(t, sh); rowMaps[si] == nil {
+					t.Fatalf("shard %d keeps no id→row map after an upsert that replaced one of its records", si)
+				}
+			}
+
+			f.Inject(errfs.Rule{Op: errfs.OpWrite, Path: "wal-", Count: 1})
+			if err := tc.doomed(s); err == nil {
+				t.Fatalf("%s succeeded while the WAL append faults", tc.name)
+			}
+			verify("after the failed " + tc.name)
+			if c.Version() != version {
+				t.Fatalf("failed %s moved the version %d -> %d", tc.name, version, c.Version())
+			}
+			for si, sh := range c.shards {
+				if got := shardRows(t, sh); !reflect.DeepEqual(got, rowMaps[si]) {
+					t.Fatalf("failed %s changed shard %d's id→row map", tc.name, si)
+				}
+			}
+
+			waitFor(t, "repair probe to reactivate", func() bool { return c.healthState() == HealthActive })
+			if _, _, err := s.Ingest("c", nil, 0, recs[400:480]); err != nil {
+				t.Fatalf("ingest after repair: %v", err)
+			}
+			m.upsert(recs[400:480])
+			// AutoID hands out the lowest IDs not live: 480 on, never an ID
+			// a failed delete named.
+			auto := []store.Record{{ID: AutoID, Vec: recs[480].Vec}, {ID: AutoID, Vec: recs[481].Vec}}
+			if _, _, err := s.Ingest("c", nil, 0, auto); err != nil {
+				t.Fatalf("auto-ID ingest after repair: %v", err)
+			}
+			m.upsert([]store.Record{{ID: 480, Vec: recs[480].Vec}, {ID: 481, Vec: recs[481].Vec}})
+			if _, _, err := s.Upsert("c", nil, 0, recs[10:30]); err != nil {
+				t.Fatalf("upsert after repair: %v", err)
+			}
+			m.upsert(recs[10:30])
+			verify("after the writes that followed")
+			if c.Version() != version+3 {
+				t.Fatalf("version %d after three more writes, want %d", c.Version(), version+3)
+			}
+		})
+	}
+}
+
+// shardRows returns a copy of sh's id→row map, read on its owner
+// goroutine — nil if the shard keeps none — after checking that it is
+// the published snapshot's: each ID's newest row.
+func shardRows(t *testing.T, sh *shard) map[int]int {
+	t.Helper()
+	var rows map[int]int
+	done := make(chan struct{})
+	sh.ops <- func() {
+		defer close(done)
+		if sh.rows == nil {
+			return
+		}
+		want := make(map[int]int)
+		for r, id := range sh.snap.Load().ids {
+			want[id] = r
+		}
+		if !reflect.DeepEqual(sh.rows, want) {
+			t.Errorf("shard %d: id→row map %v, the published snapshot's is %v", sh.id, sh.rows, want)
+		}
+		rows = maps.Clone(sh.rows)
+	}
+	<-done
+	return rows
+}
+
+// TestRowMapOnlyForAKill: a shard builds its id→row map on the first
+// write that tombstones one of its rows, and never for appends: not for
+// an ingest, nor for an upsert of IDs that are all new. An upsert that
+// replaces a live record builds the map of that record's shard alone.
+func TestRowMapOnlyForAKill(t *testing.T) {
+	s := New(Config{DefaultShards: 2, CacheCapacity: -1, CompactFraction: -1})
+	defer s.Close()
+	recs := randRecords(40, 4, 9)
+	if _, _, err := s.Ingest("c", nil, 0, recs[:20]); err != nil {
 		t.Fatal(err)
 	}
 	c, _ := s.Collection("c")
-	verify := func(label string) {
+	noMaps := func(after string) {
 		t.Helper()
-		for qi, q := range queries {
-			got := searchAll(t, s, "c", []vec.Vector{q}, k)[0]
-			if want := m.topK(q, k, false); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s query %d: hits diverge from model\n got %v\nwant %v", label, qi, got, want)
-			}
-		}
-		got := c.records()
-		if len(got) != len(m) || c.Len() != len(m) {
-			t.Fatalf("%s: %d records (Len %d), model has %d", label, len(got), c.Len(), len(m))
-		}
-		for _, r := range got {
-			if !reflect.DeepEqual(r.Attrs, m[r.ID].Attrs) || !vec.EqualTol(r.Vec, m[r.ID].Vec, 0) {
-				t.Fatalf("%s: record %d is %+v, model has %+v", label, r.ID, r, m[r.ID])
+		for si, sh := range c.shards {
+			if rows := shardRows(t, sh); rows != nil {
+				t.Fatalf("after %s, shard %d holds an id→row map of %d IDs", after, si, len(rows))
 			}
 		}
 	}
-	verify("before the fault")
-	version := c.Version()
-
-	// The doomed batch replaces live records (new vectors, new attrs) and
-	// inserts fresh ones.
-	doomed := make([]store.Record, 0, 40)
-	for i := 0; i < 20; i++ {
-		doomed = append(doomed,
-			store.Record{ID: i, Vec: recs[500+i].Vec, Attrs: map[string]string{"doomed": "yes"}},
-			store.Record{ID: 450 + i, Vec: recs[450+i].Vec, Attrs: map[string]string{"doomed": "yes"}})
+	noMaps("an ingest")
+	if _, _, err := s.Upsert("c", nil, 0, recs[20:30]); err != nil {
+		t.Fatal(err)
 	}
-	f.Inject(errfs.Rule{Op: errfs.OpWrite, Path: "wal-", Count: 1})
-	if _, _, err := s.Upsert("c", nil, 0, doomed); err == nil {
-		t.Fatal("upsert succeeded while the WAL append faults")
+	noMaps("an upsert of new IDs")
+	// ID 7 lives on shard 1; IDs 30 and 32, new, go to shard 0.
+	if _, _, err := s.Upsert("c", nil, 0, []store.Record{{ID: 7, Vec: recs[30].Vec}, recs[30], recs[32]}); err != nil {
+		t.Fatal(err)
 	}
-	verify("after the failed upsert")
-	if c.Version() != version {
-		t.Fatalf("failed upsert moved the version %d -> %d", version, c.Version())
+	if rows := shardRows(t, c.shards[0]); rows != nil {
+		t.Fatalf("shard 0, where no record was replaced, holds an id→row map of %d IDs", len(rows))
 	}
-	for _, sh := range c.shards {
-		done := make(chan struct{})
-		sh.ops <- func() {
-			defer close(done)
-			sn := sh.snap.Load()
-			for id, r := range sh.rows {
-				if r >= len(sn.ids) || sn.ids[r] != id {
-					t.Errorf("shard %d: id→row map holds %d→%d, which the published snapshot does not", sh.id, id, r)
-				}
-			}
-		}
-		<-done
-	}
-
-	waitFor(t, "repair probe to reactivate", func() bool { return c.healthState() == HealthActive })
-	if _, _, err := s.Ingest("c", nil, 0, recs[400:450]); err != nil {
-		t.Fatalf("ingest after repair: %v", err)
-	}
-	m.upsert(recs[400:450])
-	if _, _, err := s.Upsert("c", nil, 0, recs[10:30]); err != nil {
-		t.Fatalf("upsert after repair: %v", err)
-	}
-	verify("after the writes that followed")
-	if c.Version() != version+2 {
-		t.Fatalf("version %d after two more writes, want %d", c.Version(), version+2)
+	// Shard 1 held the odd IDs below 30, 15 rows: ID 7's new row is 15.
+	if rows := shardRows(t, c.shards[1]); rows[7] != 15 {
+		t.Fatalf("shard 1's id→row map %v does not send ID 7 to its new row 15", rows)
 	}
 }
 
