@@ -351,15 +351,25 @@ type Hit struct {
 // flat-backed and candidate-based engines tie-break identically. NaN
 // scores are rejected outright: they cannot be ranked and would
 // otherwise evict legitimate hits while breaking the descending-score
-// invariant.
+// invariant. A floor (SetFloor) keeps it to the offers scoring at least
+// the floor.
 type Acc struct {
-	k    int
-	hits []Hit
-	keys []int // nil: an index is its own key
+	k     int
+	hits  []Hit
+	keys  []int   // nil: an index is its own key
+	floor float64 // −Inf: none
 }
 
 // NewAcc returns an accumulator keeping the best k offers.
-func NewAcc(k int) Acc { return Acc{k: k} }
+func NewAcc(k int) Acc { return Acc{k: k, floor: math.Inf(-1)} }
+
+// SetFloor drops every later offer scoring below f, until the next
+// Reset; a tie with f is kept, keyed or not — a smaller key may win it,
+// and a join's pair at exactly cs must survive. The hits are then the k
+// best offers scoring at least f, and while fewer than k have come,
+// Threshold is f, so the scans' skips and bounds prune against it. Set
+// it on an empty accumulator; f must not be NaN.
+func (a *Acc) SetFloor(f float64) { a.floor = f }
 
 // SetKeys breaks a's ties by keys[index] instead of the index, until the
 // next Reset: the serving layer's rows are not in record-ID order (an
@@ -377,7 +387,7 @@ func (a *Acc) key(i int) int {
 
 // Offer submits a candidate.
 func (a *Acc) Offer(idx int, score float64) {
-	if math.IsNaN(score) {
+	if math.IsNaN(score) || score < a.floor {
 		return
 	}
 	if len(a.hits) == a.k {
@@ -403,11 +413,12 @@ func (a *Acc) Hits() []Hit { return a.hits }
 // Threshold returns the current admission bar: a candidate scanned at a
 // higher index than everything accumulated so far enters only with a
 // score strictly above the k-th best (ties lose to the smaller index
-// already held, unless SetKeys keyed them), or unconditionally while
-// under-full.
+// already held, unless SetKeys keyed them), or while under-full with a
+// score at least the floor (−Inf without one). The k-th best of a full
+// accumulator is never below its floor.
 func (a *Acc) Threshold() float64 {
 	if len(a.hits) < a.k {
-		return math.Inf(-1)
+		return a.floor
 	}
 	return a.hits[a.k-1].Score
 }
@@ -497,7 +508,8 @@ func offerRow(a *Acc, r int, v float64, unsigned bool) {
 // order, which allows the stronger skip: once full, a tie at the
 // threshold always loses to the smaller index already held (so v <= thr
 // skips in one compare). With a permutation, or keys, a tie may carry a
-// smaller key, so only strictly-worse scores can be skipped. This is
+// smaller key, so only strictly-worse scores can be skipped; under-full,
+// only scores below a's floor (SetFloor) are. This is
 // the single copy of the top-k bookkeeping both scan orders share; the
 // loops are specialised on the loop-invariant (full, unsigned, ids)
 // flags because the skip compare runs once per scanned row — the hottest
@@ -505,12 +517,24 @@ func offerRow(a *Acc, r int, v float64, unsigned bool) {
 // and are rejected by Offer, exactly as in the unspecialised form.
 func offerScores(a *Acc, buf []float64, base int, unsigned bool, ids []int) {
 	r := 0
-	for ; r < len(buf) && !a.Full(); r++ {
-		v := buf[r]
-		if unsigned && v < 0 {
-			v = -v
+	if !a.Full() {
+		// Under-full, a row below the floor is skipped on one compare: a
+		// floored accumulator may stay here for a whole sweep.
+		floor := a.floor
+		for ; r < len(buf); r++ {
+			v := buf[r]
+			if unsigned && v < 0 {
+				v = -v
+			}
+			if v < floor {
+				continue
+			}
+			a.Offer(blockIndex(ids, base, r), v)
+			if a.Full() {
+				r++
+				break
+			}
 		}
-		a.Offer(blockIndex(ids, base, r), v)
 	}
 	if r == len(buf) {
 		return

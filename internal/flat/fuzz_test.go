@@ -408,12 +408,14 @@ func FuzzDot32Range(f *testing.F) {
 
 // FuzzNormRuns holds a two-run norm-sorted view to the store-order scan
 // of the same rows (checkRuns: Scan and ScanMulti, hits and counts) on
-// fuzzed rows, queries, split point, dead set, floor and k, both tiers.
-// raw decodes as float64 bit patterns — NaNs, infinities, subnormals and
-// values whose squares underflow stay: the sort, the norms and the cut
-// must cope — read cyclically to fill up to three queries and the rows;
-// the floor is 0, beyond every score, or the score of a fuzzed row
-// against the first query, a tie at the bar.
+// fuzzed rows, queries, split point, dead set and k, and both views
+// under per-query floors (Acc.SetFloor) to the store-order top k at or
+// above them, never scoring more rows than without. raw decodes as
+// float64 bit patterns — NaNs, infinities, subnormals and values whose
+// squares underflow stay: the sort, the norms and the cut must cope —
+// read cyclically to fill three queries and the rows; each query's floor
+// is beyond every score or the score of a fuzzed row against it, a tie
+// at the bar.
 func FuzzNormRuns(f *testing.F) {
 	word := func(vals ...float64) []byte {
 		var b []byte
@@ -470,15 +472,29 @@ func FuzzNormRuns(f *testing.F) {
 			}
 		}
 		o := ScanOpts{K: int(kw)%(n+2) + 1, Unsigned: floorSel&1 == 1}
-		switch floorSel >> 1 % 3 {
-		case 1:
-			o.Floor = 1e9
-		case 2:
-			o.Floor = math.Abs(fs.Dot(int(floorSel)%n, qs.Row(0)))
+		// Query j's floor: beyond every score, or the score of a fuzzed
+		// row against it — a tie at the floor, kept or dropped with its
+		// row dead; a NaN score floors at 0.
+		floors := make([]float64, qs.Len())
+		for j := range floors {
+			if floorSel>>1%3 == 1 {
+				floors[j] = 1e9
+				continue
+			}
+			f := fs.Dot((int(floorSel)+j*int(split))%n, qs.Row(j))
+			if o.Unsigned {
+				f = math.Abs(f)
+			}
+			if math.IsNaN(f) {
+				f = 0
+			}
+			floors[j] = f
 		}
 		for _, tier := range sortedTiers {
 			v := extendTo(tier.sorted(prefixOf(fs, n-tailLen)), fs, n-tailLen/2, n)
-			checkRuns(t, tier.name, v, tier.rowOrder(fs), qs, qs.Len(), o, dead)
+			ref := tier.rowOrder(fs)
+			checkRuns(t, tier.name, v, ref, qs, qs.Len(), o, dead, floors)
+			checkRuns(t, tier.name+" store order", ref, ref, qs, qs.Len(), o, dead, floors)
 		}
 	})
 }
@@ -587,7 +603,7 @@ func FuzzNormTail(f *testing.F) {
 					break
 				}
 				held = append(held, heldView{v: v, dead: gathered, perm: physPerm(v), ans: answers(v, gathered), write: w})
-				checkRuns(t, fmt.Sprintf("write %d", w), v, fs.View(), qs, qs.Len(), ScanOpts{K: 5}, was)
+				checkRuns(t, fmt.Sprintf("write %d", w), v, fs.View(), qs, qs.Len(), ScanOpts{K: 5}, was, nil)
 				continue
 			}
 			if next.Len() != fs.Len() {

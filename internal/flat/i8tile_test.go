@@ -360,7 +360,9 @@ func FuzzDotI8Tile(f *testing.F) {
 // FuzzI8Certificate holds the int8 certificate to the f64 rows: every
 // row's f64 dot with every query lies within ε of its dequantized score,
 // and each query's trimmed candidates hold the f64 top k — re-ranked
-// through the f64 rows, they are the f64 Scan's hits bit for bit. The
+// through the f64 rows, they are the f64 Scan's hits bit for bit (see
+// checkCertificate) — with no floor and again with each query's code
+// sweep and re-rank floored at one of its own f64 scores, or none. The
 // rows come in two batches, the second through Extend at a standing, a
 // rising or an unchanged scale, which must equal a fresh quantization,
 // bound included. mode picks Gaussian, lattice (many ties),
@@ -372,6 +374,9 @@ func FuzzI8Certificate(f *testing.F) {
 		f.Add(uint64(i), d, uint16(700), uint8(10), uint8(i*7), i%2 == 0)
 		f.Add(uint64(i+10), d, uint16(300), uint8(1), uint8(i*5+4), i%2 == 1)
 	}
+	// Tombstones (mode bit 64) under floors: a dead row's block is still
+	// counted as scanned, floored or not.
+	f.Add(uint64(11), uint8(16), uint16(300), uint8(1), uint8(80), true)
 	f.Fuzz(func(t *testing.T, seed uint64, dw uint8, nw uint16, kw uint8, mode uint8, unsigned bool) {
 		d, n, k := int(dw)%80+1, int(nw)%1200+2, int(kw)%60+1
 		rng := xrand.New(seed)
@@ -431,46 +436,90 @@ func FuzzI8Certificate(f *testing.F) {
 		if mode&64 != 0 {
 			dead, _ = killRandom(rng, n, 0.1)
 		}
+		// Each query's floor, for the second sweep: the f64 score of one of
+		// its rows — a tie at the floor — or −Inf, none.
+		floors := make([]float64, qs.Len())
+		for j := range floors {
+			floors[j] = math.Inf(-1)
+			if f := vec.DotKernel(all.Row(rng.Intn(n)), qs.Row(j)); rng.Intn(4) > 0 && !math.IsNaN(f) {
+				if unsigned {
+					f = math.Abs(f)
+				}
+				floors[j] = f
+			}
+		}
 		o := ScanOpts{K: k, Unsigned: unsigned, Dead: dead}
 		for _, kt := range kernelTiers {
-			restore := kt.use()
-			sc := GetTileScratch()
-			accs := sc.Accs(qs.Len(), k)
-			if err := q8.View().ScanMulti(context.Background(), qs, 0, qs.Len(), accs, sc, o); err != nil {
-				t.Fatal(err)
-			}
-			for j := range accs {
-				q := qs.Row(j)
-				if eps := sc.i8.slack[j] / 2; !math.IsInf(eps, 1) {
-					for r := 0; r < n; r++ {
-						v := float64(dotI8(q8.Row(r), sc.i8.i16[j*sc.i8.stride:])) * sc.i8.combined[j]
-						if f := vec.DotKernel(all.Row(r), q); !(math.Abs(f-v) <= eps) {
-							t.Fatalf("%s: d=%d query %d row %d: f64 dot %v, dequantized %v, ε %v", kt.name, d, j, r, f, v, eps)
-						}
+			var unfloored int // rows the floor-less sweep scored
+			for _, floored := range []bool{false, true} {
+				restore := kt.use()
+				sc := GetTileScratch()
+				accs := sc.Accs(qs.Len(), k)
+				floor := func(j int) float64 {
+					if floored {
+						return floors[j]
 					}
+					return math.Inf(-1)
 				}
-				want, err := all.View().Scan(context.Background(), q, o)
-				if err != nil {
+				for j := range accs {
+					accs[j].SetFloor(floor(j))
+				}
+				var st ScanStats
+				o.Stats = &st
+				if err := q8.View().ScanMulti(context.Background(), qs, 0, qs.Len(), accs, sc, o); err != nil {
 					t.Fatal(err)
 				}
-				rows := sc.Candidates(j, &accs[j])
-				in := make(map[int]bool, len(rows))
-				for _, r := range rows {
-					in[r] = true
+				if !floored {
+					unfloored = st.ScannedRows
+				} else if st.ScannedRows > unfloored {
+					t.Fatalf("%s: floored sweep scanned %d rows, %d without floors", kt.name, st.ScannedRows, unfloored)
 				}
-				for _, h := range want {
-					if !in[h.Index] {
-						t.Fatalf("%s: d=%d k=%d query %d: f64 hit %v is not a candidate (%d candidates)", kt.name, d, k, j, h, len(rows))
-					}
+				for j := range accs {
+					checkCertificate(t, kt.name, q8, all, qs, j, k, floor(j), sc, &accs[j], o)
 				}
-				a := NewAcc(k)
-				all.OfferRows(nil, &a, q, rows, nil, unsigned)
-				if !hitBitsEqual(a.Hits(), want) {
-					t.Fatalf("%s: d=%d k=%d query %d: re-ranked candidates %v, f64 Scan %v", kt.name, d, k, j, a.Hits(), want)
-				}
+				PutTileScratch(sc)
+				restore()
 			}
-			PutTileScratch(sc)
-			restore()
 		}
 	})
+}
+
+// checkCertificate holds query j's int8 sweep, accs[j] as it left it
+// under floor (−Inf: none), to the f64 rows: every row's f64 dot lies
+// within ε of its dequantized score, and the trimmed candidates hold the
+// f64 top k among the rows scoring at least floor — re-ranked through the
+// f64 rows under the same floor, they are that top k bit for bit.
+func checkCertificate(t *testing.T, tier string, q8 *StoreI8, all, qs *Store, j, k int, floor float64, sc *TileScratch, a *Acc, o ScanOpts) {
+	t.Helper()
+	d, n, q := all.Dim(), all.Len(), qs.Row(j)
+	if eps := sc.i8.slack[j] / 2; !math.IsInf(eps, 1) {
+		for r := 0; r < n; r++ {
+			v := float64(dotI8(q8.Row(r), sc.i8.i16[j*sc.i8.stride:])) * sc.i8.combined[j]
+			if f := vec.DotKernel(all.Row(r), q); !(math.Abs(f-v) <= eps) {
+				t.Fatalf("%s: d=%d query %d row %d: f64 dot %v, dequantized %v, ε %v", tier, d, j, r, f, v, eps)
+			}
+		}
+	}
+	o.Stats = nil
+	want, err := all.View().Scan(context.Background(), q, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = hitsAbove(want, floor)
+	rows := sc.Candidates(j, a)
+	in := make(map[int]bool, len(rows))
+	for _, r := range rows {
+		in[r] = true
+	}
+	for _, h := range want {
+		if !in[h.Index] {
+			t.Fatalf("%s: d=%d k=%d query %d floor %v: f64 hit %v is not a candidate (%d candidates)", tier, d, k, j, floor, h, len(rows))
+		}
+	}
+	re := NewAcc(k)
+	re.SetFloor(floor)
+	all.OfferRows(nil, &re, q, rows, nil, o.Unsigned)
+	if !hitBitsEqual(re.Hits(), want) {
+		t.Fatalf("%s: d=%d k=%d query %d floor %v: re-ranked candidates %v, f64 Scan %v", tier, d, k, j, floor, re.Hits(), want)
+	}
 }

@@ -48,13 +48,6 @@ type ScanOpts struct {
 	// norm-sorted view, GatherDead of the store-order set). Nil means
 	// every row is live.
 	Dead *Tombstones
-	// Floor is a pruning-only acceptance bar for norm-sorted views: a
-	// query's sweep of a run ends at the first row whose norm bound falls
-	// below max(Floor, its k-th best) even while its accumulator is
-	// under-full — a join's cs, below which it reports nothing anyway.
-	// Hits are not filtered by it, and since norm bounds are ≥ 0 the zero
-	// value never prunes.
-	Floor float64
 	// Stats, when non-nil, is set to the work the scan did.
 	Stats *ScanStats
 }
@@ -294,7 +287,6 @@ type sweep struct {
 	done     <-chan struct{}
 	bq       *query
 	bound    float64 // norm-sorted views: |score(row)| ≤ ‖row‖·bound
-	floor    float64 // ScanOpts.Floor
 	slack    float64 // f64Slack: how far below the bar a bound may fall
 	unsigned bool
 	dead     *Tombstones // nil when no row is dead
@@ -303,7 +295,7 @@ type sweep struct {
 // newSweep starts a pass over v; bind gives it its query. An empty dead
 // set becomes nil, so delete-free stores never pay the triage.
 func (v View) newSweep(ctx context.Context, o ScanOpts) sweep {
-	s := sweep{View: v, done: ctx.Done(), floor: o.Floor, slack: f64Slack(v.Dim()), unsigned: o.Unsigned}
+	s := sweep{View: v, done: ctx.Done(), slack: f64Slack(v.Dim()), unsigned: o.Unsigned}
 	if o.Dead.Count() > 0 {
 		s.dead = o.Dead
 	}
@@ -311,14 +303,9 @@ func (v View) newSweep(ctx context.Context, o ScanOpts) sweep {
 }
 
 // bar is what a later row's norm bound must reach to matter to a: its
-// k-th best once it is full, and never less than the floor, less the
-// slack for subnormal roundings.
-func (s *sweep) bar(a *Acc) float64 {
-	if a.Full() && a.Threshold() > s.floor {
-		return a.Threshold() - s.slack
-	}
-	return s.floor - s.slack
-}
+// threshold — the k-th best once it is full, else its floor (Acc.SetFloor)
+// — less the slack for subnormal roundings.
+func (s *sweep) bar(a *Acc) float64 { return a.Threshold() - s.slack }
 
 // bind puts q, in the tier's form, into bq and makes it the sweep's
 // query.
@@ -342,7 +329,7 @@ func (s *sweep) all(a *Acc, st *ScanStats, buf []float64) bool {
 // runs over a dense score slice instead of interleaving with the FP
 // pipeline, and the common row costs one multiply-add chain and one
 // compare. A norm-sorted run ends at the first block whose leading
-// (largest) norm cannot reach the bar — the k-th best hit, or the floor
+// (largest) norm cannot reach the bar — the k-th best hit, or a's floor
 // — and the block before it is cut at the first such row (see cut): no
 // later row of the run can enter, tombstoned or not, so exactness does
 // not depend on the bound — it only saves work. A true return means done
@@ -516,7 +503,12 @@ func (s sweep) parallel(workers int, a *Acc, st *ScanStats) bool {
 // accumulating into accs (accs[j] serves query qlo+j and must be Reset
 // to the desired k): accs[j].Hits() is bit-identical — ordering,
 // tie-breaks and NaN rejection included — to Scan(qs.Row(qlo+j)) with
-// the same options, and sc.Scanned()[j] is that scan's ScannedRows. On a
+// the same options, and sc.Scanned()[j] is that scan's ScannedRows. An
+// accumulator given a floor (Acc.SetFloor) keeps the top k among the rows
+// scoring at least it — a join's cs, or the k-th best a query already
+// holds from other shards — and, on a norm-sorted view, stops its sweep
+// of a run once the norm bound falls below the floor; it never scores
+// more rows than the floor-less scan. On a
 // tier with a tile kernel all queries share one sweep of the rows, each
 // row loaded from memory scored against up to maxTileQ queries; on a
 // norm-sorted view a query leaves a run at the first row its own bound

@@ -705,8 +705,11 @@ var sortedTiers = []sortedTier{
 	{"f64", func(fs *Store) View { return NewNormSorted(fs).View }, func(fs *Store) View { return fs.View() }},
 }
 
-// hitsAbove is the prefix of hs scoring at least floor: what a scan
-// under ScanOpts.Floor owes its caller.
+// hitsAbove is the prefix of hs scoring at least floor. Of a scan's top k
+// it is the top k among the rows scoring at least floor — what a scan
+// through an accumulator floored there (Acc.SetFloor) owes its caller:
+// were a row at or above the floor missing from the prefix, the k rows
+// ahead of it would all be too.
 func hitsAbove(hs []Hit, floor float64) []Hit {
 	for i, h := range hs {
 		if h.Score < floor {
@@ -729,17 +732,21 @@ func hitBitsEqual(a, b []Hit) bool {
 	return true
 }
 
-// checkRuns holds both drivers over the norm-sorted view v to the
-// store-order scan of the same rows, ref, on the first nq rows of qs:
-// hits at or above floor bit-identical to ref's, ScanMulti bit-identical
-// to Scan with equal per-query scanned counts and summed stats, and the
-// stats inside checkSortedStats' contract. dead is in store order.
-func checkRuns(t testing.TB, cell string, v, ref View, qs *Store, nq int, o ScanOpts, dead *Tombstones) {
+// checkRuns holds both drivers over the view v to the store-order scan of
+// the same rows, ref, on the first nq rows of qs: hits bit-identical to
+// ref's, ScanMulti bit-identical to Scan with equal per-query scanned
+// counts and summed stats, and the stats inside checkSortedStats'
+// contract. With floors (one a query; nil: none) ScanMulti runs again,
+// query j's accumulator floored at floors[j]: its hits must be ref's top
+// k among the rows scoring at least that (hitsAbove), bit for bit, and no
+// query may score more rows than it did without the floor. dead is in
+// store order.
+func checkRuns(t testing.TB, cell string, v, ref View, qs *Store, nq int, o ScanOpts, dead *Tombstones, floors []float64) {
 	t.Helper()
 	ctx := context.Background()
 	o.Dead = v.GatherDead(dead)
 	unpruned := refRowStats(v, o.Dead)
-	singles := make([][]Hit, nq)
+	wants := make([][]Hit, nq)
 	scanned := make([]int, nq)
 	var sum ScanStats
 	for j := 0; j < nq; j++ {
@@ -754,11 +761,11 @@ func checkRuns(t testing.TB, cell string, v, ref View, qs *Store, nq int, o Scan
 		if err != nil {
 			t.Fatalf("%s query %d: %v", cell, j, err)
 		}
-		if !hitBitsEqual(hitsAbove(got, o.Floor), hitsAbove(want, o.Floor)) {
-			t.Fatalf("%s query %d: hits %v, store-order scan %v", cell, j, hitsAbove(got, o.Floor), hitsAbove(want, o.Floor))
+		if !hitBitsEqual(got, want) {
+			t.Fatalf("%s query %d: hits %v, store-order scan %v", cell, j, got, want)
 		}
 		checkSortedStats(t, fmt.Sprintf("%s query %d", cell, j), v, st, unpruned, 1)
-		singles[j], scanned[j] = got, st.ScannedRows
+		wants[j], scanned[j] = want, st.ScannedRows
 		sum.Add(st)
 	}
 	sc := GetTileScratch()
@@ -770,13 +777,48 @@ func checkRuns(t testing.TB, cell string, v, ref View, qs *Store, nq int, o Scan
 		t.Fatalf("%s: ScanMulti: %v", cell, err)
 	}
 	for j := range accs {
-		if !hitBitsEqual(accs[j].Hits(), singles[j]) || sc.Scanned()[j] != scanned[j] {
-			t.Fatalf("%s query %d of %d: tile %v (%d rows scored), single %v (%d)", cell, j, nq, accs[j].Hits(), sc.Scanned()[j], singles[j], scanned[j])
+		if !hitBitsEqual(accs[j].Hits(), wants[j]) || sc.Scanned()[j] != scanned[j] {
+			t.Fatalf("%s query %d of %d: tile %v (%d rows scored), single %v (%d)", cell, j, nq, accs[j].Hits(), sc.Scanned()[j], wants[j], scanned[j])
 		}
 	}
 	if multi != sum {
 		t.Fatalf("%s: tile stats %+v, summed single stats %+v", cell, multi, sum)
 	}
+	if floors == nil {
+		return
+	}
+	accs = sc.Accs(nq, o.K)
+	for j := range accs {
+		accs[j].SetFloor(floors[j])
+	}
+	var floored ScanStats
+	o.Stats = &floored
+	if err := v.ScanMulti(ctx, qs, 0, nq, accs, sc, o); err != nil {
+		t.Fatalf("%s: floored ScanMulti: %v", cell, err)
+	}
+	rows := 0
+	for j := range accs {
+		if want := hitsAbove(wants[j], floors[j]); !hitBitsEqual(accs[j].Hits(), want) {
+			t.Fatalf("%s query %d: floored at %v, hits %v, the store-order top k at or above it %v", cell, j, floors[j], accs[j].Hits(), want)
+		}
+		if n := sc.Scanned()[j]; n > scanned[j] {
+			t.Fatalf("%s query %d: floored at %v, scored %d rows, %d without the floor", cell, j, floors[j], n, scanned[j])
+		}
+		rows += sc.Scanned()[j]
+	}
+	if floored.ScannedRows != rows {
+		t.Fatalf("%s: floored tile stats %+v, per-query scanned counts sum to %d", cell, floored, rows)
+	}
+	checkSortedStats(t, cell+" floored", v, floored, unpruned, nq)
+}
+
+// sameFloor is n copies of floor, a floor for each of n queries.
+func sameFloor(n int, floor float64) []float64 {
+	fl := make([]float64, n)
+	for j := range fl {
+		fl[j] = floor
+	}
+	return fl
 }
 
 // cutRows returns, in store order, the rows around where q's sweep of
@@ -870,7 +912,8 @@ func TestNormRunsMatchStoreOrder(t *testing.T) {
 								}
 								cells++
 								cell := fmt.Sprintf("%s base=%d tail=%d steps=%v dead=%s unsigned=%v floor=%g k=%d", tier.name, base, tailLen, steps, shape, unsigned, floor, k)
-								checkRuns(t, cell, v, ref, qs, 1+cells%len(queries), ScanOpts{K: k, Unsigned: unsigned, Floor: floor}, dead)
+								nq := 1 + cells%len(queries)
+								checkRuns(t, cell, v, ref, qs, nq, ScanOpts{K: k, Unsigned: unsigned}, dead, sameFloor(nq, floor))
 							}
 						}
 					}
@@ -941,7 +984,7 @@ func TestNormRunsSpecialValues(t *testing.T) {
 					for _, floor := range []float64{0, 0.5, 1} {
 						for _, k := range []int{1, 3, 10, 40} {
 							cell := fmt.Sprintf("%s %s unsigned=%v floor=%g k=%d", tier.name, name, unsigned, floor, k)
-							checkRuns(t, cell, v, ref, qs, len(queries), ScanOpts{K: k, Unsigned: unsigned, Floor: floor}, nil)
+							checkRuns(t, cell, v, ref, qs, len(queries), ScanOpts{K: k, Unsigned: unsigned}, nil, sameFloor(len(queries), floor))
 						}
 					}
 				}
@@ -997,7 +1040,7 @@ func TestNormBoundUnderflow(t *testing.T) {
 			for name, v := range map[string]View{"one run": NewNormSorted(fs).View, "two runs": withTail(fs, func(p *Store) View { return NewNormSorted(p).View })} {
 				for _, k := range []int{1, 2, 301} {
 					cell := fmt.Sprintf("%s %s unsigned=%v k=%d", c.name, name, unsigned, k)
-					checkRuns(t, cell, v, fs.View(), qs, 1, ScanOpts{K: k, Unsigned: unsigned}, nil)
+					checkRuns(t, cell, v, fs.View(), qs, 1, ScanOpts{K: k, Unsigned: unsigned}, nil, nil)
 				}
 			}
 		}

@@ -33,7 +33,12 @@
 // score is at least the k-th best less 2ε: the list holds the whole f64
 // top k, ties included (|·| when unsigned keeps every bound), and
 // re-ranking it through the f64 rows (Store.OfferRows) answers as the
-// f64 scan does, bit for bit.
+// f64 scan does, bit for bit. Under a floor f (Acc.SetFloor) the bar is
+// the accumulator's threshold, max(f, its k-th best): a row of the f64
+// top k among the rows scoring at least f either scores at least the bar
+// less ε in f64 — and is listed — or lies below the f64 scores of k code
+// hits that all reach f, which would outrank it; so the list holds that
+// top k, and a re-rank under the same floor answers it.
 // Where the codes bound nothing — a row with a non-finite element, a
 // subnormal scale, a query whose ‖q‖₁ overflows — ε is +Inf and every
 // live row is a candidate.
@@ -455,7 +460,8 @@ func (s *StoreI8) bindTile(qs *Store, qlo, qhi int, sc *TileScratch) {
 // Candidates returns query j's certified candidates from the last
 // ScanMulti over an int8 view with this scratch — a being accs[j] as that
 // scan left it: its live rows whose dequantized score is within 2ε of
-// a's k-th best, every row of the f64 top k among them, ties included.
+// a's threshold, every row of the f64 top k among them (among the rows
+// at or above a's floor, under one), ties included.
 // Re-ranked through the f64 rows (Store.OfferRows) they give the f64
 // scan's hits bit for bit. The slice is owned by the scratch and
 // overwritten by the next call.
@@ -560,8 +566,9 @@ func scoreMask(mask []uint64, scores []float64, lo float64, unsigned bool) []uin
 // ascending row order, of the rows whose mask bit is set, every row when
 // mask is nil. Each is scored float64(dot)·combined as scoreBlock scores
 // it (|…| when unsigned). A dead row, or one below a's bar less slack, is
-// skipped; the rest are listed in cands, and offered to a unless a is
-// full and the score is at or under its k-th best. A clear bit means
+// skipped; the rest are listed in cands, and offered to a unless the
+// score is below its threshold, or a is full and the score ties its k-th
+// best. A clear bit means
 // (tileFloor, scoreMask) a score below the bar less slack, which only
 // rises: a row skipped here too. a only sets the certificate's bar, whose
 // value no tie at it changes, so skipping ties is safe even when a is
@@ -590,7 +597,7 @@ func offerCodes[D int32 | float64](b block, a *Acc, cands *[]Hit, dots []D, mask
 				continue
 			}
 			*cands = append(*cands, Hit{Index: b.start + r, Score: v})
-			if full && v <= thr {
+			if v < thr || full && v == thr {
 				continue
 			}
 			a.Offer(b.start+r, v)

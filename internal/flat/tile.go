@@ -59,6 +59,7 @@ package flat
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 )
@@ -70,12 +71,13 @@ import (
 const maxTileQ = 8
 
 // Reset reconfigures the accumulator to keep the best k hits, dropping
-// any accumulated state and keys but keeping the backing storage, so
-// pooled accumulators reach a zero-allocation steady state.
+// any accumulated state, keys and floor but keeping the backing storage,
+// so pooled accumulators reach a zero-allocation steady state.
 func (a *Acc) Reset(k int) {
 	a.k = k
 	a.hits = a.hits[:0]
 	a.keys = nil
+	a.floor = math.Inf(-1)
 }
 
 // TileScratch holds the reusable buffers of the scan drivers (the score

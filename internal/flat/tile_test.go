@@ -302,11 +302,11 @@ func TestNormSortedTopKMultiMatchesTopK(t *testing.T) {
 	})
 }
 
-// TestScanFloorOnlyPrunes pins ScanOpts.Floor on both drivers: the hits
-// at or above the floor are exactly the floor-less scan's, tile and
-// single-query sweeps stop at the same block, a floor no row reaches
-// scans nothing on a norm-sorted view, and a store-order view — which
-// has no bound to compare it with — ignores it.
+// TestScanFloorOnlyPrunes pins a floored accumulator (Acc.SetFloor)
+// under ScanMulti: its hits are the floor-less scan's at or above the
+// floor, it never scores more rows than that scan, a floor no row
+// reaches scans nothing on a norm-sorted view, and a store-order view —
+// which has no bound to compare it with — scores every row.
 func TestScanFloorOnlyPrunes(t *testing.T) {
 	rng := xrand.New(77)
 	vs := saltedVecs(rng, 3000, 16)
@@ -322,35 +322,36 @@ func TestScanFloorOnlyPrunes(t *testing.T) {
 		for _, unsigned := range []bool{false, true} {
 			for _, floor := range []float64{0.05, 0.5, 1e9} {
 				var multi ScanStats
-				o := ScanOpts{K: k, Unsigned: unsigned, Floor: floor, Stats: &multi}
+				o := ScanOpts{K: k, Unsigned: unsigned, Stats: &multi}
 				accs := sc.Accs(qs.Len(), k)
+				for j := range accs {
+					accs[j].SetFloor(floor)
+				}
 				if err := v.ScanMulti(context.Background(), qs, 0, qs.Len(), accs, sc, o); err != nil {
 					t.Fatal(err)
 				}
-				singles := 0
+				scanned := 0
 				for j := range accs {
-					q := qs.Row(j)
-					var full, one ScanStats
-					want, _ := v.Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Stats: &full})
-					o.Stats = &one
-					got, _ := v.Scan(context.Background(), q, o)
-					if !hitsEqual(hitsAbove(got, floor), hitsAbove(want, floor)) || !hitsEqual(hitsAbove(accs[j].Hits(), floor), hitsAbove(want, floor)) {
-						t.Fatalf("sorted=%v unsigned=%v floor=%v query %d: hits above the floor differ from the floor-less scan's", v.Sorted(), unsigned, floor, j)
+					var full ScanStats
+					want, _ := v.Scan(context.Background(), qs.Row(j), ScanOpts{K: k, Unsigned: unsigned, Stats: &full})
+					if !hitsEqual(accs[j].Hits(), hitsAbove(want, floor)) {
+						t.Fatalf("sorted=%v unsigned=%v floor=%v query %d: hits %v, the floor-less scan's above it %v", v.Sorted(), unsigned, floor, j, accs[j].Hits(), hitsAbove(want, floor))
 					}
-					if one.ScannedRows != sc.Scanned()[j] || one.ScannedRows > full.ScannedRows {
-						t.Fatalf("sorted=%v floor=%v query %d: scanned %d (single) / %d (tile), floor-less %d", v.Sorted(), floor, j, one.ScannedRows, sc.Scanned()[j], full.ScannedRows)
+					n := sc.Scanned()[j]
+					if n > full.ScannedRows {
+						t.Fatalf("sorted=%v floor=%v query %d: scanned %d, floor-less %d", v.Sorted(), floor, j, n, full.ScannedRows)
 					}
-					if !v.Sorted() && one.ScannedRows != s.Len() {
-						t.Fatalf("store-order scan under a floor scanned %d of %d rows", one.ScannedRows, s.Len())
+					if !v.Sorted() && n != s.Len() {
+						t.Fatalf("store-order scan under a floor scanned %d of %d rows", n, s.Len())
 					}
 					// (A NaN query's bound is NaN and never prunes.)
-					if floor == 1e9 && v.Sorted() && !math.IsNaN(qs.Norm(j)) && one.ScannedRows != 0 {
-						t.Fatalf("query %d scanned %d rows under a floor no row reaches", j, one.ScannedRows)
+					if floor == 1e9 && v.Sorted() && !math.IsNaN(qs.Norm(j)) && n != 0 {
+						t.Fatalf("query %d scanned %d rows under a floor no row reaches", j, n)
 					}
-					singles += one.ScannedRows
+					scanned += n
 				}
-				if multi.ScannedRows != singles {
-					t.Fatalf("sorted=%v floor=%v: tile scanned %d rows, singles %d", v.Sorted(), floor, multi.ScannedRows, singles)
+				if multi.ScannedRows != scanned {
+					t.Fatalf("sorted=%v floor=%v: tile scanned %d rows, its queries %d", v.Sorted(), floor, multi.ScannedRows, scanned)
 				}
 			}
 		}

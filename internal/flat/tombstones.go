@@ -128,7 +128,8 @@ func (t *Tombstones) DeadIn(lo, hi int) int {
 // reordered space, with ids (see offerScores) still mapping offers back
 // to original indexes. The skip compare mirrors offerScores: with a
 // permutation, or keys, a threshold tie may carry a smaller key, so only
-// strictly-worse scores are skipped.
+// strictly-worse scores are skipped — and under-full, only scores below
+// the floor.
 func offerScoresMasked(a *Acc, buf []float64, base int, unsigned bool, ids []int, dead *Tombstones) {
 	full, thr := a.Full(), a.Threshold()
 	for r := range buf {
@@ -138,7 +139,7 @@ func offerScoresMasked(a *Acc, buf []float64, base int, unsigned bool, ids []int
 		}
 		// The score test comes first: once a is full nearly every row
 		// fails it, and only the few that pass pay the bit test.
-		if full && (v < thr || (ids == nil && a.keys == nil && v == thr)) {
+		if v < thr || full && ids == nil && a.keys == nil && v == thr {
 			continue
 		}
 		phys := base + r

@@ -154,8 +154,9 @@ func joinTiles(Q *flat.Store, opts Opts, task func(ctx context.Context, qlo, qhi
 // of P through the flat scan driver — the block loop, the tile kernel,
 // the tombstone triage, the Cauchy–Schwarz early exit of a norm-sorted
 // view and the per-block cancellation poll are the search path's — and
-// each query's hits at value ≥ cs are its pairs. cs is also the scan's
-// floor, so on a norm-sorted view a query no remaining row can satisfy
+// each query's hits at value ≥ cs are its pairs. cs is also every
+// accumulator's floor (flat.Acc.SetFloor): a row below it is never
+// offered, and on a norm-sorted view a query no remaining row can satisfy
 // stops at once instead of sweeping on to fill its accumulator. v and
 // dead are P's rows and dead set in the order the scan visits them.
 // Dead query rows are never scanned: a tile is swept once per run of
@@ -164,7 +165,7 @@ func scanJoin(v flat.View, dead *flat.Tombstones, Q *flat.Store, cs float64, opt
 	return joinTiles(Q, opts, func(ctx context.Context, qlo, qhi, k int, out *[]Match, st *flat.ScanStats) error {
 		sc := flat.GetTileScratch()
 		defer flat.PutTileScratch(sc)
-		so := flat.ScanOpts{Unsigned: opts.Unsigned, Dead: dead, Floor: cs}
+		so := flat.ScanOpts{Unsigned: opts.Unsigned, Dead: dead}
 		for lo := qlo; lo < qhi; {
 			if opts.DeadQ.Dead(lo) {
 				lo++
@@ -177,6 +178,9 @@ func scanJoin(v flat.View, dead *flat.Tombstones, Q *flat.Store, cs float64, opt
 			var run flat.ScanStats
 			so.Stats = &run
 			accs := sc.Accs(hi-lo, k)
+			for j := range accs {
+				accs[j].SetFloor(cs)
+			}
 			if err := v.ScanMulti(ctx, Q, lo, hi, accs, sc, so); err != nil {
 				return err
 			}

@@ -14,16 +14,23 @@ package server
 // Parallelism follows the request: a request of one tile scans its shards
 // on the pool, one task each; a request of several tiles runs its tiles on
 // the pool, each visiting the shards in turn, so nothing nests on the pool.
-// A query's answer and error depend on neither, nor on the batch width or
-// its place in its tile: the tile scan is bit-identical to scanning the
-// query alone (flat's contract), re-ranked tiers re-rank per query, every
-// shard scan translates and sorts into its own region of the tile's arena,
-// and a shard that fails fails its tile whole.
+// A tile that visits the shards in turn hands each query's running k-th
+// best to the next shard as its floor (scanInTurn, the threshold bound of
+// Fagin–Lotem–Naor across shards): a row below it cannot enter the merged
+// top k, and a tie with it still reaches the merge, so only the work
+// changes — a norm-sorted shard stops at the floor instead of at its own
+// k-th best. A query's answer and error depend on neither schedule, nor
+// on the batch width or its place in its tile: the tile scan is
+// bit-identical to scanning the query alone (flat's contract), re-ranked
+// tiers re-rank per query, every shard scan translates and sorts into its
+// own region of the tile's arena, and a shard that fails fails its tile
+// whole.
 
 import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -74,6 +81,9 @@ type tileScratch struct {
 	// A join tile's queries (loadJoinTile) and their record IDs.
 	q    *flat.Store
 	qids []int
+	// The running floors of the tile's shards scanned in turn (scanInTurn):
+	// a search tile's one sweep, or a join tile's one per shard group.
+	floors []floorState
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(tileScratch) }}
@@ -340,22 +350,91 @@ func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCac
 }
 
 // scanTile scans rows [tlo, thi) of q against every pinned shard snapshot
-// (scanShard) — on pool, one task a shard, or in turn when pool is nil. A
-// shard fails a tile whole — a deadline, a cancellation: the first
+// (scanShard) — on pool, one task a shard, or in turn when pool is nil,
+// each shard then floored by what the ones before it found (scanInTurn).
+// A shard fails a tile whole — a deadline, a cancellation: the first
 // shard's error, else the fan-out's, and no query a partial answer.
 func scanTile(ctx context.Context, pool *Pool, snaps []*shardSnap, q *flat.Store, ts *tileScratch, tlo, thi, k int, o TopKOpts, ex []ShardExplain) error {
 	ts.prepare(len(snaps), thi-tlo, k)
-	var err error
 	if pool == nil {
-		for si := range snaps {
-			ts.errs[si] = scanShard(ctx, snaps, q, ts, tlo, thi, k, si, o, ex)
-		}
-	} else {
-		err = pool.ForEachCtx(ctx, len(snaps), func(si int) {
-			ts.errs[si] = scanShard(ctx, snaps, q, ts, tlo, thi, k, si, o, ex)
-		})
+		ts.floors = grow(ts.floors, 1)
+		return scanInTurn(ctx, snaps, q, ts, tlo, thi, k, 0, len(snaps), &ts.floors[0], math.Inf(-1), o, ex)
 	}
+	err := pool.ForEachCtx(ctx, len(snaps), func(si int) {
+		ts.errs[si] = scanShard(ctx, snaps, q, ts, tlo, thi, k, si, o, ex)
+	})
 	return cmp.Or(cmp.Or(ts.errs...), err)
+}
+
+// scanInTurn scans shards [lo, hi) one after another (scanShard), giving
+// each every query's floor: base — a join's cs, −Inf for a search — or,
+// once the shards before it hold k hits for the query, the k-th best of
+// them (fl). A hit below that cannot enter the query's merged top k, and
+// a tie with it can, so the merge is the floor-less scans', while a
+// norm-sorted shard stops at the floor and every shard skips the offers
+// below it. It returns the first shard error, scanning no shard after it.
+func scanInTurn(ctx context.Context, snaps []*shardSnap, q *flat.Store, ts *tileScratch, tlo, thi, k, lo, hi int, fl *floorState, base float64, o TopKOpts, ex []ShardExplain) error {
+	tn := thi - tlo
+	fl.reset(tn, k, base)
+	o.floors = fl.floors
+	for si := lo; si < hi; si++ {
+		if err := scanShard(ctx, snaps, q, ts, tlo, thi, k, si, o, ex); err != nil {
+			return err
+		}
+		fl.fold(ts.lists[si*tn : (si+1)*tn])
+	}
+	return nil
+}
+
+// floorState is the running k best scores of each query of a tile over
+// the shards scanned so far (scanInTurn), pooled in the tile's scratch, and
+// the floors they give the next shard.
+type floorState struct {
+	k      int
+	best   []float64 // query j's k best so far, descending, at best[j·k:][:n[j]]
+	n      []int
+	merged []float64 // fold's merge buffer
+	floors []float64 // query j's floor for the next shard (TopKOpts.floors)
+}
+
+// reset readies fl for a tile of tn queries at k, every floor base.
+func (fl *floorState) reset(tn, k int, base float64) {
+	fl.k = k
+	fl.best = grow(fl.best, tn*k)
+	fl.n = grow(fl.n, tn)
+	clear(fl.n)
+	fl.merged = grow(fl.merged, k)
+	fl.floors = grow(fl.floors, tn)
+	for j := range fl.floors {
+		fl.floors[j] = base
+	}
+}
+
+// fold merges one shard's lists — lists[j], tile query j's hits, in
+// descending score order — into the running k best, and floors each query
+// that now holds k at its k-th best. Every listed hit scored at least the
+// query's floor, so a floor never falls.
+func (fl *floorState) fold(lists [][]Hit) {
+	k := fl.k
+	for j, hs := range lists {
+		if len(hs) == 0 {
+			continue
+		}
+		best, out := fl.best[j*k:][:fl.n[j]], fl.merged[:0]
+		for a, b := 0, 0; len(out) < k && (a < len(best) || b < len(hs)); {
+			if b == len(hs) || a < len(best) && best[a] >= hs[b].Score {
+				out = append(out, best[a])
+				a++
+			} else {
+				out = append(out, hs[b].Score)
+				b++
+			}
+		}
+		fl.n[j] = copy(fl.best[j*k:][:k], out)
+		if len(out) == k {
+			fl.floors[j] = out[k-1]
+		}
+	}
 }
 
 // prepare sizes ts for the scans of a tile of tn queries against nsh

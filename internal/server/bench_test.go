@@ -14,9 +14,15 @@ import (
 
 // benchServer builds a populated server for the search benchmarks.
 func benchServer(b testing.TB, n, d, shards int, spec IndexSpec) (*Server, []vec.Vector) {
+	return benchServerSkewed(b, n, d, shards, 0.5, spec)
+}
+
+// benchServerSkewed is benchServer over latent factors whose item norms
+// spread by a lognormal of the given σ.
+func benchServerSkewed(b testing.TB, n, d, shards int, sigma float64, spec IndexSpec) (*Server, []vec.Vector) {
 	b.Helper()
 	rng := xrand.New(1)
-	lf := dataset.NewLatentFactor(rng, n, 256, d, 0.5)
+	lf := dataset.NewLatentFactor(rng, n, 256, d, sigma)
 	lf.ScaleItemsToUnitBall()
 	s := New(Config{DefaultShards: shards, CacheCapacity: -1})
 	b.Cleanup(func() { s.Close() })
@@ -29,7 +35,10 @@ func benchServer(b testing.TB, n, d, shards int, spec IndexSpec) (*Server, []vec
 
 // searchCells runs bench once per served index kind on a 4-shard
 // collection: 20 000 × 16 latent-factor rows and their 256 users as
-// signed queries; for alsh the planted-alsh benchmark's shape — 64
+// signed queries; for normscan-skewed small-hot's shape — item norms
+// spread by a lognormal of σ = 1, 64 queries — where a batch's tiles
+// visiting the shards in turn pass each query's k-th best on as the next
+// shard's floor; for alsh the planted-alsh benchmark's shape — 64
 // unsigned unit-norm queries against 6 000 × 32 unit-ball rows; and for
 // exact-int8 mixed-durable's — 40 000 × 32 int8 rows, re-ranked.
 func searchCells(b *testing.B, bench func(b *testing.B, s *Server, users []vec.Vector, unsigned bool)) {
@@ -37,17 +46,22 @@ func searchCells(b *testing.B, bench func(b *testing.B, s *Server, users []vec.V
 		name     string
 		spec     IndexSpec
 		n, d     int
+		sigma    float64
+		queries  int // 0: all 256
 		unsigned bool
 	}{
-		{KindExact, IndexSpec{Kind: KindExact}, 20000, 16, false},
-		{KindNormScan, IndexSpec{Kind: KindNormScan}, 20000, 16, false},
-		{KindALSH, IndexSpec{Kind: KindALSH}, 6000, 32, true},
-		{"exact-int8", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 40000, 32, false},
+		{KindExact, IndexSpec{Kind: KindExact}, 20000, 16, 0.5, 0, false},
+		{KindNormScan, IndexSpec{Kind: KindNormScan}, 20000, 16, 0.5, 0, false},
+		{"normscan-skewed", IndexSpec{Kind: KindNormScan}, 20000, 16, 1, 64, false},
+		{KindALSH, IndexSpec{Kind: KindALSH}, 6000, 32, 0.5, 64, true},
+		{"exact-int8", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 40000, 32, 0.5, 0, false},
 	} {
 		b.Run("index="+c.name, func(b *testing.B) {
-			s, users := benchServer(b, c.n, c.d, 4, c.spec)
+			s, users := benchServerSkewed(b, c.n, c.d, 4, c.sigma, c.spec)
+			if c.queries > 0 {
+				users = users[:c.queries]
+			}
 			if c.spec.Kind == KindALSH {
-				users = users[:64]
 				for _, u := range users {
 					vec.Normalize(u)
 				}
@@ -73,7 +87,8 @@ func BenchmarkServerSearchSingle(b *testing.B) {
 }
 
 // BenchmarkServerSearchBatch measures one request of every query (256, or
-// 64 for alsh) at top-10, its tiles run on the pool; ns/op is per batch.
+// 64 for normscan-skewed and alsh) at top-10, its tiles run on the pool;
+// ns/op is per batch.
 // The alsh cell is the planted-alsh benchmark's batch beside
 // BenchmarkServerJoin's lsh-on-alsh.
 func BenchmarkServerSearchBatch(b *testing.B) {

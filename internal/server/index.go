@@ -70,9 +70,11 @@ type TopKOpts struct {
 	// an alsh index given none hashes the tile itself. Other engines ignore
 	// them.
 	Keys *lsh.QueryKeys
-	// floor is the sweep's flat.ScanOpts.Floor: a join's cs, below which
-	// it reports nothing (zero, a search's, never prunes).
-	floor float64
+	// floors, when non-nil, holds each tile query's floor (flat.Acc.SetFloor),
+	// indexed from qlo: a join's cs, raised to the k-th best score the query
+	// already holds from the shards scanned before this one (floorState).
+	// Hits below it cannot reach the answer; a tie with it can.
+	floors []float64
 	// ids are the shard's record IDs, by store row: a score tie goes to
 	// the smaller ID (flat.Acc.SetKeys), whatever the rows' order.
 	ids []int
@@ -265,12 +267,14 @@ func (ix *flatIndex) withDead(dead *flat.Tombstones, old *shardSnap) ShardIndex 
 // register-blocked multi-query kernel and, on int8, re-ranks each
 // query's candidates through the f64 rows: the rows the scan certified
 // (flat.TileScratch.Candidates), which hold the f64 top k, so the answer
-// is the f64 exact scan's. o.Explain, if set, receives ScanMulti's
+// is the f64 exact scan's. Under o.floors both the code sweep and the
+// re-rank keep each query's floor, so the answer is the f64 top k among
+// the rows at or above it. o.Explain, if set, receives ScanMulti's
 // accounting (the per-query sum of what a scan of each query alone
 // counts) and the candidates re-ranked.
 func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, sc *scanScratch) ([]flat.Acc, error) {
-	accs := keyed(sc.tile.Accs(qhi-qlo, k), o.ids)
-	so := flat.ScanOpts{Unsigned: o.Unsigned, Dead: ix.dead, Floor: o.floor}
+	accs := o.ready(sc.tile.Accs(qhi-qlo, k))
+	so := flat.ScanOpts{Unsigned: o.Unsigned, Dead: ix.dead}
 	st := &sc.stats
 	if o.Explain != nil {
 		so.Stats = st
@@ -294,18 +298,27 @@ func (ix *flatIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k 
 		// The candidates are live rows of a scan that already checked q's
 		// dimension and polled ctx, so the loop needs neither.
 		accs[j].Reset(k)
-		accs[j].SetKeys(o.ids)
+		o.prime(&accs[j], j)
 		ix.fs.OfferRows(nil, &accs[j], qs.Row(qlo+j), rows, nil, o.Unsigned)
 	}
 	return accs, nil
 }
 
-// keyed breaks the ties of every acc by ids and returns accs.
-func keyed(accs []flat.Acc, ids []int) []flat.Acc {
+// ready primes accs, one per tile query, and returns them.
+func (o TopKOpts) ready(accs []flat.Acc) []flat.Acc {
 	for j := range accs {
-		accs[j].SetKeys(ids)
+		o.prime(&accs[j], j)
 	}
 	return accs
+}
+
+// prime breaks the ties of a, tile query j's accumulator, by o.ids and
+// floors it at o.floors[j].
+func (o TopKOpts) prime(a *flat.Acc, j int) {
+	a.SetKeys(o.ids)
+	if o.floors != nil {
+		a.SetFloor(o.floors[j])
+	}
 }
 
 // alshIndex is the §4.1 structure (SIMPLE map + hyperplane banding):
@@ -371,10 +384,11 @@ func (ix *alshIndex) extend(fs *flat.Store) (*alshIndex, int) {
 // functions, or else hashed here as one product against its planes — and
 // its candidates verified through the store, ctx polled throughout. A
 // query outside the U-ball is hashed scaled inside it and scored raw;
-// unsigned probes −q too, the paper's reduction.
+// unsigned probes −q too, the paper's reduction. Under o.floors a
+// candidate below its query's floor is verified but not offered.
 // o.Explain, if set, receives the candidates the tile verified.
 func (ix *alshIndex) topKMulti(ctx context.Context, qs *flat.Store, qlo, qhi, k int, o TopKOpts, sc *scanScratch) ([]flat.Acc, error) {
-	accs := keyed(sc.tile.Accs(qhi-qlo, k), o.ids)
+	accs := o.ready(sc.tile.Accs(qhi-qlo, k))
 	e := join.LSH{Index: ix.ix, Radius: ix.u, Keys: o.Keys}
 	var st flat.ScanStats
 	err := e.TopKTile(ctx, ix.fs, qs, qlo, qhi, accs, ix.dead, o.Unsigned, &st)

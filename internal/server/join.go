@@ -4,7 +4,7 @@ package server
 // collection's live rows run as the search executor's query tiles against
 // the data collection's shard snapshots, read through their dead sets and
 // a structure each already keeps. An exact tile is a search tile with cs
-// as the sweep's floor; an lsh tile walks the banding tables of every data
+// as every sweep's floor; an lsh tile walks the banding tables of every data
 // shard a table step at a time — the LSH query algorithm (walkTile).
 // Threshold mode reports one pair per satisfied query (Definition 1): the
 // exact engines the best pair, lsh the best pair among the candidates up
@@ -163,8 +163,10 @@ func (sn *shardSnap) joinSnap(engine string) *shardSnap {
 // task per tile (walkTile); an exact join splits each tile's data shards
 // into as many groups as it takes to give every worker a task, and runs a
 // task per (tile, group), which scans the group's shards in turn
-// (scanShard) — a join of many tiles a task per tile, one of a single tile
-// a task per shard when the pool is that wide. A tile's first task packs
+// (scanInTurn), each floored at cs or at the k-th best the group's shards
+// before it hold — a join of many tiles a task per tile, one of a single
+// tile a task per shard when the pool is that wide. The groups of one
+// tile run side by side, so each keeps its own floors. A tile's first task packs
 // its queries (loadJoinTile) and its last cuts its pairs (the merge's hits
 // ≥ cs, the identity pair dropped under excludeSelf); tasks start in
 // order, so a join holds at most one more packed tile than it has tasks
@@ -238,14 +240,14 @@ func runJoin(ctx context.Context, pool *Pool, c *Collection, engine string, dsna
 			r.ts = getTileScratch()
 			r.ts.loadJoinTile(qsnaps, starts[t])
 			r.ts.prepare(nsh, len(r.ts.qids), o.k)
+			r.ts.floors = grow(r.ts.floors, per)
 			r.left.Store(int32(per))
 		})
 		if engine == "lsh" {
 			errs[t*nsh] = walkTile(ctx, c, snaps, r.ts, o, &r.work)
 		} else {
-			for si := g * nsh / per; si < (g+1)*nsh/per; si++ {
-				errs[t*nsh+si] = scanShard(ctx, snaps, r.ts.q, r.ts, 0, len(r.ts.qids), o.k, si, TopKOpts{Unsigned: o.unsigned, floor: o.cs}, ex[t*nsh:(t+1)*nsh])
-			}
+			lo, hi := g*nsh/per, (g+1)*nsh/per
+			errs[t*nsh+lo] = scanInTurn(ctx, snaps, r.ts.q, r.ts, 0, len(r.ts.qids), o.k, lo, hi, &r.ts.floors[g], o.cs, TopKOpts{Unsigned: o.unsigned}, ex[t*nsh:(t+1)*nsh])
 		}
 		if r.left.Add(-1) == 0 {
 			finish(t)
