@@ -21,7 +21,9 @@
 // best hit via the Cauchy–Schwarz bound ‖p‖·‖q‖ ≥ |pᵀq|. Rows appended
 // after the sort form a second, short norm-sorted run behind the first
 // (View.Extend), into which a write merges its sorted batch, so it sorts
-// its batch and copies less than one chunk of rows.
+// its batch and copies less than one chunk of rows; a full second run
+// folds into the first by merge. The view owns its rows, so a caller
+// keeps no store-order copy beside it (normsorted.go).
 package flat
 
 import (
@@ -655,128 +657,6 @@ func rowNorm(v []float64) float64 {
 	return n
 }
 
-// normKey is a row's place in a norm-sorted run: its norm's bits,
-// complemented — norms are ≥ 0, so their bits order as they do, and the
-// complement descends (NaN norms lead) — then its store index.
-type normKey struct {
-	bits uint64
-	idx  int
-}
-
-func keyOf(norm float64, idx int) normKey { return normKey{^math.Float64bits(norm), idx} }
-
-func (a normKey) less(b normKey) bool { return a.bits < b.bits || a.bits == b.bits && a.idx < b.idx }
-
-// normOrder returns the keys of rows [from, to) of the norm column in
-// (norm descending, index ascending) order. Keys are distinct, so every
-// sort orders them alike: a write's batch of up to 64 rows is
-// insertion-sorted, and more rows — a shard's few thousand — go through
-// a stable byte-wise radix sort on the keys' bits, taken in index order,
-// several times faster there than a comparison sort calling back into a
-// comparator.
-func normOrder(norms *chunked[float64], from, to int) []normKey {
-	n := to - from
-	keys := make([]normKey, n)
-	for i := range keys {
-		keys[i] = keyOf(norms.at(from+i), from+i)
-	}
-	if n <= 64 {
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && keys[j].less(keys[j-1]); j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			}
-		}
-		return keys
-	}
-	spare := make([]normKey, n)
-	for shift := 0; shift < 64; shift += 8 {
-		var start [256]int
-		for _, k := range keys {
-			start[k.bits>>shift&255]++
-		}
-		if start[keys[0].bits>>shift&255] == n {
-			continue // every key has the same byte here
-		}
-		at := 0
-		for b, c := range start {
-			start[b], at = at, at+c
-		}
-		for _, k := range keys {
-			b := k.bits >> shift & 255
-			spare[start[b]] = k
-			start[b]++
-		}
-		keys, spare = spare, keys
-	}
-	return keys
-}
-
-// sortedRun returns rows [from, fs.Len()) of fs as a norm-sorted run: a
-// private physical copy in (norm descending, index ascending) order.
-// The copy deliberately doubles the rows' resident memory: keeping the
-// norm-ordered rows contiguous is what lets the early-terminating scan
-// stream at kernel speed (≈3× a permutation-chasing scan on the serving
-// batch path). A normscan shard runs it over all its rows once per
-// chunkRows rows appended to it; the writes between merge their batch
-// into the tail run (mergedRun).
-func sortedRun(fs *Store, from int) run {
-	keys := normOrder(&fs.norms, from, fs.Len())
-	re := newStore(fs.dim)
-	ids := make([]int, len(keys))
-	for phys := 0; phys < len(keys); {
-		rows, norms := re.grow(len(keys) - phys)
-		for i := range norms {
-			idx := keys[phys+i].idx
-			ids[phys+i] = idx
-			copy(rows[i*fs.dim:], fs.data.row(idx))
-			norms[i] = fs.norms.at(idx)
-		}
-		phys += len(norms)
-	}
-	return run{t: re, ids: ids, norms: &re.norms, off: from}
-}
-
-// mergedRun returns sortedRun(fs, off) — row for row, norm for norm, id
-// for id — given tail, the norm-sorted run of rows [off, from) of fs (the
-// zero run when from = off), at the cost of the rows from on: only they
-// are sorted, and one pass merges them into tail's key order, copying
-// tail's rows in stretches between them. The run must stay under
-// chunkRows rows (see View.Extend), so it is one exactly-sized chunk.
-func mergedRun(fs *Store, tail run, off int) run {
-	var oldRows, oldNorms []float64
-	if tail.t != nil && tail.t.Len() > 0 {
-		ts := tail.t.(*Store)
-		oldRows, oldNorms = ts.data.contiguous(0, ts.Len()), ts.norms.contiguous(0, ts.Len())
-	}
-	old := len(oldNorms)
-	batch := normOrder(&fs.norms, off+old, fs.Len())
-	n, d := old+len(batch), fs.dim
-	re := newStore(d)
-	ids := make([]int, n)
-	rows, norms := re.grow(n)
-	// at is the next physical row, i the next tail row; take places tail
-	// rows [i, hi).
-	at, i := 0, 0
-	take := func(hi int) {
-		copy(rows[at*d:], oldRows[i*d:hi*d])
-		copy(norms[at:], oldNorms[i:hi])
-		copy(ids[at:], tail.ids[i:hi])
-		at, i = at+hi-i, hi
-	}
-	for _, k := range batch {
-		j := i
-		for j < old && keyOf(oldNorms[j], tail.ids[j]).less(k) {
-			j++
-		}
-		take(j)
-		copy(rows[at*d:], fs.data.row(k.idx))
-		norms[at], ids[at] = fs.norms.at(k.idx), k.idx
-		at++
-	}
-	take(old)
-	return run{t: re, ids: ids, norms: &re.norms, off: off}
-}
-
 func (s *Store) extend(fs *Store) (tier, int) { return fs, fs.SharedRows(s) }
 
 // TopK is Scan with positional arguments and no deadline: up to k hits
@@ -796,35 +676,4 @@ func (s *Store) TopKMasked(q vec.Vector, k int, unsigned bool, workers int, dead
 func (s *Store) TopKMulti(qs *Store, k int, unsigned bool) ([][]Hit, error) {
 	hits, _, err := s.View().topKMulti(qs, k, unsigned)
 	return hits, err
-}
-
-// NormSorted is the descending-norm view of a Store for
-// early-terminating top-k scans (the LEMP-style traversal): rows are
-// physically reordered by (norm descending, original index ascending)
-// into a private store, so the traversal is both contiguous and
-// monotone in the Cauchy–Schwarz bound. Returned hits carry original
-// row indexes.
-type NormSorted struct {
-	View
-}
-
-// NewNormSorted builds the reordered view in O(n·d): every row of s in
-// one run (View.Extend adds the second).
-func NewNormSorted(s *Store) *NormSorted {
-	return &NormSorted{View{run: sortedRun(s, 0)}}
-}
-
-// TopK is Scan with positional arguments and no deadline, plus the
-// number of rows whose inner product was evaluated before the norm
-// bound ended the scan.
-func (ns *NormSorted) TopK(q vec.Vector, k int, unsigned bool) ([]Hit, int, error) {
-	var st ScanStats
-	hits, err := ns.Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Stats: &st})
-	return hits, st.ScannedRows, err
-}
-
-// TopKMulti is ScanMulti for every row of qs, returning per-query hit
-// lists and evaluated-row counts.
-func (ns *NormSorted) TopKMulti(qs *Store, k int, unsigned bool) ([][]Hit, []int, error) {
-	return ns.topKMulti(qs, k, unsigned)
 }

@@ -410,7 +410,9 @@ func FuzzDot32Range(f *testing.F) {
 // of the same rows (checkRuns: Scan and ScanMulti, hits and counts) on
 // fuzzed rows, queries, split point, dead set and k, and both views
 // under per-query floors (Acc.SetFloor) to the store-order top k at or
-// above them, never scoring more rows than without. raw decodes as
+// above them, never scoring more rows than without. It then holds the
+// merges to sorting afresh (checkSortedRuns): the two runs, the view
+// compacted by the dead set, and the view folded by a chunk-sized batch. raw decodes as
 // float64 bit patterns — NaNs, infinities, subnormals and values whose
 // squares underflow stay: the sort, the norms and the cut must cope —
 // read cyclically to fill three queries and the rows; each query's floor
@@ -496,30 +498,47 @@ func FuzzNormRuns(f *testing.F) {
 			checkRuns(t, tier.name, v, ref, qs, qs.Len(), o, dead, floors)
 			checkRuns(t, tier.name+" store order", ref, ref, qs, qs.Len(), o, dead, floors)
 		}
+		// Merge equals sort: the two-run view, compacted by dead, and
+		// folded by a chunk's batch of its own rows again (ties with
+		// every row), is each time what sorting its rows afresh gives.
+		rows := fs.Rows()
+		v := extendTo(SortRows(rows[:n-tailLen]), fs, n-tailLen/2, n)
+		checkSortedRuns(t, "two runs", v, rows, qs, o, dead)
+		if live := liveRows(rows, dead); len(live) > 0 {
+			checkSortedRuns(t, "compacted", v.Compact(dead), live, qs, o, nil)
+		}
+		batch := make([]vec.Vector, chunkRows)
+		for i := range batch {
+			batch[i] = rows[(i*int(split+1))%n]
+		}
+		folded, copied, ok := v.Extend(batch)
+		if !ok || copied != n+chunkRows {
+			t.Fatalf("a batch of %d rows onto a tail of %d: folded=%v copied=%d", chunkRows, tailLen, ok, copied)
+		}
+		checkSortedRuns(t, "folded", folded, append(rows, batch...), qs, o, nil)
 	})
 }
 
 // FuzzNormTail drives a norm-sorted view through fuzzed writes as a
-// normscan shard does: each appends rows to a store grown from the last
-// one and Extends the view over it (sorting afresh when Extend asks),
-// kills or revives rows, and gathers the dead set from the previous
-// write's (GatherDeadSince) — nil while no row is dead. Rows are drawn
-// from a palette of ties, zeros, NaN, ±Inf, subnormals and values whose
-// squares underflow. After every write the tail run is sortedRun over its
-// rows — rows, norms and ids, by their bits — and the dead set is
-// GatherDead's, count included; a view held at some write answers as the
-// store-order scan did then, and keeps its answers and row order to the
-// end. ops is read a byte per write: its low two bits pick the write
-// (append a few rows, append many, kill, revive or hold) and the rest
-// its size.
+// normscan shard does: each Extends the view by a batch of rows (folding
+// its tail into the base run when that would reach a chunk), kills or
+// revives rows, and gathers the dead set from the previous write's
+// (GatherDeadSince) — nil while no row is dead. Rows are drawn from
+// normPalette: ties, zeros, NaN, ±Inf, subnormals and values whose
+// squares underflow; a store holds them in store order, the reference.
+// After every write both runs are what sorting their rows afresh gives —
+// rows, norms, ids and inverse permutation, by their bits
+// (checkSortedRuns) — and the dead set is GatherDead's, count included; a
+// view held at some write answers as the store-order scan did then, and
+// keeps its answers and row order to the end. ops is read a byte per
+// write: its low two bits pick the write (append a few rows, append many,
+// kill, revive or hold) and the rest its size.
 func FuzzNormTail(f *testing.F) {
 	f.Add(uint8(3), uint64(1), []byte{0x81, 0x42, 0x0e, 0x13, 0x55, 0x7d, 0x22, 0xfe, 0x07})
 	f.Add(uint8(1), uint64(7), []byte{0xfd, 0xfd, 0x0a, 0xfd, 0x3f, 0x1b, 0xfd, 0x0e, 0xff, 0x03})
 	f.Add(uint8(16), uint64(42), []byte{0xfc, 0x19, 0x0a, 0x40, 0x0b, 0x09, 0xfc, 0xfd, 0x06, 0x0e})
 	// A dead tail row in the base run's last, partial word.
 	f.Add(uint8(18), uint64(138), []byte("0000200"))
-	palette := []float64{1, 1, -1, 0.5, 0, 2, 3, -3, 1e-170, -1e-180, 2e-160, 1e-310, -5e-324,
-		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 	f.Fuzz(func(t *testing.T, dw uint8, seed uint64, ops []byte) {
 		if len(ops) > 64 {
 			t.Skip()
@@ -531,7 +550,7 @@ func FuzzNormTail(f *testing.F) {
 			for i := range vs {
 				vs[i] = vec.New(d)
 				for j := range vs[i] {
-					vs[i][j] = palette[rng.Intn(len(palette))]
+					vs[i][j] = normPalette[rng.Intn(len(normPalette))]
 				}
 			}
 			return vs
@@ -575,20 +594,26 @@ func FuzzNormTail(f *testing.F) {
 				if op&3 == 1 {
 					size *= 16
 				}
+				batch := draw(size)
 				grown := fs.CloneGrow(size)
-				if err := grown.AppendAll(draw(size)); err != nil {
+				if err := grown.AppendAll(batch); err != nil {
 					t.Fatal(err)
 				}
 				fs = grown
 				dead = append(dead, make([]bool, size)...)
-				ext, copied, ok := v.Extend(fs)
-				if !ok {
-					if fs.Len()-v.t.Len() < chunkRows {
-						t.Fatalf("write %d: Extend to %d rows over a base of %d asked for a rebuild", w, fs.Len(), v.t.Len())
+				ext, copied, folded := v.Extend(batch)
+				tail := fs.Len() - v.t.Len()
+				switch {
+				case size == 0:
+					if copied != 0 || folded {
+						t.Fatalf("write %d: an empty Extend copied %d rows (folded %v)", w, copied, folded)
 					}
-					ext = NewNormSorted(fs).View
-				} else if copied != fs.Len()-v.t.Len() || ext.t != v.t {
-					t.Fatalf("write %d: Extend copied %d rows (base shared: %v), want the %d past the base run", w, copied, ext.t == v.t, fs.Len()-v.t.Len())
+				case folded != (tail >= chunkRows):
+					t.Fatalf("write %d: Extend to %d rows over a base of %d folded=%v", w, fs.Len(), v.t.Len(), folded)
+				case folded && copied != fs.Len():
+					t.Fatalf("write %d: a fold copied %d rows, want all %d", w, copied, fs.Len())
+				case !folded && (copied != tail || ext.t != v.t):
+					t.Fatalf("write %d: Extend copied %d rows (base shared: %v), want the %d past the base run", w, copied, ext.t == v.t, tail)
 				}
 				next = ext
 			case 2: // kill size rows
@@ -609,29 +634,7 @@ func FuzzNormTail(f *testing.F) {
 			if next.Len() != fs.Len() {
 				t.Fatalf("write %d: a view of %d rows over a store of %d", w, next.Len(), fs.Len())
 			}
-			if next.tail.t != nil {
-				want := sortedRun(fs, next.t.Len())
-				got := next.tail
-				if got.off != want.off || len(got.ids) != len(want.ids) {
-					t.Fatalf("write %d: a tail of %d rows from %d, sortedRun's %d from %d", w, len(got.ids), got.off, len(want.ids), want.off)
-				}
-				if p := slices.Compare(got.ids, want.ids); p != 0 {
-					for p = 0; got.ids[p] == want.ids[p]; p++ {
-					}
-					t.Fatalf("write %d: tail row %d holds row %d, sortedRun's row %d", w, p, got.ids[p], want.ids[p])
-				}
-				gs, ws := got.t.(*Store), want.t.(*Store)
-				for p := range want.ids {
-					if math.Float64bits(gs.Norm(p)) != math.Float64bits(ws.Norm(p)) {
-						t.Fatalf("write %d: tail row %d has norm %v, sortedRun's %v", w, p, gs.Norm(p), ws.Norm(p))
-					}
-					for j, x := range ws.Row(p) {
-						if math.Float64bits(gs.Row(p)[j]) != math.Float64bits(x) {
-							t.Fatalf("write %d: tail row %d is %v, sortedRun's %v", w, p, gs.Row(p), ws.Row(p))
-						}
-					}
-				}
-			}
+			checkSortedRuns(t, fmt.Sprintf("write %d", w), next, fs.Rows(), qs, ScanOpts{K: 5}, nil)
 			var now *Tombstones
 			if slices.Contains(dead, true) {
 				now = NewTombstones(len(dead))
@@ -641,7 +644,7 @@ func FuzzNormTail(f *testing.F) {
 					}
 				}
 			}
-			got, want := next.GatherDeadSince(fs, now, v, was, gathered), next.GatherDead(now)
+			got, want := next.GatherDeadSince(now, v, was, gathered), next.GatherDead(now)
 			if got.Count() != want.Count() || got.Len() != want.Len() || (want != nil && !slices.Equal(got.bits.W, want.bits.W)) {
 				t.Fatalf("write %d: patched dead set (%d of %d) is not GatherDead's (%d of %d)", w, got.Count(), got.Len(), want.Count(), want.Len())
 			}

@@ -1,0 +1,349 @@
+// The norm-sorted view: rows physically reordered by descending norm, so
+// a top-k scan can stop at the first row whose norm cannot beat the k-th
+// best hit (see sweep.rows). Keeping the norm-ordered rows contiguous is
+// what lets that scan stream at kernel speed (≈ 3× a permutation-chasing
+// scan on the serving batch path), so the view owns its rows in that
+// order — the sorted runs are the only copy it keeps — and reads a row by
+// its store index through each run's inverse permutation (View.Row), four
+// bytes a row. Every run is built by sorting once (sortRows) or by merging
+// runs already in key order (mergeRuns), which gives the same rows.
+package flat
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/bits"
+
+	"repro/internal/vec"
+)
+
+// normKey is a row's place in a norm-sorted run: its norm's bits,
+// complemented — norms are ≥ 0, so their bits order as they do, and the
+// complement descends (NaN norms lead) — then its store index.
+type normKey struct {
+	bits uint64
+	idx  int
+}
+
+func keyOf(norm float64, idx int) normKey { return normKey{^math.Float64bits(norm), idx} }
+
+func (a normKey) less(b normKey) bool { return a.bits < b.bits || a.bits == b.bits && a.idx < b.idx }
+
+// normOrder returns the keys of rows from, from+1, … with the given
+// norms in (norm descending, index ascending) order. Keys are distinct,
+// so every sort orders them alike: a write's batch of up to 64 rows is
+// insertion-sorted, and more rows — a shard's few thousand — go through
+// a stable byte-wise radix sort on the keys' bits, taken in index order,
+// several times faster there than a comparison sort calling back into a
+// comparator.
+func normOrder(norms []float64, from int) []normKey {
+	n := len(norms)
+	keys := make([]normKey, n)
+	for i, nm := range norms {
+		keys[i] = keyOf(nm, from+i)
+	}
+	if n <= 64 {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && keys[j].less(keys[j-1]); j-- {
+				keys[j], keys[j-1] = keys[j-1], keys[j]
+			}
+		}
+		return keys
+	}
+	spare := make([]normKey, n)
+	for shift := 0; shift < 64; shift += 8 {
+		var start [256]int
+		for _, k := range keys {
+			start[k.bits>>shift&255]++
+		}
+		if start[keys[0].bits>>shift&255] == n {
+			continue // every key has the same byte here
+		}
+		at := 0
+		for b, c := range start {
+			start[b], at = at, at+c
+		}
+		for _, k := range keys {
+			b := k.bits >> shift & 255
+			spare[start[b]] = k
+			start[b]++
+		}
+		keys, spare = spare, keys
+	}
+	return keys
+}
+
+// sortRows returns rows, store rows off, off+1, …, as a norm-sorted run
+// at physical offset off: a copy in (norm descending, index ascending)
+// order, each norm rowNorm's. Every row must have dimension d.
+func sortRows(d, off int, rows []vec.Vector) run {
+	norms := make([]float64, len(rows))
+	for i, v := range rows {
+		if len(v) != d {
+			panic(fmt.Sprintf("flat: row %d has dimension %d, the view %d", off+i, len(v), d))
+		}
+		norms[i] = rowNorm(v)
+	}
+	keys := normOrder(norms, off)
+	re := newStore(d)
+	ids := make([]int, len(keys))
+	pos := make([]int32, len(keys))
+	for phys := 0; phys < len(keys); {
+		data, col := re.grow(len(keys) - phys)
+		for i := range col {
+			k := keys[phys+i]
+			copy(data[i*d:], rows[k.idx-off])
+			col[i], ids[phys+i] = norms[k.idx-off], k.idx
+			pos[k.idx-off] = int32(phys + i)
+		}
+		phys += len(col)
+	}
+	return run{t: re, ids: ids, norms: &re.norms, pos: pos, off: off}
+}
+
+// len returns the rows of a norm-sorted run; the zero run has none.
+func (r run) len() int { return len(r.ids) }
+
+// mergeRuns merges the norm-sorted runs rs — the zero run among them
+// holding nothing — into one at physical offset off, each row copied
+// once, and returns it. Each of rs is in key order and their keys are
+// distinct, so the result is in key order: row for row what sortRows
+// makes of the same rows. A nil renumber keeps every store index;
+// otherwise it covers every row of rs, row i becoming store row
+// renumber[i], or dropped where that is negative — a renumbering that
+// keeps the kept rows' relative order, and so the key order.
+func mergeRuns(d, off int, renumber []int32, rs ...run) run {
+	n := 0
+	for _, r := range rs {
+		n += r.len()
+	}
+	if renumber != nil {
+		n = 0
+		for _, i := range renumber {
+			if i >= 0 {
+				n++
+			}
+		}
+	}
+	re := newStore(d)
+	ids := make([]int, n)
+	pos := make([]int32, n)
+	heads := make([]int, len(rs))
+	for phys := 0; phys < n; {
+		data, col := re.grow(n - phys)
+		for i := 0; i < len(col); {
+			// best: the run whose next kept row has the least key; nk: the
+			// least key among the other runs' next kept rows.
+			best, next := -1, -1
+			var bk, nk normKey
+			for j := range rs {
+				r, h := &rs[j], heads[j]
+				for renumber != nil && h < len(r.ids) && renumber[r.ids[h]] < 0 {
+					h++
+				}
+				if heads[j] = h; h == len(r.ids) {
+					continue
+				}
+				switch k := keyOf(r.norms.at(h), r.ids[h]); {
+				case best < 0 || k.less(bk):
+					next, nk, best, bk = best, bk, j, k
+				case next < 0 || k.less(nk):
+					next, nk = j, k
+				}
+			}
+			// Take best's rows [h, e) — up to the first that another run's
+			// next row precedes or that renumber drops — in one copy per
+			// chunk.
+			r, h := &rs[best], heads[best]
+			e := h + 1
+			for e < len(r.ids) && e-h < len(col)-i && (renumber == nil || renumber[r.ids[e]] >= 0) &&
+				(next < 0 || keyOf(r.norms.at(e), r.ids[e]).less(nk)) {
+				e++
+			}
+			st := r.t.(*Store)
+			st.data.copyTo(data[i*d:], h, e)
+			st.norms.copyTo(col[i:], h, e)
+			for _, idx := range r.ids[h:e] {
+				if renumber != nil {
+					idx = int(renumber[idx])
+				}
+				ids[phys+i], pos[idx-off] = idx, int32(phys+i)
+				i++
+			}
+			heads[best] = e
+		}
+		phys += len(col)
+	}
+	return run{t: re, ids: ids, norms: &re.norms, pos: pos, off: off}
+}
+
+// SortRows returns the norm-sorted view of vs, store row i being vs[i],
+// in one run, as NewNormSorted sorts a store's rows. vs must be
+// non-empty and share one dimension; SortRows panics otherwise.
+func SortRows(vs []vec.Vector) View {
+	if len(vs) == 0 {
+		panic("flat: SortRows of no rows")
+	}
+	return View{run: sortRows(len(vs[0]), 0, vs)}
+}
+
+// Extend returns the norm-sorted view of v's rows and vs behind them in
+// the store order — store rows v.Len() on — for v a norm-sorted view,
+// which keeps serving; vs must have v's dimension (Extend panics
+// otherwise, as Dot does). Only the batch is sorted, and copied counts
+// the rows the result does not share with v. While the tail run stays
+// under chunkRows rows, ext shares v's base run and one pass merges the
+// sorted batch into a copy of the tail run (mergeRuns): the cost is the
+// batch and one copy of the tail, not how many rows v holds. Once the
+// tail would reach chunkRows, the base run, the tail run and the batch
+// merge into a new base run instead — folded, every row copied, and
+// nothing sorted but the batch. Either way each run is row for row what
+// sorting its rows afresh gives (sortRows, NewNormSorted).
+func (v View) Extend(vs []vec.Vector) (ext View, copied int, folded bool) {
+	if !v.Sorted() {
+		panic("flat: Extend of a store-order view")
+	}
+	if len(vs) == 0 {
+		return v, 0, false
+	}
+	d, n, base := v.Dim(), v.Len(), v.t.Len()
+	batch := sortRows(d, n, vs)
+	if n+len(vs)-base >= chunkRows {
+		all := mergeRuns(d, 0, nil, v.run, v.tail, batch)
+		return View{run: all}, all.len(), true
+	}
+	tail := batch
+	if v.tail.len() > 0 {
+		tail = mergeRuns(d, base, nil, v.tail, batch)
+	}
+	return View{run: v.run, tail: tail}, tail.len(), false
+}
+
+// Compact returns the norm-sorted view of v's rows that dead, a set over
+// store-order rows, does not mark, renumbered 0, 1, … in store order, in
+// one run: row for row what NewNormSorted makes of the live rows packed
+// in store order. Renumbering keeps the live rows' relative order and
+// their norms, so one merge of v's runs drops the dead rows and nothing
+// is sorted.
+func (v View) Compact(dead *Tombstones) View {
+	if !v.Sorted() {
+		panic("flat: Compact of a store-order view")
+	}
+	renumber := make([]int32, v.Len())
+	var live int32
+	for i := range renumber {
+		if dead.Dead(i) {
+			renumber[i] = -1
+			continue
+		}
+		renumber[i] = live
+		live++
+	}
+	return View{run: mergeRuns(v.Dim(), 0, renumber, v.run, v.tail)}
+}
+
+// Row returns store row i of an f64 view as a vector view aliasing its
+// storage — on a norm-sorted view the physical row its run's inverse
+// permutation names. Callers must not mutate it.
+func (v View) Row(i int) vec.Vector {
+	r := v.run
+	if v.tail.len() > 0 && i >= v.tail.off {
+		r = v.tail
+	}
+	if r.pos != nil {
+		i = int(r.pos[i-r.off])
+	}
+	return r.t.(*Store).Row(i)
+}
+
+// Unpruned returns v swept whole: the same rows in the same physical
+// order, but with no norm bound to end a run early — the Θ(nd) sweep an
+// exact join asks of a norm-sorted view. It is for scanning only.
+func (v View) Unpruned() View {
+	v.norms, v.tail.norms = nil, nil
+	return v
+}
+
+// GatherDead returns dead, a set over store-order rows, as v's scans
+// want it (ScanOpts.Dead): in physical order — every row looked up
+// through both runs' maps — on a norm-sorted view, as it is otherwise.
+// A write that has the previous snapshot's gathered set calls
+// GatherDeadSince instead.
+func (v View) GatherDead(dead *Tombstones) *Tombstones {
+	if !v.Sorted() {
+		return dead
+	}
+	return dead.Gather(v.ids, v.tail.ids)
+}
+
+// GatherDeadSince returns v.GatherDead(dead) from the set gathered for
+// an earlier view: gathered is prev.GatherDead(was), prev being v or a
+// view v was extended from. When the two share their base run and dead
+// keeps every base row was marks, the base run's words are copied from
+// gathered, each base row dead newly marks is placed by the run's inverse
+// permutation, and only the tail run is gathered: n/64 words, the new
+// deaths and the tail, and nothing O(n) per row. Any other case (a
+// folded base, no earlier set, a revived row) gathers in full.
+func (v View) GatherDeadSince(dead *Tombstones, prev View, was, gathered *Tombstones) *Tombstones {
+	base := v.t.Len()
+	if !v.Sorted() || dead == nil || was == nil || gathered == nil || v.t != prev.t {
+		return v.GatherDead(dead)
+	}
+	out := NewTombstones(v.Len())
+	words := (base + 63) >> 6
+	copy(out.bits.W[:words], gathered.bits.W[:words])
+	out.count = gathered.count - gathered.DeadIn(base, prev.Len())
+	for w := range words {
+		mask := ^uint64(0)
+		if w == words-1 && base&63 != 0 {
+			mask = 1<<(base&63) - 1
+		}
+		then, now := was.bits.W[w]&mask, dead.bits.W[w]&mask
+		if then&^now != 0 {
+			return v.GatherDead(dead)
+		}
+		out.bits.W[w] &= mask
+		for killed := now &^ then; killed != 0; killed &= killed - 1 {
+			out.Kill(int(v.pos[w<<6+bits.TrailingZeros64(killed)]))
+		}
+	}
+	for p, i := range v.tail.ids {
+		if dead.Dead(i) {
+			out.Kill(base + p)
+		}
+	}
+	return out
+}
+
+// NormSorted is the descending-norm view of a Store for
+// early-terminating top-k scans (the LEMP-style traversal): rows are
+// physically reordered by (norm descending, original index ascending)
+// into a private store, so the traversal is both contiguous and
+// monotone in the Cauchy–Schwarz bound. Returned hits carry original
+// row indexes.
+type NormSorted struct {
+	View
+}
+
+// NewNormSorted builds the reordered view in O(n·d): every row of s in
+// one run (View.Extend adds the second). Each row's norm is recomputed
+// by rowNorm, which is how s cached it.
+func NewNormSorted(s *Store) *NormSorted {
+	return &NormSorted{View{run: sortRows(s.dim, 0, s.Rows())}}
+}
+
+// TopK is Scan with positional arguments and no deadline, plus the
+// number of rows whose inner product was evaluated before the norm
+// bound ended the scan.
+func (ns *NormSorted) TopK(q vec.Vector, k int, unsigned bool) ([]Hit, int, error) {
+	var st ScanStats
+	hits, err := ns.Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Stats: &st})
+	return hits, st.ScannedRows, err
+}
+
+// TopKMulti is ScanMulti for every row of qs, returning per-query hit
+// lists and evaluated-row counts.
+func (ns *NormSorted) TopKMulti(qs *Store, k int, unsigned bool) ([][]Hit, []int, error) {
+	return ns.topKMulti(qs, k, unsigned)
+}

@@ -25,7 +25,6 @@ package flat
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -124,23 +123,27 @@ type query struct {
 // one norm-sorted run of a norm-sorted view's.
 type run struct {
 	t tier
-	// ids, norms and off are set on a norm-sorted run: ids[i] is the
-	// store-order index of its physical row i (non-nil even when empty),
-	// norms its norm column, which never increases, and off the position
-	// of its first row in the view's physical order.
+	// ids, norms, pos and off are set on a norm-sorted run, which holds
+	// the store rows [off, off+len(ids)) at the positions [off,
+	// off+len(ids)) of its view's physical order: ids[p] is the store
+	// index of the run's row p (non-nil even when empty), pos the inverse
+	// — store row i is the run's row pos[i-off] — and norms its norm
+	// column, which never increases.
 	ids   []int
 	norms *chunked[float64]
+	pos   []int32
 	off   int
 }
 
 // View is a scannable arrangement of one tier's rows: the rows in store
 // order (Store.View, Store32.View, StoreI8.View) or, f64 rows only,
 // physically reordered by descending norm for early-terminating scans
-// (NewNormSorted). Hits always carry store-order row
+// (NewNormSorted, SortRows). Hits always carry store-order row
 // indexes. A View is a small value; copies scan the same rows.
 //
-// A norm-sorted view is one or two norm-sorted runs, each swept under
-// its own bound: the base run — a prefix of the store, sorted once and
+// A norm-sorted view owns its rows — the sorted copy is the only one it
+// needs — in one or two norm-sorted runs, each swept under its own
+// bound: the base run — a prefix of the store order, sorted once and
 // shared untouched by every view extended from it — and behind it in
 // the physical order the tail run, the rows appended since, sorted among
 // themselves (see Extend).
@@ -163,70 +166,6 @@ func (v View) Dim() int { return v.t.Dim() }
 // Sorted reports whether v is a norm-sorted view.
 func (v View) Sorted() bool { return v.ids != nil }
 
-// GatherDead returns dead, a set over store-order rows, as v's scans
-// want it (ScanOpts.Dead): in physical order — every row looked up
-// through both runs' maps — on a norm-sorted view, as it is otherwise.
-// A write that has the previous snapshot's gathered set calls
-// GatherDeadSince instead.
-func (v View) GatherDead(dead *Tombstones) *Tombstones {
-	if !v.Sorted() {
-		return dead
-	}
-	return dead.Gather(v.ids, v.tail.ids)
-}
-
-// GatherDeadSince returns v.GatherDead(dead) for v, a view over fs,
-// from the set gathered for an earlier one: gathered is
-// prev.GatherDead(was), prev being v or a view v was extended from. When
-// the two share their base run and dead keeps every base row was marks,
-// the base run's words are copied from gathered, each base row dead
-// newly marks is found by binary search on its key — fs holds its norm,
-// and the run is in key order — and only the tail run is gathered: n/64
-// words, the new deaths and the tail, and nothing O(n) per row. Any
-// other case (a rebuilt base, no earlier set, a revived row) gathers in
-// full.
-func (v View) GatherDeadSince(fs *Store, dead *Tombstones, prev View, was, gathered *Tombstones) *Tombstones {
-	base := v.t.Len()
-	if !v.Sorted() || dead == nil || was == nil || gathered == nil || v.t != prev.t {
-		return v.GatherDead(dead)
-	}
-	out := NewTombstones(v.Len())
-	words := (base + 63) >> 6
-	copy(out.bits.W[:words], gathered.bits.W[:words])
-	out.count = gathered.count - gathered.DeadIn(base, prev.Len())
-	for w := range words {
-		mask := ^uint64(0)
-		if w == words-1 && base&63 != 0 {
-			mask = 1<<(base&63) - 1
-		}
-		then, now := was.bits.W[w]&mask, dead.bits.W[w]&mask
-		if then&^now != 0 {
-			return v.GatherDead(dead)
-		}
-		out.bits.W[w] &= mask
-		for killed := now &^ then; killed != 0; killed &= killed - 1 {
-			i := w<<6 + bits.TrailingZeros64(killed)
-			out.Kill(v.find(keyOf(fs.Norm(i), i)))
-		}
-	}
-	for p, i := range v.tail.ids {
-		if dead.Dead(i) {
-			out.Kill(base + p)
-		}
-	}
-	return out
-}
-
-// find returns the physical row of the norm-sorted run r holding key's
-// row.
-func (r run) find(key normKey) int {
-	p := sort.Search(len(r.ids), func(p int) bool { return !keyOf(r.norms.at(p), r.ids[p]).less(key) })
-	if p == len(r.ids) || r.ids[p] != key.idx {
-		panic(fmt.Sprintf("flat: row %d is not in the norm-sorted run", key.idx))
-	}
-	return p
-}
-
 // AllocatedBytes returns the bytes of row storage the view holds
 // allocated — on a norm-sorted view the physical copy, both runs.
 func (v View) AllocatedBytes() int64 {
@@ -246,27 +185,18 @@ func (v View) maxScanWorkers() int {
 	return v.Len() / minParallelRows
 }
 
-// Extend returns the view of fs through v's tier and in v's order,
-// where fs is an append-only store whose leading rows are the ones v
+// ExtendTo returns the view of fs through v's tier, for v a store-order
+// view and fs an append-only store whose leading rows are the ones v
 // scans: only the rows the tier lacks are converted, the rest is shared
 // with v (which keeps serving), and copied reports how many of the
-// result's rows do not share memory with v's. A norm-sorted view keeps
-// its base run and builds a new tail run of every row of fs past it —
-// fewer than chunkRows rows — by sorting only the rows v lacks and
-// merging them into its tail run (mergedRun), so the cost is the batch
-// and one copy of the tail, not how many rows v holds. ok is false once
-// the tail would reach chunkRows: the caller sorts fs afresh, which
-// makes all of it the base run again.
-func (v View) Extend(fs *Store) (ext View, copied int, ok bool) {
-	if !v.Sorted() {
-		t, shared := v.t.extend(fs)
-		return View{run: run{t: t}}, fs.Len() - shared, true
+// result's rows do not share memory with v's. A norm-sorted view holds
+// its own rows and grows by its batch instead (Extend).
+func (v View) ExtendTo(fs *Store) (ext View, copied int) {
+	if v.Sorted() {
+		panic("flat: ExtendTo of a norm-sorted view")
 	}
-	base := v.t.Len()
-	if fs.Len()-base >= chunkRows {
-		return View{}, 0, false
-	}
-	return View{run: v.run, tail: mergedRun(fs, v.tail, base)}, fs.Len() - base, true
+	t, shared := v.t.extend(fs)
+	return View{run: run{t: t}}, fs.Len() - shared
 }
 
 // check validates a scan's query dimension and tombstone set.

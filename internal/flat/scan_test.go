@@ -101,13 +101,13 @@ func prefixOf(fs *Store, n int) *Store {
 	return p
 }
 
-// extendTo extends v over the prefixes of fs of the given lengths, one
-// after the other; an Extend that asks for a rebuild is a test bug.
+// extendTo extends v by the rows of fs up to each of the given lengths,
+// one after the other; an Extend that folds its tail is a test bug.
 func extendTo(v View, fs *Store, lens ...int) View {
 	for _, n := range lens {
-		ext, copied, ok := v.Extend(prefixOf(fs, n))
-		if !ok || copied >= chunkRows {
-			panic(fmt.Sprintf("extending a %d-row view to %d rows: ok=%v copied=%d", v.Len(), n, ok, copied))
+		ext, copied, folded := v.Extend(fs.Rows()[v.Len():n])
+		if folded || copied >= chunkRows {
+			panic(fmt.Sprintf("extending a %d-row view to %d rows: folded=%v copied=%d", v.Len(), n, folded, copied))
 		}
 		v = ext
 	}
@@ -1118,20 +1118,21 @@ func TestNormSortedExtendKeepsSnapshots(t *testing.T) {
 		before, permBefore := scan(), physPerm(held)
 		v := held
 		for _, n := range []int{base + 101, base + 600, base + chunkRows - 1} {
-			ext, copied, ok := v.Extend(prefixOf(fs, n))
-			if !ok || copied != n-base {
-				t.Fatalf("%s: extending to %d rows: ok=%v copied=%d, want the %d rows past the base run", tier.name, n, ok, copied, n-base)
+			ext, copied, folded := v.Extend(fs.Rows()[v.Len():n])
+			if folded || copied != n-base {
+				t.Fatalf("%s: extending to %d rows: folded=%v copied=%d, want the %d rows past the base run", tier.name, n, folded, copied, n-base)
 			}
 			if ext.t != held.t || &ext.ids[0] != &held.ids[0] || ext.Len() != n {
 				t.Fatalf("%s: the view extended to %d rows does not share the base run", tier.name, n)
 			}
 			v = ext
 		}
-		if _, _, ok := v.Extend(fs); ok {
-			t.Fatalf("%s: a tail run of %d rows was not sent back for a merge", tier.name, chunkRows)
+		merged, copied, folded := v.Extend(fs.Rows()[v.Len():])
+		if !folded || copied != fs.Len() {
+			t.Fatalf("%s: a tail run of %d rows was not folded into the base run (folded=%v, copied %d)", tier.name, chunkRows, folded, copied)
 		}
-		if merged := tier.sorted(fs); merged.tail.t != nil || merged.t.Len() != fs.Len() {
-			t.Fatalf("%s: the merged view is not one run", tier.name)
+		if merged.tail.t != nil || merged.t.Len() != fs.Len() {
+			t.Fatalf("%s: the folded view is not one run", tier.name)
 		}
 		after := scan()
 		for j := range before {
@@ -1147,7 +1148,7 @@ func TestNormSortedExtendKeepsSnapshots(t *testing.T) {
 
 // halfTailed returns a norm-sorted view of n rows of dimension 16 and
 // half a chunk more in its tail run, and the store holding those rows
-// and batch rows beyond them: what the next write extends the view over.
+// and batch rows beyond them: what the next write extends the view by.
 func halfTailed(tb testing.TB, n, batch int) (View, *Store) {
 	fs, err := FromVectors(randomVecs(xrand.New(uint64(n)), n+chunkRows/2+batch, 16))
 	if err != nil {
@@ -1167,17 +1168,18 @@ func normWrite(tb testing.TB, n, batch int, masked bool) func() {
 		was.Kill(i)
 	}
 	gathered := v.GatherDead(was)
+	rows := fs.Rows()[v.Len():]
 	return func() {
-		ext, _, ok := v.Extend(fs)
-		if !ok {
-			tb.Fatal("Extend asked for a rebuild")
+		ext, _, folded := v.Extend(rows)
+		if folded {
+			tb.Fatal("Extend folded a half-chunk tail")
 		}
 		if masked {
 			dead := was.Grow(fs.Len())
 			for i := range batch {
 				dead.Kill(1 + i*v.Len()/batch)
 			}
-			ext.GatherDeadSince(fs, dead, v, was, gathered)
+			ext.GatherDeadSince(dead, v, was, gathered)
 		}
 	}
 }

@@ -82,13 +82,9 @@ func BenchmarkJoinNormPruned_10kx256_d16(b *testing.B) {
 // 512 rows of P its tail run.
 func BenchmarkJoinNormPrunedTail_10kx256_d16(b *testing.B) {
 	P, _, fp, fq := benchWorkload()
-	base, err := flat.FromVectors(P[:benchN-512])
-	if err != nil {
-		b.Fatal(err)
-	}
-	v, _, ok := flat.NewNormSorted(base).Extend(fp)
-	if !ok {
-		b.Fatal("Extend asked for a rebuild")
+	v, _, folded := flat.SortRows(P[:benchN-512]).Extend(P[benchN-512:])
+	if folded {
+		b.Fatal("Extend folded a 512-row tail")
 	}
 	benchEngine(b, NormPruned{Sorted: &flat.NormSorted{View: v}}, fp, fq, Opts{})
 }

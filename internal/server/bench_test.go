@@ -222,7 +222,7 @@ func BenchmarkServerIngest(b *testing.B) {
 // takes them back to n rows, so ns/op and B/op do not depend on b.N.
 // An alsh write copies every table's ids and compacts every 16 writes
 // (≤ 1 024 extra rows on 6 000); the others every 64, the writes a
-// normscan shard takes to fill the tail run it then re-sorts.
+// normscan shard takes to fill the tail run it then folds.
 var upsertShapes = []struct {
 	name         string
 	n, d         int

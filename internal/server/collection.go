@@ -201,17 +201,17 @@ func (c *Collection) persistSnapshot() ([]store.Record, uint64) {
 }
 
 // liveRecords assembles the live records, shard by shard in row order,
-// as views: each Vec aliases its row in the shard's store (immutable
-// once published) and each Attrs is the stored map, so nothing but the
-// record headers is allocated. Callers hold ingestMu and must treat the
-// result as read-only.
+// as views: each Vec aliases its row in the shard's store, or a normscan
+// shard's norm-sorted view (immutable once published), and each Attrs is
+// the stored map, so nothing but the record headers is allocated.
+// Callers hold ingestMu and must treat the result as read-only.
 func (c *Collection) liveRecords() []store.Record {
 	recs := make([]store.Record, 0, c.live.Load())
 	for _, sh := range c.shards {
 		sn := sh.snap.Load()
 		for i, id := range sn.ids {
 			if !sn.dead.Dead(i) {
-				recs = append(recs, store.Record{ID: id, Vec: sn.fs.Row(i), Attrs: c.attrs[id]})
+				recs = append(recs, store.Record{ID: id, Vec: sn.row(i), Attrs: c.attrs[id]})
 			}
 		}
 	}
@@ -370,11 +370,11 @@ func (c *Collection) shardFor(id int) int {
 // succeeded, and a rejected batch leaves no trace (IDs reserved for
 // it are released). A touched shard's next store shares the current
 // one's rows and adds the batch, and an exact (any precision), alsh or
-// normscan index is extended by the batch alone (normscan re-sorting at
-// most one chunk of rows, and the whole shard once per chunk appended
-// to it; alsh hashing the batch but copying every bucket table's ids),
-// so a write hashes, converts and sorts O(batch) rows. Returns the new
-// version.
+// normscan index is extended by the batch alone (normscan, which keeps
+// no store, merging the sorted batch into at most one chunk of rows, and
+// into the whole shard once per chunk appended to it; alsh hashing the
+// batch but copying every bucket table's ids), so a write hashes,
+// converts and sorts O(batch) rows. Returns the new version.
 func (c *Collection) Ingest(recs []store.Record) (uint64, error) {
 	return c.ingest(context.Background(), recs)
 }
@@ -652,9 +652,7 @@ func (c *Collection) deadTotal() (dead, rows int) {
 	for _, sh := range c.shards {
 		sn := sh.snap.Load()
 		dead += sn.dead.Count()
-		if sn.fs != nil {
-			rows += sn.fs.Len()
-		}
+		rows += len(sn.ids)
 	}
 	return dead, rows
 }
@@ -796,9 +794,9 @@ func (c *Collection) SearchOne(ctx context.Context, pool *Pool, q vec.Vector, k 
 // vectorBytes reports the resident vector payload per storage
 // precision as the shards hold it allocated — chunk capacity, so
 // tombstoned rows and the unused tail of each store's open chunk
-// count: every collection retains the f64 truth rows; quantized tiers
-// additionally hold their compact mirror, and a normscan shard the
-// norm-sorted physical copy it scans, in its own precision.
+// count: the f64 rows once per shard — the store, or a normscan shard's
+// norm-sorted runs, which are its only copy — and a quantized tier's
+// compact mirror beside them.
 func (c *Collection) vectorBytes() map[string]int64 {
 	vb := map[string]int64{PrecisionF64: 0}
 	mirror := c.spec.precision()
@@ -806,12 +804,12 @@ func (c *Collection) vectorBytes() map[string]int64 {
 		vb[mirror] = 0
 	}
 	for _, sn := range c.view.Load().snaps {
-		if sn.fs == nil {
-			continue
+		if sn.fs != nil {
+			vb[PrecisionF64] += sn.fs.AllocatedBytes()
 		}
-		vb[PrecisionF64] += sn.fs.AllocatedBytes()
-		// An exact f64 shard scans sn.fs itself: nothing more is resident.
-		if ix, ok := sn.index.(*flatIndex); ok && (mirror != PrecisionF64 || ix.view.Sorted()) {
+		// An exact f64 shard scans sn.fs itself, and a normscan shard,
+		// which has no fs, its view: each holds its rows once.
+		if ix, ok := sn.index.(*flatIndex); ok && (mirror != PrecisionF64 || sn.fs == nil) {
 			vb[mirror] += ix.view.AllocatedBytes()
 		}
 	}

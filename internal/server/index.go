@@ -171,18 +171,19 @@ func (s IndexSpec) precision() string {
 }
 
 // buildShardIndex constructs the index for one shard over its columnar
-// store. An alsh index extends hashes, the collection's one set of hash
-// functions (see newALSHHashes), so every shard hashes alike and a query
-// hashed once probes them all; it hashes row views of the store — slice
-// headers into its chunks, no float copies — and verifies candidates
-// through the store's kernel. Every engine retains fs itself as the
-// exact truth it verifies or re-ranks against.
+// store, for every kind but normscan, which keeps no store (see
+// extendNormScan). An alsh index extends hashes, the collection's one
+// set of hash functions (see newALSHHashes), so every shard hashes alike
+// and a query hashed once probes them all; it hashes row views of the
+// store — slice headers into its chunks, no float copies — and verifies
+// candidates through the store's kernel. Every engine retains fs itself
+// as the exact truth it verifies or re-ranks against.
 func buildShardIndex(spec IndexSpec, fs *flat.Store, hashes *lsh.Index) (ShardIndex, error) {
 	if fs == nil || fs.Len() == 0 {
 		return emptyIndex{}, nil
 	}
 	switch spec.kind() {
-	case KindExact, KindNormScan:
+	case KindExact:
 		return newFlatIndex(spec, fs), nil
 	case KindALSH:
 		index, _ := (&alshIndex{ix: hashes, u: spec.radius()}).extend(fs)
@@ -210,15 +211,16 @@ func (ix emptyIndex) withDead(*flat.Tombstones, *shardSnap) ShardIndex { return 
 // their int8 mirror (an eighth of the bytes per row) — and whether the
 // scan's candidates are re-scored through the f64 rows.
 type flatIndex struct {
-	// fs holds the exact f64 rows: the truth a re-rank scores against.
+	// fs holds the f64 rows in store order, what an int8 re-rank scores
+	// against; nil under a norm-sorted view, which holds its rows itself.
 	fs   *flat.Store
 	view flat.View
 	// dead (nil until the first delete) lives in the view's row order, so
 	// a norm-sorted scan never pays a per-row indirection: withDead
 	// permutes it once per write that leaves a tombstone, patching the
 	// previous snapshot's (flat.View.GatherDeadSince) — its base run's
-	// words copied, its new deaths found by binary search, its tail run
-	// gathered — where the base run is the same.
+	// words copied, its new deaths placed through the run's inverse
+	// permutation, its tail run gathered — where the base run is the same.
 	dead *flat.Tombstones
 	// rerank (int8) makes the scan's scores candidates only: the answer
 	// is their re-scoring through fs, so this engine never serves an
@@ -226,37 +228,42 @@ type flatIndex struct {
 	rerank bool
 }
 
-// newFlatIndex builds the view spec asks for over fs. Quantized
-// precisions build their compact mirror here, at index-build time.
+// newFlatIndex builds the store-order view spec asks for over fs.
+// Quantized precisions build their compact mirror here, at index-build
+// time.
 func newFlatIndex(spec IndexSpec, fs *flat.Store) *flatIndex {
-	ix := &flatIndex{fs: fs}
-	switch {
-	case spec.precision() == PrecisionI8:
-		ix.rerank, ix.view = true, flat.NewStoreI8(fs).View()
-	case spec.kind() == KindNormScan:
-		ix.view = flat.NewNormSorted(fs).View
-	default:
-		ix.view = fs.View()
+	if spec.precision() == PrecisionI8 {
+		return &flatIndex{fs: fs, view: flat.NewStoreI8(fs).View(), rerank: true}
 	}
-	return ix
+	return &flatIndex{fs: fs, view: fs.View()}
 }
 
-// extend returns the unmasked index over nfs, an append-only store whose
-// leading rows are the ones ix scans, and how many rows the scanned tier
-// had to copy — or nil when the view cannot be extended (see
-// flat.View.Extend) and the index must be rebuilt.
+// extend returns the unmasked store-order index over nfs, an append-only
+// store whose leading rows are the ones ix scans, and how many rows the
+// scanned tier had to copy.
 func (ix *flatIndex) extend(nfs *flat.Store) (*flatIndex, int) {
-	view, copied, ok := ix.view.Extend(nfs)
-	if !ok {
-		return nil, 0
-	}
+	view, copied := ix.view.ExtendTo(nfs)
 	return &flatIndex{fs: nfs, view: view, rerank: ix.rerank}, copied
+}
+
+// extendNormScan returns a normscan shard's unmasked index over prev's
+// rows and vs behind them, how many rows it copied, and whether that was
+// a rebuild. The norm-sorted view is the shard's one copy of its rows,
+// so a write grows it by the batch (flat.View.Extend) — a rebuild when
+// its tail run folds into the base run — and the first write to a shard,
+// whose index is empty, sorts its batch.
+func extendNormScan(prev ShardIndex, vs []vec.Vector) (ShardIndex, int, bool) {
+	if ix, ok := prev.(*flatIndex); ok {
+		view, copied, folded := ix.view.Extend(vs)
+		return &flatIndex{view: view}, copied, folded
+	}
+	return &flatIndex{view: flat.SortRows(vs)}, len(vs), true
 }
 
 func (ix *flatIndex) withDead(dead *flat.Tombstones, old *shardSnap) ShardIndex {
 	masked := *ix
 	if prev, ok := old.index.(*flatIndex); ok {
-		masked.dead = ix.view.GatherDeadSince(ix.fs, dead, prev.view, old.dead, prev.dead)
+		masked.dead = ix.view.GatherDeadSince(dead, prev.view, old.dead, prev.dead)
 	} else {
 		masked.dead = ix.view.GatherDead(dead)
 	}

@@ -142,19 +142,28 @@ func newJoinOpts(sp core.Spec, req JoinRequest) joinOpts {
 
 // joinSnap returns sn as a join of engine (by joinEngineName) reads it:
 // lsh and normpruned through its serving index, exact through it too
-// where that sweeps the f64 rows in store order, and otherwise through a
-// store-order index over sn.fs itself, which copies nothing. An int8
-// shard is swept through its f64 rows too. Its codes give the same pairs
-// about five times faster at 40 000 × 32, but that compute-bound sweep's
-// time spread between runs several times wider than the f64 sweep's, too
-// wide to tell a regression from noise (ROADMAP item 14, step (b)).
+// where that sweeps the f64 rows in store order. A normscan shard's exact
+// sweep reads its norm-sorted runs whole — the same rows, which are its
+// only copy, in their physical order with no norm bound
+// (flat.View.Unpruned) and masked by the index's permuted dead set — so
+// its pairs are the store-order sweep's, and compared counts the rows of
+// the physical blocks not wholly dead. An alsh or int8 shard is swept
+// through a store-order index over sn.fs, which copies nothing. An int8
+// shard's codes would give the same pairs about five times faster at
+// 40 000 × 32, but that compute-bound sweep's time spread between runs
+// several times wider than the f64 sweep's, too wide to tell a regression
+// from noise (ROADMAP item 14, step (b)).
 func (sn *shardSnap) joinSnap(engine string) *shardSnap {
 	ix, ok := sn.index.(*flatIndex)
 	if engine != "tiled" || ok && !ix.view.Sorted() && !ix.rerank {
 		return sn
 	}
 	rows := *sn
-	rows.index = &flatIndex{fs: sn.fs, view: sn.fs.View(), dead: sn.dead}
+	if sn.fs == nil {
+		rows.index = &flatIndex{view: ix.view.Unpruned(), dead: ix.dead}
+	} else {
+		rows.index = &flatIndex{fs: sn.fs, view: sn.fs.View(), dead: sn.dead}
+	}
 	return &rows
 }
 
@@ -273,13 +282,13 @@ func runJoin(ctx context.Context, pool *Pool, c *Collection, engine string, dsna
 // (fewer at their end) from row at[1] of qsnaps[at[0]] on, and their
 // record IDs into ts.qids.
 func (ts *tileScratch) loadJoinTile(qsnaps []*shardSnap, at [2]int) {
-	pack(&ts.q, qsnaps[0].fs.Dim(), 0, nil) // empty
+	pack(&ts.q, qsnaps[0].dim(), 0, nil) // empty
 	ts.qids = ts.qids[:0]
 	for s, i := at[0], at[1]; s < len(qsnaps) && len(ts.qids) < searchTileQ; s, i = s+1, 0 {
 		sn := qsnaps[s]
 		for ; i < len(sn.ids) && len(ts.qids) < searchTileQ; i++ {
 			if !sn.dead.Dead(i) {
-				_ = ts.q.Append(sn.fs.Row(i))
+				_ = ts.q.Append(sn.row(i))
 				ts.qids = append(ts.qids, sn.ids[i])
 			}
 		}
@@ -484,7 +493,7 @@ func (s *Server) JoinCtx(ctx context.Context, req JoinRequest) (*JoinResponse, e
 	if len(dsnaps) == 0 || len(qsnaps) == 0 {
 		return nil, fmt.Errorf("server: join requires non-empty collections")
 	}
-	if dd, qd := dsnaps[0].fs.Dim(), qsnaps[0].fs.Dim(); dd != qd {
+	if dd, qd := dsnaps[0].dim(), qsnaps[0].dim(); dd != qd {
 		return nil, fmt.Errorf("server: dimension mismatch: %q has %d, %q has %d",
 			req.Data, dd, req.Queries, qd)
 	}

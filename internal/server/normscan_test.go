@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/flat"
@@ -14,15 +18,17 @@ import (
 )
 
 // TestNormScanWritesAcrossRebuilds drives a one-shard normscan f64
-// collection through upserts and deletes across two full re-sorts (a
-// tail run reaching 1 024 rows). A write merges its batch into the tail
-// run and patches the permuted dead set from the last snapshot's; after
-// every write the shard must answer bit-identically to the index built
-// anew over the published snapshot — its base run sorted afresh,
-// its tail run sorted in one go, its dead set gathered in full: the dead
-// set itself, explained searches signed and unsigned at k = 1 and 10
-// (hits and counts), batch searches, a normpruned join (pairs and
-// compared), and the rows the write's index build reports copied.
+// collection through upserts and deletes across two folds (a tail run
+// reaching 1 024 rows merges into the base run). A write merges its batch
+// into the tail run and patches the permuted dead set from the last
+// snapshot's; after every write the shard — which keeps no store, its
+// norm-sorted runs being the one copy of its rows — must read each row
+// back by its store index, and answer bit-identically to the index built
+// anew from its rows — its base run sorted afresh, its tail run sorted
+// in one go, its dead set gathered in full: the dead set itself,
+// explained searches signed and unsigned at k = 1 and 10 (hits and
+// counts), batch searches, a normpruned join (pairs and compared), and
+// the rows the write's index build reports copied.
 func TestNormScanWritesAcrossRebuilds(t *testing.T) {
 	const d, initial = 8, 1500
 	s := New(Config{DefaultShards: 1, CacheCapacity: -1, CompactFraction: -1})
@@ -46,9 +52,17 @@ func TestNormScanWritesAcrossRebuilds(t *testing.T) {
 		}
 		return out
 	}
-	if _, _, err := s.Upsert("ns", &IndexSpec{Kind: KindNormScan}, 1, batch(initial, 0)); err != nil {
-		t.Fatal(err)
+	// rows mirrors the shard's rows in store order.
+	var rows []vec.Vector
+	upsert := func(recs []store.Record) {
+		if _, _, err := s.Upsert("ns", &IndexSpec{Kind: KindNormScan}, 1, recs); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			rows = append(rows, r.Vec)
+		}
 	}
+	upsert(batch(initial, 0))
 	queries := []vec.Vector{drawn[3], drawn[800], vec.Scaled(drawn[42], -1)}
 	for range 3 {
 		queries = append(queries, rng.NormalVec(d))
@@ -91,27 +105,33 @@ func TestNormScanWritesAcrossRebuilds(t *testing.T) {
 				}
 			}
 			next += len(recs)
-			if _, _, err := s.Upsert("ns", nil, 0, recs); err != nil {
-				t.Fatal(err)
-			}
+			upsert(recs)
 		}
 		snap := c.shards[0].snap.Load()
-		cell := fmt.Sprintf("write %d (%d rows, %d dead)", w, snap.fs.Len(), snap.dead.Count())
-		if snap.fs != old.fs {
-			want := int64(snap.fs.Len())
+		cell := fmt.Sprintf("write %d (%d rows, %d dead)", w, len(snap.ids), snap.dead.Count())
+		if snap.fs != nil {
+			t.Fatalf("%s: a normscan shard keeps a store of %d rows beside its norm-sorted view", cell, snap.fs.Len())
+		}
+		if len(snap.ids) != len(old.ids) {
+			want := int64(len(snap.ids))
 			if c.builds.rebuild.Load() > rebuilds {
-				base = snap.fs.Len()
+				base = len(snap.ids)
 			} else {
-				want = int64(max(snap.fs.Len()-snap.fs.SharedRows(old.fs), snap.fs.Len()-base))
+				want -= int64(base)
 			}
 			if got := c.builds.rowsCopied.Load() - copied; got != want {
 				t.Fatalf("%s: the index build copied %d rows, want %d", cell, got, want)
 			}
 		}
 		old = snap
+		for i, r := range rows {
+			if got := snap.row(i); !reflect.DeepEqual(bitsOf(got), bitsOf(r)) {
+				t.Fatalf("%s: row %d reads %v, upserted as %v", cell, i, got, r)
+			}
+		}
 
 		ref := *snap
-		ref.index = rebuiltNormIndex(t, snap, base)
+		ref.index = rebuiltNormIndex(t, rows, snap, base)
 		served, want := snap.index.(*flatIndex).dead, ref.index.(*flatIndex).dead
 		if served.Count() != want.Count() || served.Len() != want.Len() {
 			t.Fatalf("%s: served dead set %d of %d, gathered %d of %d", cell, served.Count(), served.Len(), want.Count(), want.Len())
@@ -138,31 +158,37 @@ func TestNormScanWritesAcrossRebuilds(t *testing.T) {
 		joined += len(pairs)
 	}
 	if got := c.builds.rebuild.Load(); got < 3 || joined == 0 {
-		t.Fatalf("the shard was sorted whole %d times and the joins found %d pairs: want the first build and two re-sorts, and pairs", got, joined)
+		t.Fatalf("the shard was rebuilt %d times and the joins found %d pairs: want the first build and two folds, and pairs", got, joined)
 	}
 }
 
 // rebuiltNormIndex builds what a normscan shard serves for snap from
-// nothing: rows [0, base) sorted into the base run, the rest into a tail
-// run, and snap's dead set gathered in full.
-func rebuiltNormIndex(t *testing.T, snap *shardSnap, base int) *flatIndex {
+// nothing: rows [0, base) of its store-order rows sorted into the base
+// run, the rest sorted into a tail run, and snap's dead set gathered in
+// full.
+func rebuiltNormIndex(t *testing.T, rows []vec.Vector, snap *shardSnap, base int) *flatIndex {
 	t.Helper()
-	prefix, err := flat.FromVectors(snap.fs.Rows()[:base])
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := flat.NewNormSorted(prefix).View
-	if base < snap.fs.Len() {
-		var ok bool
-		if view, _, ok = view.Extend(snap.fs); !ok {
-			t.Fatalf("a tail of %d rows asks for a rebuild", snap.fs.Len()-base)
+	view := flat.SortRows(rows[:base])
+	if base < len(rows) {
+		var folded bool
+		if view, _, folded = view.Extend(rows[base:]); folded {
+			t.Fatalf("a tail of %d rows folds", len(rows)-base)
 		}
 	}
-	ix := &flatIndex{fs: snap.fs, view: view}
+	ix := &flatIndex{view: view}
 	if snap.dead.Count() > 0 {
 		ix.dead = view.GatherDead(snap.dead)
 	}
 	return ix
+}
+
+// bitsOf returns v's elements' bits, so NaN rows compare equal.
+func bitsOf(v vec.Vector) []uint64 {
+	out := make([]uint64, len(v))
+	for i, x := range v {
+		out[i] = math.Float64bits(x)
+	}
+	return out
 }
 
 // checkNormScanAnswers holds s's searches of the one-shard collection
@@ -211,4 +237,182 @@ func checkNormScanAnswers(t *testing.T, cell string, s *Server, ref *shardSnap, 
 			putTileScratch(ts)
 		}
 	}
+}
+
+// TestNormScanReadersMatchExact holds every path that reads a normscan
+// shard's rows — which its norm-sorted view alone holds — to the same
+// writes on an exact collection, Float64bits for Float64bits: the exact
+// engine's join with normscan data, a normscan collection on a join's
+// query side (exact and normpruned), searches before and after
+// compaction, and checkpoints — the segment a normscan collection writes
+// is byte for byte the exact collection's, before compaction and after —
+// and a reopen that answers as before.
+func TestNormScanReadersMatchExact(t *testing.T) {
+	const n, d, shards, batch = 2400, 8, 2, 300
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	cfg.DefaultShards, cfg.CacheCapacity, cfg.CompactFraction = shards, -1, -1
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	rng := xrand.New(50)
+	recs := randRecords(n+200, d, 51)
+	for i := range recs {
+		vec.Scale(recs[i].Vec, math.Exp(1.5*rng.Normal())) // skewed norms
+		if i%9 == 8 {
+			recs[i].Vec = recs[rng.Intn(i)].Vec.Clone() // norm ties
+		}
+	}
+	queries := append(randQueries(20, d, 52), recs[7].Vec, vec.Scaled(recs[100].Vec, -1))
+	var qrecs []store.Record
+	for i, q := range queries {
+		qrecs = append(qrecs, store.Record{ID: i, Vec: q})
+	}
+	if _, _, err := s.Ingest("q", &IndexSpec{Kind: KindExact}, 1, qrecs); err != nil {
+		t.Fatal(err)
+	}
+	replaced := make([]store.Record, 200)
+	for i := range replaced {
+		replaced[i] = store.Record{ID: i * 13, Vec: recs[n+i].Vec}
+	}
+	dropped := make([]int, 150)
+	for i := range dropped {
+		dropped[i] = 5 + i*17
+	}
+	// Both collections take the same writes: batches of about 150 rows a
+	// shard, the eighth folding each shard's tail run into its base run,
+	// then upserts into the new tail and deletes.
+	for _, name := range []string{"ex", "ns"} {
+		spec := &IndexSpec{Kind: KindExact}
+		if name == "ns" {
+			spec.Kind = KindNormScan
+		}
+		for lo := 0; lo < n; lo += batch {
+			if _, _, err := s.Ingest(name, spec, 0, recs[lo:lo+batch]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := s.Upsert(name, nil, 0, replaced); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := s.Delete(name, dropped); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if folds := mustCollection(t, s, "ns").builds.rebuild.Load() - shards; folds < 1 {
+		t.Fatalf("%d tail runs folded: the writes never brought one to a chunk", folds)
+	}
+	check := func(stage string) {
+		t.Helper()
+		for _, sn := range mustCollection(t, s, "ns").shardSnaps() {
+			if sn.fs != nil {
+				t.Fatalf("%s: a normscan shard keeps a store beside its norm-sorted view", stage)
+			}
+		}
+		for _, unsigned := range []bool{false, true} {
+			got, err := s.Search("ns", queries, 10, unsigned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := s.Search("ex", queries, 10, unsigned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range queries {
+				if !sameHitsBitExact([][]Hit{got[j].Hits}, [][]Hit{want[j].Hits}) {
+					t.Fatalf("%s: query %d unsigned=%v: normscan %v, exact %v", stage, j, unsigned, got[j].Hits, want[j].Hits)
+				}
+			}
+			variant := map[bool]string{false: "signed", true: "unsigned"}[unsigned]
+			for _, topk := range []int{0, 3} {
+				for _, c := range []struct{ label, data, queries, engine, refData, refQueries string }{
+					{"exact join over normscan data", "ns", "q", "exact", "ex", "q"},
+					{"exact self-join of normscan", "ns", "ns", "exact", "ex", "ex"},
+					{"normscan queries, exact data", "ex", "ns", "exact", "ex", "ex"},
+					{"normpruned self-join", "ns", "ns", "normpruned", "ex", "ex"},
+				} {
+					req := JoinRequest{Data: c.data, Queries: c.queries, Engine: c.engine, Variant: variant, S: 0.5, TopK: topk}
+					got, err := s.Join(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					req.Data, req.Queries, req.Engine = c.refData, c.refQueries, "exact"
+					want, err := s.Join(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameBits(got.Pairs, want.Pairs) || len(want.Pairs) == 0 {
+						t.Fatalf("%s: %s, %s, topk=%d: %d pairs, exact %d\n%v\n%v", stage, c.label, variant, topk, len(got.Pairs), len(want.Pairs), got.Pairs, want.Pairs)
+					}
+					// An exact sweep scores every live pair, and with no
+					// tombstone left exactly those, in either row order.
+					all := int64(mustCollection(t, s, c.data).Len() * mustCollection(t, s, c.queries).Len())
+					if c.engine == "exact" && (got.Compared < all || stage != "tombstoned" && got.Compared != want.Compared) {
+						t.Fatalf("%s: %s compared %d pairs of %d live, the exact collection's sweep %d", stage, c.label, got.Compared, all, want.Compared)
+					}
+				}
+			}
+		}
+		var segs [2][]byte
+		for i, name := range []string{"ex", "ns"} {
+			c := mustCollection(t, s, name)
+			if err := c.log.Checkpoint(c.persistSnapshot); err != nil {
+				t.Fatal(err)
+			}
+			segs[i] = newestSegment(t, filepath.Join(dir, name))
+		}
+		if !bytes.Equal(segs[0], segs[1]) {
+			t.Fatalf("%s: the normscan collection's checkpoint (%d bytes) is not the exact one's (%d bytes)", stage, len(segs[1]), len(segs[0]))
+		}
+	}
+	check("tombstoned")
+	for _, name := range []string{"ex", "ns"} {
+		if err := mustCollection(t, s, name).compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("compacted")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	check("reopened")
+}
+
+// mustCollection returns the named collection of s.
+func mustCollection(t *testing.T, s *Server, name string) *Collection {
+	t.Helper()
+	c, ok := s.Collection(name)
+	if !ok {
+		t.Fatalf("no collection %q", name)
+	}
+	return c
+}
+
+// newestSegment returns the bytes of the newest checkpoint segment in a
+// collection's directory.
+func newestSegment(t *testing.T, dir string) []byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := ""
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, "segment-") && strings.HasSuffix(name, ".seg") && name > newest {
+			newest = name // zero-padded sequence numbers sort as they count
+		}
+	}
+	if newest == "" {
+		t.Fatalf("no segment in %s", dir)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, newest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }

@@ -281,9 +281,9 @@ func TestPrecisionSpecValidation(t *testing.T) {
 }
 
 // TestPrecisionStatsAndMetrics: /stats carries the precision and the
-// per-tier resident vector bytes — a normscan shard's norm-sorted copy,
-// base and tail run, included under its own precision — and /metrics
-// exposes the same as a labeled gauge.
+// per-tier resident vector bytes — a normscan shard's norm-sorted runs,
+// base and tail, its only copy of its rows, under its own precision — and
+// /metrics exposes the same as a labeled gauge.
 func TestPrecisionStatsAndMetrics(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -295,10 +295,9 @@ func TestPrecisionStatsAndMetrics(t *testing.T) {
 	if _, _, err := s.Ingest("plain", nil, 2, recs); err != nil {
 		t.Fatal(err)
 	}
-	// Two batches, so the second is each shard's tail run. Its sorted
-	// copy is sized to its rows; the truth store's open chunk doubled to
-	// take it — 15 rows a shard, then 5 more, are 30 rows of capacity,
-	// 1.5× the rows held.
+	// Two batches, so the second is each shard's tail run. Both runs are
+	// sized to their rows, and there is no store-order copy beside them:
+	// the shard holds each row once, 8·d bytes.
 	for _, batch := range [][]store.Record{recs[:30], recs[30:]} {
 		if _, _, err := s.Ingest("ns64", &IndexSpec{Kind: KindNormScan}, 2, batch); err != nil {
 			t.Fatal(err)
@@ -320,7 +319,7 @@ func TestPrecisionStatsAndMetrics(t *testing.T) {
 	}
 	check("plain", PrecisionF64, map[string]int64{PrecisionF64: elems * 8})
 	check("qi8", PrecisionI8, map[string]int64{PrecisionF64: elems * 8, PrecisionI8: elems})
-	check("ns64", PrecisionF64, map[string]int64{PrecisionF64: elems*3/2*8 + elems*8}) // the truth rows and their sorted copy
+	check("ns64", PrecisionF64, map[string]int64{PrecisionF64: elems * 8})
 
 	var sb strings.Builder
 	writeMetrics(&sb, s, nil)
@@ -328,7 +327,7 @@ func TestPrecisionStatsAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		`ipsd_collection_vector_bytes{collection="qi8",precision="int8"} ` + itoa(elems),
 		`ipsd_collection_vector_bytes{collection="plain",precision="f64"} ` + itoa(elems*8),
-		`ipsd_collection_vector_bytes{collection="ns64",precision="f64"} ` + itoa(elems*3/2*8+elems*8),
+		`ipsd_collection_vector_bytes{collection="ns64",precision="f64"} ` + itoa(elems*8),
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("/metrics missing %q", want)

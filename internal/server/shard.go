@@ -49,7 +49,9 @@ type shard struct {
 // swap). dead marks tombstoned rows (nil until the first delete — the
 // zero-tombstone fast paths key off that). An upsert tombstones the old
 // row and appends the new one, so an ID can appear in ids twice; the
-// later row is the live one.
+// later row is the live one. A normscan shard keeps no store: fs is nil,
+// and its index's norm-sorted view holds the rows, the only copy (see
+// row).
 type shardSnap struct {
 	ids   []int
 	fs    *flat.Store
@@ -74,24 +76,65 @@ func (s *shard) rowIndex(sn *shardSnap) map[int]int {
 	return s.rows
 }
 
-// packLive copies the snapshot's live rows, in row order, into a fresh
-// store sized for exactly them, and returns it with their ids — the
-// compaction's repack; reads (joins included) go through the dead set.
-func (sn *shardSnap) packLive() ([]int, *flat.Store, error) {
-	live := sn.fs.Len() - sn.dead.Count()
-	ids := make([]int, 0, live)
-	rows := make([]vec.Vector, 0, live)
+// row returns the snapshot's row i (a local, store-order index): from fs,
+// or on a normscan shard through its norm-sorted view's inverse
+// permutation. Rows are immutable once published, so the view aliases
+// them and callers must not mutate it.
+func (sn *shardSnap) row(i int) vec.Vector {
+	if sn.fs == nil {
+		return sn.index.(*flatIndex).view.Row(i)
+	}
+	return sn.fs.Row(i)
+}
+
+// dim returns the snapshot's row dimension; a snapshot holding no rows
+// may report 0.
+func (sn *shardSnap) dim() int {
+	switch ix, ok := sn.index.(*flatIndex); {
+	case sn.fs != nil:
+		return sn.fs.Dim()
+	case ok:
+		return ix.view.Dim()
+	}
+	return 0
+}
+
+// compacted returns the snapshot with its dead rows dropped and the live
+// ones renumbered in row order, unpublished, its index built anew — an
+// alsh one as an extend of hashes, so it hashes as before. A normscan
+// shard's norm-sorted runs drop their dead rows in one merge (no sort);
+// every other kind repacks its live rows into a fresh store sized for
+// exactly them.
+func (sn *shardSnap) compacted(spec IndexSpec, hashes *lsh.Index) (*shardSnap, error) {
+	ids := make([]int, 0, len(sn.ids)-sn.dead.Count())
+	var rows []vec.Vector
 	for i, id := range sn.ids {
 		if !sn.dead.Dead(i) {
 			ids = append(ids, id)
-			rows = append(rows, sn.fs.Row(i))
+			if sn.fs != nil {
+				rows = append(rows, sn.fs.Row(i))
+			}
 		}
 	}
-	nfs, err := flat.New(sn.fs.Dim())
-	if err != nil {
-		return nil, nil, err
+	if sn.fs == nil {
+		var index ShardIndex = emptyIndex{}
+		if len(ids) > 0 {
+			index = &flatIndex{view: sn.index.(*flatIndex).view.Compact(sn.dead)}
+		}
+		return &shardSnap{ids: ids, index: index}, nil
 	}
-	return ids, nfs, nfs.AppendAll(rows)
+	fs, err := flat.New(sn.fs.Dim())
+	if err != nil {
+		return nil, err
+	}
+	if err := fs.AppendAll(rows); err != nil {
+		return nil, err
+	}
+	index, err := buildShardIndex(spec, fs, hashes)
+	if err != nil {
+		return nil, err
+	}
+	return &shardSnap{ids: ids, fs: fs, index: index}, nil
 }
 
 func newShard(id int, builds *indexBuilds) *shard {
@@ -157,7 +200,8 @@ type shardWrite struct {
 // appended. ids and store grow from the current ones, sharing their
 // rows, and the index follows — extended by the batch where the engine
 // can (see nextIndex), rebuilt over the grown store otherwise — an alsh
-// one under hashes, the collection's hash functions. sp, the write's
+// one under hashes, the collection's hash functions; a normscan shard has
+// no store, and its index grows by the batch alone. sp, the write's
 // index_build span, learns which, and how many rows the write had to
 // copy. A write that appends nothing shares the store and ids and only
 // re-masks the index; one that changes nothing returns nil. Only a kill
@@ -168,13 +212,9 @@ type shardWrite struct {
 // unreachable bytes past the current snapshot's length.
 func (s *shard) prepare(spec IndexSpec, hashes *lsh.Index, w shardWrite, sp *trace.Span) (*shardSnap, error) {
 	return s.build(func(old *shardSnap) (*shardSnap, error) {
-		nfs, err := appendStore(old.fs, w.vs)
-		if err != nil {
-			return nil, err
-		}
 		dead := old.dead
 		if len(w.kill) > 0 || dead.Count() > 0 {
-			dead = old.dead.Grow(len(old.ids) + len(w.ids)) // nfs's rows
+			dead = old.dead.Grow(len(old.ids) + len(w.ids)) // the next snapshot's rows
 		}
 		for _, id := range w.kill {
 			if r, ok := s.rowIndex(old)[id]; ok {
@@ -190,7 +230,7 @@ func (s *shard) prepare(spec IndexSpec, hashes *lsh.Index, w shardWrite, sp *tra
 		if dead.Count() == 0 {
 			dead = nil // keep the zero-tombstone fast paths
 		}
-		index, err := s.nextIndex(spec, hashes, old, nfs, dead, sp)
+		index, nfs, err := s.nextIndex(spec, hashes, old, w.vs, dead, sp)
 		if err != nil {
 			return nil, err
 		}
@@ -198,41 +238,53 @@ func (s *shard) prepare(spec IndexSpec, hashes *lsh.Index, w shardWrite, sp *tra
 	})
 }
 
-// nextIndex returns the index over nfs — old's store plus appended
-// rows — masked by dead. Engines whose structure over the old rows
-// stays valid extend it by the new rows (exact at every precision: the
-// store is the index, and the int8 mirror converts only what it lacks;
-// alsh hashes only the new rows; normscan sorts the batch and merges it
-// into a copy of its second run, the rows appended since its last full
-// sort, and sorts everything afresh — a rebuild — once that run would
-// reach a chunk). The mask is derived from old's where the engine can:
-// a normscan shard patches its permuted dead set (see flatIndex.dead).
-// sp counts the shard under extend or rebuild and records rows_copied:
-// the rows of the next snapshot, in whichever tier copied most, that do
-// not share memory with the current one. The collection's counters get
-// the same two facts, traced or not.
-func (s *shard) nextIndex(spec IndexSpec, hashes *lsh.Index, old *shardSnap, nfs *flat.Store, dead *flat.Tombstones, sp *trace.Span) (ShardIndex, error) {
+// nextIndex returns the index over old's rows and vs appended behind
+// them, masked by dead, and the store it keeps them in — nil on a
+// normscan shard, whose norm-sorted view is the only copy of its rows.
+// Engines whose structure over the old rows stays valid extend it by the
+// new rows (exact at every precision: the store is the index, and the
+// int8 mirror converts only what it lacks; alsh hashes only the new rows;
+// normscan sorts the batch and merges it into a copy of its second run,
+// the rows appended since its last fold, and once that run would reach a
+// chunk merges both runs and the batch into one — a rebuild, but no
+// sort). The mask is derived from old's where the engine can: a normscan
+// shard patches its permuted dead set (see flatIndex.dead). sp counts the
+// shard under extend or rebuild and records rows_copied: the rows of the
+// next snapshot, in whichever tier copied most, that do not share memory
+// with the current one. The collection's counters get the same two facts,
+// traced or not.
+func (s *shard) nextIndex(spec IndexSpec, hashes *lsh.Index, old *shardSnap, vs []vec.Vector, dead *flat.Tombstones, sp *trace.Span) (ShardIndex, *flat.Store, error) {
 	// spec and hashes are only read on the rebuild path: a collection's
 	// spec and hash functions never change once a row is in, so an index
-	// being extended was built under them and this shard's overfetch, and
-	// inherits them.
+	// being extended was built under them and inherits them.
 	var index ShardIndex
-	copied := nfs.Len() - nfs.SharedRows(old.fs)
-	switch prev := old.index.(type) {
-	case *flatIndex:
-		if next, tierCopied := prev.extend(nfs); next != nil {
-			index, copied = next, max(copied, tierCopied)
+	var nfs *flat.Store
+	var copied int
+	rebuilt := false
+	if spec.kind() == KindNormScan {
+		index, copied, rebuilt = extendNormScan(old.index, vs)
+	} else {
+		var err error
+		if nfs, err = appendStore(old.fs, vs); err != nil {
+			return nil, nil, err
 		}
-	case *alshIndex:
-		index, copied = prev.extend(nfs)
+		copied = nfs.Len() - nfs.SharedRows(old.fs)
+		switch prev := old.index.(type) {
+		case *flatIndex:
+			next, tierCopied := prev.extend(nfs)
+			index, copied = next, max(copied, tierCopied)
+		case *alshIndex:
+			index, copied = prev.extend(nfs)
+		default:
+			rebuilt, copied = true, nfs.Len()
+			if index, err = buildShardIndex(spec, nfs, hashes); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
 	how := "extend"
-	if index == nil {
-		how, copied = "rebuild", nfs.Len()
-		var err error
-		if index, err = buildShardIndex(spec, nfs, hashes); err != nil {
-			return nil, err
-		}
+	if rebuilt {
+		how = "rebuild"
 	}
 	sp.SetInt(how, 1)
 	sp.SetInt("rows_copied", int64(copied))
@@ -240,29 +292,20 @@ func (s *shard) nextIndex(spec IndexSpec, hashes *lsh.Index, old *shardSnap, nfs
 	if dead.Count() > 0 {
 		index = index.withDead(dead, old)
 	}
-	return index, nil
+	return index, nfs, nil
 }
 
 // prepareCompact builds — but does not publish — the fully-compacted
-// snapshot: live rows repacked into a fresh store, no tombstones, and
-// the index rebuilt over the compact store (row numbers change, so this
-// is the one write that cannot extend) — an alsh one as an extend of
-// hashes, so it hashes as before. Returns nil when the shard has no
+// snapshot (shardSnap.compacted): no tombstones, the live rows
+// renumbered and the index built anew (row numbers change, so this is
+// the one write that cannot extend). Returns nil when the shard has no
 // tombstones.
 func (s *shard) prepareCompact(spec IndexSpec, hashes *lsh.Index) (*shardSnap, error) {
 	return s.build(func(old *shardSnap) (*shardSnap, error) {
 		if old.dead.Count() == 0 {
 			return nil, nil
 		}
-		nids, nfs, err := old.packLive()
-		if err != nil {
-			return nil, err
-		}
-		index, err := buildShardIndex(spec, nfs, hashes)
-		if err != nil {
-			return nil, err
-		}
-		return &shardSnap{ids: nids, fs: nfs, index: index}, nil
+		return old.compacted(spec, hashes)
 	})
 }
 
@@ -271,9 +314,6 @@ func (s *shard) prepareCompact(spec IndexSpec, hashes *lsh.Index) (*shardSnap, e
 // readers, not copied — plus the new ones. A nil old store adopts the
 // batch's dimension.
 func appendStore(old *flat.Store, vs []vec.Vector) (*flat.Store, error) {
-	if len(vs) == 0 {
-		return old, nil
-	}
 	var nfs *flat.Store
 	var err error
 	if old == nil {

@@ -92,8 +92,8 @@ type CollectionStats struct {
 	Index       string `json:"index"`
 	Precision   string `json:"precision"`
 	// VectorBytes is the resident vector payload by storage precision:
-	// the f64 truth rows every collection retains — with a normscan
-	// collection's norm-sorted copy — plus the int8 codes of an int8
+	// the f64 rows every collection holds once — a normscan collection's
+	// in its norm-sorted runs — plus the int8 codes of an int8
 	// collection. Counts cover physical rows (live + tombstoned).
 	VectorBytes map[string]int64 `json:"vector_bytes"`
 	Queries     int64            `json:"queries"`

@@ -29,7 +29,8 @@ const flatChunkRows = 1024
 // plus at most one chunk of each touched shard — the open chunk, or a
 // normscan shard's tail run — whatever the collection holds. The
 // exceptions: a normscan shard on the write that brings the rows
-// appended since its last sort to a chunk, which re-sorts it whole; an
+// appended since its last fold to a chunk, which folds them, its first
+// run and the batch into one run, copying it whole; an
 // int8 batch that raises the quantization scale; and alsh, which hashes
 // only the batch but copies the ids of every bucket table of a touched
 // shard — an extend whose rows_copied is the shard, and says so.
@@ -63,9 +64,9 @@ func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 		spec := tc.spec
 		indexBuildAttrs(t, ts, http.MethodPut, path, IngestRequest{Index: &spec, Records: recs(0, n, 1)})
 		// unsorted[si]: rows appended to shard si since a normscan index
-		// last sorted it (the ingest above did). The merge cadence is the
-		// contract: a shard rebuilds on exactly the write that brings this
-		// to a chunk, and extends on every other.
+		// last sorted or folded it (the ingest above sorted it). The fold
+		// cadence is the contract: a shard rebuilds on exactly the write
+		// that brings this to a chunk, and extends on every other.
 		var unsorted [shards]int
 		// held[si]: the rows shard si holds, dead ones included — what an
 		// alsh extend re-writes the bucket entries of.
@@ -170,7 +171,8 @@ func testUpsertAllocationIsBatchSized(t *testing.T, kind string) {
 // TestIndexBuildCountersWithoutTrace: the merge cadence of a normscan
 // shard — and any other write amplification — shows on /metrics with
 // tracing off: of 70 upserts of 16 rows into one shard, the 64th brings
-// the tail run to a chunk and rebuilds, the other 69 extend.
+// the tail run to a chunk and rebuilds — folds it into the base run —
+// the other 69 extend.
 func TestIndexBuildCountersWithoutTrace(t *testing.T) {
 	s := New(Config{DefaultShards: 1, CacheCapacity: -1, CompactFraction: -1})
 	defer s.Close()
