@@ -110,7 +110,7 @@ func (s *Store) Append(v vec.Vector) error {
 	}
 	row, norm := s.grow(1)
 	copy(row, v)
-	norm[0] = rowNorm(v)
+	norm[0] = RowNorm(v)
 	return nil
 }
 
@@ -135,7 +135,7 @@ func (s *Store) AppendAll(vs []vec.Vector) error {
 		rows, norms := s.grow(len(vs))
 		for i, v := range vs[:len(norms)] {
 			copy(rows[i*s.dim:], v)
-			norms[i] = rowNorm(v)
+			norms[i] = RowNorm(v)
 		}
 		vs = vs[len(norms):]
 	}
@@ -625,7 +625,16 @@ func f64Bound(qnorm float64, d int) float64 {
 // ulp.
 func f64Slack(d int) float64 { return float64(d+4) * 0x1p-1074 }
 
-// rowNorm is ‖v‖ as the norm bound needs it, for rows and queries
+// NormBound is the cut a norm-sorted scan makes for query q, for a caller
+// that walks rows by descending norm itself: a row p with
+// RowNorm(p)·bound < bar − slack cannot score bar or more against q,
+// signed or unsigned, so neither can any row after it; a row that could
+// tie bar is still reached.
+func NormBound(q vec.Vector) (bound, slack float64) {
+	return f64Bound(RowNorm(q), len(q)), f64Slack(len(q))
+}
+
+// RowNorm is ‖v‖ as the norm bound needs it, for rows and queries
 // alike: vec.Norm's bits when they are at least 2⁻⁵⁰⁰ (or NaN or +Inf).
 // Below that Σx² may have underflowed — to 0 for (1e-170, 0), whose
 // norm is 1e-170 — so it is summed again, by the same kernel, over v
@@ -633,7 +642,7 @@ func f64Slack(d int) float64 { return float64(d+4) * 0x1p-1074 }
 // [½, 1), as math.Hypot scales; a subnormal result that rounded down
 // is rounded up, as f64Bound rounds. A power-of-two scale is exact, so
 // where no square underflowed the two sums agree bit for bit.
-func rowNorm(v []float64) float64 {
+func RowNorm(v []float64) float64 {
 	n := vec.Norm(v)
 	if !(n < 0x1p-500) {
 		return n

@@ -18,7 +18,7 @@ import (
 //	crc    uint32   CRC-32C (Castagnoli) over everything above
 //
 // Norms are not stored: they are recomputed from the decoded floats by
-// the same rowNorm the append path uses, so a decoded store is
+// the same RowNorm the append path uses, so a decoded store is
 // bit-identical to one built by AppendAll over the same rows.
 
 var blockMagic = [8]byte{'F', 'L', 'A', 'T', 'B', 'L', 'K', '1'}
@@ -90,7 +90,7 @@ func DecodeStore(data []byte) (*Store, int, error) {
 			rows[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[(i*s.dim+j)*8:]))
 		}
 		for r := range norms {
-			norms[r] = rowNorm(rows[r*s.dim : (r+1)*s.dim])
+			norms[r] = RowNorm(rows[r*s.dim : (r+1)*s.dim])
 		}
 		i += len(norms)
 	}

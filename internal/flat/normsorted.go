@@ -76,14 +76,14 @@ func normOrder(norms []float64, from int) []normKey {
 
 // sortRows returns rows, store rows off, off+1, …, as a norm-sorted run
 // at physical offset off: a copy in (norm descending, index ascending)
-// order, each norm rowNorm's. Every row must have dimension d.
+// order, each norm RowNorm's. Every row must have dimension d.
 func sortRows(d, off int, rows []vec.Vector) run {
 	norms := make([]float64, len(rows))
 	for i, v := range rows {
 		if len(v) != d {
 			panic(fmt.Sprintf("flat: row %d has dimension %d, the view %d", off+i, len(v), d))
 		}
-		norms[i] = rowNorm(v)
+		norms[i] = RowNorm(v)
 	}
 	keys := normOrder(norms, off)
 	re := newStore(d)
@@ -328,7 +328,7 @@ type NormSorted struct {
 
 // NewNormSorted builds the reordered view in O(n·d): every row of s in
 // one run (View.Extend adds the second). Each row's norm is recomputed
-// by rowNorm, which is how s cached it.
+// by RowNorm, which is how s cached it.
 func NewNormSorted(s *Store) *NormSorted {
 	return &NormSorted{View{run: sortRows(s.dim, 0, s.Rows())}}
 }

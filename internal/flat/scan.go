@@ -243,7 +243,7 @@ func (s *sweep) bind(q vec.Vector, bq *query) {
 	s.bq = bq
 	s.t.bind(q, bq)
 	if s.Sorted() {
-		s.bound = f64Bound(rowNorm(q), s.Dim()) // Cauchy–Schwarz: ‖p‖·‖q‖ ≥ |pᵀq|
+		s.bound = f64Bound(RowNorm(q), s.Dim()) // Cauchy–Schwarz: ‖p‖·‖q‖ ≥ |pᵀq|
 	}
 }
 

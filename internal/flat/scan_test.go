@@ -1047,22 +1047,22 @@ func TestNormBoundUnderflow(t *testing.T) {
 	}
 }
 
-// TestRowNormKeepsNormalBits: rowNorm is vec.Norm wherever no square
+// TestRowNormKeepsNormalBits: RowNorm is vec.Norm wherever no square
 // underflows, and a bound at least the true norm where one does.
 func TestRowNormKeepsNormalBits(t *testing.T) {
 	rng := xrand.New(5)
 	for i := 0; i < 2000; i++ {
 		v := vec.Vector(rng.NormalVec(1 + i%40))
 		vec.Scale(v, math.Ldexp(1, i%1200-600)) // 2⁻⁶⁰⁰ … 2⁵⁹⁹
-		got, want := rowNorm(v), vec.Norm(v)
+		got, want := RowNorm(v), vec.Norm(v)
 		if vec.Norm(v) >= 0x1p-500 && math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%v: rowNorm %v, vec.Norm %v", v, got, want)
+			t.Fatalf("%v: RowNorm %v, vec.Norm %v", v, got, want)
 		}
 		// The same vector scaled into range, its norm scaled back.
 		e := 600 - i%1200
 		exact := math.Ldexp(vec.Norm(vec.Scale(slices.Clone(v), math.Ldexp(1, e))), -e)
 		if got < exact*(1-float64(len(v)+2)*0x1p-53) {
-			t.Fatalf("%v: rowNorm %v, under the norm %v", v, got, exact)
+			t.Fatalf("%v: RowNorm %v, under the norm %v", v, got, exact)
 		}
 	}
 	for _, c := range []struct {
@@ -1074,18 +1074,18 @@ func TestRowNormKeepsNormalBits(t *testing.T) {
 		{vec.Vector{5e-324}, 5e-324},
 		{vec.Vector{math.Inf(-1), 1e-200}, math.Inf(1)},
 	} {
-		if got := rowNorm(c.v); got != c.want {
-			t.Fatalf("rowNorm(%v) = %v, want %v", c.v, got, c.want)
+		if got := RowNorm(c.v); got != c.want {
+			t.Fatalf("RowNorm(%v) = %v, want %v", c.v, got, c.want)
 		}
 	}
 	// ‖(3, 4)·2⁻¹⁰⁷⁴‖ is 5·2⁻¹⁰⁷⁴ exactly; ‖(1, 1)·2⁻¹⁰⁷⁴‖ = √2·2⁻¹⁰⁷⁴
 	// rounds up to 2·2⁻¹⁰⁷⁴, not down to 2⁻¹⁰⁷⁴.
 	tiny := math.SmallestNonzeroFloat64
-	if got := rowNorm(vec.Vector{3 * tiny, 4 * tiny}); got != 5*tiny {
-		t.Fatalf("rowNorm((3, 4)·2⁻¹⁰⁷⁴) = %v, want %v", got, 5*tiny)
+	if got := RowNorm(vec.Vector{3 * tiny, 4 * tiny}); got != 5*tiny {
+		t.Fatalf("RowNorm((3, 4)·2⁻¹⁰⁷⁴) = %v, want %v", got, 5*tiny)
 	}
-	if got := rowNorm(vec.Vector{tiny, tiny}); got != 2*tiny {
-		t.Fatalf("rowNorm((1, 1)·2⁻¹⁰⁷⁴) = %v, want %v", got, 2*tiny)
+	if got := RowNorm(vec.Vector{tiny, tiny}); got != 2*tiny {
+		t.Fatalf("RowNorm((1, 1)·2⁻¹⁰⁷⁴) = %v, want %v", got, 2*tiny)
 	}
 }
 

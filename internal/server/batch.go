@@ -48,19 +48,22 @@ const searchTileQ = 32
 // searchState is the pooled per-request state of the executor.
 type searchState struct {
 	qstore *flat.Store
-	miss   []int        // the queries to scan, by index into the request
-	keys   []string     // their cache keys, when the cache is on
-	snaps  []*shardSnap // the pinned view's, read-only
+	miss   []int     // the queries to scan, by index into the request
+	keys   [][]byte  // their cache keys, when the cache is on, in keyBuf
+	keyBuf []byte    // the request's cache keys, back to back
+	view   *collView // the pinned view, read-only
 }
 
 var searchStatePool = sync.Pool{New: func() any { return new(searchState) }}
 
 func putSearchState(rs *searchState) {
-	// Drop the view so pooling does not pin retired shard data; keys
-	// keep their backing array (overwritten next use).
-	rs.snaps = nil
+	// Drop the view so pooling does not pin retired shard data; the key
+	// buffer keeps its backing array (overwritten next use).
+	rs.view = nil
 	rs.miss = rs.miss[:0]
+	clear(rs.keys)
 	rs.keys = rs.keys[:0]
+	rs.keyBuf = rs.keyBuf[:0]
 	searchStatePool.Put(rs)
 }
 
@@ -171,16 +174,18 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 	if cache != nil {
 		csp = tr.StartSpan("cache")
 	}
-	// Pin the published view once: the cache key and every shard scan
-	// read the same write.
+	// Pin the published view once: the cached answers and every shard
+	// scan read the same write.
 	view := c.view.Load()
-	version := view.version
+	rs.view = view
 	miss, keys := rs.miss[:0], rs.keys[:0]
 	for i := range queries {
 		if cache != nil {
 			qstart := time.Now()
-			key := cacheKey(c.name, c.gen, version, k, opts.Unsigned, queries[i])
-			if hits, ok := cache.get(key); ok {
+			at := len(rs.keyBuf)
+			rs.keyBuf = appendCacheKey(rs.keyBuf, c.name, c.gen, k, opts.Unsigned, queries[i])
+			key := rs.keyBuf[at:]
+			if hits, ok := c.cachedHits(cache, view, key, queries[i], k, opts.Unsigned); ok {
 				if qe != nil {
 					qe.CacheHit = true
 				}
@@ -229,7 +234,6 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 	for _, sh := range c.shards {
 		sh.queries.Add(int64(len(valid)))
 	}
-	rs.snaps = snaps
 	opts.K = clampK(k, snaps)
 
 	if dim == 0 {
@@ -239,7 +243,7 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 		empty := make([]Hit, 0)
 		for vi, i := range valid {
 			if cache != nil {
-				cache.put(c.name, vkeys[vi], empty)
+				cache.put(c.name, vkeys[vi], empty, view.version, view.epoch)
 			}
 			out[i] = SearchResult{Hits: empty, Explain: qe}
 			c.observeLatency(time.Since(start))
@@ -315,7 +319,7 @@ func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCac
 	// expired first fails before any shard sees it.
 	keys, err := c.hashQueries(ctx, &ts.keys, rs.qstore, tlo, thi, opts.Unsigned)
 	if err == nil {
-		err = scanTile(ctx, pool, rs.snaps, rs.qstore, ts, tlo, thi, k, TopKOpts{Unsigned: opts.Unsigned, Keys: keys}, ex)
+		err = scanTile(ctx, pool, rs.view.snaps, rs.qstore, ts, tlo, thi, k, TopKOpts{Unsigned: opts.Unsigned, Keys: keys}, ex)
 	}
 	ssp.End()
 	if err != nil {
@@ -338,7 +342,7 @@ func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCac
 		var hits []Hit
 		if cache != nil {
 			hits = ts.merge(j, tn, k, make([]Hit, 0, k))
-			cache.put(c.name, rs.keys[tlo+j], hits)
+			cache.put(c.name, rs.keys[tlo+j], hits, rs.view.version, rs.view.epoch)
 		} else {
 			hits = ts.merge(j, tn, k, arena)
 			arena = arena[:len(arena)+len(hits)]

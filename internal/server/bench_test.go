@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/store"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -84,6 +86,86 @@ func BenchmarkServerSearchSingle(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServerSearchCached prices the cache layer at small-hot's shape:
+// a 4-shard normscan collection of 20 000 × 16 latent-factor rows whose
+// norms spread by a lognormal of σ = 1, loaded 1 000 rows a write, with
+// the cache on, and one top-10 query of 256 per iteration. hit asks each
+// at the version its answer was cached at; revalidated after a 64-row
+// upsert (untimed) since, which replaces rows no answer held with fresh
+// rows of the same law, so the answer is brought forward across it —
+// kept/op is the share that was: a replaced row that entered an answer
+// and is replaced again, rounds later, makes its answer a miss; miss asks a query never seen, nudged by an
+// ulp, which is scanned and cached.
+func BenchmarkServerSearchCached(b *testing.B) {
+	const n, d, width = 20000, 16, 64
+	rng := xrand.New(1)
+	lf := dataset.NewLatentFactor(rng, n, 256, d, 1)
+	lf.ScaleItemsToUnitBall()
+	fresh := dataset.NewLatentFactor(rng, n, 1, d, 1)
+	fresh.ScaleItemsToUnitBall()
+	users := lf.Users
+	for _, cell := range []string{"hit", "revalidated", "miss"} {
+		b.Run(cell, func(b *testing.B) {
+			s := New(Config{DefaultShards: 4, CacheCapacity: 4096, CompactFraction: -1})
+			defer s.Close()
+			spec := IndexSpec{Kind: KindNormScan}
+			for lo := 0; lo < n; lo += 1000 {
+				if _, _, err := s.Ingest("bench", &spec, 0, records(lf.Items[lo:lo+1000], lo)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			held := make([]bool, n)
+			for _, u := range users {
+				res, err := s.Search("bench", []vec.Vector{u}, 10, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, h := range res[0].Hits {
+					held[h.ID] = true
+				}
+			}
+			var free []int // the rows no answer holds, to replace
+			for id, h := range held {
+				if !h {
+					free = append(free, id)
+				}
+			}
+			q := make(vec.Vector, d)
+			kept := s.cache.revalidated.Load()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % len(users)
+				switch {
+				case cell == "revalidated" && j == 0:
+					b.StopTimer()
+					recs := make([]store.Record, width)
+					for w := range recs {
+						at := (i/len(users)*width + w) % len(free)
+						recs[w] = store.Record{ID: free[at], Vec: fresh.Items[at]}
+					}
+					if _, _, err := s.Upsert("bench", nil, 0, recs); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				case cell == "miss":
+					copy(q, users[j])
+					q[0] = math.Float64frombits(math.Float64bits(q[0]) + uint64(1+i/len(users))) // a new key each round
+				}
+				qs := users[j : j+1]
+				if cell == "miss" {
+					qs = []vec.Vector{q}
+				}
+				res, err := s.Search("bench", qs, 10, false)
+				if err != nil || res[0].Err != nil || cell != "revalidated" && res[0].Cached == (cell == "miss") {
+					b.Fatalf("%s: cached %v, %v %v", cell, res[0].Cached, err, res[0].Err)
+				}
+			}
+			b.ReportMetric(float64(s.cache.revalidated.Load()-kept)/float64(b.N), "kept/op")
+		})
+	}
 }
 
 // BenchmarkServerSearchBatch measures one request of every query (256, or

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +50,10 @@ type Collection struct {
 	// owning server's lifetime; it namespaces cache keys so entries
 	// from a dropped collection can never serve a same-name successor.
 	gen uint64
+	// keepNotes, set by a server whose cache is on for an exact or
+	// normscan collection before it takes a write, makes each write
+	// publish a note (see writeNote).
+	keepNotes bool
 	// seed is the collection's hashing seed, kept in its manifest.
 	seed uint64
 	// hashes is an alsh collection's one set of hash functions: an empty
@@ -69,6 +75,10 @@ type Collection struct {
 	nextID int
 	closed bool
 	log    *persist.Log // nil on an in-memory server
+	// notes is the published chain of write notes, oldest first, and
+	// noteUnits what they hold (writeNote.units), for the horizon cut.
+	notes     []*writeNote
+	noteUnits int
 
 	// compactFrac and compactMin gate background compaction: it runs
 	// when tombstoned rows reach compactMin and the given fraction of
@@ -262,16 +272,83 @@ func (c *Collection) admit(recs []store.Record) (int, error) {
 
 // collView is one published state of a collection: a snapshot per shard
 // and the version they make up — the count of applied mutations, which
-// keys the query cache. Immutable once published.
+// a cached answer is tagged with. Immutable once published, but for the
+// notes' prev links, which a later write may cut.
 type collView struct {
 	snaps   []*shardSnap
 	version uint64
+	// epoch counts compactions, which renumber the shards' rows (and
+	// leave the version be).
+	epoch uint64
+	// writes is the note of the write that made this version, chained
+	// newest first to those before it, back to the note horizon or the
+	// epoch's start; nil on a collection that keeps no notes.
+	writes *writeNote
+}
+
+// writeNote is what a cached exact answer needs of one write to be
+// brought forward across it (collView.bringForward): the IDs whose rows
+// it tombstoned and the rows it appended. Kept only by exact and normscan
+// collections of a server whose cache is on (Collection.keepNotes).
+type writeNote struct {
+	version uint64
+	killed  []int // sorted
+	// spans[si] is the store rows shard si appended, [lo, hi).
+	spans []rowSpan
+	// units is len(killed) plus the rows appended: what the horizon counts.
+	units int
+	prev  atomic.Pointer[writeNote]
+
+	// rows, built on first use (appended), is every appended row, by
+	// descending norm.
+	once sync.Once
+	rows []noteRow
+}
+
+type rowSpan struct{ lo, hi int }
+
+// noteRow is an appended row: its norm (flat.RowNorm) and where it lives.
+type noteRow struct {
+	norm       float64
+	shard, row int32
+}
+
+// touches reports whether the write tombstoned any of hits.
+func (n *writeNote) touches(hits []Hit) bool {
+	if len(n.killed) == 0 {
+		return false
+	}
+	for _, h := range hits {
+		if _, ok := slices.BinarySearch(n.killed, h.ID); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// appended returns the rows the write appended, by descending norm,
+// read on first use out of snaps — any view of the note's epoch from its
+// version on, all of which hold them at the same store rows. A row with a
+// NaN norm (a NaN element, so it scores NaN) sorts last.
+func (n *writeNote) appended(snaps []*shardSnap) []noteRow {
+	n.once.Do(func() {
+		rows := make([]noteRow, 0, n.units-len(n.killed))
+		for si, sp := range n.spans {
+			for r := sp.lo; r < sp.hi; r++ {
+				rows = append(rows, noteRow{norm: flat.RowNorm(snaps[si].row(r)), shard: int32(si), row: int32(r)})
+			}
+		}
+		slices.SortFunc(rows, func(a, b noteRow) int { return cmp.Compare(b.norm, a.norm) })
+		n.rows = rows
+	})
+	return n.rows
 }
 
 // publish makes the shards' committed snapshots, at version, the view
-// readers pin. Callers hold ingestMu, after a write's last shard commit.
-func (c *Collection) publish(version uint64) {
-	v := &collView{snaps: make([]*shardSnap, len(c.shards)), version: version}
+// readers pin, with writes as its notes. Callers hold ingestMu, after a
+// write's last shard commit.
+func (c *Collection) publish(version, epoch uint64, writes *writeNote) {
+	v := &collView{snaps: make([]*shardSnap, len(c.shards)), version: version, epoch: epoch, writes: writes}
 	for i, sh := range c.shards {
 		v.snaps[i] = sh.snap.Load()
 	}
@@ -279,19 +356,54 @@ func (c *Collection) publish(version uint64) {
 }
 
 // applied records a write that every shard has committed and the WAL
-// holds: the change in live records, then the next version's view.
-// A durable collection then compacts its WAL into a segment snapshot
-// once the log's tail outgrows the threshold, in the background (the
-// snapshot callback re-takes ingestMu for a coherent view). Callers
-// hold ingestMu.
-func (c *Collection) applied(liveDelta int) uint64 {
+// holds: the change in live records, then the next version's view, with
+// the write's note when the collection keeps them — killed names the IDs
+// it tombstoned. A durable collection then compacts its WAL into a
+// segment snapshot once the log's tail outgrows the threshold, in the
+// background (the snapshot callback re-takes ingestMu for a coherent
+// view). Callers hold ingestMu.
+func (c *Collection) applied(liveDelta int, killed []int) uint64 {
 	c.live.Add(int64(liveDelta))
-	version := c.Version() + 1
-	c.publish(version)
+	old := c.view.Load()
+	version := old.version + 1
+	c.publish(version, old.epoch, c.note(old, version, killed))
 	if c.log != nil {
 		c.log.MaybeCheckpoint(c.persistSnapshot)
 	}
 	return version
+}
+
+// note returns the note of the write that takes old to version, chained
+// to old's, or nil when the collection keeps none. Bringing an answer
+// across notes that hold more IDs and rows than the collection has live
+// rows would cost more than a scan, so the oldest notes are cut off the
+// chain until they do not: that is the note horizon. Callers hold
+// ingestMu, after the write's shard commits.
+func (c *Collection) note(old *collView, version uint64, killed []int) *writeNote {
+	if !c.keepNotes {
+		return nil
+	}
+	n := &writeNote{version: version, killed: slices.Sorted(slices.Values(killed)), spans: make([]rowSpan, len(c.shards))}
+	n.units = len(killed)
+	for si, sh := range c.shards {
+		n.spans[si] = rowSpan{len(old.snaps[si].ids), len(sh.snap.Load().ids)}
+		n.units += n.spans[si].hi - n.spans[si].lo
+	}
+	n.prev.Store(old.writes)
+	c.notes = append(c.notes, n)
+	c.noteUnits += n.units
+	drop := 0
+	for ; drop < len(c.notes) && c.noteUnits > int(c.live.Load()); drop++ {
+		c.noteUnits -= c.notes[drop].units
+	}
+	if drop > 0 {
+		clear(c.notes[:drop])
+		if c.notes = c.notes[drop:]; len(c.notes) == 0 {
+			return nil
+		}
+		c.notes[0].prev.Store(nil)
+	}
+	return n
 }
 
 // release drops the IDs a failed write reserved from the live set.
@@ -337,7 +449,7 @@ func newCollection(name string, spec IndexSpec, nshards int, seed uint64) (*Coll
 	for i := range c.shards {
 		c.shards[i] = newShard(i, &c.builds)
 	}
-	c.publish(0)
+	c.publish(0, 0, nil)
 	return c, nil
 }
 
@@ -422,7 +534,7 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 	}
 	c.dim.Store(int64(dim)) // fixed by the first write, the same ever after
 	c.setAttrs(assigned)
-	return c.applied(len(assigned)), nil
+	return c.applied(len(assigned), nil), nil
 }
 
 // sampleHashes samples an alsh collection's hash functions for vectors
@@ -599,7 +711,7 @@ func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, e
 	}
 	c.dim.Store(int64(dim))
 	c.setAttrs(recs)
-	version := c.applied(len(reserved))
+	version := c.applied(len(reserved), kill)
 	c.maybeCompact()
 	return version, nil
 }
@@ -642,7 +754,7 @@ func (c *Collection) Delete(ids []int) (uint64, int, error) {
 		delete(c.seenIDs, id)
 		delete(c.attrs, id)
 	}
-	version := c.applied(-len(present))
+	version := c.applied(-len(present), present)
 	c.maybeCompact()
 	return version, len(present), nil
 }
@@ -707,7 +819,11 @@ func (c *Collection) compact() error {
 			c.shards[si].commit(snap, true)
 		}
 	}
-	c.publish(c.Version()) // the same records: the version stands
+	// The same records: the version stands, the rows are renumbered, so
+	// the notes go.
+	old := c.view.Load()
+	c.notes, c.noteUnits = nil, 0
+	c.publish(old.version, old.epoch+1, nil)
 	c.ingestMu.Unlock()
 	c.compactions.Add(1)
 	// The segment write reuses the checkpointer's rotate/retain

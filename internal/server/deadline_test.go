@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -180,7 +181,8 @@ func countHashes(t *testing.T, c *Collection, d int) *hashCounter {
 		sh.commit(&shardSnap{ids: snap.ids, fs: snap.fs, index: index}, false)
 	}
 	c.ingestMu.Lock()
-	c.publish(c.Version())
+	v := c.view.Load()
+	c.publish(v.version, v.epoch, v.writes)
 	c.ingestMu.Unlock()
 	return h
 }
@@ -838,9 +840,10 @@ func TestHTTPBodyLimit413(t *testing.T) {
 }
 
 // TestMetricsEndpoint exercises GET /metrics: the Prometheus text
-// content type, per-route HTTP histograms and status counts, and the
-// per-collection query/admission/timeout series, all reflecting the
-// traffic the test just generated.
+// content type, per-route HTTP histograms and status counts, the
+// per-collection query/admission/timeout series and the cache's
+// revalidation outcomes, all reflecting the traffic the test just
+// generated.
 func TestMetricsEndpoint(t *testing.T) {
 	s := New(Config{DefaultShards: 2, CacheCapacity: 64, MaxInflight: 1, MaxQueue: 0})
 	defer s.Close()
@@ -866,6 +869,26 @@ func TestMetricsEndpoint(t *testing.T) {
 	doJSON(t, ts, http.MethodPost, "/collections/met/search",
 		SearchRequest{Q: queries[2], K: 2, Unsigned: true}, nil)
 	c.adm.exit()
+	// In process, on a second collection: an answer cached, its hits
+	// rewritten, then searched again — a touched revalidation.
+	aux := seedKind(t, s, "aux", KindExact, 20, 8, 1)
+	res, err := s.Search("aux", aux, 2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac, _ := s.Collection("aux")
+	var rewrite []store.Record
+	for _, r := range ac.records() {
+		if slices.ContainsFunc(res[0].Hits, func(h Hit) bool { return h.ID == r.ID }) {
+			rewrite = append(rewrite, r)
+		}
+	}
+	if _, _, err := s.Upsert("aux", nil, 0, rewrite); err != nil || len(rewrite) != 2 {
+		t.Fatalf("rewriting %d hits: %v", len(rewrite), err)
+	}
+	if res, err = s.Search("aux", aux, 2, true); err != nil || res[0].Cached {
+		t.Fatalf("search after the rewrite: cached %v, %v", res[0].Cached, err)
+	}
 
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
@@ -887,6 +910,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"ipsd_uptime_seconds ",
 		"ipsd_pool_workers ",
 		"ipsd_cache_hits_total 1",
+		"# HELP ipsd_cache_invalidations_total Query cache entries dropped by alsh writes and collection drops.",
+		`ipsd_cache_revalidations_total{outcome="kept"} 0`,
+		`ipsd_cache_revalidations_total{outcome="touched"} 1`,
+		`ipsd_cache_revalidations_total{outcome="expired"} 0`,
 		"ipsd_http_inflight ",
 		`ipsd_http_requests_total{route="search",code="2xx"} 2`,
 		`ipsd_http_requests_total{route="search",code="4xx"} 1`,

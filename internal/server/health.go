@@ -294,7 +294,7 @@ func newQuarantined(name, dir string, fsys errfs.FS, reason string) *Collection 
 		quarDir: dir,
 		fsys:    fsys,
 	}
-	c.publish(0) // the empty view: /stats and /metrics still render it
+	c.publish(0, 0, nil) // the empty view: /stats and /metrics still render it
 	c.setHealth(HealthQuarantined, reason)
 	return c
 }

@@ -260,7 +260,9 @@ type IngestRequest struct {
 	Records []RecordJSON `json:"records"`
 }
 
-// IngestResponse reports the ingest outcome.
+// IngestResponse reports the ingest outcome. Invalidated counts the
+// cached answers the write dropped: an alsh collection's; other kinds
+// bring theirs forward across the write and drop none.
 type IngestResponse struct {
 	Collection  string `json:"collection"`
 	Appended    int    `json:"appended"`
@@ -406,7 +408,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 }
 
 // UpsertResponse reports an upsert outcome. Records is the live count
-// after the batch (replacements don't grow it, inserts do).
+// after the batch (replacements don't grow it, inserts do); Invalidated
+// is as in IngestResponse.
 type UpsertResponse struct {
 	Collection  string `json:"collection"`
 	Upserted    int    `json:"upserted"`
@@ -423,7 +426,7 @@ type DeleteVectorsRequest struct {
 
 // DeleteVectorsResponse reports a delete outcome. Deleted counts the
 // records actually removed (unknown IDs are no-ops); Records is the
-// live count afterwards.
+// live count afterwards; Invalidated is as in IngestResponse.
 type DeleteVectorsResponse struct {
 	Collection  string `json:"collection"`
 	Deleted     int    `json:"deleted"`

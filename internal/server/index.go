@@ -5,8 +5,8 @@
 // built from a selectable engine (exact scan, norm-pruned MIPS scan, or
 // §4.1 ALSH). Queries run as tiles — a single query is a tile of one —
 // that scan every shard and k-way-merge the per-shard top-k lists, on a
-// worker pool, and results are memoized in an LRU cache invalidated on
-// ingest. The §4.3 sketch is not served: it sums its rows, so it can
+// worker pool, and results are memoized in an LRU cache whose exact
+// answers are brought forward across writes (cache.go). The §4.3 sketch is not served: it sums its rows, so it can
 // neither mask a tombstone nor extend by a write (ips.SketchJoin and
 // cmd/ipsjoin run it).
 package server

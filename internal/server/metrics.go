@@ -270,9 +270,14 @@ func writeMetrics(w io.Writer, s *Server, hm *httpMetrics) {
 	fmt.Fprintf(w, "# HELP ipsd_cache_misses_total Query cache misses.\n")
 	fmt.Fprintf(w, "# TYPE ipsd_cache_misses_total counter\n")
 	fmt.Fprintf(w, "ipsd_cache_misses_total %d\n", s.cache.misses.Load())
-	fmt.Fprintf(w, "# HELP ipsd_cache_invalidations_total Query cache entries dropped by writes.\n")
+	fmt.Fprintf(w, "# HELP ipsd_cache_invalidations_total Query cache entries dropped by alsh writes and collection drops.\n")
 	fmt.Fprintf(w, "# TYPE ipsd_cache_invalidations_total counter\n")
 	fmt.Fprintf(w, "ipsd_cache_invalidations_total %d\n", s.cache.invalidations.Load())
+	fmt.Fprintf(w, "# HELP ipsd_cache_revalidations_total Cached exact answers of an earlier version looked up: kept (brought forward across the writes since, a hit), touched (a write since removed one of their hits) or expired (their writes lie past the note horizon, or a compaction came between).\n")
+	fmt.Fprintf(w, "# TYPE ipsd_cache_revalidations_total counter\n")
+	fmt.Fprintf(w, "ipsd_cache_revalidations_total{outcome=\"kept\"} %d\n", s.cache.revalidated.Load())
+	fmt.Fprintf(w, "ipsd_cache_revalidations_total{outcome=\"touched\"} %d\n", s.cache.touched.Load())
+	fmt.Fprintf(w, "ipsd_cache_revalidations_total{outcome=\"expired\"} %d\n", s.cache.expired.Load())
 	fmt.Fprintf(w, "# HELP ipsd_cache_size Query cache entries resident.\n")
 	fmt.Fprintf(w, "# TYPE ipsd_cache_size gauge\n")
 	fmt.Fprintf(w, "ipsd_cache_size %d\n", s.cache.len())

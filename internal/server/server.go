@@ -423,9 +423,9 @@ func (s *Server) Drop(name string) (bool, error) {
 		delete(s.dropping, name)
 		s.mu.Unlock()
 	}()
-	// Dropping must invalidate cached results: a successor collection
-	// with the same name restarts versions at 0, which would otherwise
-	// revive stale entries keyed under the old life's versions.
+	// Dropping invalidates cached results: a same-name successor never
+	// reads them (its incarnation keys its own), but they would sit in
+	// the LRU until evicted.
 	s.cache.invalidate(name)
 	c.close()
 	return true, c.removeLog()
@@ -582,8 +582,10 @@ func (s *Server) EnsureCollection(name string, spec *IndexSpec, shards int) (*Co
 
 // configureCompaction applies the server's compaction and admission
 // knobs to a freshly built collection (both the create and the
-// recovery path).
+// recovery path), and has it keep write notes where the cache brings
+// answers forward.
 func (s *Server) configureCompaction(c *Collection) {
+	c.keepNotes = s.cache.enabled() && c.spec.kind() != KindALSH
 	if s.cfg.CompactFraction != 0 {
 		c.compactFrac = s.cfg.CompactFraction
 	}
@@ -650,9 +652,10 @@ func (s *Server) createLog(name string, sp IndexSpec, shards int, seed uint64) (
 }
 
 // Ingest appends records into the named collection (creating it on
-// first use), then explicitly invalidates the collection's cached
-// query results. It returns the new version and the number of cache
-// entries dropped.
+// first use). It returns the new version and the number of cache
+// entries dropped: an exact or normscan collection's cached answers are
+// brought forward across the write when next looked up, so only an alsh
+// write drops any (see queryCache).
 func (s *Server) Ingest(name string, spec *IndexSpec, shards int, recs []store.Record) (version uint64, invalidated int, err error) {
 	return s.IngestCtx(context.Background(), name, spec, shards, recs)
 }
@@ -669,14 +672,22 @@ func (s *Server) IngestCtx(ctx context.Context, name string, spec *IndexSpec, sh
 	if err != nil {
 		return 0, 0, err
 	}
-	return version, s.cache.invalidate(name), nil
+	return version, s.invalidateALSH(c), nil
+}
+
+// invalidateALSH drops an alsh collection's cached answers after a write
+// and returns how many; other kinds keep theirs.
+func (s *Server) invalidateALSH(c *Collection) int {
+	if c.spec.kind() != KindALSH {
+		return 0
+	}
+	return s.cache.invalidate(c.name)
 }
 
 // Upsert inserts or replaces records by ID in the named collection
-// (creating it on first use), then invalidates the collection's cached
-// query results — a cached hit list may contain a record this batch
-// just replaced. Returns the new version and the number of cache
-// entries dropped.
+// (creating it on first use). Returns the new version and the number of
+// cache entries dropped, as Ingest: a cached exact answer holding a
+// record this batch replaced is rescanned when next looked up.
 func (s *Server) Upsert(name string, spec *IndexSpec, shards int, recs []store.Record) (version uint64, invalidated int, err error) {
 	return s.UpsertCtx(context.Background(), name, spec, shards, recs)
 }
@@ -691,14 +702,15 @@ func (s *Server) UpsertCtx(ctx context.Context, name string, spec *IndexSpec, sh
 	if err != nil {
 		return 0, 0, err
 	}
-	return version, s.cache.invalidate(name), nil
+	return version, s.invalidateALSH(c), nil
 }
 
-// Delete removes records by ID from the named collection and
-// invalidates its cached query results, so a cached hit can never
-// return a tombstoned ID. Unknown IDs are no-ops; deleted reports how
-// many records were actually removed. Deleting from an unknown
-// collection is an error.
+// Delete removes records by ID from the named collection. A cached
+// answer never returns a tombstoned ID: an exact one holding a deleted
+// record is rescanned when next looked up, and an alsh write drops its
+// collection's entries (invalidated counts them, as Ingest). Unknown IDs
+// are no-ops; deleted reports how many records were actually removed.
+// Deleting from an unknown collection is an error.
 func (s *Server) Delete(name string, ids []int) (version uint64, deleted, invalidated int, err error) {
 	c, ok := s.Collection(name)
 	if !ok {
@@ -708,7 +720,7 @@ func (s *Server) Delete(name string, ids []int) (version uint64, deleted, invali
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	return version, deleted, s.cache.invalidate(name), nil
+	return version, deleted, s.invalidateALSH(c), nil
 }
 
 // SearchResult is one query's outcome within a batch.
@@ -729,7 +741,8 @@ type SearchResult struct {
 // tile of one. A request of one tile scans its shards in parallel on the
 // worker pool, a larger one runs its tiles there. A query's answer does
 // not depend on the batch it came in. Results are served from / stored
-// into the LRU cache keyed by the collection version observed at entry.
+// into the LRU cache at the collection version pinned at entry; an exact
+// answer cached at an earlier version is brought forward to it.
 func (s *Server) Search(name string, queries []vec.Vector, k int, unsigned bool) ([]SearchResult, error) {
 	return s.SearchCtx(context.Background(), name, queries, k, unsigned)
 }
@@ -835,11 +848,13 @@ func (s *Server) Stats() Stats {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Workers:       s.pool.Workers(),
 		Cache: CacheStats{
-			Capacity:      s.cfg.CacheCapacity,
-			Size:          s.cache.len(),
-			Hits:          s.cache.hits.Load(),
-			Misses:        s.cache.misses.Load(),
-			Invalidations: s.cache.invalidations.Load(),
+			Capacity:           s.cfg.CacheCapacity,
+			Size:               s.cache.len(),
+			Hits:               s.cache.hits.Load(),
+			Misses:             s.cache.misses.Load(),
+			Invalidations:      s.cache.invalidations.Load(),
+			Revalidated:        s.cache.revalidated.Load(),
+			RevalidationMisses: s.cache.touched.Load() + s.cache.expired.Load(),
 		},
 		Collections: make(map[string]CollectionStats, len(cols)),
 		Joins:       s.joins.Load(),

@@ -276,22 +276,23 @@ func TestCacheHitAndInvalidation(t *testing.T) {
 		t.Fatal("repeat search missed the cache")
 	}
 
-	// Ingest a dominating vector; the cache must be invalidated and the
-	// fresh answer must surface the new record.
+	// Ingest a dominating vector; an exact collection's cache keeps its
+	// entry, and the answer brought forward across the write must surface
+	// the new record.
 	big := vec.Scaled(vec.Normalized(q[0]), 100)
 	_, invalidated, err := s.Ingest("c", nil, 0, []store.Record{{ID: 999, Vec: big}})
 	if err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
-	if invalidated == 0 {
-		t.Fatal("ingest invalidated no cache entries")
+	if invalidated != 0 {
+		t.Fatalf("an exact ingest invalidated %d cache entries", invalidated)
 	}
 	third, err := s.Search("c", q, 3, false)
 	if err != nil {
 		t.Fatalf("search: %v", err)
 	}
-	if third[0].Cached {
-		t.Fatal("post-ingest search served a stale cache entry")
+	if !third[0].Cached {
+		t.Fatal("post-ingest search did not bring the cached answer forward")
 	}
 	if third[0].Hits[0].ID != 999 {
 		t.Fatalf("post-ingest top hit %d, want 999", third[0].Hits[0].ID)

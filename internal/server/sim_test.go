@@ -445,7 +445,7 @@ func (r *simRun) apply(i int, op simOp) {
 			r.checkPlanted()
 		}
 		if last, ok := r.last[op.col]; ok {
-			r.checkSearch(last) // no cached answer survives a write
+			r.checkSearch(last) // a cached answer is brought forward across the write, or dropped
 		}
 	}
 }

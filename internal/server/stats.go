@@ -113,13 +113,21 @@ type CollectionStats struct {
 	Shards        []ShardStats `json:"shards"`
 }
 
-// CacheStats describes the query cache in /stats.
+// CacheStats describes the query cache in /stats. Hits count the
+// answers served from it, Revalidated the part of them brought forward
+// from an earlier version across the writes since. RevalidationMisses
+// are the misses on an earlier exact answer that could not be: a write
+// since removed one of its hits, its writes lie past the note horizon,
+// or a compaction came between. Invalidations count the entries alsh
+// writes and drops removed.
 type CacheStats struct {
-	Capacity      int   `json:"capacity"`
-	Size          int   `json:"size"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Invalidations int64 `json:"invalidations"`
+	Capacity           int   `json:"capacity"`
+	Size               int   `json:"size"`
+	Hits               int64 `json:"hits"`
+	Misses             int64 `json:"misses"`
+	Invalidations      int64 `json:"invalidations"`
+	Revalidated        int64 `json:"revalidated"`
+	RevalidationMisses int64 `json:"revalidation_misses"`
 }
 
 // Stats is the full /stats payload.
