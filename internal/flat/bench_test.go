@@ -57,7 +57,7 @@ func BenchmarkFlatTopK(b *testing.B) {
 		b.Fatal(err)
 	}
 	ns := NewNormSorted(s)
-	// The same rows as a write leaves them: the last 512 a tail run.
+	// The same rows with the last 512 in a run of their own.
 	tailed := extendTo(NewNormSorted(prefixOf(s, n-chunkRows/2)).View, s, n)
 	q := vec.Vector(rng.NormalVec(d))
 	b.Run("flat", func(b *testing.B) {
@@ -88,11 +88,12 @@ func BenchmarkFlatTopK(b *testing.B) {
 	})
 }
 
-// BenchmarkFlatNormSortedExtend measures a normscan write's index work:
-// 16 rows onto a norm-sorted view of n whose tail run is half full, and
-// /masked with 16 deaths, the dead set gathered from the last write's.
-// ns/op and B/op must not scale with n
-// (TestNormSortedExtendCostIsBatchSized holds the ratio under 2).
+// BenchmarkFlatNormSortedExtend measures a normscan write's index work,
+// amortized over a sequence of 1 024 writes of 16 rows onto a
+// norm-sorted view of n — the merges of every run of the stack and the
+// folds into the base run included — and /masked with 16 deaths a write,
+// the dead set gathered from the last write's. B/op must stay within
+// TestNormSortedExtendCostIsBatchSized's O(n/64 + batch·log n) bound.
 func BenchmarkFlatNormSortedExtend(b *testing.B) {
 	for _, n := range []int{5000, 40000} {
 		for _, masked := range []bool{false, true} {
@@ -101,7 +102,7 @@ func BenchmarkFlatNormSortedExtend(b *testing.B) {
 				name += "/masked"
 			}
 			b.Run(name, func(b *testing.B) {
-				write := normWrite(b, n, 16, masked)
+				write := normWrites(b, n, 16, 1024, masked)
 				b.ReportAllocs()
 				for b.Loop() {
 					write()

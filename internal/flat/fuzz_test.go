@@ -406,13 +406,14 @@ func FuzzDot32Range(f *testing.F) {
 	})
 }
 
-// FuzzNormRuns holds a two-run norm-sorted view to the store-order scan
-// of the same rows (checkRuns: Scan and ScanMulti, hits and counts) on
-// fuzzed rows, queries, split point, dead set and k, and both views
-// under per-query floors (Acc.SetFloor) to the store-order top k at or
-// above them, never scoring more rows than without. It then holds the
-// merges to sorting afresh (checkSortedRuns): the two runs, the view
-// compacted by the dead set, and the view folded by a chunk-sized batch. raw decodes as
+// FuzzNormRuns holds a norm-sorted view of up to three runs, swept in
+// one order by leading norm, to the store-order scan of the same rows
+// (checkRuns: Scan and ScanMulti, hits and counts) on fuzzed rows,
+// queries, split point, dead set and k, and both views under per-query
+// floors (Acc.SetFloor) to the store-order top k at or above them, never
+// scoring more rows than without. It then holds the merges to sorting
+// afresh (checkSortedRuns): the runs, the view compacted by the dead
+// set, and the view folded by a chunk-sized batch. raw decodes as
 // float64 bit patterns — NaNs, infinities, subnormals and values whose
 // squares underflow stay: the sort, the norms and the cut must cope —
 // read cyclically to fill three queries and the rows; each query's floor
@@ -498,12 +499,13 @@ func FuzzNormRuns(f *testing.F) {
 			checkRuns(t, tier.name, v, ref, qs, qs.Len(), o, dead, floors)
 			checkRuns(t, tier.name+" store order", ref, ref, qs, qs.Len(), o, dead, floors)
 		}
-		// Merge equals sort: the two-run view, compacted by dead, and
+		// Merge equals sort: the stacked view, compacted by dead, and
 		// folded by a chunk's batch of its own rows again (ties with
-		// every row), is each time what sorting its rows afresh gives.
+		// every row; the base run, at most 1 500 rows, holds under 4× the
+		// merged rows), is each time what sorting its rows afresh gives.
 		rows := fs.Rows()
 		v := extendTo(SortRows(rows[:n-tailLen]), fs, n-tailLen/2, n)
-		checkSortedRuns(t, "two runs", v, rows, qs, o, dead)
+		checkSortedRuns(t, "runs", v, rows, qs, o, dead)
 		if live := liveRows(rows, dead); len(live) > 0 {
 			checkSortedRuns(t, "compacted", v.Compact(dead), live, qs, o, nil)
 		}
@@ -520,15 +522,17 @@ func FuzzNormRuns(f *testing.F) {
 }
 
 // FuzzNormTail drives a norm-sorted view through fuzzed writes as a
-// normscan shard does: each Extends the view by a batch of rows (folding
-// its tail into the base run when that would reach a chunk), kills or
-// revives rows, and gathers the dead set from the previous write's
+// normscan shard does: each Extends the view by a batch of rows (pushing
+// it as a run, merging it with the newest runs or folding them all into
+// the base run, by the 4× rule checkStack holds it to), kills or revives
+// rows, and gathers the dead set from the previous write's
 // (GatherDeadSince) — nil while no row is dead. Rows are drawn from
 // normPalette: ties, zeros, NaN, ±Inf, subnormals and values whose
 // squares underflow; a store holds them in store order, the reference.
-// After every write both runs are what sorting their rows afresh gives —
-// rows, norms, ids and inverse permutation, by their bits
-// (checkSortedRuns) — and the dead set is GatherDead's, count included; a
+// After every write every run is what sorting its rows afresh gives —
+// rows, norms, ids and inverse permutation, by their bits — and the
+// sweep order a stable sort of the blocks by leading norm
+// (checkSortedRuns), and the dead set is GatherDead's, count included; a
 // view held at some write answers as the store-order scan did then, and
 // keeps its answers and row order to the end. ops is read a byte per
 // write: its low two bits pick the write (append a few rows, append many,
@@ -601,20 +605,12 @@ func FuzzNormTail(f *testing.F) {
 				}
 				fs = grown
 				dead = append(dead, make([]bool, size)...)
+				tails := slices.Clone(v.tails)
 				ext, copied, folded := v.Extend(batch)
-				tail := fs.Len() - v.t.Len()
-				switch {
-				case size == 0:
-					if copied != 0 || folded {
-						t.Fatalf("write %d: an empty Extend copied %d rows (folded %v)", w, copied, folded)
-					}
-				case folded != (tail >= chunkRows):
-					t.Fatalf("write %d: Extend to %d rows over a base of %d folded=%v", w, fs.Len(), v.t.Len(), folded)
-				case folded && copied != fs.Len():
-					t.Fatalf("write %d: a fold copied %d rows, want all %d", w, copied, fs.Len())
-				case !folded && (copied != tail || ext.t != v.t):
-					t.Fatalf("write %d: Extend copied %d rows (base shared: %v), want the %d past the base run", w, copied, ext.t == v.t, tail)
+				if size == 0 && (copied != 0 || folded) {
+					t.Fatalf("write %d: an empty Extend copied %d rows (folded %v)", w, copied, folded)
 				}
+				checkStack(t, fmt.Sprintf("write %d", w), v, ext, tails, copied, folded)
 				next = ext
 			case 2: // kill size rows
 				for range size {

@@ -7,6 +7,8 @@
 // its store index through each run's inverse permutation (View.Row), four
 // bytes a row. Every run is built by sorting once (sortRows) or by merging
 // runs already in key order (mergeRuns), which gives the same rows.
+// Writes stack runs by the logarithmic method (Bentley and Saxe, J.
+// Algorithms 1980; the LSM-tree, O'Neil et al. 1996; see Extend).
 package flat
 
 import (
@@ -14,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -188,18 +191,18 @@ func SortRows(vs []vec.Vector) View {
 	return View{run: sortRows(len(vs[0]), 0, vs)}
 }
 
+// stackRatio: each run holds ≥ 4× the next one's rows, so n rows make ≤ ⌊log₄ n⌋ + 1 runs.
+const stackRatio = 4
+
 // Extend returns the norm-sorted view of v's rows and vs behind them in
 // the store order — store rows v.Len() on — for v a norm-sorted view,
 // which keeps serving; vs must have v's dimension (Extend panics
-// otherwise, as Dot does). Only the batch is sorted, and copied counts
-// the rows the result does not share with v. While the tail run stays
-// under chunkRows rows, ext shares v's base run and one pass merges the
-// sorted batch into a copy of the tail run (mergeRuns): the cost is the
-// batch and one copy of the tail, not how many rows v holds. Once the
-// tail would reach chunkRows, the base run, the tail run and the batch
-// merge into a new base run instead — folded, every row copied, and
-// nothing sorted but the batch. Either way each run is row for row what
-// sorting its rows afresh gives (sortRows, NewNormSorted).
+// otherwise, as Dot does). Only the batch is sorted, into a run, and one
+// pass (mergeRuns) merges it with v's newest runs while the run below
+// holds fewer than stackRatio times the merged rows; the runs below are
+// shared. copied is the merged run's rows — amortized, O(log n) per row
+// written — and folded reports that the base run joined the merge. Each
+// run is row for row what sorting its rows afresh gives (sortRows).
 func (v View) Extend(vs []vec.Vector) (ext View, copied int, folded bool) {
 	if !v.Sorted() {
 		panic("flat: Extend of a store-order view")
@@ -207,18 +210,53 @@ func (v View) Extend(vs []vec.Vector) (ext View, copied int, folded bool) {
 	if len(vs) == 0 {
 		return v, 0, false
 	}
-	d, n, base := v.Dim(), v.Len(), v.t.Len()
-	batch := sortRows(d, n, vs)
-	if n+len(vs)-base >= chunkRows {
-		all := mergeRuns(d, 0, nil, v.run, v.tail, batch)
-		return View{run: all}, all.len(), true
+	runs := v.runs()
+	keep, rows := len(runs), len(vs) // runs[:keep] stay; rows: the merged run's
+	for keep > 0 && runs[keep-1].len() < stackRatio*rows {
+		keep--
+		rows += runs[keep].len()
 	}
-	tail := batch
-	if v.tail.len() > 0 {
-		tail = mergeRuns(d, base, nil, v.tail, batch)
+	merged := sortRows(v.Dim(), v.Len(), vs)
+	if keep < len(runs) {
+		merged = mergeRuns(v.Dim(), runs[keep].off, nil, append(runs[keep:], merged)...)
 	}
-	return View{run: v.run, tail: tail}, tail.len(), false
+	if keep == 0 {
+		return View{run: merged}, merged.len(), true
+	}
+	// Capped, so the append copies and the runs merged stay unreachable.
+	ext = View{run: v.run, tails: append(runs[1:keep:keep], merged)}
+	ext.order = v.mergeOrder(keep, merged)
+	return ext, merged.len(), false
 }
+
+// runs returns v's runs, the base run first.
+func (v View) runs() []run { return append([]run{v.run}, v.tails...) }
+
+// mergeOrder returns the sweep order of v's runs [0, keep) and merged as
+// run keep: v's order less the runs merged away, merged's blocks merged
+// in by leading norm, ties to the earlier run — a stable sort.
+func (v View) mergeOrder(keep int, merged run) []blockRef {
+	order := make([]blockRef, 0, v.blocks()+merged.len()/blockRows+1)
+	at := 0 // merged's next block
+	for i := range v.blocks() {
+		b, r, start, _ := v.blockAt(i)
+		if int(b.run) >= keep {
+			continue // merged away
+		}
+		lead := keyOf(r.norms.at(start), 0)
+		for ; at < merged.len() && keyOf(merged.norms.at(at), 0).less(lead); at += blockRows {
+			order = append(order, blockRef{int32(keep), int32(at)})
+		}
+		order = append(order, b)
+	}
+	for ; at < merged.len(); at += blockRows {
+		order = append(order, blockRef{int32(keep), int32(at)})
+	}
+	return order
+}
+
+// Runs returns how many runs v sweeps: 1 on a store-order view.
+func (v View) Runs() int { return 1 + len(v.tails) }
 
 // Compact returns the norm-sorted view of v's rows that dead, a set over
 // store-order rows, does not mark, renumbered 0, 1, … in store order, in
@@ -240,17 +278,24 @@ func (v View) Compact(dead *Tombstones) View {
 		renumber[i] = live
 		live++
 	}
-	return View{run: mergeRuns(v.Dim(), 0, renumber, v.run, v.tail)}
+	return View{run: mergeRuns(v.Dim(), 0, renumber, v.runs()...)}
+}
+
+// runOf returns the run holding store row i.
+func (v *View) runOf(i int) *run {
+	for j := len(v.tails) - 1; j >= 0; j-- {
+		if i >= v.tails[j].off {
+			return &v.tails[j]
+		}
+	}
+	return &v.run
 }
 
 // Row returns store row i of an f64 view as a vector view aliasing its
 // storage — on a norm-sorted view the physical row its run's inverse
 // permutation names. Callers must not mutate it.
 func (v View) Row(i int) vec.Vector {
-	r := v.run
-	if v.tail.len() > 0 && i >= v.tail.off {
-		r = v.tail
-	}
+	r := v.runOf(i)
 	if r.pos != nil {
 		i = int(r.pos[i-r.off])
 	}
@@ -258,46 +303,57 @@ func (v View) Row(i int) vec.Vector {
 }
 
 // Unpruned returns v swept whole: the same rows in the same physical
-// order, but with no norm bound to end a run early — the Θ(nd) sweep an
-// exact join asks of a norm-sorted view. It is for scanning only.
+// order, but with no norm bound to end a sweep early — the Θ(nd) sweep
+// an exact join asks of a norm-sorted view. It is for scanning only.
 func (v View) Unpruned() View {
-	v.norms, v.tail.norms = nil, nil
+	v.norms, v.tails = nil, slices.Clone(v.tails) // v's slice is published
+	for i := range v.tails {
+		v.tails[i].norms = nil
+	}
 	return v
 }
 
 // GatherDead returns dead, a set over store-order rows, as v's scans
 // want it (ScanOpts.Dead): in physical order — every row looked up
-// through both runs' maps — on a norm-sorted view, as it is otherwise.
+// through its run's map — on a norm-sorted view, as it is otherwise.
 // A write that has the previous snapshot's gathered set calls
 // GatherDeadSince instead.
 func (v View) GatherDead(dead *Tombstones) *Tombstones {
 	if !v.Sorted() {
 		return dead
 	}
-	return dead.Gather(v.ids, v.tail.ids)
+	var perm [][]int
+	for _, r := range v.runs() {
+		perm = append(perm, r.ids)
+	}
+	return dead.Gather(perm...)
 }
 
 // GatherDeadSince returns v.GatherDead(dead) from the set gathered for
 // an earlier view: gathered is prev.GatherDead(was), prev being v or a
-// view v was extended from. When the two share their base run and dead
-// keeps every base row was marks, the base run's words are copied from
-// gathered, each base row dead newly marks is placed by the run's inverse
-// permutation, and only the tail run is gathered: n/64 words, the new
-// deaths and the tail, and nothing O(n) per row. Any other case (a
-// folded base, no earlier set, a revived row) gathers in full.
+// view v was extended from. When dead keeps every row was marks, the
+// words of the leading runs both views hold are copied from gathered,
+// each of their rows dead newly marks is placed by its run's inverse
+// permutation, and only the runs behind them are gathered: n/64 words,
+// the new deaths and the newest runs. Any other case (a folded base, no
+// earlier set, a revived row) gathers in full.
 func (v View) GatherDeadSince(dead *Tombstones, prev View, was, gathered *Tombstones) *Tombstones {
-	base := v.t.Len()
 	if !v.Sorted() || dead == nil || was == nil || gathered == nil || v.t != prev.t {
 		return v.GatherDead(dead)
 	}
+	same, shared := 0, v.len() // tails[:same] are prev's too; shared: their rows and the base run's
+	for same < len(v.tails) && same < len(prev.tails) && v.tails[same].t == prev.tails[same].t {
+		shared += v.tails[same].len()
+		same++
+	}
 	out := NewTombstones(v.Len())
-	words := (base + 63) >> 6
+	words := (shared + 63) >> 6
 	copy(out.bits.W[:words], gathered.bits.W[:words])
-	out.count = gathered.count - gathered.DeadIn(base, prev.Len())
+	out.count = gathered.count - gathered.DeadIn(shared, prev.Len())
 	for w := range words {
 		mask := ^uint64(0)
-		if w == words-1 && base&63 != 0 {
-			mask = 1<<(base&63) - 1
+		if w == words-1 && shared&63 != 0 {
+			mask = 1<<(shared&63) - 1
 		}
 		then, now := was.bits.W[w]&mask, dead.bits.W[w]&mask
 		if then&^now != 0 {
@@ -305,12 +361,16 @@ func (v View) GatherDeadSince(dead *Tombstones, prev View, was, gathered *Tombst
 		}
 		out.bits.W[w] &= mask
 		for killed := now &^ then; killed != 0; killed &= killed - 1 {
-			out.Kill(int(v.pos[w<<6+bits.TrailingZeros64(killed)]))
+			i := w<<6 + bits.TrailingZeros64(killed)
+			r := v.runOf(i)
+			out.Kill(r.off + int(r.pos[i-r.off]))
 		}
 	}
-	for p, i := range v.tail.ids {
-		if dead.Dead(i) {
-			out.Kill(base + p)
+	for _, r := range v.tails[same:] {
+		for p, i := range r.ids {
+			if dead.Dead(i) {
+				out.Kill(r.off + p)
+			}
 		}
 	}
 	return out
@@ -327,7 +387,7 @@ type NormSorted struct {
 }
 
 // NewNormSorted builds the reordered view in O(n·d): every row of s in
-// one run (View.Extend adds the second). Each row's norm is recomputed
+// one run (View.Extend adds more). Each row's norm is recomputed
 // by RowNorm, which is how s cached it.
 func NewNormSorted(s *Store) *NormSorted {
 	return &NormSorted{View{run: sortRows(s.dim, 0, s.Rows())}}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/vec"
@@ -38,30 +39,31 @@ func paletteRows(rng *xrand.RNG, n, d int, earlier []vec.Vector) []vec.Vector {
 }
 
 // checkSortedRuns holds the norm-sorted view v over rows (store order) to
-// the view sorting afresh gives — rows[:base] sorted into the base run
-// and the rest into the tail run, by sortRows, which NewNormSorted and
-// SortRows run — bit for bit: ids, inverse permutation, norms and rows,
-// and View.Row(i) to rows[i]; and its ScanMulti over qs under o, dead
-// gathered in each view's order, to the sorted view's: hits, scanned rows
-// per query and stats.
+// the view sorting afresh gives — each run's rows sorted by sortRows,
+// which NewNormSorted and SortRows run, and every block of every run in
+// a stable sort by leading norm — bit for bit: each run's ids, inverse
+// permutation, norms and rows, the sweep order, and View.Row(i) to
+// rows[i]; and its ScanMulti over qs under o, dead gathered in each
+// view's order, to the sorted view's: hits, scanned rows per query and
+// stats.
 func checkSortedRuns(t testing.TB, cell string, v View, rows []vec.Vector, qs *Store, o ScanOpts, dead *Tombstones) {
 	t.Helper()
 	if !v.Sorted() || v.Len() != len(rows) {
 		t.Fatalf("%s: a view of %d rows (sorted %v) over %d", cell, v.Len(), v.Sorted(), len(rows))
 	}
-	d, base := v.Dim(), v.t.Len()
-	want := View{run: sortRows(d, 0, rows[:base])}
-	if base < len(rows) {
-		want.tail = sortRows(d, base, rows[base:])
+	d := v.Dim()
+	want := View{run: sortRows(d, 0, rows[:v.len()])}
+	for _, r := range v.tails {
+		if r.len() == 0 || r.off != want.Len() {
+			t.Fatalf("%s: a run of %d rows from %d behind %d rows", cell, r.len(), r.off, want.Len())
+		}
+		want.tails = append(want.tails, sortRows(d, r.off, rows[r.off:r.off+r.len()]))
 	}
-	for ri, pair := range [2][2]run{{v.run, want.run}, {v.tail, want.tail}} {
-		got, ref := pair[0], pair[1]
-		if got.len() != ref.len() || got.len() > 0 && got.off != ref.off {
-			t.Fatalf("%s: run %d holds %d rows from %d, sorting afresh %d from %d", cell, ri, got.len(), got.off, ref.len(), ref.off)
-		}
-		if got.len() == 0 {
-			continue
-		}
+	if len(want.tails) > 0 {
+		want.order = stableOrder(want)
+	}
+	for ri, got := range v.runs() {
+		ref := want.runs()[ri]
 		if p := slices.Compare(got.ids, ref.ids); p != 0 {
 			for p = 0; got.ids[p] == ref.ids[p]; p++ {
 			}
@@ -79,6 +81,9 @@ func checkSortedRuns(t testing.TB, cell string, v View, rows []vec.Vector, qs *S
 				t.Fatalf("%s: run %d row %d is %v, sorting afresh %v", cell, ri, p, gs.Row(p), rs.Row(p))
 			}
 		}
+	}
+	if got := sweepOrder(t, cell, v); !slices.Equal(got, stableOrder(v)) {
+		t.Fatalf("%s: sweep order %v, by leading norm %v", cell, got, stableOrder(v))
 	}
 	for i, r := range rows {
 		if !slices.Equal(bitsOf(v.Row(i)), bitsOf(r)) {
@@ -114,6 +119,101 @@ func checkSortedRuns(t testing.TB, cell string, v View, rows []vec.Vector, qs *S
 	}
 }
 
+// sweepOrder returns the blocks v sweeps, in order: its order, or a
+// single run's blocks in physical order — what a nil order means, and
+// only on a view of one run.
+func sweepOrder(t testing.TB, cell string, v View) []blockRef {
+	t.Helper()
+	if v.order != nil {
+		return v.order
+	}
+	if len(v.tails) > 0 {
+		t.Fatalf("%s: a view of %d runs with no sweep order", cell, v.Runs())
+	}
+	return runBlocks(0, v.len())
+}
+
+// runBlocks returns the blocks of run ri, n rows, in physical order.
+func runBlocks(ri int32, n int) []blockRef {
+	var out []blockRef
+	for start := 0; start < n; start += blockRows {
+		out = append(out, blockRef{ri, int32(start)})
+	}
+	return out
+}
+
+// stableOrder returns every block of every run of v, in run, then row,
+// order, stable-sorted by leading norm, descending, NaN first: the sweep
+// order a norm-sorted view must keep.
+func stableOrder(v View) []blockRef {
+	var out []blockRef
+	for ri, r := range v.runs() {
+		out = append(out, runBlocks(int32(ri), r.len())...)
+	}
+	runs := v.runs()
+	lead := func(b blockRef) normKey { return keyOf(runs[b.run].norms.at(int(b.start)), 0) }
+	sort.SliceStable(out, func(i, j int) bool { return lead(out[i]).less(lead(out[j])) })
+	return out
+}
+
+// checkStack holds ext, what prev.Extend returned with copied and
+// folded, to the run stack's rules: every run holds at least 4× the rows
+// of the run after it, so there are at most ⌊log₄ n⌋ + 1; a fold leaves
+// one run of every row and copied all of them, otherwise ext keeps the
+// base run and prev's runs but the ones merged, untouched, and copied is
+// the newest run's rows; the tails slice holds nothing past its length;
+// and prev's runs are as they were (prevTails, cloned before the Extend).
+func checkStack(t testing.TB, cell string, prev, ext View, prevTails []run, copied int, folded bool) {
+	t.Helper()
+	runs := ext.runs()
+	for i := 1; i < len(runs); i++ {
+		if runs[i-1].len() < stackRatio*runs[i].len() {
+			t.Fatalf("%s: run %d holds %d rows, the run after it %d", cell, i-1, runs[i-1].len(), runs[i].len())
+		}
+	}
+	most := 1 // ⌊log₄ n⌋ + 1
+	for m := ext.Len(); m >= stackRatio; m /= stackRatio {
+		most++
+	}
+	if len(runs) > most {
+		t.Fatalf("%s: %d runs over %d rows", cell, len(runs), ext.Len())
+	}
+	for _, r := range ext.tails[len(ext.tails):cap(ext.tails)] {
+		if r.t != nil || r.ids != nil || r.norms != nil || r.pos != nil {
+			t.Fatalf("%s: the tails slice keeps a run of %d rows past its length", cell, r.len())
+		}
+	}
+	if len(prev.tails) != len(prevTails) {
+		t.Fatalf("%s: the extended view's runs changed", cell)
+	}
+	for i, r := range prev.tails {
+		if r.t != prevTails[i].t || r.off != prevTails[i].off {
+			t.Fatalf("%s: the extended view's run %d changed", cell, i+1)
+		}
+	}
+	newest := runs[len(runs)-1]
+	switch {
+	case folded:
+		if len(runs) != 1 || copied != ext.Len() {
+			t.Fatalf("%s: a fold left %d runs and copied %d of %d rows", cell, len(runs), copied, ext.Len())
+		}
+	case copied == 0:
+		if ext.Len() != prev.Len() {
+			t.Fatalf("%s: %d rows added, none copied", cell, ext.Len()-prev.Len())
+		}
+	default:
+		kept := len(ext.tails) - 1
+		if ext.t != prev.t || kept > len(prev.tails) || copied != newest.len() || newest.off+newest.len() != ext.Len() {
+			t.Fatalf("%s: Extend copied %d rows into a newest run of %d", cell, copied, newest.len())
+		}
+		for i := range kept {
+			if ext.tails[i].t != prev.tails[i].t {
+				t.Fatalf("%s: run %d of %d kept was rebuilt", cell, i+1, kept)
+			}
+		}
+	}
+}
+
 // bitsOf returns v's elements' bits, so NaN rows compare equal.
 func bitsOf(v vec.Vector) []uint64 {
 	out := make([]uint64, len(v))
@@ -136,12 +236,13 @@ func liveRows(rows []vec.Vector, dead *Tombstones) []vec.Vector {
 }
 
 // TestNormSortedMergeEqualsSort drives a norm-sorted view through random
-// sequences of Extend by small and large batches — tails merged, and
-// folded into the base run once they would reach a chunk — and Compact
-// under random dead sets, on rows of ties, NaN, ±Inf, subnormals and
-// underflowing squares. After every step the view must be, bit for bit,
-// what sorting its rows afresh gives (checkSortedRuns), and a view held
-// from an earlier step must keep its rows and answers.
+// sequences of Extend by small and large batches — runs pushed, merged
+// and folded into the base run (checkStack) — and Compact under random
+// dead sets, on rows of ties, NaN, ±Inf, subnormals and underflowing
+// squares. After every step the view must be, bit for bit, what sorting
+// its runs' rows afresh gives, its sweep order a stable sort of their
+// blocks by leading norm (checkSortedRuns), and a view held from an
+// earlier step must keep its rows and answers.
 func TestNormSortedMergeEqualsSort(t *testing.T) {
 	for _, d := range []int{1, 3, 16} {
 		for seed := uint64(1); seed <= 4; seed++ {
@@ -159,18 +260,18 @@ func TestNormSortedMergeEqualsSort(t *testing.T) {
 				switch op := rng.Intn(6); {
 				case op < 3: // a write's batch
 					batch := paletteRows(rng, 1+rng.Intn(64), d, rows)
+					tails := slices.Clone(v.tails)
 					ext, copied, folded := v.Extend(batch)
-					tail := len(rows) + len(batch) - v.t.Len()
-					if folded != (tail >= chunkRows) || folded && copied != len(rows)+len(batch) || !folded && (copied != tail || ext.t != v.t) {
-						t.Fatalf("%s: Extend by %d onto a tail of %d: folded=%v copied=%d", cell, len(batch), v.tail.len(), folded, copied)
-					}
+					checkStack(t, cell, v, ext, tails, copied, folded)
 					if folded {
 						folds++
 					}
 					v, rows = ext, append(slices.Clip(rows), batch...)
 				case op < 5: // a bulk load: hundreds of rows, often a fold
 					batch := paletteRows(rng, 65+rng.Intn(600), d, rows)
-					ext, _, folded := v.Extend(batch)
+					tails := slices.Clone(v.tails)
+					ext, copied, folded := v.Extend(batch)
+					checkStack(t, cell, v, ext, tails, copied, folded)
 					if folded {
 						folds++
 					}
@@ -197,5 +298,56 @@ func TestNormSortedMergeEqualsSort(t *testing.T) {
 				t.Logf("d=%d seed=%d: %d folds, %d compactions", d, seed, folds, compactions)
 			}
 		}
+	}
+}
+
+// TestNormStackInvariants drives a norm-sorted view through 600 writes of
+// 1 to 40 rows onto 3 000, stacks several runs deep, a few rows dying at
+// every write. After each Extend the stack keeps its rules (checkStack:
+// the 4× rule, at most ⌊log₄ n⌋ + 1 runs, nothing past the tails
+// slice's length, the runs kept untouched), its sweep order is the
+// stable sort of every block by leading norm, and the dead set patched
+// from the last write's (GatherDeadSince: the shared runs' words copied,
+// their new deaths placed through the runs' inverse permutations) is
+// GatherDead's; every 50 writes the view answers as sorting its runs
+// afresh does (checkSortedRuns).
+func TestNormStackInvariants(t *testing.T) {
+	const d, base, writes = 4, 3000, 600
+	rng := xrand.New(51)
+	rows := paletteRows(rng, base, d, nil)
+	qs, err := FromVectors(randomVecs(rng, 3, d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := SortRows(rows)
+	dead := NewTombstones(base)
+	gathered := v.GatherDead(dead)
+	deepest := 0
+	for w := range writes {
+		cell := fmt.Sprintf("write %d", w)
+		batch := paletteRows(rng, 1+rng.Intn(40), d, rows)
+		tails := slices.Clone(v.tails)
+		ext, copied, folded := v.Extend(batch)
+		checkStack(t, cell, v, ext, tails, copied, folded)
+		if got := sweepOrder(t, cell, ext); !slices.Equal(got, stableOrder(ext)) {
+			t.Fatalf("%s: sweep order %v, by leading norm %v", cell, got, stableOrder(ext))
+		}
+		rows = append(rows, batch...)
+		now := dead.Grow(len(rows))
+		for range 3 {
+			now.Kill(rng.Intn(len(rows)))
+		}
+		patched, want := ext.GatherDeadSince(now, v, dead, gathered), ext.GatherDead(now)
+		if patched.Count() != want.Count() || !slices.Equal(patched.bits.W, want.bits.W) {
+			t.Fatalf("%s: patched dead set (%d dead) is not GatherDead's (%d)", cell, patched.Count(), want.Count())
+		}
+		v, dead, gathered = ext, now, patched
+		deepest = max(deepest, v.Runs())
+		if w%50 == 49 {
+			checkSortedRuns(t, cell, v, rows, qs, ScanOpts{K: 7}, dead)
+		}
+	}
+	if deepest < 5 {
+		t.Fatalf("the stack never grew past %d runs", deepest)
 	}
 }

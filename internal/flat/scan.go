@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/vec"
@@ -61,7 +60,7 @@ type ScanStats struct {
 	// cut.
 	ScannedRows int
 	// PrunedBlocks counts blocks never evaluated because the
-	// descending-norm Cauchy–Schwarz bound ended their run first.
+	// descending-norm Cauchy–Schwarz bound ended the sweep first.
 	PrunedBlocks int
 	// SkippedBlocks counts blocks skipped because every row in them was
 	// tombstoned.
@@ -100,7 +99,7 @@ type tier interface {
 
 // tiler is the optional multi-query kernel, what lets ScanMulti sweep
 // the rows once for a tile of queries. bindTile readies query rows
-// [qlo, qhi) of qs for offerTile, once per run; offerTile scores the
+// [qlo, qhi) of qs for offerTile, once per sweep; offerTile scores the
 // tile qs[qlo : qlo+len(accs)] against rows [b.start, max(ends)) of b's
 // run in one pass and offers query j its rows [b.start, ends[j]),
 // leaving accs[j] as b.offer would over scoreBlock's scores. Store and
@@ -119,7 +118,7 @@ type query struct {
 	scale float64 // int8: store scale × query scale
 }
 
-// run is a stretch of rows swept as one: a store-order view's rows, or
+// run is a stretch of rows stored as one: a store-order view's rows, or
 // one norm-sorted run of a norm-sorted view's.
 type run struct {
 	t tier
@@ -142,22 +141,49 @@ type run struct {
 // indexes. A View is a small value; copies scan the same rows.
 //
 // A norm-sorted view owns its rows — the sorted copy is the only one it
-// needs — in one or two norm-sorted runs, each swept under its own
-// bound: the base run — a prefix of the store order, sorted once and
-// shared untouched by every view extended from it — and behind it in
-// the physical order the tail run, the rows appended since, sorted among
-// themselves (see Extend).
+// needs — in a stack of norm-sorted runs, each a stretch of the store
+// order sorted among itself: the base run, then the tails, each at least
+// stackRatio times the run after it (see Extend), and all swept in one
+// order by leading norm.
 type View struct {
-	run      // the rows in store order, or a norm-sorted view's base run
-	tail run // a norm-sorted view's tail run; the zero run when it has none
+	run         // the rows in store order, or a norm-sorted view's base run
+	tails []run // a norm-sorted view's later runs, in store order; never written once published
+	// order is the sweep order of a view of several runs: every block, a
+	// stable sort by leading norm, descending; nil: physical order.
+	order []blockRef
+}
+
+// blockRef is a row block: its run — 0 the base run, i tails[i-1] — and
+// its first row in that run.
+type blockRef struct{ run, start int32 }
+
+// blocks returns how many row blocks v sweeps.
+func (v *View) blocks() int {
+	if v.order != nil {
+		return len(v.order)
+	}
+	return (v.t.Len() + blockRows - 1) / blockRows
+}
+
+// blockAt returns block i of v's sweep order: its reference, its run and
+// the rows [start, end) of that run it holds.
+func (v *View) blockAt(i int) (b blockRef, r *run, start, end int) {
+	if b = (blockRef{0, int32(i * blockRows)}); v.order != nil {
+		b = v.order[i]
+	}
+	if r, start = &v.run, int(b.start); b.run > 0 {
+		r = &v.tails[b.run-1]
+	}
+	return b, r, start, min(start+blockRows, r.t.Len())
 }
 
 // Len returns the number of rows.
 func (v View) Len() int {
-	if v.tail.t == nil {
-		return v.t.Len()
+	n := v.t.Len()
+	for _, r := range v.tails {
+		n += r.len()
 	}
-	return v.t.Len() + v.tail.t.Len()
+	return n
 }
 
 // Dim returns the row dimension.
@@ -167,12 +193,13 @@ func (v View) Dim() int { return v.t.Dim() }
 func (v View) Sorted() bool { return v.ids != nil }
 
 // AllocatedBytes returns the bytes of row storage the view holds
-// allocated — on a norm-sorted view the physical copy, both runs.
+// allocated — on a norm-sorted view the physical copy, every run.
 func (v View) AllocatedBytes() int64 {
-	if v.tail.t == nil {
-		return v.t.AllocatedBytes()
+	n := v.t.AllocatedBytes()
+	for _, r := range v.tails {
+		n += r.t.AllocatedBytes()
 	}
-	return v.t.AllocatedBytes() + v.tail.t.AllocatedBytes()
+	return n
 }
 
 // maxScanWorkers returns the largest Workers value Scan can spend on
@@ -247,26 +274,20 @@ func (s *sweep) bind(q vec.Vector, bq *query) {
 	}
 }
 
-// all sweeps the view's rows into a, run by run; a true return is rows'.
-func (s *sweep) all(a *Acc, st *ScanStats, buf []float64) bool {
-	return s.rows(s.run, 0, s.t.Len(), a, st, buf) ||
-		s.tail.t != nil && s.rows(s.tail, 0, s.tail.t.Len(), a, st, buf)
-}
-
-// rows runs the blocked top-k scan over rows [lo, hi) of r in ascending
-// physical order, offering into a and counting into st. Scores are
+// rows runs the blocked top-k scan over blocks [lo, hi) of the view's
+// sweep order, offering into a and counting into st. Scores are
 // materialised blockRows at a time into buf, so the top-k bookkeeping
 // runs over a dense score slice instead of interleaving with the FP
 // pipeline, and the common row costs one multiply-add chain and one
-// compare. A norm-sorted run ends at the first block whose leading
-// (largest) norm cannot reach the bar — the k-th best hit, or a's floor
-// — and the block before it is cut at the first such row (see cut): no
-// later row of the run can enter, tombstoned or not, so exactness does
-// not depend on the bound — it only saves work. A true return means done
-// fired and the scan was abandoned; a is then partial and must be
-// discarded.
-func (s *sweep) rows(r run, lo, hi int, a *Acc, st *ScanStats, buf []float64) bool {
-	for start := lo; start < hi; start += blockRows {
+// compare. A norm-sorted view's sweep ends at the first block whose
+// leading (largest) norm cannot reach the bar — the k-th best hit, or
+// a's floor — and a block before it is cut at its first such row (see
+// reach): no row from there on can enter, tombstoned or not, so
+// exactness does not depend on the bound — it only saves work. A true
+// return means done fired and the scan was abandoned; a is then partial
+// and must be discarded.
+func (s *sweep) rows(lo, hi int, a *Acc, st *ScanStats, buf []float64) bool {
+	for i := lo; i < hi; i++ {
 		if s.done != nil {
 			select {
 			case <-s.done:
@@ -274,14 +295,11 @@ func (s *sweep) rows(r run, lo, hi int, a *Acc, st *ScanStats, buf []float64) bo
 			default:
 			}
 		}
-		end := min(start+blockRows, hi)
-		if r.norms != nil {
-			bar := s.bar(a)
-			if r.norms.at(start)*s.bound < bar {
-				st.PrunedBlocks += (hi - start + blockRows - 1) / blockRows
-				break
-			}
-			end = r.cut(start, end, s.bound, bar)
+		_, r, start, end := s.blockAt(i)
+		end, ok := s.reach(r, start, end, s.bound, a)
+		if !ok {
+			st.PrunedBlocks += hi - i
+			break
 		}
 		nb := end - start
 		nd := 0
@@ -293,25 +311,36 @@ func (s *sweep) rows(r run, lo, hi int, a *Acc, st *ScanStats, buf []float64) bo
 		}
 		r.t.scoreBlock(s.bq, start, end, buf[:nb])
 		st.ScannedRows += nb
-		s.block(r, start, nd).offer(a, buf[:nb])
+		s.block(*r, start, nd).offer(a, buf[:nb])
 	}
 	return false
 }
 
-// cut returns where a query with the given norm bound stops scoring
-// block [lo, hi) of the norm-sorted run r, whose leading row reaches
-// bar: the first row whose norm·bound is below it — hi when there is
-// none. The run's norms do not increase, so no row from there on can
-// reach the bar either, and the bar, taken before the block is scored,
-// only rises; the compare is strict, so a row that could tie the k-th
-// best is still offered. A NaN norm sorts first and a NaN product
-// compares false, which keeps the predicate monotone for the binary
-// search.
-func (r run) cut(lo, hi int, bound, bar float64) int {
-	if !(r.norms.at(hi-1)*bound < bar) {
-		return hi
+// reach returns where a query of norm bound bound stops scoring block
+// [start, end) of r at a's bar: end on a store-order run, else the first
+// row whose norm·bound is below the bar, searched in the block's norms
+// (a block never straddles a chunk). A run's norms do not increase and
+// the bar only rises, so no later row can reach it; ok is false when the
+// leading row is below it, and so every later block of the sweep order.
+// The compare is strict, so a row tying the k-th best is offered; a NaN
+// norm sorts first and a NaN product compares false.
+func (s *sweep) reach(r *run, start, end int, bound float64, a *Acc) (stop int, ok bool) {
+	if r.norms == nil {
+		return end, true
 	}
-	return lo + sort.Search(hi-1-lo, func(i int) bool { return r.norms.at(lo+i)*bound < bar })
+	chunk, lo, hi := r.norms.span(start, end)
+	ns, bar := chunk[lo:hi], s.bar(a)
+	if !(ns[len(ns)-1]*bound < bar) {
+		return end, true // the common block: no row below the bar
+	}
+	for lo, hi = 0, len(ns)-1; lo < hi; {
+		if m := int(uint(lo+hi) >> 1); ns[m]*bound < bar {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return start + lo, lo > 0
 }
 
 // block is a row block of a run as the bookkeeping sees it: its first
@@ -381,7 +410,7 @@ func (v View) Scan(ctx context.Context, q vec.Vector, o ScanOpts) ([]Hit, error)
 	if workers := min(o.Workers, v.maxScanWorkers()); workers > 1 {
 		stopped = s.parallel(workers, &a, &st)
 	} else {
-		stopped = s.all(&a, &st, sc.tileBuf())
+		stopped = s.rows(0, s.blocks(), &a, &st, sc.tileBuf())
 	}
 	if stopped {
 		return nil, stopErr(ctx)
@@ -392,16 +421,15 @@ func (v View) Scan(ctx context.Context, q vec.Vector, o ScanOpts) ([]Hit, error)
 	return a.Hits(), nil
 }
 
-// parallel splits the sweep across workers goroutines on block-aligned
-// row ranges — so the block partition, and with it the stats, is the
-// serial scan's — and merges the per-range accumulators under the
+// parallel splits the sweep across workers goroutines on ranges of
+// blocks — so the block partition, and with it the stats, is the serial
+// scan's — and merges the per-range accumulators under the
 // canonical ordering, which makes the hits the serial scan's too. The
 // receiver is a copy so that only a parallel scan moves its sweep to
 // the heap.
 func (s sweep) parallel(workers int, a *Acc, st *ScanStats) bool {
-	n, k := s.Len(), a.k
+	n, k := s.blocks(), a.k
 	per := (n + workers - 1) / workers
-	per = (per + blockRows - 1) / blockRows * blockRows
 	accs := make([]Acc, workers)
 	stats := make([]ScanStats, workers)
 	stopped := make([]bool, workers)
@@ -413,7 +441,7 @@ func (s sweep) parallel(workers int, a *Acc, st *ScanStats) bool {
 			sc := GetTileScratch()
 			defer PutTileScratch(sc)
 			accs[w] = NewAcc(k)
-			stopped[w] = s.rows(s.run, w*per, min((w+1)*per, n), &accs[w], &stats[w], sc.tileBuf())
+			stopped[w] = s.rows(w*per, min((w+1)*per, n), &accs[w], &stats[w], sc.tileBuf())
 		}(w)
 	}
 	wg.Wait()
@@ -437,13 +465,13 @@ func (s sweep) parallel(workers int, a *Acc, st *ScanStats) bool {
 // accumulator given a floor (Acc.SetFloor) keeps the top k among the rows
 // scoring at least it — a join's cs, or the k-th best a query already
 // holds from other shards — and, on a norm-sorted view, stops its sweep
-// of a run once the norm bound falls below the floor; it never scores
-// more rows than the floor-less scan. On a
-// tier with a tile kernel all queries share one sweep of the rows, each
-// row loaded from memory scored against up to maxTileQ queries; on a
-// norm-sorted view a query leaves a run at the first row its own bound
-// excludes and only still-live queries are scored (contiguous stretches
-// of them feed the tile kernel). A Store32 is swept once per query. On
+// once the norm bound falls below the floor; it never scores more rows
+// than the floor-less scan. On a tier with a tile kernel all queries
+// share one sweep of the rows, each row loaded from memory scored
+// against up to maxTileQ queries; on a norm-sorted view a query leaves
+// the sweep at the first row its own bound excludes and only the live
+// queries are scored, in contiguous stretches. A Store32 is swept once
+// per query. On
 // an int8 view each query also lists the rows its f64 top k must come
 // from (TileScratch.Candidates). With a tile kernel and warm scratch it
 // allocates nothing. o.Workers is ignored. On an error accs hold
@@ -455,7 +483,8 @@ func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc
 	if err := v.check(qs.dim, o.Dead); err != nil {
 		return err
 	}
-	scanned := sc.scannedBuf(len(accs))
+	scanned := resize(&sc.scanned, len(accs))
+	clear(scanned)
 	s := v.newSweep(ctx, o)
 	var st ScanStats
 	if _, ok := v.t.(tiler); ok {
@@ -466,7 +495,7 @@ func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc
 		for j := range accs {
 			s.bind(qs.Row(qlo+j), &sc.q)
 			var one ScanStats
-			if s.all(&accs[j], &one, sc.tileBuf()) {
+			if s.rows(0, s.blocks(), &accs[j], &one, sc.tileBuf()) {
 				return stopErr(ctx)
 			}
 			scanned[j] = one.ScannedRows
@@ -486,73 +515,64 @@ func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc
 // offered and counted only up to its own. A true return means done fired.
 func (s *sweep) tiles(qs *Store, qlo int, accs []Acc, scanned []int, st *ScanStats, sc *TileScratch) bool {
 	qn := len(accs)
+	// Only int8 binds the query rows, and an int8 view is one run.
+	s.t.(tiler).bindTile(qs, qlo, qlo+qn, sc)
 	// ends[j]: where query j stops scoring the current block; the
-	// block's first row when it sits the block out.
-	ends := sc.endsBuf(qn)
-	for _, r := range [2]run{s.run, s.tail} {
-		if r.t == nil {
-			break
+	// block's first row when it sits the block out. pruned[j]: query j's
+	// bound has ended its sweep. bounds[j]: that bound, from the query's
+	// cached norm — the value bind computes for Scan.
+	ends, pruned, bounds := resize(&sc.ends, qn), resize(&sc.pruned, qn), resize(&sc.bounds, qn)
+	clear(pruned)
+	for j := range bounds {
+		bounds[j] = f64Bound(qs.Norm(qlo+j), qs.dim)
+	}
+	live, nb := qn, s.blocks()
+	for i := 0; i < nb && live > 0; i++ {
+		if s.done != nil {
+			select {
+			case <-s.done:
+				return true
+			default:
+			}
 		}
-		til, hi := r.t.(tiler), r.t.Len()
-		til.bindTile(qs, qlo, qlo+qn, sc)
-		// pruned[j]: query j's bound has ended its sweep of this run. The
-		// f64 tile kernel scores the query rows as stored, so a query's
-		// bound comes from its cached norm — the value bind computes for
-		// Scan.
-		pruned := sc.prunedBuf(qn)
-		live := qn
-		for start := 0; start < hi && live > 0; start += blockRows {
-			if s.done != nil {
-				select {
-				case <-s.done:
-					return true
-				default:
-				}
+		_, r, start, end := s.blockAt(i)
+		nd := 0
+		if s.dead != nil {
+			nd = s.dead.DeadIn(r.off+start, r.off+end)
+		}
+		for j := range accs {
+			ends[j] = start
+			if pruned[j] {
+				continue
 			}
-			end := min(start+blockRows, hi)
-			nd := 0
-			if s.dead != nil {
-				nd = s.dead.DeadIn(r.off+start, r.off+end)
+			var ok bool
+			if ends[j], ok = s.reach(r, start, end, bounds[j], &accs[j]); !ok {
+				pruned[j], live = true, live-1
+				st.PrunedBlocks += nb - i
+				continue
 			}
-			for j := range accs {
+			if e := ends[j]; nd > 0 && s.dead.DeadIn(r.off+start, r.off+e) == e-start {
+				st.SkippedBlocks++
 				ends[j] = start
-				switch {
-				case pruned[j]:
-					continue
-				case r.norms == nil:
-					ends[j] = end
-				default:
-					bound, bar := f64Bound(qs.Norm(qlo+j), qs.dim), s.bar(&accs[j])
-					if r.norms.at(start)*bound < bar {
-						pruned[j] = true
-						live--
-						st.PrunedBlocks += (hi - start + blockRows - 1) / blockRows
-						continue
-					}
-					ends[j] = r.cut(start, end, bound, bar)
-				}
-				if e := ends[j]; nd > 0 && s.dead.DeadIn(r.off+start, r.off+e) == e-start {
-					st.SkippedBlocks++
-					ends[j] = start
-				}
 			}
-			for j := 0; j < qn; {
-				if ends[j] == start {
-					j++
-					continue
-				}
-				k := j + 1
-				for k < qn && ends[k] > start && k-j < maxTileQ {
-					k++
-				}
-				til.offerTile(s.block(r, start, nd), qs, qlo+j, accs[j:k], ends[j:k], sc)
-				for jj := j; jj < k; jj++ {
-					n := ends[jj] - start
-					scanned[jj] += n
-					st.ScannedRows += n
-				}
-				j = k
+		}
+		til := r.t.(tiler)
+		for j := 0; j < qn; {
+			if ends[j] == start {
+				j++
+				continue
 			}
+			k := j + 1
+			for k < qn && ends[k] > start && k-j < maxTileQ {
+				k++
+			}
+			til.offerTile(s.block(*r, start, nd), qs, qlo+j, accs[j:k], ends[j:k], sc)
+			for jj := j; jj < k; jj++ {
+				n := ends[jj] - start
+				scanned[jj] += n
+				st.ScannedRows += n
+			}
+			j = k
 		}
 	}
 	return false

@@ -81,8 +81,8 @@ var gridViews = []gridView{
 		s := NewStore32(fs)
 		return s.View(), func(q vec.Vector, out []float64) error { return s.DotRange(q, 0, s.Len(), out) }
 	}},
-	// The norm-sorted views as a write leaves them: a base run and a tail
-	// run (the last third of the rows, a chunk at most), extended twice.
+	// The norm-sorted views as writes leave them: a base run and two runs
+	// stacked behind it (the last third of the rows, a chunk at most).
 	{"f64/sorted+tail", func(fs *Store) (View, func(vec.Vector, []float64) error) {
 		return withTail(fs, func(p *Store) View { return NewNormSorted(p).View }), dotKernelScores(fs)
 	}},
@@ -101,22 +101,27 @@ func prefixOf(fs *Store, n int) *Store {
 	return p
 }
 
-// extendTo extends v by the rows of fs up to each of the given lengths,
-// one after the other; an Extend that folds its tail is a test bug.
+// extendTo stacks the rows of fs up to each of the given lengths onto
+// the norm-sorted view v, one after the other, each batch a run of its
+// own — sorted afresh (sortRows), its blocks merged into the sweep order
+// as Extend merges a run's — whatever the runs' sizes: the stacks Extend
+// builds, and the ones its 4× rule never leaves, for the scans to answer
+// alike. An empty batch adds no run.
 func extendTo(v View, fs *Store, lens ...int) View {
 	for _, n := range lens {
-		ext, copied, folded := v.Extend(fs.Rows()[v.Len():n])
-		if folded || copied >= chunkRows {
-			panic(fmt.Sprintf("extending a %d-row view to %d rows: folded=%v copied=%d", v.Len(), n, folded, copied))
+		if n == v.Len() {
+			continue
 		}
+		r := sortRows(v.Dim(), v.Len(), fs.Rows()[v.Len():n])
+		ext := View{run: v.run, tails: append(slices.Clip(v.tails), r)}
+		ext.order = v.mergeOrder(v.Runs(), r)
 		v = ext
 	}
 	return v
 }
 
-// withTail sorts a prefix of fs and extends the view to all of fs in two
-// steps, leaving the last third of the rows — a chunk at most — as its
-// tail run.
+// withTail sorts a prefix of fs and stacks the rest onto the view in two
+// runs, the last third of the rows — a chunk at most — in all.
 func withTail(fs *Store, sorted func(*Store) View) View {
 	n := fs.Len()
 	tail := min(n/3, chunkRows-1)
@@ -125,10 +130,11 @@ func withTail(fs *Store, sorted func(*Store) View) View {
 
 // runsOf returns a view's runs as physical row ranges.
 func runsOf(v View) [][2]int {
-	if v.tail.t == nil {
-		return [][2]int{{0, v.Len()}}
+	out := [][2]int{{0, v.t.Len()}}
+	for _, r := range v.tails {
+		out = append(out, [2]int{r.off, r.off + r.len()})
 	}
-	return [][2]int{{0, v.t.Len()}, {v.t.Len(), v.Len()}}
+	return out
 }
 
 // viewsOf selects grid views by name prefix ("f64", "f32/row", ...).
@@ -172,13 +178,17 @@ func gridQueries(rng *xrand.RNG, vs []vec.Vector, nq, d int) []vec.Vector {
 	return append(qs, vs[rng.Intn(len(vs))].Clone(), vec.New(d), nan)
 }
 
-// physPerm returns a norm-sorted view's physical→store-order map, both
-// runs end to end; nil for a store-order view.
+// physPerm returns a norm-sorted view's physical→store-order map, every
+// run end to end; nil for a store-order view.
 func physPerm(v View) []int {
 	if !v.Sorted() {
 		return nil
 	}
-	return append(slices.Clone(v.ids), v.tail.ids...)
+	var perm []int
+	for _, r := range v.runs() {
+		perm = append(perm, r.ids...)
+	}
+	return perm
 }
 
 // gridTombstones builds one tombstone shape over the n physical rows of
@@ -251,6 +261,8 @@ func refRowStats(v View, dead *Tombstones) ScanStats {
 	return st
 }
 
+func blocksOf(rows int) int { return (rows + blockRows - 1) / blockRows }
+
 // checkSortedStats holds a norm-sorted scan's counts to the contract:
 // every block of every run is scored, pruned or skipped; a scored block
 // counts the rows up to its cut, at least one and at most all of them;
@@ -269,8 +281,6 @@ func checkSortedStats(t testing.TB, cell string, v View, st, unpruned ScanStats,
 		t.Fatalf("%s: norm-sorted scan scored %d rows, a scan without the bound %d", cell, st.ScannedRows, queries*unpruned.ScannedRows)
 	}
 }
-
-func blocksOf(rows int) int { return (rows + blockRows - 1) / blockRows }
 
 // cancelProbe is the mid-scan cancellation probe: the tier wrappers
 // below score like the tier they wrap, count the blocks scored, and
@@ -827,10 +837,7 @@ func sameFloor(n int, floor float64) []float64 {
 func cutRows(v View, q vec.Vector, bar float64) *Tombstones {
 	bound := f64Bound(vec.Norm(q), v.Dim())
 	dead := NewTombstones(v.Len())
-	for _, r := range []run{v.run, v.tail} {
-		if r.t == nil {
-			break
-		}
+	for _, r := range v.runs() {
 		cut := 0
 		for cut < r.t.Len() && !(r.norms.at(cut)*bound < bar) {
 			cut++
@@ -842,12 +849,12 @@ func cutRows(v View, q vec.Vector, bar float64) *Tombstones {
 	return dead
 }
 
-// TestNormRunsMatchStoreOrder is the grid for two-run views and the
-// cut: views sorted over a prefix and extended one to three times to the
-// whole store — every tail length around a block and up to the last
-// before a merge, behind bases that end on a row, mid-block, mid-chunk
-// and on a chunk edge — × tier × tombstone shape × signed/unsigned ×
-// floor × k, tiles of one to nine queries.
+// TestNormRunsMatchStoreOrder is the grid for run stacks, their sweep
+// order and the cut: views sorted over a prefix with one to three runs
+// stacked behind it to the whole store — every tail length around a
+// block and up to a chunk, behind bases that end on a row, mid-block,
+// mid-chunk and on a chunk edge — × tier × tombstone shape ×
+// signed/unsigned × floor × k, tiles of one to nine queries.
 func TestNormRunsMatchStoreOrder(t *testing.T) {
 	const d = 16
 	cells := 0
@@ -874,10 +881,8 @@ func TestNormRunsMatchStoreOrder(t *testing.T) {
 				if v.t.Len() != base || v.Len() != n {
 					t.Fatalf("%s base=%d tail=%d: view has runs of %d and %d rows", tier.name, base, tailLen, v.t.Len(), v.Len()-v.t.Len())
 				}
-				last := v.run // the last run that has a row
-				if tailLen > 0 {
-					last = v.tail
-				}
+				runs := v.runs()
+				last := runs[len(runs)-1]
 				floors := []float64{0, last.norms.at(last.t.Len()/2) * qs.Norm(0), 1e9}
 				for _, shape := range []string{"none", "tail", "base block", "every fourth", "cuts"} {
 					for _, unsigned := range []bool{false, true} {
@@ -888,8 +893,10 @@ func TestNormRunsMatchStoreOrder(t *testing.T) {
 								case "none":
 									dead = nil
 								case "tail":
-									for _, id := range v.tail.ids {
-										dead.Kill(id)
+									for _, r := range v.tails {
+										for _, id := range r.ids {
+											dead.Kill(id)
+										}
 									}
 								case "base block":
 									for _, id := range v.ids[:min(blockRows, base)] {
@@ -970,11 +977,11 @@ func TestNormRunsSpecialValues(t *testing.T) {
 		for _, tier := range sortedTiers {
 			ref := tier.rowOrder(fs)
 			for name, v := range map[string]View{
-				"one run":  tier.sorted(fs),
-				"two runs": extendTo(tier.sorted(prefixOf(fs, base)), fs, base+tailLen/2, base+tailLen),
+				"one run":    tier.sorted(fs),
+				"three runs": extendTo(tier.sorted(prefixOf(fs, base)), fs, base+tailLen/2, base+tailLen),
 			} {
-				for _, r := range []run{v.run, v.tail} {
-					for i := 1; r.t != nil && i < r.t.Len(); i++ {
+				for _, r := range v.runs() {
+					for i := 1; i < r.t.Len(); i++ {
 						if a, b := r.norms.at(i-1), r.norms.at(i); a < b || (math.IsNaN(b) && !math.IsNaN(a)) {
 							t.Fatalf("%s %s: norms %v, %v at rows %d, %d of a run: not NaNs first, then falling", tier.name, name, a, b, i-1, i)
 						}
@@ -1037,7 +1044,7 @@ func TestNormBoundUnderflow(t *testing.T) {
 			if err != nil || !hitBitsEqual(got, want) {
 				t.Fatalf("%s unsigned=%v: norm-sorted scan answered %v (%v), want %v", c.name, unsigned, got, err, want)
 			}
-			for name, v := range map[string]View{"one run": NewNormSorted(fs).View, "two runs": withTail(fs, func(p *Store) View { return NewNormSorted(p).View })} {
+			for name, v := range map[string]View{"one run": NewNormSorted(fs).View, "three runs": withTail(fs, func(p *Store) View { return NewNormSorted(p).View })} {
 				for _, k := range []int{1, 2, 301} {
 					cell := fmt.Sprintf("%s %s unsigned=%v k=%d", c.name, name, unsigned, k)
 					checkRuns(t, cell, v, fs.View(), qs, 1, ScanOpts{K: k, Unsigned: unsigned}, nil, nil)
@@ -1090,10 +1097,14 @@ func TestRowNormKeepsNormalBits(t *testing.T) {
 }
 
 // TestNormSortedExtendKeepsSnapshots: extending a norm-sorted view
-// shares its base run and builds a tail run of its own, so a reader
-// holding the superseded view — here across three extensions and the
-// merge the fourth write asks for — keeps getting the answers it got;
-// and the merge is asked for exactly when the tail would reach a chunk.
+// shares every run it does not merge, and builds the merged run afresh,
+// so a reader holding a superseded view — here across a write that pushes
+// its batch as a run of its own, one that merges it with the newest runs,
+// and the fold the last write asks for — keeps getting the answers it
+// got. A batch stays a run of its own while the run below holds at least
+// 4× its rows; otherwise it merges with the newest runs until that holds
+// again, and folds into one run with the base run once the base holds
+// fewer than 4× the merged rows.
 func TestNormSortedExtendKeepsSnapshots(t *testing.T) {
 	const d, base = 16, 1500
 	rng := xrand.New(41)
@@ -1104,7 +1115,7 @@ func TestNormSortedExtendKeepsSnapshots(t *testing.T) {
 	}
 	queries := gridQueries(rng, rows, 6, d)
 	for _, tier := range sortedTiers {
-		held := extendTo(tier.sorted(prefixOf(fs, base)), fs, base+100)
+		held, _, _ := tier.sorted(prefixOf(fs, base)).Extend(fs.Rows()[base : base+100])
 		scan := func() (out [][]Hit) {
 			for _, q := range queries {
 				hits, err := held.Scan(context.Background(), q, ScanOpts{K: 10})
@@ -1117,22 +1128,27 @@ func TestNormSortedExtendKeepsSnapshots(t *testing.T) {
 		}
 		before, permBefore := scan(), physPerm(held)
 		v := held
-		for _, n := range []int{base + 101, base + 600, base + chunkRows - 1} {
-			ext, copied, folded := v.Extend(fs.Rows()[v.Len():n])
-			if folded || copied != n-base {
-				t.Fatalf("%s: extending to %d rows: folded=%v copied=%d, want the %d rows past the base run", tier.name, n, folded, copied, n-base)
+		for _, step := range []struct {
+			n, copied int
+			runs      []int
+		}{
+			{base + 110, 10, []int{base, 100, 10}}, // 100 ≥ 4·10: a run of its own
+			{base + 130, 130, []int{base, 130}},    // 10 < 4·20, 100 < 4·30: merged with both
+			{base + 135, 5, []int{base, 130, 5}},   // pushed
+			{fs.Len(), fs.Len(), []int{fs.Len()}},  // 1500 < 4·994: folded
+		} {
+			ext, copied, folded := v.Extend(fs.Rows()[v.Len():step.n])
+			var runs []int
+			for _, r := range ext.runs() {
+				runs = append(runs, r.len())
 			}
-			if ext.t != held.t || &ext.ids[0] != &held.ids[0] || ext.Len() != n {
-				t.Fatalf("%s: the view extended to %d rows does not share the base run", tier.name, n)
+			if copied != step.copied || folded != (len(step.runs) == 1) || !slices.Equal(runs, step.runs) {
+				t.Fatalf("%s: extending to %d rows: folded=%v copied=%d runs %v, want copied=%d runs %v", tier.name, step.n, folded, copied, runs, step.copied, step.runs)
+			}
+			if !folded && (ext.t != held.t || &ext.ids[0] != &held.ids[0]) {
+				t.Fatalf("%s: the view extended to %d rows does not share the base run", tier.name, step.n)
 			}
 			v = ext
-		}
-		merged, copied, folded := v.Extend(fs.Rows()[v.Len():])
-		if !folded || copied != fs.Len() {
-			t.Fatalf("%s: a tail run of %d rows was not folded into the base run (folded=%v, copied %d)", tier.name, chunkRows, folded, copied)
-		}
-		if merged.tail.t != nil || merged.t.Len() != fs.Len() {
-			t.Fatalf("%s: the folded view is not one run", tier.name)
 		}
 		after := scan()
 		for j := range before {
@@ -1146,77 +1162,83 @@ func TestNormSortedExtendKeepsSnapshots(t *testing.T) {
 	}
 }
 
-// halfTailed returns a norm-sorted view of n rows of dimension 16 and
-// half a chunk more in its tail run, and the store holding those rows
-// and batch rows beyond them: what the next write extends the view by.
-func halfTailed(tb testing.TB, n, batch int) (View, *Store) {
-	fs, err := FromVectors(randomVecs(xrand.New(uint64(n)), n+chunkRows/2+batch, 16))
+// normWrites returns a normscan shard's index work as a sequence of
+// writes onto a norm-sorted view of n rows of dimension 16, one write a
+// call: an Extend by batch rows and, masked, the dead set of the extended
+// view grown and gathered from the one before — a row in 50 dead at the
+// start — after batch more deaths. Every writes calls the sequence starts
+// again from the n rows, so a run of calls prices the amortized write:
+// the merges of every run of the stack, folds into the base run included.
+func normWrites(tb testing.TB, n, batch, writes int, masked bool) func() {
+	fs, err := FromVectors(randomVecs(xrand.New(uint64(n)), n+writes*batch, 16))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return extendTo(NewNormSorted(prefixOf(fs, n)).View, fs, n+chunkRows/2), fs
-}
-
-// normWrite returns a normscan shard write's index work on a
-// norm-sorted view of n rows whose tail run is half a chunk: an Extend
-// by batch rows and, masked, the dead set of the extended view gathered
-// from the one before — a row in 50 dead — after batch more deaths.
-func normWrite(tb testing.TB, n, batch int, masked bool) func() {
-	v, fs := halfTailed(tb, n, batch)
-	was := NewTombstones(v.Len())
-	for i := 0; i < v.Len(); i += 50 {
-		was.Kill(i)
+	v0 := NewNormSorted(prefixOf(fs, n)).View
+	was0 := NewTombstones(n)
+	for i := 0; i < n; i += 50 {
+		was0.Kill(i)
 	}
-	gathered := v.GatherDead(was)
-	rows := fs.Rows()[v.Len():]
+	gathered0 := v0.GatherDead(was0)
+	rows := fs.Rows()
+	v, was, gathered, w := v0, was0, gathered0, 0
 	return func() {
-		ext, _, folded := v.Extend(rows)
-		if folded {
-			tb.Fatal("Extend folded a half-chunk tail")
+		if w == writes {
+			v, was, gathered, w = v0, was0, gathered0, 0
 		}
+		ext, _, _ := v.Extend(rows[v.Len() : v.Len()+batch])
 		if masked {
-			dead := was.Grow(fs.Len())
+			dead := was.Grow(ext.Len())
 			for i := range batch {
-				dead.Kill(1 + i*v.Len()/batch)
+				dead.Kill(1 + (w+i*v.Len())/batch)
 			}
-			ext.GatherDeadSince(dead, v, was, gathered)
+			was, gathered = dead, ext.GatherDeadSince(dead, v, was, gathered)
 		}
+		v = ext
+		w++
 	}
 }
 
-// writeCost returns the time and bytes one write costs: the least of
-// several rounds, so a noisy neighbour cannot make it look slow.
-func writeCost(write func()) (ns, bytes float64) {
-	const rounds, iters = 7, 50
+// writeCost returns the time and bytes one write of a sequence costs,
+// amortized over writes calls: the least time of several rounds, so a
+// noisy neighbour cannot make it look slow.
+func writeCost(write func(), writes int) (ns, bytes float64) {
+	const rounds = 3
 	ns = math.Inf(1)
 	for r := 0; r < rounds; r++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		for i := 0; i < iters; i++ {
+		for i := 0; i < writes; i++ {
 			write()
 		}
 		took := time.Since(start)
 		runtime.ReadMemStats(&after)
-		ns = min(ns, float64(took.Nanoseconds())/iters)
-		bytes = float64(after.TotalAlloc-before.TotalAlloc) / iters
+		ns = min(ns, float64(took.Nanoseconds())/float64(writes))
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / float64(writes)
 	}
 	return ns, bytes
 }
 
 // TestNormSortedExtendCostIsBatchSized gates what
-// BenchmarkFlatNormSortedExtend measures without a benchmark run: 16
-// rows onto a view of 40 000 cost under twice what they cost onto one
-// of 5 000 — an eighth of it, where every write re-sorted the shard —
-// and so do they with 16 deaths, whose dead set gathered in full would
-// cost ≈ 8× there too.
+// BenchmarkFlatNormSortedExtend measures without a benchmark run: over a
+// sequence of 16-row writes, folds into the base run included, a write
+// allocates at most n/4 bytes — the n/64 words of each of the two dead
+// sets it grows and gathers — plus 4 copies of a row's bytes per row of
+// the batch per run level, log₄(n/batch) of them. Copying the tail run
+// at every write, as a single second run did, costs ≈ 528 rows a write
+// there, over the bound at both sizes.
 func TestNormSortedExtendCostIsBatchSized(t *testing.T) {
-	for _, masked := range []bool{false, true} {
-		smallNs, smallB := writeCost(normWrite(t, 5000, 16, masked))
-		largeNs, largeB := writeCost(normWrite(t, 40000, 16, masked))
-		t.Logf("masked=%v: %.0f ns, %.0f B at n=5000; %.0f ns, %.0f B at n=40000", masked, smallNs, smallB, largeNs, largeB)
-		if largeNs > 2*smallNs || largeB > 2*smallB {
-			t.Fatalf("masked=%v: a 16-row write costs %.0f ns / %.0f B at n=40000 but %.0f ns / %.0f B at n=5000: not O(batch + tail)", masked, largeNs, largeB, smallNs, smallB)
+	const batch, writes = 16, 1024
+	const rowBytes = 16*8 + 8 + 8 + 4 // the row, its norm, its id and its inverse-permutation slot
+	for _, n := range []int{5000, 40000} {
+		for _, masked := range []bool{false, true} {
+			ns, bytes := writeCost(normWrites(t, n, batch, writes, masked), writes)
+			bound := float64(n)/4 + 4*rowBytes*batch*math.Log(float64(n)/batch)/math.Log(4)
+			t.Logf("n=%d masked=%v: %.0f ns, %.0f B a write; bound %.0f B", n, masked, ns, bytes, bound)
+			if bytes > bound {
+				t.Fatalf("n=%d masked=%v: a 16-row write allocates %.0f B amortized, over the O(n/64 + batch·log n) bound of %.0f", n, masked, bytes, bound)
+			}
 		}
 	}
 }

@@ -81,8 +81,8 @@ func (a *Acc) Reset(k int) {
 }
 
 // TileScratch holds the reusable buffers of the scan drivers (the score
-// tile, the bound query, per-query flags and counts, and on-demand
-// accumulators). A zero value is ready to use; Get/PutTileScratch
+// tile, the bound query, per-query flags, bounds and counts, and
+// on-demand accumulators). A zero value is ready to use; Get/PutTileScratch
 // recycle instances through a package pool so steady-state serving
 // allocates nothing per scan for them.
 type TileScratch struct {
@@ -90,6 +90,7 @@ type TileScratch struct {
 	pack    []float64
 	q       query
 	pruned  []bool
+	bounds  []float64
 	scanned []int
 	ends    []int
 	accs    []Acc
@@ -128,32 +129,11 @@ func (sc *TileScratch) packBuf(d int) []float64 {
 // trailing elements.
 func octetPackLen(d int) int { return 32 * (d/4 + d%4) }
 
-// prunedBuf returns a cleared n-slot flag buffer.
-func (sc *TileScratch) prunedBuf(n int) []bool {
-	if cap(sc.pruned) < n {
-		sc.pruned = make([]bool, n)
-	}
-	sc.pruned = sc.pruned[:n]
-	clear(sc.pruned)
-	return sc.pruned
-}
-
-// scannedBuf returns a cleared n-slot count buffer.
-func (sc *TileScratch) scannedBuf(n int) []int {
-	if cap(sc.scanned) < n {
-		sc.scanned = make([]int, n)
-	}
-	sc.scanned = sc.scanned[:n]
-	clear(sc.scanned)
-	return sc.scanned
-}
-
-// endsBuf returns an n-slot buffer the caller fills.
-func (sc *TileScratch) endsBuf(n int) []int {
-	if cap(sc.ends) < n {
-		sc.ends = make([]int, n)
-	}
-	return sc.ends[:n]
+// resize sets *buf to n slots, reusing its capacity, and returns it;
+// the slots hold whatever they held.
+func resize[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
 }
 
 // Scanned returns, per query of the last ScanMulti run with this

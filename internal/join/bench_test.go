@@ -78,8 +78,8 @@ func BenchmarkJoinNormPruned_10kx256_d16(b *testing.B) {
 }
 
 // BenchmarkJoinNormPrunedTail is the norm-pruned join as a normscan
-// collection serves it between two merges: the view prebuilt, the last
-// 512 rows of P its tail run.
+// collection serves it after a write: the view prebuilt, the last 512
+// rows of P a run of their own behind the rest.
 func BenchmarkJoinNormPrunedTail_10kx256_d16(b *testing.B) {
 	P, _, fp, fq := benchWorkload()
 	v, _, folded := flat.SortRows(P[:benchN-512]).Extend(P[benchN-512:])

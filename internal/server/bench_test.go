@@ -20,13 +20,15 @@ func benchServer(b testing.TB, n, d, shards int, spec IndexSpec) (*Server, []vec
 }
 
 // benchServerSkewed is benchServer over latent factors whose item norms
-// spread by a lognormal of the given σ.
+// spread by a lognormal of the given σ. No background compaction runs,
+// so a cell's shape is what its writes leave, as in the benchmark's
+// workloads.
 func benchServerSkewed(b testing.TB, n, d, shards int, sigma float64, spec IndexSpec) (*Server, []vec.Vector) {
 	b.Helper()
 	rng := xrand.New(1)
 	lf := dataset.NewLatentFactor(rng, n, 256, d, sigma)
 	lf.ScaleItemsToUnitBall()
-	s := New(Config{DefaultShards: shards, CacheCapacity: -1})
+	s := New(Config{DefaultShards: shards, CacheCapacity: -1, CompactFraction: -1})
 	b.Cleanup(func() { s.Close() })
 	recs := records(lf.Items, 0)
 	if _, _, err := s.Ingest("bench", &spec, shards, recs); err != nil {
@@ -35,12 +37,44 @@ func benchServerSkewed(b testing.TB, n, d, shards int, sigma float64, spec Index
 	return s, lf.Users
 }
 
+// steadyWrites upserts writes batches of 64 records into the n-row
+// collection "bench" of s, each replacing live IDs with fresh latent
+// factors of dimension d whose norms spread by a lognormal of σ — what
+// small-hot's mutate phase does, whose 48 rounds × 8 are 384 such
+// writes: the collection is then in the state a run of that workload
+// ends in, each normscan shard sweeping the run stack its writes built.
+func steadyWrites(b testing.TB, s *Server, n, d int, sigma float64, writes int) {
+	b.Helper()
+	if writes == 0 {
+		return
+	}
+	rng := xrand.New(7)
+	fresh := dataset.NewLatentFactor(rng, writes*64, 1, d, sigma)
+	fresh.ScaleItemsToUnitBall()
+	for w := range writes {
+		recs := records(fresh.Items[w*64:(w+1)*64], 0)
+		seen := map[int]bool{}
+		for i := range recs {
+			id := rng.Intn(n)
+			for seen[id] {
+				id = rng.Intn(n)
+			}
+			recs[i].ID, seen[id] = id, true
+		}
+		if _, _, err := s.Upsert("bench", nil, 0, recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // searchCells runs bench once per served index kind on a 4-shard
 // collection: 20 000 × 16 latent-factor rows and their 256 users as
 // signed queries; for normscan-skewed small-hot's shape — item norms
 // spread by a lognormal of σ = 1, 64 queries — where a batch's tiles
 // visiting the shards in turn pass each query's k-th best on as the next
-// shard's floor; for alsh the planted-alsh benchmark's shape — 64
+// shard's floor, and for normscan-written the same after small-hot's 384
+// upserts of 64 (steadyWrites), each shard sweeping a stack of runs; for
+// alsh the planted-alsh benchmark's shape — 64
 // unsigned unit-norm queries against 6 000 × 32 unit-ball rows; and for
 // exact-int8 mixed-durable's — 40 000 × 32 int8 rows, re-ranked.
 func searchCells(b *testing.B, bench func(b *testing.B, s *Server, users []vec.Vector, unsigned bool)) {
@@ -51,15 +85,18 @@ func searchCells(b *testing.B, bench func(b *testing.B, s *Server, users []vec.V
 		sigma    float64
 		queries  int // 0: all 256
 		unsigned bool
+		writes   int // upserts of 64 after the load
 	}{
-		{KindExact, IndexSpec{Kind: KindExact}, 20000, 16, 0.5, 0, false},
-		{KindNormScan, IndexSpec{Kind: KindNormScan}, 20000, 16, 0.5, 0, false},
-		{"normscan-skewed", IndexSpec{Kind: KindNormScan}, 20000, 16, 1, 64, false},
-		{KindALSH, IndexSpec{Kind: KindALSH}, 6000, 32, 0.5, 64, true},
-		{"exact-int8", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 40000, 32, 0.5, 0, false},
+		{KindExact, IndexSpec{Kind: KindExact}, 20000, 16, 0.5, 0, false, 0},
+		{KindNormScan, IndexSpec{Kind: KindNormScan}, 20000, 16, 0.5, 0, false, 0},
+		{"normscan-skewed", IndexSpec{Kind: KindNormScan}, 20000, 16, 1, 64, false, 0},
+		{"normscan-written", IndexSpec{Kind: KindNormScan}, 20000, 16, 1, 64, false, 384},
+		{KindALSH, IndexSpec{Kind: KindALSH}, 6000, 32, 0.5, 64, true, 0},
+		{"exact-int8", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 40000, 32, 0.5, 0, false, 0},
 	} {
 		b.Run("index="+c.name, func(b *testing.B) {
 			s, users := benchServerSkewed(b, c.n, c.d, 4, c.sigma, c.spec)
+			steadyWrites(b, s, c.n, c.d, c.sigma, c.writes)
 			if c.queries > 0 {
 				users = users[:c.queries]
 			}
@@ -169,7 +206,7 @@ func BenchmarkServerSearchCached(b *testing.B) {
 }
 
 // BenchmarkServerSearchBatch measures one request of every query (256, or
-// 64 for normscan-skewed and alsh) at top-10, its tiles run on the pool;
+// 64 for normscan-skewed, normscan-written and alsh) at top-10, its tiles run on the pool;
 // ns/op is per batch.
 // The alsh cell is the planted-alsh benchmark's batch beside
 // BenchmarkServerJoin's lsh-on-alsh.
@@ -188,7 +225,9 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 // iteration: the lsh engine walking the indexes an alsh collection keeps,
 // and the exact sweeps it is up against: the f64 rows, the norm-sorted
 // view of a normscan collection, and — at mixed-durable's 40 000 × 32 —
-// the f64 rows under an int8 collection. Few latent-factor queries have
+// the f64 rows under an int8 collection; normscan-written sweeps the
+// runs a normscan collection of small-hot's shape stacks after its 384
+// upserts of 64 (searchCells' normscan-written). Few latent-factor queries have
 // a partner ≥ c·s, so lsh-on-alsh walks nearly every table; lsh-planted
 // gives each query one at 0.95·q̂, as planted-alsh does, so its walks stop
 // at the first table step holding it. candidates/query is what a query
@@ -197,17 +236,21 @@ func BenchmarkServerJoin(b *testing.B) {
 	for _, c := range []struct {
 		name, engine string
 		spec         IndexSpec
-		n            int
+		n, d         int
+		sigma        float64
 		planted      bool
+		writes       int // upserts of 64 after the load
 	}{
-		{"lsh-on-alsh", "lsh", IndexSpec{Kind: KindALSH}, 6000, false},
-		{"lsh-planted", "lsh", IndexSpec{Kind: KindALSH}, 6000, true},
-		{"exact", "exact", IndexSpec{Kind: KindExact}, 6000, false},
-		{"normscan", "normpruned", IndexSpec{Kind: KindNormScan}, 6000, false},
-		{"exact-int8", "exact", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 40000, false},
+		{"lsh-on-alsh", "lsh", IndexSpec{Kind: KindALSH}, 6000, 32, 0.5, false, 0},
+		{"lsh-planted", "lsh", IndexSpec{Kind: KindALSH}, 6000, 32, 0.5, true, 0},
+		{"exact", "exact", IndexSpec{Kind: KindExact}, 6000, 32, 0.5, false, 0},
+		{"normscan", "normpruned", IndexSpec{Kind: KindNormScan}, 6000, 32, 0.5, false, 0},
+		{"normscan-written", "normpruned", IndexSpec{Kind: KindNormScan}, 20000, 16, 1, false, 384},
+		{"exact-int8", "exact", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 40000, 32, 0.5, false, 0},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			s, users := benchServer(b, c.n, 32, 4, c.spec)
+			s, users := benchServerSkewed(b, c.n, c.d, 4, c.sigma, c.spec)
+			steadyWrites(b, s, c.n, c.d, c.sigma, c.writes)
 			for _, u := range users {
 				vec.Normalize(u)
 			}
@@ -303,8 +346,11 @@ func BenchmarkServerIngest(b *testing.B) {
 // with b.N; every compactEvery upserts a compaction, outside the timer,
 // takes them back to n rows, so ns/op and B/op do not depend on b.N.
 // An alsh write copies every table's ids and compacts every 16 writes
-// (≤ 1 024 extra rows on 6 000); the others every 64, the writes a
-// normscan shard takes to fill the tail run it then folds.
+// (≤ 1 024 extra rows on 6 000); the others every 64. A compaction
+// leaves a normscan shard one run, and 64 writes of 16 rows a shard
+// stack up to ⌊log₄ n⌋ + 1 again — some merge with the newest runs, none
+// reaches the base run's quarter, so none folds: each writes its
+// batch, times the runs it merges.
 var upsertShapes = []struct {
 	name         string
 	n, d         int

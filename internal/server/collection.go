@@ -967,6 +967,9 @@ func (c *Collection) statsSnapshot() CollectionStats {
 			Tombstoned: dead,
 			Queries:    sh.queries.Load(),
 		}
+		if ix, ok := sn.index.(*flatIndex); ok && ix.view.Sorted() {
+			cs.Shards[i].Runs = ix.view.Runs()
+		}
 		cs.Tombstoned += dead
 	}
 	return cs

@@ -40,7 +40,8 @@ var footprintKinds = []struct {
 // slack, for every kind — normscan included, whose norm-sorted runs are
 // its only copy. And the Go heap, measured after two collections before
 // the load and after it, grows per live vector by less than the kind's
-// bound (footprintKinds).
+// bound (footprintKinds). /stats reports each normscan shard's runs as
+// its view stacks them, and none on other kinds.
 func TestResidentBytesPerKind(t *testing.T) {
 	const n, d, shards, batch, upserts = 20_000, 16, 4, 1000, 8
 	rng := xrand.New(49)
@@ -96,6 +97,16 @@ func TestResidentBytesPerKind(t *testing.T) {
 			for source, vb := range map[string]map[string]int64{"vectorBytes": c.vectorBytes(), "/stats": st.Collections["c"].VectorBytes} {
 				if f64 := vb[PrecisionF64]; f64 < int64(8*d*held) || f64 > limit {
 					t.Errorf("%s reports %d f64 bytes for %d rows held (%.1f B a row): want the rows once, %d to %d", source, f64, held, float64(f64)/float64(held), 8*d*held, limit)
+				}
+			}
+			// runs: a normscan shard's stacked runs, 0 on other kinds.
+			for i, sh := range st.Collections["c"].Shards {
+				want := 0
+				if kind.spec.Kind == KindNormScan {
+					want = c.shards[i].snap.Load().index.(*flatIndex).view.Runs()
+				}
+				if sh.Runs != want || kind.spec.Kind == KindNormScan && (sh.Runs < 1 || 1<<(2*(sh.Runs-1)) > sh.Records) {
+					t.Errorf("/stats shard %d of %d records reports %d runs, want %d, at most ⌊log₄ records⌋ + 1 and at least 1 on normscan", i, sh.Records, sh.Runs, want)
 				}
 			}
 			perVector := float64(grown) / float64(live)

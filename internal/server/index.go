@@ -218,9 +218,10 @@ type flatIndex struct {
 	// dead (nil until the first delete) lives in the view's row order, so
 	// a norm-sorted scan never pays a per-row indirection: withDead
 	// permutes it once per write that leaves a tombstone, patching the
-	// previous snapshot's (flat.View.GatherDeadSince) — its base run's
-	// words copied, its new deaths placed through the run's inverse
-	// permutation, its tail run gathered — where the base run is the same.
+	// previous snapshot's (flat.View.GatherDeadSince) — the words of the
+	// leading runs both share copied, their new deaths placed through
+	// their runs' inverse permutations, the runs the write merged
+	// gathered — where the base run is the same.
 	dead *flat.Tombstones
 	// rerank (int8) makes the scan's scores candidates only: the answer
 	// is their re-scoring through fs, so this engine never serves an
@@ -249,9 +250,10 @@ func (ix *flatIndex) extend(nfs *flat.Store) (*flatIndex, int) {
 // extendNormScan returns a normscan shard's unmasked index over prev's
 // rows and vs behind them, how many rows it copied, and whether that was
 // a rebuild. The norm-sorted view is the shard's one copy of its rows,
-// so a write grows it by the batch (flat.View.Extend) — a rebuild when
-// its tail run folds into the base run — and the first write to a shard,
-// whose index is empty, sorts its batch.
+// so a write grows it by the batch (flat.View.Extend), copying the run
+// the batch merges into — a rebuild when that merge takes in the base
+// run, a fold — and the first write to a shard, whose index is empty,
+// sorts its batch.
 func extendNormScan(prev ShardIndex, vs []vec.Vector) (ShardIndex, int, bool) {
 	if ix, ok := prev.(*flatIndex); ok {
 		view, copied, folded := ix.view.Extend(vs)

@@ -18,17 +18,18 @@ import (
 )
 
 // TestNormScanWritesAcrossRebuilds drives a one-shard normscan f64
-// collection through upserts and deletes across two folds (a tail run
-// reaching 1 024 rows merges into the base run). A write merges its batch
-// into the tail run and patches the permuted dead set from the last
-// snapshot's; after every write the shard — which keeps no store, its
-// norm-sorted runs being the one copy of its rows — must read each row
-// back by its store index, and answer bit-identically to the index built
-// anew from its rows — its base run sorted afresh, its tail run sorted
-// in one go, its dead set gathered in full: the dead set itself,
-// explained searches signed and unsigned at k = 1 and 10 (hits and
-// counts), batch searches, a normpruned join (pairs and compared), and
-// the rows the write's index build reports copied.
+// collection through upserts and deletes across folds (the runs stacked
+// behind the base run merging into it once it holds under 4× their
+// rows). A write merges its batch with the newest runs of its stack
+// (normStack models which) and patches the permuted dead set from the
+// last snapshot's; after every write the shard — which keeps no store,
+// its norm-sorted runs being the one copy of its rows — must read each
+// row back by its store index, and answer bit-identically to the index
+// built anew from its rows — each run sorted afresh, its dead set
+// gathered in full: the dead set itself, explained searches signed and
+// unsigned at k = 1 and 10 (hits and counts), batch searches, a
+// normpruned join (pairs and compared), and the rows the write's index
+// build reports copied.
 func TestNormScanWritesAcrossRebuilds(t *testing.T) {
 	const d, initial = 8, 1500
 	s := New(Config{DefaultShards: 1, CacheCapacity: -1, CompactFraction: -1})
@@ -62,7 +63,9 @@ func TestNormScanWritesAcrossRebuilds(t *testing.T) {
 			rows = append(rows, r.Vec)
 		}
 	}
+	var stack normStack
 	upsert(batch(initial, 0))
+	stack.push(initial)
 	queries := []vec.Vector{drawn[3], drawn[800], vec.Scaled(drawn[42], -1)}
 	for range 3 {
 		queries = append(queries, rng.NormalVec(d))
@@ -78,8 +81,7 @@ func TestNormScanWritesAcrossRebuilds(t *testing.T) {
 	qc, _ := s.Collection("q")
 	ctx := context.Background()
 
-	base, next := initial, initial // rows in the base run; the next new ID
-	joined := 0
+	next, joined := initial, 0 // the next new ID; the pairs joined
 	old := c.shards[0].snap.Load()
 	for w := 0; w < 64; w++ {
 		rebuilds, copied := c.builds.rebuild.Load(), c.builds.rowsCopied.Load()
@@ -113,15 +115,13 @@ func TestNormScanWritesAcrossRebuilds(t *testing.T) {
 			t.Fatalf("%s: a normscan shard keeps a store of %d rows beside its norm-sorted view", cell, snap.fs.Len())
 		}
 		if len(snap.ids) != len(old.ids) {
-			want := int64(len(snap.ids))
-			if c.builds.rebuild.Load() > rebuilds {
-				base = len(snap.ids)
-			} else {
-				want -= int64(base)
+			want, folded := stack.push(len(snap.ids) - len(old.ids))
+			if got, rebuilt := c.builds.rowsCopied.Load()-copied, c.builds.rebuild.Load() > rebuilds; got != int64(want) || rebuilt != folded {
+				t.Fatalf("%s: the index build copied %d rows (rebuilt %v), want %d (%v) onto runs %v", cell, got, rebuilt, want, folded, stack)
 			}
-			if got := c.builds.rowsCopied.Load() - copied; got != want {
-				t.Fatalf("%s: the index build copied %d rows, want %d", cell, got, want)
-			}
+		}
+		if got := s.Stats().Collections["ns"].Shards[0].Runs; got != len(stack) {
+			t.Fatalf("%s: /stats reports %d runs, want %d (%v)", cell, got, len(stack), stack)
 		}
 		old = snap
 		for i, r := range rows {
@@ -131,7 +131,7 @@ func TestNormScanWritesAcrossRebuilds(t *testing.T) {
 		}
 
 		ref := *snap
-		ref.index = rebuiltNormIndex(t, rows, snap, base)
+		ref.index = rebuiltNormIndex(t, rows, snap, stack)
 		served, want := snap.index.(*flatIndex).dead, ref.index.(*flatIndex).dead
 		if served.Count() != want.Count() || served.Len() != want.Len() {
 			t.Fatalf("%s: served dead set %d of %d, gathered %d of %d", cell, served.Count(), served.Len(), want.Count(), want.Len())
@@ -162,18 +162,50 @@ func TestNormScanWritesAcrossRebuilds(t *testing.T) {
 	}
 }
 
+// normStack models a normscan shard's run stack: its runs' row counts,
+// the base run's first.
+type normStack []int
+
+// push adds a write's b rows to the stack by the rule flat.View.Extend
+// keeps — the batch merges with the newest runs while the run below
+// holds fewer than 4× the merged rows, and with the base run too, into
+// one run, once the base does — and returns the rows the write copies
+// and whether it rebuilt the shard's index: folded it, or built the
+// first.
+func (st *normStack) push(b int) (copied int, rebuilt bool) {
+	runs := *st
+	if len(runs) == 0 {
+		*st = normStack{b}
+		return b, true
+	}
+	keep, rows := len(runs), b
+	for keep > 1 && runs[keep-1] < 4*rows {
+		keep--
+		rows += runs[keep]
+	}
+	if keep == 1 && runs[0] < 4*rows {
+		*st = normStack{runs[0] + rows}
+		return runs[0] + rows, true
+	}
+	*st = append(runs[:keep:keep], rows)
+	return rows, false
+}
+
 // rebuiltNormIndex builds what a normscan shard serves for snap from
-// nothing: rows [0, base) of its store-order rows sorted into the base
-// run, the rest sorted into a tail run, and snap's dead set gathered in
-// full.
-func rebuiltNormIndex(t *testing.T, rows []vec.Vector, snap *shardSnap, base int) *flatIndex {
+// nothing: its store-order rows sorted afresh into the runs stack
+// models — the base run by flat.SortRows, each later run pushed by an
+// Extend, which the stack's 4× rule keeps from merging — and snap's
+// dead set gathered in full.
+func rebuiltNormIndex(t *testing.T, rows []vec.Vector, snap *shardSnap, stack normStack) *flatIndex {
 	t.Helper()
-	view := flat.SortRows(rows[:base])
-	if base < len(rows) {
-		var folded bool
-		if view, _, folded = view.Extend(rows[base:]); folded {
-			t.Fatalf("a tail of %d rows folds", len(rows)-base)
+	at := stack[0]
+	view := flat.SortRows(rows[:at])
+	for _, n := range stack[1:] {
+		var copied int
+		if view, copied, _ = view.Extend(rows[at : at+n]); copied != n {
+			t.Fatalf("runs %v: a run of %d rows merged", stack, n)
 		}
+		at += n
 	}
 	ix := &flatIndex{view: view}
 	if snap.dead.Count() > 0 {
@@ -282,8 +314,8 @@ func TestNormScanReadersMatchExact(t *testing.T) {
 		dropped[i] = 5 + i*17
 	}
 	// Both collections take the same writes: batches of about 150 rows a
-	// shard, the eighth folding each shard's tail run into its base run,
-	// then upserts into the new tail and deletes.
+	// shard, most folding into the base run until it holds 4× a batch,
+	// then upserts stacked behind it as a run of their own, and deletes.
 	for _, name := range []string{"ex", "ns"} {
 		spec := &IndexSpec{Kind: KindExact}
 		if name == "ns" {
@@ -302,7 +334,7 @@ func TestNormScanReadersMatchExact(t *testing.T) {
 		}
 	}
 	if folds := mustCollection(t, s, "ns").builds.rebuild.Load() - shards; folds < 1 {
-		t.Fatalf("%d tail runs folded: the writes never brought one to a chunk", folds)
+		t.Fatalf("%d folds: no write merged into the base run", folds)
 	}
 	check := func(stage string) {
 		t.Helper()

@@ -295,10 +295,11 @@ func TestPrecisionStatsAndMetrics(t *testing.T) {
 	if _, _, err := s.Ingest("plain", nil, 2, recs); err != nil {
 		t.Fatal(err)
 	}
-	// Two batches, so the second is each shard's tail run. Both runs are
-	// sized to their rows, and there is no store-order copy beside them:
-	// the shard holds each row once, 8·d bytes.
-	for _, batch := range [][]store.Record{recs[:30], recs[30:]} {
+	// Two batches, so the second — 4 rows a shard behind 16, a quarter —
+	// is each shard's second run. Both runs are sized to their rows, and
+	// there is no store-order copy beside them: the shard holds each row
+	// once, 8·d bytes.
+	for _, batch := range [][]store.Record{recs[:32], recs[32:]} {
 		if _, _, err := s.Ingest("ns64", &IndexSpec{Kind: KindNormScan}, 2, batch); err != nil {
 			t.Fatal(err)
 		}

@@ -244,14 +244,15 @@ func (s *shard) prepare(spec IndexSpec, hashes *lsh.Index, w shardWrite, sp *tra
 // Engines whose structure over the old rows stays valid extend it by the
 // new rows (exact at every precision: the store is the index, and the
 // int8 mirror converts only what it lacks; alsh hashes only the new rows;
-// normscan sorts the batch and merges it into a copy of its second run,
-// the rows appended since its last fold, and once that run would reach a
-// chunk merges both runs and the batch into one — a rebuild, but no
-// sort). The mask is derived from old's where the engine can: a normscan
-// shard patches its permuted dead set (see flatIndex.dead). sp counts the
-// shard under extend or rebuild and records rows_copied: the rows of the
-// next snapshot, in whichever tier copied most, that do not share memory
-// with the current one. The collection's counters get the same two facts,
+// normscan sorts the batch into a run and merges it with the newest runs
+// of its stack while the run below holds under 4× the merged rows, and
+// once the base run does merges every run and the batch into one — a
+// rebuild, but no sort). The mask is derived from old's where the engine
+// can: a normscan shard patches its permuted dead set (see
+// flatIndex.dead). sp counts the shard under extend or rebuild and
+// records rows_copied: the rows of the next snapshot, in whichever tier
+// copied most, that do not share memory with the current one — on
+// normscan, the merged run's. The collection's counters get the same two facts,
 // traced or not.
 func (s *shard) nextIndex(spec IndexSpec, hashes *lsh.Index, old *shardSnap, vs []vec.Vector, dead *flat.Tombstones, sp *trace.Span) (ShardIndex, *flat.Store, error) {
 	// spec and hashes are only read on the rebuild path: a collection's

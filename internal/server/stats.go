@@ -77,6 +77,10 @@ type ShardStats struct {
 	Live       int   `json:"live"`
 	Tombstoned int   `json:"tombstoned"`
 	Queries    int64 `json:"queries"`
+	// Runs is how many norm-sorted runs a normscan shard's view stacks
+	// (flat.View.Runs): at most ⌊log₄ records⌋ + 1, one after a fold or a
+	// compaction; 0 on other kinds.
+	Runs int `json:"runs,omitempty"`
 }
 
 // CollectionStats describes one collection in /stats. Records is the

@@ -25,15 +25,16 @@ import (
 const flatChunkRows = 1024
 
 // TestWriteCopiesOnlyTheBatch pins what each index kind pays per write,
-// as the index_build span reports it: exact and normscan copy the batch
-// plus at most one chunk of each touched shard — the open chunk, or a
-// normscan shard's tail run — whatever the collection holds. The
-// exceptions: a normscan shard on the write that brings the rows
-// appended since its last fold to a chunk, which folds them, its first
-// run and the batch into one run, copying it whole; an
-// int8 batch that raises the quantization scale; and alsh, which hashes
-// only the batch but copies the ids of every bucket table of a touched
-// shard — an extend whose rows_copied is the shard, and says so.
+// as the index_build span reports it: exact copies the batch plus at most
+// one chunk of each touched shard — the open chunk — whatever the
+// collection holds; normscan copies, in each touched shard, the run its
+// batch merges into (normStack models the stack: the batch and the newest
+// runs while the run below holds fewer than 4× their rows), and rebuilds
+// on the write whose merge takes in the base run, a fold, copying the
+// shard whole. The other exceptions: an int8 batch that raises the
+// quantization scale; and alsh, which hashes only the batch but copies
+// the ids of every bucket table of a touched shard — an extend whose
+// rows_copied is the shard, and says so.
 func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 	const shards = 2
 	s := New(Config{DefaultShards: shards, Tracing: true})
@@ -63,36 +64,45 @@ func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 		path := "/collections/" + tc.name
 		spec := tc.spec
 		indexBuildAttrs(t, ts, http.MethodPut, path, IngestRequest{Index: &spec, Records: recs(0, n, 1)})
-		// unsorted[si]: rows appended to shard si since a normscan index
-		// last sorted or folded it (the ingest above sorted it). The fold
-		// cadence is the contract: a shard rebuilds on exactly the write
-		// that brings this to a chunk, and extends on every other.
-		var unsorted [shards]int
+		// stacks[si]: shard si's normscan runs (the ingest above sorted
+		// each shard into one). The fold cadence is the contract: a shard
+		// rebuilds on exactly the write the model folds, and extends on
+		// every other, copying the run the model merges.
+		stacks := [shards]normStack{{n / shards}, {n / shards}}
 		// held[si]: the rows shard si holds, dead ones included — what an
 		// alsh extend re-writes the bucket entries of.
 		held := [shards]int{n / shards, n / shards}
 		const limit = batch + shards*flatChunkRows
 		write := func(method, path string, rs []RecordJSON) {
 			t.Helper()
-			var extend, rebuild, rewritten int64
+			var extend, rebuild, rewritten, merged int64
 			var touched [shards]int
 			for _, r := range rs {
 				touched[*r.ID%shards]++
 			}
 			for si, rows := range touched {
 				held[si] += rows
-				switch unsorted[si] += rows; {
+				switch {
 				case rows == 0:
-				case spec.Kind == KindNormScan && unsorted[si] >= flatChunkRows:
-					rebuild, unsorted[si] = rebuild+1, 0
+				case spec.Kind == KindNormScan:
+					copied, folded := stacks[si].push(rows)
+					merged += int64(copied)
+					if folded {
+						rebuild++
+					} else {
+						extend++
+					}
 				default:
 					extend, rewritten = extend+1, rewritten+int64(held[si])
 				}
 			}
 			a := indexBuildAttrs(t, ts, method, path, IngestRequest{Records: rs})
-			if a["extend"] != extend || a["rebuild"] != rebuild || (rebuild == 0 && a["rows_copied"] > limit && spec.Kind != KindALSH) {
-				t.Fatalf("%s %s of ids %d..: index_build attrs %v, want extend=%d rebuild=%d and, between rebuilds, rows_copied <= %d",
+			if a["extend"] != extend || a["rebuild"] != rebuild || (a["rows_copied"] > limit && spec.Kind != KindALSH && spec.Kind != KindNormScan) {
+				t.Fatalf("%s %s of ids %d..: index_build attrs %v, want extend=%d rebuild=%d and rows_copied <= %d",
 					tc.name, method, *rs[0].ID, a, extend, rebuild, limit)
+			}
+			if spec.Kind == KindNormScan && a["rows_copied"] != merged {
+				t.Fatalf("normscan %s of ids %d..: index_build attrs %v, want rows_copied = %d, the runs merged (stacks %v)", method, *rs[0].ID, a, merged, stacks)
 			}
 			if spec.Kind == KindALSH && a["rows_copied"] != rewritten {
 				t.Fatalf("alsh %s of ids %d..: index_build attrs %v, want rows_copied = %d, the touched shards' rows", method, *rs[0].ID, a, rewritten)
@@ -115,10 +125,10 @@ func TestWriteCopiesOnlyTheBatch(t *testing.T) {
 
 // TestUpsertAllocationIsBatchSized: what a fixed-size upsert allocates
 // must not grow with the collection it lands in — on the exact and
-// normscan kinds, which are the two it covers: on normscan between two
-// merges of its tail run (ingested in one batch, a shard is all base
-// run, and the 41 upserts of 16 rows each stay under the chunk that
-// triggers the next merge). An alsh upsert is not batch-sized — it
+// normscan kinds, which are the two it covers. Ingested in one batch, a
+// normscan shard is one run, and the 41 upserts of 16 rows a shard stack
+// runs behind it, each write copying the runs it merges: at n = 5 000
+// some fold into the base run too, at 40 000 none. An alsh upsert is not batch-sized — it
 // allocates every bucket table's ids of a touched shard afresh, L a row
 // (TestWriteCopiesOnlyTheBatch pins that it says so).
 func TestUpsertAllocationIsBatchSized(t *testing.T) {
@@ -170,9 +180,10 @@ func testUpsertAllocationIsBatchSized(t *testing.T, kind string) {
 
 // TestIndexBuildCountersWithoutTrace: the merge cadence of a normscan
 // shard — and any other write amplification — shows on /metrics with
-// tracing off: of 70 upserts of 16 rows into one shard, the 64th brings
-// the tail run to a chunk and rebuilds — folds it into the base run —
-// the other 69 extend.
+// tracing off: of 70 upserts of 16 rows into one shard of 2 000, the ones
+// whose merge takes in the base run rebuild — fold every run into one —
+// and the others extend, each copying the run it merges (normStack
+// models which).
 func TestIndexBuildCountersWithoutTrace(t *testing.T) {
 	s := New(Config{DefaultShards: 1, CacheCapacity: -1, CompactFraction: -1})
 	defer s.Close()
@@ -208,7 +219,16 @@ func TestIndexBuildCountersWithoutTrace(t *testing.T) {
 	}
 	extend0, rebuild0, copied0 := counters()
 	c, _ := s.Collection("c")
+	stack := normStack{n}
+	var wantExtend, wantRebuild, wantCopied int64
 	for w := 0; w < writes; w++ {
+		copied, rebuilt := stack.push(width)
+		wantCopied += int64(copied)
+		if rebuilt {
+			wantRebuild++
+		} else {
+			wantExtend++
+		}
 		batch := make([]store.Record, width)
 		for i := range batch {
 			batch[i] = store.Record{ID: (w*width + i) % n, Vec: recs[n+i].Vec}
@@ -218,14 +238,11 @@ func TestIndexBuildCountersWithoutTrace(t *testing.T) {
 		}
 	}
 	extend, rebuild, copied := counters()
-	if extend-extend0 != writes-1 || rebuild-rebuild0 != 1 {
-		t.Fatalf("%d upserts of %d rows: extend +%d, rebuild +%d, want +%d and +1", writes, width, extend-extend0, rebuild-rebuild0, writes-1)
+	if extend-extend0 != wantExtend || rebuild-rebuild0 != wantRebuild || wantRebuild == 0 {
+		t.Fatalf("%d upserts of %d rows: extend +%d, rebuild +%d, want +%d and +%d, at least one", writes, width, extend-extend0, rebuild-rebuild0, wantExtend, wantRebuild)
 	}
-	// The rebuild copied the shard as it then stood; an extend, the tail
-	// run: under a chunk.
-	merged := int64(n + flatChunkRows)
-	if got := copied - copied0; got < merged || got > merged+(writes-1)*flatChunkRows {
-		t.Fatalf("rows copied +%d, want within [%d, %d]", got, merged, merged+(writes-1)*flatChunkRows)
+	if got := copied - copied0; got != wantCopied {
+		t.Fatalf("rows copied +%d, want +%d, the runs merged", got, wantCopied)
 	}
 }
 
