@@ -192,6 +192,35 @@ func BenchmarkFlatOfferRows(b *testing.B) {
 	}
 }
 
+// BenchmarkFlatBlockOffer measures the top-k bookkeeping of one 256-row
+// block into a full accumulator whose bar no score reaches — nearly
+// every block of a sweep once its queries' accumulators fill: ns/block
+// is what block.offer adds to the kernel's scoring. asm skips 16 scores
+// per AVX2 skipBelow compare (skipped without AVX2), go runs
+// skipBelowGeneric's compare per score.
+func BenchmarkFlatBlockOffer(b *testing.B) {
+	rng := xrand.New(5)
+	scores := rng.NormalVec(blockRows)
+	for _, asm := range []bool{true, false} {
+		b.Run(fmt.Sprintf("asm=%v", asm), func(b *testing.B) {
+			saved := useDotTileAsm
+			defer func() { useDotTileAsm = saved }()
+			if asm && !saved {
+				b.Skip("no AVX2 on this machine")
+			}
+			useDotTileAsm = asm
+			a := NewAcc(10)
+			for i := range 10 {
+				a.Offer(blockRows+i, 10)
+			}
+			for i := 0; i < b.N; i++ {
+				block{}.offer(&a, scores)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/block")
+		})
+	}
+}
+
 // BenchmarkFlatTopKMulti measures the full multi-query top-k driver:
 // one iteration answers 256 top-10 queries over a 20k-row store
 // (ns/op ÷ 256 compares against BenchmarkFlatTopK/flat), at every

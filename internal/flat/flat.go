@@ -504,94 +504,6 @@ func offerRow(a *Acc, r int, v float64, unsigned bool) {
 	}
 }
 
-// offerScores feeds one block of materialised scores (rows base..) into
-// a. ids holds the block's original row indexes when it was scanned
-// through a permutation; nil means it was scanned in ascending index
-// order, which allows the stronger skip: once full, a tie at the
-// threshold always loses to the smaller index already held (so v <= thr
-// skips in one compare). With a permutation, or keys, a tie may carry a
-// smaller key, so only strictly-worse scores can be skipped; under-full,
-// only scores below a's floor (SetFloor) are. This is
-// the single copy of the top-k bookkeeping both scan orders share; the
-// loops are specialised on the loop-invariant (full, unsigned, ids)
-// flags because the skip compare runs once per scanned row — the hottest
-// non-kernel instruction in the scan. NaN scores fail every skip compare
-// and are rejected by Offer, exactly as in the unspecialised form.
-func offerScores(a *Acc, buf []float64, base int, unsigned bool, ids []int) {
-	r := 0
-	if !a.Full() {
-		// Under-full, a row below the floor is skipped on one compare: a
-		// floored accumulator may stay here for a whole sweep.
-		floor := a.floor
-		for ; r < len(buf); r++ {
-			v := buf[r]
-			if unsigned && v < 0 {
-				v = -v
-			}
-			if v < floor {
-				continue
-			}
-			a.Offer(blockIndex(ids, base, r), v)
-			if a.Full() {
-				r++
-				break
-			}
-		}
-	}
-	if r == len(buf) {
-		return
-	}
-	// Full from here on (hits are never removed, so Full is sticky).
-	thr := a.Threshold()
-	switch {
-	case ids == nil && a.keys == nil && !unsigned:
-		for ; r < len(buf); r++ {
-			if v := buf[r]; !(v <= thr) {
-				a.Offer(base+r, v)
-				thr = a.Threshold()
-			}
-		}
-	case ids == nil && a.keys == nil:
-		for ; r < len(buf); r++ {
-			v := buf[r]
-			if v < 0 {
-				v = -v
-			}
-			if !(v <= thr) {
-				a.Offer(base+r, v)
-				thr = a.Threshold()
-			}
-		}
-	case !unsigned:
-		for ; r < len(buf); r++ {
-			if v := buf[r]; !(v < thr) {
-				a.Offer(blockIndex(ids, base, r), v)
-				thr = a.Threshold()
-			}
-		}
-	default:
-		for ; r < len(buf); r++ {
-			v := buf[r]
-			if v < 0 {
-				v = -v
-			}
-			if !(v < thr) {
-				a.Offer(blockIndex(ids, base, r), v)
-				thr = a.Threshold()
-			}
-		}
-	}
-}
-
-// blockIndex is the index of row r of a block from row base on, ids its
-// original indexes when it was scanned through a permutation.
-func blockIndex(ids []int, base, r int) int {
-	if ids != nil {
-		return ids[r]
-	}
-	return base + r
-}
-
 // View returns the store-order scan view of s.
 func (s *Store) View() View { return View{run: run{t: s}} }
 

@@ -78,19 +78,31 @@ func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 // each of the four rows ends a page of its own. A Store.dotRange sweep
 // whose one chunk ends a page — one full 4-row dotRows4 group, alone or
 // with a 1–3-row Go tail, or the tail alone — runs on every tier, its
-// query and scores ending pages too.
+// query and scores ending pages too. skipBelow reads scores ending a
+// page at every length 0–40, each below the bar, so it reads every
+// whole group — the last flush against the page when 16 divides the
+// length — and must stop before a partial one.
 func TestTileKernelsStayInsideAllocation(t *testing.T) {
 	if !useDotTileAsm {
 		t.Skip("no asm kernels on this machine")
 	}
 	// last returns the n float64s that end a page.
 	last := func(page []byte, n int) []float64 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&page[len(page)-8*n])), n)
+		return unsafe.Slice((*float64)(unsafe.Add(unsafe.Pointer(&page[0]), len(page)-8*n)), n)
 	}
 	rows, queries, pack, scores := guardedPage(t), guardedPage(t), guardedPage(t), guardedPage(t)
 	var cands [4][]byte
 	for j := range cands {
 		cands[j] = guardedPage(t)
+	}
+	for n := 0; n <= 40; n++ {
+		buf := last(scores, n)
+		clear(buf)
+		for _, unsigned := range []bool{false, true} {
+			if g := skipBelow(buf, 1, unsigned); g != n&^(skipGroup-1) {
+				t.Fatalf("skipBelow over %d scores below the bar, unsigned=%v: %d", n, unsigned, g)
+			}
+		}
 	}
 	for _, d := range []int{4, 5, 7, 8, 9, 16, 17, 33, 34, 64, 100} {
 		for _, n := range []int{1, 2, 3, 5} {

@@ -15,16 +15,17 @@
 // has a nil Done channel and the loop skips the poll.
 //
 // Tombstones: a block whose rows are all dead is skipped before the
-// kernel runs, a block with no dead row takes the unmasked bookkeeping,
-// and only a mixed block pays a per-row bit test — so a scan over the
-// state between a burst of deletes and the next compaction approaches
-// the cost of the compacted store, and answers are bit-identical to
-// scanning a store that never held the dead rows.
+// kernel runs, and in a mixed block only a row whose score clears the
+// bar pays a bit test — so a scan over the state between a burst of
+// deletes and the next compaction approaches the cost of the compacted
+// store, and answers are bit-identical to scanning a store that never
+// held the dead rows.
 package flat
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -363,17 +364,69 @@ func (s *sweep) block(r run, start, nd int) block {
 	return b
 }
 
-// offer feeds a the scores of b's rows from its first on.
+// skipGroup is how many scores skipBelow passes over per compare.
+const skipGroup = 16
+
+// offer feeds a the scores of b's rows from its first on, |score| when
+// unsigned: the one copy of the top-k bookkeeping behind every sweep
+// that materialises a block's scores, both scan orders and masked or
+// not (the int8 tile offers from its code-domain mask). Once a is full
+// nearly every score is below its threshold, so the loop skips whole
+// 16-score groups of those on one compare (skipBelow) and offers the
+// rows of the first group that is not, one by one: a score not below
+// the threshold goes to Offer unless its row is dead. Offer decides
+// everything else — a tie (the smaller index or key wins), a NaN (never
+// skipped, always dropped), the floor — so hits are Offer's on every
+// score, bit for bit. A row's index is its store index: ids maps a
+// norm-sorted run's rows back, and dead is in the physical order the
+// run starts at off.
 func (b block) offer(a *Acc, scores []float64) {
 	var ids []int
 	if b.ids != nil {
 		ids = b.ids[b.start : b.start+len(scores)]
 	}
-	if b.dead == nil {
-		offerScores(a, scores, b.start, b.unsigned, ids)
-	} else {
-		offerScoresMasked(a, scores, b.off+b.start, b.unsigned, ids, b.dead)
+	phys, thr, unsigned := b.off+b.start, a.Threshold(), b.unsigned
+	for g := 0; g < len(scores); g += skipGroup {
+		switch {
+		case len(scores)-g < skipGroup: // a partial group: no call
+		case useDotTileAsm:
+			g += skipBelow(scores[g:], thr, unsigned)
+		default:
+			g += skipBelowGeneric(scores[g:], thr, unsigned)
+		}
+		for r, v := range scores[g:min(g+skipGroup, len(scores))] {
+			if unsigned && v < 0 {
+				v = -v
+			}
+			if r += g; v < thr || b.dead.Dead(phys+r) {
+				continue
+			}
+			if ids != nil {
+				a.Offer(ids[r], v)
+			} else {
+				a.Offer(phys+r, v)
+			}
+			thr = a.Threshold()
+		}
 	}
+}
+
+// skipBelowGeneric returns the start of the first whole skipGroup-score
+// group of buf holding a score s with !(s < thr), |s| when unsigned,
+// else the start of the partial last group (len(buf) when there is
+// none), which it does not read: the caller tests those rows one by one.
+// A NaN is never below thr.
+func skipBelowGeneric(buf []float64, thr float64, unsigned bool) int {
+	n := len(buf) &^ (skipGroup - 1)
+	for r, v := range buf[:n] {
+		if unsigned {
+			v = math.Abs(v)
+		}
+		if !(v < thr) {
+			return r &^ (skipGroup - 1)
+		}
+	}
+	return n
 }
 
 // stopErr reports why a scan stopped. The done channel only fires once

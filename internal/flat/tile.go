@@ -25,6 +25,15 @@
 //     queries a run leaves;
 //   - the pure-Go pair and single kernels without AVX2 or at d < 4.
 //
+// The top-k bookkeeping after the f64 kernels (block.offer) is one loop.
+// It skips the scores below a query's bar sixteen at a time:
+// on AVX2 (useDotTileAsm, the quads' gate) with skipBelow — four 4-wide
+// unordered not-less-than compares, so a NaN is never skipped — 256
+// scores in 44–60 ns against 277–319 for a compare per score; elsewhere
+// with skipBelowGeneric, the same answer in Go. Only the rows of a group
+// that is not wholly below the bar go one by one through the dead-set
+// test to Acc.Offer, which decides ties, NaNs and floors as before.
+//
 // Every score is vec.Dot's, bit for bit: the per-(row, query)
 // accumulation is flat.go's one chain, which a 4-wide SIMD vertical
 // multiply/add reproduces exactly — lane k of the vector accumulator

@@ -40,6 +40,11 @@ func dotTile4(p []float64, d int, q, out []float64)
 //go:noescape
 func dotRows4(q, r0, r1, r2, r3 []float64, out *[4]float64)
 
+// skipBelow is skipBelowGeneric in AVX2, one compare per 4 scores.
+//
+//go:noescape
+func skipBelow(buf []float64, thr float64, unsigned bool) int
+
 // x86HasAVX2 reports whether the CPU and OS support AVX2 (CPUID leaf 7
 // EBX bit 5, plus OSXSAVE with YMM state enabled via XGETBV).
 func x86HasAVX2() bool

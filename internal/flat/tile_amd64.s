@@ -13,7 +13,14 @@
 // small-hot serves, where it sweeps 20 000 rows for 8 queries in 256 µs
 // to dotTile4's 284. dotRows4 is the candidate verify kernel (d ≥ 4):
 // one query against four scattered rows, each lane begun at +0 like
-// dotTile4's, no FMA, so every score is vec.DotKernel's.
+// dotTile4's, no FMA, so every score is vec.DotKernel's. skipBelow is
+// the top-k bookkeeping's skip, not a kernel: it finds the first
+// 16-score group of a scored block not wholly below the bar. It is
+// VEX-encoded throughout and ends in VZEROUPPER: a prototype that moved
+// its mask in with a legacy-SSE MOVQ into X14, among the YMM
+// instructions, ran 262 ns per 256 scores against VMOVQ's 50. The
+// legacy MOVSD score stores in dotTile16x4 only read their register,
+// and swapping them for VMOVSD changed nothing measurable.
 
 #include "textflag.h"
 
@@ -508,6 +515,51 @@ next_r4:
 
 	LEAQ (R9)(R10*2), AX
 	TILE4_STORE(Y0, Y1, Y2, Y3, 0)
+	VZEROUPPER
+	RET
+
+// func skipBelow(buf []float64, thr float64, unsigned bool) int
+//
+// Returns the start of the first whole 16-score group of buf holding a
+// score s with !(s < thr) — |s| when unsigned — else len(buf) &^ 15, so
+// a partial last group is never read. Each group is four VANDPD (Y14:
+// the sign-clearing mask when unsigned, all ones otherwise), four
+// VCMPPD NLT_UQ against thr broadcast in Y15 (unordered, so a NaN is
+// never skipped), three VORPD and one VMOVMSKPD.
+TEXT ·skipBelow(SB), NOSPLIT, $0-48
+	MOVQ         buf_base+0(FP), SI
+	MOVQ         buf_len+8(FP), CX
+	ANDQ         $-16, CX
+	VBROADCASTSD thr+24(FP), Y15
+	MOVBQZX      unsigned+32(FP), AX
+	SHLQ         $63, AX
+	NOTQ         AX           // 0x7FF…F when unsigned, else all ones
+	VMOVQ        AX, X14
+	VPBROADCASTQ X14, Y14
+	XORQ         DX, DX
+
+group_sb:
+	CMPQ      DX, CX
+	JAE       done_sb
+	VANDPD    (SI)(DX*8), Y14, Y0
+	VANDPD    32(SI)(DX*8), Y14, Y1
+	VANDPD    64(SI)(DX*8), Y14, Y2
+	VANDPD    96(SI)(DX*8), Y14, Y3
+	VCMPPD    $5, Y15, Y0, Y0 // NLT_UQ: !(s < thr)
+	VCMPPD    $5, Y15, Y1, Y1
+	VCMPPD    $5, Y15, Y2, Y2
+	VCMPPD    $5, Y15, Y3, Y3
+	VORPD     Y1, Y0, Y0
+	VORPD     Y3, Y2, Y2
+	VORPD     Y2, Y0, Y0
+	VMOVMSKPD Y0, AX
+	TESTL     AX, AX
+	JNZ       done_sb
+	ADDQ      $16, DX
+	JMP       group_sb
+
+done_sb:
+	MOVQ DX, ret+40(FP)
 	VZEROUPPER
 	RET
 

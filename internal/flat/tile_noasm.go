@@ -18,3 +18,7 @@ func dotTile4(p []float64, d int, q, out []float64) { panic("flat: dotTile4 asm 
 func dotRows4(q, r0, r1, r2, r3 []float64, out *[4]float64) {
 	panic("flat: dotRows4 asm unavailable")
 }
+
+func skipBelow(buf []float64, thr float64, unsigned bool) int {
+	panic("flat: skipBelow asm unavailable")
+}

@@ -121,36 +121,3 @@ func (t *Tombstones) DeadIn(lo, hi int) int {
 	}
 	return c + bits.OnesCount64(w[hw]&hiMask)
 }
-
-// offerScoresMasked feeds one block of materialised scores into a,
-// skipping rows that dead marks tombstoned. dead lives in the same
-// (physical) row space as base — for a NormSorted scan that is the
-// reordered space, with ids (see offerScores) still mapping offers back
-// to original indexes. The skip compare mirrors offerScores: with a
-// permutation, or keys, a threshold tie may carry a smaller key, so only
-// strictly-worse scores are skipped — and under-full, only scores below
-// the floor.
-func offerScoresMasked(a *Acc, buf []float64, base int, unsigned bool, ids []int, dead *Tombstones) {
-	full, thr := a.Full(), a.Threshold()
-	for r := range buf {
-		v := buf[r]
-		if unsigned && v < 0 {
-			v = -v
-		}
-		// The score test comes first: once a is full nearly every row
-		// fails it, and only the few that pass pay the bit test.
-		if v < thr || full && ids == nil && a.keys == nil && v == thr {
-			continue
-		}
-		phys := base + r
-		if dead.Dead(phys) {
-			continue
-		}
-		idx := phys
-		if ids != nil {
-			idx = ids[r]
-		}
-		a.Offer(idx, v)
-		full, thr = a.Full(), a.Threshold()
-	}
-}

@@ -225,13 +225,15 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 // iteration: the lsh engine walking the indexes an alsh collection keeps,
 // and the exact sweeps it is up against: the f64 rows, the norm-sorted
 // view of a normscan collection, and — at mixed-durable's 40 000 × 32 —
-// the f64 rows under an int8 collection; normscan-written sweeps the
-// runs a normscan collection of small-hot's shape stacks after its 384
-// upserts of 64 (searchCells' normscan-written). Few latent-factor queries have
-// a partner ≥ c·s, so lsh-on-alsh walks nearly every table; lsh-planted
-// gives each query one at 0.95·q̂, as planted-alsh does, so its walks stop
-// at the first table step holding it. candidates/query is what a query
-// verified.
+// the f64 rows under an int8 collection, whole and, as mixed-durable
+// joins them, with 5 % of them deleted (exact-int8-deleted: nearly every
+// block holds a dead row, so the sweep offers through the dead set);
+// normscan-written sweeps the runs a normscan collection of small-hot's
+// shape stacks after its 384 upserts of 64 (searchCells'
+// normscan-written). Few latent-factor queries have a partner ≥ c·s, so
+// lsh-on-alsh walks nearly every table; lsh-planted gives each query one
+// at 0.95·q̂, as planted-alsh does, so its walks stop at the first table
+// step holding it. candidates/query is what a query verified.
 func BenchmarkServerJoin(b *testing.B) {
 	for _, c := range []struct {
 		name, engine string
@@ -239,18 +241,25 @@ func BenchmarkServerJoin(b *testing.B) {
 		n, d         int
 		sigma        float64
 		planted      bool
-		writes       int // upserts of 64 after the load
+		writes       int     // upserts of 64 after the load
+		deleted      float64 // share of the rows deleted after the load
 	}{
-		{"lsh-on-alsh", "lsh", IndexSpec{Kind: KindALSH}, 6000, 32, 0.5, false, 0},
-		{"lsh-planted", "lsh", IndexSpec{Kind: KindALSH}, 6000, 32, 0.5, true, 0},
-		{"exact", "exact", IndexSpec{Kind: KindExact}, 6000, 32, 0.5, false, 0},
-		{"normscan", "normpruned", IndexSpec{Kind: KindNormScan}, 6000, 32, 0.5, false, 0},
-		{"normscan-written", "normpruned", IndexSpec{Kind: KindNormScan}, 20000, 16, 1, false, 384},
-		{"exact-int8", "exact", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 40000, 32, 0.5, false, 0},
+		{"lsh-on-alsh", "lsh", IndexSpec{Kind: KindALSH}, 6000, 32, 0.5, false, 0, 0},
+		{"lsh-planted", "lsh", IndexSpec{Kind: KindALSH}, 6000, 32, 0.5, true, 0, 0},
+		{"exact", "exact", IndexSpec{Kind: KindExact}, 6000, 32, 0.5, false, 0, 0},
+		{"normscan", "normpruned", IndexSpec{Kind: KindNormScan}, 6000, 32, 0.5, false, 0, 0},
+		{"normscan-written", "normpruned", IndexSpec{Kind: KindNormScan}, 20000, 16, 1, false, 384, 0},
+		{"exact-int8", "exact", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 40000, 32, 0.5, false, 0, 0},
+		{"exact-int8-deleted", "exact", IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 40000, 32, 0.5, false, 0, 0.05},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			s, users := benchServerSkewed(b, c.n, c.d, 4, c.sigma, c.spec)
 			steadyWrites(b, s, c.n, c.d, c.sigma, c.writes)
+			if c.deleted > 0 {
+				if _, _, _, err := s.Delete("bench", xrand.New(9).Perm(c.n)[:int(c.deleted*float64(c.n))]); err != nil {
+					b.Fatal(err)
+				}
+			}
 			for _, u := range users {
 				vec.Normalize(u)
 			}

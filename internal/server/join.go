@@ -152,7 +152,7 @@ func newJoinOpts(sp core.Spec, req JoinRequest) joinOpts {
 // shard's codes would give the same pairs about five times faster at
 // 40 000 × 32, but that compute-bound sweep's time spread between runs
 // several times wider than the f64 sweep's, too wide to tell a regression
-// from noise (ROADMAP item 14, step (b)).
+// from noise (ROADMAP item 18(d)).
 func (sn *shardSnap) joinSnap(engine string) *shardSnap {
 	ix, ok := sn.index.(*flatIndex)
 	if engine != "tiled" || ok && !ix.view.Sorted() && !ix.rerank {
