@@ -21,8 +21,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -38,43 +40,61 @@ import (
 )
 
 func main() {
-	engine := flag.String("engine", "exact", "exact | normpruned | lsh | sketch | naive")
-	variant := flag.String("variant", "signed", "signed | unsigned")
-	workload := flag.String("workload", "planted", "planted | latent | binary")
-	n := flag.Int("n", 1000, "|P|")
-	nq := flag.Int("nq", 100, "|Q|")
-	d := flag.Int("d", 32, "dimension")
-	s := flag.Float64("s", 0.9, "promise threshold s")
-	c := flag.Float64("c", 0.5, "approximation factor c (exact engines accept at c·s too)")
-	topk := flag.Int("topk", 0, "report up to k pairs per query (0 = best pair only)")
-	workers := flag.Int("workers", 1, "parallel query-tile workers")
-	kappa := flag.Float64("kappa", 3, "sketch ℓ_κ parameter")
-	k := flag.Int("k", 8, "LSH hashes per table")
-	l := flag.Int("l", 16, "LSH tables")
-	seed := flag.Uint64("seed", 1, "workload + algorithm seed")
-	verify := flag.Bool("verify", true, "brute-force verify the (cs,s) guarantee")
-	save := flag.String("save", "", "write the workload to PREFIX.p / PREFIX.q")
-	load := flag.String("load", "", "read the workload from PREFIX.p / PREFIX.q")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); errors.Is(err, errViolated) {
+		os.Exit(2)
+	} else if err != nil {
+		fmt.Fprintf(os.Stderr, "ipsjoin: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// errViolated is run's error when the brute-force check finds the (cs, s)
+// guarantee broken; the report is already written.
+var errViolated = errors.New("guarantee violated")
+
+// run performs the join that args ask for and writes its summary to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("ipsjoin", flag.ExitOnError)
+	engine := fs.String("engine", "exact", "exact | normpruned | lsh | sketch | naive")
+	variant := fs.String("variant", "signed", "signed | unsigned")
+	workload := fs.String("workload", "planted", "planted | latent | binary")
+	n := fs.Int("n", 1000, "|P|")
+	nq := fs.Int("nq", 100, "|Q|")
+	d := fs.Int("d", 32, "dimension")
+	s := fs.Float64("s", 0.9, "promise threshold s")
+	c := fs.Float64("c", 0.5, "approximation factor c (exact engines accept at c·s too)")
+	topk := fs.Int("topk", 0, "report up to k pairs per query (0 = best pair only)")
+	workers := fs.Int("workers", 1, "parallel query-tile workers")
+	kappa := fs.Float64("kappa", 3, "sketch ℓ_κ parameter")
+	k := fs.Int("k", 8, "LSH hashes per table")
+	l := fs.Int("l", 16, "LSH tables")
+	seed := fs.Uint64("seed", 1, "workload + algorithm seed")
+	verify := fs.Bool("verify", true, "brute-force verify the (cs,s) guarantee")
+	save := fs.String("save", "", "write the workload to PREFIX.p / PREFIX.q")
+	load := fs.String("load", "", "read the workload from PREFIX.p / PREFIX.q")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with the usage
 
 	var P, Q []vec.Vector
 	if *load != "" {
 		var err error
 		if P, Q, err = loadWorkload(*load); err != nil {
-			fail(err)
+			return err
 		}
 		if len(P) == 0 || len(Q) == 0 {
-			fail(fmt.Errorf("loaded workload is empty"))
+			return fmt.Errorf("loaded workload is empty")
 		}
 		*d = len(P[0])
 	} else {
-		P, Q = generate(xrand.New(*seed), *workload, *n, *nq, *d, *s)
+		var err error
+		if P, Q, err = generate(xrand.New(*seed), *workload, *n, *nq, *d, *s); err != nil {
+			return err
+		}
 	}
 	if *save != "" {
 		if err := saveWorkload(*save, P, Q); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("workload saved to %s.p / %s.q\n", *save, *save)
+		fmt.Fprintf(w, "workload saved to %s.p / %s.q\n", *save, *save)
 	}
 
 	sp := core.Spec{S: *s, C: *c}
@@ -84,19 +104,19 @@ func main() {
 	case "unsigned":
 		sp.Variant = core.Unsigned
 	default:
-		fail(fmt.Errorf("unknown variant %q", *variant))
+		return fmt.Errorf("unknown variant %q", *variant)
 	}
 	if err := sp.Validate(); err != nil {
-		fail(err)
+		return err
 	}
 
 	fp, err := flat.FromVectors(P)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	fq, err := flat.FromVectors(Q)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	opts := join.Opts{Unsigned: sp.Variant == core.Unsigned, TopK: *topk}
@@ -120,7 +140,7 @@ func main() {
 	case "naive":
 		// Reference scan over the row slices; thresholds at s.
 	default:
-		fail(fmt.Errorf("unknown engine %q", *engine))
+		return fmt.Errorf("unknown engine %q", *engine)
 	}
 
 	// Exact engines accept at c·s like the approximate ones; with the
@@ -131,7 +151,7 @@ func main() {
 	var res join.Result
 	if eng != nil {
 		if res, err = eng.Join(fp, fq, sp.S, sp.CS(), opts); err != nil {
-			fail(err)
+			return err
 		}
 		name = eng.Name()
 	} else if sp.Variant == core.Signed {
@@ -141,21 +161,22 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("engine=%s variant=%s workload=%s |P|=%d |Q|=%d d=%d s=%g c=%g topk=%d workers=%d\n",
+	fmt.Fprintf(w, "engine=%s variant=%s workload=%s |P|=%d |Q|=%d d=%d s=%g c=%g topk=%d workers=%d\n",
 		name, sp.Variant, *workload, len(P), len(Q), *d, sp.S, sp.C, *topk, *workers)
-	fmt.Printf("matches=%d compared=%d (naive would compare %d) time=%s\n",
+	fmt.Fprintf(w, "matches=%d compared=%d (naive would compare %d) time=%s\n",
 		len(res.Matches), res.Compared, len(P)*len(Q), elapsed.Round(time.Microsecond))
 	if *verify {
 		if err := core.CheckGuarantee(P, Q, res, sp); err != nil {
-			fmt.Printf("guarantee: VIOLATED — %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(w, "guarantee: VIOLATED — %v\n", err)
+			return errViolated
 		}
-		fmt.Println("guarantee: OK (Definition 1 verified by brute force)")
+		fmt.Fprintln(w, "guarantee: OK (Definition 1 verified by brute force)")
 	}
+	return nil
 }
 
 // generate builds the selected synthetic workload.
-func generate(rng *xrand.RNG, workload string, n, nq, d int, s float64) (P, Q []vec.Vector) {
+func generate(rng *xrand.RNG, workload string, n, nq, d int, s float64) (P, Q []vec.Vector, err error) {
 	switch workload {
 	case "planted":
 		hot := make([]int, 0, nq/4)
@@ -171,9 +192,9 @@ func generate(rng *xrand.RNG, workload string, n, nq, d int, s float64) (P, Q []
 		P = dataset.BinarySets(rng, n, d, max(2, d/8), 0.8)
 		Q = dataset.BinarySets(rng, nq, d, max(2, d/8), 0.8)
 	default:
-		fail(fmt.Errorf("unknown workload %q", workload))
+		return nil, nil, fmt.Errorf("unknown workload %q", workload)
 	}
-	return P, Q
+	return P, Q, nil
 }
 
 // saveWorkload writes P and Q in the vecio binary format.
@@ -214,16 +235,4 @@ func loadWorkload(prefix string) (P, Q []vec.Vector, err error) {
 		return nil, nil, err
 	}
 	return P, Q, nil
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "ipsjoin: %v\n", err)
-	os.Exit(1)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -12,8 +12,7 @@ import (
 // The BenchmarkJoin suite measures the acceptance workload of the
 // flat-store join layer: n=10k data rows against 256 queries at d=16,
 // naive row-slice reference vs the tiled kernel vs norm-pruned tiling,
-// single-threaded, the two over a tombstoned P, plus the two under a
-// parallel runner.
+// single-threaded, plus the two under a parallel runner.
 // scripts/bench.sh records these in BENCH_<n>.json.
 
 const (
@@ -87,35 +86,6 @@ func BenchmarkJoinNormPrunedTail_10kx256_d16(b *testing.B) {
 		b.Fatal("Extend folded a 512-row tail")
 	}
 	benchEngine(b, NormPruned{Sorted: &flat.NormSorted{View: v}}, fp, fq, Opts{})
-}
-
-// benchDead tombstones a scattered tenth of the data rows: nearly every
-// row block is mixed, the state a join sees between a burst of deletes
-// and the next compaction.
-func benchDead() *flat.Tombstones {
-	rng := xrand.New(7)
-	dead := flat.NewTombstones(benchN)
-	for i := 0; i < benchN; i++ {
-		if rng.Bernoulli(0.1) {
-			dead.Kill(i)
-		}
-	}
-	return dead
-}
-
-func BenchmarkJoinTiledMasked_10kx256_d16(b *testing.B) {
-	_, _, fp, fq := benchWorkload()
-	benchEngine(b, Tiled{}, fp, fq, Opts{DeadP: benchDead()})
-}
-
-func BenchmarkJoinNormPrunedMasked_10kx256_d16(b *testing.B) {
-	_, _, fp, fq := benchWorkload()
-	dead := benchDead()
-	e, err := NormPruned{}.Prepare(fp, dead)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchEngine(b, e, fp, fq, Opts{DeadP: dead})
 }
 
 func BenchmarkJoinTiledTopK8_10kx256_d16(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -93,51 +94,11 @@ func sameMatches(t *testing.T, label string, want, got []Match) {
 	}
 }
 
-// gridDeadShapes are the dead-set axis of the grids below, applied to
-// both operands: no set at all, a quarter of the rows at random, and a
-// leading run that covers the whole first row block of a large operand
-// (every row but the last of a small one).
-var gridDeadShapes = []string{"none", "scattered", "block"}
-
-func gridDead(shape string, n int, rng *xrand.RNG) *flat.Tombstones {
-	if shape == "none" {
-		return nil
-	}
-	dead := flat.NewTombstones(n)
-	for i := 0; i < n; i++ {
-		if (shape == "scattered" && rng.Bernoulli(0.25)) || (shape == "block" && i < min(256, n-1)) {
-			dead.Kill(i)
-		}
-	}
-	return dead
-}
-
-// naiveLive is the oracle of a join with dead sets: the naive reference
-// over the surviving rows, its matches renumbered to the operands' rows.
-func naiveLive(P, Q []vec.Vector, deadP, deadQ *flat.Tombstones, naive func(P, Q []vec.Vector) Result) []Match {
-	survivors := func(vs []vec.Vector, dead *flat.Tombstones) (live []vec.Vector, rowOf []int) {
-		for i, v := range vs {
-			if !dead.Dead(i) {
-				live, rowOf = append(live, v), append(rowOf, i)
-			}
-		}
-		return live, rowOf
-	}
-	lp, rowP := survivors(P, deadP)
-	lq, rowQ := survivors(Q, deadQ)
-	matches := naive(lp, lq).Matches
-	for i, m := range matches {
-		matches[i].PIdx, matches[i].QIdx = rowP[m.PIdx], rowQ[m.QIdx]
-	}
-	return matches
-}
-
 // TestFlatEnginesMatchNaiveGrid is the equivalence grid of the flat
 // exact engines: over randomized n/nq/d/s combinations — including
-// ties, zero vectors, P≠Q sizes, tile-boundary crossings and dead sets
-// on both sides — the tiled and norm-pruned joins must return the exact
-// pair set of the naive row-slice reference over the surviving rows,
-// bit for bit, serially and under a parallel runner.
+// ties, zero vectors, P≠Q sizes and tile-boundary crossings — the tiled
+// and norm-pruned joins must return the exact pair set of the naive
+// row-slice reference, bit for bit, serially and under a parallel runner.
 func TestFlatEnginesMatchNaiveGrid(t *testing.T) {
 	rng := xrand.New(42)
 	runner := newChanRunner(4)
@@ -153,39 +114,29 @@ func TestFlatEnginesMatchNaiveGrid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, shape := range gridDeadShapes {
-					deadP, deadQ := gridDead(shape, n, rng), gridDead(shape, nq, rng)
-					for _, s := range []float64{0.1, 0.55, 3.0} {
-						for _, unsigned := range []bool{false, true} {
-							want := naiveLive(P, Q, deadP, deadQ, func(P, Q []vec.Vector) Result {
-								if unsigned {
-									return NaiveUnsigned(P, Q, s)
-								}
-								return NaiveSigned(P, Q, s)
-							})
-							opts := Opts{Unsigned: unsigned, DeadP: deadP, DeadQ: deadQ}
-							tiled := mustJoin(t, Tiled{}, fp, fq, s, s, opts)
-							sameMatches(t, "tiled dead="+shape, want, tiled.Matches)
-							if shape == "none" && tiled.Compared != int64(n)*int64(nq) {
-								t.Fatalf("tiled compared %d, want %d", tiled.Compared, n*nq)
-							}
-							pruned := mustJoin(t, NormPruned{}, fp, fq, s, s, opts)
-							sameMatches(t, "normpruned dead="+shape, want, pruned.Matches)
-							if shape == "none" && pruned.Compared > tiled.Compared {
-								t.Fatalf("normpruned compared %d > tiled %d", pruned.Compared, tiled.Compared)
-							}
-							// Dead queries cost nothing; dead rows only inside
-							// a block that still holds a live one.
-							if most := int64(n) * int64(nq-deadQ.Count()); tiled.Compared > most || pruned.Compared > most {
-								t.Fatalf("compared %d (tiled) and %d (normpruned), at most %d", tiled.Compared, pruned.Compared, most)
-							}
-							popts := opts
-							popts.Runner = runner
-							par := mustJoin(t, Tiled{}, fp, fq, s, s, popts)
-							sameMatches(t, "tiled/runner", want, par.Matches)
-							parp := mustJoin(t, NormPruned{}, fp, fq, s, s, popts)
-							sameMatches(t, "normpruned/runner", want, parp.Matches)
+				for _, s := range []float64{0.1, 0.55, 3.0} {
+					for _, unsigned := range []bool{false, true} {
+						want := NaiveSigned(P, Q, s)
+						if unsigned {
+							want = NaiveUnsigned(P, Q, s)
 						}
+						opts := Opts{Unsigned: unsigned}
+						tiled := mustJoin(t, Tiled{}, fp, fq, s, s, opts)
+						sameMatches(t, "tiled", want.Matches, tiled.Matches)
+						if tiled.Compared != int64(n)*int64(nq) {
+							t.Fatalf("tiled compared %d, want %d", tiled.Compared, n*nq)
+						}
+						pruned := mustJoin(t, NormPruned{}, fp, fq, s, s, opts)
+						sameMatches(t, "normpruned", want.Matches, pruned.Matches)
+						if pruned.Compared > tiled.Compared {
+							t.Fatalf("normpruned compared %d > tiled %d", pruned.Compared, tiled.Compared)
+						}
+						popts := opts
+						popts.Runner = runner
+						par := mustJoin(t, Tiled{}, fp, fq, s, s, popts)
+						sameMatches(t, "tiled/runner", want.Matches, par.Matches)
+						parp := mustJoin(t, NormPruned{}, fp, fq, s, s, popts)
+						sameMatches(t, "normpruned/runner", want.Matches, parp.Matches)
 					}
 				}
 			}
@@ -194,7 +145,7 @@ func TestFlatEnginesMatchNaiveGrid(t *testing.T) {
 }
 
 // TestFlatEnginesTopKMatchNaive pins the top-k-pairs mode to the naive
-// top-k reference on the same adversarial workloads and dead sets.
+// top-k reference on the same adversarial workloads.
 func TestFlatEnginesTopKMatchNaive(t *testing.T) {
 	rng := xrand.New(7)
 	for _, n := range []int{4, 40, 280} {
@@ -202,23 +153,18 @@ func TestFlatEnginesTopKMatchNaive(t *testing.T) {
 			P, Q := gridWorkload(rng, n, nq, 8)
 			fp, _ := flat.FromVectors(P)
 			fq, _ := flat.FromVectors(Q)
-			for _, shape := range gridDeadShapes {
-				deadP, deadQ := gridDead(shape, n, rng), gridDead(shape, nq, rng)
-				for _, k := range []int{1, 3, 10} {
-					for _, unsigned := range []bool{false, true} {
-						const s = 0.25
-						want := naiveLive(P, Q, deadP, deadQ, func(P, Q []vec.Vector) Result {
-							if unsigned {
-								return NaiveUnsignedTopK(P, Q, s, k)
-							}
-							return NaiveSignedTopK(P, Q, s, k)
-						})
-						opts := Opts{Unsigned: unsigned, TopK: k, DeadP: deadP, DeadQ: deadQ}
-						tiled := mustJoin(t, Tiled{}, fp, fq, s, s, opts)
-						sameMatches(t, "tiled topk dead="+shape, want, tiled.Matches)
-						pruned := mustJoin(t, NormPruned{}, fp, fq, s, s, opts)
-						sameMatches(t, "normpruned topk dead="+shape, want, pruned.Matches)
+			for _, k := range []int{1, 3, 10} {
+				for _, unsigned := range []bool{false, true} {
+					const s = 0.25
+					want := NaiveSignedTopK(P, Q, s, k)
+					if unsigned {
+						want = NaiveUnsignedTopK(P, Q, s, k)
 					}
+					opts := Opts{Unsigned: unsigned, TopK: k}
+					tiled := mustJoin(t, Tiled{}, fp, fq, s, s, opts)
+					sameMatches(t, "tiled topk", want.Matches, tiled.Matches)
+					pruned := mustJoin(t, NormPruned{}, fp, fq, s, s, opts)
+					sameMatches(t, "normpruned topk", want.Matches, pruned.Matches)
 				}
 			}
 		}
@@ -360,119 +306,117 @@ func TestNormPrunedPrebuiltView(t *testing.T) {
 	}
 }
 
-// TestPrebuiltCandidateStructures: LSH.Index lets a caller that already
-// keeps a banding index over every row of P join without a build. The
-// index is probed through DeadP — the result, Compared included, is the
-// one the engine gives building over the live rows itself — and an index
-// of another store's size is an error.
+// oracleTile is TopKTile spelled out: each query of rows [qlo, qhi) has
+// its candidates listed by ix.AppendHashed from keys, and offered to an
+// Acc of k one by one — the rows dead marks skipped — at the store's dot,
+// absolute when unsigned.
+func oracleTile(t *testing.T, ix *lsh.Index, keys *lsh.QueryKeys, P, Q *flat.Store, qlo, qhi, k int, dead *flat.Tombstones, unsigned bool) [][]flat.Hit {
+	t.Helper()
+	out := make([][]flat.Hit, 0, qhi-qlo)
+	for qi := qlo; qi < qhi; qi++ {
+		cands, err := ix.AppendHashed(nil, keys, qi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := flat.NewAcc(k)
+		for _, pi := range cands {
+			if dead.Dead(pi) {
+				continue
+			}
+			v := P.Dot(pi, Q.Row(qi))
+			if unsigned {
+				v = math.Abs(v)
+			}
+			acc.Offer(pi, v)
+		}
+		out = append(out, slices.Clone(acc.Hits()))
+	}
+	return out
+}
+
+// topKTile runs TopKTile over rows [qlo, qhi) into fresh accumulators of
+// k and returns their hits.
+func topKTile(e LSH, P, Q *flat.Store, qlo, qhi, k int, dead *flat.Tombstones, unsigned bool, st *flat.ScanStats) ([][]flat.Hit, error) {
+	accs := make([]flat.Acc, qhi-qlo)
+	hits := make([][]flat.Hit, len(accs))
+	for i := range accs {
+		accs[i].Reset(k)
+	}
+	err := e.TopKTile(context.Background(), P, Q, qlo, qhi, accs, dead, unsigned, st)
+	for i := range accs {
+		hits[i] = accs[i].Hits()
+	}
+	return hits, err
+}
+
+// sameHits asserts two tiles' hits are identical: indices, order and
+// score bits.
+func sameHits(t *testing.T, label string, want, got [][]flat.Hit) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d queries, want %d", label, len(got), len(want))
+	}
+	for j := range want {
+		if len(want[j]) != len(got[j]) {
+			t.Fatalf("%s: query %d holds %d hits, want %d", label, j, len(got[j]), len(want[j]))
+		}
+		for i, w := range want[j] {
+			if g := got[j][i]; g.Index != w.Index || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+				t.Fatalf("%s: query %d hit %d = %+v, want %+v", label, j, i, g, w)
+			}
+		}
+	}
+}
+
+// TestPrebuiltCandidateStructures: TopKTile over a banding index the
+// caller built over every row of P — sampled as the LSH engine samples
+// its own — reports, tile for tile and cut at cs, the pairs LSH.Join
+// reports, and verifies as many candidates as the join counts compared.
 func TestPrebuiltCandidateStructures(t *testing.T) {
 	rng := xrand.New(37)
 	P, Q := gridWorkload(rng, 300, 70, 8)
 	fp, _ := flat.FromVectors(P)
 	fq, _ := flat.FromVectors(Q)
-	other, _ := flat.FromVectors(P[:100])
 	fam, _ := lsh.NewHyperplane(8)
 	build := LSH{NewFamily: func(int) (lsh.Family, error) { return fam, nil }, K: 4, L: 8, Seed: 2}
 	ix, _ := lsh.NewIndex(fam, 4, 8, 2)
 	ix.InsertAll(fp.Rows())
-	for _, opts := range []Opts{{}, {Unsigned: true, TopK: 3}, {DeadP: gridDead("scattered", len(P), rng), DeadQ: gridDead("scattered", len(Q), rng)}} {
-		want := mustJoin(t, build, fp, fq, 0.5, 0.4, opts)
-		got := mustJoin(t, LSH{Index: ix}, fp, fq, 0.5, 0.4, opts)
-		sameMatches(t, "prebuilt index", want.Matches, got.Matches)
-		if got.Compared != want.Compared || len(want.Matches) == 0 {
-			t.Fatalf("prebuilt index compared %d pairs, a build over the live rows %d (%d matches)", got.Compared, want.Compared, len(want.Matches))
-		}
-	}
-	if _, err := (LSH{Index: ix}).Join(other, fq, 0.5, 0.4, Opts{}); err == nil {
-		t.Fatal("an index over another store's rows must fail")
-	}
-}
-
-// TestPreparerReuse pins the Prepare contract for every preparable
-// engine: a prepared engine answers identically for its bound store,
-// and still answers correctly (by rebuilding) for a different store.
-func TestPreparerReuse(t *testing.T) {
-	rng := xrand.New(29)
-	P, Q := gridWorkload(rng, 200, 30, 8)
-	fp, _ := flat.FromVectors(P)
-	fq, _ := flat.FromVectors(Q)
-	other, _ := flat.FromVectors(P[:50])
-	engines := []Engine{
-		NormPruned{},
-		LSH{NewFamily: func(d int) (lsh.Family, error) { return lsh.NewHyperplane(d) }, K: 4, L: 8, Seed: 2},
-		Sketch{Kappa: 2, Copies: 3, Seed: 2},
-	}
-	for _, e := range engines {
-		opts := Opts{Unsigned: true}
-		want := mustJoin(t, e, fp, fq, 0.5, 0.5, opts)
-		prep, err := e.(Preparer).Prepare(fp, nil)
-		if err != nil {
-			t.Fatalf("%s: Prepare: %v", e.Name(), err)
-		}
-		got := mustJoin(t, prep, fp, fq, 0.5, 0.5, opts)
-		sameMatches(t, e.Name()+" prepared", want.Matches, got.Matches)
-		// Prepared over a dead set it answers as the unprepared engine
-		// given that set does; given another set it must not answer from
-		// the state built without those rows.
-		dopts := Opts{Unsigned: true, DeadP: gridDead("scattered", len(P), rng)}
-		wantDead := mustJoin(t, e, fp, fq, 0.5, 0.5, dopts)
-		for _, m := range wantDead.Matches {
-			if dopts.DeadP.Dead(m.PIdx) {
-				t.Fatalf("%s reported dead row %d", e.Name(), m.PIdx)
+	const cs = 0.4
+	for _, opts := range []Opts{{}, {Unsigned: true, TopK: 3}} {
+		want := mustJoin(t, build, fp, fq, 0.5, cs, opts)
+		var got []Match
+		var st flat.ScanStats
+		for qlo := 0; qlo < fq.Len(); qlo += tileQRows {
+			qhi := min(qlo+tileQRows, fq.Len())
+			hits, err := topKTile(LSH{Index: ix}, fp, fq, qlo, qhi, max(opts.TopK, 1), nil, opts.Unsigned, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, hs := range hits {
+				for _, h := range hs {
+					if h.Score < cs {
+						break
+					}
+					got = append(got, Match{QIdx: qlo + j, PIdx: h.Index, Value: h.Score})
+				}
 			}
 		}
-		prepDead, err := e.(Preparer).Prepare(fp, dopts.DeadP)
-		if err != nil {
-			t.Fatalf("%s: Prepare: %v", e.Name(), err)
-		}
-		sameMatches(t, e.Name()+" prepared/dead", wantDead.Matches, mustJoin(t, prepDead, fp, fq, 0.5, 0.5, dopts).Matches)
-		sameMatches(t, e.Name()+" prepared/other-dead", want.Matches, mustJoin(t, prepDead, fp, fq, 0.5, 0.5, opts).Matches)
-		sameMatches(t, e.Name()+" prepared/late-dead", wantDead.Matches, mustJoin(t, prep, fp, fq, 0.5, 0.5, dopts).Matches)
-		// A different P must fall back to a fresh build, not answer
-		// from the stale state.
-		wantOther := mustJoin(t, e, other, fq, 0.5, 0.5, opts)
-		gotOther := mustJoin(t, prep, other, fq, 0.5, 0.5, opts)
-		sameMatches(t, e.Name()+" prepared/other-store", wantOther.Matches, gotOther.Matches)
-	}
-}
-
-// TestJoinCtxAndStats: every engine reports its work through Opts.Stats
-// (ScannedRows is Compared) and gives up on a cancelled Opts.Ctx with
-// the context's error, no matches and no work, serially or on a runner.
-func TestJoinCtxAndStats(t *testing.T) {
-	rng := xrand.New(31)
-	P, Q := gridWorkload(rng, 600, 130, 8)
-	fp, _ := flat.FromVectors(P)
-	fq, _ := flat.FromVectors(Q)
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, e := range []Engine{
-		Tiled{}, NormPruned{},
-		LSH{NewFamily: func(d int) (lsh.Family, error) { return lsh.NewHyperplane(d) }, K: 4, L: 8, Seed: 2},
-		Sketch{Kappa: 2, Copies: 3, Seed: 2},
-	} {
-		for _, runner := range []Runner{nil, newChanRunner(3)} {
-			var st flat.ScanStats
-			res := mustJoin(t, e, fp, fq, 0.5, 0.5, Opts{Unsigned: true, Runner: runner, Ctx: context.Background(), Stats: &st})
-			if int64(st.ScannedRows) != res.Compared || res.Compared == 0 {
-				t.Fatalf("%s: stats %+v, compared %d", e.Name(), st, res.Compared)
-			}
-			st = flat.ScanStats{ScannedRows: -1}
-			res, err := e.Join(fp, fq, 0.5, 0.5, Opts{Unsigned: true, Runner: runner, Ctx: cancelled, Stats: &st})
-			if !errors.Is(err, context.Canceled) || len(res.Matches) != 0 || st != (flat.ScanStats{}) {
-				t.Fatalf("%s: cancelled join: err %v, %d matches, stats %+v", e.Name(), err, len(res.Matches), st)
-			}
+		sameMatches(t, "prebuilt index", want.Matches, got)
+		if int64(st.Candidates) != want.Compared || len(want.Matches) == 0 {
+			t.Fatalf("TopKTile verified %d candidates, the join compared %d pairs (%d matches)", st.Candidates, want.Compared, len(want.Matches))
 		}
 	}
 }
 
 // TestTopKTileIsTheJoinsLoop: the tile entry a served alsh batch search
-// uses gives, query for query, the pairs (cut at cs = 0) the top-k join
-// over the same prebuilt index reports, through DeadP; and the loop the two share,
-// cancelled between two queries of a tile — by the candidate source of
-// the fourth — returns the context's error with the later queries'
-// accumulators untouched, and refuses an expired context before asking
-// the source for anything.
+// uses gives, query for query, the hits of the oracle that offers each
+// candidate the index lists to an accumulator, the rows of the dead set
+// skipped — a set that changes the answer, so a tile that offered a dead
+// row would fail. And the loop TopKTile and the joins share, cancelled
+// between two queries of a tile — by the candidate source of the fourth
+// — returns the context's error with the later queries' accumulators
+// untouched, and refuses an expired context before asking the source for
+// anything.
 func TestTopKTileIsTheJoinsLoop(t *testing.T) {
 	rng := xrand.New(41)
 	P, Q := gridWorkload(rng, 500, 40, 8)
@@ -482,33 +426,35 @@ func TestTopKTileIsTheJoinsLoop(t *testing.T) {
 	ix, _ := lsh.NewIndex(fam, 4, 8, 2)
 	ix.InsertAll(fp.Rows())
 	e := LSH{Index: ix}
-	dead := gridDead("scattered", len(P), rng)
+	dead := flat.NewTombstones(len(P)) // a quarter of the rows
+	for i := range P {
+		if rng.Bernoulli(0.25) {
+			dead.Kill(i)
+		}
+	}
 	const k, qlo, qhi = 3, 5, 37
 	for _, unsigned := range []bool{false, true} {
-		want := mustJoin(t, e, fp, fq, 1, 0, Opts{Unsigned: unsigned, TopK: k, DeadP: dead})
-		accs := make([]flat.Acc, qhi-qlo)
-		for i := range accs {
-			accs[i].Reset(k)
-		}
+		var keys lsh.QueryKeys
+		ix.HashQueries(&keys, fq, qlo, qhi, lsh.Probe{Neg: unsigned})
+		want := oracleTile(t, ix, &keys, fp, fq, qlo, qhi, k, dead, unsigned)
 		var st flat.ScanStats
-		if err := e.TopKTile(context.Background(), fp, fq, qlo, qhi, accs, dead, unsigned, &st); err != nil {
+		got, err := topKTile(e, fp, fq, qlo, qhi, k, dead, unsigned, &st)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var got, wantTile []Match
-		for i := range accs {
-			flushAcc(&accs[i], qlo+i, 0, &got)
+		sameHits(t, fmt.Sprintf("TopKTile unsigned=%v", unsigned), want, got)
+		held := 0
+		for _, hs := range got {
+			held += len(hs)
 		}
-		for _, m := range want.Matches {
-			if m.QIdx >= qlo && m.QIdx < qhi {
-				wantTile = append(wantTile, m)
-			}
+		if st.Candidates < held {
+			t.Fatalf("TopKTile counts %d candidates verified for %d hits", st.Candidates, held)
 		}
-		sameMatches(t, "TopKTile", wantTile, got)
-		if st.Candidates < len(got) {
-			t.Fatalf("TopKTile counts %d candidates verified for %d pairs", st.Candidates, len(got))
+		if held < qhi-qlo {
+			t.Fatalf("only %d hits over %d queries; the test compares next to nothing", held, qhi-qlo)
 		}
-		if len(got) < qhi-qlo {
-			t.Fatalf("only %d pairs over %d queries; the test compares next to nothing", len(got), qhi-qlo)
+		if alive := oracleTile(t, ix, &keys, fp, fq, qlo, qhi, k, nil, unsigned); slices.EqualFunc(alive, want, slices.Equal) {
+			t.Fatal("the dead set changes no answer; a tile offering dead rows would pass")
 		}
 	}
 
@@ -528,7 +474,7 @@ func TestTopKTileIsTheJoinsLoop(t *testing.T) {
 		accs[i].Reset(k)
 	}
 	var st flat.ScanStats
-	err := verifyTile(ctx, fp, fq, qlo, qhi, accs, nil, nil, false, 0, source, &st)
+	err := verifyTile(ctx, fp, fq, qlo, qhi, accs, nil, false, 0, source, &st)
 	if !errors.Is(err, context.Canceled) || asked != 4 || st.Candidates != 4 {
 		t.Fatalf("cancelled at the fourth query: err %v after %d queries, %d rows verified", err, asked, st.Candidates)
 	}
@@ -537,16 +483,17 @@ func TestTopKTileIsTheJoinsLoop(t *testing.T) {
 			t.Fatalf("query %d of the cancelled tile holds %d hits", i, len(accs[i].Hits()))
 		}
 	}
-	if err := verifyTile(ctx, fp, fq, qlo, qhi, accs, nil, nil, false, 0, source, &st); !errors.Is(err, context.Canceled) || asked != 4 {
+	if err := verifyTile(ctx, fp, fq, qlo, qhi, accs, nil, false, 0, source, &st); !errors.Is(err, context.Canceled) || asked != 4 {
 		t.Fatalf("expired tile: err %v, source asked %d times in all", err, asked)
 	}
 }
 
-// TestLSHJoinTakesHashedKeys: an LSH engine handed the Q operand's keys,
+// TestLSHJoinTakesHashedKeys: TopKTile handed the Q operand's keys,
 // hashed once under the hash functions its index shares with a sibling
-// over other rows, joins exactly as one that hashes each tile itself —
-// on either index, over more than one tile, tiles run in parallel — and
-// keys of a twin index, sampled alike, fail the join.
+// over other rows, answers exactly as the oracle over those keys and as
+// a TopKTile that hashes each tile itself — on either index, over more
+// than one tile, tiles run in parallel — and keys of a twin index,
+// sampled alike, fail the tile.
 func TestLSHJoinTakesHashedKeys(t *testing.T) {
 	rng := xrand.New(43)
 	P, Q := gridWorkload(rng, 500, tileQRows+9, 8)
@@ -559,22 +506,35 @@ func TestLSHJoinTakesHashedKeys(t *testing.T) {
 		fs, _ := flat.FromVectors(rows)
 		stores, parts = append(stores, fs), append(parts, base.Extend(rows))
 	}
+	const k = 3
+	tiles := (fq.Len() + tileQRows - 1) / tileQRows
 	for _, unsigned := range []bool{false, true} {
 		var keys lsh.QueryKeys
 		parts[1].HashQueries(&keys, fq, 0, fq.Len(), lsh.Probe{Neg: unsigned})
-		opts := Opts{Unsigned: unsigned, TopK: 3, Runner: newChanRunner(2)}
 		for i, ix := range parts {
-			want := mustJoin(t, LSH{Index: ix}, stores[i], fq, 1, 0, opts)
-			got := mustJoin(t, LSH{Index: ix, Keys: &keys}, stores[i], fq, 1, 0, opts)
-			sameMatches(t, fmt.Sprintf("part %d unsigned=%v", i, unsigned), want.Matches, got.Matches)
-			if len(got.Matches) == 0 {
-				t.Fatalf("part %d: no pairs; the test compares nothing", i)
+			want := oracleTile(t, ix, &keys, stores[i], fq, 0, fq.Len(), k, nil, unsigned)
+			for _, e := range []LSH{{Index: ix}, {Index: ix, Keys: &keys}} {
+				got := make([][]flat.Hit, fq.Len())
+				errs := make([]error, tiles)
+				newChanRunner(2).ForEach(tiles, func(tl int) {
+					qlo, qhi := tl*tileQRows, min((tl+1)*tileQRows, fq.Len())
+					var hits [][]flat.Hit
+					hits, errs[tl] = topKTile(e, stores[i], fq, qlo, qhi, k, nil, unsigned, &flat.ScanStats{})
+					copy(got[qlo:], hits)
+				})
+				if err := errors.Join(errs...); err != nil {
+					t.Fatal(err)
+				}
+				sameHits(t, fmt.Sprintf("part %d unsigned=%v keys=%v", i, unsigned, e.Keys != nil), want, got)
+			}
+			if slices.EqualFunc(want, make([][]flat.Hit, len(want)), slices.Equal) {
+				t.Fatalf("part %d: no hits; the test compares nothing", i)
 			}
 		}
 		twin, _ := lsh.NewIndex(fam, 4, 8, 2)
 		twin = twin.Extend(P[:300])
-		if _, err := (LSH{Index: twin, Keys: &keys}).Join(stores[0], fq, 1, 0, opts); err == nil {
-			t.Fatal("a join probed a twin index with keys hashed by another's functions")
+		if _, err := topKTile(LSH{Index: twin, Keys: &keys}, stores[0], fq, 0, tileQRows, k, nil, unsigned, &flat.ScanStats{}); err == nil {
+			t.Fatal("a tile probed a twin index with keys hashed by another's functions")
 		}
 	}
 }
@@ -598,11 +558,8 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := (Tiled{}).Join(fp, fp, 0.5, 0.9, Opts{}); err == nil {
 		t.Fatal("cs > s must fail")
 	}
-	if _, err := (Tiled{}).Join(fp, fp, 0.5, 0.5, Opts{DeadP: flat.NewTombstones(2)}); err == nil {
-		t.Fatal("a dead set of another size must fail")
-	}
-	if _, err := (LSH{}).Join(fp, fp, 0.5, 0.5, Opts{DeadQ: flat.NewTombstones(2)}); err == nil {
-		t.Fatal("a query dead set of another size must fail")
+	if _, err := (LSH{}).Join(fp, fp, 0.5, 0.5, Opts{}); err == nil {
+		t.Fatal("an LSH engine without NewFamily must fail")
 	}
 	empty, _ := flat.New(2)
 	if res, err := (Tiled{}).Join(empty, fp, 0.5, 0.5, Opts{}); err != nil || len(res.Matches) != 0 {
@@ -660,8 +617,8 @@ func TestResultOrderingContract(t *testing.T) {
 }
 
 // TestRecallPrecisionDefinedOnEmpty pins the defined-value contract:
-// an empty exact result (or one certifying no query) yields recall 1.0
-// and an empty approximate result yields precision 1.0 — never NaN.
+// an empty exact result (or one certifying no query) yields recall 1.0,
+// never the 0/0 NaN.
 func TestRecallPrecisionDefinedOnEmpty(t *testing.T) {
 	approx := Result{Matches: []Match{{QIdx: 0, PIdx: 1, Value: 0.7}}}
 	if r := Recall(Result{}, approx, 0.9); r != 1 || math.IsNaN(r) {
@@ -671,35 +628,5 @@ func TestRecallPrecisionDefinedOnEmpty(t *testing.T) {
 	weak := Result{Matches: []Match{{QIdx: 0, PIdx: 2, Value: 0.5}}}
 	if r := Recall(weak, approx, 0.9); r != 1 || math.IsNaN(r) {
 		t.Fatalf("Recall(no promised queries) = %v, want 1.0", r)
-	}
-	if p := Precision(Result{}, 0.4, false); p != 1 || math.IsNaN(p) {
-		t.Fatalf("Precision(empty) = %v, want 1.0", p)
-	}
-	if p := Precision(Result{}, 0.4, true); p != 1 || math.IsNaN(p) {
-		t.Fatalf("Precision(empty unsigned) = %v, want 1.0", p)
-	}
-}
-
-// TestMergePerQuery covers both merge modes over disjoint partials.
-func TestMergePerQuery(t *testing.T) {
-	parts := []Result{
-		{Matches: []Match{{QIdx: 1, PIdx: 9, Value: 0.5}, {QIdx: 2, PIdx: 4, Value: 0.9}}, Compared: 10},
-		{Matches: []Match{{QIdx: 1, PIdx: 3, Value: 0.8}, {QIdx: 1, PIdx: 5, Value: 0.8}}, Compared: 5},
-		{},
-	}
-	best := MergePerQuery(parts, 0)
-	wantBest := []Match{{QIdx: 1, PIdx: 3, Value: 0.8}, {QIdx: 2, PIdx: 4, Value: 0.9}}
-	sameMatches(t, "merge threshold", wantBest, best.Matches)
-	if best.Compared != 15 {
-		t.Fatalf("merged Compared = %d, want 15", best.Compared)
-	}
-	top2 := MergePerQuery(parts, 2)
-	wantTop2 := []Match{
-		{QIdx: 1, PIdx: 3, Value: 0.8}, {QIdx: 1, PIdx: 5, Value: 0.8},
-		{QIdx: 2, PIdx: 4, Value: 0.9},
-	}
-	sameMatches(t, "merge top2", wantTop2, top2.Matches)
-	if m := MergePerQuery(nil, 3); len(m.Matches) != 0 || m.Compared != 0 {
-		t.Fatalf("merge of nothing = %+v", m)
 	}
 }

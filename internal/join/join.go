@@ -222,25 +222,3 @@ func Recall(exact, approx Result, s float64) float64 {
 	}
 	return float64(hit) / float64(promised)
 }
-
-// Precision returns the fraction of reported approximate matches whose
-// verified value clears cs (should be 1.0 for verifying engines; kept
-// as an invariant check). An empty result has precision 1.0 by
-// definition — no reported pair is wrong — never the 0/0 NaN of the
-// raw ratio.
-func Precision(approx Result, cs float64, unsigned bool) float64 {
-	if len(approx.Matches) == 0 {
-		return 1
-	}
-	ok := 0
-	for _, m := range approx.Matches {
-		v := m.Value
-		if unsigned && v < 0 {
-			v = -v
-		}
-		if v >= cs {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(approx.Matches))
-}

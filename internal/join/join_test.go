@@ -81,8 +81,10 @@ func TestLSHSignedJoinRecall(t *testing.T) {
 	if r := Recall(exact, approx, s); r < 0.99 {
 		t.Fatalf("recall %v too low", r)
 	}
-	if p := Precision(approx, cs, false); p != 1 {
-		t.Fatalf("precision %v, want 1 (engine verifies)", p)
+	for _, m := range approx.Matches {
+		if m.Value < cs {
+			t.Fatalf("match %+v below cs=%v (engine verifies)", m, cs)
+		}
 	}
 }
 
@@ -130,8 +132,10 @@ func TestSketchJoinerUnsigned(t *testing.T) {
 	if !res.MatchedQueries()[2] {
 		t.Fatal("sketch join missed the planted partner")
 	}
-	if p := Precision(res, cs, true); p != 1 {
-		t.Fatalf("precision %v", p)
+	for _, m := range res.Matches {
+		if m.Value < cs {
+			t.Fatalf("match %+v below cs=%v (engine verifies)", m, cs)
+		}
 	}
 }
 
@@ -168,20 +172,6 @@ func TestRecallSemantics(t *testing.T) {
 	// No promised queries → vacuous recall 1.
 	if got := Recall(Result{}, approx, 0.9); got != 1 {
 		t.Fatalf("vacuous Recall = %v", got)
-	}
-}
-
-func TestPrecision(t *testing.T) {
-	r := Result{Matches: []Match{{Value: 0.5}, {Value: 0.2}}}
-	if got := Precision(r, 0.4, false); got != 0.5 {
-		t.Fatalf("Precision = %v", got)
-	}
-	if got := Precision(Result{}, 0.4, false); got != 1 {
-		t.Fatalf("empty Precision = %v", got)
-	}
-	neg := Result{Matches: []Match{{Value: -0.5}}}
-	if got := Precision(neg, 0.4, true); got != 1 {
-		t.Fatalf("unsigned Precision = %v", got)
 	}
 }
 

@@ -109,6 +109,8 @@ func TestTopKZeroK(t *testing.T) {
 	}
 }
 
+// TestLSHSignedTopK: the LSH engine in top-k mode reports a query's
+// three planted partners, best first.
 func TestLSHSignedTopK(t *testing.T) {
 	rng := xrand.New(2)
 	const d = 16
@@ -122,8 +124,8 @@ func TestLSHSignedTopK(t *testing.T) {
 		P[i] = vec.Scaled(q.Clone(), scale)
 	}
 	fam, _ := lsh.NewHyperplane(d)
-	j := LSHJoiner{Family: fam, K: 6, L: 32, Seed: 3}
-	res, err := j.SignedTopK(P, []vec.Vector{q}, 0.8, 0.4, 3)
+	e := LSH{NewFamily: func(int) (lsh.Family, error) { return fam, nil }, K: 6, L: 32, Seed: 3}
+	res, err := JoinVectors(e, P, []vec.Vector{q}, 0.8, 0.4, Opts{TopK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +142,8 @@ func TestLSHSignedTopK(t *testing.T) {
 
 func TestLSHSignedTopKValidation(t *testing.T) {
 	fam, _ := lsh.NewHyperplane(2)
-	j := LSHJoiner{Family: fam, K: 1, L: 1, Seed: 1}
-	if _, err := j.SignedTopK(nil, nil, 0.5, 0.9, 2); err == nil {
+	e := LSH{NewFamily: func(int) (lsh.Family, error) { return fam, nil }, K: 1, L: 1, Seed: 1}
+	if _, err := JoinVectors(e, nil, nil, 0.5, 0.9, Opts{TopK: 2}); err == nil {
 		t.Fatal("cs>s must fail")
 	}
 }

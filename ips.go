@@ -112,59 +112,6 @@ func SketchJoinGuaranteedC(n int, kappa float64) float64 {
 	return 1 / sketch.ApproxFactor(n, kappa)
 }
 
-// ---- Flat join engines ----
-//
-// The columnar join layer: engines operate on two FlatStores, tile the
-// P×Q scan to stay cache-resident, and can spread query tiles over a
-// bounded worker pool. With cs = s the exact engines are bit-identical
-// to ExactJoin's reference semantics.
-
-// JoinEngine is a pluggable join algorithm over two flat stores.
-type JoinEngine = join.Engine
-
-// JoinOpts selects the variant (signed/unsigned), the reporting mode
-// (threshold vs top-k pairs per query), and an optional Runner.
-type JoinOpts = join.Opts
-
-// JoinRunner executes independent join tiles, possibly in parallel;
-// *WorkerPool satisfies it.
-type JoinRunner = join.Runner
-
-// TiledJoinEngine is the exact blocked, tiled P×Q kernel.
-type TiledJoinEngine = join.Tiled
-
-// NormPrunedJoinEngine is the exact kernel with Cauchy–Schwarz tile
-// skipping over a descending-norm view of P.
-type NormPrunedJoinEngine = join.NormPruned
-
-// LSHJoinEngine is the banding-index engine over the flat layout.
-type LSHJoinEngine = join.LSH
-
-// SketchJoinEngine is the §4.3 linear-sketch engine over the flat
-// layout (unsigned only).
-type SketchJoinEngine = join.Sketch
-
-// FlatJoin runs the exact tiled join over two flat stores: for each
-// query row of Q it reports pairs from P at (absolute, when unsigned)
-// inner product ≥ cs under the promise threshold s.
-func FlatJoin(P, Q *FlatStore, s, cs float64, opts JoinOpts) (Result, error) {
-	return join.Tiled{}.Join(P, Q, s, cs, opts)
-}
-
-// MergeJoinResults merges partial join results sharing one index space
-// (k best pairs per query for k > 0, the best pair for k == 0).
-func MergeJoinResults(parts []Result, k int) Result {
-	return join.MergePerQuery(parts, k)
-}
-
-// WorkerPool is the bounded parallel-for executor shared by the
-// serving layer; it satisfies JoinRunner.
-type WorkerPool = server.Pool
-
-// NewWorkerPool creates a pool with the given parallelism (n <= 0
-// defaults to GOMAXPROCS).
-func NewWorkerPool(n int) *WorkerPool { return server.NewPool(n) }
-
 // CheckGuarantee verifies a join result against Definition 1 by brute
 // force; nil means the (cs, s) guarantee holds.
 func CheckGuarantee(P, Q []Vector, res Result, sp Spec) error {

@@ -3,7 +3,10 @@
 # performance trajectory can be tracked across PRs (BENCH_<n>.json).
 #
 # Usage:
-#   scripts/bench.sh [out.json]
+#   scripts/bench.sh OUT.json
+#
+# OUT.json is required: a committed BENCH_<n>.json is only ever written
+# by naming it.
 #
 # Environment:
 #   BENCH_FILTER   benchmark regexp (default: the serving-layer suite)
@@ -13,7 +16,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_8.json}"
+if [ $# -lt 1 ] || [ -z "$1" ]; then
+    echo "usage: scripts/bench.sh OUT.json" >&2
+    exit 2
+fi
+OUT="$1"
 FILTER="${BENCH_FILTER:-BenchmarkServer|BenchmarkMergeTopK|BenchmarkFlat|BenchmarkTopKMasked|BenchmarkJoin|BenchmarkWAL|BenchmarkSegment|BenchmarkRecover}"
 TIME="${BENCH_TIME:-200ms}"
 PKGS="${BENCH_PKGS:-./internal/server/ ./internal/flat/ ./internal/join/ ./internal/persist/}"
