@@ -263,3 +263,37 @@ func BenchmarkFlatTopKMulti(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFlatI8Tile measures the VNNI int8 tile kernel alone: one
+// iteration scores one 256-row block of codes against a tile of nq
+// queries — exact int32 dots and mask bits (tileDots) — and ns/score is
+// ns/op ÷ (256·nq). nq = 1 is a single search, 8 a full batch tile; d = 32
+// is mixed-durable's dimension. Skipped where the machine has no VNNI.
+func BenchmarkFlatI8Tile(b *testing.B) {
+	if !i8TileSIMD(16) {
+		b.Skip("no AVX-512 VNNI on this machine")
+	}
+	for _, d := range []int{16, 32, 64} {
+		rng := xrand.New(6)
+		fs, err := FromVectors(randomVecs(rng, blockRows, d))
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := NewStoreI8(fs)
+		for _, nq := range []int{1, 2, 4, 8} {
+			qs, err := FromVectors(randomVecs(rng, nq, d))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("d=%d/nq=%d", d, nq), func(b *testing.B) {
+				sc := GetTileScratch()
+				defer PutTileScratch(sc)
+				s.bindTile(qs, 0, nq, sc)
+				for b.Loop() {
+					s.tileDots(&sc.i8, 0, nq, 0, blockRows, false)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blockRows*nq), "ns/score")
+			})
+		}
+	}
+}

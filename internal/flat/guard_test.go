@@ -3,6 +3,7 @@
 package flat
 
 import (
+	"slices"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -10,41 +11,50 @@ import (
 	"repro/internal/vec"
 )
 
-// guardedPage maps two readable pages, filled with a fixed pattern, that
-// end flush against an unreadable one: a kernel handed their last bytes
-// faults on any load or store past them. The equivalence grids cannot
-// see such an access — Go's heap is readable past most slices.
-func guardedPage(t *testing.T) []byte {
+// guardedPage maps at least size readable bytes, whole pages filled
+// with a fixed pattern, that end flush against an unreadable page: a
+// kernel handed their last bytes faults on any load or store past them.
+// The equivalence grids cannot see such an access — Go's heap is
+// readable past most slices.
+func guardedPage(t *testing.T, size int) []byte {
 	t.Helper()
 	page := syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 3*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	n := (size + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, n+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Skipf("mmap: %v", err)
 	}
 	t.Cleanup(func() { syscall.Munmap(mem) })
-	if err := syscall.Mprotect(mem[2*page:], syscall.PROT_NONE); err != nil {
+	if err := syscall.Mprotect(mem[n:], syscall.PROT_NONE); err != nil {
 		t.Skipf("mprotect: %v", err)
 	}
-	for i := range mem[:2*page] {
+	for i := range mem[:n] {
 		mem[i] = byte(i*37 + 11)
 	}
-	return mem[:2*page]
+	return mem[:n]
 }
 
 // TestQuantKernelsStayInsideAllocation scores stores whose one chunk
 // ends flush against an unreadable page, at dimensions where the int8
-// kernels' padded last chunk (16 ∤ d) or last 4-code column (4 ∤ d) and
-// the f32 kernel's element tail (8 ∤ d) run up to the row's end: a load
-// past the last row faults. The VNNI int8 tile kernel, where the
-// machine has it, runs at row counts off a 16-row group as well as on
-// one. d = 8 and 16 run the same any-dimension kernels as the rest.
+// range kernel's padded last chunk (16 ∤ d) and the f32 kernel's element
+// tail (8 ∤ d) run up to the row's end: a load past the last row faults.
+// The VNNI int8 tile kernel, where the machine has it, runs at every
+// tile width 1–8, signed and unsigned, on every load path it has: whole
+// 16-row groups of d = 32 loads, the pieces of four rows at any other
+// d — the last one shifted back inside the row (16 ∤ d) —
+// and below d = 16 the byte-masked row, passes past d = 64 (65, 100),
+// and a group cut short by the last row (n off a multiple of 16), each
+// ending on the page. d = 8 and 16 run the same any-dimension range
+// kernels as the rest.
 func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 	if !useQuantAsm {
 		t.Skip("no asm kernels on this machine")
 	}
-	mem := guardedPage(t)
-	for _, d := range []int{4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 100} {
-		for _, n := range []int{1, 2, 3, 4, 5, 9, 15, 16, 17} {
+	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 255, 256}
+	dims := []int{4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 64, 65, 100}
+	mem := guardedPage(t, 4*slices.Max(ns)*slices.Max(dims))
+	for _, d := range dims {
+		for _, n := range ns {
 			out := make([]float64, n)
 
 			codes := unsafe.Slice((*int8)(unsafe.Pointer(&mem[len(mem)-n*d])), n*d)
@@ -57,7 +67,11 @@ func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 				tl := &i8Tile{stride: len(qc), combined: make([]float64, maxTileQ)}
 				tl.i16 = make([]int16, maxTileQ*tl.stride)
 				tl.pack(d)
-				s8.tileDots(tl, 0, maxTileQ, 0, n, false)
+				for nq := 1; nq <= maxTileQ; nq++ {
+					for _, unsigned := range []bool{false, true} {
+						s8.tileDots(tl, 0, nq, 0, n, unsigned)
+					}
+				}
 			}
 
 			rows := unsafe.Slice((*float32)(unsafe.Pointer(&mem[len(mem)-4*n*d])), n*d)
@@ -90,10 +104,11 @@ func TestTileKernelsStayInsideAllocation(t *testing.T) {
 	last := func(page []byte, n int) []float64 {
 		return unsafe.Slice((*float64)(unsafe.Add(unsafe.Pointer(&page[0]), len(page)-8*n)), n)
 	}
-	rows, queries, pack, scores := guardedPage(t), guardedPage(t), guardedPage(t), guardedPage(t)
+	page := syscall.Getpagesize()
+	rows, queries, pack, scores := guardedPage(t, 2*page), guardedPage(t, 2*page), guardedPage(t, 2*page), guardedPage(t, 2*page)
 	var cands [4][]byte
 	for j := range cands {
-		cands[j] = guardedPage(t)
+		cands[j] = guardedPage(t, 2*page)
 	}
 	for n := 0; n <= 40; n++ {
 		buf := last(scores, n)

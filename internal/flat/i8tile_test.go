@@ -286,14 +286,25 @@ func codePass(dot, floor int32, unsigned bool) bool {
 // query code (−128 included, which the quantizer never emits), any
 // d ≤ 300, 1..blockRows rows, a tile of 1..8 queries at any offset in a
 // larger bound set, floors at, around and far from the dots, signed and
-// unsigned. raw is read cyclically. It skips where the kernel does not
-// run: the other tiers score per query, as Scan does.
+// unsigned. The dots past n must be left as they were, and the mask bits
+// past n clear up to the next 16-row group and untouched after it. raw
+// is read cyclically. It skips where the kernel does not run: the other
+// tiers score per query, as Scan does.
 func FuzzDotI8Tile(f *testing.F) {
 	seed := []byte{127, 129, 0, 1, 255, 128, 64, 3, 200, 17, 90, 7, 250}
 	for _, d := range []uint16{4, 5, 15, 16, 17, 31, 32, 33, 64, 80, 257} {
 		f.Add(d-1, uint16(255), uint8(7), false, seed)
 		f.Add(d-1, uint16(16), uint8(12), true, seed)
 		f.Add(d-1, uint16(0), uint8(0), true, seed)
+	}
+	// The row layout's edges: a piece shifted back inside the row (48,
+	// 63, 65, 257), a pass of exactly 64 codes and passes past it (64,
+	// 65, 128, 257), against one row, a group less one, a whole group,
+	// one row past it and a whole block.
+	for _, d := range []uint16{48, 63, 64, 65, 128, 257} {
+		for i, n := range []uint16{1, 15, 16, 17, 256} {
+			f.Add(d-1, n-1, uint8(8*i+7), i%2 == 1, seed)
+		}
 	}
 	f.Fuzz(func(t *testing.T, dw, nw uint16, qw uint8, unsigned bool, raw []byte) {
 		d, n, nq := int(dw)%300+1, int(nw)%blockRows+1, int(qw)%maxTileQ+1
@@ -334,20 +345,35 @@ func FuzzDotI8Tile(f *testing.F) {
 			}
 		}
 		// Stale output would pass unnoticed: start from the complement
-		// of every dot and bit the kernel owes.
+		// of every dot and bit the kernel owes, and from set bits and a
+		// marker dot past n.
+		const marker = 0x5eed
+		for j := 0; j < maxTileQ; j++ {
+			for r := 0; r < blockRows; r++ {
+				tl.dots[j*blockRows+r] = marker
+				tl.mask[j*maskWords+r/64] |= 1 << (r % 64)
+			}
+		}
 		for j := 0; j < nq; j++ {
 			for r := 0; r < n; r++ {
 				tl.dots[j*blockRows+r] = ^want[j*n+r]
-				if !codePass(want[j*n+r], tl.floors[j], unsigned) {
-					tl.mask[j*maskWords+r/64] |= 1 << (r % 64)
+				if codePass(want[j*n+r], tl.floors[j], unsigned) {
+					tl.mask[j*maskWords+r/64] &^= 1 << (r % 64)
 				}
 			}
 		}
 		tl.pack(d)
 		s.tileDots(tl, j0, nq, 0, n, unsigned)
 		for j := 0; j < nq; j++ {
-			for r := 0; r < n; r++ {
+			for r := 0; r < blockRows; r++ {
 				dot, bit := tl.dots[j*blockRows+r], tl.mask[j*maskWords+r/64]>>(r%64)&1 == 1
+				if r >= n {
+					if wantBit := r >= (n+15)&^15; dot != marker || bit != wantBit {
+						t.Fatalf("d=%d n=%d tile [%d, %d) of %d: query %d row %d past n: dot %d bit %v, want %d %v",
+							d, n, j0, j0+nq, total, j, r, dot, bit, marker, wantBit)
+					}
+					continue
+				}
 				if w := want[j*n+r]; dot != w || bit != codePass(w, tl.floors[j], unsigned) {
 					t.Fatalf("d=%d n=%d tile [%d, %d) of %d: query %d row %d: dot %d bit %v, want %d %v (floor %d, unsigned %v)",
 						d, n, j0, j0+nq, total, j, r, dot, bit, w, codePass(w, tl.floors[j], unsigned), tl.floors[j], unsigned)

@@ -34,7 +34,7 @@ func dotI8Range(p []int8, d int, q []int16, combined float64, out []float64)
 // useI8TileAsm gates the AVX-512 VNNI int8 tile kernel, dotI8Tile, at
 // every d ≥ 4 (i8TileSIMD). A variable so the tests can run the AVX2
 // and Go tiers on a machine that has it.
-var useI8TileAsm = x86HasAVX512F() && x86HasAVX512VNNI()
+var useI8TileAsm = x86HasAVX512F() && x86HasAVX512VNNIBW()
 
 // dotI8Tile scores the n ≤ blockRows rows of d ≥ 4 codes in p against a
 // tile of nq = len(floors) ≤ maxTileQ queries: the int32 dot of row r
@@ -43,13 +43,14 @@ var useI8TileAsm = x86HasAVX512F() && x86HasAVX512VNNI()
 // exactly when the dot beats floors[j]: dot > floor, or when unsigned
 // |dot| > floor, both read as unsigned (|MinInt32| is 2³¹). The kernel
 // stores 16 bits per 16-row group, those past n clear; later words and
-// the dots past n are left alone. Query j's codes are packed in q by
-// 4-code column: column c of query j is q[c·qstride + j] (see
-// i8Tile.pack), and nbias[j] is −128 times the sum of its codes. Every
-// load stays inside p.
+// the dots past n are left alone. It reads the rows themselves, whole
+// rows per load, and query j's codes from q[j·qstride:], laid out as
+// the kernel reads a row (see i8Tile.pack); nbias[j] is −128 times the
+// sum of its codes. Every load stays inside p.
 //
 //go:noescape
-func dotI8Tile(p []int8, d, n int, q []int32, qstride int, nbias, floors []int32, unsigned bool, dots []int32, mask []uint64)
+func dotI8Tile(p []int8, d, n int, q []int8, qstride int, nbias, floors []int32, unsigned bool, dots []int32, mask []uint64)
 
-// x86HasAVX512VNNI reports CPUID leaf 7 ECX bit 11 (AVX512_VNNI).
-func x86HasAVX512VNNI() bool
+// x86HasAVX512VNNIBW reports CPUID leaf 7 ECX bit 11 (AVX512_VNNI) and
+// EBX bit 30 (AVX512BW).
+func x86HasAVX512VNNIBW() bool

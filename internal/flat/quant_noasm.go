@@ -17,6 +17,6 @@ func dotI8Range(p []int8, d int, q []int16, combined float64, out []float64) {
 // useI8TileAsm is false off amd64: the int8 tiles score per query.
 var useI8TileAsm = false
 
-func dotI8Tile(p []int8, d, n int, q []int32, qstride int, nbias, floors []int32, unsigned bool, dots []int32, mask []uint64) {
+func dotI8Tile(p []int8, d, n int, q []int8, qstride int, nbias, floors []int32, unsigned bool, dots []int32, mask []uint64) {
 	panic("flat: dotI8Tile asm unavailable")
 }

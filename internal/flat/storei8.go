@@ -43,13 +43,15 @@
 // subnormal scale, a query whose ‖q‖₁ overflows — ε is +Inf and every
 // live row is a candidate.
 //
-// Where the CPU has AVX-512 VNNI the batch compares in the code domain.
-// Before each block, each query's bar less 2ε becomes an int32 code
-// floor F, the largest t with float64(t)·combined below it (tileFloor).
-// One pass over the block's codes scores a tile of up to maxTileQ
-// queries, one gather per 4-code column of 16 rows and one VPDPBUSD per
-// query (dotI8Tile, i8tile_amd64.s), and writes exact int32 dots and a
-// mask of the rows with dot > F (|dot| > F when unsigned). Only those
+// Where the CPU has AVX-512 VNNI and BW the batch compares in the code
+// domain. Before each block, each query's bar less 2ε becomes an int32
+// code floor F, the largest t with float64(t)·combined below it
+// (tileFloor). One pass over the block's codes scores a tile of up to
+// maxTileQ queries: it reads 16 rows at a time, whole rows per load,
+// transposes them in registers to 4-code columns, one row per lane, and
+// takes one VPDPBUSD per column and query (dotI8Tile, i8tile_amd64.s),
+// writing exact int32 dots and a mask of the rows with dot > F
+// (|dot| > F when unsigned). Only those
 // rows are dequantized, float64(dot)·combined as above, and offered
 // (offerCodes): rounding is monotone, so a row the mask drops scores
 // below the bar less 2ε, a row that is neither offered nor listed.
@@ -273,8 +275,8 @@ const i8Chunk = 16
 // the Go kernels.
 func quantSIMD(d, chunk int) bool { return useQuantAsm && d >= chunk }
 
-// i8TileSIMD is the gate of the VNNI tile kernel: every d of at least
-// one 4-code column, where the machine has AVX-512 VNNI.
+// i8TileSIMD is the gate of the VNNI tile kernel: every d ≥ 4, where
+// the machine has AVX-512 VNNI and BW.
 func i8TileSIMD(d int) bool { return useI8TileAsm && d >= 4 }
 
 // dotRange fills out with float64(Σ code·qcode) · combined for rows
@@ -418,7 +420,7 @@ type i8Tile struct {
 	qlo      int       // the qs row of query 0
 	stride   int       // codes per query in i16
 	i16      []int16   // query j's quantizeQueryI8 codes at j·stride
-	cols     []int32   // the VNNI kernel's form: column c of query j at c·nq + j
+	pieces   []int8    // the VNNI kernel's form of the queries (pack)
 	nbias    []int32   // −128 times query j's code sum (VNNI)
 	combined []float64 // the store's scale times query j's
 	slack    []float64 // query j's 2ε (StoreI8.slack)
@@ -478,28 +480,28 @@ func (sc *TileScratch) Candidates(j int, a *Acc) []int {
 }
 
 // pack lays the len(t.combined) queries of t.i16 out for the VNNI
-// kernel at d ≥ 4: by 4-code column — column c covers codes
-// [o, o+4), o = min(4c, d−4), so a row's last column stays inside it,
-// and holds zero for the codes an earlier column already covered —
-// with each query's −128·Σ codes beside.
+// kernel, as it reads a row: query j's codes at j·t.stride narrowed to
+// bytes, zero past d, 16-code piece k at 16k — but where 16 ∤ d > 16
+// the last piece's d mod 16 codes move to its end, since the kernel
+// reads that piece at d − 16 to stay inside the row, and the codes
+// before them, which the piece before covered, weigh zero. Beside them,
+// each query's −128·Σ codes.
 func (t *i8Tile) pack(d int) {
-	nq, cols := len(t.combined), (d+3)/4
-	t.cols = slices.Grow(t.cols[:0], cols*nq)[:cols*nq]
+	nq, w := len(t.combined), t.stride
+	t.pieces = slices.Grow(t.pieces[:0], nq*w)[:nq*w]
 	t.nbias = t.nbias[:0]
 	for j := 0; j < nq; j++ {
-		qc := t.i16[j*t.stride : j*t.stride+d]
+		q := t.pieces[j*w : (j+1)*w]
 		var sum int32
-		for _, c := range qc {
+		for i, c := range t.i16[j*w : (j+1)*w] {
+			q[i] = int8(c)
 			sum += int32(c)
 		}
 		t.nbias = append(t.nbias, -128*sum)
-		for c := 0; c < cols; c++ {
-			o := min(4*c, d-4)
-			var w uint32
-			for i := max(0, 4*c-o); i < 4; i++ {
-				w |= uint32(uint8(qc[o+i])) << (8 * i)
-			}
-			t.cols[c*nq+j] = int32(w)
+		if r := d % 16; d > 16 && r != 0 {
+			last := q[w-16:]
+			copy(last[16-r:], last[:r])
+			clear(last[:16-r])
 		}
 	}
 }
@@ -542,7 +544,7 @@ func (s *StoreI8) offerTile(b block, _ *Store, qlo int, accs []Acc, ends []int, 
 // one VNNI kernel pass.
 func (s *StoreI8) tileDots(t *i8Tile, j0, nq, start, n int, unsigned bool) {
 	codes := s.codes.contiguous(start, start+n)
-	dotI8Tile(codes, s.dim, n, t.cols[j0:], len(t.combined), t.nbias[j0:j0+nq], t.floors[:nq], unsigned, t.dots[:], t.mask[:])
+	dotI8Tile(codes, s.dim, n, t.pieces[j0*t.stride:], t.stride, t.nbias[j0:j0+nq], t.floors[:nq], unsigned, t.dots[:], t.mask[:])
 }
 
 // scoreMask sets bit r of mask exactly when scores[r] (|…| when
