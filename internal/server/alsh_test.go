@@ -394,7 +394,7 @@ func TestALSHUpsertsDoNotPinOldStores(t *testing.T) {
 	if got := freed.Load(); got < writes {
 		t.Fatalf("only %d of %d superseded shard stores were collected: the live snapshot pins the rest", got, writes)
 	}
-	if _, err := c.SearchOne(context.Background(), nil, recs[0].Vec, 3, true); err != nil {
+	if _, err := c.SearchOne(context.Background(), NewPool(1), recs[0].Vec, 3, true); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,20 +11,22 @@ package server
 // Steady state does O(tiles) small allocations per request, not
 // O(queries·shards).
 //
-// Parallelism follows the request: a request of one tile scans its shards
-// on the pool, one task each; a request of several tiles runs its tiles on
-// the pool, each visiting the shards in turn, so nothing nests on the pool.
-// A tile that visits the shards in turn hands each query's running k-th
-// best to the next shard as its floor (scanInTurn, the threshold bound of
-// Fagin–Lotem–Naor across shards): a row below it cannot enter the merged
-// top k, and a tie with it still reaches the merge, so only the work
-// changes — a norm-sorted shard stops at the floor instead of at its own
-// k-th best. A query's answer and error depend on neither schedule, nor
-// on the batch width or its place in its tile: the tile scan is
-// bit-identical to scanning the query alone (flat's contract), re-ranked
-// tiers re-rank per query, every shard scan translates and sorts into its
-// own region of the tile's arena, and a shard that fails fails its tile
-// whole.
+// Parallelism follows the request, through one executor (runTiles) that
+// joins share: each tile splits its shards into as many groups as it
+// takes to give every worker of the pool a task — a request of one tile on
+// a pool at least as wide as its shards a group per shard, one of as many
+// tiles as workers a single group — and runs a task per (tile, group), so
+// nothing nests on the pool. A group visits its shards in turn and hands
+// each query's running k-th best to the next shard as its floor
+// (scanInTurn, the threshold bound of Fagin–Lotem–Naor across shards): a
+// row below it cannot enter the merged top k, and a tie with it still
+// reaches the merge, so only the work changes — a norm-sorted shard stops
+// at the floor instead of at its own k-th best. A query's answer and error
+// depend on neither the grouping, nor on the batch width or its place in
+// its tile: the tile scan is bit-identical to scanning the query alone
+// (flat's contract), re-ranked tiers re-rank per query, every shard scan
+// translates and sorts into its own region of the tile's arena, and a
+// shard that fails fails its tile whole.
 
 import (
 	"cmp"
@@ -32,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/flat"
@@ -41,8 +44,8 @@ import (
 )
 
 // searchTileQ is the query-tile size of the executor: the number of
-// queries that share one scan of each shard snapshot, and the unit of
-// parallel work a request of several tiles hands the pool.
+// queries that share one scan of each shard snapshot, and with a shard
+// group the unit of parallel work a request hands the pool.
 const searchTileQ = 32
 
 // searchState is the pooled per-request state of the executor.
@@ -55,6 +58,11 @@ type searchState struct {
 }
 
 var searchStatePool = sync.Pool{New: func() any { return new(searchState) }}
+
+// tile returns the bounds [tlo, thi) of tile t in rs.miss.
+func (rs *searchState) tile(t int) (int, int) {
+	return t * searchTileQ, min((t+1)*searchTileQ, len(rs.miss))
+}
 
 func putSearchState(rs *searchState) {
 	// Drop the view so pooling does not pin retired shard data; the key
@@ -69,12 +77,13 @@ func putSearchState(rs *searchState) {
 
 // tileScratch is the pooled per-tile state.
 type tileScratch struct {
-	keys  lsh.QueryKeys // an alsh tile's keys, hashed once for every shard (Collection.hashQueries)
-	lists [][]Hit       // per (shard, tile query) translated hit lists
-	trans []Hit         // arena backing lists: k hits per (shard, tile query)
-	errs  []error       // per shard scan
-	heap  mergeHeap
-	per   [][]Hit // per-query gather of shard lists for the merge
+	keys   lsh.QueryKeys  // an alsh tile's keys, hashed once for every shard (Collection.hashQueries)
+	hashed *lsh.QueryKeys // a search tile's: &keys, or nil when its collection hashes none
+	span   *trace.Span    // a search tile's scan span, from its load to its answer
+	lists  [][]Hit        // per (shard, tile query) translated hit lists
+	trans  []Hit          // arena backing lists: k hits per (shard, tile query)
+	heap   mergeHeap
+	per    [][]Hit // per-query gather of shard lists for the merge
 	// An lsh join tile's per-(data shard, query) state (walkTile): the
 	// query's walk of the shard's tables and its top-k there, and the
 	// queries still walking.
@@ -84,23 +93,27 @@ type tileScratch struct {
 	// A join tile's queries (loadJoinTile) and their record IDs.
 	q    *flat.Store
 	qids []int
-	// The running floors of the tile's shards scanned in turn (scanInTurn):
-	// a search tile's one sweep, or a join tile's one per shard group.
+	// The running floors of the tile's shards scanned in turn (scanInTurn),
+	// one per shard group (runTiles).
 	floors []floorState
 }
 
 var tileScratchPool = sync.Pool{New: func() any { return new(tileScratch) }}
 
-func getTileScratch() *tileScratch { return tileScratchPool.Get().(*tileScratch) }
+// getTileScratch and putTileScratch take a tile's scratch from the pool
+// and give it back; a test swaps them to count that each goes back once.
+var (
+	getTileScratch = func() *tileScratch { return tileScratchPool.Get().(*tileScratch) }
+	putTileScratch = func(ts *tileScratch) {
+		clear(ts.lists)
+		clear(ts.per)
+		ts.hashed, ts.span = nil, nil
+		tileScratchPool.Put(ts)
+	}
+)
 
-func putTileScratch(ts *tileScratch) {
-	clear(ts.lists)
-	clear(ts.per)
-	tileScratchPool.Put(ts)
-}
-
-// scanScratch is one shard scan's pooled state: the shard scans of a
-// one-tile request run side by side, so each takes its own.
+// scanScratch is one shard scan's pooled state: the shard groups of a
+// tile run side by side, so each scan takes its own.
 type scanScratch struct {
 	tile  flat.TileScratch
 	stats flat.ScanStats // an explained sweep's accounting (flatIndex.topKMulti)
@@ -133,12 +146,10 @@ func grow[T any](s []T, n int) []T {
 // search answers queries against c: out[i] receives query i's result.
 // Cached answers are resolved first (a nil or disabled cache: none), and
 // the misses are validated, packed into one columnar store and run as
-// tiles — the shards of a one-tile request on pool, or in turn on the
-// calling goroutine when pool is nil (SearchOne's), the tiles of a larger
-// request on pool, which must then be set. ctx propagates into every
-// scan; queries whose tile was cancelled (mid-scan or before it started)
-// carry the context error and are never cached. With opts.Explain — a
-// one-query request — out[0].Explain says how the query was answered.
+// tiles on pool (runTiles). ctx propagates into every scan; queries whose
+// tile was cancelled (mid-scan or before it started) carry the context
+// error and are never cached. With opts.Explain — a one-query request —
+// out[0].Explain says how the query was answered.
 func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, queries []vec.Vector, opts SearchOpts, out []SearchResult) {
 	// Degraded collections keep serving reads from their last published
 	// snapshots; only quarantine — no trustworthy snapshot — blocks them.
@@ -252,39 +263,30 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 	}
 
 	pack(&rs.qstore, dim, len(valid), func(vi int) vec.Vector { return queries[valid[vi]] })
-
 	tiles := (len(valid) + searchTileQ - 1) / searchTileQ
-	if tiles == 1 {
-		var ex []ShardExplain
-		if qe != nil {
-			ex = make([]ShardExplain, len(snaps))
-		}
-		c.searchTile(ctx, pool, cache, rs, 0, opts, ex, out)
-		if r := &out[valid[0]]; qe != nil && r.Err == nil {
-			qe.fill(ex)
-			r.Explain = qe
-		}
-		return
+	var ex []ShardExplain
+	if qe != nil && tiles == 1 {
+		ex = make([]ShardExplain, len(snaps))
 	}
-	// tileDone marks tiles whose task ran; when the cancellable fan-out
-	// stops feeding, the queries of never-started tiles must still get an
-	// answer (the context error) rather than a zero SearchResult.
-	tileDone := make([]bool, tiles)
-	feedErr := pool.ForEachCtx(ctx, tiles, func(t int) {
-		c.searchTile(ctx, nil, cache, rs, t, opts, nil, out)
-		tileDone[t] = true
+	start := time.Now()
+	runTiles(ctx, pool, tiles, len(snaps), func(t int, ts *tileScratch) (err error) {
+		tlo, thi := rs.tile(t)
+		ts.span = tr.StartSpan("scan")
+		ts.prepare(len(snaps), thi-tlo, opts.K)
+		// An alsh tile is hashed once, for every shard; one whose request
+		// expired first fails before any shard sees it.
+		ts.hashed, err = c.hashQueries(ctx, &ts.keys, rs.qstore, tlo, thi, opts.Unsigned)
+		return err
+	}, func(t int, ts *tileScratch, lo, hi int, fl *floorState) error {
+		tlo, thi := rs.tile(t)
+		o := TopKOpts{Unsigned: opts.Unsigned, Keys: ts.hashed}
+		return scanInTurn(ctx, snaps, rs.qstore, ts, tlo, thi, opts.K, lo, hi, fl, math.Inf(-1), o, ex)
+	}, func(t int, ts *tileScratch, err error) {
+		c.answerTile(tr, cache, rs, ts, t, opts.K, start, err, out)
 	})
-	if feedErr == nil {
-		return
-	}
-	for t, done := range tileDone {
-		if done {
-			continue
-		}
-		for _, i := range valid[t*searchTileQ : min((t+1)*searchTileQ, len(valid))] {
-			out[i] = SearchResult{Err: feedErr}
-			c.countTimeout(feedErr)
-		}
+	if r := &out[valid[0]]; ex != nil && r.Err == nil {
+		qe.fill(ex)
+		r.Explain = qe
 	}
 }
 
@@ -297,31 +299,18 @@ func clampK(k int, snaps []*shardSnap) int {
 	return min(k, max(rows, 1))
 }
 
-// searchTile answers tile t of the request's misses: hashed once (alsh),
-// scanned (scanTile) and merged per query into out, and into cache when it
-// is non-nil. ex, when non-nil, receives each shard's explain. A traced
-// request gets one scan and one merge span per tile. It allocates only the
-// hits that escape to the caller: one arena per tile, or an exact slice
-// per query when the cache keeps them past the request.
-func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCache, rs *searchState, t int, opts SearchOpts, ex []ShardExplain, out []SearchResult) {
-	k := opts.K
+// answerTile answers the queries of tile t in out: with err when it is
+// non-nil, else each with its hits merged over every shard's list in ts,
+// put into cache too when cache is non-nil. It closes the tile's scan span
+// and gives a traced request one merge span. It allocates only the hits
+// that escape to the caller: one arena per tile, or an exact slice per
+// query when the cache keeps them past the request.
+func (c *Collection) answerTile(tr *trace.Trace, cache *queryCache, rs *searchState, ts *tileScratch, t, k int, start time.Time, err error, out []SearchResult) {
 	valid := rs.miss
-	tlo := t * searchTileQ
-	thi := min(tlo+searchTileQ, len(valid))
-	tn := thi - tlo
-	start := time.Now()
-	tr := trace.FromContext(ctx)
-
-	ts := getTileScratch()
-	defer putTileScratch(ts)
-	ssp := tr.StartSpan("scan")
-	// An alsh tile is hashed once, for every shard; one whose request
-	// expired first fails before any shard sees it.
-	keys, err := c.hashQueries(ctx, &ts.keys, rs.qstore, tlo, thi, opts.Unsigned)
-	if err == nil {
-		err = scanTile(ctx, pool, rs.view.snaps, rs.qstore, ts, tlo, thi, k, TopKOpts{Unsigned: opts.Unsigned, Keys: keys}, ex)
+	tlo, thi := rs.tile(t)
+	if ts != nil {
+		ts.span.End()
 	}
-	ssp.End()
 	if err != nil {
 		for _, i := range valid[tlo:thi] {
 			out[i] = SearchResult{Err: err}
@@ -329,10 +318,7 @@ func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCac
 		}
 		return
 	}
-
-	// Merge per query. Without the cache the merged hits live in one
-	// arena per tile; with it each query gets an exact-size slice, since
-	// cached hits outlive the request.
+	tn := thi - tlo
 	msp := tr.StartSpan("merge")
 	var arena []Hit
 	if cache == nil {
@@ -353,21 +339,53 @@ func (c *Collection) searchTile(ctx context.Context, pool *Pool, cache *queryCac
 	msp.End()
 }
 
-// scanTile scans rows [tlo, thi) of q against every pinned shard snapshot
-// (scanShard) — on pool, one task a shard, or in turn when pool is nil,
-// each shard then floored by what the ones before it found (scanInTurn).
-// A shard fails a tile whole — a deadline, a cancellation: the first
-// shard's error, else the fan-out's, and no query a partial answer.
-func scanTile(ctx context.Context, pool *Pool, snaps []*shardSnap, q *flat.Store, ts *tileScratch, tlo, thi, k int, o TopKOpts, ex []ShardExplain) error {
-	ts.prepare(len(snaps), thi-tlo, k)
-	if pool == nil {
-		ts.floors = grow(ts.floors, 1)
-		return scanInTurn(ctx, snaps, q, ts, tlo, thi, k, 0, len(snaps), &ts.floors[0], math.Inf(-1), o, ex)
+// runTiles runs tiles query tiles (tiles ≥ 1) against nsh shards as tasks
+// on pool. Each tile's shards split into per = min(nsh, ⌈workers/tiles⌉)
+// groups, as many as it takes to give every worker a task, and a task per
+// (tile, group) runs scan over the group's shards [lo, hi) with the
+// group's own floors (scanInTurn), so the groups of one tile run side by
+// side. A tile's first task to start loads it into pooled scratch (load);
+// its last to end finishes it (finish) with the first error of its load
+// and its groups in shard order, and returns the scratch. A tile the
+// fan-out stopped feeding is finished after it with its groups' error or
+// the fan-out's, ts nil when no task of it ran. Tasks start in order, so a
+// request holds at most one more loaded tile than it has tasks in flight.
+func runTiles(ctx context.Context, pool *Pool, tiles, nsh int, load func(t int, ts *tileScratch) error, scan func(t int, ts *tileScratch, lo, hi int, fl *floorState) error, finish func(t int, ts *tileScratch, err error)) {
+	per := min(nsh, (pool.Workers()+tiles-1)/tiles)
+	runs := make([]struct {
+		once sync.Once
+		ts   *tileScratch
+		err  error        // load's
+		ran  atomic.Int32 // tasks run
+	}, tiles)
+	errs := make([]error, tiles*per) // each task's
+	done := func(t int, feedErr error) {
+		r := &runs[t]
+		finish(t, r.ts, cmp.Or(r.err, cmp.Or(errs[t*per:(t+1)*per]...), feedErr))
+		if r.ts != nil {
+			putTileScratch(r.ts)
+		}
 	}
-	err := pool.ForEachCtx(ctx, len(snaps), func(si int) {
-		ts.errs[si] = scanShard(ctx, snaps, q, ts, tlo, thi, k, si, o, ex)
+	feedErr := pool.ForEachCtx(ctx, tiles*per, func(i int) {
+		t, g := i/per, i%per
+		r := &runs[t]
+		r.once.Do(func() {
+			r.ts = getTileScratch()
+			r.ts.floors = grow(r.ts.floors, per)
+			r.err = load(t, r.ts)
+		})
+		if r.err == nil {
+			errs[i] = scan(t, r.ts, g*nsh/per, (g+1)*nsh/per, &r.ts.floors[g])
+		}
+		if r.ran.Add(1) == int32(per) {
+			done(t, nil)
+		}
 	})
-	return cmp.Or(cmp.Or(ts.errs...), err)
+	for t := range runs {
+		if runs[t].ran.Load() < int32(per) {
+			done(t, feedErr)
+		}
+	}
 }
 
 // scanInTurn scans shards [lo, hi) one after another (scanShard), giving
@@ -442,11 +460,9 @@ func (fl *floorState) fold(lists [][]Hit) {
 }
 
 // prepare sizes ts for the scans of a tile of tn queries against nsh
-// shards at k, and clears their errors.
+// shards at k.
 func (ts *tileScratch) prepare(nsh, tn, k int) {
 	ts.lists = grow(ts.lists, nsh*tn)
-	ts.errs = grow(ts.errs, nsh)
-	clear(ts.errs)
 	// Shard si translates into trans[si·tn·k:]: the arena is sized up front,
 	// since growing it would move the lists aliasing it, and a fixed region
 	// per shard makes its bytes independent of which scan ran first.

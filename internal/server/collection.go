@@ -890,10 +890,10 @@ func (c *Collection) observeStage(stage string, d time.Duration) {
 }
 
 // SearchOne answers a single top-k query: the search executor's tile of
-// one (see batch.go), with no cache and no admission gate. The shards are
-// scanned on pool, one task each, or in turn on the calling goroutine when
-// pool is nil; each shard's scan runs on one core, so a one-shard
-// collection answers on one core.
+// one (see batch.go), with no cache and no admission gate. pool is
+// required: the shards are scanned on it in as many groups as it has
+// workers, at most one a shard, each group's shards in turn; a shard's scan
+// runs on one core, so a one-shard collection answers on one core.
 //
 // ctx carries the request deadline; the shard scans poll it per row
 // block, so a cancelled query stops within one block and returns ctx's

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -326,7 +327,7 @@ func TestALSHTileDeadline(t *testing.T) {
 		if i < searchTileQ && !reflect.DeepEqual(r.Hits, res[i].Hits) {
 			t.Fatalf("query %d: cached %v, computed %v", i, r.Hits, res[i].Hits)
 		}
-		if alone, err := c.SearchOne(context.Background(), nil, queries[i], k, true); err != nil || !reflect.DeepEqual(alone, r.Hits) {
+		if alone, err := c.SearchOne(context.Background(), NewPool(1), queries[i], k, true); err != nil || !reflect.DeepEqual(alone, r.Hits) {
 			t.Fatalf("query %d: batch %v, alone %v (%v)", i, r.Hits, alone, err)
 		}
 	}
@@ -485,6 +486,116 @@ func joinCancelledInsideTile(t *testing.T) {
 				t.Fatalf("join after the cancelled one: %v, %d pairs (baseline %d)", err, len(again.Pairs), len(base.Pairs))
 			}
 		})
+	}
+}
+
+// TestDeadlineFinishesEveryTile: a request of three tiles cancelled at
+// each point of its fan-out — a join of every engine and a search of every
+// kind, on one worker (each tile one task, in order) and on four (two
+// shard groups a tile, side by side) — finishes every tile. A join fails
+// with the context's error or returns the baseline's pairs; every search
+// query carries its hits or the context's error, never a zero result.
+// Every tile scratch taken goes back to its pool once; a tile no task ran
+// takes none and is finished with a nil scratch, which some cancel on one
+// worker reaches. The pool drains.
+func TestDeadlineFinishesEveryTile(t *testing.T) {
+	var mu sync.Mutex
+	held, got, bad := map[*tileScratch]bool{}, 0, 0
+	get, put := getTileScratch, putTileScratch
+	defer func() { getTileScratch, putTileScratch = get, put }()
+	getTileScratch = func() *tileScratch {
+		ts := get()
+		mu.Lock()
+		held[ts] = true
+		got++
+		mu.Unlock()
+		return ts
+	}
+	putTileScratch = func(ts *tileScratch) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !held[ts] {
+			bad++ // put twice, or never taken
+			return
+		}
+		delete(held, ts)
+		put(ts)
+	}
+	// run sends one request cancelled on its fireAt-th fetch of Done (0:
+	// never); it reports how many fetches it made and scratches it took.
+	run := func(t *testing.T, s *Server, fireAt int, req func(context.Context) error) (fetches, taken int, err error) {
+		t.Helper()
+		mu.Lock()
+		got = 0
+		mu.Unlock()
+		ctx := newFetchCtx(fireAt)
+		err = req(ctx)
+		waitPoolIdle(t, s)
+		mu.Lock()
+		defer mu.Unlock()
+		if len(held) != 0 || bad != 0 {
+			t.Fatalf("fire at %d: %d tile scratches kept, %d put back twice or never taken", fireAt, len(held), bad)
+		}
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("fire at %d: %v, want the context's error", fireAt, err)
+		}
+		return ctx.fetches, got, err
+	}
+	const nq, tiles = 2*searchTileQ + 8, 3
+	for _, workers := range []int{1, 4} {
+		s := New(Config{DefaultShards: 4, CacheCapacity: -1, Workers: workers})
+		defer s.Close()
+		var queries []vec.Vector
+		for _, kind := range []string{KindExact, KindNormScan, KindALSH} {
+			queries = seedKind(t, s, kind, kind, 600, 12, nq)
+		}
+		if _, _, err := s.Ingest("q", nil, 1, records(queries, 0)); err != nil {
+			t.Fatal(err)
+		}
+		unfed := false
+		for _, engine := range []string{"exact", "normpruned", "lsh"} {
+			req := JoinRequest{Data: map[string]string{"exact": KindExact, "normpruned": KindNormScan, "lsh": KindALSH}[engine], Queries: "q", Engine: engine, S: 0.3, Variant: "unsigned"}
+			var base *JoinResponse
+			join := func(ctx context.Context) (err error) {
+				resp, err := s.JoinCtx(ctx, req)
+				if err == nil && base != nil && !reflect.DeepEqual(resp.Pairs, base.Pairs) {
+					t.Fatalf("workers=%d %s: a join that ran whole returned other pairs", workers, engine)
+				}
+				base = cmp.Or(base, resp)
+				return err
+			}
+			all, _, err := run(t, s, 0, join)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fireAt := 1; fireAt <= all; fireAt++ {
+				if _, taken, err := run(t, s, fireAt, join); err != nil && taken < tiles {
+					unfed = true
+				}
+			}
+		}
+		if workers == 1 && !unfed {
+			t.Fatal("no cancelled join left a tile unfed: the nil-scratch finish went untested")
+		}
+		for _, kind := range []string{KindExact, KindNormScan, KindALSH} {
+			base, err := s.Search(kind, queries, 5, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			search := func(ctx context.Context) error {
+				res, err := s.SearchCtx(ctx, kind, queries, 5, true)
+				for i := 0; err == nil && i < len(res); i++ {
+					if r := res[i]; r.Err != nil && (!errors.Is(r.Err, context.Canceled) || r.Hits != nil) || r.Err == nil && !reflect.DeepEqual(r.Hits, base[i].Hits) {
+						t.Fatalf("workers=%d %s: query %d: %v with %d hits, want the context's error or the baseline's %d", workers, kind, i, r.Err, len(r.Hits), len(base[i].Hits))
+					}
+				}
+				return err
+			}
+			all, _, _ := run(t, s, 0, search)
+			for fireAt := 1; fireAt <= all; fireAt++ {
+				run(t, s, fireAt, search)
+			}
+		}
 	}
 }
 

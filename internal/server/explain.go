@@ -15,7 +15,10 @@ import (
 	"repro/internal/trace"
 )
 
-// ShardExplain is one shard's contribution to an explained query.
+// ShardExplain is one shard's contribution to an explained query. Its
+// counts are those of the shard's scan under the floors its group handed
+// it (runTiles): a scan of the shard alone where the pool has a worker
+// for every shard, never more than that where a group scans several.
 type ShardExplain struct {
 	Shard   int `json:"shard"`
 	Records int `json:"records"`

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -18,9 +20,10 @@ import (
 // merge and win the tie. Against q = e₀, shard 0 (the even IDs) scores 3,
 // 2 and 1 — at k = 2 its floor for shard 1 is record 4's 2 — and shard 1
 // (the odd IDs) holds record 1 at exactly 2, which outranks record 4.
-// A 64-query batch (two tiles, each visiting the shards in turn) and a
-// top-2 join (one tile: its shards in turn on one worker, side by side on
-// two) must rank it as the one-query request does, on every flat kind.
+// A one-query request, a 64-query batch and a top-2 join must each rank it
+// so, on every flat kind: on one worker every tile visits the shards in
+// turn; on two a one-tile request's shards run side by side, and each of
+// the batch's two tiles visits them in turn.
 func TestShardFloorKeepsTies(t *testing.T) {
 	recs := []store.Record{
 		{ID: 2, Vec: vec.Vector{3, 0.25}},
@@ -79,18 +82,19 @@ func TestShardFloorKeepsTies(t *testing.T) {
 
 // TestInTurnFloorsScanLess pins the mechanism without a hook. On a 4-shard
 // normscan collection whose item norms spread lognormally (σ = 1), a tile
-// scanned in turn (scanTile with a nil pool: each shard floored by the
-// ones before it) merges to the same hits per query as the tile scanned
-// on a pool, shard by shard with no floors, and scores fewer rows in sum
-// (ShardExplain.RowsScanned). The same holds for a normpruned top-k join
-// of one tile: on two workers its shards run as two groups of two side
-// by side, each group in turn with its own floors, on eight as four
-// groups of one; the pairs agree and the grouped join compares fewer.
+// of 32 queries searched on two workers — its shards two groups of two,
+// each group in turn with its own floors — merges to the same hits per
+// query as on eight, one shard a group with no floors, and scores fewer
+// rows in sum (the explained tile's RowsScanned). The same holds for a
+// normpruned top-k join of one tile: the pairs agree and the grouped join
+// compares fewer.
 func TestInTurnFloorsScanLess(t *testing.T) {
-	const n, d, nq, k = 8000, 16, 32, 10
-	lf := dataset.NewLatentFactor(xrand.New(5), n, nq, d, 1)
+	const n, nq, k = 8000, 32, 10
+	lf := dataset.NewLatentFactor(xrand.New(5), n, nq, 16, 1)
 	spec := IndexSpec{Kind: KindNormScan}
 	joins := make(map[int]*JoinResponse)
+	hits := make(map[int][][]Hit)
+	rows := make(map[int]int)
 	for _, workers := range []int{2, 8} {
 		s := New(Config{DefaultShards: 4, CacheCapacity: -1, Workers: workers})
 		defer s.Close()
@@ -105,45 +109,115 @@ func TestInTurnFloorsScanLess(t *testing.T) {
 			t.Fatal(err)
 		}
 		joins[workers] = resp
-		if workers != 2 {
-			continue
-		}
 		c, _ := s.Collection("c")
-		snaps := c.view.Load().snaps
-		var qs *flat.Store
-		pack(&qs, d, nq, func(i int) vec.Vector { return lf.Users[i] })
-		scan := func(pool *Pool) ([][]Hit, int) {
-			ts := getTileScratch()
-			defer putTileScratch(ts)
-			ex := make([]ShardExplain, len(snaps))
-			if err := scanTile(context.Background(), pool, snaps, qs, ts, 0, nq, k, TopKOpts{}, ex); err != nil {
-				t.Fatal(err)
+		out := make([]SearchResult, nq)
+		c.search(context.Background(), s.pool, nil, lf.Users, SearchOpts{K: k, Explain: true}, out)
+		for _, r := range out {
+			if r.Err != nil {
+				t.Fatal(r.Err)
 			}
-			hits := make([][]Hit, nq)
-			for j := range hits {
-				hits[j] = ts.merge(j, nq, k, nil)
-			}
-			rows := 0
-			for _, e := range ex {
-				rows += e.RowsScanned
-			}
-			return hits, rows
+			hits[workers] = append(hits[workers], r.Hits)
 		}
-		inTurn, turnRows := scan(nil)
-		sideBySide, poolRows := scan(NewPool(4))
-		if !sameHitsBitExact(inTurn, sideBySide) {
-			t.Fatalf("in turn %v, on a pool %v", inTurn, sideBySide)
-		}
-		if turnRows >= poolRows {
-			t.Fatalf("in turn the tile scored %d rows, on a pool %d: the floors saved nothing", turnRows, poolRows)
-		}
-		t.Logf("rows scored: %d in turn, %d on a pool", turnRows, poolRows)
+		rows[workers] = out[0].Explain.RowsScanned
 	}
+	if !sameHitsBitExact(hits[2], hits[8]) {
+		t.Fatalf("in groups of two %v, one shard a group %v", hits[2], hits[8])
+	}
+	if rows[2] >= rows[8] {
+		t.Fatalf("in groups of two the tile scored %d rows, one shard a group %d: the floors saved nothing", rows[2], rows[8])
+	}
+	t.Logf("rows scored: %d in groups of two, %d one shard a group", rows[2], rows[8])
 	grouped, alone := joins[2], joins[8]
 	if !reflect.DeepEqual(grouped.Pairs, alone.Pairs) || len(alone.Pairs) != nq*k {
 		t.Fatalf("join pairs: %d on two workers, %d on eight (want %d), or they differ", len(grouped.Pairs), len(alone.Pairs), nq*k)
 	}
 	if grouped.Compared >= alone.Compared {
 		t.Fatalf("the grouped join compared %d pairs, one group a shard %d", grouped.Compared, alone.Compared)
+	}
+}
+
+// TestSearchShardGroups: a search runs its tiles' shards in groups, as
+// many per tile as fill the pool (runTiles), so a one-tile request on
+// fewer workers than shards scans each group's shards in turn, floored by
+// the ones before. Requests of 1, 32, 33 and 64 queries on 1, 2 and 8
+// workers against 4 shards of every kind must answer each query as
+// SearchOne does alone on one worker, Float64bits for Float64bits — at
+// k = 10, signed and unsigned, and at k = 1 000, where a group's floor
+// falls below zero. An
+// explained query's per-shard counts are a floor-less scan of that shard
+// alone where every shard has a worker, and never more than it where the
+// groups hold several shards.
+func TestSearchShardGroups(t *testing.T) {
+	const n, d, shards = 3000, 16, 4
+	rng := xrand.New(11)
+	items := dataset.Gaussian(rng, n, d, true)
+	for _, v := range items {
+		vec.Scale(v, rng.Float64()) // spread the norms inside alsh's ball
+	}
+	queries := dataset.Gaussian(rng, 64, d, true)
+	specs := []IndexSpec{{Kind: KindExact}, {Kind: KindNormScan}, {Kind: KindExact, Precision: PrecisionI8}, {Kind: KindALSH}}
+	ctx := context.Background()
+	for _, workers := range []int{1, 2, 8} {
+		s := New(Config{DefaultShards: shards, CacheCapacity: -1, Workers: workers})
+		defer s.Close()
+		for _, spec := range specs {
+			name := spec.kind() + "-" + spec.precision()
+			if _, _, err := s.Ingest(name, &spec, shards, records(items, 0)); err != nil {
+				t.Fatal(err)
+			}
+			c, _ := s.Collection(name)
+			snaps := c.view.Load().snaps
+			for _, r := range []struct {
+				k        int
+				unsigned bool
+			}{{10, false}, {10, true}, {1000, false}} {
+				k, unsigned := r.k, r.unsigned
+				cell := fmt.Sprintf("%s workers=%d k=%d unsigned=%v", name, workers, k, unsigned)
+				alone := make([][]Hit, len(queries))
+				for i, q := range queries {
+					hits, err := c.SearchOne(ctx, NewPool(1), q, k, unsigned)
+					if err != nil {
+						t.Fatal(err)
+					}
+					alone[i] = hits
+				}
+				for _, nq := range []int{1, 32, 33, 64} {
+					res, err := s.Search(name, queries[:nq], k, unsigned)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, r := range res {
+						if r.Err != nil || !sameHitsBitExact([][]Hit{r.Hits}, alone[i:i+1]) {
+							t.Fatalf("%s: query %d of %d: %v (%v), alone %v", cell, i, nq, r.Hits, r.Err, alone[i])
+						}
+					}
+				}
+				counts := func(e ShardExplain) [3]int { return [3]int{e.RowsScanned, e.RerankCandidates, e.Candidates} }
+				for i, q := range queries[:8] {
+					res, err := s.SearchWithOpts(ctx, name, []vec.Vector{q}, SearchOpts{K: k, Unsigned: unsigned, Explain: true})
+					if err != nil || res[0].Err != nil {
+						t.Fatal(err, res[0].Err)
+					}
+					qs, _ := flat.FromVectors([]vec.Vector{q})
+					for si := range snaps {
+						ts := getTileScratch()
+						ts.prepare(shards, 1, k)
+						ex := make([]ShardExplain, shards)
+						keys, err := c.hashQueries(ctx, &ts.keys, qs, 0, 1, unsigned)
+						if err == nil {
+							err = scanInTurn(ctx, snaps, qs, ts, 0, 1, k, si, si+1, new(floorState), math.Inf(-1), TopKOpts{Unsigned: unsigned, Keys: keys}, ex)
+						}
+						putTileScratch(ts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, want := counts(res[0].Explain.Shards[si]), counts(ex[si])
+						if workers >= shards && got != want || got[0] > want[0] || got[1] > want[1] || got[2] > want[2] {
+							t.Fatalf("%s: query %d shard %d counts %v, the shard alone %v", cell, i, si, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

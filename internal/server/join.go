@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -168,20 +166,13 @@ func (sn *shardSnap) joinSnap(engine string) *shardSnap {
 }
 
 // runJoin runs the live rows of qsnaps as query tiles against dsnaps, each
-// read as engine reads it (joinSnap), as tasks on pool. An lsh join runs a
-// task per tile (walkTile); an exact join splits each tile's data shards
-// into as many groups as it takes to give every worker a task, and runs a
-// task per (tile, group), which scans the group's shards in turn
-// (scanInTurn), each floored at cs or at the k-th best the group's shards
-// before it hold — a join of many tiles a task per tile, one of a single
-// tile a task per shard when the pool is that wide. The groups of one
-// tile run side by side, so each keeps its own floors. A tile's first task packs
-// its queries (loadJoinTile) and its last cuts its pairs (the merge's hits
-// ≥ cs, the identity pair dropped under excludeSelf); tasks start in
-// order, so a join holds at most one more packed tile than it has tasks
-// in flight. ssp sums every tile's work, a cancelled tile's included. A
-// join neither reads nor fills the query cache, and leaves the search
-// counters as they were.
+// read as engine reads it (joinSnap), through runTiles. A tile loads by
+// packing its queries (loadJoinTile); an exact tile's shard groups start
+// from cs as every floor, and an lsh tile is one task that walks every
+// data shard (walkTile). A tile finishes by cutting its pairs: the merge's
+// hits ≥ cs, the identity pair dropped under excludeSelf. ssp sums every
+// tile's work, a cancelled tile's included. A join neither reads nor fills
+// the query cache, and leaves the search counters as they were.
 func runJoin(ctx context.Context, pool *Pool, c *Collection, engine string, dsnaps, qsnaps []*shardSnap, o joinOpts, ssp *trace.Span) (pairs []JoinPair, compared int64, err error) {
 	snaps := make([]*shardSnap, len(dsnaps))
 	for si, sn := range dsnaps {
@@ -201,37 +192,39 @@ func runJoin(ctx context.Context, pool *Pool, c *Collection, engine string, dsna
 			}
 		}
 	}
-	tiles, nsh, per := len(starts), len(snaps), 1
-	if engine != "lsh" && tiles > 0 {
-		per = min(nsh, (pool.Workers()+tiles-1)/tiles)
+	tiles, nsh, groups := len(starts), len(snaps), len(snaps)
+	if engine == "lsh" {
+		groups = 1 // a walk takes every shard's table t before table t + 1
 	}
-	runs := make([]struct {
-		once sync.Once
-		ts   *tileScratch
-		left atomic.Int32 // tasks yet to run
-		work flat.ScanStats
-	}, tiles)
+	work := make([]flat.ScanStats, tiles)
 	ex := make([]ShardExplain, tiles*nsh)
-	errs := make([]error, tiles*nsh)
+	errs := make([]error, tiles)
 	parts := make([][]JoinPair, tiles)
-	// finish records tile t's work and, unless a task failed, its pairs.
-	finish := func(t int) {
-		r := &runs[t]
-		defer putTileScratch(r.ts)
-		for _, e := range ex[t*nsh : (t+1)*nsh] {
-			r.work.Add(flat.ScanStats{ScannedRows: e.RowsScanned, PrunedBlocks: e.CSPrunedBlocks, SkippedBlocks: e.TombstoneSkippedBlocks})
+	runTiles(ctx, pool, tiles, groups, func(t int, ts *tileScratch) error {
+		ts.loadJoinTile(qsnaps, starts[t])
+		ts.prepare(nsh, len(ts.qids), o.k)
+		return nil
+	}, func(t int, ts *tileScratch, lo, hi int, fl *floorState) error {
+		if engine == "lsh" {
+			return walkTile(ctx, c, snaps, ts, o, &work[t])
 		}
-		ssp.SetInt("rows_scanned", int64(r.work.ScannedRows))
-		ssp.SetInt("candidates", int64(r.work.Candidates))
-		ssp.SetInt("cs_pruned_blocks", int64(r.work.PrunedBlocks))
-		ssp.SetInt("tombstone_skipped_blocks", int64(r.work.SkippedBlocks))
-		if r.left.Load() > 0 || cmp.Or(errs[t*nsh:(t+1)*nsh]...) != nil {
+		return scanInTurn(ctx, snaps, ts.q, ts, 0, len(ts.qids), o.k, lo, hi, fl, o.cs, TopKOpts{Unsigned: o.unsigned}, ex[t*nsh:(t+1)*nsh])
+	}, func(t int, ts *tileScratch, err error) {
+		w := &work[t]
+		for _, e := range ex[t*nsh : (t+1)*nsh] {
+			w.Add(flat.ScanStats{ScannedRows: e.RowsScanned, PrunedBlocks: e.CSPrunedBlocks, SkippedBlocks: e.TombstoneSkippedBlocks})
+		}
+		ssp.SetInt("rows_scanned", int64(w.ScannedRows))
+		ssp.SetInt("candidates", int64(w.Candidates))
+		ssp.SetInt("cs_pruned_blocks", int64(w.PrunedBlocks))
+		ssp.SetInt("tombstone_skipped_blocks", int64(w.SkippedBlocks))
+		if errs[t] = err; err != nil {
 			return
 		}
 		hits := make([]Hit, 0, o.k)
-		for j, qid := range r.ts.qids {
+		for j, qid := range ts.qids {
 			n := 0
-			for _, h := range r.ts.merge(j, len(r.ts.qids), o.k, hits) {
+			for _, h := range ts.merge(j, len(ts.qids), o.k, hits) {
 				if h.Score < o.cs || n == max(o.topK, 1) {
 					break
 				}
@@ -241,41 +234,17 @@ func runJoin(ctx context.Context, pool *Pool, c *Collection, engine string, dsna
 				}
 			}
 		}
-	}
-	err = pool.ForEachCtx(ctx, tiles*per, func(i int) {
-		t, g := i/per, i%per
-		r := &runs[t]
-		r.once.Do(func() {
-			r.ts = getTileScratch()
-			r.ts.loadJoinTile(qsnaps, starts[t])
-			r.ts.prepare(nsh, len(r.ts.qids), o.k)
-			r.ts.floors = grow(r.ts.floors, per)
-			r.left.Store(int32(per))
-		})
-		if engine == "lsh" {
-			errs[t*nsh] = walkTile(ctx, c, snaps, r.ts, o, &r.work)
-		} else {
-			lo, hi := g*nsh/per, (g+1)*nsh/per
-			errs[t*nsh+lo] = scanInTurn(ctx, snaps, r.ts.q, r.ts, 0, len(r.ts.qids), o.k, lo, hi, &r.ts.floors[g], o.cs, TopKOpts{Unsigned: o.unsigned}, ex[t*nsh:(t+1)*nsh])
-		}
-		if r.left.Add(-1) == 0 {
-			finish(t)
-		}
 	})
-	for t := range runs {
-		if runs[t].left.Load() > 0 {
-			finish(t) // a tile the fan-out stopped feeding
-		}
-		compared += int64(runs[t].work.ScannedRows)
+	for _, w := range work {
+		compared += int64(w.ScannedRows)
 	}
-	err = cmp.Or(err, cmp.Or(errs...)) // the fan-out's, else the first task's
 	// A query's pairs are contiguous, in its tile; queries go by record ID.
 	pairs = []JoinPair{}
 	for _, part := range parts {
 		pairs = append(pairs, part...)
 	}
 	slices.SortStableFunc(pairs, func(a, b JoinPair) int { return cmp.Compare(a.QueryID, b.QueryID) })
-	return pairs, compared, err
+	return pairs, compared, cmp.Or(errs...)
 }
 
 // loadJoinTile packs into ts.q the next searchTileQ live rows of qsnaps

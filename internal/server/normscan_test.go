@@ -242,7 +242,8 @@ func checkNormScanAnswers(t *testing.T, cell string, s *Server, ref *shardSnap, 
 				if err != nil || got[0].Err != nil {
 					t.Fatal(err, got[0].Err)
 				}
-				if err := scanTile(ctx, nil, []*shardSnap{ref}, qs, ts, j, j+1, k, TopKOpts{Unsigned: unsigned}, ex); err != nil {
+				ts.prepare(1, 1, k)
+				if err := scanInTurn(ctx, []*shardSnap{ref}, qs, ts, j, j+1, k, 0, 1, new(floorState), math.Inf(-1), TopKOpts{Unsigned: unsigned}, ex); err != nil {
 					t.Fatal(err)
 				}
 				want := ts.merge(0, 1, k, nil)
@@ -258,7 +259,8 @@ func checkNormScanAnswers(t *testing.T, cell string, s *Server, ref *shardSnap, 
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := scanTile(ctx, nil, []*shardSnap{ref}, qs, ts, 0, len(queries), k, TopKOpts{Unsigned: unsigned}, nil); err != nil {
+			ts.prepare(1, len(queries), k)
+			if err := scanInTurn(ctx, []*shardSnap{ref}, qs, ts, 0, len(queries), k, 0, 1, new(floorState), math.Inf(-1), TopKOpts{Unsigned: unsigned}, nil); err != nil {
 				t.Fatal(err)
 			}
 			for j := range queries {

@@ -7,11 +7,11 @@ import (
 )
 
 // Pool is the server's bounded parallel-for over task indices. Inside
-// one request it runs the shard fan-out of a one-tile search, the query
-// tiles of a larger one, and a join's tiles or (tile, shard group)
-// scans; nothing splits one task further. The bound is a server-wide semaphore, so any
-// number of concurrent requests share the same worker budget instead of
-// multiplying it.
+// one request it runs the (tile, shard group) tasks of a search or a join
+// (runTiles), an lsh join's a task per tile; nothing splits one task
+// further. The bound is a server-wide semaphore, so any number of
+// concurrent requests share the same worker budget instead of multiplying
+// it.
 type Pool struct {
 	sem chan struct{}
 }

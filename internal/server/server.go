@@ -31,8 +31,9 @@ type Config struct {
 	// CacheCapacity bounds the query-result LRU (default 4096 entries;
 	// negative disables caching).
 	CacheCapacity int
-	// Workers sizes the pool that a search's or join's shard fan-out and
-	// query tiles run on (default GOMAXPROCS).
+	// Workers sizes the pool that a search's or join's (tile, shard
+	// group) tasks run on (default GOMAXPROCS); it also sets how many
+	// groups a tile's shards split into.
 	Workers int
 	// Seed derives per-collection hashing seeds.
 	Seed uint64

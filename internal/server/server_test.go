@@ -382,7 +382,7 @@ func TestIngestAfterCloseFailsCleanly(t *testing.T) {
 		t.Fatal("ingest on closed server succeeded")
 	}
 	// Reads keep working against the final snapshots.
-	if hits, err := col.SearchOne(context.Background(), nil, vec.Vector{1}, 1, false); err != nil || len(hits) != 1 {
+	if hits, err := col.SearchOne(context.Background(), NewPool(1), vec.Vector{1}, 1, false); err != nil || len(hits) != 1 {
 		t.Fatalf("search on closed collection: hits=%v err=%v", hits, err)
 	}
 }

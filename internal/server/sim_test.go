@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -603,7 +604,7 @@ func (r *simRun) checkSearch(op simOp) {
 		case exact:
 			want = live.topK(q, k, unsigned)
 		default:
-			if want, err = c.SearchOne(ctx, nil, q, k, unsigned); err != nil {
+			if want, err = c.SearchOne(ctx, NewPool(1), q, k, unsigned); err != nil {
 				failf("%s: query %d alone: %v", op, i, err)
 			}
 			if fresh == nil {
@@ -614,7 +615,7 @@ func (r *simRun) checkSearch(op simOp) {
 					failf("%s: a fresh build of its live rows: %v", op, err)
 				}
 			}
-			if hits, err := fresh.SearchOne(ctx, nil, q, k, unsigned); err != nil || !sameHitsBitExact([][]Hit{want}, [][]Hit{hits}) {
+			if hits, err := fresh.SearchOne(ctx, NewPool(1), q, k, unsigned); err != nil || !sameHitsBitExact([][]Hit{want}, [][]Hit{hits}) {
 				failf("%s: query %d: the collection answers %v, a fresh build of its live rows %v (%v)", op, i, want, hits, err)
 			}
 		}
@@ -756,7 +757,8 @@ func (r *simRun) pinned(name string, o TopKOpts) func() []Hit {
 			o.Keys, err = c.hashQueries(ctx, &ts.keys, qs, 0, 1, o.Unsigned)
 		}
 		if err == nil {
-			err = scanTile(ctx, nil, snaps, qs, ts, 0, 1, k, o, nil)
+			ts.prepare(len(snaps), 1, k)
+			err = scanInTurn(ctx, snaps, qs, ts, 0, 1, k, 0, len(snaps), new(floorState), math.Inf(-1), o, nil)
 		}
 		if err != nil {
 			failf("pinned answer: %v", err)
