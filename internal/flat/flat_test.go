@@ -304,7 +304,7 @@ func TestNormSortedOrder(t *testing.T) {
 				if phys == 0 {
 					continue
 				}
-				prev := v.ids[phys-1]
+				prev := int(v.ids[phys-1])
 				if a, b := norm(phys-1), norm(phys); a < b || (a == b && prev > orig) {
 					t.Fatalf("%s n=%d: rows %d (norm %v) and %d (norm %v) are out of order at %d", name, n, prev, a, orig, b, phys)
 				}

@@ -501,8 +501,9 @@ func FuzzNormRuns(f *testing.F) {
 		}
 		// Merge equals sort: the stacked view, compacted by dead, and
 		// folded by a chunk's batch of its own rows again (ties with
-		// every row; the base run, at most 1 500 rows, holds under 4× the
-		// merged rows), is each time what sorting its rows afresh gives.
+		// every row; the merge, over 1 024 rows, reaches the size class
+		// of the base run, at most 1 500), is each time what sorting its
+		// rows afresh gives.
 		rows := fs.Rows()
 		v := extendTo(SortRows(rows[:n-tailLen]), fs, n-tailLen/2, n)
 		checkSortedRuns(t, "runs", v, rows, qs, o, dead)
@@ -524,7 +525,8 @@ func FuzzNormRuns(f *testing.F) {
 // FuzzNormTail drives a norm-sorted view through fuzzed writes as a
 // normscan shard does: each Extends the view by a batch of rows (pushing
 // it as a run, merging it with the newest runs or folding them all into
-// the base run, by the 4× rule checkStack holds it to), kills or revives
+// the base run, by the stack rule checkStack holds it to), kills or
+// revives
 // rows, and gathers the dead set from the previous write's
 // (GatherDeadSince) — nil while no row is dead. Rows are drawn from
 // normPalette: ties, zeros, NaN, ±Inf, subnormals and values whose

@@ -180,6 +180,7 @@ TEXT ·dotI8Tile(SB), NOSPLIT, $128-176
 	MOVQ         dots_base+128(FP), R11
 	MOVQ         mask_base+152(FP), R10
 
+	PCALIGN $64 // the loop head starts a cache line, wherever the code around it moves
 group:
 	TESTQ R12, R12
 	JLE   done

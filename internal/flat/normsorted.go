@@ -5,10 +5,11 @@
 // scan on the serving batch path), so the view owns its rows in that
 // order — the sorted runs are the only copy it keeps — and reads a row by
 // its store index through each run's inverse permutation (View.Row), four
-// bytes a row. Every run is built by sorting once (sortRows) or by merging
-// runs already in key order (mergeRuns), which gives the same rows.
-// Writes stack runs by the logarithmic method (Bentley and Saxe, J.
-// Algorithms 1980; the LSM-tree, O'Neil et al. 1996; see Extend).
+// bytes a row. Every run is built by one merge (mergeRuns) of runs already
+// in key order and a batch read in its sorted keys' order, which gives
+// the rows sorting them afresh does. Writes stack runs as an LSM-tree
+// does (O'Neil et al. 1996): a bulk batch by lazy leveling, a small
+// write by the logarithmic method (see keepRuns).
 package flat
 
 import (
@@ -80,47 +81,29 @@ func normOrder(norms []float64, from int) []normKey {
 // sortRows returns rows, store rows off, off+1, …, as a norm-sorted run
 // at physical offset off: a copy in (norm descending, index ascending)
 // order, each norm RowNorm's. Every row must have dimension d.
-func sortRows(d, off int, rows []vec.Vector) run {
-	norms := make([]float64, len(rows))
-	for i, v := range rows {
-		if len(v) != d {
-			panic(fmt.Sprintf("flat: row %d has dimension %d, the view %d", off+i, len(v), d))
-		}
-		norms[i] = RowNorm(v)
-	}
-	keys := normOrder(norms, off)
-	re := newStore(d)
-	ids := make([]int, len(keys))
-	pos := make([]int32, len(keys))
-	for phys := 0; phys < len(keys); {
-		data, col := re.grow(len(keys) - phys)
-		for i := range col {
-			k := keys[phys+i]
-			copy(data[i*d:], rows[k.idx-off])
-			col[i], ids[phys+i] = norms[k.idx-off], k.idx
-			pos[k.idx-off] = int32(phys + i)
-		}
-		phys += len(col)
-	}
-	return run{t: re, ids: ids, norms: &re.norms, pos: pos, off: off}
-}
+func sortRows(d, off int, rows []vec.Vector) run { return mergeRuns(d, off, nil, rows) }
 
 // len returns the rows of a norm-sorted run; the zero run has none.
 func (r run) len() int { return len(r.ids) }
 
 // mergeRuns merges the norm-sorted runs rs — the zero run among them
-// holding nothing — into one at physical offset off, each row copied
-// once, and returns it. Each of rs is in key order and their keys are
-// distinct, so the result is in key order: row for row what sortRows
-// makes of the same rows. A nil renumber keeps every store index;
-// otherwise it covers every row of rs, row i becoming store row
-// renumber[i], or dropped where that is negative — a renumbering that
-// keeps the kept rows' relative order, and so the key order.
-func mergeRuns(d, off int, renumber []int32, rs ...run) run {
-	n := 0
+// holding nothing — and batch, the store rows behind theirs, into one
+// run at physical offset off, each row copied once, and returns it. The
+// batch is merged from its keys' order (normOrder), its rows read in
+// place, so a write's rows are copied once whether they merge or make a
+// run of their own. Each of rs is in key order and all keys are
+// distinct, so the result is in key order: row for row what sorting the
+// same rows gives. A nil renumber keeps every store index; otherwise it
+// covers every row of rs, which are then all the rows merged, row i
+// becoming store row renumber[i], or dropped where that is negative — a
+// renumbering that keeps the kept rows' relative order, and so the key
+// order. Every batch row must have dimension d.
+func mergeRuns(d, off int, renumber []int32, batch []vec.Vector, rs ...run) run {
+	from := off // the batch's first store row
 	for _, r := range rs {
-		n += r.len()
+		from += r.len()
 	}
+	n := from - off + len(batch)
 	if renumber != nil {
 		n = 0
 		for _, i := range renumber {
@@ -129,52 +112,80 @@ func mergeRuns(d, off int, renumber []int32, rs ...run) run {
 			}
 		}
 	}
+	var keys []normKey // the batch's, in key order
+	if len(batch) > 0 {
+		norms := make([]float64, len(batch))
+		for i, v := range batch {
+			if len(v) != d {
+				panic(fmt.Sprintf("flat: row %d has dimension %d, the view %d", from+i, len(v), d))
+			}
+			norms[i] = RowNorm(v)
+		}
+		keys = normOrder(norms, from)
+	}
+	// The sources are rs, then the batch (source len(rs)), in store
+	// order: of two rows with equal norms the earlier source's has the
+	// smaller index, so the merge compares keys' norm bits alone, a tie
+	// to the earlier source. heads holds, for each source with rows
+	// left and in that order, its next row and that row's key bits.
+	type head struct {
+		src, at int
+		bits    uint64
+	}
+	heads := make([]head, 0, len(rs)+1)
+	// next moves h to its source's first row at or after at that
+	// renumber keeps, and reports whether there is one.
+	next := func(h *head, at int) bool {
+		if h.src == len(rs) {
+			if at == len(keys) {
+				return false
+			}
+			h.at, h.bits = at, keys[at].bits
+			return true
+		}
+		r := &rs[h.src]
+		for renumber != nil && at < r.len() && renumber[r.ids[at]] < 0 {
+			at++
+		}
+		if at == r.len() {
+			return false
+		}
+		h.at, h.bits = at, ^math.Float64bits(r.norms.at(at))
+		return true
+	}
+	for j := range len(rs) + 1 {
+		if h := (head{src: j}); next(&h, 0) {
+			heads = append(heads, h)
+		}
+	}
 	re := newStore(d)
-	ids := make([]int, n)
+	ids := make([]int32, n)
 	pos := make([]int32, n)
-	heads := make([]int, len(rs))
 	for phys := 0; phys < n; {
 		data, col := re.grow(n - phys)
-		for i := 0; i < len(col); {
-			// best: the run whose next kept row has the least key; nk: the
-			// least key among the other runs' next kept rows.
-			best, next := -1, -1
-			var bk, nk normKey
-			for j := range rs {
-				r, h := &rs[j], heads[j]
-				for renumber != nil && h < len(r.ids) && renumber[r.ids[h]] < 0 {
-					h++
-				}
-				if heads[j] = h; h == len(r.ids) {
-					continue
-				}
-				switch k := keyOf(r.norms.at(h), r.ids[h]); {
-				case best < 0 || k.less(bk):
-					next, nk, best, bk = best, bk, j, k
-				case next < 0 || k.less(nk):
-					next, nk = j, k
+		for i := range col {
+			s := 0 // the source whose next row has the least key
+			for u := 1; u < len(heads); u++ {
+				if heads[u].bits < heads[s].bits {
+					s = u
 				}
 			}
-			// Take best's rows [h, e) — up to the first that another run's
-			// next row precedes or that renumber drops — in one copy per
-			// chunk.
-			r, h := &rs[best], heads[best]
-			e := h + 1
-			for e < len(r.ids) && e-h < len(col)-i && (renumber == nil || renumber[r.ids[e]] >= 0) &&
-				(next < 0 || keyOf(r.norms.at(e), r.ids[e]).less(nk)) {
-				e++
-			}
-			st := r.t.(*Store)
-			st.data.copyTo(data[i*d:], h, e)
-			st.norms.copyTo(col[i:], h, e)
-			for _, idx := range r.ids[h:e] {
+			h := &heads[s]
+			var idx int32
+			var row []float64
+			if h.src == len(rs) {
+				idx, row = int32(keys[h.at].idx), batch[keys[h.at].idx-from]
+			} else {
+				idx, row = rs[h.src].ids[h.at], rs[h.src].t.(*Store).data.row(h.at)
 				if renumber != nil {
-					idx = int(renumber[idx])
+					idx = renumber[idx]
 				}
-				ids[phys+i], pos[idx-off] = idx, int32(phys+i)
-				i++
 			}
-			heads[best] = e
+			copy(data[i*d:(i+1)*d], row)
+			col[i], ids[phys+i], pos[int(idx)-off] = math.Float64frombits(^h.bits), idx, int32(phys+i)
+			if !next(h, h.at+1) {
+				heads = slices.Delete(heads, s, s+1)
+			}
 		}
 		phys += len(col)
 	}
@@ -191,18 +202,70 @@ func SortRows(vs []vec.Vector) View {
 	return View{run: sortRows(len(vs[0]), 0, vs)}
 }
 
-// stackRatio: each run holds ≥ 4× the next one's rows, so n rows make ≤ ⌊log₄ n⌋ + 1 runs.
-const stackRatio = 4
+// sizeClass returns n's size class, ⌊log₄ n⌋ (0 for n = 0): runs of
+// one class hold within 4× of each other's rows, and four of them merge
+// into a run of the next class.
+func sizeClass(n int) int { return max(bits.Len(uint(n))-1, 0) / 2 }
+
+// bulkShare: a batch of at least 1/bulkShare of a view's rows is a bulk
+// load's, which keepRuns tiers; smaller writes level.
+const bulkShare = 64
+
+// keepRuns returns how many of runs, the base run first and n rows in
+// all, a write of b rows leaves as they are; the rest merge with its
+// batch, and 0 is a fold. A bulk batch (b ≥ n/bulkShare) merges by lazy
+// leveling (Dayan and Idreos, SIGMOD 2018): the runs behind the base are
+// tiered — the batch merges with the newest runs only while they are of
+// a smaller size class than the merge, or when it would be the fourth
+// run of its class — and the base is leveled: a merge that reaches its
+// class folds into it. A smaller write merges with the newest runs while
+// the run below holds fewer than 4× the merged rows, the base run too
+// (the logarithmic method, Bentley and Saxe 1980): every run costs each
+// query a block visit, and small writes are many, so they keep the
+// stack shallow and fold a bulk load's tiers in. Either way the runs
+// behind the base descend by class, at most three of each and all below
+// the base's — at most 3·⌊log₄ n⌋ + 1 runs — and a bulk load copies each
+// row once per class it climbs, plus the base's folds.
+func keepRuns(runs []run, b, n int) int {
+	keep, rows := len(runs), b // runs[:keep] stay; rows: the merged run's
+	if b*bulkShare < n {
+		for keep > 0 && runs[keep-1].len() < 4*rows {
+			keep--
+			rows += runs[keep].len()
+		}
+		return keep
+	}
+	for keep > 1 {
+		take, c := 0, sizeClass(rows)
+		switch {
+		case sizeClass(runs[keep-1].len()) < c:
+			take = 1
+		case keep > 3 && sizeClass(runs[keep-3].len()) == c:
+			take = 3
+		}
+		if take == 0 {
+			break
+		}
+		for range take {
+			keep--
+			rows += runs[keep].len()
+		}
+	}
+	if keep == 1 && sizeClass(rows) >= sizeClass(runs[0].len()) {
+		return 0
+	}
+	return keep
+}
 
 // Extend returns the norm-sorted view of v's rows and vs behind them in
 // the store order — store rows v.Len() on — for v a norm-sorted view,
 // which keeps serving; vs must have v's dimension (Extend panics
-// otherwise, as Dot does). Only the batch is sorted, into a run, and one
-// pass (mergeRuns) merges it with v's newest runs while the run below
-// holds fewer than stackRatio times the merged rows; the runs below are
-// shared. copied is the merged run's rows — amortized, O(log n) per row
-// written — and folded reports that the base run joined the merge. Each
-// run is row for row what sorting its rows afresh gives (sortRows).
+// otherwise, as Dot does). One pass (mergeRuns) merges the batch, read
+// in its sorted keys' order, with the newest runs keepRuns names, or
+// makes it a run of its own; the runs below are shared. copied is the
+// merged run's rows — each copied once, O(log n) times per row written
+// amortized — and folded reports that the base run joined the merge.
+// Each run is row for row what sorting its rows afresh gives (sortRows).
 func (v View) Extend(vs []vec.Vector) (ext View, copied int, folded bool) {
 	if !v.Sorted() {
 		panic("flat: Extend of a store-order view")
@@ -211,15 +274,11 @@ func (v View) Extend(vs []vec.Vector) (ext View, copied int, folded bool) {
 		return v, 0, false
 	}
 	runs := v.runs()
-	keep, rows := len(runs), len(vs) // runs[:keep] stay; rows: the merged run's
-	for keep > 0 && runs[keep-1].len() < stackRatio*rows {
-		keep--
-		rows += runs[keep].len()
-	}
-	merged := sortRows(v.Dim(), v.Len(), vs)
+	keep, off := keepRuns(runs, len(vs), v.Len()), v.Len()
 	if keep < len(runs) {
-		merged = mergeRuns(v.Dim(), runs[keep].off, nil, append(runs[keep:], merged)...)
+		off = runs[keep].off
 	}
+	merged := mergeRuns(v.Dim(), off, nil, vs, runs[keep:]...)
 	if keep == 0 {
 		return View{run: merged}, merged.len(), true
 	}
@@ -278,7 +337,7 @@ func (v View) Compact(dead *Tombstones) View {
 		renumber[i] = live
 		live++
 	}
-	return View{run: mergeRuns(v.Dim(), 0, renumber, v.runs()...)}
+	return View{run: mergeRuns(v.Dim(), 0, renumber, nil, v.runs()...)}
 }
 
 // runOf returns the run holding store row i.
@@ -322,7 +381,7 @@ func (v View) GatherDead(dead *Tombstones) *Tombstones {
 	if !v.Sorted() {
 		return dead
 	}
-	var perm [][]int
+	var perm [][]int32
 	for _, r := range v.runs() {
 		perm = append(perm, r.ids)
 	}
@@ -368,7 +427,7 @@ func (v View) GatherDeadSince(dead *Tombstones, prev View, was, gathered *Tombst
 	}
 	for _, r := range v.tails[same:] {
 		for p, i := range r.ids {
-			if dead.Dead(i) {
+			if dead.Dead(int(i)) {
 				out.Kill(r.off + p)
 			}
 		}

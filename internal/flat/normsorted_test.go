@@ -38,10 +38,36 @@ func paletteRows(rng *xrand.RNG, n, d int, earlier []vec.Vector) []vec.Vector {
 	return vs
 }
 
+// sortedRun returns rows, store rows off, off+1, …, as the norm-sorted
+// run at physical offset off that a comparison sort of their keys gives:
+// the reference mergeRuns is held to, built without it.
+func sortedRun(off int, rows []vec.Vector) run {
+	keys := make([]normKey, len(rows))
+	for i, r := range rows {
+		keys[i] = keyOf(RowNorm(r), off+i)
+	}
+	slices.SortFunc(keys, func(a, b normKey) int {
+		if a.less(b) {
+			return -1
+		}
+		return 1
+	})
+	sorted := make([]vec.Vector, len(rows))
+	ids, pos := make([]int32, len(rows)), make([]int32, len(rows))
+	for p, k := range keys {
+		sorted[p], ids[p], pos[k.idx-off] = rows[k.idx-off], int32(k.idx), int32(p)
+	}
+	s, err := FromVectors(sorted)
+	if err != nil {
+		panic(err)
+	}
+	return run{t: s, ids: ids, norms: &s.norms, pos: pos, off: off}
+}
+
 // checkSortedRuns holds the norm-sorted view v over rows (store order) to
-// the view sorting afresh gives — each run's rows sorted by sortRows,
-// which NewNormSorted and SortRows run, and every block of every run in
-// a stable sort by leading norm — bit for bit: each run's ids, inverse
+// the view sorting afresh gives — each run's rows sorted by their keys
+// (sortedRun), and every block of every run in a stable sort by leading
+// norm — bit for bit: each run's ids, inverse
 // permutation, norms and rows, the sweep order, and View.Row(i) to
 // rows[i]; and its ScanMulti over qs under o, dead gathered in each
 // view's order, to the sorted view's: hits, scanned rows per query and
@@ -51,13 +77,12 @@ func checkSortedRuns(t testing.TB, cell string, v View, rows []vec.Vector, qs *S
 	if !v.Sorted() || v.Len() != len(rows) {
 		t.Fatalf("%s: a view of %d rows (sorted %v) over %d", cell, v.Len(), v.Sorted(), len(rows))
 	}
-	d := v.Dim()
-	want := View{run: sortRows(d, 0, rows[:v.len()])}
+	want := View{run: sortedRun(0, rows[:v.len()])}
 	for _, r := range v.tails {
 		if r.len() == 0 || r.off != want.Len() {
 			t.Fatalf("%s: a run of %d rows from %d behind %d rows", cell, r.len(), r.off, want.Len())
 		}
-		want.tails = append(want.tails, sortRows(d, r.off, rows[r.off:r.off+r.len()]))
+		want.tails = append(want.tails, sortedRun(r.off, rows[r.off:r.off+r.len()]))
 	}
 	if len(want.tails) > 0 {
 		want.order = stableOrder(want)
@@ -157,25 +182,26 @@ func stableOrder(v View) []blockRef {
 }
 
 // checkStack holds ext, what prev.Extend returned with copied and
-// folded, to the run stack's rules: every run holds at least 4× the rows
-// of the run after it, so there are at most ⌊log₄ n⌋ + 1; a fold leaves
-// one run of every row and copied all of them, otherwise ext keeps the
-// base run and prev's runs but the ones merged, untouched, and copied is
-// the newest run's rows; the tails slice holds nothing past its length;
-// and prev's runs are as they were (prevTails, cloned before the Extend).
+// folded, to the run stack's rules: the runs behind the base descend by
+// size class, at most three of each and all below the base run's, so
+// there are at most 3·⌊log₄ n⌋ + 1; a fold leaves one run of every row
+// and copied all of them, otherwise ext keeps the base run and prev's
+// runs but the ones merged, untouched, and copied is the newest run's
+// rows; the tails slice holds nothing past its length; and prev's runs
+// are as they were (prevTails, cloned before the Extend).
 func checkStack(t testing.TB, cell string, prev, ext View, prevTails []run, copied int, folded bool) {
 	t.Helper()
 	runs := ext.runs()
 	for i := 1; i < len(runs); i++ {
-		if runs[i-1].len() < stackRatio*runs[i].len() {
-			t.Fatalf("%s: run %d holds %d rows, the run after it %d", cell, i-1, runs[i-1].len(), runs[i].len())
+		c := sizeClass(runs[i].len())
+		if above := sizeClass(runs[i-1].len()); c >= above && (i == 1 || c > above) {
+			t.Fatalf("%s: run %d holds %d rows, the run before it %d", cell, i, runs[i].len(), runs[i-1].len())
+		}
+		if i > 3 && sizeClass(runs[i-3].len()) == c { // the classes descend: runs i-3 to i are all c
+			t.Fatalf("%s: runs %d to %d are four of size class %d", cell, i-3, i, c)
 		}
 	}
-	most := 1 // ⌊log₄ n⌋ + 1
-	for m := ext.Len(); m >= stackRatio; m /= stackRatio {
-		most++
-	}
-	if len(runs) > most {
+	if most := 3*sizeClass(ext.Len()) + 1; len(runs) > most {
 		t.Fatalf("%s: %d runs over %d rows", cell, len(runs), ext.Len())
 	}
 	for _, r := range ext.tails[len(ext.tails):cap(ext.tails)] {
@@ -301,11 +327,39 @@ func TestNormSortedMergeEqualsSort(t *testing.T) {
 	}
 }
 
+// TestNormBulkLoadCopies replays a bulk load through View.Extend as a
+// normscan shard takes one — small-hot's, 20 batches of 250 rows onto an
+// empty shard, and scan-heavy's, 40 of them — and pins the rows copied
+// per row loaded, the first batch's sort included: 1.75 and 2.5. The 4×
+// stack alone copied 4.2 and 4.8 in its merges, plus one sort copy of
+// every batch.
+func TestNormBulkLoadCopies(t *testing.T) {
+	const batch = 250
+	for _, c := range []struct {
+		batches int
+		perRow  float64
+	}{{20, 1.75}, {40, 2.5}} {
+		rows := randomVecs(xrand.New(uint64(c.batches)), c.batches*batch, 4)
+		v, copied := SortRows(rows[:batch]), batch
+		for lo := batch; lo < len(rows); lo += batch {
+			ext, n, _ := v.Extend(rows[lo : lo+batch])
+			v, copied = ext, copied+n
+		}
+		if got := float64(copied) / float64(len(rows)); got != c.perRow {
+			t.Errorf("%d batches of %d rows: %.3f rows copied per row loaded (%d runs), want %.3f", c.batches, batch, got, v.Runs(), c.perRow)
+		}
+	}
+}
+
 // TestNormStackInvariants drives a norm-sorted view through 600 writes of
-// 1 to 40 rows onto 3 000, stacks several runs deep, a few rows dying at
-// every write. After each Extend the stack keeps its rules (checkStack:
-// the 4× rule, at most ⌊log₄ n⌋ + 1 runs, nothing past the tails
-// slice's length, the runs kept untouched), its sweep order is the
+// 1 to 40 rows onto 3 000, stacks several runs deep, every eighth a bulk
+// batch — a 64th of the view and up to 300 rows more, which is tiered —
+// a few rows dying at every write. After each Extend the stack keeps its
+// rules (checkStack:
+// the runs behind the base descending by size class, at most three of
+// each and below the base's, so at most 3·⌊log₄ n⌋ + 1 runs, nothing
+// past the tails slice's length, the runs kept untouched), its sweep
+// order is the
 // stable sort of every block by leading norm, and the dead set patched
 // from the last write's (GatherDeadSince: the shared runs' words copied,
 // their new deaths placed through the runs' inverse permutations) is
@@ -322,10 +376,17 @@ func TestNormStackInvariants(t *testing.T) {
 	v := SortRows(rows)
 	dead := NewTombstones(base)
 	gathered := v.GatherDead(dead)
-	deepest := 0
+	deepest, bulk := 0, 0
 	for w := range writes {
 		cell := fmt.Sprintf("write %d", w)
-		batch := paletteRows(rng, 1+rng.Intn(40), d, rows)
+		n := 1 + rng.Intn(40)
+		if w%8 == 7 {
+			n = (v.Len()+bulkShare-1)/bulkShare + rng.Intn(300)
+		}
+		if n*bulkShare >= v.Len() {
+			bulk++
+		}
+		batch := paletteRows(rng, n, d, rows)
 		tails := slices.Clone(v.tails)
 		ext, copied, folded := v.Extend(batch)
 		checkStack(t, cell, v, ext, tails, copied, folded)
@@ -347,7 +408,7 @@ func TestNormStackInvariants(t *testing.T) {
 			checkSortedRuns(t, cell, v, rows, qs, ScanOpts{K: 7}, dead)
 		}
 	}
-	if deepest < 5 {
-		t.Fatalf("the stack never grew past %d runs", deepest)
+	if deepest < 5 || bulk < writes/8 {
+		t.Fatalf("the stack never grew past %d runs, or only %d writes were bulk batches", deepest, bulk)
 	}
 }

@@ -24,7 +24,7 @@ func offerRef(a *Acc, b block, scores []float64) {
 		}
 		idx := phys
 		if b.ids != nil {
-			idx = b.ids[b.start+r]
+			idx = int(b.ids[b.start+r])
 		}
 		a.Offer(idx, v)
 	}
@@ -106,7 +106,7 @@ func TestBlockOfferMatchesOffer(t *testing.T) {
 						}
 						b := block{start: start, unsigned: flags&2 != 0}
 						if flags&4 != 0 {
-							b.ids, b.off = rng.Perm(space)[:start+n], off
+							b.ids, b.off = perm32(rng.Perm(space)[:start+n]), off
 						}
 						if flags&8 != 0 {
 							b.dead, _ = killRandom(rng, space, 0.2)
@@ -154,7 +154,7 @@ func FuzzOfferScores(f *testing.F) {
 		a := NewAcc(k)
 		b := block{start: start, unsigned: flags&1 != 0}
 		if flags&2 != 0 {
-			b.ids, b.off = rng.Perm(space), int(seed%5)
+			b.ids, b.off = perm32(rng.Perm(space)), int(seed%5)
 			space += b.off
 		}
 		if flags&4 != 0 {

@@ -174,6 +174,7 @@ TEXT ·dotI8Range(SB), NOSPLIT, $0-88
 	VMOVDQU      (SI), Y8
 	VBROADCASTSD combined+56(FP), Y9
 
+	PCALIGN $64 // the loop head starts a cache line, wherever the code around it moves
 loop4_i8d:
 	CMPQ CX, $4
 	JL   tail_i8d

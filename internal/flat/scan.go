@@ -129,7 +129,7 @@ type run struct {
 	// index of the run's row p (non-nil even when empty), pos the inverse
 	// — store row i is the run's row pos[i-off] — and norms its norm
 	// column, which never increases.
-	ids   []int
+	ids   []int32
 	norms *chunked[float64]
 	pos   []int32
 	off   int
@@ -143,8 +143,8 @@ type run struct {
 //
 // A norm-sorted view owns its rows — the sorted copy is the only one it
 // needs — in a stack of norm-sorted runs, each a stretch of the store
-// order sorted among itself: the base run, then the tails, each at least
-// stackRatio times the run after it (see Extend), and all swept in one
+// order sorted among itself: the base run, then the tails, each of a
+// smaller size class than the base (see Extend), and all swept in one
 // order by leading norm.
 type View struct {
 	run         // the rows in store order, or a norm-sorted view's base run
@@ -381,7 +381,7 @@ const skipGroup = 16
 // norm-sorted run's rows back, and dead is in the physical order the
 // run starts at off.
 func (b block) offer(a *Acc, scores []float64) {
-	var ids []int
+	var ids []int32
 	if b.ids != nil {
 		ids = b.ids[b.start : b.start+len(scores)]
 	}
@@ -402,7 +402,7 @@ func (b block) offer(a *Acc, scores []float64) {
 				continue
 			}
 			if ids != nil {
-				a.Offer(ids[r], v)
+				a.Offer(int(ids[r]), v)
 			} else {
 				a.Offer(phys+r, v)
 			}

@@ -105,7 +105,7 @@ func prefixOf(fs *Store, n int) *Store {
 // the norm-sorted view v, one after the other, each batch a run of its
 // own — sorted afresh (sortRows), its blocks merged into the sweep order
 // as Extend merges a run's — whatever the runs' sizes: the stacks Extend
-// builds, and the ones its 4× rule never leaves, for the scans to answer
+// builds, and the ones its rule never leaves, for the scans to answer
 // alike. An empty batch adds no run.
 func extendTo(v View, fs *Store, lens ...int) View {
 	for _, n := range lens {
@@ -186,7 +186,9 @@ func physPerm(v View) []int {
 	}
 	var perm []int
 	for _, r := range v.runs() {
-		perm = append(perm, r.ids...)
+		for _, i := range r.ids {
+			perm = append(perm, int(i))
+		}
 	}
 	return perm
 }
@@ -843,7 +845,7 @@ func cutRows(v View, q vec.Vector, bar float64) *Tombstones {
 			cut++
 		}
 		for i := max(0, cut-2); i < min(cut+2, r.t.Len()); i++ {
-			dead.Kill(r.ids[i])
+			dead.Kill(int(r.ids[i]))
 		}
 	}
 	return dead
@@ -895,12 +897,12 @@ func TestNormRunsMatchStoreOrder(t *testing.T) {
 								case "tail":
 									for _, r := range v.tails {
 										for _, id := range r.ids {
-											dead.Kill(id)
+											dead.Kill(int(id))
 										}
 									}
 								case "base block":
 									for _, id := range v.ids[:min(blockRows, base)] {
-										dead.Kill(id)
+										dead.Kill(int(id))
 									}
 								case "every fourth":
 									for i := 0; i < n; i += 4 {
@@ -1098,17 +1100,18 @@ func TestRowNormKeepsNormalBits(t *testing.T) {
 
 // TestNormSortedExtendKeepsSnapshots: extending a norm-sorted view
 // shares every run it does not merge, and builds the merged run afresh,
-// so a reader holding a superseded view — here across a write that pushes
-// its batch as a run of its own, one that merges it with the newest runs,
+// so a reader holding a superseded view — here across writes that push
+// their batch as a run of its own, that merge it with the newest runs,
 // and the fold the last write asks for — keeps getting the answers it
-// got. A batch stays a run of its own while the run below holds at least
-// 4× its rows; otherwise it merges with the newest runs until that holds
-// again, and folds into one run with the base run once the base holds
-// fewer than 4× the merged rows.
+// got. A write under a 64th of the rows merges with the newest runs
+// while the run below holds under 4× the merged rows; a larger one is
+// tiered by size class, ⌊log₄ rows⌋: it merges with newest runs of a
+// smaller class, or as the fourth run of its class, and a merge that
+// reaches the base run's class folds into it.
 func TestNormSortedExtendKeepsSnapshots(t *testing.T) {
 	const d, base = 16, 1500
 	rng := xrand.New(41)
-	rows := gridRows(rng, base+chunkRows, d)
+	rows := gridRows(rng, base+2*chunkRows, d)
 	fs, err := FromVectors(rows)
 	if err != nil {
 		t.Fatal(err)
@@ -1132,10 +1135,13 @@ func TestNormSortedExtendKeepsSnapshots(t *testing.T) {
 			n, copied int
 			runs      []int
 		}{
-			{base + 110, 10, []int{base, 100, 10}}, // 100 ≥ 4·10: a run of its own
-			{base + 130, 130, []int{base, 130}},    // 10 < 4·20, 100 < 4·30: merged with both
-			{base + 135, 5, []int{base, 130, 5}},   // pushed
-			{fs.Len(), fs.Len(), []int{fs.Len()}},  // 1500 < 4·994: folded
+			{base + 110, 10, []int{base, 100, 10}},        // 10 rows: 100 ≥ 4·10, pushed
+			{base + 130, 130, []int{base, 130}},           // 20 rows: 10 < 4·30, 100 < 4·30, merged with both
+			{base + 190, 60, []int{base, 130, 60}},        // 60 rows, a bulk batch of class 2: pushed
+			{base + 260, 130, []int{base, 130, 130}},      // 70 rows, class 3: merged with the class-2 run
+			{base + 360, 100, []int{base, 130, 130, 100}}, // the third run of class 3: pushed
+			{base + 480, 480, []int{base, 480}},           // the fourth: merged with the three, class 4
+			{fs.Len(), fs.Len(), []int{fs.Len()}},         // 1 568 rows: merged with 480 into class 5, the base's: folded
 		} {
 			ext, copied, folded := v.Extend(fs.Rows()[v.Len():step.n])
 			var runs []int

@@ -83,6 +83,7 @@ TEXT ·dotTile16x4(SB), NOSPLIT, $0-72
 	LEAQ (R10)(CX*8), R11
 	LEAQ (R11)(CX*8), R12
 
+	PCALIGN $64 // the loop head starts a cache line, wherever the code around it moves
 loop2:
 	CMPQ CX, $2
 	JL   tail
@@ -378,6 +379,7 @@ loop2_4:
 	VXORPD Y7, Y7, Y7
 	XORQ   AX, AX
 
+	PCALIGN $64 // the loop head starts a cache line, wherever the code around it moves
 chunk2_4:
 	VMOVUPD (DI)(AX*1), Y8
 	VMOVUPD (R8)(AX*1), Y9
@@ -488,6 +490,7 @@ TEXT ·dotRows4(SB), NOSPLIT, $0-128
 	VXORPD Y3, Y3, Y3
 	XORQ   AX, AX
 
+	PCALIGN $64 // the loop head starts a cache line, wherever the code around it moves
 chunk_r4:
 	VMOVUPD (DI)(AX*1), Y8
 	VMOVUPD (SI)(AX*1), Y10
@@ -538,6 +541,7 @@ TEXT ·skipBelow(SB), NOSPLIT, $0-48
 	VPBROADCASTQ X14, Y14
 	XORQ         DX, DX
 
+	PCALIGN $64 // the loop head starts a cache line, wherever the code around it moves
 group_sb:
 	CMPQ      DX, CX
 	JAE       done_sb
@@ -748,6 +752,7 @@ rows_8:
 	MOVQ   R14, R11
 	XORQ   AX, AX
 
+	PCALIGN $64 // the loop head starts a cache line, wherever the code around it moves
 chunk_8:
 	VBROADCASTF64X4 (DI)(AX*1), Z8
 	VBROADCASTF64X4 (R8)(AX*1), Z9

@@ -79,7 +79,7 @@ func (t *Tombstones) Grow(n int) *Tombstones {
 // pieces end to end. It maps an original-row-space set into a
 // norm-sorted view's physical order (View.GatherDead), one piece per
 // run.
-func (t *Tombstones) Gather(perm ...[]int) *Tombstones {
+func (t *Tombstones) Gather(perm ...[]int32) *Tombstones {
 	if t == nil {
 		return nil
 	}
@@ -91,7 +91,7 @@ func (t *Tombstones) Gather(perm ...[]int) *Tombstones {
 	i := 0
 	for _, piece := range perm {
 		for _, p := range piece {
-			if t.Dead(p) {
+			if t.Dead(int(p)) {
 				out.bits.W[i>>6] |= 1 << (uint(i) & 63)
 				out.count++
 			}

@@ -8,6 +8,15 @@ import (
 	"repro/internal/xrand"
 )
 
+// perm32 returns perm as a norm-sorted run's ids are held.
+func perm32(perm []int) []int32 {
+	out := make([]int32, len(perm))
+	for i, p := range perm {
+		out[i] = int32(p)
+	}
+	return out
+}
+
 // killRandom tombstones each of n rows with probability frac and
 // returns the set plus the live index list.
 func killRandom(rng *xrand.RNG, n int, frac float64) (*Tombstones, []int) {
@@ -91,14 +100,14 @@ func TestTombstonesGather(t *testing.T) {
 	rng := xrand.New(9)
 	n := 300
 	ts, _ := killRandom(rng, n, 0.4)
-	perm := rng.Perm(n)
+	perm := perm32(rng.Perm(n))
 	g := ts.Gather(perm)
 	if g.Count() != ts.Count() {
 		t.Fatalf("Gather count %d != %d", g.Count(), ts.Count())
 	}
 	for i, p := range perm {
-		if g.Dead(i) != ts.Dead(p) {
-			t.Fatalf("Gather bit %d: got %v, want Dead(%d)=%v", i, g.Dead(i), p, ts.Dead(p))
+		if g.Dead(i) != ts.Dead(int(p)) {
+			t.Fatalf("Gather bit %d: got %v, want Dead(%d)=%v", i, g.Dead(i), p, ts.Dead(int(p)))
 		}
 	}
 	var nilT *Tombstones

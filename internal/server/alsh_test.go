@@ -506,17 +506,21 @@ func TestIndexBuildStageAndSpan(t *testing.T) {
 	if a := indexBuild(http.MethodPut, "/collections/e", IngestRequest{Records: recs(2)}); a["extend"] != 1 || a["rebuild"] != 0 {
 		t.Fatalf("exact re-ingest index_build attrs = %v, want extend=1", a)
 	}
-	// A norm-sorted view takes a new row into a run of its own behind a
-	// base run of at least 4× its rows — shard 1's four — and the next
-	// row merges with that run and, 4 < 4·2, folds both into the base.
+	// A row is a bulk batch of shard 1's four (a 64th or more), so the
+	// norm-sorted view tiers it by size class, ⌊log₄ rows⌋: a run of its
+	// own behind the base run of a larger class, as are the next two,
+	// three runs of class 0; the fourth row merges with them into a run
+	// of class 1, the base's, so it folds all five into the base.
 	if a := indexBuild(http.MethodPut, "/collections/n", IngestRequest{Index: &IndexSpec{Kind: KindNormScan}, Records: recs(0, 1, 2, 3, 4, 5, 6, 7, 8)}); a["rebuild"] != 2 {
 		t.Fatalf("normscan ingest index_build attrs = %v, want rebuild=2", a)
 	}
-	if a := indexBuild(http.MethodPut, "/collections/n", IngestRequest{Records: recs(9)}); a["extend"] != 1 || a["rebuild"] != 0 || a["rows_copied"] != 1 {
-		t.Fatalf("normscan re-ingest index_build attrs = %v, want extend=1 rows_copied=1", a)
+	for _, id := range []int{9, 11, 13} {
+		if a := indexBuild(http.MethodPut, "/collections/n", IngestRequest{Records: recs(id)}); a["extend"] != 1 || a["rebuild"] != 0 || a["rows_copied"] != 1 {
+			t.Fatalf("normscan re-ingest of id %d: index_build attrs = %v, want extend=1 rows_copied=1", id, a)
+		}
 	}
-	if a := indexBuild(http.MethodPut, "/collections/n", IngestRequest{Records: recs(11)}); a["extend"] != 0 || a["rebuild"] != 1 || a["rows_copied"] != 6 {
-		t.Fatalf("normscan fold index_build attrs = %v, want rebuild=1 rows_copied=6", a)
+	if a := indexBuild(http.MethodPut, "/collections/n", IngestRequest{Records: recs(15)}); a["extend"] != 0 || a["rebuild"] != 1 || a["rows_copied"] != 8 {
+		t.Fatalf("normscan fold index_build attrs = %v, want rebuild=1 rows_copied=8", a)
 	}
 
 	// metrics returns the /metrics page and its index_builds_total lines

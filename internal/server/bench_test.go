@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -306,6 +307,13 @@ func BenchmarkServerJoin(b *testing.B) {
 // rather than the first-batch corner. The interval-mode number is the
 // one the durability acceptance bar compares against memory (within
 // 20%).
+//
+// The bulk cells time a bulk load instead: 40 ingests of 1 000 Gaussian
+// rows onto a fresh in-memory collection of 4 empty shards, exact
+// against normscan at d = 16 and 64. A normscan load sorts and merges
+// each shard's 40 batches of ≈ 250 rows into its run stack, where an
+// exact one appends them; the normscan cell is to stay within 1.2× the
+// exact one.
 func BenchmarkServerIngest(b *testing.B) {
 	const base, batches, per = 20_000, 30, 1000
 	rng := xrand.New(2)
@@ -340,6 +348,26 @@ func BenchmarkServerIngest(b *testing.B) {
 				b.StartTimer()
 			}
 		})
+	}
+	const bulk = 40
+	for _, d := range []int{16, 64} {
+		vs := dataset.Gaussian(xrand.New(3), bulk*per, d, false)
+		for _, kind := range []string{KindExact, KindNormScan} {
+			b.Run(fmt.Sprintf("bulk/kind=%s/d=%d", kind, d), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s := New(Config{DefaultShards: 4, CacheCapacity: -1, CompactFraction: -1})
+					for lo := 0; lo < len(vs); lo += per {
+						if _, _, err := s.Ingest("bench", &IndexSpec{Kind: kind}, 0, records(vs[lo:lo+per], lo)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StopTimer()
+					s.Close()
+					b.StartTimer()
+				}
+			})
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,8 +20,10 @@ import (
 
 // TestNormScanWritesAcrossRebuilds drives a one-shard normscan f64
 // collection through upserts and deletes across folds (the runs stacked
-// behind the base run merging into it once it holds under 4× their
-// rows). A write merges its batch with the newest runs of its stack
+// behind the base run merging into it: a bulk batch's merge once it
+// reaches the base's size class, ⌊log₄ rows⌋, a smaller write's once the
+// base holds under 4× the merged rows). A write merges its batch with
+// the newest runs of its stack
 // (normStack models which) and patches the permuted dead set from the
 // last snapshot's; after every write the shard — which keeps no store,
 // its norm-sorted runs being the one copy of its rows — must read each
@@ -166,26 +169,58 @@ func TestNormScanWritesAcrossRebuilds(t *testing.T) {
 // the base run's first.
 type normStack []int
 
+// sizeClass is a run's size class, ⌊log₄ rows⌋.
+func sizeClass(rows int) int { return max(bits.Len(uint(rows))-1, 0) / 2 }
+
 // push adds a write's b rows to the stack by the rule flat.View.Extend
-// keeps — the batch merges with the newest runs while the run below
-// holds fewer than 4× the merged rows, and with the base run too, into
-// one run, once the base does — and returns the rows the write copies
-// and whether it rebuilt the shard's index: folded it, or built the
-// first.
+// keeps, and returns the rows the write copies and whether it rebuilt
+// the shard's index: folded it, or built the first. A batch of at least
+// a 64th of the shard's rows merges by lazy leveling — with the
+// newest runs while they are of a smaller size class than the merge, or
+// when it would be the fourth run of its class, and with the base run
+// too, into one run, once the merge reaches the base's class — and a
+// smaller one with the newest runs while the run below holds fewer than
+// 4× the merged rows, the base run included.
 func (st *normStack) push(b int) (copied int, rebuilt bool) {
 	runs := *st
 	if len(runs) == 0 {
 		*st = normStack{b}
 		return b, true
 	}
-	keep, rows := len(runs), b
-	for keep > 1 && runs[keep-1] < 4*rows {
-		keep--
-		rows += runs[keep]
+	n := 0
+	for _, r := range runs {
+		n += r
 	}
-	if keep == 1 && runs[0] < 4*rows {
-		*st = normStack{runs[0] + rows}
-		return runs[0] + rows, true
+	keep, rows := len(runs), b
+	if b*64 < n {
+		for keep > 0 && runs[keep-1] < 4*rows {
+			keep--
+			rows += runs[keep]
+		}
+	} else {
+		for keep > 1 {
+			take, c := 0, sizeClass(rows)
+			switch {
+			case sizeClass(runs[keep-1]) < c:
+				take = 1
+			case keep > 3 && sizeClass(runs[keep-3]) == c:
+				take = 3
+			}
+			if take == 0 {
+				break
+			}
+			for range take {
+				keep--
+				rows += runs[keep]
+			}
+		}
+		if keep == 1 && sizeClass(rows) >= sizeClass(runs[0]) {
+			keep, rows = 0, rows+runs[0]
+		}
+	}
+	if keep == 0 {
+		*st = normStack{rows}
+		return rows, true
 	}
 	*st = append(runs[:keep:keep], rows)
 	return rows, false
@@ -194,8 +229,9 @@ func (st *normStack) push(b int) (copied int, rebuilt bool) {
 // rebuiltNormIndex builds what a normscan shard serves for snap from
 // nothing: its store-order rows sorted afresh into the runs stack
 // models — the base run by flat.SortRows, each later run pushed by an
-// Extend, which the stack's 4× rule keeps from merging — and snap's
-// dead set gathered in full.
+// Extend, which the stack's rule keeps from merging (the runs behind the
+// base descend by size class, at most three of each) — and snap's dead
+// set gathered in full.
 func rebuiltNormIndex(t *testing.T, rows []vec.Vector, snap *shardSnap, stack normStack) *flatIndex {
 	t.Helper()
 	at := stack[0]

@@ -244,10 +244,12 @@ func (s *shard) prepare(spec IndexSpec, hashes *lsh.Index, w shardWrite, sp *tra
 // Engines whose structure over the old rows stays valid extend it by the
 // new rows (exact at every precision: the store is the index, and the
 // int8 mirror converts only what it lacks; alsh hashes only the new rows;
-// normscan sorts the batch into a run and merges it with the newest runs
-// of its stack while the run below holds under 4× the merged rows, and
-// once the base run does merges every run and the batch into one — a
-// rebuild, but no sort). The mask is derived from old's where the engine
+// normscan sorts the batch's keys and merges its rows, in one copy, with
+// the newest runs of its stack — a bulk batch, a 64th of the shard or
+// more, while those are of a smaller size class, ⌊log₄ rows⌋, or three
+// of its own; a smaller one while the run below holds under 4× the
+// merged rows — and once the merge takes in the base run merges every
+// run and the batch into one — a rebuild, but no sort). The mask is derived from old's where the engine
 // can: a normscan shard patches its permuted dead set (see
 // flatIndex.dead). sp counts the shard under extend or rebuild and
 // records rows_copied: the rows of the next snapshot, in whichever tier

@@ -28,10 +28,10 @@ const flatChunkRows = 1024
 // as the index_build span reports it: exact copies the batch plus at most
 // one chunk of each touched shard — the open chunk — whatever the
 // collection holds; normscan copies, in each touched shard, the run its
-// batch merges into (normStack models the stack: the batch and the newest
-// runs while the run below holds fewer than 4× their rows), and rebuilds
-// on the write whose merge takes in the base run, a fold, copying the
-// shard whole. The other exceptions: an int8 batch that raises the
+// batch merges into (normStack models the stack: for these writes, each
+// under a 64th of the shard, the batch and the newest runs while the run
+// below holds fewer than 4× their rows), and rebuilds on the write whose
+// merge takes in the base run, a fold, copying the shard whole. The other exceptions: an int8 batch that raises the
 // quantization scale; and alsh, which hashes only the batch but copies
 // the ids of every bucket table of a touched shard — an extend whose
 // rows_copied is the shard, and says so.
