@@ -135,7 +135,7 @@ func TestFlatTopKMultiExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		single, err := FlatTopK(s, q, 3, false, 1)
+		single, err := FlatTopK(s, q, 3, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func (c *chunked[T]) at(i int) T {
 
 // span returns the chunk holding row lo and the chunk-local row bounds
 // [l, h) of the leading part of rows [lo, hi) that lies inside it. The
-// scan drivers loop over span to hand every kernel a contiguous piece.
+// scan driver loops over span to hand every kernel a contiguous piece.
 func (c *chunked[T]) span(lo, hi int) (chunk []T, l, h int) {
 	ci := lo / chunkRows
 	base := ci * chunkRows

@@ -86,23 +86,19 @@ func TestGrownStoresMatchFromVectors(t *testing.T) {
 				for j := 0; j < qs.Len(); j++ {
 					q := qs.Row(j)
 					for _, unsigned := range []bool{false, true} {
-						// workers=3 cuts the scan at rows that are not block
-						// aligned, so blocks straddle chunk edges.
-						for _, workers := range []int{1, 3} {
-							a, errA := got.TopK(q, 10, unsigned, workers)
-							b, errB := want.TopK(q, 10, unsigned, workers)
-							same("TopK", a, b, errA, errB)
-							a, errA = got.TopKMasked(q, 10, unsigned, workers, dead)
-							b, errB = want.TopKMasked(q, 10, unsigned, workers, dead)
-							same("TopKMasked", a, b, errA, errB)
-							o := ScanOpts{K: 10, Unsigned: unsigned, Workers: workers, Dead: dead}
-							a, errA = got32.View().Scan(context.Background(), q, o)
-							b, errB = want32.View().Scan(context.Background(), q, o)
-							same("Store32 Scan", a, b, errA, errB)
-							a, errA = got8.View().Scan(context.Background(), q, o)
-							b, errB = want8.View().Scan(context.Background(), q, o)
-							same("StoreI8 Scan", a, b, errA, errB)
-						}
+						a, errA := got.TopK(q, 10, unsigned, 1)
+						b, errB := want.TopK(q, 10, unsigned, 1)
+						same("TopK", a, b, errA, errB)
+						a, errA = got.TopKMasked(q, 10, unsigned, 1, dead)
+						b, errB = want.TopKMasked(q, 10, unsigned, 1, dead)
+						same("TopKMasked", a, b, errA, errB)
+						o := ScanOpts{K: 10, Unsigned: unsigned, Dead: dead}
+						a, errA = got32.View().Scan(context.Background(), q, o)
+						b, errB = want32.View().Scan(context.Background(), q, o)
+						same("Store32 Scan", a, b, errA, errB)
+						a, errA = got8.View().Scan(context.Background(), q, o)
+						b, errB = want8.View().Scan(context.Background(), q, o)
+						same("StoreI8 Scan", a, b, errA, errB)
 					}
 				}
 				a, errA := got.TopKMulti(qs, 10, false)

@@ -12,8 +12,8 @@
 //
 // Store32 and StoreI8 mirror a Store at half and an eighth of the bytes
 // per row. Each of the three is a tier — a provider of scoring kernels —
-// and every top-k scan over any of them runs through the two drivers in
-// scan.go, View.Scan and View.ScanMulti.
+// and every top-k scan over any of them runs through the one block loop
+// in scan.go, behind View.ScanMulti (View.Scan is a tile of one).
 //
 // NormSorted adds the LEMP-style descending-norm traversal: rows are
 // physically reordered by decreasing norm (preserving contiguity) so a
@@ -35,13 +35,9 @@ import (
 	"repro/internal/vec"
 )
 
-// blockRows is the row-block granularity of the scan drivers: dots are
-// computed blockRows at a time into a score buffer (see sweep.rows).
+// blockRows is the row-block granularity of the scan driver: dots are
+// computed blockRows at a time into a score buffer (see sweep.tiles).
 const blockRows = 256
-
-// minParallelRows is the rows per worker below which Scan ignores the
-// workers hint — goroutine fan-out costs more than the scan itself.
-const minParallelRows = 4096
 
 // Store is an append-only columnar vector set: row i is d contiguous
 // floats inside one chunk of the data column, and norms caches ‖row i‖
@@ -507,11 +503,6 @@ func offerRow(a *Acc, r int, v float64, unsigned bool) {
 // View returns the store-order scan view of s.
 func (s *Store) View() View { return View{run: run{t: s}} }
 
-// bind implements tier: the f64 kernel reads the query as given.
-func (s *Store) bind(q vec.Vector, bq *query) { bq.f64 = q }
-
-func (s *Store) scoreBlock(bq *query, lo, hi int, out []float64) { s.dotRange(bq.f64, lo, hi, out) }
-
 // f64Bound is the norm bound of a query of the given norm against
 // d-dimensional f64 rows. Computed, a dot product and the product of the
 // two norms are each off by up to ≈ d·2⁻⁵³ relative, so between parallel
@@ -581,15 +572,15 @@ func RowNorm(v []float64) float64 {
 func (s *Store) extend(fs *Store) (tier, int) { return fs, fs.SharedRows(s) }
 
 // TopK is Scan with positional arguments and no deadline: up to k hits
-// for q under the canonical ordering, unsigned ranking by |pᵀq|,
-// workers > 1 splitting the scan when the store is large enough.
+// for q under the canonical ordering, unsigned ranking by |pᵀq|. workers
+// is ignored: the scan runs on the calling goroutine.
 func (s *Store) TopK(q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
 	return s.TopKMasked(q, k, unsigned, workers, nil)
 }
 
 // TopKMasked is TopK restricted to the rows dead does not mark.
 func (s *Store) TopKMasked(q vec.Vector, k int, unsigned bool, workers int, dead *Tombstones) ([]Hit, error) {
-	return s.View().Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Workers: workers, Dead: dead})
+	return s.View().Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Dead: dead})
 }
 
 // TopKMulti is ScanMulti for every row of qs, returning per-query hit

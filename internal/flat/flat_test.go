@@ -209,32 +209,6 @@ func hitsEqual(a, b []Hit) bool {
 	return true
 }
 
-func TestTopKParallelMatchesSerial(t *testing.T) {
-	rng := xrand.New(3)
-	n, d := 3*minParallelRows+101, 16
-	vs := randomVecs(rng, n, d)
-	s, err := FromVectors(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, unsigned := range []bool{false, true} {
-		q := vec.Vector(rng.NormalVec(d))
-		serial, err := s.TopK(q, 10, unsigned, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			par, err := s.TopK(q, 10, unsigned, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !hitsEqual(serial, par) {
-				t.Fatalf("unsigned=%v workers=%d: parallel %v != serial %v", unsigned, workers, par, serial)
-			}
-		}
-	}
-}
-
 // TestNormSortedEarlyTermination checks both exactness and that the
 // bound actually prunes on a norm-skewed data set.
 func TestNormSortedEarlyTermination(t *testing.T) {

@@ -1,6 +1,6 @@
 // The norm-sorted view: rows physically reordered by descending norm, so
 // a top-k scan can stop at the first row whose norm cannot beat the k-th
-// best hit (see sweep.rows). Keeping the norm-ordered rows contiguous is
+// best hit (see sweep.tiles). Keeping the norm-ordered rows contiguous is
 // what lets that scan stream at kernel speed (≈ 3× a permutation-chasing
 // scan on the serving batch path), so the view owns its rows in that
 // order — the sorted runs are the only copy it keeps — and reads a row by

@@ -1,13 +1,13 @@
-// The scan drivers. Every top-k scan in the package — exact or
+// The scan driver. Every top-k scan in the package — exact or
 // norm-pruned, over float64, float32 or int8 rows, masked or not,
-// cancellable or not, one query or a tile of them — is one of the two
-// loops in this file: View.Scan and View.ScanMulti. A storage tier
-// contributes only its kernels (the tier interface); the block loop, the
-// cancellation poll, the tombstone triage, the Cauchy–Schwarz early
-// exit, the worker fan-out and the canonical top-k bookkeeping are
-// written once.
+// cancellable or not, one query or a tile of them — is the one block
+// loop in this file, sweep.tiles, behind View.ScanMulti; View.Scan is
+// ScanMulti over a tile of one. A storage tier contributes only its
+// kernels (the tier interface); the block loop, the cancellation poll,
+// the tombstone triage, the Cauchy–Schwarz early exit and the canonical
+// top-k bookkeeping are written once.
 //
-// Cancellation: the drivers poll ctx.Done() once per blockRows row
+// Cancellation: the driver polls ctx.Done() once per blockRows row
 // block, so a cancelled scan stops within one block of the
 // cancellation and returns ctx's error; partial hits are never
 // returned, so a completed scan is bit-identical whatever ctx it ran
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/vec"
 )
@@ -39,10 +38,6 @@ type ScanOpts struct {
 	K int
 	// Unsigned ranks by |pᵀq|.
 	Unsigned bool
-	// Workers > 1 lets Scan split a row-order view across that many
-	// goroutines when it is large enough (see maxScanWorkers); hits are
-	// the same whatever the split.
-	Workers int
 	// Dead marks rows to leave out, in the view's own row order (for a
 	// norm-sorted view, GatherDead of the store-order set). Nil means
 	// every row is live.
@@ -79,44 +74,25 @@ func (st *ScanStats) Add(o ScanStats) {
 	st.Candidates += o.Candidates
 }
 
-// tier is what a storage precision gives the scan drivers: Store,
-// Store32 and StoreI8 implement it. Implementations only read the store,
-// so scoreBlock is safe for concurrent calls on any ranges.
+// tier is what a storage precision gives the scan driver: Store,
+// Store32 and StoreI8 implement it. Implementations only read the store.
 type tier interface {
 	Len() int
 	Dim() int
 	AllocatedBytes() int64
-	// bind puts q into bq in the form scoreBlock consumes — as it is,
-	// rounded to float32 or quantized to int8 — once per scan, reusing
-	// bq's buffers.
-	bind(q vec.Vector, bq *query)
-	// scoreBlock fills out[0:hi-lo] with the scores of rows [lo, hi).
-	scoreBlock(bq *query, lo, hi int, out []float64)
+	// bindTile readies query rows [qlo, qhi) of qs for offerTile — as
+	// they are, rounded to float32 or quantized to int8 — once per
+	// sweep, into sc's buffers.
+	bindTile(qs *Store, qlo, qhi int, sc *TileScratch)
+	// offerTile scores the tile qs[qlo : qlo+len(accs)] against rows
+	// [b.start, max(ends)) of b's run and offers query j its rows
+	// [b.start, ends[j]), leaving accs[j] as b.offer would over the
+	// tier's scores of those rows.
+	offerTile(b block, qs *Store, qlo int, accs []Acc, ends []int, sc *TileScratch)
 	// extend returns the tier over fs, an append-only f64 store whose
 	// leading Len() rows are the ones this tier holds, and how many of
 	// the result's rows share memory with this tier's.
 	extend(fs *Store) (tier, int)
-}
-
-// tiler is the optional multi-query kernel, what lets ScanMulti sweep
-// the rows once for a tile of queries. bindTile readies query rows
-// [qlo, qhi) of qs for offerTile, once per sweep; offerTile scores the
-// tile qs[qlo : qlo+len(accs)] against rows [b.start, max(ends)) of b's
-// run in one pass and offers query j its rows [b.start, ends[j]),
-// leaving accs[j] as b.offer would over scoreBlock's scores. Store and
-// StoreI8 have it; ScanMulti sweeps a Store32 once per query.
-type tiler interface {
-	bindTile(qs *Store, qlo, qhi int, sc *TileScratch)
-	offerTile(b block, qs *Store, qlo int, accs []Acc, ends []int, sc *TileScratch)
-}
-
-// query is one query bound to a tier: the field that tier's kernel
-// reads is set, the others keep their buffers for reuse.
-type query struct {
-	f64   vec.Vector
-	f32   []float32
-	i16   []int16
-	scale float64 // int8: store scale × query scale
 }
 
 // run is a stretch of rows stored as one: a store-order view's rows, or
@@ -203,16 +179,6 @@ func (v View) AllocatedBytes() int64 {
 	return n
 }
 
-// maxScanWorkers returns the largest Workers value Scan can spend on
-// this view: one per minParallelRows rows. A norm-sorted scan is
-// sequential by nature: each block's bound depends on the hits so far.
-func (v View) maxScanWorkers() int {
-	if v.Sorted() {
-		return 1
-	}
-	return v.Len() / minParallelRows
-}
-
 // ExtendTo returns the view of fs through v's tier, for v a store-order
 // view and fs an append-only store whose leading rows are the ones v
 // scans: only the rows the tier lacks are converted, the rest is shared
@@ -238,20 +204,18 @@ func (v View) check(qdim int, dead *Tombstones) error {
 	return nil
 }
 
-// sweep is one query's pass over a view: everything the block loop
+// sweep is a query tile's pass over a view: everything the block loop
 // needs that does not change from block to block.
 type sweep struct {
 	View
 	done     <-chan struct{}
-	bq       *query
-	bound    float64 // norm-sorted views: |score(row)| ≤ ‖row‖·bound
 	slack    float64 // f64Slack: how far below the bar a bound may fall
 	unsigned bool
 	dead     *Tombstones // nil when no row is dead
 }
 
-// newSweep starts a pass over v; bind gives it its query. An empty dead
-// set becomes nil, so delete-free stores never pay the triage.
+// newSweep starts a pass over v. An empty dead set becomes nil, so
+// delete-free stores never pay the triage.
 func (v View) newSweep(ctx context.Context, o ScanOpts) sweep {
 	s := sweep{View: v, done: ctx.Done(), slack: f64Slack(v.Dim()), unsigned: o.Unsigned}
 	if o.Dead.Count() > 0 {
@@ -265,64 +229,13 @@ func (v View) newSweep(ctx context.Context, o ScanOpts) sweep {
 // — less the slack for subnormal roundings.
 func (s *sweep) bar(a *Acc) float64 { return a.Threshold() - s.slack }
 
-// bind puts q, in the tier's form, into bq and makes it the sweep's
-// query.
-func (s *sweep) bind(q vec.Vector, bq *query) {
-	s.bq = bq
-	s.t.bind(q, bq)
-	if s.Sorted() {
-		s.bound = f64Bound(RowNorm(q), s.Dim()) // Cauchy–Schwarz: ‖p‖·‖q‖ ≥ |pᵀq|
-	}
-}
-
-// rows runs the blocked top-k scan over blocks [lo, hi) of the view's
-// sweep order, offering into a and counting into st. Scores are
-// materialised blockRows at a time into buf, so the top-k bookkeeping
-// runs over a dense score slice instead of interleaving with the FP
-// pipeline, and the common row costs one multiply-add chain and one
-// compare. A norm-sorted view's sweep ends at the first block whose
-// leading (largest) norm cannot reach the bar — the k-th best hit, or
-// a's floor — and a block before it is cut at its first such row (see
-// reach): no row from there on can enter, tombstoned or not, so
-// exactness does not depend on the bound — it only saves work. A true
-// return means done fired and the scan was abandoned; a is then partial
-// and must be discarded.
-func (s *sweep) rows(lo, hi int, a *Acc, st *ScanStats, buf []float64) bool {
-	for i := lo; i < hi; i++ {
-		if s.done != nil {
-			select {
-			case <-s.done:
-				return true
-			default:
-			}
-		}
-		_, r, start, end := s.blockAt(i)
-		end, ok := s.reach(r, start, end, s.bound, a)
-		if !ok {
-			st.PrunedBlocks += hi - i
-			break
-		}
-		nb := end - start
-		nd := 0
-		if s.dead != nil {
-			if nd = s.dead.DeadIn(r.off+start, r.off+end); nd == nb {
-				st.SkippedBlocks++
-				continue
-			}
-		}
-		r.t.scoreBlock(s.bq, start, end, buf[:nb])
-		st.ScannedRows += nb
-		s.block(*r, start, nd).offer(a, buf[:nb])
-	}
-	return false
-}
-
-// reach returns where a query of norm bound bound stops scoring block
-// [start, end) of r at a's bar: end on a store-order run, else the first
-// row whose norm·bound is below the bar, searched in the block's norms
-// (a block never straddles a chunk). A run's norms do not increase and
-// the bar only rises, so no later row can reach it; ok is false when the
-// leading row is below it, and so every later block of the sweep order.
+// reach returns where a query of norm bound bound — |score(row)| ≤
+// ‖row‖·bound — stops scoring block [start, end) of r at a's bar: end
+// on a store-order run, else the first row whose norm·bound is below
+// the bar, searched in the block's norms (a block never straddles a
+// chunk). A run's norms do not increase and the bar only rises, so no
+// later row can reach it; ok is false when the leading row is below it,
+// and so every later block of the sweep order.
 // The compare is strict, so a row tying the k-th best is offered; a NaN
 // norm sorts first and a NaN product compares false.
 func (s *sweep) reach(r *run, start, end int, bound float64, a *Acc) (stop int, ok bool) {
@@ -443,9 +356,11 @@ func stopErr(ctx context.Context) error {
 // descending, index ascending) ordering, among the rows o.Dead does not
 // mark. Scores are the tier's: exact on Store, float32-accurate on
 // Store32, dequantized approximations on StoreI8 (ScanMulti's
-// certified candidates are what an exact answer re-ranks). The answer is
-// bit-identical across view orders, worker counts and contexts; only
-// the work differs, and o.Stats reports it.
+// certified candidates are what an exact answer re-ranks). It is
+// ScanMulti over a tile of one — q copied into a one-row query store in
+// pooled scratch — so its hits and o.Stats are ScanMulti's for q, and
+// the answer is bit-identical across view orders and contexts; only the
+// work differs, and o.Stats reports it.
 func (v View) Scan(ctx context.Context, q vec.Vector, o ScanOpts) ([]Hit, error) {
 	if err := v.check(len(q), o.Dead); err != nil {
 		return nil, err
@@ -455,59 +370,20 @@ func (v View) Scan(ctx context.Context, q vec.Vector, o ScanOpts) ([]Hit, error)
 	}
 	sc := GetTileScratch()
 	defer PutTileScratch(sc)
-	s := v.newSweep(ctx, o)
-	s.bind(q, &sc.q)
-	a := NewAcc(o.K)
-	var st ScanStats
-	var stopped bool
-	if workers := min(o.Workers, v.maxScanWorkers()); workers > 1 {
-		stopped = s.parallel(workers, &a, &st)
-	} else {
-		stopped = s.rows(0, s.blocks(), &a, &st, sc.tileBuf())
+	// Neither call can fail: len(q) is the view's dimension, positive.
+	_ = sc.one.ResetDim(len(q))
+	_ = sc.one.Append(q)
+	// The hits are made for this call and taken out of the scratch before
+	// it goes back to the pool, so a warm Scan allocates only them.
+	accs := sc.Accs(1, o.K)
+	accs[0].hits = make([]Hit, 0, min(o.K, v.Len()))
+	err := v.ScanMulti(ctx, &sc.one, 0, 1, accs, sc, o)
+	hits := accs[0].hits
+	accs[0].hits = nil
+	if err != nil || len(hits) == 0 {
+		return nil, err // no hits is nil
 	}
-	if stopped {
-		return nil, stopErr(ctx)
-	}
-	if o.Stats != nil {
-		*o.Stats = st
-	}
-	return a.Hits(), nil
-}
-
-// parallel splits the sweep across workers goroutines on ranges of
-// blocks — so the block partition, and with it the stats, is the serial
-// scan's — and merges the per-range accumulators under the
-// canonical ordering, which makes the hits the serial scan's too. The
-// receiver is a copy so that only a parallel scan moves its sweep to
-// the heap.
-func (s sweep) parallel(workers int, a *Acc, st *ScanStats) bool {
-	n, k := s.blocks(), a.k
-	per := (n + workers - 1) / workers
-	accs := make([]Acc, workers)
-	stats := make([]ScanStats, workers)
-	stopped := make([]bool, workers)
-	var wg sync.WaitGroup
-	for w := 0; w*per < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := GetTileScratch()
-			defer PutTileScratch(sc)
-			accs[w] = NewAcc(k)
-			stopped[w] = s.rows(w*per, min((w+1)*per, n), &accs[w], &stats[w], sc.tileBuf())
-		}(w)
-	}
-	wg.Wait()
-	for w := range accs {
-		if stopped[w] {
-			return true
-		}
-		st.Add(stats[w])
-		for _, h := range accs[w].Hits() {
-			a.Offer(h.Index, h.Score)
-		}
-	}
-	return false
+	return hits, nil
 }
 
 // ScanMulti answers one top-k query per row of qs[qlo:qhi],
@@ -519,16 +395,15 @@ func (s sweep) parallel(workers int, a *Acc, st *ScanStats) bool {
 // scoring at least it — a join's cs, or the k-th best a query already
 // holds from other shards — and, on a norm-sorted view, stops its sweep
 // once the norm bound falls below the floor; it never scores more rows
-// than the floor-less scan. On a tier with a tile kernel all queries
-// share one sweep of the rows, each row loaded from memory scored
-// against up to maxTileQ queries; on a norm-sorted view a query leaves
-// the sweep at the first row its own bound excludes and only the live
-// queries are scored, in contiguous stretches. A Store32 is swept once
-// per query. On
-// an int8 view each query also lists the rows its f64 top k must come
-// from (TileScratch.Candidates). With a tile kernel and warm scratch it
-// allocates nothing. o.Workers is ignored. On an error accs hold
-// partial state and must be Reset before reuse.
+// than the floor-less scan. All queries share one sweep of the rows; on
+// Store and StoreI8 each row loaded from memory is scored against up to
+// maxTileQ queries at once, on a Store32 query by query. On a
+// norm-sorted view a query leaves the sweep at the first row its own
+// bound excludes and only the live queries are scored, in contiguous
+// stretches. On an int8 view each query also lists the rows its f64 top
+// k must come from (TileScratch.Candidates). With warm scratch it
+// allocates nothing. On an error accs hold partial state and must be
+// Reset before reuse.
 func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc, sc *TileScratch, o ScanOpts) error {
 	if err := checkMulti(qs, qlo, qhi, accs); err != nil {
 		return err
@@ -540,20 +415,8 @@ func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc
 	clear(scanned)
 	s := v.newSweep(ctx, o)
 	var st ScanStats
-	if _, ok := v.t.(tiler); ok {
-		if s.tiles(qs, qlo, accs, scanned, &st, sc) {
-			return stopErr(ctx)
-		}
-	} else {
-		for j := range accs {
-			s.bind(qs.Row(qlo+j), &sc.q)
-			var one ScanStats
-			if s.rows(0, s.blocks(), &accs[j], &one, sc.tileBuf()) {
-				return stopErr(ctx)
-			}
-			scanned[j] = one.ScannedRows
-			st.Add(one)
-		}
+	if s.tiles(qs, qlo, accs, scanned, &st, sc) {
+		return stopErr(ctx)
 	}
 	if o.Stats != nil {
 		*o.Stats = st
@@ -561,19 +424,29 @@ func (v View) ScanMulti(ctx context.Context, qs *Store, qlo, qhi int, accs []Acc
 	return nil
 }
 
-// tiles is the one-sweep form of ScanMulti, rows' twin over a query
-// tile: the same poll, early exit, cut, tombstone triage and bookkeeping
-// per block and per query, with the scores of up to maxTileQ queries
-// materialised at once — to the farthest of their cuts, each query being
-// offered and counted only up to its own. A true return means done fired.
+// tiles is the package's one block loop: the blocked top-k sweep of a
+// query tile over the view's sweep order, offering query j into accs[j]
+// and counting its rows into scanned[j] and st. Per block it polls done,
+// then for each query cuts the block where its norm bound falls below
+// its bar (reach) — a norm-sorted view's sweep ends for the query at the
+// first block whose leading norm cannot reach it: no row from there on
+// can enter, tombstoned or not, so exactness does not depend on the
+// bound, it only saves work — and skips a stretch whose rows are all
+// dead. The tier then scores the live queries, up to maxTileQ at once,
+// to the farthest of their cuts, and each query is offered and counted
+// only up to its own (offerTile): scores are materialised a block at a
+// time, so the top-k bookkeeping runs over a dense score slice. A true
+// return means done fired and the sweep was abandoned; accs are then
+// partial and must be discarded.
 func (s *sweep) tiles(qs *Store, qlo int, accs []Acc, scanned []int, st *ScanStats, sc *TileScratch) bool {
 	qn := len(accs)
-	// Only int8 binds the query rows, and an int8 view is one run.
-	s.t.(tiler).bindTile(qs, qlo, qlo+qn, sc)
+	// Only the quantized tiers bind the query rows, and their views are
+	// one run.
+	s.t.bindTile(qs, qlo, qlo+qn, sc)
 	// ends[j]: where query j stops scoring the current block; the
 	// block's first row when it sits the block out. pruned[j]: query j's
-	// bound has ended its sweep. bounds[j]: that bound, from the query's
-	// cached norm — the value bind computes for Scan.
+	// bound has ended its sweep. bounds[j]: that bound — Cauchy–Schwarz,
+	// ‖p‖·‖q‖ ≥ |pᵀq| — from the query's cached norm.
 	ends, pruned, bounds := resize(&sc.ends, qn), resize(&sc.pruned, qn), resize(&sc.bounds, qn)
 	clear(pruned)
 	for j := range bounds {
@@ -609,7 +482,6 @@ func (s *sweep) tiles(qs *Store, qlo int, accs []Acc, scanned []int, st *ScanSta
 				ends[j] = start
 			}
 		}
-		til := r.t.(tiler)
 		for j := 0; j < qn; {
 			if ends[j] == start {
 				j++
@@ -619,7 +491,7 @@ func (s *sweep) tiles(qs *Store, qlo int, accs []Acc, scanned []int, st *ScanSta
 			for k < qn && ends[k] > start && k-j < maxTileQ {
 				k++
 			}
-			til.offerTile(s.block(*r, start, nd), qs, qlo+j, accs[j:k], ends[j:k], sc)
+			r.t.offerTile(s.block(*r, start, nd), qs, qlo+j, accs[j:k], ends[j:k], sc)
 			for jj := j; jj < k; jj++ {
 				n := ends[jj] - start
 				scanned[jj] += n

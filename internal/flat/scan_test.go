@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,18 +16,17 @@ import (
 )
 
 // The scan grid: every way of calling View.Scan and View.ScanMulti —
-// kernel × row order × tombstone shape × workers × signed/unsigned ×
-// context × store size — checked against references that share nothing
-// with the drivers: store-order scores ranked by a full sort
+// kernel × row order × tombstone shape × signed/unsigned × context ×
+// store size — checked against references that share nothing
+// with the driver: store-order scores ranked by a full sort
 // (topKFromScores) — vec.DotKernel's for f64, the tier's own DotRange
 // otherwise — and for f64 the scalar-kernel accumulator scan
 // (naiveTopKMasked) and the over-fetch-then-filter strawman
 // (scoreThenFilter). Hits are compared down to their score bits
 // (hitBitsEqual). The tests below each run one slice of it.
 
-// gridNs are the store sizes: the edges of a row block (256), a storage
-// chunk (1024) and the per-worker minimum (4096), and one size that
-// actually splits across workers.
+// gridNs are the store sizes: the edges of a row block (256) and a
+// storage chunk (1024), and two sizes of several chunks.
 var gridNs = []int{1, 255, 256, 257, 1023, 1024, 1025, 4097, 9000}
 
 // gridDims cycles over the row counts: the one dimension with its own
@@ -203,7 +201,7 @@ func gridTombstones(shape string, n int, perm []int, rng *xrand.RNG) (phys, orig
 	switch shape {
 	case "random25":
 		phys, _ = killRandom(rng, n, 0.25)
-	case "block": // the block before the last: whole, and past the first worker's rows
+	case "block": // the block before the last, whole
 		lo := max(0, (n-1)/blockRows-1) * blockRows
 		for i := lo; i < min(lo+blockRows, n); i++ {
 			phys.Kill(i)
@@ -284,31 +282,19 @@ func checkSortedStats(t testing.TB, cell string, v View, st, unpruned ScanStats,
 	}
 }
 
-// cancelProbe is the mid-scan cancellation probe: the tier wrappers
-// below score like the tier they wrap, count the blocks scored, and
-// cancel the scan's context as soon as the first block has been — so a
-// driver that polls once per block must stop right there. The lock makes
-// that exact under parallel scans: no block starts while the cancel is
-// in progress, so past the first block each worker scores at most the
-// one block it had already polled for.
+// cancelProbe is the mid-scan cancellation probe: the tier wrapper
+// below scores like the tier it wraps, counts the blocks scored, and
+// cancels the scan's context as soon as the first block has been — so a
+// driver that polls once per block must stop right there.
 type cancelProbe struct {
-	mu     sync.Mutex
 	scored int // blocks scored so far
 	last   int // first row of the block scored last
 	cancel context.CancelFunc
 }
 
-// begin waits out a cancel in progress (the lock is only a barrier).
-func (p *cancelProbe) begin() {
-	p.mu.Lock()
-	p.mu.Unlock()
-}
-
 // tick counts a kernel call on the block starting at row lo — once per
 // block, however many tile calls the block takes.
 func (p *cancelProbe) tick(lo int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if lo != p.last {
 		p.last = lo
 		if p.scored++; p.scored == 1 {
@@ -322,23 +308,9 @@ type cancelTier struct {
 	p *cancelProbe
 }
 
-func (c cancelTier) scoreBlock(bq *query, lo, hi int, out []float64) {
-	c.p.begin()
-	c.tier.scoreBlock(bq, lo, hi, out)
-	c.p.tick(lo)
-}
-
-// cancelTileTier is cancelTier over a tier with a tile kernel.
-type cancelTileTier struct{ cancelTier }
-
-func (c cancelTileTier) bindTile(qs *Store, qlo, qhi int, sc *TileScratch) {
-	c.tier.(tiler).bindTile(qs, qlo, qhi, sc)
-}
-
-func (c cancelTileTier) offerTile(b block, qs *Store, qlo int, accs []Acc, ends []int, sc *TileScratch) {
-	c.p.begin()
+func (c cancelTier) offerTile(b block, qs *Store, qlo int, accs []Acc, ends []int, sc *TileScratch) {
 	b.t = c.tier
-	c.tier.(tiler).offerTile(b, qs, qlo, accs, ends, sc)
+	c.tier.offerTile(b, qs, qlo, accs, ends, sc)
 	c.p.tick(b.start)
 }
 
@@ -359,11 +331,7 @@ func withCtx(v View, gc gridCtx) (View, context.Context, context.CancelFunc, *ca
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	ct := cancelTier{tier: v.t, p: &cancelProbe{last: -1, cancel: cancel}}
-	if _, ok := v.t.(tiler); ok {
-		v.t = cancelTileTier{ct}
-	} else {
-		v.t = ct
-	}
+	v.t = ct
 	return v, ctx, cancel, ct.p
 }
 
@@ -403,11 +371,9 @@ func runScanGrid(t *testing.T, views []gridView, ctxs []gridCtx) {
 								}
 							}
 						}
-						for _, workers := range []int{1, 4} {
-							for _, gc := range ctxs {
-								checkScanCell(t, fmt.Sprintf("%s workers=%d ctx=%d", cell, workers, gc),
-									v, q, ScanOpts{K: k, Unsigned: unsigned, Workers: workers, Dead: phys}, gc, want, rowStats)
-							}
+						for _, gc := range ctxs {
+							checkScanCell(t, fmt.Sprintf("%s ctx=%d", cell, gc),
+								v, q, ScanOpts{K: k, Unsigned: unsigned, Dead: phys}, gc, want, rowStats)
 						}
 					}
 				}
@@ -435,7 +401,6 @@ func checkScanCell(t *testing.T, cell string, v View, q vec.Vector, o ScanOpts, 
 			t.Fatalf("%s: uncancelled twin: %v", cell, err)
 		}
 	}
-	inflight := max(1, min(o.Workers, v.maxScanWorkers()))
 	switch {
 	case gc == ctxCancelled && n > 0:
 		if !errors.Is(err, context.Canceled) || got != nil {
@@ -446,12 +411,12 @@ func checkScanCell(t *testing.T, cell string, v View, q vec.Vector, o ScanOpts, 
 		if !errors.Is(err, context.Canceled) || got != nil {
 			t.Fatalf("%s: mid-scan cancel returned hits=%v err=%v", cell, got, err)
 		}
-		// Every worker stops at its next block boundary.
-		if probe.scored > inflight {
-			t.Fatalf("%s: %d blocks scored, cancelled after the first (%d workers)", cell, probe.scored, inflight)
+		// The scan stops at its next block boundary.
+		if probe.scored > 1 {
+			t.Fatalf("%s: %d blocks scored, cancelled after the first", cell, probe.scored)
 		}
 		return
-	case gc == ctxMidScan && blocksOf(full.ScannedRows) > inflight:
+	case gc == ctxMidScan && blocksOf(full.ScannedRows) > 1:
 		t.Fatalf("%s: scan of %d blocks ran to completion, cancelled after the first", cell, blocksOf(full.ScannedRows))
 	}
 	if err != nil {
@@ -549,7 +514,7 @@ func runScanMultiGrid(t *testing.T, views []gridView, ctxs []gridCtx) {
 
 // TestTopKMaskedMatchesReference is the f64 slice of the grid on the
 // never-cancellable context: store order and norm-sorted, every
-// tombstone shape, serial and parallel, against all three references.
+// tombstone shape, against all three references.
 func TestTopKMaskedMatchesReference(t *testing.T) {
 	runScanGrid(t, viewsOf("f64"), []gridCtx{ctxBackground})
 }
@@ -704,6 +669,160 @@ func TestScanAllocs(t *testing.T) {
 	}
 }
 
+// TestScanIsTileOfOne: View.Scan is ScanMulti over a tile of one, and
+// both answer as the one-query block loop (refSweep) does. For f64, f32
+// and int8 rows in store order, a norm-sorted view of one run and a
+// tiered stack after bulk Extends, every grid store size and dead shape,
+// signed and unsigned, k ∈ {1, 10, 300}: Scan's hits (by Float64bits)
+// and ScanStats equal refSweep's, and ScanMulti's over the same query as
+// a tile of one at an offset into the query store; as a member of a
+// full tile its hits and scanned rows are the same too, and on int8 its
+// certified candidates are the tile of one's.
+func TestScanIsTileOfOne(t *testing.T) {
+	ctx := context.Background()
+	views := []gridView{
+		viewsOf("f64/row")[0], viewsOf("f32/row")[0], viewsOf("int8/row")[0], viewsOf("f64/sorted")[0],
+		{"f64/tiered", func(fs *Store) (View, func(vec.Vector, []float64) error) {
+			n := fs.Len()
+			v := SortRows(fs.Rows()[:max(1, 5*n/8)])
+			for _, end := range []int{3 * n / 4, 7 * n / 8, n} {
+				if end > v.Len() {
+					v, _, _ = v.Extend(fs.Rows()[v.Len():end])
+				}
+			}
+			return v, nil
+		}},
+	}
+	for ni, n := range gridNs {
+		d := gridDims[ni%len(gridDims)]
+		rng := xrand.New(uint64(3000 + n))
+		vs := gridRows(rng, n, d)
+		fs, err := FromVectors(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := gridQueries(rng, vs, 5, d)
+		qs, err := FromVectors(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, gv := range views {
+			v, _ := gv.build(fs)
+			if gv.name == "f64/tiered" && n >= 1024 && v.Runs() != 4 {
+				t.Fatalf("n=%d: the bulk Extends left %d runs", n, v.Runs())
+			}
+			for _, shape := range gridDead {
+				phys, _ := gridTombstones(shape, n, physPerm(v), rng.Split(7))
+				for _, unsigned := range []bool{false, true} {
+					for _, k := range []int{1, 10, 300} {
+						cell := fmt.Sprintf("%s n=%d d=%d dead=%s k=%d unsigned=%v", gv.name, n, d, shape, k, unsigned)
+						o := ScanOpts{K: k, Unsigned: unsigned, Dead: phys}
+						tile := GetTileScratch()
+						all := tile.Accs(qs.Len(), k)
+						var tileStats, sum ScanStats
+						o.Stats = &tileStats
+						if err := v.ScanMulti(ctx, qs, 0, qs.Len(), all, tile, o); err != nil {
+							t.Fatal(err)
+						}
+						for j, q := range queries {
+							var st, one ScanStats
+							o.Stats = &st
+							got, err := v.Scan(ctx, q, o)
+							if err != nil {
+								t.Fatal(err)
+							}
+							sum.Add(st)
+							if want, wst := refSweep(v, q, o); !hitBitsEqual(got, want) || st != wst {
+								t.Fatalf("%s q=%d: Scan %v %+v, the block loop %v %+v", cell, j, got, st, want, wst)
+							}
+							sc := GetTileScratch()
+							accs := sc.Accs(1, k)
+							o.Stats = &one
+							if err := v.ScanMulti(ctx, qs, j, j+1, accs, sc, o); err != nil {
+								t.Fatal(err)
+							}
+							if !hitBitsEqual(got, accs[0].Hits()) || st != one || sc.Scanned()[0] != st.ScannedRows {
+								t.Fatalf("%s q=%d: Scan %v %+v, a tile of one %v %+v", cell, j, got, st, accs[0].Hits(), one)
+							}
+							if !hitBitsEqual(got, all[j].Hits()) || tile.Scanned()[j] != st.ScannedRows {
+								t.Fatalf("%s q=%d: Scan %v scanned %d, in a full tile %v scanned %d", cell, j, got, st.ScannedRows, all[j].Hits(), tile.Scanned()[j])
+							}
+							if strings.HasPrefix(gv.name, "int8") {
+								if a, b := sc.Candidates(0, &accs[0]), tile.Candidates(j, &all[j]); !slices.Equal(a, b) {
+									t.Fatalf("%s q=%d: candidates %v as a tile of one, %v in a full tile", cell, j, a, b)
+								}
+							}
+							PutTileScratch(sc)
+						}
+						if sum != tileStats {
+							t.Fatalf("%s: stats %+v summed over Scans, %+v for the tile", cell, sum, tileStats)
+						}
+						PutTileScratch(tile)
+					}
+				}
+			}
+		}
+	}
+}
+
+// refSweep is the one-query block loop, rebuilt from the tiers' exported
+// kernels: v's blocks in sweep order, each cut at the first row whose
+// norm bound is below the bar (a norm-sorted view's sweep ends at a
+// block cut to nothing), skipped when the rows left are all dead, scored
+// by the tier's DotRange and offered row by row.
+func refSweep(v View, q vec.Vector, o ScanOpts) ([]Hit, ScanStats) {
+	a := NewAcc(o.K)
+	var st ScanStats
+	bound, slack := NormBound(q)
+	scores := make([]float64, blockRows)
+	for i, nb := 0, v.blocks(); i < nb; i++ {
+		_, r, start, end := v.blockAt(i)
+		if r.norms != nil {
+			cut := start
+			for cut < end && !(r.norms.at(cut)*bound < a.Threshold()-slack) {
+				cut++
+			}
+			if cut == start {
+				st.PrunedBlocks += nb - i
+				break
+			}
+			end = cut
+		}
+		if o.Dead.DeadIn(r.off+start, r.off+end) == end-start {
+			st.SkippedBlocks++
+			continue
+		}
+		out := scores[:end-start]
+		var err error
+		switch t := r.t.(type) {
+		case *Store:
+			err = t.DotRange(q, start, end, out)
+		case *Store32:
+			err = t.DotRange(q, start, end, out)
+		case *StoreI8:
+			err = t.DotRange(q, start, end, out)
+		}
+		if err != nil {
+			panic(err)
+		}
+		st.ScannedRows += len(out)
+		for p, sc := range out {
+			if o.Dead.Dead(r.off + start + p) {
+				continue
+			}
+			if o.Unsigned {
+				sc = math.Abs(sc)
+			}
+			if r.ids != nil {
+				a.Offer(int(r.ids[start+p]), sc)
+			} else {
+				a.Offer(start+p, sc)
+			}
+		}
+	}
+	return a.Hits(), st
+}
+
 // sortedTier names one tier with a norm-sorted view: how to sort a store
 // through it, and its store-order view of the same rows — the reference
 // a norm-sorted scan must match hit for hit.
@@ -744,11 +863,11 @@ func hitBitsEqual(a, b []Hit) bool {
 	return true
 }
 
-// checkRuns holds both drivers over the view v to the store-order scan of
-// the same rows, ref, on the first nq rows of qs: hits bit-identical to
-// ref's, ScanMulti bit-identical to Scan with equal per-query scanned
-// counts and summed stats, and the stats inside checkSortedStats'
-// contract. With floors (one a query; nil: none) ScanMulti runs again,
+// checkRuns holds Scan and ScanMulti over the view v to the store-order
+// scan of the same rows, ref, on the first nq rows of qs: hits
+// bit-identical to ref's, ScanMulti bit-identical to Scan with equal
+// per-query scanned counts and summed stats, and the stats inside
+// checkSortedStats' contract. With floors (one a query; nil: none) ScanMulti runs again,
 // query j's accumulator floored at floors[j]: its hits must be ref's top
 // k among the rows scoring at least that (hitsAbove), bit for bit, and no
 // query may score more rows than it did without the floor. dead is in

@@ -2,7 +2,7 @@
 // Store's layout at half the bytes per element, so a scan moves twice
 // the rows per cache line; scores are computed in float32 (widened to
 // float64 only at the block-buffer boundary, where the shared scan
-// drivers take over). Every dimension of at least one YMM register of
+// driver takes over). Every dimension of at least one YMM register of
 // floats runs dot32Range, the AVX2 kernel from quant_amd64.s
 // (quantSIMD), at twice the lanes of the f64 tile kernels; no dimension
 // has a kernel of its own (at d = 8 and 16 the any-d kernel is the
@@ -130,7 +130,7 @@ func (s *Store32) checkQuery(q vec.Vector) error {
 
 // DotRange fills out[0:hi-lo] with float64-widened f32 dot products of
 // rows [lo, hi) against q (rounded to float32 first). Exported for the
-// equivalence tests; the scan drivers call the kernel directly.
+// equivalence tests; the scan driver calls the kernel directly.
 func (s *Store32) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 	if err := s.checkQuery(q); err != nil {
 		return err
@@ -205,11 +205,33 @@ func dot32RangeGeneric(data []float32, d int, q []float32, lo, hi int, out []flo
 // View returns the store-order scan view of s.
 func (s *Store32) View() View { return View{run: run{t: s}} }
 
-// bind implements tier: q rounded to the binary32 grid the kernels
-// consume.
-func (s *Store32) bind(q vec.Vector, bq *query) { bq.f32 = round32(bq.f32[:0], q) }
+// f32Tile is the float32 tier's ScanMulti state: the queries, rounded
+// once per sweep.
+type f32Tile struct {
+	qlo  int       // the qs row of query 0
+	rows []float32 // query j rounded to binary32 at j·d
+}
 
-func (s *Store32) scoreBlock(bq *query, lo, hi int, out []float64) { s.dotRange(bq.f32, lo, hi, out) }
+// bindTile implements tier: query rows [qlo, qhi) of qs rounded to the
+// binary32 grid the kernel consumes.
+func (s *Store32) bindTile(qs *Store, qlo, qhi int, sc *TileScratch) {
+	t := &sc.f32
+	t.qlo, t.rows = qlo, t.rows[:0]
+	for j := qlo; j < qhi; j++ {
+		t.rows = round32(t.rows, qs.Row(j))
+	}
+}
+
+// offerTile implements tier: each query's rows are scored by dotRange
+// and offered (block.offer).
+func (s *Store32) offerTile(b block, _ *Store, qlo int, accs []Acc, ends []int, sc *TileScratch) {
+	t, buf, d := &sc.f32, sc.tileBuf(), s.dim
+	for j := range accs {
+		q, n := qlo-t.qlo+j, ends[j]-b.start
+		s.dotRange(t.rows[q*d:(q+1)*d], b.start, ends[j], buf[:n])
+		b.offer(&accs[j], buf[:n])
+	}
+}
 
 func (s *Store32) extend(fs *Store) (tier, int) {
 	q := s.Extend(fs)
@@ -219,5 +241,5 @@ func (s *Store32) extend(fs *Store) (tier, int) {
 // TopK is Scan with positional arguments and no deadline (see
 // Store.TopK); scores are computed in float32 and widened.
 func (s *Store32) TopK(q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	return s.View().Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Workers: workers})
+	return s.View().Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned})
 }

@@ -436,9 +436,9 @@ type i8Tile struct {
 // maskWords is the mask words of one query of a tile.
 const maskWords = blockRows / 64
 
-// bindTile implements tiler: query rows [qlo, qhi) of qs, each quantized
-// against its own scale as bind quantizes it and given its ε, with an
-// empty candidate list, then packed for the VNNI kernel where it runs.
+// bindTile implements tier: query rows [qlo, qhi) of qs, each quantized
+// against its own scale and given its ε, with an empty candidate list,
+// then packed for the VNNI kernel where it runs.
 func (s *StoreI8) bindTile(qs *Store, qlo, qhi int, sc *TileScratch) {
 	t := &sc.i8
 	t.qlo, t.stride = qlo, i8Chunk*((s.dim+i8Chunk-1)/i8Chunk)
@@ -506,11 +506,11 @@ func (t *i8Tile) pack(d int) {
 	}
 }
 
-// offerTile implements tiler. On the VNNI tier each query's bar less 2ε
+// offerTile implements tier. On the VNNI tier each query's bar less 2ε
 // becomes an int32 code floor (tileFloor), and one kernel pass over the
 // block's codes writes every query's exact int32 dots and a mask of the
 // rows that beat its floor (tileDots). Elsewhere each query's rows are
-// scored by dotRange, as scoreBlock scores them, and the mask holds the
+// scored by dotRange, the dequantized scores, and the mask holds the
 // scores not below the bar less 2ε (scoreMask). Either way only the
 // masked rows are offered (offerCodes).
 func (s *StoreI8) offerTile(b block, _ *Store, qlo int, accs []Acc, ends []int, sc *TileScratch) {
@@ -566,9 +566,9 @@ func scoreMask(mask []uint64, scores []float64, lo float64, unsigned bool) []uin
 // offerCodes is the certified offer over the dots of b's rows — exact
 // int32 code dots, or dotRange's scores under a unit combined — in
 // ascending row order, of the rows whose mask bit is set, every row when
-// mask is nil. Each is scored float64(dot)·combined as scoreBlock scores
-// it (|…| when unsigned). A dead row, or one below a's bar less slack, is
-// skipped; the rest are listed in cands, and offered to a unless the
+// mask is nil. Each is scored float64(dot)·combined, dotRange's
+// dequantized score (|…| when unsigned). A dead row, or one below a's
+// bar less slack, is skipped; the rest are listed in cands, and offered to a unless the
 // score is below its threshold, or a is full and the score ties its k-th
 // best. A clear bit means
 // (tileFloor, scoreMask) a score below the bar less slack, which only
@@ -612,17 +612,6 @@ func offerCodes[D int32 | float64](b block, a *Acc, cands *[]Hit, dots []D, mask
 // View returns the store-order scan view of s.
 func (s *StoreI8) View() View { return View{run: run{t: s}} }
 
-// bind implements tier: q quantized against its own scale.
-func (s *StoreI8) bind(q vec.Vector, bq *query) {
-	var qscale float64
-	bq.i16, qscale = quantizeQueryI8(bq.i16[:0], q)
-	bq.scale = s.scale * qscale
-}
-
-func (s *StoreI8) scoreBlock(bq *query, lo, hi int, out []float64) {
-	s.dotRange(bq.i16, bq.scale, lo, hi, out)
-}
-
 func (s *StoreI8) extend(fs *Store) (tier, int) {
 	q := s.Extend(fs)
 	return q, q.SharedRows(s)
@@ -633,5 +622,5 @@ func (s *StoreI8) extend(fs *Store) (tier, int) {
 // re-ranks ScanMulti's certified candidates (TileScratch.Candidates)
 // through the f64 store they were quantized from.
 func (s *StoreI8) TopK(q vec.Vector, k int, unsigned bool, workers int) ([]Hit, error) {
-	return s.View().Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned, Workers: workers})
+	return s.View().Scan(context.Background(), q, ScanOpts{K: k, Unsigned: unsigned})
 }

@@ -89,20 +89,21 @@ func (a *Acc) Reset(k int) {
 	a.floor = math.Inf(-1)
 }
 
-// TileScratch holds the reusable buffers of the scan drivers (the score
-// tile, the bound query, per-query flags, bounds and counts, and
-// on-demand accumulators). A zero value is ready to use; Get/PutTileScratch
-// recycle instances through a package pool so steady-state serving
-// allocates nothing per scan for them.
+// TileScratch holds the reusable buffers of the scan driver (the score
+// tile, the bound queries, per-query flags, bounds and counts, Scan's
+// one-row query store, and on-demand accumulators). A zero value is
+// ready to use; Get/PutTileScratch recycle instances through a package
+// pool so steady-state serving allocates nothing per scan for them.
 type TileScratch struct {
 	buf     []float64
 	pack    []float64
-	q       query
+	one     Store
 	pruned  []bool
 	bounds  []float64
 	scanned []int
 	ends    []int
 	accs    []Acc
+	f32     f32Tile
 	i8      i8Tile
 }
 
@@ -139,9 +140,13 @@ func (sc *TileScratch) packBuf(d int) []float64 {
 func octetPackLen(d int) int { return 32 * (d/4 + d%4) }
 
 // resize sets *buf to n slots, reusing its capacity, and returns it;
-// the slots hold whatever they held.
+// the slots hold garbage. Growing is one allocation, also under the race
+// detector, where slices.Grow takes two.
 func resize[T any](buf *[]T, n int) []T {
-	*buf = slices.Grow((*buf)[:0], n)[:n]
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
 	return *buf
 }
 
@@ -220,9 +225,9 @@ func dotTileQuad(p []float64, d int, q, out []float64) {
 	}
 }
 
-// scoreTile is the unchecked tile kernel dispatch (it implements
-// tiler). Where tileOctets(d) holds, query octets run through the
-// AVX-512 micro-kernel, packed into sc; where tileSIMD(d) holds, the
+// scoreTile is the unchecked tile kernel dispatch behind offerTile.
+// Where tileOctets(d) holds, query octets run through the AVX-512
+// micro-kernel, packed into sc; where tileSIMD(d) holds, the
 // quads left run through the AVX2 micro-kernels and each leftover query
 // through dotRange's sweep (two sweeps of a 1 024-row chunk take
 // 0.25–0.6× one Go pair-kernel pass at d = 24–64, ≈ 0.7× at d = 16);
@@ -275,11 +280,11 @@ func (s *Store) scoreTile(qs *Store, qlo, qhi, plo, phi int, out []float64, sc *
 	}
 }
 
-// bindTile implements tiler: the f64 kernels read the query rows as
+// bindTile implements tier: the f64 kernels read the query rows as
 // stored.
 func (s *Store) bindTile(qs *Store, qlo, qhi int, sc *TileScratch) {}
 
-// offerTile implements tiler: scoreTile scores the tile to the farthest
+// offerTile implements tier: scoreTile scores the tile to the farthest
 // query's end, and each query is offered its own stretch of the scores.
 func (s *Store) offerTile(b block, qs *Store, qlo int, accs []Acc, ends []int, sc *TileScratch) {
 	nb := slices.Max(ends) - b.start

@@ -249,11 +249,10 @@ type FlatHit = flat.Hit
 func NewFlatStore(data []Vector) (*FlatStore, error) { return flat.FromVectors(data) }
 
 // FlatTopK returns the exact top-k over a flat store under the
-// canonical (score descending, index ascending) ordering, splitting the
-// scan over `workers` goroutines when workers > 1 and the store is
-// large enough.
-func FlatTopK(s *FlatStore, q Vector, k int, unsigned bool, workers int) ([]FlatHit, error) {
-	return s.TopK(q, k, unsigned, workers)
+// canonical (score descending, index ascending) ordering, in one sweep
+// on the calling goroutine.
+func FlatTopK(s *FlatStore, q Vector, k int, unsigned bool) ([]FlatHit, error) {
+	return s.TopK(q, k, unsigned, 1)
 }
 
 // FlatTopKMulti answers one exact top-k query per row of queries over a
