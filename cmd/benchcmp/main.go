@@ -1,14 +1,17 @@
 // Command benchcmp compares two BENCH_*.json files produced by
 // scripts/bench.sh and prints a benchstat-style delta table: time and
-// allocations per op, old vs new, with the relative change. By default
-// it is report-only — regressions are flagged in the output but the
+// allocations per op, old vs new, with the relative change. A benchmark
+// a file lists more than once (rounds of output converted into one file,
+// or -count) is compared by its median ns/op. By default it is
+// report-only — regressions are flagged in the output but the
 // exit code stays zero, so CI and bench.sh can surface the comparison
 // without gating on a noisy box.
 //
 // With -gate it becomes an enforcing check: the exit code is non-zero
 // if any benchmark (optionally restricted by -match) got slower than
 // the given percentage. CI uses this to fail a change that regresses
-// the flat scan rate with zero tombstones by more than 10%.
+// the flat scan rate's median over five alternating rounds by more
+// than 10%.
 //
 // Usage:
 //
@@ -22,6 +25,7 @@ import (
 	"log"
 	"os"
 	"regexp"
+	"slices"
 )
 
 type benchFile struct {
@@ -38,6 +42,8 @@ type entry struct {
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
+// load reads a BENCH_*.json file and keeps one entry per benchmark: the
+// first one listed, with the median ns/op of all listed.
 func load(path string) (*benchFile, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -47,7 +53,27 @@ func load(path string) (*benchFile, error) {
 	if err := json.Unmarshal(raw, &bf); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	ns := make(map[string][]float64)
+	var firsts []entry
+	for _, e := range bf.Benchmarks {
+		if ns[e.Name] == nil {
+			firsts = append(firsts, e)
+		}
+		ns[e.Name] = append(ns[e.Name], e.NsPerOp)
+	}
+	for i := range firsts {
+		firsts[i].NsPerOp = median(ns[firsts[i].Name])
+	}
+	bf.Benchmarks = firsts
 	return &bf, nil
+}
+
+// median returns the middle of xs, the mean of the middle two when the
+// count is even.
+func median(xs []float64) float64 {
+	xs = slices.Sorted(slices.Values(xs))
+	n := len(xs)
+	return (xs[(n-1)/2] + xs[n/2]) / 2
 }
 
 // delta renders the old→new relative change, flagging slowdowns above

@@ -82,8 +82,10 @@ type tileScratch struct {
 	span   *trace.Span    // a search tile's scan span, from its load to its answer
 	lists  [][]Hit        // per (shard, tile query) translated hit lists
 	trans  []Hit          // arena backing lists: k hits per (shard, tile query)
+	rows   []hitRow       // on a cached exact search tile the row of each hit in trans, else empty
 	heap   mergeHeap
-	per    [][]Hit // per-query gather of shard lists for the merge
+	per    [][]Hit    // per-query gather of shard lists for the merge
+	perRow [][]hitRow // and of their rows, on a cached exact search tile
 	// An lsh join tile's per-(data shard, query) state (walkTile): the
 	// query's walk of the shard's tables and its top-k there, and the
 	// queries still walking.
@@ -254,7 +256,7 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 		empty := make([]Hit, 0)
 		for vi, i := range valid {
 			if cache != nil {
-				cache.put(c.name, vkeys[vi], empty, view.version, view.epoch)
+				cache.put(c.name, vkeys[vi], empty, nil, view.version, view.epoch)
 			}
 			out[i] = SearchResult{Hits: empty, Explain: qe}
 			c.observeLatency(time.Since(start))
@@ -273,6 +275,9 @@ func (c *Collection) search(ctx context.Context, pool *Pool, cache *queryCache, 
 		tlo, thi := rs.tile(t)
 		ts.span = tr.StartSpan("scan")
 		ts.prepare(len(snaps), thi-tlo, opts.K)
+		if cache != nil && c.keepNotes {
+			ts.rows = grow(ts.rows, len(ts.trans))
+		}
 		// An alsh tile is hashed once, for every shard; one whose request
 		// expired first fails before any shard sees it.
 		ts.hashed, err = c.hashQueries(ctx, &ts.keys, rs.qstore, tlo, thi, opts.Unsigned)
@@ -327,10 +332,11 @@ func (c *Collection) answerTile(tr *trace.Trace, cache *queryCache, rs *searchSt
 	for j := 0; j < tn; j++ {
 		var hits []Hit
 		if cache != nil {
-			hits = ts.merge(j, tn, k, make([]Hit, 0, k))
-			cache.put(c.name, rs.keys[tlo+j], hits, rs.view.version, rs.view.epoch)
+			rows := make([]hitRow, 0, min(k, len(ts.rows))) // none on an alsh tile
+			hits = ts.merge(j, tn, k, make([]Hit, 0, k), &rows)
+			cache.put(c.name, rs.keys[tlo+j], hits, rows, rs.view.version, rs.view.epoch)
 		} else {
-			hits = ts.merge(j, tn, k, arena)
+			hits = ts.merge(j, tn, k, arena, nil)
 			arena = arena[:len(arena)+len(hits)]
 		}
 		out[valid[tlo+j]] = SearchResult{Hits: hits}
@@ -467,6 +473,7 @@ func (ts *tileScratch) prepare(nsh, tn, k int) {
 	// since growing it would move the lists aliasing it, and a fixed region
 	// per shard makes its bytes independent of which scan ran first.
 	ts.trans = grow(ts.trans, nsh*tn*k)
+	ts.rows = ts.rows[:0]
 }
 
 // scanShard runs query rows [tlo, thi) of q against shard si's pinned
@@ -504,7 +511,8 @@ func scanShard(ctx context.Context, snaps []*shardSnap, q *flat.Store, ts *tileS
 // ts.trans: global IDs in the canonical (score descending, ID ascending)
 // order, so the merge's tie-breaking is exact whatever the ID-to-shard
 // assignment. The accs are keyed by snap.ids (flat.Acc.SetKeys), so they
-// emit that order as they stand.
+// emit that order as they stand. On a cached exact search tile each hit's
+// shard and store row go to ts.rows, beside it.
 func (ts *tileScratch) list(si int, snap *shardSnap, accs []flat.Acc, k int) {
 	tn := len(accs)
 	for j := range accs {
@@ -514,15 +522,25 @@ func (ts *tileScratch) list(si int, snap *shardSnap, accs []flat.Acc, k int) {
 			hs = append(hs, Hit{ID: snap.ids[h.Index], Score: h.Score})
 		}
 		ts.lists[si*tn+j] = hs
+		if len(ts.rows) > 0 {
+			for i, h := range accs[j].Hits() {
+				ts.rows[at+i] = hitRow{int32(si), int32(h.Index)}
+			}
+		}
 	}
 }
 
 // merge appends to dst the k best hits of tile query j over every shard's
-// list, of a tile of tn queries.
-func (ts *tileScratch) merge(j, tn, k int, dst []Hit) []Hit {
-	ts.per = grow(ts.per, len(ts.lists)/tn)
+// list, of a tile of tn queries, and, when the tile kept its rows — a
+// cached exact search tile — their rows to *rows.
+func (ts *tileScratch) merge(j, tn, k int, dst []Hit, rows *[]hitRow) []Hit {
+	ts.per, ts.perRow = grow(ts.per, len(ts.lists)/tn), ts.perRow[:0]
 	for si := range ts.per {
 		ts.per[si] = ts.lists[si*tn+j]
+		if len(ts.rows) > 0 {
+			at := (si*tn + j) * k
+			ts.perRow = append(ts.perRow, ts.rows[at:at+len(ts.per[si])])
+		}
 	}
-	return mergeTopKInto(ts.per, k, dst, &ts.heap)
+	return mergeTopKInto(ts.per, ts.perRow, k, dst, rows, &ts.heap)
 }

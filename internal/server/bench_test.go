@@ -130,12 +130,14 @@ func BenchmarkServerSearchSingle(b *testing.B) {
 // a 4-shard normscan collection of 20 000 × 16 latent-factor rows whose
 // norms spread by a lognormal of σ = 1, loaded 1 000 rows a write, with
 // the cache on, and one top-10 query of 256 per iteration. hit asks each
-// at the version its answer was cached at; revalidated after a 64-row
-// upsert (untimed) since, which replaces rows no answer held with fresh
-// rows of the same law, so the answer is brought forward across it —
-// kept/op is the share that was: a replaced row that entered an answer
-// and is replaced again, rounds later, makes its answer a miss; miss asks a query never seen, nudged by an
-// ulp, which is scanned and cached.
+// at the version its answer was cached at. revalidated asks it after one
+// 64-row upsert since (untimed), revalidated/writes=w after w of them:
+// each replaces rows no cached answer holds with fresh rows of the same
+// law, so the answer is brought forward across every write. kept/op is
+// the share that was. miss asks a query never seen, nudged by an ulp,
+// which is scanned and cached. The writes=w cells spend w upserts a round
+// of 256 queries outside the timer, so a fixed count (-benchtime 2560x)
+// keeps their wall time short.
 func BenchmarkServerSearchCached(b *testing.B) {
 	const n, d, width = 20000, 16, 64
 	rng := xrand.New(1)
@@ -144,8 +146,11 @@ func BenchmarkServerSearchCached(b *testing.B) {
 	fresh := dataset.NewLatentFactor(rng, n, 1, d, 1)
 	fresh.ScaleItemsToUnitBall()
 	users := lf.Users
-	for _, cell := range []string{"hit", "revalidated", "miss"} {
-		b.Run(cell, func(b *testing.B) {
+	for _, cell := range []struct {
+		name   string
+		writes int // upserts before each round
+	}{{"hit", 0}, {"revalidated", 1}, {"revalidated/writes=16", 16}, {"revalidated/writes=128", 128}, {"miss", 0}} {
+		b.Run(cell.name, func(b *testing.B) {
 			s := New(Config{DefaultShards: 4, CacheCapacity: 4096, CompactFraction: -1})
 			defer s.Close()
 			spec := IndexSpec{Kind: KindNormScan}
@@ -154,22 +159,13 @@ func BenchmarkServerSearchCached(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			held := make([]bool, n)
 			for _, u := range users {
-				res, err := s.Search("bench", []vec.Vector{u}, 10, false)
-				if err != nil {
+				if _, err := s.Search("bench", []vec.Vector{u}, 10, false); err != nil {
 					b.Fatal(err)
 				}
-				for _, h := range res[0].Hits {
-					held[h.ID] = true
-				}
 			}
-			var free []int // the rows no answer holds, to replace
-			for id, h := range held {
-				if !h {
-					free = append(free, id)
-				}
-			}
+			held := make([]bool, n) // the rows an answer holds, not to replace
+			next := 0               // the next row to replace, and its fresh vector, mod n
 			q := make(vec.Vector, d)
 			kept := s.cache.revalidated.Load()
 			b.ReportAllocs()
@@ -177,28 +173,41 @@ func BenchmarkServerSearchCached(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				j := i % len(users)
 				switch {
-				case cell == "revalidated" && j == 0:
+				case cell.writes > 0 && j == 0:
 					b.StopTimer()
-					recs := make([]store.Record, width)
-					for w := range recs {
-						at := (i/len(users)*width + w) % len(free)
-						recs[w] = store.Record{ID: free[at], Vec: fresh.Items[at]}
+					clear(held)
+					s.cache.mu.Lock()
+					for _, el := range s.cache.items {
+						for _, h := range el.Value.(*cacheEntry).hits {
+							held[h.ID] = true
+						}
 					}
-					if _, _, err := s.Upsert("bench", nil, 0, recs); err != nil {
-						b.Fatal(err)
+					s.cache.mu.Unlock()
+					for range cell.writes {
+						recs := make([]store.Record, width)
+						for w := range recs {
+							for held[next%n] {
+								next++
+							}
+							recs[w] = store.Record{ID: next % n, Vec: fresh.Items[next%n]}
+							next++
+						}
+						if _, _, err := s.Upsert("bench", nil, 0, recs); err != nil {
+							b.Fatal(err)
+						}
 					}
 					b.StartTimer()
-				case cell == "miss":
+				case cell.name == "miss":
 					copy(q, users[j])
 					q[0] = math.Float64frombits(math.Float64bits(q[0]) + uint64(1+i/len(users))) // a new key each round
 				}
 				qs := users[j : j+1]
-				if cell == "miss" {
+				if cell.name == "miss" {
 					qs = []vec.Vector{q}
 				}
 				res, err := s.Search("bench", qs, 10, false)
-				if err != nil || res[0].Err != nil || cell != "revalidated" && res[0].Cached == (cell == "miss") {
-					b.Fatalf("%s: cached %v, %v %v", cell, res[0].Cached, err, res[0].Err)
+				if err != nil || res[0].Err != nil || cell.writes == 0 && res[0].Cached == (cell.name == "miss") {
+					b.Fatalf("%s: cached %v, %v %v", cell.name, res[0].Cached, err, res[0].Err)
 				}
 			}
 			b.ReportMetric(float64(s.cache.revalidated.Load()-kept)/float64(b.N), "kept/op")
@@ -548,6 +557,6 @@ func BenchmarkMergeTopK(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mergeTopKInto(lists, 10, dst, &heap)
+		mergeTopKInto(lists, nil, 10, dst, nil, &heap)
 	}
 }

@@ -18,11 +18,12 @@ import (
 // of the view its hits answer. One at the version a search pins is a
 // hit. An older one on an exact kind is brought forward across the
 // writes since (collView.bringForward) — an exact top-k list stays exact
-// unless a write removes one of its members, and a new row enters only
-// if it beats the k-th best — so exact writes invalidate nothing. alsh
-// answers are not exact under their candidate sets, so an alsh write
-// drops its collection's entries (invalidate), and an alsh entry at
-// another version is a miss even if a drop was missed.
+// unless a write removes one of its members, which the entry's own rows'
+// tombstone bits tell, and a new row enters only if it beats the k-th
+// best — so exact writes invalidate nothing. alsh answers are not exact
+// under their candidate sets, so an alsh write drops its collection's
+// entries (invalidate), and an alsh entry at another version is a miss
+// even if a drop was missed.
 type queryCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -31,8 +32,8 @@ type queryCache struct {
 
 	hits, misses, invalidations atomic.Int64
 	// revalidated counts older entries brought forward as hits; touched
-	// those a write since removed a hit from; expired those whose writes
-	// lie past the note horizon or before a compaction.
+	// those a write since removed a hit from, even past the note horizon;
+	// expired the rest, whose writes lie past it or before a compaction.
 	revalidated, touched, expired atomic.Int64
 }
 
@@ -40,9 +41,14 @@ type cacheEntry struct {
 	key        string
 	collection string
 	hits       []Hit
-	// version and epoch are those of the view hits answer.
+	// rows[i] is where hits[i] lives in the view they answer, whose
+	// version and epoch these are.
+	rows           []hitRow
 	version, epoch uint64
 }
+
+// hitRow is a row's shard and store row in one epoch of its collection.
+type hitRow struct{ shard, row int32 }
 
 // newQueryCache creates a cache holding up to capacity results;
 // capacity <= 0 disables caching.
@@ -93,20 +99,21 @@ func (c *queryCache) get(key []byte) (cacheEntry, bool) {
 	return *el.Value.(*cacheEntry), true
 }
 
-// put memoizes hits, the answer at (version, epoch), under key, evicting
-// the least recently used entry when over capacity. An entry already
-// answering a later view keeps its hits. Only a new entry copies key.
-func (c *queryCache) put(collection string, key []byte, hits []Hit, version, epoch uint64) {
+// put memoizes hits, the answer at (version, epoch), and their rows under
+// key, evicting the least recently used entry when over capacity. An
+// entry already answering a later view keeps its hits. Only a new entry
+// copies key.
+func (c *queryCache) put(collection string, key []byte, hits []Hit, rows []hitRow, version, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[string(key)]; ok {
 		c.ll.MoveToFront(el)
 		if e := el.Value.(*cacheEntry); version > e.version || version == e.version && epoch >= e.epoch {
-			e.hits, e.version, e.epoch = hits, version, epoch
+			e.hits, e.rows, e.version, e.epoch = hits, rows, version, epoch
 		}
 		return
 	}
-	e := &cacheEntry{key: string(key), collection: collection, hits: hits, version: version, epoch: epoch}
+	e := &cacheEntry{key: string(key), collection: collection, hits: hits, rows: rows, version: version, epoch: epoch}
 	c.items[e.key] = c.ll.PushFront(e)
 	if c.ll.Len() > c.cap {
 		last := c.ll.Back()
@@ -156,11 +163,11 @@ func (c *Collection) cachedHits(cache *queryCache, v *collView, key []byte, q ve
 	if ok && e.version != v.version {
 		ok = false
 		if e.version < v.version && c.spec.kind() != KindALSH && len(q) == int(c.dim.Load()) {
-			hits, outcome := v.bringForward(cache, e, q, k, unsigned)
+			hits, rows, outcome := v.bringForward(cache, e, q, k, unsigned)
 			outcome.Add(1)
 			if ok = outcome == &cache.revalidated; ok {
 				e.hits = hits
-				cache.put(c.name, key, hits, v.version, v.epoch)
+				cache.put(c.name, key, hits, rows, v.version, v.epoch)
 			}
 		}
 	}
@@ -173,34 +180,37 @@ func (c *Collection) cachedHits(cache *queryCache, v *collView, key []byte, q ve
 }
 
 // bringForward returns e's hits, the exact top k of an earlier view of
-// v's epoch, as the top k at v, and the counter of its outcome:
-// revalidated, or touched when a write since tombstoned one of them —
-// the rows under it are unknown — or expired when v's notes do not reach
-// back to e's version or e predates a compaction. Every row appended
-// since and live at v is offered in each note's norm order, under the
-// norm bound (flat.NormBound) against the k-th best: the first that
-// cannot reach it ends the note. An offered row is scored as a scan
-// scores it and placed by (score descending, ID ascending); the k-th
-// best only rises, so the answer is the top k of the old hits and the
-// rows offered, which is the top k of v's live rows.
-func (v *collView) bringForward(cache *queryCache, e cacheEntry, q vec.Vector, k int, unsigned bool) ([]Hit, *atomic.Int64) {
+// v's epoch, as the top k at v, with their rows, and the counter of its
+// outcome: revalidated, or touched when one of e's rows is tombstoned at
+// v — rows never revive within an epoch, so a write since removed that
+// hit, and the rows under it are unknown — or expired when v's notes do
+// not reach back to e's version or e predates a compaction. Every row
+// appended since and live at v is offered in each note's norm order,
+// under the norm bound (flat.NormBound) against the k-th best: the first
+// that cannot reach it ends the note. An offered row is scored as a scan
+// scores it and placed by (score descending, ID ascending); the k-th best
+// only rises, so the answer is the top k of the old hits and the rows
+// offered, which is the top k of v's live rows.
+func (v *collView) bringForward(cache *queryCache, e cacheEntry, q vec.Vector, k int, unsigned bool) ([]Hit, []hitRow, *atomic.Int64) {
 	if e.epoch != v.epoch {
-		return nil, &cache.expired
+		return nil, nil, &cache.expired
+	}
+	for _, r := range e.rows {
+		if v.snaps[r.shard].dead.Dead(int(r.row)) {
+			return nil, nil, &cache.touched
+		}
 	}
 	want := v.version // every version since e's has its note, newest first
 	for n := v.writes; want > e.version; n, want = n.prev.Load(), want-1 {
 		if n == nil || n.version != want {
-			return nil, &cache.expired
-		}
-		if n.touches(e.hits) {
-			return nil, &cache.touched
+			return nil, nil, &cache.expired
 		}
 	}
-	hits := e.hits
+	hits, rows := e.hits, e.rows
 	bound, slack := flat.NormBound(q)
 	for n, want := v.writes, v.version; want > e.version; n, want = n.prev.Load(), want-1 {
 		if n == nil { // cut by a write since the walk above
-			return nil, &cache.expired
+			return nil, nil, &cache.expired
 		}
 		for _, r := range n.appended(v.snaps) {
 			bar := math.Inf(-1)
@@ -219,25 +229,30 @@ func (v *collView) bringForward(cache *queryCache, e cacheEntry, q vec.Vector, k
 				score = math.Abs(score)
 			}
 			if score >= bar { // NaN never enters, as in flat.Acc
-				hits = insertHit(hits, Hit{ID: sn.ids[r.row], Score: score}, k)
+				hits, rows = insertHit(hits, rows, Hit{ID: sn.ids[r.row], Score: score}, r.hitRow, k)
 			}
 		}
 	}
-	return hits, &cache.revalidated
+	return hits, rows, &cache.revalidated
 }
 
-// insertHit returns a new list of the k best of hits, in (score
-// descending, ID ascending) order, and h; hits itself, which may be
-// shared, is left alone.
-func insertHit(hits []Hit, h Hit, k int) []Hit {
+// insertHit returns new lists of the k best of hits, in (score
+// descending, ID ascending) order, and h, and of their rows, r being h's;
+// hits and rows themselves, which may be shared, are left alone.
+func insertHit(hits []Hit, rows []hitRow, h Hit, r hitRow, k int) ([]Hit, []hitRow) {
 	at := sort.Search(len(hits), func(i int) bool {
 		return hits[i].Score < h.Score || hits[i].Score == h.Score && hits[i].ID > h.ID
 	})
 	if at == k {
-		return hits
+		return hits, rows
 	}
-	out := make([]Hit, 0, min(len(hits)+1, k))
-	out = append(out, hits[:at]...)
-	out = append(out, h)
-	return append(out, hits[at:min(len(hits), k-1)]...)
+	return insertAt(hits, at, h, k), insertAt(rows, at, r, k)
+}
+
+// insertAt returns a new list of s with x inserted at at, cut to k.
+func insertAt[T any](s []T, at int, x T, k int) []T {
+	out := make([]T, 0, min(len(s)+1, k))
+	out = append(out, s[:at]...)
+	out = append(out, x)
+	return append(out, s[at:min(len(s), k-1)]...)
 }

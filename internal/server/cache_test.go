@@ -209,6 +209,23 @@ func revalidationCell(t *testing.T, spec IndexSpec, unsigned bool, k, d, n, nq i
 	write("delete of a non-hit", nil, []int{id})
 	check("delete of a non-hit", prediction{killed: []int{id}})
 
+	// A hit's row, not its ID or score, decides: the last hit of query 0
+	// rewritten with its own vector scores the same on a new row, and its
+	// answers are touched; a delete no answer holds keeps every answer; a
+	// hit deleted and ingested again under its ID is touched.
+	last := prev[0][len(prev[0])-1]
+	write("upsert of a last hit with its own vector", []store.Record{{ID: last.ID, Vec: vecs[last.ID]}}, nil)
+	check("upsert of a last hit with its own vector", prediction{killed: []int{last.ID}})
+	if id = nonHit(); !slices.ContainsFunc(prev, func(hs []Hit) bool { return has(hs, id) }) {
+		write("delete no answer holds", nil, []int{id})
+		check("delete no answer holds", prediction{})
+	}
+	id = hit(3).ID
+	v := vecs[id]
+	write("delete of a hit before its re-ingest", nil, []int{id})
+	write("re-ingest of a deleted hit", []store.Record{{ID: id, Vec: v}}, nil)
+	check("re-ingest of a deleted hit", prediction{killed: []int{id}})
+
 	// Compaction: queries 2 and 3 are cached at the version it keeps,
 	// 0 and 1 one write before it.
 	write("ingest before compaction", records(dataset.Gaussian(rng, 1, d, false), 300), nil)

@@ -287,15 +287,14 @@ type collView struct {
 }
 
 // writeNote is what a cached exact answer needs of one write to be
-// brought forward across it (collView.bringForward): the IDs whose rows
-// it tombstoned and the rows it appended. Kept only by exact and normscan
-// collections of a server whose cache is on (Collection.keepNotes).
+// brought forward across it (collView.bringForward): the rows it appended
+// (a row it tombstoned is dead in the view). Kept only by exact and
+// normscan collections of a server whose cache is on (Collection.keepNotes).
 type writeNote struct {
 	version uint64
-	killed  []int // sorted
 	// spans[si] is the store rows shard si appended, [lo, hi).
 	spans []rowSpan
-	// units is len(killed) plus the rows appended: what the horizon counts.
+	// units is the rows tombstoned and appended: what the horizon counts.
 	units int
 	prev  atomic.Pointer[writeNote]
 
@@ -309,21 +308,8 @@ type rowSpan struct{ lo, hi int }
 
 // noteRow is an appended row: its norm (flat.RowNorm) and where it lives.
 type noteRow struct {
-	norm       float64
-	shard, row int32
-}
-
-// touches reports whether the write tombstoned any of hits.
-func (n *writeNote) touches(hits []Hit) bool {
-	if len(n.killed) == 0 {
-		return false
-	}
-	for _, h := range hits {
-		if _, ok := slices.BinarySearch(n.killed, h.ID); ok {
-			return true
-		}
-	}
-	return false
+	norm float64
+	hitRow
 }
 
 // appended returns the rows the write appended, by descending norm,
@@ -332,10 +318,11 @@ func (n *writeNote) touches(hits []Hit) bool {
 // NaN norm (a NaN element, so it scores NaN) sorts last.
 func (n *writeNote) appended(snaps []*shardSnap) []noteRow {
 	n.once.Do(func() {
-		rows := make([]noteRow, 0, n.units-len(n.killed))
+		var rows []noteRow
 		for si, sp := range n.spans {
+			rows = slices.Grow(rows, sp.hi-sp.lo)
 			for r := sp.lo; r < sp.hi; r++ {
-				rows = append(rows, noteRow{norm: flat.RowNorm(snaps[si].row(r)), shard: int32(si), row: int32(r)})
+				rows = append(rows, noteRow{flat.RowNorm(snaps[si].row(r)), hitRow{int32(si), int32(r)}})
 			}
 		}
 		slices.SortFunc(rows, func(a, b noteRow) int { return cmp.Compare(b.norm, a.norm) })
@@ -357,12 +344,12 @@ func (c *Collection) publish(version, epoch uint64, writes *writeNote) {
 
 // applied records a write that every shard has committed and the WAL
 // holds: the change in live records, then the next version's view, with
-// the write's note when the collection keeps them — killed names the IDs
-// it tombstoned. A durable collection then compacts its WAL into a
+// the write's note when the collection keeps them — killed counts the
+// rows it tombstoned. A durable collection then compacts its WAL into a
 // segment snapshot once the log's tail outgrows the threshold, in the
 // background (the snapshot callback re-takes ingestMu for a coherent
 // view). Callers hold ingestMu.
-func (c *Collection) applied(liveDelta int, killed []int) uint64 {
+func (c *Collection) applied(liveDelta, killed int) uint64 {
 	c.live.Add(int64(liveDelta))
 	old := c.view.Load()
 	version := old.version + 1
@@ -375,16 +362,15 @@ func (c *Collection) applied(liveDelta int, killed []int) uint64 {
 
 // note returns the note of the write that takes old to version, chained
 // to old's, or nil when the collection keeps none. Bringing an answer
-// across notes that hold more IDs and rows than the collection has live
-// rows would cost more than a scan, so the oldest notes are cut off the
-// chain until they do not: that is the note horizon. Callers hold
+// across notes that tombstoned and appended more rows than the collection
+// has live would cost more than a scan, so the oldest notes are cut off
+// the chain until they do not: that is the note horizon. Callers hold
 // ingestMu, after the write's shard commits.
-func (c *Collection) note(old *collView, version uint64, killed []int) *writeNote {
+func (c *Collection) note(old *collView, version uint64, killed int) *writeNote {
 	if !c.keepNotes {
 		return nil
 	}
-	n := &writeNote{version: version, killed: slices.Sorted(slices.Values(killed)), spans: make([]rowSpan, len(c.shards))}
-	n.units = len(killed)
+	n := &writeNote{version: version, spans: make([]rowSpan, len(c.shards)), units: killed}
 	for si, sh := range c.shards {
 		n.spans[si] = rowSpan{len(old.snaps[si].ids), len(sh.snap.Load().ids)}
 		n.units += n.spans[si].hi - n.spans[si].lo
@@ -534,7 +520,7 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 	}
 	c.dim.Store(int64(dim)) // fixed by the first write, the same ever after
 	c.setAttrs(assigned)
-	return c.applied(len(assigned), nil), nil
+	return c.applied(len(assigned), 0), nil
 }
 
 // sampleHashes samples an alsh collection's hash functions for vectors
@@ -711,7 +697,7 @@ func (c *Collection) upsert(ctx context.Context, recs []store.Record) (uint64, e
 	}
 	c.dim.Store(int64(dim))
 	c.setAttrs(recs)
-	version := c.applied(len(reserved), kill)
+	version := c.applied(len(reserved), len(kill))
 	c.maybeCompact()
 	return version, nil
 }
@@ -754,7 +740,7 @@ func (c *Collection) Delete(ids []int) (uint64, int, error) {
 		delete(c.seenIDs, id)
 		delete(c.attrs, id)
 	}
-	version := c.applied(-len(present), present)
+	version := c.applied(-len(present), len(present))
 	c.maybeCompact()
 	return version, len(present), nil
 }

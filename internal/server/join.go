@@ -224,7 +224,7 @@ func runJoin(ctx context.Context, pool *Pool, c *Collection, engine string, dsna
 		hits := make([]Hit, 0, o.k)
 		for j, qid := range ts.qids {
 			n := 0
-			for _, h := range ts.merge(j, len(ts.qids), o.k, hits) {
+			for _, h := range ts.merge(j, len(ts.qids), o.k, hits, nil) {
 				if h.Score < o.cs || n == max(o.topK, 1) {
 					break
 				}

@@ -7,13 +7,15 @@ package server
 // hits are appended to dst and the cursor heap's backing array is
 // recycled through scratch. dst must have spare capacity for k more
 // entries if the caller needs previously returned slices to stay stable.
-// The appended portion is returned. The heap operations are hand-rolled
-// (no container/heap) so nothing is boxed through an interface.
-func mergeTopKInto(lists [][]Hit, k int, dst []Hit, scratch *mergeHeap) []Hit {
+// The appended portion is returned. With rows non-empty, rows[i] holds
+// the rows of lists[i]'s hits, and the merged hits' rows are appended to
+// *dstRows. The heap operations are hand-rolled (no container/heap) so
+// nothing is boxed through an interface.
+func mergeTopKInto(lists [][]Hit, rows [][]hitRow, k int, dst []Hit, dstRows *[]hitRow, scratch *mergeHeap) []Hit {
 	h := (*scratch)[:0]
-	for _, l := range lists {
+	for i, l := range lists {
 		if len(l) > 0 {
-			h = append(h, mergeCursor{list: l})
+			h = append(h, mergeCursor{list: l, src: int32(i)})
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
@@ -23,8 +25,11 @@ func mergeTopKInto(lists [][]Hit, k int, dst []Hit, scratch *mergeHeap) []Hit {
 	for len(h) > 0 && len(dst)-base < k {
 		c := &h[0]
 		dst = append(dst, c.list[c.pos])
+		if len(rows) > 0 {
+			*dstRows = append(*dstRows, rows[c.src][c.pos])
+		}
 		c.pos++
-		if c.pos == len(c.list) {
+		if int(c.pos) == len(c.list) {
 			n := len(h) - 1
 			h[0] = h[n]
 			h = h[:n]
@@ -37,8 +42,8 @@ func mergeTopKInto(lists [][]Hit, k int, dst []Hit, scratch *mergeHeap) []Hit {
 
 // mergeCursor walks one shard's hit list.
 type mergeCursor struct {
-	list []Hit
-	pos  int
+	list     []Hit
+	pos, src int32 // the next hit's index in list, and list's in lists
 }
 
 type mergeHeap []mergeCursor

@@ -273,7 +273,7 @@ func writeMetrics(w io.Writer, s *Server, hm *httpMetrics) {
 	fmt.Fprintf(w, "# HELP ipsd_cache_invalidations_total Query cache entries dropped by alsh writes and collection drops.\n")
 	fmt.Fprintf(w, "# TYPE ipsd_cache_invalidations_total counter\n")
 	fmt.Fprintf(w, "ipsd_cache_invalidations_total %d\n", s.cache.invalidations.Load())
-	fmt.Fprintf(w, "# HELP ipsd_cache_revalidations_total Cached exact answers of an earlier version looked up: kept (brought forward across the writes since, a hit), touched (a write since removed one of their hits) or expired (their writes lie past the note horizon, or a compaction came between).\n")
+	fmt.Fprintf(w, "# HELP ipsd_cache_revalidations_total Cached exact answers of an earlier version looked up: kept (brought forward across the writes since, a hit), touched (a write since removed one of their hits, even past the note horizon) or expired (a compaction came between, or no hit was removed but their writes lie past the note horizon).\n")
 	fmt.Fprintf(w, "# TYPE ipsd_cache_revalidations_total counter\n")
 	fmt.Fprintf(w, "ipsd_cache_revalidations_total{outcome=\"kept\"} %d\n", s.cache.revalidated.Load())
 	fmt.Fprintf(w, "ipsd_cache_revalidations_total{outcome=\"touched\"} %d\n", s.cache.touched.Load())

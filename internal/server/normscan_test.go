@@ -282,7 +282,7 @@ func checkNormScanAnswers(t *testing.T, cell string, s *Server, ref *shardSnap, 
 				if err := scanInTurn(ctx, []*shardSnap{ref}, qs, ts, j, j+1, k, 0, 1, new(floorState), math.Inf(-1), TopKOpts{Unsigned: unsigned}, ex); err != nil {
 					t.Fatal(err)
 				}
-				want := ts.merge(0, 1, k, nil)
+				want := ts.merge(0, 1, k, nil, nil)
 				gx, wx := got[0].Explain.Shards[0], ex[0]
 				counts := func(e ShardExplain) [3]int {
 					return [3]int{e.RowsScanned, e.CSPrunedBlocks, e.TombstoneSkippedBlocks}
@@ -300,7 +300,7 @@ func checkNormScanAnswers(t *testing.T, cell string, s *Server, ref *shardSnap, 
 				t.Fatal(err)
 			}
 			for j := range queries {
-				if want := ts.merge(j, len(queries), k, nil); !sameHitsBitExact([][]Hit{got[j].Hits}, [][]Hit{want}) {
+				if want := ts.merge(j, len(queries), k, nil, nil); !sameHitsBitExact([][]Hit{got[j].Hits}, [][]Hit{want}) {
 					t.Fatalf("%s batch query %d unsigned=%v k=%d: %v, rebuilt %v", cell, j, unsigned, k, got[j].Hits, want)
 				}
 			}

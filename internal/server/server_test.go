@@ -63,7 +63,7 @@ func TestMergeTopK(t *testing.T) {
 	var heap mergeHeap
 	// The second merge appends behind the first; both must stay intact.
 	dst := make([]Hit, 0, 4+100)
-	got := mergeTopKInto(lists, 4, dst, &heap)
+	got := mergeTopKInto(lists, nil, 4, dst, nil, &heap)
 	want := []Hit{{ID: 0, Score: 9}, {ID: 1, Score: 9}, {ID: 2, Score: 7}, {ID: 4, Score: 5}}
 	if len(got) != len(want) {
 		t.Fatalf("merged %d hits, want %d", len(got), len(want))
@@ -73,7 +73,7 @@ func TestMergeTopK(t *testing.T) {
 			t.Fatalf("hit %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if all := mergeTopKInto(lists, 100, dst[:len(got)], &heap); len(all) != 6 || all[0] != want[0] {
+	if all := mergeTopKInto(lists, nil, 100, dst[:len(got)], nil, &heap); len(all) != 6 || all[0] != want[0] {
 		t.Fatalf("over-asking returned %v, want 6 hits", all)
 	}
 	if got[3] != want[3] {

@@ -763,7 +763,7 @@ func (r *simRun) pinned(name string, o TopKOpts) func() []Hit {
 		if err != nil {
 			failf("pinned answer: %v", err)
 		}
-		return ts.merge(0, 1, k, nil)
+		return ts.merge(0, 1, k, nil, nil)
 	}
 }
 

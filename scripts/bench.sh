@@ -3,10 +3,12 @@
 # performance trajectory can be tracked across PRs (BENCH_<n>.json).
 #
 # Usage:
-#   scripts/bench.sh OUT.json
+#   scripts/bench.sh OUT.json [RAW]
 #
 # OUT.json is required: a committed BENCH_<n>.json is only ever written
-# by naming it.
+# by naming it. With RAW, a file of `go test -bench` output (rounds of
+# it appended to one file, say), nothing runs: RAW is converted to
+# OUT.json as it stands, every line of a repeated cell kept.
 #
 # Environment:
 #   BENCH_FILTER   benchmark regexp (default: the serving-layer suite)
@@ -17,18 +19,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 1 ] || [ -z "$1" ]; then
-    echo "usage: scripts/bench.sh OUT.json" >&2
+    echo "usage: scripts/bench.sh OUT.json [RAW]" >&2
     exit 2
 fi
 OUT="$1"
+RAW="${2:-}"
 FILTER="${BENCH_FILTER:-BenchmarkServer|BenchmarkMergeTopK|BenchmarkFlat|BenchmarkTopKMasked|BenchmarkJoin|BenchmarkWAL|BenchmarkSegment|BenchmarkRecover}"
 TIME="${BENCH_TIME:-200ms}"
 PKGS="${BENCH_PKGS:-./internal/server/ ./internal/flat/ ./internal/join/ ./internal/persist/}"
 
-RAW="$(mktemp)"
-trap 'rm -f "$RAW"' EXIT
-
-go test -run '^$' -bench "$FILTER" -benchtime "$TIME" -benchmem $PKGS | tee "$RAW"
+if [ -z "$RAW" ]; then
+    RAW="$(mktemp)"
+    trap 'rm -f "$RAW"' EXIT
+    go test -run '^$' -bench "$FILTER" -benchtime "$TIME" -benchmem $PKGS | tee "$RAW"
+fi
 
 # Convert `BenchmarkName-N  iters  ns/op  B/op  allocs/op` lines to JSON.
 awk -v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" '
@@ -49,9 +53,9 @@ END { print "\n  ]\n}" }
 
 echo "wrote $OUT"
 
-# Report-only regression comparison against the most recent previous
-# BENCH_*.json (benchstat-style; never gates).
+# Report-only regression comparison of a fresh run against the most
+# recent previous BENCH_*.json (benchstat-style; never gates).
 PREV="$(ls BENCH_*.json 2>/dev/null | grep -v "^$OUT\$" | sort -V | tail -1 || true)"
-if [ -n "${PREV:-}" ]; then
+if [ -z "${2:-}" ] && [ -n "${PREV:-}" ]; then
     go run ./cmd/benchcmp "$PREV" "$OUT" || true
 fi
