@@ -10,12 +10,11 @@ import (
 )
 
 // BenchmarkFlatDotBatch measures the single-query f64 sweep: one full
-// DotBatch over n rows per iteration; ns/row is the per-row cost. d=16
-// runs dotRange16, the fixed-dimension row-pair kernel small-hot
-// serves, on both tiers. Every other d runs four rows per AVX2 dotRows4
-// call with asm=true (skipped without AVX2), and dotRangeGeneric, the
-// Go chain, with asm=false: d=24 has no element tail, d=32 is
-// mixed-durable's dimension and d=64 scan-heavy's.
+// DotBatch over n rows per iteration; ns/row is the per-row cost. Every
+// d runs four rows per AVX2 dotRows4 call with asm=true (skipped
+// without AVX2), and dotRangeGeneric, the Go chain, with asm=false:
+// d=16 is small-hot's dimension, d=24 has no element tail, d=32 is
+// mixed-durable's and d=64 scan-heavy's.
 func BenchmarkFlatDotBatch(b *testing.B) {
 	for _, d := range []int{16, 24, 32, 64} {
 		rng := xrand.New(1)
@@ -115,10 +114,10 @@ func BenchmarkFlatNormSortedExtend(b *testing.B) {
 // BenchmarkFlatDotTile measures the multi-query tile kernel, quads and
 // octets side by side: one iteration scores 8 queries over the full
 // store (ns/op ÷ 8 is the per-query sweep cost; compare with
-// BenchmarkFlatDotBatch). quads runs the AVX2 kernels — dotTile16x4 at
-// d = 16, dotTile4 elsewhere — and octets the AVX-512 dotTile8, each
-// skipped on a machine without it. 16, 32 and 64 are the benchmark
-// workloads' dimensions, 34 ALSH hashing's (SIMPLE maps d = 32 to 34).
+// BenchmarkFlatDotBatch). quads runs the AVX2 dotTile4 and octets the
+// AVX-512 dotTile8, each skipped on a machine without it, at every d
+// alike. 16, 32 and 64 are the benchmark workloads' dimensions, 34 ALSH
+// hashing's (SIMPLE maps d = 32 to 34).
 func BenchmarkFlatDotTile(b *testing.B) {
 	for _, d := range []int{16, 32, 34, 64} {
 		rng := xrand.New(1)

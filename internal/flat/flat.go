@@ -254,25 +254,19 @@ func (s *Store) DotRange(q vec.Vector, lo, hi int, out []float64) error {
 // go four at a time through the AVX2 dotRows4 (per cache-resident
 // 1 024-row chunk on one Xeon core, ≈ 8 vs 23–30 ns/row at d = 32 and
 // 9–13 vs 32–34 at d = 64), the 1–3 left on dotRangeGeneric, which
-// serves every row where tileSIMD fails. d = 16, small-hot's, keeps the
-// unrolled dotRange16 on every host: dotRows4 measured only within
-// noise of it there (per chunk 7.2–7.8 vs 7.3–10.6 ns/row).
+// serves every row where tileSIMD fails.
 func (s *Store) dotRange(q vec.Vector, lo, hi int, out []float64) {
 	d := s.dim
 	q = q[:d:d]
 	simd := tileSIMD(d)
 	for lo < hi {
 		data, l, h := s.data.span(lo, hi)
-		if d == 16 {
-			dotRange16(data, q, l, h, out)
-		} else {
-			r := l
-			for ; simd && r+4 <= h; r += 4 {
-				p := data[r*d : (r+4)*d]
-				dotRows4(q, p, p[d:], p[2*d:], p[3*d:], (*[4]float64)(out[r-l:]))
-			}
-			dotRangeGeneric(data, d, q, r, h, out[r-l:])
+		r := l
+		for ; simd && r+4 <= h; r += 4 {
+			p := data[r*d : (r+4)*d]
+			dotRows4(q, p, p[d:], p[2*d:], p[3*d:], (*[4]float64)(out[r-l:]))
 		}
+		dotRangeGeneric(data, d, q, r, h, out[r-l:])
 		out = out[h-l:]
 		lo += h - l
 	}
@@ -297,41 +291,6 @@ func dotRangeGeneric(data []float64, d int, q []float64, lo, hi int, out []float
 			s0 += row[i] * q[i]
 		}
 		out[r-lo] = (s0 + s1) + (s2 + s3)
-	}
-}
-
-// dotRange16 is the d=16 specialization: the unroll is complete, so the
-// compiler proves every index in range, and rows are processed in pairs
-// so each load of q[i] feeds two independent accumulator chains. Each
-// lane starts from its first product instead of +0 + it, which differs
-// from the chain only where a sum is a zero — in its sign — and the
-// trailing + 0 turns a −0 score into the chain's +0 (a chain begun at +0
-// never yields −0). The compiler keeps that add: x + 0 is not x for
-// x = −0.
-func dotRange16(data, q []float64, lo, hi int, out []float64) {
-	q = q[:16:16]
-	r := lo
-	for ; r+2 <= hi; r += 2 {
-		a := data[r*16 : r*16+16 : r*16+16]
-		b := data[r*16+16 : r*16+32 : r*16+32]
-		a0 := ((a[0]*q[0] + a[4]*q[4]) + a[8]*q[8]) + a[12]*q[12]
-		b0 := ((b[0]*q[0] + b[4]*q[4]) + b[8]*q[8]) + b[12]*q[12]
-		a1 := ((a[1]*q[1] + a[5]*q[5]) + a[9]*q[9]) + a[13]*q[13]
-		b1 := ((b[1]*q[1] + b[5]*q[5]) + b[9]*q[9]) + b[13]*q[13]
-		a2 := ((a[2]*q[2] + a[6]*q[6]) + a[10]*q[10]) + a[14]*q[14]
-		b2 := ((b[2]*q[2] + b[6]*q[6]) + b[10]*q[10]) + b[14]*q[14]
-		a3 := ((a[3]*q[3] + a[7]*q[7]) + a[11]*q[11]) + a[15]*q[15]
-		b3 := ((b[3]*q[3] + b[7]*q[7]) + b[11]*q[11]) + b[15]*q[15]
-		out[r-lo] = (a0 + a1) + (a2 + a3) + 0
-		out[r-lo+1] = (b0 + b1) + (b2 + b3) + 0
-	}
-	for ; r < hi; r++ {
-		a := data[r*16 : r*16+16 : r*16+16]
-		a0 := ((a[0]*q[0] + a[4]*q[4]) + a[8]*q[8]) + a[12]*q[12]
-		a1 := ((a[1]*q[1] + a[5]*q[5]) + a[9]*q[9]) + a[13]*q[13]
-		a2 := ((a[2]*q[2] + a[6]*q[6]) + a[10]*q[10]) + a[14]*q[14]
-		a3 := ((a[3]*q[3] + a[7]*q[7]) + a[11]*q[11]) + a[15]*q[15]
-		out[r-lo] = (a0 + a1) + (a2 + a3) + 0
 	}
 }
 

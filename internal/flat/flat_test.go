@@ -104,15 +104,15 @@ func TestCloneIsIndependent(t *testing.T) {
 }
 
 // TestDotBatchMatchesVecDot pins the bit-identity contract of the
-// single-query sweep on every kernel tier — dotRange16 at d = 16, four
-// rows per AVX2 dotRows4 call at every other d ≥ 4 where the tier has
-// AVX2, the Go chain elsewhere — because the serving layer's
-// equivalence guarantees are built on it: every DotBatch score, and
-// every DotRange score over windows that start on odd rows and straddle
-// a chunk edge, must have vec.DotKernel's bits (sameScoreBits: −0 is
-// not +0), at n ≡ 0–3 mod 4 rows, every d mod 4, and over rows of +0,
-// −0 and subnormals against a query with the same. Scores land on NaN,
-// which no input makes, so a row left unscored fails.
+// single-query sweep on every kernel tier — four rows per AVX2 dotRows4
+// call at every d ≥ 4 where the tier has AVX2, the Go chain elsewhere —
+// because the serving layer's equivalence guarantees are built on it:
+// every DotBatch score, and every DotRange score over windows that
+// start on odd rows and straddle a chunk edge, must have
+// vec.DotKernel's bits (sameScoreBits: −0 is not +0), at n ≡ 0–3 mod 4
+// rows, every d mod 4, and over rows of +0, −0 and subnormals against a
+// query with the same. Scores land on NaN, which no input makes, so a
+// row left unscored fails.
 func TestDotBatchMatchesVecDot(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
 		rng := xrand.New(2)

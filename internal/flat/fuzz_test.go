@@ -14,11 +14,10 @@ import (
 
 // FuzzDotBatch drives the single-query sweep on every kernel tier — the
 // AVX2 four-row dotRows4 sweep and its Go-chain row tail, where the
-// machine has AVX2, the Go chain, and dotRange16's row pairs at d = 16 —
-// against a naive per-element reference, with the corpus bytes decoded
-// as (d ≤ 100, query, row data). The sweep must agree with a naive
-// left-to-right sum to a relative 1e-9 and have vec.DotKernel's bits
-// exactly (sameScoreBits).
+// machine has AVX2, and the Go chain — against a naive per-element
+// reference, with the corpus bytes decoded as (d ≤ 100, query, row
+// data). The sweep must agree with a naive left-to-right sum to a
+// relative 1e-9 and have vec.DotKernel's bits exactly (sameScoreBits).
 func FuzzDotBatch(f *testing.F) {
 	mk := func(d byte, vals ...float64) []byte {
 		b := []byte{d}

@@ -86,16 +86,16 @@ func TestQuantKernelsStayInsideAllocation(t *testing.T) {
 // kernels, at dimensions with every element-tail length (4 ∤ d). For
 // the quad micro-kernels the data rows and the 4-query block each end
 // flush against an unreadable page, at row counts whose odd ones end on
-// the trailing-row path: dotTile16x4 at d = 16, dotTile4 at every other
-// d. dotTile8 gets the same rows and an octet of queries, and its pack
-// and scores end pages too (it writes both). For dotRows4 the query and
-// each of the four rows ends a page of its own. A Store.dotRange sweep
-// whose one chunk ends a page — one full 4-row dotRows4 group, alone or
-// with a 1–3-row Go tail, or the tail alone — runs on every tier, its
-// query and scores ending pages too. skipBelow reads scores ending a
-// page at every length 0–40, each below the bar, so it reads every
-// whole group — the last flush against the page when 16 divides the
-// length — and must stop before a partial one.
+// the trailing-row path: dotTile4 at every d. dotTile8 gets the same
+// rows and an octet of queries, and its pack and scores end pages too
+// (it writes both). For dotRows4 the query and each of the four rows
+// ends a page of its own. A Store.dotRange sweep whose one chunk ends a
+// page — one full 4-row dotRows4 group, alone or with a 1–3-row Go
+// tail, or the tail alone — runs on every tier, its query and scores
+// ending pages too. skipBelow reads scores ending a page at every
+// length 0–40, each below the bar, so it reads every whole group — the
+// last flush against the page when 16 divides the length — and must
+// stop before a partial one.
 func TestTileKernelsStayInsideAllocation(t *testing.T) {
 	if !useDotTileAsm {
 		t.Skip("no asm kernels on this machine")
@@ -121,7 +121,7 @@ func TestTileKernelsStayInsideAllocation(t *testing.T) {
 	}
 	for _, d := range []int{4, 5, 7, 8, 9, 16, 17, 33, 34, 64, 100} {
 		for _, n := range []int{1, 2, 3, 5} {
-			dotTileQuad(last(rows, n*d), d, last(queries, 4*d), make([]float64, 4*n))
+			dotTile4(last(rows, n*d), d, last(queries, 4*d), make([]float64, 4*n))
 			if useOctetAsm {
 				dotTile8(last(rows, n*d), d, last(queries, 8*d), last(pack, octetPackLen(d)), last(scores, 8*n))
 			}

@@ -644,6 +644,9 @@ func TestNormSortedMaskedStats(t *testing.T) {
 // scratch pool, so the shared driver costs the f64 path nothing over the
 // hand-written loop it replaced.
 func TestScanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
 	rng := xrand.New(22)
 	const n, d, k = 1500, 16, 10
 	s, err := FromVectors(randomVecs(rng, n, d))

@@ -15,12 +15,9 @@
 //     [q₂ₘ[4c:4c+4], q₂ₘ₊₁[4c:4c+4]] — and broadcasts each 4-double
 //     chunk of a data row to both halves with VBROADCASTF64X4, a load
 //     with no shuffle;
-//   - quads, where AVX2 is (tileSIMD): 4 queries × 2 rows per
-//     iteration, dotTile4 at every d but 16, which small-hot serves
-//     through dotTile16x4, the row stride built in (256 vs 284 µs per
-//     20 000-row sweep of 8 queries against dotTile4). They take the
-//     quads an octet run leaves, and every quad on a machine without
-//     AVX-512;
+//   - quads, where AVX2 is (tileSIMD): dotTile4 scores 4 queries × 2
+//     rows per iteration. It takes the quads an octet run leaves, and
+//     every quad on a machine without AVX-512;
 //   - the single-query sweep (Store.dotRange) for each of the 1–3
 //     queries a run leaves;
 //   - the pure-Go pair and single kernels without AVX2 or at d < 4.
@@ -45,11 +42,9 @@
 // accumulators before the first multiply/add, and put each of the d
 // mod 4 trailing elements in lane 0 with lanes 1-3 zeroed, so lane 0
 // takes it and lanes 1-3 add +0, which cannot change a sum that began
-// at +0. dotTile16x4 starts from the first products and adds + 0 to
-// each score, as dotRange16 does. The tile equivalence grid, its
-// special-values pass and FuzzDotTile compare every cell with
-// vec.DotKernel by Float64bits on every tier; a guard-page test pins
-// every load inside its row.
+// at +0. The tile equivalence grid, its special-values pass and
+// FuzzDotTile compare every cell with vec.DotKernel by Float64bits on
+// every tier; a guard-page test pins every load inside its row.
 //
 // dotRows4 turns the tile around: one query against four rows, each at
 // its own address — dotTile4's one-row body with the query as its row
@@ -57,7 +52,7 @@
 // vec.DotKernel's bits. On AVX2 it scores the candidate verify loop's
 // (Store.OfferRows) four scattered rows, elsewhere two dotTileGeneric2
 // passes, and the single-query sweep's (Store.dotRange) four contiguous
-// rows at every d ≥ 4 but 16. TestOfferRows, FuzzOfferRows,
+// rows at every d ≥ 4. TestOfferRows, FuzzOfferRows,
 // TestDotBatchMatchesVecDot and FuzzDotBatch hold each use to
 // vec.DotKernel by Float64bits.
 //
@@ -210,27 +205,16 @@ func tileOctets(d int) bool { return useOctetAsm && d >= 4 }
 // the runs the assembly serves — the scores cannot tell, every path
 // returns the same bits.
 var (
-	quadKernel  = dotTileQuad
+	quadKernel  = dotTile4
 	octetKernel = dotTile8
 )
-
-// dotTileQuad scores the 4 contiguous query rows of q against the
-// len(p)/d contiguous data rows of p on the AVX2 micro-kernel for d
-// (tileSIMD(d) must hold): out[j*nr+r] = p_row(r)·q_row(j).
-func dotTileQuad(p []float64, d int, q, out []float64) {
-	if d == 16 {
-		dotTile16x4(p, q, out)
-	} else {
-		dotTile4(p, d, q, out)
-	}
-}
 
 // scoreTile is the unchecked tile kernel dispatch behind offerTile.
 // Where tileOctets(d) holds, query octets run through the AVX-512
 // micro-kernel, packed into sc; where tileSIMD(d) holds, the
-// quads left run through the AVX2 micro-kernels and each leftover query
+// quads left run through the AVX2 micro-kernel and each leftover query
 // through dotRange's sweep (two sweeps of a 1 024-row chunk take
-// 0.25–0.6× one Go pair-kernel pass at d = 24–64, ≈ 0.7× at d = 16);
+// 0.25–0.6× one Go pair-kernel pass at d = 24–64);
 // elsewhere queries run the pure-Go pair and single kernels. All share
 // the exact accumulation chains, so the split is invisible in the
 // results. The micro-kernels want their operands contiguous: a

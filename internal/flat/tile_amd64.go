@@ -7,27 +7,11 @@ package flat
 // kernels and prove both paths produce bit-identical scores.
 var useDotTileAsm = x86HasAVX2()
 
-// dotTile16x4 scores 4 contiguous query rows (q, 4×16 floats) against
-// nr = len(p)/16 contiguous data rows, writing out[j*nr+r] =
-// p_row(r)·q_row(j). The register blocking is 4 queries × 2 rows: each
-// loop iteration loads two data rows once and reuses them across all
-// four queries' accumulator chains. Scores are bit-identical to
-// dotRange16: the 4-wide vertical multiply/add keeps lane k equal to
-// the scalar kernel's s_k, the horizontal reduction adds them as
-// (s0+s1)+(s2+s3) with plain (unfused) IEEE operations, and one
-// trailing + 0 per score turns the −0 a product-started chain can end
-// on into the +0 chain's +0. It stands beside dotTile4 because
-// small-hot serves d = 16, where it sweeps 20 000 rows for 8 queries in
-// 256 µs to dotTile4's 284.
-//
-//go:noescape
-func dotTile16x4(p, q, out []float64)
-
-// dotTile4 is the any-dimension variant (d ≥ 4): 4 contiguous query
-// rows of d floats against nr = len(out)/4 contiguous data rows, the
-// same 4 queries × 2 rows blocking with d walked in 4-double chunks and
-// the d mod 4 trailing elements folded into lane 0 — dotRangeGeneric's
-// chains.
+// dotTile4 scores 4 contiguous query rows (q) of d ≥ 4 floats against
+// nr = len(out)/4 contiguous data rows (p): out[j*nr+r] =
+// p_row(r)·q_row(j). The register blocking is 4 queries × 2 rows, with
+// d walked in 4-double chunks and the d mod 4 trailing elements folded
+// into lane 0 — dotRangeGeneric's chains.
 //
 //go:noescape
 func dotTile4(p []float64, d int, q, out []float64)

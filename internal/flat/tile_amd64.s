@@ -8,19 +8,15 @@
 // commutative for the values involved), VUNPCKLPD/VUNPCKHPD, VADDPD,
 // VSHUFF64X2 and VADDPD in dotTile8. dotTile8 (AVX-512F, x86HasAVX512F
 // is its gate) scores query octets at every d ≥ 4, where the machine
-// has it; the AVX2 quads take the rest: dotTile4 serves every d ≥ 4 but
-// 16; dotTile16x4, the row stride built in, is kept for d = 16, which
-// small-hot serves, where it sweeps 20 000 rows for 8 queries in 256 µs
-// to dotTile4's 284. dotRows4 is the candidate verify kernel (d ≥ 4):
-// one query against four scattered rows, each lane begun at +0 like
-// dotTile4's, no FMA, so every score is vec.DotKernel's. skipBelow is
-// the top-k bookkeeping's skip, not a kernel: it finds the first
-// 16-score group of a scored block not wholly below the bar. It is
-// VEX-encoded throughout and ends in VZEROUPPER: a prototype that moved
-// its mask in with a legacy-SSE MOVQ into X14, among the YMM
-// instructions, ran 262 ns per 256 scores against VMOVQ's 50. The
-// legacy MOVSD score stores in dotTile16x4 only read their register,
-// and swapping them for VMOVSD changed nothing measurable.
+// has it; the AVX2 dotTile4 takes the quads left, at every d ≥ 4.
+// dotRows4 is the single-query and candidate verify kernel (d ≥ 4):
+// one query against four rows, each lane begun at +0 like dotTile4's,
+// no FMA, so every score is vec.DotKernel's. skipBelow is the top-k
+// bookkeeping's skip, not a kernel: it finds the first 16-score group
+// of a scored block not wholly below the bar. It is VEX-encoded
+// throughout and ends in VZEROUPPER: a prototype that moved its mask in
+// with a legacy-SSE MOVQ into X14, among the YMM instructions, ran
+// 262 ns per 256 scores against VMOVQ's 50.
 
 #include "textflag.h"
 
@@ -62,234 +58,6 @@ TEXT ·x86HasAVX2(SB), NOSPLIT, $0-1
 	MOVB $1, ret+0(FP)
 
 done:
-	RET
-
-// func dotTile16x4(p, q, out []float64)
-//
-// nr = len(p)/16 rows; q holds exactly 4 query rows of 16; out[j*nr+r]
-// receives p_row(r)·q_row(j). Main loop: 2 rows × 4 queries with 8 YMM
-// accumulators (Y0-Y3 row0×q0..q3, Y4-Y7 row1×q0..q3), row/query
-// chunks in Y8-Y13, multiply temporaries in Y14/Y15. Chunk 0 initialises
-// the accumulators with its products, so each reduction adds a zeroed
-// Y13 to the four scores: the one step that puts this kernel on the +0
-// chain.
-TEXT ·dotTile16x4(SB), NOSPLIT, $0-72
-	MOVQ p_base+0(FP), DI
-	MOVQ p_len+8(FP), CX
-	SHRQ $4, CX
-	MOVQ q_base+24(FP), SI
-	MOVQ out_base+48(FP), R9
-	LEAQ (R9)(CX*8), R10
-	LEAQ (R10)(CX*8), R11
-	LEAQ (R11)(CX*8), R12
-
-	PCALIGN $64 // the loop head starts a cache line, wherever the code around it moves
-loop2:
-	CMPQ CX, $2
-	JL   tail
-
-	// chunk 0 (dims 0..3): initialise the 8 accumulators.
-	VMOVUPD (DI), Y8
-	VMOVUPD 128(DI), Y9
-	VMOVUPD (SI), Y10
-	VMOVUPD 128(SI), Y11
-	VMOVUPD 256(SI), Y12
-	VMOVUPD 384(SI), Y13
-	VMULPD  Y10, Y8, Y0
-	VMULPD  Y11, Y8, Y1
-	VMULPD  Y12, Y8, Y2
-	VMULPD  Y13, Y8, Y3
-	VMULPD  Y10, Y9, Y4
-	VMULPD  Y11, Y9, Y5
-	VMULPD  Y12, Y9, Y6
-	VMULPD  Y13, Y9, Y7
-
-	// chunk 1 (dims 4..7).
-	VMOVUPD 32(DI), Y8
-	VMOVUPD 160(DI), Y9
-	VMOVUPD 32(SI), Y10
-	VMOVUPD 160(SI), Y11
-	VMOVUPD 288(SI), Y12
-	VMOVUPD 416(SI), Y13
-	VMULPD  Y10, Y8, Y14
-	VADDPD  Y14, Y0, Y0
-	VMULPD  Y11, Y8, Y15
-	VADDPD  Y15, Y1, Y1
-	VMULPD  Y12, Y8, Y14
-	VADDPD  Y14, Y2, Y2
-	VMULPD  Y13, Y8, Y15
-	VADDPD  Y15, Y3, Y3
-	VMULPD  Y10, Y9, Y14
-	VADDPD  Y14, Y4, Y4
-	VMULPD  Y11, Y9, Y15
-	VADDPD  Y15, Y5, Y5
-	VMULPD  Y12, Y9, Y14
-	VADDPD  Y14, Y6, Y6
-	VMULPD  Y13, Y9, Y15
-	VADDPD  Y15, Y7, Y7
-
-	// chunk 2 (dims 8..11).
-	VMOVUPD 64(DI), Y8
-	VMOVUPD 192(DI), Y9
-	VMOVUPD 64(SI), Y10
-	VMOVUPD 192(SI), Y11
-	VMOVUPD 320(SI), Y12
-	VMOVUPD 448(SI), Y13
-	VMULPD  Y10, Y8, Y14
-	VADDPD  Y14, Y0, Y0
-	VMULPD  Y11, Y8, Y15
-	VADDPD  Y15, Y1, Y1
-	VMULPD  Y12, Y8, Y14
-	VADDPD  Y14, Y2, Y2
-	VMULPD  Y13, Y8, Y15
-	VADDPD  Y15, Y3, Y3
-	VMULPD  Y10, Y9, Y14
-	VADDPD  Y14, Y4, Y4
-	VMULPD  Y11, Y9, Y15
-	VADDPD  Y15, Y5, Y5
-	VMULPD  Y12, Y9, Y14
-	VADDPD  Y14, Y6, Y6
-	VMULPD  Y13, Y9, Y15
-	VADDPD  Y15, Y7, Y7
-
-	// chunk 3 (dims 12..15).
-	VMOVUPD 96(DI), Y8
-	VMOVUPD 224(DI), Y9
-	VMOVUPD 96(SI), Y10
-	VMOVUPD 224(SI), Y11
-	VMOVUPD 352(SI), Y12
-	VMOVUPD 480(SI), Y13
-	VMULPD  Y10, Y8, Y14
-	VADDPD  Y14, Y0, Y0
-	VMULPD  Y11, Y8, Y15
-	VADDPD  Y15, Y1, Y1
-	VMULPD  Y12, Y8, Y14
-	VADDPD  Y14, Y2, Y2
-	VMULPD  Y13, Y8, Y15
-	VADDPD  Y15, Y3, Y3
-	VMULPD  Y10, Y9, Y14
-	VADDPD  Y14, Y4, Y4
-	VMULPD  Y11, Y9, Y15
-	VADDPD  Y15, Y5, Y5
-	VMULPD  Y12, Y9, Y14
-	VADDPD  Y14, Y6, Y6
-	VMULPD  Y13, Y9, Y15
-	VADDPD  Y15, Y7, Y7
-
-	// Reduce row 0: Y0..Y3 -> (q0,q1,q2,q3) results.
-	VHADDPD    Y1, Y0, Y8
-	VHADDPD    Y3, Y2, Y9
-	VPERM2F128 $0x20, Y9, Y8, Y10
-	VPERM2F128 $0x31, Y9, Y8, Y11
-	VADDPD     Y11, Y10, Y12
-	VXORPD     Y13, Y13, Y13
-	VADDPD     Y13, Y12, Y12   // + 0: −0 → +0
-	MOVSD      X12, (R9)
-	VPERMILPD  $1, X12, X13
-	MOVSD      X13, (R10)
-	VEXTRACTF128 $1, Y12, X13
-	MOVSD      X13, (R11)
-	VPERMILPD  $1, X13, X13
-	MOVSD      X13, (R12)
-
-	// Reduce row 1: Y4..Y7.
-	VHADDPD    Y5, Y4, Y8
-	VHADDPD    Y7, Y6, Y9
-	VPERM2F128 $0x20, Y9, Y8, Y10
-	VPERM2F128 $0x31, Y9, Y8, Y11
-	VADDPD     Y11, Y10, Y12
-	VXORPD     Y13, Y13, Y13
-	VADDPD     Y13, Y12, Y12   // + 0: −0 → +0
-	MOVSD      X12, 8(R9)
-	VPERMILPD  $1, X12, X13
-	MOVSD      X13, 8(R10)
-	VEXTRACTF128 $1, Y12, X13
-	MOVSD      X13, 8(R11)
-	VPERMILPD  $1, X13, X13
-	MOVSD      X13, 8(R12)
-
-	ADDQ $256, DI
-	ADDQ $16, R9
-	ADDQ $16, R10
-	ADDQ $16, R11
-	ADDQ $16, R12
-	SUBQ $2, CX
-	JMP  loop2
-
-tail:
-	TESTQ CX, CX
-	JZ    done16
-
-	// One trailing row × 4 queries (accumulators Y0-Y3).
-	VMOVUPD (DI), Y8
-	VMOVUPD (SI), Y10
-	VMOVUPD 128(SI), Y11
-	VMOVUPD 256(SI), Y12
-	VMOVUPD 384(SI), Y13
-	VMULPD  Y10, Y8, Y0
-	VMULPD  Y11, Y8, Y1
-	VMULPD  Y12, Y8, Y2
-	VMULPD  Y13, Y8, Y3
-
-	VMOVUPD 32(DI), Y8
-	VMOVUPD 32(SI), Y10
-	VMOVUPD 160(SI), Y11
-	VMOVUPD 288(SI), Y12
-	VMOVUPD 416(SI), Y13
-	VMULPD  Y10, Y8, Y14
-	VADDPD  Y14, Y0, Y0
-	VMULPD  Y11, Y8, Y15
-	VADDPD  Y15, Y1, Y1
-	VMULPD  Y12, Y8, Y14
-	VADDPD  Y14, Y2, Y2
-	VMULPD  Y13, Y8, Y15
-	VADDPD  Y15, Y3, Y3
-
-	VMOVUPD 64(DI), Y8
-	VMOVUPD 64(SI), Y10
-	VMOVUPD 192(SI), Y11
-	VMOVUPD 320(SI), Y12
-	VMOVUPD 448(SI), Y13
-	VMULPD  Y10, Y8, Y14
-	VADDPD  Y14, Y0, Y0
-	VMULPD  Y11, Y8, Y15
-	VADDPD  Y15, Y1, Y1
-	VMULPD  Y12, Y8, Y14
-	VADDPD  Y14, Y2, Y2
-	VMULPD  Y13, Y8, Y15
-	VADDPD  Y15, Y3, Y3
-
-	VMOVUPD 96(DI), Y8
-	VMOVUPD 96(SI), Y10
-	VMOVUPD 224(SI), Y11
-	VMOVUPD 352(SI), Y12
-	VMOVUPD 480(SI), Y13
-	VMULPD  Y10, Y8, Y14
-	VADDPD  Y14, Y0, Y0
-	VMULPD  Y11, Y8, Y15
-	VADDPD  Y15, Y1, Y1
-	VMULPD  Y12, Y8, Y14
-	VADDPD  Y14, Y2, Y2
-	VMULPD  Y13, Y8, Y15
-	VADDPD  Y15, Y3, Y3
-
-	VHADDPD    Y1, Y0, Y8
-	VHADDPD    Y3, Y2, Y9
-	VPERM2F128 $0x20, Y9, Y8, Y10
-	VPERM2F128 $0x31, Y9, Y8, Y11
-	VADDPD     Y11, Y10, Y12
-	VXORPD     Y13, Y13, Y13
-	VADDPD     Y13, Y12, Y12   // + 0: −0 → +0
-	MOVSD      X12, (R9)
-	VPERMILPD  $1, X12, X13
-	MOVSD      X13, (R10)
-	VEXTRACTF128 $1, Y12, X13
-	MOVSD      X13, (R11)
-	VPERMILPD  $1, X13, X13
-	MOVSD      X13, (R12)
-
-done16:
-	VZEROUPPER
 	RET
 
 // Bodies shared by dotTile4's chunk and element steps and its two row
@@ -337,14 +105,15 @@ done16:
 // func dotTile4(p []float64, d int, q, out []float64)
 //
 // nr = len(out)/4 rows of d doubles (d ≥ 4, any value) against the 4
-// query rows of q: dotRangeGeneric's chain per (row, query). The same
-// 4 queries × 2 rows blocking as dotTile16x4, with the dimension walked
-// at run time: every accumulator starts at +0 and takes one unfused
-// VMULPD/VADDPD per 4-double chunk, so lane k is the Go kernel's s_k
-// from its first step (a chain begun with the bare first product, as
-// dotTile16x4 begins its, holds −0 where +0 + −0 is +0). The d mod 4
-// trailing elements are loaded with VMOVSD — lane 0
-// the element, lanes 1-3 zeroed — and go through the same 4-wide
+// query rows of q: dotRangeGeneric's chain per (row, query). The
+// register blocking is 4 queries × 2 rows: each iteration loads two
+// data rows once and reuses them across all four queries' chains. The
+// dimension is walked at run time: every accumulator starts at +0 and
+// takes one unfused VMULPD/VADDPD per 4-double chunk, so lane k is the
+// Go kernel's s_k from its first step (a chain begun with the bare
+// first product holds −0 where +0 + −0 is +0). The d mod 4 trailing
+// elements are loaded with VMOVSD — lane 0 the element, lanes 1-3
+// zeroed — and go through the same 4-wide
 // multiply/add: lane 0 continues s_0's chain as the Go tail does, lanes
 // 1-3 add +0·+0 = +0 to sums that began at +0 and so are never −0,
 // which leaves them as they were. Every load stays inside its row.

@@ -80,8 +80,8 @@ func checkTile(t *testing.T, s, qs *Store, qlo, qhi, plo, phi int) {
 // TestDotTileMatchesDotRange pins the tile kernel's bit-identity
 // contract: every (row, query) cell of the tile, and the single-query
 // kernel's score on the same operands, must equal vec.DotKernel's,
-// across dimensions that exercise the d=16 micro-kernel, the
-// any-dimension one with every element-tail length, and the Go kernels
+// across dimensions that exercise the micro-kernels with every
+// element-tail length, small-hot's d = 16 among them, and the Go kernels
 // below d=4 — each with quads plus remainders and odd row counts.
 func TestDotTileMatchesDotRange(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
@@ -114,7 +114,7 @@ func TestDotTileMatchesDotRange(t *testing.T) {
 // planted in them; operands drawn from {±0, ±1, ±5e-324} alone, so that
 // most partial sums are a signed zero; and −0 rows against non-negative
 // queries, where every product is −0 — vec.DotKernel's chain, begun at
-// +0, sums them to +0, and so must every kernel, d = 8 and 16 included.
+// +0, sums them to +0, and so must every kernel, at every d.
 func TestDotTileSpecialValues(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	planted := []float64{0, negZero, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e308, -1e308}

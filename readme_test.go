@@ -20,9 +20,28 @@ import (
 // queued}, names each member, where braces after a whole name hold its
 // labels; a histogram's _bucket, _sum and _count series count as the
 // histogram's. README names 21 metrics today (19 spellings, the
-// admission shorthand covering three).
+// admission shorthand covering three). Every kernel that README or the
+// verify skill names in a code span — a dot… or skipBelow… identifier,
+// bare or as Store.dotRange — must be declared in internal/flat, as a
+// Go func or method or as an assembly TEXT symbol.
 func TestReadmeNamesExist(t *testing.T) {
 	readme := readFile(t, "README.md")
+
+	kernels := flatKernels(t)
+	kernel := regexp.MustCompile("`(?:[A-Za-z0-9_]+\\.)?((?:dot|skipBelow)[A-Za-z0-9_]*)`")
+	for _, path := range []string{"README.md", ".claude/skills/verify/SKILL.md"} {
+		named := map[string]bool{}
+		for _, m := range kernel.FindAllStringSubmatch(readFile(t, path), -1) {
+			if !named[m[1]] && !kernels[m[1]] {
+				t.Errorf("%s names kernel %s, which internal/flat does not declare", path, m[1])
+			}
+			named[m[1]] = true
+		}
+		if len(named) == 0 {
+			t.Errorf("%s names no kernel: the pattern no longer matches how it writes them", path)
+		}
+		t.Logf("%s names %d kernels", path, len(named))
+	}
 
 	written := map[string]bool{}
 	sources, err := filepath.Glob("internal/server/*.go")
@@ -136,6 +155,47 @@ func ipsdFlags(t *testing.T) map[string]bool {
 		t.Fatal("found no flag definitions in cmd/ipsd")
 	}
 	return defined
+}
+
+// flatKernels returns the names internal/flat declares outside its
+// tests: every func and method in its Go sources and every TEXT ·name
+// in its assembly.
+func flatKernels(t *testing.T) map[string]bool {
+	t.Helper()
+	declared := map[string]bool{}
+	sources, err := filepath.Glob("internal/flat/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range sources {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				declared[fn.Name.Name] = true
+			}
+		}
+	}
+	asm, err := filepath.Glob("internal/flat/*.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := regexp.MustCompile(`(?m)^TEXT ·([A-Za-z0-9_]+)\(SB\)`)
+	for _, path := range asm {
+		for _, m := range text.FindAllStringSubmatch(readFile(t, path), -1) {
+			declared[m[1]] = true
+		}
+	}
+	if len(asm) == 0 || len(declared) == 0 {
+		t.Fatal("found no declarations in internal/flat")
+	}
+	return declared
 }
 
 func readFile(t *testing.T, path string) string {
