@@ -361,17 +361,6 @@ func (v View) Row(i int) vec.Vector {
 	return r.t.(*Store).Row(i)
 }
 
-// Unpruned returns v swept whole: the same rows in the same physical
-// order, but with no norm bound to end a sweep early — the Θ(nd) sweep
-// an exact join asks of a norm-sorted view. It is for scanning only.
-func (v View) Unpruned() View {
-	v.norms, v.tails = nil, slices.Clone(v.tails) // v's slice is published
-	for i := range v.tails {
-		v.tails[i].norms = nil
-	}
-	return v
-}
-
 // GatherDead returns dead, a set over store-order rows, as v's scans
 // want it (ScanOpts.Dead): in physical order — every row looked up
 // through its run's map — on a norm-sorted view, as it is otherwise.

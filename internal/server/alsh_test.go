@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -556,86 +555,6 @@ func TestIndexBuildStageAndSpan(t *testing.T) {
 	}
 	if want := `ipsd_stage_seconds_count{stage="index_build",collection="a"} 4`; !strings.Contains(page, want) {
 		t.Fatalf("/metrics lacks %q", want)
-	}
-}
-
-// TestALSHSearchDuringWrites: searches — single ones, and batches hashed
-// a tile at a time — run against the previous snapshot's banding index
-// while the owner goroutines extend it, so a hit must always pair an id
-// with that id's score — record i is ((i mod 97)+1)/100·e_{i mod d},
-// which the all-ones query scores at exactly that scale whichever
-// snapshot answers.
-func TestALSHSearchDuringWrites(t *testing.T) {
-	const d, batches, batchSize, searchers = 8, 20, 40, 3
-	mkRec := func(i int) store.Record {
-		v := vec.New(d)
-		v[i%d] = float64(i%97+1) / 100
-		return store.Record{ID: i, Vec: v}
-	}
-	batch := func(lo int) []store.Record {
-		recs := make([]store.Record, batchSize)
-		for i := range recs {
-			recs[i] = mkRec(lo + i)
-		}
-		return recs
-	}
-	s := New(Config{DefaultShards: 2, CacheCapacity: -1})
-	defer s.Close()
-	if _, _, err := s.Ingest("c", &IndexSpec{Kind: KindALSH, K: 2, L: 8}, 2, batch(0)); err != nil {
-		t.Fatal(err)
-	}
-	q := vec.New(d)
-	for i := range q {
-		q[i] = 1
-	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer stop.Store(true)
-		for b := 1; b < batches; b++ {
-			if _, _, err := s.Ingest("c", nil, 0, batch(b*batchSize)); err != nil {
-				t.Errorf("ingest: %v", err)
-				return
-			}
-			if _, _, err := s.Upsert("c", nil, 0, batch((b - 1) * batchSize)[:5]); err != nil {
-				t.Errorf("upsert: %v", err)
-				return
-			}
-		}
-	}()
-	for w := 0; w < searchers; w++ {
-		queries := []vec.Vector{q}
-		for len(queries) < 1+w*(searchTileQ+1)/2 { // 1, 17 and 34 queries: no tile, one, two
-			queries = append(queries, vec.Scaled(q, 1/float64(len(queries))))
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				res, err := s.Search("c", queries, 20, true)
-				for i := 0; i < len(res) && err == nil; i++ {
-					err = res[i].Err
-				}
-				if err != nil {
-					t.Errorf("search: %v", err)
-					return
-				}
-				for i, r := range res {
-					for _, h := range r.Hits {
-						if want := float64(h.ID%97+1) / 100 * queries[i][0]; h.Score != want {
-							t.Errorf("query %d: hit id %d scored %v, want %v", i, h.ID, h.Score, want)
-							return
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if c, _ := s.Collection("c"); c.Len() != batches*batchSize {
-		t.Fatalf("collection holds %d records, want %d", c.Len(), batches*batchSize)
 	}
 }
 

@@ -2,11 +2,8 @@ package server
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -415,113 +412,6 @@ func TestCacheRevalidationKeepsSubnormalTies(t *testing.T) {
 			}
 			if st := s.Stats().Cache; st.Revalidated != 1 || st.Misses != 1 {
 				t.Fatalf("cache stats %+v: want one miss, then one answer brought forward", st)
-			}
-		})
-	}
-}
-
-// TestCacheRevalidationUnderConcurrentWrites: readers bring cached
-// answers forward while a writer publishes notes and, once they hold
-// more than the live rows, cuts the chain at the horizon. Every answer must be bit for bit the exact answer
-// at some version between the collection's version before the search and
-// after it. Run under -race.
-func TestCacheRevalidationUnderConcurrentWrites(t *testing.T) {
-	const d, n, writes, k, readers = 8, 120, 40, 4, 2
-	for _, kind := range []string{KindExact, KindNormScan} {
-		t.Run(kind, func(t *testing.T) {
-			rng := xrand.New(21)
-			spec := IndexSpec{Kind: kind}
-			base := records(dataset.Gaussian(rng, n, d, false), 0)
-			batches := make([][]store.Record, writes)
-			for w := range batches {
-				// Four replacements of earlier IDs and four new ones.
-				ids := append(rng.Perm(n + 4*w)[:4], n+4*w, n+4*w+1, n+4*w+2, n+4*w+3)
-				for _, id := range ids {
-					batches[w] = append(batches[w], store.Record{ID: id, Vec: rng.NormalVec(d)})
-				}
-			}
-			queries := dataset.Gaussian(rng, 6, d, false)
-
-			// want[v][i] is query i's exact answer at version v.
-			ref := New(Config{DefaultShards: 2, CacheCapacity: -1})
-			defer ref.Close()
-			want := make([][][]Hit, writes+2)
-			for v := 1; v < len(want); v++ {
-				var err error
-				if v == 1 {
-					_, _, err = ref.Ingest("c", &spec, 0, base)
-				} else {
-					_, _, err = ref.Upsert("c", &spec, 0, batches[v-2])
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := ref.Search("c", queries, k, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, r := range res {
-					want[v] = append(want[v], r.Hits)
-				}
-			}
-
-			s := New(Config{DefaultShards: 2, CacheCapacity: 64})
-			defer s.Close()
-			if _, _, err := s.Ingest("c", &spec, 0, base); err != nil {
-				t.Fatal(err)
-			}
-			c, _ := s.Collection("c")
-			done := make(chan struct{})
-			var searched atomic.Int64 // passes over the queries
-			var wg sync.WaitGroup
-			for range readers {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						for i, q := range queries {
-							before := c.Version()
-							res, err := s.Search("c", []vec.Vector{q}, k, false)
-							after := c.Version()
-							if err != nil || res[0].Err != nil {
-								t.Errorf("query %d: %v %v", i, err, res[0].Err)
-								return
-							}
-							ok := false
-							for v := before; v <= after && !ok; v++ {
-								ok = sameHitsBitExact([][]Hit{res[0].Hits}, [][]Hit{want[v][i]})
-							}
-							if !ok {
-								t.Errorf("query %d (cached %v) between versions %d and %d answered %v", i, res[0].Cached, before, after, res[0].Hits)
-								return
-							}
-						}
-						searched.Add(1)
-						runtime.Gosched() // on one core, let the writer go on
-					}
-				}()
-			}
-			// Each write waits for the readers to pass over the queries once
-			// more, so most answers are brought forward across a few notes
-			// rather than expiring behind a writer that ran ahead.
-			for _, b := range batches {
-				if _, _, err := s.Upsert("c", &spec, 0, b); err != nil {
-					t.Error(err)
-					break
-				}
-				for from := searched.Load(); searched.Load() < from+readers && !t.Failed(); {
-					runtime.Gosched()
-				}
-			}
-			close(done)
-			wg.Wait()
-			if st := s.Stats().Cache; st.Revalidated == 0 || st.RevalidationMisses == 0 {
-				t.Errorf("cache stats %+v: no answer brought forward, or none refused", st)
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/mips"
@@ -175,49 +174,6 @@ func TestCandidateEnginesVerifyScores(t *testing.T) {
 			s.Close()
 		}
 	}
-}
-
-// TestSingleShardConcurrentSearchMatchesExact: concurrent single-query
-// searches on one 13 000-row shard — each scanned on its caller's
-// goroutine, while the others hold the same snapshot — must each return
-// exactly the reference answer.
-func TestSingleShardConcurrentSearchMatchesExact(t *testing.T) {
-	rng := xrand.New(97)
-	data := adversarial(rng, 13000, 16)
-	recs := records(data, 0)
-	s := New(Config{DefaultShards: 1, Workers: 8, CacheCapacity: -1})
-	defer s.Close()
-	if _, _, err := s.Ingest("c", &IndexSpec{Kind: KindExact}, 1, recs); err != nil {
-		t.Fatal(err)
-	}
-	queries := make([]vec.Vector, 8)
-	for i := range queries {
-		queries[i] = vec.Vector(rng.NormalVec(16))
-	}
-	var wg sync.WaitGroup
-	for _, q := range queries {
-		wg.Add(1)
-		go func(q vec.Vector) {
-			defer wg.Done()
-			res, err := s.Search("c", []vec.Vector{q}, 10, false)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if res[0].Err != nil {
-				t.Error(res[0].Err)
-				return
-			}
-			want := exactTopK(recs, q, 10, false)
-			for i := range want {
-				if res[0].Hits[i] != want[i] {
-					t.Errorf("rank %d: got %+v, want %+v", i, res[0].Hits[i], want[i])
-					return
-				}
-			}
-		}(q)
-	}
-	wg.Wait()
 }
 
 // TestBatchSearchCaching checks a batch's cache interplay: a repeated

@@ -87,7 +87,8 @@ type IndexSpec struct {
 	Kind string `json:"kind"`
 	// U is the ALSH query-ball radius (default 1).
 	U float64 `json:"u,omitempty"`
-	// K, L are the ALSH banding parameters (defaults 8, 16).
+	// K, L are the ALSH banding parameters (defaults 8, 16; at most 64
+	// and 1 024, maxBandK and maxBandL).
 	K int `json:"k,omitempty"`
 	L int `json:"l,omitempty"`
 	// Seed, mixed with the collection's own seed (kept in its manifest),
@@ -101,6 +102,11 @@ type IndexSpec struct {
 	// directory written when "f32" was a tier reopens it as "f64".
 	Precision string `json:"precision,omitempty"`
 }
+
+// The banding bounds: a table key holds at most maxBandK signs, and
+// maxBandL tables cap the K·L hyperplanes and the tables a request's spec
+// makes a collection allocate at its first write.
+const maxBandK, maxBandL = 64, 1024
 
 // Validate checks that the spec names a registered engine and that
 // its parameters are usable (zero always means "default"), so bad
@@ -118,6 +124,10 @@ func (s IndexSpec) Validate() error {
 	if s.U < 0 || s.K < 0 || s.L < 0 {
 		return fmt.Errorf("server: index %q: negative parameter (u=%v k=%d l=%d)",
 			s.kind(), s.U, s.K, s.L)
+	}
+	if s.K > maxBandK || s.L > maxBandL {
+		return fmt.Errorf("server: index %q: k=%d l=%d exceeds the bound k <= %d, l <= %d",
+			s.kind(), s.K, s.L, maxBandK, maxBandL)
 	}
 	switch s.precision() {
 	case PrecisionF64:

@@ -35,11 +35,11 @@ type JoinRequest struct {
 	Queries string `json:"queries"`
 	// Engine is "exact" (alias "tiled"), "normpruned" (alias "normscan")
 	// or "lsh" (default "exact"). Every engine joins through a structure
-	// the data collection already keeps: exact sweeps its f64 rows in
-	// store order, normpruned the norm-sorted f64 view a normscan f64
-	// collection serves from, and lsh the banding indexes of an alsh one.
-	// An engine the collection keeps no structure for is refused, naming
-	// the alternative.
+	// the data collection already keeps: exact and normpruned, one engine
+	// under two names, sweep the f64 view its shards serve from — the
+	// norm-sorted, pruned view of a normscan f64 collection, store order
+	// elsewhere — and lsh the banding indexes of an alsh one; lsh on any
+	// other kind is refused, naming the alternative.
 	Engine string `json:"engine,omitempty"`
 	// Variant is "signed" (default) or "unsigned".
 	Variant string `json:"variant,omitempty"`
@@ -88,20 +88,15 @@ type JoinResponse struct {
 
 // joinEngineName resolves a request's engine, on a data collection
 // created under spec, to the name the response reports. Every served
-// engine joins through what the data collection already keeps, so one
-// that would have to build a structure per request is refused with the
-// alternative: normpruned needs the norm-sorted f64 view of a normscan f64
-// collection — exact returns its pairs from any other — and lsh the
-// banding indexes of an alsh one.
+// engine joins through what the data collection already keeps: exact and
+// normpruned (the same engine, by its two names) the f64 view its shards
+// serve from, and lsh the banding indexes of an alsh collection; lsh on
+// any other kind is refused, naming the alternative.
 func joinEngineName(engine string, spec IndexSpec) (string, error) {
 	switch engine {
 	case "", "exact", "tiled":
 		return join.Tiled{}.Name(), nil
 	case "normpruned", "normscan":
-		if k, p := spec.kind(), spec.precision(); k != KindNormScan || p != PrecisionF64 {
-			return "", fmt.Errorf("server: the normpruned engine sweeps the norm-sorted view of a %s %s data collection, and this one is %s %s: use engine exact, which returns the same pairs",
-				KindNormScan, PrecisionF64, k, p)
-		}
 		return join.NormPruned{}.Name(), nil
 	case "lsh":
 		if k := spec.kind(); k != KindALSH {
@@ -139,29 +134,20 @@ func newJoinOpts(sp core.Spec, req JoinRequest) joinOpts {
 }
 
 // joinSnap returns sn as a join of engine (by joinEngineName) reads it:
-// lsh and normpruned through its serving index, exact through it too
-// where that sweeps the f64 rows in store order. A normscan shard's exact
-// sweep reads its norm-sorted runs whole — the same rows, which are its
-// only copy, in their physical order with no norm bound
-// (flat.View.Unpruned) and masked by the index's permuted dead set — so
-// its pairs are the store-order sweep's, and compared counts the rows of
-// the physical blocks not wholly dead. An alsh or int8 shard is swept
-// through a store-order index over sn.fs, which copies nothing. An int8
-// shard's codes would give the same pairs about five times faster at
-// 40 000 × 32, but that compute-bound sweep's time spread between runs
+// through its serving index, where that is lsh's banding tables or the
+// f64 view the exact engines sweep — norm-sorted and pruned on a normscan
+// shard, in store order on an exact f64 one. An alsh or int8 shard is
+// swept through a store-order index over sn.fs, which copies nothing. An
+// int8 shard's codes would give the same pairs about five times faster
+// at 40 000 × 32, but that compute-bound sweep's time spread between runs
 // several times wider than the f64 sweep's, too wide to tell a regression
 // from noise (ROADMAP item 18(d)).
 func (sn *shardSnap) joinSnap(engine string) *shardSnap {
-	ix, ok := sn.index.(*flatIndex)
-	if engine != "tiled" || ok && !ix.view.Sorted() && !ix.rerank {
+	if ix, ok := sn.index.(*flatIndex); engine == "lsh" || ok && !ix.rerank {
 		return sn
 	}
 	rows := *sn
-	if sn.fs == nil {
-		rows.index = &flatIndex{view: ix.view.Unpruned(), dead: ix.dead}
-	} else {
-		rows.index = &flatIndex{fs: sn.fs, view: sn.fs.View(), dead: sn.dead}
-	}
+	rows.index = &flatIndex{fs: sn.fs, view: sn.fs.View(), dead: sn.dead}
 	return &rows
 }
 

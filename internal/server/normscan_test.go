@@ -312,7 +312,8 @@ func checkNormScanAnswers(t *testing.T, cell string, s *Server, ref *shardSnap, 
 // TestNormScanReadersMatchExact holds every path that reads a normscan
 // shard's rows — which its norm-sorted view alone holds — to the same
 // writes on an exact collection, Float64bits for Float64bits: the exact
-// engine's join with normscan data, a normscan collection on a join's
+// engine's join with normscan data (its pruned sweep scoring fewer pairs
+// than the store-order one), a normscan collection on a join's
 // query side (exact and normpruned), searches before and after
 // compaction, and checkpoints — the segment a normscan collection writes
 // is byte for byte the exact collection's, before compaction and after —
@@ -416,10 +417,12 @@ func TestNormScanReadersMatchExact(t *testing.T) {
 					if !sameBits(got.Pairs, want.Pairs) || len(want.Pairs) == 0 {
 						t.Fatalf("%s: %s, %s, topk=%d: %d pairs, exact %d\n%v\n%v", stage, c.label, variant, topk, len(got.Pairs), len(want.Pairs), got.Pairs, want.Pairs)
 					}
-					// An exact sweep scores every live pair, and with no
-					// tombstone left exactly those, in either row order.
+					// A store-order sweep scores every live pair, and with no
+					// tombstone left exactly those. Both engines sweep the view
+					// normscan data serves from, which stops each run at its
+					// norm bound: it scores at least the pairs it reports.
 					all := int64(mustCollection(t, s, c.data).Len() * mustCollection(t, s, c.queries).Len())
-					if c.engine == "exact" && (got.Compared < all || stage != "tombstoned" && got.Compared != want.Compared) {
+					if c.data == "ex" && (got.Compared < all || stage != "tombstoned" && got.Compared != want.Compared) || got.Compared < int64(len(got.Pairs)) {
 						t.Fatalf("%s: %s compared %d pairs of %d live, the exact collection's sweep %d", stage, c.label, got.Compared, all, want.Compared)
 					}
 				}

@@ -3,9 +3,10 @@ package server
 import (
 	"cmp"
 	"context"
-	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"slices"
-	"sync"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -150,106 +151,6 @@ func TestNormScanMatchesExact(t *testing.T) {
 	}
 }
 
-// TestConcurrentIngestSearch hammers one collection with concurrent
-// ingest batches and search batches; run under -race it checks the
-// snapshot discipline, and every answer must be internally consistent
-// (scores exactly verified against a relation snapshot).
-func TestConcurrentIngestSearch(t *testing.T) {
-	rng := xrand.New(3)
-	dim := 8
-	s := New(Config{DefaultShards: 4, CacheCapacity: 64})
-	defer s.Close()
-
-	// Seed the collection so searches always have data.
-	if _, _, err := s.Ingest("live", &IndexSpec{Kind: KindExact}, 4,
-		records(dataset.Gaussian(rng, 50, dim, false), 0)); err != nil {
-		t.Fatalf("seed ingest: %v", err)
-	}
-
-	const (
-		writers        = 3
-		readers        = 4
-		batchesPerGoro = 8
-		batchSize      = 25
-	)
-	var wg sync.WaitGroup
-	errc := make(chan error, writers+readers)
-
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := xrand.New(uint64(100 + w))
-			for b := 0; b < batchesPerGoro; b++ {
-				base := 1000 + (w*batchesPerGoro+b)*batchSize
-				vs := dataset.Gaussian(r, batchSize, dim, false)
-				if _, _, err := s.Ingest("live", nil, 0, records(vs, base)); err != nil {
-					errc <- fmt.Errorf("writer %d batch %d: %w", w, b, err)
-					return
-				}
-			}
-		}(w)
-	}
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := xrand.New(uint64(200 + g))
-			col, _ := s.Collection("live")
-			for b := 0; b < batchesPerGoro; b++ {
-				qs := dataset.Gaussian(r, 10, dim, false)
-				results, err := s.Search("live", qs, 3, false)
-				if err != nil {
-					errc <- fmt.Errorf("reader %d batch %d: %w", g, b, err)
-					return
-				}
-				recs := col.records()
-				byID := make(map[int]vec.Vector, len(recs))
-				for _, rec := range recs {
-					byID[rec.ID] = rec.Vec
-				}
-				for qi, res := range results {
-					if res.Err != nil {
-						errc <- fmt.Errorf("reader %d query %d: %w", g, qi, res.Err)
-						return
-					}
-					for _, h := range res.Hits {
-						p, ok := byID[h.ID]
-						if !ok {
-							// The hit predates this relation snapshot only if
-							// IDs were removed, which never happens.
-							errc <- fmt.Errorf("reader %d: hit ID %d not in relation", g, h.ID)
-							return
-						}
-						if got := vec.Dot(p, qs[qi]); got != h.Score {
-							errc <- fmt.Errorf("reader %d: hit %d score %v, dot %v", g, h.ID, h.Score, got)
-							return
-						}
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-
-	st := s.Stats()
-	cs := st.Collections["live"]
-	if cs.Records != 50+writers*batchesPerGoro*batchSize {
-		t.Fatalf("final record count %d, want %d", cs.Records, 50+writers*batchesPerGoro*batchSize)
-	}
-	total := 0
-	for _, sh := range cs.Shards {
-		total += sh.Records
-	}
-	if total != cs.Records {
-		t.Fatalf("shard sizes sum to %d, want %d", total, cs.Records)
-	}
-}
-
 func TestCacheHitAndInvalidation(t *testing.T) {
 	rng := xrand.New(5)
 	data := dataset.Gaussian(rng, 60, 6, false)
@@ -387,22 +288,46 @@ func TestIngestAfterCloseFailsCleanly(t *testing.T) {
 	}
 }
 
+// TestIndexSpecValidate: unknown kinds, negative parameters and banding
+// shapes past k <= 64, l <= 1 024 are refused — through Validate and as a
+// 400 naming the bound on the ingest that would create the collection,
+// which then does not exist — while the defaults, the simulator's (4, 8)
+// and §4.1's (26, 57) for planted-alsh pass. The refused shapes are cheap
+// to allocate, so a missing bound fails here rather than at the first write.
 func TestIndexSpecValidate(t *testing.T) {
 	bad := []IndexSpec{
 		{Kind: "bogus"},
 		{Kind: KindALSH, K: -1},
 		{Kind: KindALSH, L: -2},
 		{Kind: "sketch"}, // no longer served
+		{Kind: KindALSH, K: 65, L: 16},
+		{Kind: KindALSH, K: 1, L: 2000},
 	}
 	for _, sp := range bad {
 		if err := sp.Validate(); err == nil {
 			t.Fatalf("spec %+v validated", sp)
 		}
 	}
-	good := []IndexSpec{{}, {Kind: KindExact}, {Kind: KindALSH, K: 9}, {Kind: KindALSH, K: 17}}
+	good := []IndexSpec{{}, {Kind: KindExact}, {Kind: KindALSH, K: 9}, {Kind: KindALSH, K: 17}, {Kind: KindALSH, K: 8, L: 16},
+		{Kind: KindALSH, K: 4, L: 8}, {Kind: KindALSH, K: 26, L: 57}, {Kind: KindALSH, K: 64, L: 1024}}
 	for _, sp := range good {
 		if err := sp.Validate(); err != nil {
 			t.Fatalf("spec %+v rejected: %v", sp, err)
+		}
+	}
+	s := New(Config{})
+	defer s.Close()
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	id := 0
+	for _, sp := range bad[4:] {
+		var body struct{ Error string }
+		req := IngestRequest{Index: &sp, Records: []RecordJSON{{ID: &id, Vec: []float64{0.1, 0.2}}}}
+		if code := doJSON(t, ts, http.MethodPut, "/collections/x", req, &body); code != http.StatusBadRequest || !strings.Contains(body.Error, "k <= 64, l <= 1024") {
+			t.Fatalf("ingest with index %+v: %d %q, want a 400 naming the bound", sp, code, body.Error)
+		}
+		if _, ok := s.Collection("x"); ok {
+			t.Fatalf("ingest with index %+v created the collection", sp)
 		}
 	}
 }

@@ -12,26 +12,47 @@ package server
 //     repeated search is served from the cache, unchanged (checkSearch);
 //   - exact and normpruned pairs are bit for bit bruteJoin over the live
 //     rows, lsh pairs and Compared the join over the compactions
-//     (compactedJoin); exact compares every live pair at least; an engine
-//     the data kind keeps no structure for, or a collection with no live
-//     row, is refused; a join moves no search counter (checkJoin); the
-//     planted lsh join meets Definition 1 for ≥ 0.9 of its promised
+//     (compactedJoin); a store-order sweep compares every live pair at
+//     least, a normscan collection's pruned one the pairs it reports; lsh
+//     on a collection that keeps no banding index, or a collection with no
+//     live row, is refused; a join moves no search counter (checkJoin);
+//     the planted lsh join meets Definition 1 for ≥ 0.9 of its promised
 //     queries (checkPlanted);
 //   - the server holds the model's collections at the model's Len
 //     (checkState), a delete counts what the model does (write), and shard
 //     snapshots pinned before a write answer bit-identically after it.
+//
+// Beside the trace's writer run R reader goroutines (R ≤ 4, drawn after
+// the trace, so a seed's trace does not depend on them). They search —
+// one query or a batch of 33 or 64, a quarter of them cancelled a few
+// microseconds in — and join, exact and lsh, while the writer ingests,
+// upserts, deletes, drops and compacts in the background. The invariant
+// they check is linearizability for a versioned store (Herlihy–Wing,
+// TOPLAS 1990): a read answers as the model does at some version between
+// the version of its collection read before it and the one read after it
+// (simHistory). Exact, normscan and int8 hits are bit for bit topK; alsh
+// hits are each live at that version with its vec.DotKernel score, in
+// canonical order; exact join pairs are bruteJoin, a window a side; lsh
+// pairs are live and score ≥ cs. A window is keyed by incarnation, the
+// *Collection a name resolved to: a read that overlaps a drop may find
+// the collection unknown, or answer from any incarnation it overlapped.
+// Readers pause around reopen and crash.
 //
 // A failing trace is minimised and printed with the f.Add line replaying it.
 
 import (
 	"cmp"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"maps"
 	"math"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -99,6 +120,8 @@ type simConfig struct {
 	shards, workers, dim    int
 	cache, compact, durable bool
 	plant                   uint64 // seeds the planted collections
+	readers                 int    // goroutines reading beside the writer
+	reads                   uint64 // seeds them
 }
 
 // serverConfig is the Config a run serves from, over dir when durable.
@@ -181,18 +204,23 @@ type simGen struct {
 // fields once they are drawn, cells are the collections a trace writes,
 // searches and joins (every one of simCells when empty), and kinds the op
 // kinds it holds (any when empty; an op of another kind is drawn again).
-// Its traces are ops long, simOps when 0.
+// Its traces are ops long, simOps when 0. readers fixes the reader count
+// (none when negative, drawn when 0), reads what they ask ("search" or
+// "join", both when empty), and end checks the server once the trace ran.
 type simScenario struct {
 	fix          func(*simConfig)
 	cells, kinds string // space-separated
-	ops          int
+	ops, readers int
+	reads        string
+	end          func(*Server) error
 }
 
 // genSim draws a configuration — shards, cache, pool width, compaction,
 // durability, dimension — and a trace of n ops of sc from seed: ingests,
 // upserts, deletes of ids, of a 256-row block, of a shard and of a
 // collection, searches and batches, joins over every engine, compactions,
-// checkpoints, drops, clean reopens and kill -9 images.
+// checkpoints, drops, clean reopens and kill -9 images — and then the
+// readers, so that their draws leave the trace as it was.
 func genSim(seed uint64, n int, sc simScenario) (simConfig, []simOp) {
 	rng := xrand.New(seed)
 	cfg := simConfig{
@@ -217,6 +245,10 @@ func genSim(seed uint64, n int, sc simScenario) (simConfig, []simOp) {
 		if ops[i].kind == "drop" {
 			delete(g.drawn, ops[i].col)
 		}
+	}
+	cfg.readers, cfg.reads = rng.Intn(5), rng.Uint64()
+	if sc.readers != 0 {
+		cfg.readers = max(sc.readers, 0)
 	}
 	return cfg, ops
 }
@@ -365,17 +397,24 @@ func failf(format string, args ...any) { panic(simFailure(fmt.Sprintf(format, ar
 type simRun struct {
 	t       *testing.T
 	cfg     simConfig
+	sc      simScenario
 	dir     string
 	s       *Server
 	m       map[string]liveSet
 	planted []store.Record   // hq's records
 	last    map[string]simOp // each collection's last search, asked again after a write
+	hist    simHistory
+	pause   sync.RWMutex // each read holds it, a reopen or crash takes it whole
+	writing atomic.Bool  // a write is in flight, so readers read on
+	readers sync.WaitGroup
 }
 
-// runSim runs ops on a fresh server of cfg and, on a divergence, returns
-// the index of the op it followed and what it was.
-func runSim(t *testing.T, cfg simConfig, ops []simOp) (at int, err error) {
-	r := &simRun{t: t, cfg: cfg, m: map[string]liveSet{}, last: map[string]simOp{}}
+// runSim runs ops of sc on a fresh server of cfg, beside its readers, and
+// on a divergence returns the index of the op it followed and what it was.
+func runSim(t *testing.T, cfg simConfig, ops []simOp, sc simScenario) (at int, err error) {
+	r := &simRun{t: t, cfg: cfg, sc: sc, m: map[string]liveSet{}, last: map[string]simOp{}}
+	r.hist.cond.L = &r.hist.mu
+	r.hist.at, r.hist.byName = map[*Collection]map[uint64]liveSet{}, map[string][]*Collection{}
 	defer r.close()
 	defer func() {
 		if p := recover(); p != nil {
@@ -395,9 +434,20 @@ func runSim(t *testing.T, cfg simConfig, ops []simOp) (at int, err error) {
 	r.write(simOp{kind: "ingest", col: "hq", recs: r.planted})
 	r.write(simOp{kind: "ingest", col: "h", recs: h})
 	r.checkPlanted()
+	r.startReaders(ops)
 	for at = range ops {
+		r.hist.tick()
 		r.apply(at, ops[at])
 		r.checkState()
+		r.checkReaders()
+	}
+	at = len(ops) - 1
+	r.stopReaders()
+	r.checkReaders()
+	if sc.end != nil {
+		if err := sc.end(r.s); err != nil {
+			failf("at the end: %v", err)
+		}
 	}
 	return -1, nil
 }
@@ -410,6 +460,7 @@ func (r *simRun) open() {
 }
 
 func (r *simRun) close() {
+	r.stopReaders()
 	if r.s != nil {
 		r.quiesce()
 		r.s.Close()
@@ -438,7 +489,9 @@ func (r *simRun) apply(i int, op simOp) {
 	default:
 		pinned := r.pinned(op.col, TopKOpts{Unsigned: i%2 == 1})
 		before := pinned()
+		r.writing.Store(true)
 		r.write(op)
+		r.writing.Store(false)
 		if got := pinned(); !sameHitsBitExact([][]Hit{got}, [][]Hit{before}) {
 			failf("%s: snapshots pinned before it answer %v, %v before", op, got, before)
 		}
@@ -487,6 +540,7 @@ func (r *simRun) write(op simOp) {
 		if want := live.delete(ids); exists && deleted != want {
 			failf("%s: deleted %d records, the model %d", op, deleted, want)
 		}
+		r.record(op.col)
 		return
 	case "compact":
 		if exists {
@@ -507,6 +561,7 @@ func (r *simRun) write(op simOp) {
 	if err != nil {
 		failf("%s: %v", op, err)
 	}
+	r.record(op.col)
 }
 
 // targeted returns the rows of c's snapshots a block, shard or all delete
@@ -533,6 +588,8 @@ func (r *simRun) reopen(crash bool) {
 	if !r.cfg.durable {
 		return
 	}
+	r.pause.Lock()
+	defer r.pause.Unlock()
 	r.quiesce()
 	if crash {
 		dir := r.t.TempDir()
@@ -545,6 +602,7 @@ func (r *simRun) reopen(crash bool) {
 	r.open()
 	r.checkState()
 	for _, name := range slices.Sorted(maps.Keys(r.m)) {
+		r.record(name)
 		if c, _ := r.s.Collection(name); c.spec.kind() != simSpecs[name].kind() || c.spec.precision() != simSpecs[name].precision() || len(c.shards) != r.cfg.shards {
 			failf("%s reopened %s %s on %d shards", name, c.spec.kind(), c.spec.precision(), len(c.shards))
 		}
@@ -588,7 +646,7 @@ func (r *simRun) checkSearch(op simOp) {
 		}
 	}()
 	k, unsigned := op.opts.K, op.opts.Unsigned
-	exact := c.spec.kind() != KindALSH
+	exact, recs := c.spec.kind() != KindALSH, slices.Collect(maps.Values(live))
 	for i, q := range op.queries {
 		got, want := res[i], []Hit(nil)
 		switch {
@@ -602,7 +660,7 @@ func (r *simRun) checkSearch(op simOp) {
 		case got.Err != nil:
 			failf("%s: query %d: %v", op, i, got.Err)
 		case exact:
-			want = live.topK(q, k, unsigned)
+			want = exactTopK(recs, q, k, unsigned)
 		default:
 			if want, err = c.SearchOne(ctx, NewPool(1), q, k, unsigned); err != nil {
 				failf("%s: query %d alone: %v", op, i, err)
@@ -643,7 +701,7 @@ func (r *simRun) checkJoin(op simOp) {
 	req := op.join
 	before := searchCounters(r.s)
 	resp, err := r.s.Join(req)
-	if after := searchCounters(r.s); !slices.Equal(before, after) {
+	if after := searchCounters(r.s); r.cfg.readers == 0 && !slices.Equal(before, after) {
 		failf("%s: the join moved the cache or search counters: %v, then %v", op, before, after)
 	}
 	data, dok := r.m[req.Data]
@@ -652,8 +710,6 @@ func (r *simRun) checkJoin(op simOp) {
 	switch spec := simSpecs[req.Data]; {
 	case !dok || !qok:
 		refused = "unknown"
-	case req.Engine == "normpruned" && spec.kind() != KindNormScan:
-		refused = "use engine exact"
 	case req.Engine == "lsh" && spec.kind() != KindALSH:
 		refused = "index kind alsh"
 	case len(data) == 0 || len(queries) == 0:
@@ -676,12 +732,11 @@ func (r *simRun) checkJoin(op simOp) {
 	default:
 		sp, _ := joinSpec(req)
 		want = bruteJoin(data.records(), queries.records(), sp.CS(), sp.Variant == core.Unsigned, req.TopK, req.ExcludeSelf)
-		// A store-order sweep scores every live pair. normpruned stops each
-		// of a shard's sorted runs at its own bound, so tombstones can make
-		// it score fewer than a sweep of the compaction: bound it below by
-		// the pairs it reports.
+		// A store-order sweep scores every live pair. A normscan shard's
+		// view stops each of its sorted runs at its own bound, so it
+		// scores fewer: bound it below by the pairs it reports.
 		compared = int64(len(data) * len(queries))
-		if req.Engine == "normpruned" {
+		if simSpecs[req.Data].kind() == KindNormScan {
 			compared = int64(len(want))
 		}
 	}
@@ -767,6 +822,358 @@ func (r *simRun) pinned(name string, o TopKOpts) func() []Hit {
 	}
 }
 
+// simHistory is the model's past, for readers: the live set of every
+// collection incarnation at each version it published, recorded by the
+// writer once the write returns (record). A read's window is the versions
+// it may have answered at (states); a reader that saw a version before
+// the writer recorded it waits for the record, which comes before the
+// writer starts its next op (tick) or never.
+type simHistory struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	at     map[*Collection]map[uint64]liveSet
+	byName map[string][]*Collection // incarnations, oldest first
+	step   int                      // ops the writer started
+	done   bool                     // the readers stop
+	err    error                    // the first reader divergence
+}
+
+// simWindow is what a read saw of a collection: the incarnations its name
+// resolved to before and after it (nil for none), the first's version
+// before it and the last's after it, how many incarnations the name had
+// had when it started and the op during which it ended.
+type simWindow struct {
+	name        string
+	first, last *Collection
+	from, to    uint64
+	known, step int
+}
+
+// overlapsDrop reports whether the read may have found w's name unknown.
+func (w simWindow) overlapsDrop() bool { return w.first == nil || w.first != w.last }
+
+// record makes the model's live set of name the one of its collection's
+// published version.
+func (r *simRun) record(name string) {
+	c, ok := r.s.Collection(name)
+	if !ok || r.cfg.readers == 0 {
+		return
+	}
+	h := &r.hist
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.at[c] == nil {
+		h.at[c] = map[uint64]liveSet{0: nil}
+		h.byName[name] = append(h.byName[name], c)
+	}
+	h.at[c][c.Version()] = maps.Clone(r.m[name])
+	h.cond.Broadcast()
+}
+
+func (h *simHistory) tick() {
+	h.mu.Lock()
+	h.step++
+	h.cond.Broadcast()
+	h.mu.Unlock()
+}
+
+// next waits for the writer to start an op after the seen-th and returns
+// its number, or -1 once the readers stop.
+func (h *simHistory) next(seen int) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for !h.done && h.step == seen {
+		h.cond.Wait()
+	}
+	if h.done {
+		return -1
+	}
+	return h.step
+}
+
+// open starts a read's window on name.
+func (h *simHistory) open(s *Server, name string) simWindow {
+	h.mu.Lock()
+	w := simWindow{name: name, known: len(h.byName[name])}
+	h.mu.Unlock()
+	if c, ok := s.Collection(name); ok {
+		w.first, w.from = c, c.Version()
+	}
+	return w
+}
+
+func (h *simHistory) close(s *Server, w *simWindow) {
+	if c, ok := s.Collection(w.name); ok {
+		w.last, w.to = c, c.Version()
+	}
+	h.mu.Lock()
+	w.step = h.step
+	h.mu.Unlock()
+}
+
+// states returns the live sets of w's versions, oldest first: the first
+// incarnation's from its version before the read on, every one made
+// since, and the last's up to its version after the read.
+func (h *simHistory) states(w simWindow) ([]liveSet, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	recorded := func() bool { _, ok := h.at[w.last][w.to]; return ok }
+	for w.last != nil && !recorded() && !h.done && h.step == w.step {
+		h.cond.Wait()
+	}
+	if w.last != nil && !recorded() {
+		return nil, fmt.Errorf("%+v: no write made version %d", w, w.to)
+	}
+	incs := h.byName[w.name]
+	lo, hi := w.known, len(incs)-1
+	if w.first != nil {
+		lo = slices.Index(incs, w.first)
+	}
+	if w.last != nil {
+		hi = slices.Index(incs, w.last)
+	}
+	var out []liveSet
+	for _, c := range incs[lo : hi+1] {
+		for _, v := range slices.Sorted(maps.Keys(h.at[c])) {
+			if (c != w.first || v >= w.from) && (c != w.last || v <= w.to) {
+				out = append(out, h.at[c][v])
+			}
+		}
+	}
+	return out, nil
+}
+
+// startReaders starts the run's readers over the collections ops name.
+// Their queries come from a pool of nine, so that answers are cached and
+// brought forward, and the keys they add to the cache stay few.
+func (r *simRun) startReaders(ops []simOp) {
+	var names []string
+	for _, op := range ops {
+		for _, name := range []string{op.col, op.join.Data} {
+			if name != "" && !slices.Contains(names, name) {
+				names = append(names, name)
+			}
+		}
+	}
+	if len(names) == 0 {
+		names = []string{"h"}
+	}
+	slices.Sort(names)
+	rng := xrand.New(r.cfg.reads)
+	pool := []vec.Vector{vec.New(r.cfg.dim)}
+	for len(pool) < 8 {
+		pool = append(pool, ballVec(rng, r.cfg.dim), vec.Vector(rng.NormalVec(r.cfg.dim)))
+	}
+	for i := range r.cfg.readers {
+		r.readers.Add(1)
+		go func() {
+			defer r.readers.Done()
+			rng := xrand.New(r.cfg.reads + 1 + uint64(i))
+			for step := 0; ; {
+				if step = r.hist.next(step); step < 0 {
+					return
+				}
+				// One read an op, two while a write is in flight.
+				for n := 0; n == 0 || n < 2 && r.writing.Load(); n++ {
+					if err := r.read(rng, names, pool); err != nil {
+						r.hist.mu.Lock()
+						r.hist.err = cmp.Or(r.hist.err, fmt.Errorf("reader %d: %w", i, err))
+						r.hist.mu.Unlock()
+						return
+					}
+				}
+			}
+		}()
+	}
+}
+
+// stopReaders stops the readers and waits for them. writing is cleared
+// first, as a write that failed leaves it set.
+func (r *simRun) stopReaders() {
+	r.writing.Store(false)
+	r.hist.mu.Lock()
+	r.hist.done = true
+	r.hist.cond.Broadcast()
+	r.hist.mu.Unlock()
+	r.readers.Wait()
+}
+
+// checkReaders fails the run with the first reader divergence.
+func (r *simRun) checkReaders() {
+	r.hist.mu.Lock()
+	defer r.hist.mu.Unlock()
+	if r.hist.err != nil {
+		failf("%v", r.hist.err)
+	}
+}
+
+// read makes one request of a reader, a quarter of them under a deadline
+// of up to 300 µs, and checks its answer against its window.
+func (r *simRun) read(rng *xrand.RNG, names []string, pool []vec.Vector) error {
+	ctx := context.Background()
+	if rng.Intn(4) == 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(300))*time.Microsecond)
+		defer cancel()
+	}
+	if r.sc.reads == "join" || r.sc.reads == "" && rng.Intn(8) == 0 {
+		return r.readJoin(ctx, rng, names)
+	}
+	name := names[rng.Intn(len(names))]
+	qs := make([]vec.Vector, []int{1, 1, 1, 33, 64}[rng.Intn(5)])
+	for i := range qs {
+		qs[i] = pool[rng.Intn(len(pool))]
+	}
+	opts := SearchOpts{K: []int{1, 10, 1000}[rng.Intn(3)], Unsigned: rng.Intn(2) == 0}
+	r.pause.RLock()
+	w := r.hist.open(r.s, name)
+	res, err := r.s.SearchWithOpts(ctx, name, qs, opts)
+	r.hist.close(r.s, &w)
+	r.pause.RUnlock()
+	states, serr := r.hist.states(w)
+	req := fmt.Sprintf("search %s, %d queries, %+v, over %+v", name, len(qs), opts, w)
+	switch {
+	case serr != nil:
+		return fmt.Errorf("%s: %w", req, serr)
+	case err != nil && w.overlapsDrop() && strings.Contains(err.Error(), "unknown collection"):
+		return nil
+	case err != nil:
+		return fmt.Errorf("%s: %w", req, err)
+	}
+	for i := range res {
+		if e := res[i].Err; e != nil && (ctx.Err() == nil || !errors.Is(e, ctx.Err())) {
+			return fmt.Errorf("%s: query %d: %w", req, i, e)
+		}
+	}
+	exact := simSpecs[name].kind() != KindALSH
+	for _, live := range states {
+		if live.answers(qs, res, opts, exact) {
+			return nil
+		}
+	}
+	return fmt.Errorf("%s: no version in the window answers it (query 0: %v)", req, res[0].Hits[:min(len(res[0].Hits), 10)])
+}
+
+// answers reports whether every answered query of a search holds at m:
+// bit for bit topK when exact, else hits live at m at their scores, in
+// canonical order.
+func (m liveSet) answers(qs []vec.Vector, res []SearchResult, opts SearchOpts, exact bool) bool {
+	var recs []store.Record
+	want := map[*float64][]Hit{} // by query: a batch repeats the pool's
+	for i, q := range qs {
+		hits := res[i].Hits
+		switch {
+		case res[i].Err != nil:
+		case exact:
+			if recs == nil {
+				recs = slices.Collect(maps.Values(m))
+			}
+			if _, ok := want[&q[0]]; !ok {
+				want[&q[0]] = exactTopK(recs, q, opts.K, opts.Unsigned)
+			}
+			if !sameHitsBitExact([][]Hit{hits}, [][]Hit{want[&q[0]]}) {
+				return false
+			}
+		case len(hits) > opts.K:
+			return false
+		default:
+			for j, h := range hits {
+				rec, ok := m[h.ID]
+				if !ok {
+					return false
+				}
+				score := vec.DotKernel(rec.Vec, q)
+				if opts.Unsigned {
+					score = math.Abs(score)
+				}
+				if math.Float64bits(score) != math.Float64bits(h.Score) || j > 0 && cmp.Or(cmp.Compare(h.Score, hits[j-1].Score), cmp.Compare(hits[j-1].ID, h.ID)) >= 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// readJoin makes a join of a reader — exact, or lsh on h — of a collection
+// with itself, with hq or with another, and checks its pairs against
+// the windows of both sides: a self-join pins one view for both.
+func (r *simRun) readJoin(ctx context.Context, rng *xrand.RNG, names []string) error {
+	req := JoinRequest{
+		Data: names[rng.Intn(len(names))], Engine: []string{"exact", "normpruned"}[rng.Intn(2)],
+		Variant: []string{"signed", "unsigned"}[rng.Intn(2)], S: []float64{0.5, 0.9}[rng.Intn(2)],
+		C: []float64{1, 0.8}[rng.Intn(2)], TopK: []int{0, 1, 3}[rng.Intn(3)], ExcludeSelf: rng.Intn(2) == 0,
+	}
+	req.Queries = []string{req.Data, "hq", "hq", "hq", "hq", names[rng.Intn(len(names))]}[rng.Intn(6)]
+	if req.Data == "h" && rng.Intn(2) == 0 {
+		req.Engine = "lsh"
+	}
+	r.pause.RLock()
+	dw, qw := r.hist.open(r.s, req.Data), r.hist.open(r.s, req.Queries)
+	resp, err := r.s.JoinCtx(ctx, req)
+	r.hist.close(r.s, &dw)
+	r.hist.close(r.s, &qw)
+	r.pause.RUnlock()
+	data, derr := r.hist.states(dw)
+	queries, qerr := r.hist.states(qw)
+	desc := fmt.Sprintf("join %+v over %+v and %+v", req, dw, qw)
+	empty := func(m liveSet) bool { return len(m) == 0 }
+	switch {
+	case derr != nil || qerr != nil:
+		return fmt.Errorf("%s: %w", desc, cmp.Or(derr, qerr))
+	case err == nil:
+	case ctx.Err() != nil && errors.Is(err, ctx.Err()),
+		strings.Contains(err.Error(), "unknown") && (dw.overlapsDrop() || qw.overlapsDrop()),
+		strings.Contains(err.Error(), "non-empty") && (slices.ContainsFunc(data, empty) || slices.ContainsFunc(queries, empty)):
+		return nil
+	default:
+		return fmt.Errorf("%s: %w", desc, err)
+	}
+	for _, d := range data {
+		if req.Data == req.Queries && !dw.overlapsDrop() {
+			queries = []liveSet{d} // a self-join pins one view: dw holds it
+		}
+		for _, q := range queries {
+			if joinAnswers(d, q, req, resp.Pairs) {
+				return nil
+			}
+		}
+	}
+	return fmt.Errorf("%s: no pair of versions in the windows answers its %d pairs", desc, len(resp.Pairs))
+}
+
+// joinAnswers reports whether pairs answer req over data and queries: bit
+// for bit bruteJoin for an exact join; for lsh, pairs of live records
+// each scoring ≥ cs at its vec.DotKernel value, in canonical order, at
+// most max(TopK, 1) a query, no identity pair under ExcludeSelf.
+func joinAnswers(data, queries liveSet, req JoinRequest, pairs []JoinPair) bool {
+	sp, _ := joinSpec(req)
+	cs, unsigned := sp.CS(), sp.Variant == core.Unsigned
+	if req.Engine != "lsh" {
+		return sameBits(pairs, bruteJoin(data.records(), queries.records(), cs, unsigned, req.TopK, req.ExcludeSelf))
+	}
+	n := 0 // pairs of p's query so far
+	for i, p := range pairs {
+		if i == 0 || pairs[i-1].QueryID != p.QueryID {
+			n = 0
+		}
+		d, dok := data[p.DataID]
+		q, qok := queries[p.QueryID]
+		if n++; !dok || !qok || n > max(req.TopK, 1) || req.ExcludeSelf && p.DataID == p.QueryID {
+			return false
+		}
+		v := vec.DotKernel(d.Vec, q.Vec)
+		if unsigned {
+			v = math.Abs(v)
+		}
+		if math.Float64bits(v) != math.Float64bits(p.Value) || v < cs || i > 0 &&
+			cmp.Or(cmp.Compare(pairs[i-1].QueryID, p.QueryID), cmp.Compare(p.Value, pairs[i-1].Value), cmp.Compare(pairs[i-1].DataID, p.DataID)) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // simulate runs the trace seed draws — only the ops keep names, when it
 // names any — and on a divergence fails t with the trace minimised.
 func simulate(t *testing.T, seed uint64, keep []byte) { simScenario{}.simulate(t, seed, keep) }
@@ -787,19 +1194,30 @@ func (sc simScenario) simulate(t *testing.T, seed uint64, keep []byte) {
 		for i, j := range idx {
 			sub[i] = ops[j]
 		}
-		return runSim(t, cfg, sub)
+		return runSim(t, cfg, sub, sc)
 	}
 	at, err := run(idx)
 	if err == nil {
 		return
 	}
+	// Readers race the writer, so a sub-trace passes only if it passes a
+	// few runs in a row. Past its budget the minimiser stops shrinking.
+	tries, budget := 1+3*min(cfg.readers, 1), time.Now().Add(simMinimizeTime)
+	fails := func(idx []int) (err error) {
+		for i := 0; i < tries && err == nil && time.Now().Before(budget); i++ {
+			_, err = run(idx)
+		}
+		return err
+	}
 	n := len(idx)
-	idx = minimize(idx[:at+1], func(idx []int) bool { _, err := run(idx); return err != nil })
-	_, err = run(idx)
+	idx = minimize(idx[:at+1], func(idx []int) bool { return fails(idx) != nil })
+	if e := fails(idx); e != nil {
+		err = e
+	}
 	var b strings.Builder
 	kept := strings.Join(strings.Fields(strings.Trim(fmt.Sprint(idx), "[]")), ", ")
 	replay := fmt.Sprintf("f.Add(uint64(%#x), []byte{%s})", seed, kept)
-	if sc.fix != nil || sc.cells != "" || sc.kinds != "" {
+	if sc.fix != nil || sc.cells != "" || sc.kinds != "" || sc.readers != 0 || sc.reads != "" || sc.end != nil {
 		replay = fmt.Sprintf("the scenario's simulate(t, %#x, []byte{%s})", seed, kept)
 	}
 	fmt.Fprintf(&b, "seed %#x (%+v): %v\nminimised from %d to %d ops; replay with %s:", seed, cfg, err, n, len(idx), replay)
@@ -808,6 +1226,10 @@ func (sc simScenario) simulate(t *testing.T, seed uint64, keep []byte) {
 	}
 	t.Fatal(b.String())
 }
+
+// simMinimizeTime bounds the minimiser, whose candidates with readers run
+// several times each (under -race, seconds a run).
+const simMinimizeTime = 30 * time.Second
 
 // minimize returns a sub-trace of ops that still fails, from which no
 // single op can be removed: it removes chunks, halving their size, then
@@ -843,15 +1265,53 @@ func TestSim(t *testing.T) {
 	}
 }
 
+// simCorpus is FuzzSim's corpus: the minimised traces of the defects the
+// simulator found. A score tie at the k-th hit kept by row order, not by
+// record ID, once an upsert appended rows out of ID order (scanShard).
+var simCorpus = []struct {
+	seed uint64
+	keep []byte
+}{
+	{0x2, []byte{148, 149}}, // exact f64
+	{0xd, []byte{170, 180}}, // normscan f64
+}
+
 // FuzzSim is the simulator's long budget: the fuzzer draws seeds and
-// sub-traces. Its corpus holds the minimised traces of the defects the
-// simulator found.
+// sub-traces, starting from simCorpus.
 func FuzzSim(f *testing.F) {
-	// A score tie at the k-th hit kept by row order, not by record ID,
-	// once an upsert appended rows out of ID order (scanShard).
-	f.Add(uint64(0x2), []byte{148, 149}) // exact f64
-	f.Add(uint64(0xd), []byte{170, 180}) // normscan f64
+	for _, c := range simCorpus {
+		f.Add(c.seed, c.keep)
+	}
 	f.Fuzz(simulate)
+}
+
+// simStream pins genSim's stream: a digest of the configuration, readers
+// included, and the trace that each of simSeeds and simCorpus's seeds
+// draws. A new draw that changes them would change what TestSim runs and
+// the traces the corpus lines replay.
+var simStream = map[uint64]string{
+	1: "e270bc6abc77dec9", 2: "1e1bda623c2cdf21", 3: "a66b7800482f9b51", 4: "989dcb6cd14b7062",
+	5: "67b0bc44e3089731", 6: "3bbab21df599f433", 7: "27c0003b77f128d4", 10: "8eb50882f08d6fef",
+	13: "948770ef129c27ba", 16: "fc5f7b9fd90d750c", 23: "779c787f0f924d26", 24: "d96951c121bc17ab",
+}
+
+func TestSimStreamPinned(t *testing.T) {
+	t.Parallel()
+	seeds := slices.Clone(simSeeds)
+	for _, c := range simCorpus {
+		seeds = append(seeds, c.seed)
+	}
+	for _, seed := range seeds {
+		cfg, ops := genSim(seed, simOps, simScenario{})
+		h := sha256.New()
+		fmt.Fprintf(h, "%+v\n", cfg)
+		for _, op := range ops {
+			fmt.Fprintf(h, "%s %s %v %v %v %v %+v %+v\n", op.kind, op.col, op.recs, op.ids, op.direct, op.queries, op.opts, op.join)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)[:8]); got != simStream[seed] {
+			t.Errorf("seed %#x draws a configuration and trace of digest %s, pinned %q", seed, got, simStream[seed])
+		}
+	}
 }
 
 // TestSimMinimizer: fed a 200-op trace and a predicate that fails iff an
@@ -884,9 +1344,10 @@ func TestSimMinimizer(t *testing.T) {
 // run simulates the trace of the first seed whose simScenarioOps ops hold
 // the kinds sc names in their order, on one cell: each op of that
 // sub-sequence writes, searches or joins that cell, or reopens the server.
+// A scenario has readers only if it names how many.
 func (sc simScenario) run(t *testing.T) {
 	t.Parallel()
-	sc.ops = simScenarioOps
+	sc.ops, sc.readers = simScenarioOps, cmp.Or(sc.readers, -1)
 	for seed := uint64(1); seed <= 100; seed++ {
 		if _, ops := genSim(seed, sc.ops, sc); sc.holds(ops) {
 			t.Logf("seed %d", seed)
@@ -989,4 +1450,99 @@ func TestPrecisionTierMutations(t *testing.T) {
 // of a batch as it answers it alone, and as the model does.
 func TestPrecisionTierBatchMatchesSingle(t *testing.T) {
 	simScenario{cells: "e8", kinds: "ingest search"}.run(t)
+}
+
+// The tests below are the simulator with readers, narrowed to the claims
+// of the concurrency tests it replaces, under their names.
+
+// TestConcurrentIngestSearchConsistency: searches and batches beside
+// ingests never read a partly published store, on exact and normscan
+// collections with the cache off.
+func TestConcurrentIngestSearchConsistency(t *testing.T) {
+	for name, cell := range map[string]string{"exact": "e64", "normscan": "n64"} {
+		t.Run(name, func(t *testing.T) {
+			fix := func(c *simConfig) { c.cache = false }
+			simScenario{fix: fix, cells: cell, kinds: "ingest", readers: 4, reads: "search"}.run(t)
+		})
+	}
+}
+
+// TestConcurrentIngestSearch: cached searches and batches beside ingests
+// and upserts, on a pool narrower than the shard count, so a tile's shard
+// groups run as tasks of their own and whichever ends last finishes the
+// tile — also when its request is cancelled mid-scan.
+func TestConcurrentIngestSearch(t *testing.T) {
+	fix := func(c *simConfig) { c.shards, c.workers, c.cache = 4, 2, true }
+	simScenario{fix: fix, cells: "e64", kinds: "ingest upsert", readers: 4, reads: "search"}.run(t)
+}
+
+// TestSingleShardConcurrentSearchMatchesExact: single queries on one
+// shard, each scanned on its caller's goroutine while the others hold the
+// same snapshot.
+func TestSingleShardConcurrentSearchMatchesExact(t *testing.T) {
+	fix := func(c *simConfig) { c.shards, c.cache = 1, false }
+	simScenario{fix: fix, cells: "e64", kinds: "ingest upsert", readers: 4, reads: "search"}.run(t)
+}
+
+// TestConcurrentJoinIngest: exact joins of exact and normscan data, and
+// lsh joins of alsh data, beside ingests and upserts on both sides.
+func TestConcurrentJoinIngest(t *testing.T) {
+	simScenario{cells: "e64 n64 h", kinds: "ingest upsert", readers: 2, reads: "join"}.run(t)
+}
+
+// TestDropRaceWithSearch: searches across drops either find the
+// collection unknown or answer from an incarnation they overlapped.
+func TestDropRaceWithSearch(t *testing.T) {
+	simScenario{kinds: "ingest drop", readers: 4, reads: "search"}.run(t)
+}
+
+// TestCacheRevalidationUnderConcurrentWrites: readers bring cached answers
+// forward across the notes the writer publishes and cuts at the horizon;
+// some answers are brought forward and some refused.
+func TestCacheRevalidationUnderConcurrentWrites(t *testing.T) {
+	for name, cell := range map[string]string{"exact": "e64", "normscan": "n64"} {
+		t.Run(name, func(t *testing.T) {
+			end := func(s *Server) error {
+				if st := s.Stats().Cache; st.Revalidated == 0 || st.RevalidationMisses == 0 {
+					return fmt.Errorf("cache stats %+v: no answer brought forward, or none refused", st)
+				}
+				return nil
+			}
+			fix := func(c *simConfig) { c.cache = true }
+			simScenario{fix: fix, cells: cell, kinds: "ingest upsert delete", readers: 2, reads: "search", end: end}.run(t)
+		})
+	}
+}
+
+// TestReadsDuringWritesEveryPrecision: searches, batches and joins beside
+// ingests, upserts, deletes and background compactions, at f64 and int8.
+func TestReadsDuringWritesEveryPrecision(t *testing.T) {
+	for name, cell := range map[string]string{"f64": "e64", "int8": "e8"} {
+		t.Run(name, func(t *testing.T) {
+			fix := func(c *simConfig) { c.compact = true }
+			simScenario{fix: fix, cells: cell, kinds: "ingest upsert delete", readers: 3}.run(t)
+		})
+	}
+}
+
+// TestReadersSeeAWriteOnEveryShardOrNone: searches, batches and joins
+// beside upserts and deletes, on 2 and 4 shards with the cache off and
+// on, see each write on every shard or on none — a view published after
+// each shard's commit rather than after the last fails the simulator on
+// every run.
+func TestReadersSeeAWriteOnEveryShardOrNone(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		for _, cache := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/cache=%v", shards, cache), func(t *testing.T) {
+				fix := func(c *simConfig) { c.shards, c.cache = shards, cache }
+				simScenario{fix: fix, cells: "e64", kinds: "ingest upsert delete", readers: 3}.run(t)
+			})
+		}
+	}
+}
+
+// TestALSHSearchDuringWrites: alsh searches and batches, hashed a tile at
+// a time, beside the writes that extend the banding indexes they probe.
+func TestALSHSearchDuringWrites(t *testing.T) {
+	simScenario{cells: "h", kinds: "ingest upsert", readers: 3, reads: "search"}.run(t)
 }

@@ -10,8 +10,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/errfs"
@@ -243,226 +241,6 @@ func TestIndexBuildCountersWithoutTrace(t *testing.T) {
 	}
 	if got := copied - copied0; got != wantCopied {
 		t.Fatalf("rows copied +%d, want +%d, the runs merged", got, wantCopied)
-	}
-}
-
-// TestReadsDuringWritesEveryPrecision runs searches, batches and joins
-// beside ingests, upserts and deletes on the exact index at every
-// precision (under -race in CI). Record i is b·e_{i mod d} with
-// b = (i mod 50)+1, an upsert doubles it, and small integers are exact
-// in both tiers — so against the all-ones query a hit for ID i
-// scores b or 2b whichever snapshot answers, and anything else is a row
-// read while it was being written.
-func TestReadsDuringWritesEveryPrecision(t *testing.T) {
-	const d, batches, batchSize = 8, 40, 60
-	mkRec := func(i int, scale float64) store.Record {
-		v := vec.New(d)
-		v[i%d] = scale * float64(i%50+1)
-		return store.Record{ID: i, Vec: v}
-	}
-	ones := vec.New(d)
-	for i := range ones {
-		ones[i] = 1
-	}
-	for _, precision := range []string{PrecisionF64, PrecisionI8} {
-		t.Run(precision, func(t *testing.T) {
-			s := New(Config{DefaultShards: 2, CacheCapacity: -1, CompactFraction: 0.05, CompactMinDead: -1})
-			defer s.Close()
-			spec := &IndexSpec{Kind: KindExact, Precision: precision}
-			batch := func(b int, scale float64) []store.Record {
-				recs := make([]store.Record, batchSize)
-				for i := range recs {
-					recs[i] = mkRec(b*batchSize+i, scale)
-				}
-				return recs
-			}
-			if _, _, err := s.Ingest("c", spec, 0, batch(0, 1)); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := s.Ingest("q", nil, 1, []store.Record{{ID: 0, Vec: ones}}); err != nil {
-				t.Fatal(err)
-			}
-			check := func(what string, id int, score float64) {
-				if b := float64(id%50 + 1); score != b && score != 2*b {
-					t.Errorf("%s: ID %d scored %v, want %v or %v (torn row?)", what, id, score, b, 2*b)
-				}
-			}
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer stop.Store(true)
-				for b := 1; b < batches; b++ {
-					if _, _, err := s.Ingest("c", nil, 0, batch(b, 1)); err != nil {
-						t.Error(err)
-						return
-					}
-					if _, _, err := s.Upsert("c", nil, 0, batch(b-1, 2)[:batchSize/2]); err != nil {
-						t.Error(err)
-						return
-					}
-					if _, _, _, err := s.Delete("c", []int{b * batchSize, b*batchSize + 1}); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}()
-			reader := func(read func() error) {
-				defer wg.Done()
-				for done := false; !done; {
-					done = stop.Load() // one more pass over the final state
-					if err := read(); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-			wg.Add(3)
-			go reader(func() error {
-				res, err := s.SearchWithOpts(context.Background(), "c", []vec.Vector{ones}, SearchOpts{K: 20})
-				if err != nil || res[0].Err != nil {
-					return fmt.Errorf("search: %v %v", err, res[0].Err)
-				}
-				for _, h := range res[0].Hits {
-					check("search", h.ID, h.Score)
-				}
-				return nil
-			})
-			go reader(func() error {
-				res, err := s.Search("c", []vec.Vector{ones, ones, ones}, 20, false)
-				if err != nil {
-					return err
-				}
-				for _, r := range res {
-					if r.Err != nil {
-						return r.Err
-					}
-					for _, h := range r.Hits {
-						check("batch", h.ID, h.Score)
-					}
-				}
-				return nil
-			})
-			go reader(func() error {
-				res, err := s.Join(JoinRequest{Data: "c", Queries: "q", S: 40, TopK: 30})
-				if err != nil {
-					return err
-				}
-				for _, p := range res.Pairs {
-					check("join", p.DataID, p.Value)
-				}
-				return nil
-			})
-			wg.Wait()
-		})
-	}
-}
-
-// TestReadersSeeAWriteOnEveryShardOrNone pauses an upsert between its
-// shard commits — the last shard's owner goroutine lets the upsert's
-// build through, then receives its commit and holds it, which the
-// writer sends only after every earlier shard has committed — and reads
-// the collection there: a search, a batch, a self-join, and on a
-// cache-on server each search twice (the second a cache hit), at 2 and
-// 4 shards. Record i lives on shard i and is g·(e₀ + e_{i+1}) at
-// generation g, so against e₀ every hit scores g and every self-join
-// pair g², and a read that mixes generations mixes scores. Every read
-// must see generation 1 while the write is paused and 2 after it; the
-// read before the write asks for k+1, so the paused read is no cache
-// hit of it. Deterministic: the pause is a handshake on the shard's ops
-// loop.
-func TestReadersSeeAWriteOnEveryShardOrNone(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		for _, capacity := range []int{-1, 64} {
-			t.Run(fmt.Sprintf("shards=%d/cache=%v", shards, capacity > 0), func(t *testing.T) {
-				s := New(Config{DefaultShards: shards, CacheCapacity: capacity, CompactFraction: -1})
-				defer s.Close()
-				d := shards + 1
-				gen := func(g float64) []store.Record {
-					recs := make([]store.Record, shards)
-					for i := range recs {
-						v := vec.New(d)
-						v[0], v[i+1] = g, g
-						recs[i] = store.Record{ID: i, Vec: v}
-					}
-					return recs
-				}
-				if _, _, err := s.Ingest("c", &IndexSpec{Kind: KindExact}, 0, gen(1)); err != nil {
-					t.Fatal(err)
-				}
-				e0 := vec.New(d)
-				e0[0] = 1
-				read := func(when string, k int, g float64) {
-					t.Helper()
-					for pass := 0; pass < 2; pass++ {
-						res, err := s.Search("c", []vec.Vector{e0}, k, false)
-						if err != nil || res[0].Err != nil {
-							t.Fatalf("%s: search: %v %v", when, err, res[0].Err)
-						}
-						batch, err := s.Search("c", []vec.Vector{e0, e0, e0}, k, false)
-						if err != nil {
-							t.Fatalf("%s: batch: %v", when, err)
-						}
-						for i, r := range append(res, batch...) {
-							if r.Err != nil || len(r.Hits) != shards {
-								t.Fatalf("%s: %d hits, err %v", when, len(r.Hits), r.Err)
-							}
-							what := "batch"
-							if i == 0 {
-								what = "search"
-							}
-							for _, h := range r.Hits {
-								if h.Score != g {
-									t.Errorf("%s: %s pass %d (cached %v): ID %d scored %v, want %v: %v", when, what, pass, r.Cached, h.ID, h.Score, g, r.Hits)
-									break
-								}
-							}
-						}
-					}
-					join, err := s.Join(selfJoinRequest("c", JoinRequest{S: 0.5, TopK: shards}))
-					if err != nil {
-						t.Fatalf("%s: self-join: %v", when, err)
-					}
-					if len(join.Pairs) != shards*(shards-1) {
-						t.Fatalf("%s: self-join %d pairs, want %d", when, len(join.Pairs), shards*(shards-1))
-					}
-					for _, p := range join.Pairs {
-						if p.Value != g*g {
-							t.Errorf("%s: self-join pair (%d, %d) = %v, want %v", when, p.DataID, p.QueryID, p.Value, g*g)
-							break
-						}
-					}
-				}
-				read("before the upsert", shards+1, 1)
-
-				c, _ := s.Collection("c")
-				last := c.shards[shards-1]
-				paused, release := make(chan struct{}), make(chan struct{})
-				var once sync.Once
-				unpause := func() { once.Do(func() { close(release) }) }
-				defer unpause() // before s.Close, which waits for the owner goroutine
-				last.ops <- func() {
-					(<-last.ops)()       // the upsert's build
-					commit := <-last.ops // sent once every earlier shard committed
-					close(paused)
-					<-release
-					commit()
-				}
-				done := make(chan error, 1)
-				go func() {
-					_, _, err := s.Upsert("c", nil, 0, gen(2))
-					done <- err
-				}()
-				<-paused
-				read("between the upsert's shard commits", shards, 1)
-				unpause()
-				if err := <-done; err != nil {
-					t.Fatal(err)
-				}
-				read("after the upsert", shards, 2)
-			})
-		}
 	}
 }
 
