@@ -190,12 +190,8 @@ func TestALSHShardCountInvariance(t *testing.T) {
 				continue // recovered
 			}
 			// "p" first, so it gets the same collection seed on every server.
-			if _, _, err := s.Ingest("p", &spec, shards, recs); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := s.Ingest("q", nil, shards, qrecs); err != nil {
-				t.Fatal(err)
-			}
+			mustIngest(t, s, "p", &spec, shards, recs)
+			mustIngest(t, s, "q", nil, shards, qrecs)
 		}
 	}
 	check := func(stage string) {
@@ -571,9 +567,7 @@ func TestALSHExplainCountsCandidates(t *testing.T) {
 	for i := range recs {
 		recs[i] = ballRecord(rng, i, d)
 	}
-	if _, _, err := s.Ingest("a", &IndexSpec{Kind: KindALSH, K: 4, L: 8}, 0, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "a", &IndexSpec{Kind: KindALSH, K: 4, L: 8}, 0, recs)
 	var doomed []int
 	for id := 0; id < len(recs); id += 5 {
 		doomed = append(doomed, id)

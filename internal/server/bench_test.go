@@ -32,9 +32,7 @@ func benchServerSkewed(b testing.TB, n, d, shards int, sigma float64, spec Index
 	s := New(Config{DefaultShards: shards, CacheCapacity: -1, CompactFraction: -1})
 	b.Cleanup(func() { s.Close() })
 	recs := records(lf.Items, 0)
-	if _, _, err := s.Ingest("bench", &spec, shards, recs); err != nil {
-		b.Fatalf("ingest: %v", err)
-	}
+	mustIngest(b, s, "bench", &spec, shards, recs)
 	return s, lf.Users
 }
 
@@ -155,9 +153,7 @@ func BenchmarkServerSearchCached(b *testing.B) {
 			defer s.Close()
 			spec := IndexSpec{Kind: KindNormScan}
 			for lo := 0; lo < n; lo += 1000 {
-				if _, _, err := s.Ingest("bench", &spec, 0, records(lf.Items[lo:lo+1000], lo)); err != nil {
-					b.Fatal(err)
-				}
+				mustIngest(b, s, "bench", &spec, 0, records(lf.Items[lo:lo+1000], lo))
 			}
 			for _, u := range users {
 				if _, err := s.Search("bench", []vec.Vector{u}, 10, false); err != nil {
@@ -287,9 +283,7 @@ func BenchmarkServerJoin(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if _, _, err := s.Ingest("q", nil, 1, records(queries, 0)); err != nil {
-				b.Fatal(err)
-			}
+			mustIngest(b, s, "q", nil, 1, records(queries, 0))
 			req := JoinRequest{Data: "bench", Queries: "q", Engine: c.engine, S: 0.9, C: 0.8}
 			var compared int64
 			b.ResetTimer()
@@ -342,15 +336,11 @@ func BenchmarkServerIngest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := s.Ingest("bench", nil, 0, seed); err != nil {
-					b.Fatal(err)
-				}
+				mustIngest(b, s, "bench", nil, 0, seed)
 				b.StartTimer()
 				for j := 0; j < batches; j++ {
 					lo := base + j*per
-					if _, _, err := s.Ingest("bench", nil, 0, records(vs[lo:lo+per], lo)); err != nil {
-						b.Fatal(err)
-					}
+					mustIngest(b, s, "bench", nil, 0, records(vs[lo:lo+per], lo))
 				}
 				b.StopTimer()
 				s.Close()
@@ -367,9 +357,7 @@ func BenchmarkServerIngest(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					s := New(Config{DefaultShards: 4, CacheCapacity: -1, CompactFraction: -1})
 					for lo := 0; lo < len(vs); lo += per {
-						if _, _, err := s.Ingest("bench", &IndexSpec{Kind: kind}, 0, records(vs[lo:lo+per], lo)); err != nil {
-							b.Fatal(err)
-						}
+						mustIngest(b, s, "bench", &IndexSpec{Kind: kind}, 0, records(vs[lo:lo+per], lo))
 					}
 					b.StopTimer()
 					s.Close()
@@ -424,9 +412,7 @@ func benchUpserts(b *testing.B, prepare func(b *testing.B, s *Server, vs []vec.V
 			defer s.Close()
 			spec := bc.spec
 			for lo := 0; lo < bc.n; lo += 1000 {
-				if _, _, err := s.Ingest("bench", &spec, 0, records(vs[lo:lo+1000], lo)); err != nil {
-					b.Fatal(err)
-				}
+				mustIngest(b, s, "bench", &spec, 0, records(vs[lo:lo+1000], lo))
 			}
 			c, _ := s.Collection("bench")
 			upsert := prepare(b, s, vs, bc.n)

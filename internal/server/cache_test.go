@@ -291,9 +291,7 @@ func TestCacheRevalidationRefusesOtherDimension(t *testing.T) {
 			}
 			recs := records(dataset.Gaussian(rng, 20, 3, false), 0)
 			for _, srv := range []*Server{s, ref} {
-				if _, _, err := srv.Ingest("c", &IndexSpec{Kind: kind}, 0, recs); err != nil {
-					t.Fatal(err)
-				}
+				mustIngest(t, srv, "c", &IndexSpec{Kind: kind}, 0, recs)
 			}
 			res, err := s.Search("c", []vec.Vector{q3, q5}, 2, false)
 			if err != nil {
@@ -347,9 +345,7 @@ func TestCacheALSHWritesInvalidate(t *testing.T) {
 		}
 	}
 	for _, srv := range []*Server{s, ref} {
-		if _, _, err := srv.Ingest("c", &spec, 0, recs[:150]); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, srv, "c", &spec, 0, recs[:150])
 	}
 	search("ingest", false)
 	before := revalCounts(s)
@@ -394,9 +390,7 @@ func TestCacheRevalidationKeepsSubnormalTies(t *testing.T) {
 			recs := []store.Record{{ID: 10, Vec: q}, {ID: 11, Vec: vec.Scaled(q, 0.5)}, {ID: 12, Vec: vec.Scaled(q, -1)}}
 			for _, batch := range [][]store.Record{recs, {{ID: 5, Vec: q}}} {
 				for _, srv := range []*Server{s, ref} {
-					if _, _, err := srv.Ingest("c", &spec, 0, batch); err != nil {
-						t.Fatal(err)
-					}
+					mustIngest(t, srv, "c", &spec, 0, batch)
 				}
 				got, err := s.Search("c", []vec.Vector{q}, 1, false)
 				if err != nil {

@@ -413,7 +413,7 @@ func (c *Collection) setAttrs(recs []store.Record) {
 }
 
 func newCollection(name string, spec IndexSpec, nshards int, seed uint64) (*Collection, error) {
-	if err := spec.Validate(); err != nil {
+	if err := spec.servable(); err != nil {
 		return nil, err
 	}
 	if nshards <= 0 {

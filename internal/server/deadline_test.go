@@ -204,9 +204,7 @@ func alshWithQueries(t *testing.T, s *Server, shards, d, nq int) []vec.Vector {
 		for i, v := range vs {
 			recs[i] = store.Record{ID: i, Vec: v}
 		}
-		if _, _, err := s.Ingest(c.name, &IndexSpec{Kind: c.kind}, shards, recs); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s, c.name, &IndexSpec{Kind: c.kind}, shards, recs)
 	}
 	return vs // "q"'s
 }
@@ -435,9 +433,7 @@ func joinCancelledInsideTile(t *testing.T) {
 		}
 		for _, name := range c.names {
 			spec := map[string]*IndexSpec{"pn": {Kind: KindNormScan}, "pa": {Kind: KindALSH, K: 2, L: 4}}[name]
-			if _, _, err := s.Ingest(name, spec, 1, recs); err != nil {
-				t.Fatal(err)
-			}
+			mustIngest(t, s, name, spec, 1, recs)
 		}
 	}
 	traced := func(ctx context.Context, req JoinRequest) (*JoinResponse, int64, error) {
@@ -549,9 +545,7 @@ func TestDeadlineFinishesEveryTile(t *testing.T) {
 		for _, kind := range []string{KindExact, KindNormScan, KindALSH} {
 			queries = seedKind(t, s, kind, kind, 600, 12, nq)
 		}
-		if _, _, err := s.Ingest("q", nil, 1, records(queries, 0)); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s, "q", nil, 1, records(queries, 0))
 		unfed := false
 		for _, engine := range []string{"exact", "normpruned", "lsh"} {
 			req := JoinRequest{Data: map[string]string{"exact": KindExact, "normpruned": KindNormScan, "lsh": KindALSH}[engine], Queries: "q", Engine: engine, S: 0.3, Variant: "unsigned"}
@@ -628,9 +622,7 @@ func TestHTTPDeadline504(t *testing.T) {
 			recs[i] = store.Record{ID: next + i, Vec: v}
 		}
 		next += len(items)
-		if _, _, err := s.Ingest("big", &IndexSpec{Kind: KindExact}, 1, recs); err != nil {
-			t.Fatalf("ingest: %v", err)
-		}
+		mustIngest(t, s, "big", &IndexSpec{Kind: KindExact}, 1, recs)
 		if q == nil {
 			q = items[0]
 		}

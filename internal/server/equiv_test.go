@@ -65,9 +65,7 @@ func TestExactEnginesMatchLinearScanGrid(t *testing.T) {
 						data := adversarial(rng, n, d)
 						recs := records(data, 0)
 						s := New(Config{DefaultShards: shards, CacheCapacity: -1})
-						if _, _, err := s.Ingest("c", &IndexSpec{Kind: kind}, shards, recs); err != nil {
-							t.Fatal(err)
-						}
+						mustIngest(t, s, "c", &IndexSpec{Kind: kind}, shards, recs)
 						for _, k := range []int{1, 7, 2 * len(data)} {
 							for _, unsigned := range []bool{false, true} {
 								nonNeg := vec.Vector(rng.NormalVec(d))
@@ -142,9 +140,7 @@ func TestCandidateEnginesVerifyScores(t *testing.T) {
 				byID[r.ID] = r.Vec
 			}
 			s := New(Config{DefaultShards: 2, CacheCapacity: -1})
-			if _, _, err := s.Ingest("c", &IndexSpec{Kind: kind}, 2, recs); err != nil {
-				t.Fatal(err)
-			}
+			mustIngest(t, s, "c", &IndexSpec{Kind: kind}, 2, recs)
 			for trial := 0; trial < 10; trial++ {
 				q := vec.Vector(rng.NormalVec(16))
 				res, err := s.Search("c", []vec.Vector{q}, 5, true)
@@ -184,9 +180,7 @@ func TestBatchSearchCaching(t *testing.T) {
 	data := adversarial(rng, 200, 8)
 	s := New(Config{DefaultShards: 2})
 	defer s.Close()
-	if _, _, err := s.Ingest("c", nil, 0, records(data, 0)); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "c", nil, 0, records(data, 0))
 	queries := make([]vec.Vector, 40)
 	for i := range queries {
 		queries[i] = vec.Vector(rng.NormalVec(8))

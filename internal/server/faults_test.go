@@ -58,9 +58,7 @@ func TestWALFaultDegradesServing(t *testing.T) {
 	recs := randRecords(n, d, 1)
 	queries := randQueries(q, d, 2)
 
-	if _, _, err := s.Ingest("c", nil, 2, recs[:600]); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "c", nil, 2, recs[:600])
 	want := searchAll(t, s, "c", queries, k)
 	c, _ := s.Collection("c")
 
@@ -102,9 +100,7 @@ func TestWALFaultDegradesServing(t *testing.T) {
 	if err := s.Readiness(); err != nil {
 		t.Fatalf("Readiness() after repair: %v", err)
 	}
-	if _, _, err := s.Ingest("c", nil, 0, recs[600:]); err != nil {
-		t.Fatalf("ingest after repair: %v", err)
-	}
+	mustIngest(t, s, "c", nil, 0, recs[600:])
 	wantAll := searchAll(t, s, "c", queries, k)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -142,9 +138,7 @@ func TestENOSPCMidCheckpointDegradesNotPanics(t *testing.T) {
 	recs := randRecords(n, d, 5)
 	queries := randQueries(q, d, 6)
 
-	if _, _, err := s.Ingest("c", nil, 2, recs[:400]); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "c", nil, 2, recs[:400])
 	c, _ := s.Collection("c")
 	colDir := filepath.Join(dir, "c")
 	hasSegment := func() bool {
@@ -163,9 +157,7 @@ func TestENOSPCMidCheckpointDegradesNotPanics(t *testing.T) {
 
 	// Disk "fills": every segment write now dies half-way.
 	f.Inject(errfs.Rule{Op: errfs.OpWrite, Path: "segment-", Kind: errfs.KindShortWrite})
-	if _, _, err := s.Ingest("c", nil, 0, recs[400:]); err != nil {
-		t.Fatalf("ingest (WAL path is healthy): %v", err)
-	}
+	mustIngest(t, s, "c", nil, 0, recs[400:])
 	waitFor(t, "checkpoint failure to degrade the collection", func() bool {
 		return c.healthState() == HealthDegraded
 	})
@@ -208,9 +200,7 @@ func TestScrubberDetectsCorruptionAndSelfHeals(t *testing.T) {
 	}
 	defer s.Close()
 	recs := randRecords(500, 5, 7)
-	if _, _, err := s.Ingest("c", nil, 2, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "c", nil, 2, recs)
 	c, _ := s.Collection("c")
 	colDir := filepath.Join(dir, "c")
 	newestSegment := func() string {
@@ -267,12 +257,8 @@ func TestQuarantineBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := randRecords(300, 4, 9)
-	if _, _, err := s1.Ingest("bad", nil, 2, recs); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s1.Ingest("good", nil, 2, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s1, "bad", nil, 2, recs)
+	mustIngest(t, s1, "good", nil, 2, recs)
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -359,9 +345,7 @@ func TestQuarantineBoot(t *testing.T) {
 	if err := s2.Readiness(); err != nil {
 		t.Fatalf("Readiness() after dropping the quarantined collection: %v", err)
 	}
-	if _, _, err := s2.Ingest("bad", nil, 2, recs[:50]); err != nil {
-		t.Fatalf("re-creating the dropped name: %v", err)
-	}
+	mustIngest(t, s2, "bad", nil, 2, recs[:50])
 }
 
 // TestSketchCollectionUpgrade: a data directory holding a collection of
@@ -375,9 +359,7 @@ func TestSketchCollectionUpgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s1.Ingest("sk", nil, 2, randRecords(100, 4, 3)); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s1, "sk", nil, 2, randRecords(100, 4, 3))
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -455,9 +437,7 @@ func TestDropWhileDegradedDoesNotDeadlock(t *testing.T) {
 	}
 	defer s.Close()
 	recs := randRecords(400, 4, 11)
-	if _, _, err := s.Ingest("c", nil, 2, recs[:300]); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "c", nil, 2, recs[:300])
 	c, _ := s.Collection("c")
 
 	// Latch the WAL and keep the disk broken, so the repair probe is
@@ -488,9 +468,7 @@ func TestDropWhileDegradedDoesNotDeadlock(t *testing.T) {
 	}
 	// The name is immediately reusable on the healed disk.
 	f.Clear()
-	if _, _, err := s.Ingest("c", nil, 2, recs[:50]); err != nil {
-		t.Fatalf("re-create after drop: %v", err)
-	}
+	mustIngest(t, s, "c", nil, 2, recs[:50])
 }
 
 // TestHealthzReadyzSplit pins the liveness/readiness contract over
@@ -502,9 +480,7 @@ func TestHealthzReadyzSplit(t *testing.T) {
 	s := New(Config{DefaultShards: 2})
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
-	if _, _, err := s.Ingest("c", nil, 0, randRecords(50, 4, 13)); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "c", nil, 0, randRecords(50, 4, 13))
 
 	get := func(path string) (int, string) {
 		t.Helper()
@@ -568,9 +544,7 @@ func TestDegradedMutation503WithRetryAfter(t *testing.T) {
 	defer s.Close()
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
-	if _, _, err := s.Ingest("c", nil, 0, randRecords(50, 4, 13)); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "c", nil, 0, randRecords(50, 4, 13))
 	c, _ := s.Collection("c")
 	c.setHealth(HealthDegraded, "test fault")
 

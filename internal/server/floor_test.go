@@ -48,12 +48,8 @@ func TestShardFloorKeepsTies(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			s := New(Config{DefaultShards: 2, CacheCapacity: -1, Workers: workers})
 			defer s.Close()
-			if _, _, err := s.Ingest("c", &c.spec, 2, recs); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := s.Ingest("q", nil, 1, records(queries[:1], 0)); err != nil {
-				t.Fatal(err)
-			}
+			mustIngest(t, s, "c", &c.spec, 2, recs)
+			mustIngest(t, s, "q", nil, 1, records(queries[:1], 0))
 			cell := c.spec.kind() + "/" + c.spec.precision()
 			batch, err := s.Search("c", queries, 2, false)
 			if err != nil {
@@ -98,12 +94,8 @@ func TestInTurnFloorsScanLess(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		s := New(Config{DefaultShards: 4, CacheCapacity: -1, Workers: workers})
 		defer s.Close()
-		if _, _, err := s.Ingest("c", &spec, 4, records(lf.Items, 0)); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.Ingest("q", nil, 1, records(lf.Users, 0)); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s, "c", &spec, 4, records(lf.Items, 0))
+		mustIngest(t, s, "q", nil, 1, records(lf.Users, 0))
 		resp, err := s.Join(JoinRequest{Data: "c", Queries: "q", Engine: "normpruned", S: 1e-3, TopK: k})
 		if err != nil {
 			t.Fatal(err)
@@ -162,9 +154,7 @@ func TestSearchShardGroups(t *testing.T) {
 		defer s.Close()
 		for _, spec := range specs {
 			name := spec.kind() + "-" + spec.precision()
-			if _, _, err := s.Ingest(name, &spec, shards, records(items, 0)); err != nil {
-				t.Fatal(err)
-			}
+			mustIngest(t, s, name, &spec, shards, records(items, 0))
 			c, _ := s.Collection(name)
 			snaps := c.view.Load().snaps
 			for _, r := range []struct {

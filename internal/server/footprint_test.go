@@ -56,9 +56,7 @@ func TestResidentBytesPerKind(t *testing.T) {
 			s := New(Config{DefaultShards: shards, CacheCapacity: -1, CompactFraction: -1})
 			defer s.Close()
 			for lo := 0; lo < n; lo += batch {
-				if _, _, err := s.Ingest("c", &kind.spec, 0, recs[lo:lo+batch]); err != nil {
-					t.Fatal(err)
-				}
+				mustIngest(t, s, "c", &kind.spec, 0, recs[lo:lo+batch])
 			}
 			for u := range upserts {
 				replace := make([]store.Record, 64)

@@ -49,9 +49,7 @@ func FuzzSearchHandler(f *testing.F) {
 			v[i%4] = float64(i + 1)
 			recs[i] = store.Record{ID: i, Vec: v}
 		}
-		if _, _, err := s.Ingest("c", nil, 0, recs); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s, "c", nil, 0, recs)
 		h := NewHandler(s)
 		req := httptest.NewRequest(http.MethodPost, "/collections/c/search", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
@@ -124,15 +122,9 @@ func FuzzJoinHandler(f *testing.F) {
 			v[i%4] = float64(i%5) + 1
 			recs[i] = store.Record{ID: i, Vec: v}
 		}
-		if _, _, err := s.Ingest("a", nil, 0, recs); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.Ingest("b", nil, 0, recs[:7]); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.Ingest("n", &IndexSpec{Kind: KindNormScan}, 0, recs); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s, "a", nil, 0, recs)
+		mustIngest(t, s, "b", nil, 0, recs[:7])
+		mustIngest(t, s, "n", &IndexSpec{Kind: KindNormScan}, 0, recs)
 		h := NewHandler(s)
 		for _, path := range []string{"/collections/a/join/b", "/collections/n/join/b", "/collections/a/join"} {
 			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))

@@ -260,9 +260,7 @@ func TestHTTPUnboundedK(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
 	recs := []store.Record{{ID: 0, Vec: vec.Vector{1, 0}}, {ID: 1, Vec: vec.Vector{0.5, 0.5}}}
-	if _, _, err := s.Ingest("c", nil, 0, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "c", nil, 0, recs)
 	for _, k := range []int{1 << 40, 1 << 62} {
 		var resp SearchResponse
 		if code := doJSON(t, ts, http.MethodPost, "/collections/c/search", SearchRequest{Q: []float64{1, 1}, K: k}, &resp); code != http.StatusOK ||
@@ -284,9 +282,7 @@ func TestHTTPUnboundedK(t *testing.T) {
 			samePairs(t, label, bruteJoin(recs, recs, 0.5, false, topk, self), resp.Pairs)
 		}
 	}
-	if _, _, err := s.Ingest("a", &IndexSpec{Kind: KindALSH}, 0, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "a", &IndexSpec{Kind: KindALSH}, 0, recs)
 	var resp JoinResponse
 	if code := doJSON(t, ts, http.MethodPost, "/collections/a/join", JoinRequest{S: 0.5, Engine: "lsh", TopK: math.MaxInt}, &resp); code != http.StatusOK {
 		t.Fatalf("lsh self-join at topk = MaxInt: status %d", code)

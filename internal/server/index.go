@@ -87,8 +87,7 @@ type IndexSpec struct {
 	Kind string `json:"kind"`
 	// U is the ALSH query-ball radius (default 1).
 	U float64 `json:"u,omitempty"`
-	// K, L are the ALSH banding parameters (defaults 8, 16; at most 64
-	// and 1 024, maxBandK and maxBandL).
+	// K, L are the ALSH banding parameters (defaults 8, 16; see maxBandK).
 	K int `json:"k,omitempty"`
 	L int `json:"l,omitempty"`
 	// Seed, mixed with the collection's own seed (kept in its manifest),
@@ -103,15 +102,28 @@ type IndexSpec struct {
 	Precision string `json:"precision,omitempty"`
 }
 
-// The banding bounds: a table key holds at most maxBandK signs, and
-// maxBandL tables cap the K·L hyperplanes and the tables a request's spec
-// makes a collection allocate at its first write.
+// The banding bounds of a new collection: its first write draws K·L
+// hyperplanes and makes L tables, so a request names at most 65 536 of
+// them. A recovered manifest may hold more (lsh folds the keys of K > 64).
 const maxBandK, maxBandL = 64, 1024
 
-// Validate checks that the spec names a registered engine and that
-// its parameters are usable (zero always means "default"), so bad
-// specs fail at collection creation instead of at the first ingest.
+// Validate checks that the spec is servable and within the banding
+// bounds, so bad specs fail at collection creation instead of at the
+// first ingest. Recovery asks only servable, so older manifests reopen.
 func (s IndexSpec) Validate() error {
+	if err := s.servable(); err != nil {
+		return err
+	}
+	if s.K > maxBandK || s.L > maxBandL {
+		return fmt.Errorf("server: index %q: k=%d l=%d exceeds the bound k <= %d, l <= %d",
+			s.kind(), s.K, s.L, maxBandK, maxBandL)
+	}
+	return nil
+}
+
+// servable checks that the spec names a registered engine and that its
+// parameters are usable (zero always means "default").
+func (s IndexSpec) servable() error {
 	switch s.Kind {
 	case "", KindExact, KindNormScan, KindALSH:
 	case "sketch":
@@ -124,10 +136,6 @@ func (s IndexSpec) Validate() error {
 	if s.U < 0 || s.K < 0 || s.L < 0 {
 		return fmt.Errorf("server: index %q: negative parameter (u=%v k=%d l=%d)",
 			s.kind(), s.U, s.K, s.L)
-	}
-	if s.K > maxBandK || s.L > maxBandL {
-		return fmt.Errorf("server: index %q: k=%d l=%d exceeds the bound k <= %d, l <= %d",
-			s.kind(), s.K, s.L, maxBandK, maxBandL)
 	}
 	switch s.precision() {
 	case PrecisionF64:

@@ -85,12 +85,8 @@ func joinWorkload(t *testing.T, s *Server, nd, nq, d int, seed uint64) (data, qu
 	for i := 0; i < nq; i += 3 {
 		data[(i*5)%nd].Vec = vec.Scaled(queries[i].Vec.Clone(), 0.97)
 	}
-	if _, _, err := s.Ingest("data", nil, 0, data); err != nil {
-		t.Fatalf("ingest data: %v", err)
-	}
-	if _, _, err := s.Ingest("queries", nil, 0, queries); err != nil {
-		t.Fatalf("ingest queries: %v", err)
-	}
+	mustIngest(t, s, "data", nil, 0, data)
+	mustIngest(t, s, "queries", nil, 0, queries)
 	return data, queries
 }
 
@@ -102,9 +98,7 @@ func TestServedJoinMatchesBruteForce(t *testing.T) {
 	defer s.Close()
 	data, queries := joinWorkload(t, s, 90, 30, 8, 21)
 	// normpruned sweeps the norm-sorted view of a normscan collection.
-	if _, _, err := s.Ingest("sorted", &IndexSpec{Kind: KindNormScan}, 0, data); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "sorted", &IndexSpec{Kind: KindNormScan}, 0, data)
 	for _, c := range []struct{ engine, data string }{{"exact", "data"}, {"normpruned", "sorted"}} {
 		engine := c.engine
 		for _, unsigned := range []bool{false, true} {
@@ -212,9 +206,7 @@ func TestSelfJoinEndpoint(t *testing.T) {
 	for i := 0; i < 20; i += 2 {
 		recs[i+1].Vec = vec.Scaled(recs[i].Vec.Clone(), 0.98)
 	}
-	if _, _, err := s.Ingest("c", nil, 0, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "c", nil, 0, recs)
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
 
@@ -261,9 +253,7 @@ func TestServedJoinLSHRecall(t *testing.T) {
 	s := New(Config{DefaultShards: 2})
 	defer s.Close()
 	data, _ := joinWorkload(t, s, 200, 24, 16, 55)
-	if _, _, err := s.Ingest("alsh", &IndexSpec{Kind: KindALSH, K: 6, L: 24, Seed: 4}, 0, data); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "alsh", &IndexSpec{Kind: KindALSH, K: 6, L: 24, Seed: 4}, 0, data)
 	exact, err := s.Join(JoinRequest{Data: "data", Queries: "queries", S: 0.9})
 	if err != nil {
 		t.Fatal(err)
@@ -378,9 +368,7 @@ func TestNormPrunedJoinSweepsServingView(t *testing.T) {
 	defer s.Close()
 	data, queries := joinWorkload(t, s, 600, 20, 8, 9)
 	for _, kind := range []string{KindNormScan, KindExact} {
-		if _, _, err := s.Ingest(kind, &IndexSpec{Kind: kind}, 1, data); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s, kind, &IndexSpec{Kind: kind}, 1, data)
 		ref := map[int]vec.Vector{}
 		for _, r := range data {
 			ref[r.ID] = r.Vec
@@ -419,9 +407,7 @@ func TestApproximateJoinProbesServingStructure(t *testing.T) {
 	for i := range data {
 		data[i].ID = i // joinWorkload's ids all hash to one shard
 	}
-	if _, _, err := s.Ingest(KindALSH, &IndexSpec{Kind: KindALSH, K: 4, L: 8, Seed: 3}, 0, data); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, KindALSH, &IndexSpec{Kind: KindALSH, K: 4, L: 8, Seed: 3}, 0, data)
 	c, _ := s.Collection(KindALSH)
 	req := JoinRequest{Data: KindALSH, Queries: "queries", Engine: "lsh", S: 0.8, C: 0.5}
 	for _, stage := range []string{"fresh", "tombstoned"} {
@@ -601,13 +587,9 @@ func TestServedLSHJoinStopsAtFirstWitness(t *testing.T) {
 		s := New(Config{DefaultShards: shards, CacheCapacity: -1, CompactFraction: -1})
 		defer s.Close()
 		for name, recs := range map[string][]store.Record{"p": data, "self": self} {
-			if _, _, err := s.Ingest(name, &spec, shards, recs); err != nil {
-				t.Fatal(err)
-			}
+			mustIngest(t, s, name, &spec, shards, recs)
 		}
-		if _, _, err := s.Ingest("q", nil, shards, queries); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s, "q", nil, shards, queries)
 		liveRecs := map[string][]store.Record{"p": data, "q": queries, "self": self}
 		for _, stage := range []string{"fresh", "tombstoned"} {
 			if stage == "tombstoned" {

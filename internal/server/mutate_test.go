@@ -29,9 +29,7 @@ func TestCompactionRewritesShards(t *testing.T) {
 
 	const n, d, k = 600, 8, 10
 	recs := randRecords(n, d, 21)
-	if _, _, err := s.Ingest("col", nil, 0, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "col", nil, 0, recs)
 	// Delete 40% — over the 20% trigger.
 	var doomed []int
 	for id := 0; id < n; id++ {
@@ -139,9 +137,7 @@ func TestAutoIDReuseAfterDelete(t *testing.T) {
 	s := New(Config{DefaultShards: 1})
 	defer s.Close()
 	v := vec.Vector{1}
-	if _, _, err := s.Ingest("col", nil, 0, []store.Record{{ID: AutoID, Vec: v}, {ID: AutoID, Vec: v}}); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "col", nil, 0, []store.Record{{ID: AutoID, Vec: v}, {ID: AutoID, Vec: v}})
 	if _, deleted, _, err := s.Delete("col", []int{0}); err != nil || deleted != 1 {
 		t.Fatalf("delete: %v (%d)", err, deleted)
 	}

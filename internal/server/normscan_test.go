@@ -341,9 +341,7 @@ func TestNormScanReadersMatchExact(t *testing.T) {
 	for i, q := range queries {
 		qrecs = append(qrecs, store.Record{ID: i, Vec: q})
 	}
-	if _, _, err := s.Ingest("q", &IndexSpec{Kind: KindExact}, 1, qrecs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "q", &IndexSpec{Kind: KindExact}, 1, qrecs)
 	replaced := make([]store.Record, 200)
 	for i := range replaced {
 		replaced[i] = store.Record{ID: i * 13, Vec: recs[n+i].Vec}
@@ -361,9 +359,7 @@ func TestNormScanReadersMatchExact(t *testing.T) {
 			spec.Kind = KindNormScan
 		}
 		for lo := 0; lo < n; lo += batch {
-			if _, _, err := s.Ingest(name, spec, 0, recs[lo:lo+batch]); err != nil {
-				t.Fatal(err)
-			}
+			mustIngest(t, s, name, spec, 0, recs[lo:lo+batch])
 		}
 		if _, _, err := s.Upsert(name, nil, 0, replaced); err != nil {
 			t.Fatal(err)

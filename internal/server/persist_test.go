@@ -86,13 +86,9 @@ func TestRestartRecoversCollections(t *testing.T) {
 	// several batches.
 	for lo := 0; lo < n; lo += 700 {
 		hi := min(lo+700, n)
-		if _, _, err := s1.Ingest("exact", &IndexSpec{Kind: KindExact}, 4, recs[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s1, "exact", &IndexSpec{Kind: KindExact}, 4, recs[lo:hi])
 	}
-	if _, _, err := s1.Ingest("pruned", &IndexSpec{Kind: KindNormScan}, 2, recs[:1000]); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s1, "pruned", &IndexSpec{Kind: KindNormScan}, 2, recs[:1000])
 	wantExact := searchAll(t, s1, "exact", queries, k)
 	wantPruned := searchAll(t, s1, "pruned", queries, k)
 	if err := s1.Close(); err != nil {
@@ -153,12 +149,8 @@ func TestCrashRecoversAcknowledgedWrites(t *testing.T) {
 	defer ref.Close()
 	for lo := 0; lo < n; lo += 333 {
 		hi := min(lo+333, n)
-		if _, _, err := s1.Ingest("col", nil, 4, recs[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := ref.Ingest("col", nil, 4, recs[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s1, "col", nil, 4, recs[lo:hi])
+		mustIngest(t, ref, "col", nil, 4, recs[lo:hi])
 	}
 	// No Close: copy the directory out from under the live server,
 	// exactly what a kill -9 leaves behind (fsync=always means every
@@ -233,9 +225,7 @@ func TestCheckpointDuringIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for lo := 0; lo < n; lo += 100 {
-		if _, _, err := s1.Ingest("col", nil, 2, recs[lo:lo+100]); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s1, "col", nil, 2, recs[lo:lo+100])
 	}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
@@ -307,17 +297,11 @@ func TestRestartKeepsApproxIndexSeeds(t *testing.T) {
 	}
 	// Create in an order that differs from the directory sort order so
 	// a naive ordinal-based reseed would shuffle seeds on recovery.
-	if _, _, err := s1.Ingest("zeta", &IndexSpec{Kind: KindALSH}, 2, recs); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s1.Ingest("alpha", &IndexSpec{Kind: KindALSH}, 2, recs[:500]); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s1, "zeta", &IndexSpec{Kind: KindALSH}, 2, recs)
+	mustIngest(t, s1, "alpha", &IndexSpec{Kind: KindALSH}, 2, recs[:500])
 	wide := &IndexSpec{Kind: KindALSH, K: 17, L: 4}
 	for _, part := range [][]store.Record{recs[:1500], recs[1500:]} {
-		if _, _, err := s1.Ingest("wide", wide, 2, part); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s1, "wide", wide, 2, part)
 	}
 	wantZeta := searchAll(t, s1, "zeta", queries, k)
 	wantAlpha := searchAll(t, s1, "alpha", queries, k)
@@ -358,9 +342,7 @@ func TestDropCollection(t *testing.T) {
 	}
 	defer s.Close()
 	recs := randRecords(100, 4, 7)
-	if _, _, err := s.Ingest("col", nil, 2, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "col", nil, 2, recs)
 	colDir := filepath.Join(dir, "col")
 	if _, err := os.Stat(colDir); err != nil {
 		t.Fatalf("data dir missing before drop: %v", err)
@@ -379,9 +361,7 @@ func TestDropCollection(t *testing.T) {
 		t.Fatal("search on dropped collection succeeded")
 	}
 	// Recreating under the same name starts fresh (and persists again).
-	if _, _, err := s.Ingest("col", nil, 2, recs[:10]); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "col", nil, 2, recs[:10])
 	c, _ := s.Collection("col")
 	if c.Len() != 10 {
 		t.Fatalf("recreated collection has %d records", c.Len())
@@ -393,9 +373,7 @@ func TestDropCollection(t *testing.T) {
 func TestDropRouteHTTP(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	if _, _, err := s.Ingest("col", nil, 2, randRecords(10, 3, 9)); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "col", nil, 2, randRecords(10, 3, 9))
 	h := NewHandler(s)
 
 	req := httptest.NewRequest(http.MethodDelete, "/collections/col", nil)
@@ -454,9 +432,7 @@ func TestDurableIngestAttrsSurvive(t *testing.T) {
 		{ID: 1, Vec: vec.Vector{1, 2}, Attrs: map[string]string{"title": "first", "lang": "go"}},
 		{ID: 2, Vec: vec.Vector{3, 4}},
 	}
-	if _, _, err := s1.Ingest("col", nil, 1, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s1, "col", nil, 1, recs)
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -289,20 +289,14 @@ func TestPrecisionStatsAndMetrics(t *testing.T) {
 	defer s.Close()
 	const n, d = 40, 8
 	recs := randRecords(n, d, 11)
-	if _, _, err := s.Ingest("qi8", &IndexSpec{Precision: PrecisionI8}, 2, recs); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Ingest("plain", nil, 2, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "qi8", &IndexSpec{Precision: PrecisionI8}, 2, recs)
+	mustIngest(t, s, "plain", nil, 2, recs)
 	// Two batches, so the second — 4 rows a shard behind 16, a quarter —
 	// is each shard's second run. Both runs are sized to their rows, and
 	// there is no store-order copy beside them: the shard holds each row
 	// once, 8·d bytes.
 	for _, batch := range [][]store.Record{recs[:32], recs[32:]} {
-		if _, _, err := s.Ingest("ns64", &IndexSpec{Kind: KindNormScan}, 2, batch); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s, "ns64", &IndexSpec{Kind: KindNormScan}, 2, batch)
 	}
 	st := s.Stats()
 	elems := int64(n * d)
@@ -361,9 +355,7 @@ func TestInt8CrashRecoveryIdenticalAnswers(t *testing.T) {
 	spec := &IndexSpec{Kind: KindExact, Precision: PrecisionI8}
 	for lo := 0; lo < n; lo += 500 {
 		hi := min(lo+500, n)
-		if _, _, err := s1.Ingest("col", spec, 2, recs[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s1, "col", spec, 2, recs[lo:hi])
 	}
 	want := make([][]Hit, len(queries))
 	for i, qv := range queries {
@@ -415,9 +407,7 @@ func TestInt8ManifestOverfetchIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s1.Ingest("items", &spec, 2, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s1, "items", &spec, 2, recs)
 	s1.Close()
 	paths, err := filepath.Glob(filepath.Join(dir, "*", "manifest.json"))
 	if err != nil || len(paths) != 1 {
@@ -450,9 +440,7 @@ func TestInt8ManifestOverfetchIgnored(t *testing.T) {
 	}
 	ref := New(Config{CacheCapacity: -1})
 	defer ref.Close()
-	if _, _, err := ref.Ingest("items", nil, 2, recs); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, ref, "items", nil, 2, recs)
 	for _, unsigned := range []bool{false, true} {
 		opts := SearchOpts{K: 10, Unsigned: unsigned}
 		want := searchOpts(t, ref, queries, opts)

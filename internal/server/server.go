@@ -618,10 +618,13 @@ func shardsOrDefault(shards, def int) int {
 	return shards
 }
 
-// buildCollection constructs a collection and (on a durable server)
-// its data directory. On any failure nothing is left running: the
-// shard-owner goroutines newCollection spawned are stopped.
+// buildCollection validates a request's spec and constructs its collection
+// and (on a durable server) its data directory. On any failure nothing is
+// left running: the shard-owner goroutines newCollection spawned are stopped.
 func (s *Server) buildCollection(name string, spec IndexSpec, shards int, seed uint64) (*Collection, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	c, err := newCollection(name, spec, shards, seed)
 	if err != nil {
 		return nil, err

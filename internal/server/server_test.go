@@ -26,6 +26,14 @@ func records(vs []vec.Vector, base int) []store.Record {
 	return recs
 }
 
+// mustIngest ingests recs into s's collection name, failing tb on an error.
+func mustIngest(tb testing.TB, s *Server, name string, spec *IndexSpec, shards int, recs []store.Record) {
+	tb.Helper()
+	if _, _, err := s.Ingest(name, spec, shards, recs); err != nil {
+		tb.Fatalf("ingest %q: %v", name, err)
+	}
+}
+
 // records returns the collection's live records in ID order, gathered
 // from the shards the way a checkpoint gathers them.
 func (c *Collection) records() []store.Record {
@@ -131,9 +139,7 @@ func TestNormScanMatchesExact(t *testing.T) {
 	lf := dataset.NewLatentFactor(rng, 400, 30, 10, 1.0)
 	s := New(Config{})
 	defer s.Close()
-	if _, _, err := s.Ingest("items", &IndexSpec{Kind: KindNormScan}, 3, records(lf.Items, 0)); err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
+	mustIngest(t, s, "items", &IndexSpec{Kind: KindNormScan}, 3, records(lf.Items, 0))
 	for _, unsigned := range []bool{false, true} {
 		results, err := s.Search("items", lf.Users, 5, unsigned)
 		if err != nil {
@@ -158,9 +164,7 @@ func TestCacheHitAndInvalidation(t *testing.T) {
 
 	s := New(Config{DefaultShards: 2, CacheCapacity: 16})
 	defer s.Close()
-	if _, _, err := s.Ingest("c", nil, 0, records(data, 0)); err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
+	mustIngest(t, s, "c", nil, 0, records(data, 0))
 
 	first, err := s.Search("c", q, 3, false)
 	if err != nil {
@@ -204,9 +208,7 @@ func TestDuplicateAndAutoIDs(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
 	v := vec.Vector{1, 0}
-	if _, _, err := s.Ingest("c", nil, 0, []store.Record{{ID: 7, Vec: v}}); err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
+	mustIngest(t, s, "c", nil, 0, []store.Record{{ID: 7, Vec: v}})
 	if _, _, err := s.Ingest("c", nil, 0, []store.Record{{ID: 7, Vec: v}}); err == nil {
 		t.Fatal("duplicate ID accepted")
 	}
@@ -221,9 +223,7 @@ func TestDuplicateAndAutoIDs(t *testing.T) {
 	if col.Len() != 1 {
 		t.Fatalf("failed batch published records: %d, want 1", col.Len())
 	}
-	if _, _, err := s.Ingest("c", nil, 0, []store.Record{{ID: 10, Vec: v}}); err != nil {
-		t.Fatalf("re-ingest after failed batch: %v", err)
-	}
+	mustIngest(t, s, "c", nil, 0, []store.Record{{ID: 10, Vec: v}})
 	// Auto IDs skip taken ones.
 	if _, _, err := s.Ingest("c", nil, 0, []store.Record{
 		{ID: AutoID, Vec: vec.Vector{0, 1}},
@@ -269,9 +269,7 @@ func TestShardPrepareFailureLeavesSnapshot(t *testing.T) {
 
 func TestIngestAfterCloseFailsCleanly(t *testing.T) {
 	s := New(Config{})
-	if _, _, err := s.Ingest("c", nil, 0, []store.Record{{ID: 0, Vec: vec.Vector{1}}}); err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
+	mustIngest(t, s, "c", nil, 0, []store.Record{{ID: 0, Vec: vec.Vector{1}}})
 	col, _ := s.Collection("c")
 	s.Close()
 	// A stale handle must get an error, not a panic on a closed channel.
@@ -294,6 +292,8 @@ func TestIngestAfterCloseFailsCleanly(t *testing.T) {
 // which then does not exist — while the defaults, the simulator's (4, 8)
 // and §4.1's (26, 57) for planted-alsh pass. The refused shapes are cheap
 // to allocate, so a missing bound fails here rather than at the first write.
+// The bounds hold requests, not data directories: manifests past them, as
+// a server without them wrote, reopen under strict recovery and serve.
 func TestIndexSpecValidate(t *testing.T) {
 	bad := []IndexSpec{
 		{Kind: "bogus"},
@@ -315,20 +315,42 @@ func TestIndexSpecValidate(t *testing.T) {
 			t.Fatalf("spec %+v rejected: %v", sp, err)
 		}
 	}
-	s := New(Config{})
-	defer s.Close()
+	dir := t.TempDir()
+	s, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
-	id := 0
-	for _, sp := range bad[4:] {
+	id, names, rec := 0, []string{"wide", "tall"}, store.Record{Vec: vec.Vector{0.1, 0.2}}
+	for i, sp := range bad[4:] {
 		var body struct{ Error string }
-		req := IngestRequest{Index: &sp, Records: []RecordJSON{{ID: &id, Vec: []float64{0.1, 0.2}}}}
+		req := IngestRequest{Index: &sp, Records: []RecordJSON{{ID: &id, Vec: rec.Vec}}}
 		if code := doJSON(t, ts, http.MethodPut, "/collections/x", req, &body); code != http.StatusBadRequest || !strings.Contains(body.Error, "k <= 64, l <= 1024") {
 			t.Fatalf("ingest with index %+v: %d %q, want a 400 naming the bound", sp, code, body.Error)
 		}
 		if _, ok := s.Collection("x"); ok {
 			t.Fatalf("ingest with index %+v created the collection", sp)
 		}
+		lg, err := s.createLog(names[i], sp, 2, 7)
+		if err == nil {
+			_, err = lg.Append([]store.Record{rec})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg.Close()
+	}
+	s.Close()
+	if s, err = Open(durableConfig(dir)); err != nil {
+		t.Fatalf("strict recovery: %v", err)
+	}
+	defer s.Close()
+	for i, sp := range bad[4:] {
+		if c, ok := s.Collection(names[i]); !ok || c.spec != sp || c.Len() != 1 {
+			t.Fatalf("%s: recovered %v with spec %+v, want %+v holding a record", names[i], ok, c.spec, sp)
+		}
+		searchAll(t, s, names[i], []vec.Vector{rec.Vec}, 5)
 	}
 }
 
@@ -337,12 +359,8 @@ func TestJoinEndToEnd(t *testing.T) {
 	P, Q, plantedAt := dataset.Planted(rng, 80, 20, 10, 0.9, []int{2, 5, 11})
 	s := New(Config{})
 	defer s.Close()
-	if _, _, err := s.Ingest("data", nil, 0, records(P, 0)); err != nil {
-		t.Fatalf("ingest P: %v", err)
-	}
-	if _, _, err := s.Ingest("queries", nil, 0, records(Q, 0)); err != nil {
-		t.Fatalf("ingest Q: %v", err)
-	}
+	mustIngest(t, s, "data", nil, 0, records(P, 0))
+	mustIngest(t, s, "queries", nil, 0, records(Q, 0))
 	resp, err := s.Join(JoinRequest{Data: "data", Queries: "queries", Engine: "exact", S: 0.8, C: 0.9})
 	if err != nil {
 		t.Fatalf("join: %v", err)

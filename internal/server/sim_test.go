@@ -36,7 +36,7 @@ package server
 // pairs are live and score ≥ cs. A window is keyed by incarnation, the
 // *Collection a name resolved to: a read that overlaps a drop may find
 // the collection unknown, or answer from any incarnation it overlapped.
-// Readers pause around reopen and crash.
+// Readers pause around reopen, crash and the writer's joins.
 //
 // A failing trace is minimised and printed with the f.Add line replaying it.
 
@@ -404,7 +404,7 @@ type simRun struct {
 	planted []store.Record   // hq's records
 	last    map[string]simOp // each collection's last search, asked again after a write
 	hist    simHistory
-	pause   sync.RWMutex // each read holds it, a reopen or crash takes it whole
+	pause   sync.RWMutex // each read holds it, a reopen, crash or join takes it whole
 	writing atomic.Bool  // a write is in flight, so readers read on
 	readers sync.WaitGroup
 }
@@ -698,10 +698,12 @@ func (r *simRun) checkSearch(op simOp) {
 // checkJoin runs a join op and checks its pairs, its Compared and that
 // it moved no search counter.
 func (r *simRun) checkJoin(op simOp) {
+	r.pause.Lock() // so that no reader's search moves the counters
+	defer r.pause.Unlock()
 	req := op.join
 	before := searchCounters(r.s)
 	resp, err := r.s.Join(req)
-	if after := searchCounters(r.s); r.cfg.readers == 0 && !slices.Equal(before, after) {
+	if after := searchCounters(r.s); !slices.Equal(before, after) {
 		failf("%s: the join moved the cache or search counters: %v, then %v", op, before, after)
 	}
 	data, dok := r.m[req.Data]
@@ -1474,6 +1476,75 @@ func TestConcurrentIngestSearchConsistency(t *testing.T) {
 func TestConcurrentIngestSearch(t *testing.T) {
 	fix := func(c *simConfig) { c.shards, c.workers, c.cache = 4, 2, true }
 	simScenario{fix: fix, cells: "e64", kinds: "ingest upsert", readers: 4, reads: "search"}.run(t)
+}
+
+// TestConcurrentWriters: the simulator has one writer, so here three
+// write one collection at once — each ingests batches of fresh IDs of its
+// own and upserts its previous batch — beside a searching reader. No write
+// is lost: the collection holds every ID, the shards' live rows add up to
+// its Len, and each ID holds the vector its writer last wrote.
+func TestConcurrentWriters(t *testing.T) {
+	const writers, batches, size = 3, 8, 25
+	s := New(Config{DefaultShards: 4, Workers: 2, CacheCapacity: 64})
+	defer s.Close()
+	rng, want := xrand.New(3), map[int]vec.Vector{}
+	batch := func(base int) []store.Record { // an ID's last draw is its last write
+		recs := make([]store.Record, size)
+		for i := range recs {
+			recs[i] = store.Record{ID: base + i, Vec: rng.NormalVec(8)}
+			want[base+i] = recs[i].Vec
+		}
+		return recs
+	}
+	mustIngest(t, s, "live", nil, 0, batch(0))
+	var plan [writers][batches][2][]store.Record // batch b's fresh IDs, then batch b-1's again
+	for w := range writers {
+		for b := range batches {
+			plan[w][b][0] = batch(size * (1 + w*batches + b))
+			if b > 0 {
+				plan[w][b][1] = batch(size * (w*batches + b))
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	var errs [writers + 1]error
+	var writing atomic.Int32
+	writing.Store(writers)
+	for w := range writers + 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if w == writers { // the reader, until every writer is done
+				for q := vec.New(8); errs[w] == nil && writing.Load() > 0; q[0]++ {
+					_, errs[w] = s.Search("live", []vec.Vector{q}, 3, false)
+				}
+				return
+			}
+			defer writing.Add(-1)
+			for b := 0; b < batches && errs[w] == nil; b++ {
+				if _, _, errs[w] = s.Ingest("live", nil, 0, plan[w][b][0]); errs[w] == nil && b > 0 {
+					_, _, errs[w] = s.Upsert("live", nil, 0, plan[w][b][1])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs[:]...); err != nil {
+		t.Fatal(err)
+	}
+	c, _ := s.Collection("live")
+	cs, sum := s.Stats().Collections["live"], 0
+	for _, sh := range cs.Shards {
+		sum += sh.Live
+	}
+	if n := len(want); c.Len() != n || cs.Records != n || sum != n {
+		t.Fatalf("Len %d, stats %d, shards' live rows sum to %d; want %d", c.Len(), cs.Records, sum, n)
+	}
+	for _, rec := range c.records() {
+		if w := want[rec.ID]; !slices.Equal(rec.Vec, w) {
+			t.Fatalf("ID %d holds %v, its writer last wrote %v", rec.ID, rec.Vec, w)
+		}
+	}
 }
 
 // TestSingleShardConcurrentSearchMatchesExact: single queries on one

@@ -623,9 +623,7 @@ func TestRemovedRerankFieldIgnored(t *testing.T) {
 	}
 	q := jsonVec(rng.UnitVec(6))
 	for _, spec := range []IndexSpec{{Kind: KindExact}, {Kind: KindExact, Precision: PrecisionI8}} {
-		if _, _, err := s.Ingest(spec.precision(), &spec, 0, rows); err != nil {
-			t.Fatal(err)
-		}
+		mustIngest(t, s, spec.precision(), &spec, 0, rows)
 		path := "/collections/" + spec.precision() + "/search"
 		answer := func(body string) []Hit {
 			t.Helper()
@@ -832,9 +830,7 @@ func TestRequestBuffersNotRetained(t *testing.T) {
 
 			specJSON, _ := json.Marshal(spec)
 			do("PUT", "/collections/c", fmt.Sprintf(`{"index":%s,"records":%s}`, specJSON, recordsJSON(rows[:n])))
-			if _, _, err := ref.Ingest("c", &spec, 0, rows[:n]); err != nil {
-				t.Fatal(err)
-			}
+			mustIngest(t, ref, "c", &spec, 0, rows[:n])
 			check("after ingest")
 
 			// Replace the first rows with the spare ones' vectors, insert two

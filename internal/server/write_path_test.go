@@ -146,9 +146,7 @@ func testUpsertAllocationIsBatchSized(t *testing.T, kind string) {
 			step = n
 		}
 		for lo := 0; lo < n; lo += step {
-			if _, _, err := s.Ingest("c", &IndexSpec{Kind: kind}, 0, recs[lo:min(lo+step, n)]); err != nil {
-				t.Fatal(err)
-			}
+			mustIngest(t, s, "c", &IndexSpec{Kind: kind}, 0, recs[lo:min(lo+step, n)])
 		}
 		c, _ := s.Collection("c")
 		upsert := func(w int) {
@@ -189,9 +187,7 @@ func TestIndexBuildCountersWithoutTrace(t *testing.T) {
 	defer ts.Close()
 	const n, d, width, writes = 2000, 8, 16, 70
 	recs := randRecords(n+width, d, 5)
-	if _, _, err := s.Ingest("c", &IndexSpec{Kind: KindNormScan}, 0, recs[:n]); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "c", &IndexSpec{Kind: KindNormScan}, 0, recs[:n])
 	counters := func() (extend, rebuild, copied int64) {
 		t.Helper()
 		resp, err := ts.Client().Get(ts.URL + "/metrics")
@@ -284,9 +280,7 @@ func TestWALFaultLeavesNoTrace(t *testing.T) {
 			defer s.Close()
 			queries := randQueries(15, d, 32)
 			m := liveSet{}
-			if _, _, err := s.Ingest("c", nil, 2, recs[:400]); err != nil {
-				t.Fatal(err)
-			}
+			mustIngest(t, s, "c", nil, 2, recs[:400])
 			m.upsert(recs[:400])
 			// One upsert replacing a record on each shard, so every shard
 			// keeps an id→row map from here on.
@@ -340,16 +334,12 @@ func TestWALFaultLeavesNoTrace(t *testing.T) {
 			}
 
 			waitFor(t, "repair probe to reactivate", func() bool { return c.healthState() == HealthActive })
-			if _, _, err := s.Ingest("c", nil, 0, recs[400:480]); err != nil {
-				t.Fatalf("ingest after repair: %v", err)
-			}
+			mustIngest(t, s, "c", nil, 0, recs[400:480])
 			m.upsert(recs[400:480])
 			// AutoID hands out the lowest IDs not live: 480 on, never an ID
 			// a failed delete named.
 			auto := []store.Record{{ID: AutoID, Vec: recs[480].Vec}, {ID: AutoID, Vec: recs[481].Vec}}
-			if _, _, err := s.Ingest("c", nil, 0, auto); err != nil {
-				t.Fatalf("auto-ID ingest after repair: %v", err)
-			}
+			mustIngest(t, s, "c", nil, 0, auto)
 			m.upsert([]store.Record{{ID: 480, Vec: recs[480].Vec}, {ID: 481, Vec: recs[481].Vec}})
 			if _, _, err := s.Upsert("c", nil, 0, recs[10:30]); err != nil {
 				t.Fatalf("upsert after repair: %v", err)
@@ -396,9 +386,7 @@ func TestRowMapOnlyForAKill(t *testing.T) {
 	s := New(Config{DefaultShards: 2, CacheCapacity: -1, CompactFraction: -1})
 	defer s.Close()
 	recs := randRecords(40, 4, 9)
-	if _, _, err := s.Ingest("c", nil, 0, recs[:20]); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s, "c", nil, 0, recs[:20])
 	c, _ := s.Collection("c")
 	noMaps := func(after string) {
 		t.Helper()
@@ -476,9 +464,7 @@ func TestAttrsFollowMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A delete-then-reinsert after the checkpoint rides the WAL tail.
-	if _, _, err := s1.Ingest("col", nil, 0, []store.Record{{ID: 3, Vec: v, Attrs: map[string]string{"title": "again"}}}); err != nil {
-		t.Fatal(err)
-	}
+	mustIngest(t, s1, "col", nil, 0, []store.Record{{ID: 3, Vec: v, Attrs: map[string]string{"title": "again"}}})
 	want[3] = map[string]string{"title": "again"}
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
@@ -524,9 +510,7 @@ func TestCheckpointFromShardsBitIdentical(t *testing.T) {
 			defer s1.Close()
 			spec := &IndexSpec{Kind: KindExact, Precision: precision}
 			for lo := 0; lo < n; lo += 500 {
-				if _, _, err := s1.Ingest("col", spec, 3, recs[lo:lo+500]); err != nil {
-					t.Fatal(err)
-				}
+				mustIngest(t, s1, "col", spec, 3, recs[lo:lo+500])
 			}
 			replaced := make([]store.Record, 100)
 			for i := range replaced {
