@@ -8,11 +8,11 @@
 // top-k bookkeeping are written once.
 //
 // Cancellation: the driver polls ctx.Done() once per blockRows row
-// block, so a cancelled scan stops within one block of the
-// cancellation and returns ctx's error; partial hits are never
-// returned, so a completed scan is bit-identical whatever ctx it ran
-// under. A context that can never be cancelled (context.Background)
-// has a nil Done channel and the loop skips the poll.
+// block and ctx's deadline, which a busy core can pass before its timer
+// runs, once per 16; a cancelled scan returns ctx's error, never partial
+// hits, so a completed scan is bit-identical whatever ctx it ran under.
+// A context that can never be cancelled (context.Background) has a nil
+// Done channel and the loop skips the poll.
 //
 // Tombstones: a block whose rows are all dead is skipped before the
 // kernel runs, and in a mixed block only a row whose score clears the
@@ -23,10 +23,12 @@
 package flat
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"repro/internal/vec"
 )
@@ -209,7 +211,8 @@ func (v View) check(qdim int, dead *Tombstones) error {
 type sweep struct {
 	View
 	done     <-chan struct{}
-	slack    float64 // f64Slack: how far below the bar a bound may fall
+	deadline time.Time // ctx's; zero if it has none
+	slack    float64   // f64Slack: how far below the bar a bound may fall
 	unsigned bool
 	dead     *Tombstones // nil when no row is dead
 }
@@ -218,6 +221,7 @@ type sweep struct {
 // delete-free stores never pay the triage.
 func (v View) newSweep(ctx context.Context, o ScanOpts) sweep {
 	s := sweep{View: v, done: ctx.Done(), slack: f64Slack(v.Dim()), unsigned: o.Unsigned}
+	s.deadline, _ = ctx.Deadline()
 	if o.Dead.Count() > 0 {
 		s.dead = o.Dead
 	}
@@ -342,14 +346,14 @@ func skipBelowGeneric(buf []float64, thr float64, unsigned bool) int {
 	return n
 }
 
-// stopErr reports why a scan stopped. The done channel only fires once
-// ctx is cancelled, so Err is non-nil then; the Canceled fallback
-// guards against a misbehaving custom context.
+// stopErr reports why a scan stopped: DeadlineExceeded past ctx's
+// deadline, whose timer may not have run yet, else ctx's error; the
+// Canceled fallback guards against a misbehaving custom context.
 func stopErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
 	}
-	return context.Canceled
+	return cmp.Or(ctx.Err(), context.Canceled)
 }
 
 // Scan returns up to o.K hits for q under the canonical (score
@@ -459,6 +463,9 @@ func (s *sweep) tiles(qs *Store, qlo int, accs []Acc, scanned []int, st *ScanSta
 			case <-s.done:
 				return true
 			default:
+				if i%16 == 0 && !s.deadline.IsZero() && time.Now().After(s.deadline) {
+					return true
+				}
 			}
 		}
 		_, r, start, end := s.blockAt(i)

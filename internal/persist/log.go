@@ -415,7 +415,7 @@ func (l *Log) fail(err error) {
 
 // SetFaultHook installs fn to be called — on a fresh goroutine, so no
 // lock ordering binds the callee — whenever a write/sync failure
-// latches or a background checkpoint fails. Install it before the log
+// latches or a checkpoint fails. Install it before the log
 // starts serving appends.
 func (l *Log) SetFaultHook(fn func(error)) {
 	l.faultHook.Store(fn)
@@ -506,17 +506,17 @@ func (l *Log) Repair() error {
 	if l.failed == nil {
 		return nil
 	}
-	if l.f == nil {
-		return l.failed
-	}
-	if err := l.f.Truncate(l.walBytes); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(l.walBytes, 0); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
+	// After a failed rotation (checkpoint) there is no active file to trim.
+	if l.f != nil {
+		if err := l.f.Truncate(l.walBytes); err != nil {
+			return err
+		}
+		if _, err := l.f.Seek(l.walBytes, 0); err != nil {
+			return err
+		}
+		if err := l.f.Sync(); err != nil {
+			return err
+		}
 	}
 	// Rotation gives appends a fresh file — the safe choice after an
 	// EIO that may be pinned to bad blocks under the old one. The old
@@ -528,7 +528,7 @@ func (l *Log) Repair() error {
 	if err := l.startWAL(l.lastSeq + 1); err != nil {
 		return err
 	}
-	if old != l.f {
+	if old != nil && old != l.f {
 		if err := old.Close(); err != nil {
 			slog.Warn("persist: closing rotated wal after repair failed", "dir", l.dir, "error", err)
 		}
@@ -610,11 +610,6 @@ func (l *Log) MaybeCheckpoint(snapshot func() ([]store.Record, uint64)) bool {
 		defer l.ckptBusy.Store(false)
 		if err := l.Checkpoint(snapshot); err != nil && !errors.Is(err, ErrClosed) {
 			slog.Error("persist: background checkpoint failed", "dir", l.dir, "error", err)
-			// A background checkpoint failure may not have latched the
-			// append path (e.g. the segment write ran out of disk), but
-			// the collection's durability contract is broken either way;
-			// the hook lets the serving layer degrade it.
-			l.notifyFault(err)
 		}
 	}()
 	return true
@@ -624,12 +619,16 @@ func (l *Log) MaybeCheckpoint(snapshot func() ([]store.Record, uint64)) bool {
 // file, snapshot the published records, write them as a segment, then
 // delete the rotated WAL files (now fully covered by the segment) and
 // all but the two newest segments. Concurrent checkpoints serialize
-// on ckptMu.
+// on ckptMu. A failure goes to the fault hook: it may not have latched
+// the append path (e.g. the segment write ran out of disk), but the
+// collection's durability contract is broken either way.
 func (l *Log) Checkpoint(snapshot func() ([]store.Record, uint64)) error {
 	start := time.Now()
 	err := l.checkpoint(snapshot)
 	if err == nil {
 		l.observe("checkpoint", time.Since(start))
+	} else if !errors.Is(err, ErrClosed) {
+		l.notifyFault(err)
 	}
 	return err
 }
@@ -653,19 +652,16 @@ func (l *Log) checkpoint(snapshot func() ([]store.Record, uint64)) error {
 	// sequences the segment happens to cover.
 	if err := l.f.Sync(); err != nil {
 		l.failed = err
-		l.notifyFault(err)
 		l.mu.Unlock()
 		return err
 	}
-	if err := l.f.Close(); err != nil {
-		l.failed = err
-		l.notifyFault(err)
-		l.mu.Unlock()
-		return err
+	err := l.f.Close()
+	if err == nil {
+		err = l.startWAL(l.lastSeq + 1)
 	}
-	if err := l.startWAL(l.lastSeq + 1); err != nil {
+	if err != nil {
+		l.f = nil // synced and closed whole: Repair starts the next file
 		l.failed = err
-		l.notifyFault(err)
 		l.mu.Unlock()
 		return err
 	}
@@ -872,18 +868,20 @@ func (l *Log) Close() error {
 	alreadyClosed := l.closed
 	l.closed = true
 	var err error
-	if !alreadyClosed && l.f != nil {
+	if !alreadyClosed {
 		// A latched failure means acknowledged writes may never have
 		// been fsynced: shutdown must not report success for a log
 		// that was silently broken.
 		err = l.failed
-		if err == nil {
-			err = l.f.Sync()
+		if l.f != nil {
+			if err == nil {
+				err = l.f.Sync()
+			}
+			if cerr := l.f.Close(); err == nil {
+				err = cerr
+			}
+			l.f = nil
 		}
-		if cerr := l.f.Close(); err == nil {
-			err = cerr
-		}
-		l.f = nil
 	}
 	l.mu.Unlock()
 	// Drain any in-flight checkpoint: it re-checks closed before

@@ -65,8 +65,8 @@ type Collection struct {
 	hashes atomic.Pointer[lsh.Index]
 
 	ingestMu sync.Mutex
-	// seenIDs is the currently-live ID set: deletes remove from it, so
-	// AutoID assignment may reuse an ID after its record is deleted.
+	// seenIDs is the currently-live ID set; every ID in [0, nextID) is
+	// live, so AutoID records get the lowest IDs that are not.
 	seenIDs map[int]struct{}
 	// attrs holds the attributes of the live records that carry any, by
 	// ID (under ingestMu). A record's map is replaced whole, never
@@ -392,11 +392,13 @@ func (c *Collection) note(old *collView, version uint64, killed int) *writeNote 
 	return n
 }
 
-// release drops the IDs a failed write reserved from the live set.
-// Callers hold ingestMu.
-func (c *Collection) release(reserved []int) {
-	for _, id := range reserved {
+// release drops IDs from the live set, with their attributes: those a
+// failed write reserved, or a delete's. Callers hold ingestMu.
+func (c *Collection) release(ids []int) {
+	for _, id := range ids {
 		delete(c.seenIDs, id)
+		delete(c.attrs, id)
+		c.nextID = min(c.nextID, max(id, 0))
 	}
 }
 
@@ -497,10 +499,7 @@ func (c *Collection) ingest(ctx context.Context, recs []store.Record) (uint64, e
 	reserved := make([]int, 0, len(assigned))
 	for i := range assigned {
 		if assigned[i].ID == AutoID {
-			for {
-				if _, dup := c.seenIDs[c.nextID]; !dup {
-					break
-				}
+			for _, dup := c.seenIDs[c.nextID]; dup; _, dup = c.seenIDs[c.nextID] {
 				c.nextID++
 			}
 			assigned[i].ID = c.nextID
@@ -736,10 +735,7 @@ func (c *Collection) Delete(ids []int) (uint64, int, error) {
 	if err := c.apply(context.Background(), c.split(nil, present), func() (uint64, error) { return c.log.AppendDelete(present) }); err != nil {
 		return 0, 0, err
 	}
-	for _, id := range present {
-		delete(c.seenIDs, id)
-		delete(c.attrs, id)
-	}
+	c.release(present)
 	version := c.applied(-len(present), len(present))
 	c.maybeCompact()
 	return version, len(present), nil

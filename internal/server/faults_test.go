@@ -1,10 +1,9 @@
 package server
 
-// Failure-domain tests: disk faults injected through the errfs VFS
-// must degrade exactly one collection (reads keep serving, mutations
-// fail closed with 503), the background repair probe must restore it
-// once the fault heals, and a restart must recover the acknowledged
-// state bit-identically — never a rejected batch, never a panic.
+// Failure-domain tests beside the simulator's disk faults (sim_test.go
+// states and checks what a WAL or checkpoint fault must leave): the
+// scrubber, quarantined boots, a drop while degraded, and the health
+// probes and HTTP statuses of a degraded collection.
 
 import (
 	"encoding/json"
@@ -33,156 +32,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
-}
-
-// faultyConfig is durableConfig routed through a fault injector.
-func faultyConfig(dir string, f *errfs.Faulty) Config {
-	cfg := durableConfig(dir)
-	cfg.FS = f
-	return cfg
-}
-
-// TestWALFaultDegradesServing: a latched WAL fsync failure turns the
-// collection read-only — the failed ingest is reported, reads keep
-// answering from the last snapshots, mutations 503 — and the repair
-// probe restores active service once the disk heals. A restart then
-// recovers exactly the acknowledged batches.
-func TestWALFaultDegradesServing(t *testing.T) {
-	dir := t.TempDir()
-	f := errfs.NewFaulty(nil, 1)
-	s, err := Open(faultyConfig(dir, f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n, d, q, k = 900, 6, 20, 3
-	recs := randRecords(n, d, 1)
-	queries := randQueries(q, d, 2)
-
-	mustIngest(t, s, "c", nil, 2, recs[:600])
-	want := searchAll(t, s, "c", queries, k)
-	c, _ := s.Collection("c")
-
-	f.Inject(errfs.Rule{Op: errfs.OpSync, Path: "wal-"})
-	if _, _, err := s.Ingest("c", nil, 0, recs[600:700]); err == nil {
-		t.Fatal("ingest succeeded while WAL fsync faults")
-	}
-	waitFor(t, "collection to degrade", func() bool { return c.healthState() == HealthDegraded })
-
-	// Reads keep serving the pre-fault state; the rejected batch is
-	// invisible (its IDs were rolled back).
-	if got := searchAll(t, s, "c", queries, k); !reflect.DeepEqual(got, want) {
-		t.Fatal("degraded reads differ from the pre-fault snapshot")
-	}
-	if c.Len() != 600 {
-		t.Fatalf("len %d while degraded, want 600", c.Len())
-	}
-	// Mutations fail closed with the retryable class.
-	if _, _, err := s.Ingest("c", nil, 0, recs[600:700]); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("degraded ingest err=%v, want ErrUnavailable", err)
-	}
-	if _, _, err := s.Upsert("c", nil, 0, recs[:10]); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("degraded upsert err=%v, want ErrUnavailable", err)
-	}
-	if _, _, _, err := s.Delete("c", []int{0}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("degraded delete err=%v, want ErrUnavailable", err)
-	}
-	// Readiness names the degraded collection so the orchestrator
-	// drains traffic without restarting the process.
-	if err := s.Readiness(); err == nil || !strings.Contains(err.Error(), "c (degraded)") {
-		t.Fatalf("Readiness() = %v, want degraded collection named", err)
-	}
-
-	f.Clear()
-	waitFor(t, "repair probe to reactivate", func() bool { return c.healthState() == HealthActive })
-	if c.repairs.Load() == 0 {
-		t.Fatal("repair counter did not advance")
-	}
-	if err := s.Readiness(); err != nil {
-		t.Fatalf("Readiness() after repair: %v", err)
-	}
-	mustIngest(t, s, "c", nil, 0, recs[600:])
-	wantAll := searchAll(t, s, "c", queries, k)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	c2, _ := s2.Collection("c")
-	if c2.Len() != n {
-		t.Fatalf("recovered %d records, want %d (600 pre-fault + 300 post-repair)", c2.Len(), n)
-	}
-	if got := searchAll(t, s2, "c", queries, k); !reflect.DeepEqual(got, wantAll) {
-		t.Fatal("post-restart answers differ from pre-restart")
-	}
-}
-
-// TestENOSPCMidCheckpointDegradesNotPanics is the satellite scenario at
-// the serving layer: ENOSPC kills a background checkpoint's segment
-// write. The collection degrades (no panic, no 5xx on reads), the old
-// segment and WAL still recover bit-identically, and once space frees
-// a successful checkpoint re-activates the collection.
-func TestENOSPCMidCheckpointDegradesNotPanics(t *testing.T) {
-	dir := t.TempDir()
-	f := errfs.NewFaulty(nil, 1)
-	cfg := faultyConfig(dir, f)
-	cfg.CheckpointBytes = 1 // checkpoint after every ingest batch
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n, d, q, k = 800, 5, 20, 3
-	recs := randRecords(n, d, 5)
-	queries := randQueries(q, d, 6)
-
-	mustIngest(t, s, "c", nil, 2, recs[:400])
-	c, _ := s.Collection("c")
-	colDir := filepath.Join(dir, "c")
-	hasSegment := func() bool {
-		ents, err := os.ReadDir(colDir)
-		if err != nil {
-			return false
-		}
-		for _, e := range ents {
-			if strings.HasPrefix(e.Name(), "segment-") && strings.HasSuffix(e.Name(), ".seg") {
-				return true
-			}
-		}
-		return false
-	}
-	waitFor(t, "first clean checkpoint segment", hasSegment)
-
-	// Disk "fills": every segment write now dies half-way.
-	f.Inject(errfs.Rule{Op: errfs.OpWrite, Path: "segment-", Kind: errfs.KindShortWrite})
-	mustIngest(t, s, "c", nil, 0, recs[400:])
-	waitFor(t, "checkpoint failure to degrade the collection", func() bool {
-		return c.healthState() == HealthDegraded
-	})
-	// Reads never see a 5xx: the full acknowledged state keeps serving.
-	want := searchAll(t, s, "c", queries, k)
-	if c.Len() != n {
-		t.Fatalf("len %d while degraded, want %d", c.Len(), n)
-	}
-
-	// Space frees; the probe's retried checkpoint must succeed and
-	// re-activate the collection.
-	f.Clear()
-	waitFor(t, "repair probe to reactivate", func() bool { return c.healthState() == HealthActive })
-
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := searchAll(t, s2, "c", queries, k); !reflect.DeepEqual(got, want) {
-		t.Fatal("recovered answers differ from the degraded-but-serving state")
-	}
 }
 
 // TestScrubberDetectsCorruptionAndSelfHeals: the background scrubber
@@ -429,9 +278,10 @@ func TestSketchCollectionUpgrade(t *testing.T) {
 // directory must be gone, and the name reusable. Run under -race this
 // also pins the probe/close lock ordering.
 func TestDropWhileDegradedDoesNotDeadlock(t *testing.T) {
-	dir := t.TempDir()
-	f := errfs.NewFaulty(nil, 1)
-	s, err := Open(faultyConfig(dir, f))
+	dir, f := t.TempDir(), errfs.NewFaulty(nil, 1)
+	cfg := durableConfig(dir)
+	cfg.FS = f
+	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

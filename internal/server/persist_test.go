@@ -12,7 +12,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/store"
 	"repro/internal/vec"
@@ -69,108 +68,6 @@ func searchAll(t *testing.T, s *Server, name string, queries []vec.Vector, k int
 	return out
 }
 
-// TestRestartRecoversCollections is the core durability contract: a
-// closed durable server reopens with every collection — spec, shard
-// count, records — intact, and serves bit-identical search results.
-func TestRestartRecoversCollections(t *testing.T) {
-	dir := t.TempDir()
-	const n, d, q, k = 3000, 8, 40, 5
-	recs := randRecords(n, d, 1)
-	queries := randQueries(q, d, 2)
-
-	s1, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two collections with different specs/shard counts, ingested in
-	// several batches.
-	for lo := 0; lo < n; lo += 700 {
-		hi := min(lo+700, n)
-		mustIngest(t, s1, "exact", &IndexSpec{Kind: KindExact}, 4, recs[lo:hi])
-	}
-	mustIngest(t, s1, "pruned", &IndexSpec{Kind: KindNormScan}, 2, recs[:1000])
-	wantExact := searchAll(t, s1, "exact", queries, k)
-	wantPruned := searchAll(t, s1, "pruned", queries, k)
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := s2.Collections(); !reflect.DeepEqual(got, []string{"exact", "pruned"}) {
-		t.Fatalf("recovered collections %v", got)
-	}
-	c, _ := s2.Collection("exact")
-	if c.Len() != n || c.Spec().Kind != KindExact || c.Shards() != 4 {
-		t.Fatalf("exact recovered wrong: len=%d spec=%+v shards=%d", c.Len(), c.Spec(), c.Shards())
-	}
-	if got := searchAll(t, s2, "exact", queries, k); !reflect.DeepEqual(got, wantExact) {
-		t.Fatal("exact search results differ after restart")
-	}
-	if got := searchAll(t, s2, "pruned", queries, k); !reflect.DeepEqual(got, wantPruned) {
-		t.Fatal("pruned search results differ after restart")
-	}
-
-	// The recovered server keeps ingesting durably: auto-IDs must not
-	// collide with recovered IDs.
-	v := make(vec.Vector, d)
-	version, _, err := s2.Ingest("exact", nil, 0, []store.Record{{ID: AutoID, Vec: v}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if version == 0 {
-		t.Fatal("ingest after recovery did not bump the version")
-	}
-	c, _ = s2.Collection("exact")
-	if c.Len() != n+1 {
-		t.Fatalf("len %d after post-recovery ingest, want %d", c.Len(), n+1)
-	}
-}
-
-// TestCrashRecoversAcknowledgedWrites simulates kill -9: the first
-// server is never closed; a second server opens a copy of its data
-// directory and must see every acknowledged (fsync=always) write,
-// bit-identical to an in-memory reference collection fed the same
-// batches.
-func TestCrashRecoversAcknowledgedWrites(t *testing.T) {
-	dir := t.TempDir()
-	const n, d, q, k = 2000, 6, 25, 3
-	recs := randRecords(n, d, 3)
-	queries := randQueries(q, d, 4)
-
-	s1, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := New(Config{}) // in-memory reference run
-	defer ref.Close()
-	for lo := 0; lo < n; lo += 333 {
-		hi := min(lo+333, n)
-		mustIngest(t, s1, "col", nil, 4, recs[lo:hi])
-		mustIngest(t, ref, "col", nil, 4, recs[lo:hi])
-	}
-	// No Close: copy the directory out from under the live server,
-	// exactly what a kill -9 leaves behind (fsync=always means every
-	// acknowledged frame is already on disk).
-	crashed := t.TempDir()
-	copyTree(t, dir, crashed)
-
-	s2, err := Open(durableConfig(crashed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got := searchAll(t, s2, "col", queries, k)
-	want := searchAll(t, ref, "col", queries, k)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("recovered search results differ from the in-memory reference")
-	}
-	s1.Close()
-}
-
 // copyTree copies a live data directory the way kill -9 would freeze
 // it. The walk is not atomic: when a background checkpoint deletes a
 // file between the walk listing it and reading it, the copy is a state
@@ -204,66 +101,6 @@ func copyTree(t *testing.T, src, dst string) {
 		}
 		if err := os.RemoveAll(dst); err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestCheckpointDuringIngest drives enough batches through a tiny
-// checkpoint threshold that WAL compaction runs while ingest continues,
-// then verifies a restart still recovers everything.
-func TestCheckpointDuringIngest(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableConfig(dir)
-	cfg.Fsync = "interval"
-	cfg.FsyncInterval = time.Millisecond
-	cfg.CheckpointBytes = 4 << 10
-	const n, d = 5000, 4
-	recs := randRecords(n, d, 5)
-
-	s1, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lo := 0; lo < n; lo += 100 {
-		mustIngest(t, s1, "col", nil, 2, recs[lo:lo+100])
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// At least one segment must exist (the threshold is tiny), and the
-	// restart must see all records.
-	colDir := filepath.Join(dir, "col")
-	entries, err := os.ReadDir(colDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := 0
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "segment-") {
-			segs++
-		}
-	}
-	if segs == 0 {
-		t.Fatal("no segment written despite a 4KiB checkpoint threshold")
-	}
-	s2, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	c, ok := s2.Collection("col")
-	if !ok || c.Len() != n {
-		t.Fatalf("recovered %d records, want %d", c.Len(), n)
-	}
-	for i, r := range c.records() {
-		if r.ID != recs[i].ID {
-			t.Fatalf("record %d has ID %d, want %d", i, r.ID, recs[i].ID)
-		}
-		for j := range r.Vec {
-			if r.Vec[j] != recs[i].Vec[j] {
-				t.Fatalf("record %d vector differs", i)
-			}
 		}
 	}
 }
@@ -418,38 +255,5 @@ func TestCollectionDirNameSafety(t *testing.T) {
 	}
 	if collectionDirName("a/b") == collectionDirName("a/c") {
 		t.Fatal("distinct unsafe names collided")
-	}
-}
-
-// TestDurableIngestAttrsSurvive: attributes round-trip disk.
-func TestDurableIngestAttrsSurvive(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := []store.Record{
-		{ID: 1, Vec: vec.Vector{1, 2}, Attrs: map[string]string{"title": "first", "lang": "go"}},
-		{ID: 2, Vec: vec.Vector{3, 4}},
-	}
-	mustIngest(t, s1, "col", nil, 1, recs)
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	c, _ := s2.Collection("col")
-	got := c.records()
-	if len(got) != 2 {
-		t.Fatalf("recovered %d records", len(got))
-	}
-	if got[0].Attrs["title"] != "first" || got[0].Attrs["lang"] != "go" {
-		t.Fatalf("attrs lost: %+v", got[0].Attrs)
-	}
-	if got[1].Attrs != nil {
-		t.Fatalf("phantom attrs: %+v", got[1].Attrs)
 	}
 }

@@ -334,64 +334,6 @@ func itoa(v int64) string {
 	return strconv.FormatInt(v, 10)
 }
 
-// TestInt8CrashRecoveryIdenticalAnswers is the int8 durability
-// contract: after a simulated kill -9 (directory copied out from under
-// a live fsync=always server, checkpointing after every batch so both
-// the segment and WAL-replay paths run), the recovered collection must
-// serve post-rerank answers bit-identical to the original's — which
-// requires the quantization scale to reconstruct exactly.
-func TestInt8CrashRecoveryIdenticalAnswers(t *testing.T) {
-	dir := t.TempDir()
-	const n, d, q, k = 2000, 8, 25, 5
-	recs := randRecords(n, d, 21)
-	queries := randQueries(q, d, 22)
-
-	cfg := durableConfig(dir)
-	cfg.CheckpointBytes = 1 // checkpoint after every batch: segments carry the codes
-	s1, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &IndexSpec{Kind: KindExact, Precision: PrecisionI8}
-	for lo := 0; lo < n; lo += 500 {
-		hi := min(lo+500, n)
-		mustIngest(t, s1, "col", spec, 2, recs[lo:hi])
-	}
-	want := make([][]Hit, len(queries))
-	for i, qv := range queries {
-		res, err := s1.SearchWithOpts(context.Background(), "col", []vec.Vector{qv}, SearchOpts{K: k, Unsigned: true})
-		if err != nil || res[0].Err != nil {
-			t.Fatal(err, res[0].Err)
-		}
-		want[i] = res[0].Hits
-	}
-
-	crashed := t.TempDir()
-	copyTree(t, dir, crashed)
-	cfg2 := durableConfig(crashed)
-	s2, err := Open(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	c, _ := s2.Collection("col")
-	if c.Spec().Precision != PrecisionI8 {
-		t.Fatalf("recovered precision %q", c.Spec().Precision)
-	}
-	got := make([][]Hit, len(queries))
-	for i, qv := range queries {
-		res, err := s2.SearchWithOpts(context.Background(), "col", []vec.Vector{qv}, SearchOpts{K: k, Unsigned: true})
-		if err != nil || res[0].Err != nil {
-			t.Fatal(err, res[0].Err)
-		}
-		got[i] = res[0].Hits
-	}
-	if !sameHitsBitExact(got, want) {
-		t.Fatal("int8 answers differ after crash recovery")
-	}
-	s1.Close()
-}
-
 // TestInt8ManifestOverfetchIgnored: a data dir whose manifest still
 // carries the over-fetch factor int8 specs once had reopens — the field
 // decodes and is ignored — with the same spec, answering as the f64

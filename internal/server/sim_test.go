@@ -18,9 +18,30 @@ package server
 //     live row, is refused; a join moves no search counter (checkJoin);
 //     the planted lsh join meets Definition 1 for ≥ 0.9 of its promised
 //     queries (checkPlanted);
-//   - the server holds the model's collections at the model's Len
-//     (checkState), a delete counts what the model does (write), and shard
-//     snapshots pinned before a write answer bit-identically after it.
+//   - the server holds the model's collections at the model's Len, and
+//     the written one the model's records: IDs, vectors bit for bit and
+//     attributes, an AutoID ingest's records at the lowest IDs not live
+//     (checkState); a delete counts what the model does, an ingest of a
+//     live ID is refused (write); shard snapshots pinned before a write
+//     answer bit-identically after it.
+//
+// A durable seed's server runs over errfs.Faulty, and now and then a
+// write or checkpoint carries a disk fault: a WAL write, short write or
+// fsync failure, or a segment short write, ENOSPC or torn rename, armed on
+// its collection's files until the simulator heals the disk (fault). Then:
+//
+//   - a write that returns an error leaves no trace: it is unavailable,
+//     and the model, Version(), each shard's id→row map and every reader
+//     window stay as they were; a write that returns nil is acked, and
+//     every later kill -9 image holds it (under fsync=interval too: a
+//     kill -9 keeps the page cache);
+//   - a latched log or a failed checkpoint degrades the collection, which
+//     Readiness() names, which answers reads as the model does and whose
+//     every mutation fails with ErrUnavailable (checkDegraded);
+//   - a kill -9 image taken then, after a failed checkpoint too, recovers
+//     the model bit for bit (checkImage), as every later reopen does;
+//   - once the disk heals, the repair probe reactivates the collection, a
+//     refused write is then acked, and checkPlanted holds.
 //
 // Beside the trace's writer run R reader goroutines (R ≤ 4, drawn after
 // the trace, so a seed's trace does not depend on them). They search —
@@ -49,14 +70,17 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/errfs"
 	"repro/internal/flat"
 	"repro/internal/join"
 	"repro/internal/store"
@@ -122,10 +146,13 @@ type simConfig struct {
 	plant                   uint64 // seeds the planted collections
 	readers                 int    // goroutines reading beside the writer
 	reads                   uint64 // seeds them
+	interval                bool   // fsync=interval (every 100 ms), not always
+	ckptEvery               bool   // a checkpoint after every write, not every 16 KiB of WAL
 }
 
-// serverConfig is the Config a run serves from, over dir when durable.
-func (c simConfig) serverConfig(dir string) Config {
+// serverConfig is the Config a run serves from, over dir through fs when
+// durable.
+func (c simConfig) serverConfig(dir string, fs errfs.FS) Config {
 	cfg := Config{DefaultShards: c.shards, CacheCapacity: -1, Workers: c.workers, CompactFraction: -1}
 	if c.cache {
 		cfg.CacheCapacity = 256 // above the widest batch: a repeated one is cached whole
@@ -134,9 +161,25 @@ func (c simConfig) serverConfig(dir string) Config {
 		cfg.CompactFraction, cfg.CompactMinDead = 0.05, -1
 	}
 	if c.durable {
-		cfg.DataDir, cfg.Fsync, cfg.CheckpointBytes = dir, "always", 16<<10
+		cfg.DataDir, cfg.FS, cfg.Fsync, cfg.CheckpointBytes = dir, fs, "always", 16<<10
+		if c.interval {
+			cfg.Fsync = "interval"
+		}
+		if c.ckptEvery {
+			cfg.CheckpointBytes = 1
+		}
 	}
 	return cfg
+}
+
+// simFaults is the disk-fault menu; a rule is armed on one collection's files.
+var simFaults = map[string]errfs.Rule{
+	"wal":      {Op: errfs.OpWrite, Path: "wal-"},
+	"walshort": {Op: errfs.OpWrite, Path: "wal-", Kind: errfs.KindShortWrite},
+	"fsync":    {Op: errfs.OpSync, Path: "wal-"},
+	"segshort": {Op: errfs.OpWrite, Path: "segment-", Kind: errfs.KindShortWrite},
+	"enospc":   {Op: errfs.OpWrite, Path: "segment-", Err: syscall.ENOSPC},
+	"rename":   {Op: errfs.OpRename, Path: "segment-", Kind: errfs.KindTornRename},
 }
 
 func ballVec(rng *xrand.RNG, d int) vec.Vector {
@@ -166,7 +209,9 @@ type simOp struct {
 	kind, col string
 	recs      []store.Record
 	ids       []int
-	direct    bool // a write through the Collection: a missed cache invalidation
+	direct    bool   // a write through the Collection: a missed cache invalidation
+	auto      bool   // an ingest of AutoID records: the collection picks their IDs
+	fault     string // a name in simFaults: the disk fault armed around the op
 	queries   []vec.Vector
 	opts      SearchOpts
 	join      JoinRequest
@@ -186,7 +231,10 @@ func (op simOp) String() string {
 	case "compact", "checkpoint", "drop", "all", "reopen", "crash":
 		s = op.kind + " " + op.col
 	}
-	return s + map[bool]string{true: " (direct)"}[op.direct]
+	if op.fault != "" {
+		s += " (" + op.fault + " fault)"
+	}
+	return s + map[bool]string{true: " (direct)"}[op.direct] + map[bool]string{true: " (auto IDs)"}[op.auto]
 }
 
 // simGen draws a trace. It keeps the records it drew, live or not, to
@@ -203,24 +251,29 @@ type simGen struct {
 // simScenario narrows the simulator to one claim: fix sets configuration
 // fields once they are drawn, cells are the collections a trace writes,
 // searches and joins (every one of simCells when empty), and kinds the op
-// kinds it holds (any when empty; an op of another kind is drawn again).
-// Its traces are ops long, simOps when 0. readers fixes the reader count
-// (none when negative, drawn when 0), reads what they ask ("search" or
-// "join", both when empty), and end checks the server once the trace ran.
+// kinds it holds (any when empty; an op of another kind is drawn again;
+// run reads "ingest:auto" as an AutoID ingest and "delete:fault" as a
+// delete carrying a fault). faults names the faults of simFaults it draws
+// (all when empty, none when "none"). Its traces are ops long, simOps
+// when 0. readers fixes the reader count (none when negative, drawn when
+// 0), reads what they ask ("search" or "join", both when empty), and end
+// checks the server once the trace ran.
 type simScenario struct {
-	fix          func(*simConfig)
-	cells, kinds string // space-separated
-	ops, readers int
-	reads        string
-	end          func(*Server) error
+	fix                  func(*simConfig)
+	cells, kinds, faults string // space-separated
+	ops, readers         int
+	reads                string
+	end                  func(*Server) error
 }
 
 // genSim draws a configuration — shards, cache, pool width, compaction,
 // durability, dimension — and a trace of n ops of sc from seed: ingests,
 // upserts, deletes of ids, of a 256-row block, of a shard and of a
 // collection, searches and batches, joins over every engine, compactions,
-// checkpoints, drops, clean reopens and kill -9 images — and then the
-// readers, so that their draws leave the trace as it was.
+// checkpoints, drops, clean reopens and kill -9 images. Then come the
+// readers, the fsync mode and checkpoint trigger, AutoID ingests,
+// attributes and disk faults, so that these draws leave the configuration
+// and trace drawn before them as they were.
 func genSim(seed uint64, n int, sc simScenario) (simConfig, []simOp) {
 	rng := xrand.New(seed)
 	cfg := simConfig{
@@ -239,7 +292,7 @@ func genSim(seed uint64, n int, sc simScenario) (simConfig, []simOp) {
 	ops := make([]simOp, n)
 	for i := range ops {
 		ops[i] = g.op()
-		for sc.kinds != "" && !slices.Contains(strings.Fields(sc.kinds), ops[i].kind) {
+		for sc.kinds != "" && !slices.ContainsFunc(strings.Fields(sc.kinds), func(k string) bool { return strings.HasPrefix(k+":", ops[i].kind+":") }) {
 			ops[i] = g.op()
 		}
 		if ops[i].kind == "drop" {
@@ -249,6 +302,23 @@ func genSim(seed uint64, n int, sc simScenario) (simConfig, []simOp) {
 	cfg.readers, cfg.reads = rng.Intn(5), rng.Uint64()
 	if sc.readers != 0 {
 		cfg.readers = max(sc.readers, 0)
+	}
+	cfg.interval, cfg.ckptEvery = rng.Intn(2) == 0, rng.Intn(4) == 0
+	if sc.fix != nil {
+		sc.fix(&cfg)
+	}
+	faults := strings.Fields(cmp.Or(sc.faults, "wal walshort fsync segshort enospc rename")) // of simFaults, or none
+	for i := range ops {
+		op := &ops[i]
+		op.auto = op.kind == "ingest" && rng.Intn(6) == 0
+		for j := range op.recs { // an ingest's or an upsert's
+			if rng.Intn(4) == 0 {
+				op.recs[j].Attrs = map[string]string{"tag": fmt.Sprint(rng.Intn(3))}
+			}
+		}
+		if cfg.durable && faults[0] != "none" && slices.Contains([]string{"ingest", "upsert", "delete", "block", "shard", "all", "checkpoint"}, op.kind) && rng.Intn(12) == 0 {
+			op.fault = faults[rng.Intn(len(faults))]
+		}
 	}
 	return cfg, ops
 }
@@ -399,10 +469,12 @@ type simRun struct {
 	cfg     simConfig
 	sc      simScenario
 	dir     string
+	fs      *errfs.Faulty // the durable server's filesystem
 	s       *Server
 	m       map[string]liveSet
-	planted []store.Record   // hq's records
-	last    map[string]simOp // each collection's last search, asked again after a write
+	planted []store.Record    // hq's records
+	last    map[string]simOp  // each collection's last search, asked again after a write
+	heal    map[string]func() // what a collection's next write waits for after a fault (settle)
 	hist    simHistory
 	pause   sync.RWMutex // each read holds it, a reopen, crash or join takes it whole
 	writing atomic.Bool  // a write is in flight, so readers read on
@@ -412,7 +484,7 @@ type simRun struct {
 // runSim runs ops of sc on a fresh server of cfg, beside its readers, and
 // on a divergence returns the index of the op it followed and what it was.
 func runSim(t *testing.T, cfg simConfig, ops []simOp, sc simScenario) (at int, err error) {
-	r := &simRun{t: t, cfg: cfg, sc: sc, m: map[string]liveSet{}, last: map[string]simOp{}}
+	r := &simRun{t: t, cfg: cfg, sc: sc, fs: errfs.NewFaulty(nil, 1), m: map[string]liveSet{}, last: map[string]simOp{}, heal: map[string]func(){}}
 	r.hist.cond.L = &r.hist.mu
 	r.hist.at, r.hist.byName = map[*Collection]map[uint64]liveSet{}, map[string][]*Collection{}
 	defer r.close()
@@ -431,8 +503,8 @@ func runSim(t *testing.T, cfg simConfig, ops []simOp, sc simScenario) (at int, e
 	r.open()
 	var h []store.Record
 	r.planted, h = cfg.planted()
-	r.write(simOp{kind: "ingest", col: "hq", recs: r.planted})
-	r.write(simOp{kind: "ingest", col: "h", recs: h})
+	r.write(simOp{kind: "ingest", col: "hq", recs: r.planted}, false)
+	r.write(simOp{kind: "ingest", col: "h", recs: h}, false)
 	r.checkPlanted()
 	r.startReaders(ops)
 	for at = range ops {
@@ -442,6 +514,7 @@ func runSim(t *testing.T, cfg simConfig, ops []simOp, sc simScenario) (at int, e
 		r.checkReaders()
 	}
 	at = len(ops) - 1
+	r.settle("")
 	r.stopReaders()
 	r.checkReaders()
 	if sc.end != nil {
@@ -454,13 +527,14 @@ func runSim(t *testing.T, cfg simConfig, ops []simOp, sc simScenario) (at int, e
 
 func (r *simRun) open() {
 	var err error
-	if r.s, err = Open(r.cfg.serverConfig(r.dir)); err != nil {
+	if r.s, err = Open(r.cfg.serverConfig(r.dir, r.fs)); err != nil {
 		failf("open: %v", err)
 	}
 }
 
 func (r *simRun) close() {
 	r.stopReaders()
+	r.fs.Clear()
 	if r.s != nil {
 		r.quiesce()
 		r.s.Close()
@@ -477,6 +551,16 @@ func (r *simRun) quiesce() {
 	}
 }
 
+// await polls cond until it holds, and fails the run if it does not
+// within ten seconds.
+func await(what string, cond func() bool) {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			failf("timed out waiting for %s", what)
+		}
+	}
+}
+
 // apply runs op i of the trace and checks what it answered.
 func (r *simRun) apply(i int, op simOp) {
 	switch op.kind {
@@ -485,12 +569,18 @@ func (r *simRun) apply(i int, op simOp) {
 	case "join":
 		r.checkJoin(op)
 	case "reopen", "crash":
+		r.settle("")
 		r.reopen(op.kind == "crash")
 	default:
+		r.settle(op.col)
 		pinned := r.pinned(op.col, TopKOpts{Unsigned: i%2 == 1})
 		before := pinned()
 		r.writing.Store(true)
-		r.write(op)
+		if c, ok := r.s.Collection(op.col); ok && op.fault != "" {
+			r.fault(c, op)
+		} else {
+			r.write(op, false)
+		}
 		r.writing.Store(false)
 		if got := pinned(); !sameHitsBitExact([][]Hit{got}, [][]Hit{before}) {
 			failf("%s: snapshots pinned before it answer %v, %v before", op, got, before)
@@ -504,51 +594,87 @@ func (r *simRun) apply(i int, op simOp) {
 	}
 }
 
-// write applies a write to the server and to the model.
-func (r *simRun) write(op simOp) {
+// write applies a write to the server and, once it is acked, to the
+// model. An ingest naming a live ID is refused, and so may any write be
+// while a fault is armed (armed): it must then leave no trace — a write
+// is unavailable, a checkpoint anything — and write returns the refusal.
+func (r *simRun) write(op simOp, armed bool) error {
 	c, exists := r.s.Collection(op.col)
 	live, spec := r.m[op.col], simSpecs[op.col]
+	var version uint64
+	var rows []map[int]int // each shard's id→row map, with a fault armed
+	if exists {
+		version = c.Version()
+	}
+	if exists && armed {
+		r.quiesce() // a compaction renumbers rows
+		for _, sh := range c.shards {
+			rows = append(rows, shardRows(r.t, sh))
+		}
+	}
 	var err error
+	var want string // the refusal the model expects
+	var deleted int
 	switch op.kind {
 	case "ingest", "upsert":
+		recs, kept := op.recs, op.recs
+		if op.auto {
+			kept = live.autoIDs(recs)
+			recs = slices.Clone(recs)
+			for i := range recs {
+				recs[i].ID = AutoID
+			}
+		}
 		switch {
 		case op.kind == "ingest":
-			_, _, err = r.s.Ingest(op.col, &spec, 0, op.recs)
+			if slices.ContainsFunc(recs, func(rec store.Record) bool { _, ok := live[rec.ID]; return ok }) {
+				want = "duplicate record ID"
+			}
+			_, _, err = r.s.Ingest(op.col, &spec, 0, recs)
 		case op.direct && exists:
-			_, err = c.Upsert(op.recs)
+			_, err = c.Upsert(recs)
 		default:
-			_, _, err = r.s.Upsert(op.col, &spec, 0, op.recs)
+			_, _, err = r.s.Upsert(op.col, &spec, 0, recs)
 		}
 		if r.m[op.col] == nil {
 			r.m[op.col] = liveSet{}
 		}
-		r.m[op.col].upsert(op.recs)
+		if err == nil {
+			if want != "" {
+				failf("%s: acked, want refused: %s", op, want)
+			}
+			r.m[op.col].upsert(kept)
+		}
 	case "delete", "block", "shard", "all":
 		ids := op.ids
 		if op.kind != "delete" && exists {
 			ids = targeted(c, op)
 		}
-		var deleted int
 		if op.direct && exists {
 			_, deleted, err = c.Delete(ids)
 		} else {
 			_, deleted, _, err = r.s.Delete(op.col, ids)
 		}
-		if exists == (err != nil) {
-			failf("%s: %v (the collection exists: %v)", op, err, exists)
+		if !exists {
+			if err == nil {
+				failf("%s: deleted from a collection the model does not hold", op)
+			}
+			return nil
 		}
-		if want := live.delete(ids); exists && deleted != want {
-			failf("%s: deleted %d records, the model %d", op, deleted, want)
+		if err == nil {
+			if n := live.delete(ids); deleted != n {
+				failf("%s: deleted %d records, the model %d", op, deleted, n)
+			}
 		}
-		r.record(op.col)
-		return
 	case "compact":
 		if exists {
 			err = c.compact()
 		}
 	case "checkpoint":
 		if exists && c.log != nil {
-			err = c.log.Checkpoint(c.persistSnapshot)
+			if err = c.log.Checkpoint(c.persistSnapshot); err != nil && armed {
+				return err
+			}
 		}
 	case "drop":
 		r.quiesce()
@@ -558,10 +684,115 @@ func (r *simRun) write(op simOp) {
 		}
 		delete(r.m, op.col)
 	}
-	if err != nil {
+	switch c, _ := r.s.Collection(op.col); {
+	case err == nil && c != nil && c.Version() != version+uint64(min(len(op.recs)+deleted, 1)): // a write that changed nothing keeps it
+		failf("%s: acked at version %d, %d before", op, c.Version(), version)
+	case err == nil:
+	case want != "" && strings.Contains(err.Error(), want), armed && errors.Is(err, ErrUnavailable):
+		if exists && c.Version() != version {
+			failf("%s: refused (%v), it moved the version %d -> %d", op, err, version, c.Version())
+		}
+		for si := range rows { // a map first built for the write is its snapshot's (shardRows)
+			if m := shardRows(r.t, c.shards[si]); rows[si] != nil && !maps.Equal(m, rows[si]) {
+				failf("%s: refused (%v), it changed shard %d's id→row map", op, err, si)
+			}
+		}
+	default:
 		failf("%s: %v", op, err)
 	}
+	if live, ok := r.m[op.col]; ok {
+		r.checkCollection(r.s, op.col, live)
+	}
 	r.record(op.col)
+	return err
+}
+
+// autoIDs returns recs at the IDs an ingest of them as AutoID records
+// gets: the lowest not live in m, in order.
+func (m liveSet) autoIDs(recs []store.Record) []store.Record {
+	out, id := slices.Clone(recs), 0
+	for i := range out {
+		for _, live := m[id]; live; _, live = m[id] {
+			id++
+		}
+		out[i].ID = id
+		id++
+	}
+	return out
+}
+
+// fault runs a durable write or checkpoint with its fault's rule armed on
+// c's files, and checks what a disk fault must leave (see the header).
+func (r *simRun) fault(c *Collection, op simOp) {
+	rule := simFaults[op.fault]
+	rule.Path = filepath.Join(string(filepath.Separator), op.col, rule.Path)
+	repairs := c.repairs.Load()
+	r.fs.Inject(rule)
+	refused := r.write(op, true)
+	// A checkpoint meets every rule of the menu — it syncs and rotates the
+	// WAL, then writes and renames a segment — and its failure degrades
+	// the collection, on the log's fault hook.
+	if err := c.log.Checkpoint(c.persistSnapshot); err == nil {
+		failf("%s: a checkpoint succeeded with the disk broken", op)
+	}
+	await(op.String()+": the collection to degrade", func() bool { return c.healthState() == HealthDegraded })
+	r.checkDegraded(op.col)
+	img, live := r.t.TempDir(), maps.Clone(r.m[op.col])
+	copyTree(r.t, filepath.Join(r.dir, collectionDirName(op.col)), filepath.Join(img, collectionDirName(op.col)))
+	r.fs.Clear()
+	r.checkImage(img, op.col, live)
+	r.heal[op.col] = func() {
+		await(op.String()+": the repair probe to reactivate the collection", func() bool {
+			return c.repairs.Load() > repairs && c.healthState() == HealthActive
+		})
+		if err := r.s.Readiness(); err != nil && strings.Contains(err.Error(), op.col+" (") {
+			failf("%s: repaired, Readiness says %v", op, err)
+		}
+		if refused != nil && op.kind != "checkpoint" {
+			r.write(op, false) // writes resume
+		}
+	}
+}
+
+// settle waits for the repair probe of name, or of every collection when
+// name is empty, to reactivate it after its fault: the trace reads on
+// while the probe backs off, and writes after it.
+func (r *simRun) settle(name string) {
+	for col, heal := range r.heal {
+		if name == "" || col == name {
+			delete(r.heal, col)
+			heal()
+		}
+	}
+}
+
+// checkDegraded: Readiness names a degraded collection, which answers
+// reads as the model does and refuses every mutation as unavailable,
+// leaving no trace.
+func (r *simRun) checkDegraded(name string) {
+	if err := r.s.Readiness(); err == nil || !strings.Contains(err.Error(), name+" (degraded)") {
+		failf("%s is degraded, Readiness says %v", name, err)
+	}
+	r.checkReads(name)
+	recs, ids := []store.Record{{ID: 1 << 41, Vec: vec.New(r.cfg.dim)}}, append(slices.Collect(maps.Keys(r.m[name])), 1<<41)
+	for _, op := range []simOp{{kind: "ingest", recs: recs}, {kind: "upsert", recs: recs}, {kind: "delete", ids: ids}} {
+		op.col = name
+		if err := r.write(op, true); err == nil {
+			failf("%s: acked while %s is degraded", op, name)
+		}
+	}
+}
+
+// checkImage opens dir, a kill -9 image of name's directory, and checks
+// that it recovers live: name at its spec and shard count, and its
+// records bit for bit.
+func (r *simRun) checkImage(dir, name string, live liveSet) {
+	s, err := Open(r.cfg.serverConfig(dir, nil))
+	if err != nil {
+		failf("opening a kill -9 image of %s: %v", name, err)
+	}
+	defer s.Close()
+	r.checkCollection(s, name, live)
 }
 
 // targeted returns the rows of c's snapshots a block, shard or all delete
@@ -583,7 +814,8 @@ func targeted(c *Collection, op simOp) (ids []int) {
 
 // reopen replaces the server with one recovered from its data
 // directory: closed cleanly, or copied live as kill -9 would leave it.
-// Every collection then answers two queries as the model does.
+// Every collection then holds the model's records and answers two
+// queries as the model does.
 func (r *simRun) reopen(crash bool) {
 	if !r.cfg.durable {
 		return
@@ -603,15 +835,19 @@ func (r *simRun) reopen(crash bool) {
 	r.checkState()
 	for _, name := range slices.Sorted(maps.Keys(r.m)) {
 		r.record(name)
-		if c, _ := r.s.Collection(name); c.spec.kind() != simSpecs[name].kind() || c.spec.precision() != simSpecs[name].precision() || len(c.shards) != r.cfg.shards {
-			failf("%s reopened %s %s on %d shards", name, c.spec.kind(), c.spec.precision(), len(c.shards))
-		}
-		for _, unsigned := range []bool{false, true} {
-			r.checkSearch(simOp{kind: "search", col: name, queries: []vec.Vector{vec.New(r.cfg.dim), r.planted[0].Vec},
-				opts: SearchOpts{K: 10, Unsigned: unsigned}})
-		}
+		r.checkCollection(r.s, name, r.m[name])
+		r.checkReads(name)
 	}
 	r.checkPlanted()
+}
+
+// checkReads answers a zero and a planted query, signed and unsigned, on
+// name as the model does.
+func (r *simRun) checkReads(name string) {
+	for _, unsigned := range []bool{false, true} {
+		r.checkSearch(simOp{kind: "search", col: name, queries: []vec.Vector{vec.New(r.cfg.dim), r.planted[0].Vec},
+			opts: SearchOpts{K: 10, Unsigned: unsigned}})
+	}
 }
 
 // checkState: the server holds the model's collections, each at the
@@ -624,6 +860,29 @@ func (r *simRun) checkState() {
 		if c, ok := r.s.Collection(name); !ok || c.Len() != len(live) {
 			failf("collection %s (held: %v) is not at the model's %d live records", name, ok, len(live))
 		}
+	}
+}
+
+// checkCollection: s holds name at its spec and the run's shard count,
+// with live's records: their IDs, their vectors bit for bit and their
+// attributes, and no attributes else.
+func (r *simRun) checkCollection(s *Server, name string, live liveSet) {
+	c, _ := s.Collection(name)
+	if c == nil || c.spec.kind() != simSpecs[name].kind() || c.spec.precision() != simSpecs[name].precision() || len(c.shards) != r.cfg.shards {
+		failf("collection %s is not a %s collection on %d shards", name, simSpecs[name].kind(), r.cfg.shards)
+	}
+	c.ingestMu.Lock()
+	got, attrs := c.liveRecords(), len(c.attrs)
+	c.ingestMu.Unlock()
+	seen := make(map[int]bool, len(got))
+	for _, rec := range got {
+		if want := live[rec.ID]; seen[rec.ID] || !maps.Equal(rec.Attrs, want.Attrs) || !slices.EqualFunc(rec.Vec, want.Vec, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			failf("collection %s holds %v (again: %v), the model %v", name, rec, seen[rec.ID], want)
+		}
+		seen[rec.ID], attrs = true, attrs-min(len(rec.Attrs), 1)
+	}
+	if len(got) != len(live) || attrs != 0 {
+		failf("collection %s holds %d records and %d more attribute maps, the model %d records", name, len(got), attrs, len(live))
 	}
 }
 
@@ -1043,7 +1302,7 @@ func (r *simRun) read(rng *xrand.RNG, names []string, pool []vec.Vector) error {
 		return fmt.Errorf("%s: %w", req, err)
 	}
 	for i := range res {
-		if e := res[i].Err; e != nil && (ctx.Err() == nil || !errors.Is(e, ctx.Err())) {
+		if e := res[i].Err; e != nil && !expired(ctx, e) {
 			return fmt.Errorf("%s: query %d: %w", req, i, e)
 		}
 	}
@@ -1054,6 +1313,14 @@ func (r *simRun) read(rng *xrand.RNG, names []string, pool []vec.Vector) error {
 		}
 	}
 	return fmt.Errorf("%s: no version in the window answers it (query 0: %v)", req, res[0].Hits[:min(len(res[0].Hits), 10)])
+}
+
+// expired reports whether err is ctx's error — or DeadlineExceeded once
+// ctx's deadline has passed, which a scan may return before the timer
+// that cancels ctx runs.
+func expired(ctx context.Context, err error) bool {
+	d, ok := ctx.Deadline()
+	return ctx.Err() != nil && errors.Is(err, ctx.Err()) || ok && !time.Now().Before(d) && errors.Is(err, context.DeadlineExceeded)
 }
 
 // answers reports whether every answered query of a search holds at m:
@@ -1124,7 +1391,7 @@ func (r *simRun) readJoin(ctx context.Context, rng *xrand.RNG, names []string) e
 	case derr != nil || qerr != nil:
 		return fmt.Errorf("%s: %w", desc, cmp.Or(derr, qerr))
 	case err == nil:
-	case ctx.Err() != nil && errors.Is(err, ctx.Err()),
+	case expired(ctx, err),
 		strings.Contains(err.Error(), "unknown") && (dw.overlapsDrop() || qw.overlapsDrop()),
 		strings.Contains(err.Error(), "non-empty") && (slices.ContainsFunc(data, empty) || slices.ContainsFunc(queries, empty)):
 		return nil
@@ -1219,7 +1486,7 @@ func (sc simScenario) simulate(t *testing.T, seed uint64, keep []byte) {
 	var b strings.Builder
 	kept := strings.Join(strings.Fields(strings.Trim(fmt.Sprint(idx), "[]")), ", ")
 	replay := fmt.Sprintf("f.Add(uint64(%#x), []byte{%s})", seed, kept)
-	if sc.fix != nil || sc.cells != "" || sc.kinds != "" || sc.readers != 0 || sc.reads != "" || sc.end != nil {
+	if sc.fix != nil || sc.cells != "" || sc.kinds != "" || sc.faults != "" || sc.readers != 0 || sc.reads != "" || sc.end != nil {
 		replay = fmt.Sprintf("the scenario's simulate(t, %#x, []byte{%s})", seed, kept)
 	}
 	fmt.Fprintf(&b, "seed %#x (%+v): %v\nminimised from %d to %d ops; replay with %s:", seed, cfg, err, n, len(idx), replay)
@@ -1254,7 +1521,8 @@ func minimize[T any](ops []T, fails func([]T) bool) []T {
 
 // simSeeds are TestSim's: between them they draw the cache, compaction and
 // durability on and off in all eight combinations, four of them twice,
-// every shard count, both pool widths and every dimension.
+// every shard count, both pool widths, every dimension, both fsync modes
+// and both checkpoint triggers, and every disk fault.
 var simSeeds = []uint64{1, 2, 3, 4, 5, 6, 7, 10, 13, 16, 23, 24}
 
 // TestSim runs the simulator over simSeeds, in parallel.
@@ -1270,12 +1538,19 @@ func TestSim(t *testing.T) {
 // simCorpus is FuzzSim's corpus: the minimised traces of the defects the
 // simulator found. A score tie at the k-th hit kept by row order, not by
 // record ID, once an upsert appended rows out of ID order (scanShard).
+// AutoID handed out the IDs after a cursor that a delete or a refused
+// ingest never moved back (Collection.release). A checkpoint whose WAL
+// rotation failed left the log on the closed file, so that the repair
+// probe never succeeded (persist.Log.Repair).
 var simCorpus = []struct {
 	seed uint64
 	keep []byte
 }{
-	{0x2, []byte{148, 149}}, // exact f64
-	{0xd, []byte{170, 180}}, // normscan f64
+	{0x2, []byte{148, 149}},      // exact f64
+	{0xd, []byte{170, 180}},      // normscan f64
+	{0x7, []byte{232, 237, 245}}, // an AutoID ingest after a block delete
+	{0x1, []byte{10, 13}},        // an AutoID ingest refused by a WAL fault, then acked
+	{0xd, []byte{38, 58}},        // a delete of no live ID, and a short write in the rotation after it
 }
 
 // FuzzSim is the simulator's long budget: the fuzzer draws seeds and
@@ -1292,9 +1567,9 @@ func FuzzSim(f *testing.F) {
 // draws. A new draw that changes them would change what TestSim runs and
 // the traces the corpus lines replay.
 var simStream = map[uint64]string{
-	1: "e270bc6abc77dec9", 2: "1e1bda623c2cdf21", 3: "a66b7800482f9b51", 4: "989dcb6cd14b7062",
-	5: "67b0bc44e3089731", 6: "3bbab21df599f433", 7: "27c0003b77f128d4", 10: "8eb50882f08d6fef",
-	13: "948770ef129c27ba", 16: "fc5f7b9fd90d750c", 23: "779c787f0f924d26", 24: "d96951c121bc17ab",
+	1: "10a295a1fe8b75a1", 2: "14b2dc048eccf36b", 3: "0d20b28977b572f2", 4: "bdd2c248ace57515",
+	5: "a7fcc777d2a17783", 6: "6a45a515c7aad7b0", 7: "2d2352b827af9226", 10: "ee3fa1b5e8bc7170",
+	13: "d741ec30b3bc6f10", 16: "48f004e97b8ff8b5", 23: "356b9ac8ffc57bff", 24: "dd2dfdc4ef3c9ede",
 }
 
 func TestSimStreamPinned(t *testing.T) {
@@ -1308,7 +1583,7 @@ func TestSimStreamPinned(t *testing.T) {
 		h := sha256.New()
 		fmt.Fprintf(h, "%+v\n", cfg)
 		for _, op := range ops {
-			fmt.Fprintf(h, "%s %s %v %v %v %v %+v %+v\n", op.kind, op.col, op.recs, op.ids, op.direct, op.queries, op.opts, op.join)
+			fmt.Fprintf(h, "%s %s %v %v %v %v %+v %+v %v %s\n", op.kind, op.col, op.recs, op.ids, op.direct, op.queries, op.opts, op.join, op.auto, op.fault)
 		}
 		if got := hex.EncodeToString(h.Sum(nil)[:8]); got != simStream[seed] {
 			t.Errorf("seed %#x draws a configuration and trace of digest %s, pinned %q", seed, got, simStream[seed])
@@ -1346,18 +1621,18 @@ func TestSimMinimizer(t *testing.T) {
 // run simulates the trace of the first seed whose simScenarioOps ops hold
 // the kinds sc names in their order, on one cell: each op of that
 // sub-sequence writes, searches or joins that cell, or reopens the server.
-// A scenario has readers only if it names how many.
+// A scenario has readers and faults only if it names them.
 func (sc simScenario) run(t *testing.T) {
 	t.Parallel()
-	sc.ops, sc.readers = simScenarioOps, cmp.Or(sc.readers, -1)
-	for seed := uint64(1); seed <= 100; seed++ {
+	sc.ops, sc.readers, sc.faults = simScenarioOps, cmp.Or(sc.readers, -1), cmp.Or(sc.faults, "none")
+	for seed := uint64(1); seed <= 1000; seed++ {
 		if _, ops := genSim(seed, sc.ops, sc); sc.holds(ops) {
 			t.Logf("seed %d", seed)
 			sc.simulate(t, seed, nil)
 			return
 		}
 	}
-	t.Fatalf("no seed up to 100 draws %q in order on one cell", sc.kinds)
+	t.Fatalf("no seed up to 1000 draws %q in order on one cell", sc.kinds)
 }
 
 // holds reports whether ops hold sc's kinds in order on one cell.
@@ -1365,7 +1640,11 @@ func (sc simScenario) holds(ops []simOp) bool {
 	for _, cell := range simCells {
 		kinds := strings.Fields(sc.kinds)
 		for _, op := range ops {
-			if c := cmp.Or(op.col, op.join.Data); len(kinds) > 0 && op.kind == kinds[0] && (c == "" || c == cell) {
+			if len(kinds) == 0 {
+				break
+			}
+			kind, attr, _ := strings.Cut(kinds[0], ":")
+			if c := cmp.Or(op.col, op.join.Data); op.kind == kind && (c == "" || c == cell) && (attr == "" || attr == "fault" && op.fault != "" || attr == "auto" && op.auto) {
 				kinds = kinds[1:]
 			}
 		}
@@ -1378,7 +1657,7 @@ func (sc simScenario) holds(ops []simOp) bool {
 
 const simScenarioOps = 60
 
-func simDurable(c *simConfig) { c.durable = true }
+func simDurable(c *simConfig) { c.durable, c.interval = true, false }
 
 // TestMutationInterleavingMatchesReference: upserts, deletes and searches
 // answer as the model does, at one and three shards, in memory, with the
@@ -1452,6 +1731,94 @@ func TestPrecisionTierMutations(t *testing.T) {
 // of a batch as it answers it alone, and as the model does.
 func TestPrecisionTierBatchMatchesSingle(t *testing.T) {
 	simScenario{cells: "e8", kinds: "ingest search"}.run(t)
+}
+
+// The tests below are the simulator over a data directory, narrowed to
+// the claims of the fault, crash and restart tests it replaces, under
+// their names.
+
+// TestWALFaultDegradesServing: a WAL fsync failure refuses its ingest and
+// degrades the collection until the disk heals; a restart recovers exactly
+// the acked writes.
+func TestWALFaultDegradesServing(t *testing.T) {
+	simScenario{fix: simDurable, faults: "fsync", kinds: "ingest:fault search reopen search"}.run(t)
+}
+
+// TestENOSPCMidCheckpointDegradesNotPanics: ENOSPC or a short write kills
+// a checkpoint's segment write, which degrades the collection; the old
+// segment and WAL recover bit-identically.
+func TestENOSPCMidCheckpointDegradesNotPanics(t *testing.T) {
+	fix := func(c *simConfig) { c.durable, c.ckptEvery = true, true }
+	simScenario{fix: fix, faults: "enospc segshort", kinds: "ingest ingest:fault search crash reopen"}.run(t)
+}
+
+// TestWALFaultLeavesNoTrace: an ingest, an upsert or a delete whose WAL
+// append fails leaves no trace, and AutoID then hands out the lowest IDs
+// not live.
+func TestWALFaultLeavesNoTrace(t *testing.T) {
+	for _, kind := range []string{"ingest", "upsert", "delete"} {
+		t.Run(kind, func(t *testing.T) {
+			simScenario{fix: simDurable, faults: "wal walshort", kinds: "ingest upsert " + kind + ":fault ingest:auto search"}.run(t)
+		})
+	}
+}
+
+// TestCheckpointFromShardsBitIdentical: a segment written from shards with
+// tombstones, plus a WAL tail, recovers from a kill -9 image bit-identically,
+// at f64 and int8.
+func TestCheckpointFromShardsBitIdentical(t *testing.T) {
+	for name, cell := range map[string]string{"f64": "e64", "int8": "e8"} {
+		t.Run(name, func(t *testing.T) {
+			fix := func(c *simConfig) { simDurable(c); c.compact = false }
+			simScenario{fix: fix, cells: cell, kinds: "ingest upsert delete checkpoint upsert crash search"}.run(t)
+		})
+	}
+}
+
+// TestAttrsFollowMutations: an upsert replaces or clears a record's
+// attributes, a delete drops them, and both survive a checkpoint, a WAL
+// tail and a reopen.
+func TestAttrsFollowMutations(t *testing.T) {
+	simScenario{fix: simDurable, kinds: "ingest delete checkpoint upsert reopen"}.run(t)
+}
+
+// TestDurableIngestAttrsSurvive: ingested attributes survive a reopen.
+func TestDurableIngestAttrsSurvive(t *testing.T) {
+	simScenario{fix: simDurable, kinds: "ingest reopen"}.run(t)
+}
+
+// TestRestartRecoversCollections: a restart recovers every collection at its
+// spec, shard count and records, and AutoID then takes IDs none holds.
+func TestRestartRecoversCollections(t *testing.T) {
+	simScenario{fix: simDurable, kinds: "ingest ingest reopen search ingest:auto"}.run(t)
+}
+
+// TestCrashRecoversAcknowledgedWrites: a kill -9 image of an fsync=always
+// server holds every acked write.
+func TestCrashRecoversAcknowledgedWrites(t *testing.T) {
+	simScenario{fix: simDurable, kinds: "ingest ingest crash search"}.run(t)
+}
+
+// TestCheckpointDuringIngest: under fsync=interval, checkpoints after
+// every write compact the WAL while ingests go on, and a restart recovers
+// every record.
+func TestCheckpointDuringIngest(t *testing.T) {
+	fix := func(c *simConfig) { c.durable, c.interval, c.ckptEvery = true, true, true }
+	end := func(s *Server) error {
+		if segs, _ := filepath.Glob(filepath.Join(s.cfg.DataDir, "*", "segment-*")); len(segs) == 0 {
+			return errors.New("no segment written")
+		}
+		return nil
+	}
+	simScenario{fix: fix, kinds: "ingest ingest ingest reopen", end: end}.run(t)
+}
+
+// TestInt8CrashRecoveryIdenticalAnswers: an int8 collection checkpointed
+// after every write recovers from a kill -9 image answering
+// bit-identically, its quantization scales rebuilt exactly.
+func TestInt8CrashRecoveryIdenticalAnswers(t *testing.T) {
+	fix := func(c *simConfig) { simDurable(c); c.ckptEvery = true }
+	simScenario{fix: fix, cells: "e8", kinds: "ingest ingest crash search"}.run(t)
 }
 
 // The tests below are the simulator with readers, narrowed to the claims

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"maps"
@@ -12,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/errfs"
 	"repro/internal/store"
 	"repro/internal/vec"
 	"repro/internal/xrand"
@@ -240,119 +238,6 @@ func TestIndexBuildCountersWithoutTrace(t *testing.T) {
 	}
 }
 
-// TestWALFaultLeavesNoTrace: a write whose shard snapshots were
-// prepared — rows written into the open chunk's tail, id→row maps
-// consulted, indexes extended or re-masked — but whose WAL append then
-// failed must leave nothing behind: not its rows, not its tombstones,
-// not its attributes, not a reserved ID, not a version bump, and the
-// writes that follow reuse the memory it touched without disturbing a
-// reader. Ingest, upsert and delete each take the fault.
-func TestWALFaultLeavesNoTrace(t *testing.T) {
-	const n, d, k = 600, 6, 5
-	recs := randRecords(n, d, 31)
-	doomedAttrs := map[string]string{"doomed": "yes"}
-	// The doomed writes: fresh IDs (450..469, which the writes after the
-	// repair then ingest), live IDs replaced with new vectors and attrs
-	// next to fresh ones, and live IDs removed.
-	var fresh, replace []store.Record
-	var kill []int
-	for i := 0; i < 20; i++ {
-		fresh = append(fresh, store.Record{ID: 450 + i, Vec: recs[450+i].Vec, Attrs: doomedAttrs})
-		replace = append(replace,
-			store.Record{ID: i, Vec: recs[500+i].Vec, Attrs: doomedAttrs},
-			store.Record{ID: 450 + i, Vec: recs[450+i].Vec, Attrs: doomedAttrs})
-		kill = append(kill, 3*i)
-	}
-	for _, tc := range []struct {
-		name   string
-		doomed func(s *Server) error
-	}{
-		{"ingest", func(s *Server) error { _, _, err := s.Ingest("c", nil, 0, fresh); return err }},
-		{"upsert", func(s *Server) error { _, _, err := s.Upsert("c", nil, 0, replace); return err }},
-		{"delete", func(s *Server) error { _, _, _, err := s.Delete("c", kill); return err }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			f := errfs.NewFaulty(nil, 1)
-			s, err := Open(faultyConfig(t.TempDir(), f))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			queries := randQueries(15, d, 32)
-			m := liveSet{}
-			mustIngest(t, s, "c", nil, 2, recs[:400])
-			m.upsert(recs[:400])
-			// One upsert replacing a record on each shard, so every shard
-			// keeps an id→row map from here on.
-			if _, _, err := s.Upsert("c", nil, 0, recs[:2]); err != nil {
-				t.Fatal(err)
-			}
-			c, _ := s.Collection("c")
-			verify := func(label string) {
-				t.Helper()
-				for qi, q := range queries {
-					got := searchAll(t, s, "c", []vec.Vector{q}, k)[0]
-					if want := m.topK(q, k, false); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s query %d: hits diverge from model\n got %v\nwant %v", label, qi, got, want)
-					}
-				}
-				// Every live ID answers a search that asks for all of them.
-				if got, want := searchAll(t, s, "c", queries[:1], len(m))[0], m.topK(queries[0], len(m), false); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: a search for every record diverges from model\n got %v\nwant %v", label, got, want)
-				}
-				got := c.records()
-				if len(got) != len(m) || c.Len() != len(m) {
-					t.Fatalf("%s: %d records (Len %d), model has %d", label, len(got), c.Len(), len(m))
-				}
-				for _, r := range got {
-					if !reflect.DeepEqual(r.Attrs, m[r.ID].Attrs) || !vec.EqualTol(r.Vec, m[r.ID].Vec, 0) {
-						t.Fatalf("%s: record %d is %+v, model has %+v", label, r.ID, r, m[r.ID])
-					}
-				}
-			}
-			verify("before the fault")
-			version := c.Version()
-			rowMaps := make([]map[int]int, len(c.shards))
-			for si, sh := range c.shards {
-				if rowMaps[si] = shardRows(t, sh); rowMaps[si] == nil {
-					t.Fatalf("shard %d keeps no id→row map after an upsert that replaced one of its records", si)
-				}
-			}
-
-			f.Inject(errfs.Rule{Op: errfs.OpWrite, Path: "wal-", Count: 1})
-			if err := tc.doomed(s); err == nil {
-				t.Fatalf("%s succeeded while the WAL append faults", tc.name)
-			}
-			verify("after the failed " + tc.name)
-			if c.Version() != version {
-				t.Fatalf("failed %s moved the version %d -> %d", tc.name, version, c.Version())
-			}
-			for si, sh := range c.shards {
-				if got := shardRows(t, sh); !reflect.DeepEqual(got, rowMaps[si]) {
-					t.Fatalf("failed %s changed shard %d's id→row map", tc.name, si)
-				}
-			}
-
-			waitFor(t, "repair probe to reactivate", func() bool { return c.healthState() == HealthActive })
-			mustIngest(t, s, "c", nil, 0, recs[400:480])
-			m.upsert(recs[400:480])
-			// AutoID hands out the lowest IDs not live: 480 on, never an ID
-			// a failed delete named.
-			auto := []store.Record{{ID: AutoID, Vec: recs[480].Vec}, {ID: AutoID, Vec: recs[481].Vec}}
-			mustIngest(t, s, "c", nil, 0, auto)
-			m.upsert([]store.Record{{ID: 480, Vec: recs[480].Vec}, {ID: 481, Vec: recs[481].Vec}})
-			if _, _, err := s.Upsert("c", nil, 0, recs[10:30]); err != nil {
-				t.Fatalf("upsert after repair: %v", err)
-			}
-			m.upsert(recs[10:30])
-			verify("after the writes that followed")
-			if c.Version() != version+3 {
-				t.Fatalf("version %d after three more writes, want %d", c.Version(), version+3)
-			}
-		})
-	}
-}
-
 // shardRows returns a copy of sh's id→row map, read on its owner
 // goroutine — nil if the shard keeps none — after checking that it is
 // the published snapshot's: each ID's newest row.
@@ -411,156 +296,5 @@ func TestRowMapOnlyForAKill(t *testing.T) {
 	// Shard 1 held the odd IDs below 30, 15 rows: ID 7's new row is 15.
 	if rows := shardRows(t, c.shards[1]); rows[7] != 15 {
 		t.Fatalf("shard 1's id→row map %v does not send ID 7 to its new row 15", rows)
-	}
-}
-
-// TestAttrsFollowMutations: attributes live beside the shards, keyed by
-// ID — an upsert replaces or clears them, a delete drops them, and both
-// effects survive a checkpoint and a reopen.
-func TestAttrsFollowMutations(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := vec.Vector{1, 2}
-	if _, _, err := s1.Ingest("col", nil, 2, []store.Record{
-		{ID: 1, Vec: v, Attrs: map[string]string{"title": "first"}},
-		{ID: 2, Vec: v, Attrs: map[string]string{"title": "second"}},
-		{ID: 3, Vec: v, Attrs: map[string]string{"title": "third"}},
-		{ID: 4, Vec: v},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s1.Upsert("col", nil, 0, []store.Record{
-		{ID: 1, Vec: v, Attrs: map[string]string{"title": "replaced", "lang": "go"}},
-		{ID: 2, Vec: v}, // no attributes: clears them
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := s1.Delete("col", []int{3}); err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]map[string]string{1: {"title": "replaced", "lang": "go"}, 2: nil, 4: nil}
-	check := func(s *Server, label string) {
-		t.Helper()
-		c, _ := s.Collection("col")
-		got := c.records()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d records, want %d", label, len(got), len(want))
-		}
-		for _, r := range got {
-			if !reflect.DeepEqual(r.Attrs, want[r.ID]) {
-				t.Fatalf("%s: record %d has attrs %v, want %v", label, r.ID, r.Attrs, want[r.ID])
-			}
-		}
-		if len(c.attrs) != 1 {
-			t.Fatalf("%s: attribute map holds %d entries, want 1: %v", label, len(c.attrs), c.attrs)
-		}
-	}
-	check(s1, "live")
-	c1, _ := s1.Collection("col")
-	if err := c1.log.Checkpoint(c1.persistSnapshot); err != nil {
-		t.Fatal(err)
-	}
-	// A delete-then-reinsert after the checkpoint rides the WAL tail.
-	mustIngest(t, s1, "col", nil, 0, []store.Record{{ID: 3, Vec: v, Attrs: map[string]string{"title": "again"}}})
-	want[3] = map[string]string{"title": "again"}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	c2, _ := s2.Collection("col")
-	if len(c2.attrs) != 2 {
-		t.Fatalf("reopened attribute map holds %d entries, want 2: %v", len(c2.attrs), c2.attrs)
-	}
-	delete(want, 3)
-	got := c2.records()
-	if len(got) != 4 || got[2].ID != 3 || got[2].Attrs["title"] != "again" {
-		t.Fatalf("reopened records %+v", got)
-	}
-	for _, r := range got {
-		if r.ID != 3 && !reflect.DeepEqual(r.Attrs, want[r.ID]) {
-			t.Fatalf("reopened: record %d has attrs %v, want %v", r.ID, r.Attrs, want[r.ID])
-		}
-	}
-}
-
-// TestCheckpointFromShardsBitIdentical: a segment written from the
-// shards' live rows — after upserts and deletes have left tombstones
-// and reordered rows — recovers, from a kill -9 image, a collection
-// that answers bit-identically at every precision.
-func TestCheckpointFromShardsBitIdentical(t *testing.T) {
-	const n, d, k = 2500, 8, 5
-	recs := randRecords(n+200, d, 41)
-	queries := randQueries(25, d, 42)
-	for _, precision := range []string{PrecisionF64, PrecisionI8} {
-		t.Run(precision, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := durableConfig(dir)
-			cfg.CompactFraction = -1 // keep the tombstones: the segment must shed them itself
-			s1, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s1.Close()
-			spec := &IndexSpec{Kind: KindExact, Precision: precision}
-			for lo := 0; lo < n; lo += 500 {
-				mustIngest(t, s1, "col", spec, 3, recs[lo:lo+500])
-			}
-			replaced := make([]store.Record, 100)
-			for i := range replaced {
-				replaced[i] = store.Record{ID: i * 7, Vec: recs[n+i].Vec}
-			}
-			if _, _, err := s1.Upsert("col", nil, 0, replaced); err != nil {
-				t.Fatal(err)
-			}
-			dropped := make([]int, 100)
-			for i := range dropped {
-				dropped[i] = 3 + i*11
-			}
-			if _, _, _, err := s1.Delete("col", dropped); err != nil {
-				t.Fatal(err)
-			}
-			c1, _ := s1.Collection("col")
-			if err := c1.log.Checkpoint(c1.persistSnapshot); err != nil {
-				t.Fatal(err)
-			}
-			// One more write after the checkpoint, so recovery replays a
-			// WAL tail over the segment.
-			if _, _, err := s1.Upsert("col", nil, 0, []store.Record{{ID: 5, Vec: recs[n+150].Vec}}); err != nil {
-				t.Fatal(err)
-			}
-			answers := func(s *Server) [][]Hit {
-				out := make([][]Hit, len(queries))
-				for i, q := range queries {
-					res, err := s.SearchWithOpts(context.Background(), "col", []vec.Vector{q}, SearchOpts{K: k})
-					if err != nil || res[0].Err != nil {
-						t.Fatal(err, res[0].Err)
-					}
-					out[i] = res[0].Hits
-				}
-				return out
-			}
-			want := answers(s1)
-
-			crashed := t.TempDir()
-			copyTree(t, dir, crashed)
-			s2, err := Open(durableConfig(crashed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			if c2, _ := s2.Collection("col"); c2.Len() != c1.Len() {
-				t.Fatalf("recovered %d records, want %d", c2.Len(), c1.Len())
-			}
-			if got := answers(s2); !sameHitsBitExact(got, want) {
-				t.Fatal("answers differ after recovering the checkpoint written from the shards")
-			}
-		})
 	}
 }
