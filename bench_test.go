@@ -99,13 +99,13 @@ func BenchmarkTable1_SketchJoin(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/kappa=%g", n, kappa), func(b *testing.B) {
 				rng := xrand.New(uint64(n))
 				P, Q, _ := dataset.Planted(rng, n, 8, 16, 0.95, []int{0, 4})
-				j := join.SketchJoiner{Kappa: kappa, Copies: 5, Seed: 5}
+				e := join.Sketch{Kappa: kappa, Copies: 5, Seed: 5}
 				s := 0.9
-				cs := s * j.GuaranteedC(n)
+				cs := s / sketch.ApproxFactor(n, kappa)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := j.Unsigned(P, Q, s, cs); err != nil {
+					if _, err := join.JoinVectors(e, P, Q, s, cs, join.Opts{Unsigned: true}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -125,11 +125,11 @@ func BenchmarkTable1_MinHashJoin(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			j := join.LSHJoiner{Family: fam, K: 3, L: 8, Seed: 7}
+			e := join.LSH{NewFamily: func(int) (lsh.Family, error) { return fam, nil }, K: 3, L: 8, Seed: 7}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := j.Unsigned(P, Q, avg/2, avg/4); err != nil {
+				if _, err := join.JoinVectors(e, P, Q, avg/2, avg/4, join.Opts{Unsigned: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -287,11 +287,11 @@ func BenchmarkCrossover_LSH(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			j := join.LSHJoiner{Family: fam, K: 10, L: 8, Seed: 3}
+			e := join.LSH{NewFamily: func(int) (lsh.Family, error) { return fam, nil }, K: 10, L: 8, Seed: 3}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := j.Signed(P, Q, 0.9, 0.45); err != nil {
+				if _, err := join.JoinVectors(e, P, Q, 0.9, 0.45, join.Opts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -334,11 +334,11 @@ func BenchmarkAblation_BandingShape(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			j := join.LSHJoiner{Family: fam, K: shape[0], L: shape[1], Seed: 43}
+			e := join.LSH{NewFamily: func(int) (lsh.Family, error) { return fam, nil }, K: shape[0], L: shape[1], Seed: 43}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := j.Signed(P, Q, 0.9, 0.45); err != nil {
+				if _, err := join.JoinVectors(e, P, Q, 0.9, 0.45, join.Opts{}); err != nil {
 					b.Fatal(err)
 				}
 			}

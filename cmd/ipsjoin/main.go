@@ -28,7 +28,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/flat"
 	"repro/internal/join"
@@ -97,12 +96,12 @@ func run(w io.Writer, args []string) error {
 		fmt.Fprintf(w, "workload saved to %s.p / %s.q\n", *save, *save)
 	}
 
-	sp := core.Spec{S: *s, C: *c}
+	sp := join.Spec{S: *s, C: *c}
 	switch *variant {
 	case "signed":
-		sp.Variant = core.Signed
+		sp.Variant = join.Signed
 	case "unsigned":
-		sp.Variant = core.Unsigned
+		sp.Variant = join.Unsigned
 	default:
 		return fmt.Errorf("unknown variant %q", *variant)
 	}
@@ -119,7 +118,7 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 
-	opts := join.Opts{Unsigned: sp.Variant == core.Unsigned, TopK: *topk}
+	opts := join.Opts{Unsigned: sp.Variant == join.Unsigned, TopK: *topk}
 	if *workers > 1 {
 		opts.Runner = server.NewPool(*workers)
 	}
@@ -154,7 +153,7 @@ func run(w io.Writer, args []string) error {
 			return err
 		}
 		name = eng.Name()
-	} else if sp.Variant == core.Signed {
+	} else if sp.Variant == join.Signed {
 		res = join.NaiveSigned(P, Q, sp.S)
 	} else {
 		res = join.NaiveUnsigned(P, Q, sp.S)
@@ -166,7 +165,7 @@ func run(w io.Writer, args []string) error {
 	fmt.Fprintf(w, "matches=%d compared=%d (naive would compare %d) time=%s\n",
 		len(res.Matches), res.Compared, len(P)*len(Q), elapsed.Round(time.Microsecond))
 	if *verify {
-		if err := core.CheckGuarantee(P, Q, res, sp); err != nil {
+		if err := join.CheckGuarantee(P, Q, res, sp); err != nil {
 			fmt.Fprintf(w, "guarantee: VIOLATED — %v\n", err)
 			return errViolated
 		}

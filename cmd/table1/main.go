@@ -219,8 +219,8 @@ func minhashCandidatesPerQuery(n int, quick bool) (float64, float64) {
 	rho := math.Log(j1) / math.Log(j2)
 	k := int(math.Ceil(math.Log(float64(n)) / math.Log(1/j2)))
 	l := int(math.Ceil(math.Pow(float64(n), rho)))
-	j := join.LSHJoiner{Family: fam, K: k, L: l, Seed: 9}
-	res, err := j.Unsigned(data, queries, float64(avg)/2, float64(avg)/4)
+	e := join.LSH{NewFamily: func(int) (lsh.Family, error) { return fam, nil }, K: k, L: l, Seed: 9}
+	res, err := join.JoinVectors(e, data, queries, float64(avg)/2, float64(avg)/4, join.Opts{Unsigned: true})
 	if err != nil {
 		panic(err)
 	}

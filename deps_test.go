@@ -15,7 +15,7 @@ func TestDependencyDirections(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go command on PATH")
 	}
-	paper := []string{"core", "lsh", "transform", "sketch", "embed", "ovp", "seqs", "grid", "cheb", "codes", "gf", "corr"}
+	paper := []string{"join", "lsh", "transform", "sketch", "embed", "ovp", "seqs", "grid", "cheb", "codes", "gf", "corr"}
 	serving := []string{"server", "persist", "errfs", "trace"}
 	pkgs := []string{"repro/internal/server"}
 	for _, p := range paper {

@@ -49,8 +49,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	j := join.LSHJoiner{Family: fam, K: 3, L: 16, Seed: 9}
-	approx, err := j.Unsigned(P, Q, s, cs)
+	e := join.LSH{NewFamily: func(int) (lsh.Family, error) { return fam, nil }, K: 3, L: 16, Seed: 9}
+	approx, err := join.JoinVectors(e, P, Q, s, cs, join.Opts{Unsigned: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,9 +46,9 @@ func TestIntegration_SymmetricFamilyJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := join.LSHJoiner{Family: fam, K: 2, L: 48, Seed: 4}
+	e := join.LSH{NewFamily: func(int) (lsh.Family, error) { return fam, nil }, K: 2, L: 48, Seed: 4}
 	const s, cs = 0.1, 0.05
-	res, err := j.Signed(P, Q, s, cs)
+	res, err := join.JoinVectors(e, P, Q, s, cs, join.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,29 +95,6 @@ func TestIntegration_SaveLoadDeterminism(t *testing.T) {
 		if r1.Matches[i] != r2.Matches[i] {
 			t.Fatalf("match %d differs", i)
 		}
-	}
-}
-
-// TestIntegration_NormRangeOnLatentFactors exercises the norm-banded
-// MIPS index against brute force on the recommender workload.
-func TestIntegration_NormRangeOnLatentFactors(t *testing.T) {
-	rng := xrand.New(7)
-	lf := dataset.NewLatentFactor(rng, 500, 25, 16, 1.0)
-	lf.ScaleItemsToUnitBall()
-	nr, err := lsh.NewNormRangeMIPS(lf.Items, lsh.NormRangeOptions{K: 6, L: 24, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := 0
-	for _, u := range lf.Users {
-		got, val := nr.Query(u)
-		exact, exactVal := BruteMIPS(lf.Items, u, false)
-		if got == exact || val >= 0.7*exactVal {
-			good++
-		}
-	}
-	if frac := float64(good) / float64(len(lf.Users)); frac < 0.7 {
-		t.Fatalf("norm-range index acceptable on only %v of queries", frac)
 	}
 }
 

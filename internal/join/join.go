@@ -1,14 +1,17 @@
-// Package join implements the IPS join engines of the reproduction:
-// exact reference baselines, the flat-store Engine layer (blocked tiled
-// kernel, Cauchy–Schwarz norm pruning), LSH-indexed approximate joins,
-// the §4.3 sketch-based join, and the signed↔unsigned reductions
-// described in the paper's introduction (unsigned join = signed join
-// against Q and −Q).
+// Package join is the paper's reference join: Definition 1 itself — the
+// signed and unsigned approximate (cs, s) join as a checkable Spec —
+// and the engines that solve it: exact reference baselines, the
+// flat-store Engine layer (blocked tiled kernel, Cauchy–Schwarz norm
+// pruning), LSH-indexed approximate joins, the §4.3 sketch-based join,
+// and the signed↔unsigned reductions described in the paper's
+// introduction (unsigned join = signed join against Q and −Q).
+// JoinVectors runs any engine over row-slice operands.
 //
 // All engines report the paper's Definition 1 semantics: for each query
 // q ∈ Q, return at least one pair (p, q) with pᵀq ≥ cs (or |pᵀq| ≥ cs),
 // under the promise that some p′ has pᵀq ≥ s; queries without a
-// qualifying partner carry no guarantee. Engines also expose a Compared
+// qualifying partner carry no guarantee. CheckGuarantee verifies a
+// result against it by brute force. Engines also expose a Compared
 // work counter so benchmarks can verify sub-quadratic behaviour.
 package join
 
@@ -17,8 +20,6 @@ import (
 	"math"
 
 	"repro/internal/flat"
-	"repro/internal/lsh"
-	"repro/internal/sketch"
 	"repro/internal/vec"
 )
 
@@ -121,27 +122,10 @@ func packPair(P, Q []vec.Vector) (fp, fq *flat.Store, err error) {
 	return fp, fq, nil
 }
 
-// LSHJoiner runs (cs, s) joins through a banding index over P. It is
-// the row-slice adapter over the flat LSH Engine: operands are packed
-// into columnar stores and candidates verify through the store kernel.
-type LSHJoiner struct {
-	Family lsh.Family
-	K, L   int
-	Seed   uint64
-}
-
-// engine adapts the joiner's prebuilt family to the Engine layer.
-func (j LSHJoiner) engine() LSH {
-	return LSH{
-		NewFamily: func(int) (lsh.Family, error) { return j.Family, nil },
-		K:         j.K, L: j.L, Seed: j.Seed,
-	}
-}
-
 // JoinVectors packs row-slice operands into flat stores and runs one
 // engine call; empty operands yield an empty result without error. It
-// is the single adapter between the historical []vec.Vector surfaces
-// (core engines, the legacy joiners here) and the flat Engine layer.
+// is the single adapter between the []vec.Vector surfaces (the ips
+// joins, the paper's tables and examples) and the flat Engine layer.
 func JoinVectors(e Engine, P, Q []vec.Vector, s, cs float64, opts Opts) (Result, error) {
 	if err := validateThresholds(s, cs); err != nil {
 		return Result{}, err
@@ -151,42 +135,6 @@ func JoinVectors(e Engine, P, Q []vec.Vector, s, cs float64, opts Opts) (Result,
 		return Result{}, err
 	}
 	return e.Join(fp, fq, s, cs, opts)
-}
-
-// Signed runs the approximate signed (cs, s) join: index P, probe each
-// q, and report the best colliding candidate when it clears cs.
-func (j LSHJoiner) Signed(P, Q []vec.Vector, s, cs float64) (Result, error) {
-	return JoinVectors(j.engine(), P, Q, s, cs, Opts{})
-}
-
-// Unsigned runs the approximate unsigned (cs, s) join via the paper's
-// reduction: a signed probe with q and another with −q, keeping the
-// larger absolute verified value.
-func (j LSHJoiner) Unsigned(P, Q []vec.Vector, s, cs float64) (Result, error) {
-	return JoinVectors(j.engine(), P, Q, s, cs, Opts{Unsigned: true})
-}
-
-// SketchJoiner runs unsigned (cs, s) joins through the §4.3 trie
-// recovery structure: approximation c = 1/n^{1/κ} with Õ(d·n^{1−2/κ})
-// work per query.
-type SketchJoiner struct {
-	Kappa  float64
-	Copies int
-	Seed   uint64
-}
-
-// Unsigned builds the recoverer over P and queries each q once. A match
-// is reported when the recovered candidate's exact |pᵀq| — re-verified
-// through the columnar store — clears cs.
-func (j SketchJoiner) Unsigned(P, Q []vec.Vector, s, cs float64) (Result, error) {
-	return JoinVectors(Sketch{Kappa: j.Kappa, Copies: j.Copies, Seed: j.Seed},
-		P, Q, s, cs, Opts{Unsigned: true})
-}
-
-// GuaranteedC returns the paper's approximation factor 1/n^{1/κ} for a
-// sketch join over n data vectors.
-func (j SketchJoiner) GuaranteedC(n int) float64 {
-	return 1 / sketch.ApproxFactor(n, j.Kappa)
 }
 
 func validateThresholds(s, cs float64) error {

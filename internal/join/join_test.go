@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/lsh"
+	"repro/internal/sketch"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -25,6 +26,11 @@ func corpus(rng *xrand.RNG, nP, nQ, d int, target float64, hot []int) (P, Q []ve
 		P[pi] = vec.Scaled(Q[qi].Clone(), target)
 	}
 	return P, Q
+}
+
+// fixed is an LSH engine over a prebuilt family.
+func fixed(fam lsh.Family, k, l int, seed uint64) LSH {
+	return LSH{NewFamily: func(int) (lsh.Family, error) { return fam, nil }, K: k, L: l, Seed: seed}
 }
 
 func TestNaiveSignedFindsPlanted(t *testing.T) {
@@ -71,9 +77,8 @@ func TestLSHSignedJoinRecall(t *testing.T) {
 	hot := []int{0, 3, 7, 11}
 	P, Q := corpus(rng, 200, 20, 16, 0.95, hot)
 	fam, _ := lsh.NewHyperplane(16)
-	j := LSHJoiner{Family: fam, K: 6, L: 24, Seed: 4}
 	const s, cs = 0.9, 0.45
-	approx, err := j.Signed(P, Q, s, cs)
+	approx, err := JoinVectors(fixed(fam, 6, 24, 4), P, Q, s, cs, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +97,7 @@ func TestLSHJoinSubquadratic(t *testing.T) {
 	rng := xrand.New(5)
 	P, Q := corpus(rng, 500, 50, 16, 0.95, []int{1})
 	fam, _ := lsh.NewHyperplane(16)
-	j := LSHJoiner{Family: fam, K: 10, L: 8, Seed: 6}
-	res, err := j.Signed(P, Q, 0.9, 0.45)
+	res, err := JoinVectors(fixed(fam, 10, 8, 6), P, Q, 0.9, 0.45, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +112,7 @@ func TestLSHUnsignedJoinNegativePartner(t *testing.T) {
 	P, Q := corpus(rng, 100, 10, 16, 0.9, nil)
 	P[42] = vec.Scaled(Q[6].Clone(), -0.97)
 	fam, _ := lsh.NewHyperplane(16)
-	j := LSHJoiner{Family: fam, K: 6, L: 24, Seed: 8}
-	res, err := j.Unsigned(P, Q, 0.9, 0.45)
+	res, err := JoinVectors(fixed(fam, 6, 24, 8), P, Q, 0.9, 0.45, Opts{Unsigned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +121,13 @@ func TestLSHUnsignedJoinNegativePartner(t *testing.T) {
 	}
 }
 
-func TestSketchJoinerUnsigned(t *testing.T) {
+func TestSketchJoinUnsigned(t *testing.T) {
 	rng := xrand.New(9)
 	hot := []int{2}
 	P, Q := corpus(rng, 128, 6, 16, 0.95, hot)
-	j := SketchJoiner{Kappa: 3, Copies: 9, Seed: 10}
 	const s = 0.9
-	cs := s * j.GuaranteedC(len(P))
-	res, err := j.Unsigned(P, Q, s, cs)
+	cs := s / sketch.ApproxFactor(len(P), 3)
+	res, err := JoinVectors(Sketch{Kappa: 3, Copies: 9, Seed: 10}, P, Q, s, cs, Opts{Unsigned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,26 +141,19 @@ func TestSketchJoinerUnsigned(t *testing.T) {
 	}
 }
 
-func TestSketchJoinerGuaranteedC(t *testing.T) {
-	j := SketchJoiner{Kappa: 2}
-	if got := j.GuaranteedC(16); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("GuaranteedC = %v, want 0.25", got)
-	}
-}
-
 func TestThresholdValidation(t *testing.T) {
 	fam, _ := lsh.NewHyperplane(4)
-	j := LSHJoiner{Family: fam, K: 2, L: 2, Seed: 1}
+	j := fixed(fam, 2, 2, 1)
 	P := []vec.Vector{{1, 0, 0, 0}}
 	Q := []vec.Vector{{1, 0, 0, 0}}
-	if _, err := j.Signed(P, Q, -1, 0.5); err == nil {
+	if _, err := JoinVectors(j, P, Q, -1, 0.5, Opts{}); err == nil {
 		t.Fatal("s<0 must fail")
 	}
-	if _, err := j.Signed(P, Q, 0.5, 0.9); err == nil {
+	if _, err := JoinVectors(j, P, Q, 0.5, 0.9, Opts{}); err == nil {
 		t.Fatal("cs>s must fail")
 	}
-	sj := SketchJoiner{Kappa: 2, Copies: 1, Seed: 1}
-	if _, err := sj.Unsigned(P, Q, 0, 0); err == nil {
+	sj := Sketch{Kappa: 2, Copies: 1, Seed: 1}
+	if _, err := JoinVectors(sj, P, Q, 0, 0, Opts{Unsigned: true}); err == nil {
 		t.Fatal("s=0 must fail")
 	}
 }
@@ -189,11 +184,11 @@ func BenchmarkLSHSigned_500x50(b *testing.B) {
 	rng := xrand.New(12)
 	P, Q := corpus(rng, 500, 50, 32, 0.9, []int{1})
 	fam, _ := lsh.NewHyperplane(32)
-	j := LSHJoiner{Family: fam, K: 8, L: 8, Seed: 13}
+	j := fixed(fam, 8, 8, 13)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := j.Signed(P, Q, 0.8, 0.4); err != nil {
+		if _, err := JoinVectors(j, P, Q, 0.8, 0.4, Opts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,9 +12,29 @@ import (
 	"testing"
 
 	"repro/internal/flat"
+	"repro/internal/transform"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
+
+// mustSimpleALSHFamily is §4.1's SIMPLE asymmetric family over the unit
+// ball in dimension d, under hyperplane LSH.
+func mustSimpleALSHFamily(t testing.TB, d int) Family {
+	t.Helper()
+	tr, err := transform.NewSimple(d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := NewHyperplane(tr.OutputDim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam, err := NewAsymmetric("simple-alsh", SimpleMaps(tr), inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fam
+}
 
 func TestIndexFindsPlantedNeighbor(t *testing.T) {
 	// Plant a vector very close to the query among random noise; a

@@ -20,8 +20,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/flat"
+	"repro/internal/join"
 	"repro/internal/lsh"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -69,9 +69,9 @@ func alshAnswers(t *testing.T, s *Server, queries []vec.Vector, k int) []uint64 
 			}
 			out = appendHits(out, r.Hits)
 		}
-		variant := core.Signed
+		variant := join.Signed
 		if unsigned {
-			variant = core.Unsigned
+			variant = join.Unsigned
 		}
 		resp, err := s.Join(JoinRequest{Data: "p", Queries: "q", Engine: "lsh", S: 0.9, C: 0.8, Variant: variant.String()})
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -213,6 +214,20 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// TestMain holds the package's log lines in memory — the simulator alone
+// degrades and repairs collections hundreds of times a run — and writes
+// them to stderr only when a test fails. The tests that read the log
+// swap in their own default and put this one back.
+func TestMain(m *testing.M) {
+	var logs syncBuffer
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
+	code := m.Run()
+	if code != 0 {
+		os.Stderr.WriteString(logs.String())
+	}
+	os.Exit(code)
 }
 
 // TestSlowQueryLogAndDebugTrace drives a traced server with a

@@ -19,7 +19,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/flat"
 	"repro/internal/join"
 	"repro/internal/trace"
@@ -125,8 +124,8 @@ type joinOpts struct {
 // legitimate answer (IDs are shard-disjoint, so it appears at most once
 // per query). k stops short of MaxInt so that the extra slot cannot wrap
 // it; runJoin clamps it to the data rows.
-func newJoinOpts(sp core.Spec, req JoinRequest) joinOpts {
-	o := joinOpts{cs: sp.CS(), unsigned: sp.Variant == core.Unsigned, topK: req.TopK, k: min(max(req.TopK, 1), math.MaxInt-1), excludeSelf: req.ExcludeSelf}
+func newJoinOpts(sp join.Spec, req JoinRequest) joinOpts {
+	o := joinOpts{cs: sp.CS(), unsigned: sp.Variant == join.Unsigned, topK: req.TopK, k: min(max(req.TopK, 1), math.MaxInt-1), excludeSelf: req.ExcludeSelf}
 	if o.excludeSelf {
 		o.k++
 	}
@@ -354,16 +353,16 @@ func walkTile(ctx context.Context, c *Collection, dsnaps []*shardSnap, ts *tileS
 }
 
 // joinSpec resolves and validates the (cs, s) specification.
-func joinSpec(req JoinRequest) (core.Spec, error) {
-	sp := core.Spec{S: req.S, C: req.C}
+func joinSpec(req JoinRequest) (join.Spec, error) {
+	sp := join.Spec{S: req.S, C: req.C}
 	if sp.C == 0 {
 		sp.C = 1
 	}
 	switch req.Variant {
 	case "", "signed":
-		sp.Variant = core.Signed
+		sp.Variant = join.Signed
 	case "unsigned":
-		sp.Variant = core.Unsigned
+		sp.Variant = join.Unsigned
 	default:
 		return sp, fmt.Errorf("server: unknown variant %q", req.Variant)
 	}

@@ -13,8 +13,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/flat"
+	"repro/internal/join"
 	"repro/internal/lsh"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -449,7 +449,7 @@ func lshJoinReference(t *testing.T, spec IndexSpec, seed uint64, data, queries [
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsigned, cs, keep := sp.Variant == core.Unsigned, sp.CS(), max(req.TopK, 1)
+	unsigned, cs, keep := sp.Variant == join.Unsigned, sp.CS(), max(req.TopK, 1)
 	k := keep
 	if req.ExcludeSelf {
 		k++
@@ -653,7 +653,7 @@ func TestServedLSHJoinStopsAtFirstWitness(t *testing.T) {
 		ts := getTileScratch()
 		ts.loadJoinTile(qc.shardSnaps(), [2]int{})
 		ts.prepare(len(dc.shardSnaps()), len(ts.qids), 1)
-		if err := walkTile(newFetchCtx(1), dc, dc.shardSnaps(), ts, newJoinOpts(core.Spec{S: 0.9, C: 0.8}, req), new(flat.ScanStats)); !errors.Is(err, context.Canceled) {
+		if err := walkTile(newFetchCtx(1), dc, dc.shardSnaps(), ts, newJoinOpts(join.Spec{S: 0.9, C: 0.8}, req), new(flat.ScanStats)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("shards=%d: cancelled walk: %v; want ctx's error", shards, err)
 		}
 		putTileScratch(ts)

@@ -79,7 +79,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/errfs"
 	"repro/internal/flat"
 	"repro/internal/join"
@@ -992,7 +991,7 @@ func (r *simRun) checkJoin(op simOp) {
 		want, compared = compactedJoin(r.t, r.s, req, compactions(r.t, r.s))
 	default:
 		sp, _ := joinSpec(req)
-		want = bruteJoin(data.records(), queries.records(), sp.CS(), sp.Variant == core.Unsigned, req.TopK, req.ExcludeSelf)
+		want = bruteJoin(data.records(), queries.records(), sp.CS(), sp.Variant == join.Unsigned, req.TopK, req.ExcludeSelf)
 		// A store-order sweep scores every live pair. A normscan shard's
 		// view stops each of its sorted runs at its own bound, so it
 		// scores fewer: bound it below by the pairs it reports.
@@ -1019,8 +1018,8 @@ func (r *simRun) checkPlanted() {
 	for i, rec := range recs {
 		P[i], rowOf[rec.ID] = rec.Vec, i
 	}
-	for _, variant := range []core.Variant{core.Signed, core.Unsigned} {
-		sp := core.Spec{S: 0.9, C: 0.8, Variant: variant}
+	for _, variant := range []join.Variant{join.Signed, join.Unsigned} {
+		sp := join.Spec{S: 0.9, C: 0.8, Variant: variant}
 		byQuery := make([][]join.Match, simPlanted)
 		resp, err := r.s.Join(JoinRequest{Data: "h", Queries: "hq", Engine: "lsh", S: sp.S, C: sp.C, Variant: variant.String()})
 		for i := 0; err == nil && i < len(resp.Pairs); i++ {
@@ -1034,7 +1033,7 @@ func (r *simRun) checkPlanted() {
 		for qi, q := range r.planted {
 			if _, ok := r.m["h"][qi]; ok {
 				promised++
-				if core.CheckGuarantee(P, []vec.Vector{q.Vec}, join.Result{Matches: byQuery[qi]}, sp) == nil {
+				if join.CheckGuarantee(P, []vec.Vector{q.Vec}, join.Result{Matches: byQuery[qi]}, sp) == nil {
 					met++
 				}
 			}
@@ -1417,7 +1416,7 @@ func (r *simRun) readJoin(ctx context.Context, rng *xrand.RNG, names []string) e
 // most max(TopK, 1) a query, no identity pair under ExcludeSelf.
 func joinAnswers(data, queries liveSet, req JoinRequest, pairs []JoinPair) bool {
 	sp, _ := joinSpec(req)
-	cs, unsigned := sp.CS(), sp.Variant == core.Unsigned
+	cs, unsigned := sp.CS(), sp.Variant == join.Unsigned
 	if req.Engine != "lsh" {
 		return sameBits(pairs, bruteJoin(data.records(), queries.records(), cs, unsigned, req.TopK, req.ExcludeSelf))
 	}

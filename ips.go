@@ -4,9 +4,10 @@
 //
 // It exposes the paper's machinery in five groups:
 //
-//   - Joins and search — exact, LSH-based, and linear-sketch engines for
-//     the signed/unsigned approximate (cs, s) join of Definition 1, plus
-//     maximum inner product search (MIPS) indexes built on the §4.1
+//   - Joins and search — the signed/unsigned approximate (cs, s) join of
+//     Definition 1 (Spec, CheckGuarantee) solved by exact, LSH-based and
+//     linear-sketch engines — each a row-slice call into internal/join —
+//     plus maximum inner product search (MIPS) indexes built on the §4.1
 //     asymmetric reduction and the §4.3 sketch recovery structure.
 //   - Hardness — the three gap embeddings of Lemma 3 and the OVP
 //     reduction pipeline of Lemma 2 (Theorems 1 and 2).
@@ -26,7 +27,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/core"
 	"repro/internal/flat"
 	"repro/internal/join"
 	"repro/internal/lsh"
@@ -54,20 +54,25 @@ func Dot(x, y Vector) float64 { return vec.Dot(x, y) }
 func Norm(x Vector) float64 { return vec.Norm(x) }
 
 // Variant selects the signed or unsigned problem.
-type Variant = core.Variant
+type Variant = join.Variant
 
 // Signed and Unsigned are the two problem variants of the paper.
 const (
-	Signed   = core.Signed
-	Unsigned = core.Unsigned
+	Signed   = join.Signed
+	Unsigned = join.Unsigned
 )
 
 // Spec is an approximate (cs, s) join specification (Definition 1).
-type Spec = core.Spec
+type Spec = join.Spec
 
-// ExactJoin runs the brute-force join (the ground-truth engine).
+// ExactJoin runs the brute-force join (the ground-truth engine): the
+// blocked tiled scan, accepting at s itself, bit-identical to the naive
+// row-slice reference.
 func ExactJoin(P, Q []Vector, sp Spec) (Result, error) {
-	return core.Exact{}.Join(P, Q, sp)
+	if err := sp.Validate(); err != nil {
+		return Result{}, err
+	}
+	return join.JoinVectors(join.Tiled{}, P, Q, sp.S, sp.S, join.Opts{Unsigned: sp.Variant == Unsigned})
 }
 
 // LSHJoinOptions configures LSHJoin.
@@ -89,21 +94,34 @@ func (o *LSHJoinOptions) defaults() {
 
 // LSHJoin runs the hyperplane-LSH banding join (signed or unsigned per
 // the spec; the unsigned variant probes q and −q, the reduction stated
-// in the paper's introduction).
+// in the paper's introduction). Empty input is refused.
 func LSHJoin(P, Q []Vector, sp Spec, opts LSHJoinOptions) (Result, error) {
+	if err := sp.Validate(); err != nil {
+		return Result{}, err
+	}
+	if len(P) == 0 || len(Q) == 0 {
+		return Result{}, fmt.Errorf("ips: empty input")
+	}
 	opts.defaults()
-	e := core.LSH{
+	e := join.LSH{
 		NewFamily: func(d int) (lsh.Family, error) { return lsh.NewHyperplane(d) },
 		K:         opts.K, L: opts.L, Seed: opts.Seed,
 	}
-	return e.Join(P, Q, sp)
+	return join.JoinVectors(e, P, Q, sp.S, sp.CS(), join.Opts{Unsigned: sp.Variant == Unsigned})
 }
 
-// SketchJoin runs the §4.3 linear-sketch join (unsigned only):
-// approximation c = 1/n^{1/κ} with Õ(d·n^{1−2/κ}) per-query work.
+// SketchJoin runs the §4.3 linear-sketch join (unsigned only; a signed
+// spec is refused): approximation c = 1/n^{1/κ} with Õ(d·n^{1−2/κ})
+// per-query work.
 func SketchJoin(P, Q []Vector, sp Spec, kappa float64, copies int, seed uint64) (Result, error) {
-	e := core.Sketch{Kappa: kappa, Copies: copies, Seed: seed}
-	return e.Join(P, Q, sp)
+	if err := sp.Validate(); err != nil {
+		return Result{}, err
+	}
+	if sp.Variant != Unsigned {
+		return Result{}, fmt.Errorf("ips: the sketch join supports unsigned joins only")
+	}
+	e := join.Sketch{Kappa: kappa, Copies: copies, Seed: seed}
+	return join.JoinVectors(e, P, Q, sp.S, sp.CS(), join.Opts{Unsigned: true})
 }
 
 // SketchJoinGuaranteedC returns 1/n^{1/κ}, the approximation the sketch
@@ -115,7 +133,7 @@ func SketchJoinGuaranteedC(n int, kappa float64) float64 {
 // CheckGuarantee verifies a join result against Definition 1 by brute
 // force; nil means the (cs, s) guarantee holds.
 func CheckGuarantee(P, Q []Vector, res Result, sp Spec) error {
-	return core.CheckGuarantee(P, Q, res, sp)
+	return join.CheckGuarantee(P, Q, res, sp)
 }
 
 // Recall scores an approximate result against an exact one.
@@ -267,19 +285,6 @@ func FlatTopKMulti(s *FlatStore, queries []Vector, k int, unsigned bool) ([][]Fl
 		return nil, err
 	}
 	return s.TopKMulti(qs, k, unsigned)
-}
-
-// NormRangeMIPS is the norm-banded variant of the §4.1 index: data is
-// partitioned into geometric norm ranges, each with its own ALSH, which
-// keeps equation (3)'s exponent strong under skewed norms.
-type NormRangeMIPS = lsh.NormRangeMIPS
-
-// NormRangeOptions configures NewNormRangeMIPS.
-type NormRangeOptions = lsh.NormRangeOptions
-
-// NewNormRangeMIPS builds the norm-banded MIPS index.
-func NewNormRangeMIPS(data []Vector, opts NormRangeOptions) (*NormRangeMIPS, error) {
-	return lsh.NewNormRangeMIPS(data, opts)
 }
 
 // MultiProbeIndex is the query-directed multi-probe hyperplane index:

@@ -58,6 +58,9 @@ func TestSketchJoinFacade(t *testing.T) {
 	if c <= 0 || c >= 1 {
 		t.Fatalf("guaranteed c = %v", c)
 	}
+	if got := SketchJoinGuaranteedC(16, 2); math.Abs(got-0.25) > 1e-12 {
+		t.Fatalf("guaranteed c(n=16, κ=2) = %v, want 0.25", got)
+	}
 	sp := Spec{Variant: Unsigned, S: 0.9, C: c}
 	res, err := SketchJoin(P, Q, sp, kappa, 9, 5)
 	if err != nil {
@@ -65,6 +68,35 @@ func TestSketchJoinFacade(t *testing.T) {
 	}
 	if err := CheckGuarantee(P, Q, res, sp); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJoinRefusals pins what the three joins refuse: an invalid spec
+// (all three), a signed sketch join, and an empty LSH join.
+func TestJoinRefusals(t *testing.T) {
+	P := []Vector{{1, 0}, {0, 1}}
+	joins := map[string]func(P []Vector, sp Spec) (Result, error){
+		"exact":  func(P []Vector, sp Spec) (Result, error) { return ExactJoin(P, P, sp) },
+		"lsh":    func(P []Vector, sp Spec) (Result, error) { return LSHJoin(P, P, sp, LSHJoinOptions{}) },
+		"sketch": func(P []Vector, sp Spec) (Result, error) { return SketchJoin(P, P, sp, 2, 1, 1) },
+	}
+	for name, run := range joins {
+		for _, sp := range []Spec{
+			{Variant: Variant(9), S: 0.5, C: 0.5},
+			{Variant: Unsigned, S: 0, C: 0.5},
+			{Variant: Unsigned, S: 0.5, C: 0},
+			{Variant: Unsigned, S: 0.5, C: 1.5},
+		} {
+			if _, err := run(P, sp); err == nil {
+				t.Errorf("%s accepted invalid spec %+v", name, sp)
+			}
+		}
+	}
+	if _, err := joins["sketch"](P, Spec{Variant: Signed, S: 0.5, C: 0.5}); err == nil {
+		t.Error("signed sketch join accepted")
+	}
+	if _, err := joins["lsh"](nil, Spec{Variant: Signed, S: 0.5, C: 0.5}); err == nil {
+		t.Error("empty lsh join accepted")
 	}
 }
 
@@ -194,13 +226,6 @@ func TestTheoryFacadeOVP(t *testing.T) {
 func TestIndexFacades(t *testing.T) {
 	rng := xrand.New(20)
 	P, Q, at := dataset.Planted(rng, 200, 4, 16, 0.95, []int{0})
-	nr, err := NewNormRangeMIPS(P, NormRangeOptions{K: 6, L: 24, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := nr.Query(Q[0]); got != at[0] {
-		t.Fatalf("NormRangeMIPS query = %d, want %d", got, at[0])
-	}
 	mp, err := NewMultiProbeIndex(16, 8, 4, 3, 22)
 	if err != nil {
 		t.Fatal(err)

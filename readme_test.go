@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -23,9 +24,54 @@ import (
 // admission shorthand covering three). Every kernel that README or the
 // verify skill names in a code span — a dot… or skipBelow… identifier,
 // bare or as Store.dotRange — must be declared in internal/flat, as a
-// Go func or method or as an assembly TEXT symbol.
+// Go func or method or as an assembly TEXT symbol. Every
+// package-qualified name in a code span of either file — ips.LSHJoin,
+// join.Spec, flat.Store.TopK — must be declared in that repo package
+// (ips is the root package, the others live under internal/), as a
+// func, method, type, var or const; a qualifier of two or more letters
+// that is neither a repo package nor a standard one names a package
+// that is gone. One-letter qualifiers, such as f.Add, are variables.
 func TestReadmeNamesExist(t *testing.T) {
 	readme := readFile(t, "README.md")
+
+	std := stdPackages(t)
+	pkgDirs := map[string]string{"ips": "."}
+	dirs, err := filepath.Glob("internal/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		pkgDirs[filepath.Base(dir)] = dir
+	}
+	decls := map[string]map[string]bool{}
+	span := regexp.MustCompile("`[^`\n]+`")
+	qualified := regexp.MustCompile(`\b([a-z][a-z0-9]+)\.([A-Z][A-Za-z0-9_]*)`)
+	for _, path := range []string{"README.md", ".claude/skills/verify/SKILL.md"} {
+		checked := 0
+		for _, code := range span.FindAllString(readFile(t, path), -1) {
+			for _, m := range qualified.FindAllStringSubmatch(code, -1) {
+				pkg, name := m[1], m[2]
+				dir, ok := pkgDirs[pkg]
+				if !ok {
+					if std != nil && !std[pkg] {
+						t.Errorf("%s names %s.%s, but there is no repo or standard package %s", path, pkg, name, pkg)
+					}
+					continue
+				}
+				if decls[pkg] == nil {
+					decls[pkg] = goDecls(t, dir, true)
+				}
+				if !decls[pkg][name] {
+					t.Errorf("%s names %s.%s, which %s does not declare", path, pkg, name, dir)
+				}
+				checked++
+			}
+		}
+		if checked == 0 {
+			t.Errorf("%s names no package-qualified Go name: the pattern no longer matches how it writes them", path)
+		}
+		t.Logf("%s names %d package-qualified Go names", path, checked)
+	}
 
 	kernels := flatKernels(t)
 	kernel := regexp.MustCompile("`(?:[A-Za-z0-9_]+\\.)?((?:dot|skipBelow)[A-Za-z0-9_]*)`")
@@ -157,13 +203,32 @@ func ipsdFlags(t *testing.T) map[string]bool {
 	return defined
 }
 
-// flatKernels returns the names internal/flat declares outside its
-// tests: every func and method in its Go sources and every TEXT ·name
-// in its assembly.
-func flatKernels(t *testing.T) map[string]bool {
+// stdPackages returns the last path element of every standard-library
+// package (json for encoding/json), or nil when there is no go command.
+func stdPackages(t *testing.T) map[string]bool {
+	t.Helper()
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Log("no go command on PATH: qualifiers outside the repo go unchecked")
+		return nil
+	}
+	out, err := exec.Command("go", "list", "std").Output()
+	if err != nil {
+		t.Fatalf("go list std: %v", err)
+	}
+	std := map[string]bool{}
+	for _, p := range strings.Fields(string(out)) {
+		std[p[strings.LastIndex(p, "/")+1:]] = true
+	}
+	return std
+}
+
+// goDecls returns the names the Go sources in dir declare outside its
+// tests: every func and method and, when values is set, every
+// package-level type, var and const.
+func goDecls(t *testing.T, dir string, values bool) map[string]bool {
 	t.Helper()
 	declared := map[string]bool{}
-	sources, err := filepath.Glob("internal/flat/*.go")
+	sources, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +242,35 @@ func flatKernels(t *testing.T) map[string]bool {
 			t.Fatal(err)
 		}
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok {
-				declared[fn.Name.Name] = true
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				declared[decl.Name.Name] = true
+			case *ast.GenDecl:
+				if !values {
+					continue
+				}
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						declared[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							declared[name.Name] = true
+						}
+					}
+				}
 			}
 		}
 	}
+	return declared
+}
+
+// flatKernels returns the names internal/flat declares outside its
+// tests: every func and method in its Go sources and every TEXT ·name
+// in its assembly.
+func flatKernels(t *testing.T) map[string]bool {
+	t.Helper()
+	declared := goDecls(t, "internal/flat", false)
 	asm, err := filepath.Glob("internal/flat/*.s")
 	if err != nil {
 		t.Fatal(err)
