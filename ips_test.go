@@ -58,9 +58,6 @@ func TestSketchJoinFacade(t *testing.T) {
 	if c <= 0 || c >= 1 {
 		t.Fatalf("guaranteed c = %v", c)
 	}
-	if got := SketchJoinGuaranteedC(16, 2); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("guaranteed c(n=16, κ=2) = %v, want 0.25", got)
-	}
 	sp := Spec{Variant: Unsigned, S: 0.9, C: c}
 	res, err := SketchJoin(P, Q, sp, kappa, 9, 5)
 	if err != nil {
@@ -71,8 +68,49 @@ func TestSketchJoinFacade(t *testing.T) {
 	}
 }
 
-// TestJoinRefusals pins what the three joins refuse: an invalid spec
-// (all three), a signed sketch join, and an empty LSH join.
+// TestSketchJoinGuaranteedC pins the certified factor 1/n^{1/κ} at a
+// value that is exact in floating point.
+func TestSketchJoinGuaranteedC(t *testing.T) {
+	if got := SketchJoinGuaranteedC(16, 2); math.Abs(got-0.25) > 1e-12 {
+		t.Fatalf("guaranteed c(n=16, κ=2) = %v, want 0.25", got)
+	}
+}
+
+// TestSketchJoinUnsignedOnly checks that the sketch join refuses a
+// signed spec and that its unsigned result meets Definition 1.
+func TestSketchJoinUnsignedOnly(t *testing.T) {
+	rng := xrand.New(4)
+	P, Q, _ := dataset.Planted(rng, 64, 4, 8, 0.95, []int{1})
+	if _, err := SketchJoin(P, Q, Spec{Variant: Signed, S: 0.9, C: 0.5}, 3, 9, 5); err == nil {
+		t.Fatal("signed sketch join accepted")
+	}
+	sp := Spec{Variant: Unsigned, S: 0.9, C: 0.25}
+	res, err := SketchJoin(P, Q, sp, 3, 9, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckGuarantee(P, Q, res, sp); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLSHJoinValidation checks that the LSH join refuses an empty data
+// or query side (the engine itself would return an empty result).
+func TestLSHJoinValidation(t *testing.T) {
+	sp := Spec{Variant: Signed, S: 1, C: 0.5}
+	P := []Vector{{1}}
+	for name, in := range map[string][2][]Vector{
+		"both empty":  {nil, nil},
+		"empty data":  {nil, P},
+		"empty query": {P, nil},
+	} {
+		if _, err := LSHJoin(in[0], in[1], sp, LSHJoinOptions{}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestJoinRefusals pins that all three joins refuse an invalid spec.
 func TestJoinRefusals(t *testing.T) {
 	P := []Vector{{1, 0}, {0, 1}}
 	joins := map[string]func(P []Vector, sp Spec) (Result, error){
@@ -91,12 +129,6 @@ func TestJoinRefusals(t *testing.T) {
 				t.Errorf("%s accepted invalid spec %+v", name, sp)
 			}
 		}
-	}
-	if _, err := joins["sketch"](P, Spec{Variant: Signed, S: 0.5, C: 0.5}); err == nil {
-		t.Error("signed sketch join accepted")
-	}
-	if _, err := joins["lsh"](nil, Spec{Variant: Signed, S: 0.5, C: 0.5}); err == nil {
-		t.Error("empty lsh join accepted")
 	}
 }
 
