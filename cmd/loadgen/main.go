@@ -1,44 +1,40 @@
-// Command loadgen replays a synthetic MIPS workload against an ipsd
-// server and reports ingest/search throughput, latency percentiles,
-// and — unless -verify=false — checks the sharded top-k answers are
-// identical to a local single-shard exact scan.
+// Command loadgen is ipsd's acceptance client. It replays the paper's
+// motivating regime, a latent-factor recommender workload with skewed
+// item norms, against a server over HTTP and checks that every sharded
+// top-k answer is identical, bit for bit, to an unsharded exact scan of
+// the records the server should hold, and that it holds exactly that
+// many. bench/ measures the server; loadgen verifies it.
 //
-// With no -addr it spins up an in-process server, so
+// With no -addr it serves an in-process ipsd, so
 //
 //	loadgen -n 100000 -q 1000 -shards 4 -k 10
 //
 // is a self-contained end-to-end acceptance run.
 //
-// -mixed switches to an ingest-heavy mixed workload: -ingest-workers
-// goroutines PUT ingest chunks concurrently while a searcher goroutine
-// fires batched queries at the moving collection — the shape that
-// exercises WAL/ingest-lock contention on a durable server. Once the
-// ingest quiesces, -mutate-ops batches of upserts and deletes over
-// Zipf-skewed record ids hammer the collection (searches still
-// running), exercising tombstoned scans, cache invalidation and
-// background compaction; loadgen tracks every mutation it issued and
-// the final verified search pass checks the server's answers against
-// the tracker's live set, so a hit on a deleted id or a stale vector
-// fails the run.
+// -mutate-pass N follows the ingest with N upsert/delete batches over
+// Zipf-skewed ids. The batches are drawn from the flags alone
+// (mutationPlan), so the live set they leave is known without asking
+// the server. -mixed ingests and mutates on concurrent streams while a
+// searcher queries the moving collection; stream w sends the records
+// whose ids are ≡ w mod the stream count, so each id's writes arrive in
+// plan order and the collection ends at the plan's live set whatever
+// the interleaving.
 //
-// -precision selects the collection's storage tier: int8 answers, which
-// the server re-ranks from certified candidates, must be the f64 exact
-// scan's too.
+// -skip-ingest assumes the server already holds that live set (after a
+// restart recovered it from its data directory, say) and goes straight
+// to the count and search checks, which makes a kill/restart cycle
+// checkable end to end.
 //
-// -skip-ingest assumes the server already holds the workload (e.g.
-// after a restart recovered it from its data directory) and goes
-// straight to the verified search pass: together with -seed this makes
-// a kill/restart cycle checkable end to end.
+// -precision int8 runs the same checks on an int8 collection, whose
+// re-ranked answers must be the f64 exact scan's. -slo runs the
+// overload harness of slo.go instead.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
-	"net"
 	"net/http"
 	"os"
 	"runtime"
@@ -48,621 +44,378 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/mips"
 	"repro/internal/server"
-	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
 
-// routeTracker accumulates client-observed latencies per route label
-// and client-side allocation counters per workload phase, reported as
-// p50/p95/p99 at exit. The -mixed workload issues requests from
-// several goroutines, so observations are mutex-guarded.
-type routeTracker struct {
-	mu     sync.Mutex
-	order  []string
-	byName map[string][]float64 // milliseconds
-	mem    runtime.MemStats
-}
-
-func newRouteTracker() *routeTracker {
-	return &routeTracker{byName: map[string][]float64{}}
-}
-
-// observe records one request's wall time under the route label.
-func (tr *routeTracker) observe(route string, d time.Duration) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if _, ok := tr.byName[route]; !ok {
-		tr.order = append(tr.order, route)
-	}
-	tr.byName[route] = append(tr.byName[route], float64(d)/float64(time.Millisecond))
-}
-
-// phaseAllocs returns the process-wide (mallocs, bytes) delta since
-// the previous call. Against a remote -addr this is the loadgen's own
-// encode/decode cost (a proxy for wire-level garbage per phase); in
-// the default in-process mode it includes the server's work too.
-func (tr *routeTracker) phaseAllocs() (uint64, uint64) {
-	prevM, prevB := tr.mem.Mallocs, tr.mem.TotalAlloc
-	runtime.ReadMemStats(&tr.mem)
-	return tr.mem.Mallocs - prevM, tr.mem.TotalAlloc - prevB
-}
-
-// report prints per-route request counts and latency percentiles.
-func (tr *routeTracker) report() {
-	fmt.Printf("per-route latency (client-observed):\n")
-	for _, route := range tr.order {
-		ms := tr.byName[route]
-		fmt.Printf("  %-38s n=%-5d p50=%.3fms p95=%.3fms p99=%.3fms\n",
-			route, len(ms), stats.Quantile(ms, 0.50), stats.Quantile(ms, 0.95), stats.Quantile(ms, 0.99))
-	}
-}
+// The workload's fixed shape.
+const (
+	collection = "bench"
+	batch      = 1000 // queries per search request
+	sigma      = 0.5  // latent-factor popularity skew
+	seed       = 1    // workload seed
+	zipfA      = 1.1  // Zipf exponent of mutated ids and of SLO tenants
+	streams    = 4    // concurrent ingest and mutation streams under -mixed
+)
 
 func main() {
-	addr := flag.String("addr", "", "server address (empty = run an in-process server)")
-	n := flag.Int("n", 100000, "data vectors to ingest")
-	q := flag.Int("q", 1000, "queries to run")
-	d := flag.Int("d", 16, "vector dimension")
-	k := flag.Int("k", 10, "top-k per query")
-	batch := flag.Int("batch", 1000, "queries per search request")
-	chunk := flag.Int("chunk", 20000, "records per ingest request")
-	shards := flag.Int("shards", 4, "shards for the collection")
-	index := flag.String("index", "exact", "index kind: exact | normscan (the kinds whose answers an exact scan verifies)")
-	precision := flag.String("precision", "f64", "collection storage precision: f64 | int8")
-	sigma := flag.Float64("sigma", 0.5, "latent-factor popularity skew")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	verify := flag.Bool("verify", true, "check sharded results against a local exact scan")
-	mixed := flag.Bool("mixed", false, "ingest-heavy mixed workload: concurrent ingest chunks + searches against the moving collection")
-	ingestWorkers := flag.Int("ingest-workers", 4, "concurrent ingest requests in -mixed mode")
-	mutateOps := flag.Int("mutate-ops", 300, "upsert/delete batches after the -mixed ingest (0 disables)")
-	mutatePass := flag.Int("mutate-pass", 0, "after a plain ingest, apply this many deterministic upsert/delete batches; -skip-ingest recomputes the same pass locally, so a restarted server is verified against the post-mutation state")
-	zipfA := flag.Float64("zipf", 1.1, "Zipf exponent for mutated record ids")
-	skipIngest := flag.Bool("skip-ingest", false, "skip ingest; verify the server's existing data (e.g. after a restart)")
-	retries := flag.Int("retries", 0, "client-side retries per request on 429/503, with capped exponential backoff + jitter honoring Retry-After (0 disables)")
-	slo := flag.Bool("slo", false, "SLO mode: status-aware multi-tenant traffic with an overload phase (see slo.go)")
-	sloSteady := flag.Duration("slo-steady", 5*time.Second, "steady-phase duration in -slo mode")
-	sloOverload := flag.Duration("slo-overload", 5*time.Second, "overload-phase duration in -slo mode")
-	sloClients := flag.Int("slo-clients", 4, "steady-phase concurrent clients in -slo mode")
-	sloOverloadClients := flag.Int("slo-overload-clients", 64, "extra clients during the overload phase")
-	sloTenants := flag.Int("slo-tenants", 4, "tenant collections in -slo mode (Zipf-skewed traffic)")
-	sloTimeoutMS := flag.Int("slo-timeout-ms", 200, "timeout_ms attached to every -slo search")
-	sloMaxInflight := flag.Int("slo-max-inflight", 4, "in-process server per-collection admission cap in -slo mode")
-	sloMaxQueue := flag.Int("slo-max-queue", 8, "in-process server admission queue depth in -slo mode")
-	sloReportPath := flag.String("slo-report", "", "write the JSON SLO report to this file")
-	sloRequireShed := flag.Bool("slo-require-shed", false, "fail unless the overload phase saw 429s with Retry-After")
-	flag.Parse()
-	retryMax = *retries
-	switch *index {
-	case server.KindExact, server.KindNormScan:
-	default:
-		log.Fatalf("loadgen: -index %q is not verifiable here: every answer is checked against an exact scan, so -index takes exact or normscan (bench/'s planted-alsh workload measures alsh against its recall and Definition 1 bounds)", *index)
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		os.Exit(1)
 	}
+}
+
+// run replays the workload that args ask for, writes its progress to
+// w and returns an error if any check fails.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+	addr := fs.String("addr", "", "server address (empty = run an in-process server)")
+	n := fs.Int("n", 100000, "data vectors to ingest")
+	q := fs.Int("q", 1000, "queries to run")
+	d := fs.Int("d", 16, "vector dimension")
+	k := fs.Int("k", 10, "top-k per query")
+	chunk := fs.Int("chunk", 20000, "records per ingest request")
+	shards := fs.Int("shards", 4, "shards for the collection")
+	precision := fs.String("precision", "f64", "collection storage precision: f64 | int8")
+	mixed := fs.Bool("mixed", false, "ingest and mutate on concurrent streams while a searcher queries the moving collection")
+	mutatePass := fs.Int("mutate-pass", 0, "upsert/delete batches after the ingest; -skip-ingest recomputes the same batches, so a restarted server is verified against the post-mutation state")
+	skipIngest := fs.Bool("skip-ingest", false, "skip ingest and mutations; verify the server's existing data (e.g. after a restart)")
+	retries := fs.Int("retries", 0, "client-side retries per request on 429/503, with capped exponential backoff + jitter honoring Retry-After (0 disables)")
+	slo := fs.Bool("slo", false, "SLO mode: status-aware multi-tenant traffic with an overload phase (see slo.go)")
+	sloSteady := fs.Duration("slo-steady", 5*time.Second, "steady-phase duration in -slo mode")
+	sloOverload := fs.Duration("slo-overload", 5*time.Second, "overload-phase duration in -slo mode")
+	sloClients := fs.Int("slo-clients", 4, "steady-phase concurrent clients in -slo mode")
+	sloOverloadClients := fs.Int("slo-overload-clients", 64, "extra clients during the overload phase")
+	sloTenants := fs.Int("slo-tenants", 4, "tenant collections in -slo mode (Zipf-skewed traffic)")
+	sloTimeoutMS := fs.Int("slo-timeout-ms", 200, "timeout_ms attached to every -slo search")
+	sloMaxInflight := fs.Int("slo-max-inflight", 4, "in-process server per-collection admission cap in -slo mode")
+	sloMaxQueue := fs.Int("slo-max-queue", 8, "in-process server admission queue depth in -slo mode")
+	sloReportPath := fs.String("slo-report", "", "write the JSON SLO report to this file")
+	sloRequireShed := fs.Bool("slo-require-shed", false, "fail unless the overload phase saw 429s with Retry-After")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with the usage
+
 	switch *precision {
 	case server.PrecisionF64, server.PrecisionI8:
 	default:
-		log.Fatalf("loadgen: unknown -precision %q (want f64 or int8)", *precision)
+		return fmt.Errorf("unknown -precision %q (want f64 or int8)", *precision)
+	}
+	if *chunk <= 0 {
+		return fmt.Errorf("-chunk %d: want a positive record count", *chunk)
 	}
 	// The spec omits the default precision so requests (and durable
 	// manifests) stay byte-identical to pre-precision runs.
-	specPrecision := *precision
-	if specPrecision == server.PrecisionF64 {
-		specPrecision = ""
+	spec := server.IndexSpec{Kind: server.KindExact, Precision: *precision}
+	if spec.Precision == server.PrecisionF64 {
+		spec.Precision = ""
 	}
+
+	cfg := server.Config{DefaultShards: *shards}
 	if *slo {
-		os.Exit(runSLO(sloFlags{
-			addr: *addr, n: *n, d: *d, k: *k,
-			index: *index, shards: *shards, seed: *seed, precision: specPrecision,
-			tenants: *sloTenants, zipfA: *zipfA, timeoutMS: *sloTimeoutMS,
+		cfg.MaxInflight, cfg.MaxQueue, cfg.Seed = *sloMaxInflight, *sloMaxQueue, seed
+	}
+	base, stop, err := serve(*addr, cfg)
+	if err != nil {
+		return err
+	}
+	defer stop()
+	if *addr == "" {
+		fmt.Fprintf(w, "in-process ipsd at %s\n", base)
+	}
+
+	if *slo {
+		return runSLO(w, newClient(30*time.Second, *retries), base, sloFlags{
+			n: *n, d: *d, k: *k, shards: *shards, spec: spec,
+			tenants: *sloTenants, timeoutMS: *sloTimeoutMS,
 			steady: *sloSteady, overload: *sloOverload,
 			clients: *sloClients, overloadClients: *sloOverloadClients,
 			maxInflight: *sloMaxInflight, maxQueue: *sloMaxQueue,
 			report: *sloReportPath, requireShed: *sloRequireShed,
-		}))
-	}
-	if *mixed && *skipIngest {
-		log.Fatal("loadgen: -mixed and -skip-ingest are mutually exclusive")
-	}
-	if *mixed && *mutatePass > 0 {
-		log.Fatal("loadgen: -mutate-pass applies to the plain workload; -mixed has its own mutation storm (-mutate-ops)")
+		})
 	}
 
-	base := *addr
-	if base == "" {
-		srv := server.New(server.Config{DefaultShards: *shards})
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatalf("loadgen: listen: %v", err)
-		}
-		hs := &http.Server{Handler: server.NewHandler(srv)}
-		go func() {
-			if err := hs.Serve(ln); err != http.ErrServerClosed {
-				log.Printf("loadgen: serve: %v", err)
-			}
-		}()
-		defer hs.Close()
-		base = "http://" + ln.Addr().String()
-		fmt.Printf("in-process ipsd at %s\n", base)
-	} else if len(base) >= 4 && base[:4] != "http" {
-		base = "http://" + base
-	}
-
-	rng := xrand.New(*seed)
-	fmt.Printf("generating latent-factor workload: n=%d q=%d d=%d sigma=%g\n", *n, *q, *d, *sigma)
-	lf := dataset.NewLatentFactor(rng, *n, *q, *d, *sigma)
+	c := newClient(5*time.Minute, *retries)
+	url := base + "/collections/" + collection
+	fmt.Fprintf(w, "generating latent-factor workload: n=%d q=%d d=%d sigma=%g\n", *n, *q, *d, sigma)
+	lf := dataset.NewLatentFactor(xrand.New(seed), *n, *q, *d, sigma)
 	lf.ScaleItemsToUnitBall()
+	plan := mutationPlan(seed+0xfeed, *n, *d, *mutatePass, zipfA)
+	live := replay(lf.Items, plan)
 
-	client := &http.Client{Timeout: 5 * time.Minute}
-	collection := "bench"
-	tr := newRouteTracker()
-	timed := func(route, method, url string, body, out any) error {
-		t0 := time.Now()
-		err := call(client, method, url, body, out)
-		tr.observe(route, time.Since(t0))
-		return err
-	}
-	tr.phaseAllocs() // baseline the client-side allocation counters
-
-	ingestChunk := func(lo, hi int) error {
-		recs := make([]server.RecordJSON, hi-lo)
-		for i := lo; i < hi; i++ {
-			id := i
-			recs[i-lo] = server.RecordJSON{ID: &id, Vec: lf.Items[i]}
+	if !*skipIngest {
+		width := 1
+		if *mixed {
+			width = streams
 		}
-		req := server.IngestRequest{
-			Index:   &server.IndexSpec{Kind: *index, Precision: specPrecision},
-			Shards:  *shards,
-			Records: recs,
+		// Create the collection before any chunk or search, so concurrent
+		// first chunks cannot fight over the index spec.
+		create := server.IngestRequest{Index: &spec, Shards: *shards, Records: []server.RecordJSON{}}
+		if err := c.call(http.MethodPut, url, create, nil); err != nil {
+			return fmt.Errorf("create: %w", err)
 		}
-		var resp server.IngestResponse
-		return timed("PUT /collections/{name}", http.MethodPut, base+"/collections/"+collection, req, &resp)
-	}
-
-	// mutatedLive, when non-nil, is the tracker's view of the collection
-	// after a mutation phase: mutatedLive[id] is the record's current
-	// vector, nil if deleted. The verification pass then runs against
-	// this instead of the pristine workload.
-	var mutatedLive [][]float64
-	applyOverlay := func(overlay map[int][]float64) {
-		mutatedLive = make([][]float64, *n)
-		for id := range mutatedLive {
-			mutatedLive[id] = lf.Items[id]
+		var searches atomic.Int64
+		done := make(chan struct{})
+		searchErr := make(chan error, 1)
+		if *mixed {
+			go func() { searchErr <- c.searchUntil(done, url, lf.Users[:min(batch, *q)], *k, &searches) }()
 		}
-		for id, v := range overlay {
-			mutatedLive[id] = v // nil marks a delete
+		err := c.putRecords(url, create, lf.Items, *chunk, width)
+		if err == nil {
+			err = c.mutate(url, plan, width)
 		}
-	}
-
-	// The deterministic mutation pass is derived entirely from the
-	// flags, so a -skip-ingest run against a restarted server recomputes
-	// the exact state the mutating run left on disk.
-	var passPlan []mutOp
-	expectedRecords := *n
-	if *mutatePass > 0 {
-		var overlay map[int][]float64
-		passPlan, overlay = mutationPlan(*seed+0xfeed, *n, *d, *mutatePass, *zipfA)
-		for _, v := range overlay {
-			if v == nil {
-				expectedRecords--
-			}
+		if *mixed {
+			close(done)
+			err = errors.Join(err, <-searchErr)
 		}
-		applyOverlay(overlay)
-	}
-
-	switch {
-	case *skipIngest:
-		// The server is expected to already hold the workload (a
-		// restarted durable ipsd); check the record count matches
-		// before trusting the search comparison below.
-		var st server.Stats
-		if err := timed("GET /stats", http.MethodGet, base+"/stats", nil, &st); err != nil {
-			log.Fatalf("loadgen: stats: %v", err)
-		}
-		cs, ok := st.Collections[collection]
-		if !ok || cs.Records != expectedRecords {
-			log.Fatalf("loadgen: -skip-ingest: server has %d records in %q, want %d", cs.Records, collection, expectedRecords)
-		}
-		fmt.Printf("skipping ingest: server already holds %d records in %q\n", cs.Records, collection)
-
-	case *mixed:
-		// Ingest-heavy mixed workload: ingest chunks race each other
-		// (server-side they serialize on the collection's ingest lock
-		// and WAL) while a searcher hammers the moving collection.
-		type span struct{ lo, hi int }
-		var chunks []span
-		for lo := 0; lo < *n; lo += *chunk {
-			hi := lo + *chunk
-			if hi > *n {
-				hi = *n
-			}
-			chunks = append(chunks, span{lo, hi})
-		}
-		// Create the collection up front (empty ingest) so concurrent
-		// first-chunk races cannot fight over the index spec.
-		if err := ingestChunk(0, 0); err != nil {
-			log.Fatalf("loadgen: mixed: create: %v", err)
-		}
-		var next atomic.Int64
-		var liveSearches atomic.Int64
-		ingestDone := make(chan struct{})
-		var searchWG sync.WaitGroup
-		searchWG.Add(1)
-		go func() {
-			defer searchWG.Done()
-			qb := min(*batch, *q)
-			queries := make([][]float64, qb)
-			for i := range queries {
-				queries[i] = lf.Users[i]
-			}
-			for {
-				select {
-				case <-ingestDone:
-					return
-				default:
-				}
-				var resp server.SearchResponse
-				err := timed("POST /collections/{name}/search (mixed)", http.MethodPost,
-					base+"/collections/"+collection+"/search",
-					server.SearchRequest{Queries: queries, K: *k}, &resp)
-				if err != nil {
-					log.Fatalf("loadgen: mixed search: %v", err)
-				}
-				liveSearches.Add(int64(qb))
-			}
-		}()
-		ingestStart := time.Now()
-		var wg sync.WaitGroup
-		for w := 0; w < *ingestWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					ci := int(next.Add(1)) - 1
-					if ci >= len(chunks) {
-						return
-					}
-					c := chunks[ci]
-					if err := ingestChunk(c.lo, c.hi); err != nil {
-						log.Fatalf("loadgen: mixed ingest [%d,%d): %v", c.lo, c.hi, err)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		ingestDur := time.Since(ingestStart)
-
-		// Mutation storm: upsert/delete batches over Zipf-skewed ids
-		// while the searcher keeps running. Workers own disjoint id
-		// stripes (id ≡ w mod workers), so each id's mutation order is
-		// the issuing worker's program order and the tracker's final
-		// state is exact despite the concurrency.
-		var upserted, deleted int64
-		if *mutateOps > 0 {
-			W := *ingestWorkers
-			if W > *mutateOps {
-				W = *mutateOps
-			}
-			stripes := make([]map[int][]float64, W)
-			mutStart := time.Now()
-			var mwg sync.WaitGroup
-			for w := 0; w < W; w++ {
-				mwg.Add(1)
-				go func(w int) {
-					defer mwg.Done()
-					stripe := map[int][]float64{}
-					stripes[w] = stripe
-					mrng := xrand.New(*seed + 0x5eed + uint64(w))
-					stripeN := (*n - w + W - 1) / W // ids w, w+W, w+2W, … below n
-					if stripeN <= 0 {
-						return
-					}
-					zipf := xrand.NewZipf(mrng, stripeN, *zipfA)
-					ops := *mutateOps / W
-					if w < *mutateOps%W {
-						ops++
-					}
-					for op := 0; op < ops; op++ {
-						// Draw a batch of distinct skewed ids; the draw cap
-						// keeps heavy skew from stalling on duplicates.
-						want := 1 + mrng.Intn(16)
-						batch := map[int]struct{}{}
-						for tries := 0; len(batch) < want && tries < 200; tries++ {
-							batch[zipf.Draw()*W+w] = struct{}{}
-						}
-						if mrng.Float64() < 0.55 {
-							recs := make([]server.RecordJSON, 0, len(batch))
-							for id := range batch {
-								id := id
-								v := mrng.NormalVec(*d)
-								recs = append(recs, server.RecordJSON{ID: &id, Vec: v})
-								stripe[id] = v
-							}
-							var resp server.UpsertResponse
-							if err := timed("POST /collections/{name}/vectors", http.MethodPost,
-								base+"/collections/"+collection+"/vectors",
-								server.IngestRequest{Records: recs}, &resp); err != nil {
-								log.Fatalf("loadgen: mixed upsert: %v", err)
-							}
-							atomic.AddInt64(&upserted, int64(len(recs)))
-						} else {
-							ids := make([]int, 0, len(batch))
-							for id := range batch {
-								ids = append(ids, id)
-								stripe[id] = nil
-							}
-							var resp server.DeleteVectorsResponse
-							if err := timed("POST /collections/{name}/vectors/delete", http.MethodPost,
-								base+"/collections/"+collection+"/vectors/delete",
-								server.DeleteVectorsRequest{IDs: ids}, &resp); err != nil {
-								log.Fatalf("loadgen: mixed delete: %v", err)
-							}
-							atomic.AddInt64(&deleted, int64(len(ids)))
-						}
-					}
-				}(w)
-			}
-			mwg.Wait()
-			mutDur := time.Since(mutStart)
-			mutatedLive = make([][]float64, *n)
-			for id := range mutatedLive {
-				mutatedLive[id] = lf.Items[id]
-			}
-			for _, stripe := range stripes {
-				for id, v := range stripe {
-					mutatedLive[id] = v // nil marks a delete
-				}
-			}
-			fmt.Printf("mixed: %d mutation batches (%d upserts, %d deletes, zipf a=%g) in %v\n",
-				*mutateOps, upserted, deleted, *zipfA, mutDur.Round(time.Millisecond))
-		}
-
-		close(ingestDone)
-		searchWG.Wait()
-		fmt.Printf("mixed: ingested %d vectors in %v (%.0f vec/s, %d ingest workers) with %d live queries alongside (index=%s)\n",
-			*n, ingestDur.Round(time.Millisecond), float64(*n)/ingestDur.Seconds(),
-			*ingestWorkers, liveSearches.Load(), *index)
-		if m, b := tr.phaseAllocs(); true {
-			fmt.Printf("  process allocs during mixed phase: %d mallocs, %.1f MB\n", m, float64(b)/(1<<20))
-		}
-
-	default:
-		// Ingest in chunks.
-		ingestStart := time.Now()
-		for lo := 0; lo < *n; lo += *chunk {
-			hi := lo + *chunk
-			if hi > *n {
-				hi = *n
-			}
-			if err := ingestChunk(lo, hi); err != nil {
-				log.Fatalf("loadgen: ingest [%d,%d): %v", lo, hi, err)
-			}
-		}
-		ingestDur := time.Since(ingestStart)
-		fmt.Printf("ingested %d vectors in %v (%.0f vec/s) across %d shards (index=%s)\n",
-			*n, ingestDur.Round(time.Millisecond), float64(*n)/ingestDur.Seconds(), *shards, *index)
-		if m, b := tr.phaseAllocs(); true {
-			fmt.Printf("  process allocs during ingest: %d mallocs, %.1f MB\n", m, float64(b)/(1<<20))
-		}
-
-		// Deterministic mutation pass: replay the precomputed plan so
-		// the durable state matches what -skip-ingest will recompute.
-		if len(passPlan) > 0 {
-			mutStart := time.Now()
-			var up, del int
-			for _, op := range passPlan {
-				if op.recs != nil {
-					var resp server.UpsertResponse
-					if err := timed("POST /collections/{name}/vectors", http.MethodPost,
-						base+"/collections/"+collection+"/vectors",
-						server.IngestRequest{Records: op.recs}, &resp); err != nil {
-						log.Fatalf("loadgen: mutate-pass upsert: %v", err)
-					}
-					up += len(op.recs)
-				} else {
-					var resp server.DeleteVectorsResponse
-					if err := timed("POST /collections/{name}/vectors/delete", http.MethodPost,
-						base+"/collections/"+collection+"/vectors/delete",
-						server.DeleteVectorsRequest{IDs: op.ids}, &resp); err != nil {
-						log.Fatalf("loadgen: mutate-pass delete: %v", err)
-					}
-					del += len(op.ids)
-				}
-			}
-			fmt.Printf("mutation pass: %d batches (%d upserts, %d delete requests) in %v\n",
-				len(passPlan), up, del, time.Since(mutStart).Round(time.Millisecond))
-		}
-	}
-
-	// Batched searches.
-	type batchTiming struct {
-		queries int
-		dur     time.Duration
-	}
-	var timings []batchTiming
-	results := make([][]server.Hit, *q)
-	searchStart := time.Now()
-	for lo := 0; lo < *q; lo += *batch {
-		hi := lo + *batch
-		if hi > *q {
-			hi = *q
-		}
-		queries := make([][]float64, hi-lo)
-		for i := lo; i < hi; i++ {
-			queries[i-lo] = lf.Users[i]
-		}
-		var resp server.SearchResponse
-		t0 := time.Now()
-		err := timed("POST /collections/{name}/search", http.MethodPost,
-			base+"/collections/"+collection+"/search",
-			server.SearchRequest{Queries: queries, K: *k}, &resp)
 		if err != nil {
-			log.Fatalf("loadgen: search [%d,%d): %v", lo, hi, err)
+			return err
 		}
-		timings = append(timings, batchTiming{queries: hi - lo, dur: time.Since(t0)})
+		fmt.Fprintf(w, "ingested %d vectors across %d shards on %d stream(s), then %d upsert/delete batches\n",
+			*n, *shards, width, len(plan))
+		if *mixed {
+			fmt.Fprintf(w, "mixed: %d queries searched the moving collection alongside\n", searches.Load())
+		}
+	}
+
+	// The plan's live set and the server's must agree exactly: the count
+	// here, the content through the verified search pass below.
+	ids, items := liveRows(live)
+	var st server.Stats
+	if err := c.call(http.MethodGet, base+"/stats", nil, &st); err != nil {
+		return fmt.Errorf("stats: %w", err)
+	}
+	if got := st.Collections[collection].Records; got != len(ids) {
+		return fmt.Errorf("FAILED: server holds %d live records in %q, the plan leaves %d", got, collection, len(ids))
+	}
+	fmt.Fprintf(w, "live-set count matches the plan: %d records\n", len(ids))
+
+	results := make([][]server.Hit, *q)
+	for lo := 0; lo < *q; lo += batch {
+		hi := min(lo+batch, *q)
+		var resp server.SearchResponse
+		req := server.SearchRequest{Queries: floats(lf.Users[lo:hi]), K: *k}
+		if err := c.call(http.MethodPost, url+"/search", req, &resp); err != nil {
+			return fmt.Errorf("search [%d,%d): %w", lo, hi, err)
+		}
 		copy(results[lo:hi], resp.Results)
 	}
-	searchDur := time.Since(searchStart)
-	fmt.Printf("ran %d top-%d queries in %v (%.0f q/s, %d per request)\n",
-		*q, *k, searchDur.Round(time.Millisecond), float64(*q)/searchDur.Seconds(), *batch)
-	for _, bt := range timings {
-		fmt.Printf("  batch of %d: %v (%.2f ms/query)\n",
-			bt.queries, bt.dur.Round(time.Microsecond),
-			float64(bt.dur)/float64(time.Millisecond)/float64(bt.queries))
+	if *retries > 0 {
+		fmt.Fprintf(w, "client retries: %d issued (429/503, backoff capped at %v, Retry-After honored)\n",
+			c.retried.Load(), retryMaxBackoff)
 	}
 
-	if m, b := tr.phaseAllocs(); true {
-		fmt.Printf("  process allocs during search: %d mallocs, %.1f MB\n", m, float64(b)/(1<<20))
+	// At every precision — int8 too, whose certified candidates hold the
+	// f64 top k — the sharded answers must be the unsharded exact scan's.
+	fmt.Fprintf(w, "verifying against local exact scan (precision=%s)...\n", *precision)
+	if bad := mismatches(w, results, lf.Users, ids, items, *k); bad > 0 {
+		return fmt.Errorf("FAILED: %d/%d queries differ from the exact scan", bad, *q)
 	}
+	fmt.Fprintf(w, "verified: all %d sharded top-%d answers identical to the single-shard exact scan\n", *q, *k)
+	return nil
+}
 
-	// Server-side stats.
-	var st server.Stats
-	if err := timed("GET /stats", http.MethodGet, base+"/stats", nil, &st); err != nil {
-		log.Fatalf("loadgen: stats: %v", err)
-	}
-	cs := st.Collections[collection]
-	fmt.Printf("server stats: records=%d tombstoned=%d compactions=%d version=%d queries=%d latency p50=%.3fms p90=%.3fms p99=%.3fms\n",
-		cs.Records, cs.Tombstoned, cs.Compactions, cs.Version, cs.Queries,
-		cs.Latency.P50, cs.Latency.P90, cs.Latency.P99)
-	for _, sh := range cs.Shards {
-		fmt.Printf("  shard %d: %d records (%d live, %d tombstoned), %d queries\n",
-			sh.ID, sh.Records, sh.Live, sh.Tombstoned, sh.Queries)
-	}
-	fmt.Printf("cache: size=%d hits=%d misses=%d invalidations=%d\n",
-		st.Cache.Size, st.Cache.Hits, st.Cache.Misses, st.Cache.Invalidations)
-	tr.report()
-	if retryMax > 0 {
-		fmt.Printf("client retries: %d issued (429/503, backoff capped at %v, Retry-After honored)\n",
-			retriesIssued.Load(), retryMaxBackoff)
-	}
-
-	// The tracker's live set and the server's must agree exactly: the
-	// count here, the content via the verified search pass below.
-	verifyIDs, verifyItems := make([]int, 0, *n), make([]vec.Vector, 0, *n)
-	if mutatedLive != nil {
-		for id, v := range mutatedLive {
-			if v != nil {
-				verifyIDs = append(verifyIDs, id)
-				verifyItems = append(verifyItems, v)
-			}
+// searchUntil sends queries as one batched search after another until
+// done is closed, counting the queries answered in searched.
+func (c *client) searchUntil(done <-chan struct{}, url string, queries []vec.Vector, k int, searched *atomic.Int64) error {
+	req := server.SearchRequest{Queries: floats(queries), K: k}
+	for {
+		select {
+		case <-done:
+			return nil
+		default:
 		}
-		if cs.Records != len(verifyIDs) {
-			log.Fatalf("loadgen: FAILED: server holds %d live records, tracker says %d", cs.Records, len(verifyIDs))
+		if err := c.call(http.MethodPost, url+"/search", req, nil); err != nil {
+			return fmt.Errorf("mixed search: %w", err)
 		}
-		fmt.Printf("live-set count matches tracker: %d records after mutations\n", len(verifyIDs))
-	} else {
-		for id, v := range lf.Items {
-			verifyIDs = append(verifyIDs, id)
-			verifyItems = append(verifyItems, v)
-		}
+		searched.Add(int64(len(queries)))
 	}
+}
 
-	if !*verify {
-		return
-	}
-
-	// Verify: at every precision — for int8 too, whose certified
-	// candidates hold the f64 top k — the sharded answers must be
-	// identical to the unsharded exact scan (single-shard ground truth
-	// computed locally over the live set; after a mutation storm, the
-	// tracker's view of it).
-	fmt.Printf("verifying against local exact scan (precision=%s)...\n", *precision)
-	var mismatches atomic.Int64
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
+// putRecords ingests items under ids 0, 1, … in PUT requests of chunk
+// records, on width concurrent streams; every request carries spec's
+// index and shards.
+func (c *client) putRecords(url string, spec server.IngestRequest, items []vec.Vector, chunk, width int) error {
 	var next atomic.Int64
-	for w := 0; w < workers; w++ {
+	errs := make([]error, width)
+	var wg sync.WaitGroup
+	for s := range width {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				qi := int(next.Add(1)) - 1
-				if qi >= *q {
+				lo := int(next.Add(int64(chunk))) - chunk
+				if lo >= len(items) {
 					return
 				}
-				want := exactTopK(verifyIDs, verifyItems, lf.Users[qi], *k)
-				got := results[qi]
-				ok := len(got) == len(want)
-				if ok {
-					for i := range want {
-						if got[i] != want[i] {
-							ok = false
-							break
-						}
-					}
+				hi := min(lo+chunk, len(items))
+				req := spec
+				req.Records = make([]server.RecordJSON, hi-lo)
+				for i := lo; i < hi; i++ {
+					id := i
+					req.Records[i-lo] = server.RecordJSON{ID: &id, Vec: items[i]}
 				}
-				// Top-1 must also agree with the mips package baseline.
-				if ok && len(got) > 0 && len(verifyItems) > 0 {
-					ls := mips.LinearScan(verifyItems, lf.Users[qi])
-					if got[0].ID != verifyIDs[ls.Index] || got[0].Score != ls.Value {
-						ok = false
-					}
-				}
-				if !ok {
-					if mismatches.Add(1) <= 3 {
-						log.Printf("loadgen: query %d mismatch:\n  got  %v\n  want %v", qi, got, want)
-					}
+				if err := c.call(http.MethodPut, url, req, nil); err != nil {
+					errs[s] = fmt.Errorf("ingest [%d,%d): %w", lo, hi, err)
+					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if m := mismatches.Load(); m > 0 {
-		log.Printf("loadgen: FAILED: %d/%d queries differ from the exact scan", m, *q)
-		os.Exit(1)
+	return errors.Join(errs...)
+}
+
+// mutate sends plan on width concurrent streams: stream s sends the
+// part of each batch whose ids are ≡ s mod width, in plan order.
+func (c *client) mutate(url string, plan []mutOp, width int) error {
+	errs := make([]error, width)
+	var wg sync.WaitGroup
+	for s := range width {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, op := range stripe(plan, s, width) {
+				var err error
+				if op.vecs == nil {
+					err = c.call(http.MethodPost, url+"/vectors/delete", server.DeleteVectorsRequest{IDs: op.ids}, nil)
+				} else {
+					recs := make([]server.RecordJSON, len(op.ids))
+					for i := range op.ids {
+						recs[i] = server.RecordJSON{ID: &op.ids[i], Vec: op.vecs[i]}
+					}
+					err = c.call(http.MethodPost, url+"/vectors", server.IngestRequest{Records: recs}, nil)
+				}
+				if err != nil {
+					errs[s] = fmt.Errorf("mutate: %w", err)
+					return
+				}
+			}
+		}()
 	}
-	fmt.Printf("verified: all %d sharded top-%d answers identical to the single-shard exact scan\n", *q, *k)
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
-// mutOp is one precomputed mutation batch: recs non-nil for an
-// upsert, ids for a delete.
+// mutOp is one mutation batch: an upsert of vecs[i] under ids[i], or a
+// delete of ids when vecs is nil.
 type mutOp struct {
-	recs []server.RecordJSON
 	ids  []int
+	vecs []vec.Vector
 }
 
-// mutationPlan deterministically derives a sequence of upsert/delete
-// batches over Zipf-skewed ids, plus the overlay they leave behind
-// (id → current vector, nil = deleted). Both the mutating run and the
-// later -skip-ingest verification recompute the identical plan from
-// the flags alone, which is what makes a kill/restart cycle checkable
-// end to end. Batch ids are sorted before the per-id vectors are
-// drawn, so map iteration order cannot perturb the RNG stream.
-func mutationPlan(seed uint64, n, d, ops int, a float64) ([]mutOp, map[int][]float64) {
+// mutationPlan deterministically draws ops upsert/delete batches over
+// Zipf-skewed ids below n. Both the mutating run and a later
+// -skip-ingest run recompute the identical plan from the flags alone,
+// which is what makes a kill/restart cycle checkable end to end. Batch
+// ids are sorted before the per-id vectors are drawn, so map iteration
+// order cannot perturb the RNG stream.
+func mutationPlan(seed uint64, n, d, ops int, a float64) []mutOp {
+	if ops == 0 {
+		return nil
+	}
 	rng := xrand.New(seed)
 	zipf := xrand.NewZipf(rng, n, a)
-	overlay := map[int][]float64{}
 	plan := make([]mutOp, 0, ops)
-	for op := 0; op < ops; op++ {
+	for range ops {
 		want := 1 + rng.Intn(16)
-		batch := map[int]struct{}{}
-		for tries := 0; len(batch) < want && tries < 200; tries++ {
-			batch[zipf.Draw()] = struct{}{}
+		drawn := map[int]struct{}{}
+		for tries := 0; len(drawn) < want && tries < 200; tries++ {
+			drawn[zipf.Draw()] = struct{}{}
 		}
-		ids := make([]int, 0, len(batch))
-		for id := range batch {
-			ids = append(ids, id)
+		op := mutOp{ids: make([]int, 0, len(drawn))}
+		for id := range drawn {
+			op.ids = append(op.ids, id)
 		}
-		sort.Ints(ids)
+		sort.Ints(op.ids)
 		if rng.Float64() < 0.55 {
-			recs := make([]server.RecordJSON, len(ids))
-			for i, id := range ids {
-				id := id
-				v := rng.NormalVec(d)
-				recs[i] = server.RecordJSON{ID: &id, Vec: v}
-				overlay[id] = v
+			op.vecs = make([]vec.Vector, len(op.ids))
+			for i := range op.ids {
+				op.vecs[i] = rng.NormalVec(d)
 			}
-			plan = append(plan, mutOp{recs: recs})
-		} else {
-			for _, id := range ids {
-				overlay[id] = nil
+		}
+		plan = append(plan, op)
+	}
+	return plan
+}
+
+// stripe returns the part of plan whose ids are ≡ s mod width, in plan
+// order, leaving out batches with none of them. Keying on the id alone
+// keeps every write of one id in one stream.
+func stripe(plan []mutOp, s, width int) []mutOp {
+	var part []mutOp
+	for _, op := range plan {
+		var mine mutOp
+		for i, id := range op.ids {
+			if id%width != s {
+				continue
 			}
-			plan = append(plan, mutOp{ids: ids})
+			mine.ids = append(mine.ids, id)
+			if op.vecs != nil {
+				mine.vecs = append(mine.vecs, op.vecs[i])
+			}
+		}
+		if len(mine.ids) > 0 {
+			part = append(part, mine)
 		}
 	}
-	return plan, overlay
+	return part
+}
+
+// replay applies ops in order to records 0…len(items)-1, which start
+// as items: live[id] is record id's vector, nil once deleted.
+func replay(items []vec.Vector, ops []mutOp) []vec.Vector {
+	live := append([]vec.Vector(nil), items...)
+	for _, op := range ops {
+		for i, id := range op.ids {
+			live[id] = nil
+			if op.vecs != nil {
+				live[id] = op.vecs[i]
+			}
+		}
+	}
+	return live
+}
+
+// liveRows returns the ids of live's records, ascending, and their
+// vectors.
+func liveRows(live []vec.Vector) ([]int, []vec.Vector) {
+	ids, items := make([]int, 0, len(live)), make([]vec.Vector, 0, len(live))
+	for id, v := range live {
+		if v != nil {
+			ids = append(ids, id)
+			items = append(items, v)
+		}
+	}
+	return ids, items
+}
+
+// mismatches counts the queries whose results differ from exactTopK
+// over the live rows, on one goroutine per CPU, and writes the first
+// three to w.
+func mismatches(w io.Writer, results [][]server.Hit, queries []vec.Vector, ids []int, items []vec.Vector, k int) int64 {
+	var bad, next atomic.Int64
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for qi := int(next.Add(1)) - 1; qi < len(results); qi = int(next.Add(1)) - 1 {
+				want, got := exactTopK(ids, items, queries[qi], k), results[qi]
+				same := len(got) == len(want)
+				for i := 0; same && i < len(want); i++ {
+					same = got[i] == want[i]
+				}
+				if !same && bad.Add(1) <= 3 {
+					mu.Lock()
+					fmt.Fprintf(w, "query %d mismatch:\n  got  %v\n  want %v\n", qi, got, want)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return bad.Load()
 }
 
 // exactTopK is the unsharded ground truth with the server's canonical
@@ -689,57 +442,11 @@ func exactTopK(ids []int, items []vec.Vector, q vec.Vector, k int) []server.Hit 
 	return hits
 }
 
-// call performs one JSON round-trip, decoding an {"error": ...} body
-// into a Go error. Every request carries a client-minted W3C
-// traceparent (one trace id per logical request, a fresh span id per
-// retry attempt), so a traced server stitches the loadgen's requests
-// into its /debug plane. With -retries > 0 the transient statuses
-// (429/503) are absorbed with capped exponential backoff + jitter,
-// honoring the server's Retry-After hint, before the final status is
-// reported.
-func call(client *http.Client, method, url string, body, out any) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			return err
-		}
+// floats converts vectors to the wire's [][]float64.
+func floats(vs []vec.Vector) [][]float64 {
+	out := make([][]float64, len(vs))
+	for i, v := range vs {
+		out[i] = v
 	}
-	traceID, _ := trace.NewIDs()
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequest(method, url, bytes.NewReader(payload))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		_, spanID := trace.NewIDs()
-		req.Header.Set("traceparent", trace.Format(traceID, spanID))
-		resp, err := client.Do(req)
-		if err != nil {
-			return err
-		}
-		if retryableStatus(resp.StatusCode) && attempt < retryMax {
-			ra := resp.Header.Get("Retry-After")
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			retriesIssued.Add(1)
-			time.Sleep(retryDelay(attempt+1, ra))
-			continue
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			var e struct {
-				Error string `json:"error"`
-			}
-			_ = json.NewDecoder(resp.Body).Decode(&e)
-			if e.Error == "" {
-				e.Error = resp.Status
-			}
-			return fmt.Errorf("%s %s: %s", method, url, e.Error)
-		}
-		if out != nil {
-			return json.NewDecoder(resp.Body).Decode(out)
-		}
-		return nil
-	}
+	return out
 }

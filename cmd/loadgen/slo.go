@@ -19,15 +19,13 @@ package main
 // with -slo-require-shed — when overload produced no shedding at all.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
-	"net"
 	"net/http"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,20 +33,15 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/server"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
-// sloFlags carries the -slo* knobs from main.
+// sloFlags carries the -slo* knobs from run.
 type sloFlags struct {
-	addr            string
 	n, d, k         int
-	index           string
-	precision       string // "" = f64
 	shards          int
-	seed            uint64
+	spec            server.IndexSpec
 	tenants         int
-	zipfA           float64
 	timeoutMS       int
 	steady          time.Duration
 	overload        time.Duration
@@ -132,11 +125,13 @@ func newSLOTracker() *sloTracker {
 	return &sloTracker{byRoute: map[string][]sloObs{}}
 }
 
-func (t *sloTracker) observe(route string, status int, gotRetryAfter bool, d time.Duration, transportErr bool, traceID string) {
+// observe classifies one request by its final status, 0 when no
+// response arrived.
+func (t *sloTracker) observe(route string, status int, gotRetryAfter bool, d time.Duration, traceID string) {
 	p := t.phase.Load()
 	c := &t.counts[p]
 	switch {
-	case transportErr:
+	case status == 0:
 		atomic.AddInt64(&c.Transport, 1)
 	case status/100 == 2:
 		atomic.AddInt64(&c.Served, 1)
@@ -160,102 +155,22 @@ func (t *sloTracker) observe(route string, status int, gotRetryAfter bool, d tim
 	t.mu.Unlock()
 }
 
-// sloCall runs one JSON request and returns the status code without
-// treating non-2xx as an error; the body is drained so connections are
-// reused. Every request carries a client-minted traceparent (one trace
-// id per logical request, a fresh span id per retry attempt); the trace
-// id is returned so the report can name the slowest requests. With
-// -retries > 0 the transient statuses (429/503) are retried with capped
-// exponential backoff + jitter, honoring the server's Retry-After hint;
-// only the final attempt's status is returned (and classified by the
-// tracker), so a retried-away shed counts as served — which is exactly
-// the client experience the report should grade.
-func sloCall(client *http.Client, method, url string, body any) (status int, retryAfter bool, traceID string, err error) {
-	var payload []byte
-	if body != nil {
-		if payload, err = json.Marshal(body); err != nil {
-			return 0, false, "", err
-		}
-	}
-	traceID, _ = trace.NewIDs()
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequest(method, url, bytes.NewReader(payload))
-		if err != nil {
-			return 0, false, traceID, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		_, spanID := trace.NewIDs()
-		req.Header.Set("traceparent", trace.Format(traceID, spanID))
-		resp, err := client.Do(req)
-		if err != nil {
-			return 0, false, traceID, err
-		}
-		ra := resp.Header.Get("Retry-After")
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if retryableStatus(resp.StatusCode) && attempt < retryMax {
-			retriesIssued.Add(1)
-			time.Sleep(retryDelay(attempt+1, ra))
-			continue
-		}
-		return resp.StatusCode, ra != "", traceID, nil
-	}
-}
-
-// runSLO is the -slo entry point. It returns the process exit code.
-func runSLO(f sloFlags) int {
-	base := f.addr
-	if base == "" {
-		srv := server.New(server.Config{
-			DefaultShards: f.shards,
-			MaxInflight:   f.maxInflight,
-			MaxQueue:      f.maxQueue,
-			Seed:          f.seed,
-		})
-		defer srv.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatalf("loadgen: listen: %v", err)
-		}
-		hs := &http.Server{Handler: server.NewHandler(srv)}
-		go func() {
-			if err := hs.Serve(ln); err != http.ErrServerClosed {
-				log.Printf("loadgen: serve: %v", err)
-			}
-		}()
-		defer hs.Close()
-		base = "http://" + ln.Addr().String()
-		fmt.Printf("slo: in-process ipsd at %s (max-inflight=%d max-queue=%d)\n",
-			base, f.maxInflight, f.maxQueue)
-	} else if len(base) >= 4 && base[:4] != "http" {
-		base = "http://" + base
-	}
-
+// runSLO is the -slo entry point: it drives the server at base through
+// both phases, writes the report to w, and returns an error when the
+// run fails its SLOs.
+func runSLO(w io.Writer, c *client, base string, f sloFlags) error {
 	// Seed every tenant with its own slice of a latent-factor workload.
-	rng := xrand.New(f.seed)
-	nPer := f.n / f.tenants
-	if nPer < 512 {
-		nPer = 512
-	}
-	lf := dataset.NewLatentFactor(rng, nPer*f.tenants, 256, f.d, 0.5)
+	nPer := max(f.n/f.tenants, 512)
+	lf := dataset.NewLatentFactor(xrand.New(seed), nPer*f.tenants, 256, f.d, sigma)
 	lf.ScaleItemsToUnitBall()
-	client := &http.Client{Timeout: 30 * time.Second}
 	tenant := func(i int) string { return fmt.Sprintf("slo-%d", i) }
-	fmt.Printf("slo: seeding %d tenants with %d vectors each (index=%s)\n", f.tenants, nPer, f.index)
+	fmt.Fprintf(w, "slo: seeding %d tenants with %d vectors each (max-inflight=%d max-queue=%d)\n",
+		f.tenants, nPer, f.maxInflight, f.maxQueue)
 	const seedChunk = 8192 // stay under the server's body cap
-	for t := 0; t < f.tenants; t++ {
-		for lo := 0; lo < nPer; lo += seedChunk {
-			hi := min(lo+seedChunk, nPer)
-			recs := make([]server.RecordJSON, hi-lo)
-			for i := lo; i < hi; i++ {
-				id := i
-				recs[i-lo] = server.RecordJSON{ID: &id, Vec: lf.Items[t*nPer+i]}
-			}
-			req := server.IngestRequest{Index: &server.IndexSpec{Kind: f.index, Precision: f.precision}, Shards: f.shards, Records: recs}
-			status, _, _, err := sloCall(client, http.MethodPut, base+"/collections/"+tenant(t), req)
-			if err != nil || status != http.StatusOK {
-				log.Fatalf("loadgen: slo seed tenant %d: status=%d err=%v", t, status, err)
-			}
+	for t := range f.tenants {
+		spec := server.IngestRequest{Index: &f.spec, Shards: f.shards}
+		if err := c.putRecords(base+"/collections/"+tenant(t), spec, lf.Items[t*nPer:(t+1)*nPer], seedChunk, 1); err != nil {
+			return fmt.Errorf("slo seed tenant %d: %w", t, err)
 		}
 	}
 
@@ -265,10 +180,10 @@ func runSLO(f sloFlags) int {
 	var clientGate sync.RWMutex // overload clients wait on this until phase 2
 	clientGate.Lock()
 
-	worker := func(w int, overloadOnly bool) {
+	worker := func(id int, overloadOnly bool) {
 		defer wg.Done()
-		wrng := xrand.New(f.seed + 0xc11e27 + uint64(w))
-		zipf := xrand.NewZipf(wrng, f.tenants, f.zipfA)
+		wrng := xrand.New(seed + 0xc11e27 + uint64(id))
+		zipf := xrand.NewZipf(wrng, f.tenants, zipfA)
 		if overloadOnly {
 			clientGate.RLock() // released at Unlock; holds until gate opens
 			clientGate.RUnlock()
@@ -282,28 +197,25 @@ func runSLO(f sloFlags) int {
 			t := zipf.Draw()
 			col := base + "/collections/" + tenant(t)
 			var (
-				route  string
-				status int
-				ra     bool
-				tid    string
-				err    error
+				route string
+				r     reply
 			)
 			t0 := time.Now()
-			switch r := wrng.Float64(); {
-			case r < 0.55: // single search
+			switch u := wrng.Float64(); {
+			case u < 0.55: // single search
 				route = "search"
 				q := lf.Users[wrng.Intn(len(lf.Users))]
-				status, ra, tid, err = sloCall(client, http.MethodPost, col+"/search",
+				r, _ = c.do(http.MethodPost, col+"/search",
 					server.SearchRequest{Q: q, K: f.k, TimeoutMS: f.timeoutMS})
-			case r < 0.85: // batched search
+			case u < 0.85: // batched search
 				route = "search_batch"
 				qs := make([][]float64, 16)
 				for i := range qs {
 					qs[i] = lf.Users[wrng.Intn(len(lf.Users))]
 				}
-				status, ra, tid, err = sloCall(client, http.MethodPost, col+"/search",
+				r, _ = c.do(http.MethodPost, col+"/search",
 					server.SearchRequest{Queries: qs, K: f.k, TimeoutMS: f.timeoutMS})
-			case r < 0.95: // upsert a handful of hot ids
+			case u < 0.95: // upsert a handful of hot ids
 				route = "upsert"
 				nrec := 1 + wrng.Intn(4)
 				recs := make([]server.RecordJSON, nrec)
@@ -311,32 +223,32 @@ func runSLO(f sloFlags) int {
 					id := wrng.Intn(nPer)
 					recs[i] = server.RecordJSON{ID: &id, Vec: wrng.NormalVec(f.d)}
 				}
-				status, ra, tid, err = sloCall(client, http.MethodPost, col+"/vectors",
+				r, _ = c.do(http.MethodPost, col+"/vectors",
 					server.IngestRequest{Records: recs})
 			default: // delete-then-reinsertable ids (unknown ids are no-ops)
 				route = "delete"
 				ids := []int{wrng.Intn(nPer)}
-				status, ra, tid, err = sloCall(client, http.MethodPost, col+"/vectors/delete",
+				r, _ = c.do(http.MethodPost, col+"/vectors/delete",
 					server.DeleteVectorsRequest{IDs: ids})
 			}
-			tr.observe(route, status, ra, time.Since(t0), err != nil, tid)
+			tr.observe(route, r.status, r.retryAfter, time.Since(t0), r.traceID)
 		}
 	}
 
-	fmt.Printf("slo: steady phase: %d clients for %v (timeout_ms=%d, zipf a=%g over %d tenants)\n",
-		f.clients, f.steady, f.timeoutMS, f.zipfA, f.tenants)
-	for w := 0; w < f.clients; w++ {
+	fmt.Fprintf(w, "slo: steady phase: %d clients for %v (timeout_ms=%d, zipf a=%g over %d tenants)\n",
+		f.clients, f.steady, f.timeoutMS, zipfA, f.tenants)
+	for id := range f.clients {
 		wg.Add(1)
-		go worker(w, false)
+		go worker(id, false)
 	}
-	for w := 0; w < f.overloadClients; w++ {
+	for id := range f.overloadClients {
 		wg.Add(1)
-		go worker(f.clients+w, true)
+		go worker(f.clients+id, true)
 	}
 	time.Sleep(f.steady)
 	tr.phase.Store(1)
 	clientGate.Unlock() // open the gate: overload clients start
-	fmt.Printf("slo: overload phase: +%d clients for %v\n", f.overloadClients, f.overload)
+	fmt.Fprintf(w, "slo: overload phase: +%d clients for %v\n", f.overloadClients, f.overload)
 	time.Sleep(f.overload)
 	close(stop)
 	wg.Wait()
@@ -350,8 +262,8 @@ func runSLO(f sloFlags) int {
 		Steady:         tr.counts[0],
 		Overload:       tr.counts[1],
 		RetryAfterSeen: tr.retryAfter.Load(),
-		RetryMax:       retryMax,
-		Retries:        retriesIssued.Load(),
+		RetryMax:       c.retries,
+		Retries:        c.retried.Load(),
 	}
 	if tot := rep.Overload.total(); tot > 0 {
 		rep.ShedRate = float64(rep.Overload.Shed) / float64(tot)
@@ -416,21 +328,21 @@ func runSLO(f sloFlags) int {
 	}
 	rep.Pass = len(rep.Failures) == 0
 
-	fmt.Printf("slo report:\n")
-	fmt.Printf("  steady:   served=%d shed=%d deadline=%d 4xx=%d 5xx=%d transport=%d\n",
+	fmt.Fprintf(w, "slo report:\n")
+	fmt.Fprintf(w, "  steady:   served=%d shed=%d deadline=%d 4xx=%d 5xx=%d transport=%d\n",
 		rep.Steady.Served, rep.Steady.Shed, rep.Steady.Deadline,
 		rep.Steady.ClientErr, rep.Steady.ServerErr, rep.Steady.Transport)
-	fmt.Printf("  overload: served=%d shed=%d deadline=%d 4xx=%d 5xx=%d transport=%d (shed rate %.1f%%)\n",
+	fmt.Fprintf(w, "  overload: served=%d shed=%d deadline=%d 4xx=%d 5xx=%d transport=%d (shed rate %.1f%%)\n",
 		rep.Overload.Served, rep.Overload.Shed, rep.Overload.Deadline,
 		rep.Overload.ClientErr, rep.Overload.ServerErr, rep.Overload.Transport,
 		100*rep.ShedRate)
-	fmt.Printf("  deadline miss rate: %.2f%%  retry-after seen: %v  client retries: %d (max %d/request)\n",
+	fmt.Fprintf(w, "  deadline miss rate: %.2f%%  retry-after seen: %v  client retries: %d (max %d/request)\n",
 		100*rep.DeadlineMissRate, rep.RetryAfterSeen, rep.Retries, rep.RetryMax)
 	for _, rs := range rep.Routes {
-		fmt.Printf("  %-14s n=%-6d p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms\n",
+		fmt.Fprintf(w, "  %-14s n=%-6d p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms\n",
 			rs.Route, rs.N, rs.P50MS, rs.P95MS, rs.P99MS, rs.MaxMS)
 		if len(rs.SlowestTraceIDs) > 0 {
-			fmt.Printf("    slowest trace ids: %v\n", rs.SlowestTraceIDs)
+			fmt.Fprintf(w, "    slowest trace ids: %v\n", rs.SlowestTraceIDs)
 		}
 	}
 
@@ -438,17 +350,13 @@ func runSLO(f sloFlags) int {
 		data, _ := json.MarshalIndent(rep, "", "  ")
 		data = append(data, '\n')
 		if err := os.WriteFile(f.report, data, 0o644); err != nil {
-			log.Printf("loadgen: slo report: %v", err)
-			return 1
+			return fmt.Errorf("slo report: %w", err)
 		}
-		fmt.Printf("slo: report written to %s\n", f.report)
+		fmt.Fprintf(w, "slo: report written to %s\n", f.report)
 	}
 	if !rep.Pass {
-		for _, msg := range rep.Failures {
-			log.Printf("loadgen: SLO FAILED: %s", msg)
-		}
-		return 1
+		return fmt.Errorf("SLO FAILED: %s", strings.Join(rep.Failures, "; "))
 	}
-	fmt.Printf("slo: PASS\n")
-	return 0
+	fmt.Fprintf(w, "slo: PASS\n")
+	return nil
 }

@@ -184,13 +184,6 @@ func (wr *writer) writeBits(src []uint64, n int, flip bool) {
 	wr.n += n
 }
 
-// writeBit appends a single bit.
-func (wr *writer) writeBit(v int) {
-	var one [1]uint64
-	one[0] = uint64(v)
-	wr.writeBits(one[:], 1, false)
-}
-
 func (wr *writer) bits() *Bits {
 	b := &Bits{N: wr.n, W: wr.w}
 	if len(b.W) > 0 {

@@ -66,15 +66,6 @@ func (c *chunked[T]) contiguous(lo, hi int) []T {
 	return chunk[l*c.width : h*c.width]
 }
 
-// copyTo copies rows [lo, hi) into dst, one copy per chunk they span.
-func (c *chunked[T]) copyTo(dst []T, lo, hi int) {
-	for lo < hi {
-		chunk, l, h := c.span(lo, hi)
-		dst = dst[copy(dst, chunk[l*c.width:h*c.width]):]
-		lo += h - l
-	}
-}
-
 // share makes dst a container of c's rows over c's chunks. The open
 // chunk's spare capacity passes to dst if c still owned it; c itself,
 // and any later share of c, will copy the open chunk before appending,

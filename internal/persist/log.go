@@ -905,9 +905,6 @@ func (l *Log) Remove() error {
 	return err
 }
 
-// Dir returns the collection directory path.
-func (l *Log) Dir() string { return l.dir }
-
 // removeLogFiles deletes every WAL, segment and temp file in dir.
 func removeLogFiles(fsys errfs.FS, dir string) error {
 	entries, err := fsys.ReadDir(dir)

@@ -11,13 +11,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // TestReadmeNamesExist keeps README's operator surface honest: every
 // ipsd_* metric README names must be one internal/server writes, and
-// every flag on an ipsd command line in README's shell blocks (ipsd …
-// or go run ./cmd/ipsd …, with its \-continued lines) one that cmd/ipsd
-// defines. A metric written in brace shorthand, ipsd_admission_{inflight,
+// every flag on an ipsd or loadgen command line (ipsd …, "$BIN/loadgen"
+// …, go run ./cmd/loadgen …, with its \-continued lines) in README's
+// and the verify skill's shell blocks and code spans, in ci.yml and in
+// scripts/*.sh one that the command's cmd/ directory defines. A metric written in brace shorthand, ipsd_admission_{inflight,
 // queued}, names each member, where braces after a whole name hold its
 // labels; a histogram's _bucket, _sum and _count series count as the
 // histogram's. README names 21 metrics today (19 spellings, the
@@ -131,48 +133,91 @@ func TestReadmeNamesExist(t *testing.T) {
 	}
 	t.Logf("README names %d ipsd_* metrics", len(named))
 
-	defined := ipsdFlags(t)
-	flags := 0
-	inBlock, inCommand := false, false
-	for _, line := range strings.Split(readme, "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "```") {
-			inBlock, inCommand = !inBlock, false
-			continue
-		}
-		if !inBlock {
-			continue
-		}
-		if !inCommand && !strings.HasPrefix(trimmed, "ipsd ") && !strings.HasPrefix(trimmed, "go run ./cmd/ipsd ") {
-			continue
-		}
-		for _, field := range strings.Fields(trimmed) {
-			if name, ok := strings.CutPrefix(field, "-"); ok && name != "" {
-				name, _, _ = strings.Cut(strings.TrimPrefix(name, "-"), "=")
-				flags++
-				if !defined[name] {
-					t.Errorf("README runs ipsd with -%s, which cmd/ipsd does not define", name)
-				}
-			}
-		}
-		inCommand = strings.HasSuffix(trimmed, `\`)
-	}
-	if flags == 0 {
-		t.Error("README shows no ipsd command line with a flag: the pattern no longer matches how it writes them")
-	}
-}
-
-// ipsdFlags returns the names of the flags cmd/ipsd defines: the first
-// argument of every flag.String, flag.Int, … call in its sources.
-func ipsdFlags(t *testing.T) map[string]bool {
-	t.Helper()
-	fset := token.NewFileSet()
-	sources, err := filepath.Glob("cmd/ipsd/*.go")
+	// Every ipsd and loadgen command line in the docs, the scripts and CI
+	// may use only flags that its cmd/ directory defines.
+	cmds := map[string]map[string]bool{"ipsd": cmdFlags(t, "cmd/ipsd"), "loadgen": cmdFlags(t, "cmd/loadgen")}
+	docs := []string{"README.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"}
+	scripts, err := filepath.Glob("scripts/*.sh")
 	if err != nil {
 		t.Fatal(err)
 	}
+	used := map[string]int{}
+	for _, path := range append(docs, scripts...) {
+		for _, line := range commandLines(readFile(t, path), strings.HasSuffix(path, ".md")) {
+			cmd := ""
+			for _, field := range strings.Fields(line) {
+				if strings.ContainsAny(field[:1], "#&|;<>") { // a comment, or the command ends
+					break
+				}
+				if cmd == "" {
+					if name := strings.Trim(field[strings.LastIndex(field, "/")+1:], `"'`); cmds[name] != nil {
+						cmd = name
+					}
+					continue
+				}
+				name := strings.TrimLeft(field, "-")
+				if name == field || name == "" || !unicode.IsLetter(rune(name[0])) {
+					continue // an argument, a negative number or --
+				}
+				name, _, _ = strings.Cut(name, "=")
+				used[cmd]++
+				if !cmds[cmd][name] {
+					t.Errorf("%s runs %s with -%s, which cmd/%s does not define", path, cmd, name, cmd)
+				}
+			}
+		}
+	}
+	for cmd := range cmds {
+		if used[cmd] == 0 {
+			t.Errorf("no %s command line with a flag found: the pattern no longer matches how they are written", cmd)
+		}
+	}
+	t.Logf("checked %d ipsd and %d loadgen flags on command lines", used["ipsd"], used["loadgen"])
+}
+
+// commandLines returns the lines of a shell script or workflow, or of a
+// Markdown file's fenced blocks and one-line code spans, with every
+// line that ends in \ joined to the next and each $(…) substitution
+// blanked.
+func commandLines(text string, markdown bool) []string {
+	text = strings.ReplaceAll(text, "\\\n", " ")
+	text = regexp.MustCompile(`\$\([^)]*\)`).ReplaceAllString(text, "X")
+	if !markdown {
+		return strings.Split(text, "\n")
+	}
+	var lines []string
+	inBlock := false
+	for _, line := range strings.Split(text, "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			inBlock = !inBlock
+		case inBlock:
+			lines = append(lines, line)
+		default:
+			for _, span := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(line, -1) {
+				lines = append(lines, span[1])
+			}
+		}
+	}
+	return lines
+}
+
+// cmdFlags returns the names of the flags the command in dir defines:
+// the first argument of every String, Int, Bool, … call on the flag
+// package or a FlagSet in its sources.
+func cmdFlags(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	fset := token.NewFileSet()
+	sources, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	definers := map[string]bool{"String": true, "Int": true, "Int64": true, "Uint": true, "Uint64": true, "Bool": true, "Float64": true, "Duration": true}
 	defined := map[string]bool{}
 	for _, path := range sources {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -182,11 +227,7 @@ func ipsdFlags(t *testing.T) map[string]bool {
 			if !ok || len(call.Args) == 0 {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !definers[sel.Sel.Name] {
 				return true
 			}
 			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
@@ -198,7 +239,7 @@ func ipsdFlags(t *testing.T) map[string]bool {
 		})
 	}
 	if len(defined) == 0 {
-		t.Fatal("found no flag definitions in cmd/ipsd")
+		t.Fatalf("found no flag definitions in %s", dir)
 	}
 	return defined
 }
