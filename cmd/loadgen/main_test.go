@@ -99,3 +99,25 @@ func TestRunVerifies(t *testing.T) {
 		}
 	}
 }
+
+// TestSLOUpsertBatchDistinctIDs: the SLO upsert op never repeats an id in
+// one batch, which the server refuses with a 400. An id space of 5 makes
+// repeats the common draw.
+func TestSLOUpsertBatchDistinctIDs(t *testing.T) {
+	for _, nPer := range []int{1, 5, 512} {
+		rng := xrand.New(uint64(nPer))
+		for range 2000 {
+			recs := sloUpsertBatch(rng, nPer, 3)
+			seen := map[int]bool{}
+			for _, r := range recs {
+				if *r.ID < 0 || *r.ID >= nPer || seen[*r.ID] || len(r.Vec) != 3 {
+					t.Fatalf("nPer %d: batch %d records, id %d (seen %v)", nPer, len(recs), *r.ID, seen)
+				}
+				seen[*r.ID] = true
+			}
+			if len(recs) < 1 || len(recs) > 4 {
+				t.Fatalf("nPer %d: batch of %d records, want 1–4", nPer, len(recs))
+			}
+		}
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -155,6 +156,20 @@ func (t *sloTracker) observe(route string, status int, gotRetryAfter bool, d tim
 	t.mu.Unlock()
 }
 
+// sloUpsertBatch draws the SLO upsert op's batch: 1–4 records under
+// distinct ids below nPer (a repeated id would make the server refuse
+// the batch), each with a fresh d-dimensional vector.
+func sloUpsertBatch(rng *xrand.RNG, nPer, d int) []server.RecordJSON {
+	recs := make([]server.RecordJSON, 0, 1+rng.Intn(min(4, nPer)))
+	for len(recs) < cap(recs) {
+		id := rng.Intn(nPer)
+		if !slices.ContainsFunc(recs, func(r server.RecordJSON) bool { return *r.ID == id }) {
+			recs = append(recs, server.RecordJSON{ID: &id, Vec: rng.NormalVec(d)})
+		}
+	}
+	return recs
+}
+
 // runSLO is the -slo entry point: it drives the server at base through
 // both phases, writes the report to w, and returns an error when the
 // run fails its SLOs.
@@ -217,14 +232,8 @@ func runSLO(w io.Writer, c *client, base string, f sloFlags) error {
 					server.SearchRequest{Queries: qs, K: f.k, TimeoutMS: f.timeoutMS})
 			case u < 0.95: // upsert a handful of hot ids
 				route = "upsert"
-				nrec := 1 + wrng.Intn(4)
-				recs := make([]server.RecordJSON, nrec)
-				for i := range recs {
-					id := wrng.Intn(nPer)
-					recs[i] = server.RecordJSON{ID: &id, Vec: wrng.NormalVec(f.d)}
-				}
 				r, _ = c.do(http.MethodPost, col+"/vectors",
-					server.IngestRequest{Records: recs})
+					server.IngestRequest{Records: sloUpsertBatch(wrng, nPer, f.d)})
 			default: // delete-then-reinsertable ids (unknown ids are no-ops)
 				route = "delete"
 				ids := []int{wrng.Intn(nPer)}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/vec"
 	"repro/internal/xrand"
 )
@@ -231,15 +233,18 @@ func BenchmarkServerSearchBatch(b *testing.B) {
 // iteration: the lsh engine walking the indexes an alsh collection keeps,
 // and the exact sweeps it is up against: the f64 rows, the norm-sorted
 // view of a normscan collection, and — at mixed-durable's 40 000 × 32 —
-// the f64 rows under an int8 collection, whole and, as mixed-durable
-// joins them, with 5 % of them deleted (exact-int8-deleted: nearly every
-// block holds a dead row, so the sweep offers through the dead set);
-// normscan-written sweeps the runs a normscan collection of small-hot's
-// shape stacks after its 384 upserts of 64 (searchCells'
-// normscan-written). Few latent-factor queries have a partner ≥ c·s, so
-// lsh-on-alsh walks nearly every table; lsh-planted gives each query one
-// at 0.95·q̂, as planted-alsh does, so its walks stop at the first table
-// step holding it. candidates/query is what a query verified.
+// the codes of an int8 collection, their certified candidates re-ranked
+// through the f64 rows, whole and, as mixed-durable joins them, with 5 %
+// of the rows deleted (exact-int8-deleted: nearly every block holds a
+// dead row, so the sweep offers through the dead set); normscan-written
+// sweeps the runs a normscan collection of small-hot's shape stacks after
+// its 384 upserts of 64 (searchCells' normscan-written). Few
+// latent-factor queries have a partner ≥ c·s, so lsh-on-alsh walks nearly
+// every table; lsh-planted gives each query one at 0.95·q̂, as
+// planted-alsh does, so its walks stop at the first table step holding
+// it. compared/query is the rows a query scored (JoinResponse.Compared:
+// the candidates lsh verified), and rerank/query, on the int8 cells, the
+// candidates a query re-ranked (the scan span's rerank_candidates).
 func BenchmarkServerJoin(b *testing.B) {
 	for _, c := range []struct {
 		name, engine string
@@ -294,8 +299,18 @@ func BenchmarkServerJoin(b *testing.B) {
 				}
 				compared += resp.Compared
 			}
-			if c.engine == "lsh" {
-				b.ReportMetric(float64(compared)/float64(b.N*len(queries)), "candidates/query")
+			b.ReportMetric(float64(compared)/float64(b.N*len(queries)), "compared/query")
+			if c.spec.Precision == PrecisionI8 {
+				b.StopTimer()
+				tr := trace.New("join", "")
+				if _, err := s.JoinCtx(trace.NewContext(context.Background(), tr), req); err != nil {
+					b.Fatal(err)
+				}
+				for _, sp := range tr.Export().Spans {
+					if sp.Name == "scan" {
+						b.ReportMetric(float64(sp.Attrs["rerank_candidates"])/float64(len(queries)), "rerank/query")
+					}
+				}
 			}
 		})
 	}

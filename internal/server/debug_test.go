@@ -653,12 +653,14 @@ func TestMetricsPromFormat(t *testing.T) {
 // TestJoinScanSpanCountsWork: a traced join says what it scored, as a
 // traced search does — rows_scanned is the response's Compared, and the
 // driver's block counters say what the norm bound and the tombstones
-// saved.
+// saved. An int8 join sweeps the same blocks of codes as the f64 join
+// of the same rows and re-ranks some of them (rerank_candidates).
 func TestJoinScanSpanCountsWork(t *testing.T) {
 	s := New(Config{CacheCapacity: -1, CompactFraction: -1})
 	defer s.Close()
 	const n, nq, block = 700, 30, 256
 	explainFixture(t, s, "rows", &IndexSpec{Kind: KindExact}, 1, n, 8)
+	explainFixture(t, s, "codes", &IndexSpec{Kind: KindExact, Precision: PrecisionI8}, 1, n, 8)
 	explainFixture(t, s, "sorted", &IndexSpec{Kind: KindNormScan}, 1, n, 8)
 	explainFixture(t, s, "q", nil, 1, nq, 8)
 	// One shard holds rows in ingest order, so ids 256..511 are exactly
@@ -667,8 +669,10 @@ func TestJoinScanSpanCountsWork(t *testing.T) {
 	for i := range doomed {
 		doomed[i] = block + i
 	}
-	if _, deleted, _, err := s.Delete("rows", doomed); err != nil || deleted != block {
-		t.Fatalf("delete: %v (deleted %d)", err, deleted)
+	for _, name := range []string{"rows", "codes"} {
+		if _, deleted, _, err := s.Delete(name, doomed); err != nil || deleted != block {
+			t.Fatalf("delete from %s: %v (deleted %d)", name, err, deleted)
+		}
 	}
 	scanSpan := func(req JoinRequest) (*JoinResponse, map[string]int64) {
 		tr := trace.New("join", "")
@@ -690,6 +694,16 @@ func TestJoinScanSpanCountsWork(t *testing.T) {
 		attrs["tombstone_skipped_blocks"] != nq || attrs["cs_pruned_blocks"] != 0 {
 		t.Fatalf("exact join over a dead block: compared %d, span %v; want %d rows and one skipped block per query", resp.Compared, attrs, want)
 	}
+	if attrs["rerank_candidates"] != 0 {
+		t.Fatalf("f64 join re-ranked: span %v", attrs)
+	}
+	resp8, attrs8 := scanSpan(JoinRequest{Data: "codes", Queries: "q", Engine: "exact", S: 0.5})
+	if resp8.Compared != resp.Compared || attrs8["rows_scanned"] != attrs["rows_scanned"] ||
+		attrs8["tombstone_skipped_blocks"] != attrs["tombstone_skipped_blocks"] ||
+		attrs8["rerank_candidates"] <= 0 || attrs8["rerank_candidates"] > attrs8["rows_scanned"] {
+		t.Fatalf("int8 join: compared %d, span %v; f64 join: compared %d, span %v", resp8.Compared, attrs8, resp.Compared, attrs)
+	}
+	samePairs(t, "int8 join", resp.Pairs, resp8.Pairs)
 
 	// A threshold no pair reaches: the bound stops every query early.
 	resp, attrs = scanSpan(JoinRequest{Data: "sorted", Queries: "q", Engine: "normpruned", S: 1e6})

@@ -35,10 +35,12 @@ type JoinRequest struct {
 	// Engine is "exact" (alias "tiled"), "normpruned" (alias "normscan")
 	// or "lsh" (default "exact"). Every engine joins through a structure
 	// the data collection already keeps: exact and normpruned, one engine
-	// under two names, sweep the f64 view its shards serve from — the
-	// norm-sorted, pruned view of a normscan f64 collection, store order
-	// elsewhere — and lsh the banding indexes of an alsh one; lsh on any
-	// other kind is refused, naming the alternative.
+	// under two names, sweep the view its shards serve from — the
+	// norm-sorted, pruned view of a normscan f64 collection, the int8
+	// codes of an int8 one, their certified candidates re-ranked through
+	// the f64 rows, the f64 rows in store order elsewhere — and lsh the
+	// banding indexes of an alsh one; lsh on any other kind is refused,
+	// naming the alternative.
 	Engine string `json:"engine,omitempty"`
 	// Variant is "signed" (default) or "unsigned".
 	Variant string `json:"variant,omitempty"`
@@ -73,10 +75,13 @@ type JoinPair struct {
 // query ID; within one query by decreasing value, ties toward the
 // smaller data ID. Compared counts the pairs whose inner product was
 // evaluated: the exact engines score whole 256-row blocks, so the
-// tombstoned rows of a block that still holds a live row are counted;
-// lsh counts the live candidates it verified — in threshold mode those
-// up to each query's first table step that yields a witness, in top-k
-// mode each query's whole candidate union.
+// tombstoned rows of a block that still holds a live row are counted —
+// on an int8 collection the blocks of codes, the same rows the f64 sweep
+// counts, and not the certified candidates re-ranked through the f64
+// rows (the scan span's rerank_candidates); lsh counts the live
+// candidates it verified — in threshold mode those up to each query's
+// first table step that yields a witness, in top-k mode each query's
+// whole candidate union.
 type JoinResponse struct {
 	Engine   string     `json:"engine"`
 	TopK     int        `json:"topk,omitempty"`
@@ -88,7 +93,7 @@ type JoinResponse struct {
 // joinEngineName resolves a request's engine, on a data collection
 // created under spec, to the name the response reports. Every served
 // engine joins through what the data collection already keeps: exact and
-// normpruned (the same engine, by its two names) the f64 view its shards
+// normpruned (the same engine, by its two names) the view its shards
 // serve from, and lsh the banding indexes of an alsh collection; lsh on
 // any other kind is refused, naming the alternative.
 func joinEngineName(engine string, spec IndexSpec) (string, error) {
@@ -134,15 +139,15 @@ func newJoinOpts(sp join.Spec, req JoinRequest) joinOpts {
 
 // joinSnap returns sn as a join of engine (by joinEngineName) reads it:
 // through its serving index, where that is lsh's banding tables or the
-// f64 view the exact engines sweep — norm-sorted and pruned on a normscan
-// shard, in store order on an exact f64 one. An alsh or int8 shard is
-// swept through a store-order index over sn.fs, which copies nothing. An
-// int8 shard's codes would give the same pairs about five times faster
-// at 40 000 × 32, but that compute-bound sweep's time spread between runs
-// several times wider than the f64 sweep's, too wide to tell a regression
-// from noise (ROADMAP item 18(d)).
+// view the exact engines sweep as a search does — norm-sorted and pruned
+// on a normscan shard, the f64 rows in store order on an exact f64 one,
+// and on an int8 one the codes in store order, whose certified
+// candidates are re-ranked through the f64 rows (flatIndex.topKMulti),
+// so the pairs, their values and the rows counted are the f64 sweep's.
+// An alsh shard is swept by the exact engines through a store-order index
+// over sn.fs, which copies nothing.
 func (sn *shardSnap) joinSnap(engine string) *shardSnap {
-	if ix, ok := sn.index.(*flatIndex); engine == "lsh" || ok && !ix.rerank {
+	if _, ok := sn.index.(*flatIndex); engine == "lsh" || ok {
 		return sn
 	}
 	rows := *sn
@@ -196,11 +201,14 @@ func runJoin(ctx context.Context, pool *Pool, c *Collection, engine string, dsna
 		return scanInTurn(ctx, snaps, ts.q, ts, 0, len(ts.qids), o.k, lo, hi, fl, o.cs, TopKOpts{Unsigned: o.unsigned}, ex[t*nsh:(t+1)*nsh])
 	}, func(t int, ts *tileScratch, err error) {
 		w := &work[t]
+		rerank := 0
 		for _, e := range ex[t*nsh : (t+1)*nsh] {
 			w.Add(flat.ScanStats{ScannedRows: e.RowsScanned, PrunedBlocks: e.CSPrunedBlocks, SkippedBlocks: e.TombstoneSkippedBlocks})
+			rerank += e.RerankCandidates
 		}
 		ssp.SetInt("rows_scanned", int64(w.ScannedRows))
 		ssp.SetInt("candidates", int64(w.Candidates))
+		ssp.SetInt("rerank_candidates", int64(rerank))
 		ssp.SetInt("cs_pruned_blocks", int64(w.PrunedBlocks))
 		ssp.SetInt("tombstone_skipped_blocks", int64(w.SkippedBlocks))
 		if errs[t] = err; err != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -110,15 +111,14 @@ func searchBatch(t *testing.T, s *Server, queries []vec.Vector, opts SearchOpts)
 	return out
 }
 
-// TestInt8ExactWhereOverfetchMissed is an input on which an int8 top 10
-// re-ranked from the 4k best dequantized scores loses the true top-1
-// row. Every row holds 1.27 in the coordinate the query zeroes, so every
-// shard's scale is 0.01. Row 0, 15 × 0.00499, scores 0.07485 but codes
-// as 0; the 400 rows of 8 × 0.00501 score 0.04008 but code as 8 units
-// each, so each shard holds far more than 40 of them above row 0; the
-// 200 rows of 15 × −0.5 are far below both. The certified candidates
-// reach row 0, and the answer is the f64 scan's.
-func TestInt8ExactWhereOverfetchMissed(t *testing.T) {
+// overfetchMissed is an input on which an int8 top 10 re-ranked from the
+// 4k best dequantized scores loses the true top-1 row. Every row holds
+// 1.27 in the coordinate the query zeroes, so every shard's scale is
+// 0.01. Row 0, 15 × 0.00499, scores 0.07485 but codes as 0; the 400 rows
+// of 8 × 0.00501 score 0.04008 but code as 8 units each, so each shard
+// holds far more than 40 of them above row 0; the 200 rows of 15 × −0.5
+// are far below both.
+func overfetchMissed() (items []vec.Vector, q vec.Vector) {
 	const d = 16
 	row := func(x float64, n int) vec.Vector {
 		v := vec.New(d)
@@ -128,17 +128,24 @@ func TestInt8ExactWhereOverfetchMissed(t *testing.T) {
 		v[d-1] = 1.27
 		return v
 	}
-	items := []vec.Vector{row(0.00499, 15)}
+	items = []vec.Vector{row(0.00499, 15)}
 	for i := 0; i < 400; i++ {
 		items = append(items, row(0.00501, 8))
 	}
 	for i := 0; i < 200; i++ {
 		items = append(items, row(-0.5, 15))
 	}
-	q := vec.New(d)
+	q = vec.New(d)
 	for i := 0; i < d-1; i++ {
 		q[i] = 1
 	}
+	return items, q
+}
+
+// TestInt8ExactWhereOverfetchMissed: on overfetchMissed the certified
+// candidates reach row 0, and the answer is the f64 scan's.
+func TestInt8ExactWhereOverfetchMissed(t *testing.T) {
+	items, q := overfetchMissed()
 	opts := SearchOpts{K: 10}
 	want := searchOpts(t, tierServer(t, IndexSpec{Kind: KindExact}, items), []vec.Vector{q}, opts)
 	if len(want[0]) == 0 || want[0][0].ID != 0 {
@@ -150,12 +157,43 @@ func TestInt8ExactWhereOverfetchMissed(t *testing.T) {
 	}
 }
 
+// TestInt8JoinWhereOverfetchMissed is the join twin: at cs equal to row
+// 0's f64 score, every other row falls below the threshold, and the int8
+// join still reports row 0's pair — row 0 codes as 0, but the code sweep
+// keeps every row within 2ε of cs — with the f64 join's value and
+// Compared.
+func TestInt8JoinWhereOverfetchMissed(t *testing.T) {
+	items, q := overfetchMissed()
+	ref := tierServer(t, IndexSpec{Kind: KindExact}, items)
+	i8 := tierServer(t, IndexSpec{Kind: KindExact, Precision: PrecisionI8}, items)
+	top := searchOpts(t, ref, []vec.Vector{q}, SearchOpts{K: 1})[0][0]
+	req := JoinRequest{Data: "items", Queries: "queries", S: top.Score}
+	var resps [2]*JoinResponse
+	for i, s := range []*Server{ref, i8} {
+		mustIngest(t, s, "queries", nil, 1, records([]vec.Vector{q}, 0))
+		resp, err := s.Join(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resps[i] = resp
+	}
+	samePairs(t, "f64 join", []JoinPair{{DataID: 0, QueryID: 0, Value: top.Score}}, resps[0].Pairs)
+	samePairs(t, "int8 join", resps[0].Pairs, resps[1].Pairs)
+	if resps[1].Compared != resps[0].Compared {
+		t.Fatalf("int8 join compared %d, f64 %d", resps[1].Compared, resps[0].Compared)
+	}
+}
+
 // TestInt8CertifiedGrid holds int8 answers to the f64 exact scan's, bit
 // for bit, one query at a time and as a batch, over d ∈ {4, 16, 17, 32,
 // 33, 64}, signed and unsigned, k ∈ {1, 10, 50}, after deletes and
 // upserts, on rows with duplicates and ties, for the zero query and a
 // query whose ‖q‖₁ overflows — and on a collection holding ±Inf and NaN
-// elements, whose codes bound nothing.
+// elements, whose codes bound nothing. Its joins hold the f64 joins'
+// pairs and Compared, signed and unsigned, in threshold mode and at top-k
+// 1 and 10: of those queries at thresholds 1 and d/2, which tie with the
+// small integer dots, and of the collection with itself, identity pairs
+// excluded.
 func TestInt8CertifiedGrid(t *testing.T) {
 	for _, d := range []int{4, 16, 17, 32, 33, 64} {
 		for _, nonFinite := range []bool{false, true} {
@@ -207,6 +245,40 @@ func TestInt8CertifiedGrid(t *testing.T) {
 						t.Errorf("d=%d non-finite=%v unsigned=%v k=%d: int8 batch differs from f64", d, nonFinite, unsigned, k)
 					}
 				}
+			}
+			for _, s := range []*Server{ref, i8} {
+				mustIngest(t, s, "queries", nil, 2, records(queries, 0))
+			}
+			pairs := 0
+			for vi, variant := range []string{"signed", "unsigned"} {
+				for ti, topK := range []int{0, 1, 10} {
+					reqs := []JoinRequest{{Data: "items", Queries: "queries", S: 1}, {Data: "items", Queries: "queries", S: float64(d) / 2}}
+					// The self-join scores ≈ 170 times the rows, so it
+					// takes every other (variant, top-k) cell.
+					if (vi+ti)%2 == 0 {
+						reqs = append(reqs, JoinRequest{Data: "items", Queries: "items", ExcludeSelf: true, S: float64(d) / 2})
+					}
+					for _, req := range reqs {
+						req.Variant, req.TopK = variant, topK
+						want, err := ref.Join(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := i8.Join(req)
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("d=%d non-finite=%v %s join of %s, topk %d, s %g", d, nonFinite, variant, req.Queries, topK, req.S)
+						samePairs(t, label, want.Pairs, got.Pairs)
+						if got.Compared != want.Compared {
+							t.Fatalf("%s: int8 compared %d, f64 %d", label, got.Compared, want.Compared)
+						}
+						pairs += len(want.Pairs)
+					}
+				}
+			}
+			if pairs == 0 {
+				t.Fatalf("d=%d non-finite=%v: no join reported a pair", d, nonFinite)
 			}
 		}
 	}
